@@ -124,8 +124,10 @@ pub fn fig5(weeklies: &[WeeklySnapshot]) -> Vec<Fig5Point> {
                 count: other,
             });
         }
-        out.sort_by(|a, b| (a.week, b.count).cmp(&(b.week, a.count)));
     }
+    // Ties on the count fall back to the label: the sets come out of a
+    // `HashMap`, whose order differs from process to process.
+    out.sort_by(|a, b| (a.week, b.count, &a.set).cmp(&(b.week, a.count, &b.set)));
     out
 }
 
@@ -228,7 +230,8 @@ pub fn fig7(weeklies: &[WeeklySnapshot]) -> Vec<Fig7Point> {
             });
         }
     }
-    out.sort_by(|a, b| (a.week, b.pairs).cmp(&(b.week, a.pairs)));
+    // As in `fig5`: the label breaks ties the `HashMap` would leave open.
+    out.sort_by(|a, b| (a.week, b.pairs, &a.set).cmp(&(b.week, a.pairs, &b.set)));
     out
 }
 

@@ -487,7 +487,9 @@ pub fn table6(snap: &StatefulSnapshot, k: usize) -> Vec<Table6Row> {
             parameters: params.len() as u64,
         })
         .collect();
-    rows.sort_by(|a, b| b.ases.cmp(&a.ases).then(b.targets.cmp(&a.targets)));
+    // The server name breaks ties the `HashMap` would leave open — also at
+    // the cut, so the same rows make the top `k` in every process.
+    rows.sort_by(|a, b| (b.ases, b.targets, &a.server).cmp(&(a.ases, a.targets, &b.server)));
     rows.truncate(k);
     rows
 }

@@ -4,7 +4,7 @@
 use crate::aes::Aes;
 use crate::chacha20;
 use crate::gcm::AesGcm;
-use crate::poly1305;
+use crate::poly1305::Poly1305;
 use crate::AuthError;
 
 /// AEAD algorithms the stack supports — the TLS 1.3 subset QUIC allows.
@@ -39,6 +39,9 @@ impl AeadAlgorithm {
     }
 }
 
+// The AES key schedule is held inline on purpose (no allocation per key), so
+// the variants differ in size; boxing it would bring the allocation back.
+#[allow(clippy::large_enum_variant)]
 enum Inner {
     Gcm(AesGcm),
     ChaCha { key: [u8; 32] },
@@ -70,10 +73,9 @@ impl Aead {
 
     /// Encrypts `plaintext`, returning ciphertext || tag.
     pub fn seal(&self, nonce: &[u8; 12], aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
-        match &self.inner {
-            Inner::Gcm(g) => g.seal(nonce, aad, plaintext),
-            Inner::ChaCha { key } => chacha_seal(key, nonce, aad, plaintext),
-        }
+        let mut out = Vec::with_capacity(plaintext.len() + self.algorithm.tag_len());
+        self.seal_into(nonce, aad, plaintext, &mut out);
+        out
     }
 
     /// Encrypts `plaintext` and appends ciphertext || tag to `out`,
@@ -88,9 +90,25 @@ impl Aead {
 
     /// Decrypts and authenticates ciphertext || tag.
     pub fn open(&self, nonce: &[u8; 12], aad: &[u8], ct: &[u8]) -> Result<Vec<u8>, AuthError> {
+        let mut out = Vec::with_capacity(ct.len().saturating_sub(self.algorithm.tag_len()));
+        self.open_into(nonce, aad, ct, &mut out)?;
+        Ok(out)
+    }
+
+    /// Authenticates ciphertext || tag and, only if the tag verifies,
+    /// appends the plaintext to `out` — the receive path decrypts straight
+    /// into the buffer that becomes the packet payload. On failure `out` is
+    /// left as it was.
+    pub fn open_into(
+        &self,
+        nonce: &[u8; 12],
+        aad: &[u8],
+        ct: &[u8],
+        out: &mut Vec<u8>,
+    ) -> Result<(), AuthError> {
         match &self.inner {
-            Inner::Gcm(g) => g.open(nonce, aad, ct),
-            Inner::ChaCha { key } => chacha_open(key, nonce, aad, ct),
+            Inner::Gcm(g) => g.open_append(nonce, aad, ct, out),
+            Inner::ChaCha { key } => chacha_open_append(key, nonce, aad, ct, out),
         }
     }
 }
@@ -102,21 +120,17 @@ fn poly_key(key: &[u8; 32], nonce: &[u8; 12]) -> [u8; 32] {
     pk
 }
 
+/// The RFC 8439 §2.8 MAC input — AAD and ciphertext each zero-padded to a
+/// 16-byte boundary, then both lengths — fed to Poly1305 piece by piece.
 fn chacha_mac(pk: &[u8; 32], aad: &[u8], ct: &[u8]) -> [u8; 16] {
-    let mut mac_data = Vec::with_capacity(aad.len() + ct.len() + 32);
-    mac_data.extend_from_slice(aad);
-    mac_data.resize(mac_data.len().next_multiple_of(16), 0);
-    mac_data.extend_from_slice(ct);
-    mac_data.resize(mac_data.len().next_multiple_of(16), 0);
-    mac_data.extend_from_slice(&(aad.len() as u64).to_le_bytes());
-    mac_data.extend_from_slice(&(ct.len() as u64).to_le_bytes());
-    poly1305::tag(pk, &mac_data)
-}
-
-fn chacha_seal(key: &[u8; 32], nonce: &[u8; 12], aad: &[u8], pt: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(pt.len() + 16);
-    chacha_seal_append(key, nonce, aad, pt, &mut out);
-    out
+    let mut mac = Poly1305::new(pk);
+    for part in [aad, ct] {
+        mac.update(part);
+        mac.update(&[0u8; 15][..part.len().next_multiple_of(16) - part.len()]);
+    }
+    mac.update(&(aad.len() as u64).to_le_bytes());
+    mac.update(&(ct.len() as u64).to_le_bytes());
+    mac.finalize()
 }
 
 fn chacha_seal_append(key: &[u8; 32], nonce: &[u8; 12], aad: &[u8], pt: &[u8], out: &mut Vec<u8>) {
@@ -127,27 +141,24 @@ fn chacha_seal_append(key: &[u8; 32], nonce: &[u8; 12], aad: &[u8], pt: &[u8], o
     out.extend_from_slice(&tag);
 }
 
-fn chacha_open(
+fn chacha_open_append(
     key: &[u8; 32],
     nonce: &[u8; 12],
     aad: &[u8],
     ct_and_tag: &[u8],
-) -> Result<Vec<u8>, AuthError> {
-    if ct_and_tag.len() < 16 {
-        return Err(AuthError);
-    }
-    let (ct, tag) = ct_and_tag.split_at(ct_and_tag.len() - 16);
+    out: &mut Vec<u8>,
+) -> Result<(), AuthError> {
+    let ct_len = ct_and_tag.len().checked_sub(16).ok_or(AuthError)?;
+    let (ct, tag) = ct_and_tag.split_at(ct_len);
     let want = chacha_mac(&poly_key(key, nonce), aad, ct);
-    let mut diff = 0u8;
-    for (a, b) in want.iter().zip(tag) {
-        diff |= a ^ b;
-    }
+    let diff = want.iter().zip(tag).fold(0u8, |acc, (a, b)| acc | (a ^ b));
     if diff != 0 {
         return Err(AuthError);
     }
-    let mut pt = ct.to_vec();
-    chacha20::xor(key, 1, nonce, &mut pt);
-    Ok(pt)
+    let start = out.len();
+    out.extend_from_slice(ct);
+    chacha20::xor(key, 1, nonce, &mut out[start..]);
+    Ok(())
 }
 
 /// QUIC header protection (RFC 9001 §5.4): computes the 5-byte mask from the
@@ -167,6 +178,7 @@ pub fn header_protection_mask(
 /// expansion each time costs more than the single block encryption the mask
 /// actually needs.
 #[derive(Clone)]
+#[allow(clippy::large_enum_variant)] // inline key schedule, as in `Aead`
 pub enum HeaderProtector {
     /// AES-ECB over the sample, round keys pre-expanded.
     Aes(Aes),

@@ -1,7 +1,26 @@
 //! AES block cipher (FIPS 197), encrypt direction only — CTR-based modes
 //! (GCM) never need the inverse cipher.
+//!
+//! [`Aes`] is the key schedule: up to 15 round keys held inline (no heap
+//! allocation per key — a QUIC connection expands about two dozen of them)
+//! plus the backend that will run the rounds. The backend is picked by
+//! [`Backend::detect`] from what the CPU reports and nothing else:
+//!
+//! * `hw` — x86_64 with AES-NI, PCLMULQDQ and SSSE3: `aesenc` rounds, eight
+//!   CTR blocks in flight;
+//! * `soft` — everywhere else: compile-time T-tables, eight CTR blocks per
+//!   pass.
+//!
+//! The key expansion itself is shared and portable (it runs once per key and
+//! is a few hundred S-box lookups). Neither backend makes the *crate*
+//! constant-time: `soft` indexes tables by secret bytes, and the key
+//! expansion does so on every host.
 
-const SBOX: [u8; 256] = [
+#[cfg(target_arch = "x86_64")]
+use crate::hw;
+use crate::soft;
+
+pub(crate) const SBOX: [u8; 256] = [
     0x63, 0x7c, 0x77, 0x7b, 0xf2, 0x6b, 0x6f, 0xc5, 0x30, 0x01, 0x67, 0x2b, 0xfe, 0xd7, 0xab, 0x76,
     0xca, 0x82, 0xc9, 0x7d, 0xfa, 0x59, 0x47, 0xf0, 0xad, 0xd4, 0xa2, 0xaf, 0x9c, 0xa4, 0x72, 0xc0,
     0xb7, 0xfd, 0x93, 0x26, 0x36, 0x3f, 0xf7, 0xcc, 0x34, 0xa5, 0xe5, 0xf1, 0x71, 0xd8, 0x31, 0x15,
@@ -20,27 +39,58 @@ const SBOX: [u8; 256] = [
     0x8c, 0xa1, 0x89, 0x0d, 0xbf, 0xe6, 0x42, 0x68, 0x41, 0x99, 0x2d, 0x0f, 0xb0, 0x54, 0xbb, 0x16,
 ];
 
-const RCON: [u8; 11] = [0x00, 0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36];
+const RCON: [u8; 11] = [
+    0x00, 0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36,
+];
 
-fn xtime(b: u8) -> u8 {
-    (b << 1) ^ (((b >> 7) & 1) * 0x1b)
+/// Round keys of one schedule; AES-128 fills the first 11, AES-256 all 15.
+pub(crate) type RoundKeys = [[u8; 16]; 15];
+
+/// Which implementation runs the rounds (and, in [`crate::gcm`], GHASH).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Backend {
+    /// AES-NI + PCLMULQDQ; the token proves the CPU has them.
+    #[cfg(target_arch = "x86_64")]
+    Hw(hw::Token),
+    /// Portable table-driven code.
+    Soft,
+}
+
+impl Backend {
+    /// The backend every public constructor uses: `hw` when the CPU has it,
+    /// `soft` otherwise. `is_x86_feature_detected!` asks the CPU once per
+    /// process and answers from a cached word after that, so this is a few
+    /// relaxed loads and cannot change its mind.
+    pub(crate) fn detect() -> Backend {
+        Backend::hw().unwrap_or(Backend::Soft)
+    }
+
+    /// The hardware backend, if this CPU has one.
+    pub(crate) fn hw() -> Option<Backend> {
+        #[cfg(target_arch = "x86_64")]
+        return hw::Token::detect().map(Backend::Hw);
+        #[cfg(not(target_arch = "x86_64"))]
+        None
+    }
 }
 
 /// Expanded AES key supporting the 128- and 256-bit variants.
 #[derive(Clone)]
 pub struct Aes {
-    round_keys: Vec<[u8; 16]>,
+    round_keys: RoundKeys,
+    rounds: u8,
+    backend: Backend,
 }
 
 impl Aes {
     /// Expands a 16-byte AES-128 key.
     pub fn new_128(key: &[u8; 16]) -> Self {
-        Self::expand(key, 4, 10)
+        Self::with_backend(key, Backend::detect())
     }
 
     /// Expands a 32-byte AES-256 key.
     pub fn new_256(key: &[u8; 32]) -> Self {
-        Self::expand(key, 8, 14)
+        Self::with_backend(key, Backend::detect())
     }
 
     /// Expands a key of 16 or 32 bytes.
@@ -48,57 +98,51 @@ impl Aes {
     /// # Panics
     /// Panics on any other key length.
     pub fn new(key: &[u8]) -> Self {
-        match key.len() {
-            16 => Self::new_128(key.try_into().unwrap()),
-            32 => Self::new_256(key.try_into().unwrap()),
-            n => panic!("unsupported AES key length {n}"),
-        }
+        Self::with_backend(key, Backend::detect())
     }
 
-    fn expand(key: &[u8], nk: usize, nr: usize) -> Self {
-        let mut w: Vec<[u8; 4]> = key.chunks(4).map(|c| [c[0], c[1], c[2], c[3]]).collect();
-        for i in nk..4 * (nr + 1) {
+    /// [`Aes::new`] pinned to one backend, so tests can hold both against
+    /// the same vectors whatever the CPU would have picked.
+    pub(crate) fn with_backend(key: &[u8], backend: Backend) -> Self {
+        let (nk, rounds) = match key.len() {
+            16 => (4, 10),
+            32 => (8, 14),
+            n => panic!("unsupported AES key length {n}"),
+        };
+        // FIPS 197 §5.2, on big-endian words.
+        let sub_word = |w: u32| u32::from_be_bytes(w.to_be_bytes().map(|b| SBOX[b as usize]));
+        let mut w = [0u32; 60];
+        for (word, bytes) in w.iter_mut().zip(key.chunks_exact(4)) {
+            *word = u32::from_be_bytes(bytes.try_into().expect("4-byte chunk"));
+        }
+        for i in nk..4 * (rounds + 1) {
             let mut t = w[i - 1];
             if i.is_multiple_of(nk) {
-                t.rotate_left(1);
-                for b in &mut t {
-                    *b = SBOX[*b as usize];
-                }
-                t[0] ^= RCON[i / nk];
+                t = sub_word(t.rotate_left(8)) ^ (u32::from(RCON[i / nk]) << 24);
             } else if nk > 6 && i % nk == 4 {
-                for b in &mut t {
-                    *b = SBOX[*b as usize];
-                }
+                t = sub_word(t);
             }
-            let prev = w[i - nk];
-            w.push([t[0] ^ prev[0], t[1] ^ prev[1], t[2] ^ prev[2], t[3] ^ prev[3]]);
+            w[i] = w[i - nk] ^ t;
         }
-        let round_keys = w
-            .chunks(4)
-            .map(|c| {
-                let mut rk = [0u8; 16];
-                for (i, word) in c.iter().enumerate() {
-                    rk[4 * i..4 * i + 4].copy_from_slice(word);
-                }
-                rk
-            })
-            .collect();
-        Aes { round_keys }
+        let mut round_keys = [[0u8; 16]; 15];
+        for (bytes, word) in round_keys.as_flattened_mut().chunks_exact_mut(4).zip(w) {
+            bytes.copy_from_slice(&word.to_be_bytes());
+        }
+        Aes {
+            round_keys,
+            rounds: rounds as u8,
+            backend,
+        }
     }
 
     /// Encrypts one 16-byte block in place.
     pub fn encrypt_block(&self, block: &mut [u8; 16]) {
-        let nr = self.round_keys.len() - 1;
-        add_round_key(block, &self.round_keys[0]);
-        for round in 1..nr {
-            sub_bytes(block);
-            shift_rows(block);
-            mix_columns(block);
-            add_round_key(block, &self.round_keys[round]);
+        let rounds = usize::from(self.rounds);
+        match self.backend {
+            #[cfg(target_arch = "x86_64")]
+            Backend::Hw(token) => hw::encrypt_block(token, &self.round_keys, rounds, block),
+            Backend::Soft => soft::encrypt_block(&self.round_keys, rounds, block),
         }
-        sub_bytes(block);
-        shift_rows(block);
-        add_round_key(block, &self.round_keys[nr]);
     }
 
     /// Encrypts `block` and returns the ciphertext, leaving the input intact.
@@ -107,63 +151,138 @@ impl Aes {
         self.encrypt_block(&mut b);
         b
     }
-}
 
-fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
-    for (s, k) in state.iter_mut().zip(rk) {
-        *s ^= k;
-    }
-}
-
-fn sub_bytes(state: &mut [u8; 16]) {
-    for b in state.iter_mut() {
-        *b = SBOX[*b as usize];
-    }
-}
-
-fn shift_rows(state: &mut [u8; 16]) {
-    // State is column-major: byte (row r, col c) lives at index 4c + r.
-    let s = *state;
-    for r in 1..4 {
-        for c in 0..4 {
-            state[4 * c + r] = s[4 * ((c + r) % 4) + r];
+    /// XORs `data` with the CTR keystream of `nonce || counter`, the 32-bit
+    /// big-endian counter starting at `counter` and wrapping (SP 800-38D
+    /// `inc32`).
+    pub(crate) fn ctr_xor(&self, nonce: &[u8; 12], counter: u32, data: &mut [u8]) {
+        let rounds = usize::from(self.rounds);
+        match self.backend {
+            #[cfg(target_arch = "x86_64")]
+            Backend::Hw(token) => {
+                hw::ctr_xor(token, &self.round_keys, rounds, nonce, counter, data)
+            }
+            Backend::Soft => soft::ctr_xor(&self.round_keys, rounds, nonce, counter, data),
         }
     }
-}
 
-fn mix_columns(state: &mut [u8; 16]) {
-    for c in 0..4 {
-        let col = [state[4 * c], state[4 * c + 1], state[4 * c + 2], state[4 * c + 3]];
-        let t = col[0] ^ col[1] ^ col[2] ^ col[3];
-        for r in 0..4 {
-            state[4 * c + r] = col[r] ^ t ^ xtime(col[r] ^ col[(r + 1) % 4]);
-        }
+    /// The backend this schedule was built for.
+    pub(crate) fn backend(&self) -> Backend {
+        self.backend
+    }
+
+    /// Round keys and round count, for the test oracle.
+    #[cfg(test)]
+    pub(crate) fn schedule(&self) -> (&RoundKeys, usize) {
+        (&self.round_keys, usize::from(self.rounds))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{self, each_backend};
     use qcodec::hex;
+
+    fn block(s: &str) -> [u8; 16] {
+        hex::decode(s).unwrap().try_into().unwrap()
+    }
 
     /// FIPS 197 Appendix C.1 (AES-128) and C.3 (AES-256).
     #[test]
     fn fips197_vectors() {
-        let pt: [u8; 16] = hex::decode("00112233445566778899aabbccddeeff").unwrap().try_into().unwrap();
-        let k128 = Aes::new(&hex::decode("000102030405060708090a0b0c0d0e0f").unwrap());
-        assert_eq!(hex::encode(&k128.encrypt(&pt)), "69c4e0d86a7b0430d8cdb78070b4c55a");
-        let k256 = Aes::new(
-            &hex::decode("000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f").unwrap(),
-        );
-        assert_eq!(hex::encode(&k256.encrypt(&pt)), "8ea2b7ca516745bfeafc49904b496089");
+        let pt = block("00112233445566778899aabbccddeeff");
+        let k128 = hex::decode("000102030405060708090a0b0c0d0e0f").unwrap();
+        let k256 = hex::decode("000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f")
+            .unwrap();
+        each_backend(|backend| {
+            let aes = Aes::with_backend(&k128, backend);
+            assert_eq!(
+                hex::encode(&aes.encrypt(&pt)),
+                "69c4e0d86a7b0430d8cdb78070b4c55a"
+            );
+            let aes = Aes::with_backend(&k256, backend);
+            assert_eq!(
+                hex::encode(&aes.encrypt(&pt)),
+                "8ea2b7ca516745bfeafc49904b496089"
+            );
+        });
     }
 
-    /// NIST SP 800-38A F.1.1 ECB-AES128 first block.
+    /// NIST SP 800-38A F.1.1 ECB-AES128, all four blocks.
     #[test]
     fn sp800_38a_ecb() {
-        let key = Aes::new(&hex::decode("2b7e151628aed2a6abf7158809cf4f3c").unwrap());
-        let pt: [u8; 16] = hex::decode("6bc1bee22e409f96e93d7e117393172a").unwrap().try_into().unwrap();
-        assert_eq!(hex::encode(&key.encrypt(&pt)), "3ad77bb40d7a3660a89ecaf32466ef97");
+        let key = hex::decode("2b7e151628aed2a6abf7158809cf4f3c").unwrap();
+        let cases = [
+            (
+                "6bc1bee22e409f96e93d7e117393172a",
+                "3ad77bb40d7a3660a89ecaf32466ef97",
+            ),
+            (
+                "ae2d8a571e03ac9c9eb76fac45af8e51",
+                "f5d3d58503b9699de785895a96fdbaaf",
+            ),
+            (
+                "30c81c46a35ce411e5fbc1191a0a52ef",
+                "43b1cd7f598ece23881b00e3ed030688",
+            ),
+            (
+                "f69f2445df4f9b17ad2b417be66c3710",
+                "7b0c785e27e8ad3f8223207104725dd4",
+            ),
+        ];
+        each_backend(|backend| {
+            let aes = Aes::with_backend(&key, backend);
+            for (pt, ct) in cases {
+                assert_eq!(hex::encode(&aes.encrypt(&block(pt))), ct, "{backend:?}");
+            }
+        });
+    }
+
+    /// NIST SP 800-38A F.5.1 CTR-AES128: the keystream of four consecutive
+    /// counter blocks, through the multi-block CTR path.
+    #[test]
+    fn sp800_38a_ctr() {
+        let key = hex::decode("2b7e151628aed2a6abf7158809cf4f3c").unwrap();
+        let nonce: [u8; 12] = hex::decode("f0f1f2f3f4f5f6f7f8f9fafb")
+            .unwrap()
+            .try_into()
+            .unwrap();
+        let pt = hex::decode(
+            "6bc1bee22e409f96e93d7e117393172aae2d8a571e03ac9c9eb76fac45af8e51\
+             30c81c46a35ce411e5fbc1191a0a52eff69f2445df4f9b17ad2b417be66c3710",
+        )
+        .unwrap();
+        each_backend(|backend| {
+            let mut data = pt.clone();
+            Aes::with_backend(&key, backend).ctr_xor(&nonce, 0xfcfdfeff, &mut data);
+            assert_eq!(
+                hex::encode(&data),
+                "874d6191b620e3261bef6864990db6ce9806f66b7970fdff8617187bb9fffdff\
+                 5ae4df3edbd5d35e5b4f09020db03eab1e031dda2fbe03d1792170a0f3009cee",
+                "{backend:?}"
+            );
+        });
+    }
+
+    /// Both backends equal the byte-wise FIPS 197 rounds on arbitrary keys
+    /// and blocks.
+    #[test]
+    fn backends_match_bytewise_rounds() {
+        let mut rng = proptest::TestRng::for_test("aes::backends_match_bytewise_rounds");
+        for case in 0..200 {
+            let key: Vec<u8> = (0..if case % 2 == 0 { 16 } else { 32 })
+                .map(|_| rng.next_u64() as u8)
+                .collect();
+            let block: [u8; 16] = std::array::from_fn(|_| rng.next_u64() as u8);
+            each_backend(|backend| {
+                let aes = Aes::with_backend(&key, backend);
+                let (rk, rounds) = aes.schedule();
+                let mut want = block;
+                reference::encrypt_block(rk, rounds, &mut want);
+                assert_eq!(aes.encrypt(&block), want, "{backend:?} case {case}");
+            });
+        }
     }
 
     #[test]

@@ -31,6 +31,15 @@ struct Seal {
     aead: Aead,
     iv: [u8; 12],
     seq: u64,
+    /// Staging buffer for `payload || inner type`, reused across records.
+    inner: Vec<u8>,
+}
+
+/// The five-byte header of a protected record whose body is `len` bytes —
+/// also the AEAD's additional data (RFC 8446 §5.2).
+fn protected_header(len: usize) -> [u8; 5] {
+    let len = len as u16;
+    [content_type::APPLICATION_DATA, 3, 3, (len >> 8) as u8, len as u8]
 }
 
 impl Seal {
@@ -40,7 +49,7 @@ impl Seal {
         let iv_bytes = hkdf::expand_label(secret, "iv", &[], alg.iv_len());
         let mut iv = [0u8; 12];
         iv.copy_from_slice(&iv_bytes);
-        Seal { aead: Aead::new(alg, &key), iv, seq: 0 }
+        Seal { aead: Aead::new(alg, &key), iv, seq: 0, inner: Vec::new() }
     }
 
     fn nonce(&self) -> [u8; 12] {
@@ -52,40 +61,24 @@ impl Seal {
         n
     }
 
-    /// Builds a protected record carrying `payload` of `inner_type`.
-    fn seal(&mut self, inner_type: u8, payload: &[u8]) -> Vec<u8> {
-        let mut inner = payload.to_vec();
-        inner.push(inner_type);
-        let len = (inner.len() + 16) as u16;
-        let aad = [
-            content_type::APPLICATION_DATA,
-            3,
-            3,
-            (len >> 8) as u8,
-            len as u8,
-        ];
-        let ct = self.aead.seal(&self.nonce(), &aad, &inner);
+    /// Appends to `out` a protected record carrying `payload` of
+    /// `inner_type`, sealing straight into `out`.
+    fn seal_into(&mut self, inner_type: u8, payload: &[u8], out: &mut Vec<u8>) {
+        self.inner.clear();
+        self.inner.extend_from_slice(payload);
+        self.inner.push(inner_type);
+        let header = protected_header(self.inner.len() + self.aead.algorithm().tag_len());
+        out.extend_from_slice(&header);
+        self.aead.seal_into(&self.nonce(), &header, &self.inner, out);
         self.seq += 1;
-        let mut w = Writer::with_capacity(5 + ct.len());
-        w.put_u8(content_type::APPLICATION_DATA);
-        w.put_u16(0x0303);
-        w.put_vec16(&ct);
-        w.into_vec()
     }
 
-    /// Opens a protected record body; returns (inner type, plaintext).
+    /// Opens a protected record body where it lies in the receive buffer;
+    /// returns (inner type, plaintext).
     fn open(&mut self, body: &[u8]) -> Result<(u8, Vec<u8>), TlsError> {
-        let len = body.len() as u16;
-        let aad = [
-            content_type::APPLICATION_DATA,
-            3,
-            3,
-            (len >> 8) as u8,
-            len as u8,
-        ];
-        let mut inner = self
-            .aead
-            .open(&self.nonce(), &aad, body)
+        let mut inner = Vec::with_capacity(body.len());
+        self.aead
+            .open_into(&self.nonce(), &protected_header(body.len()), body, &mut inner)
             .map_err(|_| TlsError::Decode("record decryption failed"))?;
         self.seq += 1;
         // Strip zero padding, then the inner content type.
@@ -106,34 +99,39 @@ fn plaintext_record(record_type: u8, payload: &[u8]) -> Vec<u8> {
     w.into_vec()
 }
 
-/// Incremental record parser: returns complete (type, body) records.
+/// Incremental record parser: yields complete (type, body) records, the
+/// body borrowed from the buffer.
 #[derive(Default)]
 struct RecordBuffer {
     buf: Vec<u8>,
+    /// Bytes at the front of `buf` already handed out by `next`.
+    consumed: usize,
 }
 
 impl RecordBuffer {
     fn push(&mut self, data: &[u8]) {
+        self.buf.drain(..self.consumed);
+        self.consumed = 0;
         self.buf.extend_from_slice(data);
     }
 
-    fn next(&mut self) -> Result<Option<(u8, Vec<u8>)>, TlsError> {
-        if self.buf.len() < 5 {
+    fn next(&mut self) -> Result<Option<(u8, &[u8])>, TlsError> {
+        let pending = &self.buf[self.consumed..];
+        if pending.len() < 5 {
             return Ok(None);
         }
-        let mut r = Reader::new(&self.buf);
+        let mut r = Reader::new(pending);
         let record_type = r.read_u8().expect("len checked");
         let _version = r.read_u16().expect("len checked");
         let len = r.read_u16().expect("len checked") as usize;
         if len > (1 << 14) + 256 {
             return Err(TlsError::Decode("oversized record"));
         }
-        if self.buf.len() < 5 + len {
+        if pending.len() < 5 + len {
             return Ok(None);
         }
-        let body = self.buf[5..5 + len].to_vec();
-        self.buf.drain(..5 + len);
-        Ok(Some((record_type, body)))
+        self.consumed += 5 + len;
+        Ok(Some((record_type, &pending[5..5 + len])))
     }
 }
 
@@ -143,6 +141,20 @@ struct Channel {
     write_seal: Option<Seal>,
     suite: CipherSuite,
     buffer: RecordBuffer,
+}
+
+/// Turns one framed record into (content type, plaintext), opening it with
+/// `read_seal` if protection is on. A free function over the one field so
+/// `body` may borrow the channel's receive buffer.
+fn decode_record(
+    read_seal: &mut Option<Seal>,
+    record_type: u8,
+    body: &[u8],
+) -> Result<(u8, Vec<u8>), TlsError> {
+    match read_seal {
+        Some(seal) if record_type == content_type::APPLICATION_DATA => seal.open(body),
+        _ => Ok((record_type, body.to_vec())),
+    }
 }
 
 impl Channel {
@@ -155,19 +167,12 @@ impl Channel {
         }
     }
 
-    fn decode_record(&mut self, record_type: u8, body: Vec<u8>) -> Result<(u8, Vec<u8>), TlsError> {
-        if record_type == content_type::APPLICATION_DATA {
-            if let Some(seal) = &mut self.read_seal {
-                return seal.open(&body);
-            }
-        }
-        Ok((record_type, body))
-    }
-
-    fn protect(&mut self, inner_type: u8, payload: &[u8]) -> Vec<u8> {
+    /// Appends `payload` to `out` as one record, protected once write keys
+    /// are installed.
+    fn protect_into(&mut self, inner_type: u8, payload: &[u8], out: &mut Vec<u8>) {
         match &mut self.write_seal {
-            Some(seal) => seal.seal(inner_type, payload),
-            None => plaintext_record(inner_type, payload),
+            Some(seal) => seal.seal_into(inner_type, payload, out),
+            None => out.extend_from_slice(&plaintext_record(inner_type, payload)),
         }
     }
 }
@@ -205,7 +210,7 @@ impl TlsTcpClient {
         self.channel.buffer.push(data);
         let mut out = Vec::new();
         while let Some((rt, body)) = self.channel.buffer.next()? {
-            let (inner_type, payload) = self.channel.decode_record(rt, body)?;
+            let (inner_type, payload) = decode_record(&mut self.channel.read_seal, rt, body)?;
             match inner_type {
                 content_type::CHANGE_CIPHER_SPEC => continue,
                 content_type::ALERT => {
@@ -234,8 +239,7 @@ impl TlsTcpClient {
         for ev in events {
             match ev {
                 TlsEvent::SendHandshake(_, bytes) => {
-                    let rec = self.channel.protect(content_type::HANDSHAKE, &bytes);
-                    out.extend_from_slice(&rec);
+                    self.channel.protect_into(content_type::HANDSHAKE, &bytes, out);
                 }
                 TlsEvent::HandshakeKeys(hs) => {
                     let suite = self.negotiated_suite();
@@ -278,7 +282,7 @@ impl TlsTcpClient {
             if self.legacy {
                 out.extend(plaintext_record(content_type::APPLICATION_DATA, chunk));
             } else {
-                out.extend(self.channel.protect(content_type::APPLICATION_DATA, chunk));
+                self.channel.protect_into(content_type::APPLICATION_DATA, chunk, &mut out);
             }
         }
         out
@@ -365,7 +369,7 @@ impl TlsTcpServer {
         self.channel.buffer.push(data);
         let mut out = Vec::new();
         while let Some((rt, body)) = self.channel.buffer.next()? {
-            let (inner_type, payload) = self.channel.decode_record(rt, body)?;
+            let (inner_type, payload) = decode_record(&mut self.channel.read_seal, rt, body)?;
             match inner_type {
                 content_type::CHANGE_CIPHER_SPEC => continue,
                 content_type::ALERT => {
@@ -393,12 +397,11 @@ impl TlsTcpServer {
         for ev in events {
             match ev {
                 TlsEvent::SendHandshake(level, bytes) => {
-                    let rec = if level == Level::Initial {
-                        plaintext_record(content_type::HANDSHAKE, &bytes)
+                    if level == Level::Initial {
+                        out.extend_from_slice(&plaintext_record(content_type::HANDSHAKE, &bytes));
                     } else {
-                        self.channel.protect(content_type::HANDSHAKE, &bytes)
-                    };
-                    out.extend_from_slice(&rec);
+                        self.channel.protect_into(content_type::HANDSHAKE, &bytes, out);
+                    }
                 }
                 TlsEvent::HandshakeKeys(hs) => {
                     // Server reads client-handshake, writes server-handshake.
@@ -443,7 +446,7 @@ impl TlsTcpServer {
             if self.legacy {
                 out.extend(plaintext_record(content_type::APPLICATION_DATA, chunk));
             } else {
-                out.extend(self.channel.protect(content_type::APPLICATION_DATA, chunk));
+                self.channel.protect_into(content_type::APPLICATION_DATA, chunk, &mut out);
             }
         }
         out
@@ -593,5 +596,47 @@ mod tests {
         client.on_bytes(&out).unwrap();
         assert!(client.is_connected());
         assert_eq!(client.peer_info().unwrap().tls_version, crate::TlsVersion::Tls12);
+    }
+
+    /// The in-place record path writes the wire format the copying one did
+    /// (header, then AEAD over `payload || type` with the header as AAD),
+    /// opens several records from one buffer without copying them out, and
+    /// refuses a damaged record without advancing the sequence number.
+    #[test]
+    fn records_seal_in_place_and_open_from_the_buffer() {
+        for suite in CipherSuite::default_offer() {
+            let secret = [0x5au8; 32];
+            let mut tx = Seal::from_secret(suite, &secret);
+            let mut rx = Seal::from_secret(suite, &secret);
+            let reference = Seal::from_secret(suite, &secret);
+
+            let mut wire = b"already queued".to_vec();
+            tx.seal_into(content_type::HANDSHAKE, b"first", &mut wire);
+            tx.seal_into(content_type::APPLICATION_DATA, &[7u8; 300], &mut wire);
+            assert_eq!(&wire[..14], b"already queued");
+
+            // Record one, built the way `seal` used to build it.
+            let mut inner = b"first".to_vec();
+            inner.push(content_type::HANDSHAKE);
+            let aad = [content_type::APPLICATION_DATA, 3, 3, 0, (inner.len() + 16) as u8];
+            let mut want = aad.to_vec();
+            want.extend(reference.aead.seal(&reference.nonce(), &aad, &inner));
+            assert_eq!(&wire[14..14 + want.len()], &want[..], "{suite:?}");
+
+            let mut buffer = RecordBuffer::default();
+            buffer.push(&wire[14..]);
+            let (ty, body) = buffer.next().unwrap().expect("first record");
+            assert_eq!(ty, content_type::APPLICATION_DATA);
+            assert_eq!(rx.open(body).unwrap(), (content_type::HANDSHAKE, b"first".to_vec()));
+            let (_, body) = buffer.next().unwrap().expect("second record");
+            let mut damaged = body.to_vec();
+            damaged[10] ^= 1;
+            assert!(rx.open(&damaged).is_err());
+            assert_eq!(rx.open(body).unwrap(), (content_type::APPLICATION_DATA, vec![7u8; 300]));
+            assert!(buffer.next().unwrap().is_none());
+            // A later push starts from a compacted buffer.
+            buffer.push(&[content_type::ALERT, 3, 3, 0, 2, 2, 40]);
+            assert_eq!(buffer.next().unwrap(), Some((content_type::ALERT, &[2u8, 40][..])));
+        }
     }
 }

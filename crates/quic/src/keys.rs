@@ -35,7 +35,14 @@ fn secret_infos(algorithm: AeadAlgorithm) -> &'static SecretLabelInfos {
 }
 
 /// Per-direction packet protection material.
-pub struct PacketKeys {
+///
+/// The two AES key schedules are inline arrays, half a kilobyte together, so
+/// the material sits behind one `Box`: connections keep four optional key
+/// slots each and live in hash tables and slabs, where every empty slot and
+/// every spare bucket would otherwise reserve the full size.
+pub struct PacketKeys(Box<Protection>);
+
+struct Protection {
     aead: Aead,
     iv: [u8; 12],
     hp: HeaderProtector,
@@ -54,12 +61,12 @@ impl PacketKeys {
         hkdf::expand_into(secret, &infos.quic_key, &mut key[..klen]);
         hkdf::expand_into(secret, &infos.quic_iv, &mut iv);
         hkdf::expand_into(secret, &infos.quic_hp, &mut hp_key[..klen]);
-        PacketKeys {
+        PacketKeys(Box::new(Protection {
             aead: Aead::new(algorithm, &key[..klen]),
             iv,
             hp: HeaderProtector::new(algorithm, &hp_key[..klen]),
             algorithm,
-        }
+        }))
     }
 
     /// [`PacketKeys::from_secret`] for AES-128-GCM with the `HkdfLabel` infos
@@ -72,17 +79,17 @@ impl PacketKeys {
         hkdf::expand_into(secret, &infos.quic_key, &mut key);
         hkdf::expand_into(secret, &infos.quic_iv, &mut iv);
         hkdf::expand_into(secret, &infos.quic_hp, &mut hp_key);
-        PacketKeys {
+        PacketKeys(Box::new(Protection {
             aead: Aead::new(algorithm, &key),
             iv,
             hp: HeaderProtector::new(algorithm, &hp_key),
             algorithm,
-        }
+        }))
     }
 
     /// Packet-protection nonce: IV XOR packet number (RFC 9001 §5.3).
     fn nonce(&self, packet_number: u64) -> [u8; 12] {
-        let mut n = self.iv;
+        let mut n = self.0.iv;
         let pn = packet_number.to_be_bytes();
         for i in 0..8 {
             n[4 + i] ^= pn[i];
@@ -93,13 +100,13 @@ impl PacketKeys {
     /// AEAD-seals a packet payload. `aad` is the packet header with the
     /// unprotected packet number.
     pub fn seal(&self, packet_number: u64, aad: &[u8], payload: &[u8]) -> Vec<u8> {
-        self.aead.seal(&self.nonce(packet_number), aad, payload)
+        self.0.aead.seal(&self.nonce(packet_number), aad, payload)
     }
 
     /// AEAD-seals a packet payload, appending ciphertext || tag to `out` —
     /// byte-identical to [`PacketKeys::seal`] without the allocation.
     pub fn seal_into(&self, packet_number: u64, aad: &[u8], payload: &[u8], out: &mut Vec<u8>) {
-        self.aead.seal_into(&self.nonce(packet_number), aad, payload, out);
+        self.0.aead.seal_into(&self.nonce(packet_number), aad, payload, out);
     }
 
     /// AEAD-opens a packet payload.
@@ -109,17 +116,30 @@ impl PacketKeys {
         aad: &[u8],
         ciphertext: &[u8],
     ) -> Result<Vec<u8>, qcrypto::AuthError> {
-        self.aead.open(&self.nonce(packet_number), aad, ciphertext)
+        self.0.aead.open(&self.nonce(packet_number), aad, ciphertext)
+    }
+
+    /// AEAD-opens a packet payload, appending the plaintext to `out` only
+    /// if the tag verifies — [`PacketKeys::open`] without the vector of its
+    /// own.
+    pub fn open_into(
+        &self,
+        packet_number: u64,
+        aad: &[u8],
+        ciphertext: &[u8],
+        out: &mut Vec<u8>,
+    ) -> Result<(), qcrypto::AuthError> {
+        self.0.aead.open_into(&self.nonce(packet_number), aad, ciphertext, out)
     }
 
     /// Header-protection mask for a 16-byte ciphertext sample (RFC 9001 §5.4).
     pub fn hp_mask(&self, sample: &[u8; 16]) -> [u8; 5] {
-        self.hp.mask(sample)
+        self.0.hp.mask(sample)
     }
 
     /// AEAD tag overhead in bytes.
     pub fn tag_len(&self) -> usize {
-        self.algorithm.tag_len()
+        self.0.algorithm.tag_len()
     }
 }
 

@@ -433,8 +433,18 @@ fn decode_short(
     Ok((pkt, buf.len()))
 }
 
+/// Headers up to this long are unmasked in a stack buffer. The longest
+/// header this stack itself produces is 1 + 4 + 2·(1 + 20) + 2 + 4 = 53 bytes
+/// plus an Initial token; only an outsized token takes the heap fallback.
+const HEADER_STACK_LEN: usize = 128;
+
 /// Removes header protection and opens the payload of the packet spanning
 /// `buf[..end]` whose packet number field begins at `pn_offset`.
+///
+/// `buf` is only read: header protection touches at most five bytes, all in
+/// the header, so only the header is copied (it is the AEAD's associated
+/// data and must be contiguous); the ciphertext is authenticated where it
+/// lies and decrypted straight into the vector that is returned.
 fn unprotect(
     buf: &[u8],
     pn_offset: usize,
@@ -442,25 +452,34 @@ fn unprotect(
     keys: &PacketKeys,
     long_header: bool,
 ) -> Option<(u64, Vec<u8>)> {
-    let mut packet = buf[..end].to_vec();
-    let sample_at = pn_offset + 4;
-    if sample_at + 16 > packet.len() {
-        return None;
-    }
-    let sample: [u8; 16] = packet[sample_at..sample_at + 16].try_into().ok()?;
+    let packet = &buf[..end];
+    let sample: [u8; 16] = packet.get(pn_offset + 4..pn_offset + 20)?.try_into().ok()?;
     let mask = keys.hp_mask(&sample);
-    packet[0] ^= mask[0] & if long_header { 0x0f } else { 0x1f };
-    let pn_len = (packet[0] & 0x03) as usize + 1;
-    for i in 0..pn_len {
-        packet[pn_offset + i] ^= mask[1 + i];
-    }
+    let first = packet[0] ^ (mask[0] & if long_header { 0x0f } else { 0x1f });
+    let pn_len = (first & 0x03) as usize + 1;
+    let (header, ciphertext) = packet.split_at(pn_offset + pn_len);
+
+    let mut on_stack = [0u8; HEADER_STACK_LEN];
+    let mut on_heap;
+    let aad = match on_stack.get_mut(..header.len()) {
+        Some(fits) => {
+            fits.copy_from_slice(header);
+            fits
+        }
+        None => {
+            on_heap = header.to_vec();
+            &mut on_heap[..]
+        }
+    };
+    aad[0] = first;
     let mut pn = 0u64;
-    for i in 0..pn_len {
-        pn = (pn << 8) | u64::from(packet[pn_offset + i]);
+    for (byte, mask) in aad[pn_offset..].iter_mut().zip(&mask[1..]) {
+        *byte ^= mask;
+        pn = (pn << 8) | u64::from(*byte);
     }
-    let aad = packet[..pn_offset + pn_len].to_vec();
-    let ciphertext = &packet[pn_offset + pn_len..];
-    let payload = keys.open(pn, &aad, ciphertext).ok()?;
+
+    let mut payload = Vec::with_capacity(ciphertext.len().saturating_sub(keys.tag_len()));
+    keys.open_into(pn, aad, ciphertext, &mut payload).ok()?;
     Some((pn, payload))
 }
 
@@ -678,5 +697,126 @@ mod tests {
         let (packets, err) = decode_datagram(&datagram, 1, &TestKeys(map));
         assert!(packets.is_empty());
         assert_eq!(err, Some(PacketDecodeError::DecryptFailed(PacketType::Initial)));
+    }
+
+    /// `unprotect` as it was before it stopped copying: clone the packet,
+    /// unmask in the clone, clone the header again as AAD, let `open`
+    /// allocate the payload. Kept as the reference the new one must equal.
+    fn unprotect_by_copying(
+        buf: &[u8],
+        pn_offset: usize,
+        end: usize,
+        keys: &PacketKeys,
+        long_header: bool,
+    ) -> Option<(u64, Vec<u8>)> {
+        let mut packet = buf[..end].to_vec();
+        let sample_at = pn_offset + 4;
+        if sample_at + 16 > packet.len() {
+            return None;
+        }
+        let sample: [u8; 16] = packet[sample_at..sample_at + 16].try_into().ok()?;
+        let mask = keys.hp_mask(&sample);
+        packet[0] ^= mask[0] & if long_header { 0x0f } else { 0x1f };
+        let pn_len = (packet[0] & 0x03) as usize + 1;
+        for i in 0..pn_len {
+            packet[pn_offset + i] ^= mask[1 + i];
+        }
+        let mut pn = 0u64;
+        for i in 0..pn_len {
+            pn = (pn << 8) | u64::from(packet[pn_offset + i]);
+        }
+        let aad = packet[..pn_offset + pn_len].to_vec();
+        let ciphertext = &packet[pn_offset + pn_len..];
+        let payload = keys.open(pn, &aad, ciphertext).ok()?;
+        Some((pn, payload))
+    }
+
+    /// Seals a packet by hand so the packet number can take any encoded
+    /// length (the `seal_*` functions always write four bytes). Returns the
+    /// packet and the offset of its packet number field.
+    fn seal_with_pn_len(
+        long_header: bool,
+        token: &[u8],
+        pn: u64,
+        pn_len: usize,
+        payload: &[u8],
+        keys: &PacketKeys,
+    ) -> (Vec<u8>, usize) {
+        let mut header = Writer::new();
+        if long_header {
+            header.put_u8(0x80 | 0x40 | (pn_len as u8 - 1));
+            header.put_u32(Version::V1.0);
+            header.put_vec8(b"destination");
+            header.put_vec8(b"source");
+            header.put_varint(token.len() as u64);
+            header.put_bytes(token);
+            header.put_varint((pn_len + payload.len() + keys.tag_len()) as u64);
+        } else {
+            header.put_u8(0x40 | (pn_len as u8 - 1));
+            header.put_bytes(b"12345678");
+        }
+        let pn_offset = header.len();
+        header.put_bytes(&pn.to_be_bytes()[8 - pn_len..]);
+        let mut packet = header.as_slice().to_vec();
+        keys.seal_into(pn, header.as_slice(), payload, &mut packet);
+        apply_header_protection(&mut packet, pn_offset, pn_len, keys, long_header);
+        (packet, pn_offset)
+    }
+
+    /// The copy-free `unprotect` returns exactly what the copying one did:
+    /// long and short headers, every packet number length, a header too long
+    /// for the stack buffer, and — as `None` — every kind of damage.
+    #[test]
+    fn unprotect_matches_copying_reference() {
+        let (keys, _) = initial_pair();
+        let long_token = vec![0x5au8; 2 * HEADER_STACK_LEN];
+        let payload: Vec<u8> = (0..200u8).collect();
+        let mut compared = 0;
+        for long_header in [true, false] {
+            for token in [&b""[..], &b"tok"[..], &long_token[..]] {
+                for pn_len in 1..=4usize {
+                    let pn = 0xa1b2_c3d4u64 & ((1u64 << (8 * pn_len)) - 1);
+                    // At least 4 bytes after the pn field, so the sample fits.
+                    for payload in [&payload[..3], &payload[..]] {
+                        let (packet, pn_offset) =
+                            seal_with_pn_len(long_header, token, pn, pn_len, payload, &keys);
+                        let end = packet.len();
+                        let got = unprotect(&packet, pn_offset, end, &keys, long_header);
+                        assert_eq!(got, Some((pn, payload.to_vec())), "pn_len {pn_len}");
+                        assert_eq!(
+                            got,
+                            unprotect_by_copying(&packet, pn_offset, end, &keys, long_header)
+                        );
+                        // Trailing bytes of a coalesced datagram are ignored.
+                        let mut coalesced = packet.clone();
+                        coalesced.extend_from_slice(b"next packet");
+                        assert_eq!(unprotect(&coalesced, pn_offset, end, &keys, long_header), got);
+
+                        for damaged_at in [0, pn_offset, pn_offset + pn_len, end - 1] {
+                            let mut bad = packet.clone();
+                            bad[damaged_at] ^= 0x04;
+                            assert_eq!(
+                                unprotect(&bad, pn_offset, end, &keys, long_header),
+                                unprotect_by_copying(&bad, pn_offset, end, &keys, long_header),
+                                "damage at {damaged_at}"
+                            );
+                            assert_eq!(unprotect(&bad, pn_offset, end, &keys, long_header), None);
+                        }
+                        for short_end in [pn_offset, pn_offset + 19, end - 1] {
+                            assert_eq!(
+                                unprotect(&packet, pn_offset, short_end, &keys, long_header),
+                                None
+                            );
+                            assert_eq!(
+                                unprotect_by_copying(&packet, pn_offset, short_end, &keys, long_header),
+                                None
+                            );
+                        }
+                        compared += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(compared, 2 * 3 * 4 * 2);
     }
 }

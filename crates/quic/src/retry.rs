@@ -4,6 +4,8 @@
 //! via Retry; the scanner must follow the Retry → new Initial dance or those
 //! hosts would misreport as timeouts.
 
+use std::sync::OnceLock;
+
 use qcodec::{Reader, Writer};
 use qcrypto::aead::{Aead, AeadAlgorithm};
 
@@ -27,13 +29,18 @@ const RETRY_KEY_D29: [u8; 16] = [
 const RETRY_NONCE_D29: [u8; 12] =
     [0xe5, 0x49, 0x30, 0xf9, 0x7f, 0x21, 0x36, 0xf0, 0x53, 0x0a, 0x8c, 0x1c];
 
-fn retry_secret(version: Version) -> ([u8; 16], [u8; 12]) {
-    match version {
+/// The Retry integrity AEAD and nonce for `version`. The keys are fixed by
+/// the RFCs, so each is expanded once per process rather than per packet.
+fn retry_aead(version: Version) -> (&'static Aead, &'static [u8; 12]) {
+    static V1: OnceLock<Aead> = OnceLock::new();
+    static D29: OnceLock<Aead> = OnceLock::new();
+    let (cell, key, nonce) = match version {
         v if v.is_ietf() && (0x1d..=0x20).contains(&(v.0 & 0xff)) => {
-            (RETRY_KEY_D29, RETRY_NONCE_D29)
+            (&D29, &RETRY_KEY_D29, &RETRY_NONCE_D29)
         }
-        _ => (RETRY_KEY_V1, RETRY_NONCE_V1),
-    }
+        _ => (&V1, &RETRY_KEY_V1, &RETRY_NONCE_V1),
+    };
+    (cell.get_or_init(|| Aead::new(AeadAlgorithm::Aes128Gcm, key)), nonce)
 }
 
 fn pseudo_packet(odcid: &ConnectionId, retry_without_tag: &[u8]) -> Vec<u8> {
@@ -50,9 +57,8 @@ pub fn integrity_tag(
     odcid: &ConnectionId,
     retry_without_tag: &[u8],
 ) -> [u8; 16] {
-    let (key, nonce) = retry_secret(version);
-    let aead = Aead::new(AeadAlgorithm::Aes128Gcm, &key);
-    let sealed = aead.seal(&nonce, &pseudo_packet(odcid, retry_without_tag), &[]);
+    let (aead, nonce) = retry_aead(version);
+    let sealed = aead.seal(nonce, &pseudo_packet(odcid, retry_without_tag), &[]);
     sealed.try_into().expect("empty plaintext seals to one tag")
 }
 

@@ -499,7 +499,11 @@ impl Network {
         // one just built, which this frame is about to return) are rotated
         // to the back. Residency is bounded by `cap` plus whatever is
         // concurrently in use; the attempts bound stops the loop when
-        // everything left is in use.
+        // everything left is in use. Victims are only unlinked under the
+        // locks and torn down after both are released: an endpoint's
+        // destructor frees its whole connection table, and every other
+        // worker's instantiation waits on the global queue lock meanwhile.
+        let mut evicted = Vec::new();
         let mut order = lazy.order.lock();
         order.push_back((*at, stamp));
         if let Some(cap) = lazy.capacity {
@@ -511,7 +515,7 @@ impl Network {
                 match vshard.services.get(&victim) {
                     Some((_, stamp)) if *stamp != vstamp => {} // stale entry
                     Some((v, _)) if Arc::strong_count(v) == 1 => {
-                        vshard.services.remove(&victim);
+                        evicted.extend(vshard.services.remove(&victim));
                         lazy.resident.fetch_sub(1, Ordering::Relaxed);
                         lazy.evicted.fetch_add(1, Ordering::Relaxed);
                     }
@@ -523,6 +527,8 @@ impl Network {
                 }
             }
         }
+        drop(order);
+        drop(evicted);
         Some(svc)
     }
 
@@ -1833,6 +1839,56 @@ mod lazy_tests {
         out.clear();
         net.udp_send_into(addr(200, 9), addr(1, 443), b"ab", &mut out);
         assert_eq!(out, vec![b"ba".to_vec()]);
+    }
+
+    /// An evicted endpoint is torn down with neither the recency queue nor
+    /// its cache shard locked: its destructor can be arbitrarily expensive,
+    /// and every other worker's instantiation takes the queue lock.
+    #[test]
+    fn evicted_endpoints_drop_outside_the_cache_locks() {
+        use std::sync::{OnceLock, Weak};
+
+        struct Probe {
+            at: SocketAddr,
+            net: Arc<OnceLock<Weak<Network>>>,
+            locked_drops: Arc<AtomicUsize>,
+        }
+        impl UdpService for Probe {
+            fn on_datagram(&mut self, ctx: &mut ServiceCtx<'_>, _f: SocketAddr, d: &[u8]) {
+                ctx.reply(d.to_vec());
+            }
+        }
+        impl Drop for Probe {
+            fn drop(&mut self) {
+                let Some(net) = self.net.get().and_then(Weak::upgrade) else { return };
+                let lazy = net.lazy.as_ref().expect("binder installed");
+                let shard = &lazy.shards[EndpointTable::route(&self.at)].0;
+                if lazy.order.try_lock().is_none() || shard.try_lock().is_none() {
+                    self.locked_drops.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+        }
+        struct Probes(Arc<OnceLock<Weak<Network>>>, Arc<AtomicUsize>);
+        impl LazyBinder for Probes {
+            fn make_udp(&self, at: SocketAddr) -> Option<Box<dyn UdpService>> {
+                Some(Box::new(Probe { at, net: self.0.clone(), locked_drops: self.1.clone() }))
+            }
+            fn make_tcp(&self, _at: SocketAddr) -> Option<Box<dyn TcpFactory>> {
+                None
+            }
+        }
+
+        let (cell, locked_drops) = (Arc::new(OnceLock::new()), Arc::new(AtomicUsize::new(0)));
+        let mut net = Network::new(7);
+        net.set_lazy_binder(Box::new(Probes(cell.clone(), locked_drops.clone())), Some(4));
+        let net = Arc::new(net);
+        cell.set(Arc::downgrade(&net)).expect("set once");
+        let mut out = Vec::new();
+        for last in 1..=40u8 {
+            net.udp_send_into(addr(200, 9), addr(last, 443), b"xy", &mut out);
+        }
+        assert_eq!(net.lazy_stats().expect("binder installed").evicted, 36);
+        assert_eq!(locked_drops.load(Ordering::Relaxed), 0);
     }
 
     /// Static bindings shadow the binder; the binder only fills misses.
