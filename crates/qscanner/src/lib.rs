@@ -3,8 +3,16 @@
 //! Completes full QUIC handshakes with targets — IPv4/IPv6 addresses,
 //! optionally combined with a domain used as SNI — and extracts QUIC
 //! transport parameters, TLS properties and HTTP/3 headers. Scans
-//! parallelize across worker threads (crossbeam channels distribute
-//! targets), mirroring the paper's parallelized quic-go-based scanner.
+//! parallelize across worker threads, mirroring the paper's parallelized
+//! quic-go-based scanner.
+//!
+//! Six entry points, all on [`QScanner`]: `scan_one` and `scan_one_traced`
+//! scan a single target on the caller's thread; `scan_many`,
+//! `scan_many_stats`, `scan_many_traced` and `scan_stream` go through the
+//! one private fan-out driver in [`scan`] — work stealing over a
+//! [`StealQueue`], results merged in scan-index order, every worker sending
+//! through its own `simnet::NetShard`. A one-worker (or small) scan is that
+//! same driver run as one shard on the caller's thread.
 //!
 //! Module layout:
 //! - [`outcome`]: targets, the [`ScanOutcome`] taxonomy, result records;
@@ -277,21 +285,50 @@ mod tests {
         impl UdpService for Silent {
             fn on_datagram(&mut self, _ctx: &mut ServiceCtx<'_>, _f: SocketAddr, _d: &[u8]) {}
         }
-        let mut net = Network::new(9);
         let bad = IpAddr::V4(Ipv4Addr::new(10, 9, 9, 11));
         let ok = IpAddr::V4(Ipv4Addr::new(10, 9, 9, 12));
-        net.bind_udp(SocketAddr::new(bad, 443), Box::new(Poison));
-        net.bind_udp(SocketAddr::new(ok, 443), Box::new(Silent));
-        let scanner = QScanner::new(vantage(), 1);
         let targets = vec![QuicTarget::new(bad, None), QuicTarget::new(ok, None)];
-        let results = scanner.scan_many(&net, &targets, 1);
-        assert_eq!(results.len(), 2);
-        match &results[0].outcome {
-            ScanOutcome::Other(msg) => assert!(msg.contains("panic"), "{msg}"),
-            other => panic!("expected panic capture, got {other:?}"),
+        let mut scanner = QScanner::new(vantage(), 1);
+        // Two targets are below the default threshold; let them fan out.
+        scanner.min_parallel_targets = 2;
+        for workers in [1usize, 4] {
+            for traced in [false, true] {
+                // Fresh network per row, as in every comparison here.
+                let mut net = Network::new(9);
+                net.bind_udp(SocketAddr::new(bad, 443), Box::new(Poison));
+                net.bind_udp(SocketAddr::new(ok, 443), Box::new(Silent));
+                let sink = std::sync::Arc::new(telemetry::MemorySink::new());
+                let tel = telemetry::Telemetry::with_sink(sink.clone());
+                let results = if traced {
+                    scanner.scan_many_traced(&net, &targets, workers, None, &tel)
+                } else {
+                    scanner.scan_many(&net, &targets, workers)
+                };
+                let row = format!("workers={workers} traced={traced}");
+                assert_eq!(results.len(), 2, "{row}");
+                match &results[0].outcome {
+                    ScanOutcome::Other(msg) => assert!(msg.contains("panic"), "{row}: {msg}"),
+                    other => panic!("{row}: expected panic capture, got {other:?}"),
+                }
+                // The worker survived: the second target still got scanned.
+                assert_eq!(results[1].outcome, ScanOutcome::NoReply, "{row}");
+                if !traced {
+                    continue;
+                }
+                // The poisoned target's trace degrades to its verdict, and
+                // it is still counted.
+                let decided = sink
+                    .events()
+                    .iter()
+                    .filter(|e| e.flow == 0)
+                    .filter(|e| matches!(e.kind, telemetry::EventKind::OutcomeDecided { .. }))
+                    .count();
+                assert_eq!(decided, 1, "{row}");
+                let snap = tel.metrics.snapshot();
+                assert_eq!(snap.counter("qscanner.targets"), 2, "{row}");
+                assert_eq!(snap.counter("qscanner.outcome.other"), 1, "{row}");
+            }
         }
-        // The shard survived: the second target still got scanned.
-        assert_eq!(results[1].outcome, ScanOutcome::NoReply);
     }
 
     #[test]

@@ -1,13 +1,19 @@
 //! The scan driver: per-target attempt/PTO/backoff loops, HTTP/3 follow-up,
 //! panic isolation, and the parallel fan-out.
 //!
+//! Every send goes through a worker-private [`NetShard`]; a serial scan is
+//! one shard on the caller's thread, so there is no separate "global" send
+//! path for the two to diverge on. One private driver, `drive`, is the only
+//! fan-out: [`QScanner::scan_many`], [`QScanner::scan_many_stats`],
+//! [`QScanner::scan_many_traced`] and [`QScanner::scan_stream`] all call it.
+//!
 //! Telemetry integration follows the determinism rules of the `telemetry`
 //! crate: a traced scan stamps events with the target's **flow-local**
 //! virtual time (mirroring the driver's own budget arithmetic — never the
 //! shared clock) and workers hand finished per-target event lists back to
 //! the driver, which emits them in scan-index order.
 
-use crossbeam::channel;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use h3::qpack::Header;
 use h3::request::{self, Response};
@@ -18,15 +24,15 @@ use quic::ClientConfig;
 use simnet::{
     DatagramArena, Duration, FlightStatus, IpAddr, NetShard, Network, SendStatus, SocketAddr,
 };
-use telemetry::{Event, EventKind, LocalMetrics, Telemetry, TraceCtx};
+use telemetry::{Event, EventKind, LocalMetrics, MetricsRegistry, Telemetry, TraceCtx};
 
 use crate::outcome::{QuicScanResult, QuicTarget, ScanOutcome};
 use crate::retry::{BackoffSchedule, PtoSchedule, TargetBudget};
 use crate::steal::StealQueue;
 
-/// Below this many targets a scan runs sequentially: thread spin-up costs
-/// more than it saves on small inputs. One constant governs the untraced
-/// and traced drivers alike (and both scheduler flavours).
+/// Below this many targets a scan runs on the caller's thread: thread
+/// spin-up costs more than it saves on small inputs. One constant governs
+/// the untraced, traced and streaming entry points alike.
 pub const DEFAULT_MIN_PARALLEL_TARGETS: usize = 64;
 
 /// Batch size of the streaming driver ([`QScanner::scan_stream`]): how many
@@ -70,103 +76,28 @@ fn outcome_counter(outcome: &ScanOutcome) -> &'static str {
     }
 }
 
-/// One worker's view of the simulated network: the shared [`Network`] on
-/// the serial paths, a private [`NetShard`] on the parallel ones. Every
-/// send, clock wait, and RTT read in the scan loop goes through this handle,
-/// so the two paths cannot diverge in fault-draw order — shard state merges
-/// back into the network when the handle is finished (or dropped).
-pub(crate) enum ScanIo<'a> {
-    /// Shared-state sends against the global clock and endpoint table.
-    Global(&'a Network),
-    /// Worker-private clock, traffic counters, and flow-sequence cache.
-    Shard(NetShard<'a>),
+/// What one worker reuses across every target it scans: its private view of
+/// the network (clock, traffic counters, flow-sequence cache — merged back
+/// when the worker is dropped), the handshake buffers, and the reply arena.
+struct Worker<'n> {
+    shard: NetShard<'n>,
+    scratch: HandshakeScratch,
+    arena: DatagramArena,
 }
 
-impl ScanIo<'_> {
+impl<'n> Worker<'n> {
+    fn new(net: &'n Network) -> Self {
+        Worker {
+            shard: net.shard(),
+            scratch: HandshakeScratch::new(),
+            arena: DatagramArena::new(),
+        }
+    }
+
+    /// The simulated round-trip time in microseconds (at least one, so
+    /// schedules derived from it always advance).
     fn rtt_us(&self) -> u64 {
-        match self {
-            ScanIo::Global(net) => net.rtt().as_micros().max(1),
-            ScanIo::Shard(shard) => shard.rtt().as_micros().max(1),
-        }
-    }
-
-    /// Advances this worker's virtual clock (shared or private).
-    fn wait(&self, us: u64) {
-        match self {
-            ScanIo::Global(net) => {
-                net.clock.advance(Duration::from_micros(us));
-            }
-            ScanIo::Shard(shard) => {
-                shard.advance(Duration::from_micros(us));
-            }
-        }
-    }
-
-    fn send(
-        &mut self,
-        src: SocketAddr,
-        dst: SocketAddr,
-        payload: &[u8],
-        out: &mut Vec<Vec<u8>>,
-    ) -> SendStatus {
-        match self {
-            ScanIo::Global(net) => net.udp_send_status(src, dst, payload, out),
-            ScanIo::Shard(shard) => shard.udp_send_status(src, dst, payload, out),
-        }
-    }
-
-    fn send_traced(
-        &mut self,
-        src: SocketAddr,
-        dst: SocketAddr,
-        payload: &[u8],
-        out: &mut Vec<Vec<u8>>,
-        ctx: &mut TraceCtx,
-    ) -> SendStatus {
-        match self {
-            ScanIo::Global(net) => net.udp_send_status_traced(src, dst, payload, out, ctx),
-            ScanIo::Shard(shard) => shard.udp_send_status_traced(src, dst, payload, out, ctx),
-        }
-    }
-
-    /// Sends a whole flight of datagrams, gathering every reply (in
-    /// delivery order) into `arena.replies`. On the shard path this is one
-    /// batched call — one endpoint lookup and at most one service-lock
-    /// acquisition for the entire flight; on the global path it degrades to
-    /// per-datagram sends. Both are byte-equivalent to the per-datagram
-    /// loop by `simnet`'s flight construction.
-    fn send_flight(
-        &mut self,
-        src: SocketAddr,
-        dst: SocketAddr,
-        flight: &[Vec<u8>],
-        arena: &mut DatagramArena,
-    ) -> FlightStatus {
-        match self {
-            ScanIo::Shard(shard) => shard.udp_send_batch(src, dst, flight, arena),
-            ScanIo::Global(net) => {
-                arena.replies.clear();
-                let mut status = FlightStatus::default();
-                let mut per_send: Vec<Vec<u8>> = Vec::new();
-                for datagram in flight {
-                    match net.udp_send_status(src, dst, datagram, &mut per_send) {
-                        SendStatus::Unreachable => status.unreachable = true,
-                        SendStatus::Throttled => status.throttled = true,
-                        SendStatus::Sent => {}
-                    }
-                    arena.replies.append(&mut per_send);
-                }
-                status
-            }
-        }
-    }
-
-    /// Merges shard state back into the shared network. Call once per
-    /// worker, after its last target.
-    fn finish(self) {
-        if let ScanIo::Shard(shard) = self {
-            let _ = shard.finish();
-        }
+        self.shard.rtt().as_micros().max(1)
     }
 }
 
@@ -178,12 +109,69 @@ struct Obs<'a> {
 
 /// Moves buffered connection events (key derivations, VN, Retry, phase
 /// transitions) into the trace, stamped at the current flow-local time.
-fn drain_conn_events(conn: &mut ClientConnection, obs: &mut Option<&mut Obs<'_>>) {
-    if let Some(o) = obs.as_deref_mut() {
-        for kind in conn.take_events() {
-            o.ctx.record(kind);
-        }
+fn drain_conn_events(conn: &mut ClientConnection, o: &mut Obs<'_>) {
+    for kind in conn.take_events() {
+        o.ctx.record(kind);
     }
+}
+
+/// Sends one flight to `dst` and feeds every reply into `conn`, returning
+/// the folded send status and whether anything came back.
+///
+/// Untraced, the flight goes out as one batch (one endpoint lookup, at most
+/// one service-lock acquisition): `poll_transmit` fully materialized it
+/// before any send, so feeding every reply afterwards in delivery order is
+/// byte-equivalent to the per-datagram loop. Traced, it stays per-datagram
+/// so the event stream keeps its send/receive interleaving and flow-local
+/// timestamps.
+fn exchange(
+    w: &mut Worker<'_>,
+    src: SocketAddr,
+    dst: SocketAddr,
+    conn: &mut ClientConnection,
+    flight: Vec<Vec<u8>>,
+    rtt_us: u64,
+    obs: Option<&mut Obs<'_>>,
+) -> (FlightStatus, bool) {
+    let mut got_reply = false;
+    let Some(o) = obs else {
+        let status = w.shard.udp_send_batch(src, dst, &flight, &mut w.arena);
+        for reply in w.arena.replies.drain(..) {
+            got_reply = true;
+            conn.on_datagram(&reply);
+        }
+        for datagram in flight {
+            conn.recycle_datagram(datagram);
+        }
+        return (status, got_reply);
+    };
+    let mut status = FlightStatus::default();
+    for datagram in flight {
+        o.ctx.record(EventKind::PacketSent {
+            space: space_of(&datagram),
+            bytes: datagram.len() as u64,
+        });
+        let trace = Some(&mut *o.ctx);
+        match w.shard.udp_send_status(src, dst, &datagram, &mut w.arena.replies, trace) {
+            SendStatus::Unreachable => status.unreachable = true,
+            SendStatus::Throttled => status.throttled = true,
+            SendStatus::Sent => {}
+        }
+        o.ctx.advance(rtt_us);
+        for reply in &w.arena.replies {
+            o.ctx.record(EventKind::PacketReceived {
+                space: space_of(reply),
+                bytes: reply.len() as u64,
+            });
+        }
+        for reply in w.arena.replies.drain(..) {
+            got_reply = true;
+            conn.on_datagram(&reply);
+        }
+        drain_conn_events(conn, o);
+        conn.recycle_datagram(datagram);
+    }
+    (status, got_reply)
 }
 
 /// The scanner.
@@ -260,6 +248,7 @@ impl QScanner {
         }
     }
 
+
     /// Scans one target: up to [`QScanner::max_attempts`] connection
     /// attempts with exponential backoff, each attempt driving PTO-based
     /// retransmission inside the connection, all under one virtual-time
@@ -267,14 +256,7 @@ impl QScanner {
     /// clock, which other workers advance concurrently), so the verdict for
     /// a target is identical at any worker count.
     pub fn scan_one(&self, net: &Network, target: &QuicTarget, index: u64) -> QuicScanResult {
-        self.scan_one_impl(
-            &mut ScanIo::Global(net),
-            target,
-            index,
-            None,
-            &mut HandshakeScratch::new(),
-            &mut DatagramArena::new(),
-        )
+        self.scan_one_impl(&mut Worker::new(net), target, index, None)
     }
 
     /// [`QScanner::scan_one`] with full telemetry: returns the finished
@@ -289,51 +271,64 @@ impl QScanner {
         week: Option<u32>,
         metrics: &mut LocalMetrics,
     ) -> (QuicScanResult, Vec<Event>) {
-        self.scan_one_traced_reusing(
-            &mut ScanIo::Global(net),
-            target,
-            index,
-            week,
-            metrics,
-            &mut HandshakeScratch::new(),
-            &mut DatagramArena::new(),
-        )
+        self.scan_traced(&mut Worker::new(net), target, index, week, metrics)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn scan_one_traced_reusing(
+    fn scan_traced(
         &self,
-        io: &mut ScanIo<'_>,
+        w: &mut Worker<'_>,
         target: &QuicTarget,
         index: u64,
         week: Option<u32>,
         metrics: &mut LocalMetrics,
-        scratch: &mut HandshakeScratch,
-        arena: &mut DatagramArena,
     ) -> (QuicScanResult, Vec<Event>) {
         let mut ctx = TraceCtx::new(index, target.trace_label(), week);
         let result = {
             let mut obs = Obs { ctx: &mut ctx, metrics };
-            self.scan_one_impl(io, target, index, Some(&mut obs), scratch, arena)
+            self.scan_one_impl(w, target, index, Some(&mut obs))
         };
-        metrics.inc("qscanner.targets", 1);
-        metrics.inc(outcome_counter(&result.outcome), 1);
         metrics.observe("qscanner.scan_us", ctx.now());
-        ctx.record(EventKind::OutcomeDecided { outcome: result.outcome.label() });
-        (result, ctx.finish())
+        decided(result, ctx, metrics)
+    }
+
+    /// One target of a [`QScanner::drive`] run, traced when `trace` carries
+    /// the week label and the worker's metric set. A target whose scan
+    /// panics turns into [`ScanOutcome::Other`] instead of tearing down its
+    /// worker, and its trace degrades to the `outcome_decided` event.
+    fn scan_isolated(
+        &self,
+        w: &mut Worker<'_>,
+        target: &QuicTarget,
+        index: u64,
+        mut trace: Option<(Option<u32>, &mut LocalMetrics)>,
+    ) -> (QuicScanResult, Vec<Event>) {
+        let caught = catch_unwind(AssertUnwindSafe(|| match trace.as_mut() {
+            Some((week, metrics)) => self.scan_traced(w, target, index, *week, metrics),
+            None => (self.scan_one_impl(w, target, index, None), Vec::new()),
+        }));
+        caught.unwrap_or_else(|payload| {
+            // The unwound scan may have left a half-delivered flight's
+            // replies in the arena; single sends append to it.
+            w.arena.replies.clear();
+            let result = panic_result(target, payload);
+            match trace {
+                Some((week, metrics)) => {
+                    decided(result, TraceCtx::new(index, target.trace_label(), week), metrics)
+                }
+                None => (result, Vec::new()),
+            }
+        })
     }
 
     fn scan_one_impl(
         &self,
-        io: &mut ScanIo<'_>,
+        w: &mut Worker<'_>,
         target: &QuicTarget,
         index: u64,
         mut obs: Option<&mut Obs<'_>>,
-        scratch: &mut HandshakeScratch,
-        arena: &mut DatagramArena,
     ) -> QuicScanResult {
         let dst = SocketAddr::new(target.addr, target.port);
-        let rtt_us = io.rtt_us();
+        let rtt_us = w.rtt_us();
 
         let mut result = QuicScanResult {
             addr: target.addr,
@@ -371,15 +366,16 @@ impl QScanner {
                             .unwrap_or_else(|| Version::V1.label()),
                     });
                     o.metrics.inc("qscanner.attempts", 1);
-                    ClientConnection::new_traced_reusing(config, seed, scratch)
+                    let mut conn =
+                        ClientConnection::new_traced_reusing(config, seed, &mut w.scratch);
+                    drain_conn_events(&mut conn, o);
+                    conn
                 }
-                None => ClientConnection::new_reusing(config, seed, scratch),
+                None => ClientConnection::new_reusing(config, seed, &mut w.scratch),
             };
-            drain_conn_events(&mut conn, &mut obs);
 
             let mut ptos = PtoSchedule::new(rtt_us, self.max_ptos);
             let mut rounds = 0usize;
-            let mut replies: Vec<Vec<u8>> = Vec::new();
             let mut unreachable = false;
 
             loop {
@@ -396,7 +392,7 @@ impl QScanner {
                     if !budget.try_charge(wait_us) {
                         break;
                     }
-                    io.wait(wait_us);
+                    w.shard.advance(Duration::from_micros(wait_us));
                     let count = ptos.fire();
                     if let Some(o) = obs.as_deref_mut() {
                         o.ctx.advance(wait_us);
@@ -412,67 +408,14 @@ impl QScanner {
                 if rounds > self.max_rounds {
                     break;
                 }
-                if obs.is_none() {
-                    // Untraced fast path: the flight was fully materialized
-                    // by `poll_transmit` before any send, so delivering it
-                    // as one batch (one endpoint lookup, one service-lock
-                    // acquisition on the shard path) and then feeding every
-                    // reply in delivery order is byte-equivalent to the
-                    // per-datagram loop below.
-                    let status = io.send_flight(src, dst, &out, arena);
-                    if status.unreachable {
-                        unreachable = true;
-                    }
-                    if status.throttled {
-                        throttled = true;
-                    }
-                    for _ in &out {
-                        budget.charge_exchange(rtt_us);
-                    }
-                    for reply in arena.replies.drain(..) {
-                        got_reply = true;
-                        conn.on_datagram(&reply);
-                    }
-                    for datagram in out {
-                        conn.recycle_datagram(datagram);
-                    }
-                } else {
-                    // Traced path: stays per-datagram so the event stream
-                    // (send/receive interleaving, flow-local timestamps) is
-                    // byte-identical to the historical one.
-                    for datagram in out {
-                        let status = match obs.as_deref_mut() {
-                            Some(o) => {
-                                o.ctx.record(EventKind::PacketSent {
-                                    space: space_of(&datagram),
-                                    bytes: datagram.len() as u64,
-                                });
-                                io.send_traced(src, dst, &datagram, &mut replies, o.ctx)
-                            }
-                            None => io.send(src, dst, &datagram, &mut replies),
-                        };
-                        match status {
-                            SendStatus::Unreachable => unreachable = true,
-                            SendStatus::Throttled => throttled = true,
-                            SendStatus::Sent => {}
-                        }
-                        budget.charge_exchange(rtt_us);
-                        if let Some(o) = obs.as_deref_mut() {
-                            o.ctx.advance(rtt_us);
-                            for reply in &replies {
-                                o.ctx.record(EventKind::PacketReceived {
-                                    space: space_of(reply),
-                                    bytes: reply.len() as u64,
-                                });
-                            }
-                        }
-                        for reply in replies.drain(..) {
-                            got_reply = true;
-                            conn.on_datagram(&reply);
-                        }
-                        drain_conn_events(&mut conn, &mut obs);
-                        conn.recycle_datagram(datagram);
-                    }
+                let sent = out.len();
+                let (status, replied) =
+                    exchange(w, src, dst, &mut conn, out, rtt_us, obs.as_deref_mut());
+                unreachable |= status.unreachable;
+                throttled |= status.throttled;
+                got_reply |= replied;
+                for _ in 0..sent {
+                    budget.charge_exchange(rtt_us);
                 }
                 if unreachable || conn.state() != &ConnectionState::Handshaking {
                     break;
@@ -481,7 +424,7 @@ impl QScanner {
 
             if unreachable {
                 result.outcome = ScanOutcome::Unreachable;
-                conn.recycle_into(scratch);
+                conn.recycle_into(&mut w.scratch);
                 return result;
             }
 
@@ -507,34 +450,27 @@ impl QScanner {
                     result.tls = conn.tls_info().cloned();
                     result.transport_params = conn.peer_transport_params().cloned();
                     if self.http_head {
-                        result.http = self.fetch_http(
-                            io,
-                            target,
-                            src,
-                            dst,
-                            &mut conn,
-                            obs.as_deref_mut(),
-                            arena,
-                        );
+                        result.http =
+                            self.fetch_http(w, target, src, dst, &mut conn, obs.as_deref_mut());
                     }
                     result.outcome = ScanOutcome::Success;
-                    conn.recycle_into(scratch);
+                    conn.recycle_into(&mut w.scratch);
                     return result;
                 }
                 Some(outcome) => {
                     result.outcome = outcome;
-                    conn.recycle_into(scratch);
+                    conn.recycle_into(&mut w.scratch);
                     return result;
                 }
                 None => {
                     // No verdict this attempt: back off and retry from a
                     // fresh port while budget remains.
-                    conn.recycle_into(scratch);
+                    conn.recycle_into(&mut w.scratch);
                     let wait_us = backoff.wait_us();
                     if !budget.try_charge(wait_us) {
                         break;
                     }
-                    io.wait(wait_us);
+                    w.shard.advance(Duration::from_micros(wait_us));
                     backoff.advance();
                     if let Some(o) = obs.as_deref_mut() {
                         o.ctx.record(EventKind::BackoffWaited { attempt, wait_us });
@@ -559,22 +495,19 @@ impl QScanner {
     /// re-requesting on a fresh stream when a response is lost (stream
     /// frames are not idempotent server-side, so retrying a request beats
     /// retransmitting the original packet).
-    #[allow(clippy::too_many_arguments)]
     fn fetch_http(
         &self,
-        io: &mut ScanIo<'_>,
+        w: &mut Worker<'_>,
         target: &QuicTarget,
         src: SocketAddr,
         dst: SocketAddr,
         conn: &mut ClientConnection,
         mut obs: Option<&mut Obs<'_>>,
-        arena: &mut DatagramArena,
     ) -> Option<Response> {
-        let rtt_us = io.rtt_us();
+        let rtt_us = w.rtt_us();
         let authority = target.sni.clone().unwrap_or_else(|| target.addr.to_string());
         let control = conn.open_uni_stream();
         conn.send_stream(control, &request::client_control_stream(), false);
-        let mut replies: Vec<Vec<u8>> = Vec::new();
         for _ in 0..self.http_retries.max(1) {
             if !conn.handshake_done() {
                 // The server may still be waiting for a lost Finished;
@@ -598,44 +531,7 @@ impl QScanner {
                 if out.is_empty() {
                     break;
                 }
-                if obs.is_none() {
-                    // Same batched fast path as the handshake flight loop.
-                    let _ = io.send_flight(src, dst, &out, arena);
-                    for reply in arena.replies.drain(..) {
-                        conn.on_datagram(&reply);
-                    }
-                    for datagram in out {
-                        conn.recycle_datagram(datagram);
-                    }
-                } else {
-                    for datagram in out {
-                        match obs.as_deref_mut() {
-                            Some(o) => {
-                                o.ctx.record(EventKind::PacketSent {
-                                    space: space_of(&datagram),
-                                    bytes: datagram.len() as u64,
-                                });
-                                let _ =
-                                    io.send_traced(src, dst, &datagram, &mut replies, o.ctx);
-                                o.ctx.advance(rtt_us);
-                                for reply in &replies {
-                                    o.ctx.record(EventKind::PacketReceived {
-                                        space: space_of(reply),
-                                        bytes: reply.len() as u64,
-                                    });
-                                }
-                            }
-                            None => {
-                                let _ = io.send(src, dst, &datagram, &mut replies);
-                            }
-                        }
-                        for reply in replies.drain(..) {
-                            conn.on_datagram(&reply);
-                        }
-                        drain_conn_events(conn, &mut obs);
-                        conn.recycle_datagram(datagram);
-                    }
-                }
+                let _ = exchange(w, src, dst, conn, out, rtt_us, obs.as_deref_mut());
             }
             for s in conn.poll_streams() {
                 if s.id == stream {
@@ -648,86 +544,64 @@ impl QScanner {
         None
     }
 
-    /// [`QScanner::scan_one`] with panic isolation: a poisoned target turns
-    /// into [`ScanOutcome::Other`] instead of tearing down its whole shard.
-    pub fn scan_one_isolated(
+    /// The one fan-out. Scans `targets` (scan index `base + i` for
+    /// `targets[i]`) on `workers` threads that claim index batches off a
+    /// shared [`StealQueue`], each with a private [`Worker`] and metric set,
+    /// and returns the `per_target` values in index order plus how many
+    /// targets each worker scanned. Below
+    /// [`QScanner::min_parallel_targets`] (or with one worker) the single
+    /// worker runs on the caller's thread — the same code, no spawn.
+    ///
+    /// A worker that dies outside `per_target`'s own isolation propagates
+    /// its panic: returning a shorter vector would silently misalign
+    /// results with the caller's target list.
+    fn drive<R: Send>(
         &self,
         net: &Network,
-        target: &QuicTarget,
-        index: u64,
-    ) -> QuicScanResult {
-        self.scan_one_isolated_reusing(
-            &mut ScanIo::Global(net),
-            target,
-            index,
-            &mut HandshakeScratch::new(),
-            &mut DatagramArena::new(),
-        )
-    }
-
-    fn scan_one_isolated_reusing(
-        &self,
-        io: &mut ScanIo<'_>,
-        target: &QuicTarget,
-        index: u64,
-        scratch: &mut HandshakeScratch,
-        arena: &mut DatagramArena,
-    ) -> QuicScanResult {
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.scan_one_impl(io, target, index, None, scratch, arena)
-        }));
-        match caught {
-            Ok(r) => r,
-            Err(payload) => panic_result(target, payload),
-        }
-    }
-
-    /// [`QScanner::scan_one_traced`] with panic isolation: the trace of a
-    /// poisoned target degrades to its `outcome_decided` event.
-    pub fn scan_one_traced_isolated(
-        &self,
-        net: &Network,
-        target: &QuicTarget,
-        index: u64,
-        week: Option<u32>,
-        metrics: &mut LocalMetrics,
-    ) -> (QuicScanResult, Vec<Event>) {
-        self.scan_one_traced_isolated_reusing(
-            &mut ScanIo::Global(net),
-            target,
-            index,
-            week,
-            metrics,
-            &mut HandshakeScratch::new(),
-            &mut DatagramArena::new(),
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn scan_one_traced_isolated_reusing(
-        &self,
-        io: &mut ScanIo<'_>,
-        target: &QuicTarget,
-        index: u64,
-        week: Option<u32>,
-        metrics: &mut LocalMetrics,
-        scratch: &mut HandshakeScratch,
-        arena: &mut DatagramArena,
-    ) -> (QuicScanResult, Vec<Event>) {
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.scan_one_traced_reusing(io, target, index, week, metrics, scratch, arena)
-        }));
-        match caught {
-            Ok(r) => r,
-            Err(payload) => {
-                let result = panic_result(target, payload);
-                metrics.inc("qscanner.targets", 1);
-                metrics.inc(outcome_counter(&result.outcome), 1);
-                let mut ctx = TraceCtx::new(index, target.trace_label(), week);
-                ctx.record(EventKind::OutcomeDecided { outcome: result.outcome.label() });
-                (result, ctx.finish())
+        base: u64,
+        targets: &[QuicTarget],
+        workers: usize,
+        registry: Option<&MetricsRegistry>,
+        per_target: impl Fn(&mut Worker<'_>, &mut LocalMetrics, &QuicTarget, u64) -> R + Sync,
+    ) -> (Vec<R>, Vec<usize>) {
+        let workers = if targets.len() < self.min_parallel_targets { 1 } else { workers.max(1) };
+        let queue = StealQueue::new(targets.len(), workers);
+        let run_worker = |id: usize| {
+            let mut worker = Worker::new(net);
+            let mut metrics = LocalMetrics::new();
+            let mut scanned = Vec::new();
+            while let Some(range) = queue.claim() {
+                for i in range {
+                    let index = base + i as u64;
+                    scanned.push((i, per_target(&mut worker, &mut metrics, &targets[i], index)));
+                }
             }
-        }
+            if let Some(registry) = registry {
+                registry.submit(id as u64, metrics);
+            }
+            scanned
+        };
+        let per_worker: Vec<Vec<(usize, R)>> = if workers == 1 {
+            vec![run_worker(0)]
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..workers)
+                    .map(|id| {
+                        let run_worker = &run_worker;
+                        scope.spawn(move || run_worker(id))
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().expect("scan worker panicked")).collect()
+            })
+        };
+        let counts = per_worker.iter().map(Vec::len).collect();
+        let mut indexed: Vec<(usize, R)> = per_worker.into_iter().flatten().collect();
+        indexed.sort_unstable_by_key(|(i, _)| *i);
+        assert!(
+            indexed.len() == targets.len() && indexed.iter().enumerate().all(|(k, (i, _))| k == *i),
+            "scan driver must return exactly one result per target"
+        );
+        (indexed.into_iter().map(|(_, r)| r).collect(), counts)
     }
 
     /// Scans targets across `workers` threads with work stealing: workers
@@ -735,8 +609,8 @@ impl QScanner {
     /// so a run of slow targets — PTO-retrying, rate-limited — spreads over
     /// whoever is free instead of idling everyone behind one static chunk.
     /// Results are merged in scan-index order and are byte-identical to the
-    /// sequential and [`QScanner::scan_many_chunked`] drivers at any worker
-    /// count, because nothing a target does depends on which worker ran it.
+    /// one-worker run at any worker count, because nothing a target does
+    /// depends on which worker ran it.
     pub fn scan_many(
         &self,
         net: &Network,
@@ -756,58 +630,7 @@ impl QScanner {
         targets: &[QuicTarget],
         workers: usize,
     ) -> (Vec<QuicScanResult>, Vec<usize>) {
-        if workers <= 1 || targets.len() < self.min_parallel_targets {
-            let mut io = ScanIo::Global(net);
-            let mut scratch = HandshakeScratch::new();
-            let mut arena = DatagramArena::new();
-            let results = targets
-                .iter()
-                .enumerate()
-                .map(|(i, t)| {
-                    self.scan_one_isolated_reusing(&mut io, t, i as u64, &mut scratch, &mut arena)
-                })
-                .collect();
-            return (results, vec![targets.len()]);
-        }
-        let queue = StealQueue::new(targets.len(), workers);
-        let (tx, rx) = channel::unbounded::<(usize, QuicScanResult)>();
-        let counts = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let tx = tx.clone();
-                    let queue = &queue;
-                    scope.spawn(move || {
-                        // Each worker owns a private network shard: flows it
-                        // drives never touch shared clocks or flow tables
-                        // until the merge at `finish`.
-                        let mut io = ScanIo::Shard(net.shard());
-                        let mut scratch = HandshakeScratch::new();
-                        let mut arena = DatagramArena::new();
-                        let mut scanned = 0usize;
-                        while let Some(range) = queue.claim() {
-                            for i in range {
-                                let r = self.scan_one_isolated_reusing(
-                                    &mut io,
-                                    &targets[i],
-                                    i as u64,
-                                    &mut scratch,
-                                    &mut arena,
-                                );
-                                let _ = tx.send((i, r));
-                                scanned += 1;
-                            }
-                        }
-                        io.finish();
-                        scanned
-                    })
-                })
-                .collect();
-            drop(tx);
-            handles.into_iter().map(|h| h.join().unwrap_or(0)).collect()
-        });
-        let mut indexed: Vec<(usize, QuicScanResult)> = rx.into_iter().collect();
-        indexed.sort_by_key(|(i, _)| *i);
-        (indexed.into_iter().map(|(_, r)| r).collect(), counts)
+        self.drive(net, 0, targets, workers, None, |w, _, t, i| self.scan_isolated(w, t, i, None).0)
     }
 
     /// Streaming driver: scans targets straight off an iterator without ever
@@ -843,124 +666,21 @@ impl QScanner {
             if batch.is_empty() {
                 return base;
             }
-            self.scan_batch_into(net, base, &batch, workers, &mut sink);
-            base += batch.len() as u64;
+            let (results, _) = self.drive(net, base, &batch, workers, None, |w, _, t, i| {
+                self.scan_isolated(w, t, i, None).0
+            });
+            for r in results {
+                sink(base, r);
+                base += 1;
+            }
         }
     }
 
-    /// One streaming batch: the work-stealing fan-out of
-    /// [`QScanner::scan_many_stats`] with every scan index offset by `base`,
-    /// results drained to `sink` in index order.
-    fn scan_batch_into<F: FnMut(u64, QuicScanResult)>(
-        &self,
-        net: &Network,
-        base: u64,
-        targets: &[QuicTarget],
-        workers: usize,
-        sink: &mut F,
-    ) {
-        if workers <= 1 || targets.len() < self.min_parallel_targets {
-            let mut io = ScanIo::Global(net);
-            let mut scratch = HandshakeScratch::new();
-            let mut arena = DatagramArena::new();
-            for (i, t) in targets.iter().enumerate() {
-                let index = base + i as u64;
-                let r = self.scan_one_isolated_reusing(&mut io, t, index, &mut scratch, &mut arena);
-                sink(index, r);
-            }
-            return;
-        }
-        let queue = StealQueue::new(targets.len(), workers);
-        let (tx, rx) = channel::unbounded::<(usize, QuicScanResult)>();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let queue = &queue;
-                scope.spawn(move || {
-                    let mut io = ScanIo::Shard(net.shard());
-                    let mut scratch = HandshakeScratch::new();
-                    let mut arena = DatagramArena::new();
-                    while let Some(range) = queue.claim() {
-                        for i in range {
-                            let r = self.scan_one_isolated_reusing(
-                                &mut io,
-                                &targets[i],
-                                base + i as u64,
-                                &mut scratch,
-                                &mut arena,
-                            );
-                            let _ = tx.send((i, r));
-                        }
-                    }
-                    io.finish();
-                });
-            }
-            drop(tx);
-        });
-        let mut indexed: Vec<(usize, QuicScanResult)> = rx.into_iter().collect();
-        indexed.sort_by_key(|(i, _)| *i);
-        for (i, r) in indexed {
-            sink(base + i as u64, r);
-        }
-    }
-
-    /// The retired static-chunk driver: each worker owns one contiguous
-    /// slice, fixed up front. Kept as the baseline the work-stealing
-    /// scheduler is benchmarked and regression-tested against; results are
-    /// byte-identical to [`QScanner::scan_many`].
-    pub fn scan_many_chunked(
-        &self,
-        net: &Network,
-        targets: &[QuicTarget],
-        workers: usize,
-    ) -> Vec<QuicScanResult> {
-        if workers <= 1 || targets.len() < self.min_parallel_targets {
-            let mut io = ScanIo::Global(net);
-            let mut scratch = HandshakeScratch::new();
-            let mut arena = DatagramArena::new();
-            return targets
-                .iter()
-                .enumerate()
-                .map(|(i, t)| {
-                    self.scan_one_isolated_reusing(&mut io, t, i as u64, &mut scratch, &mut arena)
-                })
-                .collect();
-        }
-        let (tx, rx) = channel::unbounded::<(usize, QuicScanResult)>();
-        std::thread::scope(|scope| {
-            let chunk = targets.len().div_ceil(workers);
-            for (w, slice) in targets.chunks(chunk).enumerate() {
-                let tx = tx.clone();
-                scope.spawn(move || {
-                    let mut io = ScanIo::Shard(net.shard());
-                    let mut scratch = HandshakeScratch::new();
-                    let mut arena = DatagramArena::new();
-                    for (j, t) in slice.iter().enumerate() {
-                        let index = (w * chunk + j) as u64;
-                        let r = self.scan_one_isolated_reusing(
-                            &mut io,
-                            t,
-                            index,
-                            &mut scratch,
-                            &mut arena,
-                        );
-                        let _ = tx.send((w * chunk + j, r));
-                    }
-                    io.finish();
-                });
-            }
-            drop(tx);
-        });
-        let mut indexed: Vec<(usize, QuicScanResult)> = rx.into_iter().collect();
-        indexed.sort_by_key(|(i, _)| *i);
-        indexed.into_iter().map(|(_, r)| r).collect()
-    }
-
-    /// [`QScanner::scan_many`] with telemetry: the work-stealing fan-out,
-    /// with per-target event lists merged **in scan-index order** into the
-    /// sink (so the stream is byte-identical at any worker count and under
-    /// either scheduler) and each worker submitting its metric set to the
-    /// registry once. Metric merges commute, so the merged snapshot is also
+    /// [`QScanner::scan_many`] with telemetry: the same work-stealing
+    /// fan-out, with per-target event lists merged **in scan-index order**
+    /// into the sink (so the stream is byte-identical at any worker count)
+    /// and each worker submitting its metric set to the registry once.
+    /// Metric merges commute, so the merged snapshot is also
     /// schedule-independent.
     pub fn scan_many_traced(
         &self,
@@ -970,143 +690,30 @@ impl QScanner {
         week: Option<u32>,
         telemetry: &Telemetry,
     ) -> Vec<QuicScanResult> {
-        self.scan_many_traced_stats(net, targets, workers, week, telemetry).0
-    }
-
-    /// [`QScanner::scan_many_traced`], also reporting per-worker target
-    /// counts (see [`QScanner::scan_many_stats`]).
-    pub fn scan_many_traced_stats(
-        &self,
-        net: &Network,
-        targets: &[QuicTarget],
-        workers: usize,
-        week: Option<u32>,
-        telemetry: &Telemetry,
-    ) -> (Vec<QuicScanResult>, Vec<usize>) {
-        if workers <= 1 || targets.len() < self.min_parallel_targets {
-            let mut io = ScanIo::Global(net);
-            let mut metrics = LocalMetrics::new();
-            let mut scratch = HandshakeScratch::new();
-            let mut arena = DatagramArena::new();
-            let mut results = Vec::with_capacity(targets.len());
-            for (i, t) in targets.iter().enumerate() {
-                let (r, events) = self.scan_one_traced_isolated_reusing(
-                    &mut io,
-                    t,
-                    i as u64,
-                    week,
-                    &mut metrics,
-                    &mut scratch,
-                    &mut arena,
-                );
+        let registry = Some(&*telemetry.metrics);
+        let (traced, _) = self.drive(net, 0, targets, workers, registry, |w, metrics, t, i| {
+            self.scan_isolated(w, t, i, Some((week, metrics)))
+        });
+        traced
+            .into_iter()
+            .map(|(result, events)| {
                 telemetry.emit_all(&events);
-                results.push(r);
-            }
-            telemetry.metrics.submit(0, metrics);
-            return (results, vec![targets.len()]);
-        }
-        let queue = StealQueue::new(targets.len(), workers);
-        let (tx, rx) = channel::unbounded::<(usize, QuicScanResult, Vec<Event>)>();
-        let counts = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let tx = tx.clone();
-                    let queue = &queue;
-                    let registry = telemetry.metrics.clone();
-                    scope.spawn(move || {
-                        let mut io = ScanIo::Shard(net.shard());
-                        let mut metrics = LocalMetrics::new();
-                        let mut scratch = HandshakeScratch::new();
-                        let mut arena = DatagramArena::new();
-                        let mut scanned = 0usize;
-                        while let Some(range) = queue.claim() {
-                            for i in range {
-                                let (r, events) = self.scan_one_traced_isolated_reusing(
-                                    &mut io,
-                                    &targets[i],
-                                    i as u64,
-                                    week,
-                                    &mut metrics,
-                                    &mut scratch,
-                                    &mut arena,
-                                );
-                                let _ = tx.send((i, r, events));
-                                scanned += 1;
-                            }
-                        }
-                        io.finish();
-                        registry.submit(w as u64, metrics);
-                        scanned
-                    })
-                })
-                .collect();
-            drop(tx);
-            handles.into_iter().map(|h| h.join().unwrap_or(0)).collect()
-        });
-        let mut indexed: Vec<(usize, QuicScanResult, Vec<Event>)> = rx.into_iter().collect();
-        indexed.sort_by_key(|(i, _, _)| *i);
-        let mut results = Vec::with_capacity(indexed.len());
-        for (_, r, events) in indexed {
-            telemetry.emit_all(&events);
-            results.push(r);
-        }
-        (results, counts)
+                result
+            })
+            .collect()
     }
+}
 
-    /// The static-chunk traced driver, kept as the regression baseline for
-    /// [`QScanner::scan_many_traced`]: results, the merged event stream, and
-    /// the merged metrics snapshot must all be byte-identical between the
-    /// two schedulers.
-    pub fn scan_many_traced_chunked(
-        &self,
-        net: &Network,
-        targets: &[QuicTarget],
-        workers: usize,
-        week: Option<u32>,
-        telemetry: &Telemetry,
-    ) -> Vec<QuicScanResult> {
-        if workers <= 1 || targets.len() < self.min_parallel_targets {
-            return self.scan_many_traced(net, targets, workers, week, telemetry);
-        }
-        let (tx, rx) = channel::unbounded::<(usize, QuicScanResult, Vec<Event>)>();
-        std::thread::scope(|scope| {
-            let chunk = targets.len().div_ceil(workers);
-            for (w, slice) in targets.chunks(chunk).enumerate() {
-                let tx = tx.clone();
-                let registry = telemetry.metrics.clone();
-                scope.spawn(move || {
-                    let mut io = ScanIo::Shard(net.shard());
-                    let mut metrics = LocalMetrics::new();
-                    let mut scratch = HandshakeScratch::new();
-                    let mut arena = DatagramArena::new();
-                    for (j, t) in slice.iter().enumerate() {
-                        let index = w * chunk + j;
-                        let (r, events) = self.scan_one_traced_isolated_reusing(
-                            &mut io,
-                            t,
-                            index as u64,
-                            week,
-                            &mut metrics,
-                            &mut scratch,
-                            &mut arena,
-                        );
-                        let _ = tx.send((index, r, events));
-                    }
-                    io.finish();
-                    registry.submit(w as u64, metrics);
-                });
-            }
-            drop(tx);
-        });
-        let mut indexed: Vec<(usize, QuicScanResult, Vec<Event>)> = rx.into_iter().collect();
-        indexed.sort_by_key(|(i, _, _)| *i);
-        let mut results = Vec::with_capacity(indexed.len());
-        for (_, r, events) in indexed {
-            telemetry.emit_all(&events);
-            results.push(r);
-        }
-        results
-    }
+/// Closes a traced target: verdict counters and the `outcome_decided` event.
+fn decided(
+    result: QuicScanResult,
+    mut ctx: TraceCtx,
+    metrics: &mut LocalMetrics,
+) -> (QuicScanResult, Vec<Event>) {
+    metrics.inc("qscanner.targets", 1);
+    metrics.inc(outcome_counter(&result.outcome), 1);
+    ctx.record(EventKind::OutcomeDecided { outcome: result.outcome.label() });
+    (result, ctx.finish())
 }
 
 /// The result recorded for a target whose scan panicked.

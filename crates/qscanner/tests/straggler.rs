@@ -2,10 +2,12 @@
 //!
 //! The scenario the scheduler exists for: a contiguous slice of targets that
 //! all burn their full PTO/attempt budget (silent VN-only middleboxes under
-//! packet loss) lands in one worker's static chunk and serializes the sweep
-//! behind that worker. Work stealing must spread the slice — while leaving
+//! packet loss) would serialize the sweep behind whichever worker a static
+//! split handed it to. Work stealing must spread the slice — while leaving
 //! results, the merged telemetry event stream, and the merged metrics
-//! snapshot byte-identical to the static-chunk baseline at any worker count.
+//! snapshot byte-identical to the one-worker run at any worker count. The
+//! one-worker run is the oracle: it is the same driver on the caller's
+//! thread, so any difference is the scheduler leaking into a record.
 
 use std::sync::Arc;
 
@@ -52,67 +54,56 @@ fn skewed_targets(u: &Universe) -> Vec<QuicTarget> {
     targets
 }
 
-fn lossy_net(u: &Universe) -> Network {
-    // Fresh network per run (server endpoints keep per-flow state), with the
-    // calibrated 50‰ fault plan from the loss-tolerance work.
+/// Fresh network per run (server endpoints keep per-flow state); 50‰ is the
+/// calibrated fault plan from the loss-tolerance work.
+fn net_with_loss(u: &Universe, loss_permille: u32) -> Network {
     let mut net = u.build_network();
-    net.set_loss_permille(50);
+    net.set_loss_permille(loss_permille);
     net
 }
 
-/// One traced run; returns (results, events, merged metrics, per-worker counts).
+/// One traced run; returns (results, events, merged metrics).
 fn run_traced(
     scanner: &QScanner,
     u: &Universe,
     targets: &[QuicTarget],
     workers: usize,
-    chunked: bool,
-) -> (Vec<QuicScanResult>, Vec<Event>, MetricsSnapshot, Vec<usize>) {
+    loss_permille: u32,
+) -> (Vec<QuicScanResult>, Vec<Event>, MetricsSnapshot) {
     let sink = Arc::new(MemorySink::new());
     let telemetry = Telemetry::with_sink(sink.clone());
-    let net = lossy_net(u);
-    let (results, counts) = if chunked {
-        let r = scanner.scan_many_traced_chunked(&net, targets, workers, Some(18), &telemetry);
-        (r, Vec::new())
-    } else {
-        scanner.scan_many_traced_stats(&net, targets, workers, Some(18), &telemetry)
-    };
-    (results, sink.events(), telemetry.metrics.snapshot(), counts)
+    let net = net_with_loss(u, loss_permille);
+    let results = scanner.scan_many_traced(&net, targets, workers, Some(18), &telemetry);
+    (results, sink.events(), telemetry.metrics.snapshot())
 }
 
 #[test]
-fn stealing_matches_chunked_baseline_byte_for_byte() {
+fn traced_records_match_the_one_worker_run_byte_for_byte() {
     let u = Universe::generate(UniverseConfig::tiny(18));
     let scanner = QScanner::new(vantage(), 1);
     let targets = skewed_targets(&u);
 
-    // The skew is real: the slow slice actually stalls (silence, not loss).
-    let (baseline, base_events, base_metrics, _) = run_traced(&scanner, &u, &targets, 4, true);
-    assert!(
-        (24..48).all(|i| baseline[i].outcome == ScanOutcome::NoReply),
-        "slow slice should time out silently"
-    );
-    let successes = baseline.iter().filter(|r| r.outcome == ScanOutcome::Success).count();
-    assert!(successes >= 40, "fast targets should mostly succeed, got {successes}");
+    for loss in [0u32, 50] {
+        let (oracle, oracle_events, oracle_metrics) = run_traced(&scanner, &u, &targets, 1, loss);
+        // The skew is real: the slow slice actually stalls (silence, not loss).
+        assert!(
+            (24..48).all(|i| oracle[i].outcome == ScanOutcome::NoReply),
+            "slow slice should time out silently at {loss}‰"
+        );
+        let successes = oracle.iter().filter(|r| r.outcome == ScanOutcome::Success).count();
+        assert!(successes >= 40, "fast targets should mostly succeed, got {successes}");
+        let oracle_json: String = oracle_events.iter().map(|e| e.to_json()).collect();
 
-    for workers in [1usize, 2, 3, 4, 5, 8] {
-        let (results, events, metrics, _) = run_traced(&scanner, &u, &targets, workers, false);
-        assert_eq!(results, baseline, "results diverged at {workers} workers");
-        assert_eq!(events, base_events, "event stream diverged at {workers} workers");
-        // Byte-identical, not merely structurally equal.
-        let base_json: String = base_events.iter().map(|e| e.to_json()).collect();
-        let json: String = events.iter().map(|e| e.to_json()).collect();
-        assert_eq!(json, base_json);
-        assert_eq!(metrics, base_metrics, "metrics diverged at {workers} workers");
-        assert_eq!(metrics.render(), base_metrics.render());
-    }
-
-    // The static-chunk driver is worker-count invariant too (its per-worker
-    // network shards cache disjoint flow sets regardless of the split).
-    for workers in [2usize, 3, 5] {
-        let (results, events, _, _) = run_traced(&scanner, &u, &targets, workers, true);
-        assert_eq!(results, baseline, "chunked results diverged at {workers} workers");
-        assert_eq!(events, base_events, "chunked events diverged at {workers} workers");
+        for workers in [2usize, 4, 8] {
+            let (results, events, metrics) = run_traced(&scanner, &u, &targets, workers, loss);
+            assert_eq!(results, oracle, "results diverged at {workers} workers, {loss}‰");
+            assert_eq!(events, oracle_events, "events diverged at {workers} workers, {loss}‰");
+            // Byte-identical, not merely structurally equal.
+            let json: String = events.iter().map(|e| e.to_json()).collect();
+            assert_eq!(json, oracle_json);
+            assert_eq!(metrics, oracle_metrics, "metrics diverged at {workers} workers, {loss}‰");
+            assert_eq!(metrics.render(), oracle_metrics.render());
+        }
     }
 }
 
@@ -122,7 +113,7 @@ fn stealing_spreads_the_slow_slice() {
     let scanner = QScanner::new(vantage(), 1);
     let targets = skewed_targets(&u);
 
-    let (results, counts) = scanner.scan_many_stats(&lossy_net(&u), &targets, 4);
+    let (results, counts) = scanner.scan_many_stats(&net_with_loss(&u, 50), &targets, 4);
     assert_eq!(results.len(), targets.len());
     assert_eq!(counts.len(), 4);
     assert_eq!(counts.iter().sum::<usize>(), targets.len(), "counts {counts:?}");
@@ -134,23 +125,21 @@ fn stealing_spreads_the_slow_slice() {
 }
 
 #[test]
-fn untraced_drivers_agree_under_loss() {
+fn untraced_records_match_the_one_worker_run() {
     let u = Universe::generate(UniverseConfig::tiny(18));
     let scanner = QScanner::new(vantage(), 1);
     let targets = skewed_targets(&u);
 
-    let serial = scanner.scan_many(&lossy_net(&u), &targets, 1);
-    for workers in [2usize, 3, 4, 5] {
-        let stealing = scanner.scan_many(&lossy_net(&u), &targets, workers);
-        let chunked = scanner.scan_many_chunked(&lossy_net(&u), &targets, workers);
-        assert_eq!(stealing, serial, "stealing diverged at {workers} workers");
-        assert_eq!(chunked, serial, "chunked diverged at {workers} workers");
+    for loss in [0u32, 50] {
+        let oracle = scanner.scan_many(&net_with_loss(&u, loss), &targets, 1);
+        for workers in [2usize, 3, 4, 5, 8] {
+            let results = scanner.scan_many(&net_with_loss(&u, loss), &targets, workers);
+            assert_eq!(results, oracle, "diverged at {workers} workers, {loss}‰");
+        }
+        // Tracing is an observer: the traced driver records the same scans.
+        let (traced, _, _) = run_traced(&scanner, &u, &targets, 4, loss);
+        assert_eq!(traced, oracle, "traced results diverged at {loss}‰");
     }
-
-    // And without the fault plan.
-    let clean_stealing = scanner.scan_many(&u.build_network(), &targets, 8);
-    let clean_chunked = scanner.scan_many_chunked(&u.build_network(), &targets, 8);
-    assert_eq!(clean_stealing, clean_chunked);
 }
 
 #[test]
@@ -158,7 +147,7 @@ fn streaming_driver_matches_buffered_scan() {
     let u = Universe::generate(UniverseConfig::tiny(18));
     let mut scanner = QScanner::new(vantage(), 1);
     let targets = skewed_targets(&u);
-    let baseline = scanner.scan_many(&lossy_net(&u), &targets, 1);
+    let baseline = scanner.scan_many(&net_with_loss(&u, 50), &targets, 1);
 
     // Tiny batches force many batch boundaries (96 targets / 16 = 6 batches)
     // and, with min_parallel_targets below them, the parallel in-batch path.
@@ -167,7 +156,7 @@ fn streaming_driver_matches_buffered_scan() {
     for workers in [1usize, 4, 8] {
         let mut streamed = Vec::new();
         let scanned = scanner.scan_stream(
-            &lossy_net(&u),
+            &net_with_loss(&u, 50),
             targets.iter().cloned(),
             workers,
             |index, r| {

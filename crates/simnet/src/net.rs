@@ -591,105 +591,18 @@ impl Network {
     /// the destination service emitted (empty when the port is unbound, the
     /// packet was lost, or the service stayed silent). Advances the clock by
     /// one RTT when a response comes back.
+    ///
+    /// This is the one shared-state send, for one-off exchanges (DNS
+    /// lookups, connectivity checks): it runs against the shared clock and
+    /// flow-sequence table and flushes its accounting at once. Scan loops
+    /// send through a [`NetShard`] instead ([`Network::shard`]).
     pub fn udp_send(&self, src: SocketAddr, dst: SocketAddr, payload: &[u8]) -> Vec<Vec<u8>> {
         let mut delivered = Vec::new();
-        self.udp_send_into(src, dst, payload, &mut delivered);
+        let mut local = LocalStats::new();
+        let flight = std::iter::once(payload);
+        let _ = self.udp_flight(src, dst, flight, &mut delivered, &mut local, None, &mut GlobalEnv);
+        local.flush(&self.stats);
         delivered
-    }
-
-    /// [`Network::udp_send`] without allocating the reply container: replies
-    /// are *appended* to `out` (the buffer is never cleared), so a scan loop
-    /// can reuse one buffer across millions of probes — the common miss case
-    /// performs no allocation — and a driver can accumulate a whole flight's
-    /// replies across several sends before draining them.
-    pub fn udp_send_into(
-        &self,
-        src: SocketAddr,
-        dst: SocketAddr,
-        payload: &[u8],
-        out: &mut Vec<Vec<u8>>,
-    ) {
-        let mut local = LocalStats::new();
-        self.udp_send_accounted(src, dst, payload, out, &mut local);
-        local.flush(&self.stats);
-    }
-
-    /// [`Network::udp_send_into`] returning the sender-observable
-    /// [`SendStatus`], with accounting flushed to the shared stats.
-    pub fn udp_send_status(
-        &self,
-        src: SocketAddr,
-        dst: SocketAddr,
-        payload: &[u8],
-        out: &mut Vec<Vec<u8>>,
-    ) -> SendStatus {
-        let mut local = LocalStats::new();
-        let status = self.udp_send_faulted(src, dst, payload, out, &mut local);
-        local.flush(&self.stats);
-        status
-    }
-
-    /// [`Network::udp_send_into`] with caller-held traffic accounting: counts
-    /// go into `local` instead of the shared [`NetStats`] atomics, so
-    /// parallel scan shards pay no shared-cache-line traffic per probe. The
-    /// caller must eventually [`LocalStats::flush`] into [`Network::stats`].
-    pub fn udp_send_accounted(
-        &self,
-        src: SocketAddr,
-        dst: SocketAddr,
-        payload: &[u8],
-        out: &mut Vec<Vec<u8>>,
-        local: &mut LocalStats,
-    ) {
-        let _ = self.udp_send_faulted(src, dst, payload, out, local);
-    }
-
-    /// [`Network::udp_send_accounted`] that also reports what the sender
-    /// could observe about the attempt (see [`SendStatus`]): silent loss and
-    /// unbound ports look like [`SendStatus::Sent`] with no replies, while
-    /// ICMP-unreachable signaling and rate-limiter pushback are surfaced.
-    pub fn udp_send_faulted(
-        &self,
-        src: SocketAddr,
-        dst: SocketAddr,
-        payload: &[u8],
-        out: &mut Vec<Vec<u8>>,
-        local: &mut LocalStats,
-    ) -> SendStatus {
-        self.udp_send_traced(src, dst, payload, out, local, None)
-    }
-
-    /// [`Network::udp_send_status`] recording every fault the path injects
-    /// into `trace` as [`FaultKind`] events. Fault draws are flow-sequence
-    /// keyed, so a traced flow sees the same events at any worker count.
-    pub fn udp_send_status_traced(
-        &self,
-        src: SocketAddr,
-        dst: SocketAddr,
-        payload: &[u8],
-        out: &mut Vec<Vec<u8>>,
-        trace: &mut TraceCtx,
-    ) -> SendStatus {
-        let mut local = LocalStats::new();
-        let status = self.udp_send_traced(src, dst, payload, out, &mut local, Some(trace));
-        local.flush(&self.stats);
-        status
-    }
-
-    /// The full fault path: [`Network::udp_send_faulted`] plus an optional
-    /// trace recording each injected fault (`None` costs one branch per
-    /// fault site, nothing on the ideal fast path).
-    pub fn udp_send_traced(
-        &self,
-        src: SocketAddr,
-        dst: SocketAddr,
-        payload: &[u8],
-        out: &mut Vec<Vec<u8>>,
-        local: &mut LocalStats,
-        trace: Option<&mut TraceCtx>,
-    ) -> SendStatus {
-        self.udp_flight(src, dst, std::iter::once(payload), out, local, trace, &mut GlobalEnv)
-            .into_send_status()
     }
 
     /// Hands out a worker-private [`NetShard`] view of this network: same
@@ -990,7 +903,7 @@ trait SendEnv {
     fn locks(&mut self) -> Option<&mut LockCounters>;
 }
 
-/// Shared-state env: the classic `Network::udp_send*` behavior.
+/// Shared-state env: what [`Network::udp_send`] runs against.
 struct GlobalEnv;
 
 impl SendEnv for GlobalEnv {
@@ -1088,21 +1001,32 @@ impl NetShard<'_> {
         self.locks
     }
 
-    /// [`Network::udp_send_status`] against this shard's private state.
+    /// Sends one datagram and reports what the sender could observe about
+    /// the attempt (see [`SendStatus`]): silent loss and unbound ports look
+    /// like [`SendStatus::Sent`] with no replies, while ICMP-unreachable
+    /// signaling and rate-limiter pushback are surfaced. Replies are
+    /// *appended* to `out`. With `trace`, every fault the path injects is
+    /// recorded as a [`FaultKind`] event; fault draws are flow-sequence
+    /// keyed, so a traced flow sees the same events at any worker count
+    /// (`None` costs one branch per fault site, nothing on the ideal fast
+    /// path).
     pub fn udp_send_status(
         &mut self,
         src: SocketAddr,
         dst: SocketAddr,
         payload: &[u8],
         out: &mut Vec<Vec<u8>>,
+        trace: Option<&mut TraceCtx>,
     ) -> SendStatus {
-        self.flight(src, dst, std::iter::once(payload), out, None).into_send_status()
+        self.flight(src, dst, std::iter::once(payload), out, trace).into_send_status()
     }
 
-    /// [`Network::udp_send_into`] against this shard's private state
-    /// (status discarded — the probe-module shape). Append-style like its
-    /// network counterpart: replies accumulate after the caller's existing
-    /// contents.
+    /// [`NetShard::udp_send_status`] with the status discarded — the
+    /// probe-module shape. Replies are *appended* to `out` (the buffer is
+    /// never cleared), so a scan loop can reuse one buffer across millions
+    /// of probes — the common miss case performs no allocation — and a
+    /// driver can accumulate a whole flight's replies across several sends
+    /// before draining them.
     pub fn udp_send_into(
         &mut self,
         src: SocketAddr,
@@ -1111,19 +1035,6 @@ impl NetShard<'_> {
         out: &mut Vec<Vec<u8>>,
     ) {
         let _ = self.flight(src, dst, std::iter::once(payload), out, None);
-    }
-
-    /// [`Network::udp_send_status_traced`] against this shard's private
-    /// state.
-    pub fn udp_send_status_traced(
-        &mut self,
-        src: SocketAddr,
-        dst: SocketAddr,
-        payload: &[u8],
-        out: &mut Vec<Vec<u8>>,
-        trace: &mut TraceCtx,
-    ) -> SendStatus {
-        self.flight(src, dst, std::iter::once(payload), out, Some(trace)).into_send_status()
     }
 
     /// Batched send (GSO-style): delivers a whole flight of datagrams to
@@ -1303,17 +1214,18 @@ mod tests {
     fn udp_send_into_appends_to_buffer() {
         let mut net = Network::new(1);
         net.bind_udp(addr(1, 443), Box::new(Echo));
+        let mut shard = net.shard();
         let mut replies = Vec::new();
-        net.udp_send_into(addr(9, 1), addr(1, 443), b"abc", &mut replies);
+        shard.udp_send_into(addr(9, 1), addr(1, 443), b"abc", &mut replies);
         assert_eq!(replies, vec![b"cba".to_vec()]);
         // A miss leaves the caller's accumulated replies untouched.
-        net.udp_send_into(addr(9, 1), addr(2, 443), b"abc", &mut replies);
+        shard.udp_send_into(addr(9, 1), addr(2, 443), b"abc", &mut replies);
         assert_eq!(replies, vec![b"cba".to_vec()]);
         // A hit appends after them — flight drivers accumulate, then drain.
-        net.udp_send_into(addr(9, 1), addr(1, 443), b"xy", &mut replies);
+        shard.udp_send_into(addr(9, 1), addr(1, 443), b"xy", &mut replies);
         assert_eq!(replies, vec![b"cba".to_vec(), b"yx".to_vec()]);
         replies.clear();
-        net.udp_send_into(addr(9, 1), addr(1, 443), b"xy", &mut replies);
+        shard.udp_send_into(addr(9, 1), addr(1, 443), b"xy", &mut replies);
         assert_eq!(replies, vec![b"yx".to_vec()]);
     }
 
@@ -1382,14 +1294,14 @@ mod tests {
         let mut net = Network::new(5);
         net.bind_udp(addr(1, 443), Box::new(Echo));
         net.set_path_profile(addr(1, 0).ip, crate::fault::LinkProfile::unreachable());
-        let mut out = Vec::new();
-        let status = net.udp_send_status(addr(9, 1), addr(1, 443), b"x", &mut out);
-        assert_eq!(status, crate::fault::SendStatus::Unreachable);
-        assert!(out.is_empty());
         // Other destinations keep the default (ideal) profile.
         net.bind_udp(addr(2, 443), Box::new(Echo));
-        out.clear();
-        let status = net.udp_send_status(addr(9, 1), addr(2, 443), b"ab", &mut out);
+        let mut shard = net.shard();
+        let mut out = Vec::new();
+        let status = shard.udp_send_status(addr(9, 1), addr(1, 443), b"x", &mut out, None);
+        assert_eq!(status, crate::fault::SendStatus::Unreachable);
+        assert!(out.is_empty());
+        let status = shard.udp_send_status(addr(9, 1), addr(2, 443), b"ab", &mut out, None);
         assert_eq!(status, crate::fault::SendStatus::Sent);
         assert_eq!(out, vec![b"ba".to_vec()]);
     }
@@ -1402,14 +1314,14 @@ mod tests {
             addr(1, 0).ip,
             crate::fault::LinkProfile { mtu: Some(4), ..crate::fault::LinkProfile::ideal() },
         );
+        let mut shard = net.shard();
         let mut out = Vec::new();
         // Over the MTU: silently dropped, indistinguishable from loss.
-        let status = net.udp_send_status(addr(9, 1), addr(1, 443), b"12345", &mut out);
+        let status = shard.udp_send_status(addr(9, 1), addr(1, 443), b"12345", &mut out, None);
         assert_eq!(status, crate::fault::SendStatus::Sent);
         assert!(out.is_empty());
         // At the MTU: delivered.
-        out.clear();
-        net.udp_send_status(addr(9, 1), addr(1, 443), b"1234", &mut out);
+        shard.udp_send_status(addr(9, 1), addr(1, 443), b"1234", &mut out, None);
         assert_eq!(out, vec![b"4321".to_vec()]);
     }
 
@@ -1424,15 +1336,16 @@ mod tests {
                 ..crate::fault::LinkProfile::ideal()
             },
         );
+        let mut shard = net.shard();
         let mut out = Vec::new();
         let mut statuses = Vec::new();
         for _ in 0..16 {
-            statuses.push(net.udp_send_status(addr(9, 1), addr(1, 443), b"x", &mut out));
+            statuses.push(shard.udp_send_status(addr(9, 1), addr(1, 443), b"x", &mut out, None));
         }
         assert!(statuses[..8].iter().all(|s| *s == crate::fault::SendStatus::Sent));
         assert!(statuses[8..].iter().all(|s| *s == crate::fault::SendStatus::Throttled));
         // A fresh flow gets its own burst allowance.
-        let status = net.udp_send_status(addr(9, 2), addr(1, 443), b"x", &mut out);
+        let status = shard.udp_send_status(addr(9, 2), addr(1, 443), b"x", &mut out, None);
         assert_eq!(status, crate::fault::SendStatus::Sent);
     }
 
@@ -1480,10 +1393,11 @@ mod tests {
         net.bind_udp(addr(1, 443), Box::new(Echo));
         net.set_loss_permille(1000);
         net.set_path_profile(addr(2, 0).ip, crate::fault::LinkProfile::unreachable());
+        let mut shard = net.shard();
         let mut out = Vec::new();
 
         let mut trace = TraceCtx::new(1, "10.0.0.1:443", None);
-        net.udp_send_status_traced(addr(9, 1), addr(1, 443), b"x", &mut out, &mut trace);
+        shard.udp_send_status(addr(9, 1), addr(1, 443), b"x", &mut out, Some(&mut trace));
         let events = trace.finish();
         assert_eq!(events.len(), 1);
         assert!(matches!(
@@ -1493,7 +1407,7 @@ mod tests {
 
         let mut trace = TraceCtx::new(2, "10.0.0.2:443", None);
         let status =
-            net.udp_send_status_traced(addr(9, 1), addr(2, 443), b"x", &mut out, &mut trace);
+            shard.udp_send_status(addr(9, 1), addr(2, 443), b"x", &mut out, Some(&mut trace));
         assert_eq!(status, crate::fault::SendStatus::Unreachable);
         let events = trace.finish();
         assert!(matches!(
@@ -1522,31 +1436,25 @@ mod tests {
     }
 
     /// Sends through a `NetShard` must be byte-identical to sends through
-    /// the shared-state API: same statuses, same replies, same draw
-    /// sequence.
+    /// the shared-state [`Network::udp_send`]: same replies from the same
+    /// draw sequence (a throttled or lost datagram is an empty reply list
+    /// on both sides).
     #[test]
     fn shard_sends_match_global_sends() {
         let run_global = || {
             let net = nasty_net();
-            let mut out = Vec::new();
-            let mut log = Vec::new();
-            for i in 0..200u16 {
-                out.clear();
-                let status = net.udp_send_status(addr(9, 1000 + i % 3), addr(1, 443), b"probe", &mut out);
-                log.push((status, out.clone()));
-            }
-            log
+            (0..200u16)
+                .map(|i| net.udp_send(addr(9, 1000 + i % 3), addr(1, 443), b"probe"))
+                .collect::<Vec<_>>()
         };
         let run_shard = || {
             let net = nasty_net();
             let mut shard = net.shard();
-            let mut out = Vec::new();
             let mut log = Vec::new();
             for i in 0..200u16 {
-                out.clear();
-                let status =
-                    shard.udp_send_status(addr(9, 1000 + i % 3), addr(1, 443), b"probe", &mut out);
-                log.push((status, out.clone()));
+                let mut out = Vec::new();
+                shard.udp_send_into(addr(9, 1000 + i % 3), addr(1, 443), b"probe", &mut out);
+                log.push(out);
             }
             shard.finish();
             log
@@ -1567,7 +1475,7 @@ mod tests {
         let mut singles = Vec::new();
         let mut folded = FlightStatus::default();
         for d in &flight {
-            match shard.udp_send_status(addr(9, 7), addr(1, 443), d, &mut out) {
+            match shard.udp_send_status(addr(9, 7), addr(1, 443), d, &mut out, None) {
                 SendStatus::Unreachable => folded.unreachable = true,
                 SendStatus::Throttled => folded.throttled = true,
                 SendStatus::Sent => {}
@@ -1601,15 +1509,16 @@ mod tests {
     fn shard_flow_counters_write_back() {
         let fates = |split: usize| {
             let net = nasty_net();
-            let mut out = Vec::new();
             let mut fates = Vec::new();
             let mut shard = net.shard();
             for _ in 0..split {
-                fates.push(shard.udp_send_status(addr(9, 1), addr(1, 443), b"x", &mut out));
+                let mut out = Vec::new();
+                shard.udp_send_into(addr(9, 1), addr(1, 443), b"x", &mut out);
+                fates.push(out);
             }
             shard.finish();
             for _ in split..60 {
-                fates.push(net.udp_send_status(addr(9, 1), addr(1, 443), b"x", &mut out));
+                fates.push(net.udp_send(addr(9, 1), addr(1, 443), b"x"));
             }
             fates
         };
@@ -1645,9 +1554,9 @@ mod tests {
         let flight: Vec<Vec<u8>> = (0..10u8).map(|i| vec![i]).collect();
         shard.udp_send_batch(addr(9, 7), addr(1, 443), &flight, &mut arena);
         let mut out = Vec::new();
-        shard.udp_send_status(addr(9, 7), addr(1, 443), b"x", &mut out);
+        shard.udp_send_into(addr(9, 7), addr(1, 443), b"x", &mut out);
         // An unbound destination costs no acquisition.
-        shard.udp_send_status(addr(9, 7), addr(2, 443), b"x", &mut out);
+        shard.udp_send_into(addr(9, 7), addr(2, 443), b"x", &mut out);
         let c = shard.finish();
         assert_eq!(c.acquired, 2, "one per delivered flight");
         assert_eq!(c.contended, 0, "single worker never contends");
@@ -1677,7 +1586,7 @@ mod tests {
         {
             let mut shard = net.shard();
             let mut out = Vec::new();
-            shard.udp_send_status(addr(9, 1), addr(1, 443), b"abc", &mut out);
+            shard.udp_send_into(addr(9, 1), addr(1, 443), b"abc", &mut out);
             shard.advance(Duration::from_micros(77));
             // No finish(): dropped, as on a panic unwind.
         }
@@ -1779,13 +1688,14 @@ mod lazy_tests {
                     net.bind_udp(addr(last, 443), Box::new(Echo));
                 }
             }
+            let mut shard = net.shard();
             let mut out = Vec::new();
             let mut log = Vec::new();
             for last in 1..=100u8 {
                 for probe in 0..3u16 {
                     out.clear();
-                    let status =
-                        net.udp_send_status(addr(200, 9000 + probe), addr(last, 443), b"ping", &mut out);
+                    let (src, dst) = (addr(200, 9000 + probe), addr(last, 443));
+                    let status = shard.udp_send_status(src, dst, b"ping", &mut out, None);
                     log.push((status, out.clone()));
                 }
             }
@@ -1824,11 +1734,8 @@ mod lazy_tests {
     fn capacity_bounds_resident_endpoints() {
         let mut net = Network::new(7);
         net.set_lazy_binder(Box::new(OddEcho), Some(8));
-        let mut out = Vec::new();
         for last in (1..=199u8).step_by(2) {
-            out.clear();
-            net.udp_send_into(addr(200, 9), addr(last, 443), b"xy", &mut out);
-            assert_eq!(out, vec![b"yx".to_vec()]);
+            assert_eq!(net.udp_send(addr(200, 9), addr(last, 443), b"xy"), vec![b"yx".to_vec()]);
         }
         let stats = net.lazy_stats().expect("binder installed");
         assert_eq!(stats.instantiated, 100);
@@ -1836,9 +1743,7 @@ mod lazy_tests {
         assert!(stats.peak_resident <= 9, "peak {}", stats.peak_resident);
         assert_eq!(stats.evicted as usize, 100 - stats.resident);
         // An evicted endpoint comes back on demand.
-        out.clear();
-        net.udp_send_into(addr(200, 9), addr(1, 443), b"ab", &mut out);
-        assert_eq!(out, vec![b"ba".to_vec()]);
+        assert_eq!(net.udp_send(addr(200, 9), addr(1, 443), b"ab"), vec![b"ba".to_vec()]);
     }
 
     /// An evicted endpoint is torn down with neither the recency queue nor
@@ -1883,9 +1788,8 @@ mod lazy_tests {
         net.set_lazy_binder(Box::new(Probes(cell.clone(), locked_drops.clone())), Some(4));
         let net = Arc::new(net);
         cell.set(Arc::downgrade(&net)).expect("set once");
-        let mut out = Vec::new();
         for last in 1..=40u8 {
-            net.udp_send_into(addr(200, 9), addr(last, 443), b"xy", &mut out);
+            net.udp_send(addr(200, 9), addr(last, 443), b"xy");
         }
         assert_eq!(net.lazy_stats().expect("binder installed").evicted, 36);
         assert_eq!(locked_drops.load(Ordering::Relaxed), 0);

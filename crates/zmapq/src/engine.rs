@@ -401,63 +401,77 @@ impl ZmapScanner {
         let total = u64::try_from(total).expect("scan space fits in u64");
         let perm = FeistelPermutation::new(total.max(1), self.config.seed);
         self.sharded(net, total, &make, |shard, lo, hi, rate| {
-            let mut bucket = TokenBucket::new(rate);
-            let mut scratch = module.make_scratch();
-            // Worker-private network handle: its own virtual clock, traffic
-            // counters, and flow-sequence cache, merged back once on finish.
-            let mut link = net.shard();
-            let mut results = make();
-            let mut hits = 0u64;
-            let mut blocked = 0u64;
-            let mut probes = 0u64;
-            let shard_wall = Instant::now();
-            let v_start = link.now().0;
-            let caught = catch_unwind(AssertUnwindSafe(|| {
-                for i in lo..hi {
-                    let flat = perm.permute(i);
-                    let addr = flat_to_addr(prefixes, &sizes, flat);
-                    if self.config.blocklist.is_blocked(&addr) {
-                        blocked += 1;
-                        continue;
-                    }
-                    let dst = SocketAddr::new(addr, self.config.port);
-                    // Duplicate-probe mode: re-probe until the target answers
-                    // or the repeat budget runs out; record at most one reply.
-                    for _ in 0..self.config.probe_repeat.max(1) {
-                        bucket.acquire(&link.clock);
-                        probes += 1;
-                        if let Some(hit) = module.probe_with_shard(
-                            &mut scratch,
-                            &mut link,
-                            self.config.source,
-                            dst,
-                            i,
-                        ) {
-                            results.absorb(hit);
-                            hits += 1;
-                            break;
-                        }
+            let addr_of = |i| flat_to_addr(prefixes, &sizes, perm.permute(i));
+            self.vn_shard(net, module, shard, (lo, hi), rate, make(), addr_of)
+        })
+    }
+
+    /// One shard of a VN sweep: walks scan indices `[lo, hi)`, probing
+    /// `addr_of(i)` for each at `rate` pps and folding hits into `results`.
+    #[allow(clippy::too_many_arguments)]
+    fn vn_shard<A: SweepAccumulator<Item = VnResult>>(
+        &self,
+        net: &Network,
+        module: &QuicVnModule,
+        shard: usize,
+        (lo, hi): (u64, u64),
+        rate: u64,
+        mut results: A,
+        addr_of: impl Fn(u64) -> IpAddr,
+    ) -> (A, ShardStats) {
+        let mut bucket = TokenBucket::new(rate);
+        let mut scratch = module.make_scratch();
+        // Worker-private network handle: its own virtual clock, traffic
+        // counters, and flow-sequence cache, merged back once on finish.
+        let mut link = net.shard();
+        let mut hits = 0u64;
+        let mut blocked = 0u64;
+        let mut probes = 0u64;
+        let shard_wall = Instant::now();
+        let v_start = link.now().0;
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            for i in lo..hi {
+                let addr = addr_of(i);
+                if self.config.blocklist.is_blocked(&addr) {
+                    blocked += 1;
+                    continue;
+                }
+                let dst = SocketAddr::new(addr, self.config.port);
+                // Duplicate-probe mode: re-probe until the target answers
+                // or the repeat budget runs out; record at most one reply.
+                for _ in 0..self.config.probe_repeat.max(1) {
+                    bucket.acquire(&link.clock);
+                    probes += 1;
+                    if let Some(hit) = module.probe_with_shard(
+                        &mut scratch,
+                        &mut link,
+                        self.config.source,
+                        dst,
+                        i,
+                    ) {
+                        results.absorb(hit);
+                        hits += 1;
+                        break;
                     }
                 }
-            }));
-            // Merge on the abort path too: probes sent before the panic are
-            // on the wire, so the report's traffic counters must include
-            // them.
-            let virtual_us = link.now().0.saturating_sub(v_start);
-            let locks = link.finish();
-            let stats = ShardStats {
-                shard,
-                index_range: (lo, hi),
-                probes,
-                blocked,
-                hits,
-                virtual_us,
-                wall_us: shard_wall.elapsed().as_micros() as u64,
-                aborted: caught.is_err(),
-                locks,
-            };
-            (results, stats)
-        })
+            }
+        }));
+        // Merge on the abort path too: probes sent before the panic are on
+        // the wire, so the report's traffic counters must include them.
+        let virtual_us = link.now().0.saturating_sub(v_start);
+        let locks = link.finish();
+        let stats = ShardStats {
+            shard,
+            index_range: (lo, hi),
+            probes,
+            blocked,
+            hits,
+            virtual_us,
+            wall_us: shard_wall.elapsed().as_micros() as u64,
+            aborted: caught.is_err(),
+            locks,
+        };
+        (results, stats)
     }
 
     /// Probes an explicit IPv6 target list (hitlist + AAAA input, §3.1).
@@ -478,52 +492,8 @@ impl ZmapScanner {
         module: &QuicVnModule,
     ) -> (Vec<VnResult>, ScanReport) {
         self.sharded(net, targets.len() as u64, Vec::new, |shard, lo, hi, rate| {
-            let mut bucket = TokenBucket::new(rate);
-            let mut scratch = module.make_scratch();
-            let mut link = net.shard();
-            let mut results = Vec::new();
-            let mut blocked = 0u64;
-            let mut probes = 0u64;
-            let shard_wall = Instant::now();
-            let v_start = link.now().0;
-            let caught = catch_unwind(AssertUnwindSafe(|| {
-                for i in lo..hi {
-                    let ip = IpAddr::V6(targets[i as usize]);
-                    if self.config.blocklist.is_blocked(&ip) {
-                        blocked += 1;
-                        continue;
-                    }
-                    let dst = SocketAddr::new(ip, self.config.port);
-                    for _ in 0..self.config.probe_repeat.max(1) {
-                        bucket.acquire(&link.clock);
-                        probes += 1;
-                        if let Some(hit) = module.probe_with_shard(
-                            &mut scratch,
-                            &mut link,
-                            self.config.source,
-                            dst,
-                            i,
-                        ) {
-                            results.push(hit);
-                            break;
-                        }
-                    }
-                }
-            }));
-            let virtual_us = link.now().0.saturating_sub(v_start);
-            let locks = link.finish();
-            let stats = ShardStats {
-                shard,
-                index_range: (lo, hi),
-                probes,
-                blocked,
-                hits: results.len() as u64,
-                virtual_us,
-                wall_us: shard_wall.elapsed().as_micros() as u64,
-                aborted: caught.is_err(),
-                locks,
-            };
-            (results, stats)
+            let addr_of = |i| IpAddr::V6(targets[i as usize]);
+            self.vn_shard(net, module, shard, (lo, hi), rate, Vec::new(), addr_of)
         })
     }
 

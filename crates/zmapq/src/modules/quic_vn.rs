@@ -45,15 +45,6 @@ const DCID_RANGE: std::ops::Range<usize> = 6..14;
 pub struct ProbeScratch {
     probe: Vec<u8>,
     replies: Vec<Vec<u8>>,
-    stats: simnet::LocalStats,
-}
-
-impl ProbeScratch {
-    /// Flushes the locally accumulated traffic counters into the shared
-    /// [`simnet::NetStats`]. Call once per shard, after the scan loop.
-    pub fn flush_stats(&mut self, net: &Network) {
-        self.stats.flush(&net.stats);
-    }
 }
 
 impl QuicVnModule {
@@ -85,43 +76,17 @@ impl QuicVnModule {
         w.into_vec()
     }
 
-    /// Allocates the reusable per-thread scratch for [`QuicVnModule::probe_with`].
+    /// Allocates the reusable per-thread scratch for
+    /// [`QuicVnModule::probe_with_shard`].
     pub fn make_scratch(&self) -> ProbeScratch {
-        ProbeScratch {
-            probe: self.build_probe(0),
-            replies: Vec::new(),
-            stats: simnet::LocalStats::new(),
-        }
+        ProbeScratch { probe: self.build_probe(0), replies: Vec::new() }
     }
 
     /// Sends the probe to `dst` and classifies the response, reusing
-    /// `scratch` — the allocation-free fast path of the sweep.
-    pub fn probe_with(
-        &self,
-        scratch: &mut ProbeScratch,
-        net: &Network,
-        src: SocketAddr,
-        dst: SocketAddr,
-        index: u64,
-    ) -> Option<VnResult> {
-        let dcid = (self.seed ^ index.wrapping_mul(DCID_MULT)).to_be_bytes();
-        scratch.probe[DCID_RANGE].copy_from_slice(&dcid);
-        // Sends append replies; drop the previous probe's before reusing.
-        scratch.replies.clear();
-        net.udp_send_accounted(src, dst, &scratch.probe, &mut scratch.replies, &mut scratch.stats);
-        for reply in &scratch.replies {
-            if let Some(versions) = parse_version_negotiation(reply) {
-                return Some(VnResult { addr: dst, versions });
-            }
-        }
-        None
-    }
-
-    /// Shard-path variant of [`QuicVnModule::probe_with`]: sends through a
-    /// worker-private [`simnet::NetShard`], so traffic accounting, the
-    /// virtual clock, and flow counters all stay shard-local (merged once
-    /// when the shard finishes). Fault draws are byte-identical to the
-    /// global path.
+    /// `scratch` — the allocation-free fast path of the sweep. The probe
+    /// goes through a worker-private [`simnet::NetShard`], so traffic
+    /// accounting, the virtual clock, and flow counters all stay
+    /// shard-local (merged once when the shard finishes).
     pub fn probe_with_shard(
         &self,
         scratch: &mut ProbeScratch,
@@ -143,7 +108,8 @@ impl QuicVnModule {
         None
     }
 
-    /// Sends the probe to `dst` and classifies the response.
+    /// One-shot [`QuicVnModule::probe_with_shard`]: a fresh scratch and a
+    /// shard that merges back as soon as the probe returns.
     pub fn probe(
         &self,
         net: &Network,
@@ -151,10 +117,7 @@ impl QuicVnModule {
         dst: SocketAddr,
         index: u64,
     ) -> Option<VnResult> {
-        let mut scratch = self.make_scratch();
-        let result = self.probe_with(&mut scratch, net, src, dst, index);
-        scratch.flush_stats(net);
-        result
+        self.probe_with_shard(&mut self.make_scratch(), &mut net.shard(), src, dst, index)
     }
 }
 

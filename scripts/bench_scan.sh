@@ -66,7 +66,6 @@ W4=$(extract "sweep/workers_4")
 W8=$(extract "sweep/workers_8")
 UNTRACED=$(extract "telemetry/scan_untraced")
 TRACED=$(extract "telemetry/scan_traced")
-HS_CHUNK8=$(extract "handshake/chunked_w8_loss50")
 HS_STEAL8=$(extract "handshake/stealing_w8_loss50")
 HS_STEAL1=$(extract "handshake/stealing_w1_loss50")
 HS_M_CHUNK8=$(extract_model "handshake_model/chunked_w8_loss50")
@@ -97,7 +96,6 @@ hps() {
     [ -n "${1:-}" ] || return 0
     awk -v ms="$1" 'BEGIN { printf "%.1f", 96 * 1000 / ms }'
 }
-HPS_CHUNK8=$(hps "${HS_CHUNK8:-}")
 HPS_STEAL8=$(hps "${HS_STEAL8:-}")
 HPS_M_CHUNK8=$(hps "${HS_M_CHUNK8:-}")
 HPS_M_STEAL8=$(hps "${HS_M_STEAL8:-}")
@@ -111,16 +109,16 @@ ratio() {
 SWEEP_SPEEDUP_W8=$(ratio "${W1:-}" "${W8:-}")
 HS_WALL_SPEEDUP_W8=$(ratio "${HS_STEAL1:-}" "${HS_STEAL8:-}")
 
-printf '{"date":"%s","commit":"%s","campaign_stateful_ms":%s,"campaign_weekly_ms":%s,"sweep_workers1_ms":%s,"sweep_workers4_ms":%s,"sweep_workers8_ms":%s,"sweep_speedup_w8":%s,"scan_pps_tracing_off":%s,"scan_pps_tracing_on":%s,"hs_chunked_w8_loss50_ms":%s,"hs_stealing_w8_loss50_ms":%s,"hs_stealing_w1_loss50_ms":%s,"hs_wall_speedup_w8_loss50":%s,"hs_hps_chunked_w8_loss50":%s,"hs_hps_stealing_w8_loss50":%s,"hs_model_chunked_w8_loss50_ms":%s,"hs_model_stealing_w8_loss50_ms":%s,"hs_model_hps_chunked_w8_loss50":%s,"hs_model_hps_stealing_w8_loss50":%s,"hs_model_speedup_w8_loss50":%s,"bulk_goodput_mbps_loss0":%s,"bulk_goodput_mbps_loss50":%s,"rtc_p99_frame_ms_loss50":%s,"universe_sweep_ms":%s,"universe_endpoints_per_sec":%s,"campaign_peak_rss_mb":%s,"server_seal_batched_speedup":%s,"mux_mbps_served_c10k":%s,"mux_peak_rss_mb_c10k":%s}\n' \
+printf '{"date":"%s","commit":"%s","campaign_stateful_ms":%s,"campaign_weekly_ms":%s,"sweep_workers1_ms":%s,"sweep_workers4_ms":%s,"sweep_workers8_ms":%s,"sweep_speedup_w8":%s,"scan_pps_tracing_off":%s,"scan_pps_tracing_on":%s,"hs_stealing_w8_loss50_ms":%s,"hs_stealing_w1_loss50_ms":%s,"hs_wall_speedup_w8_loss50":%s,"hs_hps_stealing_w8_loss50":%s,"hs_model_chunked_w8_loss50_ms":%s,"hs_model_stealing_w8_loss50_ms":%s,"hs_model_hps_chunked_w8_loss50":%s,"hs_model_hps_stealing_w8_loss50":%s,"hs_model_speedup_w8_loss50":%s,"bulk_goodput_mbps_loss0":%s,"bulk_goodput_mbps_loss50":%s,"rtc_p99_frame_ms_loss50":%s,"universe_sweep_ms":%s,"universe_endpoints_per_sec":%s,"campaign_peak_rss_mb":%s,"server_seal_batched_speedup":%s,"mux_mbps_served_c10k":%s,"mux_peak_rss_mb_c10k":%s}\n' \
     "$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
     "$(git rev-parse --short HEAD 2>/dev/null || echo unknown)" \
     "${STATEFUL:-null}" "${WEEKLY:-null}" \
     "${W1:-null}" "${W4:-null}" "${W8:-null}" \
     "${SWEEP_SPEEDUP_W8:-null}" \
     "${PPS_OFF:-null}" "${PPS_ON:-null}" \
-    "${HS_CHUNK8:-null}" "${HS_STEAL8:-null}" "${HS_STEAL1:-null}" \
+    "${HS_STEAL8:-null}" "${HS_STEAL1:-null}" \
     "${HS_WALL_SPEEDUP_W8:-null}" \
-    "${HPS_CHUNK8:-null}" "${HPS_STEAL8:-null}" \
+    "${HPS_STEAL8:-null}" \
     "${HS_M_CHUNK8:-null}" "${HS_M_STEAL8:-null}" \
     "${HPS_M_CHUNK8:-null}" "${HPS_M_STEAL8:-null}" \
     "${HS_M_SPEEDUP:-null}" \
