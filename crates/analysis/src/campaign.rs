@@ -416,7 +416,7 @@ impl Campaign {
             .collect();
         probe_targets.sort_by_key(|t| t.0.addr);
         let targets: Vec<TlsTarget> = probe_targets.iter().map(|(t, _)| t.clone()).collect();
-        let results = scan_tls_parallel(&goscan, &net, &targets, self.workers);
+        let results = goscan.scan_all(&net, &targets, self.workers);
         let mut alt_svc = Vec::new();
         for (result, (target, pairs)) in results.iter().zip(&probe_targets) {
             if let Some(value) = result.http.as_ref().and_then(|r| r.header("alt-svc")) {
@@ -503,7 +503,7 @@ impl Campaign {
             .chain(&zmap_v6)
             .map(|h| TlsTarget { addr: h.addr.ip, domain: None })
             .collect();
-        let tcp_no_sni = scan_tls_parallel(&goscan, &net, &no_sni_targets, self.workers);
+        let tcp_no_sni = goscan.scan_all(&net, &no_sni_targets, self.workers);
 
         // 3b. With SNI: TCP-open v4 addresses × joined domains (capped) plus
         // the v6 AAAA pairs.
@@ -532,7 +532,7 @@ impl Campaign {
             }
         }
         sni_targets.sort_by(|a, b| (a.addr, &a.domain).cmp(&(b.addr, &b.domain)));
-        let tcp_sni = scan_tls_parallel(&goscan, &net, &sni_targets, self.workers);
+        let tcp_sni = goscan.scan_all(&net, &sni_targets, self.workers);
 
         // 4. QUIC stateful targets from the three sources.
         let compatible = |versions: &[quic::Version]| {
@@ -670,31 +670,6 @@ fn resolve_all(universe: &Universe, bulk: &BulkResolver) -> Vec<DomainResolution
             }
         })
         .collect()
-}
-
-/// Parallel TLS scan helper.
-fn scan_tls_parallel(
-    scanner: &Goscanner,
-    net: &Network,
-    targets: &[TlsTarget],
-    workers: usize,
-) -> Vec<TlsScanResult> {
-    if workers <= 1 || targets.len() < 64 {
-        return scanner.scan_all(net, targets);
-    }
-    let chunk = targets.len().div_ceil(workers);
-    let mut out: Vec<Option<TlsScanResult>> = vec![None; targets.len()];
-    let slots: Vec<&mut [Option<TlsScanResult>]> = out.chunks_mut(chunk).collect();
-    std::thread::scope(|scope| {
-        for (w, (slice, slot)) in targets.chunks(chunk).zip(slots).enumerate() {
-            scope.spawn(move || {
-                for (j, t) in slice.iter().enumerate() {
-                    slot[j] = Some(scanner.scan_target(net, t, (w * chunk + j) as u64));
-                }
-            });
-        }
-    });
-    out.into_iter().map(|r| r.expect("all slots filled")).collect()
 }
 
 #[cfg(test)]

@@ -162,13 +162,17 @@ impl Goscanner {
         result
     }
 
-    /// Scans a batch of targets sequentially (TCP scans are cheap in sim).
-    pub fn scan_all(&self, net: &Network, targets: &[TlsTarget]) -> Vec<TlsScanResult> {
-        targets
-            .iter()
-            .enumerate()
-            .map(|(i, t)| self.scan_target(net, t, i as u64))
-            .collect()
+    /// Scans `targets` on `workers` threads ([`simnet::fan_out`]; one worker
+    /// runs on the caller's thread). Target `i` is scanned with index `i`
+    /// and lands at position `i`, whichever worker ran it.
+    pub fn scan_all(
+        &self,
+        net: &Network,
+        targets: &[TlsTarget],
+        workers: usize,
+    ) -> Vec<TlsScanResult> {
+        let scan = |_: &mut (), i: usize| self.scan_target(net, &targets[i], i as u64);
+        simnet::fan_out(targets.len(), workers, || (), scan).0
     }
 }
 

@@ -9,15 +9,16 @@
 //! Six entry points, all on [`QScanner`]: `scan_one` and `scan_one_traced`
 //! scan a single target on the caller's thread; `scan_many`,
 //! `scan_many_stats`, `scan_many_traced` and `scan_stream` go through the
-//! one private fan-out driver in [`scan`] — work stealing over a
-//! [`StealQueue`], results merged in scan-index order, every worker sending
-//! through its own `simnet::NetShard`. A one-worker (or small) scan is that
-//! same driver run as one shard on the caller's thread.
+//! one private driver in [`scan`], which hands the target indices to
+//! [`simnet::fan_out`] — work stealing over a [`StealQueue`] (re-exported
+//! here; it lives in `simnet` with the fan-out), results merged in
+//! scan-index order, every worker sending through its own
+//! `simnet::NetShard`. A one-worker (or small) scan is that same driver run
+//! as one shard on the caller's thread.
 //!
 //! Module layout:
 //! - [`outcome`]: targets, the [`ScanOutcome`] taxonomy, result records;
 //! - [`retry`]: the per-target budget and PTO/backoff schedules;
-//! - [`steal`]: the shared-cursor work-stealing scheduler;
 //! - [`scan`]: the [`QScanner`] driver, untraced and traced;
 //! - [`export`]: CSV result export.
 //!
@@ -30,11 +31,10 @@ pub mod export;
 pub mod outcome;
 pub mod retry;
 pub mod scan;
-pub mod steal;
 
 pub use outcome::{QuicScanResult, QuicTarget, ScanOutcome};
 pub use scan::{QScanner, DEFAULT_MIN_PARALLEL_TARGETS, DEFAULT_STREAM_BATCH_TARGETS};
-pub use steal::StealQueue;
+pub use simnet::StealQueue;
 
 #[cfg(test)]
 mod tests {

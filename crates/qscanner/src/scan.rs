@@ -4,8 +4,9 @@
 //! Every send goes through a worker-private [`NetShard`]; a serial scan is
 //! one shard on the caller's thread, so there is no separate "global" send
 //! path for the two to diverge on. One private driver, `drive`, is the only
-//! fan-out: [`QScanner::scan_many`], [`QScanner::scan_many_stats`],
-//! [`QScanner::scan_many_traced`] and [`QScanner::scan_stream`] all call it.
+//! caller of [`simnet::fan_out`] here: [`QScanner::scan_many`],
+//! [`QScanner::scan_many_stats`], [`QScanner::scan_many_traced`] and
+//! [`QScanner::scan_stream`] all go through it.
 //!
 //! Telemetry integration follows the determinism rules of the `telemetry`
 //! crate: a traced scan stamps events with the target's **flow-local**
@@ -22,13 +23,13 @@ use quic::tparams::TransportParameters;
 use quic::version::Version;
 use quic::ClientConfig;
 use simnet::{
-    DatagramArena, Duration, FlightStatus, IpAddr, NetShard, Network, SendStatus, SocketAddr,
+    fan_out, DatagramArena, Duration, FlightStatus, IpAddr, NetShard, Network, SendStatus,
+    SocketAddr,
 };
 use telemetry::{Event, EventKind, LocalMetrics, MetricsRegistry, Telemetry, TraceCtx};
 
 use crate::outcome::{QuicScanResult, QuicTarget, ScanOutcome};
 use crate::retry::{BackoffSchedule, PtoSchedule, TargetBudget};
-use crate::steal::StealQueue;
 
 /// Below this many targets a scan runs on the caller's thread: thread
 /// spin-up costs more than it saves on small inputs. One constant governs
@@ -544,11 +545,11 @@ impl QScanner {
         None
     }
 
-    /// The one fan-out. Scans `targets` (scan index `base + i` for
-    /// `targets[i]`) on `workers` threads that claim index batches off a
-    /// shared [`StealQueue`], each with a private [`Worker`] and metric set,
-    /// and returns the `per_target` values in index order plus how many
-    /// targets each worker scanned. Below
+    /// The one scan driver. Scans `targets` (scan index `base + i` for
+    /// `targets[i]`) through [`simnet::fan_out`] — `workers` threads claiming
+    /// index batches off a shared [`simnet::StealQueue`], each with a private
+    /// [`Worker`] and metric set — and returns the `per_target` values in
+    /// index order plus how many targets each worker scanned. Below
     /// [`QScanner::min_parallel_targets`] (or with one worker) the single
     /// worker runs on the caller's thread — the same code, no spawn.
     ///
@@ -564,48 +565,25 @@ impl QScanner {
         registry: Option<&MetricsRegistry>,
         per_target: impl Fn(&mut Worker<'_>, &mut LocalMetrics, &QuicTarget, u64) -> R + Sync,
     ) -> (Vec<R>, Vec<usize>) {
-        let workers = if targets.len() < self.min_parallel_targets { 1 } else { workers.max(1) };
-        let queue = StealQueue::new(targets.len(), workers);
-        let run_worker = |id: usize| {
-            let mut worker = Worker::new(net);
-            let mut metrics = LocalMetrics::new();
-            let mut scanned = Vec::new();
-            while let Some(range) = queue.claim() {
-                for i in range {
-                    let index = base + i as u64;
-                    scanned.push((i, per_target(&mut worker, &mut metrics, &targets[i], index)));
-                }
-            }
+        let workers = if targets.len() < self.min_parallel_targets { 1 } else { workers };
+        let (results, per_worker) = fan_out(
+            targets.len(),
+            workers,
+            || (Worker::new(net), LocalMetrics::new()),
+            |(worker, metrics), i| per_target(worker, metrics, &targets[i], base + i as u64),
+        );
+        let mut counts = Vec::with_capacity(per_worker.len());
+        for (id, ((_, metrics), scanned)) in per_worker.into_iter().enumerate() {
             if let Some(registry) = registry {
                 registry.submit(id as u64, metrics);
             }
-            scanned
-        };
-        let per_worker: Vec<Vec<(usize, R)>> = if workers == 1 {
-            vec![run_worker(0)]
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|id| {
-                        let run_worker = &run_worker;
-                        scope.spawn(move || run_worker(id))
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("scan worker panicked")).collect()
-            })
-        };
-        let counts = per_worker.iter().map(Vec::len).collect();
-        let mut indexed: Vec<(usize, R)> = per_worker.into_iter().flatten().collect();
-        indexed.sort_unstable_by_key(|(i, _)| *i);
-        assert!(
-            indexed.len() == targets.len() && indexed.iter().enumerate().all(|(k, (i, _))| k == *i),
-            "scan driver must return exactly one result per target"
-        );
-        (indexed.into_iter().map(|(_, r)| r).collect(), counts)
+            counts.push(scanned);
+        }
+        (results, counts)
     }
 
     /// Scans targets across `workers` threads with work stealing: workers
-    /// claim small index batches off a shared cursor (see [`StealQueue`]),
+    /// claim small index batches off a shared cursor ([`simnet::StealQueue`]),
     /// so a run of slow targets — PTO-retrying, rate-limited — spreads over
     /// whoever is free instead of idling everyone behind one static chunk.
     /// Results are merged in scan-index order and are byte-identical to the

@@ -14,6 +14,7 @@
 
 pub mod addr;
 pub mod clock;
+pub mod fanout;
 pub mod fasthash;
 pub mod fault;
 pub mod net;
@@ -21,6 +22,7 @@ pub mod stats;
 
 pub use addr::{IpAddr, Prefix, SocketAddr};
 pub use clock::{Duration, ShardClock, SimClock, SimTime, VirtualClock};
+pub use fanout::{fan_out, StealQueue};
 pub use fault::{LinkProfile, ReplyRateLimit, SendStatus};
 pub use net::{
     DatagramArena, FlightStatus, LazyBinder, LazyStats, LockCounters, NetShard, Network,

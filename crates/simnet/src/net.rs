@@ -101,6 +101,16 @@ pub struct LockCounters {
 }
 
 impl LockCounters {
+    /// Locks a service mutex, counting the acquisition and whether it had
+    /// to wait.
+    fn lock<'m, T>(&mut self, mutex: &'m Mutex<T>) -> MutexGuard<'m, T> {
+        self.acquired += 1;
+        mutex.try_lock().unwrap_or_else(|| {
+            self.contended += 1;
+            mutex.lock()
+        })
+    }
+
     /// Sums another counter set into this one.
     pub fn merge(&mut self, other: &LockCounters) {
         self.acquired += other.acquired;
@@ -312,9 +322,9 @@ pub struct Network {
     /// Per-flow datagram counters feeding the fault draws. Sharded by flow
     /// hash (each bucket cache-line padded) so parallel shards rarely
     /// contend; each flow is driven by one thread, so its sequence is
-    /// deterministic regardless of interleaving. Workers running through a
-    /// [`NetShard`] cache these counters privately and only touch this
-    /// table at shard start/finish.
+    /// deterministic regardless of interleaving. A [`NetShard`] caches
+    /// these counters privately and only touches this table on a flow's
+    /// first send and at shard finish.
     flow_seq: [FlowSeqBucket; FLOW_SHARDS],
     rtt: Duration,
     seed: u64,
@@ -360,15 +370,6 @@ impl Network {
     /// The profile governing traffic towards `dst`.
     pub fn path_profile(&self, dst: IpAddr) -> &LinkProfile {
         self.profiles.get(&dst).unwrap_or(&self.default_profile)
-    }
-
-    /// Next per-flow sequence number (0-based) for fault draws.
-    fn next_flow_seq(&self, src: SocketAddr, dst: SocketAddr, flow: u64) -> u64 {
-        let mut shard = self.flow_seq[(flow as usize) & (FLOW_SHARDS - 1)].0.lock();
-        let seq = shard.entry((src, dst)).or_insert(0);
-        let cur = *seq;
-        *seq += 1;
-        cur
     }
 
     /// Reads (without consuming) the next sequence number of a flow — the
@@ -592,16 +593,13 @@ impl Network {
     /// packet was lost, or the service stayed silent). Advances the clock by
     /// one RTT when a response comes back.
     ///
-    /// This is the one shared-state send, for one-off exchanges (DNS
-    /// lookups, connectivity checks): it runs against the shared clock and
-    /// flow-sequence table and flushes its accounting at once. Scan loops
-    /// send through a [`NetShard`] instead ([`Network::shard`]).
+    /// For one-off exchanges (DNS lookups, connectivity checks): a
+    /// [`NetShard`] that lives for this one send, so the shared clock,
+    /// counters and flow-sequence table are updated before it returns. Scan
+    /// loops keep a shard of their own ([`Network::shard`]).
     pub fn udp_send(&self, src: SocketAddr, dst: SocketAddr, payload: &[u8]) -> Vec<Vec<u8>> {
         let mut delivered = Vec::new();
-        let mut local = LocalStats::new();
-        let flight = std::iter::once(payload);
-        let _ = self.udp_flight(src, dst, flight, &mut delivered, &mut local, None, &mut GlobalEnv);
-        local.flush(&self.stats);
+        self.shard().udp_send_into(src, dst, payload, &mut delivered);
         delivered
     }
 
@@ -626,11 +624,12 @@ impl Network {
     /// sequence numbers — a batch of N is byte-equivalent to N single
     /// sends). What batching changes is the constant work: one profile
     /// lookup, one endpoint-table lookup, and at most one service-mutex
-    /// acquisition per flight instead of per packet. `env` decides whose
-    /// clock advances and whose flow counters are consumed (shared network
-    /// vs worker-private shard).
+    /// acquisition per flight instead of per packet. The sending shard's
+    /// clock advances, its cached flow counters are consumed (read through
+    /// from the shared table on first touch) and its `locks` count the
+    /// service-mutex traffic.
     #[allow(clippy::too_many_arguments)]
-    fn udp_flight<'p, E: SendEnv>(
+    fn udp_flight<'p>(
         &self,
         src: SocketAddr,
         dst: SocketAddr,
@@ -638,7 +637,9 @@ impl Network {
         out: &mut Vec<Vec<u8>>,
         local: &mut LocalStats,
         mut trace: Option<&mut TraceCtx>,
-        env: &mut E,
+        clock: &ShardClock,
+        flow_seq: &mut FastMap<(SocketAddr, SocketAddr), u64>,
+        locks: &mut LockCounters,
     ) -> FlightStatus {
         // Append-style: replies land after whatever the caller already holds
         // in `out`, so multi-send drivers can accumulate a flight's replies.
@@ -669,9 +670,10 @@ impl Network {
                     &mut service_resolved,
                     &mut guard,
                     crosses_shard,
-                    env,
+                    clock.now(),
+                    locks,
                 ) {
-                    env.advance(self, self.rtt);
+                    clock.advance(self.rtt);
                 }
                 for r in &out[start..] {
                     local.record_recv(r.len());
@@ -698,7 +700,10 @@ impl Network {
             }
 
             let flow = *flow.get_or_insert_with(|| fault::flow_hash(src, dst));
-            let seq = env.next_seq(self, src, dst, flow);
+            let seq = flow_seq
+                .entry((src, dst))
+                .or_insert_with(|| self.peek_flow_seq(src, dst, flow));
+            let seq = std::mem::replace(seq, *seq + 1);
 
             if let Some(rl) = profile.rate_limit {
                 if seq >= u64::from(rl.burst)
@@ -739,7 +744,8 @@ impl Network {
                 &mut service_resolved,
                 &mut guard,
                 crosses_shard,
-                env,
+                clock.now(),
+                locks,
             ) {
                 let jitter_us = if profile.jitter_us > 0 {
                     fault::draw(self.seed, flow, seq, fault::SALT_JITTER) % (profile.jitter_us + 1)
@@ -751,7 +757,7 @@ impl Network {
                         t.fault(FaultKind::Jitter(jitter_us));
                     }
                 }
-                env.advance(self, self.rtt + Duration::from_micros(jitter_us));
+                clock.advance(self.rtt + Duration::from_micros(jitter_us));
             }
 
             // Reply-path loss: one independent draw per reply datagram of
@@ -789,7 +795,7 @@ impl Network {
     /// was bound there. The endpoint lookup and mutex acquisition are cached
     /// across one flight via the `service`/`guard` slots.
     #[allow(clippy::too_many_arguments)]
-    fn deliver_in_flight<'n, E: SendEnv>(
+    fn deliver_in_flight<'n>(
         &'n self,
         src: SocketAddr,
         dst: SocketAddr,
@@ -801,7 +807,8 @@ impl Network {
         service_resolved: &mut bool,
         guard: &mut Option<MutexGuard<'n, Box<dyn UdpService>>>,
         crosses_shard: bool,
-        env: &mut E,
+        now: SimTime,
+        locks: &mut LockCounters,
     ) -> bool {
         if !*service_resolved {
             *service = self.udp.get(&dst);
@@ -813,65 +820,27 @@ impl Network {
             }
             *service_resolved = true;
         }
-        if let Some(svc) = *service {
-            if guard.is_none() {
-                *guard = Some(match env.locks() {
-                    Some(c) => {
-                        c.acquired += 1;
-                        match svc.try_lock() {
-                            Some(g) => g,
-                            None => {
-                                c.contended += 1;
-                                svc.lock()
-                            }
-                        }
-                    }
-                    None => svc.lock(),
-                });
-            }
-            if crosses_shard {
-                if let Some(c) = env.locks() {
-                    c.cross_shard += 1;
-                }
-            }
-            let g = guard.as_mut().expect("guard just installed");
-            let mut ctx = ServiceCtx { now: env.now(self), replies: out };
-            g.on_datagram(&mut ctx, src, payload);
-            if duplicate {
-                g.on_datagram(&mut ctx, src, payload);
-            }
-            true
+        let mut lazy_guard;
+        let g: &mut dyn UdpService = if let Some(svc) = *service {
+            &mut ***guard.get_or_insert_with(|| locks.lock(svc))
         } else if let Some(svc) = lazy_service.as_ref() {
             // Lazy endpoints lock per delivered datagram (the guard cannot
             // borrow from the flight-local Arc slot): `acquired` counts
             // acquisitions, still schedule-deterministic.
-            let mut g = match env.locks() {
-                Some(c) => {
-                    c.acquired += 1;
-                    match svc.try_lock() {
-                        Some(g) => g,
-                        None => {
-                            c.contended += 1;
-                            svc.lock()
-                        }
-                    }
-                }
-                None => svc.lock(),
-            };
-            if crosses_shard {
-                if let Some(c) = env.locks() {
-                    c.cross_shard += 1;
-                }
-            }
-            let mut ctx = ServiceCtx { now: env.now(self), replies: out };
-            g.on_datagram(&mut ctx, src, payload);
-            if duplicate {
-                g.on_datagram(&mut ctx, src, payload);
-            }
-            true
+            lazy_guard = locks.lock(svc);
+            &mut **lazy_guard
         } else {
-            false
+            return false;
+        };
+        if crosses_shard {
+            locks.cross_shard += 1;
         }
+        let mut ctx = ServiceCtx { now, replies: out };
+        g.on_datagram(&mut ctx, src, payload);
+        if duplicate {
+            g.on_datagram(&mut ctx, src, payload);
+        }
+        true
     }
 
     /// Opens a TCP connection; `None` models RST/closed port. The returned
@@ -888,68 +857,6 @@ impl Network {
     }
 }
 
-/// Which mutable context a send runs against: the shared network state
-/// (shared clock, shared flow-sequence table, no lock accounting) or one
-/// worker's private [`NetShard`] state. Generic rather than dynamic so the
-/// sweep fast path monomorphizes with zero dispatch cost.
-trait SendEnv {
-    /// Current virtual time for [`ServiceCtx::now`].
-    fn now(&self, net: &Network) -> SimTime;
-    /// Advances virtual time by `d`.
-    fn advance(&mut self, net: &Network, d: Duration);
-    /// Consumes the next fault-draw sequence number of `(src, dst)`.
-    fn next_seq(&mut self, net: &Network, src: SocketAddr, dst: SocketAddr, flow: u64) -> u64;
-    /// Lock accounting sink, when the env keeps one.
-    fn locks(&mut self) -> Option<&mut LockCounters>;
-}
-
-/// Shared-state env: what [`Network::udp_send`] runs against.
-struct GlobalEnv;
-
-impl SendEnv for GlobalEnv {
-    fn now(&self, net: &Network) -> SimTime {
-        net.clock.now()
-    }
-    fn advance(&mut self, net: &Network, d: Duration) {
-        net.clock.advance(d);
-    }
-    fn next_seq(&mut self, net: &Network, src: SocketAddr, dst: SocketAddr, flow: u64) -> u64 {
-        net.next_flow_seq(src, dst, flow)
-    }
-    fn locks(&mut self) -> Option<&mut LockCounters> {
-        None
-    }
-}
-
-/// Worker-private env: private clock, cached flow counters (read-through
-/// from the shared table on first touch), lock accounting.
-struct ShardEnv<'a> {
-    clock: &'a ShardClock,
-    flow_seq: &'a mut FastMap<(SocketAddr, SocketAddr), u64>,
-    locks: &'a mut LockCounters,
-}
-
-impl SendEnv for ShardEnv<'_> {
-    fn now(&self, _net: &Network) -> SimTime {
-        self.clock.now()
-    }
-    fn advance(&mut self, _net: &Network, d: Duration) {
-        self.clock.advance(d);
-    }
-    fn next_seq(&mut self, net: &Network, src: SocketAddr, dst: SocketAddr, flow: u64) -> u64 {
-        let seq = self
-            .flow_seq
-            .entry((src, dst))
-            .or_insert_with(|| net.peek_flow_seq(src, dst, flow));
-        let cur = *seq;
-        *seq += 1;
-        cur
-    }
-    fn locks(&mut self) -> Option<&mut LockCounters> {
-        Some(self.locks)
-    }
-}
-
 /// One worker's private view of a [`Network`] during a parallel scan.
 ///
 /// A shard owns the flows its worker drives: a private [`ShardClock`]
@@ -960,7 +867,8 @@ impl SendEnv for ShardEnv<'_> {
 /// mutexes except the destination service's own mutex, at most once per
 /// flight. Everything merges back on [`NetShard::finish`] (or `Drop`), and
 /// because fault draws are keyed on flow-local sequence numbers the results
-/// are byte-identical to sends through the shared-state `Network` API.
+/// do not depend on how sends are split across shards: every send in the
+/// crate goes through one, [`Network::udp_send`]'s included.
 ///
 /// The type is deliberately `!Sync` (it embeds a `Cell`-based clock):
 /// exactly one worker thread owns a shard.
@@ -976,11 +884,6 @@ pub struct NetShard<'a> {
 }
 
 impl NetShard<'_> {
-    /// The underlying shared network.
-    pub fn network(&self) -> &Network {
-        self.net
-    }
-
     /// The configured round-trip time.
     pub fn rtt(&self) -> Duration {
         self.net.rtt()
@@ -994,11 +897,6 @@ impl NetShard<'_> {
     /// Advances the private virtual clock.
     pub fn advance(&self, d: Duration) -> SimTime {
         self.clock.advance(d)
-    }
-
-    /// Lock-traffic counters accumulated so far.
-    pub fn counters(&self) -> LockCounters {
-        self.locks
     }
 
     /// Sends one datagram and reports what the sender could observe about
@@ -1079,13 +977,17 @@ impl NetShard<'_> {
         out: &mut Vec<Vec<u8>>,
         trace: Option<&mut TraceCtx>,
     ) -> FlightStatus {
-        let net = self.net;
-        let mut env = ShardEnv {
-            clock: &self.clock,
-            flow_seq: &mut self.flow_seq,
-            locks: &mut self.locks,
-        };
-        net.udp_flight(src, dst, flight, out, &mut self.local, trace, &mut env)
+        self.net.udp_flight(
+            src,
+            dst,
+            flight,
+            out,
+            &mut self.local,
+            trace,
+            &self.clock,
+            &mut self.flow_seq,
+            &mut self.locks,
+        )
     }
 
     /// Merges every piece of private state back into the shared network:
@@ -1435,10 +1337,11 @@ mod tests {
         net
     }
 
-    /// Sends through a `NetShard` must be byte-identical to sends through
-    /// the shared-state [`Network::udp_send`]: same replies from the same
-    /// draw sequence (a throttled or lost datagram is an empty reply list
-    /// on both sides).
+    /// Sends through one long-lived `NetShard` must be byte-identical to
+    /// [`Network::udp_send`]'s one shard per send: same replies from the
+    /// same draw sequence (a throttled or lost datagram is an empty reply
+    /// list on both sides), which holds only if every one-shot shard writes
+    /// its flow counters back for the next to read.
     #[test]
     fn shard_sends_match_global_sends() {
         let run_global = || {
@@ -1503,7 +1406,7 @@ mod tests {
     }
 
     /// A shard's cached flow counters write back on finish, so a later
-    /// global-path sender continues the same fault-draw sequence instead of
+    /// [`Network::udp_send`] continues the same fault-draw sequence instead of
     /// restarting the flow's burst allowance.
     #[test]
     fn shard_flow_counters_write_back() {

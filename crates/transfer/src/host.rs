@@ -19,9 +19,12 @@ use std::sync::Arc;
 
 use h3::request;
 use internet::servers::HttpProfile;
+use internet::IMPLEMENTATIONS;
+use qtls::cert::CertificateAuthority;
 use quic::server::{AppSession, Endpoint, EndpointConfig};
 use quic::Frame;
-use simnet::{ServiceCtx, SocketAddr, UdpService};
+use simnet::addr::Ipv4Addr;
+use simnet::{IpAddr, LinkProfile, Network, ServiceCtx, SocketAddr, UdpService};
 
 use crate::cc::NewReno;
 use crate::recv::DataReceiver;
@@ -52,7 +55,7 @@ pub enum SessionKind {
 /// Serving-path knobs. [`Default`] reproduces the legacy (PR 6) host
 /// byte-for-byte: id-order scheduling, control packets sealed separately,
 /// range-based receiver accounting.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct HostOptions {
     /// Coalesce pending ACK + window grants into the first STREAM payload of
     /// each turn instead of sealing them as their own packet — one sealed
@@ -63,38 +66,6 @@ pub struct HostOptions {
     /// Use the legacy per-byte delivered-bytes loop in the receiver
     /// (bench baseline; see [`DataReceiver::set_per_byte_accounting`]).
     pub per_byte_accounting: bool,
-}
-
-impl Default for HostOptions {
-    fn default() -> Self {
-        HostOptions {
-            coalesce_control: false,
-            scheduler: SchedKind::IdOrder,
-            per_byte_accounting: false,
-        }
-    }
-}
-
-impl HostOptions {
-    /// The batched serving profile: coalesced control, round-robin streams.
-    pub fn batched() -> Self {
-        HostOptions {
-            coalesce_control: true,
-            scheduler: SchedKind::RoundRobin,
-            per_byte_accounting: false,
-        }
-    }
-
-    /// The per-packet baseline profile the serving bench compares against:
-    /// every control payload is its own sealed packet and delivered bytes
-    /// are accounted per byte (the PR 6 cost model).
-    pub fn per_packet_baseline() -> Self {
-        HostOptions {
-            coalesce_control: false,
-            scheduler: SchedKind::IdOrder,
-            per_byte_accounting: true,
-        }
-    }
 }
 
 /// Server session for HTTP/3 bulk downloads: answers `GET /bulk/<n>` on
@@ -268,20 +239,9 @@ pub struct TransferHost {
 impl TransferHost {
     /// Builds the host: `kind` selects the session the factory installs on
     /// every established connection, `rtt_us` seeds the sessions' RTT
-    /// estimate (the simulation's configured path RTT). Serving options are
-    /// [`HostOptions::default`] — the legacy profile.
+    /// estimate (the simulation's configured path RTT), `opts` picks the
+    /// serving path ([`HostOptions::default`] is the legacy profile).
     pub fn new(
-        config: EndpointConfig,
-        profile: HttpProfile,
-        kind: SessionKind,
-        rtt_us: u64,
-        seed: u64,
-    ) -> Self {
-        Self::with_options(config, profile, kind, rtt_us, seed, HostOptions::default())
-    }
-
-    /// [`TransferHost::new`] with explicit serving options.
-    pub fn with_options(
         mut config: EndpointConfig,
         profile: HttpProfile,
         kind: SessionKind,
@@ -299,6 +259,56 @@ impl TransferHost {
         let endpoint = Endpoint::new(config, seed, Box::new(|| Box::new(NullHandler)));
         TransferHost { endpoint }
     }
+}
+
+/// Where a bound [`TransferHost`] listens and the name its certificate
+/// carries (the SNI and `:authority` clients use).
+pub(crate) struct BoundHost {
+    pub(crate) addr: SocketAddr,
+    pub(crate) name: String,
+}
+
+/// Binds host number `idx` of a workload topology at `ip`:443 — certificate
+/// for `name` issued by `ca`, the `idx`-th deployment personality as its
+/// `Server` header, host seed derived from the workload's master `seed` —
+/// and puts `profile` on the path towards it.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn bind_transfer_host(
+    net: &mut Network,
+    ca: &CertificateAuthority,
+    idx: u64,
+    name: String,
+    ip: Ipv4Addr,
+    kind: SessionKind,
+    opts: HostOptions,
+    profile: LinkProfile,
+    seed: u64,
+) -> BoundHost {
+    let digest = qcrypto::sha256::digest(name.as_bytes());
+    let cert = ca.issue(idx, &name, vec![name.clone()], 0, 999, digest);
+    let tls = Arc::new(qtls::ServerConfig {
+        alpn: vec![b"h3".to_vec()],
+        ..qtls::ServerConfig::single_cert(cert)
+    });
+    let http = HttpProfile {
+        server_header: IMPLEMENTATIONS[idx as usize % IMPLEMENTATIONS.len()]
+            .server_header
+            .to_string(),
+        alt_svc: None,
+        extra_headers: vec![],
+    };
+    let host = TransferHost::new(
+        EndpointConfig::new(tls),
+        http,
+        kind,
+        net.rtt().0,
+        seed ^ (idx << 17),
+        opts,
+    );
+    let addr = SocketAddr::new(IpAddr::V4(ip), 443);
+    net.bind_udp(addr, Box::new(host));
+    net.set_path_profile(addr.ip, profile);
+    BoundHost { addr, name }
 }
 
 struct NullHandler;

@@ -13,10 +13,17 @@
 //!   and grants MAX_DATA / MAX_STREAM_DATA windows.
 //! - [`host::TransferHost`] runs the server side on the simnet via
 //!   `quic::AppSession`, serving HTTP/3 bulk responses with the `internet`
-//!   deployment personalities.
+//!   deployment personalities; one function in [`host`] binds every host
+//!   the workloads talk to.
+//! - [`mux`] holds the one HTTP/3 download client (`MuxConn`: handshake,
+//!   `GET /bulk/<n>` on each of its streams, body validation, explicit
+//!   close) and the production-shaped sweep that keeps a bounded window of
+//!   them live per worker.
 //! - [`workload`] drives both PEMI workloads across the `LinkProfile`
 //!   loss/jitter grid on the sharded simnet, producing byte-identical
-//!   tables at any worker count.
+//!   tables at any worker count: the bulk rows are that client with one
+//!   stream, the RTC rows a client-sender loop of their own, both fanned
+//!   out with `simnet::fan_out`.
 
 pub mod cc;
 pub mod flow;

@@ -1,16 +1,22 @@
 //! Production-traffic mux workload: tens of thousands of multiplexed
-//! connections against a handful of hosts, driven through a slab-indexed
-//! connection table so client memory stays O(active), not O(total).
+//! connections against a handful of hosts, driven through a bounded window
+//! of live connections so client memory stays O(active), not O(total).
 //!
 //! Each connection opens [`MuxConfig::streams_per_conn`] request streams and
 //! downloads a bulk object on every one; the server multiplexes the
 //! responses through one congestion-controlled sender per connection under
-//! the configured [`SchedKind`]. Workers admit connections into a
-//! fixed-size [`ConnSlab`] from a shared atomic cursor and drive every
-//! occupied slot one round per sweep, so at any instant a worker holds at
-//! most [`MuxConfig::active_per_worker`] live connections — the admission
-//! window — while the server endpoints shed finished connections through
-//! the idle-aware soft cap ([`quic::server::EndpointConfig::max_conns`]).
+//! the configured [`SchedKind`]. Workers admit connections into their
+//! window from a shared atomic cursor and drive every live connection one
+//! round per pass, so at any instant a worker holds at most
+//! [`MuxConfig::active_per_worker`] of them, while the server endpoints
+//! shed finished connections through the idle-aware soft cap
+//! ([`quic::server::EndpointConfig::max_conns`]).
+//!
+//! The connection itself — handshake, control stream, one `GET /bulk/<n>`
+//! per stream, the poll → seal → exchange → dispatch round, body validation,
+//! final ACK + CONNECTION_CLOSE — is the crate's only HTTP/3 download
+//! client: the PEMI grid's bulk rows ([`crate::workload`]) are this client
+//! with one stream, driven to completion.
 //!
 //! Determinism discipline: every connection owns its own
 //! [`simnet::NetShard`], so its virtual clock advances only with its own
@@ -22,13 +28,9 @@
 //! it is unobservable in the tables.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 use h3::request;
-use internet::servers::HttpProfile;
-use internet::IMPLEMENTATIONS;
 use qcodec::Writer;
-use quic::server::EndpointConfig;
 use quic::{ClientConnection, Frame};
 use simnet::addr::Ipv4Addr;
 use simnet::{DatagramArena, LinkProfile, NetShard, Network, SocketAddr};
@@ -36,7 +38,8 @@ use telemetry::{Event, EventKind, TraceCtx};
 
 use crate::cc::NewReno;
 use crate::host::{
-    bulk_body_byte, HostOptions, SessionKind, TransferHost, CONN_WINDOW, STREAM_WINDOW,
+    bind_transfer_host, bulk_body_byte, BoundHost, HostOptions, SessionKind, CONN_WINDOW,
+    STREAM_WINDOW,
 };
 use crate::recv::DataReceiver;
 use crate::sched::SchedKind;
@@ -45,90 +48,6 @@ use crate::workload::{client_config, dispatch_packet, drive_handshake, exchange_
 
 /// Safety cap on drive rounds per connection.
 const MAX_ROUNDS: usize = 4_096;
-
-// ---------------------------------------------------------------------------
-// Connection slab
-// ---------------------------------------------------------------------------
-
-/// A fixed-capacity slab of live connections with a free list and
-/// generation-stamped slots. Freed slots are reused immediately (newest
-/// first), so the table's footprint is the high-water mark of *active*
-/// connections — the driver can push a million tasks through a 64-slot
-/// slab. Generations count how many connections each slot has hosted;
-/// `(slot, generation)` uniquely names a tenancy, and the stats feed the
-/// workload report's peak-active figure.
-pub struct ConnSlab<T> {
-    slots: Vec<Option<T>>,
-    gens: Vec<u32>,
-    free: Vec<usize>,
-    active: usize,
-    peak: usize,
-    admitted: u64,
-}
-
-impl<T> ConnSlab<T> {
-    /// A slab with `capacity` slots, all free.
-    pub fn new(capacity: usize) -> Self {
-        ConnSlab {
-            slots: (0..capacity).map(|_| None).collect(),
-            gens: vec![0; capacity],
-            free: (0..capacity).rev().collect(),
-            active: 0,
-            peak: 0,
-            admitted: 0,
-        }
-    }
-
-    /// Occupies a free slot; returns `(slot, generation)` or `None` when
-    /// the slab is full.
-    pub fn insert(&mut self, value: T) -> Option<(usize, u32)> {
-        let slot = self.free.pop()?;
-        self.gens[slot] = self.gens[slot].wrapping_add(1);
-        self.slots[slot] = Some(value);
-        self.active += 1;
-        self.admitted += 1;
-        self.peak = self.peak.max(self.active);
-        Some((slot, self.gens[slot]))
-    }
-
-    /// Frees `slot`, returning its tenant.
-    pub fn remove(&mut self, slot: usize) -> Option<T> {
-        let value = self.slots[slot].take()?;
-        self.active -= 1;
-        self.free.push(slot);
-        Some(value)
-    }
-
-    /// Mutable access to an occupied slot.
-    pub fn get_mut(&mut self, slot: usize) -> Option<&mut T> {
-        self.slots[slot].as_mut()
-    }
-
-    /// Occupied slots right now.
-    pub fn active(&self) -> usize {
-        self.active
-    }
-
-    /// Most slots simultaneously occupied over the slab's lifetime.
-    pub fn peak(&self) -> usize {
-        self.peak
-    }
-
-    /// Total connections ever admitted.
-    pub fn admitted(&self) -> u64 {
-        self.admitted
-    }
-
-    /// Slot count.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// True when no slot is occupied.
-    pub fn is_empty(&self) -> bool {
-        self.active == 0
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Config and report
@@ -184,33 +103,22 @@ impl MuxConfig {
     /// Smoke scale for CI and tests.
     pub fn fast(seed: u64, workers: usize) -> Self {
         MuxConfig {
-            seed,
-            workers,
             conns: 64,
             streams_per_conn: 2,
             bytes_per_stream: 2_048,
             hosts: 4,
             active_per_worker: 16,
-            loss_permille: 0,
-            scheduler: SchedKind::RoundRobin,
-            batched: true,
-            trace: false,
+            ..Self::c10k(seed, workers)
         }
     }
 
+    /// What [`MuxConfig::batched`] means on the server: coalesced control
+    /// and range-based accounting, or neither (the per-packet baseline).
     fn host_opts(&self) -> HostOptions {
-        if self.batched {
-            HostOptions {
-                coalesce_control: true,
-                scheduler: self.scheduler,
-                per_byte_accounting: false,
-            }
-        } else {
-            HostOptions {
-                coalesce_control: false,
-                scheduler: self.scheduler,
-                per_byte_accounting: true,
-            }
+        HostOptions {
+            coalesce_control: self.batched,
+            scheduler: self.scheduler,
+            per_byte_accounting: !self.batched,
         }
     }
 }
@@ -260,7 +168,7 @@ pub struct MuxReport {
     pub mbps_served_wall: f64,
     /// Wall-clock sweep duration in milliseconds (not in the tables).
     pub sweep_ms: u64,
-    /// Sum of each worker's peak slab occupancy — an upper bound on
+    /// Sum of each worker's peak window occupancy — an upper bound on
     /// simultaneously live client connections (not in the tables: the
     /// admission pattern is worker-count dependent).
     pub peak_active: usize,
@@ -301,93 +209,87 @@ impl MuxReport {
 // Topology
 // ---------------------------------------------------------------------------
 
-struct MuxHost {
-    addr: SocketAddr,
-    name: String,
-}
-
 struct MuxTopology {
     net: Network,
-    hosts: Vec<MuxHost>,
-    rtt_us: u64,
+    hosts: Vec<BoundHost>,
 }
 
 fn build_topology(cfg: &MuxConfig) -> MuxTopology {
     let mut net = Network::new(cfg.seed);
-    let rtt_us = net.rtt().0;
     let ca = qtls::cert::CertificateAuthority::new("Mux CA", 7);
     let profile = LinkProfile {
         loss_permille: cfg.loss_permille,
         ..LinkProfile::ideal()
     };
-    let mut hosts = Vec::new();
-    for h in 0..cfg.hosts {
-        let ip = Ipv4Addr::new(10, 200, (h >> 8) as u8, 1 + (h & 255) as u8);
-        let name = format!("mux-{h}.example");
-        let impl_profile = &IMPLEMENTATIONS[h % IMPLEMENTATIONS.len()];
-        let http = HttpProfile {
-            server_header: impl_profile.server_header.to_string(),
-            alt_svc: None,
-            extra_headers: vec![],
-        };
-        let cert = ca.issue(
-            h as u64,
-            &name,
-            vec![name.clone()],
-            0,
-            999,
-            qcrypto::sha256::digest(name.as_bytes()),
-        );
-        let tls = Arc::new(qtls::ServerConfig {
-            alpn: vec![b"h3".to_vec()],
-            ..qtls::ServerConfig::single_cert(cert)
-        });
-        let endpoint = EndpointConfig::new(tls);
-        let host = TransferHost::with_options(
-            endpoint,
-            http,
-            SessionKind::Bulk,
-            rtt_us,
-            cfg.seed ^ ((h as u64) << 17),
-            cfg.host_opts(),
-        );
-        let addr = SocketAddr::new(simnet::IpAddr::V4(ip), 443);
-        net.bind_udp(addr, Box::new(host));
-        net.set_path_profile(addr.ip, profile);
-        hosts.push(MuxHost { addr, name });
-    }
-    MuxTopology { net, hosts, rtt_us }
+    let hosts = (0..cfg.hosts)
+        .map(|h| {
+            bind_transfer_host(
+                &mut net,
+                &ca,
+                h as u64,
+                format!("mux-{h}.example"),
+                Ipv4Addr::new(10, 200, (h >> 8) as u8, 1 + (h & 255) as u8),
+                SessionKind::Bulk,
+                cfg.host_opts(),
+                profile,
+                cfg.seed,
+            )
+        })
+        .collect();
+    MuxTopology { net, hosts }
 }
 
 // ---------------------------------------------------------------------------
 // Per-connection driver
 // ---------------------------------------------------------------------------
 
-struct MuxOutcome {
-    task: usize,
-    ok: bool,
-    body_bytes: u64,
-    elapsed_us: u64,
-    serve_cpu_ns: u64,
-    events: Vec<Event>,
+/// What one download connection is told: where, as whom, and how much.
+#[derive(Clone, Copy)]
+pub(crate) struct Download<'net> {
+    pub(crate) net: &'net Network,
+    pub(crate) host: &'net BoundHost,
+    /// Client source address (unique per task, so flows never share fault
+    /// draws or server connection slots).
+    pub(crate) src: SocketAddr,
+    /// Client connection seed.
+    pub(crate) seed: u64,
+    /// Task index: the trace flow id and the outcome's merge key.
+    pub(crate) task: usize,
+    /// Request streams (ids 0, 4, 8, …), each a `GET /bulk/<bytes_per_stream>`.
+    pub(crate) streams: usize,
+    pub(crate) bytes_per_stream: u64,
+    /// GSO-style flights and range-based accounting vs the per-packet
+    /// baseline ([`MuxConfig::batched`]).
+    pub(crate) batched: bool,
+    /// Record the connection's goodput sample.
+    pub(crate) trace: bool,
 }
 
-/// One live mux connection: its own shard (flow-local clock), client
+/// How one download ended.
+pub(crate) struct MuxOutcome {
+    pub(crate) task: usize,
+    /// Every response arrived with status 200 and the expected body.
+    pub(crate) ok: bool,
+    pub(crate) body_bytes: u64,
+    /// Flow-local virtual time from handshake confirmation to the last
+    /// response byte (1 for a failed connection).
+    pub(crate) elapsed_us: u64,
+    serve_cpu_ns: u64,
+    pub(crate) events: Vec<Event>,
+}
+
+/// One live download connection: its own shard (flow-local clock), client
 /// connection, data plane, and reusable datagram arena.
-struct MuxConn<'net> {
+pub(crate) struct MuxConn<'net> {
+    spec: Download<'net>,
     shard: NetShard<'net>,
     conn: ClientConnection,
     sender: DataSender,
     receiver: DataReceiver,
     arena: DatagramArena,
     ctx: TraceCtx,
-    task: usize,
-    src: SocketAddr,
-    dst: SocketAddr,
     start_us: u64,
     rounds: usize,
-    streams: usize,
-    bytes_per_stream: u64,
     serve_cpu_ns: u64,
 }
 
@@ -446,89 +348,68 @@ fn close_payload() -> Vec<u8> {
 }
 
 impl<'net> MuxConn<'net> {
-    /// Handshakes and enqueues every request; `None` when the handshake
-    /// could not be confirmed (counted as a failed task).
-    fn start(cfg: &MuxConfig, topo: &'net MuxTopology, task: usize) -> Option<Self> {
-        let host = &topo.hosts[task % cfg.hosts];
-        let src = SocketAddr::new(
-            simnet::IpAddr::V4(Ipv4Addr::new(
-                100,
-                64 + (task >> 16) as u8,
-                (task >> 8) as u8,
-                (task & 255) as u8,
-            )),
-            42_000,
-        );
-        let mut shard = topo.net.shard();
-        let mut arena = DatagramArena::new();
-        let mut conn =
-            ClientConnection::new(client_config(&host.name), cfg.seed ^ 0x9e37 ^ (task as u64) << 1);
-        if !drive_handshake(&mut shard, &mut conn, src, host.addr, &mut arena) {
-            return None;
-        }
-        conn.enable_app_frames();
-        let start_us = shard.now().0;
-        let mut sender = DataSender::new(
-            topo.rtt_us,
-            CONN_WINDOW,
-            STREAM_WINDOW,
-            Box::new(NewReno::new()),
-        );
-        let mut receiver = DataReceiver::new(CONN_WINDOW, STREAM_WINDOW);
-        if cfg.batched {
-            // The batched path uses the range-based accounting on the
-            // client too; the baseline keeps the per-byte loop end to end.
-        } else {
-            receiver.set_per_byte_accounting(true);
-        }
-        sender.enqueue(2, &request::client_control_stream(), false);
-        for k in 0..cfg.streams_per_conn {
-            let id = 4 * k as u64;
-            let req = request::encode_request(
-                "GET",
-                &host.name,
-                &format!("/bulk/{}", cfg.bytes_per_stream),
-                &[],
-            );
-            sender.enqueue(id, &req, true);
-        }
-        Some(MuxConn {
-            shard,
-            conn,
-            sender,
-            receiver,
-            arena,
-            ctx: TraceCtx::new(task as u64, format!("{:?}", host.addr.ip), None),
-            task,
-            src,
-            dst: host.addr,
-            start_us,
+    /// Handshakes and enqueues every request; `Err` with the failed outcome
+    /// when the handshake could not be confirmed.
+    pub(crate) fn start(spec: Download<'net>) -> Result<Self, MuxOutcome> {
+        let host = spec.host;
+        let rtt_us = spec.net.rtt().0;
+        let mut this = MuxConn {
+            spec,
+            shard: spec.net.shard(),
+            conn: ClientConnection::new(client_config(&host.name), spec.seed),
+            sender: DataSender::new(rtt_us, CONN_WINDOW, STREAM_WINDOW, Box::new(NewReno::new())),
+            receiver: DataReceiver::new(CONN_WINDOW, STREAM_WINDOW),
+            arena: DatagramArena::new(),
+            ctx: TraceCtx::new(spec.task as u64, format!("{:?}", host.addr.ip), None),
+            start_us: 0,
             rounds: 0,
-            streams: cfg.streams_per_conn,
-            bytes_per_stream: cfg.bytes_per_stream,
             serve_cpu_ns: 0,
-        })
+        };
+        let (shard, conn) = (&mut this.shard, &mut this.conn);
+        if !drive_handshake(shard, conn, spec.src, host.addr, &mut this.arena) {
+            return Err(this.fail());
+        }
+        this.conn.enable_app_frames();
+        // Elapsed time counts from handshake confirmation.
+        this.start_us = this.shard.now().0;
+        // The batched path uses the range-based accounting on the client
+        // too; the baseline keeps the per-byte loop end to end.
+        this.receiver.set_per_byte_accounting(!spec.batched);
+        // HTTP/3 over the data plane: control stream + one GET per stream.
+        this.sender.enqueue(2, &request::client_control_stream(), false);
+        let path = format!("/bulk/{}", spec.bytes_per_stream);
+        for k in 0..spec.streams {
+            let req = request::encode_request("GET", &host.name, &path, &[]);
+            this.sender.enqueue(4 * k as u64, &req, true);
+        }
+        Ok(this)
     }
 
-    fn exchange(&mut self, batched: bool) {
+    /// [`MuxConn::start`], then [`MuxConn::turn`] until the connection ends.
+    pub(crate) fn run(spec: Download<'net>) -> MuxOutcome {
+        match Self::start(spec) {
+            Ok(mut conn) => loop {
+                if let Some(outcome) = conn.turn() {
+                    return outcome;
+                }
+            },
+            Err(failed) => failed,
+        }
+    }
+
+    fn exchange(&mut self) {
+        let (src, dst, batched) = (self.spec.src, self.spec.host.addr, self.spec.batched);
         let flight = self.conn.poll_transmit();
         let out_count = flight.len() as u64;
         let out_bytes: u64 = flight.iter().map(|d| d.len() as u64).sum();
         let (in_count, in_bytes) = if batched {
-            exchange_flight(
-                &mut self.shard,
-                self.src,
-                self.dst,
-                flight,
-                &mut self.arena,
-                &mut self.conn,
-            )
+            exchange_flight(&mut self.shard, src, dst, flight, &mut self.arena, &mut self.conn)
         } else {
             // Per-packet baseline: one endpoint lookup and one service lock
             // per datagram.
             let mut replies = Vec::new();
             for d in &flight {
-                self.shard.udp_send_into(self.src, self.dst, d, &mut replies);
+                self.shard.udp_send_into(src, dst, d, &mut replies);
             }
             let stats = (replies.len() as u64, replies.iter().map(|r| r.len() as u64).sum());
             for r in &replies {
@@ -544,12 +425,12 @@ impl<'net> MuxConn<'net> {
     }
 
     fn all_done(&self) -> bool {
-        (0..self.streams).all(|k| self.receiver.stream_done(4 * k as u64))
+        (0..self.spec.streams).all(|k| self.receiver.stream_done(4 * k as u64))
     }
 
     /// Drives one round; `Some(outcome)` when the connection finished (or
     /// exhausted its round budget).
-    fn turn(&mut self, cfg: &MuxConfig) -> Option<MuxOutcome> {
+    pub(crate) fn turn(&mut self) -> Option<MuxOutcome> {
         let now = self.shard.now().0 - self.start_us;
         let mut payloads: Vec<(Vec<u8>, bool)> = Vec::new();
         if let Some(c) = self.receiver.control_payload() {
@@ -559,6 +440,9 @@ impl<'net> MuxConn<'net> {
             payloads.push((p, true));
         }
         if payloads.is_empty() {
+            // Idle with a response incomplete: probe the server with a
+            // keepalive (PING + full ACK/grant state, so a lost window
+            // extension is healed) and run our own PTO counter.
             self.sender.on_silent_round(now);
             payloads.push((self.receiver.keepalive_payload(), false));
         }
@@ -570,14 +454,14 @@ impl<'net> MuxConn<'net> {
                 self.sender.record_sent(pn, payload.len() as u64);
             }
         }
-        self.exchange(cfg.batched);
+        self.exchange();
         let now = self.shard.now().0 - self.start_us;
         for pkt in self.conn.take_app_packets() {
             dispatch_packet(pkt.pn, &pkt.frames, &mut self.sender, Some(&mut self.receiver), now);
         }
         self.rounds += 1;
         if self.all_done() {
-            return Some(self.finish(cfg));
+            return Some(self.finish());
         }
         if self.rounds >= MAX_ROUNDS {
             return Some(self.fail());
@@ -585,31 +469,35 @@ impl<'net> MuxConn<'net> {
         None
     }
 
-    fn fail(&mut self) -> MuxOutcome {
+    fn outcome(&mut self, ok: bool, body_bytes: u64, elapsed_us: u64) -> MuxOutcome {
+        let ctx = std::mem::replace(&mut self.ctx, TraceCtx::new(0, String::new(), None));
         MuxOutcome {
-            task: self.task,
-            ok: false,
-            body_bytes: 0,
-            elapsed_us: 1,
+            task: self.spec.task,
+            ok,
+            body_bytes,
+            elapsed_us,
             serve_cpu_ns: self.serve_cpu_ns,
-            events: std::mem::replace(&mut self.ctx, TraceCtx::new(0, String::new(), None))
-                .finish(),
+            events: ctx.finish(),
         }
+    }
+
+    fn fail(&mut self) -> MuxOutcome {
+        self.outcome(false, 0, 1)
     }
 
     /// Validates every response, sends the final ACK plus an explicit
     /// CONNECTION_CLOSE (so the server may evict immediately), and returns
     /// the outcome.
-    fn finish(&mut self, cfg: &MuxConfig) -> MuxOutcome {
+    fn finish(&mut self) -> MuxOutcome {
         let elapsed_us = (self.shard.now().0 - self.start_us).max(1);
         let mut ok = true;
         let mut body_bytes = 0u64;
-        for k in 0..self.streams {
+        for k in 0..self.spec.streams {
             let id = 4 * k as u64;
             match request::decode_response(self.receiver.stream_data(id)) {
                 Some(resp) => {
                     let good = resp.status == 200
-                        && resp.body.len() as u64 == self.bytes_per_stream
+                        && resp.body.len() as u64 == self.spec.bytes_per_stream
                         && resp
                             .body
                             .iter()
@@ -634,8 +522,8 @@ impl<'net> MuxConn<'net> {
                 break;
             }
         }
-        self.exchange(cfg.batched);
-        if cfg.trace {
+        self.exchange();
+        if self.spec.trace {
             self.ctx.advance(elapsed_us);
             self.ctx.record(EventKind::GoodputSampled {
                 bytes: body_bytes,
@@ -643,15 +531,7 @@ impl<'net> MuxConn<'net> {
                 kbps: body_bytes * 8_000 / elapsed_us,
             });
         }
-        MuxOutcome {
-            task: self.task,
-            ok,
-            body_bytes,
-            elapsed_us,
-            serve_cpu_ns: self.serve_cpu_ns,
-            events: std::mem::replace(&mut self.ctx, TraceCtx::new(0, String::new(), None))
-                .finish(),
-        }
+        self.outcome(ok, body_bytes, elapsed_us)
     }
 }
 
@@ -659,73 +539,90 @@ impl<'net> MuxConn<'net> {
 // Sweep driver
 // ---------------------------------------------------------------------------
 
-/// Runs the mux sweep: workers admit connections from a shared cursor into
-/// per-worker slabs and drive every occupied slot one round per pass.
+impl MuxConfig {
+    /// Connection number `task` of this sweep against `topo`.
+    fn download<'net>(&self, topo: &'net MuxTopology, task: usize) -> Download<'net> {
+        let src = SocketAddr::new(
+            simnet::IpAddr::V4(Ipv4Addr::new(
+                100,
+                64 + (task >> 16) as u8,
+                (task >> 8) as u8,
+                (task & 255) as u8,
+            )),
+            42_000,
+        );
+        Download {
+            net: &topo.net,
+            host: &topo.hosts[task % self.hosts],
+            src,
+            seed: self.seed ^ 0x9e37 ^ (task as u64) << 1,
+            task,
+            streams: self.streams_per_conn,
+            bytes_per_stream: self.bytes_per_stream,
+            batched: self.batched,
+            trace: self.trace,
+        }
+    }
+}
+
+/// Runs the mux sweep. Each worker keeps a window — a `Vec` of at most
+/// [`MuxConfig::active_per_worker`] live connections — which it tops up from
+/// the shared task cursor and then drives one round per connection, until
+/// the cursor is exhausted and the window has drained. A finished
+/// connection's place is taken by the window's last (`swap_remove`): which
+/// position a connection holds only orders turns between connections whose
+/// clocks, fault draws and outcomes are all flow-local.
 pub fn run(cfg: &MuxConfig) -> MuxReport {
     let wall_start = std::time::Instant::now();
     let topo = build_topology(cfg);
     let next = AtomicUsize::new(0);
-    let workers = cfg.workers.max(1);
-    let window = cfg.active_per_worker.max(1);
+    let cap = cfg.active_per_worker.max(1);
 
-    struct WorkerYield {
-        outcomes: Vec<MuxOutcome>,
-        peak_active: usize,
-    }
-
-    let mut yields: Vec<WorkerYield> = Vec::new();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for _ in 0..workers {
-            let next = &next;
-            let topo = &topo;
-            handles.push(scope.spawn(move || {
-                let mut slab: ConnSlab<MuxConn<'_>> = ConnSlab::new(window);
-                let mut outcomes: Vec<MuxOutcome> = Vec::new();
-                loop {
-                    // Admit until the window is full or tasks run out.
-                    while slab.active() < slab.capacity() {
-                        let task = next.fetch_add(1, Ordering::Relaxed);
-                        if task >= cfg.conns {
-                            break;
-                        }
-                        match MuxConn::start(cfg, topo, task) {
-                            Some(conn) => {
-                                slab.insert(conn);
-                            }
-                            None => outcomes.push(MuxOutcome {
-                                task,
-                                ok: false,
-                                body_bytes: 0,
-                                elapsed_us: 1,
-                                serve_cpu_ns: 0,
-                                events: Vec::new(),
-                            }),
-                        }
-                    }
-                    if slab.is_empty() {
-                        break;
-                    }
-                    // One round per occupied slot, slot order.
-                    for slot in 0..slab.capacity() {
-                        let Some(conn) = slab.get_mut(slot) else { continue };
-                        if let Some(outcome) = conn.turn(cfg) {
-                            outcomes.push(outcome);
-                            slab.remove(slot);
-                        }
-                    }
+    // One worker: its outcomes and its window's high-water mark.
+    let drive_window = || {
+        let mut window: Vec<MuxConn<'_>> = Vec::with_capacity(cap);
+        let mut outcomes: Vec<MuxOutcome> = Vec::new();
+        let mut peak = 0;
+        loop {
+            // Admit until the window is full or tasks run out.
+            while window.len() < cap {
+                let task = next.fetch_add(1, Ordering::Relaxed);
+                if task >= cfg.conns {
+                    break;
                 }
-                WorkerYield { outcomes, peak_active: slab.peak() }
-            }));
+                match MuxConn::start(cfg.download(&topo, task)) {
+                    Ok(conn) => window.push(conn),
+                    Err(failed) => outcomes.push(failed),
+                }
+            }
+            peak = peak.max(window.len());
+            if window.is_empty() {
+                break;
+            }
+            // One round per live connection.
+            let mut i = 0;
+            while i < window.len() {
+                match window[i].turn() {
+                    Some(outcome) => {
+                        outcomes.push(outcome);
+                        window.swap_remove(i);
+                    }
+                    None => i += 1,
+                }
+            }
         }
-        for h in handles {
-            yields.push(h.join().expect("mux worker panicked"));
-        }
+        (outcomes, peak)
+    };
+    let yields: Vec<(Vec<MuxOutcome>, usize)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..cfg.workers.max(1)).map(|_| scope.spawn(drive_window)).collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+            .collect()
     });
 
-    let peak_active: usize = yields.iter().map(|y| y.peak_active).sum();
-    let mut outcomes: Vec<MuxOutcome> =
-        yields.into_iter().flat_map(|y| y.outcomes).collect();
+    let peak_active: usize = yields.iter().map(|(_, peak)| peak).sum();
+    let mut outcomes: Vec<MuxOutcome> = yields.into_iter().flat_map(|(o, _)| o).collect();
     outcomes.sort_by_key(|o| o.task);
 
     // Per-host aggregation (host = task mod hosts), then totals.
@@ -800,22 +697,38 @@ pub fn run(cfg: &MuxConfig) -> MuxReport {
 mod tests {
     use super::*;
 
+    /// The window on `run` itself: never more live connections than
+    /// `workers × active_per_worker`, and the tables do not depend on how
+    /// connections were spread over windows.
     #[test]
-    fn slab_reuses_slots_and_tracks_peak() {
-        let mut slab: ConnSlab<u32> = ConnSlab::new(2);
-        let (s0, g0) = slab.insert(10).expect("slot");
-        let (s1, _) = slab.insert(11).expect("slot");
-        assert!(slab.insert(12).is_none(), "full");
-        assert_eq!((slab.active(), slab.peak()), (2, 2));
-        assert_eq!(slab.remove(s0), Some(10));
-        // Freed slot comes back with a bumped generation.
-        let (s2, g2) = slab.insert(13).expect("slot");
-        assert_eq!(s2, s0);
-        assert!(g2 > g0, "generation advances on reuse");
-        assert_eq!(slab.remove(s1), Some(11));
-        assert_eq!(slab.remove(s2), Some(13));
-        assert!(slab.is_empty());
-        assert_eq!((slab.peak(), slab.admitted()), (2, 3));
+    fn window_bounds_live_connections_and_leaves_tables_alone() {
+        let mut cfg = MuxConfig::fast(21, 1);
+        cfg.conns = 40;
+        cfg.active_per_worker = 3;
+        let one = run(&cfg);
+        assert_eq!(one.ok, 40);
+        assert_eq!(one.peak_active, 3, "one worker fills its window and no more");
+        cfg.workers = 4;
+        let four = run(&cfg);
+        assert!((1..=12).contains(&four.peak_active), "peak {}", four.peak_active);
+        assert_eq!(one.tables(), four.tables());
+    }
+
+    /// A connection whose handshake fails never enters a window, and still
+    /// yields one failed outcome at its task index: with every datagram
+    /// lost, each host's row counts exactly the tasks assigned to it.
+    #[test]
+    fn failed_handshakes_are_counted_at_their_task_index() {
+        let mut cfg = MuxConfig::fast(22, 1);
+        cfg.conns = 10;
+        cfg.loss_permille = 1_000;
+        let one = run(&cfg);
+        assert_eq!((one.conns, one.ok, one.bytes_served, one.peak_active), (10, 0, 0, 0));
+        let per_host: Vec<usize> = one.rows.iter().map(|r| r.conns).collect();
+        assert_eq!(per_host, [3, 3, 2, 2], "task mod hosts");
+        assert_eq!(one.sum_elapsed_us, 10, "a failed connection counts 1 µs");
+        cfg.workers = 4;
+        assert_eq!(one.tables(), run(&cfg).tables());
     }
 
     #[test]

@@ -3,28 +3,30 @@
 //! swept across a loss × jitter grid of [`simnet::LinkProfile`]s with
 //! thousands of connections on the sharded simnet.
 //!
+//! A bulk download is the crate's one HTTP/3 download client,
+//! `mux::MuxConn`, with a single request stream, run to completion;
+//! the RTC stream has its own client loop here (the client is the data
+//! sender). Both passes fan out over [`simnet::fan_out`].
+//!
 //! Determinism discipline (same as the scan sweeps): tasks are enumerated in
-//! a fixed order, each task's virtual time is flow-local (measured as the
-//! worker shard's clock delta — every exchange and fault draw of a flow is
-//! keyed to the flow, not to global state), results and telemetry events are
-//! merged in task-index order. Same seed ⇒ byte-identical tables and traces
-//! at any worker count.
+//! a fixed order, each task's virtual time is flow-local (measured as a
+//! shard's clock delta — every exchange and fault draw of a flow is keyed to
+//! the flow, not to global state), results and telemetry events are merged
+//! in task-index order. Same seed ⇒ byte-identical tables and traces at any
+//! worker count.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-
-use h3::request;
-use internet::servers::HttpProfile;
-use internet::IMPLEMENTATIONS;
 use qcodec::Writer;
-use quic::server::EndpointConfig;
 use quic::{ClientConnection, Frame, Version};
 use simnet::addr::Ipv4Addr;
-use simnet::{DatagramArena, Duration, LinkProfile, NetShard, Network, SocketAddr};
+use simnet::{fan_out, DatagramArena, Duration, LinkProfile, NetShard, Network, SocketAddr};
 use telemetry::{Event, EventKind, TraceCtx};
 
 use crate::cc::NewReno;
-use crate::host::{bulk_body_byte, SessionKind, TransferHost, CONN_WINDOW, STREAM_WINDOW};
+use crate::host::{
+    bind_transfer_host, bulk_body_byte, BoundHost, HostOptions, SessionKind, CONN_WINDOW,
+    STREAM_WINDOW,
+};
+use crate::mux::{Download, MuxConn, MuxOutcome};
 use crate::recv::DataReceiver;
 use crate::sender::DataSender;
 
@@ -234,41 +236,19 @@ impl WorkloadReport {
 // Topology
 // ---------------------------------------------------------------------------
 
-struct HostInfo {
-    addr: SocketAddr,
-    name: String,
-}
-
 struct Topology {
     net: Network,
     /// Bulk hosts indexed by `(cell, size_idx, group)`.
-    bulk_hosts: Vec<HostInfo>,
+    bulk_hosts: Vec<BoundHost>,
     bulk_groups: usize,
     /// RTC hosts indexed by `(cell, group)`.
-    rtc_hosts: Vec<HostInfo>,
+    rtc_hosts: Vec<BoundHost>,
     rtc_groups: usize,
     sizes: usize,
-    rtt_us: u64,
-}
-
-fn tls_for(ca: &qtls::cert::CertificateAuthority, idx: u64, name: &str) -> Arc<qtls::ServerConfig> {
-    let cert = ca.issue(
-        idx,
-        name,
-        vec![name.to_string()],
-        0,
-        999,
-        qcrypto::sha256::digest(name.as_bytes()),
-    );
-    Arc::new(qtls::ServerConfig {
-        alpn: vec![b"h3".to_vec()],
-        ..qtls::ServerConfig::single_cert(cert)
-    })
 }
 
 fn build_topology(cfg: &WorkloadConfig) -> Topology {
     let mut net = Network::new(cfg.seed);
-    let rtt_us = net.rtt().0;
     let ca = qtls::cert::CertificateAuthority::new("Workload CA", 5);
     let cells = grid_cells();
     let bulk_groups = cfg.bulk_conns_per_cell.div_ceil(CLIENTS_PER_HOST).max(1);
@@ -276,7 +256,13 @@ fn build_topology(cfg: &WorkloadConfig) -> Topology {
 
     let mut bulk_hosts = Vec::new();
     let mut rtc_hosts = Vec::new();
+    // Hosts are numbered in binding order, bulk and RTC interleaved per cell.
     let mut host_idx = 0u64;
+    let mut bind = |name: String, ip: Ipv4Addr, kind: SessionKind, profile: LinkProfile| {
+        let opts = HostOptions::default();
+        host_idx += 1;
+        bind_transfer_host(&mut net, &ca, host_idx - 1, name, ip, kind, opts, profile, cfg.seed)
+    };
     for (c, cell) in cells.iter().enumerate() {
         let profile = LinkProfile {
             loss_permille: cell.loss_permille + cfg.extra_loss_permille,
@@ -287,49 +273,13 @@ fn build_topology(cfg: &WorkloadConfig) -> Topology {
             for g in 0..bulk_groups {
                 let ip = Ipv4Addr::new(10, 1 + c as u8, s as u8, 1 + g as u8);
                 let name = format!("bulk-{c}-{s}-{g}.example");
-                let impl_profile = &IMPLEMENTATIONS[host_idx as usize % IMPLEMENTATIONS.len()];
-                let http = HttpProfile {
-                    server_header: impl_profile.server_header.to_string(),
-                    alt_svc: None,
-                    extra_headers: vec![],
-                };
-                let endpoint = EndpointConfig::new(tls_for(&ca, host_idx, &name));
-                let host = TransferHost::new(
-                    endpoint,
-                    http,
-                    SessionKind::Bulk,
-                    rtt_us,
-                    cfg.seed ^ (host_idx << 17),
-                );
-                let addr = SocketAddr::new(simnet::IpAddr::V4(ip), 443);
-                net.bind_udp(addr, Box::new(host));
-                net.set_path_profile(addr.ip, profile);
-                bulk_hosts.push(HostInfo { addr, name });
-                host_idx += 1;
+                bulk_hosts.push(bind(name, ip, SessionKind::Bulk, profile));
             }
         }
         for g in 0..rtc_groups {
             let ip = Ipv4Addr::new(10, 101 + c as u8, 0, 1 + g as u8);
             let name = format!("rtc-{c}-{g}.example");
-            let impl_profile = &IMPLEMENTATIONS[host_idx as usize % IMPLEMENTATIONS.len()];
-            let http = HttpProfile {
-                server_header: impl_profile.server_header.to_string(),
-                alt_svc: None,
-                extra_headers: vec![],
-            };
-            let endpoint = EndpointConfig::new(tls_for(&ca, host_idx, &name));
-            let host = TransferHost::new(
-                endpoint,
-                http,
-                SessionKind::Rtc,
-                rtt_us,
-                cfg.seed ^ (host_idx << 17),
-            );
-            let addr = SocketAddr::new(simnet::IpAddr::V4(ip), 443);
-            net.bind_udp(addr, Box::new(host));
-            net.set_path_profile(addr.ip, profile);
-            rtc_hosts.push(HostInfo { addr, name });
-            host_idx += 1;
+            rtc_hosts.push(bind(name, ip, SessionKind::Rtc, profile));
         }
     }
     Topology {
@@ -339,17 +289,16 @@ fn build_topology(cfg: &WorkloadConfig) -> Topology {
         rtc_hosts,
         rtc_groups,
         sizes: cfg.bulk_sizes.len(),
-        rtt_us,
     }
 }
 
 impl Topology {
-    fn bulk_host(&self, cell: usize, size_idx: usize, conn: usize) -> &HostInfo {
+    fn bulk_host(&self, cell: usize, size_idx: usize, conn: usize) -> &BoundHost {
         let group = (conn / CLIENTS_PER_HOST).min(self.bulk_groups - 1);
         &self.bulk_hosts[(cell * self.sizes + size_idx) * self.bulk_groups + group]
     }
 
-    fn rtc_host(&self, cell: usize, conn: usize) -> &HostInfo {
+    fn rtc_host(&self, cell: usize, conn: usize) -> &BoundHost {
         let group = (conn / CLIENTS_PER_HOST).min(self.rtc_groups - 1);
         &self.rtc_hosts[cell * self.rtc_groups + group]
     }
@@ -464,112 +413,28 @@ pub(crate) fn dispatch_packet(
     }
 }
 
-struct BulkOutcome {
-    ok: bool,
-    body_bytes: u64,
-    elapsed_us: u64,
-    events: Vec<Event>,
-}
-
-fn run_bulk_task(
-    shard: &mut NetShard<'_>,
-    cfg: &WorkloadConfig,
-    topo: &Topology,
-    task: usize,
-) -> BulkOutcome {
-    let cells = grid_cells();
+/// Bulk task `task`: one connection downloading one object of the row's
+/// size — the mux client with a single stream.
+fn bulk_download<'net>(cfg: &WorkloadConfig, topo: &'net Topology, task: usize) -> Download<'net> {
     let per_cell = cfg.bulk_sizes.len() * cfg.bulk_conns_per_cell;
     let cell_idx = task / per_cell;
     let size_idx = (task % per_cell) / cfg.bulk_conns_per_cell;
     let conn_idx = task % cfg.bulk_conns_per_cell;
-    let size = cfg.bulk_sizes[size_idx];
-    let host = topo.bulk_host(cell_idx, size_idx, conn_idx);
     let src = SocketAddr::new(
         simnet::IpAddr::V4(Ipv4Addr::new(192, 168, (task >> 8) as u8, (task & 255) as u8)),
         40_000,
     );
-    let mut ctx = TraceCtx::new(task as u64, format!("{:?}", host.addr.ip), None);
-    let fail = |ctx: TraceCtx| BulkOutcome {
-        ok: false,
-        body_bytes: 0,
-        elapsed_us: 1,
-        events: ctx.finish(),
-    };
-
-    let mut arena = DatagramArena::new();
-    let mut conn = ClientConnection::new(client_config(&host.name), cfg.seed ^ (task as u64) << 1);
-    if !drive_handshake(shard, &mut conn, src, host.addr, &mut arena) {
-        return fail(ctx);
+    Download {
+        net: &topo.net,
+        host: topo.bulk_host(cell_idx, size_idx, conn_idx),
+        src,
+        seed: cfg.seed ^ (task as u64) << 1,
+        task,
+        streams: 1,
+        bytes_per_stream: cfg.bulk_sizes[size_idx],
+        batched: true,
+        trace: true,
     }
-    conn.enable_app_frames();
-
-    let start_us = shard.now().0;
-    let rtt_us = topo.rtt_us;
-    let mut sender = DataSender::new(rtt_us, CONN_WINDOW, STREAM_WINDOW, Box::new(NewReno::new()));
-    let mut receiver = DataReceiver::new(CONN_WINDOW, STREAM_WINDOW);
-    // HTTP/3 over the data plane: control stream + GET on stream 0.
-    sender.enqueue(2, &request::client_control_stream(), false);
-    let req = request::encode_request("GET", &host.name, &format!("/bulk/{size}"), &[]);
-    sender.enqueue(0, &req, true);
-    let _ = cells; // cell only identifies the row; faults come from the path profile
-
-    let mut done = false;
-    for _ in 0..MAX_ROUNDS {
-        let now = shard.now().0 - start_us;
-        let mut payloads: Vec<(Vec<u8>, bool)> = Vec::new();
-        if let Some(c) = receiver.control_payload() {
-            payloads.push((c, false));
-        }
-        for p in sender.poll(now) {
-            payloads.push((p, true));
-        }
-        if payloads.is_empty() {
-            // Idle with the response incomplete: probe the server with a
-            // keepalive (PING + full ACK/grant state, so a lost window
-            // extension is healed) and run our own PTO counter.
-            sender.on_silent_round(now);
-            payloads.push((receiver.keepalive_payload(), false));
-        }
-        for (payload, from_sender) in payloads {
-            let Some(pn) = conn.send_app_payload(&payload) else {
-                return fail(ctx);
-            };
-            if from_sender {
-                sender.record_sent(pn, payload.len() as u64);
-            }
-        }
-        exchange_flight(shard, src, host.addr, conn.poll_transmit(), &mut arena, &mut conn);
-        let now = shard.now().0 - start_us;
-        for pkt in conn.take_app_packets() {
-            dispatch_packet(pkt.pn, &pkt.frames, &mut sender, Some(&mut receiver), now);
-        }
-        if receiver.stream_done(0) {
-            done = true;
-            break;
-        }
-    }
-    let elapsed_us = (shard.now().0 - start_us).max(1);
-    if !done {
-        return fail(ctx);
-    }
-    let Some(resp) = request::decode_response(receiver.stream_data(0)) else {
-        return fail(ctx);
-    };
-    let body_ok = resp.body.len() as u64 == size
-        && resp
-            .body
-            .iter()
-            .enumerate()
-            .all(|(i, b)| *b == bulk_body_byte(i as u64));
-    let ok = resp.status == 200 && body_ok;
-    let bytes = resp.body.len() as u64;
-    ctx.advance(elapsed_us);
-    ctx.record(EventKind::GoodputSampled {
-        bytes,
-        elapsed_us,
-        kbps: bytes * 8_000 / elapsed_us,
-    });
-    BulkOutcome { ok, body_bytes: bytes, elapsed_us, events: ctx.finish() }
 }
 
 struct RtcOutcome {
@@ -602,7 +467,7 @@ fn run_rtc_task(
     conn.enable_app_frames();
 
     let start_us = shard.now().0;
-    let rtt_us = topo.rtt_us;
+    let rtt_us = shard.rtt().0;
     // The client is the data sender here: its NewReno dynamics land in the
     // flow-local trace. Sends are paced through the token bucket, and each
     // frame travels as one packet — the simnet charges virtual time per
@@ -689,46 +554,6 @@ fn run_rtc_task(
 // Sweep driver
 // ---------------------------------------------------------------------------
 
-/// Runs `tasks` flows over the shared network with `workers` threads,
-/// claiming indices atomically and merging results in task-index order.
-fn run_sharded<T: Send>(
-    net: &Network,
-    workers: usize,
-    tasks: usize,
-    run: impl Fn(&mut NetShard<'_>, usize) -> T + Sync,
-) -> Vec<T> {
-    let next = AtomicUsize::new(0);
-    let workers = workers.max(1);
-    let mut buckets: Vec<Vec<(usize, T)>> = Vec::new();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for _ in 0..workers {
-            let next = &next;
-            let run = &run;
-            handles.push(scope.spawn(move || {
-                let mut shard = net.shard();
-                let mut local = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= tasks {
-                        break;
-                    }
-                    let r = run(&mut shard, i);
-                    local.push((i, r));
-                }
-                shard.finish();
-                local
-            }));
-        }
-        for h in handles {
-            buckets.push(h.join().expect("worker panicked"));
-        }
-    });
-    let mut indexed: Vec<(usize, T)> = buckets.into_iter().flatten().collect();
-    indexed.sort_by_key(|(i, _)| *i);
-    indexed.into_iter().map(|(_, r)| r).collect()
-}
-
 fn percentile(sorted: &[u64], p: u64) -> u64 {
     if sorted.is_empty() {
         return 0;
@@ -742,17 +567,20 @@ pub fn run(cfg: &WorkloadConfig) -> WorkloadReport {
     let topo = build_topology(cfg);
     let cells = grid_cells();
 
-    // Bulk sweep.
-    let bulk_results = run_sharded(&topo.net, cfg.workers, cfg.bulk_tasks(), |shard, i| {
-        run_bulk_task(shard, cfg, &topo, i)
-    });
+    // Bulk sweep: every download owns its shard, so workers carry no state.
+    let (bulk_results, _) = fan_out(
+        cfg.bulk_tasks(),
+        cfg.workers,
+        || (),
+        |_, i| MuxConn::run(bulk_download(cfg, &topo, i)),
+    );
     let mut bulk = BulkReport::default();
     let per_cell = cfg.bulk_sizes.len() * cfg.bulk_conns_per_cell;
     for (c, cell) in cells.iter().enumerate() {
         for (s, &size) in cfg.bulk_sizes.iter().enumerate() {
             let base = c * per_cell + s * cfg.bulk_conns_per_cell;
             let group = &bulk_results[base..base + cfg.bulk_conns_per_cell];
-            let ok: Vec<&BulkOutcome> = group.iter().filter(|r| r.ok).collect();
+            let ok: Vec<&MuxOutcome> = group.iter().filter(|r| r.ok).collect();
             let rates: Vec<u64> =
                 ok.iter().map(|r| r.body_bytes * 8_000 / r.elapsed_us.max(1)).collect();
             bulk.rows.push(BulkRow {
@@ -772,10 +600,14 @@ pub fn run(cfg: &WorkloadConfig) -> WorkloadReport {
         }
     }
 
-    // RTC sweep.
-    let rtc_results = run_sharded(&topo.net, cfg.workers, cfg.rtc_tasks(), |shard, i| {
-        run_rtc_task(shard, cfg, &topo, i)
-    });
+    // RTC sweep: a worker's streams share its shard; each measures its own
+    // clock delta.
+    let (rtc_results, _) = fan_out(
+        cfg.rtc_tasks(),
+        cfg.workers,
+        || topo.net.shard(),
+        |shard, i| run_rtc_task(shard, cfg, &topo, i),
+    );
     let mut rtc = RtcReport::default();
     for (c, cell) in cells.iter().enumerate() {
         let base = c * cfg.rtc_conns_per_cell;
@@ -795,13 +627,8 @@ pub fn run(cfg: &WorkloadConfig) -> WorkloadReport {
     }
 
     // Merge telemetry in task-index order: bulk first, then RTC.
-    let mut events = Vec::new();
-    for r in &bulk_results {
-        events.extend(r.events.iter().cloned());
-    }
-    for r in &rtc_results {
-        events.extend(r.events.iter().cloned());
-    }
+    let bulk_events = bulk_results.into_iter().flat_map(|r| r.events);
+    let events = bulk_events.chain(rtc_results.into_iter().flat_map(|r| r.events)).collect();
     WorkloadReport { bulk, rtc, events }
 }
 
