@@ -17,13 +17,20 @@
 //! sweeps, [`ZmapConfig::probe_repeat`] re-probes unanswered targets and
 //! deduplicates replies, trading bandwidth for coverage (§3.1 discusses the
 //! equivalent trade-off for real ZMap sweeps).
+//!
+//! There is one shard loop (`ZmapScanner::run_shard`) for the three
+//! sweeps. It is fed `BLOCK` scan indices at a time by the sweep's
+//! `Targets` — prefix sweeps fill the block through
+//! [`FeistelPermutation::permute_into`], which overlaps the cycle-walks of
+//! several indices instead of waiting for one at a time — and takes the
+//! probe as a parameter (Version Negotiation over UDP, or a TCP SYN).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
 
 use simnet::addr::{Ipv4Addr, Ipv6Addr, Prefix};
-use simnet::{IpAddr, Network, SocketAddr};
+use simnet::{IpAddr, NetShard, Network, ShardClock, SimTime, SocketAddr};
 use telemetry::{LocalMetrics, MetricsRegistry};
 
 use crate::blocklist::Blocklist;
@@ -259,6 +266,80 @@ pub fn shard_ranges(total: u64, workers: usize) -> Vec<(u64, u64)> {
     bounds
 }
 
+/// Scan indices a shard turns into addresses at a time (2 KiB of stack).
+const BLOCK: usize = 256;
+
+/// One shard's slice of a sweep.
+#[derive(Clone, Copy)]
+struct ShardPlan {
+    shard: usize,
+    /// Half-open scan-index range `[lo, hi)`.
+    range: (u64, u64),
+    /// This shard's slice of the aggregate rate budget, in pps.
+    rate: u64,
+    /// Virtual time at which the sweep began. Every shard's clock starts
+    /// here — not at whatever the shared clock reads when its thread first
+    /// runs, which is later if another shard has already finished and
+    /// merged — so a shard's pacing does not depend on scheduling.
+    start: SimTime,
+}
+
+/// What a sweep walks: scan index `i` → address.
+enum Targets<'a> {
+    /// The concatenated address space of `prefixes`, visited in the order
+    /// of a keyed permutation of its flat offsets.
+    Prefixes { prefixes: &'a [Prefix], sizes: Vec<u64>, perm: FeistelPermutation },
+    /// An explicit hitlist, probed in list order.
+    Hitlist(&'a [Ipv6Addr]),
+}
+
+impl<'a> Targets<'a> {
+    fn prefixes(prefixes: &'a [Prefix], seed: u64) -> Self {
+        let total: u128 = prefixes.iter().map(|p| p.size()).sum();
+        let total = u64::try_from(total).expect("scan space fits in u64");
+        // No prefix is larger than the sum that just fitted.
+        let sizes = prefixes.iter().map(|p| p.size() as u64).collect();
+        Targets::Prefixes { prefixes, sizes, perm: FeistelPermutation::new(total.max(1), seed) }
+    }
+
+    /// Number of scan indices.
+    fn total(&self) -> u64 {
+        match self {
+            Targets::Prefixes { sizes, .. } => sizes.iter().sum(),
+            Targets::Hitlist(list) => list.len() as u64,
+        }
+    }
+
+    /// Fills `block[k]` with the place of scan index `lo + k`: its flat
+    /// offset into the prefix space, or its position in the hitlist.
+    fn fill(&self, lo: u64, block: &mut [u64]) {
+        match self {
+            Targets::Prefixes { perm, .. } => perm.permute_into(lo, block),
+            Targets::Hitlist(_) => block.iter_mut().zip(lo..).for_each(|(at, i)| *at = i),
+        }
+    }
+
+    /// The address at a place [`Targets::fill`] produced.
+    fn addr(&self, mut at: u64) -> IpAddr {
+        match self {
+            Targets::Prefixes { prefixes, sizes, .. } => {
+                for (prefix, &size) in prefixes.iter().zip(sizes) {
+                    if at < size {
+                        let addr = prefix.base.as_u128() + u128::from(at);
+                        return match prefix.base {
+                            IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::from(addr as u32)),
+                            IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::from(addr)),
+                        };
+                    }
+                    at -= size;
+                }
+                unreachable!("flat offset exceeds scan space");
+            }
+            Targets::Hitlist(list) => IpAddr::V6(list[at as usize]),
+        }
+    }
+}
+
 /// The scanner.
 pub struct ZmapScanner {
     config: ZmapConfig,
@@ -283,22 +364,25 @@ impl ZmapScanner {
         net: &Network,
         total: u64,
         empty: impl FnOnce() -> A,
-        run_shard: impl Fn(usize, u64, u64, u64) -> (A, ShardStats) + Sync,
+        run_shard: impl Fn(ShardPlan) -> (A, ShardStats) + Sync,
     ) -> (A, ScanReport) {
         let wall = Instant::now();
         let before = net.stats.snapshot();
         let bounds = shard_ranges(total, self.config.workers);
         let rate = self.shard_rate(bounds.len());
+        let start = net.clock.now();
+        let plans = bounds
+            .iter()
+            .enumerate()
+            .map(|(shard, &range)| ShardPlan { shard, range, rate, start });
         let outcomes: Vec<(A, ShardStats)> = if bounds.len() <= 1 {
-            bounds.iter().enumerate().map(|(w, &(lo, hi))| run_shard(w, lo, hi, rate)).collect()
+            plans.map(&run_shard).collect()
         } else {
             std::thread::scope(|scope| {
-                let handles: Vec<_> = bounds
-                    .iter()
-                    .enumerate()
-                    .map(|(w, &(lo, hi))| {
+                let handles: Vec<_> = plans
+                    .map(|plan| {
                         let run_shard = &run_shard;
-                        scope.spawn(move || run_shard(w, lo, hi, rate))
+                        scope.spawn(move || run_shard(plan))
                     })
                     .collect();
                 handles.into_iter().map(|h| h.join().expect("scan shard panicked")).collect()
@@ -395,70 +479,78 @@ impl ZmapScanner {
         module: &QuicVnModule,
         make: impl Fn() -> A + Sync,
     ) -> (A, ScanReport) {
-        // Build the flattened (prefix, size) ranges.
-        let sizes: Vec<u128> = prefixes.iter().map(|p| p.size()).collect();
-        let total: u128 = sizes.iter().sum();
-        let total = u64::try_from(total).expect("scan space fits in u64");
-        let perm = FeistelPermutation::new(total.max(1), self.config.seed);
-        self.sharded(net, total, &make, |shard, lo, hi, rate| {
-            let addr_of = |i| flat_to_addr(prefixes, &sizes, perm.permute(i));
-            self.vn_shard(net, module, shard, (lo, hi), rate, make(), addr_of)
+        let targets = Targets::prefixes(prefixes, self.config.seed);
+        self.vn_sweep(net, &targets, module, make)
+    }
+
+    /// A Version Negotiation sweep over `targets`, one probe scratch buffer
+    /// per shard.
+    fn vn_sweep<A: SweepAccumulator<Item = VnResult>>(
+        &self,
+        net: &Network,
+        targets: &Targets<'_>,
+        module: &QuicVnModule,
+        make: impl Fn() -> A + Sync,
+    ) -> (A, ScanReport) {
+        self.sharded(net, targets.total(), &make, |plan| {
+            let mut scratch = module.make_scratch();
+            self.run_shard(net, targets, plan, make(), |link, dst, i| {
+                module.probe_with_shard(&mut scratch, link, self.config.source, dst, i)
+            })
         })
     }
 
-    /// One shard of a VN sweep: walks scan indices `[lo, hi)`, probing
-    /// `addr_of(i)` for each at `rate` pps and folding hits into `results`.
-    #[allow(clippy::too_many_arguments)]
-    fn vn_shard<A: SweepAccumulator<Item = VnResult>>(
+    /// The shard loop of every sweep: walks the plan's scan indices a block
+    /// of addresses at a time, sending `probe` to each address the
+    /// blocklist lets through at the plan's rate and folding hits into
+    /// `results`.
+    fn run_shard<A: SweepAccumulator>(
         &self,
         net: &Network,
-        module: &QuicVnModule,
-        shard: usize,
-        (lo, hi): (u64, u64),
-        rate: u64,
+        targets: &Targets<'_>,
+        plan: ShardPlan,
         mut results: A,
-        addr_of: impl Fn(u64) -> IpAddr,
+        mut probe: impl FnMut(&mut NetShard<'_>, SocketAddr, u64) -> Option<A::Item>,
     ) -> (A, ShardStats) {
+        let ShardPlan { shard, range: (lo, hi), rate, start } = plan;
         let mut bucket = TokenBucket::new(rate);
-        let mut scratch = module.make_scratch();
         // Worker-private network handle: its own virtual clock, traffic
         // counters, and flow-sequence cache, merged back once on finish.
         let mut link = net.shard();
+        link.clock = ShardClock::starting_at(start);
         let mut hits = 0u64;
         let mut blocked = 0u64;
         let mut probes = 0u64;
         let shard_wall = Instant::now();
-        let v_start = link.now().0;
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            for i in lo..hi {
-                let addr = addr_of(i);
-                if self.config.blocklist.is_blocked(&addr) {
-                    blocked += 1;
-                    continue;
-                }
-                let dst = SocketAddr::new(addr, self.config.port);
-                // Duplicate-probe mode: re-probe until the target answers
-                // or the repeat budget runs out; record at most one reply.
-                for _ in 0..self.config.probe_repeat.max(1) {
-                    bucket.acquire(&link.clock);
-                    probes += 1;
-                    if let Some(hit) = module.probe_with_shard(
-                        &mut scratch,
-                        &mut link,
-                        self.config.source,
-                        dst,
-                        i,
-                    ) {
-                        results.absorb(hit);
-                        hits += 1;
-                        break;
+            let mut block = [0u64; BLOCK];
+            for first in (lo..hi).step_by(BLOCK) {
+                let block = &mut block[..(hi - first).min(BLOCK as u64) as usize];
+                targets.fill(first, block);
+                for (i, &at) in (first..).zip(&*block) {
+                    let addr = targets.addr(at);
+                    if self.config.blocklist.is_blocked(&addr) {
+                        blocked += 1;
+                        continue;
+                    }
+                    let dst = SocketAddr::new(addr, self.config.port);
+                    // Duplicate-probe mode: re-probe until the target answers
+                    // or the repeat budget runs out; record at most one reply.
+                    for _ in 0..self.config.probe_repeat.max(1) {
+                        bucket.acquire(&link.clock);
+                        probes += 1;
+                        if let Some(hit) = probe(&mut link, dst, i) {
+                            results.absorb(hit);
+                            hits += 1;
+                            break;
+                        }
                     }
                 }
             }
         }));
         // Merge on the abort path too: probes sent before the panic are on
         // the wire, so the report's traffic counters must include them.
-        let virtual_us = link.now().0.saturating_sub(v_start);
+        let virtual_us = link.now().0.saturating_sub(start.0);
         let locks = link.finish();
         let stats = ShardStats {
             shard,
@@ -491,10 +583,7 @@ impl ZmapScanner {
         targets: &[Ipv6Addr],
         module: &QuicVnModule,
     ) -> (Vec<VnResult>, ScanReport) {
-        self.sharded(net, targets.len() as u64, Vec::new, |shard, lo, hi, rate| {
-            let addr_of = |i| IpAddr::V6(targets[i as usize]);
-            self.vn_shard(net, module, shard, (lo, hi), rate, Vec::new(), addr_of)
-        })
+        self.vn_sweep(net, &Targets::Hitlist(targets), module, Vec::new)
     }
 
     /// TCP SYN sweep over `prefixes` (port 443 discovery for the TLS scans).
@@ -508,68 +597,16 @@ impl ZmapScanner {
         net: &Network,
         prefixes: &[Prefix],
     ) -> (Vec<IpAddr>, ScanReport) {
-        let sizes: Vec<u128> = prefixes.iter().map(|p| p.size()).collect();
-        let total: u128 = sizes.iter().sum();
-        let total = u64::try_from(total).expect("scan space fits in u64");
-        let perm = FeistelPermutation::new(total.max(1), self.config.seed ^ 0x7cb);
-        self.sharded(net, total, Vec::new, |shard, lo, hi, rate| {
-            let mut bucket = TokenBucket::new(rate);
-            let mut open = Vec::new();
-            let mut blocked = 0u64;
-            let mut probes = 0u64;
-            let shard_wall = Instant::now();
-            let v_start = net.clock.now().0;
-            let caught = catch_unwind(AssertUnwindSafe(|| {
-                for i in lo..hi {
-                    let flat = perm.permute(i);
-                    let addr = flat_to_addr(prefixes, &sizes, flat);
-                    if self.config.blocklist.is_blocked(&addr) {
-                        blocked += 1;
-                        continue;
-                    }
-                    let dst = SocketAddr::new(addr, self.config.port);
-                    for _ in 0..self.config.probe_repeat.max(1) {
-                        bucket.acquire(&net.clock);
-                        probes += 1;
-                        if crate::modules::tcp_syn::probe(net, dst) {
-                            open.push(addr);
-                            break;
-                        }
-                    }
-                }
-            }));
-            let stats = ShardStats {
-                shard,
-                index_range: (lo, hi),
-                probes,
-                blocked,
-                hits: open.len() as u64,
-                virtual_us: net.clock.now().0.saturating_sub(v_start),
-                wall_us: shard_wall.elapsed().as_micros() as u64,
-                aborted: caught.is_err(),
-                // TCP probes bypass the sharded UDP endpoint table (no
-                // service mutex on that path), so there is nothing to count.
-                locks: simnet::LockCounters::default(),
-            };
-            (open, stats)
+        let targets = Targets::prefixes(prefixes, self.config.seed ^ 0x7cb);
+        self.sharded(net, targets.total(), Vec::new, |plan| {
+            // A SYN probe asks the network directly: it bypasses the sharded
+            // UDP endpoint table and charges no RTT, so the shard's link
+            // only paces it.
+            self.run_shard(net, &targets, plan, Vec::new(), |_, dst, _| {
+                crate::modules::tcp_syn::probe(net, dst).then_some(dst.ip)
+            })
         })
     }
-}
-
-/// Maps a flat index into the concatenated prefix space to an address.
-fn flat_to_addr(prefixes: &[Prefix], sizes: &[u128], mut flat: u64) -> IpAddr {
-    for (prefix, &size) in prefixes.iter().zip(sizes) {
-        let size64 = u64::try_from(size).expect("prefix fits");
-        if flat < size64 {
-            let base = prefix.base.as_u128() + u128::from(flat);
-            return match prefix.base {
-                IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::from(base as u32)),
-                IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::from(base)),
-            };
-        }
-        flat -= size64;
-    }
-    unreachable!("flat index exceeds scan space");
 }
 
 #[cfg(test)]
@@ -1024,13 +1061,49 @@ mod tests {
         let before = net.clock.now().0;
         let (_, report) = scanner.scan_v4_with_report(&net, &prefixes, &module);
         let secs = (net.clock.now().0 - before) as f64 / 1e6;
-        // Thread interleaving makes the exact figure nondeterministic
-        // (shards credit each other's clock advances), so the band is wide;
-        // the budget must neither collapse (4x too fast) nor be multiplied.
+        // Each shard paces its own clock and the shared clock ends at the
+        // slowest shard's, so the figure moves with how the budget splits
+        // and the band is wide; the budget must neither collapse (4x too
+        // fast) nor be multiplied.
         assert!((0.2..4.2).contains(&secs), "1024 probes at 1k pps x4 workers took {secs}s");
         assert_eq!(report.shards.len(), 4);
         for s in &report.shards {
             assert!(s.achieved_pps() > 0.0);
+        }
+    }
+
+    /// The SYN sweep paces each shard's own clock, like the VN sweeps: a
+    /// shard's virtual time is its probes over its share of the rate (a SYN
+    /// probe charges no RTT) and repeats exactly from run to run — which it
+    /// would not if shards paced the network's shared clock, or started
+    /// their own from whatever the shared one read when their thread ran.
+    #[test]
+    fn syn_sweep_virtual_time_is_per_shard_and_repeatable() {
+        let prefixes = [Prefix::new(Ipv4Addr::new(10, 60, 0, 0), 22)]; // 1024 addrs
+        for workers in [2usize, 4] {
+            let run = || {
+                let net = Network::new(5);
+                let mut cfg = ZmapConfig::new(SocketAddr::new(Ipv4Addr::new(192, 0, 2, 9), 50000));
+                cfg.rate_pps = 1000;
+                cfg.workers = workers;
+                let (_, report) = ZmapScanner::new(cfg).scan_tcp_syn_with_report(&net, &prefixes);
+                // The band `parallel_scan_duration_reflects_aggregate_rate`
+                // holds the VN sweep to.
+                let secs = net.clock.now().0 as f64 / 1e6;
+                assert!((0.2..4.2).contains(&secs), "1024 SYNs at 1k pps took {secs}s");
+                report.shards.iter().map(|s| (s.probes, s.virtual_us)).collect::<Vec<_>>()
+            };
+            let first = run();
+            assert_eq!(first.len(), workers);
+            for &(probes, virtual_us) in &first {
+                // Less the bucket's opening burst, a tenth of a second's budget.
+                let paced_s = probes as f64 / (1000 / workers) as f64;
+                let secs = virtual_us as f64 / 1e6;
+                assert!((paced_s - 0.11..=paced_s).contains(&secs), "{secs}s vs {paced_s}s");
+            }
+            for _ in 0..4 {
+                assert_eq!(run(), first, "workers={workers}");
+            }
         }
     }
 }

@@ -3,6 +3,16 @@
 //! token-bucket rate limiting, a blocklist, and pluggable probe modules —
 //! the IETF-QUIC Version Negotiation module this paper contributes, plus a
 //! TCP SYN module for the TLS-over-TCP pipeline.
+//!
+//! The three sweeps (`scan_v4`, `scan_v6`, `scan_tcp_syn`) are one sharded
+//! driver and one shard loop in [`engine`]; what differs is where a scan
+//! index finds its address and which probe is sent there. Prefix sweeps
+//! generate addresses a block at a time with
+//! [`FeistelPermutation::permute_into`], which keeps several cycle-walks in
+//! flight so the send loop does not wait on one chain of multiplies per
+//! address; [`FeistelPermutation::permute`] and
+//! [`FeistelPermutation::rank`] remain the point lookups (and the definition
+//! the block walk is tested against).
 
 pub mod blocklist;
 pub mod engine;

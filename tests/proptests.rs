@@ -11,6 +11,28 @@ use its_over_9000::quic::frame::Frame;
 use its_over_9000::quic::tparams::TransportParameters;
 use its_over_9000::zmapq::FeistelPermutation;
 
+/// `permute_into` against the point lookups it batches: `out[k]` is
+/// `permute(lo + k)` and ranks back to `lo + k`, for block lengths around
+/// the lane count (private; 7, 8, 9 straddle it) and the sweep's block size,
+/// with the block at the head of the domain, somewhere inside it, and ending
+/// exactly at `n`.
+fn block_walk_agrees_with_point_lookups(n: u64, seed: u64, lo_pick: u64) -> Result<(), String> {
+    let p = FeistelPermutation::new(n, seed);
+    for len in [0usize, 1, 7, 8, 9, 255, 256, 257] {
+        let len = len.min(n as usize);
+        let tail = n - len as u64;
+        for lo in [0, lo_pick % (tail + 1), tail] {
+            let mut out = vec![u64::MAX; len];
+            p.permute_into(lo, &mut out);
+            for (i, &v) in (lo..).zip(&out) {
+                prop_assert_eq!(v, p.permute(i), "n={n} lo={lo} len={len} i={i}");
+                prop_assert_eq!(p.rank(v), i, "n={n} lo={lo} len={len}");
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #[test]
     fn varint_roundtrip(v in 0u64..(1 << 62)) {
@@ -130,6 +152,28 @@ proptest! {
         }
     }
 
+    #[test]
+    fn feistel_block_walk_matches_point_lookups(
+        n in 1u64..50_000,
+        seed in any::<u64>(),
+        lo_pick in any::<u64>(),
+    ) {
+        block_walk_agrees_with_point_lookups(n, seed, lo_pick)?;
+    }
+
+    /// The same at 2^k - 1, 2^k and 2^k + 1, where the walk domain's width
+    /// steps and the share of encryptions landing outside `[0, n)` jumps.
+    #[test]
+    fn feistel_block_walk_matches_point_lookups_around_powers_of_two(
+        k in 0u32..=24,
+        below in 0u64..3,
+        seed in any::<u64>(),
+        lo_pick in any::<u64>(),
+    ) {
+        let n = ((1u64 << k) + 1 - below).max(1);
+        block_walk_agrees_with_point_lookups(n, seed, lo_pick)?;
+    }
+
     /// Full bijection check: over the whole (arbitrary, including
     /// non-power-of-two) domain, every output in `[0, n)` appears exactly
     /// once.
@@ -151,8 +195,9 @@ proptest! {
 
     /// The sharded sweep's index partition walks the permuted domain
     /// exactly once: shard ranges are contiguous, cover `[0, n)` without
-    /// gaps or overlaps, and the union of their permuted outputs is again
-    /// the full domain.
+    /// gaps or overlaps, and the union of their permuted outputs — taken a
+    /// block at a time, as the shard loop takes them — is again the full
+    /// domain.
     #[test]
     fn sharded_traversal_covers_domain_exactly_once(
         n in 1u64..4_096,
@@ -171,12 +216,16 @@ proptest! {
 
         let p = FeistelPermutation::new(n, seed);
         let mut seen = vec![false; n as usize];
+        let mut block = [0u64; 256];
         for &(lo, hi) in &ranges {
-            for i in lo..hi {
-                let v = p.permute(i);
-                prop_assert!(v < n);
-                prop_assert!(!seen[v as usize], "address visited twice");
-                seen[v as usize] = true;
+            for first in (lo..hi).step_by(block.len()) {
+                let block = &mut block[..(hi - first).min(256) as usize];
+                p.permute_into(first, block);
+                for &v in &*block {
+                    prop_assert!(v < n);
+                    prop_assert!(!seen[v as usize], "address visited twice");
+                    seen[v as usize] = true;
+                }
             }
         }
         prop_assert!(seen.iter().all(|&s| s), "address never visited");
