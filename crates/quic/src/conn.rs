@@ -635,6 +635,22 @@ impl ClientConnection {
         self.state = ConnectionState::Closed;
     }
 
+    /// Queues a 1-RTT CONNECTION_CLOSE(PROTOCOL_VIOLATION) and closes.
+    fn close_for_violation(&mut self, reason: &str) {
+        let mut payload = Writer::with_capacity(reason.len() + 8);
+        Frame::ConnectionClose {
+            error_code: TransportError::PROTOCOL_VIOLATION.0,
+            frame_type: Some(0x02),
+            reason: reason.to_string(),
+            is_app: false,
+        }
+        .encode(&mut payload);
+        // Sealed while the state is still `Established`; a connection
+        // without 1-RTT keys has nothing to say and just closes.
+        let _ = self.send_app_payload(payload.as_slice());
+        self.close_with(HandshakeOutcome::ProtocolError(reason.to_string()));
+    }
+
     /// Feeds one received datagram.
     pub fn on_datagram(&mut self, data: &[u8]) {
         if self.state == ConnectionState::Closed {
@@ -698,6 +714,14 @@ impl ClientConnection {
                         return;
                     }
                 };
+                // RFC 9000 §13.1, checked against the connection's own
+                // counter (the keepalive PING the data plane sends is
+                // numbered here and recorded in no recovery ledger):
+                // nothing of such a packet reaches the data plane.
+                if Frame::acks_unsent(&frames, self.next_pn[SPACE_APP]) {
+                    self.close_for_violation("ACK for a packet never sent");
+                    return;
+                }
                 for frame in &frames {
                     match frame {
                         Frame::HandshakeDone => self.handshake_done = true,
@@ -986,6 +1010,236 @@ impl ClientConnection {
             }
         } else {
             self.tx.push(datagram);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! RFC 9000 §13.1 on both sides of an established connection whose
+    //! 1-RTT space belongs to a data plane: an ACK for a packet number the
+    //! space has not used closes the connection with PROTOCOL_VIOLATION and
+    //! reaches neither the server's session nor the client's app packets.
+
+    use super::*;
+    use crate::server::{AppSession, Endpoint, EndpointConfig, StreamHandler, StreamSend};
+    use std::sync::Mutex;
+
+    /// What the server's session saw, and how it answers a PING in client
+    /// packet `p`: with a PING of its own, or an ACK of `[0, p + ahead]`.
+    #[derive(Default)]
+    struct Script {
+        seen: Vec<Vec<Frame>>,
+        ack_ahead: Option<u64>,
+    }
+
+    struct Scripted(Arc<Mutex<Script>>);
+
+    impl AppSession for Scripted {
+        fn on_app_packet(&mut self, pn: u64, frames: &[Frame]) -> Vec<Vec<u8>> {
+            let mut script = self.0.lock().expect("no test panicked holding it");
+            script.seen.push(frames.to_vec());
+            if !frames.contains(&Frame::Ping) {
+                return Vec::new();
+            }
+            let reply = match script.ack_ahead {
+                Some(ahead) => ack_up_to((pn + ahead).min((1 << 62) - 1)),
+                None => Frame::Ping,
+            };
+            vec![payload_of(&reply)]
+        }
+
+        fn on_payload_sealed(&mut self, _pn: u64) {}
+    }
+
+    struct NoStreams;
+
+    impl StreamHandler for NoStreams {
+        fn on_stream_data(&mut self, _id: u64, _data: &[u8], _fin: bool) -> Vec<StreamSend> {
+            Vec::new()
+        }
+    }
+
+    /// Opens what the client itself sealed (packet protection is symmetric).
+    struct SealKeys<'a>(&'a PacketKeys);
+
+    impl KeySource for SealKeys<'_> {
+        fn keys_for(&self, ty: PacketType) -> Option<&PacketKeys> {
+            (ty == PacketType::OneRtt).then_some(self.0)
+        }
+    }
+
+    fn ack_up_to(largest: u64) -> Frame {
+        Frame::Ack {
+            largest,
+            delay: 0,
+            ranges: vec![(0, largest)],
+        }
+    }
+
+    fn payload_of(frame: &Frame) -> Vec<u8> {
+        let mut w = Writer::new();
+        frame.encode(&mut w);
+        w.into_vec()
+    }
+
+    /// Delivers the client's queued datagrams and the replies; returns the
+    /// replies.
+    fn exchange(client: &mut ClientConnection, server: &mut Endpoint) -> Vec<Vec<u8>> {
+        let mut replies = Vec::new();
+        for datagram in client.poll_transmit() {
+            replies.extend(server.handle_datagram(0xbeef, &datagram));
+        }
+        for reply in &replies {
+            client.on_datagram(reply);
+        }
+        replies
+    }
+
+    fn established(script: &Arc<Mutex<Script>>) -> (ClientConnection, Endpoint) {
+        let ca = qtls::cert::CertificateAuthority::new("Test CA", 1);
+        let cert = ca.issue(1, "example.com", vec![], 0, 99, [9; 32]);
+        let tls = Arc::new(qtls::ServerConfig {
+            alpn: vec![b"h3".to_vec()],
+            ..qtls::ServerConfig::single_cert(cert)
+        });
+        let mut config = EndpointConfig::new(tls);
+        let script = Arc::clone(script);
+        config.app_session_factory = Some(Arc::new(move || {
+            Box::new(Scripted(Arc::clone(&script))) as Box<dyn AppSession>
+        }));
+        let mut server = Endpoint::new(config, 7, Box::new(|| Box::new(NoStreams)));
+        let client_config = ClientConfig {
+            versions: vec![Version::V1],
+            tls: qtls::ClientConfig {
+                server_name: Some("example.com".to_string()),
+                alpn: vec![b"h3".to_vec()],
+                ..qtls::ClientConfig::default()
+            },
+            ..ClientConfig::default()
+        };
+        let mut client = ClientConnection::new(client_config, 11);
+        while !client.handshake_done() {
+            assert!(
+                !exchange(&mut client, &mut server).is_empty(),
+                "handshake stalled"
+            );
+        }
+        client.enable_app_frames();
+        exchange(&mut client, &mut server);
+        (client, server)
+    }
+
+    fn close_code(frames: &[Frame]) -> Option<(u64, Option<u64>)> {
+        frames.iter().find_map(|f| match f {
+            Frame::ConnectionClose {
+                error_code,
+                frame_type,
+                is_app: false,
+                ..
+            } => Some((*error_code, *frame_type)),
+            _ => None,
+        })
+    }
+
+    #[test]
+    fn server_closes_on_an_ack_for_a_packet_it_never_sent() {
+        // One past the server's last packet, and the six-byte frame that
+        // used to make a sender walk 2⁶² packet numbers.
+        for forged in [None, Some((1u64 << 62) - 1)] {
+            let script = Arc::new(Mutex::new(Script::default()));
+            let (mut client, mut server) = established(&script);
+            // (The session already saw the handshake's trailing 1-RTT ACK.)
+            let before = script.lock().unwrap().seen.len();
+            let seen = |n: usize| assert_eq!(script.lock().unwrap().seen.len(), before + n);
+            // A PING draws a PING: the server's 1-RTT space advances.
+            client
+                .send_app_payload(&payload_of(&Frame::Ping))
+                .expect("established");
+            exchange(&mut client, &mut server);
+            let last = client
+                .take_app_packets()
+                .last()
+                .expect("server answered")
+                .pn;
+            seen(1);
+
+            // Exactly `next_pn − 1` is the newest packet it sent: accepted.
+            client
+                .send_app_payload(&payload_of(&ack_up_to(last)))
+                .expect("established");
+            assert!(exchange(&mut client, &mut server).is_empty());
+            seen(2);
+            assert_eq!(
+                script.lock().unwrap().seen.last(),
+                Some(&vec![ack_up_to(last)])
+            );
+
+            client
+                .send_app_payload(&payload_of(&ack_up_to(forged.unwrap_or(last + 1))))
+                .expect("established");
+            let forged_datagram = client.tx.last().expect("queued").clone();
+            let replies = exchange(&mut client, &mut server);
+            seen(2); // nothing of the packet reached the session
+            assert_eq!(replies.len(), 1);
+            let (pkt, _) = decode_first(&replies[0], client.scid.len(), &client.open_keys)
+                .expect("1-RTT close opens with the client's keys");
+            let frames = Frame::decode_all(&pkt.payload).expect("decodes");
+            assert_eq!(
+                close_code(&frames),
+                Some((TransportError::PROTOCOL_VIOLATION.0, Some(0x02)))
+            );
+            assert_eq!(client.state(), &ConnectionState::Closed);
+            // Draining: later packets get the same close, not the session.
+            assert_eq!(server.handle_datagram(0xbeef, &forged_datagram), replies);
+            seen(2);
+        }
+    }
+
+    #[test]
+    fn client_closes_on_an_ack_for_a_packet_it_never_sent() {
+        for ahead in [1, u64::MAX >> 2] {
+            let script = Arc::new(Mutex::new(Script::default()));
+            let (mut client, mut server) = established(&script);
+            // The server acknowledges exactly the PING's packet — the
+            // keepalive case: numbered here, in no recovery ledger.
+            script.lock().unwrap().ack_ahead = Some(0);
+            let pn = client
+                .send_app_payload(&payload_of(&Frame::Ping))
+                .expect("established");
+            assert_eq!(pn + 1, client.next_pn[SPACE_APP]);
+            exchange(&mut client, &mut server);
+            let delivered = client.take_app_packets();
+            assert_eq!(delivered.len(), 1);
+            assert_eq!(delivered[0].frames, vec![ack_up_to(pn)]);
+            assert_eq!(client.state(), &ConnectionState::Established);
+
+            script.lock().unwrap().ack_ahead = Some(ahead);
+            let ping = payload_of(&Frame::Ping);
+            client.send_app_payload(&ping).expect("established");
+            let ping_datagram = client.tx.last().expect("queued").clone();
+            exchange(&mut client, &mut server);
+            assert!(
+                client.take_app_packets().is_empty(),
+                "nothing reaches the data plane"
+            );
+            assert_eq!(client.state(), &ConnectionState::Closed);
+            assert_eq!(client.send_app_payload(&ping), None);
+
+            let close = client.poll_transmit();
+            assert_eq!(close.len(), 1);
+            let keys = SealKeys(client.seal_app.as_ref().expect("1-RTT keys"));
+            let (pkt, _) = decode_first(&close[0], client.dcid.len(), &keys).expect("own packet");
+            let frames = Frame::decode_all(&pkt.payload).expect("decodes");
+            assert_eq!(
+                close_code(&frames),
+                Some((TransportError::PROTOCOL_VIOLATION.0, Some(0x02)))
+            );
+            // The server takes the close and goes quiet.
+            let seen = script.lock().unwrap().seen.len();
+            assert!(server.handle_datagram(0xbeef, &close[0]).is_empty());
+            assert!(server.handle_datagram(0xbeef, &ping_datagram).is_empty());
+            assert_eq!(script.lock().unwrap().seen.len(), seen);
         }
     }
 }

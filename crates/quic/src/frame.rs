@@ -155,6 +155,17 @@ impl Frame {
         w.put_varvec(data);
     }
 
+    /// True when one of `frames` acknowledges a packet number at or above
+    /// `next_pn`, the first number its packet-number space has not yet
+    /// used — RFC 9000 §13.1 makes that a PROTOCOL_VIOLATION. Only the
+    /// connection can tell: it numbers every packet of the space, also the
+    /// ones (keepalives, control-only packets) no recovery ledger records.
+    pub(crate) fn acks_unsent(frames: &[Frame], next_pn: u64) -> bool {
+        frames
+            .iter()
+            .any(|f| matches!(f, Frame::Ack { largest, .. } if *largest >= next_pn))
+    }
+
     /// Decodes every frame in `payload`.
     pub fn decode_all(payload: &[u8]) -> Result<Vec<Frame>> {
         let mut r = Reader::new(payload);
@@ -183,7 +194,14 @@ impl Frame {
                 let delay = r.read_varint()?;
                 let range_count = r.read_varint()?;
                 let first_range = r.read_varint()?;
-                let mut ranges = Vec::with_capacity(range_count as usize + 1);
+                // The count is the peer's word (≤ 2⁶²−1): hold it against
+                // the bytes that are there — every further range is two
+                // varints of at least a byte each — before looping on it,
+                // and let `push` grow the vector.
+                if range_count > (r.remaining() / 2) as u64 {
+                    return Err(CodecError::Invalid("ACK range count exceeds frame"));
+                }
+                let mut ranges = Vec::new();
                 let mut smallest = largest
                     .checked_sub(first_range)
                     .ok_or(CodecError::Invalid("ACK range underflow"))?;
@@ -250,6 +268,7 @@ impl Frame {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn roundtrip(f: Frame) {
         let mut w = Writer::new();
@@ -287,6 +306,99 @@ mod tests {
     fn ack_multi_range() {
         // Packets 0-1 and 4-5 received: ranges [(4,5),(0,1)].
         roundtrip(Frame::Ack { largest: 5, delay: 10, ranges: vec![(4, 5), (0, 1)] });
+    }
+
+    /// The first five bytes of an ACK frame — type, largest 5, delay 0 —
+    /// followed by `range_count` and a first range of 0.
+    fn ack_claiming(range_count: u64, tail: &[u8]) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.put_varint(0x02);
+        w.put_varint(5);
+        w.put_varint(0);
+        w.put_varint(range_count);
+        w.put_varint(0);
+        w.put_bytes(tail);
+        w.into_vec()
+    }
+
+    /// A range count is a claim about the bytes that follow, not a
+    /// reservation: a few bytes announcing 2³⁶ or 2⁶²−1 ranges used to
+    /// panic ("capacity overflow") or abort on allocation failure before a
+    /// single range was read.
+    #[test]
+    fn ack_range_count_beyond_the_frame_is_an_error() {
+        for count in [1 << 36, (1 << 62) - 1] {
+            let bytes = ack_claiming(count, &[]);
+            assert!(bytes.len() <= 12);
+            assert!(Frame::decode_all(&bytes).is_err(), "count {count}");
+        }
+        // Ten bytes of tail can hold five (gap, length) pairs and no more.
+        let tail = [0u8; 10];
+        assert!(
+            Frame::decode_all(&ack_claiming(6, &tail)).is_err(),
+            "remaining/2 + 1"
+        );
+        // ECN variant shares the path.
+        let mut ecn = ack_claiming(1 << 36, &[]);
+        ecn[0] = 0x03;
+        assert!(Frame::decode_all(&ecn).is_err());
+        // A count the bytes can carry still fails cleanly on its contents:
+        // five ranges walking down from 5 underflow.
+        assert!(Frame::decode_all(&ack_claiming(5, &tail)).is_err());
+        // …and one that fits and is consistent decodes.
+        let ok = Frame::decode_all(&ack_claiming(1, &[1, 0])).unwrap();
+        assert_eq!(
+            ok,
+            vec![Frame::Ack {
+                largest: 5,
+                delay: 0,
+                ranges: vec![(5, 5), (2, 2)]
+            }]
+        );
+    }
+
+    /// Whatever decodes, decodes to something the bytes could carry: an
+    /// ACK's ranges descend without touching, start at `largest`, and
+    /// number no more than one per two bytes of frame.
+    fn decode_and_check(bytes: &[u8]) -> std::result::Result<(), String> {
+        let Ok(frames) = Frame::decode_all(bytes) else {
+            return Ok(());
+        };
+        for f in frames {
+            if let Frame::Ack {
+                largest, ranges, ..
+            } = f
+            {
+                prop_assert!(
+                    ranges.len() <= bytes.len() / 2 + 1,
+                    "{} ranges",
+                    ranges.len()
+                );
+                prop_assert_eq!(ranges[0].1, largest);
+                prop_assert!(ranges.iter().all(|(lo, hi)| lo <= hi));
+                prop_assert!(ranges.windows(2).all(|w| w[1].1 + 1 < w[0].0));
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        /// The arbitrary-bytes decoder property (first of ROADMAP item 4's
+        /// decoder list): any frame type in front of any bytes, and an ACK
+        /// header claiming any range count in front of any bytes, is `Ok`
+        /// or `Err` — no panic, no reservation sized by the claim.
+        #[test]
+        fn decode_survives_arbitrary_bytes(
+            ty in 0u8..0x20,
+            bytes in proptest::collection::vec(any::<u8>(), 0..64),
+            count in any::<u64>(),
+            shift in 2u32..64,
+        ) {
+            let mut raw = vec![ty];
+            raw.extend_from_slice(&bytes);
+            decode_and_check(&raw)?;
+            decode_and_check(&ack_claiming(count >> shift, &bytes))?;
+        }
     }
 
     #[test]

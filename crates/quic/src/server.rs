@@ -565,6 +565,13 @@ impl ServerConn {
                 self.closed = true;
                 return;
             }
+            // RFC 9000 §13.1, checked here because the packet numbers are
+            // ours: the session's sender would take the frame's `largest`
+            // on the peer's word and declare everything in flight lost.
+            if Frame::acks_unsent(&frames, self.next_pn[2]) {
+                self.close_app_space("ACK for a packet never sent", out);
+                return;
+            }
             let payloads =
                 self.app_session.as_mut().expect("checked").on_app_packet(pkt.packet_number, &frames);
             self.seal_session_payloads(payloads, out);
@@ -815,6 +822,37 @@ impl ServerConn {
                 }
             }
         }
+    }
+
+    /// Closes an established connection for a PROTOCOL_VIOLATION seen in
+    /// the 1-RTT space; the sealed close is what later packets are answered
+    /// with while draining.
+    fn close_app_space(&mut self, reason: &str, out: &mut Vec<Vec<u8>>) {
+        self.closed = true;
+        let Some(keys) = self.seal_app.as_ref() else {
+            return;
+        };
+        let payload = &mut self.payload;
+        payload.clear();
+        Frame::ConnectionClose {
+            error_code: crate::error::TransportError::PROTOCOL_VIOLATION.0,
+            frame_type: Some(0x02),
+            reason: reason.to_string(),
+            is_app: false,
+        }
+        .encode(payload);
+        let mut pkt = Vec::new();
+        seal_short_into(
+            &mut pkt,
+            &mut self.scratch,
+            &self.client_cid,
+            self.next_pn[2],
+            payload.as_slice(),
+            keys,
+        );
+        self.next_pn[2] += 1;
+        self.close_cache = Some(pkt.clone());
+        out.push(pkt);
     }
 
     fn send_close(&mut self, err: TlsError, config: &EndpointConfig, out: &mut Vec<Vec<u8>>) {

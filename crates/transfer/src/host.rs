@@ -71,7 +71,7 @@ pub struct HostOptions {
 /// Server session for HTTP/3 bulk downloads: answers `GET /bulk/<n>` on
 /// every client-initiated bidirectional stream (id ≡ 0 mod 4), multiplexing
 /// the response bodies through one congestion-controlled sender.
-struct BulkSession {
+pub(crate) struct BulkSession {
     recv: DataReceiver,
     send: DataSender,
     profile: Arc<HttpProfile>,
@@ -87,7 +87,7 @@ struct BulkSession {
 }
 
 impl BulkSession {
-    fn new(profile: Arc<HttpProfile>, rtt_us: u64, opts: HostOptions) -> Self {
+    pub(crate) fn new(profile: Arc<HttpProfile>, rtt_us: u64, opts: HostOptions) -> Self {
         let mut recv = DataReceiver::new(CONN_WINDOW, STREAM_WINDOW);
         recv.set_per_byte_accounting(opts.per_byte_accounting);
         BulkSession {
@@ -106,6 +106,11 @@ impl BulkSession {
             responded: HashSet::new(),
             sealed_queue: VecDeque::new(),
         }
+    }
+
+    #[cfg(test)]
+    pub(crate) fn sender(&self) -> &DataSender {
+        &self.send
     }
 
     fn maybe_respond(&mut self) {
@@ -242,7 +247,7 @@ impl TransferHost {
     /// estimate (the simulation's configured path RTT), `opts` picks the
     /// serving path ([`HostOptions::default`] is the legacy profile).
     pub fn new(
-        mut config: EndpointConfig,
+        config: EndpointConfig,
         profile: HttpProfile,
         kind: SessionKind,
         rtt_us: u64,
@@ -250,10 +255,24 @@ impl TransferHost {
         opts: HostOptions,
     ) -> Self {
         let profile = Arc::new(profile);
-        config.app_session_factory = Some(Arc::new(move || match kind {
-            SessionKind::Bulk => Box::new(BulkSession::new(profile.clone(), rtt_us, opts)),
-            SessionKind::Rtc => Box::new(RtcSession::new()),
-        }));
+        Self::serving(
+            config,
+            seed,
+            Arc::new(move || match kind {
+                SessionKind::Bulk => Box::new(BulkSession::new(profile.clone(), rtt_us, opts)),
+                SessionKind::Rtc => Box::new(RtcSession::new()),
+            }),
+        )
+    }
+
+    /// A host whose established connections run the sessions `factory`
+    /// makes.
+    pub(crate) fn serving(
+        mut config: EndpointConfig,
+        seed: u64,
+        factory: Arc<dyn Fn() -> Box<dyn AppSession> + Send + Sync>,
+    ) -> Self {
+        config.app_session_factory = Some(factory);
         // The StreamHandler is bypassed once a session is installed; a
         // do-nothing handler keeps the legacy constructor satisfied.
         let endpoint = Endpoint::new(config, seed, Box::new(|| Box::new(NullHandler)));

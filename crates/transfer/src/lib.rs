@@ -8,7 +8,9 @@
 //!
 //! - [`sender::DataSender`] chunks stream buffers into 1-RTT payloads under
 //!   congestion-window + flow-control + pacing gates and retransmits from
-//!   ACK-driven loss detection ([`recovery`]) or PTO.
+//!   ACK-driven loss detection ([`recovery`]: a ledger of packets in
+//!   flight and packets declared lost, queried by range, so an ACK costs
+//!   what it newly covers however much history it repeats) or PTO.
 //! - [`recv::DataReceiver`] reassembles, deduplicates, generates ACK ranges,
 //!   and grants MAX_DATA / MAX_STREAM_DATA windows.
 //! - [`host::TransferHost`] runs the server side on the simnet via

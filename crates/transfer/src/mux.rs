@@ -731,6 +731,172 @@ mod tests {
         assert_eq!(one.tables(), run(&cfg).tables());
     }
 
+    // -- RFC 9000 §13.1 mid-transfer, on both sides ------------------------
+
+    use crate::host::{BulkSession, TransferHost};
+    use quic::server::{AppSession, EndpointConfig};
+    use std::sync::{Arc, Mutex};
+
+    /// A `BulkSession` the test can look into — and that turns hostile on
+    /// request: a packet carrying nothing but a PING (no honest client
+    /// sends one; a keepalive carries ACK state and grants too) is answered
+    /// with the forged ACK instead of being served.
+    struct Watched {
+        inner: Arc<Mutex<BulkSession>>,
+        hostile: bool,
+        forged_unsealed: bool,
+    }
+
+    impl AppSession for Watched {
+        fn on_app_packet(&mut self, pn: u64, frames: &[Frame]) -> Vec<Vec<u8>> {
+            if self.hostile && frames == [Frame::Ping] {
+                self.forged_unsealed = true;
+                return vec![forged_ack()];
+            }
+            self.inner
+                .lock()
+                .expect("session lock")
+                .on_app_packet(pn, frames)
+        }
+
+        fn on_payload_sealed(&mut self, pn: u64) {
+            if !std::mem::take(&mut self.forged_unsealed) {
+                self.inner
+                    .lock()
+                    .expect("session lock")
+                    .on_payload_sealed(pn);
+            }
+        }
+    }
+
+    /// Six bytes that used to cost 2⁶² loop iterations: `ACK [0, 2⁶²−1]`.
+    fn forged_ack() -> Vec<u8> {
+        let largest = (1u64 << 62) - 1;
+        let mut w = Writer::new();
+        Frame::Ack {
+            largest,
+            delay: 0,
+            ranges: vec![(0, largest)],
+        }
+        .encode(&mut w);
+        w.into_vec()
+    }
+
+    /// One host on a clean path whose (single) connection's session is
+    /// returned alongside.
+    fn watched_topology(hostile: bool) -> (MuxTopology, Arc<Mutex<BulkSession>>) {
+        let mut net = Network::new(77);
+        let name = "watched.example".to_string();
+        let ca = qtls::cert::CertificateAuthority::new("Mux CA", 7);
+        let cert = ca.issue(0, &name, vec![name.clone()], 0, 999, [3; 32]);
+        let tls = Arc::new(qtls::ServerConfig {
+            alpn: vec![b"h3".to_vec()],
+            ..qtls::ServerConfig::single_cert(cert)
+        });
+        let http = internet::servers::HttpProfile {
+            server_header: "watched".to_string(),
+            alt_svc: None,
+            extra_headers: vec![],
+        };
+        let opts = MuxConfig::fast(77, 1).host_opts();
+        let session = Arc::new(Mutex::new(BulkSession::new(
+            Arc::new(http),
+            net.rtt().0,
+            opts,
+        )));
+        let inner = Arc::clone(&session);
+        let factory = move || {
+            let inner = Arc::clone(&inner);
+            Box::new(Watched {
+                inner,
+                hostile,
+                forged_unsealed: false,
+            }) as Box<dyn AppSession>
+        };
+        let host = TransferHost::serving(EndpointConfig::new(tls), 5, Arc::new(factory));
+        let addr = SocketAddr::new(simnet::IpAddr::V4(Ipv4Addr::new(10, 200, 0, 1)), 443);
+        net.bind_udp(addr, Box::new(host));
+        (
+            MuxTopology {
+                net,
+                hosts: vec![BoundHost { addr, name }],
+            },
+            session,
+        )
+    }
+
+    /// What a forged ACK must leave alone: packets in flight, the window,
+    /// every queued retransmission.
+    fn sender_state(s: &DataSender) -> (usize, u64, Vec<(u64, u64, u64)>) {
+        (s.in_flight_count(), s.cc().cwnd(), s.retransmit_spans())
+    }
+
+    /// A 1 MB download, six rounds in.
+    fn mid_transfer(topo: &MuxTopology) -> MuxConn<'_> {
+        let mut cfg = MuxConfig::fast(77, 1);
+        cfg.hosts = 1;
+        cfg.streams_per_conn = 1;
+        cfg.bytes_per_stream = 1_000_000;
+        let mut conn = MuxConn::start(cfg.download(topo, 0))
+            .ok()
+            .expect("handshake");
+        for _ in 0..6 {
+            assert!(conn.turn().is_none(), "still downloading");
+        }
+        conn
+    }
+
+    #[test]
+    fn forged_ack_mid_transfer_closes_the_server_side_and_touches_nothing() {
+        let (topo, session) = watched_topology(false);
+        let mut conn = mid_transfer(&topo);
+        let before = sender_state(session.lock().unwrap().sender());
+        assert!(before.0 > 0, "the server has response packets in flight");
+
+        conn.conn
+            .send_app_payload(&forged_ack())
+            .expect("established");
+        conn.exchange(); // returns: nothing walks the span
+        assert_eq!(sender_state(session.lock().unwrap().sender()), before);
+        // The server answered with its close, which ends the client too.
+        assert_eq!(conn.conn.state(), &quic::ConnectionState::Closed);
+        let outcome = conn.turn().expect("a closed connection is a finished one");
+        assert!(!outcome.ok);
+        assert_eq!(sender_state(session.lock().unwrap().sender()), before);
+    }
+
+    #[test]
+    fn forged_ack_mid_transfer_closes_the_client_side_and_touches_nothing() {
+        let (topo, _session) = watched_topology(true);
+        let mut conn = mid_transfer(&topo);
+        // Give the client's sender something to lose: a request flight
+        // sealed, recorded, and dropped on the way.
+        conn.sender.enqueue(40, &[0x5a; 5_000], true);
+        let now = conn.shard.now().0 - conn.start_us;
+        for payload in conn.sender.poll(now) {
+            let pn = conn.conn.send_app_payload(&payload).expect("established");
+            conn.sender.record_sent(pn, payload.len() as u64);
+        }
+        drop(conn.conn.poll_transmit());
+        let before = sender_state(&conn.sender);
+        assert!(before.0 > 0, "the client has request packets in flight");
+
+        let mut ping = Writer::new();
+        Frame::Ping.encode(&mut ping);
+        conn.conn
+            .send_app_payload(ping.as_slice())
+            .expect("established");
+        conn.exchange(); // the hostile session answers with the forged ACK
+        assert!(
+            conn.conn.take_app_packets().is_empty(),
+            "nothing reaches the data plane"
+        );
+        assert_eq!(conn.conn.state(), &quic::ConnectionState::Closed);
+        assert_eq!(sender_state(&conn.sender), before);
+        let outcome = conn.turn().expect("a closed connection is a finished one");
+        assert!(!outcome.ok);
+    }
+
     #[test]
     fn mux_sweep_completes_and_serves_every_stream() {
         let mut cfg = MuxConfig::fast(5, 2);

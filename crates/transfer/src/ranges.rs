@@ -52,6 +52,49 @@ impl RangeSet {
         i < self.ranges.len() && self.ranges[i].0 <= start && end <= self.ranges[i].1
     }
 
+    /// The maximal sub-ranges of `start..=end` that are *not* in the set,
+    /// ascending and inclusive (nothing when `start > end`). Costs one
+    /// binary search plus the ranges that intersect the span — what a
+    /// retransmission queue needs to skip the acknowledged part of a lost
+    /// span without testing it byte by byte.
+    pub fn gaps(&self, start: u64, end: u64) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let i = self.ranges.partition_point(|&(_, e)| e < start);
+        let mut rest = self.ranges[i..].iter();
+        // First value not yet known to be covered; `None` once the walk is
+        // past `end` (or past `u64::MAX`).
+        let mut cursor = Some(start);
+        std::iter::from_fn(move || loop {
+            let from = cursor.filter(|&c| c <= end)?;
+            match rest.next() {
+                Some(&(a, b)) if a <= end => {
+                    cursor = b.checked_add(1);
+                    if a > from {
+                        return Some((from, a - 1));
+                    }
+                }
+                _ => {
+                    cursor = None;
+                    return Some((from, end));
+                }
+            }
+        })
+    }
+
+    /// How many values of `start..=end` are in the set (saturating at
+    /// `u64::MAX` for the one span that holds 2⁶⁴ of them). Same cost as
+    /// [`RangeSet::gaps`].
+    pub fn covered_len(&self, start: u64, end: u64) -> u64 {
+        if start > end {
+            return 0;
+        }
+        let i = self.ranges.partition_point(|&(_, e)| e < start);
+        self.ranges[i..]
+            .iter()
+            .take_while(|&&(a, _)| a <= end)
+            .map(|&(a, b)| (b.min(end) - a.max(start)).saturating_add(1))
+            .fold(0, u64::saturating_add)
+    }
+
     /// Largest element, if any.
     pub fn largest(&self) -> Option<u64> {
         self.ranges.last().map(|&(_, e)| e)
@@ -90,6 +133,92 @@ impl RangeSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// `gaps` one `contains` per element — what `requeue_lost_chunks` used
+    /// to do per byte.
+    fn gaps_by_element(s: &RangeSet, start: u64, end: u64) -> Vec<(u64, u64)> {
+        let mut out: Vec<(u64, u64)> = Vec::new();
+        for v in start..=end {
+            if s.contains(v) {
+                continue;
+            }
+            match out.last_mut() {
+                Some((_, hi)) if *hi + 1 == v => *hi = v,
+                _ => out.push((v, v)),
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn gaps_and_covered_len_on_named_shapes() {
+        let empty = RangeSet::new();
+        assert_eq!(empty.gaps(3, 9).collect::<Vec<_>>(), vec![(3, 9)]);
+        assert_eq!(empty.covered_len(3, 9), 0);
+        assert_eq!(empty.gaps(9, 3).count(), 0, "start > end is an empty span");
+        assert_eq!(empty.covered_len(9, 3), 0);
+
+        let mut s = RangeSet::new();
+        s.insert_range(10, 19);
+        s.insert_range(30, 39);
+        s.insert_range(u64::MAX - 4, u64::MAX);
+        // Inside one range.
+        assert_eq!(s.gaps(12, 15).count(), 0);
+        assert_eq!(s.covered_len(12, 15), 4);
+        assert_eq!(s.covered_len(15, 12), 0);
+        // Across several, starting and ending in gaps.
+        assert_eq!(
+            s.gaps(5, 45).collect::<Vec<_>>(),
+            vec![(5, 9), (20, 29), (40, 45)]
+        );
+        assert_eq!(s.covered_len(5, 45), 20);
+        // Starting and ending inside ranges.
+        assert_eq!(s.gaps(15, 35).collect::<Vec<_>>(), vec![(20, 29)]);
+        assert_eq!(s.covered_len(15, 35), 11);
+        // Touching the top of the domain.
+        assert_eq!(
+            s.gaps(u64::MAX - 9, u64::MAX).collect::<Vec<_>>(),
+            vec![(u64::MAX - 9, u64::MAX - 5)]
+        );
+        assert_eq!(s.covered_len(u64::MAX - 9, u64::MAX), 5);
+        assert_eq!(s.gaps(u64::MAX, u64::MAX).count(), 0);
+        assert_eq!(
+            empty.gaps(u64::MAX, u64::MAX).collect::<Vec<_>>(),
+            vec![(u64::MAX, u64::MAX)]
+        );
+
+        let mut all = RangeSet::new();
+        all.insert_range(0, u64::MAX);
+        assert_eq!(all.covered_len(0, u64::MAX), u64::MAX, "2^64 saturates");
+        assert_eq!(all.gaps(0, u64::MAX).count(), 0);
+    }
+
+    proptest! {
+        /// Random sets in a 256-value window at either end of the domain,
+        /// random query spans: both primitives agree with one `contains`
+        /// per element, and between them account for the whole span.
+        #[test]
+        fn gaps_and_covered_len_match_the_per_element_oracle(
+            pieces in proptest::collection::vec((0u64..256, 0u64..40), 0..12),
+            top in any::<bool>(),
+            a in 0u64..256,
+            b in 0u64..256,
+        ) {
+            let base = if top { u64::MAX - 255 } else { 0 };
+            let mut s = RangeSet::new();
+            for (from, len) in pieces {
+                s.insert_range(base + from, base + (from + len).min(255));
+            }
+            let (start, end) = (base + a.min(b), base + a.max(b));
+            let gaps: Vec<(u64, u64)> = s.gaps(start, end).collect();
+            prop_assert_eq!(&gaps, &gaps_by_element(&s, start, end));
+            let covered = (start..=end).filter(|&v| s.contains(v)).count() as u64;
+            prop_assert_eq!(s.covered_len(start, end), covered);
+            let uncovered: u64 = gaps.iter().map(|(lo, hi)| hi - lo + 1).sum();
+            prop_assert_eq!(covered + uncovered, end - start + 1);
+        }
+    }
 
     #[test]
     fn inserts_merge_adjacent_and_overlapping() {

@@ -128,23 +128,11 @@ impl DataReceiver {
             n
         } else {
             // Range subtraction: copy the whole span, then subtract the
-            // already-covered overlap from its length in O(ranges) instead
-            // of O(bytes).
+            // already-covered overlap from its length — a binary search
+            // plus the received ranges the span touches, not one lookup
+            // per byte nor a pass over every range of the stream.
             s.buf[offset as usize..end as usize].copy_from_slice(data);
-            let covered: u64 = s
-                .received
-                .iter_asc()
-                .map(|(a, b)| {
-                    let lo = a.max(offset);
-                    let hi = b.min(end - 1);
-                    if lo <= hi {
-                        hi - lo + 1
-                    } else {
-                        0
-                    }
-                })
-                .sum();
-            data.len() as u64 - covered
+            data.len() as u64 - s.received.covered_len(offset, end - 1)
         };
         s.received.insert_range(offset, end - 1);
         if new_bytes > 0 {

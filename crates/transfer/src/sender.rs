@@ -72,12 +72,14 @@ impl SendStream {
     }
 }
 
-/// One chunk chosen for the next packet.
-struct NextChunk {
-    stream: u64,
-    offset: u64,
-    len: u64,
-    fin: bool,
+/// The sender's progress as a driver reads it back — kept only on request
+/// ([`DataSender::enable_journal`]).
+#[derive(Default)]
+struct Journal {
+    /// Telemetry since the last `take_events`.
+    events: Vec<EventKind>,
+    /// Streams completed since the last `take_completed`.
+    completed: Vec<(u64, u64)>,
 }
 
 /// The sending half of one connection's application data plane.
@@ -87,11 +89,11 @@ pub struct DataSender {
     streams: BTreeMap<u64, SendStream>,
     conn_tx: TxFlow,
     pacer: Option<Pacer>,
-    /// Metadata for payloads produced by `poll` but not yet `record_sent`.
-    pending: VecDeque<(u64, Vec<ChunkRef>)>,
-    events: Vec<EventKind>,
-    /// Streams completed since the last `take_completed`.
-    completed: Vec<(u64, u64)>,
+    /// Metadata for payloads produced by `poll` but not yet `record_sent`:
+    /// paced send time and the span carried.
+    pending: VecDeque<(u64, ChunkRef)>,
+    /// `Some` once a driver asked for it ([`DataSender::enable_journal`]).
+    journal: Option<Journal>,
     rounds_without_progress: u32,
     pto_count: u64,
     default_stream_window: u64,
@@ -138,14 +140,32 @@ impl DataSender {
             conn_tx: TxFlow::new(conn_limit),
             pacer: None,
             pending: VecDeque::new(),
-            events: Vec::new(),
-            completed: Vec::new(),
+            journal: None,
             rounds_without_progress: 0,
             pto_count: 0,
             default_stream_window,
             chunk_bytes: CHUNK_BYTES,
             sched,
             ready_scratch: Vec::new(),
+        }
+    }
+
+    /// Starts recording telemetry events and stream completions for
+    /// [`DataSender::take_events`] / [`DataSender::take_completed`]. Off
+    /// (the default — a serving session or a download client never drains
+    /// them) each site costs one branch and nothing accumulates.
+    pub fn enable_journal(&mut self) {
+        self.journal.get_or_insert_default();
+    }
+
+    fn note_cwnd(&mut self) {
+        if let Some(journal) = &mut self.journal {
+            journal.events.push(EventKind::CwndUpdated {
+                cwnd: self.cc.cwnd(),
+                ssthresh: self.cc.ssthresh(),
+                in_flight: self.cc.in_flight(),
+                phase: self.cc.phase(),
+            });
         }
     }
 
@@ -245,13 +265,7 @@ impl DataSender {
             self.cc.on_congestion_event(newest, now_us);
         }
         for pkt in &res.lost {
-            self.cc.on_bytes_discarded(pkt.bytes);
-            self.events.push(EventKind::PacketLost {
-                pn: pkt.pn,
-                bytes: pkt.bytes,
-                trigger: "reorder",
-            });
-            self.requeue_lost_chunks(pkt);
+            self.on_packet_lost(pkt, "reorder");
         }
 
         // Mark freshly completed streams.
@@ -263,59 +277,58 @@ impl DataSender {
             .collect();
         for id in done {
             self.streams.get_mut(&id).expect("present").completed_at_us = Some(now_us);
-            self.completed.push((id, now_us));
+            if let Some(journal) = &mut self.journal {
+                journal.completed.push((id, now_us));
+            }
         }
-
-        self.events.push(EventKind::CwndUpdated {
-            cwnd: self.cc.cwnd(),
-            ssthresh: self.cc.ssthresh(),
-            in_flight: self.cc.in_flight(),
-            phase: self.cc.phase(),
-        });
+        self.note_cwnd();
     }
 
     fn mark_chunks_acked(&mut self, pkt: &SentPacket) {
-        for chunk in &pkt.chunks {
-            let s = self.streams.entry(chunk.stream).or_default();
-            if chunk.len > 0 {
-                s.acked.insert_range(chunk.offset, chunk.offset + chunk.len - 1);
-            }
-            if chunk.fin {
-                s.fin_acked = true;
-                s.fin_sent = true;
-            }
-            // Drop retransmit spans the ack just covered.
-            let acked = &s.acked;
-            s.retransmit
-                .retain(|&(off, len)| len > 0 && !acked.covers(off, off + len - 1));
+        let chunk = pkt.chunk;
+        let s = self.streams.entry(chunk.stream).or_default();
+        if chunk.len > 0 {
+            s.acked
+                .insert_range(chunk.offset, chunk.offset + chunk.len - 1);
         }
+        if chunk.fin {
+            s.fin_acked = true;
+            s.fin_sent = true;
+        }
+        // Drop retransmit spans the ack just covered.
+        let acked = &s.acked;
+        s.retransmit
+            .retain(|&(off, len)| len > 0 && !acked.covers(off, off + len - 1));
+    }
+
+    /// A packet was declared lost: give its bytes back to the congestion
+    /// controller and queue its span for retransmission.
+    fn on_packet_lost(&mut self, pkt: &SentPacket, trigger: &'static str) {
+        self.cc.on_bytes_discarded(pkt.bytes);
+        if let Some(journal) = &mut self.journal {
+            journal.events.push(EventKind::PacketLost {
+                pn: pkt.pn,
+                bytes: pkt.bytes,
+                trigger,
+            });
+        }
+        self.requeue_lost_chunks(pkt);
     }
 
     fn requeue_lost_chunks(&mut self, pkt: &SentPacket) {
-        for chunk in &pkt.chunks {
-            let s = self.streams.entry(chunk.stream).or_default();
-            if chunk.fin && !s.fin_acked {
-                s.fin_sent = false; // resend the FIN
-            }
-            if chunk.len == 0 {
-                continue;
-            }
-            // Spurious-loss dedup: drop the acked prefix/suffix/whole of the
-            // span before queueing the remainder for retransmission.
-            let mut off = chunk.offset;
-            let end = chunk.offset + chunk.len; // exclusive
-            while off < end {
-                if s.acked.contains(off) {
-                    off += 1;
-                    continue;
-                }
-                let mut stop = off + 1;
-                while stop < end && !s.acked.contains(stop) {
-                    stop += 1;
-                }
-                s.retransmit.push_back((off, stop - off));
-                off = stop;
-            }
+        let chunk = pkt.chunk;
+        let s = self.streams.entry(chunk.stream).or_default();
+        if chunk.fin && !s.fin_acked {
+            s.fin_sent = false; // resend the FIN
+        }
+        if chunk.len == 0 {
+            return;
+        }
+        // Spurious-loss dedup: only what no ACK has covered since is queued
+        // for retransmission — the acked prefix/suffix/whole of the span
+        // drops out.
+        for (lo, hi) in s.acked.gaps(chunk.offset, chunk.offset + chunk.len - 1) {
+            s.retransmit.push_back((lo, hi - lo + 1));
         }
     }
 
@@ -340,24 +353,13 @@ impl DataSender {
             self.cc.on_congestion_event(sent_us, now_us);
         }
         for pkt in &lost {
-            self.cc.on_bytes_discarded(pkt.bytes);
-            self.events.push(EventKind::PacketLost {
-                pn: pkt.pn,
-                bytes: pkt.bytes,
-                trigger: "pto",
-            });
-            self.requeue_lost_chunks(pkt);
+            self.on_packet_lost(pkt, "pto");
         }
-        self.events.push(EventKind::CwndUpdated {
-            cwnd: self.cc.cwnd(),
-            ssthresh: self.cc.ssthresh(),
-            in_flight: self.cc.in_flight(),
-            phase: self.cc.phase(),
-        });
+        self.note_cwnd();
         true
     }
 
-    fn next_chunk(&mut self) -> Option<NextChunk> {
+    fn next_chunk(&mut self) -> Option<ChunkRef> {
         let chunk_bytes = self.chunk_bytes;
         // Phase 1 — retransmissions. Front-of-line healing outranks new
         // data; the scheduler only orders the streams that have queued
@@ -396,7 +398,12 @@ impl DataSender {
                 if fin {
                     s.fin_sent = true;
                 }
-                return Some(NextChunk { stream: id, offset: off, len: take, fin });
+                return Some(ChunkRef {
+                    stream: id,
+                    offset: off,
+                    len: take,
+                    fin,
+                });
             }
         }
         // Phase 2 — new data, gated by stream and connection credit. The
@@ -439,7 +446,12 @@ impl DataSender {
             s.tx.as_mut().expect("stream credit").consume(take);
             self.conn_tx.consume(take);
         }
-        Some(NextChunk { stream: id, offset: off, len: take, fin })
+        Some(ChunkRef {
+            stream: id,
+            offset: off,
+            len: take,
+            fin,
+        })
     }
 
     /// Builds as many 1-RTT frame payloads as the congestion window, flow
@@ -472,15 +484,7 @@ impl DataSender {
             let payload = w.into_vec();
             let bytes = payload.len() as u64;
             self.cc.on_packet_sent(bytes);
-            self.pending.push_back((
-                send_us,
-                vec![ChunkRef {
-                    stream: chunk.stream,
-                    offset: chunk.offset,
-                    len: chunk.len,
-                    fin: chunk.fin,
-                }],
-            ));
+            self.pending.push_back((send_us, chunk));
             out.push(payload);
         }
         out
@@ -489,11 +493,16 @@ impl DataSender {
     /// Ties the sealed packet number `pn` to the oldest pending payload from
     /// [`DataSender::poll`]. `bytes` is the payload length that was sealed.
     pub fn record_sent(&mut self, pn: u64, bytes: u64) {
-        let (send_us, chunks) = self
+        let (send_us, chunk) = self
             .pending
             .pop_front()
             .expect("record_sent without a pending payload");
-        self.recovery.on_packet_sent(SentPacket { pn, bytes, time_sent_us: send_us, chunks });
+        self.recovery.on_packet_sent(SentPacket {
+            pn,
+            bytes,
+            time_sent_us: send_us,
+            chunk,
+        });
     }
 
     /// True when every enqueued stream (with its FIN) is fully acknowledged.
@@ -510,14 +519,31 @@ impl DataSender {
         self.has_unsent_new_data() || self.streams.values().any(|s| !s.retransmit.is_empty())
     }
 
-    /// Streams fully acknowledged since the last call: `(stream, flow time)`.
+    /// Streams fully acknowledged since the last call: `(stream, flow time)`
+    /// (empty unless [`DataSender::enable_journal`] was called).
     pub fn take_completed(&mut self) -> Vec<(u64, u64)> {
-        std::mem::take(&mut self.completed)
+        self.journal
+            .as_mut()
+            .map(|j| std::mem::take(&mut j.completed))
+            .unwrap_or_default()
     }
 
-    /// Telemetry events accumulated since the last call.
+    /// Telemetry events accumulated since the last call (empty unless
+    /// [`DataSender::enable_journal`] was called).
     pub fn take_events(&mut self) -> Vec<EventKind> {
-        std::mem::take(&mut self.events)
+        self.journal
+            .as_mut()
+            .map(|j| std::mem::take(&mut j.events))
+            .unwrap_or_default()
+    }
+
+    /// Every queued retransmission as `(stream, offset, len)`.
+    #[cfg(test)]
+    pub(crate) fn retransmit_spans(&self) -> Vec<(u64, u64, u64)> {
+        self.streams
+            .iter()
+            .flat_map(|(&id, s)| s.retransmit.iter().map(move |&(off, len)| (id, off, len)))
+            .collect()
     }
 
     /// Packets-in-flight count (recovery ledger).
@@ -547,7 +573,9 @@ mod tests {
     use crate::cc::NewReno;
 
     fn sender(conn_limit: u64, stream_window: u64) -> DataSender {
-        DataSender::new(30_000, conn_limit, stream_window, Box::new(NewReno::new()))
+        let mut s = DataSender::new(30_000, conn_limit, stream_window, Box::new(NewReno::new()));
+        s.enable_journal();
+        s
     }
 
     fn seal_all(s: &mut DataSender, next_pn: &mut u64, now: u64) -> Vec<(u64, Vec<u8>)> {
@@ -652,13 +680,156 @@ mod tests {
     }
 
     fn mux_sender(sched: Box<dyn crate::sched::StreamScheduler>) -> DataSender {
-        DataSender::with_scheduler(30_000, 1 << 20, 1 << 20, Box::new(NewReno::new()), sched)
+        let mut s =
+            DataSender::with_scheduler(30_000, 1 << 20, 1 << 20, Box::new(NewReno::new()), sched);
+        s.enable_journal();
+        s
+    }
+
+    /// Off by default: a sender nobody drains keeps no events and no
+    /// completions, however long the transfer.
+    #[test]
+    fn journal_is_opt_in() {
+        let mut s = DataSender::new(30_000, 1 << 20, 1 << 20, Box::new(NewReno::new()));
+        s.enqueue(0, &[6u8; 20_000], true);
+        let mut pn = 0;
+        seal_all(&mut s, &mut pn, 0);
+        s.on_ack(&[(pn - 2, pn - 1)], 30_000); // losses and a cwnd update
+        for round in 2..40u64 {
+            seal_all(&mut s, &mut pn, round * 30_000);
+            s.on_ack(&[(0, pn - 1)], (round + 1) * 30_000);
+        }
+        assert!(s.all_acked());
+        assert!(s.journal.is_none());
+        assert!(s.take_events().is_empty() && s.take_completed().is_empty());
+    }
+
+    /// The sender against a real [`DataReceiver`] over a channel that
+    /// drops, delays and blacks out by a fixed pattern — so every ACK frame
+    /// has the shape real receivers send: the whole tracked history, up to
+    /// 32 ranges, repeated frame after frame. Bytes in flight stay within
+    /// the window whenever something was sent, late ACKs of packets already
+    /// declared lost cancel their retransmissions, the PTO's go-back-N
+    /// heals the blackouts, and every byte arrives exactly once.
+    #[test]
+    fn invariants_hold_when_every_ack_repeats_history() {
+        use crate::recv::DataReceiver;
+        let data: Vec<u8> = (0..400_000u64).map(|i| (i * 7 + (i >> 9)) as u8).collect();
+        let mut s = sender(1 << 30, 1 << 30);
+        s.enqueue(0, &data, true);
+        let mut r = DataReceiver::new(1 << 30, 1 << 30);
+        let mut pn = 0;
+        let mut delayed: Vec<(u64, Vec<u8>)> = Vec::new();
+        let (mut most_ranges, mut spurious_seen) = (0, false);
+        for round in 0..4_000u64 {
+            let now = round * 30_000;
+            let sealed = seal_all(&mut s, &mut pn, now);
+            if !sealed.is_empty() {
+                assert!(
+                    s.cc().in_flight() <= s.cc().cwnd(),
+                    "round {round}: {} in flight, cwnd {}",
+                    s.cc().in_flight(),
+                    s.cc().cwnd()
+                );
+            }
+            // Three dark rounds in every forty: nothing arrives either way.
+            let dark = round % 40 >= 37;
+            let mut arrived = std::mem::take(&mut delayed);
+            for (p, payload) in sealed {
+                match p % 11 {
+                    _ if dark => {}
+                    3 => {}                          // lost
+                    7 => delayed.push((p, payload)), // overtaken by a round
+                    _ => arrived.push((p, payload)),
+                }
+            }
+            if dark || arrived.is_empty() {
+                s.on_silent_round(now);
+                continue;
+            }
+            for (p, payload) in arrived {
+                r.on_packet(p, &Frame::decode_all(&payload).expect("own encoding"));
+            }
+            let control = r.control_payload().expect("ack-eliciting packets arrived");
+            let frames = Frame::decode_all(&control).expect("own encoding");
+            for f in &frames {
+                if let Frame::Ack { ranges, .. } = f {
+                    most_ranges = most_ranges.max(ranges.len());
+                }
+            }
+            let lost_before = s.recovery.lost_pns();
+            crate::workload::dispatch_packet(0, &frames, &mut s, None, now + 30_000);
+            let lost_after = s.recovery.lost_pns();
+            spurious_seen |= lost_before.iter().any(|p| !lost_after.contains(p));
+            if s.all_acked() {
+                break;
+            }
+        }
+        assert!(s.all_acked(), "transfer must complete");
+        assert!(s.pto_count() > 0, "the dark rounds must have fired the PTO");
+        assert!(
+            most_ranges >= 8,
+            "ACKs carried {most_ranges} ranges at most"
+        );
+        assert!(
+            spurious_seen,
+            "a delayed packet must have been acknowledged after its loss"
+        );
+        assert_eq!(
+            r.total_delivered(),
+            data.len() as u64,
+            "every byte exactly once"
+        );
+        assert_eq!(r.take_stream(0), Some(data));
+        assert_eq!(s.take_completed().len(), 1);
+    }
+
+    fn requeue_spans_per_byte(acked: &RangeSet, offset: u64, len: u64) -> Vec<(u64, u64)> {
+        let mut spans = Vec::new();
+        let (mut off, end) = (offset, offset + len);
+        while off < end {
+            if acked.contains(off) {
+                off += 1;
+                continue;
+            }
+            let mut stop = off + 1;
+            while stop < end && !acked.contains(stop) {
+                stop += 1;
+            }
+            spans.push((off, stop - off));
+            off = stop;
+        }
+        spans
+    }
+
+    proptest::proptest! {
+        /// `requeue_lost_chunks` over `RangeSet::gaps` queues exactly the
+        /// spans the byte-by-byte walk it replaced did.
+        #[test]
+        fn requeue_matches_the_per_byte_walk(
+            acked in proptest::collection::vec((0u64..4_000, 1u64..600), 0..10),
+            offset in 0u64..3_000,
+            len in 0u64..1_200,
+            fin in proptest::any::<bool>(),
+        ) {
+            let mut s = sender(1 << 20, 1 << 20);
+            s.enqueue(0, &[0u8; 8], false);
+            let stream = s.streams.get_mut(&0).expect("enqueued");
+            for (from, n) in acked {
+                stream.acked.insert_range(from, from + n - 1);
+            }
+            let expected = requeue_spans_per_byte(&stream.acked, offset, len);
+            let chunk = ChunkRef { stream: 0, offset, len, fin };
+            s.requeue_lost_chunks(&SentPacket { pn: 0, bytes: len, time_sent_us: 0, chunk });
+            let queued: Vec<(u64, u64)> = s.streams[&0].retransmit.iter().copied().collect();
+            proptest::prop_assert_eq!(queued, expected);
+        }
     }
 
     /// Stream id of each payload queued by `poll`, in emission order.
     fn polled_streams(s: &mut DataSender, next_pn: &mut u64, now: u64) -> Vec<u64> {
         let payloads = s.poll(now);
-        let order: Vec<u64> = s.pending.iter().map(|(_, chunks)| chunks[0].stream).collect();
+        let order: Vec<u64> = s.pending.iter().map(|(_, chunk)| chunk.stream).collect();
         for p in payloads {
             let pn = *next_pn;
             *next_pn += 1;

@@ -478,6 +478,8 @@ fn run_rtc_task(
         STREAM_WINDOW,
         Box::new(NewReno::new()),
     );
+    // Frame latency comes from the completions, the trace from the events.
+    sender.enable_journal();
     sender.set_pacing(RTC_PACE_PPS);
     sender.set_chunk_bytes(RTC_FRAME_BYTES);
     let frame_bytes: Vec<u8> = (0..RTC_FRAME_BYTES).map(bulk_body_byte).collect();
