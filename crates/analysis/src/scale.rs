@@ -16,7 +16,7 @@ use std::time::Instant;
 use internet::lazy::{LazyUniverse, ScaleConfig};
 use qscanner::{QScanner, QuicTarget};
 use simnet::addr::Ipv4Addr;
-use simnet::{IpAddr, SocketAddr};
+use simnet::{IpAddr, Network, SocketAddr};
 use zmapq::modules::quic_vn::{QuicVnModule, VnResult};
 use zmapq::{SweepAccumulator, ZmapConfig, ZmapScanner};
 
@@ -141,7 +141,7 @@ pub struct ScaleReport {
 
 impl ScaleReport {
     /// Machine-parsable rendering: one `key value` pair per line, consumed
-    /// by `scripts/bench_scan.sh` and the CI scale-smoke job.
+    /// by the CI `universe-scale-smoke` job.
     pub fn render(&self) -> String {
         use std::fmt::Write;
         let t = &self.tables;
@@ -199,9 +199,6 @@ pub struct ScaleCampaign {
     pub resident_cap: usize,
     /// Stateful follow-up samples one in this many members.
     pub sample_one_in: u64,
-    /// Instantiate every responsive endpoint up front instead of binding
-    /// lazily — the pre-lazy baseline the EXPERIMENTS table measures.
-    pub materialized: bool,
 }
 
 impl ScaleCampaign {
@@ -213,7 +210,6 @@ impl ScaleCampaign {
             workers,
             resident_cap: 4_096,
             sample_one_in: 512,
-            materialized: false,
         }
     }
 
@@ -224,7 +220,6 @@ impl ScaleCampaign {
             workers,
             resident_cap: 256,
             sample_one_in: 64,
-            materialized: false,
         }
     }
 
@@ -242,18 +237,18 @@ impl ScaleCampaign {
     /// Runs the full campaign: sweep, then sampled stateful follow-up.
     pub fn run(&self) -> ScaleReport {
         let universe = LazyUniverse::new(self.config);
-        let net = if self.materialized {
-            universe.build_network_materialized()
-        } else {
-            universe.build_network(Some(self.resident_cap))
-        };
+        self.run_on(&universe, &universe.build_network(Some(self.resident_cap)))
+    }
+
+    /// The campaign against `net`, however its endpoints came to be bound.
+    fn run_on(&self, universe: &LazyUniverse, net: &Network) -> ScaleReport {
         let module = QuicVnModule::new(self.config.seed);
 
         // Stateless sweep: probes stream off the Feistel walk, results fold
         // into per-shard accumulators merged in shard-index order.
         let sweep_start = Instant::now();
         let (acc, report) = self.zmap().scan_v4_accumulate(
-            &net,
+            net,
             &universe.scan_prefixes(),
             &module,
             || SweepAcc::new(universe.clone()),
@@ -273,7 +268,7 @@ impl ScaleCampaign {
         let mut sni = FailureBreakdown::default();
         let mut tp_imd = LogSketch::new();
         scanner.scan_stream(
-            &net,
+            net,
             universe
                 .stateful_sample(self.sample_one_in)
                 .map(|a| QuicTarget::new(IpAddr::V4(a), None))
@@ -358,16 +353,25 @@ mod tests {
         }
     }
 
-    /// The materialized (everything bound up front) and lazy paths produce
-    /// identical tables — endpoint existence timing never changes results.
+    /// A network with every responsive endpoint bound up front and one that
+    /// binds lazily under the residency cap produce identical tables —
+    /// when an endpoint comes to exist never changes results.
     #[test]
     fn materialized_network_matches_lazy_tables() {
-        let lazy = ScaleCampaign::test(0x91ab, 2_000, 4).run();
-        let mut campaign = ScaleCampaign::test(0x91ab, 2_000, 4);
-        campaign.materialized = true;
-        let materialized = campaign.run();
+        use simnet::LazyBinder;
+        let campaign = ScaleCampaign::test(0x91ab, 2_000, 4);
+        let lazy = campaign.run();
+        let universe = LazyUniverse::new(campaign.config);
+        let mut net = Network::new(campaign.config.seed);
+        for addr in universe.targets() {
+            let at = SocketAddr::new(IpAddr::V4(addr), 443);
+            if let Some(svc) = universe.make_udp(at) {
+                net.bind_udp(at, svc);
+            }
+        }
+        let materialized = campaign.run_on(&universe, &net);
         assert_eq!(materialized.tables, lazy.tables);
-        assert_eq!(materialized.perf.instantiated, 0, "materialized path must not bind lazily");
+        assert_eq!(materialized.perf.instantiated, 0, "nothing left to bind lazily");
     }
 
     /// The follow-up exercises the behaviour classes: SNI handshakes

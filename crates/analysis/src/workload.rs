@@ -1,7 +1,6 @@
 //! Rendering and summary extraction for the transfer-plane workload sweeps
 //! (bulk goodput and RTC frame latency): aligned text tables for the repro
-//! binary, CSV rows for export, and the scalar figures the benchmark
-//! pipeline tracks across commits.
+//! binary and CSV rows for export.
 
 use transfer::mux::MuxReport;
 use transfer::workload::{BulkReport, RtcReport};
@@ -126,38 +125,10 @@ pub fn mux_mbps_served_virtual(report: &MuxReport) -> f64 {
     report.bytes_served as f64 / report.sum_elapsed_us as f64
 }
 
-/// Mean bulk goodput in Mbit/s across all sizes and jitter cells at one
-/// loss level (the bench-tracked scalar). 0.0 when no cell succeeded.
-pub fn bulk_goodput_mbps(report: &BulkReport, loss_permille: u32) -> f64 {
-    let rates: Vec<u64> = report
-        .rows
-        .iter()
-        .filter(|r| r.loss_permille == loss_permille && r.ok > 0)
-        .map(|r| r.goodput_kbps_mean)
-        .collect();
-    if rates.is_empty() {
-        return 0.0;
-    }
-    rates.iter().sum::<u64>() as f64 / rates.len() as f64 / 1_000.0
-}
-
-/// Worst p99 frame latency in milliseconds across jitter cells at one loss
-/// level (the bench-tracked scalar).
-pub fn rtc_p99_frame_ms(report: &RtcReport, loss_permille: u32) -> f64 {
-    report
-        .rows
-        .iter()
-        .filter(|r| r.loss_permille == loss_permille)
-        .map(|r| r.p99_us)
-        .max()
-        .unwrap_or(0) as f64
-        / 1_000.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use transfer::workload::{BulkRow, RtcRow};
+    use transfer::workload::BulkRow;
 
     fn bulk() -> BulkReport {
         BulkReport {
@@ -184,43 +155,6 @@ mod tests {
                 },
             ],
         }
-    }
-
-    #[test]
-    fn goodput_scalar_filters_by_loss() {
-        let b = bulk();
-        assert_eq!(bulk_goodput_mbps(&b, 0), 4.0);
-        assert_eq!(bulk_goodput_mbps(&b, 50), 2.0);
-        assert_eq!(bulk_goodput_mbps(&b, 20), 0.0);
-    }
-
-    #[test]
-    fn rtc_scalar_takes_worst_cell() {
-        let r = RtcReport {
-            rows: vec![
-                RtcRow {
-                    loss_permille: 50,
-                    jitter_us: 0,
-                    conns: 1,
-                    frames: 10,
-                    p50_us: 30_000,
-                    p95_us: 60_000,
-                    p99_us: 80_000,
-                    max_us: 90_000,
-                },
-                RtcRow {
-                    loss_permille: 50,
-                    jitter_us: 5_000,
-                    conns: 1,
-                    frames: 10,
-                    p50_us: 35_000,
-                    p95_us: 70_000,
-                    p99_us: 95_000,
-                    max_us: 99_000,
-                },
-            ],
-        };
-        assert_eq!(rtc_p99_frame_ms(&r, 50), 95.0);
     }
 
     #[test]

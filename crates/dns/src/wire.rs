@@ -62,6 +62,12 @@ pub struct Message {
     pub answers: Vec<Record>,
 }
 
+/// Shortest question on the wire: root name, type, class.
+const MIN_QUESTION_LEN: usize = 1 + 2 + 2;
+
+/// Shortest record on the wire: root name, type, class, TTL, empty RDATA.
+const MIN_RECORD_LEN: usize = 1 + 2 + 2 + 4 + 2;
+
 impl Message {
     /// Builds a query.
     pub fn query(id: u16, name: &str, qtype: QType) -> Message {
@@ -131,7 +137,9 @@ impl Message {
         let ancount = r.read_u16()? as usize;
         let _ns = r.read_u16()?;
         let _ar = r.read_u16()?;
-        let mut questions = Vec::with_capacity(qdcount);
+        // The counts are the peer's word (≤ 65,535 each, in a 12-byte
+        // header): reserve for no more entries than the bytes left can hold.
+        let mut questions = Vec::with_capacity(qdcount.min(r.remaining() / MIN_QUESTION_LEN));
         for _ in 0..qdcount {
             let name = decode_name(&mut r, bytes)?;
             let qtype_code = r.read_u16()?;
@@ -140,7 +148,7 @@ impl Message {
                 QType::from_code(qtype_code).ok_or(CodecError::Invalid("unknown qtype"))?;
             questions.push(Question { name, qtype });
         }
-        let mut answers = Vec::with_capacity(ancount);
+        let mut answers = Vec::with_capacity(ancount.min(r.remaining() / MIN_RECORD_LEN));
         for _ in 0..ancount {
             let name = decode_name(&mut r, bytes)?;
             let type_code = r.read_u16()?;
@@ -299,6 +307,94 @@ mod tests {
 mod robustness_tests {
     use super::*;
     use crate::rr::QType;
+    use proptest::prelude::*;
+    use simnet::addr::Ipv4Addr;
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    /// Adds up what each thread asks the allocator for, so a test can see a
+    /// reservation that `decode` drops again before it returns.
+    struct CountingAlloc;
+
+    thread_local!(static REQUESTED: Cell<usize> = const { Cell::new(0) });
+
+    // SAFETY: every call goes to `System` with the arguments it was given
+    // (`realloc` is the default `alloc` + copy, so growth is counted too);
+    // the counter is a const-initialised `Cell` with no destructor, so
+    // touching it neither allocates nor re-enters the allocator.
+    unsafe impl GlobalAlloc for CountingAlloc {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            let _ = REQUESTED.try_with(|n| n.set(n.get() + layout.size()));
+            System.alloc(layout)
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            System.dealloc(ptr, layout)
+        }
+    }
+
+    #[global_allocator]
+    static ALLOC: CountingAlloc = CountingAlloc;
+
+    /// Decodes; returns the bytes `decode` requested. A few hundred bytes of
+    /// message never ask for more than a few KiB, `Ok` or `Err`, and what
+    /// decodes holds no more entries than the bytes could carry.
+    fn decode_and_check(bytes: &[u8]) -> std::result::Result<usize, String> {
+        let before = REQUESTED.get();
+        let decoded = Message::decode(bytes);
+        let requested = REQUESTED.get() - before;
+        prop_assert!(requested < 64 * 1024, "{} bytes in, {requested} requested", bytes.len());
+        if let Ok(m) = decoded {
+            prop_assert!(m.questions.len() <= bytes.len() / MIN_QUESTION_LEN);
+            prop_assert!(m.answers.len() <= bytes.len() / MIN_RECORD_LEN);
+        }
+        Ok(requested)
+    }
+
+    /// A 12-byte header announcing 65,535 questions and 65,535 records used
+    /// to reserve both tables (2 MiB and more) before the first read failed.
+    #[test]
+    fn header_claiming_0xffff_entries_reserves_for_none() {
+        for counts in [[0xff; 4], [0, 0, 0xff, 0xff]] {
+            let mut header = [0u8; 12];
+            header[4..8].copy_from_slice(&counts);
+            assert!(Message::decode(&header).is_err());
+            let requested = decode_and_check(&header).unwrap();
+            assert!(requested < 1024, "decode requested {requested} bytes");
+        }
+    }
+
+    proptest! {
+        /// Arbitrary bytes, and a valid response with one byte overwritten,
+        /// its counts overwritten, or its tail cut, decode to `Ok` or `Err` —
+        /// no panic, no reservation sized by a claim (ROADMAP item 4(b)).
+        #[test]
+        fn decode_survives_arbitrary_bytes(
+            bytes in proptest::collection::vec(any::<u8>(), 0..64),
+            answers in 0u8..4,
+            at in any::<usize>(),
+            value in any::<u8>(),
+            counts in any::<u32>(),
+        ) {
+            decode_and_check(&bytes)?;
+
+            let query = Message::query(value.into(), "www.example.com", QType::Https);
+            let records = (0..answers)
+                .map(|i| Record::new("www.example.com", RData::A(Ipv4Addr::new(198, 51, 100, i))))
+                .collect();
+            let valid = Message::response_to(&query, Rcode::NoError, records).encode();
+            prop_assert!(Message::decode(&valid).is_ok());
+            let at = at % valid.len();
+
+            let mut flipped = valid.clone();
+            flipped[at] = value;
+            decode_and_check(&flipped)?;
+            let mut recounted = valid.clone();
+            recounted[4..8].copy_from_slice(&counts.to_be_bytes());
+            decode_and_check(&recounted)?;
+            decode_and_check(&valid[..at])?;
+        }
+    }
 
     #[test]
     fn truncated_messages_error_not_panic() {

@@ -451,21 +451,6 @@ impl LazyUniverse {
         net.set_lazy_binder(Box::new(self.clone()), resident_cap);
         net
     }
-
-    /// Builds the network the pre-lazy way: every responsive member is
-    /// instantiated and bound up front, nothing is derived on demand. The
-    /// working set is O(responsive hosts) before the first probe is sent —
-    /// the baseline the EXPERIMENTS scale table compares against.
-    pub fn build_network_materialized(&self) -> Network {
-        let mut net = Network::new(self.inner.config.seed);
-        for i in 0..self.endpoints() {
-            let at = SocketAddr::new(IpAddr::V4(self.target(i)), 443);
-            if let Some(svc) = self.make_udp(at) {
-                net.bind_udp(at, svc);
-            }
-        }
-        net
-    }
 }
 
 impl LazyBinder for LazyUniverse {

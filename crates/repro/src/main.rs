@@ -8,7 +8,7 @@
 //!   repro workload --mux [--fast] [--conns N] [--streams N] [--per-packet]
 //!                  [--seed N] [--workers N] [--out DIR]
 //!   repro scale [--endpoints N] [--seed N] [--workers N] [--capacity N]
-//!               [--sample ONE_IN] [--materialized] [--out DIR]
+//!               [--sample ONE_IN] [--out DIR]
 //!
 //! `--fast` runs at 10% population scale. Without `--only`, everything is
 //! produced. CSV exports land in `--out` (default `results/`).
@@ -23,15 +23,16 @@
 //! many concurrent connections (default 10k × 4 streams) driven through a
 //! bounded per-worker active window (client memory stays O(active), not
 //! O(total)), against hosts using the batched seal path. One `key value`
-//! pair per line on stdout, including the BENCH fields `mux_mbps_served`
-//! and `mux_peak_rss_mb`; `--per-packet` selects the unbatched baseline.
+//! pair per line on stdout, including `mux_ok` and `mux_peak_rss_mb`, which
+//! the CI `mux-smoke` job gates on; `--per-packet` selects the unbatched
+//! baseline.
 //!
 //! `repro scale` runs the million-endpoint lazy-universe campaign: an
 //! IPv4-scale stateless sweep plus a sampled stateful follow-up, analysed
 //! through streaming constant-memory accumulators. Output is one `key
-//! value` pair per line on stdout (and `--out/scale.txt`), including the
-//! BENCH fields `universe_sweep_ms`, `universe_endpoints_per_sec`, and
-//! `campaign_peak_rss_mb`.
+//! value` pair per line on stdout (and `--out/scale.txt`), including
+//! `universe_sweep_ms`, `stateful_ms` and `campaign_peak_rss_mb`, which the
+//! CI `universe-scale-smoke` job gates on.
 //!
 //! `--qlog-dir DIR` traces the stateful campaign: the merged per-connection
 //! event stream is written to `DIR/stateful.qlog.jsonseq` (RFC 7464 JSON
@@ -280,7 +281,6 @@ fn run_scale() {
                 campaign.sample_one_in =
                     it.next().and_then(|v| v.parse().ok()).expect("--sample needs an integer");
             }
-            "--materialized" => campaign.materialized = true,
             "--out" => out = Some(PathBuf::from(it.next().expect("--out needs a path"))),
             other => {
                 eprintln!("unknown scale argument: {other}");

@@ -11,9 +11,11 @@
 //! Scheduling stays irrelevant to results by construction — which worker
 //! runs an index must never feed into what the index does (per-target ports,
 //! seeds, budgets, and trace timestamps all derive from the index alone), and
-//! [`fan_out`] merges results in index order. It is the claim-and-merge pool
-//! of the stateful QUIC and TLS scans and of the PEMI transfer grid; each
-//! worker usually owns a [`crate::NetShard`] as (part of) its state.
+//! the pool merges results in index order. [`fan_out`] is the claim-and-merge
+//! pool of the stateful QUIC and TLS scans, the PEMI transfer grid and the
+//! stateless sweeps' shards; the mux sweep's windowed workers run on
+//! [`fan_out_pulled`] underneath it. Each worker usually owns a
+//! [`crate::NetShard`] as (part of) its state.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -60,6 +62,13 @@ impl StealQueue {
             }
         }
     }
+
+    /// Claims exactly one index off the same cursor, for a worker that asks
+    /// index by index whether it can take more ([`fan_out_pulled`]).
+    pub fn claim_one(&self) -> Option<usize> {
+        let i = self.cursor.fetch_add(1, Ordering::Relaxed);
+        (i < self.total).then_some(i)
+    }
 }
 
 /// Runs `per_index(state, i)` for every `i` in `0..total` on `workers`
@@ -80,16 +89,33 @@ pub fn fan_out<S: Send, R: Send>(
     worker_state: impl Fn() -> S + Sync,
     per_index: impl Fn(&mut S, usize) -> R + Sync,
 ) -> (Vec<R>, Vec<(S, usize)>) {
-    let workers = workers.clamp(1, total.max(1));
-    let queue = StealQueue::new(total, workers);
-    let run_worker = || {
+    fan_out_pulled(total, workers, |queue, ran| {
         let mut state = worker_state();
-        let mut ran = Vec::new();
         while let Some(range) = queue.claim() {
             for i in range {
                 ran.push((i, per_index(&mut state, i)));
             }
         }
+        state
+    })
+}
+
+/// The pool under [`fan_out`], for a worker that interleaves several
+/// indices: `worker` runs once per thread, claims from the shared queue —
+/// [`StealQueue::claim_one`] whenever it has room for another — and pushes
+/// `(index, result)` as each index completes. Same threads, same propagated
+/// panic, same index-ordered exactly-once merge; what `worker` returns
+/// takes the place of the per-worker state.
+pub fn fan_out_pulled<S: Send, R: Send>(
+    total: usize,
+    workers: usize,
+    worker: impl Fn(&StealQueue, &mut Vec<(usize, R)>) -> S + Sync,
+) -> (Vec<R>, Vec<(S, usize)>) {
+    let workers = workers.clamp(1, total.max(1));
+    let queue = StealQueue::new(total, workers);
+    let run_worker = || {
+        let mut ran = Vec::new();
+        let state = worker(&queue, &mut ran);
         (state, ran)
     };
     let per_worker: Vec<(S, Vec<(usize, R)>)> = if workers == 1 {
@@ -236,6 +262,42 @@ mod tests {
             assert!(out.iter().enumerate().all(|(k, (i, _))| k == *i));
             assert!(out[0].1 > 32, "index 0 finished {}th", out[0].1);
         }
+    }
+
+    /// The mux shape: a worker holds up to three claimed indices and hands
+    /// them in newest-first, so no worker finishes in claim order.
+    #[test]
+    fn fan_out_pulled_merges_a_windowed_worker_in_index_order() {
+        for (total, workers) in [(0usize, 1usize), (1, 2), (500, 1), (500, 8)] {
+            let (out, peaks) = fan_out_pulled(total, workers, |queue, ran| {
+                let (mut window, mut peak) = (Vec::new(), 0);
+                loop {
+                    while window.len() < 3 {
+                        let Some(i) = queue.claim_one() else { break };
+                        window.push(i);
+                    }
+                    peak = peak.max(window.len());
+                    let Some(i) = window.pop() else { break peak };
+                    ran.push((i, i * 3));
+                }
+            });
+            assert_eq!(out, (0..total).map(|i| i * 3).collect::<Vec<_>>());
+            assert!(peaks.iter().all(|(peak, _)| *peak <= 3));
+        }
+    }
+
+    /// An index claimed and never handed in is caught by the merge, not
+    /// passed on as a shorter vector.
+    #[test]
+    fn fan_out_pulled_rejects_a_dropped_index() {
+        let dropping = |queue: &StealQueue, ran: &mut Vec<(usize, ())>| {
+            while let Some(i) = queue.claim_one() {
+                if i != 4 {
+                    ran.push((i, ()));
+                }
+            }
+        };
+        assert!(std::panic::catch_unwind(|| fan_out_pulled(10, 2, dropping)).is_err());
     }
 
     #[test]

@@ -22,7 +22,7 @@ pub mod stats;
 
 pub use addr::{IpAddr, Prefix, SocketAddr};
 pub use clock::{Duration, ShardClock, SimClock, SimTime, VirtualClock};
-pub use fanout::{fan_out, StealQueue};
+pub use fanout::{fan_out, fan_out_pulled, StealQueue};
 pub use fault::{LinkProfile, ReplyRateLimit, SendStatus};
 pub use net::{
     DatagramArena, FlightStatus, LazyBinder, LazyStats, LockCounters, NetShard, Network,

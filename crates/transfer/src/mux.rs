@@ -6,10 +6,10 @@
 //! downloads a bulk object on every one; the server multiplexes the
 //! responses through one congestion-controlled sender per connection under
 //! the configured [`SchedKind`]. Workers admit connections into their
-//! window from a shared atomic cursor and drive every live connection one
-//! round per pass, so at any instant a worker holds at most
-//! [`MuxConfig::active_per_worker`] of them, while the server endpoints
-//! shed finished connections through the idle-aware soft cap
+//! window from the shared cursor of [`simnet::fan_out_pulled`] and drive
+//! every live connection one round per pass, so at any instant a worker
+//! holds at most [`MuxConfig::active_per_worker`] of them, while the server
+//! endpoints shed finished connections through the idle-aware soft cap
 //! ([`quic::server::EndpointConfig::max_conns`]).
 //!
 //! The connection itself — handshake, control stream, one `GET /bulk/<n>`
@@ -27,13 +27,13 @@
 //! (clients close explicitly; idle means fully served and fully acked), so
 //! it is unobservable in the tables.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use h3::request;
 use qcodec::Writer;
 use quic::{ClientConnection, Frame};
 use simnet::addr::Ipv4Addr;
-use simnet::{DatagramArena, LinkProfile, NetShard, Network, SocketAddr};
+use simnet::{
+    fan_out_pulled, DatagramArena, LinkProfile, NetShard, Network, SocketAddr, StealQueue,
+};
 use telemetry::{Event, EventKind, TraceCtx};
 
 use crate::cc::NewReno;
@@ -565,34 +565,29 @@ impl MuxConfig {
     }
 }
 
-/// Runs the mux sweep. Each worker keeps a window — a `Vec` of at most
-/// [`MuxConfig::active_per_worker`] live connections — which it tops up from
-/// the shared task cursor and then drives one round per connection, until
-/// the cursor is exhausted and the window has drained. A finished
-/// connection's place is taken by the window's last (`swap_remove`): which
-/// position a connection holds only orders turns between connections whose
-/// clocks, fault draws and outcomes are all flow-local.
+/// Runs the mux sweep on [`simnet::fan_out_pulled`]. Each worker keeps a
+/// window — a `Vec` of at most [`MuxConfig::active_per_worker`] live
+/// connections — which it tops up one claimed task at a time and then drives
+/// one round per connection, until the tasks run out and the window has
+/// drained. A finished connection's place is taken by the window's last
+/// (`swap_remove`): which position a connection holds only orders turns
+/// between connections whose clocks, fault draws and outcomes are flow-local.
 pub fn run(cfg: &MuxConfig) -> MuxReport {
     let wall_start = std::time::Instant::now();
     let topo = build_topology(cfg);
-    let next = AtomicUsize::new(0);
     let cap = cfg.active_per_worker.max(1);
 
-    // One worker: its outcomes and its window's high-water mark.
-    let drive_window = || {
+    // One worker; returns its window's high-water mark.
+    let drive_window = |tasks: &StealQueue, outcomes: &mut Vec<(usize, MuxOutcome)>| {
         let mut window: Vec<MuxConn<'_>> = Vec::with_capacity(cap);
-        let mut outcomes: Vec<MuxOutcome> = Vec::new();
         let mut peak = 0;
         loop {
             // Admit until the window is full or tasks run out.
             while window.len() < cap {
-                let task = next.fetch_add(1, Ordering::Relaxed);
-                if task >= cfg.conns {
-                    break;
-                }
+                let Some(task) = tasks.claim_one() else { break };
                 match MuxConn::start(cfg.download(&topo, task)) {
                     Ok(conn) => window.push(conn),
-                    Err(failed) => outcomes.push(failed),
+                    Err(failed) => outcomes.push((task, failed)),
                 }
             }
             peak = peak.max(window.len());
@@ -604,26 +599,17 @@ pub fn run(cfg: &MuxConfig) -> MuxReport {
             while i < window.len() {
                 match window[i].turn() {
                     Some(outcome) => {
-                        outcomes.push(outcome);
+                        outcomes.push((outcome.task, outcome));
                         window.swap_remove(i);
                     }
                     None => i += 1,
                 }
             }
         }
-        (outcomes, peak)
+        peak
     };
-    let yields: Vec<(Vec<MuxOutcome>, usize)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..cfg.workers.max(1)).map(|_| scope.spawn(drive_window)).collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
-            .collect()
-    });
-
-    let peak_active: usize = yields.iter().map(|(_, peak)| peak).sum();
-    let mut outcomes: Vec<MuxOutcome> = yields.into_iter().flat_map(|(o, _)| o).collect();
-    outcomes.sort_by_key(|o| o.task);
+    let (mut outcomes, windows) = fan_out_pulled(cfg.conns, cfg.workers, drive_window);
+    let peak_active: usize = windows.iter().map(|(peak, _)| peak).sum();
 
     // Per-host aggregation (host = task mod hosts), then totals.
     let mut rows: Vec<MuxHostRow> = (0..cfg.hosts)

@@ -6,7 +6,7 @@
 //! The Feistel permutation maps scan indices `[0, n)` to addresses, so the
 //! index domain — not the address space — is the unit of work distribution:
 //! the domain is split into `workers` contiguous index ranges (shards), each
-//! walked by its own thread with a private [`TokenBucket`] granted
+//! walked by a [`fan_out`] worker with a private [`TokenBucket`] granted
 //! `rate_pps / workers` of the aggregate budget and a private probe scratch
 //! buffer. Because the probe sent for index `i` depends only on `i` and the
 //! seed (never on thread identity or timing), and shard results are merged
@@ -30,7 +30,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use simnet::addr::{Ipv4Addr, Ipv6Addr, Prefix};
-use simnet::{IpAddr, NetShard, Network, ShardClock, SimTime, SocketAddr};
+use simnet::{fan_out, IpAddr, NetShard, Network, ShardClock, SimTime, SocketAddr};
 use telemetry::{LocalMetrics, MetricsRegistry};
 
 use crate::blocklist::Blocklist;
@@ -356,9 +356,9 @@ impl ZmapScanner {
         (self.config.rate_pps / shard_count.max(1) as u64).max(1)
     }
 
-    /// Runs `run_shard` over the sharded index domain — on the caller's
-    /// thread for a single shard, on scoped threads otherwise — and merges
-    /// results in index order.
+    /// Runs `run_shard` over the sharded index domain on
+    /// [`simnet::fan_out`] — index = shard, one worker per shard, a single
+    /// shard on the caller's thread — and merges results in shard order.
     fn sharded<A: SweepAccumulator>(
         &self,
         net: &Network,
@@ -371,23 +371,12 @@ impl ZmapScanner {
         let bounds = shard_ranges(total, self.config.workers);
         let rate = self.shard_rate(bounds.len());
         let start = net.clock.now();
-        let plans = bounds
-            .iter()
-            .enumerate()
-            .map(|(shard, &range)| ShardPlan { shard, range, rate, start });
-        let outcomes: Vec<(A, ShardStats)> = if bounds.len() <= 1 {
-            plans.map(&run_shard).collect()
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = plans
-                    .map(|plan| {
-                        let run_shard = &run_shard;
-                        scope.spawn(move || run_shard(plan))
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("scan shard panicked")).collect()
-            })
-        };
+        let (outcomes, _) = fan_out(
+            bounds.len(),
+            bounds.len(),
+            || (),
+            |(), shard| run_shard(ShardPlan { shard, range: bounds[shard], rate, start }),
+        );
         let after = net.stats.snapshot();
         let mut results: Option<A> = None;
         let mut shards = Vec::with_capacity(outcomes.len());

@@ -8,7 +8,7 @@
 use qcodec::Writer;
 use quic::packet::{ConnectionId, Packet, PacketType};
 use quic::version::Version;
-use simnet::{Network, SocketAddr};
+use simnet::SocketAddr;
 
 /// A Version Negotiation hit.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -106,18 +106,6 @@ impl QuicVnModule {
             }
         }
         None
-    }
-
-    /// One-shot [`QuicVnModule::probe_with_shard`]: a fresh scratch and a
-    /// shard that merges back as soon as the probe returns.
-    pub fn probe(
-        &self,
-        net: &Network,
-        src: SocketAddr,
-        dst: SocketAddr,
-        index: u64,
-    ) -> Option<VnResult> {
-        self.probe_with_shard(&mut self.make_scratch(), &mut net.shard(), src, dst, index)
     }
 }
 
