@@ -73,9 +73,17 @@ impl WeeklySnapshot {
     pub fn fingerprint(&self) -> u64 {
         use std::fmt::Write;
         let mut repr = String::with_capacity(4096);
-        let _ = write!(repr, "{}|{:?}|{:?}|{:?}|{:?}", self.week, self.zmap_v4, self.zmap_v6, self.dns_lists, self.zmap_v4_asn);
+        let _ = write!(
+            repr,
+            "{}|{:?}|{:?}|{:?}|{:?}",
+            self.week, self.zmap_v4, self.zmap_v6, self.dns_lists, self.zmap_v4_asn
+        );
         for o in &self.alt_svc {
-            let _ = write!(repr, "|{:?};{};{};{}", o.addr, o.asn, o.alt_svc, o.domain_pairs);
+            let _ = write!(
+                repr,
+                "|{:?};{};{};{}",
+                o.addr, o.asn, o.alt_svc, o.domain_pairs
+            );
         }
         fnv1a(repr.as_bytes())
     }
@@ -197,7 +205,9 @@ pub struct DomainResolution {
 impl DomainResolution {
     /// The HTTPS RR advertises HTTP/3.
     pub fn https_indicates_quic(&self) -> bool {
-        self.https_alpn.iter().any(|a| a == "h3" || a.starts_with("h3-"))
+        self.https_alpn
+            .iter()
+            .any(|a| a == "h3" || a.starts_with("h3-"))
     }
 }
 
@@ -243,7 +253,9 @@ impl StatefulSnapshot {
     /// SNI scans combined).
     pub fn failure_breakdown(&self) -> FailureBreakdown {
         FailureBreakdown::from_results(
-            self.quic_no_sni.iter().chain(self.quic_sni.iter().map(|(_, r)| r)),
+            self.quic_no_sni
+                .iter()
+                .chain(self.quic_sni.iter().map(|(_, r)| r)),
         )
     }
 }
@@ -374,8 +386,10 @@ impl Campaign {
         let zmap_v4 = scanner.scan_v4(&net, &universe.scan_prefixes(), &module);
         let hitlist = universe.v6_hitlist();
         let zmap_v6 = scanner.scan_v6(&net, &hitlist, &module);
-        let zmap_v4_asn =
-            zmap_v4.iter().map(|h| universe.asdb.lookup(&h.addr.ip)).collect();
+        let zmap_v4_asn = zmap_v4
+            .iter()
+            .map(|h| universe.asdb.lookup(&h.addr.ip))
+            .collect();
 
         // DNS list resolutions (Figure 3).
         let zone = Arc::new(universe.zone());
@@ -411,7 +425,13 @@ impl Campaign {
             .map(|(addr, domains)| {
                 let capped = domains.len().min(MAX_DOMAINS_PER_IP) as u64;
                 let first = domains.first().expect("non-empty by construction");
-                (TlsTarget { addr: *addr, domain: Some(first.name.clone()) }, capped)
+                (
+                    TlsTarget {
+                        addr: *addr,
+                        domain: Some(first.name.clone()),
+                    },
+                    capped,
+                )
             })
             .collect();
         probe_targets.sort_by_key(|t| t.0.addr);
@@ -429,7 +449,14 @@ impl Campaign {
             }
         }
 
-        WeeklySnapshot { week, zmap_v4, zmap_v6, dns_lists, alt_svc, zmap_v4_asn }
+        WeeklySnapshot {
+            week,
+            zmap_v4,
+            zmap_v6,
+            dns_lists,
+            alt_svc,
+            zmap_v4_asn,
+        }
     }
 
     /// Runs the full stateful pipeline for week 18 (§5).
@@ -453,7 +480,9 @@ impl Campaign {
         let padding = {
             let mut by_as: HashMap<u32, usize> = HashMap::new();
             for h in &unpadded_hits {
-                *by_as.entry(universe.asdb.lookup(&h.addr.ip).unwrap_or(0)).or_default() += 1;
+                *by_as
+                    .entry(universe.asdb.lookup(&h.addr.ip).unwrap_or(0))
+                    .or_default() += 1;
             }
             let top = by_as.values().copied().max().unwrap_or(0);
             PaddingExperiment {
@@ -501,7 +530,10 @@ impl Campaign {
         let no_sni_targets: Vec<TlsTarget> = zmap_v4
             .iter()
             .chain(&zmap_v6)
-            .map(|h| TlsTarget { addr: h.addr.ip, domain: None })
+            .map(|h| TlsTarget {
+                addr: h.addr.ip,
+                domain: None,
+            })
             .collect();
         let tcp_no_sni = goscan.scan_all(&net, &no_sni_targets, self.workers);
 
@@ -535,9 +567,8 @@ impl Campaign {
         let tcp_sni = goscan.scan_all(&net, &sni_targets, self.workers);
 
         // 4. QUIC stateful targets from the three sources.
-        let compatible = |versions: &[quic::Version]| {
-            versions.iter().any(|v| v.qscanner_compatible())
-        };
+        let compatible =
+            |versions: &[quic::Version]| versions.iter().any(|v| v.qscanner_compatible());
         let mut sni_map: HashMap<(IpAddr, String), u8> = HashMap::new();
 
         // Source 1: ZMap + DNS join (compat-filtered on announced versions).
@@ -580,14 +611,15 @@ impl Campaign {
 
         // Source 2: Alt-Svc pairs (h3 ALPN with a compatible draft).
         for r in &tcp_sni {
-            let Some(domain) = &r.target.domain else { continue };
+            let Some(domain) = &r.target.domain else {
+                continue;
+            };
             let alt = r.alt_services();
-            let ok = alt.iter().any(|s| {
-                matches!(s.alpn.as_str(), "h3" | "h3-29" | "h3-32" | "h3-34")
-            });
+            let ok = alt
+                .iter()
+                .any(|s| matches!(s.alpn.as_str(), "h3" | "h3-29" | "h3-32" | "h3-34"));
             if ok {
-                *sni_map.entry((r.target.addr, domain.clone())).or_default() |=
-                    SniSource::ALT_SVC;
+                *sni_map.entry((r.target.addr, domain.clone())).or_default() |= SniSource::ALT_SVC;
             }
         }
 
@@ -664,7 +696,11 @@ fn resolve_all(universe: &Universe, bulk: &BulkResolver) -> Vec<DomainResolution
                 name: d.name.clone(),
                 v4: r.a.clone(),
                 v6: r.aaaa.clone(),
-                https_alpn: r.https.iter().flat_map(|p| p.alpn.iter().cloned()).collect(),
+                https_alpn: r
+                    .https
+                    .iter()
+                    .flat_map(|p| p.alpn.iter().cloned())
+                    .collect(),
                 https_v4_hints: r.https_ipv4_hints(),
                 https_v6_hints: r.https_ipv6_hints(),
             }
@@ -681,20 +717,36 @@ mod tests {
     fn tiny_stateful_campaign_has_expected_shape() {
         let campaign = Campaign::tiny();
         let snap = campaign.run_stateful();
-        assert!(snap.zmap_v4.len() > 500, "zmap v4 hits: {}", snap.zmap_v4.len());
-        assert!(snap.zmap_v6.len() > 50, "zmap v6 hits: {}", snap.zmap_v6.len());
+        assert!(
+            snap.zmap_v4.len() > 500,
+            "zmap v4 hits: {}",
+            snap.zmap_v4.len()
+        );
+        assert!(
+            snap.zmap_v6.len() > 50,
+            "zmap v6 hits: {}",
+            snap.zmap_v6.len()
+        );
         assert!(!snap.quic_no_sni.is_empty());
         assert!(!snap.quic_sni.is_empty());
 
         // The no-SNI outcome mix is dominated by 0x128 + timeouts, like
         // Table 3.
         let v4: Vec<_> = snap.quic_no_sni.iter().filter(|r| r.addr.is_v4()).collect();
-        let success = v4.iter().filter(|r| r.outcome == ScanOutcome::Success).count();
+        let success = v4
+            .iter()
+            .filter(|r| r.outcome == ScanOutcome::Success)
+            .count();
         let crypto = v4.iter().filter(|r| r.outcome.is_crypto_0x128()).count();
         let timeout = v4.iter().filter(|r| r.outcome.is_timeout()).count();
-        let mismatch =
-            v4.iter().filter(|r| r.outcome == ScanOutcome::VersionMismatch).count();
-        assert!(crypto > timeout, "0x128 ({crypto}) should dominate timeouts ({timeout})");
+        let mismatch = v4
+            .iter()
+            .filter(|r| r.outcome == ScanOutcome::VersionMismatch)
+            .count();
+        assert!(
+            crypto > timeout,
+            "0x128 ({crypto}) should dominate timeouts ({timeout})"
+        );
         assert!(timeout > mismatch);
         assert!(success < crypto);
 
@@ -751,8 +803,14 @@ mod tests {
             ScanOutcome::Unreachable,
             ScanOutcome::RateLimited,
             ScanOutcome::VersionMismatch,
-            ScanOutcome::TransportClose { code: 0x128, reason: "alert 40".into() },
-            ScanOutcome::TransportClose { code: 0x2, reason: "internal".into() },
+            ScanOutcome::TransportClose {
+                code: 0x128,
+                reason: "alert 40".into(),
+            },
+            ScanOutcome::TransportClose {
+                code: 0x2,
+                reason: "internal".into(),
+            },
             ScanOutcome::Other("tls".into()),
         ] {
             b.tally(&o);
@@ -857,7 +915,9 @@ mod tests {
         assert!(rr(&w18) > rr(&w9), "{} vs {}", rr(&w18), rr(&w9));
         // Version 1 appears only at week 18.
         let has_v1 = |w: &WeeklySnapshot| {
-            w.zmap_v4.iter().any(|h| h.versions.contains(&quic::Version::V1))
+            w.zmap_v4
+                .iter()
+                .any(|h| h.versions.contains(&quic::Version::V1))
         };
         assert!(!has_v1(&w9));
         assert!(has_v1(&w18));

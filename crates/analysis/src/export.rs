@@ -16,7 +16,13 @@ fn escape(field: &str) -> String {
 /// Serializes rows to CSV text.
 pub fn to_csv(headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut out = String::new();
-    out.push_str(&headers.iter().map(|h| escape(h)).collect::<Vec<_>>().join(","));
+    out.push_str(
+        &headers
+            .iter()
+            .map(|h| escape(h))
+            .collect::<Vec<_>>()
+            .join(","),
+    );
     out.push('\n');
     for row in rows {
         out.push_str(&row.iter().map(|c| escape(c)).collect::<Vec<_>>().join(","));
@@ -26,11 +32,7 @@ pub fn to_csv(headers: &[&str], rows: &[Vec<String>]) -> String {
 }
 
 /// Writes rows to a CSV file.
-pub fn write_csv(
-    path: &Path,
-    headers: &[&str],
-    rows: &[Vec<String>],
-) -> std::io::Result<()> {
+pub fn write_csv(path: &Path, headers: &[&str], rows: &[Vec<String>]) -> std::io::Result<()> {
     let mut f = std::fs::File::create(path)?;
     f.write_all(to_csv(headers, rows).as_bytes())
 }
@@ -43,7 +45,10 @@ mod tests {
     fn csv_escaping() {
         let csv = to_csv(
             &["a", "b"],
-            &[vec!["plain".into(), "with,comma".into()], vec!["with\"quote".into(), "x".into()]],
+            &[
+                vec!["plain".into(), "with,comma".into()],
+                vec!["with\"quote".into(), "x".into()],
+            ],
         );
         assert_eq!(csv, "a,b\nplain,\"with,comma\"\n\"with\"\"quote\",x\n");
     }

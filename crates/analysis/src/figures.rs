@@ -57,9 +57,7 @@ pub fn fig4(snap: &StatefulSnapshot) -> Vec<CdfSeries> {
     let sets = crate::tables::source_sets(snap);
     let mut out = Vec::new();
     let mut push = |label: String, addrs: Vec<IpAddr>| {
-        let cdf = as_rank_cdf(
-            addrs.iter().filter_map(|a| snap.universe.asdb.lookup(a)),
-        );
+        let cdf = as_rank_cdf(addrs.iter().filter_map(|a| snap.universe.asdb.lookup(a)));
         out.push(CdfSeries { label, points: cdf });
     };
     for (v4, fam) in [(true, "IPv4"), (false, "IPv6")] {
@@ -198,8 +196,10 @@ pub fn fig7(weeklies: &[WeeklySnapshot]) -> Vec<Fig7Point> {
         let mut sets: HashMap<String, u64> = HashMap::new();
         let mut total = 0u64;
         for obs in &w.alt_svc {
-            let mut alpns: Vec<String> =
-                parse_alt_svc(&obs.alt_svc).into_iter().map(|s| s.alpn).collect();
+            let mut alpns: Vec<String> = parse_alt_svc(&obs.alt_svc)
+                .into_iter()
+                .map(|s| s.alpn)
+                .collect();
             alpns.sort();
             alpns.dedup();
             if alpns.is_empty() {
@@ -253,7 +253,10 @@ pub fn fig8(snap: &StatefulSnapshot) -> Vec<CdfSeries> {
             .iter()
             .filter(|(_, r)| r.addr.is_v4() == v4 && r.outcome == ScanOutcome::Success)
             .filter_map(|(_, r)| snap.universe.asdb.lookup(&r.addr));
-        out.push(CdfSeries { label: format!("[{fam}] SNI"), points: as_rank_cdf(sni) });
+        out.push(CdfSeries {
+            label: format!("[{fam}] SNI"),
+            points: as_rank_cdf(sni),
+        });
     }
     out
 }
@@ -298,7 +301,12 @@ pub fn fig9(snap: &StatefulSnapshot) -> Vec<Fig9Row> {
     rows.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     rows.into_iter()
         .enumerate()
-        .map(|(rank, (config, targets, ases))| Fig9Row { rank, config, targets, ases })
+        .map(|(rank, (config, targets, ases))| Fig9Row {
+            rank,
+            config,
+            targets,
+            ases,
+        })
         .collect()
 }
 
@@ -310,9 +318,7 @@ pub fn configs_per_as(snap: &StatefulSnapshot) -> HashMap<usize, usize> {
         if r.outcome != ScanOutcome::Success {
             return;
         }
-        if let (Some(asn), Some(key)) =
-            (snap.universe.asdb.lookup(&r.addr), r.tp_config_key())
-        {
+        if let (Some(asn), Some(key)) = (snap.universe.asdb.lookup(&r.addr), r.tp_config_key()) {
             per_as.entry(asn).or_default().insert(key);
         }
     };

@@ -70,7 +70,8 @@ impl SweepAccumulator for SweepAcc {
         for v in &hit.versions {
             self.by_version.absorb(v.label());
         }
-        self.response_bytes.absorb(23 + 4 * hit.versions.len() as u64);
+        self.response_bytes
+            .absorb(23 + 4 * hit.versions.len() as u64);
     }
 
     fn merge(&mut self, other: Self) {
@@ -151,7 +152,11 @@ impl ScaleReport {
         let _ = writeln!(out, "universe_responsive {}", t.responsive);
         let _ = writeln!(out, "universe_probes {}", t.probes);
         let _ = writeln!(out, "universe_sweep_ms {}", p.universe_sweep_ms);
-        let _ = writeln!(out, "universe_endpoints_per_sec {}", p.universe_endpoints_per_sec);
+        let _ = writeln!(
+            out,
+            "universe_endpoints_per_sec {}",
+            p.universe_endpoints_per_sec
+        );
         let _ = writeln!(out, "stateful_sampled {}", t.sampled);
         let _ = writeln!(out, "stateful_ms {}", p.stateful_ms);
         let _ = writeln!(out, "campaign_peak_rss_mb {}", p.campaign_peak_rss_mb);
@@ -247,12 +252,11 @@ impl ScaleCampaign {
         // Stateless sweep: probes stream off the Feistel walk, results fold
         // into per-shard accumulators merged in shard-index order.
         let sweep_start = Instant::now();
-        let (acc, report) = self.zmap().scan_v4_accumulate(
-            net,
-            &universe.scan_prefixes(),
-            &module,
-            || SweepAcc::new(universe.clone()),
-        );
+        let (acc, report) =
+            self.zmap()
+                .scan_v4_accumulate(net, &universe.scan_prefixes(), &module, || {
+                    SweepAcc::new(universe.clone())
+                });
         let universe_sweep_ms = sweep_start.elapsed().as_millis() as u64;
 
         // Stateful follow-up over the deterministic sample: a no-SNI pass
@@ -349,7 +353,10 @@ mod tests {
         assert!(!base.tables.as_rank_cdf.is_empty());
         for workers in [4usize, 8] {
             let r = ScaleCampaign::test(0x51ab, 3_000, workers).run();
-            assert_eq!(r.tables, base.tables, "tables diverged at {workers} workers");
+            assert_eq!(
+                r.tables, base.tables,
+                "tables diverged at {workers} workers"
+            );
         }
     }
 
@@ -371,7 +378,10 @@ mod tests {
         }
         let materialized = campaign.run_on(&universe, &net);
         assert_eq!(materialized.tables, lazy.tables);
-        assert_eq!(materialized.perf.instantiated, 0, "nothing left to bind lazily");
+        assert_eq!(
+            materialized.perf.instantiated, 0,
+            "nothing left to bind lazily"
+        );
     }
 
     /// The follow-up exercises the behaviour classes: SNI handshakes
@@ -382,8 +392,16 @@ mod tests {
         let r = ScaleCampaign::test(0x7ab, 4_000, 4).run();
         let t = &r.tables;
         assert!(t.sni.success > 0, "no SNI successes: {:?}", t.sni);
-        assert!(t.no_sni.crypto_0x128 > 0, "no 0x128 rejections: {:?}", t.no_sni);
-        assert!(t.sni.version_mismatch > 0, "no version mismatches: {:?}", t.sni);
+        assert!(
+            t.no_sni.crypto_0x128 > 0,
+            "no 0x128 rejections: {:?}",
+            t.no_sni
+        );
+        assert!(
+            t.sni.version_mismatch > 0,
+            "no version mismatches: {:?}",
+            t.sni
+        );
         assert!(
             t.sni.crypto_0x128 == 0,
             "SNI pass must not trip no-SNI rejection: {:?}",

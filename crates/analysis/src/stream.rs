@@ -36,7 +36,10 @@ pub struct CountMap<K: Eq + Hash> {
 impl<K: Eq + Hash> CountMap<K> {
     /// An empty map.
     pub fn new() -> Self {
-        CountMap { counts: HashMap::new(), total: 0 }
+        CountMap {
+            counts: HashMap::new(),
+            total: 0,
+        }
     }
 
     /// Counts one item.
@@ -143,7 +146,10 @@ impl Default for LogSketch {
 impl LogSketch {
     /// An empty sketch.
     pub fn new() -> Self {
-        LogSketch { buckets: [0; LOG_SKETCH_BUCKETS], total: 0 }
+        LogSketch {
+            buckets: [0; LOG_SKETCH_BUCKETS],
+            total: 0,
+        }
     }
 
     fn bucket_of(value: u64) -> usize {

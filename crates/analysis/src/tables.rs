@@ -49,15 +49,25 @@ pub fn source_sets(snap: &StatefulSnapshot) -> SourceSets {
     let mut addr_domains: HashMap<IpAddr, Vec<String>> = HashMap::new();
     for r in &snap.resolutions {
         for a in &r.v4 {
-            addr_domains.entry(IpAddr::V4(*a)).or_default().push(r.name.clone());
+            addr_domains
+                .entry(IpAddr::V4(*a))
+                .or_default()
+                .push(r.name.clone());
         }
         for a in &r.v6 {
-            addr_domains.entry(IpAddr::V6(*a)).or_default().push(r.name.clone());
+            addr_domains
+                .entry(IpAddr::V6(*a))
+                .or_default()
+                .push(r.name.clone());
         }
     }
 
-    let zmap: HashSet<IpAddr> =
-        snap.zmap_v4.iter().chain(&snap.zmap_v6).map(|h| h.addr.ip).collect();
+    let zmap: HashSet<IpAddr> = snap
+        .zmap_v4
+        .iter()
+        .chain(&snap.zmap_v6)
+        .map(|h| h.addr.ip)
+        .collect();
     let mut zmap_domains = HashSet::new();
     for addr in &zmap {
         if let Some(domains) = addr_domains.get(addr) {
@@ -68,7 +78,10 @@ pub fn source_sets(snap: &StatefulSnapshot) -> SourceSets {
     let mut alt = HashSet::new();
     let mut alt_domains = HashSet::new();
     for r in &snap.tcp_sni {
-        if r.alt_services().iter().any(|s| s.alpn == "h3" || s.alpn.starts_with("h3-")) {
+        if r.alt_services()
+            .iter()
+            .any(|s| s.alpn == "h3" || s.alpn.starts_with("h3-"))
+        {
             alt.insert(r.target.addr);
             if let Some(d) = &r.target.domain {
                 alt_domains.insert(d.clone());
@@ -90,12 +103,21 @@ pub fn source_sets(snap: &StatefulSnapshot) -> SourceSets {
         }
     }
 
-    SourceSets { zmap, alt, https, zmap_domains, alt_domains, https_domains, addr_domains }
+    SourceSets {
+        zmap,
+        alt,
+        https,
+        zmap_domains,
+        alt_domains,
+        https_domains,
+        addr_domains,
+    }
 }
 
 fn count_ases(snap: &StatefulSnapshot, addrs: impl Iterator<Item = IpAddr>) -> u64 {
-    let ases: HashSet<u32> =
-        addrs.filter_map(|a| snap.universe.asdb.lookup(&a)).collect();
+    let ases: HashSet<u32> = addrs
+        .filter_map(|a| snap.universe.asdb.lookup(&a))
+        .collect();
     ases.len() as u64
 }
 
@@ -151,7 +173,11 @@ pub fn table1(snap: &StatefulSnapshot) -> Vec<Table1Row> {
         rows.push(Table1Row {
             source: "ALT-SVC",
             family,
-            scanned: snap.tcp_sni.iter().filter(|r| r.target.addr.is_v4() == v4).count() as u64,
+            scanned: snap
+                .tcp_sni
+                .iter()
+                .filter(|r| r.target.addr.is_v4() == v4)
+                .count() as u64,
             addresses: addrs.len() as u64,
             ases: count_ases(snap, addrs.iter().copied()),
             domains,
@@ -213,7 +239,9 @@ pub fn table2(snap: &StatefulSnapshot, k: usize) -> Vec<Table2Row> {
         for (v4, family) in [(true, "v4"), (false, "v6")] {
             let mut per_as: HashMap<u32, (u64, HashSet<&str>)> = HashMap::new();
             for a in addrs.iter().filter(|a| a.is_v4() == v4) {
-                let Some(asn) = snap.universe.asdb.lookup(a) else { continue };
+                let Some(asn) = snap.universe.asdb.lookup(a) else {
+                    continue;
+                };
                 let entry = per_as.entry(asn).or_default();
                 entry.0 += 1;
                 if let Some(domains) = sets.addr_domains.get(a) {
@@ -289,12 +317,26 @@ pub fn table3(snap: &StatefulSnapshot) -> Table3 {
             100.0 * counts[col][class] as f64 / totals[col] as f64
         }
     };
-    let labels = ["Success", "Timeout", "Crypto Error (0x128)", "Version Mismatch", "Other"];
+    let labels = [
+        "Success",
+        "Timeout",
+        "Crypto Error (0x128)",
+        "Version Mismatch",
+        "Other",
+    ];
     let rows = labels
         .iter()
         .enumerate()
         .map(|(class, label)| {
-            (*label, [share(0, class), share(1, class), share(2, class), share(3, class)])
+            (
+                *label,
+                [
+                    share(0, class),
+                    share(1, class),
+                    share(2, class),
+                    share(3, class),
+                ],
+            )
         })
         .collect();
     Table3 { rows, totals }
@@ -337,7 +379,13 @@ pub fn table4(snap: &StatefulSnapshot) -> Vec<Table4Row> {
                     slot.1 += 1;
                 }
             }
-            let rate = |(n, s): (usize, usize)| if n == 0 { 0.0 } else { 100.0 * s as f64 / n as f64 };
+            let rate = |(n, s): (usize, usize)| {
+                if n == 0 {
+                    0.0
+                } else {
+                    100.0 * s as f64 / n as f64
+                }
+            };
             Table4Row {
                 source: label,
                 v4_targets: v4.0,
@@ -379,7 +427,9 @@ pub fn table5(snap: &StatefulSnapshot) -> Table5 {
     //                same_group, same_cipher, same_ext]
     let mut counts = [[0usize; 7]; 4];
     let mut tally = |col: usize, q: &QuicScanResult, t: &goscanner::TlsScanResult| {
-        let (Some(qt), Some(tt)) = (&q.tls, &t.tls) else { return };
+        let (Some(qt), Some(tt)) = (&q.tls, &t.tls) else {
+            return;
+        };
         counts[col][0] += 1;
         let same_cert = qt.certificates.first().map(|c| c.fingerprint())
             == tt.certificates.first().map(|c| c.fingerprint());
@@ -391,8 +441,7 @@ pub fn table5(snap: &StatefulSnapshot) -> Table5 {
             counts[col][4] += usize::from(qt.group == tt.group);
             counts[col][5] += usize::from(qt.cipher == tt.cipher);
             let strip = |exts: &[u16]| -> Vec<u16> {
-                let mut e: Vec<u16> =
-                    exts.iter().copied().filter(|&t| t != 0x39).collect();
+                let mut e: Vec<u16> = exts.iter().copied().filter(|&t| t != 0x39).collect();
                 e.sort_unstable();
                 e
             };
@@ -430,11 +479,51 @@ pub fn table5(snap: &StatefulSnapshot) -> Table5 {
         }
     };
     let rows = vec![
-        ("Certificate", [share(0, 1, 0), share(1, 1, 0), share(2, 1, 0), share(3, 1, 0)]),
-        ("TLS Version", [share(0, 2, 0), share(1, 2, 0), share(2, 2, 0), share(3, 2, 0)]),
-        ("Key Exchange Group", [share(0, 4, 3), share(1, 4, 3), share(2, 4, 3), share(3, 4, 3)]),
-        ("Cipher", [share(0, 5, 3), share(1, 5, 3), share(2, 5, 3), share(3, 5, 3)]),
-        ("Extensions", [share(0, 6, 3), share(1, 6, 3), share(2, 6, 3), share(3, 6, 3)]),
+        (
+            "Certificate",
+            [
+                share(0, 1, 0),
+                share(1, 1, 0),
+                share(2, 1, 0),
+                share(3, 1, 0),
+            ],
+        ),
+        (
+            "TLS Version",
+            [
+                share(0, 2, 0),
+                share(1, 2, 0),
+                share(2, 2, 0),
+                share(3, 2, 0),
+            ],
+        ),
+        (
+            "Key Exchange Group",
+            [
+                share(0, 4, 3),
+                share(1, 4, 3),
+                share(2, 4, 3),
+                share(3, 4, 3),
+            ],
+        ),
+        (
+            "Cipher",
+            [
+                share(0, 5, 3),
+                share(1, 5, 3),
+                share(2, 5, 3),
+                share(3, 5, 3),
+            ],
+        ),
+        (
+            "Extensions",
+            [
+                share(0, 6, 3),
+                share(1, 6, 3),
+                share(2, 6, 3),
+                share(3, 6, 3),
+            ],
+        ),
     ];
     Table5 {
         rows,
@@ -462,7 +551,9 @@ pub fn table6(snap: &StatefulSnapshot, k: usize) -> Vec<Table6Row> {
         if r.outcome != ScanOutcome::Success {
             return;
         }
-        let Some(server) = r.server_header() else { return };
+        let Some(server) = r.server_header() else {
+            return;
+        };
         let entry = per_server.entry(server.to_string()).or_default();
         if let Some(asn) = snap.universe.asdb.lookup(&r.addr) {
             entry.0.insert(asn);
@@ -526,9 +617,18 @@ pub fn overlap(snap: &StatefulSnapshot, v4: bool) -> Overlap {
     let (z, a, h) = (f(&sets.zmap), f(&sets.alt), f(&sets.https));
     Overlap {
         all_three: z.intersection(&a).filter(|x| h.contains(x)).count(),
-        zmap_only: z.iter().filter(|x| !a.contains(x) && !h.contains(x)).count(),
-        alt_only: a.iter().filter(|x| !z.contains(x) && !h.contains(x)).count(),
-        https_only: h.iter().filter(|x| !z.contains(x) && !a.contains(x)).count(),
+        zmap_only: z
+            .iter()
+            .filter(|x| !a.contains(x) && !h.contains(x))
+            .count(),
+        alt_only: a
+            .iter()
+            .filter(|x| !z.contains(x) && !h.contains(x))
+            .count(),
+        https_only: h
+            .iter()
+            .filter(|x| !z.contains(x) && !a.contains(x))
+            .count(),
     }
 }
 
@@ -553,7 +653,13 @@ pub fn render_table3(t: &Table3) -> String {
     ]);
     crate::render::table(
         "Table 3: Stateful scan results (%)",
-        &["Outcome", "IPv4 noSNI", "IPv4 SNI", "IPv6 noSNI", "IPv6 SNI"],
+        &[
+            "Outcome",
+            "IPv4 noSNI",
+            "IPv4 SNI",
+            "IPv6 noSNI",
+            "IPv6 SNI",
+        ],
         &rows,
     )
 }

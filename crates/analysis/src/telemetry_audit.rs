@@ -66,7 +66,9 @@ mod tests {
 
     fn outcome_event(flow: u64, label: &str) -> Vec<Event> {
         let mut ctx = TraceCtx::new(flow, format!("t{flow}"), Some(18));
-        ctx.record(EventKind::OutcomeDecided { outcome: label.to_string() });
+        ctx.record(EventKind::OutcomeDecided {
+            outcome: label.to_string(),
+        });
         ctx.finish()
     }
 
@@ -118,8 +120,14 @@ mod tests {
             ScanOutcome::Stalled,
             ScanOutcome::Unreachable,
             ScanOutcome::RateLimited,
-            ScanOutcome::TransportClose { code: 0x128, reason: "a".into() },
-            ScanOutcome::TransportClose { code: 0x2, reason: "b".into() },
+            ScanOutcome::TransportClose {
+                code: 0x128,
+                reason: "a".into(),
+            },
+            ScanOutcome::TransportClose {
+                code: 0x2,
+                reason: "b".into(),
+            },
             ScanOutcome::VersionMismatch,
             ScanOutcome::Other("panic: x".into()),
         ];

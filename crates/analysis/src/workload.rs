@@ -48,12 +48,27 @@ pub fn rtc_rows(report: &RtcReport) -> Vec<Vec<String>> {
 }
 
 /// Headers matching [`bulk_rows`].
-pub const BULK_HEADERS: [&str; 7] =
-    ["Loss ‰", "Jitter ms", "Size B", "OK", "Mean Mbps", "Min Mbps", "Max Mbps"];
+pub const BULK_HEADERS: [&str; 7] = [
+    "Loss ‰",
+    "Jitter ms",
+    "Size B",
+    "OK",
+    "Mean Mbps",
+    "Min Mbps",
+    "Max Mbps",
+];
 
 /// Headers matching [`rtc_rows`].
-pub const RTC_HEADERS: [&str; 8] =
-    ["Loss ‰", "Jitter ms", "Conns", "Frames", "p50 ms", "p95 ms", "p99 ms", "Max ms"];
+pub const RTC_HEADERS: [&str; 8] = [
+    "Loss ‰",
+    "Jitter ms",
+    "Conns",
+    "Frames",
+    "p50 ms",
+    "p95 ms",
+    "p99 ms",
+    "Max ms",
+];
 
 /// Renders both workload tables as the repro binary prints them.
 pub fn render_report(report: &WorkloadReport) -> String {
@@ -91,8 +106,15 @@ pub fn mux_rows(report: &MuxReport) -> Vec<Vec<String>> {
 }
 
 /// Headers matching [`mux_rows`].
-pub const MUX_HEADERS: [&str; 7] =
-    ["Host", "Conns", "OK", "Bytes", "Elapsed ms", "CPU ms", "Mbps"];
+pub const MUX_HEADERS: [&str; 7] = [
+    "Host",
+    "Conns",
+    "OK",
+    "Bytes",
+    "Elapsed ms",
+    "CPU ms",
+    "Mbps",
+];
 
 /// Renders the per-host mux serve table plus an aggregate summary line.
 pub fn render_mux_report(report: &MuxReport) -> String {

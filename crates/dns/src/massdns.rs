@@ -38,12 +38,18 @@ impl ResolvedDomain {
 
     /// IPv4 addresses hinted by HTTPS RRs.
     pub fn https_ipv4_hints(&self) -> Vec<Ipv4Addr> {
-        self.https.iter().flat_map(|p| p.ipv4hint.iter().copied()).collect()
+        self.https
+            .iter()
+            .flat_map(|p| p.ipv4hint.iter().copied())
+            .collect()
     }
 
     /// IPv6 addresses hinted by HTTPS RRs.
     pub fn https_ipv6_hints(&self) -> Vec<Ipv6Addr> {
-        self.https.iter().flat_map(|p| p.ipv6hint.iter().copied()).collect()
+        self.https
+            .iter()
+            .flat_map(|p| p.ipv6hint.iter().copied())
+            .collect()
     }
 }
 
@@ -60,7 +66,10 @@ impl BulkResolver {
 
     /// Resolves one domain for all four record types (in-process path).
     pub fn resolve_domain(&self, domain: &str) -> ResolvedDomain {
-        let mut out = ResolvedDomain { domain: domain.to_string(), ..Default::default() };
+        let mut out = ResolvedDomain {
+            domain: domain.to_string(),
+            ..Default::default()
+        };
         let (_, answers) = self.resolver.resolve(domain, QType::A);
         for rr in answers {
             if let RData::A(a) = rr.rdata {
@@ -75,7 +84,10 @@ impl BulkResolver {
         }
         let (_, answers) = self.resolver.resolve(domain, QType::Https);
         for rr in answers {
-            if let RData::Svc { priority, params, .. } = rr.rdata {
+            if let RData::Svc {
+                priority, params, ..
+            } = rr.rdata
+            {
                 if priority > 0 {
                     out.https.push(params);
                 }
@@ -83,7 +95,10 @@ impl BulkResolver {
         }
         let (_, answers) = self.resolver.resolve(domain, QType::Svcb);
         for rr in answers {
-            if let RData::Svc { priority, params, .. } = rr.rdata {
+            if let RData::Svc {
+                priority, params, ..
+            } = rr.rdata
+            {
                 if priority > 0 {
                     out.svcb.push(params);
                 }
@@ -127,7 +142,10 @@ mod tests {
     fn setup() -> BulkResolver {
         let mut db = ZoneDb::new();
         db.add_a("cf.example", Ipv4Addr::new(104, 16, 0, 1));
-        db.add_aaaa("cf.example", Ipv6Addr::new(0x2606, 0x4700, 0, 0, 0, 0, 0, 1));
+        db.add_aaaa(
+            "cf.example",
+            Ipv6Addr::new(0x2606, 0x4700, 0, 0, 0, 0, 0, 1),
+        );
         db.insert(Record::new(
             "cf.example",
             RData::Svc {
@@ -150,10 +168,16 @@ mod tests {
         let bulk = setup();
         let resolved = bulk.resolve_domain("cf.example");
         assert!(resolved.https_indicates_quic());
-        assert_eq!(resolved.https_ipv4_hints(), vec![Ipv4Addr::new(104, 16, 0, 1)]);
+        assert_eq!(
+            resolved.https_ipv4_hints(),
+            vec![Ipv4Addr::new(104, 16, 0, 1)]
+        );
         assert_eq!(resolved.https_ipv6_hints().len(), 1);
         assert_eq!(resolved.a.len(), 1);
-        assert!(resolved.svcb.is_empty(), "no SVCB deployment, like the paper");
+        assert!(
+            resolved.svcb.is_empty(),
+            "no SVCB deployment, like the paper"
+        );
     }
 
     #[test]
@@ -167,7 +191,11 @@ mod tests {
     #[test]
     fn list_resolution() {
         let bulk = setup();
-        let out = bulk.resolve_list(&["cf.example".into(), "plain.example".into(), "nx.example".into()]);
+        let out = bulk.resolve_list(&[
+            "cf.example".into(),
+            "plain.example".into(),
+            "nx.example".into(),
+        ]);
         assert_eq!(out.len(), 3);
         assert!(out[2].a.is_empty());
     }

@@ -63,9 +63,15 @@ mod tests {
     fn resolver() -> Resolver {
         let mut db = ZoneDb::new();
         db.add_a("direct.example", Ipv4Addr::new(10, 1, 1, 1));
-        db.insert(Record::new("www.example", RData::Cname("edge.cdn.example".into())));
+        db.insert(Record::new(
+            "www.example",
+            RData::Cname("edge.cdn.example".into()),
+        ));
         db.add_a("edge.cdn.example", Ipv4Addr::new(10, 2, 2, 2));
-        db.insert(Record::new("loop.example", RData::Cname("loop.example".into())));
+        db.insert(Record::new(
+            "loop.example",
+            RData::Cname("loop.example".into()),
+        ));
         db.add_aaaa("v6only.example", simnet::addr::Ipv6Addr::LOCALHOST);
         Resolver::new(Arc::new(db))
     }

@@ -90,7 +90,11 @@ impl RData {
             RData::A(a) => w.put_bytes(&a.octets()),
             RData::Aaaa(a) => w.put_bytes(&a.octets()),
             RData::Cname(name) => encode_name(w, name),
-            RData::Svc { priority, target, params } => {
+            RData::Svc {
+                priority,
+                target,
+                params,
+            } => {
                 w.put_u16(*priority);
                 encode_name(w, target);
                 params.encode(w);
@@ -115,7 +119,11 @@ impl RData {
                 let priority = r.read_u16()?;
                 let target = decode_name(&mut r, bytes)?;
                 let params = SvcParams::decode(&mut r)?;
-                RData::Svc { priority, target, params }
+                RData::Svc {
+                    priority,
+                    target,
+                    params,
+                }
             }
         };
         if !r.is_empty() {
@@ -139,7 +147,11 @@ pub struct Record {
 impl Record {
     /// Convenience constructor with a 300-second TTL.
     pub fn new(name: &str, rdata: RData) -> Record {
-        Record { name: name.to_string(), ttl: 300, rdata }
+        Record {
+            name: name.to_string(),
+            ttl: 300,
+            rdata,
+        }
     }
 }
 
@@ -149,7 +161,13 @@ mod tests {
 
     #[test]
     fn qtype_codes() {
-        for t in [QType::A, QType::Aaaa, QType::Cname, QType::Svcb, QType::Https] {
+        for t in [
+            QType::A,
+            QType::Aaaa,
+            QType::Cname,
+            QType::Svcb,
+            QType::Https,
+        ] {
             assert_eq!(QType::from_code(t.code()), Some(t));
         }
         assert_eq!(QType::Https.code(), 65);
@@ -166,7 +184,10 @@ mod tests {
     #[test]
     fn rdata_roundtrips() {
         roundtrip(RData::A(Ipv4Addr::new(192, 0, 2, 7)), QType::A);
-        roundtrip(RData::Aaaa(Ipv6Addr::new(0x2001, 0xdb8, 0, 0, 0, 0, 0, 1)), QType::Aaaa);
+        roundtrip(
+            RData::Aaaa(Ipv6Addr::new(0x2001, 0xdb8, 0, 0, 0, 0, 0, 1)),
+            QType::Aaaa,
+        );
         roundtrip(RData::Cname("cdn.example.net".into()), QType::Cname);
         roundtrip(
             RData::Svc {

@@ -128,11 +128,17 @@ mod tests {
 
     #[test]
     fn quic_indication() {
-        let mut p = SvcParams { alpn: vec!["h2".into()], ..SvcParams::default() };
+        let mut p = SvcParams {
+            alpn: vec!["h2".into()],
+            ..SvcParams::default()
+        };
         assert!(!p.indicates_quic());
         p.alpn.push("h3-29".into());
         assert!(p.indicates_quic());
-        let v1 = SvcParams { alpn: vec!["h3".into()], ..SvcParams::default() };
+        let v1 = SvcParams {
+            alpn: vec!["h3".into()],
+            ..SvcParams::default()
+        };
         assert!(v1.indicates_quic());
     }
 

@@ -75,7 +75,10 @@ impl Message {
             id,
             response: false,
             rcode: Rcode::NoError,
-            questions: vec![Question { name: name.to_string(), qtype }],
+            questions: vec![Question {
+                name: name.to_string(),
+                qtype,
+            }],
             answers: Vec::new(),
         }
     }
@@ -144,8 +147,7 @@ impl Message {
             let name = decode_name(&mut r, bytes)?;
             let qtype_code = r.read_u16()?;
             let _class = r.read_u16()?;
-            let qtype =
-                QType::from_code(qtype_code).ok_or(CodecError::Invalid("unknown qtype"))?;
+            let qtype = QType::from_code(qtype_code).ok_or(CodecError::Invalid("unknown qtype"))?;
             questions.push(Question { name, qtype });
         }
         let mut answers = Vec::with_capacity(ancount.min(r.remaining() / MIN_RECORD_LEN));
@@ -160,7 +162,13 @@ impl Message {
                 answers.push(Record { name, ttl, rdata });
             }
         }
-        Ok(Message { id, response, rcode, questions, answers })
+        Ok(Message {
+            id,
+            response,
+            rcode,
+            questions,
+            answers,
+        })
     }
 }
 
@@ -183,7 +191,9 @@ pub fn decode_name(r: &mut Reader<'_>, full_message: &[u8]) -> Result<String> {
         match pos {
             None => Ok(r.read_bytes(n)?.to_vec()),
             Some(p) => {
-                let end = p.checked_add(n).ok_or(CodecError::Invalid("pointer overflow"))?;
+                let end = p
+                    .checked_add(n)
+                    .ok_or(CodecError::Invalid("pointer overflow"))?;
                 let bytes = full_message
                     .get(*p..end)
                     .ok_or(CodecError::Invalid("pointer past end"))?;
@@ -211,9 +221,7 @@ pub fn decode_name(r: &mut Reader<'_>, full_message: &[u8]) -> Result<String> {
             return Err(CodecError::Invalid("bad label length"));
         }
         let label = take(&mut jumped_pos, r, len as usize)?;
-        labels.push(
-            String::from_utf8(label).map_err(|_| CodecError::Invalid("non-UTF-8 label"))?,
-        );
+        labels.push(String::from_utf8(label).map_err(|_| CodecError::Invalid("non-UTF-8 label"))?);
     }
     Ok(labels.join("."))
 }
@@ -299,7 +307,10 @@ mod tests {
         bytes.extend_from_slice(&[10, 0, 0, 1]);
         let decoded = Message::decode(&bytes).unwrap();
         assert_eq!(decoded.answers[0].name, "ptr.example");
-        assert_eq!(decoded.answers[0].rdata, RData::A(Ipv4Addr::new(10, 0, 0, 1)));
+        assert_eq!(
+            decoded.answers[0].rdata,
+            RData::A(Ipv4Addr::new(10, 0, 0, 1))
+        );
     }
 }
 
@@ -343,7 +354,11 @@ mod robustness_tests {
         let before = REQUESTED.get();
         let decoded = Message::decode(bytes);
         let requested = REQUESTED.get() - before;
-        prop_assert!(requested < 64 * 1024, "{} bytes in, {requested} requested", bytes.len());
+        prop_assert!(
+            requested < 64 * 1024,
+            "{} bytes in, {requested} requested",
+            bytes.len()
+        );
         if let Ok(m) = decoded {
             prop_assert!(m.questions.len() <= bytes.len() / MIN_QUESTION_LEN);
             prop_assert!(m.answers.len() <= bytes.len() / MIN_RECORD_LEN);
@@ -414,7 +429,10 @@ mod robustness_tests {
         bytes.extend_from_slice(&[0xc0, 12]); // pointer to itself
         bytes.extend_from_slice(&1u16.to_be_bytes());
         bytes.extend_from_slice(&1u16.to_be_bytes());
-        assert!(Message::decode(&bytes).is_err(), "self-pointer must be rejected");
+        assert!(
+            Message::decode(&bytes).is_err(),
+            "self-pointer must be rejected"
+        );
     }
 
     #[test]

@@ -42,9 +42,15 @@ impl ZoneDb {
     /// Whether any record exists at `name` (for NXDOMAIN vs NODATA).
     pub fn name_exists(&self, name: &str) -> bool {
         let name = name.to_ascii_lowercase();
-        [QType::A, QType::Aaaa, QType::Cname, QType::Https, QType::Svcb]
-            .iter()
-            .any(|t| self.records.contains_key(&(name.clone(), t.code())))
+        [
+            QType::A,
+            QType::Aaaa,
+            QType::Cname,
+            QType::Https,
+            QType::Svcb,
+        ]
+        .iter()
+        .any(|t| self.records.contains_key(&(name.clone(), t.code())))
     }
 
     /// Number of distinct (name, type) entries.
@@ -79,7 +85,11 @@ mod tests {
         db.add_a("a.example", Ipv4Addr::new(10, 0, 0, 1));
         db.add_a("a.example", Ipv4Addr::new(10, 0, 0, 2));
         assert_eq!(db.lookup("a.example", QType::A).len(), 2);
-        assert_eq!(db.lookup("A.EXAMPLE", QType::A).len(), 2, "case-insensitive");
+        assert_eq!(
+            db.lookup("A.EXAMPLE", QType::A).len(),
+            2,
+            "case-insensitive"
+        );
         assert!(db.lookup("a.example", QType::Aaaa).is_empty());
         assert!(db.name_exists("a.example"));
         assert!(!db.name_exists("b.example"));

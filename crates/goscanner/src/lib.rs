@@ -87,8 +87,12 @@ impl Goscanner {
     pub fn scan_target(&self, net: &Network, target: &TlsTarget, index: u64) -> TlsScanResult {
         let src = SocketAddr::new(self.source_ip, 10_000 + (index % 50_000) as u16);
         let dst = SocketAddr::new(target.addr, 443);
-        let mut result =
-            TlsScanResult { target: target.clone(), tls: None, http: None, error: None };
+        let mut result = TlsScanResult {
+            target: target.clone(),
+            tls: None,
+            http: None,
+            error: None,
+        };
 
         let Some(mut stream) = net.tcp_connect(src, dst) else {
             result.error = Some(TlsScanError::ConnectFailed);
@@ -137,8 +141,10 @@ impl Goscanner {
         result.tls = tls.peer_info().cloned();
 
         // One HTTP request, Host = domain or the literal address.
-        let authority =
-            target.domain.clone().unwrap_or_else(|| target.addr.to_string());
+        let authority = target
+            .domain
+            .clone()
+            .unwrap_or_else(|| target.addr.to_string());
         let req = Request {
             method: "GET".into(),
             authority,
@@ -186,7 +192,14 @@ mod tests {
     fn setup() -> (Network, IpAddr) {
         let mut net = Network::new(9);
         let ca = qtls::CertificateAuthority::new("CA", 2);
-        let cert = ca.issue(1, "web.example", vec!["*.web.example".into()], 0, 99, [5; 32]);
+        let cert = ca.issue(
+            1,
+            "web.example",
+            vec!["*.web.example".into()],
+            0,
+            99,
+            [5; 32],
+        );
         let tls = Arc::new(qtls::ServerConfig {
             alpn: vec![b"http/1.1".to_vec()],
             ..qtls::ServerConfig::single_cert(cert)
@@ -197,7 +210,10 @@ mod tests {
             extra_headers: vec![],
         };
         let ip = IpAddr::V4(Ipv4Addr::new(10, 7, 0, 1));
-        net.bind_tcp(SocketAddr::new(ip, 443), Box::new(HttpsTcpHost::new(tls, profile, 4)));
+        net.bind_tcp(
+            SocketAddr::new(ip, 443),
+            Box::new(HttpsTcpHost::new(tls, profile, 4)),
+        );
         (net, ip)
     }
 
@@ -205,7 +221,10 @@ mod tests {
     fn scan_collects_alt_svc_and_server() {
         let (net, ip) = setup();
         let scanner = Goscanner::new(IpAddr::V4(Ipv4Addr::new(192, 0, 2, 1)), 1);
-        let target = TlsTarget { addr: ip, domain: Some("www.web.example".into()) };
+        let target = TlsTarget {
+            addr: ip,
+            domain: Some("www.web.example".into()),
+        };
         let result = scanner.scan_target(&net, &target, 0);
         assert!(result.error.is_none(), "{:?}", result.error);
         assert!(result.handshake_ok());
@@ -222,7 +241,14 @@ mod tests {
     fn scan_without_sni_still_succeeds_on_default_cert() {
         let (net, ip) = setup();
         let scanner = Goscanner::new(IpAddr::V4(Ipv4Addr::new(192, 0, 2, 1)), 1);
-        let result = scanner.scan_target(&net, &TlsTarget { addr: ip, domain: None }, 1);
+        let result = scanner.scan_target(
+            &net,
+            &TlsTarget {
+                addr: ip,
+                domain: None,
+            },
+            1,
+        );
         assert!(result.handshake_ok());
         assert!(!result.tls.unwrap().sni_acked);
     }
@@ -231,8 +257,10 @@ mod tests {
     fn closed_port_reports_connect_failure() {
         let (net, _) = setup();
         let scanner = Goscanner::new(IpAddr::V4(Ipv4Addr::new(192, 0, 2, 1)), 1);
-        let target =
-            TlsTarget { addr: IpAddr::V4(Ipv4Addr::new(10, 7, 0, 99)), domain: None };
+        let target = TlsTarget {
+            addr: IpAddr::V4(Ipv4Addr::new(10, 7, 0, 99)),
+            domain: None,
+        };
         let result = scanner.scan_target(&net, &target, 2);
         assert_eq!(result.error, Some(TlsScanError::ConnectFailed));
     }

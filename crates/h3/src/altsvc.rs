@@ -48,7 +48,12 @@ pub fn parse_alt_svc(value: &str) -> Vec<AltService> {
             }
         }
         if let (Some(alpn), Some(port)) = (alpn, port) {
-            out.push(AltService { alpn, host, port, max_age });
+            out.push(AltService {
+                alpn,
+                host,
+                port,
+                max_age,
+            });
         }
     }
     out
@@ -114,7 +119,9 @@ fn percent_decode(s: &str) -> String {
 
 fn percent_encode(s: &str) -> String {
     // ALPN tokens only need '=' and ',' escaped in practice.
-    s.replace('%', "%25").replace('=', "%3D").replace(',', "%2C")
+    s.replace('%', "%25")
+        .replace('=', "%3D")
+        .replace(',', "%2C")
 }
 
 #[cfg(test)]
@@ -123,8 +130,9 @@ mod tests {
 
     #[test]
     fn parse_cloudflare_style() {
-        let services =
-            parse_alt_svc("h3-27=\":443\"; ma=86400, h3-28=\":443\"; ma=86400, h3-29=\":443\"; ma=86400");
+        let services = parse_alt_svc(
+            "h3-27=\":443\"; ma=86400, h3-28=\":443\"; ma=86400, h3-29=\":443\"; ma=86400",
+        );
         assert_eq!(services.len(), 3);
         assert_eq!(services[0].alpn, "h3-27");
         assert_eq!(services[0].port, 443);
@@ -158,8 +166,18 @@ mod tests {
     #[test]
     fn roundtrip() {
         let services = vec![
-            AltService { alpn: "h3-29".into(), host: "".into(), port: 443, max_age: Some(3600) },
-            AltService { alpn: "quic".into(), host: "".into(), port: 443, max_age: None },
+            AltService {
+                alpn: "h3-29".into(),
+                host: "".into(),
+                port: 443,
+                max_age: Some(3600),
+            },
+            AltService {
+                alpn: "quic".into(),
+                host: "".into(),
+                port: 443,
+                max_age: None,
+            },
         ];
         assert_eq!(parse_alt_svc(&format_alt_svc(&services)), services);
     }
@@ -184,8 +202,10 @@ mod paper_values_tests {
                           h3-34=\":443\"; ma=2592000, h3-Q043=\":443\"; ma=2592000, \
                           h3-Q046=\":443\"; ma=2592000, h3-Q050=\":443\"; ma=2592000, \
                           quic=\":443\"; ma=2592000; v=\"46,43\"";
-        let mut alpns: Vec<String> =
-            parse_alt_svc(google_new).into_iter().map(|s| s.alpn).collect();
+        let mut alpns: Vec<String> = parse_alt_svc(google_new)
+            .into_iter()
+            .map(|s| s.alpn)
+            .collect();
         alpns.sort();
         assert_eq!(
             alpns,

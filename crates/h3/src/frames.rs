@@ -71,9 +71,7 @@ impl H3Frame {
                 H3Frame::GoAway(br.read_varint()?)
             }
             // H2-only frame types are errors in H3 (RFC 9114 §7.2.8).
-            0x2 | 0x3 | 0x6 | 0x8 | 0x9 => {
-                return Err(CodecError::Invalid("H2 frame type on H3"))
-            }
+            0x2 | 0x3 | 0x6 | 0x8 | 0x9 => return Err(CodecError::Invalid("H2 frame type on H3")),
             other => H3Frame::Unknown(other, body.to_vec()),
         })
     }

@@ -6,7 +6,10 @@ use crate::request::{Request, Response};
 
 /// Serializes an HTTP/1.1 request.
 pub fn encode_request(req: &Request) -> Vec<u8> {
-    let mut s = format!("{} {} HTTP/1.1\r\nHost: {}\r\n", req.method, req.path, req.authority);
+    let mut s = format!(
+        "{} {} HTTP/1.1\r\nHost: {}\r\n",
+        req.method, req.path, req.authority
+    );
     for h in &req.headers {
         s.push_str(&format!("{}: {}\r\n", h.name, h.value));
     }
@@ -39,7 +42,12 @@ pub fn decode_request(bytes: &[u8]) -> Option<Request> {
             headers.push(Header { name, value });
         }
     }
-    Some(Request { method, authority, path, headers })
+    Some(Request {
+        method,
+        authority,
+        path,
+        headers,
+    })
 }
 
 /// Serializes an HTTP/1.1 response.
@@ -86,7 +94,11 @@ pub fn decode_response(bytes: &[u8]) -> Option<Response> {
             value: value.trim().to_string(),
         });
     }
-    Some(Response { status, headers, body })
+    Some(Response {
+        status,
+        headers,
+        body,
+    })
 }
 
 fn find_header_end(bytes: &[u8]) -> Option<usize> {
@@ -118,7 +130,10 @@ mod tests {
             status: 200,
             headers: vec![
                 Header::new("server", "cloudflare"),
-                Header::new("alt-svc", "h3-27=\":443\"; ma=86400, h3-28=\":443\"; ma=86400"),
+                Header::new(
+                    "alt-svc",
+                    "h3-27=\":443\"; ma=86400, h3-28=\":443\"; ma=86400",
+                ),
             ],
             body: b"<html></html>".to_vec(),
         };

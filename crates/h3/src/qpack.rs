@@ -15,7 +15,10 @@ pub struct Header {
 impl Header {
     /// Convenience constructor.
     pub fn new(name: &str, value: &str) -> Header {
-        Header { name: name.to_ascii_lowercase(), value: value.to_string() }
+        Header {
+            name: name.to_ascii_lowercase(),
+            value: value.to_string(),
+        }
     }
 }
 
@@ -48,7 +51,10 @@ fn static_lookup(name: &str, value: &str) -> Option<usize> {
 }
 
 fn static_entry(index: usize) -> Option<(&'static str, &'static str)> {
-    STATIC_TABLE.iter().find(|(i, _, _)| *i == index).map(|(_, n, v)| (*n, *v))
+    STATIC_TABLE
+        .iter()
+        .find(|(i, _, _)| *i == index)
+        .map(|(_, n, v)| (*n, *v))
 }
 
 /// Encodes an integer with an N-bit prefix (RFC 7541 §5.1).
@@ -157,10 +163,12 @@ pub fn decode_field_section(bytes: &[u8]) -> Result<Vec<Header>> {
                 return Err(CodecError::Invalid("dynamic table name reference"));
             }
             let idx = decode_prefixed_int(&mut r, 4)? as usize;
-            let (name, _) =
-                static_entry(idx).ok_or(CodecError::Invalid("unknown static index"))?;
+            let (name, _) = static_entry(idx).ok_or(CodecError::Invalid("unknown static index"))?;
             let value = decode_string(&mut r, 7)?;
-            out.push(Header { name: name.to_string(), value });
+            out.push(Header {
+                name: name.to_string(),
+                value,
+            });
         } else if first & 0b0010_0000 != 0 {
             // Literal with literal name.
             let name = decode_string(&mut r, 3)?;

@@ -92,7 +92,12 @@ pub fn decode_request(bytes: &[u8]) -> Option<Request> {
             _ => headers.push(h),
         }
     }
-    (!method.is_empty()).then_some(Request { method, authority, path, headers })
+    (!method.is_empty()).then_some(Request {
+        method,
+        authority,
+        path,
+        headers,
+    })
 }
 
 /// Encodes a response (HEADERS + optional DATA) for a request stream.
@@ -128,7 +133,11 @@ pub fn decode_response(bytes: &[u8]) -> Option<Response> {
             _ => {}
         }
     }
-    (status != 0).then_some(Response { status, headers, body })
+    (status != 0).then_some(Response {
+        status,
+        headers,
+        body,
+    })
 }
 
 /// Reads the stream-type varint off the front of a unidirectional stream.
@@ -144,7 +153,12 @@ mod tests {
 
     #[test]
     fn head_request_roundtrip() {
-        let bytes = encode_request("HEAD", "example.com", "/", &[Header::new("user-agent", "q")]);
+        let bytes = encode_request(
+            "HEAD",
+            "example.com",
+            "/",
+            &[Header::new("user-agent", "q")],
+        );
         let req = decode_request(&bytes).unwrap();
         assert_eq!(req.method, "HEAD");
         assert_eq!(req.authority, "example.com");
@@ -156,7 +170,10 @@ mod tests {
     fn response_roundtrip() {
         let bytes = encode_response(
             200,
-            &[Header::new("server", "gvs 1.0"), Header::new("alt-svc", "h3-29=\":443\"")],
+            &[
+                Header::new("server", "gvs 1.0"),
+                Header::new("alt-svc", "h3-29=\":443\""),
+            ],
             b"",
         );
         let resp = decode_response(&bytes).unwrap();

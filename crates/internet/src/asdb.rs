@@ -123,15 +123,24 @@ mod tests {
         db.announce(Prefix::new(Ipv4Addr::new(10, 0, 0, 0), 8), 100);
         db.announce(Prefix::new(Ipv4Addr::new(10, 5, 0, 0), 16), asn::CLOUDFLARE);
         db.freeze();
-        assert_eq!(db.lookup(&IpAddr::V4(Ipv4Addr::new(10, 5, 1, 1))), Some(asn::CLOUDFLARE));
-        assert_eq!(db.lookup(&IpAddr::V4(Ipv4Addr::new(10, 9, 1, 1))), Some(100));
+        assert_eq!(
+            db.lookup(&IpAddr::V4(Ipv4Addr::new(10, 5, 1, 1))),
+            Some(asn::CLOUDFLARE)
+        );
+        assert_eq!(
+            db.lookup(&IpAddr::V4(Ipv4Addr::new(10, 9, 1, 1))),
+            Some(100)
+        );
         assert_eq!(db.lookup(&IpAddr::V4(Ipv4Addr::new(11, 0, 0, 1))), None);
     }
 
     #[test]
     fn v6_prefixes() {
         let mut db = AsDb::new();
-        db.announce(Prefix::new(Ipv6Addr::new(0x2001, 0xdb8, 5, 0, 0, 0, 0, 0), 48), asn::GOOGLE);
+        db.announce(
+            Prefix::new(Ipv6Addr::new(0x2001, 0xdb8, 5, 0, 0, 0, 0, 0), 48),
+            asn::GOOGLE,
+        );
         db.freeze();
         assert_eq!(
             db.lookup(&IpAddr::V6(Ipv6Addr::new(0x2001, 0xdb8, 5, 1, 0, 0, 0, 1))),

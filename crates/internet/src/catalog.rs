@@ -21,51 +21,79 @@ type TpRow = (u64, u64, u64, u64, u64, u64, u64, u64, bool, u64);
 /// * max data spans 8 192 … 16 777 216; stream data spans 32 768 … 10 485 760.
 const TP_TABLE: [TpRow; 45] = [
     // udp,   data,       stream,     sb,  su, idle,   ade, mad, mig,  acl
-    (65527, 10_485_760, 1_048_576, 256, 3, 30_000, 3, 25, false, 2),    // 0 quiche/Cloudflare
-    (1500, 16_777_216, 10_485_760, 100, 100, 60_000, 3, 25, false, 4),  // 1 mvfst origin a
-    (1404, 16_777_216, 10_485_760, 100, 100, 60_000, 3, 25, false, 4),  // 2 mvfst origin b
-    (1500, 1_081_344, 67_584, 100, 100, 60_000, 3, 25, false, 4),       // 3 mvfst edge a
-    (1404, 1_081_344, 67_584, 100, 100, 60_000, 3, 25, false, 4),       // 4 mvfst edge b
-    (1472, 15_728_640, 6_291_456, 100, 103, 240_000, 3, 25, true, 2),   // 5 google gvs edge
-    (1472, 15_728_640, 8_388_608, 100, 103, 240_000, 3, 25, true, 2),   // 6 google internal
-    (65527, 12_582_912, 1_572_864, 100, 3, 30_000, 3, 25, false, 8),    // 7 lsquic a
-    (1452, 12_582_912, 1_572_864, 100, 3, 30_000, 3, 25, false, 8),     // 8 lsquic b
-    (65527, 16_777_216, 2_097_152, 128, 3, 60_000, 3, 25, false, 2),    // 9 nginx 1.20.0
-    (65527, 16_777_216, 1_048_576, 128, 3, 60_000, 3, 25, false, 2),    // 10 nginx 1.19.9
-    (65527, 8_388_608, 1_048_576, 128, 3, 60_000, 3, 25, false, 2),     // 11 nginx 1.19.4
-    (65527, 4_194_304, 524_288, 128, 3, 60_000, 3, 25, false, 2),       // 12 nginx 1.18.x
-    (65527, 2_097_152, 262_144, 128, 3, 60_000, 3, 25, false, 2),       // 13 nginx 1.17.x
-    (1500, 16_777_216, 2_097_152, 128, 3, 60_000, 3, 25, false, 2),     // 14 nginx tuned a
-    (1500, 8_388_608, 1_048_576, 128, 3, 60_000, 3, 25, false, 2),      // 15 nginx tuned b
-    (1500, 4_194_304, 524_288, 128, 3, 60_000, 3, 25, false, 2),        // 16 nginx tuned c
-    (1350, 16_777_216, 2_097_152, 128, 3, 60_000, 3, 25, false, 2),     // 17 cf-fork nginx
-    (1350, 10_485_760, 1_048_576, 128, 3, 60_000, 3, 25, false, 2),     // 18 cf-fork nginx b
-    (1200, 2_097_152, 1_048_576, 16, 3, 30_000, 3, 25, false, 2),       // 19 nginx minimal
-    (1200, 1_048_576, 262_144, 16, 3, 30_000, 3, 25, false, 2),         // 20 nginx minimal b
-    (65527, 1_048_576, 131_072, 32, 3, 30_000, 3, 25, false, 2),        // 21 nginx small
-    (1500, 1_048_576, 131_072, 32, 3, 30_000, 3, 25, false, 2),         // 22 nginx small b
-    (65527, 524_288, 65_536, 16, 3, 30_000, 3, 25, false, 2),           // 23 nginx tiny
-    (1252, 524_288, 65_536, 16, 3, 30_000, 3, 25, false, 2),            // 24 nginx tiny b
-    (1452, 10_485_760, 2_097_152, 250, 3, 120_000, 3, 25, false, 4),    // 25 caddy/quic-go
-    (16383, 16_777_216, 1_048_576, 100, 100, 30_000, 8, 25, false, 2),  // 26 h2o
-    (65527, 8192, 32_768, 4, 1, 10_000, 3, 25, false, 2),               // 27 picoquic-min
-    (1500, 8192, 32_768, 4, 1, 10_000, 3, 25, false, 2),                // 28 picoquic-min b
-    (65527, 1_048_576, 1_048_576, 100, 100, 30_000, 3, 25, false, 2),   // 29 quinn
-    (1200, 1_048_576, 1_048_576, 100, 100, 30_000, 3, 25, false, 2),    // 30 quinn tuned
-    (65527, 10_485_760, 10_485_760, 512, 256, 300_000, 3, 25, false, 2),// 31 ats
-    (1500, 10_485_760, 10_485_760, 512, 256, 300_000, 3, 25, false, 2), // 32 ats b
-    (16383, 786_432, 98_304, 64, 64, 30_000, 3, 25, false, 2),          // 33 ngtcp2
-    (1452, 786_432, 98_304, 64, 64, 30_000, 3, 25, false, 2),           // 34 ngtcp2 b
-    (1452, 1_048_576, 262_144, 8, 8, 60_000, 3, 26, false, 2),          // 35 aioquic
-    (1500, 1_048_576, 262_144, 8, 8, 60_000, 3, 26, false, 2),          // 36 aioquic b
-    (4096, 3_145_728, 393_216, 100, 3, 30_000, 3, 25, false, 2),        // 37 haproxy
-    (4096, 3_145_728, 786_432, 100, 3, 30_000, 3, 25, false, 2),        // 38 haproxy b
-    (1350, 2_097_152, 1_048_576, 100, 3, 30_000, 2, 20, false, 2),      // 39 quant
-    (1500, 2_097_152, 1_048_576, 100, 3, 30_000, 2, 20, false, 2),      // 40 quant b
-    (1500, 1_572_864, 196_608, 50, 50, 45_000, 3, 25, true, 3),         // 41 neqo
-    (1252, 1_572_864, 196_608, 50, 50, 45_000, 3, 25, true, 3),         // 42 neqo b
-    (1252, 6_291_456, 786_432, 100, 3, 30_000, 3, 25, false, 2),        // 43 kwik
-    (1500, 524_288, 49_152, 10, 10, 15_000, 3, 25, false, 2),           // 44 s2n-mini
+    (
+        65527, 10_485_760, 1_048_576, 256, 3, 30_000, 3, 25, false, 2,
+    ), // 0 quiche/Cloudflare
+    (
+        1500, 16_777_216, 10_485_760, 100, 100, 60_000, 3, 25, false, 4,
+    ), // 1 mvfst origin a
+    (
+        1404, 16_777_216, 10_485_760, 100, 100, 60_000, 3, 25, false, 4,
+    ), // 2 mvfst origin b
+    (1500, 1_081_344, 67_584, 100, 100, 60_000, 3, 25, false, 4), // 3 mvfst edge a
+    (1404, 1_081_344, 67_584, 100, 100, 60_000, 3, 25, false, 4), // 4 mvfst edge b
+    (
+        1472, 15_728_640, 6_291_456, 100, 103, 240_000, 3, 25, true, 2,
+    ), // 5 google gvs edge
+    (
+        1472, 15_728_640, 8_388_608, 100, 103, 240_000, 3, 25, true, 2,
+    ), // 6 google internal
+    (
+        65527, 12_582_912, 1_572_864, 100, 3, 30_000, 3, 25, false, 8,
+    ), // 7 lsquic a
+    (1452, 12_582_912, 1_572_864, 100, 3, 30_000, 3, 25, false, 8), // 8 lsquic b
+    (
+        65527, 16_777_216, 2_097_152, 128, 3, 60_000, 3, 25, false, 2,
+    ), // 9 nginx 1.20.0
+    (
+        65527, 16_777_216, 1_048_576, 128, 3, 60_000, 3, 25, false, 2,
+    ), // 10 nginx 1.19.9
+    (65527, 8_388_608, 1_048_576, 128, 3, 60_000, 3, 25, false, 2), // 11 nginx 1.19.4
+    (65527, 4_194_304, 524_288, 128, 3, 60_000, 3, 25, false, 2), // 12 nginx 1.18.x
+    (65527, 2_097_152, 262_144, 128, 3, 60_000, 3, 25, false, 2), // 13 nginx 1.17.x
+    (1500, 16_777_216, 2_097_152, 128, 3, 60_000, 3, 25, false, 2), // 14 nginx tuned a
+    (1500, 8_388_608, 1_048_576, 128, 3, 60_000, 3, 25, false, 2), // 15 nginx tuned b
+    (1500, 4_194_304, 524_288, 128, 3, 60_000, 3, 25, false, 2),  // 16 nginx tuned c
+    (1350, 16_777_216, 2_097_152, 128, 3, 60_000, 3, 25, false, 2), // 17 cf-fork nginx
+    (1350, 10_485_760, 1_048_576, 128, 3, 60_000, 3, 25, false, 2), // 18 cf-fork nginx b
+    (1200, 2_097_152, 1_048_576, 16, 3, 30_000, 3, 25, false, 2), // 19 nginx minimal
+    (1200, 1_048_576, 262_144, 16, 3, 30_000, 3, 25, false, 2),   // 20 nginx minimal b
+    (65527, 1_048_576, 131_072, 32, 3, 30_000, 3, 25, false, 2),  // 21 nginx small
+    (1500, 1_048_576, 131_072, 32, 3, 30_000, 3, 25, false, 2),   // 22 nginx small b
+    (65527, 524_288, 65_536, 16, 3, 30_000, 3, 25, false, 2),     // 23 nginx tiny
+    (1252, 524_288, 65_536, 16, 3, 30_000, 3, 25, false, 2),      // 24 nginx tiny b
+    (
+        1452, 10_485_760, 2_097_152, 250, 3, 120_000, 3, 25, false, 4,
+    ), // 25 caddy/quic-go
+    (
+        16383, 16_777_216, 1_048_576, 100, 100, 30_000, 8, 25, false, 2,
+    ), // 26 h2o
+    (65527, 8192, 32_768, 4, 1, 10_000, 3, 25, false, 2),         // 27 picoquic-min
+    (1500, 8192, 32_768, 4, 1, 10_000, 3, 25, false, 2),          // 28 picoquic-min b
+    (
+        65527, 1_048_576, 1_048_576, 100, 100, 30_000, 3, 25, false, 2,
+    ), // 29 quinn
+    (
+        1200, 1_048_576, 1_048_576, 100, 100, 30_000, 3, 25, false, 2,
+    ), // 30 quinn tuned
+    (
+        65527, 10_485_760, 10_485_760, 512, 256, 300_000, 3, 25, false, 2,
+    ), // 31 ats
+    (
+        1500, 10_485_760, 10_485_760, 512, 256, 300_000, 3, 25, false, 2,
+    ), // 32 ats b
+    (16383, 786_432, 98_304, 64, 64, 30_000, 3, 25, false, 2),    // 33 ngtcp2
+    (1452, 786_432, 98_304, 64, 64, 30_000, 3, 25, false, 2),     // 34 ngtcp2 b
+    (1452, 1_048_576, 262_144, 8, 8, 60_000, 3, 26, false, 2),    // 35 aioquic
+    (1500, 1_048_576, 262_144, 8, 8, 60_000, 3, 26, false, 2),    // 36 aioquic b
+    (4096, 3_145_728, 393_216, 100, 3, 30_000, 3, 25, false, 2),  // 37 haproxy
+    (4096, 3_145_728, 786_432, 100, 3, 30_000, 3, 25, false, 2),  // 38 haproxy b
+    (1350, 2_097_152, 1_048_576, 100, 3, 30_000, 2, 20, false, 2), // 39 quant
+    (1500, 2_097_152, 1_048_576, 100, 3, 30_000, 2, 20, false, 2), // 40 quant b
+    (1500, 1_572_864, 196_608, 50, 50, 45_000, 3, 25, true, 3),   // 41 neqo
+    (1252, 1_572_864, 196_608, 50, 50, 45_000, 3, 25, true, 3),   // 42 neqo b
+    (1252, 6_291_456, 786_432, 100, 3, 30_000, 3, 25, false, 2),  // 43 kwik
+    (1500, 524_288, 49_152, 10, 10, 15_000, 3, 25, false, 2),     // 44 s2n-mini
 ];
 
 /// Number of distinct transport-parameter configurations in the catalogue —
@@ -105,15 +133,51 @@ pub struct Implementation {
 
 /// Catalogue of implementations the universe deploys.
 pub const IMPLEMENTATIONS: &[Implementation] = &[
-    Implementation { name: "quiche-cf", server_header: "cloudflare", close_reason: "handshake failure" },
-    Implementation { name: "google-quic", server_header: "gvs 1.0", close_reason: "TLS handshake failure (ENCRYPTION_HANDSHAKE) 40: handshake failure" },
-    Implementation { name: "google-fe", server_header: "ESF", close_reason: "TLS handshake failure (ENCRYPTION_HANDSHAKE) 40: handshake failure" },
-    Implementation { name: "mvfst", server_header: "proxygen-bolt", close_reason: "fizz::FizzException: handshake failure" },
-    Implementation { name: "lsquic", server_header: "LiteSpeed", close_reason: "TLS alert 40" },
-    Implementation { name: "nginx-quic", server_header: "nginx", close_reason: "handshake failed: alert 40" },
-    Implementation { name: "caddy", server_header: "Caddy", close_reason: "CRYPTO_ERROR: handshake failure" },
-    Implementation { name: "h2o", server_header: "h2o", close_reason: "handshake failure" },
-    Implementation { name: "aioquic", server_header: "Python/3.7 aiohttp/3.7.2", close_reason: "handshake failure (40)" },
+    Implementation {
+        name: "quiche-cf",
+        server_header: "cloudflare",
+        close_reason: "handshake failure",
+    },
+    Implementation {
+        name: "google-quic",
+        server_header: "gvs 1.0",
+        close_reason: "TLS handshake failure (ENCRYPTION_HANDSHAKE) 40: handshake failure",
+    },
+    Implementation {
+        name: "google-fe",
+        server_header: "ESF",
+        close_reason: "TLS handshake failure (ENCRYPTION_HANDSHAKE) 40: handshake failure",
+    },
+    Implementation {
+        name: "mvfst",
+        server_header: "proxygen-bolt",
+        close_reason: "fizz::FizzException: handshake failure",
+    },
+    Implementation {
+        name: "lsquic",
+        server_header: "LiteSpeed",
+        close_reason: "TLS alert 40",
+    },
+    Implementation {
+        name: "nginx-quic",
+        server_header: "nginx",
+        close_reason: "handshake failed: alert 40",
+    },
+    Implementation {
+        name: "caddy",
+        server_header: "Caddy",
+        close_reason: "CRYPTO_ERROR: handshake failure",
+    },
+    Implementation {
+        name: "h2o",
+        server_header: "h2o",
+        close_reason: "handshake failure",
+    },
+    Implementation {
+        name: "aioquic",
+        server_header: "Python/3.7 aiohttp/3.7.2",
+        close_reason: "handshake failure (40)",
+    },
 ];
 
 /// Looks an implementation up by id.
@@ -132,7 +196,9 @@ mod tests {
     /// The paper's headline: exactly 45 distinct configurations.
     #[test]
     fn exactly_45_distinct_configs() {
-        let keys: HashSet<String> = (0..TP_CONFIG_COUNT).map(|i| tp_config(i).config_key()).collect();
+        let keys: HashSet<String> = (0..TP_CONFIG_COUNT)
+            .map(|i| tp_config(i).config_key())
+            .collect();
         assert_eq!(keys.len(), 45);
     }
 
@@ -140,7 +206,9 @@ mod tests {
     /// udp payload values overall.
     #[test]
     fn udp_payload_distribution_matches_paper() {
-        let udps: Vec<u64> = (0..TP_CONFIG_COUNT).map(|i| tp_config(i).max_udp_payload_size).collect();
+        let udps: Vec<u64> = (0..TP_CONFIG_COUNT)
+            .map(|i| tp_config(i).max_udp_payload_size)
+            .collect();
         assert_eq!(udps.iter().filter(|&&u| u == 65527).count(), 12);
         assert_eq!(udps.iter().filter(|&&u| u == 1500).count(), 12);
         let distinct: HashSet<u64> = udps.into_iter().collect();
@@ -151,11 +219,14 @@ mod tests {
     /// data spans 32 KiB … 10 MiB.
     #[test]
     fn data_ranges_match_paper() {
-        let datas: Vec<u64> = (0..TP_CONFIG_COUNT).map(|i| tp_config(i).initial_max_data).collect();
+        let datas: Vec<u64> = (0..TP_CONFIG_COUNT)
+            .map(|i| tp_config(i).initial_max_data)
+            .collect();
         assert_eq!(*datas.iter().min().unwrap(), 8192);
         assert_eq!(*datas.iter().max().unwrap(), 16_777_216);
-        let streams: Vec<u64> =
-            (0..TP_CONFIG_COUNT).map(|i| tp_config(i).initial_max_stream_data_bidi_local).collect();
+        let streams: Vec<u64> = (0..TP_CONFIG_COUNT)
+            .map(|i| tp_config(i).initial_max_stream_data_bidi_local)
+            .collect();
         assert_eq!(*streams.iter().min().unwrap(), 32_768);
         assert_eq!(*streams.iter().max().unwrap(), 10_485_760);
     }

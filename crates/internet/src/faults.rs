@@ -39,14 +39,22 @@ pub struct FaultPlan {
 impl FaultPlan {
     /// No impairment at all — the pre-fault-injection network.
     pub fn none() -> Self {
-        FaultPlan { loss_permille: 0, middlebox_rate_limit: false, ghost_unreachable: false }
+        FaultPlan {
+            loss_permille: 0,
+            middlebox_rate_limit: false,
+            ghost_unreachable: false,
+        }
     }
 
     /// The calibrated plan: `loss_permille` baseline loss everywhere plus
     /// the observable-substitution faults described in the module docs.
     pub fn calibrated(loss_permille: u32) -> Self {
         assert!(loss_permille <= 1000);
-        FaultPlan { loss_permille, middlebox_rate_limit: true, ghost_unreachable: true }
+        FaultPlan {
+            loss_permille,
+            middlebox_rate_limit: true,
+            ghost_unreachable: true,
+        }
     }
 
     /// Reads `SIM_LOSS_PERMILLE` from the environment: unset, empty, or `0`
@@ -96,7 +104,11 @@ impl FaultPlan {
             }
         }
         if self.ghost_unreachable {
-            n += universe.domains.iter().map(|d| d.ghost_v4.len() as u64).sum::<u64>();
+            n += universe
+                .domains
+                .iter()
+                .map(|d| d.ghost_v4.len() as u64)
+                .sum::<u64>();
         }
         n
     }
@@ -133,7 +145,10 @@ impl FaultPlan {
                 if !nth.is_multiple_of(2) {
                     continue;
                 }
-                for ip in [h.v4.map(IpAddr::V4), h.v6.map(IpAddr::V6)].into_iter().flatten() {
+                for ip in [h.v4.map(IpAddr::V4), h.v6.map(IpAddr::V6)]
+                    .into_iter()
+                    .flatten()
+                {
                     net.set_path_profile(ip, limited);
                 }
             }
@@ -176,7 +191,9 @@ mod tests {
     fn none_plan_leaves_network_ideal() {
         let u = tiny_universe();
         let net = u.build_network_with_faults(&FaultPlan::none());
-        assert!(net.path_profile(IpAddr::V4(simnet::addr::Ipv4Addr::new(10, 1, 2, 3))).is_ideal());
+        assert!(net
+            .path_profile(IpAddr::V4(simnet::addr::Ipv4Addr::new(10, 1, 2, 3)))
+            .is_ideal());
     }
 
     #[test]
@@ -232,7 +249,10 @@ mod tests {
         let net = u.build_network_with_faults(&plan);
         let mut installed = 0u64;
         for h in &u.hosts {
-            for ip in [h.v4.map(IpAddr::V4), h.v6.map(IpAddr::V6)].into_iter().flatten() {
+            for ip in [h.v4.map(IpAddr::V4), h.v6.map(IpAddr::V6)]
+                .into_iter()
+                .flatten()
+            {
                 if net.path_profile(ip).rate_limit.is_some() {
                     installed += 1;
                 }

@@ -87,7 +87,11 @@ impl LazyBinder for UniverseBinder {
         // Exactly build_network's per-host seed derivation.
         let seed = self.universe.config.seed ^ ((i as u64) << 20);
         let cfg = self.universe.quic_endpoint_config(h);
-        Some(Box::new(QuicHost::new(cfg, self.universe.http_profile(h), seed)))
+        Some(Box::new(QuicHost::new(
+            cfg,
+            self.universe.http_profile(h),
+            seed,
+        )))
     }
 
     fn make_tcp(&self, at: SocketAddr) -> Option<Box<dyn TcpFactory>> {
@@ -97,7 +101,11 @@ impl LazyBinder for UniverseBinder {
         }
         let seed = self.universe.config.seed ^ ((i as u64) << 20);
         let tls = self.universe.tls_config(h, true);
-        Some(Box::new(HttpsTcpHost::new(tls, self.universe.http_profile(h), seed ^ 1)))
+        Some(Box::new(HttpsTcpHost::new(
+            tls,
+            self.universe.http_profile(h),
+            seed ^ 1,
+        )))
     }
 
     fn tcp_open(&self, at: SocketAddr) -> bool {
@@ -156,7 +164,11 @@ impl ScaleConfig {
 
     /// A small configuration for tests: `endpoints` members in a /16.
     pub fn test(seed: u64, endpoints: u64) -> Self {
-        ScaleConfig { seed, endpoints, span: Prefix::new(Ipv4Addr::new(10, 7, 0, 0), 16) }
+        ScaleConfig {
+            seed,
+            endpoints,
+            span: Prefix::new(Ipv4Addr::new(10, 7, 0, 0), 16),
+        }
     }
 }
 
@@ -298,10 +310,7 @@ impl LazyUniverse {
                 } else {
                     NoSniBehavior::UseDefault(0)
                 };
-                let alpn = versions
-                    .iter()
-                    .map(|v| v.alpn().into_bytes())
-                    .collect();
+                let alpn = versions.iter().map(|v| v.alpn().into_bytes()).collect();
                 let tls = Arc::new(qtls::ServerConfig {
                     certs: vec![cert.clone()],
                     no_sni,
@@ -339,7 +348,14 @@ impl LazyUniverse {
             extra_headers: Vec::new(),
         };
         LazyUniverse {
-            inner: Arc::new(ScaleInner { config, perm, base, span_size, templates, profile }),
+            inner: Arc::new(ScaleInner {
+                config,
+                perm,
+                base,
+                span_size,
+                templates,
+                profile,
+            }),
         }
     }
 
@@ -465,7 +481,11 @@ impl LazyBinder for LazyUniverse {
             return None; // Silent: addressable, dark on UDP.
         }
         let cfg = self.inner.templates[class * VERSION_SETS.len() + p.version_set].clone();
-        Some(Box::new(QuicHost::new(cfg, self.inner.profile.clone(), p.seed)))
+        Some(Box::new(QuicHost::new(
+            cfg,
+            self.inner.profile.clone(),
+            p.seed,
+        )))
     }
 
     fn make_tcp(&self, _at: SocketAddr) -> Option<Box<dyn TcpFactory>> {
@@ -486,8 +506,7 @@ mod tests {
     use zmapq::{ZmapConfig, ZmapScanner};
 
     fn scanner(workers: usize) -> ZmapScanner {
-        let mut cfg =
-            ZmapConfig::new(SocketAddr::new(Ipv4Addr::new(192, 0, 2, 7), 40_000));
+        let mut cfg = ZmapConfig::new(SocketAddr::new(Ipv4Addr::new(192, 0, 2, 7), 40_000));
         cfg.rate_pps = 10_000_000;
         cfg.workers = workers;
         ZmapScanner::new(cfg)
@@ -508,7 +527,10 @@ mod tests {
         assert!(!a.is_empty());
         assert_eq!(a, b);
         for h in &u.hosts {
-            for ip in [h.v4.map(IpAddr::V4), h.v6.map(IpAddr::V6)].into_iter().flatten() {
+            for ip in [h.v4.map(IpAddr::V4), h.v6.map(IpAddr::V6)]
+                .into_iter()
+                .flatten()
+            {
                 let at = SocketAddr::new(ip, 443);
                 assert_eq!(
                     static_net.tcp_port_open(at),
@@ -560,9 +582,8 @@ mod tests {
             assert_eq!(p, v.persona(i), "index {i}");
             *by_behavior.entry(p.behavior).or_default() += 1;
         }
-        let share = |b: ScaleBehavior| {
-            *by_behavior.get(&b).unwrap_or(&0) as f64 / u.endpoints() as f64
-        };
+        let share =
+            |b: ScaleBehavior| *by_behavior.get(&b).unwrap_or(&0) as f64 / u.endpoints() as f64;
         assert!((share(ScaleBehavior::Silent) - 0.70).abs() < 0.02);
         assert!((share(ScaleBehavior::Normal) - 0.18).abs() < 0.02);
         assert!(share(ScaleBehavior::VnOnly) > 0.01);
@@ -583,7 +604,9 @@ mod tests {
             .count();
         assert_eq!(hits.len(), responsive);
         for h in &hits {
-            let IpAddr::V4(v4) = h.addr.ip else { panic!("v4 sweep") };
+            let IpAddr::V4(v4) = h.addr.ip else {
+                panic!("v4 sweep")
+            };
             assert!(u.member_index(v4).is_some(), "hit outside membership");
         }
         let stats = net.lazy_stats().expect("binder installed");

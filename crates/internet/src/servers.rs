@@ -56,14 +56,21 @@ pub struct H3App {
 impl H3App {
     /// New handler for one connection.
     pub fn new(profile: Arc<HttpProfile>) -> Self {
-        H3App { profile, buffers: HashMap::new() }
+        H3App {
+            profile,
+            buffers: HashMap::new(),
+        }
     }
 }
 
 impl StreamHandler for H3App {
     fn on_connected(&mut self) -> Vec<StreamSend> {
         // Server control stream (first server-initiated uni stream, id 3).
-        vec![StreamSend { id: 3, data: request::server_control_stream(), fin: false }]
+        vec![StreamSend {
+            id: 3,
+            data: request::server_control_stream(),
+            fin: false,
+        }]
     }
 
     fn on_stream_data(&mut self, id: u64, data: &[u8], fin: bool) -> Vec<StreamSend> {
@@ -82,9 +89,17 @@ impl StreamHandler for H3App {
         };
         // Alt-Svc is usually also served on H3 responses; harmless either way.
         let headers = self.profile.response_headers(true);
-        let body: &[u8] = if req.method == "HEAD" { b"" } else { b"<html>ok</html>" };
+        let body: &[u8] = if req.method == "HEAD" {
+            b""
+        } else {
+            b"<html>ok</html>"
+        };
         let resp = request::encode_response(200, &headers, body);
-        vec![StreamSend { id, data: resp, fin: true }]
+        vec![StreamSend {
+            id,
+            data: resp,
+            fin: true,
+        }]
     }
 }
 
@@ -205,7 +220,14 @@ mod tests {
 
     fn tls_config() -> Arc<qtls::ServerConfig> {
         let ca = CertificateAuthority::new("CA", 5);
-        let cert = ca.issue(1, "site.example", vec!["*.site.example".into()], 0, 99, [4; 32]);
+        let cert = ca.issue(
+            1,
+            "site.example",
+            vec!["*.site.example".into()],
+            0,
+            99,
+            [4; 32],
+        );
         Arc::new(qtls::ServerConfig {
             alpn: vec![b"h3-29".to_vec(), b"http/1.1".to_vec()],
             ..qtls::ServerConfig::single_cert(cert)
@@ -225,7 +247,10 @@ mod tests {
         let mut net = Network::new(3);
         let host_addr = SocketAddr::new(Ipv4Addr::new(10, 0, 0, 1), 443);
         let endpoint_cfg = EndpointConfig::new(tls_config());
-        net.bind_udp(host_addr, Box::new(QuicHost::new(endpoint_cfg, profile(), 9)));
+        net.bind_udp(
+            host_addr,
+            Box::new(QuicHost::new(endpoint_cfg, profile(), 9)),
+        );
 
         // Drive a client connection through the network.
         let client_cfg = quic::ClientConfig {
@@ -273,7 +298,10 @@ mod tests {
             }
         }
         let streams = conn.poll_streams();
-        let resp_stream = streams.iter().find(|s| s.id == req_stream).expect("response");
+        let resp_stream = streams
+            .iter()
+            .find(|s| s.id == req_stream)
+            .expect("response");
         let resp = request::decode_response(&resp_stream.data).expect("decodable");
         assert_eq!(resp.status, 200);
         assert_eq!(resp.header("server"), Some("testserver"));
@@ -284,7 +312,10 @@ mod tests {
     fn tcp_host_serves_http1_with_alt_svc() {
         let mut net = Network::new(4);
         let host_addr = SocketAddr::new(Ipv4Addr::new(10, 0, 0, 2), 443);
-        net.bind_tcp(host_addr, Box::new(HttpsTcpHost::new(tls_config(), profile(), 11)));
+        net.bind_tcp(
+            host_addr,
+            Box::new(HttpsTcpHost::new(tls_config(), profile(), 11)),
+        );
 
         let src = SocketAddr::new(Ipv4Addr::new(192, 0, 2, 1), 40001);
         let mut stream = net.tcp_connect(src, host_addr).expect("port open");

@@ -45,12 +45,20 @@ pub struct UniverseConfig {
 impl UniverseConfig {
     /// Default-scale universe for `week`.
     pub fn week(week: u32) -> Self {
-        UniverseConfig { seed: 0x9000, week, size_factor: 1.0 }
+        UniverseConfig {
+            seed: 0x9000,
+            week,
+            size_factor: 1.0,
+        }
     }
 
     /// A small universe for unit tests (~5% of default).
     pub fn tiny(week: u32) -> Self {
-        UniverseConfig { seed: 0x9000, week, size_factor: 0.05 }
+        UniverseConfig {
+            seed: 0x9000,
+            week,
+            size_factor: 0.05,
+        }
     }
 }
 
@@ -238,8 +246,7 @@ fn alpn_of(versions: &[&str]) -> Vec<String> {
     versions.iter().map(|s| s.to_string()).collect()
 }
 
-const CF_ALT: &str =
-    "h3-27=\":443\"; ma=86400, h3-28=\":443\"; ma=86400, h3-29=\":443\"; ma=86400";
+const CF_ALT: &str = "h3-27=\":443\"; ma=86400, h3-28=\":443\"; ma=86400, h3-29=\":443\"; ma=86400";
 const GOOGLE_ALT_OLD: &str = "h3-25=\":443\"; ma=2592000, h3-27=\":443\"; ma=2592000, h3-Q043=\":443\"; ma=2592000, h3-Q046=\":443\"; ma=2592000, h3-Q050=\":443\"; ma=2592000, quic=\":443\"; ma=2592000; v=\"46,43\"";
 const GOOGLE_ALT_NEW: &str = "h3-27=\":443\"; ma=2592000, h3-29=\":443\"; ma=2592000, h3-34=\":443\"; ma=2592000, h3-Q043=\":443\"; ma=2592000, h3-Q046=\":443\"; ma=2592000, h3-Q050=\":443\"; ma=2592000, quic=\":443\"; ma=2592000; v=\"46,43\"";
 const QUIC_ONLY_ALT: &str = "quic=\":443\"; ma=2592000; v=\"44,43,39\"";
@@ -267,7 +274,12 @@ impl Universe {
             tail_asn_next: 60000,
         };
         builder.build();
-        let Builder { hosts, domains, mut asdb, .. } = builder;
+        let Builder {
+            hosts,
+            domains,
+            mut asdb,
+            ..
+        } = builder;
         asdb.freeze();
         Universe {
             ca: CertificateAuthority::new("Sim Global CA", config.seed),
@@ -350,11 +362,20 @@ impl Universe {
                     db.add_aaaa(&d.name, v6);
                 }
             }
-            if d.https_rr_since.map(|w| w <= self.config.week).unwrap_or(false) {
-                let v4hints: Vec<Ipv4Addr> =
-                    d.v4_hosts.iter().filter_map(|&hi| self.hosts[hi as usize].v4).collect();
-                let v6hints: Vec<Ipv6Addr> =
-                    d.v6_hosts.iter().filter_map(|&hi| self.hosts[hi as usize].v6).collect();
+            if d.https_rr_since
+                .map(|w| w <= self.config.week)
+                .unwrap_or(false)
+            {
+                let v4hints: Vec<Ipv4Addr> = d
+                    .v4_hosts
+                    .iter()
+                    .filter_map(|&hi| self.hosts[hi as usize].v4)
+                    .collect();
+                let v6hints: Vec<Ipv6Addr> = d
+                    .v6_hosts
+                    .iter()
+                    .filter_map(|&hi| self.hosts[hi as usize].v6)
+                    .collect();
                 let alpn = d
                     .v4_hosts
                     .first()
@@ -388,7 +409,11 @@ impl Universe {
         } else {
             self.config.week / 13 + u32::from(rotated)
         };
-        let subject = h.cert_names.first().cloned().unwrap_or_else(|| "host.invalid".into());
+        let subject = h
+            .cert_names
+            .first()
+            .cloned()
+            .unwrap_or_else(|| "host.invalid".into());
         let key = qcrypto::sha256::digest(subject.as_bytes());
         self.ca.issue(
             (u64::from(rotation_epoch) << 32) | u64::from(h.asn),
@@ -439,7 +464,11 @@ impl Universe {
             alpn_required: false,
             cipher_pref: qtls::CipherSuite::default_offer(),
             group_pref: vec![qtls::NamedGroup::X25519, qtls::NamedGroup::Secp256r1],
-            send_sni_ack: if for_tcp { h.sni_ack && h.sni_ack_tcp } else { h.sni_ack },
+            send_sni_ack: if for_tcp {
+                h.sni_ack && h.sni_ack_tcp
+            } else {
+                h.sni_ack
+            },
             no_alpn_without_sni: for_tcp && h.google_tcp_quirks,
             quic_transport_params: None, // installed by the QUIC endpoint
             extra_ee_extensions: Vec::new(),
@@ -588,7 +617,16 @@ impl Builder<'_> {
     fn alloc_v6_block(&mut self, site: u16, count: usize) -> Vec<Ipv6Addr> {
         (0..count)
             .map(|i| {
-                Ipv6Addr::new(0x2001, 0xdb8, site, (i / 60000) as u16, 0, 0, 0, (i % 60000 + 1) as u16)
+                Ipv6Addr::new(
+                    0x2001,
+                    0xdb8,
+                    site,
+                    (i / 60000) as u16,
+                    0,
+                    0,
+                    0,
+                    (i % 60000 + 1) as u16,
+                )
             })
             .collect()
     }
@@ -598,16 +636,25 @@ impl Builder<'_> {
     fn build_cloudflare(&mut self) {
         let week = self.week;
         let cf_vn = if week >= 18 {
-            vs(&[Version::V1, Version::DRAFT_29, Version::DRAFT_28, Version::DRAFT_27])
+            vs(&[
+                Version::V1,
+                Version::DRAFT_29,
+                Version::DRAFT_28,
+                Version::DRAFT_27,
+            ])
         } else {
             vs(&[Version::DRAFT_29, Version::DRAFT_28, Version::DRAFT_27])
         };
-        self.asdb.announce(Prefix::new(Ipv4Addr::new(10, 0, 0, 0), 16), asn::CLOUDFLARE);
+        self.asdb
+            .announce(Prefix::new(Ipv4Addr::new(10, 0, 0, 0), 16), asn::CLOUDFLARE);
         self.asdb.announce(
             Prefix::new(Ipv6Addr::new(0x2001, 0xdb8, 0x100, 0, 0, 0, 0, 0), 48),
             asn::CLOUDFLARE,
         );
-        self.asdb.announce(Prefix::new(Ipv4Addr::new(10, 4, 0, 0), 20), asn::CLOUDFLARE_LONDON);
+        self.asdb.announce(
+            Prefix::new(Ipv4Addr::new(10, 4, 0, 0), 20),
+            asn::CLOUDFLARE_LONDON,
+        );
         self.asdb.announce(
             Prefix::new(Ipv6Addr::new(0x2001, 0xdb8, 0x104, 0, 0, 0, 0, 0), 48),
             asn::CLOUDFLARE_LONDON,
@@ -754,22 +801,36 @@ impl Builder<'_> {
             // the paper's Fig. 3 top-list vs zone-file gap.
             let h = (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 13;
             let on_top_list = lists & 0b111 != 0;
-            let adopt =
-                if on_top_list { h % 1000 < 450 } else { h % 1000 < 120 };
+            let adopt = if on_top_list {
+                h % 1000 < 450
+            } else {
+                h % 1000 < 120
+            };
             let https_rr_since = adopt.then(|| 8 + ((h / 1000) % 11) as u32);
-            self.domains.push(DomainSpec { name, v4_hosts, v6_hosts, ghost_v4, https_rr_since, lists });
+            self.domains.push(DomainSpec {
+                name,
+                v4_hosts,
+                v6_hosts,
+                ghost_v4,
+                https_rr_since,
+                lists,
+            });
         }
     }
 
     // -- Google -----------------------------------------------------------
 
     fn build_google(&mut self) {
-        self.asdb.announce(Prefix::new(Ipv4Addr::new(10, 1, 0, 0), 16), asn::GOOGLE);
+        self.asdb
+            .announce(Prefix::new(Ipv4Addr::new(10, 1, 0, 0), 16), asn::GOOGLE);
         self.asdb.announce(
             Prefix::new(Ipv6Addr::new(0x2001, 0xdb8, 0x101, 0, 0, 0, 0, 0), 48),
             asn::GOOGLE,
         );
-        self.asdb.announce(Prefix::new(Ipv4Addr::new(10, 13, 0, 0), 16), asn::GOOGLE_CLOUD);
+        self.asdb.announce(
+            Prefix::new(Ipv4Addr::new(10, 13, 0, 0), 16),
+            asn::GOOGLE_CLOUD,
+        );
 
         let google_vn = vs(&[
             Version::DRAFT_29,
@@ -800,15 +861,30 @@ impl Builder<'_> {
                 // Disjoint tail of the v6 block for the roll-out sliver.
                 h.v6 = Some(v6[v6.len() - 1 - i]);
             }
-            h.impl_name = if i.is_multiple_of(2) { "google-quic" } else { "google-fe" };
-            h.server_header = if i.is_multiple_of(2) { "gvs 1.0".into() } else { "ESF".into() };
+            h.impl_name = if i.is_multiple_of(2) {
+                "google-quic"
+            } else {
+                "google-fe"
+            };
+            h.server_header = if i.is_multiple_of(2) {
+                "gvs 1.0".into()
+            } else {
+                "ESF".into()
+            };
             // "gvs 1.0" ships exactly one configuration (Table 6); the ESF
             // front-ends use the internal one.
             h.tp_idx = if i.is_multiple_of(2) { 5 } else { 6 };
             h.vn_versions = google_vn.clone();
             h.accept_versions = vs(&[Version::DRAFT_29, Version::T051, Version::Q050]);
             h.alpn = alpn_of(&["h3-29", "h3-Q050"]);
-            h.alt_svc = Some(if self.week >= 14 { GOOGLE_ALT_NEW } else { GOOGLE_ALT_OLD }.into());
+            h.alt_svc = Some(
+                if self.week >= 14 {
+                    GOOGLE_ALT_NEW
+                } else {
+                    GOOGLE_ALT_OLD
+                }
+                .into(),
+            );
             h.google_tcp_quirks = true;
             h.cert_names = vec![
                 format!("*.g{}.google.example", i % 40),
@@ -864,12 +940,14 @@ impl Builder<'_> {
     // -- Akamai & Fastly (VN-answering middleboxes) ------------------------
 
     fn build_akamai_fastly(&mut self) {
-        self.asdb.announce(Prefix::new(Ipv4Addr::new(10, 2, 0, 0), 16), asn::AKAMAI);
+        self.asdb
+            .announce(Prefix::new(Ipv4Addr::new(10, 2, 0, 0), 16), asn::AKAMAI);
         self.asdb.announce(
             Prefix::new(Ipv6Addr::new(0x2001, 0xdb8, 0x102, 0, 0, 0, 0, 0), 48),
             asn::AKAMAI,
         );
-        self.asdb.announce(Prefix::new(Ipv4Addr::new(10, 3, 0, 0), 16), asn::FASTLY);
+        self.asdb
+            .announce(Prefix::new(Ipv4Addr::new(10, 3, 0, 0), 16), asn::FASTLY);
         self.asdb.announce(
             Prefix::new(Ipv6Addr::new(0x2001, 0xdb8, 0x103, 0, 0, 0, 0, 0), 48),
             asn::FASTLY,
@@ -897,14 +975,21 @@ impl Builder<'_> {
             h.impl_name = "google-quic";
             h.server_header = "AkamaiGHost".into();
             h.vn_versions = if (i as f64) < adoption * akamai_total as f64 {
-                vs(&[Version::DRAFT_29, Version::Q050, Version::Q046, Version::Q043])
+                vs(&[
+                    Version::DRAFT_29,
+                    Version::Q050,
+                    Version::Q046,
+                    Version::Q043,
+                ])
             } else {
                 vs(&[Version::Q050, Version::Q046, Version::Q043])
             };
             h.accept_versions = h.vn_versions.clone();
             h.alt_svc = None;
-            h.cert_names =
-                vec![format!("*.a{}.akamai.example", i % 25), "*.akamai.example.com".into()];
+            h.cert_names = vec![
+                format!("*.a{}.akamai.example", i % 25),
+                "*.akamai.example.com".into(),
+            ];
             self.hosts.push(h);
         }
         for i in 0..self.n(46) {
@@ -915,7 +1000,11 @@ impl Builder<'_> {
                 ghost_v4: Vec::new(),
                 https_rr_since: None,
                 lists: InputList::ComNetOrg.bit()
-                    | if i.is_multiple_of(9) { InputList::Alexa.bit() } else { 0 },
+                    | if i.is_multiple_of(9) {
+                        InputList::Alexa.bit()
+                    } else {
+                        0
+                    },
             });
         }
 
@@ -940,8 +1029,10 @@ impl Builder<'_> {
             h.accept_versions = h.vn_versions.clone();
             h.respond_unpadded = true;
             h.alt_svc = None;
-            h.cert_names =
-                vec![format!("*.f{}.fastly.example", i % 25), "*.fastly.example.com".into()];
+            h.cert_names = vec![
+                format!("*.f{}.fastly.example", i % 25),
+                "*.fastly.example.com".into(),
+            ];
             self.hosts.push(h);
         }
         for i in 0..self.n(1880) {
@@ -952,7 +1043,11 @@ impl Builder<'_> {
                 ghost_v4: Vec::new(),
                 https_rr_since: None,
                 lists: InputList::ComNetOrg.bit()
-                    | if i.is_multiple_of(40) { InputList::Umbrella.bit() } else { 0 },
+                    | if i.is_multiple_of(40) {
+                        InputList::Umbrella.bit()
+                    } else {
+                        0
+                    },
             });
         }
     }
@@ -960,7 +1055,8 @@ impl Builder<'_> {
     // -- Facebook origin + edge POPs + Google gvs POPs ---------------------
 
     fn build_facebook_and_pops(&mut self) {
-        self.asdb.announce(Prefix::new(Ipv4Addr::new(10, 5, 0, 0), 20), asn::FACEBOOK);
+        self.asdb
+            .announce(Prefix::new(Ipv4Addr::new(10, 5, 0, 0), 20), asn::FACEBOOK);
         let fb_vn = vs(&[
             Version::MVFST_2,
             Version::MVFST_1,
@@ -982,8 +1078,10 @@ impl Builder<'_> {
             h.accept_versions = vs(&[Version::DRAFT_29, Version::MVFST_2, Version::MVFST_1]);
             h.alpn = alpn_of(&["h3-29", "h3-27"]);
             h.alt_svc = Some("h3-29=\":443\"; ma=3600".into());
-            h.cert_names =
-                vec!["*.fbcdn.example.net".into(), "*.cdninstagram.example.com".into()];
+            h.cert_names = vec![
+                "*.fbcdn.example.net".into(),
+                "*.cdninstagram.example.com".into(),
+            ];
             h.tcp_generic_default = true;
             self.hosts.push(h);
         }
@@ -998,7 +1096,8 @@ impl Builder<'_> {
             let asn_v = self.new_tail_asn("EYEBALL-ISP");
             let second = 16 + (a / 250) as u8;
             let third = (a % 250) as u8;
-            self.asdb.announce(Prefix::new(Ipv4Addr::new(10, second, third, 0), 24), asn_v);
+            self.asdb
+                .announce(Prefix::new(Ipv4Addr::new(10, second, third, 0), 24), asn_v);
             let fb_here = 2 + (a % 2);
             for k in 0..fb_here {
                 let mut h = base_host(asn_v, "facebook-pop");
@@ -1010,8 +1109,10 @@ impl Builder<'_> {
                 h.accept_versions = vs(&[Version::DRAFT_29, Version::MVFST_2, Version::MVFST_1]);
                 h.alpn = alpn_of(&["h3-29", "h3-27"]);
                 h.alt_svc = Some("h3-29=\":443\"; ma=3600".into());
-                h.cert_names =
-                    vec!["*.fbcdn.example.net".into(), "*.cdninstagram.example.com".into()];
+                h.cert_names = vec![
+                    "*.fbcdn.example.net".into(),
+                    "*.cdninstagram.example.com".into(),
+                ];
                 h.tcp_generic_default = true;
                 self.hosts.push(h);
                 pop_host_count += 1;
@@ -1031,8 +1132,14 @@ impl Builder<'_> {
                 ]);
                 h.accept_versions = vs(&[Version::DRAFT_29, Version::T051, Version::Q050]);
                 h.alpn = alpn_of(&["h3-29", "h3-Q050"]);
-                h.alt_svc =
-                    Some(if self.week >= 14 { GOOGLE_ALT_NEW } else { GOOGLE_ALT_OLD }.into());
+                h.alt_svc = Some(
+                    if self.week >= 14 {
+                        GOOGLE_ALT_NEW
+                    } else {
+                        GOOGLE_ALT_OLD
+                    }
+                    .into(),
+                );
                 h.google_tcp_quirks = true;
                 h.cert_names = vec!["*.gvs-cache.google.example".into()];
                 self.hosts.push(h);
@@ -1080,8 +1187,13 @@ impl Builder<'_> {
         }
         let plans = [
             Plan {
-                asn_v: asn::OVH, key: "ovh", second_octet: 6, v4_count: 140,
-                v6_site: 0x106, v6_count: 30, domains: 3383,
+                asn_v: asn::OVH,
+                key: "ovh",
+                second_octet: 6,
+                v4_count: 140,
+                v6_site: 0x106,
+                v6_count: 30,
+                domains: 3383,
                 impls: &[
                     ("lsquic", 7, "LiteSpeed"),
                     ("nginx-quic", 10, "nginx"),
@@ -1089,73 +1201,137 @@ impl Builder<'_> {
                 ],
             },
             Plan {
-                asn_v: asn::GTS_TELECOM, key: "gts", second_octet: 7, v4_count: 82,
-                v6_site: 0x107, v6_count: 6, domains: 468,
+                asn_v: asn::GTS_TELECOM,
+                key: "gts",
+                second_octet: 7,
+                v4_count: 82,
+                v6_site: 0x107,
+                v6_count: 6,
+                domains: 468,
                 impls: &[("lsquic", 7, "LiteSpeed"), ("nginx-quic", 12, "nginx")],
             },
             Plan {
-                asn_v: asn::A2_HOSTING, key: "a2", second_octet: 8, v4_count: 81,
-                v6_site: 0x108, v6_count: 6, domains: 1718,
+                asn_v: asn::A2_HOSTING,
+                key: "a2",
+                second_octet: 8,
+                v4_count: 81,
+                v6_site: 0x108,
+                v6_count: 6,
+                domains: 1718,
                 impls: &[("lsquic", 8, "LiteSpeed"), ("lsquic", 7, "LiteSpeed")],
             },
             Plan {
-                asn_v: asn::DIGITALOCEAN, key: "digitalocean", second_octet: 9, v4_count: 100,
-                v6_site: 0x109, v6_count: 12, domains: 272,
+                asn_v: asn::DIGITALOCEAN,
+                key: "digitalocean",
+                second_octet: 9,
+                v4_count: 100,
+                v6_site: 0x109,
+                v6_count: 12,
+                domains: 272,
                 impls: &[
-                    ("nginx-quic", 9, "nginx"), ("nginx-quic", 10, "nginx"),
-                    ("nginx-quic", 11, "nginx"), ("nginx-quic", 12, "nginx"),
-                    ("caddy", 25, "Caddy"), ("h2o", 26, "h2o"),
+                    ("nginx-quic", 9, "nginx"),
+                    ("nginx-quic", 10, "nginx"),
+                    ("nginx-quic", 11, "nginx"),
+                    ("nginx-quic", 12, "nginx"),
+                    ("caddy", 25, "Caddy"),
+                    ("h2o", 26, "h2o"),
                     ("aioquic", 35, "Python/3.7 aiohttp/3.7.2"),
-                    ("nginx-quic", 14, "nginx/1.20.0"), ("nginx-quic", 19, "nginx"),
-                    ("nginx-quic", 21, "nginx"), ("nginx-quic", 23, "nginx"),
+                    ("nginx-quic", 14, "nginx/1.20.0"),
+                    ("nginx-quic", 19, "nginx"),
+                    ("nginx-quic", 21, "nginx"),
+                    ("nginx-quic", 23, "nginx"),
                 ],
             },
             Plan {
-                asn_v: asn::AMAZON, key: "amazon", second_octet: 10, v4_count: 70,
-                v6_site: 0x10a, v6_count: 55, domains: 163,
+                asn_v: asn::AMAZON,
+                key: "amazon",
+                second_octet: 10,
+                v4_count: 70,
+                v6_site: 0x10a,
+                v6_count: 55,
+                domains: 163,
                 impls: &[
-                    ("nginx-quic", 9, "nginx"), ("nginx-quic", 15, "nginx"),
-                    ("caddy", 25, "Caddy"), ("h2o", 26, "h2o"),
+                    ("nginx-quic", 9, "nginx"),
+                    ("nginx-quic", 15, "nginx"),
+                    ("caddy", 25, "Caddy"),
+                    ("h2o", 26, "h2o"),
                     ("nginx-quic", 29, "nginx"),
                     ("aioquic", 36, "Python/3.7 aiohttp/3.7.2"),
-                    ("nginx-quic", 31, "awselb/2.0"), ("nginx-quic", 33, "nginx"),
-                    ("nginx-quic", 37, "haproxy"), ("nginx-quic", 39, "envoy"),
+                    ("nginx-quic", 31, "awselb/2.0"),
+                    ("nginx-quic", 33, "nginx"),
+                    ("nginx-quic", 37, "haproxy"),
+                    ("nginx-quic", 39, "envoy"),
                     ("nginx-quic", 43, "nginx"),
                 ],
             },
             Plan {
-                asn_v: asn::HOSTINGER, key: "hostinger", second_octet: 11, v4_count: 20,
-                v6_site: 0x10b, v6_count: 1950, domains: 1990,
+                asn_v: asn::HOSTINGER,
+                key: "hostinger",
+                second_octet: 11,
+                v4_count: 20,
+                v6_site: 0x10b,
+                v6_count: 1950,
+                domains: 1990,
                 impls: &[("lsquic", 7, "LiteSpeed")],
             },
             Plan {
-                asn_v: asn::LINODE, key: "linode", second_octet: 12, v4_count: 25,
-                v6_site: 0x10c, v6_count: 10, domains: 60,
+                asn_v: asn::LINODE,
+                key: "linode",
+                second_octet: 12,
+                v4_count: 25,
+                v6_site: 0x10c,
+                v6_count: 10,
+                domains: 60,
                 impls: &[("caddy", 25, "Caddy"), ("nginx-quic", 16, "nginx")],
             },
             Plan {
-                asn_v: asn::IONOS, key: "ionos", second_octet: 14, v4_count: 18,
-                v6_site: 0x10e, v6_count: 8, domains: 45,
+                asn_v: asn::IONOS,
+                key: "ionos",
+                second_octet: 14,
+                v4_count: 18,
+                v6_site: 0x10e,
+                v6_count: 8,
+                domains: 45,
                 impls: &[("nginx-quic", 20, "nginx"), ("lsquic", 8, "LiteSpeed")],
             },
             Plan {
-                asn_v: asn::PRIVATESYSTEMS, key: "privatesystems", second_octet: 15, v4_count: 10,
-                v6_site: 0x10f, v6_count: 59, domains: 106,
+                asn_v: asn::PRIVATESYSTEMS,
+                key: "privatesystems",
+                second_octet: 15,
+                v4_count: 10,
+                v6_site: 0x10f,
+                v6_count: 59,
+                domains: 106,
                 impls: &[("lsquic", 7, "LiteSpeed")],
             },
             Plan {
-                asn_v: asn::EUROBYTE, key: "eurobyte", second_octet: 15, v4_count: 8,
-                v6_site: 0x110, v6_count: 18, domains: 25,
+                asn_v: asn::EUROBYTE,
+                key: "eurobyte",
+                second_octet: 15,
+                v4_count: 8,
+                v6_site: 0x110,
+                v6_count: 18,
+                domains: 25,
                 impls: &[("nginx-quic", 22, "yunjiasu-nginx")],
             },
             Plan {
-                asn_v: asn::SYNERGY, key: "synergy", second_octet: 15, v4_count: 8,
-                v6_site: 0x111, v6_count: 8, domains: 301,
+                asn_v: asn::SYNERGY,
+                key: "synergy",
+                second_octet: 15,
+                v4_count: 8,
+                v6_site: 0x111,
+                v6_count: 8,
+                domains: 301,
                 impls: &[("lsquic", 7, "LiteSpeed")],
             },
             Plan {
-                asn_v: asn::JIO, key: "jio", second_octet: 15, v4_count: 10,
-                v6_site: 0x112, v6_count: 14, domains: 12,
+                asn_v: asn::JIO,
+                key: "jio",
+                second_octet: 15,
+                v4_count: 10,
+                v6_site: 0x112,
+                v6_count: 14,
+                domains: 12,
                 impls: &[("nginx-quic", 13, "nginx")],
             }, // note: Jio flips to Normal below (ZMap-visible, Table 2 v6)
         ];
@@ -1163,10 +1339,15 @@ impl Builder<'_> {
         let mut third_next: HashMap<u8, u16> = HashMap::new();
         for plan in plans {
             let third = (*third_next.entry(plan.second_octet).or_insert(0)) as u8;
-            self.asdb
-                .announce(Prefix::new(Ipv4Addr::new(10, plan.second_octet, third, 0), 18), plan.asn_v);
             self.asdb.announce(
-                Prefix::new(Ipv6Addr::new(0x2001, 0xdb8, plan.v6_site, 0, 0, 0, 0, 0), 48),
+                Prefix::new(Ipv4Addr::new(10, plan.second_octet, third, 0), 18),
+                plan.asn_v,
+            );
+            self.asdb.announce(
+                Prefix::new(
+                    Ipv6Addr::new(0x2001, 0xdb8, plan.v6_site, 0, 0, 0, 0, 0),
+                    48,
+                ),
                 plan.asn_v,
             );
             *third_next.get_mut(&plan.second_octet).unwrap() += 64;
@@ -1193,8 +1374,7 @@ impl Builder<'_> {
                 h.vn_versions = vs(&[Version::DRAFT_29]);
                 h.accept_versions = vs(&[Version::DRAFT_29, Version::DRAFT_32, Version::DRAFT_34]);
                 h.alpn = alpn_of(&["h3-29"]);
-                h.alt_svc =
-                    Some("h3-29=\":443\"; ma=86400, h3-27=\":443\"; ma=86400".into());
+                h.alt_svc = Some("h3-29=\":443\"; ma=86400, h3-27=\":443\"; ma=86400".into());
                 h.cert_names = vec![
                     format!("*.{}-host{}.example.com", plan.key, i),
                     format!("*.{}-host{}.example.net", plan.key, i),
@@ -1277,8 +1457,10 @@ impl Builder<'_> {
                     let asn_v = b.new_tail_asn("HOSTER");
                     let second_octet = second + (i / 250) as u8;
                     let third = (i % 250) as u8;
-                    b.asdb
-                        .announce(Prefix::new(Ipv4Addr::new(10, second_octet, third, 0), 24), asn_v);
+                    b.asdb.announce(
+                        Prefix::new(Ipv4Addr::new(10, second_octet, third, 0), 24),
+                        asn_v,
+                    );
                     (asn_v, second_octet, third)
                 })
                 .collect()
@@ -1316,7 +1498,9 @@ impl Builder<'_> {
         // nginx cluster: 78 hosts over 16 ASes spanning all 16 nginx configs.
         let ng_as = make_as(self, nginx_as, 36);
         let ng_hosts = self.n(78);
-        let nginx_configs = [9usize, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24];
+        let nginx_configs = [
+            9usize, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24,
+        ];
         let first = self.hosts.len() as u32;
         for i in 0..ng_hosts {
             let (asn_v, s, t) = ng_as[i % ng_as.len()];
@@ -1377,7 +1561,10 @@ impl Builder<'_> {
         let misc = make_as(self, misc_as, 40);
         for (idx, (asn_v, _, _)) in misc.iter().enumerate() {
             self.asdb.announce(
-                Prefix::new(Ipv6Addr::new(0x2001, 0xdb8, 0x200 + idx as u16, 0, 0, 0, 0, 0), 48),
+                Prefix::new(
+                    Ipv6Addr::new(0x2001, 0xdb8, 0x200 + idx as u16, 0, 0, 0, 0, 0),
+                    48,
+                ),
                 *asn_v,
             );
         }
@@ -1405,7 +1592,11 @@ impl Builder<'_> {
                     4 => ("caddy", 25, "Caddy".into()),
                     5 => ("h2o", 26, format!("h2o/2.3.0-g{:06x}", as_idx * 37)),
                     6 => ("aioquic", 35, "Python/3.7 aiohttp/3.7.2".into()),
-                    7 => ("nginx-quic", 27 + (as_idx % 18), format!("srv-{}", as_idx % 12)),
+                    7 => (
+                        "nginx-quic",
+                        27 + (as_idx % 18),
+                        format!("srv-{}", as_idx % 12),
+                    ),
                     8 => ("quiche-cf", 18, "openresty".into()),
                     9 => ("nginx-quic", 29, "nginx".into()),
                     10 => ("lsquic", 8, "LiteSpeed".into()),
@@ -1458,8 +1649,7 @@ impl Builder<'_> {
                 _ => None,
             };
             h.cert_names = vec![format!("tail-{i}.example.com")];
-            let scannable =
-                matches!(h.behavior, HostBehavior::Normal | HostBehavior::RejectNoSni);
+            let scannable = matches!(h.behavior, HostBehavior::Normal | HostBehavior::RejectNoSni);
             self.hosts.push(h);
             if i.is_multiple_of(10) && scannable {
                 self.domains.push(DomainSpec {
@@ -1533,7 +1723,9 @@ impl Builder<'_> {
             if hint_cursor >= count as u32 {
                 break;
             }
-            if d.https_rr_since.is_some() && d.name.contains("cf-customer") && self.rng.gen_bool(0.3)
+            if d.https_rr_since.is_some()
+                && d.name.contains("cf-customer")
+                && self.rng.gen_bool(0.3)
             {
                 d.v4_hosts.push(first + hint_cursor);
                 hint_cursor += 1;
@@ -1557,14 +1749,25 @@ mod tests {
         assert_eq!(a.hosts.len(), b.hosts.len());
         assert_eq!(a.domains.len(), b.domains.len());
         assert_eq!(a.hosts[0].v4, b.hosts[0].v4);
-        assert_eq!(a.domains.last().unwrap().name, b.domains.last().unwrap().name);
+        assert_eq!(
+            a.domains.last().unwrap().name,
+            b.domains.last().unwrap().name
+        );
     }
 
     #[test]
     fn population_structure() {
         let u = tiny();
-        assert!(u.hosts.len() > 500, "tiny universe has {} hosts", u.hosts.len());
-        assert!(u.domains.len() > 1000, "tiny universe has {} domains", u.domains.len());
+        assert!(
+            u.hosts.len() > 500,
+            "tiny universe has {} hosts",
+            u.hosts.len()
+        );
+        assert!(
+            u.domains.len() > 1000,
+            "tiny universe has {} domains",
+            u.domains.len()
+        );
         let mut seen = std::collections::HashSet::new();
         for h in &u.hosts {
             assert!(h.v4.is_some() || h.v6.is_some());
@@ -1591,7 +1794,11 @@ mod tests {
         let cf = u.hosts.iter().find(|h| h.provider == "cloudflare").unwrap();
         assert!(cf.vn_versions.contains(&Version::V1));
         let early = Universe::generate(UniverseConfig::tiny(9));
-        let cf9 = early.hosts.iter().find(|h| h.provider == "cloudflare").unwrap();
+        let cf9 = early
+            .hosts
+            .iter()
+            .find(|h| h.provider == "cloudflare")
+            .unwrap();
         assert!(!cf9.vn_versions.contains(&Version::V1));
     }
 
@@ -1621,12 +1828,21 @@ mod tests {
     fn google_rollout_is_time_bounded() {
         let during = Universe::generate(UniverseConfig::tiny(18));
         let after = Universe::generate(UniverseConfig::tiny(31));
-        let mismatch_during =
-            during.hosts.iter().filter(|h| h.behavior == HostBehavior::GoogleRollout).count();
-        let mismatch_after =
-            after.hosts.iter().filter(|h| h.behavior == HostBehavior::GoogleRollout).count();
+        let mismatch_during = during
+            .hosts
+            .iter()
+            .filter(|h| h.behavior == HostBehavior::GoogleRollout)
+            .count();
+        let mismatch_after = after
+            .hosts
+            .iter()
+            .filter(|h| h.behavior == HostBehavior::GoogleRollout)
+            .count();
         assert!(mismatch_during > 0);
-        assert_eq!(mismatch_after, 0, "roll-out artifact resolves (August 2021)");
+        assert_eq!(
+            mismatch_after, 0,
+            "roll-out artifact resolves (August 2021)"
+        );
     }
 
     #[test]
@@ -1638,7 +1854,10 @@ mod tests {
         assert!(count(&|h| h.tls12_tcp) > 0, "TLS1.2-on-TCP slice");
         assert!(count(&|h| h.google_tcp_quirks) > 0, "google TCP quirks");
         assert!(count(&|h| h.rotate_cert_on_tcp) > 0, "cert rotation slice");
-        assert!(count(&|h| h.tcp_generic_default) > 0, "split termination slice");
+        assert!(
+            count(&|h| h.tcp_generic_default) > 0,
+            "split termination slice"
+        );
         assert!(count(&|h| h.behavior == HostBehavior::VnOnly) > 0);
         assert!(count(&|h| h.behavior == HostBehavior::AltOnly) > 0);
         assert!(count(&|h| h.behavior == HostBehavior::BrokenOther) > 0);
@@ -1651,7 +1870,10 @@ mod tests {
             let (with, total) = u.hosts.iter().filter(|h| h.provider == "akamai").fold(
                 (0usize, 0usize),
                 |(w, t), h| {
-                    (w + usize::from(h.vn_versions.contains(&Version::DRAFT_29)), t + 1)
+                    (
+                        w + usize::from(h.vn_versions.contains(&Version::DRAFT_29)),
+                        t + 1,
+                    )
                 },
             );
             (with as f64) / (total as f64)
@@ -1669,11 +1891,19 @@ mod tests {
                 .iter()
                 .filter(|h| {
                     h.provider == "legacy-gquic"
-                        && h.alt_svc.as_deref().map(|a| a.starts_with("quic=")).unwrap_or(false)
+                        && h.alt_svc
+                            .as_deref()
+                            .map(|a| a.starts_with("quic="))
+                            .unwrap_or(false)
                 })
                 .count()
         };
-        assert!(quic_only(9) > quic_only(18), "{} vs {}", quic_only(9), quic_only(18));
+        assert!(
+            quic_only(9) > quic_only(18),
+            "{} vs {}",
+            quic_only(9),
+            quic_only(18)
+        );
     }
 
     #[test]
@@ -1685,16 +1915,29 @@ mod tests {
             .filter(|h| matches!(h.behavior, HostBehavior::Normal | HostBehavior::RejectNoSni))
             .map(|h| h.tp_idx)
             .collect();
-        assert_eq!(reachable.len(), crate::catalog::TP_CONFIG_COUNT, "{reachable:?}");
+        assert_eq!(
+            reachable.len(),
+            crate::catalog::TP_CONFIG_COUNT,
+            "{reachable:?}"
+        );
     }
 
     #[test]
     fn input_lists_have_filler() {
         let u = tiny();
         let alexa = u.input_list(InputList::Alexa);
-        let quic_count =
-            u.domains.iter().filter(|d| d.lists & InputList::Alexa.bit() != 0).count();
-        assert_eq!(alexa.len(), quic_count + InputList::Alexa.filler_count(0.05));
-        assert!(quic_count * 3 < alexa.len(), "most list entries are not QUIC");
+        let quic_count = u
+            .domains
+            .iter()
+            .filter(|d| d.lists & InputList::Alexa.bit() != 0)
+            .count();
+        assert_eq!(
+            alexa.len(),
+            quic_count + InputList::Alexa.filler_count(0.05)
+        );
+        assert!(
+            quic_count * 3 < alexa.len(),
+            "most list entries are not QUIC"
+        );
     }
 }

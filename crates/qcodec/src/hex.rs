@@ -22,7 +22,12 @@ pub fn decode(s: &str) -> Option<Vec<u8>> {
     if !digits.len().is_multiple_of(2) {
         return None;
     }
-    Some(digits.chunks(2).map(|p| ((p[0] << 4) | p[1]) as u8).collect())
+    Some(
+        digits
+            .chunks(2)
+            .map(|p| ((p[0] << 4) | p[1]) as u8)
+            .collect(),
+    )
 }
 
 #[cfg(test)]

@@ -5,10 +5,10 @@
 //! slice and never allocates; [`Writer`] owns a growable buffer. QUIC
 //! variable-length integers (RFC 9000 §16) live in [`varint`].
 
-mod reader;
-mod writer;
 pub mod hex;
+mod reader;
 pub mod varint;
+mod writer;
 
 pub use reader::Reader;
 pub use writer::Writer;
@@ -31,7 +31,10 @@ impl core::fmt::Display for CodecError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
             CodecError::UnexpectedEnd { wanted, available } => {
-                write!(f, "unexpected end of input: wanted {wanted} bytes, {available} available")
+                write!(
+                    f,
+                    "unexpected end of input: wanted {wanted} bytes, {available} available"
+                )
             }
             CodecError::Invalid(what) => write!(f, "invalid value: {what}"),
         }
@@ -49,8 +52,17 @@ mod tests {
 
     #[test]
     fn error_display() {
-        let e = CodecError::UnexpectedEnd { wanted: 4, available: 1 };
-        assert_eq!(e.to_string(), "unexpected end of input: wanted 4 bytes, 1 available");
-        assert_eq!(CodecError::Invalid("bad tag").to_string(), "invalid value: bad tag");
+        let e = CodecError::UnexpectedEnd {
+            wanted: 4,
+            available: 1,
+        };
+        assert_eq!(
+            e.to_string(),
+            "unexpected end of input: wanted 4 bytes, 1 available"
+        );
+        assert_eq!(
+            CodecError::Invalid("bad tag").to_string(),
+            "invalid value: bad tag"
+        );
     }
 }

@@ -38,7 +38,10 @@ impl<'a> Reader<'a> {
 
     fn want(&self, n: usize) -> Result<()> {
         if self.remaining() < n {
-            Err(CodecError::UnexpectedEnd { wanted: n, available: self.remaining() })
+            Err(CodecError::UnexpectedEnd {
+                wanted: n,
+                available: self.remaining(),
+            })
         } else {
             Ok(())
         }
@@ -192,6 +195,9 @@ mod tests {
         let data = [0x01, 0x02];
         let mut r = Reader::new(&data);
         let err = r.read_exact_sub(2, |s| s.read_u8());
-        assert_eq!(err.unwrap_err(), CodecError::Invalid("trailing bytes in sub-structure"));
+        assert_eq!(
+            err.unwrap_err(),
+            CodecError::Invalid("trailing bytes in sub-structure")
+        );
     }
 }

@@ -56,7 +56,10 @@ mod tests {
     #[test]
     fn rfc9000_vectors() {
         let cases: &[(&[u8], u64)] = &[
-            (&[0xc2, 0x19, 0x7c, 0x5e, 0xff, 0x14, 0xe8, 0x8c], 151_288_809_941_952_652),
+            (
+                &[0xc2, 0x19, 0x7c, 0x5e, 0xff, 0x14, 0xe8, 0x8c],
+                151_288_809_941_952_652,
+            ),
             (&[0x9d, 0x7f, 0x3e, 0x7d], 494_878_333),
             (&[0x7b, 0xbd], 15_293),
             (&[0x25], 37),
@@ -71,7 +74,16 @@ mod tests {
 
     #[test]
     fn encode_is_minimal() {
-        for v in [0u64, 0x3f, 0x40, 0x3fff, 0x4000, 0x3fff_ffff, 0x4000_0000, MAX] {
+        for v in [
+            0u64,
+            0x3f,
+            0x40,
+            0x3fff,
+            0x4000,
+            0x3fff_ffff,
+            0x4000_0000,
+            MAX,
+        ] {
             let mut out = Vec::new();
             encode(v, &mut out);
             assert_eq!(out.len(), len(v));

@@ -15,7 +15,9 @@ impl Writer {
 
     /// Creates a writer with `cap` bytes of pre-allocated capacity.
     pub fn with_capacity(cap: usize) -> Self {
-        Writer { buf: Vec::with_capacity(cap) }
+        Writer {
+            buf: Vec::with_capacity(cap),
+        }
     }
 
     /// Number of bytes written so far.

@@ -59,9 +59,9 @@ impl Aead {
         assert_eq!(key.len(), algorithm.key_len(), "AEAD key length mismatch");
         let inner = match algorithm {
             AeadAlgorithm::Aes128Gcm | AeadAlgorithm::Aes256Gcm => Inner::Gcm(AesGcm::new(key)),
-            AeadAlgorithm::ChaCha20Poly1305 => {
-                Inner::ChaCha { key: key.try_into().unwrap() }
-            }
+            AeadAlgorithm::ChaCha20Poly1305 => Inner::ChaCha {
+                key: key.try_into().unwrap(),
+            },
         };
         Aead { inner, algorithm }
     }
@@ -231,7 +231,10 @@ mod tests {
                 .unwrap()
                 .try_into()
                 .unwrap();
-        let nonce: [u8; 12] = hex::decode("070000004041424344454647").unwrap().try_into().unwrap();
+        let nonce: [u8; 12] = hex::decode("070000004041424344454647")
+            .unwrap()
+            .try_into()
+            .unwrap();
         let aad = hex::decode("50515253c0c1c2c3c4c5c6c7").unwrap();
         let pt = b"Ladies and Gentlemen of the class of '99: If I could offer you only one tip for the future, sunscreen would be it.";
         let aead = Aead::new(AeadAlgorithm::ChaCha20Poly1305, &key);
@@ -253,8 +256,10 @@ mod tests {
     fn rfc9001_chacha_hp() {
         let hp = hex::decode("25a282b9e82f06f21f488917a4fc8f1b73573685608597d0efcb076b0ab7a7a4")
             .unwrap();
-        let sample: [u8; 16] =
-            hex::decode("5e5cd55c41f69080575d7999c25a5bfb").unwrap().try_into().unwrap();
+        let sample: [u8; 16] = hex::decode("5e5cd55c41f69080575d7999c25a5bfb")
+            .unwrap()
+            .try_into()
+            .unwrap();
         let mask = header_protection_mask(AeadAlgorithm::ChaCha20Poly1305, &hp, &sample);
         assert_eq!(hex::encode(&mask), "aefefe7d03");
     }
@@ -263,15 +268,21 @@ mod tests {
     #[test]
     fn rfc9001_aes_hp() {
         let hp = hex::decode("9f50449e04a0e810283a1e9933adedd2").unwrap();
-        let sample: [u8; 16] =
-            hex::decode("d1b1c98dd7689fb8ec11d242b123dc9b").unwrap().try_into().unwrap();
+        let sample: [u8; 16] = hex::decode("d1b1c98dd7689fb8ec11d242b123dc9b")
+            .unwrap()
+            .try_into()
+            .unwrap();
         let mask = header_protection_mask(AeadAlgorithm::Aes128Gcm, &hp, &sample);
         assert_eq!(hex::encode(&mask), "437b9aec36");
     }
 
     #[test]
     fn all_algorithms_roundtrip() {
-        for alg in [AeadAlgorithm::Aes128Gcm, AeadAlgorithm::Aes256Gcm, AeadAlgorithm::ChaCha20Poly1305] {
+        for alg in [
+            AeadAlgorithm::Aes128Gcm,
+            AeadAlgorithm::Aes256Gcm,
+            AeadAlgorithm::ChaCha20Poly1305,
+        ] {
             let key = vec![0x11u8; alg.key_len()];
             let aead = Aead::new(alg, &key);
             let nonce = [3u8; 12];
@@ -286,7 +297,11 @@ mod tests {
     /// the output buffer already holds.
     #[test]
     fn seal_into_matches_seal() {
-        for alg in [AeadAlgorithm::Aes128Gcm, AeadAlgorithm::Aes256Gcm, AeadAlgorithm::ChaCha20Poly1305] {
+        for alg in [
+            AeadAlgorithm::Aes128Gcm,
+            AeadAlgorithm::Aes256Gcm,
+            AeadAlgorithm::ChaCha20Poly1305,
+        ] {
             let key = vec![0x22u8; alg.key_len()];
             let aead = Aead::new(alg, &key);
             let nonce = [5u8; 12];

@@ -69,7 +69,10 @@ mod tests {
                 .unwrap()
                 .try_into()
                 .unwrap();
-        let nonce: [u8; 12] = hex::decode("000000090000004a00000000").unwrap().try_into().unwrap();
+        let nonce: [u8; 12] = hex::decode("000000090000004a00000000")
+            .unwrap()
+            .try_into()
+            .unwrap();
         let ks = block(&key, 1, &nonce);
         assert_eq!(
             hex::encode(&ks),
@@ -86,7 +89,10 @@ mod tests {
                 .unwrap()
                 .try_into()
                 .unwrap();
-        let nonce: [u8; 12] = hex::decode("000000000000004a00000000").unwrap().try_into().unwrap();
+        let nonce: [u8; 12] = hex::decode("000000000000004a00000000")
+            .unwrap()
+            .try_into()
+            .unwrap();
         let mut data = b"Ladies and Gentlemen of the class of '99: If I could offer you only one tip for the future, sunscreen would be it.".to_vec();
         xor(&key, 1, &nonce, &mut data);
         assert_eq!(

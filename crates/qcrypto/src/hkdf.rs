@@ -24,7 +24,9 @@ pub struct Extractor {
 impl Extractor {
     /// Precomputes the HMAC key schedule for `salt`.
     pub fn new(salt: &[u8]) -> Self {
-        Extractor { mac: crate::hmac::HmacSha256::new(salt) }
+        Extractor {
+            mac: crate::hmac::HmacSha256::new(salt),
+        }
     }
 
     /// `HKDF-Extract(salt, ikm)` with the cached salt state.

@@ -33,7 +33,10 @@ impl HmacSha256 {
         }
         let mut inner = Sha256::new();
         inner.update(&ipad);
-        HmacSha256 { inner, opad_key: opad }
+        HmacSha256 {
+            inner,
+            opad_key: opad,
+        }
     }
 
     /// Feeds message bytes.

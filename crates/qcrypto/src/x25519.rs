@@ -87,7 +87,13 @@ impl Fe {
     fn add(&self, other: &Fe) -> Fe {
         let a = &self.0;
         let b = &other.0;
-        Fe([a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3], a[4] + b[4]])
+        Fe([
+            a[0] + b[0],
+            a[1] + b[1],
+            a[2] + b[2],
+            a[3] + b[3],
+            a[4] + b[4],
+        ])
     }
 
     /// a - b, biased by 2p to stay non-negative (inputs loosely reduced).

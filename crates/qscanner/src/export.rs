@@ -22,9 +22,7 @@ pub fn csv_row(r: &QuicScanResult) -> String {
         ScanOutcome::Stalled => ("stalled".to_string(), String::new()),
         ScanOutcome::Unreachable => ("unreachable".to_string(), String::new()),
         ScanOutcome::RateLimited => ("rate_limited".to_string(), String::new()),
-        ScanOutcome::TransportClose { code, .. } => {
-            ("close".to_string(), format!("0x{code:x}"))
-        }
+        ScanOutcome::TransportClose { code, .. } => ("close".to_string(), format!("0x{code:x}")),
         ScanOutcome::VersionMismatch => ("version_mismatch".to_string(), String::new()),
         ScanOutcome::Other(e) => (format!("other:{e}"), String::new()),
     };
@@ -35,7 +33,8 @@ pub fn csv_row(r: &QuicScanResult) -> String {
         outcome,
         code,
         r.version.map(|v| v.label()).unwrap_or_default(),
-        tls.map(|t| t.tls_version.label().to_string()).unwrap_or_default(),
+        tls.map(|t| t.tls_version.label().to_string())
+            .unwrap_or_default(),
         tls.map(|t| t.cipher.name().to_string()).unwrap_or_default(),
         tls.map(|t| t.group.name().to_string()).unwrap_or_default(),
         tls.and_then(|t| t.certificates.first())
@@ -51,10 +50,7 @@ pub fn csv_row(r: &QuicScanResult) -> String {
 }
 
 /// Writes a full result set to a CSV file.
-pub fn write_csv(
-    path: &std::path::Path,
-    results: &[QuicScanResult],
-) -> std::io::Result<()> {
+pub fn write_csv(path: &std::path::Path, results: &[QuicScanResult]) -> std::io::Result<()> {
     use std::io::Write;
     let mut f = std::fs::File::create(path)?;
     writeln!(f, "{CSV_HEADER}")?;
@@ -86,13 +82,18 @@ mod tests {
         assert!(row.contains("draft-29"));
 
         let close = QuicScanResult {
-            outcome: ScanOutcome::TransportClose { code: 0x128, reason: "x".into() },
+            outcome: ScanOutcome::TransportClose {
+                code: 0x128,
+                reason: "x".into(),
+            },
             ..base.clone()
         };
         assert!(csv_row(&close).contains("close,0x128"));
 
-        let mismatch =
-            QuicScanResult { outcome: ScanOutcome::VersionMismatch, ..base.clone() };
+        let mismatch = QuicScanResult {
+            outcome: ScanOutcome::VersionMismatch,
+            ..base.clone()
+        };
         assert!(csv_row(&mismatch).contains("version_mismatch"));
 
         for (outcome, label) in [
@@ -101,7 +102,10 @@ mod tests {
             (ScanOutcome::Unreachable, "unreachable"),
             (ScanOutcome::RateLimited, "rate_limited"),
         ] {
-            let r = QuicScanResult { outcome, ..base.clone() };
+            let r = QuicScanResult {
+                outcome,
+                ..base.clone()
+            };
             assert!(csv_row(&r).contains(label), "{label}");
         }
     }

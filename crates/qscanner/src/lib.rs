@@ -224,7 +224,10 @@ mod tests {
         net.set_path_profile(
             addr,
             simnet::LinkProfile {
-                rate_limit: Some(simnet::ReplyRateLimit { burst: 2, drop_permille: 1000 }),
+                rate_limit: Some(simnet::ReplyRateLimit {
+                    burst: 2,
+                    drop_permille: 1000,
+                }),
                 ..simnet::LinkProfile::ideal()
             },
         );
@@ -264,7 +267,10 @@ mod tests {
         let hit = std::sync::Arc::new(std::sync::atomic::AtomicU16::new(0));
         let mut net = Network::new(9);
         let addr = IpAddr::V4(Ipv4Addr::new(10, 9, 9, 10));
-        net.bind_udp(SocketAddr::new(addr, 8443), Box::new(RecordPort(hit.clone())));
+        net.bind_udp(
+            SocketAddr::new(addr, 8443),
+            Box::new(RecordPort(hit.clone())),
+        );
         let scanner = QScanner::new(vantage(), 1);
         // Alt-Svc style target on 8443: the scanner must not probe 443.
         let r = scanner.scan_one(&net, &QuicTarget::with_port(addr, 8443, None), 0);
@@ -416,6 +422,9 @@ mod tests {
         assert!(events.iter().all(|e| e.flow == 3));
         let snap = tel.metrics.snapshot();
         assert_eq!(snap.counter("qscanner.attempts"), 1);
-        assert_eq!(snap.histogram("qscanner.scan_us").map(|h| h.count()), Some(1));
+        assert_eq!(
+            snap.histogram("qscanner.scan_us").map(|h| h.count()),
+            Some(1)
+        );
     }
 }

@@ -21,7 +21,11 @@ pub struct QuicTarget {
 impl QuicTarget {
     /// A target on the default HTTPS port 443.
     pub fn new(addr: IpAddr, sni: Option<String>) -> Self {
-        QuicTarget { addr, port: 443, sni }
+        QuicTarget {
+            addr,
+            port: 443,
+            sni,
+        }
     }
 
     /// A target on an explicit port (e.g. from an Alt-Svc advertisement).
@@ -156,7 +160,13 @@ mod tests {
             (ScanOutcome::Stalled, "stalled"),
             (ScanOutcome::Unreachable, "unreachable"),
             (ScanOutcome::RateLimited, "rate_limited"),
-            (ScanOutcome::TransportClose { code: 0x128, reason: "x".into() }, "close:0x128"),
+            (
+                ScanOutcome::TransportClose {
+                    code: 0x128,
+                    reason: "x".into(),
+                },
+                "close:0x128",
+            ),
             (ScanOutcome::VersionMismatch, "version_mismatch"),
             (ScanOutcome::Other("tls: bad".into()), "other:tls: bad"),
         ];

@@ -16,7 +16,9 @@ pub struct TargetBudget {
 impl TargetBudget {
     /// Fresh budget of `total_us` microseconds.
     pub fn new(total_us: u64) -> Self {
-        TargetBudget { remaining_us: total_us }
+        TargetBudget {
+            remaining_us: total_us,
+        }
     }
 
     /// Microseconds left.
@@ -53,7 +55,11 @@ pub struct PtoSchedule {
 impl PtoSchedule {
     /// Fresh schedule for an attempt.
     pub fn new(rtt_us: u64, max_ptos: u32) -> Self {
-        PtoSchedule { wait_us: 3 * rtt_us, fired: 0, max_ptos }
+        PtoSchedule {
+            wait_us: 3 * rtt_us,
+            fired: 0,
+            max_ptos,
+        }
     }
 
     /// The next PTO interval, or `None` once the firing cap is reached.
@@ -80,7 +86,9 @@ pub struct BackoffSchedule {
 impl BackoffSchedule {
     /// Fresh schedule starting at 2×RTT.
     pub fn new(rtt_us: u64) -> Self {
-        BackoffSchedule { wait_us: 2 * rtt_us }
+        BackoffSchedule {
+            wait_us: 2 * rtt_us,
+        }
     }
 
     /// The next backoff wait.

@@ -153,7 +153,10 @@ fn exchange(
             bytes: datagram.len() as u64,
         });
         let trace = Some(&mut *o.ctx);
-        match w.shard.udp_send_status(src, dst, &datagram, &mut w.arena.replies, trace) {
+        match w
+            .shard
+            .udp_send_status(src, dst, &datagram, &mut w.arena.replies, trace)
+        {
             SendStatus::Unreachable => status.unreachable = true,
             SendStatus::Throttled => status.throttled = true,
             SendStatus::Sent => {}
@@ -249,7 +252,6 @@ impl QScanner {
         }
     }
 
-
     /// Scans one target: up to [`QScanner::max_attempts`] connection
     /// attempts with exponential backoff, each attempt driving PTO-based
     /// retransmission inside the connection, all under one virtual-time
@@ -285,7 +287,10 @@ impl QScanner {
     ) -> (QuicScanResult, Vec<Event>) {
         let mut ctx = TraceCtx::new(index, target.trace_label(), week);
         let result = {
-            let mut obs = Obs { ctx: &mut ctx, metrics };
+            let mut obs = Obs {
+                ctx: &mut ctx,
+                metrics,
+            };
             self.scan_one_impl(w, target, index, Some(&mut obs))
         };
         metrics.observe("qscanner.scan_us", ctx.now());
@@ -313,9 +318,11 @@ impl QScanner {
             w.arena.replies.clear();
             let result = panic_result(target, payload);
             match trace {
-                Some((week, metrics)) => {
-                    decided(result, TraceCtx::new(index, target.trace_label(), week), metrics)
-                }
+                Some((week, metrics)) => decided(
+                    result,
+                    TraceCtx::new(index, target.trace_label(), week),
+                    metrics,
+                ),
                 None => (result, Vec::new()),
             }
         })
@@ -435,7 +442,10 @@ impl QScanner {
                     Some(ScanOutcome::VersionMismatch)
                 }
                 Some(HandshakeOutcome::TransportClose { code, reason }) => {
-                    Some(ScanOutcome::TransportClose { code: code.0, reason: reason.clone() })
+                    Some(ScanOutcome::TransportClose {
+                        code: code.0,
+                        reason: reason.clone(),
+                    })
                 }
                 Some(HandshakeOutcome::TlsFailure(e)) => {
                     Some(ScanOutcome::Other(format!("tls: {e}")))
@@ -506,7 +516,10 @@ impl QScanner {
         mut obs: Option<&mut Obs<'_>>,
     ) -> Option<Response> {
         let rtt_us = w.rtt_us();
-        let authority = target.sni.clone().unwrap_or_else(|| target.addr.to_string());
+        let authority = target
+            .sni
+            .clone()
+            .unwrap_or_else(|| target.addr.to_string());
         let control = conn.open_uni_stream();
         conn.send_stream(control, &request::client_control_stream(), false);
         for _ in 0..self.http_retries.max(1) {
@@ -565,7 +578,11 @@ impl QScanner {
         registry: Option<&MetricsRegistry>,
         per_target: impl Fn(&mut Worker<'_>, &mut LocalMetrics, &QuicTarget, u64) -> R + Sync,
     ) -> (Vec<R>, Vec<usize>) {
-        let workers = if targets.len() < self.min_parallel_targets { 1 } else { workers };
+        let workers = if targets.len() < self.min_parallel_targets {
+            1
+        } else {
+            workers
+        };
         let (results, per_worker) = fan_out(
             targets.len(),
             workers,
@@ -608,7 +625,9 @@ impl QScanner {
         targets: &[QuicTarget],
         workers: usize,
     ) -> (Vec<QuicScanResult>, Vec<usize>) {
-        self.drive(net, 0, targets, workers, None, |w, _, t, i| self.scan_isolated(w, t, i, None).0)
+        self.drive(net, 0, targets, workers, None, |w, _, t, i| {
+            self.scan_isolated(w, t, i, None).0
+        })
     }
 
     /// Streaming driver: scans targets straight off an iterator without ever
@@ -690,7 +709,9 @@ fn decided(
 ) -> (QuicScanResult, Vec<Event>) {
     metrics.inc("qscanner.targets", 1);
     metrics.inc(outcome_counter(&result.outcome), 1);
-    ctx.record(EventKind::OutcomeDecided { outcome: result.outcome.label() });
+    ctx.record(EventKind::OutcomeDecided {
+        outcome: result.outcome.label(),
+    });
     (result, ctx.finish())
 }
 

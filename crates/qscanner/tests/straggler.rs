@@ -41,7 +41,10 @@ fn skewed_targets(u: &Universe) -> Vec<QuicTarget> {
         .iter()
         .filter(|h| h.provider == "akamai" && h.v4.is_some())
         .collect();
-    assert!(!fast.is_empty() && !slow.is_empty(), "universe lacks needed providers");
+    assert!(
+        !fast.is_empty() && !slow.is_empty(),
+        "universe lacks needed providers"
+    );
     let mut targets = Vec::with_capacity(96);
     for i in 0..96 {
         if (24..48).contains(&i) {
@@ -90,18 +93,33 @@ fn traced_records_match_the_one_worker_run_byte_for_byte() {
             (24..48).all(|i| oracle[i].outcome == ScanOutcome::NoReply),
             "slow slice should time out silently at {loss}‰"
         );
-        let successes = oracle.iter().filter(|r| r.outcome == ScanOutcome::Success).count();
-        assert!(successes >= 40, "fast targets should mostly succeed, got {successes}");
+        let successes = oracle
+            .iter()
+            .filter(|r| r.outcome == ScanOutcome::Success)
+            .count();
+        assert!(
+            successes >= 40,
+            "fast targets should mostly succeed, got {successes}"
+        );
         let oracle_json: String = oracle_events.iter().map(|e| e.to_json()).collect();
 
         for workers in [2usize, 4, 8] {
             let (results, events, metrics) = run_traced(&scanner, &u, &targets, workers, loss);
-            assert_eq!(results, oracle, "results diverged at {workers} workers, {loss}‰");
-            assert_eq!(events, oracle_events, "events diverged at {workers} workers, {loss}‰");
+            assert_eq!(
+                results, oracle,
+                "results diverged at {workers} workers, {loss}‰"
+            );
+            assert_eq!(
+                events, oracle_events,
+                "events diverged at {workers} workers, {loss}‰"
+            );
             // Byte-identical, not merely structurally equal.
             let json: String = events.iter().map(|e| e.to_json()).collect();
             assert_eq!(json, oracle_json);
-            assert_eq!(metrics, oracle_metrics, "metrics diverged at {workers} workers, {loss}‰");
+            assert_eq!(
+                metrics, oracle_metrics,
+                "metrics diverged at {workers} workers, {loss}‰"
+            );
             assert_eq!(metrics.render(), oracle_metrics.render());
         }
     }
@@ -116,12 +134,22 @@ fn stealing_spreads_the_slow_slice() {
     let (results, counts) = scanner.scan_many_stats(&net_with_loss(&u, 50), &targets, 4);
     assert_eq!(results.len(), targets.len());
     assert_eq!(counts.len(), 4);
-    assert_eq!(counts.iter().sum::<usize>(), targets.len(), "counts {counts:?}");
+    assert_eq!(
+        counts.iter().sum::<usize>(),
+        targets.len(),
+        "counts {counts:?}"
+    );
     // Work actually spread: no worker swept the whole space, and more than
     // one worker scanned something. (Stronger balance assertions would race
     // the OS scheduler on single-CPU runners.)
-    assert!(*counts.iter().max().unwrap() < targets.len(), "counts {counts:?}");
-    assert!(counts.iter().filter(|&&c| c > 0).count() >= 2, "counts {counts:?}");
+    assert!(
+        *counts.iter().max().unwrap() < targets.len(),
+        "counts {counts:?}"
+    );
+    assert!(
+        counts.iter().filter(|&&c| c > 0).count() >= 2,
+        "counts {counts:?}"
+    );
 }
 
 #[test]
@@ -165,6 +193,9 @@ fn streaming_driver_matches_buffered_scan() {
             },
         );
         assert_eq!(scanned, targets.len() as u64);
-        assert_eq!(streamed, baseline, "streamed results diverged at {workers} workers");
+        assert_eq!(
+            streamed, baseline,
+            "streamed results diverged at {workers} workers"
+        );
     }
 }

@@ -69,14 +69,8 @@ impl Certificate {
         let issuer = utf8(r.read_vec8()?)?;
         let not_before_week = r.read_u32()?;
         let not_after_week = r.read_u32()?;
-        let public_key: [u8; 32] = r
-            .read_bytes(32)?
-            .try_into()
-            .expect("fixed-length read");
-        let signature: [u8; 32] = r
-            .read_bytes(32)?
-            .try_into()
-            .expect("fixed-length read");
+        let public_key: [u8; 32] = r.read_bytes(32)?.try_into().expect("fixed-length read");
+        let signature: [u8; 32] = r.read_bytes(32)?.try_into().expect("fixed-length read");
         if !r.is_empty() {
             return Err(CodecError::Invalid("trailing bytes after certificate"));
         }
@@ -147,7 +141,10 @@ impl CertificateAuthority {
     pub fn new(name: &str, seed: u64) -> Self {
         let mut material = name.as_bytes().to_vec();
         material.extend_from_slice(&seed.to_be_bytes());
-        CertificateAuthority { name: name.to_string(), key: sha256::digest(&material) }
+        CertificateAuthority {
+            name: name.to_string(),
+            key: sha256::digest(&material),
+        }
     }
 
     /// Issues a signed certificate.
@@ -209,7 +206,14 @@ mod tests {
     #[test]
     fn issue_verify_roundtrip() {
         let ca = ca();
-        let cert = ca.issue(7, "example.com", vec!["*.example.com".into()], 5, 20, [3; 32]);
+        let cert = ca.issue(
+            7,
+            "example.com",
+            vec!["*.example.com".into()],
+            5,
+            20,
+            [3; 32],
+        );
         assert!(ca.verify(&cert));
         let decoded = Certificate::decode(&cert.encode()).unwrap();
         assert_eq!(decoded, cert);
@@ -227,7 +231,14 @@ mod tests {
     #[test]
     fn wildcard_matching() {
         let ca = ca();
-        let cert = ca.issue(1, "example.com", vec!["*.example.com".into()], 0, 9, [0; 32]);
+        let cert = ca.issue(
+            1,
+            "example.com",
+            vec!["*.example.com".into()],
+            0,
+            9,
+            [0; 32],
+        );
         assert!(cert.matches_name("example.com"));
         assert!(cert.matches_name("www.example.com"));
         assert!(!cert.matches_name("a.b.example.com")); // single label only

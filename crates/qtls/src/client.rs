@@ -207,9 +207,7 @@ impl ClientHandshake {
                     self.server_ext_codes.push(ext.type_code());
                     match ext {
                         Extension::SelectedVersion(v) => selected_version = Some(*v),
-                        Extension::KeyShareServer(g, kx) => {
-                            server_share = Some((*g, kx.clone()))
-                        }
+                        Extension::KeyShareServer(g, kx) => server_share = Some((*g, kx.clone())),
                         _ => {}
                     }
                 }
@@ -218,9 +216,7 @@ impl ClientHandshake {
                     Some(v) if v == TlsVersion::Tls12.wire() => {
                         // Legacy short-circuit for the simulated TLS 1.2 path:
                         // the certificate follows in plaintext.
-                        self.pending_cipher = Some(
-                            cipher.unwrap_or(CipherSuite::Aes128GcmSha256),
-                        );
+                        self.pending_cipher = Some(cipher.unwrap_or(CipherSuite::Aes128GcmSha256));
                         self.pending_group = Some(NamedGroup::X25519);
                         self.state = State::WaitLegacyCertificate;
                         return Ok(());
@@ -236,8 +232,8 @@ impl ClientHandshake {
                 let cipher = cipher.ok_or(TlsError::Decode("unknown cipher"))?;
                 let (group_wire, peer_public) =
                     server_share.ok_or(TlsError::UnexpectedMessage("missing key_share"))?;
-                let group = NamedGroup::from_wire(group_wire)
-                    .ok_or(TlsError::Decode("unknown group"))?;
+                let group =
+                    NamedGroup::from_wire(group_wire).ok_or(TlsError::Decode("unknown group"))?;
                 let secret = self
                     .key_shares
                     .iter()
@@ -285,7 +281,9 @@ impl ClientHandshake {
                 let leaf = self
                     .pending_certs
                     .first()
-                    .ok_or(TlsError::UnexpectedMessage("CertificateVerify before Certificate"))?;
+                    .ok_or(TlsError::UnexpectedMessage(
+                        "CertificateVerify before Certificate",
+                    ))?;
                 let expected = sim_signature(&leaf.public_key, &th);
                 if sig != expected {
                     self.state = State::Failed;
@@ -298,7 +296,10 @@ impl ClientHandshake {
                 Ok(())
             }
             (State::WaitEncrypted, Handshake::Finished(verify)) => {
-                let hs = self.hs_secrets.clone().expect("handshake secrets installed");
+                let hs = self
+                    .hs_secrets
+                    .clone()
+                    .expect("handshake secrets installed");
                 let th = self.transcript.hash();
                 if verify != finished_verify_data(&hs.server, &th) {
                     self.state = State::Failed;

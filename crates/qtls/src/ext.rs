@@ -241,7 +241,10 @@ fn u16_list(bytes: &[u8]) -> Result<Vec<u16>> {
     if !bytes.len().is_multiple_of(2) {
         return Err(CodecError::Invalid("odd u16 list"));
     }
-    Ok(bytes.chunks(2).map(|c| u16::from_be_bytes([c[0], c[1]])).collect())
+    Ok(bytes
+        .chunks(2)
+        .map(|c| u16::from_be_bytes([c[0], c[1]]))
+        .collect())
 }
 
 /// Encodes an extension block (u16 total length + extensions).

@@ -135,11 +135,18 @@ impl Handshake {
                 if !suites_raw.len().is_multiple_of(2) {
                     return Err(CodecError::Invalid("odd cipher suite list"));
                 }
-                let cipher_suites =
-                    suites_raw.chunks(2).map(|c| u16::from_be_bytes([c[0], c[1]])).collect();
+                let cipher_suites = suites_raw
+                    .chunks(2)
+                    .map(|c| u16::from_be_bytes([c[0], c[1]]))
+                    .collect();
                 let _compression = br.read_vec8()?;
                 let extensions = decode_extensions(&mut br, false)?;
-                Handshake::ClientHello(ClientHello { random, session_id, cipher_suites, extensions })
+                Handshake::ClientHello(ClientHello {
+                    random,
+                    session_id,
+                    cipher_suites,
+                    extensions,
+                })
             }
             hs_type::SERVER_HELLO => {
                 let _legacy = br.read_u16()?;
@@ -148,7 +155,12 @@ impl Handshake {
                 let cipher_suite = br.read_u16()?;
                 let _compression = br.read_u8()?;
                 let extensions = decode_extensions(&mut br, true)?;
-                Handshake::ServerHello(ServerHello { random, session_id, cipher_suite, extensions })
+                Handshake::ServerHello(ServerHello {
+                    random,
+                    session_id,
+                    cipher_suite,
+                    extensions,
+                })
             }
             hs_type::ENCRYPTED_EXTENSIONS => {
                 Handshake::EncryptedExtensions(decode_extensions(&mut br, true)?)
@@ -181,7 +193,10 @@ impl Handshake {
 
     /// Decodes a concatenated stream of handshake messages.
     pub fn decode_stream(bytes: &[u8]) -> Result<Vec<Handshake>> {
-        Ok(Handshake::decode_stream_raw(bytes)?.into_iter().map(|(msg, _)| msg).collect())
+        Ok(Handshake::decode_stream_raw(bytes)?
+            .into_iter()
+            .map(|(msg, _)| msg)
+            .collect())
     }
 
     /// Like [`Handshake::decode_stream`], but pairs each message with the raw

@@ -39,7 +39,13 @@ struct Seal {
 /// also the AEAD's additional data (RFC 8446 §5.2).
 fn protected_header(len: usize) -> [u8; 5] {
     let len = len as u16;
-    [content_type::APPLICATION_DATA, 3, 3, (len >> 8) as u8, len as u8]
+    [
+        content_type::APPLICATION_DATA,
+        3,
+        3,
+        (len >> 8) as u8,
+        len as u8,
+    ]
 }
 
 impl Seal {
@@ -49,7 +55,12 @@ impl Seal {
         let iv_bytes = hkdf::expand_label(secret, "iv", &[], alg.iv_len());
         let mut iv = [0u8; 12];
         iv.copy_from_slice(&iv_bytes);
-        Seal { aead: Aead::new(alg, &key), iv, seq: 0, inner: Vec::new() }
+        Seal {
+            aead: Aead::new(alg, &key),
+            iv,
+            seq: 0,
+            inner: Vec::new(),
+        }
     }
 
     fn nonce(&self) -> [u8; 12] {
@@ -69,7 +80,8 @@ impl Seal {
         self.inner.push(inner_type);
         let header = protected_header(self.inner.len() + self.aead.algorithm().tag_len());
         out.extend_from_slice(&header);
-        self.aead.seal_into(&self.nonce(), &header, &self.inner, out);
+        self.aead
+            .seal_into(&self.nonce(), &header, &self.inner, out);
         self.seq += 1;
     }
 
@@ -78,7 +90,12 @@ impl Seal {
     fn open(&mut self, body: &[u8]) -> Result<(u8, Vec<u8>), TlsError> {
         let mut inner = Vec::with_capacity(body.len());
         self.aead
-            .open_into(&self.nonce(), &protected_header(body.len()), body, &mut inner)
+            .open_into(
+                &self.nonce(),
+                &protected_header(body.len()),
+                body,
+                &mut inner,
+            )
             .map_err(|_| TlsError::Decode("record decryption failed"))?;
         self.seq += 1;
         // Strip zero padding, then the inner content type.
@@ -239,7 +256,8 @@ impl TlsTcpClient {
         for ev in events {
             match ev {
                 TlsEvent::SendHandshake(_, bytes) => {
-                    self.channel.protect_into(content_type::HANDSHAKE, &bytes, out);
+                    self.channel
+                        .protect_into(content_type::HANDSHAKE, &bytes, out);
                 }
                 TlsEvent::HandshakeKeys(hs) => {
                     let suite = self.negotiated_suite();
@@ -266,7 +284,9 @@ impl TlsTcpClient {
     }
 
     fn negotiated_suite(&self) -> CipherSuite {
-        self.hs.negotiated_cipher().unwrap_or(CipherSuite::Aes128GcmSha256)
+        self.hs
+            .negotiated_cipher()
+            .unwrap_or(CipherSuite::Aes128GcmSha256)
     }
 
     /// True when the handshake is done and app data can flow.
@@ -282,7 +302,8 @@ impl TlsTcpClient {
             if self.legacy {
                 out.extend(plaintext_record(content_type::APPLICATION_DATA, chunk));
             } else {
-                self.channel.protect_into(content_type::APPLICATION_DATA, chunk, &mut out);
+                self.channel
+                    .protect_into(content_type::APPLICATION_DATA, chunk, &mut out);
             }
         }
         out
@@ -400,7 +421,8 @@ impl TlsTcpServer {
                     if level == Level::Initial {
                         out.extend_from_slice(&plaintext_record(content_type::HANDSHAKE, &bytes));
                     } else {
-                        self.channel.protect_into(content_type::HANDSHAKE, &bytes, out);
+                        self.channel
+                            .protect_into(content_type::HANDSHAKE, &bytes, out);
                     }
                 }
                 TlsEvent::HandshakeKeys(hs) => {
@@ -446,7 +468,8 @@ impl TlsTcpServer {
             if self.legacy {
                 out.extend(plaintext_record(content_type::APPLICATION_DATA, chunk));
             } else {
-                self.channel.protect_into(content_type::APPLICATION_DATA, chunk, &mut out);
+                self.channel
+                    .protect_into(content_type::APPLICATION_DATA, chunk, &mut out);
             }
         }
         out
@@ -458,7 +481,9 @@ impl TlsTcpServer {
     }
 
     fn negotiated_suite(&self) -> CipherSuite {
-        self.hs.negotiated_cipher().unwrap_or(CipherSuite::Aes128GcmSha256)
+        self.hs
+            .negotiated_cipher()
+            .unwrap_or(CipherSuite::Aes128GcmSha256)
     }
 }
 
@@ -473,7 +498,14 @@ mod tests {
 
     fn cert_for(name: &str) -> crate::cert::Certificate {
         let ca = CertificateAuthority::new("CA", 1);
-        ca.issue(1, name, vec![], 0, 99, qcrypto::sha256::digest(name.as_bytes()))
+        ca.issue(
+            1,
+            name,
+            vec![],
+            0,
+            99,
+            qcrypto::sha256::digest(name.as_bytes()),
+        )
     }
 
     fn pump(
@@ -508,7 +540,10 @@ mod tests {
         pump(&mut client, &mut server, first).unwrap();
         assert!(client.is_connected());
         assert!(server.is_connected());
-        assert_eq!(client.peer_info().unwrap().alpn.as_deref(), Some(b"http/1.1".as_slice()));
+        assert_eq!(
+            client.peer_info().unwrap().alpn.as_deref(),
+            Some(b"http/1.1".as_slice())
+        );
 
         // Application data both ways.
         let req = client.send_app(b"GET / HTTP/1.1\r\n\r\n");
@@ -595,7 +630,10 @@ mod tests {
         let out = server.on_bytes(&first);
         client.on_bytes(&out).unwrap();
         assert!(client.is_connected());
-        assert_eq!(client.peer_info().unwrap().tls_version, crate::TlsVersion::Tls12);
+        assert_eq!(
+            client.peer_info().unwrap().tls_version,
+            crate::TlsVersion::Tls12
+        );
     }
 
     /// The in-place record path writes the wire format the copying one did
@@ -618,7 +656,13 @@ mod tests {
             // Record one, built the way `seal` used to build it.
             let mut inner = b"first".to_vec();
             inner.push(content_type::HANDSHAKE);
-            let aad = [content_type::APPLICATION_DATA, 3, 3, 0, (inner.len() + 16) as u8];
+            let aad = [
+                content_type::APPLICATION_DATA,
+                3,
+                3,
+                0,
+                (inner.len() + 16) as u8,
+            ];
             let mut want = aad.to_vec();
             want.extend(reference.aead.seal(&reference.nonce(), &aad, &inner));
             assert_eq!(&wire[14..14 + want.len()], &want[..], "{suite:?}");
@@ -627,16 +671,25 @@ mod tests {
             buffer.push(&wire[14..]);
             let (ty, body) = buffer.next().unwrap().expect("first record");
             assert_eq!(ty, content_type::APPLICATION_DATA);
-            assert_eq!(rx.open(body).unwrap(), (content_type::HANDSHAKE, b"first".to_vec()));
+            assert_eq!(
+                rx.open(body).unwrap(),
+                (content_type::HANDSHAKE, b"first".to_vec())
+            );
             let (_, body) = buffer.next().unwrap().expect("second record");
             let mut damaged = body.to_vec();
             damaged[10] ^= 1;
             assert!(rx.open(&damaged).is_err());
-            assert_eq!(rx.open(body).unwrap(), (content_type::APPLICATION_DATA, vec![7u8; 300]));
+            assert_eq!(
+                rx.open(body).unwrap(),
+                (content_type::APPLICATION_DATA, vec![7u8; 300])
+            );
             assert!(buffer.next().unwrap().is_none());
             // A later push starts from a compacted buffer.
             buffer.push(&[content_type::ALERT, 3, 3, 0, 2, 2, 40]);
-            assert_eq!(buffer.next().unwrap(), Some((content_type::ALERT, &[2u8, 40][..])));
+            assert_eq!(
+                buffer.next().unwrap(),
+                Some((content_type::ALERT, &[2u8, 40][..]))
+            );
         }
     }
 }

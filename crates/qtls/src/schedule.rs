@@ -16,7 +16,9 @@ pub struct Transcript {
 impl Transcript {
     /// Fresh empty transcript.
     pub fn new() -> Self {
-        Transcript { hasher: Sha256::new() }
+        Transcript {
+            hasher: Sha256::new(),
+        }
     }
 
     /// Absorbs an encoded handshake message (header included).
@@ -58,9 +60,23 @@ pub fn handshake_secrets(shared_secret: &[u8], transcript_to_sh: &[u8; 32]) -> H
     let empty_hash = sha256::digest(&[]);
     let derived = hkdf::expand_label(&early_secret, "derived", &empty_hash, DIGEST_LEN);
     let handshake_secret = hkdf::extract(&derived, shared_secret);
-    let client = hkdf::expand_label(&handshake_secret, "c hs traffic", transcript_to_sh, DIGEST_LEN);
-    let server = hkdf::expand_label(&handshake_secret, "s hs traffic", transcript_to_sh, DIGEST_LEN);
-    HandshakeSecrets { client, server, handshake_secret }
+    let client = hkdf::expand_label(
+        &handshake_secret,
+        "c hs traffic",
+        transcript_to_sh,
+        DIGEST_LEN,
+    );
+    let server = hkdf::expand_label(
+        &handshake_secret,
+        "s hs traffic",
+        transcript_to_sh,
+        DIGEST_LEN,
+    );
+    HandshakeSecrets {
+        client,
+        server,
+        handshake_secret,
+    }
 }
 
 /// Derives the application traffic secrets from the handshake secrets and the
@@ -69,10 +85,18 @@ pub fn app_secrets(hs: &HandshakeSecrets, transcript_to_server_fin: &[u8; 32]) -
     let empty_hash = sha256::digest(&[]);
     let derived = hkdf::expand_label(&hs.handshake_secret, "derived", &empty_hash, DIGEST_LEN);
     let master_secret = hkdf::extract(&derived, &[0u8; DIGEST_LEN]);
-    let client =
-        hkdf::expand_label(&master_secret, "c ap traffic", transcript_to_server_fin, DIGEST_LEN);
-    let server =
-        hkdf::expand_label(&master_secret, "s ap traffic", transcript_to_server_fin, DIGEST_LEN);
+    let client = hkdf::expand_label(
+        &master_secret,
+        "c ap traffic",
+        transcript_to_server_fin,
+        DIGEST_LEN,
+    );
+    let server = hkdf::expand_label(
+        &master_secret,
+        "s ap traffic",
+        transcript_to_server_fin,
+        DIGEST_LEN,
+    );
     AppSecrets { client, server }
 }
 

@@ -233,7 +233,10 @@ impl ServerHandshake {
                 self.process_client_hello(ch, raw, events)
             }
             (State::WaitClientFinished, Handshake::Finished(verify)) => {
-                let hs = self.hs_secrets.clone().expect("handshake secrets installed");
+                let hs = self
+                    .hs_secrets
+                    .clone()
+                    .expect("handshake secrets installed");
                 let th = self.transcript.hash();
                 if verify != finished_verify_data(&hs.client, &th) {
                     self.state = State::Failed;
@@ -373,7 +376,10 @@ impl ServerHandshake {
         if let Some(p) = &selected_alpn {
             ee.push(Extension::Alpn(vec![p.clone()]));
         }
-        if let Some(tp) = self.tp_override.as_ref().or(self.config.quic_transport_params.as_ref())
+        if let Some(tp) = self
+            .tp_override
+            .as_ref()
+            .or(self.config.quic_transport_params.as_ref())
         {
             ee.push(Extension::QuicTransportParameters(tp.clone()));
         }
@@ -594,8 +600,13 @@ mod tests {
             no_sni: NoSniBehavior::Reject(Alert::HandshakeFailure),
             ..ServerConfig::single_cert(test_cert("example.com"))
         };
-        let err = run_handshake(ClientConfig::default(), server_cfg).err().unwrap();
-        assert_eq!(err, TlsError::LocalAlert(Alert::HandshakeFailure, "SNI required"));
+        let err = run_handshake(ClientConfig::default(), server_cfg)
+            .err()
+            .unwrap();
+        assert_eq!(
+            err,
+            TlsError::LocalAlert(Alert::HandshakeFailure, "SNI required")
+        );
     }
 
     #[test]
@@ -623,7 +634,10 @@ mod tests {
             ..ClientConfig::default()
         };
         let err = run_handshake(client_cfg, server_cfg).err().unwrap();
-        assert!(matches!(err, TlsError::LocalAlert(Alert::NoApplicationProtocol, _)));
+        assert!(matches!(
+            err,
+            TlsError::LocalAlert(Alert::NoApplicationProtocol, _)
+        ));
     }
 
     #[test]
@@ -673,7 +687,11 @@ mod tests {
             Some([9, 9, 9].as_slice())
         );
         assert_eq!(
-            server.client_hello().unwrap().quic_transport_params.as_deref(),
+            server
+                .client_hello()
+                .unwrap()
+                .quic_transport_params
+                .as_deref(),
             Some([1, 2, 3].as_slice())
         );
     }
@@ -717,8 +735,7 @@ mod tests {
                 server_name: Some("example.com".into()),
                 ..ClientConfig::default()
             };
-            let (client, server) =
-                run_with_overrides(&server_cfg, client_cfg, None, &cache, seed);
+            let (client, server) = run_with_overrides(&server_cfg, client_cfg, None, &cache, seed);
             assert!(client.is_complete() && server.is_complete());
             assert_eq!(
                 client.peer_info().unwrap().certificates[0].subject,
@@ -737,8 +754,7 @@ mod tests {
             ..ServerConfig::single_cert(test_cert("google.example"))
         });
         let cache = Arc::new(CertCache::new());
-        let (client, _) =
-            run_with_overrides(&server_cfg, ClientConfig::default(), None, &cache, 9);
+        let (client, _) = run_with_overrides(&server_cfg, ClientConfig::default(), None, &cache, 9);
         assert!(client.peer_info().unwrap().certificates[0].is_self_signed());
         assert!(cache.is_empty());
     }
@@ -755,8 +771,7 @@ mod tests {
             quic_transport_params: Some(vec![1]),
             ..ClientConfig::default()
         };
-        let (client, _) =
-            run_with_overrides(&server_cfg, client_cfg, Some(vec![4, 2]), &cache, 11);
+        let (client, _) = run_with_overrides(&server_cfg, client_cfg, Some(vec![4, 2]), &cache, 11);
         assert_eq!(
             client.peer_info().unwrap().quic_transport_params.as_deref(),
             Some([4, 2].as_slice())
@@ -771,10 +786,19 @@ mod tests {
             ..ClientConfig::default()
         };
         let (client, _) = run_handshake(client_cfg.clone(), base.clone()).unwrap();
-        assert_eq!(client.peer_info().unwrap().certificates[0].subject, "example.com");
+        assert_eq!(
+            client.peer_info().unwrap().certificates[0].subject,
+            "example.com"
+        );
 
-        let strict = ServerConfig { reject_unknown_sni: true, ..base };
+        let strict = ServerConfig {
+            reject_unknown_sni: true,
+            ..base
+        };
         let err = run_handshake(client_cfg, strict).err().unwrap();
-        assert!(matches!(err, TlsError::LocalAlert(Alert::HandshakeFailure, _)));
+        assert!(matches!(
+            err,
+            TlsError::LocalAlert(Alert::HandshakeFailure, _)
+        ));
     }
 }

@@ -344,7 +344,11 @@ impl ClientConnection {
 
         let pair = initial_keys_shared(version, self.dcid.as_slice());
         self.note(|| telemetry::EventKind::KeyDerived { level: "initial" });
-        self.open_keys = OpenKeys { initial_pair: Some(pair), handshake: None, app: None };
+        self.open_keys = OpenKeys {
+            initial_pair: Some(pair),
+            handshake: None,
+            app: None,
+        };
         self.seal_handshake = None;
         self.seal_app = None;
         self.next_pn = [0; 3];
@@ -373,8 +377,12 @@ impl ClientConnection {
         let payload = &mut self.scratch.payload;
         payload.clear();
         Frame::encode_crypto(payload, 0, &self.ch_bytes);
-        let keys =
-            &self.open_keys.initial_pair.as_deref().expect("initial keys installed").client;
+        let keys = &self
+            .open_keys
+            .initial_pair
+            .as_deref()
+            .expect("initial keys installed")
+            .client;
         // Padding arithmetic: the unpadded packet's size is fully determined
         // by the header fields and payload length, so compute the 1200-byte
         // deficit directly instead of sealing a probe packet first.
@@ -598,7 +606,14 @@ impl ClientConnection {
         let mut pkt = self.scratch.pool.pop().unwrap_or_default();
         pkt.clear();
         let pn = self.next_pn[SPACE_APP];
-        seal_short_into(&mut pkt, &mut self.scratch.seal, &self.dcid, pn, payload, keys);
+        seal_short_into(
+            &mut pkt,
+            &mut self.scratch.seal,
+            &self.dcid,
+            pn,
+            payload,
+            keys,
+        );
         self.next_pn[SPACE_APP] += 1;
         self.tx.push(pkt);
         Some(pn)
@@ -725,7 +740,9 @@ impl ClientConnection {
                 for frame in &frames {
                     match frame {
                         Frame::HandshakeDone => self.handshake_done = true,
-                        Frame::ConnectionClose { error_code, reason, .. } => {
+                        Frame::ConnectionClose {
+                            error_code, reason, ..
+                        } => {
                             self.close_with(HandshakeOutcome::TransportClose {
                                 code: TransportError(*error_code),
                                 reason: reason.clone(),
@@ -736,7 +753,10 @@ impl ClientConnection {
                     }
                 }
                 if let Some(buf) = &mut self.app_rx {
-                    buf.push(AppPacket { pn: pkt.packet_number, frames });
+                    buf.push(AppPacket {
+                        pn: pkt.packet_number,
+                        frames,
+                    });
                 }
             }
             PacketType::OneRtt => {
@@ -834,7 +854,9 @@ impl ClientConnection {
                         self.on_crypto(level, &ready);
                     }
                 }
-                Frame::ConnectionClose { error_code, reason, .. } => {
+                Frame::ConnectionClose {
+                    error_code, reason, ..
+                } => {
                     self.close_with(HandshakeOutcome::TransportClose {
                         code: TransportError(error_code),
                         reason,
@@ -842,11 +864,17 @@ impl ClientConnection {
                     return;
                 }
                 Frame::HandshakeDone => self.handshake_done = true,
-                Frame::Stream { id, offset: _, fin, data } => {
-                    let entry = self
-                        .streams_rx
-                        .entry(id)
-                        .or_insert(StreamRecv { id, data: Vec::new(), fin: false });
+                Frame::Stream {
+                    id,
+                    offset: _,
+                    fin,
+                    data,
+                } => {
+                    let entry = self.streams_rx.entry(id).or_insert(StreamRecv {
+                        id,
+                        data: Vec::new(),
+                        fin: false,
+                    });
                     entry.data.extend_from_slice(&data);
                     entry.fin |= fin;
                 }
@@ -904,7 +932,9 @@ impl ClientConnection {
                 }
                 TlsEvent::Complete => {
                     self.state = ConnectionState::Established;
-                    self.note(|| telemetry::EventKind::HandshakePhase { phase: "established" });
+                    self.note(|| telemetry::EventKind::HandshakePhase {
+                        phase: "established",
+                    });
                     self.outcome = Some(HandshakeOutcome::Established);
                     if let Some(info) = self.tls.peer_info() {
                         if let Some(tp) = &info.quic_transport_params {

@@ -59,7 +59,11 @@ impl Frame {
         match self {
             Frame::Padding(n) => w.put_zeroes(*n),
             Frame::Ping => w.put_varint(0x01),
-            Frame::Ack { largest, delay, ranges } => {
+            Frame::Ack {
+                largest,
+                delay,
+                ranges,
+            } => {
                 w.put_varint(0x02);
                 w.put_varint(*largest);
                 w.put_varint(*delay);
@@ -86,7 +90,12 @@ impl Frame {
                 w.put_varint(0x07);
                 w.put_varvec(token);
             }
-            Frame::Stream { id, offset, fin, data } => {
+            Frame::Stream {
+                id,
+                offset,
+                fin,
+                data,
+            } => {
                 // Type 0x08..0x0f: OFF=0x04, LEN=0x02, FIN=0x01. Always
                 // emit OFF|LEN for unambiguous coalescing.
                 let ty = 0x08 | 0x04 | 0x02 | u64::from(*fin);
@@ -108,14 +117,24 @@ impl Frame {
                 w.put_varint(if *bidi { 0x12 } else { 0x13 });
                 w.put_varint(*max);
             }
-            Frame::NewConnectionId { seq, retire_prior_to, cid, reset_token } => {
+            Frame::NewConnectionId {
+                seq,
+                retire_prior_to,
+                cid,
+                reset_token,
+            } => {
                 w.put_varint(0x18);
                 w.put_varint(*seq);
                 w.put_varint(*retire_prior_to);
                 w.put_vec8(cid);
                 w.put_bytes(reset_token);
             }
-            Frame::ConnectionClose { error_code, frame_type, reason, is_app } => {
+            Frame::ConnectionClose {
+                error_code,
+                frame_type,
+                reason,
+                is_app,
+            } => {
                 w.put_varint(if *is_app { 0x1d } else { 0x1c });
                 w.put_varint(*error_code);
                 if !is_app {
@@ -212,7 +231,9 @@ impl Frame {
                     let hi = smallest
                         .checked_sub(gap + 2)
                         .ok_or(CodecError::Invalid("ACK gap underflow"))?;
-                    let lo = hi.checked_sub(len).ok_or(CodecError::Invalid("ACK range underflow"))?;
+                    let lo = hi
+                        .checked_sub(len)
+                        .ok_or(CodecError::Invalid("ACK range underflow"))?;
                     ranges.push((lo, hi));
                     smallest = lo;
                 }
@@ -220,14 +241,20 @@ impl Frame {
                     // ECN counts: parse and discard.
                     let _ = (r.read_varint()?, r.read_varint()?, r.read_varint()?);
                 }
-                Frame::Ack { largest, delay, ranges }
+                Frame::Ack {
+                    largest,
+                    delay,
+                    ranges,
+                }
             }
             0x06 => {
                 let offset = r.read_varint()?;
                 let data = r.read_varvec()?.to_vec();
                 Frame::Crypto { offset, data }
             }
-            0x07 => Frame::NewToken { token: r.read_varvec()?.to_vec() },
+            0x07 => Frame::NewToken {
+                token: r.read_varvec()?.to_vec(),
+            },
             0x08..=0x0f => {
                 let has_off = ty & 0x04 != 0;
                 let has_len = ty & 0x02 != 0;
@@ -239,25 +266,50 @@ impl Frame {
                 } else {
                     r.read_rest().to_vec()
                 };
-                Frame::Stream { id, offset, fin, data }
+                Frame::Stream {
+                    id,
+                    offset,
+                    fin,
+                    data,
+                }
             }
             0x10 => Frame::MaxData(r.read_varint()?),
-            0x11 => Frame::MaxStreamData { id: r.read_varint()?, max: r.read_varint()? },
-            0x12 | 0x13 => Frame::MaxStreams { bidi: ty == 0x12, max: r.read_varint()? },
+            0x11 => Frame::MaxStreamData {
+                id: r.read_varint()?,
+                max: r.read_varint()?,
+            },
+            0x12 | 0x13 => Frame::MaxStreams {
+                bidi: ty == 0x12,
+                max: r.read_varint()?,
+            },
             0x18 => {
                 let seq = r.read_varint()?;
                 let retire_prior_to = r.read_varint()?;
                 let cid = r.read_vec8()?.to_vec();
                 let reset_token: [u8; 16] =
                     r.read_bytes(16)?.try_into().expect("fixed-length read");
-                Frame::NewConnectionId { seq, retire_prior_to, cid, reset_token }
+                Frame::NewConnectionId {
+                    seq,
+                    retire_prior_to,
+                    cid,
+                    reset_token,
+                }
             }
             0x1c | 0x1d => {
                 let error_code = r.read_varint()?;
-                let frame_type = if ty == 0x1c { Some(r.read_varint()?) } else { None };
+                let frame_type = if ty == 0x1c {
+                    Some(r.read_varint()?)
+                } else {
+                    None
+                };
                 let reason_bytes = r.read_varvec()?;
                 let reason = String::from_utf8_lossy(reason_bytes).into_owned();
-                Frame::ConnectionClose { error_code, frame_type, reason, is_app: ty == 0x1d }
+                Frame::ConnectionClose {
+                    error_code,
+                    frame_type,
+                    reason,
+                    is_app: ty == 0x1d,
+                }
             }
             0x1e => Frame::HandshakeDone,
             _ => return Err(CodecError::Invalid("unknown frame type")),
@@ -285,27 +337,56 @@ mod tests {
         roundtrip(Frame::MaxData(123456));
         roundtrip(Frame::MaxStreamData { id: 4, max: 99 });
         roundtrip(Frame::MaxStreams { bidi: true, max: 7 });
-        roundtrip(Frame::MaxStreams { bidi: false, max: 3 });
-        roundtrip(Frame::NewToken { token: vec![1, 2, 3] });
+        roundtrip(Frame::MaxStreams {
+            bidi: false,
+            max: 3,
+        });
+        roundtrip(Frame::NewToken {
+            token: vec![1, 2, 3],
+        });
     }
 
     #[test]
     fn crypto_and_stream() {
-        roundtrip(Frame::Crypto { offset: 0, data: vec![9; 100] });
-        roundtrip(Frame::Crypto { offset: 1200, data: vec![1] });
-        roundtrip(Frame::Stream { id: 0, offset: 0, fin: true, data: b"GET /".to_vec() });
-        roundtrip(Frame::Stream { id: 3, offset: 77, fin: false, data: vec![0; 10] });
+        roundtrip(Frame::Crypto {
+            offset: 0,
+            data: vec![9; 100],
+        });
+        roundtrip(Frame::Crypto {
+            offset: 1200,
+            data: vec![1],
+        });
+        roundtrip(Frame::Stream {
+            id: 0,
+            offset: 0,
+            fin: true,
+            data: b"GET /".to_vec(),
+        });
+        roundtrip(Frame::Stream {
+            id: 3,
+            offset: 77,
+            fin: false,
+            data: vec![0; 10],
+        });
     }
 
     #[test]
     fn ack_single_range() {
-        roundtrip(Frame::Ack { largest: 5, delay: 0, ranges: vec![(0, 5)] });
+        roundtrip(Frame::Ack {
+            largest: 5,
+            delay: 0,
+            ranges: vec![(0, 5)],
+        });
     }
 
     #[test]
     fn ack_multi_range() {
         // Packets 0-1 and 4-5 received: ranges [(4,5),(0,1)].
-        roundtrip(Frame::Ack { largest: 5, delay: 10, ranges: vec![(4, 5), (0, 1)] });
+        roundtrip(Frame::Ack {
+            largest: 5,
+            delay: 10,
+            ranges: vec![(4, 5), (0, 1)],
+        });
     }
 
     /// The first five bytes of an ACK frame — type, largest 5, delay 0 —
@@ -424,19 +505,34 @@ mod tests {
     fn encode_helpers_match_owned_frames() {
         for largest in [0u64, 5, 1000] {
             let mut a = Writer::new();
-            Frame::Ack { largest, delay: 0, ranges: vec![(0, largest)] }.encode(&mut a);
+            Frame::Ack {
+                largest,
+                delay: 0,
+                ranges: vec![(0, largest)],
+            }
+            .encode(&mut a);
             let mut b = Writer::new();
             Frame::encode_ack_single(&mut b, largest, 0);
             assert_eq!(a.as_slice(), b.as_slice());
         }
         let data = vec![0xabu8; 300];
         let mut a = Writer::new();
-        Frame::Crypto { offset: 7, data: data.clone() }.encode(&mut a);
+        Frame::Crypto {
+            offset: 7,
+            data: data.clone(),
+        }
+        .encode(&mut a);
         let mut b = Writer::new();
         Frame::encode_crypto(&mut b, 7, &data);
         assert_eq!(a.as_slice(), b.as_slice());
         let mut a = Writer::new();
-        Frame::Stream { id: 0, offset: 12, fin: true, data: data.clone() }.encode(&mut a);
+        Frame::Stream {
+            id: 0,
+            offset: 12,
+            fin: true,
+            data: data.clone(),
+        }
+        .encode(&mut a);
         let mut b = Writer::new();
         Frame::encode_stream(&mut b, 0, 12, true, &data);
         assert_eq!(a.as_slice(), b.as_slice());
@@ -459,8 +555,17 @@ mod tests {
     #[test]
     fn coalesced_sequence() {
         let mut w = Writer::new();
-        Frame::Ack { largest: 0, delay: 0, ranges: vec![(0, 0)] }.encode(&mut w);
-        Frame::Crypto { offset: 0, data: vec![5; 30] }.encode(&mut w);
+        Frame::Ack {
+            largest: 0,
+            delay: 0,
+            ranges: vec![(0, 0)],
+        }
+        .encode(&mut w);
+        Frame::Crypto {
+            offset: 0,
+            data: vec![5; 30],
+        }
+        .encode(&mut w);
         Frame::Padding(100).encode(&mut w);
         let frames = Frame::decode_all(&w.into_vec()).unwrap();
         assert_eq!(frames.len(), 3);

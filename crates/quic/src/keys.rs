@@ -106,7 +106,9 @@ impl PacketKeys {
     /// AEAD-seals a packet payload, appending ciphertext || tag to `out` —
     /// byte-identical to [`PacketKeys::seal`] without the allocation.
     pub fn seal_into(&self, packet_number: u64, aad: &[u8], payload: &[u8], out: &mut Vec<u8>) {
-        self.0.aead.seal_into(&self.nonce(packet_number), aad, payload, out);
+        self.0
+            .aead
+            .seal_into(&self.nonce(packet_number), aad, payload, out);
     }
 
     /// AEAD-opens a packet payload.
@@ -116,7 +118,9 @@ impl PacketKeys {
         aad: &[u8],
         ciphertext: &[u8],
     ) -> Result<Vec<u8>, qcrypto::AuthError> {
-        self.0.aead.open(&self.nonce(packet_number), aad, ciphertext)
+        self.0
+            .aead
+            .open(&self.nonce(packet_number), aad, ciphertext)
     }
 
     /// AEAD-opens a packet payload, appending the plaintext to `out` only
@@ -129,7 +133,9 @@ impl PacketKeys {
         ciphertext: &[u8],
         out: &mut Vec<u8>,
     ) -> Result<(), qcrypto::AuthError> {
-        self.0.aead.open_into(&self.nonce(packet_number), aad, ciphertext, out)
+        self.0
+            .aead
+            .open_into(&self.nonce(packet_number), aad, ciphertext, out)
     }
 
     /// Header-protection mask for a 16-byte ciphertext sample (RFC 9001 §5.4).
@@ -310,8 +316,10 @@ mod tests {
     fn rfc9001_appendix_a_client_keys() {
         let dcid = hex::decode("8394c8f03e515708").unwrap();
         let (client, _server) = initial_keys(Version::V1, &dcid);
-        let sample: [u8; 16] =
-            hex::decode("d1b1c98dd7689fb8ec11d242b123dc9b").unwrap().try_into().unwrap();
+        let sample: [u8; 16] = hex::decode("d1b1c98dd7689fb8ec11d242b123dc9b")
+            .unwrap()
+            .try_into()
+            .unwrap();
         assert_eq!(hex::encode(&client.hp_mask(&sample)), "437b9aec36");
     }
 
@@ -320,8 +328,10 @@ mod tests {
     fn rfc9001_appendix_a_server_keys() {
         let dcid = hex::decode("8394c8f03e515708").unwrap();
         let (_client, server) = initial_keys(Version::V1, &dcid);
-        let sample: [u8; 16] =
-            hex::decode("2cd0991cd25b0aac406a5816b6394100").unwrap().try_into().unwrap();
+        let sample: [u8; 16] = hex::decode("2cd0991cd25b0aac406a5816b6394100")
+            .unwrap()
+            .try_into()
+            .unwrap();
         assert_eq!(hex::encode(&server.hp_mask(&sample)), "2ec0d8356a");
     }
 
@@ -338,9 +348,15 @@ mod tests {
     #[test]
     fn draft_salts_differ() {
         assert_ne!(initial_salt(Version::DRAFT_29), initial_salt(Version::V1));
-        assert_ne!(initial_salt(Version::DRAFT_28), initial_salt(Version::DRAFT_29));
+        assert_ne!(
+            initial_salt(Version::DRAFT_28),
+            initial_salt(Version::DRAFT_29)
+        );
         assert_eq!(initial_salt(Version::DRAFT_34), initial_salt(Version::V1));
-        assert_eq!(initial_salt(Version::DRAFT_32), initial_salt(Version::DRAFT_29));
+        assert_eq!(
+            initial_salt(Version::DRAFT_32),
+            initial_salt(Version::DRAFT_29)
+        );
     }
 
     /// The cached derivation path must match the uncached formula bit-exact
@@ -348,7 +364,12 @@ mod tests {
     #[test]
     fn cache_matches_direct_derivation() {
         let cache = InitialKeyCache::new();
-        for version in [Version::V1, Version::DRAFT_34, Version::DRAFT_29, Version::DRAFT_27] {
+        for version in [
+            Version::V1,
+            Version::DRAFT_34,
+            Version::DRAFT_29,
+            Version::DRAFT_27,
+        ] {
             for dcid in [b"8byte-id".as_slice(), b"x", b"a-somewhat-longer-cid"] {
                 let (cc, cs) = cache.derive(version, dcid);
                 let initial_secret = hkdf::extract(initial_salt(version), dcid);

@@ -24,10 +24,10 @@
 
 pub mod conn;
 pub mod error;
-pub mod retry;
 pub mod frame;
 pub mod keys;
 pub mod packet;
+pub mod retry;
 pub mod server;
 pub mod tparams;
 pub mod version;

@@ -275,7 +275,9 @@ fn apply_header_protection(
     long_header: bool,
 ) {
     let sample_at = pn_offset + 4;
-    let sample: [u8; 16] = packet[sample_at..sample_at + 16].try_into().expect("sample");
+    let sample: [u8; 16] = packet[sample_at..sample_at + 16]
+        .try_into()
+        .expect("sample");
     let mask = keys.hp_mask(&sample);
     packet[0] ^= mask[0] & if long_header { 0x0f } else { 0x1f };
     for i in 0..pn_len {
@@ -329,18 +331,23 @@ pub fn decode_first(
     }
 }
 
-fn decode_long(
-    buf: &[u8],
-    keys: &dyn KeySource,
-) -> Result<(Packet, usize), PacketDecodeError> {
+fn decode_long(buf: &[u8], keys: &dyn KeySource) -> Result<(Packet, usize), PacketDecodeError> {
     let mut r = Reader::new(buf);
-    let first = r.read_u8().map_err(|_| PacketDecodeError::Malformed("first byte"))?;
-    let version_raw = r.read_u32().map_err(|_| PacketDecodeError::Malformed("version"))?;
+    let first = r
+        .read_u8()
+        .map_err(|_| PacketDecodeError::Malformed("first byte"))?;
+    let version_raw = r
+        .read_u32()
+        .map_err(|_| PacketDecodeError::Malformed("version"))?;
     let dcid = ConnectionId(
-        r.read_vec8().map_err(|_| PacketDecodeError::Malformed("dcid"))?.to_vec(),
+        r.read_vec8()
+            .map_err(|_| PacketDecodeError::Malformed("dcid"))?
+            .to_vec(),
     );
     let scid = ConnectionId(
-        r.read_vec8().map_err(|_| PacketDecodeError::Malformed("scid"))?.to_vec(),
+        r.read_vec8()
+            .map_err(|_| PacketDecodeError::Malformed("scid"))?
+            .to_vec(),
     );
 
     if version_raw == 0 {
@@ -371,9 +378,9 @@ fn decode_long(
     };
     let mut token = Vec::new();
     if ty == PacketType::Initial {
-        let token_len = r
-            .read_varint()
-            .map_err(|_| PacketDecodeError::Malformed("token length"))? as usize;
+        let token_len =
+            r.read_varint()
+                .map_err(|_| PacketDecodeError::Malformed("token length"))? as usize;
         token = r
             .read_bytes(token_len)
             .map_err(|_| PacketDecodeError::Malformed("token"))?
@@ -388,9 +395,8 @@ fn decode_long(
     }
     let consumed = pn_offset + length;
     let packet_keys = keys.keys_for(ty).ok_or(PacketDecodeError::NoKeys(ty))?;
-    let (packet_number, payload) =
-        unprotect(buf, pn_offset, consumed, packet_keys, true)
-            .ok_or(PacketDecodeError::DecryptFailed(ty))?;
+    let (packet_number, payload) = unprotect(buf, pn_offset, consumed, packet_keys, true)
+        .ok_or(PacketDecodeError::DecryptFailed(ty))?;
     let pkt = Packet {
         ty,
         version: Some(version),
@@ -517,7 +523,11 @@ mod tests {
             &client_keys,
             1162,
         );
-        assert!(datagram.len() >= 1200, "padded Initial is {} bytes", datagram.len());
+        assert!(
+            datagram.len() >= 1200,
+            "padded Initial is {} bytes",
+            datagram.len()
+        );
 
         let (open_c, _) = initial_pair();
         let mut map = HashMap::new();
@@ -544,7 +554,10 @@ mod tests {
         assert_eq!(err, None);
         assert_eq!(packets.len(), 1);
         assert_eq!(packets[0].ty, PacketType::VersionNegotiation);
-        assert_eq!(packets[0].supported_versions, vec![Version::DRAFT_29, Version::Q050]);
+        assert_eq!(
+            packets[0].supported_versions,
+            vec![Version::DRAFT_29, Version::Q050]
+        );
         assert_eq!(packets[0].dcid.as_slice(), b"client");
     }
 
@@ -696,7 +709,10 @@ mod tests {
         map.insert(PacketType::Initial, open_c);
         let (packets, err) = decode_datagram(&datagram, 1, &TestKeys(map));
         assert!(packets.is_empty());
-        assert_eq!(err, Some(PacketDecodeError::DecryptFailed(PacketType::Initial)));
+        assert_eq!(
+            err,
+            Some(PacketDecodeError::DecryptFailed(PacketType::Initial))
+        );
     }
 
     /// `unprotect` as it was before it stopped copying: clone the packet,
@@ -790,7 +806,10 @@ mod tests {
                         // Trailing bytes of a coalesced datagram are ignored.
                         let mut coalesced = packet.clone();
                         coalesced.extend_from_slice(b"next packet");
-                        assert_eq!(unprotect(&coalesced, pn_offset, end, &keys, long_header), got);
+                        assert_eq!(
+                            unprotect(&coalesced, pn_offset, end, &keys, long_header),
+                            got
+                        );
 
                         for damaged_at in [0, pn_offset, pn_offset + pn_len, end - 1] {
                             let mut bad = packet.clone();
@@ -808,7 +827,13 @@ mod tests {
                                 None
                             );
                             assert_eq!(
-                                unprotect_by_copying(&packet, pn_offset, short_end, &keys, long_header),
+                                unprotect_by_copying(
+                                    &packet,
+                                    pn_offset,
+                                    short_end,
+                                    &keys,
+                                    long_header
+                                ),
                                 None
                             );
                         }

@@ -14,20 +14,20 @@ use crate::version::Version;
 
 /// The fixed Retry integrity key for QUIC v1 (RFC 9001 §5.8).
 const RETRY_KEY_V1: [u8; 16] = [
-    0xbe, 0x0c, 0x69, 0x0b, 0x9f, 0x66, 0x57, 0x5a, 0x1d, 0x76, 0x6b, 0x54, 0xe3, 0x68, 0xc8,
-    0x4e,
+    0xbe, 0x0c, 0x69, 0x0b, 0x9f, 0x66, 0x57, 0x5a, 0x1d, 0x76, 0x6b, 0x54, 0xe3, 0x68, 0xc8, 0x4e,
 ];
 /// The fixed Retry integrity nonce for QUIC v1.
-const RETRY_NONCE_V1: [u8; 12] =
-    [0x46, 0x15, 0x99, 0xd3, 0x5d, 0x63, 0x2b, 0xf2, 0x23, 0x98, 0x25, 0xbb];
+const RETRY_NONCE_V1: [u8; 12] = [
+    0x46, 0x15, 0x99, 0xd3, 0x5d, 0x63, 0x2b, 0xf2, 0x23, 0x98, 0x25, 0xbb,
+];
 
 /// draft-29..32 Retry key (draft-29 §5.8).
 const RETRY_KEY_D29: [u8; 16] = [
-    0xcc, 0xce, 0x18, 0x7e, 0xd0, 0x9a, 0x09, 0xd0, 0x57, 0x28, 0x15, 0x5a, 0x6c, 0xb9, 0x6b,
-    0xe1,
+    0xcc, 0xce, 0x18, 0x7e, 0xd0, 0x9a, 0x09, 0xd0, 0x57, 0x28, 0x15, 0x5a, 0x6c, 0xb9, 0x6b, 0xe1,
 ];
-const RETRY_NONCE_D29: [u8; 12] =
-    [0xe5, 0x49, 0x30, 0xf9, 0x7f, 0x21, 0x36, 0xf0, 0x53, 0x0a, 0x8c, 0x1c];
+const RETRY_NONCE_D29: [u8; 12] = [
+    0xe5, 0x49, 0x30, 0xf9, 0x7f, 0x21, 0x36, 0xf0, 0x53, 0x0a, 0x8c, 0x1c,
+];
 
 /// The Retry integrity AEAD and nonce for `version`. The keys are fixed by
 /// the RFCs, so each is expanded once per process rather than per packet.
@@ -40,7 +40,10 @@ fn retry_aead(version: Version) -> (&'static Aead, &'static [u8; 12]) {
         }
         _ => (&V1, &RETRY_KEY_V1, &RETRY_NONCE_V1),
     };
-    (cell.get_or_init(|| Aead::new(AeadAlgorithm::Aes128Gcm, key)), nonce)
+    (
+        cell.get_or_init(|| Aead::new(AeadAlgorithm::Aes128Gcm, key)),
+        nonce,
+    )
 }
 
 fn pseudo_packet(odcid: &ConnectionId, retry_without_tag: &[u8]) -> Vec<u8> {
@@ -52,11 +55,7 @@ fn pseudo_packet(odcid: &ConnectionId, retry_without_tag: &[u8]) -> Vec<u8> {
 
 /// Computes the 16-byte Retry integrity tag over the packet-so-far, bound to
 /// the client's original DCID.
-pub fn integrity_tag(
-    version: Version,
-    odcid: &ConnectionId,
-    retry_without_tag: &[u8],
-) -> [u8; 16] {
+pub fn integrity_tag(version: Version, odcid: &ConnectionId, retry_without_tag: &[u8]) -> [u8; 16] {
     let (aead, nonce) = retry_aead(version);
     let sealed = aead.seal(nonce, &pseudo_packet(odcid, retry_without_tag), &[]);
     sealed.try_into().expect("empty plaintext seals to one tag")
@@ -121,7 +120,12 @@ pub fn decode_retry(datagram: &[u8], odcid: &ConnectionId) -> Option<RetryPacket
     if tag != expected {
         return None;
     }
-    Some(RetryPacket { version, dcid, scid, token: token.to_vec() })
+    Some(RetryPacket {
+        version,
+        dcid,
+        scid,
+        token: token.to_vec(),
+    })
 }
 
 #[cfg(test)]
@@ -135,8 +139,7 @@ mod tests {
     fn rfc9001_a4_retry_vector() {
         let odcid = ConnectionId::new(&hex::decode("8394c8f03e515708").unwrap());
         let scid = ConnectionId::new(&hex::decode("f067a5502a4262b5").unwrap());
-        let packet =
-            encode_retry(Version::V1, &ConnectionId::empty(), &scid, &odcid, b"token");
+        let packet = encode_retry(Version::V1, &ConnectionId::empty(), &scid, &odcid, b"token");
         assert_eq!(
             hex::encode(&packet),
             "ff000000010008f067a5502a4262b5746f6b656e04a265ba2eff4d829058fb3f0f2496ba"

@@ -280,13 +280,16 @@ impl Endpoint {
     /// the old queue entry goes stale rather than being searched for, and
     /// compaction runs only when stale entries outnumber live ones.
     fn touch(&mut self, from: u128) {
-        let Some(conn) = self.conns.get_mut(&from) else { return };
+        let Some(conn) = self.conns.get_mut(&from) else {
+            return;
+        };
         self.touches += 1;
         conn.stamp = self.touches;
         self.recency.push_back((from, self.touches));
         if self.recency.len() > 2 * self.conns.len() + 16 {
             let conns = &self.conns;
-            self.recency.retain(|&(k, s)| conns.get(&k).is_some_and(|c| c.stamp == s));
+            self.recency
+                .retain(|&(k, s)| conns.get(&k).is_some_and(|c| c.stamp == s));
         }
     }
 
@@ -420,10 +423,18 @@ fn initial_has_token(datagram: &[u8], expected: &[u8]) -> bool {
     if r.read_u32().is_err() {
         return false;
     }
-    let Ok(_dcid) = r.read_vec8() else { return false };
-    let Ok(_scid) = r.read_vec8() else { return false };
-    let Ok(token_len) = r.read_varint() else { return false };
-    let Ok(token) = r.read_bytes(token_len as usize) else { return false };
+    let Ok(_dcid) = r.read_vec8() else {
+        return false;
+    };
+    let Ok(_scid) = r.read_vec8() else {
+        return false;
+    };
+    let Ok(token_len) = r.read_varint() else {
+        return false;
+    };
+    let Ok(token) = r.read_bytes(token_len as usize) else {
+        return false;
+    };
     token == expected
 }
 
@@ -444,7 +455,11 @@ fn parse_long_header_prefix(datagram: &[u8]) -> Option<LongHeaderPrefix> {
     let version = Version(r.read_u32().ok()?);
     let dcid = ConnectionId(r.read_vec8().ok()?.to_vec());
     let scid = ConnectionId(r.read_vec8().ok()?.to_vec());
-    Some(LongHeaderPrefix { version, dcid, scid })
+    Some(LongHeaderPrefix {
+        version,
+        dcid,
+        scid,
+    })
 }
 
 impl ServerConn {
@@ -462,7 +477,11 @@ impl ServerConn {
             scid: ConnectionId(scid),
             client_cid: ConnectionId::empty(),
             tls: ServerHandshake::new(placeholder_server_config(), rng),
-            open_keys: OpenKeys { initial_pair: None, handshake: None, app: None },
+            open_keys: OpenKeys {
+                initial_pair: None,
+                handshake: None,
+                app: None,
+            },
             seal_handshake: None,
             seal_app: None,
             cert_cache,
@@ -501,7 +520,15 @@ impl ServerConn {
                 Some(initial_keys_shared(self.version, head.dcid.as_slice()));
             self.client_cid = head.scid.clone();
             let mut seeded = StdRng::seed_from_u64(u64::from_le_bytes(
-                self.scid.0.iter().cycle().take(8).copied().collect::<Vec<_>>().try_into().unwrap(),
+                self.scid
+                    .0
+                    .iter()
+                    .cycle()
+                    .take(8)
+                    .copied()
+                    .collect::<Vec<_>>()
+                    .try_into()
+                    .unwrap(),
             ));
             let mut tp = config.transport_params.clone();
             tp.original_destination_connection_id = Some(head.dcid.0.clone());
@@ -561,7 +588,10 @@ impl ServerConn {
         // app packet goes to it whole (frames plus packet number) and its
         // answer payloads are sealed here. CONNECTION_CLOSE still closes.
         if space == 2 && self.app_session.is_some() {
-            if frames.iter().any(|f| matches!(f, Frame::ConnectionClose { .. })) {
+            if frames
+                .iter()
+                .any(|f| matches!(f, Frame::ConnectionClose { .. }))
+            {
                 self.closed = true;
                 return;
             }
@@ -572,8 +602,11 @@ impl ServerConn {
                 self.close_app_space("ACK for a packet never sent", out);
                 return;
             }
-            let payloads =
-                self.app_session.as_mut().expect("checked").on_app_packet(pkt.packet_number, &frames);
+            let payloads = self
+                .app_session
+                .as_mut()
+                .expect("checked")
+                .on_app_packet(pkt.packet_number, &frames);
             self.seal_session_payloads(payloads, out);
             return;
         }
@@ -603,7 +636,12 @@ impl ServerConn {
                         }
                     }
                 }
-                Frame::Stream { id, offset: _, fin, data } if self.established => {
+                Frame::Stream {
+                    id,
+                    offset: _,
+                    fin,
+                    data,
+                } if self.established => {
                     stream_out.extend(self.handler.on_stream_data(id, &data, fin));
                 }
                 Frame::ConnectionClose { .. } => {
@@ -621,11 +659,20 @@ impl ServerConn {
     /// Seals each payload as one 1-RTT packet, reporting the assigned
     /// packet number back to the session for its sent-packet tracker.
     fn seal_session_payloads(&mut self, payloads: Vec<Vec<u8>>, out: &mut Vec<Vec<u8>>) {
-        let Some(keys) = self.seal_app.as_ref() else { return };
+        let Some(keys) = self.seal_app.as_ref() else {
+            return;
+        };
         for payload in payloads {
             let mut pkt = Vec::new();
             let pn = self.next_pn[2];
-            seal_short_into(&mut pkt, &mut self.scratch, &self.client_cid, pn, &payload, keys);
+            seal_short_into(
+                &mut pkt,
+                &mut self.scratch,
+                &self.client_cid,
+                pn,
+                &payload,
+                keys,
+            );
             self.next_pn[2] += 1;
             if let Some(session) = self.app_session.as_mut() {
                 session.on_payload_sealed(pn);
@@ -673,8 +720,12 @@ impl ServerConn {
             let largest = self.largest_recv[0].unwrap_or(0);
             Frame::encode_ack_single(payload, largest, 0);
             Frame::encode_crypto(payload, 0, &sh);
-            let keys =
-                &self.open_keys.initial_pair.as_deref().expect("initial seal keys").server;
+            let keys = &self
+                .open_keys
+                .initial_pair
+                .as_deref()
+                .expect("initial seal keys")
+                .server;
             seal_long_into(
                 &mut datagram,
                 &mut self.scratch,
@@ -701,11 +752,16 @@ impl ServerConn {
                     offset += chunk.len() as u64;
                     // Predict the sealed size to decide coalescing before
                     // sealing into the right buffer.
-                    let pkt_len = 1 + 4
-                        + 1 + self.client_cid.len()
-                        + 1 + self.scid.len()
+                    let pkt_len = 1
+                        + 4
+                        + 1
+                        + self.client_cid.len()
+                        + 1
+                        + self.scid.len()
                         + crate::packet::varint_len((4 + payload.len() + keys.tag_len()) as u64)
-                        + 4 + payload.len() + keys.tag_len();
+                        + 4
+                        + payload.len()
+                        + keys.tag_len();
                     if datagram.len() + pkt_len > 1452 {
                         flight_dgrams.push(std::mem::take(&mut datagram));
                     }
@@ -801,13 +857,7 @@ impl ServerConn {
                     let is_last = (i + 1) * 1200 >= s.data.len();
                     let payload = &mut self.payload;
                     payload.clear();
-                    Frame::encode_stream(
-                        payload,
-                        s.id,
-                        (i * 1200) as u64,
-                        s.fin && is_last,
-                        chunk,
-                    );
+                    Frame::encode_stream(payload, s.id, (i * 1200) as u64, s.fin && is_last, chunk);
                     let mut pkt = Vec::new();
                     seal_short_into(
                         &mut pkt,

@@ -128,9 +128,21 @@ impl TransportParameters {
             id::INITIAL_MAX_STREAM_DATA_BIDI_REMOTE,
             self.initial_max_stream_data_bidi_remote,
         );
-        put_varint_param(&mut w, id::INITIAL_MAX_STREAM_DATA_UNI, self.initial_max_stream_data_uni);
-        put_varint_param(&mut w, id::INITIAL_MAX_STREAMS_BIDI, self.initial_max_streams_bidi);
-        put_varint_param(&mut w, id::INITIAL_MAX_STREAMS_UNI, self.initial_max_streams_uni);
+        put_varint_param(
+            &mut w,
+            id::INITIAL_MAX_STREAM_DATA_UNI,
+            self.initial_max_stream_data_uni,
+        );
+        put_varint_param(
+            &mut w,
+            id::INITIAL_MAX_STREAMS_BIDI,
+            self.initial_max_streams_bidi,
+        );
+        put_varint_param(
+            &mut w,
+            id::INITIAL_MAX_STREAMS_UNI,
+            self.initial_max_streams_uni,
+        );
         if self.ack_delay_exponent != 3 {
             put_varint_param(&mut w, id::ACK_DELAY_EXPONENT, self.ack_delay_exponent);
         }
@@ -142,7 +154,11 @@ impl TransportParameters {
             w.put_varint(0);
         }
         if self.active_connection_id_limit != 2 {
-            put_varint_param(&mut w, id::ACTIVE_CONNECTION_ID_LIMIT, self.active_connection_id_limit);
+            put_varint_param(
+                &mut w,
+                id::ACTIVE_CONNECTION_ID_LIMIT,
+                self.active_connection_id_limit,
+            );
         }
         if let Some(scid) = &self.initial_source_connection_id {
             w.put_varint(id::INITIAL_SOURCE_CONNECTION_ID);

@@ -69,7 +69,10 @@ impl Version {
     /// True when this version is compatible with the stack's IETF
     /// implementation (the versions the QScanner supports; §3.4).
     pub fn qscanner_compatible(self) -> bool {
-        matches!(self, Version::DRAFT_29 | Version::DRAFT_32 | Version::DRAFT_34 | Version::V1)
+        matches!(
+            self,
+            Version::DRAFT_29 | Version::DRAFT_32 | Version::DRAFT_34 | Version::V1
+        )
     }
 
     /// The label the paper uses in figures (e.g. `draft-29`, `Q050`,
@@ -137,7 +140,11 @@ impl core::fmt::Display for Version {
 /// Renders a set of versions the way the paper's figure legends do:
 /// comma-free, space-separated, in the given order.
 pub fn set_label(versions: &[Version]) -> String {
-    versions.iter().map(|v| v.label()).collect::<Vec<_>>().join(" ")
+    versions
+        .iter()
+        .map(|v| v.label())
+        .collect::<Vec<_>>()
+        .join(" ")
 }
 
 #[cfg(test)]

@@ -147,7 +147,9 @@ fn version_mismatch_when_no_common_version() {
     let mut client = ClientConnection::new(client_config(Some("g.example")), 5);
     pump(&mut client, &mut server);
     match client.outcome() {
-        Some(HandshakeOutcome::VersionMismatch { server_versions, .. }) => {
+        Some(HandshakeOutcome::VersionMismatch {
+            server_versions, ..
+        }) => {
             assert!(server_versions.contains(&Version::Q050));
         }
         other => panic!("expected version mismatch, got {other:?}"),
@@ -160,13 +162,21 @@ fn google_rollout_artifact_vn_lists_offered_version() {
     // inconsistent roll-out the paper debugged with Google (§5).
     let mut config = EndpointConfig::new(test_tls_config("google.example"));
     config.accept_versions = vec![Version::Q050, Version::T051];
-    config.vn_advertise =
-        vec![Version::DRAFT_29, Version::T051, Version::Q050, Version::Q046, Version::Q043];
+    config.vn_advertise = vec![
+        Version::DRAFT_29,
+        Version::T051,
+        Version::Q050,
+        Version::Q046,
+        Version::Q043,
+    ];
     let mut server = Endpoint::new(config, 7, Box::new(|| Box::new(Echo)));
     let mut client = ClientConnection::new(client_config(Some("g.example")), 6);
     pump(&mut client, &mut server);
     assert!(
-        matches!(client.outcome(), Some(HandshakeOutcome::VersionMismatch { .. })),
+        matches!(
+            client.outcome(),
+            Some(HandshakeOutcome::VersionMismatch { .. })
+        ),
         "got {:?}",
         client.outcome()
     );
@@ -197,7 +207,9 @@ fn forced_version_negotiation_probe() {
     let mut client = ClientConnection::new(cc, 8);
     pump(&mut client, &mut server);
     match client.outcome() {
-        Some(HandshakeOutcome::VersionMismatch { server_versions, .. }) => {
+        Some(HandshakeOutcome::VersionMismatch {
+            server_versions, ..
+        }) => {
             assert_eq!(
                 server_versions,
                 &[Version::DRAFT_29, Version::DRAFT_28, Version::DRAFT_27]
@@ -241,7 +253,11 @@ fn retry_address_validation_roundtrip() {
     let mut server = Endpoint::new(config, 7, Box::new(|| Box::new(Echo)));
     let mut client = ClientConnection::new(client_config(Some("retry.example")), 21);
     let rounds = pump(&mut client, &mut server);
-    assert_eq!(client.state(), &ConnectionState::Established, "after {rounds} rounds");
+    assert_eq!(
+        client.state(),
+        &ConnectionState::Established,
+        "after {rounds} rounds"
+    );
     assert_eq!(client.outcome(), Some(&HandshakeOutcome::Established));
     assert!(client.handshake_done());
 }
@@ -325,11 +341,15 @@ fn tracing_buffers_key_schedule_and_phases() {
     let mut client = ClientConnection::new_traced(client_config(Some("example.com")), 40);
     pump(&mut client, &mut server);
     assert_eq!(client.state(), &ConnectionState::Established);
-    let names: Vec<&'static str> =
-        client.take_events().iter().map(|k| k.name()).collect();
+    let names: Vec<&'static str> = client.take_events().iter().map(|k| k.name()).collect();
     assert_eq!(
         names,
-        vec!["key_derived", "key_derived", "key_derived", "handshake_phase"],
+        vec![
+            "key_derived",
+            "key_derived",
+            "key_derived",
+            "handshake_phase"
+        ],
         "initial + handshake + 1rtt keys, then the established transition"
     );
     // Drained: a second take is empty.

@@ -69,14 +69,18 @@ fn parse_args() -> Args {
         match a.as_str() {
             "--fast" => args.factor = 0.1,
             "--factor" => {
-                args.factor =
-                    it.next().and_then(|v| v.parse().ok()).expect("--factor needs a float");
+                args.factor = it
+                    .next()
+                    .and_then(|v| v.parse().ok())
+                    .expect("--factor needs a float");
             }
             "--out" => args.out = PathBuf::from(it.next().expect("--out needs a path")),
             "--only" => args.only = Some(it.next().expect("--only needs a name")),
             "--workers" => {
-                args.workers =
-                    it.next().and_then(|v| v.parse().ok()).expect("--workers needs an integer");
+                args.workers = it
+                    .next()
+                    .and_then(|v| v.parse().ok())
+                    .expect("--workers needs an integer");
             }
             "--qlog-dir" => {
                 args.qlog_dir = Some(PathBuf::from(it.next().expect("--qlog-dir needs a path")));
@@ -105,20 +109,28 @@ fn run_mux() {
                 config = transfer::MuxConfig::fast(config.seed, config.workers);
             }
             "--conns" => {
-                config.conns =
-                    it.next().and_then(|v| v.parse().ok()).expect("--conns needs an integer");
+                config.conns = it
+                    .next()
+                    .and_then(|v| v.parse().ok())
+                    .expect("--conns needs an integer");
             }
             "--streams" => {
-                config.streams_per_conn =
-                    it.next().and_then(|v| v.parse().ok()).expect("--streams needs an integer");
+                config.streams_per_conn = it
+                    .next()
+                    .and_then(|v| v.parse().ok())
+                    .expect("--streams needs an integer");
             }
             "--seed" => {
-                config.seed =
-                    it.next().and_then(|v| v.parse().ok()).expect("--seed needs an integer");
+                config.seed = it
+                    .next()
+                    .and_then(|v| v.parse().ok())
+                    .expect("--seed needs an integer");
             }
             "--workers" => {
-                config.workers =
-                    it.next().and_then(|v| v.parse().ok()).expect("--workers needs an integer");
+                config.workers = it
+                    .next()
+                    .and_then(|v| v.parse().ok())
+                    .expect("--workers needs an integer");
             }
             "--per-packet" => {
                 config.batched = false;
@@ -172,7 +184,10 @@ fn run_mux() {
         out.join("mux.txt").display()
     );
     if report.ok != report.conns {
-        eprintln!("[repro] error: {} connections did not complete", report.conns - report.ok);
+        eprintln!(
+            "[repro] error: {} connections did not complete",
+            report.conns - report.ok
+        );
         std::process::exit(1);
     }
 }
@@ -189,15 +204,22 @@ fn run_workload() {
         match a.as_str() {
             "--fast" => {
                 let fast = transfer::WorkloadConfig::fast(config.seed, config.workers);
-                config = transfer::WorkloadConfig { extra_loss_permille: config.extra_loss_permille, ..fast };
+                config = transfer::WorkloadConfig {
+                    extra_loss_permille: config.extra_loss_permille,
+                    ..fast
+                };
             }
             "--seed" => {
-                config.seed =
-                    it.next().and_then(|v| v.parse().ok()).expect("--seed needs an integer");
+                config.seed = it
+                    .next()
+                    .and_then(|v| v.parse().ok())
+                    .expect("--seed needs an integer");
             }
             "--workers" => {
-                config.workers =
-                    it.next().and_then(|v| v.parse().ok()).expect("--workers needs an integer");
+                config.workers = it
+                    .next()
+                    .and_then(|v| v.parse().ok())
+                    .expect("--workers needs an integer");
             }
             "--out" => out = PathBuf::from(it.next().expect("--out needs a path")),
             other => {
@@ -222,12 +244,29 @@ fn run_workload() {
     print!("{}", analysis::workload::render_report(&report));
     let _ = export::write_csv(
         &out.join("workload_bulk.csv"),
-        &["loss_permille", "jitter_ms", "size_bytes", "ok", "mean_mbps", "min_mbps", "max_mbps"],
+        &[
+            "loss_permille",
+            "jitter_ms",
+            "size_bytes",
+            "ok",
+            "mean_mbps",
+            "min_mbps",
+            "max_mbps",
+        ],
         &analysis::workload::bulk_rows(&report.bulk),
     );
     let _ = export::write_csv(
         &out.join("workload_rtc.csv"),
-        &["loss_permille", "jitter_ms", "conns", "frames", "p50_ms", "p95_ms", "p99_ms", "max_ms"],
+        &[
+            "loss_permille",
+            "jitter_ms",
+            "conns",
+            "frames",
+            "p50_ms",
+            "p95_ms",
+            "p99_ms",
+            "max_ms",
+        ],
         &analysis::workload::rtc_rows(&report.rtc),
     );
     std::fs::write(out.join("workload.txt"), report.tables()).expect("write workload.txt");
@@ -262,24 +301,34 @@ fn run_scale() {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--endpoints" => {
-                campaign.config.endpoints =
-                    it.next().and_then(|v| v.parse().ok()).expect("--endpoints needs an integer");
+                campaign.config.endpoints = it
+                    .next()
+                    .and_then(|v| v.parse().ok())
+                    .expect("--endpoints needs an integer");
             }
             "--seed" => {
-                campaign.config.seed =
-                    it.next().and_then(|v| v.parse().ok()).expect("--seed needs an integer");
+                campaign.config.seed = it
+                    .next()
+                    .and_then(|v| v.parse().ok())
+                    .expect("--seed needs an integer");
             }
             "--workers" => {
-                campaign.workers =
-                    it.next().and_then(|v| v.parse().ok()).expect("--workers needs an integer");
+                campaign.workers = it
+                    .next()
+                    .and_then(|v| v.parse().ok())
+                    .expect("--workers needs an integer");
             }
             "--capacity" => {
-                campaign.resident_cap =
-                    it.next().and_then(|v| v.parse().ok()).expect("--capacity needs an integer");
+                campaign.resident_cap = it
+                    .next()
+                    .and_then(|v| v.parse().ok())
+                    .expect("--capacity needs an integer");
             }
             "--sample" => {
-                campaign.sample_one_in =
-                    it.next().and_then(|v| v.parse().ok()).expect("--sample needs an integer");
+                campaign.sample_one_in = it
+                    .next()
+                    .and_then(|v| v.parse().ok())
+                    .expect("--sample needs an integer");
             }
             "--out" => out = Some(PathBuf::from(it.next().expect("--out needs a path"))),
             other => {
@@ -323,8 +372,12 @@ fn main() {
     }
     let args = parse_args();
     std::fs::create_dir_all(&args.out).expect("create output directory");
-    let mut campaign =
-        Campaign { size_factor: args.factor, seed: 0x9000, workers: args.workers, ..Default::default() };
+    let mut campaign = Campaign {
+        size_factor: args.factor,
+        seed: 0x9000,
+        workers: args.workers,
+        ..Default::default()
+    };
 
     // With --qlog-dir the stateful run is traced: the stream goes to a
     // JSON-SEQ file on disk and, in parallel, to a memory sink the
@@ -340,7 +393,10 @@ fn main() {
         memory
     });
 
-    eprintln!("[repro] size factor {} — running stateful campaign (week 18)…", args.factor);
+    eprintln!(
+        "[repro] size factor {} — running stateful campaign (week 18)…",
+        args.factor
+    );
     let snap = campaign.run_stateful();
     eprintln!(
         "[repro] stateful done: {} ZMap v4 hits, {} SNI targets",
@@ -349,8 +405,14 @@ fn main() {
     );
 
     if let Some(memory) = &qlog_memory {
-        let dir = args.qlog_dir.as_ref().expect("qlog memory implies qlog dir");
-        let tel = campaign.telemetry.as_ref().expect("qlog memory implies telemetry");
+        let dir = args
+            .qlog_dir
+            .as_ref()
+            .expect("qlog memory implies qlog dir");
+        let tel = campaign
+            .telemetry
+            .as_ref()
+            .expect("qlog memory implies telemetry");
         if let Some(sink) = &tel.sink {
             sink.flush();
         }
@@ -375,8 +437,9 @@ fn main() {
         );
     }
 
-    let needs_weekly =
-        ["fig3", "fig5", "fig6", "fig7"].iter().any(|f| wants(&args, f));
+    let needs_weekly = ["fig3", "fig5", "fig6", "fig7"]
+        .iter()
+        .any(|f| wants(&args, f));
     let weeklies: Vec<WeeklySnapshot> = if needs_weekly {
         let weeks = [5u32, 7, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18];
         weeks
@@ -420,7 +483,12 @@ fn main() {
         print_fig3(&args, &weeklies);
     }
     if wants(&args, "fig4") {
-        print_cdf(&args, "Figure 4: AS distribution of addresses", "fig4.csv", &figures::fig4(&snap));
+        print_cdf(
+            &args,
+            "Figure 4: AS distribution of addresses",
+            "fig4.csv",
+            &figures::fig4(&snap),
+        );
     }
     if wants(&args, "fig5") {
         print_fig5(&args, &weeklies);
@@ -470,7 +538,14 @@ fn print_table1(args: &Args, snap: &StatefulSnapshot) {
     );
     let _ = export::write_csv(
         &args.out.join("table1.csv"),
-        &["source", "family", "scanned", "addresses", "ases", "domains"],
+        &[
+            "source",
+            "family",
+            "scanned",
+            "addresses",
+            "ases",
+            "domains",
+        ],
         &text_rows,
     );
 }
@@ -500,7 +575,14 @@ fn print_table2(args: &Args, snap: &StatefulSnapshot) {
     );
     let _ = export::write_csv(
         &args.out.join("table2.csv"),
-        &["source", "family", "rank", "provider", "addresses", "domains"],
+        &[
+            "source",
+            "family",
+            "rank",
+            "provider",
+            "addresses",
+            "domains",
+        ],
         &text_rows,
     );
 }
@@ -523,7 +605,13 @@ fn print_table4(snap: &StatefulSnapshot) {
         "{}",
         render::table(
             "Table 4: Individual success rate per input",
-            &["Source", "IPv4 Targets", "Success", "IPv6 Targets", "Success"],
+            &[
+                "Source",
+                "IPv4 Targets",
+                "Success",
+                "IPv6 Targets",
+                "Success"
+            ],
             &text_rows,
         )
     );
@@ -555,7 +643,13 @@ fn print_table5(snap: &StatefulSnapshot) {
         "{}",
         render::table(
             "Table 5: Same TLS properties on TCP and QUIC (%)",
-            &["Property", "IPv4 noSNI", "IPv4 SNI", "IPv6 noSNI", "IPv6 SNI"],
+            &[
+                "Property",
+                "IPv4 noSNI",
+                "IPv4 SNI",
+                "IPv6 noSNI",
+                "IPv6 SNI"
+            ],
             &rows,
         )
     );
@@ -589,7 +683,10 @@ fn print_table7(snap: &StatefulSnapshot) {
         .into_iter()
         .map(|(asn, name)| vec![format!("AS{asn}"), name])
         .collect();
-    println!("{}", render::table("Table 7: Important ASes", &["AS", "Name"], &rows));
+    println!(
+        "{}",
+        render::table("Table 7: Important ASes", &["AS", "Name"], &rows)
+    );
 }
 
 fn print_overlap(snap: &StatefulSnapshot) {
@@ -651,11 +748,18 @@ fn print_cdf(args: &Args, title: &str, file: &str, series: &[figures::CdfSeries]
             }
         }
     }
-    println!("{}", render::table(title, &["Series", "AS rank", "CDF"], &rows));
+    println!(
+        "{}",
+        render::table(title, &["Series", "AS rank", "CDF"], &rows)
+    );
     let mut csv_rows = Vec::new();
     for s in series {
         for (rank, share) in &s.points {
-            csv_rows.push(vec![s.label.clone(), rank.to_string(), format!("{share:.6}")]);
+            csv_rows.push(vec![
+                s.label.clone(),
+                rank.to_string(),
+                format!("{share:.6}"),
+            ]);
         }
     }
     let _ = export::write_csv(&args.out.join(file), &["series", "rank", "cdf"], &csv_rows);
@@ -666,7 +770,12 @@ fn print_fig5(args: &Args, weeklies: &[WeeklySnapshot]) {
     let rows: Vec<Vec<String>> = points
         .iter()
         .map(|p| {
-            vec![p.week.to_string(), p.set.clone(), format!("{:.1}", p.share), p.count.to_string()]
+            vec![
+                p.week.to_string(),
+                p.set.clone(),
+                format!("{:.1}", p.share),
+                p.count.to_string(),
+            ]
         })
         .collect();
     println!(
@@ -677,15 +786,24 @@ fn print_fig5(args: &Args, weeklies: &[WeeklySnapshot]) {
             &rows,
         )
     );
-    let _ =
-        export::write_csv(&args.out.join("fig5.csv"), &["week", "set", "share_pct", "count"], &rows);
+    let _ = export::write_csv(
+        &args.out.join("fig5.csv"),
+        &["week", "set", "share_pct", "count"],
+        &rows,
+    );
 }
 
 fn print_fig6(args: &Args, weeklies: &[WeeklySnapshot]) {
     let points = figures::fig6(weeklies);
     let rows: Vec<Vec<String>> = points
         .iter()
-        .map(|p| vec![p.week.to_string(), p.version.clone(), format!("{:.1}", p.share)])
+        .map(|p| {
+            vec![
+                p.week.to_string(),
+                p.version.clone(),
+                format!("{:.1}", p.share),
+            ]
+        })
         .collect();
     println!(
         "{}",
@@ -695,7 +813,11 @@ fn print_fig6(args: &Args, weeklies: &[WeeklySnapshot]) {
             &rows,
         )
     );
-    let _ = export::write_csv(&args.out.join("fig6.csv"), &["week", "version", "share_pct"], &rows);
+    let _ = export::write_csv(
+        &args.out.join("fig6.csv"),
+        &["week", "version", "share_pct"],
+        &rows,
+    );
 }
 
 fn print_fig7(args: &Args, weeklies: &[WeeklySnapshot]) {
@@ -703,7 +825,12 @@ fn print_fig7(args: &Args, weeklies: &[WeeklySnapshot]) {
     let rows: Vec<Vec<String>> = points
         .iter()
         .map(|p| {
-            vec![p.week.to_string(), p.set.clone(), format!("{:.1}", p.share), p.pairs.to_string()]
+            vec![
+                p.week.to_string(),
+                p.set.clone(),
+                format!("{:.1}", p.share),
+                p.pairs.to_string(),
+            ]
         })
         .collect();
     println!(
@@ -714,8 +841,11 @@ fn print_fig7(args: &Args, weeklies: &[WeeklySnapshot]) {
             &rows,
         )
     );
-    let _ =
-        export::write_csv(&args.out.join("fig7.csv"), &["week", "set", "share_pct", "pairs"], &rows);
+    let _ = export::write_csv(
+        &args.out.join("fig7.csv"),
+        &["week", "set", "share_pct", "pairs"],
+        &rows,
+    );
 }
 
 fn print_fig9(args: &Args, snap: &StatefulSnapshot) {
@@ -723,7 +853,12 @@ fn print_fig9(args: &Args, snap: &StatefulSnapshot) {
     let rows: Vec<Vec<String>> = rows_data
         .iter()
         .map(|r| {
-            vec![r.rank.to_string(), r.targets.to_string(), r.ases.to_string(), r.config.clone()]
+            vec![
+                r.rank.to_string(),
+                r.targets.to_string(),
+                r.ases.to_string(),
+                r.config.clone(),
+            ]
         })
         .collect();
     println!(
@@ -735,6 +870,9 @@ fn print_fig9(args: &Args, snap: &StatefulSnapshot) {
         )
     );
     println!("distinct configurations: {}\n", rows_data.len());
-    let _ =
-        export::write_csv(&args.out.join("fig9.csv"), &["rank", "targets", "ases", "config"], &rows);
+    let _ = export::write_csv(
+        &args.out.join("fig9.csv"),
+        &["rank", "targets", "ases", "config"],
+        &rows,
+    );
 }

@@ -89,7 +89,10 @@ pub struct SocketAddr {
 impl SocketAddr {
     /// Builds a socket address.
     pub fn new(ip: impl Into<IpAddr>, port: u16) -> Self {
-        SocketAddr { ip: ip.into(), port }
+        SocketAddr {
+            ip: ip.into(),
+            port,
+        }
     }
 }
 
@@ -116,7 +119,11 @@ impl Prefix {
     pub fn new(base: impl Into<IpAddr>, len: u8) -> Self {
         let base = base.into();
         let max = if base.is_v4() { 32 } else { 128 };
-        assert!(len <= max, "prefix length {len} too long for {}", base.family());
+        assert!(
+            len <= max,
+            "prefix length {len} too long for {}",
+            base.family()
+        );
         let shift_base = if base.is_v4() { 32 } else { 128 };
         let masked = if len == 0 {
             0
@@ -199,7 +206,10 @@ mod tests {
 
     #[test]
     fn socketaddr_display() {
-        assert_eq!(SocketAddr::new(Ipv4Addr::new(1, 2, 3, 4), 443).to_string(), "1.2.3.4:443");
+        assert_eq!(
+            SocketAddr::new(Ipv4Addr::new(1, 2, 3, 4), 443).to_string(),
+            "1.2.3.4:443"
+        );
         assert_eq!(
             SocketAddr::new(Ipv6Addr::LOCALHOST, 443).to_string(),
             "[::1]:443"

@@ -79,7 +79,9 @@ pub struct SimClock {
 impl SimClock {
     /// Creates a clock at time zero.
     pub fn new() -> Self {
-        SimClock { micros: AtomicU64::new(0) }
+        SimClock {
+            micros: AtomicU64::new(0),
+        }
     }
 
     /// Current simulated time.
@@ -119,7 +121,9 @@ pub struct ShardClock {
 impl ShardClock {
     /// A private clock starting at `t`.
     pub fn starting_at(t: SimTime) -> Self {
-        ShardClock { micros: std::cell::Cell::new(t.0) }
+        ShardClock {
+            micros: std::cell::Cell::new(t.0),
+        }
     }
 
     /// Current private time.
@@ -174,7 +178,10 @@ mod tests {
         assert_eq!(t, SimTime(5_000));
         assert_eq!(t.since(SimTime(1_000)), Duration(4_000));
         assert_eq!(SimTime(0).since(t), Duration::ZERO);
-        assert_eq!(Duration::from_secs(1) + Duration::from_millis(1), Duration(1_001_000));
+        assert_eq!(
+            Duration::from_secs(1) + Duration::from_millis(1),
+            Duration(1_001_000)
+        );
         assert_eq!(Duration::from_millis(3) * 4, Duration(12_000));
     }
 

@@ -39,7 +39,11 @@ pub struct StealQueue {
 impl StealQueue {
     /// A queue over `0..total`, tuned for `workers` concurrent claimants.
     pub fn new(total: usize, workers: usize) -> Self {
-        StealQueue { cursor: AtomicUsize::new(0), total, workers: workers.max(1) }
+        StealQueue {
+            cursor: AtomicUsize::new(0),
+            total,
+            workers: workers.max(1),
+        }
     }
 
     /// Claims the next batch of indices, or `None` once the space is
@@ -51,7 +55,9 @@ impl StealQueue {
                 return None;
             }
             let remaining = self.total - start;
-            let batch = (remaining / (4 * self.workers)).clamp(1, MAX_BATCH).min(remaining);
+            let batch = (remaining / (4 * self.workers))
+                .clamp(1, MAX_BATCH)
+                .min(remaining);
             let end = start + batch;
             if self
                 .cursor
@@ -125,7 +131,10 @@ pub fn fan_out_pulled<S: Send, R: Send>(
             let handles: Vec<_> = (0..workers).map(|_| scope.spawn(run_worker)).collect();
             handles
                 .into_iter()
-                .map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+                .map(|h| {
+                    h.join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                })
                 .collect()
         })
     };
@@ -304,7 +313,12 @@ mod tests {
     fn fan_out_propagates_a_panicking_index() {
         for workers in [1usize, 4] {
             let caught = std::panic::catch_unwind(|| {
-                fan_out(100, workers, || (), |_, i| assert!(i != 57, "index {i} is poisoned"))
+                fan_out(
+                    100,
+                    workers,
+                    || (),
+                    |_, i| assert!(i != 57, "index {i} is poisoned"),
+                )
             });
             let payload = caught.expect_err("the panic must reach the caller");
             let msg = payload.downcast_ref::<String>().expect("assert! message");

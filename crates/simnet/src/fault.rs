@@ -71,12 +71,18 @@ impl LinkProfile {
     /// A path that only loses packets, at `permille`/1000 per datagram.
     pub fn lossy(permille: u32) -> Self {
         assert!(permille <= 1000);
-        LinkProfile { loss_permille: permille, ..Self::ideal() }
+        LinkProfile {
+            loss_permille: permille,
+            ..Self::ideal()
+        }
     }
 
     /// A path behind an ICMP-unreachable hop.
     pub fn unreachable() -> Self {
-        LinkProfile { unreachable: true, ..Self::ideal() }
+        LinkProfile {
+            unreachable: true,
+            ..Self::ideal()
+        }
     }
 
     /// True when the profile introduces no impairment at all; the network
@@ -172,7 +178,10 @@ mod tests {
         assert!(!LinkProfile::lossy(1).is_ideal());
         assert!(!LinkProfile::unreachable().is_ideal());
         let rl = LinkProfile {
-            rate_limit: Some(ReplyRateLimit { burst: 10, drop_permille: 500 }),
+            rate_limit: Some(ReplyRateLimit {
+                burst: 10,
+                drop_permille: 500,
+            }),
             ..LinkProfile::ideal()
         };
         assert!(!rl.is_ideal());
@@ -203,9 +212,16 @@ mod tests {
             .filter(|&seq| hit(42, f, seq, SALT_FWD_LOSS, 250))
             .count();
         assert!((2200..2800).contains(&hits), "hits {hits}");
-        assert_eq!((0..10_000).filter(|&s| hit(42, f, s, SALT_FWD_LOSS, 0)).count(), 0);
         assert_eq!(
-            (0..10_000).filter(|&s| hit(42, f, s, SALT_FWD_LOSS, 1000)).count(),
+            (0..10_000)
+                .filter(|&s| hit(42, f, s, SALT_FWD_LOSS, 0))
+                .count(),
+            0
+        );
+        assert_eq!(
+            (0..10_000)
+                .filter(|&s| hit(42, f, s, SALT_FWD_LOSS, 1000))
+                .count(),
             10_000
         );
     }

@@ -19,8 +19,8 @@ use telemetry::{FaultKind, TraceCtx};
 
 use crate::addr::{IpAddr, SocketAddr};
 use crate::clock::{Duration, ShardClock, SimClock, SimTime};
-use crate::fault::{self, LinkProfile, SendStatus};
 use crate::fasthash::FastMap;
+use crate::fault::{self, LinkProfile, SendStatus};
 use crate::stats::{LocalStats, NetStats};
 
 /// Shard count for the per-flow sequence counters (power of two). Sized at
@@ -59,7 +59,9 @@ struct EndpointTable {
 impl EndpointTable {
     fn new() -> Self {
         EndpointTable {
-            shards: (0..ENDPOINT_SHARDS).map(|_| CacheAligned(FastMap::default())).collect(),
+            shards: (0..ENDPOINT_SHARDS)
+                .map(|_| CacheAligned(FastMap::default()))
+                .collect(),
         }
     }
 
@@ -74,7 +76,9 @@ impl EndpointTable {
     }
 
     fn insert(&mut self, at: SocketAddr, service: Box<dyn UdpService>) {
-        self.shards[Self::route(&at)].0.insert(at, Mutex::new(service));
+        self.shards[Self::route(&at)]
+            .0
+            .insert(at, Mutex::new(service));
     }
 
     fn len(&self) -> usize {
@@ -388,7 +392,10 @@ impl Network {
     /// newest).
     fn store_flow_seq(&self, src: SocketAddr, dst: SocketAddr, seq: u64) {
         let flow = fault::flow_hash(src, dst);
-        self.flow_seq[(flow as usize) & (FLOW_SHARDS - 1)].0.lock().insert((src, dst), seq);
+        self.flow_seq[(flow as usize) & (FLOW_SHARDS - 1)]
+            .0
+            .lock()
+            .insert((src, dst), seq);
     }
 
     /// Sets the simulated round-trip time charged per UDP exchange.
@@ -511,7 +518,9 @@ impl Network {
             let mut attempts = order.len();
             while lazy.resident.load(Ordering::Relaxed) > cap && attempts > 0 {
                 attempts -= 1;
-                let Some((victim, vstamp)) = order.pop_front() else { break };
+                let Some((victim, vstamp)) = order.pop_front() else {
+                    break;
+                };
                 let mut vshard = lazy.shards[EndpointTable::route(&victim)].0.lock();
                 match vshard.services.get(&victim) {
                     Some((_, stamp)) if *stamp != vstamp => {} // stale entry
@@ -599,7 +608,8 @@ impl Network {
     /// loops keep a shard of their own ([`Network::shard`]).
     pub fn udp_send(&self, src: SocketAddr, dst: SocketAddr, payload: &[u8]) -> Vec<Vec<u8>> {
         let mut delivered = Vec::new();
-        self.shard().udp_send_into(src, dst, payload, &mut delivered);
+        self.shard()
+            .udp_send_into(src, dst, payload, &mut delivered);
         delivered
     }
 
@@ -717,7 +727,13 @@ impl Network {
                     continue;
                 }
             }
-            if fault::hit(self.seed, flow, seq, fault::SALT_FWD_LOSS, profile.loss_permille) {
+            if fault::hit(
+                self.seed,
+                flow,
+                seq,
+                fault::SALT_FWD_LOSS,
+                profile.loss_permille,
+            ) {
                 local.record_drop();
                 if let Some(t) = trace.as_deref_mut() {
                     t.fault(FaultKind::ForwardLoss);
@@ -779,7 +795,13 @@ impl Network {
             }
             out.truncate(write);
             if out.len() - start >= 2
-                && fault::hit(self.seed, flow, seq, fault::SALT_REORDER, profile.reorder_permille)
+                && fault::hit(
+                    self.seed,
+                    flow,
+                    seq,
+                    fault::SALT_REORDER,
+                    profile.reorder_permille,
+                )
             {
                 out.swap(start, start + 1);
                 if let Some(t) = trace.as_deref_mut() {
@@ -853,7 +875,12 @@ impl Network {
         self.stats.record_send(40); // SYN
         self.stats.record_recv(40); // SYN/ACK
         self.clock.advance(self.rtt);
-        Some(TcpStream { net: self, handler, inbox: Vec::new(), closed: false })
+        Some(TcpStream {
+            net: self,
+            handler,
+            inbox: Vec::new(),
+            closed: false,
+        })
     }
 }
 
@@ -916,7 +943,8 @@ impl NetShard<'_> {
         out: &mut Vec<Vec<u8>>,
         trace: Option<&mut TraceCtx>,
     ) -> SendStatus {
-        self.flight(src, dst, std::iter::once(payload), out, trace).into_send_status()
+        self.flight(src, dst, std::iter::once(payload), out, trace)
+            .into_send_status()
     }
 
     /// [`NetShard::udp_send_status`] with the status discarded — the
@@ -954,8 +982,13 @@ impl NetShard<'_> {
         // from a previous undrained batch never leak into this one.
         arena.replies.clear();
         let mut replies = std::mem::take(&mut arena.replies);
-        let status =
-            self.flight(src, dst, flight.iter().map(Vec::as_slice), &mut replies, None);
+        let status = self.flight(
+            src,
+            dst,
+            flight.iter().map(Vec::as_slice),
+            &mut replies,
+            None,
+        );
         arena.replies = replies;
         status
     }
@@ -1042,7 +1075,10 @@ impl TcpStream<'_> {
         let mut out = Vec::new();
         let action = {
             let mut replies = Vec::new();
-            let mut ctx = ServiceCtx { now: self.net.clock.now(), replies: &mut replies };
+            let mut ctx = ServiceCtx {
+                now: self.net.clock.now(),
+                replies: &mut replies,
+            };
             self.handler.on_data(&mut ctx, data, &mut out)
         };
         self.net.clock.advance(self.net.rtt());
@@ -1083,7 +1119,12 @@ mod tests {
 
     struct Greeter;
     impl TcpHandler for Greeter {
-        fn on_data(&mut self, _ctx: &mut ServiceCtx<'_>, data: &[u8], out: &mut Vec<u8>) -> TcpAction {
+        fn on_data(
+            &mut self,
+            _ctx: &mut ServiceCtx<'_>,
+            data: &[u8],
+            out: &mut Vec<u8>,
+        ) -> TcpAction {
             out.extend_from_slice(b"hello ");
             out.extend_from_slice(data);
             TcpAction::Close
@@ -1106,7 +1147,9 @@ mod tests {
         net.bind_udp(addr(1, 443), Box::new(Echo));
         let replies = net.udp_send(addr(99, 5555), addr(1, 443), b"abc");
         assert_eq!(replies, vec![b"cba".to_vec()]);
-        assert!(net.udp_send(addr(99, 5555), addr(2, 443), b"abc").is_empty());
+        assert!(net
+            .udp_send(addr(99, 5555), addr(2, 443), b"abc")
+            .is_empty());
         let (sent, bytes_sent, recvd, _, _) = net.stats.snapshot();
         assert_eq!((sent, bytes_sent, recvd), (2, 6, 1));
         assert!(net.clock.now() > SimTime::ZERO);
@@ -1214,7 +1257,10 @@ mod tests {
         net.bind_udp(addr(1, 443), Box::new(Echo));
         net.set_path_profile(
             addr(1, 0).ip,
-            crate::fault::LinkProfile { mtu: Some(4), ..crate::fault::LinkProfile::ideal() },
+            crate::fault::LinkProfile {
+                mtu: Some(4),
+                ..crate::fault::LinkProfile::ideal()
+            },
         );
         let mut shard = net.shard();
         let mut out = Vec::new();
@@ -1234,7 +1280,10 @@ mod tests {
         net.set_path_profile(
             addr(1, 0).ip,
             crate::fault::LinkProfile {
-                rate_limit: Some(crate::fault::ReplyRateLimit { burst: 8, drop_permille: 1000 }),
+                rate_limit: Some(crate::fault::ReplyRateLimit {
+                    burst: 8,
+                    drop_permille: 1000,
+                }),
                 ..crate::fault::LinkProfile::ideal()
             },
         );
@@ -1244,8 +1293,12 @@ mod tests {
         for _ in 0..16 {
             statuses.push(shard.udp_send_status(addr(9, 1), addr(1, 443), b"x", &mut out, None));
         }
-        assert!(statuses[..8].iter().all(|s| *s == crate::fault::SendStatus::Sent));
-        assert!(statuses[8..].iter().all(|s| *s == crate::fault::SendStatus::Throttled));
+        assert!(statuses[..8]
+            .iter()
+            .all(|s| *s == crate::fault::SendStatus::Sent));
+        assert!(statuses[8..]
+            .iter()
+            .all(|s| *s == crate::fault::SendStatus::Throttled));
         // A fresh flow gets its own burst allowance.
         let status = shard.udp_send_status(addr(9, 2), addr(1, 443), b"x", &mut out, None);
         assert_eq!(status, crate::fault::SendStatus::Sent);
@@ -1304,7 +1357,9 @@ mod tests {
         assert_eq!(events.len(), 1);
         assert!(matches!(
             events[0].kind,
-            EventKind::FaultInjected { fault: FaultKind::ForwardLoss }
+            EventKind::FaultInjected {
+                fault: FaultKind::ForwardLoss
+            }
         ));
 
         let mut trace = TraceCtx::new(2, "10.0.0.2:443", None);
@@ -1314,7 +1369,9 @@ mod tests {
         let events = trace.finish();
         assert!(matches!(
             events[0].kind,
-            EventKind::FaultInjected { fault: FaultKind::Unreachable }
+            EventKind::FaultInjected {
+                fault: FaultKind::Unreachable
+            }
         ));
     }
 
@@ -1325,7 +1382,10 @@ mod tests {
             dup_permille: 100,
             reorder_permille: 200,
             jitter_us: 500,
-            rate_limit: Some(crate::fault::ReplyRateLimit { burst: 20, drop_permille: 400 }),
+            rate_limit: Some(crate::fault::ReplyRateLimit {
+                burst: 20,
+                drop_permille: 400,
+            }),
             ..crate::fault::LinkProfile::ideal()
         }
     }
@@ -1400,8 +1460,16 @@ mod tests {
         assert_eq!(t_batch, t_singles, "same per-datagram clock charges");
         // And the shared flow counter ends at the same point.
         assert_eq!(
-            net.peek_flow_seq(addr(9, 7), addr(1, 443), fault::flow_hash(addr(9, 7), addr(1, 443))),
-            net2.peek_flow_seq(addr(9, 7), addr(1, 443), fault::flow_hash(addr(9, 7), addr(1, 443))),
+            net.peek_flow_seq(
+                addr(9, 7),
+                addr(1, 443),
+                fault::flow_hash(addr(9, 7), addr(1, 443))
+            ),
+            net2.peek_flow_seq(
+                addr(9, 7),
+                addr(1, 443),
+                fault::flow_hash(addr(9, 7), addr(1, 443))
+            ),
         );
     }
 
@@ -1439,7 +1507,11 @@ mod tests {
         let b = net.shard();
         a.advance(Duration::from_micros(100));
         b.advance(Duration::from_micros(5_000));
-        assert_eq!(net.clock.now(), SimTime::ZERO, "private advances stay private");
+        assert_eq!(
+            net.clock.now(),
+            SimTime::ZERO,
+            "private advances stay private"
+        );
         a.finish();
         b.finish();
         assert_eq!(net.clock.now(), SimTime(5_000));
@@ -1463,8 +1535,7 @@ mod tests {
         let c = shard.finish();
         assert_eq!(c.acquired, 2, "one per delivered flight");
         assert_eq!(c.contended, 0, "single worker never contends");
-        let crosses =
-            EndpointTable::route(&addr(9, 7)) != EndpointTable::route(&addr(1, 443));
+        let crosses = EndpointTable::route(&addr(9, 7)) != EndpointTable::route(&addr(1, 443));
         assert_eq!(c.cross_shard, if crosses { 11 } else { 0 });
     }
 
@@ -1477,7 +1548,10 @@ mod tests {
         let cap = buf.capacity();
         arena.recycle(buf);
         let again = arena.take_buf();
-        assert!(again.is_empty() && again.capacity() == cap, "capacity survives recycling");
+        assert!(
+            again.is_empty() && again.capacity() == cap,
+            "capacity survives recycling"
+        );
     }
 
     /// Stats flushed by a dropped (panicking-path) shard still reach the
@@ -1556,9 +1630,7 @@ mod lazy_tests {
     impl LazyBinder for OddEcho {
         fn make_udp(&self, at: SocketAddr) -> Option<Box<dyn UdpService>> {
             match at.ip {
-                IpAddr::V4(v4) if at.port == 443 && v4.octets()[3] % 2 == 1 => {
-                    Some(Box::new(Echo))
-                }
+                IpAddr::V4(v4) if at.port == 443 && v4.octets()[3] % 2 == 1 => Some(Box::new(Echo)),
                 _ => None,
             }
         }
@@ -1569,7 +1641,8 @@ mod lazy_tests {
                     Box::new(Hello)
                 }
             }
-            self.tcp_open(at).then(|| Box::new(F) as Box<dyn TcpFactory>)
+            self.tcp_open(at)
+                .then(|| Box::new(F) as Box<dyn TcpFactory>)
         }
         fn tcp_open(&self, at: SocketAddr) -> bool {
             matches!(at.ip, IpAddr::V4(v4) if at.port == 443 && v4.octets()[3] % 4 == 0)
@@ -1638,15 +1711,25 @@ mod lazy_tests {
         let mut net = Network::new(7);
         net.set_lazy_binder(Box::new(OddEcho), Some(8));
         for last in (1..=199u8).step_by(2) {
-            assert_eq!(net.udp_send(addr(200, 9), addr(last, 443), b"xy"), vec![b"yx".to_vec()]);
+            assert_eq!(
+                net.udp_send(addr(200, 9), addr(last, 443), b"xy"),
+                vec![b"yx".to_vec()]
+            );
         }
         let stats = net.lazy_stats().expect("binder installed");
         assert_eq!(stats.instantiated, 100);
-        assert!(stats.resident <= 9, "resident {} exceeds cap", stats.resident);
+        assert!(
+            stats.resident <= 9,
+            "resident {} exceeds cap",
+            stats.resident
+        );
         assert!(stats.peak_resident <= 9, "peak {}", stats.peak_resident);
         assert_eq!(stats.evicted as usize, 100 - stats.resident);
         // An evicted endpoint comes back on demand.
-        assert_eq!(net.udp_send(addr(200, 9), addr(1, 443), b"ab"), vec![b"ba".to_vec()]);
+        assert_eq!(
+            net.udp_send(addr(200, 9), addr(1, 443), b"ab"),
+            vec![b"ba".to_vec()]
+        );
     }
 
     /// An evicted endpoint is torn down with neither the recency queue nor
@@ -1668,7 +1751,9 @@ mod lazy_tests {
         }
         impl Drop for Probe {
             fn drop(&mut self) {
-                let Some(net) = self.net.get().and_then(Weak::upgrade) else { return };
+                let Some(net) = self.net.get().and_then(Weak::upgrade) else {
+                    return;
+                };
                 let lazy = net.lazy.as_ref().expect("binder installed");
                 let shard = &lazy.shards[EndpointTable::route(&self.at)].0;
                 if lazy.order.try_lock().is_none() || shard.try_lock().is_none() {
@@ -1679,7 +1764,11 @@ mod lazy_tests {
         struct Probes(Arc<OnceLock<Weak<Network>>>, Arc<AtomicUsize>);
         impl LazyBinder for Probes {
             fn make_udp(&self, at: SocketAddr) -> Option<Box<dyn UdpService>> {
-                Some(Box::new(Probe { at, net: self.0.clone(), locked_drops: self.1.clone() }))
+                Some(Box::new(Probe {
+                    at,
+                    net: self.0.clone(),
+                    locked_drops: self.1.clone(),
+                }))
             }
             fn make_tcp(&self, _at: SocketAddr) -> Option<Box<dyn TcpFactory>> {
                 None
@@ -1688,7 +1777,10 @@ mod lazy_tests {
 
         let (cell, locked_drops) = (Arc::new(OnceLock::new()), Arc::new(AtomicUsize::new(0)));
         let mut net = Network::new(7);
-        net.set_lazy_binder(Box::new(Probes(cell.clone(), locked_drops.clone())), Some(4));
+        net.set_lazy_binder(
+            Box::new(Probes(cell.clone(), locked_drops.clone())),
+            Some(4),
+        );
         let net = Arc::new(net);
         cell.set(Arc::downgrade(&net)).expect("set once");
         for last in 1..=40u8 {
@@ -1710,8 +1802,14 @@ mod lazy_tests {
         let mut net = Network::new(7);
         net.bind_udp(addr(1, 443), Box::new(Upper));
         net.set_lazy_binder(Box::new(OddEcho), None);
-        assert_eq!(net.udp_send(addr(9, 1), addr(1, 443), b"ab"), vec![b"AB".to_vec()]);
-        assert_eq!(net.udp_send(addr(9, 1), addr(3, 443), b"ab"), vec![b"ba".to_vec()]);
+        assert_eq!(
+            net.udp_send(addr(9, 1), addr(1, 443), b"ab"),
+            vec![b"AB".to_vec()]
+        );
+        assert_eq!(
+            net.udp_send(addr(9, 1), addr(3, 443), b"ab"),
+            vec![b"ba".to_vec()]
+        );
         assert_eq!(net.lazy_stats().unwrap().resident, 1);
     }
 
@@ -1723,7 +1821,11 @@ mod lazy_tests {
         net.set_lazy_binder(Box::new(OddEcho), None);
         assert!(net.tcp_port_open(addr(4, 443)));
         assert!(!net.tcp_port_open(addr(5, 443)));
-        assert_eq!(net.lazy_stats().unwrap().tcp_resident, 0, "port check builds nothing");
+        assert_eq!(
+            net.lazy_stats().unwrap().tcp_resident,
+            0,
+            "port check builds nothing"
+        );
         assert!(net.tcp_connect(addr(9, 1), addr(5, 443)).is_none());
         let mut conn = net.tcp_connect(addr(9, 1), addr(4, 443)).expect("open");
         conn.write(b"there");
@@ -1764,10 +1866,8 @@ mod concurrency_tests {
                         let mut replies = 0u64;
                         for round in 0..50u16 {
                             for last in 1..=32u8 {
-                                let src = SocketAddr::new(
-                                    Ipv4Addr::new(192, 0, 2, t),
-                                    1000 + round,
-                                );
+                                let src =
+                                    SocketAddr::new(Ipv4Addr::new(192, 0, 2, t), 1000 + round);
                                 let dst = SocketAddr::new(Ipv4Addr::new(10, 1, 1, last), 443);
                                 replies += net.udp_send(src, dst, b"ping").len() as u64;
                             }
@@ -1782,8 +1882,11 @@ mod concurrency_tests {
         assert_eq!(total, 4 * 50 * 32);
         // And each host's internal counter saw exactly 200 datagrams — the
         // final reply value proves serialized access.
-        let last_reply =
-            net.udp_send(SocketAddr::new(Ipv4Addr::new(192, 0, 2, 9), 1), SocketAddr::new(Ipv4Addr::new(10, 1, 1, 1), 443), b"x");
+        let last_reply = net.udp_send(
+            SocketAddr::new(Ipv4Addr::new(192, 0, 2, 9), 1),
+            SocketAddr::new(Ipv4Addr::new(10, 1, 1, 1), 443),
+            b"x",
+        );
         let count = u64::from_be_bytes(last_reply[0][..8].try_into().unwrap());
         assert_eq!(count, 201);
     }

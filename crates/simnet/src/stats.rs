@@ -32,7 +32,8 @@ impl NetStats {
 
     pub(crate) fn record_recv(&self, bytes: usize) {
         self.packets_received.fetch_add(1, Ordering::Relaxed);
-        self.bytes_received.fetch_add(bytes as u64, Ordering::Relaxed);
+        self.bytes_received
+            .fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
     #[cfg(test)]
@@ -101,11 +102,21 @@ impl LocalStats {
 
     /// Adds the accumulated counts into `stats` and zeroes this accumulator.
     pub fn flush(&mut self, stats: &NetStats) {
-        stats.packets_sent.fetch_add(self.packets_sent, Ordering::Relaxed);
-        stats.bytes_sent.fetch_add(self.bytes_sent, Ordering::Relaxed);
-        stats.packets_received.fetch_add(self.packets_received, Ordering::Relaxed);
-        stats.bytes_received.fetch_add(self.bytes_received, Ordering::Relaxed);
-        stats.packets_dropped.fetch_add(self.packets_dropped, Ordering::Relaxed);
+        stats
+            .packets_sent
+            .fetch_add(self.packets_sent, Ordering::Relaxed);
+        stats
+            .bytes_sent
+            .fetch_add(self.bytes_sent, Ordering::Relaxed);
+        stats
+            .packets_received
+            .fetch_add(self.packets_received, Ordering::Relaxed);
+        stats
+            .bytes_received
+            .fetch_add(self.bytes_received, Ordering::Relaxed);
+        stats
+            .packets_dropped
+            .fetch_add(self.packets_dropped, Ordering::Relaxed);
         *self = LocalStats::default();
     }
 }

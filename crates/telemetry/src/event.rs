@@ -241,8 +241,7 @@ impl Event {
 
     fn push_data(&self, s: &mut String) {
         match &self.kind {
-            EventKind::PacketSent { space, bytes }
-            | EventKind::PacketReceived { space, bytes } => {
+            EventKind::PacketSent { space, bytes } | EventKind::PacketReceived { space, bytes } => {
                 s.push_str("\"space\":");
                 push_str(s, space);
                 s.push_str(",\"bytes\":");
@@ -306,13 +305,22 @@ impl Event {
                 s.push_str("\"loss_permille\":");
                 push_u64(s, u64::from(*loss_permille));
                 s.push_str(",\"middlebox_rate_limit\":");
-                s.push_str(if *middlebox_rate_limit { "true" } else { "false" });
+                s.push_str(if *middlebox_rate_limit {
+                    "true"
+                } else {
+                    "false"
+                });
                 s.push_str(",\"ghost_unreachable\":");
                 s.push_str(if *ghost_unreachable { "true" } else { "false" });
                 s.push_str(",\"paths_overridden\":");
                 push_u64(s, *paths_overridden);
             }
-            EventKind::CwndUpdated { cwnd, ssthresh, in_flight, phase } => {
+            EventKind::CwndUpdated {
+                cwnd,
+                ssthresh,
+                in_flight,
+                phase,
+            } => {
                 s.push_str("\"cwnd\":");
                 push_u64(s, *cwnd);
                 s.push_str(",\"ssthresh\":");
@@ -330,7 +338,11 @@ impl Event {
                 s.push_str(",\"trigger\":");
                 push_str(s, trigger);
             }
-            EventKind::GoodputSampled { bytes, elapsed_us, kbps } => {
+            EventKind::GoodputSampled {
+                bytes,
+                elapsed_us,
+                kbps,
+            } => {
                 s.push_str("\"bytes\":");
                 push_u64(s, *bytes);
                 s.push_str(",\"elapsed_us\":");
@@ -386,12 +398,22 @@ mod tests {
     use super::*;
 
     fn ev(kind: EventKind) -> Event {
-        Event { t_us: 40_000, flow: 3, seq: 7, target: "10.0.0.1#a.example".into(), week: Some(18), kind }
+        Event {
+            t_us: 40_000,
+            flow: 3,
+            seq: 7,
+            target: "10.0.0.1#a.example".into(),
+            week: Some(18),
+            kind,
+        }
     }
 
     #[test]
     fn json_shape_is_stable() {
-        let e = ev(EventKind::PacketSent { space: "initial", bytes: 1200 });
+        let e = ev(EventKind::PacketSent {
+            space: "initial",
+            bytes: 1200,
+        });
         assert_eq!(
             e.to_json(),
             "{\"time\":40000,\"flow\":3,\"seq\":7,\"target\":\"10.0.0.1#a.example\",\
@@ -402,18 +424,43 @@ mod tests {
     #[test]
     fn every_variant_serializes() {
         let kinds = vec![
-            EventKind::PacketSent { space: "initial", bytes: 1200 },
-            EventKind::PacketReceived { space: "handshake", bytes: 900 },
-            EventKind::PtoFired { count: 2, wait_us: 120_000 },
-            EventKind::AttemptStarted { attempt: 1, version: "draft-29".into() },
-            EventKind::BackoffWaited { attempt: 0, wait_us: 40_000 },
+            EventKind::PacketSent {
+                space: "initial",
+                bytes: 1200,
+            },
+            EventKind::PacketReceived {
+                space: "handshake",
+                bytes: 900,
+            },
+            EventKind::PtoFired {
+                count: 2,
+                wait_us: 120_000,
+            },
+            EventKind::AttemptStarted {
+                attempt: 1,
+                version: "draft-29".into(),
+            },
+            EventKind::BackoffWaited {
+                attempt: 0,
+                wait_us: 40_000,
+            },
             EventKind::KeyDerived { level: "1rtt" },
-            EventKind::HandshakePhase { phase: "established" },
-            EventKind::VersionNegotiation { server_versions: vec!["draft-32".into()] },
+            EventKind::HandshakePhase {
+                phase: "established",
+            },
+            EventKind::VersionNegotiation {
+                server_versions: vec!["draft-32".into()],
+            },
             EventKind::RetryReceived,
-            EventKind::FaultInjected { fault: FaultKind::Jitter(500) },
-            EventKind::FaultInjected { fault: FaultKind::ForwardLoss },
-            EventKind::OutcomeDecided { outcome: "no_reply".into() },
+            EventKind::FaultInjected {
+                fault: FaultKind::Jitter(500),
+            },
+            EventKind::FaultInjected {
+                fault: FaultKind::ForwardLoss,
+            },
+            EventKind::OutcomeDecided {
+                outcome: "no_reply".into(),
+            },
             EventKind::PlanSummary {
                 loss_permille: 50,
                 middlebox_rate_limit: true,
@@ -426,10 +473,25 @@ mod tests {
                 in_flight: 13_200,
                 phase: "slow_start",
             },
-            EventKind::PacketLost { pn: 17, bytes: 1200, trigger: "packet_threshold" },
-            EventKind::GoodputSampled { bytes: 1_048_576, elapsed_us: 740_000, kbps: 11_334 },
-            EventKind::FrameLatency { frame: 29, latency_us: 41_000 },
-            EventKind::HostServeRate { conns: 128, bytes: 4_194_304, kbps: 220_000 },
+            EventKind::PacketLost {
+                pn: 17,
+                bytes: 1200,
+                trigger: "packet_threshold",
+            },
+            EventKind::GoodputSampled {
+                bytes: 1_048_576,
+                elapsed_us: 740_000,
+                kbps: 11_334,
+            },
+            EventKind::FrameLatency {
+                frame: 29,
+                latency_us: 41_000,
+            },
+            EventKind::HostServeRate {
+                conns: 128,
+                bytes: 4_194_304,
+                kbps: 220_000,
+            },
         ];
         for kind in kinds {
             let json = ev(kind.clone()).to_json();
@@ -448,7 +510,9 @@ mod tests {
             seq: 0,
             target: "a\"b\\c\nd".into(),
             week: None,
-            kind: EventKind::OutcomeDecided { outcome: "other:panic \"x\"".into() },
+            kind: EventKind::OutcomeDecided {
+                outcome: "other:panic \"x\"".into(),
+            },
         };
         let json = e.to_json();
         assert!(json.contains("a\\\"b\\\\c\\nd"), "{json}");

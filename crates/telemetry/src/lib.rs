@@ -57,12 +57,18 @@ pub struct Telemetry {
 impl Telemetry {
     /// Metrics-only telemetry (no event sink).
     pub fn metrics_only() -> Self {
-        Telemetry { sink: None, metrics: Arc::new(MetricsRegistry::new()) }
+        Telemetry {
+            sink: None,
+            metrics: Arc::new(MetricsRegistry::new()),
+        }
     }
 
     /// Telemetry writing events to `sink`.
     pub fn with_sink(sink: Arc<dyn EventSink>) -> Self {
-        Telemetry { sink: Some(sink), metrics: Arc::new(MetricsRegistry::new()) }
+        Telemetry {
+            sink: Some(sink),
+            metrics: Arc::new(MetricsRegistry::new()),
+        }
     }
 
     /// Emits a batch of events, in order, to the sink (no-op without one).
@@ -103,7 +109,10 @@ mod tests {
             seq,
             target: "t".into(),
             week: Some(18),
-            kind: EventKind::PtoFired { count: seq as u32, wait_us: 1 },
+            kind: EventKind::PtoFired {
+                count: seq as u32,
+                wait_us: 1,
+            },
         };
         t.emit_all(&[mk(0), mk(1), mk(2)]);
         let got = mem.events();

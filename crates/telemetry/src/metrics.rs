@@ -34,7 +34,11 @@ pub struct Histogram {
 impl Histogram {
     /// Empty histogram over [`LATENCY_BOUNDS_US`].
     pub fn new() -> Self {
-        Histogram { counts: vec![0; LATENCY_BOUNDS_US.len() + 1], count: 0, sum: 0 }
+        Histogram {
+            counts: vec![0; LATENCY_BOUNDS_US.len() + 1],
+            count: 0,
+            sum: 0,
+        }
     }
 
     /// Records one observation (microseconds).
@@ -174,12 +178,18 @@ impl MetricsRegistry {
         if metrics.is_empty() {
             return;
         }
-        self.submissions.lock().expect("metrics registry poisoned").push((index, metrics));
+        self.submissions
+            .lock()
+            .expect("metrics registry poisoned")
+            .push((index, metrics));
     }
 
     /// Number of (non-empty) submissions so far.
     pub fn submission_count(&self) -> usize {
-        self.submissions.lock().expect("metrics registry poisoned").len()
+        self.submissions
+            .lock()
+            .expect("metrics registry poisoned")
+            .len()
     }
 
     /// Merges every submission, ordered by (index, arrival), into one
@@ -187,7 +197,11 @@ impl MetricsRegistry {
     /// worker-count independent; the explicit ordering keeps it so even if a
     /// merge ever stops commuting.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut subs = self.submissions.lock().expect("metrics registry poisoned").clone();
+        let mut subs = self
+            .submissions
+            .lock()
+            .expect("metrics registry poisoned")
+            .clone();
         subs.sort_by_key(|(index, _)| *index);
         let mut snap = MetricsSnapshot::default();
         for (_, m) in &subs {
@@ -264,7 +278,11 @@ mod tests {
         let mut a = Histogram::new();
         let mut b = Histogram::new();
         for (i, v) in values.iter().enumerate() {
-            if i.is_multiple_of(2) { a.observe(*v) } else { b.observe(*v) }
+            if i.is_multiple_of(2) {
+                a.observe(*v)
+            } else {
+                b.observe(*v)
+            }
         }
         a.merge(&b);
         assert_eq!(a, whole);
@@ -294,7 +312,11 @@ mod tests {
         assert_eq!(snap.counter("probes"), 33);
         assert_eq!(snap.gauge("pps"), 300);
         assert_eq!(snap.histogram("rtt").unwrap().count(), 3);
-        assert!(snap.render().contains("counter probes 33"), "{}", snap.render());
+        assert!(
+            snap.render().contains("counter probes 33"),
+            "{}",
+            snap.render()
+        );
     }
 
     #[test]

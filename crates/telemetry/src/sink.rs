@@ -34,7 +34,9 @@ impl JsonSeqFileSink {
     /// Creates (truncating) `path` and returns a sink writing to it.
     pub fn create<P: AsRef<Path>>(path: P) -> std::io::Result<Self> {
         let file = File::create(path)?;
-        Ok(JsonSeqFileSink { writer: Mutex::new(BufWriter::new(file)) })
+        Ok(JsonSeqFileSink {
+            writer: Mutex::new(BufWriter::new(file)),
+        })
     }
 }
 
@@ -60,7 +62,9 @@ pub struct MemorySink {
 impl MemorySink {
     /// Empty sink.
     pub fn new() -> Self {
-        MemorySink { events: Mutex::new(Vec::new()) }
+        MemorySink {
+            events: Mutex::new(Vec::new()),
+        }
     }
 
     /// Snapshot of every event emitted so far, in emission order.
@@ -87,7 +91,10 @@ impl Default for MemorySink {
 
 impl EventSink for MemorySink {
     fn emit(&self, event: &Event) {
-        self.events.lock().expect("memory sink poisoned").push(event.clone());
+        self.events
+            .lock()
+            .expect("memory sink poisoned")
+            .push(event.clone());
     }
 }
 
@@ -101,12 +108,20 @@ pub struct RingSink {
 impl RingSink {
     /// Sink retaining at most `capacity` events (capacity 0 keeps none).
     pub fn new(capacity: usize) -> Self {
-        RingSink { capacity, ring: Mutex::new(VecDeque::with_capacity(capacity.min(1024))) }
+        RingSink {
+            capacity,
+            ring: Mutex::new(VecDeque::with_capacity(capacity.min(1024))),
+        }
     }
 
     /// The retained tail of the stream, oldest first.
     pub fn recent(&self) -> Vec<Event> {
-        self.ring.lock().expect("ring sink poisoned").iter().cloned().collect()
+        self.ring
+            .lock()
+            .expect("ring sink poisoned")
+            .iter()
+            .cloned()
+            .collect()
     }
 }
 
@@ -198,8 +213,10 @@ mod tests {
         sink.emit(&ev(1));
         sink.flush();
         let bytes = std::fs::read(&path).unwrap();
-        let records: Vec<&[u8]> =
-            bytes.split(|&b| b == RECORD_SEPARATOR).filter(|r| !r.is_empty()).collect();
+        let records: Vec<&[u8]> = bytes
+            .split(|&b| b == RECORD_SEPARATOR)
+            .filter(|r| !r.is_empty())
+            .collect();
         assert_eq!(records.len(), 2);
         for rec in records {
             assert!(rec.ends_with(b"\n"));

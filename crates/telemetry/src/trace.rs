@@ -24,7 +24,14 @@ pub struct TraceCtx {
 impl TraceCtx {
     /// Fresh context for `target` on flow id `flow` (virtual time 0).
     pub fn new(flow: u64, target: impl Into<String>, week: Option<u32>) -> Self {
-        TraceCtx { flow, target: target.into(), week, t_us: 0, seq: 0, events: Vec::new() }
+        TraceCtx {
+            flow,
+            target: target.into(),
+            week,
+            t_us: 0,
+            seq: 0,
+            events: Vec::new(),
+        }
     }
 
     /// The flow id events are attributed to.
@@ -84,9 +91,15 @@ mod tests {
     #[test]
     fn stamps_flow_seq_and_local_time() {
         let mut ctx = TraceCtx::new(42, "10.0.0.9", Some(20));
-        ctx.record(EventKind::AttemptStarted { attempt: 0, version: "draft-29".into() });
+        ctx.record(EventKind::AttemptStarted {
+            attempt: 0,
+            version: "draft-29".into(),
+        });
         ctx.advance(40_000);
-        ctx.record(EventKind::PtoFired { count: 1, wait_us: 120_000 });
+        ctx.record(EventKind::PtoFired {
+            count: 1,
+            wait_us: 120_000,
+        });
         ctx.advance(120_000);
         ctx.fault(FaultKind::ForwardLoss);
         let events = ctx.finish();

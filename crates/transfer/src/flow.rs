@@ -12,7 +12,10 @@ pub struct TxFlow {
 impl TxFlow {
     /// Starts from the peer's initial limit (transport parameter).
     pub fn new(initial_limit: u64) -> Self {
-        TxFlow { limit: initial_limit, used: 0 }
+        TxFlow {
+            limit: initial_limit,
+            used: 0,
+        }
     }
 
     /// Raises the limit (MAX_DATA / MAX_STREAM_DATA received); limits never
@@ -61,7 +64,11 @@ pub struct RxFlow {
 impl RxFlow {
     /// Grants an initial window of `window` bytes.
     pub fn new(window: u64) -> Self {
-        RxFlow { window, limit: window, delivered: 0 }
+        RxFlow {
+            window,
+            limit: window,
+            delivered: 0,
+        }
     }
 
     /// Records `bytes` of newly delivered (in-order, deduplicated) data.

@@ -118,9 +118,7 @@ impl BulkSession {
             .recv
             .stream_ids()
             .into_iter()
-            .filter(|id| {
-                id % 4 == 0 && !self.responded.contains(id) && self.recv.stream_done(*id)
-            })
+            .filter(|id| id % 4 == 0 && !self.responded.contains(id) && self.recv.stream_done(*id))
             .collect();
         for id in ready {
             self.responded.insert(id);
@@ -134,12 +132,12 @@ impl BulkSession {
                 .unwrap_or(0)
                 .min(MAX_BULK_BYTES);
             let body: Vec<u8> = (0..n).map(bulk_body_byte).collect();
-            let resp =
-                request::encode_response(200, &self.profile.response_headers(false), &body);
+            let resp = request::encode_response(200, &self.profile.response_headers(false), &body);
             if self.opts.scheduler == SchedKind::StrictPriority {
                 // Deterministic urgency spread so a priority sweep exercises
                 // every bucket: request stream k gets bucket k mod 8.
-                self.send.set_urgency(id, ((id / 4) % URGENCY_BUCKETS as u64) as u8);
+                self.send
+                    .set_urgency(id, ((id / 4) % URGENCY_BUCKETS as u64) as u8);
             }
             self.send.enqueue(id, &resp, true);
         }
@@ -220,7 +218,9 @@ impl RtcSession {
     fn new() -> Self {
         // A continuous stream wants generous credit; the receiver extends
         // the windows as frames are consumed.
-        RtcSession { recv: DataReceiver::new(4 * CONN_WINDOW, STREAM_WINDOW) }
+        RtcSession {
+            recv: DataReceiver::new(4 * CONN_WINDOW, STREAM_WINDOW),
+        }
     }
 }
 

@@ -376,7 +376,8 @@ impl<'net> MuxConn<'net> {
         // too; the baseline keeps the per-byte loop end to end.
         this.receiver.set_per_byte_accounting(!spec.batched);
         // HTTP/3 over the data plane: control stream + one GET per stream.
-        this.sender.enqueue(2, &request::client_control_stream(), false);
+        this.sender
+            .enqueue(2, &request::client_control_stream(), false);
         let path = format!("/bulk/{}", spec.bytes_per_stream);
         for k in 0..spec.streams {
             let req = request::encode_request("GET", &host.name, &path, &[]);
@@ -403,7 +404,14 @@ impl<'net> MuxConn<'net> {
         let out_count = flight.len() as u64;
         let out_bytes: u64 = flight.iter().map(|d| d.len() as u64).sum();
         let (in_count, in_bytes) = if batched {
-            exchange_flight(&mut self.shard, src, dst, flight, &mut self.arena, &mut self.conn)
+            exchange_flight(
+                &mut self.shard,
+                src,
+                dst,
+                flight,
+                &mut self.arena,
+                &mut self.conn,
+            )
         } else {
             // Per-packet baseline: one endpoint lookup and one service lock
             // per datagram.
@@ -411,7 +419,10 @@ impl<'net> MuxConn<'net> {
             for d in &flight {
                 self.shard.udp_send_into(src, dst, d, &mut replies);
             }
-            let stats = (replies.len() as u64, replies.iter().map(|r| r.len() as u64).sum());
+            let stats = (
+                replies.len() as u64,
+                replies.iter().map(|r| r.len() as u64).sum(),
+            );
             for r in &replies {
                 self.conn.on_datagram(r);
             }
@@ -457,7 +468,13 @@ impl<'net> MuxConn<'net> {
         self.exchange();
         let now = self.shard.now().0 - self.start_us;
         for pkt in self.conn.take_app_packets() {
-            dispatch_packet(pkt.pn, &pkt.frames, &mut self.sender, Some(&mut self.receiver), now);
+            dispatch_packet(
+                pkt.pn,
+                &pkt.frames,
+                &mut self.sender,
+                Some(&mut self.receiver),
+                now,
+            );
         }
         self.rounds += 1;
         if self.all_done() {
@@ -693,10 +710,17 @@ mod tests {
         cfg.active_per_worker = 3;
         let one = run(&cfg);
         assert_eq!(one.ok, 40);
-        assert_eq!(one.peak_active, 3, "one worker fills its window and no more");
+        assert_eq!(
+            one.peak_active, 3,
+            "one worker fills its window and no more"
+        );
         cfg.workers = 4;
         let four = run(&cfg);
-        assert!((1..=12).contains(&four.peak_active), "peak {}", four.peak_active);
+        assert!(
+            (1..=12).contains(&four.peak_active),
+            "peak {}",
+            four.peak_active
+        );
         assert_eq!(one.tables(), four.tables());
     }
 
@@ -709,7 +733,10 @@ mod tests {
         cfg.conns = 10;
         cfg.loss_permille = 1_000;
         let one = run(&cfg);
-        assert_eq!((one.conns, one.ok, one.bytes_served, one.peak_active), (10, 0, 0, 0));
+        assert_eq!(
+            (one.conns, one.ok, one.bytes_served, one.peak_active),
+            (10, 0, 0, 0)
+        );
         let per_host: Vec<usize> = one.rows.iter().map(|r| r.conns).collect();
         assert_eq!(per_host, [3, 3, 2, 2], "task mod hosts");
         assert_eq!(one.sum_elapsed_us, 10, "a failed connection counts 1 µs");
@@ -913,7 +940,10 @@ mod tests {
         let b = run(&baseline);
         assert_eq!(a.ok, 12);
         assert_eq!(b.ok, 12);
-        assert_eq!(a.bytes_served, b.bytes_served, "both modes serve the same payload");
+        assert_eq!(
+            a.bytes_served, b.bytes_served,
+            "both modes serve the same payload"
+        );
     }
 
     #[test]

@@ -18,7 +18,9 @@ pub struct FlowClock {
 impl FlowClock {
     /// A clock starting at `now_us`.
     pub fn starting_at(now_us: u64) -> Self {
-        FlowClock { micros: Cell::new(now_us) }
+        FlowClock {
+            micros: Cell::new(now_us),
+        }
     }
 
     /// Jumps forward to `now_us` if it is ahead (never backwards).

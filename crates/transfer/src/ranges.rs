@@ -37,7 +37,8 @@ impl RangeSet {
             new_end = new_end.max(self.ranges[j].1);
             j += 1;
         }
-        self.ranges.splice(i..j, std::iter::once((new_start, new_end)));
+        self.ranges
+            .splice(i..j, std::iter::once((new_start, new_end)));
     }
 
     /// True when `v` is in the set.

@@ -303,8 +303,14 @@ mod tests {
         }
         // ACK only pn 5: pns 0,1,2 are ≥3 below the largest → lost; 3,4 wait.
         let res = r.on_ack(&[(5, 5)], 32_000);
-        assert_eq!(res.newly_acked.iter().map(|p| p.pn).collect::<Vec<_>>(), vec![5]);
-        assert_eq!(res.lost.iter().map(|p| p.pn).collect::<Vec<_>>(), vec![0, 1, 2]);
+        assert_eq!(
+            res.newly_acked.iter().map(|p| p.pn).collect::<Vec<_>>(),
+            vec![5]
+        );
+        assert_eq!(
+            res.lost.iter().map(|p| p.pn).collect::<Vec<_>>(),
+            vec![0, 1, 2]
+        );
         assert_eq!(r.in_flight_count(), 2);
     }
 
@@ -332,7 +338,10 @@ mod tests {
             vec![2, 3, 6, 7]
         );
         // pns 0, 1, 4 fall ≥3 below the largest (7) → already declared lost.
-        assert_eq!(res1.lost.iter().map(|p| p.pn).collect::<Vec<_>>(), vec![0, 1, 4]);
+        assert_eq!(
+            res1.lost.iter().map(|p| p.pn).collect::<Vec<_>>(),
+            vec![0, 1, 4]
+        );
         // Second ACK repeats old ranges and adds 4..=5: pn 5 is newly acked,
         // pn 4 surfaces as a spurious loss, nothing is double-counted.
         let res2 = r.on_ack(&[(2, 7)], 32_000);
@@ -340,7 +349,10 @@ mod tests {
             res2.newly_acked.iter().map(|p| p.pn).collect::<Vec<_>>(),
             vec![5]
         );
-        assert_eq!(res2.spurious.iter().map(|p| p.pn).collect::<Vec<_>>(), vec![4]);
+        assert_eq!(
+            res2.spurious.iter().map(|p| p.pn).collect::<Vec<_>>(),
+            vec![4]
+        );
         // Acknowledged packets are gone; pns 0 and 1 wait in `lost`.
         assert_eq!(r.in_flight_count(), 0);
         assert_eq!(r.lost.keys().copied().collect::<Vec<_>>(), vec![0, 1]);
@@ -353,11 +365,17 @@ mod tests {
             r.on_packet_sent(pkt(pn, 1_000));
         }
         let res = r.on_ack(&[(4, 4)], 12_000);
-        assert_eq!(res.lost.iter().map(|p| p.pn).collect::<Vec<_>>(), vec![0, 1]);
+        assert_eq!(
+            res.lost.iter().map(|p| p.pn).collect::<Vec<_>>(),
+            vec![0, 1]
+        );
         // The "lost" pn 0 turns up in a later ACK: reported spurious once.
         let res2 = r.on_ack(&[(0, 1)], 13_000);
         assert!(res2.newly_acked.is_empty());
-        assert_eq!(res2.spurious.iter().map(|p| p.pn).collect::<Vec<_>>(), vec![0, 1]);
+        assert_eq!(
+            res2.spurious.iter().map(|p| p.pn).collect::<Vec<_>>(),
+            vec![0, 1]
+        );
         let res3 = r.on_ack(&[(0, 1)], 14_000);
         assert!(res3.spurious.is_empty(), "spurious reported only once");
     }

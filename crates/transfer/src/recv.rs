@@ -24,7 +24,12 @@ struct RecvStream {
 
 impl RecvStream {
     fn new(window: u64) -> Self {
-        RecvStream { buf: Vec::new(), received: RangeSet::new(), fin_at: None, rx: RxFlow::new(window) }
+        RecvStream {
+            buf: Vec::new(),
+            received: RangeSet::new(),
+            fin_at: None,
+            rx: RxFlow::new(window),
+        }
     }
 
     fn complete(&self) -> bool {
@@ -85,7 +90,12 @@ impl DataReceiver {
         let mut eliciting = false;
         for frame in frames {
             match frame {
-                Frame::Stream { id, offset, fin, data } => {
+                Frame::Stream {
+                    id,
+                    offset,
+                    fin,
+                    data,
+                } => {
                     eliciting = true;
                     self.on_stream_frame(*id, *offset, *fin, data);
                 }
@@ -102,7 +112,10 @@ impl DataReceiver {
 
     fn on_stream_frame(&mut self, id: u64, offset: u64, fin: bool, data: &[u8]) {
         let window = self.stream_window;
-        let s = self.streams.entry(id).or_insert_with(|| RecvStream::new(window));
+        let s = self
+            .streams
+            .entry(id)
+            .or_insert_with(|| RecvStream::new(window));
         if fin {
             s.fin_at = Some(offset + data.len() as u64);
         }
@@ -167,7 +180,12 @@ impl DataReceiver {
             self.ack_pending = false;
             let ranges: Vec<(u64, u64)> = self.acked.iter_desc().collect();
             let largest = ranges[0].1;
-            Frame::Ack { largest, delay: 0, ranges }.encode(&mut w);
+            Frame::Ack {
+                largest,
+                delay: 0,
+                ranges,
+            }
+            .encode(&mut w);
         }
         self.pending_max_data = None;
         self.pending_stream_updates.clear();
@@ -184,7 +202,12 @@ impl DataReceiver {
         if let Some(largest) = self.acked.largest() {
             self.ack_pending = false;
             let ranges: Vec<(u64, u64)> = self.acked.iter_desc().collect();
-            Frame::Ack { largest, delay: 0, ranges }.encode(&mut w);
+            Frame::Ack {
+                largest,
+                delay: 0,
+                ranges,
+            }
+            .encode(&mut w);
         }
         self.pending_max_data = None;
         self.pending_stream_updates.clear();
@@ -198,7 +221,11 @@ impl DataReceiver {
         Frame::MaxData(self.conn_rx.limit()).encode(w);
         for (id, s) in &self.streams {
             if !s.complete() {
-                Frame::MaxStreamData { id: *id, max: s.rx.limit() }.encode(w);
+                Frame::MaxStreamData {
+                    id: *id,
+                    max: s.rx.limit(),
+                }
+                .encode(w);
             }
         }
     }
@@ -220,7 +247,10 @@ impl DataReceiver {
     /// Bytes received so far on `id` (contiguity not guaranteed — check
     /// [`DataReceiver::stream_done`] first for full delivery).
     pub fn stream_data(&self, id: u64) -> &[u8] {
-        self.streams.get(&id).map(|s| s.buf.as_slice()).unwrap_or(&[])
+        self.streams
+            .get(&id)
+            .map(|s| s.buf.as_slice())
+            .unwrap_or(&[])
     }
 
     /// Removes and returns a completed stream's bytes.
@@ -250,7 +280,12 @@ mod tests {
     use super::*;
 
     fn stream_frame(id: u64, offset: u64, fin: bool, data: &[u8]) -> Frame {
-        Frame::Stream { id, offset, fin, data: data.to_vec() }
+        Frame::Stream {
+            id,
+            offset,
+            fin,
+            data: data.to_vec(),
+        }
     }
 
     #[test]
@@ -275,7 +310,9 @@ mod tests {
         let payload = r.control_payload().expect("ack pending");
         let frames = Frame::decode_all(&payload).expect("decodes");
         match &frames[0] {
-            Frame::Ack { largest, ranges, .. } => {
+            Frame::Ack {
+                largest, ranges, ..
+            } => {
                 assert_eq!(*largest, 5);
                 assert_eq!(ranges, &vec![(5, 5), (2, 2), (0, 0)]);
             }
@@ -287,7 +324,14 @@ mod tests {
     #[test]
     fn ack_only_packets_are_not_ack_eliciting() {
         let mut r = DataReceiver::new(1 << 20, 1 << 20);
-        r.on_packet(3, &[Frame::Ack { largest: 7, delay: 0, ranges: vec![(0, 7)] }]);
+        r.on_packet(
+            3,
+            &[Frame::Ack {
+                largest: 7,
+                delay: 0,
+                ranges: vec![(0, 7)],
+            }],
+        );
         assert!(r.control_payload().is_none(), "no ack-of-ack ping-pong");
     }
 
@@ -322,13 +366,14 @@ mod tests {
         r.on_packet(0, &[stream_frame(0, 0, false, &[9u8; 300])]);
         let payload = r.control_payload().expect("pending");
         let frames = Frame::decode_all(&payload).expect("decodes");
-        assert!(frames.iter().any(|f| matches!(f, Frame::MaxStreamData { id: 0, max: 700 })));
+        assert!(frames
+            .iter()
+            .any(|f| matches!(f, Frame::MaxStreamData { id: 0, max: 700 })));
         // Connection window 1000: 300 < 500, so only the unchanged limit is
         // re-announced.
         assert!(frames.iter().any(|f| matches!(f, Frame::MaxData(1000))));
         r.on_packet(1, &[stream_frame(4, 0, false, &[9u8; 250])]);
-        let frames =
-            Frame::decode_all(&r.control_payload().expect("pending")).expect("decodes");
+        let frames = Frame::decode_all(&r.control_payload().expect("pending")).expect("decodes");
         assert!(frames.iter().any(|f| matches!(f, Frame::MaxData(1550))));
     }
 }

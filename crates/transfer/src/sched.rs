@@ -144,12 +144,18 @@ pub struct StrictPriority {
 
 impl StreamScheduler for StrictPriority {
     fn pick(&mut self, ready: &[ReadyStream]) -> usize {
-        let top = ready.iter().map(|r| r.urgency).min().expect("ready is non-empty");
-        let bucket: Vec<ReadyStream> =
-            ready.iter().copied().filter(|r| r.urgency == top).collect();
+        let top = ready
+            .iter()
+            .map(|r| r.urgency)
+            .min()
+            .expect("ready is non-empty");
+        let bucket: Vec<ReadyStream> = ready.iter().copied().filter(|r| r.urgency == top).collect();
         let cursor = &mut self.last[usize::from(top).min(URGENCY_BUCKETS - 1)];
         let chosen = bucket[RoundRobin::pick_after(cursor, &bucket)].id;
-        ready.iter().position(|r| r.id == chosen).expect("chosen from ready")
+        ready
+            .iter()
+            .position(|r| r.id == chosen)
+            .expect("chosen from ready")
     }
 
     fn name(&self) -> &'static str {
@@ -162,7 +168,9 @@ mod tests {
     use super::*;
 
     fn ready(ids: &[(u64, u8)]) -> Vec<ReadyStream> {
-        ids.iter().map(|&(id, urgency)| ReadyStream { id, urgency }).collect()
+        ids.iter()
+            .map(|&(id, urgency)| ReadyStream { id, urgency })
+            .collect()
     }
 
     #[test]
@@ -217,7 +225,10 @@ mod tests {
             let r = ready(&[(0, 1), (4, 0), (8, 1), (12, 0)]);
             (0..12).map(|_| r[s.pick(&r)].id).collect()
         };
-        assert_eq!(seq(Box::<RoundRobin>::default()), seq(Box::<RoundRobin>::default()));
+        assert_eq!(
+            seq(Box::<RoundRobin>::default()),
+            seq(Box::<RoundRobin>::default())
+        );
         assert_eq!(
             seq(Box::<StrictPriority>::default()),
             seq(Box::<StrictPriority>::default())

@@ -66,9 +66,7 @@ impl Default for SendStream {
 impl SendStream {
     fn fully_acked(&self) -> bool {
         let len = self.data.len() as u64;
-        self.fin
-            && self.fin_acked
-            && (len == 0 || self.acked.covers(0, len - 1))
+        self.fin && self.fin_acked && (len == 0 || self.acked.covers(0, len - 1))
     }
 }
 
@@ -373,7 +371,10 @@ impl DataSender {
                 self.streams
                     .iter()
                     .filter(|(_, s)| !s.retransmit.is_empty())
-                    .map(|(&id, s)| ReadyStream { id, urgency: s.urgency }),
+                    .map(|(&id, s)| ReadyStream {
+                        id,
+                        urgency: s.urgency,
+                    }),
             );
             if ready.is_empty() {
                 self.ready_scratch = ready;
@@ -423,7 +424,10 @@ impl DataSender {
             self.streams
                 .iter()
                 .filter(|(_, s)| sendable(s))
-                .map(|(&id, s)| ReadyStream { id, urgency: s.urgency }),
+                .map(|(&id, s)| ReadyStream {
+                    id,
+                    urgency: s.urgency,
+                }),
         );
         if ready.is_empty() {
             self.ready_scratch = ready;
@@ -471,14 +475,15 @@ impl DataSender {
                     break;
                 }
             }
-            let Some(chunk) = self.next_chunk() else { break };
+            let Some(chunk) = self.next_chunk() else {
+                break;
+            };
             let send_us = match &mut self.pacer {
                 Some(p) => p.pace(now_us),
                 None => now_us,
             };
             let s = self.streams.get(&chunk.stream).expect("stream exists");
-            let data =
-                &s.data[chunk.offset as usize..(chunk.offset + chunk.len) as usize];
+            let data = &s.data[chunk.offset as usize..(chunk.offset + chunk.len) as usize];
             let mut w = Writer::with_capacity(chunk.len as usize + 16);
             Frame::encode_stream(&mut w, chunk.stream, chunk.offset, chunk.fin, data);
             let payload = w.into_vec();
@@ -631,10 +636,16 @@ mod tests {
         assert!(s.cc().cwnd() < cwnd_before, "loss must collapse the window");
         assert_eq!(s.cc().ssthresh(), s.cc().cwnd());
         let events = s.take_events();
-        assert!(events.iter().any(|e| matches!(e, EventKind::PacketLost { .. })));
-        assert!(events.iter().any(
-            |e| matches!(e, EventKind::CwndUpdated { phase: "recovery", .. })
-        ));
+        assert!(events
+            .iter()
+            .any(|e| matches!(e, EventKind::PacketLost { .. })));
+        assert!(events.iter().any(|e| matches!(
+            e,
+            EventKind::CwndUpdated {
+                phase: "recovery",
+                ..
+            }
+        )));
     }
 
     #[test]
@@ -646,14 +657,18 @@ mod tests {
         assert_eq!(sent.len(), 3);
         // ACK pn 4 (nothing of ours)… then a gap ACK declares 0 lost.
         s.on_ack(&[(2, 2)], 30_000); // pn 2 acked; 0 and 1 stay (below threshold? 2-0=2 <3) wait
-        // pn 0,1 remain in flight. Time-threshold them via a stale ACK later.
+                                     // pn 0,1 remain in flight. Time-threshold them via a stale ACK later.
         s.on_ack(&[(1, 2)], 100_000); // pn1 acked late; pn0 now stale → lost
-        // The "lost" pn 0 chunk is requeued…
-        // …but a late ACK for pn 0 arrives before retransmission goes out:
+                                      // The "lost" pn 0 chunk is requeued…
+                                      // …but a late ACK for pn 0 arrives before retransmission goes out:
         s.on_ack(&[(0, 2)], 101_000);
         // Retransmission must be suppressed because span 0..1100 is acked.
         let re = s.poll(102_000);
-        assert!(re.is_empty(), "acked span must not be retransmitted: {}", re.len());
+        assert!(
+            re.is_empty(),
+            "acked span must not be retransmitted: {}",
+            re.len()
+        );
         assert!(s.all_acked());
     }
 
@@ -848,7 +863,11 @@ mod tests {
         let order = polled_streams(&mut s, &mut pn, 0);
         // cwnd admits 10 packets (IW 12000): strict rotation across the
         // three streams, no stream served twice before the others once.
-        assert!(order.len() >= 9, "expected at least 9 packets, got {}", order.len());
+        assert!(
+            order.len() >= 9,
+            "expected at least 9 packets, got {}",
+            order.len()
+        );
         assert_eq!(&order[..9], &[0, 4, 8, 0, 4, 8, 0, 4, 8]);
     }
 
@@ -860,7 +879,11 @@ mod tests {
         }
         let mut pn = 0;
         let order = polled_streams(&mut s, &mut pn, 0);
-        assert_eq!(order, vec![0, 0, 4, 4], "legacy policy finishes stream 0 first");
+        assert_eq!(
+            order,
+            vec![0, 0, 4, 4],
+            "legacy policy finishes stream 0 first"
+        );
     }
 
     #[test]

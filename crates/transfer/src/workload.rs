@@ -63,7 +63,10 @@ pub fn grid_cells() -> Vec<GridCell> {
     let mut cells = Vec::new();
     for &loss_permille in &LOSS_GRID {
         for &jitter_us in &JITTER_GRID {
-            cells.push(GridCell { loss_permille, jitter_us });
+            cells.push(GridCell {
+                loss_permille,
+                jitter_us,
+            });
         }
     }
     cells
@@ -207,7 +210,13 @@ impl RtcReport {
         for r in &self.rows {
             lines.push(format!(
                 "{} {} {} {} {} {} {} {}",
-                r.loss_permille, r.jitter_us, r.conns, r.frames, r.p50_us, r.p95_us, r.p99_us,
+                r.loss_permille,
+                r.jitter_us,
+                r.conns,
+                r.frames,
+                r.p50_us,
+                r.p95_us,
+                r.p99_us,
                 r.max_us
             ));
         }
@@ -261,7 +270,17 @@ fn build_topology(cfg: &WorkloadConfig) -> Topology {
     let mut bind = |name: String, ip: Ipv4Addr, kind: SessionKind, profile: LinkProfile| {
         let opts = HostOptions::default();
         host_idx += 1;
-        bind_transfer_host(&mut net, &ca, host_idx - 1, name, ip, kind, opts, profile, cfg.seed)
+        bind_transfer_host(
+            &mut net,
+            &ca,
+            host_idx - 1,
+            name,
+            ip,
+            kind,
+            opts,
+            profile,
+            cfg.seed,
+        )
     };
     for (c, cell) in cells.iter().enumerate() {
         let profile = LinkProfile {
@@ -421,7 +440,12 @@ fn bulk_download<'net>(cfg: &WorkloadConfig, topo: &'net Topology, task: usize) 
     let size_idx = (task % per_cell) / cfg.bulk_conns_per_cell;
     let conn_idx = task % cfg.bulk_conns_per_cell;
     let src = SocketAddr::new(
-        simnet::IpAddr::V4(Ipv4Addr::new(192, 168, (task >> 8) as u8, (task & 255) as u8)),
+        simnet::IpAddr::V4(Ipv4Addr::new(
+            192,
+            168,
+            (task >> 8) as u8,
+            (task & 255) as u8,
+        )),
         40_000,
     );
     Download {
@@ -453,16 +477,26 @@ fn run_rtc_task(
     let conn_idx = task % cfg.rtc_conns_per_cell;
     let host = topo.rtc_host(cell_idx, conn_idx);
     let src = SocketAddr::new(
-        simnet::IpAddr::V4(Ipv4Addr::new(172, 16, (task >> 8) as u8, (task & 255) as u8)),
+        simnet::IpAddr::V4(Ipv4Addr::new(
+            172,
+            16,
+            (task >> 8) as u8,
+            (task & 255) as u8,
+        )),
         41_000,
     );
     let mut ctx = TraceCtx::new(task as u64, format!("{:?}", host.addr.ip), None);
 
     let mut arena = DatagramArena::new();
-    let mut conn =
-        ClientConnection::new(client_config(&host.name), cfg.seed ^ 0x5bd1 ^ (task as u64) << 1);
+    let mut conn = ClientConnection::new(
+        client_config(&host.name),
+        cfg.seed ^ 0x5bd1 ^ (task as u64) << 1,
+    );
     if !drive_handshake(shard, &mut conn, src, host.addr, &mut arena) {
-        return RtcOutcome { latencies: Vec::new(), events: ctx.finish() };
+        return RtcOutcome {
+            latencies: Vec::new(),
+            events: ctx.finish(),
+        };
     }
     conn.enable_app_frames();
 
@@ -510,7 +544,14 @@ fn run_rtc_task(
                 if conn.send_app_payload(&ping_payload()).is_none() {
                     break;
                 }
-                exchange_flight(shard, src, host.addr, conn.poll_transmit(), &mut arena, &mut conn);
+                exchange_flight(
+                    shard,
+                    src,
+                    host.addr,
+                    conn.poll_transmit(),
+                    &mut arena,
+                    &mut conn,
+                );
             } else if sender.has_queued_data() || sender.in_flight_count() > 0 {
                 // Paced out (or waiting for an ack): let flow time advance.
                 shard.advance(Duration::from_micros(rtt_us));
@@ -529,7 +570,14 @@ fn run_rtc_task(
                 };
                 sender.record_sent(pn, payload.len() as u64);
             }
-            exchange_flight(shard, src, host.addr, conn.poll_transmit(), &mut arena, &mut conn);
+            exchange_flight(
+                shard,
+                src,
+                host.addr,
+                conn.poll_transmit(),
+                &mut arena,
+                &mut conn,
+            );
         }
         let now = shard.now().0 - start_us;
         for pkt in conn.take_app_packets() {
@@ -549,7 +597,10 @@ fn run_rtc_task(
             ctx.record(kind);
         }
     }
-    RtcOutcome { latencies, events: ctx.finish() }
+    RtcOutcome {
+        latencies,
+        events: ctx.finish(),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -583,8 +634,10 @@ pub fn run(cfg: &WorkloadConfig) -> WorkloadReport {
             let base = c * per_cell + s * cfg.bulk_conns_per_cell;
             let group = &bulk_results[base..base + cfg.bulk_conns_per_cell];
             let ok: Vec<&MuxOutcome> = group.iter().filter(|r| r.ok).collect();
-            let rates: Vec<u64> =
-                ok.iter().map(|r| r.body_bytes * 8_000 / r.elapsed_us.max(1)).collect();
+            let rates: Vec<u64> = ok
+                .iter()
+                .map(|r| r.body_bytes * 8_000 / r.elapsed_us.max(1))
+                .collect();
             bulk.rows.push(BulkRow {
                 loss_permille: cell.loss_permille,
                 jitter_us: cell.jitter_us,
@@ -614,7 +667,10 @@ pub fn run(cfg: &WorkloadConfig) -> WorkloadReport {
     for (c, cell) in cells.iter().enumerate() {
         let base = c * cfg.rtc_conns_per_cell;
         let group = &rtc_results[base..base + cfg.rtc_conns_per_cell];
-        let mut lats: Vec<u64> = group.iter().flat_map(|r| r.latencies.iter().copied()).collect();
+        let mut lats: Vec<u64> = group
+            .iter()
+            .flat_map(|r| r.latencies.iter().copied())
+            .collect();
         lats.sort_unstable();
         rtc.rows.push(RtcRow {
             loss_permille: cell.loss_permille,
@@ -630,7 +686,9 @@ pub fn run(cfg: &WorkloadConfig) -> WorkloadReport {
 
     // Merge telemetry in task-index order: bulk first, then RTC.
     let bulk_events = bulk_results.into_iter().flat_map(|r| r.events);
-    let events = bulk_events.chain(rtc_results.into_iter().flat_map(|r| r.events)).collect();
+    let events = bulk_events
+        .chain(rtc_results.into_iter().flat_map(|r| r.events))
+        .collect();
     WorkloadReport { bulk, rtc, events }
 }
 
@@ -659,7 +717,11 @@ mod tests {
         assert!(ideal.goodput_kbps_mean > 0);
         // Lossy cells still complete (recovery retransmits).
         for row in &report.bulk.rows {
-            assert_eq!(row.ok, row.conns, "loss {} jitter {}", row.loss_permille, row.jitter_us);
+            assert_eq!(
+                row.ok, row.conns,
+                "loss {} jitter {}",
+                row.loss_permille, row.jitter_us
+            );
         }
     }
 
@@ -670,8 +732,16 @@ mod tests {
             assert_eq!(row.frames, 8, "all frames delivered and acked");
             assert!(row.p50_us > 0);
         }
-        let clean = report.rtc.rows.iter().find(|r| r.loss_permille == 0 && r.jitter_us == 0);
-        let lossy = report.rtc.rows.iter().find(|r| r.loss_permille == 50 && r.jitter_us == 0);
+        let clean = report
+            .rtc
+            .rows
+            .iter()
+            .find(|r| r.loss_permille == 0 && r.jitter_us == 0);
+        let lossy = report
+            .rtc
+            .rows
+            .iter()
+            .find(|r| r.loss_permille == 50 && r.jitter_us == 0);
         let (clean, lossy) = (clean.expect("row"), lossy.expect("row"));
         assert!(
             lossy.p99_us >= clean.p99_us,
@@ -716,7 +786,10 @@ mod tests {
                 r.tables(),
                 "tables diverged at {workers} workers"
             );
-            assert_eq!(baseline.events, r.events, "traces diverged at {workers} workers");
+            assert_eq!(
+                baseline.events, r.events,
+                "traces diverged at {workers} workers"
+            );
         }
     }
 }

@@ -288,7 +288,11 @@ struct ShardPlan {
 enum Targets<'a> {
     /// The concatenated address space of `prefixes`, visited in the order
     /// of a keyed permutation of its flat offsets.
-    Prefixes { prefixes: &'a [Prefix], sizes: Vec<u64>, perm: FeistelPermutation },
+    Prefixes {
+        prefixes: &'a [Prefix],
+        sizes: Vec<u64>,
+        perm: FeistelPermutation,
+    },
     /// An explicit hitlist, probed in list order.
     Hitlist(&'a [Ipv6Addr]),
 }
@@ -299,7 +303,11 @@ impl<'a> Targets<'a> {
         let total = u64::try_from(total).expect("scan space fits in u64");
         // No prefix is larger than the sum that just fitted.
         let sizes = prefixes.iter().map(|p| p.size() as u64).collect();
-        Targets::Prefixes { prefixes, sizes, perm: FeistelPermutation::new(total.max(1), seed) }
+        Targets::Prefixes {
+            prefixes,
+            sizes,
+            perm: FeistelPermutation::new(total.max(1), seed),
+        }
     }
 
     /// Number of scan indices.
@@ -322,7 +330,9 @@ impl<'a> Targets<'a> {
     /// The address at a place [`Targets::fill`] produced.
     fn addr(&self, mut at: u64) -> IpAddr {
         match self {
-            Targets::Prefixes { prefixes, sizes, .. } => {
+            Targets::Prefixes {
+                prefixes, sizes, ..
+            } => {
                 for (prefix, &size) in prefixes.iter().zip(sizes) {
                     if at < size {
                         let addr = prefix.base.as_u128() + u128::from(at);
@@ -375,7 +385,14 @@ impl ZmapScanner {
             bounds.len(),
             bounds.len(),
             || (),
-            |(), shard| run_shard(ShardPlan { shard, range: bounds[shard], rate, start }),
+            |(), shard| {
+                run_shard(ShardPlan {
+                    shard,
+                    range: bounds[shard],
+                    rate,
+                    start,
+                })
+            },
         );
         let after = net.stats.snapshot();
         let mut results: Option<A> = None;
@@ -501,7 +518,12 @@ impl ZmapScanner {
         mut results: A,
         mut probe: impl FnMut(&mut NetShard<'_>, SocketAddr, u64) -> Option<A::Item>,
     ) -> (A, ShardStats) {
-        let ShardPlan { shard, range: (lo, hi), rate, start } = plan;
+        let ShardPlan {
+            shard,
+            range: (lo, hi),
+            rate,
+            start,
+        } = plan;
         let mut bucket = TokenBucket::new(rate);
         // Worker-private network handle: its own virtual clock, traffic
         // counters, and flow-sequence cache, merged back once on finish.
@@ -675,11 +697,8 @@ mod tests {
         let scan = |workers: usize| {
             let mut cfg = ZmapConfig::new(SocketAddr::new(Ipv4Addr::new(192, 0, 2, 9), 50000));
             cfg.workers = workers;
-            let (hits, report) = ZmapScanner::new(cfg).scan_v4_with_report(
-                &build_net(),
-                &prefixes,
-                &module,
-            );
+            let (hits, report) =
+                ZmapScanner::new(cfg).scan_v4_with_report(&build_net(), &prefixes, &module);
             assert_eq!(report.shards.len(), workers.min(512));
             assert_eq!(report.probes(), 512);
             assert_eq!(report.hits(), 12);
@@ -747,8 +766,14 @@ mod tests {
         assert_eq!(v6_serial.len(), 22);
         assert_eq!(tcp_serial.len(), 3);
         for workers in [3usize, 8] {
-            assert_eq!(scanner_with(workers).scan_v6(&net, &targets, &module), v6_serial);
-            assert_eq!(scanner_with(workers).scan_tcp_syn(&net, &prefixes), tcp_serial);
+            assert_eq!(
+                scanner_with(workers).scan_v6(&net, &targets, &module),
+                v6_serial
+            );
+            assert_eq!(
+                scanner_with(workers).scan_tcp_syn(&net, &prefixes),
+                tcp_serial
+            );
         }
     }
 
@@ -773,15 +798,18 @@ mod tests {
         let scan = |loss: u32, repeat: usize| {
             let mut cfg = ZmapConfig::new(SocketAddr::new(Ipv4Addr::new(192, 0, 2, 9), 50000));
             cfg.probe_repeat = repeat;
-            let mut hits =
-                ZmapScanner::new(cfg).scan_v4(&build_net(loss), &prefixes, &module);
+            let mut hits = ZmapScanner::new(cfg).scan_v4(&build_net(loss), &prefixes, &module);
             hits.sort_by_key(|h| h.addr);
             hits
         };
         // 30% loss on each direction (~51% per-attempt miss): a single-shot
         // sweep misses many hosts; six probes per target recover them all.
         let single = scan(300, 1);
-        assert!(single.len() < hosts.len(), "single-shot found {}", single.len());
+        assert!(
+            single.len() < hosts.len(),
+            "single-shot found {}",
+            single.len()
+        );
         let repeated = scan(300, 6);
         assert_eq!(repeated.len(), hosts.len());
         // Dedup: every host exactly once, same as a loss-free single sweep.
@@ -855,7 +883,10 @@ mod tests {
                 quic_host(vec![Version::V1]),
             );
         }
-        net.bind_udp(SocketAddr::new(Ipv4Addr::new(10, 54, 0, 130), 443), Box::new(Poison));
+        net.bind_udp(
+            SocketAddr::new(Ipv4Addr::new(10, 54, 0, 130), 443),
+            Box::new(Poison),
+        );
         let cfg = ZmapConfig::new(SocketAddr::new(Ipv4Addr::new(192, 0, 2, 9), 50000));
         let scanner = ZmapScanner::new(cfg);
         let module = QuicVnModule::new(1);
@@ -898,14 +929,20 @@ mod tests {
         assert_eq!(snap.counter("zmap.blocked"), 0);
         assert_eq!(snap.counter("zmap.aborted_shards"), 0);
         assert_eq!(snap.counter("zmap.packets_sent"), report.packets_sent);
-        assert_eq!(snap.counter("zmap.packets_received"), report.packets_received);
+        assert_eq!(
+            snap.counter("zmap.packets_received"),
+            report.packets_received
+        );
         assert!(snap.gauge("zmap.achieved_pps") > 0);
         // One service-lock acquisition per probe that reached a bound host
         // (three hosts in the /24), and the routing-derived handoff count —
         // both deterministic, so exact equality against the report holds.
         let locks = report.lock_counters();
         assert_eq!(snap.counter("simnet.lock_acquisitions"), locks.acquired);
-        assert_eq!(snap.counter("simnet.cross_shard_handoffs"), locks.cross_shard);
+        assert_eq!(
+            snap.counter("simnet.cross_shard_handoffs"),
+            locks.cross_shard
+        );
         assert_eq!(locks.acquired, 3);
     }
 
@@ -939,7 +976,10 @@ mod tests {
             }
         }
         let digest_of = |hits: &[VnResult]| {
-            let mut d = Digest { count: 0, order_hash: 0 };
+            let mut d = Digest {
+                count: 0,
+                order_hash: 0,
+            };
             for h in hits {
                 d.absorb(h.clone());
             }
@@ -965,13 +1005,18 @@ mod tests {
         for workers in [1usize, 3, 8] {
             let mut cfg = ZmapConfig::new(SocketAddr::new(Ipv4Addr::new(192, 0, 2, 9), 50000));
             cfg.workers = workers;
-            let (acc, report) = ZmapScanner::new(cfg).scan_v4_accumulate(
-                &build_net(),
-                &prefixes,
-                &module,
-                || Digest { count: 0, order_hash: 0 },
+            let (acc, report) =
+                ZmapScanner::new(cfg).scan_v4_accumulate(&build_net(), &prefixes, &module, || {
+                    Digest {
+                        count: 0,
+                        order_hash: 0,
+                    }
+                });
+            assert_eq!(
+                (acc.count, acc.order_hash),
+                digest_of(&buffered),
+                "workers={workers}"
             );
-            assert_eq!((acc.count, acc.order_hash), digest_of(&buffered), "workers={workers}");
             assert_eq!(report.hits(), 6);
         }
     }
@@ -984,7 +1029,8 @@ mod tests {
             quic_host(vec![Version::DRAFT_29]),
         );
         let mut cfg = ZmapConfig::new(SocketAddr::new(Ipv4Addr::new(192, 0, 2, 9), 50000));
-        cfg.blocklist.add(Prefix::new(Ipv4Addr::new(10, 50, 0, 0), 28));
+        cfg.blocklist
+            .add(Prefix::new(Ipv4Addr::new(10, 50, 0, 0), 28));
         let scanner = ZmapScanner::new(cfg);
         let module = QuicVnModule::new(1);
         let prefixes = [Prefix::new(Ipv4Addr::new(10, 50, 0, 0), 24)];
@@ -1033,7 +1079,10 @@ mod tests {
         let before = net.clock.now().0;
         scanner.scan_v4(&net, &prefixes, &module);
         let secs = (net.clock.now().0 - before) as f64 / 1e6;
-        assert!((0.8..1.6).contains(&secs), "1024 probes at 1k pps took {secs}s");
+        assert!(
+            (0.8..1.6).contains(&secs),
+            "1024 probes at 1k pps took {secs}s"
+        );
     }
 
     /// The aggregate rate budget is divided across shards: a parallel sweep
@@ -1054,7 +1103,10 @@ mod tests {
         // slowest shard's, so the figure moves with how the budget splits
         // and the band is wide; the budget must neither collapse (4x too
         // fast) nor be multiplied.
-        assert!((0.2..4.2).contains(&secs), "1024 probes at 1k pps x4 workers took {secs}s");
+        assert!(
+            (0.2..4.2).contains(&secs),
+            "1024 probes at 1k pps x4 workers took {secs}s"
+        );
         assert_eq!(report.shards.len(), 4);
         for s in &report.shards {
             assert!(s.achieved_pps() > 0.0);
@@ -1079,8 +1131,15 @@ mod tests {
                 // The band `parallel_scan_duration_reflects_aggregate_rate`
                 // holds the VN sweep to.
                 let secs = net.clock.now().0 as f64 / 1e6;
-                assert!((0.2..4.2).contains(&secs), "1024 SYNs at 1k pps took {secs}s");
-                report.shards.iter().map(|s| (s.probes, s.virtual_us)).collect::<Vec<_>>()
+                assert!(
+                    (0.2..4.2).contains(&secs),
+                    "1024 SYNs at 1k pps took {secs}s"
+                );
+                report
+                    .shards
+                    .iter()
+                    .map(|s| (s.probes, s.virtual_us))
+                    .collect::<Vec<_>>()
             };
             let first = run();
             assert_eq!(first.len(), workers);
@@ -1088,7 +1147,10 @@ mod tests {
                 // Less the bucket's opening burst, a tenth of a second's budget.
                 let paced_s = probes as f64 / (1000 / workers) as f64;
                 let secs = virtual_us as f64 / 1e6;
-                assert!((paced_s - 0.11..=paced_s).contains(&secs), "{secs}s vs {paced_s}s");
+                assert!(
+                    (paced_s - 0.11..=paced_s).contains(&secs),
+                    "{secs}s vs {paced_s}s"
+                );
             }
             for _ in 0..4 {
                 assert_eq!(run(), first, "workers={workers}");

@@ -45,7 +45,10 @@ impl FeistelPermutation {
     /// at least twice `n`, which has to fit in 64 bits).
     pub fn new(n: u64, seed: u64) -> Self {
         assert!(n > 0, "empty domain");
-        assert!(n <= 1 << 63, "domain too large: a permutation covers at most 2^63 values");
+        assert!(
+            n <= 1 << 63,
+            "domain too large: a permutation covers at most 2^63 values"
+        );
         // One bit more than `n - 1` needs (a power of two is its own
         // `next_power_of_two`), rounded up to an even width below: the walk
         // domain `4^half_bits` is 2–8× `n`. The tight width
@@ -146,8 +149,11 @@ impl FeistelPermutation {
                 let live = slot[l] < len;
                 *out.get_mut(slot[l]).unwrap_or(&mut spare) = y[l];
                 let landed = live & (y[l] < self.n);
-                (x[l], slot[l]) =
-                    if landed { (lo + next as u64, next) } else { (y[l], slot[l]) };
+                (x[l], slot[l]) = if landed {
+                    (lo + next as u64, next)
+                } else {
+                    (y[l], slot[l])
+                };
                 next += usize::from(landed);
             }
         }

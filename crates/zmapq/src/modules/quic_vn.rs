@@ -50,12 +50,19 @@ pub struct ProbeScratch {
 impl QuicVnModule {
     /// Standard padded module.
     pub fn new(seed: u64) -> Self {
-        QuicVnModule { padded: true, offered_version: Version::FORCE_NEGOTIATION, seed }
+        QuicVnModule {
+            padded: true,
+            offered_version: Version::FORCE_NEGOTIATION,
+            seed,
+        }
     }
 
     /// The §3.1 variant without padding.
     pub fn unpadded(seed: u64) -> Self {
-        QuicVnModule { padded: false, ..QuicVnModule::new(seed) }
+        QuicVnModule {
+            padded: false,
+            ..QuicVnModule::new(seed)
+        }
     }
 
     /// Builds the probe datagram for target index `i` (varies the DCID).
@@ -79,7 +86,10 @@ impl QuicVnModule {
     /// Allocates the reusable per-thread scratch for
     /// [`QuicVnModule::probe_with_shard`].
     pub fn make_scratch(&self) -> ProbeScratch {
-        ProbeScratch { probe: self.build_probe(0), replies: Vec::new() }
+        ProbeScratch {
+            probe: self.build_probe(0),
+            replies: Vec::new(),
+        }
     }
 
     /// Sends the probe to `dst` and classifies the response, reusing
@@ -102,7 +112,10 @@ impl QuicVnModule {
         shard.udp_send_into(src, dst, &scratch.probe, &mut scratch.replies);
         for reply in &scratch.replies {
             if let Some(versions) = parse_version_negotiation(reply) {
-                return Some(VnResult { addr: dst, versions });
+                return Some(VnResult {
+                    addr: dst,
+                    versions,
+                });
             }
         }
         None

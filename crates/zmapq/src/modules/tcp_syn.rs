@@ -34,6 +34,9 @@ mod tests {
         let open = SocketAddr::new(Ipv4Addr::new(10, 0, 0, 1), 443);
         net.bind_tcp(open, Box::new(F));
         assert!(probe(&net, open));
-        assert!(!probe(&net, SocketAddr::new(Ipv4Addr::new(10, 0, 0, 2), 443)));
+        assert!(!probe(
+            &net,
+            SocketAddr::new(Ipv4Addr::new(10, 0, 0, 2), 443)
+        ));
     }
 }

@@ -26,7 +26,12 @@ impl TokenBucket {
     /// so a token can exist at all.
     pub fn with_burst(rate_pps: u64, burst: u64) -> Self {
         assert!(rate_pps > 0, "token bucket rate must be positive");
-        TokenBucket { rate_pps, burst: burst.max(1), tokens: 0.0, last_us: 0 }
+        TokenBucket {
+            rate_pps,
+            burst: burst.max(1),
+            tokens: 0.0,
+            last_us: 0,
+        }
     }
 
     /// Takes one token, advancing the clock when the bucket is dry. Generic
@@ -36,8 +41,8 @@ impl TokenBucket {
         let now = clock.now().0;
         let elapsed = now.saturating_sub(self.last_us);
         self.last_us = now;
-        self.tokens = (self.tokens + elapsed as f64 * self.rate_pps as f64 / 1e6)
-            .min(self.burst as f64);
+        self.tokens =
+            (self.tokens + elapsed as f64 * self.rate_pps as f64 / 1e6).min(self.burst as f64);
         if self.tokens < 1.0 {
             // Wait (in virtual time) until one token is available. The wait
             // is ceiled to whole microseconds, so it accrues slightly more
@@ -69,7 +74,10 @@ mod tests {
             bucket.acquire(&clock);
         }
         let elapsed_s = clock.now().0 as f64 / 1e6;
-        assert!((4.0..6.5).contains(&elapsed_s), "5k packets at 1k pps took {elapsed_s}s");
+        assert!(
+            (4.0..6.5).contains(&elapsed_s),
+            "5k packets at 1k pps took {elapsed_s}s"
+        );
     }
 
     /// Sub-microsecond token periods must pace exactly: the ceiled waits

@@ -108,7 +108,10 @@ fn build_net(loss_permille: u32) -> Network {
     }
     for i in (0..V6_TARGETS).filter(|i| i % 7 == 2) {
         let versions = version_sets[usize::from(i % 4)].clone();
-        net.bind_udp(SocketAddr::new(v6_target(i), 443), quic_host(&tls, versions));
+        net.bind_udp(
+            SocketAddr::new(v6_target(i), 443),
+            quic_host(&tls, versions),
+        );
     }
     net
 }
@@ -156,12 +159,14 @@ fn render(workers: usize) -> String {
     let mut out = String::new();
     for (loss, repeat) in [(0u32, 1usize), (300, 1), (300, 2)] {
         let title = format!("scan_v4 loss={loss} repeat={repeat}");
-        let scan = scanner(workers, repeat).scan_v4_with_report(&build_net(loss), &prefixes, &module);
+        let scan =
+            scanner(workers, repeat).scan_v4_with_report(&build_net(loss), &prefixes, &module);
         vn_section(&mut out, &title, scan);
     }
     for (loss, repeat) in [(0u32, 1usize), (300, 2)] {
         let title = format!("scan_v6 loss={loss} repeat={repeat}");
-        let scan = scanner(workers, repeat).scan_v6_with_report(&build_net(loss), &hitlist, &module);
+        let scan =
+            scanner(workers, repeat).scan_v6_with_report(&build_net(loss), &hitlist, &module);
         vn_section(&mut out, &title, scan);
     }
     for repeat in [1usize, 2] {
@@ -179,6 +184,10 @@ fn render(workers: usize) -> String {
 fn sweeps_match_the_committed_text() {
     let golden = include_str!("sweep_golden.txt");
     for workers in [1usize, 2, 3, 8] {
-        assert_eq!(render(workers), golden, "sweep output moved at {workers} workers");
+        assert_eq!(
+            render(workers),
+            golden,
+            "sweep output moved at {workers} workers"
+        );
     }
 }

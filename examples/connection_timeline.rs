@@ -58,13 +58,19 @@ fn render_line(e: &Event) -> String {
         EventKind::PacketSent { space, bytes } => format!("→ {space} ({bytes} bytes)"),
         EventKind::PacketReceived { space, bytes } => format!("← {space} ({bytes} bytes)"),
         EventKind::PtoFired { count, wait_us } => {
-            format!("PTO #{count} after {:.1}ms of silence", *wait_us as f64 / 1000.0)
+            format!(
+                "PTO #{count} after {:.1}ms of silence",
+                *wait_us as f64 / 1000.0
+            )
         }
         EventKind::AttemptStarted { attempt, version } => {
             format!("attempt {attempt}, offering {version}")
         }
         EventKind::BackoffWaited { attempt, wait_us } => {
-            format!("attempt {attempt} gave up, backed off {:.1}ms", *wait_us as f64 / 1000.0)
+            format!(
+                "attempt {attempt} gave up, backed off {:.1}ms",
+                *wait_us as f64 / 1000.0
+            )
         }
         EventKind::KeyDerived { level } => format!("{level} keys available"),
         EventKind::HandshakePhase { phase } => format!("handshake {phase}"),
@@ -77,7 +83,12 @@ fn render_line(e: &Event) -> String {
         EventKind::PlanSummary { loss_permille, .. } => {
             format!("fault plan: {loss_permille}‰ loss")
         }
-        EventKind::CwndUpdated { cwnd, in_flight, phase, .. } => {
+        EventKind::CwndUpdated {
+            cwnd,
+            in_flight,
+            phase,
+            ..
+        } => {
             format!("cwnd {cwnd}, {in_flight} in flight ({phase})")
         }
         EventKind::PacketLost { pn, bytes, trigger } => {
@@ -87,11 +98,19 @@ fn render_line(e: &Event) -> String {
             format!("{bytes} bytes at {kbps} kbit/s")
         }
         EventKind::FrameLatency { frame, latency_us } => {
-            format!("frame {frame} acked after {:.1}ms", *latency_us as f64 / 1000.0)
+            format!(
+                "frame {frame} acked after {:.1}ms",
+                *latency_us as f64 / 1000.0
+            )
         }
         EventKind::HostServeRate { conns, bytes, kbps } => {
             format!("{conns} conns served {bytes} bytes at {kbps} kbit/s")
         }
     };
-    format!("+{:>9.3}ms  {:<19} {}", e.t_us as f64 / 1000.0, e.kind.name(), detail)
+    format!(
+        "+{:>9.3}ms  {:<19} {}",
+        e.t_us as f64 / 1000.0,
+        e.kind.name(),
+        detail
+    )
 }

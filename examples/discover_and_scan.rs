@@ -68,7 +68,10 @@ fn main() {
         };
         *outcomes.entry(label).or_default() += 1;
     }
-    println!("\nstateful outcomes over {} compatible targets:", results.len());
+    println!(
+        "\nstateful outcomes over {} compatible targets:",
+        results.len()
+    );
     for (label, count) in &outcomes {
         println!(
             "  {label:<20} {count:>6}  ({:.1}%)",

@@ -39,13 +39,20 @@ fn main() {
     let (rcode, answers) =
         resolve_over_network(&network, src, dns_addr, 1, &example.name, QType::Https)
             .expect("wire resolution");
-    println!("wire query for {} -> {rcode:?}, {} answer(s)", example.name, answers.len());
+    println!(
+        "wire query for {} -> {rcode:?}, {} answer(s)",
+        example.name,
+        answers.len()
+    );
 
     // Bulk-resolve the Alexa-style list (MassDNS path).
     let bulk = BulkResolver::new(resolver);
     let list = universe.input_list(InputList::Alexa);
     let resolved = bulk.resolve_list(&list);
-    let with_rr: Vec<_> = resolved.iter().filter(|r| r.https_indicates_quic()).collect();
+    let with_rr: Vec<_> = resolved
+        .iter()
+        .filter(|r| r.https_indicates_quic())
+        .collect();
     println!(
         "\nAlexa list: {} domains resolved, {} with an h3 HTTPS RR ({:.1}%)",
         resolved.len(),
@@ -60,8 +67,7 @@ fn main() {
     for r in &with_rr {
         for hint in r.https_ipv4_hints() {
             total += 1;
-            let target =
-                QuicTarget::new(IpAddr::V4(hint), Some(r.domain.clone()));
+            let target = QuicTarget::new(IpAddr::V4(hint), Some(r.domain.clone()));
             let result = scanner.scan_one(&network, &target, total as u64);
             if result.outcome == ScanOutcome::Success {
                 success += 1;
@@ -70,9 +76,11 @@ fn main() {
                         "  {} via {hint}: server={:?} alpn={:?}",
                         r.domain,
                         result.server_header().unwrap_or("-"),
-                        result.tls.as_ref().and_then(|t| t.alpn.clone()).map(
-                            |a| String::from_utf8_lossy(&a).into_owned()
-                        )
+                        result
+                            .tls
+                            .as_ref()
+                            .and_then(|t| t.alpn.clone())
+                            .map(|a| String::from_utf8_lossy(&a).into_owned())
                     );
                 }
             }

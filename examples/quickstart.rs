@@ -34,7 +34,11 @@ fn main() {
     let scanner = QScanner::new(IpAddr::V4(Ipv4Addr::new(192, 0, 2, 1)), 1);
 
     // With SNI: the handshake completes and every property is extracted.
-    let result = scanner.scan_one(&network, &QuicTarget::new(addr, Some(domain.name.clone())), 0);
+    let result = scanner.scan_one(
+        &network,
+        &QuicTarget::new(addr, Some(domain.name.clone())),
+        0,
+    );
     println!("\n--- with SNI ---");
     println!("outcome: {:?}", result.outcome);
     if let Some(tls) = &result.tls {
@@ -48,7 +52,10 @@ fn main() {
     }
     if let Some(tp) = &result.transport_params {
         println!("initial_max_data: {}", tp.initial_max_data);
-        println!("initial_max_stream_data: {}", tp.initial_max_stream_data_bidi_local);
+        println!(
+            "initial_max_stream_data: {}",
+            tp.initial_max_stream_data_bidi_local
+        );
         println!("max_udp_payload_size: {}", tp.max_udp_payload_size);
     }
     if let Some(server) = result.server_header() {

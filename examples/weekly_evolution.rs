@@ -47,7 +47,8 @@ fn main() {
                 *counts.entry("g").or_default() += 1;
             }
         }
-        let pct = |key: &str| 100.0 * counts.get(key).copied().unwrap_or(0) as f64 / hits.len() as f64;
+        let pct =
+            |key: &str| 100.0 * counts.get(key).copied().unwrap_or(0) as f64 / hits.len() as f64;
 
         // DNS: HTTPS RR success rate on the com/net/org zone input.
         let resolver = Resolver::new(Arc::new(universe.zone()));

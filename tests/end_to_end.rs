@@ -17,14 +17,22 @@ fn snapshot() -> &'static StatefulSnapshot {
 fn table1_zmap_dominates_addresses() {
     let rows = tables::table1(snapshot());
     let get = |source: &str, family: &str| {
-        rows.iter().find(|r| r.source == source && r.family == family).cloned().unwrap()
+        rows.iter()
+            .find(|r| r.source == source && r.family == family)
+            .cloned()
+            .unwrap()
     };
     let zmap4 = get("ZMap", "v4");
     let alt4 = get("ALT-SVC", "v4");
     let https4 = get("HTTPS", "v4");
     // The paper's ordering: ZMap finds a magnitude more IPv4 addresses than
     // Alt-Svc, which in turn beats HTTPS RRs.
-    assert!(zmap4.addresses > 5 * alt4.addresses, "{} vs {}", zmap4.addresses, alt4.addresses);
+    assert!(
+        zmap4.addresses > 5 * alt4.addresses,
+        "{} vs {}",
+        zmap4.addresses,
+        alt4.addresses
+    );
     assert!(alt4.addresses * 2 > https4.addresses);
     // But Alt-Svc reveals comparable or more domains than ZMap's join.
     assert!(alt4.domains * 3 > zmap4.domains);
@@ -68,12 +76,20 @@ fn table3_outcome_structure_matches_paper() {
     let crypto = row("Crypto Error (0x128)");
     let mismatch = row("Version Mismatch");
     // v4 no-SNI: crypto error dominates, then timeouts; success is small.
-    assert!(crypto[0] > 40.0 && crypto[0] < 60.0, "crypto v4 noSNI {}", crypto[0]);
+    assert!(
+        crypto[0] > 40.0 && crypto[0] < 60.0,
+        "crypto v4 noSNI {}",
+        crypto[0]
+    );
     assert!(timeout[0] > 20.0 && timeout[0] < 45.0);
     assert!(success[0] < 15.0);
     assert!(mismatch[0] > 4.0 && mismatch[0] < 15.0);
     // SNI flips the picture: success dominates.
-    assert!(success[1] > 65.0 && success[1] < 90.0, "success v4 SNI {}", success[1]);
+    assert!(
+        success[1] > 65.0 && success[1] < 90.0,
+        "success v4 SNI {}",
+        success[1]
+    );
     assert!(success[3] > success[1], "v6 SNI beats v4 SNI");
 }
 
@@ -93,7 +109,11 @@ fn table5_tls_deployments_match_across_stacks() {
     let t = tables::table5(snapshot());
     let row = |label: &str| t.rows.iter().find(|(l, _)| *l == label).unwrap().1;
     // SNI scans: near-total agreement (paper: ≥98%).
-    assert!(row("Certificate")[1] > 90.0, "cert SNI v4 {}", row("Certificate")[1]);
+    assert!(
+        row("Certificate")[1] > 90.0,
+        "cert SNI v4 {}",
+        row("Certificate")[1]
+    );
     assert!(row("Cipher")[1] > 99.0);
     assert!(row("Key Exchange Group")[1] > 99.0);
     // No-SNI: certificates diverge badly (Google's self-signed artifact).
@@ -105,7 +125,10 @@ fn table5_tls_deployments_match_across_stacks() {
     // TLS version almost always matches (the TLS1.2-only slice is tiny —
     // at tiny population scale it is over-represented, hence the margin).
     assert!(row("TLS Version")[1] > 95.0);
-    assert!(row("TLS Version")[1] < 100.0, "the Cloudflare TLS1.2 artifact exists");
+    assert!(
+        row("TLS Version")[1] < 100.0,
+        "the Cloudflare TLS1.2 artifact exists"
+    );
 }
 
 #[test]
@@ -141,7 +164,11 @@ fn fig4_concentration_and_fig8_coverage() {
     // Fig 8: successful no-SNI scans still cover most seen ASes.
     let fig8 = figures::fig8(snap);
     let no_sni = fig8.iter().find(|s| s.label == "[IPv4] no SNI").unwrap();
-    assert!(no_sni.points.len() > 20, "ASes with a success: {}", no_sni.points.len());
+    assert!(
+        no_sni.points.len() > 20,
+        "ASes with a success: {}",
+        no_sni.points.len()
+    );
 }
 
 #[test]
@@ -170,7 +197,11 @@ fn padding_ablation_matches_section_3_1() {
     let rate = p.unpadded_hits as f64 / p.padded_hits as f64;
     // Paper: 11.3% respond without padding, 95.4% of them in one AS.
     assert!(rate > 0.05 && rate < 0.25, "unpadded response rate {rate}");
-    assert!(p.unpadded_top_as_share > 0.75, "top AS share {}", p.unpadded_top_as_share);
+    assert!(
+        p.unpadded_top_as_share > 0.75,
+        "top AS share {}",
+        p.unpadded_top_as_share
+    );
 }
 
 #[test]
@@ -179,7 +210,10 @@ fn source_overlap_every_source_contributes_unique_addresses() {
     assert!(o.zmap_only > 0);
     assert!(o.alt_only > 0, "Alt-Svc must reveal hosts ZMap misses");
     assert!(o.https_only > 0, "HTTPS hints must reveal unique hosts");
-    assert!(o.zmap_only > o.alt_only, "ZMap finds the most unique addresses");
+    assert!(
+        o.zmap_only > o.alt_only,
+        "ZMap finds the most unique addresses"
+    );
 }
 
 #[test]

@@ -37,11 +37,16 @@ fn qscanner_interops_with_every_implementation() {
     for (idx, (impl_name, &hi)) in representatives.iter().enumerate() {
         let host = &u.hosts[hi];
         // Use a name the host's certificate covers.
-        let sni = host.cert_names.first().map(|n| n.trim_start_matches("*.").to_string());
-        let sni = sni.map(|n| if host.cert_names[0].starts_with("*.") {
-            format!("svc.{n}")
-        } else {
-            n
+        let sni = host
+            .cert_names
+            .first()
+            .map(|n| n.trim_start_matches("*.").to_string());
+        let sni = sni.map(|n| {
+            if host.cert_names[0].starts_with("*.") {
+                format!("svc.{n}")
+            } else {
+                n
+            }
         });
         let r = scanner.scan_one(
             &net,
@@ -54,11 +59,17 @@ fn qscanner_interops_with_every_implementation() {
             continue;
         }
         // Every successful handshake must yield the fingerprint triplet.
-        assert!(r.transport_params.is_some(), "{impl_name}: no transport params");
+        assert!(
+            r.transport_params.is_some(),
+            "{impl_name}: no transport params"
+        );
         assert!(r.tls.is_some(), "{impl_name}: no TLS info");
         assert!(r.server_header().is_some(), "{impl_name}: no Server header");
     }
-    assert!(failed.is_empty(), "implementations failing interop: {failed:?}");
+    assert!(
+        failed.is_empty(),
+        "implementations failing interop: {failed:?}"
+    );
 }
 
 #[test]
@@ -67,7 +78,10 @@ fn retry_validating_hosts_are_scannable() {
     let net = u.build_network();
     let scanner = QScanner::new(IpAddr::V4(Ipv4Addr::new(192, 0, 2, 98)), 78);
     let retry_hosts: Vec<_> = u.hosts.iter().filter(|h| h.use_retry).collect();
-    assert!(!retry_hosts.is_empty(), "universe must contain Retry deployments");
+    assert!(
+        !retry_hosts.is_empty(),
+        "universe must contain Retry deployments"
+    );
     for (i, host) in retry_hosts.iter().take(4).enumerate() {
         let sni = format!("svc.{}", host.cert_names[0].trim_start_matches("*."));
         let r = scanner.scan_one(

@@ -14,7 +14,11 @@ fn materialized() -> Campaign {
 }
 
 fn lazy(workers: usize) -> Campaign {
-    Campaign { workers, lazy: true, ..Campaign::tiny() }
+    Campaign {
+        workers,
+        lazy: true,
+        ..Campaign::tiny()
+    }
 }
 
 #[test]

@@ -4,8 +4,8 @@ use proptest::prelude::*;
 
 use its_over_9000::analysis::campaign::Campaign;
 use its_over_9000::h3::altsvc::{format_alt_svc, parse_alt_svc, AltService};
-use its_over_9000::internet::FaultPlan;
 use its_over_9000::h3::qpack::{decode_field_section, encode_field_section, Header};
+use its_over_9000::internet::FaultPlan;
 use its_over_9000::qcodec::{varint, Reader, Writer};
 use its_over_9000::quic::frame::Frame;
 use its_over_9000::quic::tparams::TransportParameters;
@@ -319,7 +319,11 @@ fn weekly_fingerprint(seed: u64, loss: u32, workers: usize) -> u64 {
             size_factor: 0.01,
             seed,
             workers,
-            fault: if loss == 0 { FaultPlan::none() } else { FaultPlan::calibrated(loss) },
+            fault: if loss == 0 {
+                FaultPlan::none()
+            } else {
+                FaultPlan::calibrated(loss)
+            },
             telemetry: None,
             lazy: false,
         };
@@ -327,7 +331,11 @@ fn weekly_fingerprint(seed: u64, loss: u32, workers: usize) -> u64 {
     };
     let fp = run();
     if workers == 1 {
-        assert_eq!(fp, run(), "same-seed weekly runs diverged (seed={seed:#x} loss={loss})");
+        assert_eq!(
+            fp,
+            run(),
+            "same-seed weekly runs diverged (seed={seed:#x} loss={loss})"
+        );
     }
     cache.lock().unwrap().insert((seed, loss, workers), fp);
     fp

@@ -3,10 +3,10 @@
 
 use std::sync::Arc;
 
+use its_over_9000::goscanner::{Goscanner, TlsTarget};
 use its_over_9000::h3::request;
 use its_over_9000::internet::servers::{HttpProfile, QuicHost};
 use its_over_9000::internet::{Universe, UniverseConfig};
-use its_over_9000::goscanner::{Goscanner, TlsTarget};
 use its_over_9000::qscanner::{QScanner, QuicTarget, ScanOutcome};
 use its_over_9000::quic::server::EndpointConfig;
 use its_over_9000::simnet::addr::Ipv4Addr;
@@ -24,23 +24,28 @@ fn quic_scan_through_universe_extracts_everything() {
 
     // Scan one Facebook edge POP: the fingerprint combination the paper
     // uses to identify off-net deployments (§5.2).
-    let pop = u.hosts.iter().find(|h| h.provider == "facebook-pop").unwrap();
-    let target =
-        QuicTarget::new(IpAddr::V4(pop.v4.unwrap()), Some("scontent-1.fbcdn.example.net".into()));
+    let pop = u
+        .hosts
+        .iter()
+        .find(|h| h.provider == "facebook-pop")
+        .unwrap();
+    let target = QuicTarget::new(
+        IpAddr::V4(pop.v4.unwrap()),
+        Some("scontent-1.fbcdn.example.net".into()),
+    );
     let r = scanner.scan_one(&net, &target, 0);
     assert_eq!(r.outcome, ScanOutcome::Success, "{:?}", r.outcome);
     assert_eq!(r.server_header(), Some("proxygen-bolt"));
     let tp = r.transport_params.as_ref().unwrap();
-    assert_eq!(tp.initial_max_stream_data_uni, 67_584, "the edge-POP config");
+    assert_eq!(
+        tp.initial_max_stream_data_uni, 67_584,
+        "the edge-POP config"
+    );
     assert!(matches!(tp.max_udp_payload_size, 1404 | 1500));
 
     // And one gvs POP in the same eyeball AS.
     let gvs = u.hosts.iter().find(|h| h.provider == "google-pop").unwrap();
-    let r = scanner.scan_one(
-        &net,
-        &QuicTarget::new(IpAddr::V4(gvs.v4.unwrap()), None),
-        1,
-    );
+    let r = scanner.scan_one(&net, &QuicTarget::new(IpAddr::V4(gvs.v4.unwrap()), None), 1);
     assert_eq!(r.outcome, ScanOutcome::Success);
     assert_eq!(r.server_header(), Some("gvs 1.0"));
 }
@@ -69,7 +74,14 @@ fn tls_and_quic_see_same_certificate_with_sni() {
     assert_eq!(q.outcome, ScanOutcome::Success);
 
     let goscan = Goscanner::new(vantage(), 5);
-    let t = goscan.scan_target(&net, &TlsTarget { addr, domain: Some(domain.name.clone()) }, 0);
+    let t = goscan.scan_target(
+        &net,
+        &TlsTarget {
+            addr,
+            domain: Some(domain.name.clone()),
+        },
+        0,
+    );
     assert!(t.handshake_ok(), "{:?}", t.error);
 
     let q_tls = q.tls.unwrap();
@@ -92,8 +104,7 @@ fn google_no_sni_divergence_between_stacks() {
         .hosts
         .iter()
         .find(|h| {
-            h.provider == "google"
-                && h.behavior == its_over_9000::internet::HostBehavior::Normal
+            h.provider == "google" && h.behavior == its_over_9000::internet::HostBehavior::Normal
         })
         .unwrap();
     let addr = IpAddr::V4(host.v4.unwrap());
@@ -121,7 +132,11 @@ fn packet_loss_is_absorbed_until_retries_are_exhausted() {
     let u = Universe::generate(UniverseConfig::tiny(18));
     let mut net = u.build_network();
     net.set_loss_permille(1000); // total loss
-    let host = u.hosts.iter().find(|h| h.provider == "facebook-pop").unwrap();
+    let host = u
+        .hosts
+        .iter()
+        .find(|h| h.provider == "facebook-pop")
+        .unwrap();
     let scanner = QScanner::new(vantage(), 7);
     let r = scanner.scan_one(
         &net,
@@ -178,7 +193,10 @@ fn corrupted_datagrams_do_not_crash_the_server() {
         alt_svc: None,
         extra_headers: vec![],
     };
-    net.bind_udp(addr, Box::new(QuicHost::new(EndpointConfig::new(tls), profile, 1)));
+    net.bind_udp(
+        addr,
+        Box::new(QuicHost::new(EndpointConfig::new(tls), profile, 1)),
+    );
 
     let src = SocketAddr::new(Ipv4Addr::new(192, 0, 2, 77), 40000);
     // Fuzz-ish garbage: truncated long headers, random bytes, short packets.
@@ -212,12 +230,17 @@ fn virtual_clock_accounts_scan_pacing() {
     };
     let scanner = its_over_9000::zmapq::ZmapScanner::new(cfg);
     let module = its_over_9000::zmapq::modules::quic_vn::QuicVnModule::new(3);
-    let prefix =
-        [its_over_9000::simnet::Prefix::new(Ipv4Addr::new(10, 0, 0, 0), 16)];
+    let prefix = [its_over_9000::simnet::Prefix::new(
+        Ipv4Addr::new(10, 0, 0, 0),
+        16,
+    )];
     scanner.scan_v4(&net, &prefix, &module);
     let elapsed = net.clock.now().since(before);
     // 65 536 probes at 100 kpps ≈ 0.65 virtual seconds (plus RTTs).
-    assert!(elapsed > Duration::from_millis(500), "virtual time {elapsed:?}");
+    assert!(
+        elapsed > Duration::from_millis(500),
+        "virtual time {elapsed:?}"
+    );
 }
 
 #[test]

@@ -22,7 +22,12 @@ fn scan_targets(universe: &Universe) -> Vec<QuicTarget> {
     for h in universe.hosts.iter().filter(|h| h.v4.is_some()).take(48) {
         targets.push(QuicTarget::new(IpAddr::V4(h.v4.unwrap()), None));
     }
-    for d in universe.domains.iter().filter(|d| !d.v4_hosts.is_empty()).take(32) {
+    for d in universe
+        .domains
+        .iter()
+        .filter(|d| !d.v4_hosts.is_empty())
+        .take(32)
+    {
         if let Some(v4) = universe.hosts[d.v4_hosts[0] as usize].v4 {
             targets.push(QuicTarget::new(IpAddr::V4(v4), Some(d.name.clone())));
         }
@@ -36,7 +41,11 @@ fn scan_targets(universe: &Universe) -> Vec<QuicTarget> {
 /// event-derived failure breakdown matches the result-derived one.
 fn traced_fingerprint(workers: usize, loss: u32) -> (String, String) {
     let universe = Universe::generate(UniverseConfig::tiny(18));
-    let plan = if loss == 0 { FaultPlan::none() } else { FaultPlan::calibrated(loss) };
+    let plan = if loss == 0 {
+        FaultPlan::none()
+    } else {
+        FaultPlan::calibrated(loss)
+    };
     let net = universe.build_network_with_faults(&plan);
     let targets = scan_targets(&universe);
     let scanner = QScanner::new(IpAddr::V4(Ipv4Addr::new(192, 0, 2, 1)), 1);
@@ -48,7 +57,10 @@ fn traced_fingerprint(workers: usize, loss: u32) -> (String, String) {
     let events = sink.events();
     let from_events = telemetry_audit::breakdown_from_events(&events);
     let from_results = FailureBreakdown::from_results(&results);
-    assert_eq!(from_events, from_results, "trace disagrees with results (workers={workers})");
+    assert_eq!(
+        from_events, from_results,
+        "trace disagrees with results (workers={workers})"
+    );
 
     let stream: String = events.iter().map(|e| e.to_json() + "\n").collect();
     (stream, tel.metrics.snapshot().render())
@@ -91,7 +103,11 @@ proptest! {
 /// traced run passes the event-vs-table audit.
 #[test]
 fn tracing_does_not_perturb_tables() {
-    let untraced = Campaign { size_factor: 0.02, workers: 4, ..Campaign::tiny() };
+    let untraced = Campaign {
+        size_factor: 0.02,
+        workers: 4,
+        ..Campaign::tiny()
+    };
     let sink = Arc::new(MemorySink::new());
     let traced = Campaign {
         telemetry: Some(Telemetry::with_sink(sink.clone())),
@@ -116,5 +132,8 @@ fn tracing_does_not_perturb_tables() {
 
     let breakdown = telemetry_audit::audit_stateful(&snap_traced, &sink.events())
         .expect("telemetry audit must pass on a traced campaign");
-    assert!(breakdown.total() > 0, "traced campaign produced no outcomes");
+    assert!(
+        breakdown.total() > 0,
+        "traced campaign produced no outcomes"
+    );
 }
