@@ -394,18 +394,7 @@ impl Campaign {
         // DNS list resolutions (Figure 3).
         let zone = Arc::new(universe.zone());
         let bulk = BulkResolver::new(Resolver::new(zone.clone()));
-        let mut dns_lists = Vec::new();
-        for list in InputList::all() {
-            let names = universe.input_list(list);
-            let mut with_rr = 0usize;
-            for name in &names {
-                let resolved = bulk.resolve_domain(name);
-                if resolved.https_indicates_quic() {
-                    with_rr += 1;
-                }
-            }
-            dns_lists.push((list, names.len(), with_rr));
-        }
+        let dns_lists = dns_list_tally(&universe, &bulk);
 
         // Alt-Svc collection: deduplicated per serving host (host-level
         // headers make per-pair scans redundant), weighted by pair count.
@@ -500,27 +489,14 @@ impl Campaign {
         let zone = Arc::new(universe.zone());
         let bulk = BulkResolver::new(Resolver::new(zone.clone()));
         let resolutions = resolve_all(&universe, &bulk);
-        let mut dns_lists = Vec::new();
-        for list in InputList::all() {
-            let names = universe.input_list(list);
-            let mut with_rr = 0usize;
-            for name in &names {
-                if bulk.resolve_domain(name).https_indicates_quic() {
-                    with_rr += 1;
-                }
-            }
-            dns_lists.push((list, names.len(), with_rr));
-        }
+        let dns_lists = dns_list_tally(&universe, &bulk);
 
         // Build the addr → domains join (per-IP cap per source).
-        let mut v4_domains: HashMap<Ipv4Addr, Vec<usize>> = HashMap::new();
-        let mut v6_domains: HashMap<simnet::addr::Ipv6Addr, Vec<usize>> = HashMap::new();
+        let mut addr_domains: HashMap<IpAddr, Vec<usize>> = HashMap::new();
         for (di, r) in resolutions.iter().enumerate() {
-            for a in &r.v4 {
-                v4_domains.entry(*a).or_default().push(di);
-            }
-            for a in &r.v6 {
-                v6_domains.entry(*a).or_default().push(di);
+            let v4 = r.v4.iter().map(|a| IpAddr::V4(*a));
+            for a in v4.chain(r.v6.iter().map(|a| IpAddr::V6(*a))) {
+                addr_domains.entry(a).or_default().push(di);
             }
         }
 
@@ -537,28 +513,21 @@ impl Campaign {
             .collect();
         let tcp_no_sni = goscan.scan_all(&net, &no_sni_targets, self.workers);
 
-        // 3b. With SNI: TCP-open v4 addresses × joined domains (capped) plus
-        // the v6 AAAA pairs.
+        // 3b. With SNI: TCP-open addresses × joined domains (capped). TCP
+        // 443 is open where the v4 SYN sweep hit, and asked directly for v6.
         let tcp_open_set: HashSet<IpAddr> = tcp_open_v4.iter().copied().collect();
         let mut sni_targets: Vec<TlsTarget> = Vec::new();
-        for (addr, domains) in &v4_domains {
-            if !tcp_open_set.contains(&IpAddr::V4(*addr)) {
+        for (addr, domains) in &addr_domains {
+            let tcp_open = match addr {
+                IpAddr::V4(_) => tcp_open_set.contains(addr),
+                IpAddr::V6(_) => net.tcp_port_open(simnet::SocketAddr::new(*addr, 443)),
+            };
+            if !tcp_open {
                 continue;
             }
             for &di in domains.iter().take(MAX_DOMAINS_PER_IP) {
                 sni_targets.push(TlsTarget {
-                    addr: IpAddr::V4(*addr),
-                    domain: Some(resolutions[di].name.clone()),
-                });
-            }
-        }
-        for (addr, domains) in &v6_domains {
-            if !net.tcp_port_open(simnet::SocketAddr::new(*addr, 443)) {
-                continue;
-            }
-            for &di in domains.iter().take(MAX_DOMAINS_PER_IP) {
-                sni_targets.push(TlsTarget {
-                    addr: IpAddr::V6(*addr),
+                    addr: *addr,
                     domain: Some(resolutions[di].name.clone()),
                 });
             }
@@ -572,39 +541,19 @@ impl Campaign {
         let mut sni_map: HashMap<(IpAddr, String), u8> = HashMap::new();
 
         // Source 1: ZMap + DNS join (compat-filtered on announced versions).
-        let zmap_compat_v4: HashSet<Ipv4Addr> = zmap_v4
+        let zmap_compat: HashSet<IpAddr> = zmap_v4
             .iter()
+            .chain(&zmap_v6)
             .filter(|h| compatible(&h.versions))
-            .filter_map(|h| match h.addr.ip {
-                IpAddr::V4(a) => Some(a),
-                IpAddr::V6(_) => None,
-            })
+            .map(|h| h.addr.ip)
             .collect();
-        for (addr, domains) in &v4_domains {
-            if !zmap_compat_v4.contains(addr) {
+        for (addr, domains) in &addr_domains {
+            if !zmap_compat.contains(addr) {
                 continue;
             }
             for &di in domains.iter().take(MAX_DOMAINS_PER_IP) {
                 *sni_map
-                    .entry((IpAddr::V4(*addr), resolutions[di].name.clone()))
-                    .or_default() |= SniSource::ZMAP_DNS;
-            }
-        }
-        let zmap_compat_v6: HashSet<simnet::addr::Ipv6Addr> = zmap_v6
-            .iter()
-            .filter(|h| compatible(&h.versions))
-            .filter_map(|h| match h.addr.ip {
-                IpAddr::V6(a) => Some(a),
-                IpAddr::V4(_) => None,
-            })
-            .collect();
-        for (addr, domains) in &v6_domains {
-            if !zmap_compat_v6.contains(addr) {
-                continue;
-            }
-            for &di in domains.iter().take(MAX_DOMAINS_PER_IP) {
-                *sni_map
-                    .entry((IpAddr::V6(*addr), resolutions[di].name.clone()))
+                    .entry((*addr, resolutions[di].name.clone()))
                     .or_default() |= SniSource::ZMAP_DNS;
             }
         }
@@ -683,6 +632,22 @@ impl Campaign {
             dns_lists,
         }
     }
+}
+
+/// Figure 3's per-list tally: `(list, names, names whose HTTPS RR
+/// indicates QUIC)` for every input list.
+fn dns_list_tally(universe: &Universe, bulk: &BulkResolver) -> Vec<(InputList, usize, usize)> {
+    InputList::all()
+        .into_iter()
+        .map(|list| {
+            let names = universe.input_list(list);
+            let with_rr = names
+                .iter()
+                .filter(|name| bulk.resolve_domain(name).https_indicates_quic())
+                .count();
+            (list, names.len(), with_rr)
+        })
+        .collect()
 }
 
 /// Resolves every domain known to the universe.

@@ -48,15 +48,6 @@ impl<K: Eq + Hash> CountMap<K> {
         self.total += 1;
     }
 
-    /// Counts `n` items at once.
-    pub fn absorb_n(&mut self, key: K, n: u64) {
-        if n == 0 {
-            return;
-        }
-        *self.counts.entry(key).or_default() += n;
-        self.total += n;
-    }
-
     /// Folds another map in. Counter addition commutes and associates, so
     /// any merge tree over any partitioning of the item stream yields the
     /// same map.

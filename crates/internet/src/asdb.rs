@@ -105,11 +105,6 @@ impl AsDb {
             .cloned()
             .unwrap_or_else(|| format!("AS{asn}"))
     }
-
-    /// Number of announced prefixes.
-    pub fn prefix_count(&self) -> usize {
-        self.prefixes.len()
-    }
 }
 
 #[cfg(test)]

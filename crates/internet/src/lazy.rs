@@ -37,8 +37,8 @@ use zmapq::FeistelPermutation;
 
 use crate::catalog::{implementation, tp_config};
 use crate::faults::FaultPlan;
-use crate::servers::{HttpProfile, HttpsTcpHost, QuicHost};
-use crate::universe::{HostBehavior, HostSpec, Universe};
+use crate::servers::{HttpProfile, QuicHost};
+use crate::universe::Universe;
 
 // ---------------------------------------------------------------------------
 // Paper-scale: lazy twin of Universe::build_network
@@ -68,48 +68,26 @@ impl UniverseBinder {
         UniverseBinder { universe, by_ip }
     }
 
-    fn host_at(&self, at: SocketAddr) -> Option<(usize, &HostSpec)> {
+    /// Index of the host serving `at` (every service is on port 443).
+    fn host_at(&self, at: SocketAddr) -> Option<usize> {
         if at.port != 443 {
             return None;
         }
-        let i = *self.by_ip.get(&at.ip)? as usize;
-        Some((i, &self.universe.hosts[i]))
+        self.by_ip.get(&at.ip).map(|&i| i as usize)
     }
 }
 
 impl LazyBinder for UniverseBinder {
     fn make_udp(&self, at: SocketAddr) -> Option<Box<dyn UdpService>> {
-        let (i, h) = self.host_at(at)?;
-        if h.behavior == HostBehavior::SilentQuic {
-            // The materialized path leaves these unbound too.
-            return None;
-        }
-        // Exactly build_network's per-host seed derivation.
-        let seed = self.universe.config.seed ^ ((i as u64) << 20);
-        let cfg = self.universe.quic_endpoint_config(h);
-        Some(Box::new(QuicHost::new(
-            cfg,
-            self.universe.http_profile(h),
-            seed,
-        )))
+        Some(Box::new(self.universe.quic_service(self.host_at(at)?)?))
     }
 
     fn make_tcp(&self, at: SocketAddr) -> Option<Box<dyn TcpFactory>> {
-        let (i, h) = self.host_at(at)?;
-        if !h.tcp {
-            return None;
-        }
-        let seed = self.universe.config.seed ^ ((i as u64) << 20);
-        let tls = self.universe.tls_config(h, true);
-        Some(Box::new(HttpsTcpHost::new(
-            tls,
-            self.universe.http_profile(h),
-            seed ^ 1,
-        )))
+        Some(Box::new(self.universe.tcp_service(self.host_at(at)?)?))
     }
 
     fn tcp_open(&self, at: SocketAddr) -> bool {
-        self.host_at(at).is_some_and(|(_, h)| h.tcp)
+        self.host_at(at).is_some_and(|i| self.universe.hosts[i].tcp)
     }
 }
 
@@ -173,7 +151,8 @@ impl ScaleConfig {
 }
 
 /// Behaviour class of a scale-universe member (a coarse projection of
-/// [`HostBehavior`] onto what the scanners can distinguish at scale).
+/// [`crate::universe::HostBehavior`] onto what the scanners can
+/// distinguish at scale).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ScaleBehavior {
     /// Answers VN and completes handshakes (with or without SNI).
@@ -338,7 +317,6 @@ impl LazyUniverse {
                     cid_len: 8,
                     use_retry: false,
                     app_session_factory: None,
-                    max_conns: quic::server::DEFAULT_MAX_CONNS,
                 });
             }
         }
@@ -459,9 +437,10 @@ impl LazyUniverse {
     }
 
     /// Builds the network: empty tables plus this universe as the binder.
-    /// `resident_cap` bounds instantiated endpoints (FIFO eviction) — the
-    /// knob that keeps a million-endpoint sweep at O(cap) memory. Use
-    /// `None` only at small scale.
+    /// `resident_cap` bounds instantiated endpoints (the least recently
+    /// contacted one not in use is evicted first) — the knob that keeps a
+    /// million-endpoint sweep at O(cap) memory. Use `None` only at small
+    /// scale.
     pub fn build_network(&self, resident_cap: Option<usize>) -> Network {
         let mut net = Network::new(self.inner.config.seed);
         net.set_lazy_binder(Box::new(self.clone()), resident_cap);

@@ -425,7 +425,7 @@ impl Universe {
         )
     }
 
-    pub(crate) fn tls_config(&self, h: &HostSpec, for_tcp: bool) -> Arc<qtls::ServerConfig> {
+    fn tls_config(&self, h: &HostSpec, for_tcp: bool) -> Arc<qtls::ServerConfig> {
         let cert = self.host_cert(h, for_tcp && h.rotate_cert_on_tcp);
         let mut certs = vec![cert];
         if for_tcp && h.tcp_generic_default {
@@ -477,7 +477,7 @@ impl Universe {
         })
     }
 
-    pub(crate) fn quic_endpoint_config(&self, h: &HostSpec) -> EndpointConfig {
+    fn quic_endpoint_config(&self, h: &HostSpec) -> EndpointConfig {
         let tp: TransportParameters = tp_config(h.tp_idx);
         EndpointConfig {
             accept_versions: h.accept_versions.clone(),
@@ -491,11 +491,10 @@ impl Universe {
             cid_len: 8,
             use_retry: h.use_retry,
             app_session_factory: None,
-            max_conns: quic::server::DEFAULT_MAX_CONNS,
         }
     }
 
-    pub(crate) fn http_profile(&self, h: &HostSpec) -> HttpProfile {
+    fn http_profile(&self, h: &HostSpec) -> HttpProfile {
         HttpProfile {
             server_header: h.server_header.clone(),
             alt_svc: h.alt_svc.clone(),
@@ -503,35 +502,51 @@ impl Universe {
         }
     }
 
+    /// Per-host seed of host `i`'s services (TCP uses it `^ 1`).
+    fn host_seed(&self, i: usize) -> u64 {
+        self.config.seed ^ ((i as u64) << 20)
+    }
+
+    /// The QUIC endpoint host `i` runs on UDP 443 of each of its addresses,
+    /// or `None` for hosts dark on UDP (`SilentQuic`). The one derivation
+    /// both [`Universe::build_network`] and the lazy binder use.
+    pub(crate) fn quic_service(&self, i: usize) -> Option<QuicHost> {
+        let h = &self.hosts[i];
+        (h.behavior != HostBehavior::SilentQuic).then(|| {
+            let cfg = self.quic_endpoint_config(h);
+            QuicHost::new(cfg, self.http_profile(h), self.host_seed(i))
+        })
+    }
+
+    /// The HTTPS service host `i` runs on TCP 443 of each of its addresses,
+    /// or `None` where TCP 443 is closed (`!h.tcp`).
+    pub(crate) fn tcp_service(&self, i: usize) -> Option<HttpsTcpHost> {
+        let h = &self.hosts[i];
+        h.tcp.then(|| {
+            let tls = self.tls_config(h, true);
+            HttpsTcpHost::new(tls, self.http_profile(h), self.host_seed(i) ^ 1)
+        })
+    }
+
     /// Materializes the simulated network: every host's QUIC UDP service and
     /// (where enabled) HTTPS TCP service on port 443.
     pub fn build_network(&self) -> Network {
         let mut net = Network::new(self.config.seed);
         for (i, h) in self.hosts.iter().enumerate() {
-            let seed = self.config.seed ^ ((i as u64) << 20);
-            let quic_bound = h.behavior != HostBehavior::SilentQuic;
             for ip in [h.v4.map(simnet::IpAddr::V4), h.v6.map(simnet::IpAddr::V6)]
                 .into_iter()
                 .flatten()
             {
-                if quic_bound {
-                    let cfg = self.quic_endpoint_config(h);
-                    let host = QuicHost::new(cfg, self.http_profile(h), seed);
-                    net.bind_udp(SocketAddr::new(ip, 443), Box::new(host));
+                let at = SocketAddr::new(ip, 443);
+                if let Some(host) = self.quic_service(i) {
+                    net.bind_udp(at, Box::new(host));
                 }
-                if h.tcp {
-                    let tls = self.tls_config(h, true);
-                    let svc = HttpsTcpHost::new(tls, self.http_profile(h), seed ^ 1);
-                    net.bind_tcp(SocketAddr::new(ip, 443), Box::new(svc));
+                if let Some(svc) = self.tcp_service(i) {
+                    net.bind_tcp(at, Box::new(svc));
                 }
             }
         }
         net
-    }
-
-    /// Looks up the host index serving an IPv4 address.
-    pub fn host_by_v4(&self, addr: Ipv4Addr) -> Option<usize> {
-        self.hosts.iter().position(|h| h.v4 == Some(addr))
     }
 }
 

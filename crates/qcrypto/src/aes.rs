@@ -88,11 +88,6 @@ impl Aes {
         Self::with_backend(key, Backend::detect())
     }
 
-    /// Expands a 32-byte AES-256 key.
-    pub fn new_256(key: &[u8; 32]) -> Self {
-        Self::with_backend(key, Backend::detect())
-    }
-
     /// Expands a key of 16 or 32 bytes.
     ///
     /// # Panics

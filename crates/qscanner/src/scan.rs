@@ -23,8 +23,7 @@ use quic::tparams::TransportParameters;
 use quic::version::Version;
 use quic::ClientConfig;
 use simnet::{
-    fan_out, DatagramArena, Duration, FlightStatus, IpAddr, NetShard, Network, SendStatus,
-    SocketAddr,
+    fan_out, DatagramArena, Duration, FlightStatus, IpAddr, NetShard, Network, SocketAddr,
 };
 use telemetry::{Event, EventKind, LocalMetrics, MetricsRegistry, Telemetry, TraceCtx};
 
@@ -153,14 +152,11 @@ fn exchange(
             bytes: datagram.len() as u64,
         });
         let trace = Some(&mut *o.ctx);
-        match w
+        let sent = w
             .shard
-            .udp_send_status(src, dst, &datagram, &mut w.arena.replies, trace)
-        {
-            SendStatus::Unreachable => status.unreachable = true,
-            SendStatus::Throttled => status.throttled = true,
-            SendStatus::Sent => {}
-        }
+            .udp_send_status(src, dst, &datagram, &mut w.arena.replies, trace);
+        status.unreachable |= sent.unreachable;
+        status.throttled |= sent.throttled;
         o.ctx.advance(rtt_us);
         for reply in &w.arena.replies {
             o.ctx.record(EventKind::PacketReceived {

@@ -3,7 +3,6 @@
 use rand::RngCore;
 
 use qcodec::Writer;
-use qcrypto::sha256;
 use qcrypto::x25519;
 
 use crate::cert::Certificate;
@@ -380,9 +379,4 @@ pub(crate) fn sim_signature(public_key: &[u8; 32], transcript_hash: &[u8; 32]) -
     ctx.put_u8(0);
     ctx.put_bytes(transcript_hash);
     qcrypto::hmac::hmac_sha256(public_key, ctx.as_slice()).to_vec()
-}
-
-/// Convenience for tests: SHA-256 of arbitrary bytes as a 32-byte id.
-pub fn key_from_label(label: &str) -> [u8; 32] {
-    sha256::digest(label.as_bytes())
 }

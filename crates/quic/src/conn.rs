@@ -477,16 +477,6 @@ impl ClientConnection {
         }
     }
 
-    /// Turns on event buffering. The connection is sans-IO and knows no
-    /// clock, so it only records *kinds*; the scan driver drains them via
-    /// [`ClientConnection::take_events`] and stamps flow id and virtual
-    /// time. Disabled (the default), each site costs one branch.
-    pub fn enable_tracing(&mut self) {
-        if self.events.is_none() {
-            self.events = Some(Vec::new());
-        }
-    }
-
     /// Drains buffered telemetry events in occurrence order (empty when
     /// tracing is off).
     pub fn take_events(&mut self) -> Vec<telemetry::EventKind> {

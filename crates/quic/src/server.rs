@@ -3,7 +3,7 @@
 //! observes (VN-only middleboxes, advertised-vs-accepted version skew,
 //! unpadded-probe handling, implementation-specific close wording).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use rand::rngs::StdRng;
@@ -110,12 +110,6 @@ pub struct EndpointConfig {
     /// handling); when `None`, the legacy [`StreamHandler`] shortcut serves
     /// streams fire-and-forget.
     pub app_session_factory: Option<Arc<dyn Fn() -> Box<dyn AppSession> + Send + Sync>>,
-    /// Soft cap on simultaneously tracked connections. Past the cap the
-    /// endpoint evicts the least-recently-active *finished* connection
-    /// (closed, or idle per [`AppSession::is_idle`]); when every tracked
-    /// connection is still live the table grows instead — memory stays
-    /// O(active), not O(cap).
-    pub max_conns: usize,
 }
 
 impl EndpointConfig {
@@ -143,7 +137,6 @@ impl EndpointConfig {
             cid_len: 8,
             use_retry: false,
             app_session_factory: None,
-            max_conns: DEFAULT_MAX_CONNS,
         }
     }
 }
@@ -201,9 +194,9 @@ struct ServerConn {
     /// Installed at establishment when the endpoint has an
     /// [`EndpointConfig::app_session_factory`]; owns the 1-RTT space.
     app_session: Option<Box<dyn AppSession>>,
-    /// Generation stamp of this connection's live entry in the endpoint's
-    /// recency queue; older queue entries for the same flow are stale.
-    stamp: u64,
+    /// The endpoint's activity count when this connection last received a
+    /// datagram; the smallest evictable value is the eviction victim.
+    last_active: u64,
 }
 
 impl ServerConn {
@@ -225,16 +218,9 @@ pub struct Endpoint {
     config: EndpointConfig,
     handler_factory: Box<dyn Fn() -> Box<dyn StreamHandler> + Send>,
     conns: HashMap<u128, ServerConn>,
-    /// Lazy-deletion recency queue, least-recently-active first: `(flow,
-    /// stamp)` pairs where an entry is live iff the connection exists and
-    /// carries the same stamp. Touching a flow restamps it and appends a
-    /// fresh entry; stale entries are dropped when encountered and the
-    /// queue is compacted once it outgrows the live set — the same
-    /// generation-stamp discipline as the simnet's lazy-universe residency
-    /// table, so recency costs O(1) amortized per datagram.
-    recency: VecDeque<(u128, u64)>,
-    /// Monotonic touch counter feeding the stamps.
-    touches: u64,
+    /// Datagrams routed to a connection so far; stamps
+    /// [`ServerConn::last_active`].
+    activity: u64,
     /// Base seed for per-flow RNGs. Per-connection randomness (server CID,
     /// reset token, TLS nonces) is derived from `(seed, flow key)` rather
     /// than drawn from one shared sequence, so what a flow observes never
@@ -247,9 +233,11 @@ pub struct Endpoint {
     cert_cache: Arc<CertCache>,
 }
 
-/// Default soft cap on simultaneously tracked connections per endpoint
-/// (scan flows are short-lived; finished entries are evicted in
-/// least-recently-active order once the cap is reached).
+/// Soft cap on simultaneously tracked connections per endpoint. Past the cap
+/// the endpoint evicts the least-recently-active *finished* connection
+/// (closed, or idle per [`AppSession::is_idle`]); when every tracked
+/// connection is still live the table grows instead — memory stays
+/// O(active), not O(cap).
 pub const DEFAULT_MAX_CONNS: usize = 64;
 
 impl Endpoint {
@@ -264,32 +252,9 @@ impl Endpoint {
             config,
             handler_factory,
             conns: HashMap::new(),
-            recency: VecDeque::new(),
-            touches: 0,
+            activity: 0,
             seed,
             cert_cache: Arc::new(CertCache::new()),
-        }
-    }
-
-    /// Simultaneously tracked connections (scale/memory introspection).
-    pub fn conn_count(&self) -> usize {
-        self.conns.len()
-    }
-
-    /// Restamps `from` as the most recently active flow. O(1) amortized:
-    /// the old queue entry goes stale rather than being searched for, and
-    /// compaction runs only when stale entries outnumber live ones.
-    fn touch(&mut self, from: u128) {
-        let Some(conn) = self.conns.get_mut(&from) else {
-            return;
-        };
-        self.touches += 1;
-        conn.stamp = self.touches;
-        self.recency.push_back((from, self.touches));
-        if self.recency.len() > 2 * self.conns.len() + 16 {
-            let conns = &self.conns;
-            self.recency
-                .retain(|&(k, s)| conns.get(&k).is_some_and(|c| c.stamp == s));
         }
     }
 
@@ -299,27 +264,30 @@ impl Endpoint {
     /// live, the table grows instead — a live connection is never cut off
     /// mid-transfer, so eviction is unobservable to well-behaved peers.
     fn evict_for_insert(&mut self) {
-        if self.conns.len() < self.config.max_conns {
+        if self.conns.len() < DEFAULT_MAX_CONNS {
             return;
         }
-        let mut idx = 0;
-        while idx < self.recency.len() {
-            let (key, stamp) = self.recency[idx];
-            match self.conns.get(&key) {
-                Some(conn) if conn.stamp == stamp => {
-                    if conn.evictable() {
-                        self.conns.remove(&key);
-                        self.recency.remove(idx);
-                        return;
-                    }
-                    idx += 1;
-                }
-                // Stale entry (restamped or already evicted): drop in place.
-                _ => {
-                    self.recency.remove(idx);
-                }
-            }
+        // Stamps are unique, so the map's iteration order cannot matter.
+        let victim = self
+            .conns
+            .iter()
+            .filter(|(_, conn)| conn.evictable())
+            .min_by_key(|(_, conn)| conn.last_active)
+            .map(|(&key, _)| key);
+        if let Some(key) = victim {
+            self.conns.remove(&key);
         }
+    }
+
+    /// Hands `datagram` to the connection for `from` (if any), stamping it
+    /// as the most recently active.
+    fn deliver(&mut self, from: u128, datagram: &[u8]) -> Vec<Vec<u8>> {
+        let Some(conn) = self.conns.get_mut(&from) else {
+            return Vec::new();
+        };
+        self.activity += 1;
+        conn.last_active = self.activity;
+        conn.on_datagram(datagram, &self.config)
     }
 
     /// Processes one datagram from the flow identified by `from` (an opaque
@@ -328,12 +296,7 @@ impl Endpoint {
     pub fn handle_datagram(&mut self, from: u128, datagram: &[u8]) -> Vec<Vec<u8>> {
         let Some(head) = parse_long_header_prefix(datagram) else {
             // Short header or garbage: route to an existing connection.
-            if self.conns.contains_key(&from) {
-                self.touch(from);
-                let conn = self.conns.get_mut(&from).expect("just checked");
-                return conn.on_datagram(datagram, &self.config);
-            }
-            return Vec::new();
+            return self.deliver(from, datagram);
         };
 
         // Version negotiation decision happens before any decryption.
@@ -388,9 +351,7 @@ impl Endpoint {
             );
             self.conns.insert(from, conn);
         }
-        self.touch(from);
-        let conn = self.conns.get_mut(&from).expect("just inserted");
-        conn.on_datagram(datagram, &self.config)
+        self.deliver(from, datagram)
     }
 }
 
@@ -497,7 +458,7 @@ impl ServerConn {
             closed: false,
             handler,
             app_session: None,
-            stamp: 0,
+            last_active: 0,
         }
     }
 
@@ -659,26 +620,41 @@ impl ServerConn {
     /// Seals each payload as one 1-RTT packet, reporting the assigned
     /// packet number back to the session for its sent-packet tracker.
     fn seal_session_payloads(&mut self, payloads: Vec<Vec<u8>>, out: &mut Vec<Vec<u8>>) {
-        let Some(keys) = self.seal_app.as_ref() else {
-            return;
-        };
         for payload in payloads {
-            let mut pkt = Vec::new();
             let pn = self.next_pn[2];
-            seal_short_into(
-                &mut pkt,
-                &mut self.scratch,
-                &self.client_cid,
-                pn,
-                &payload,
-                keys,
-            );
-            self.next_pn[2] += 1;
+            let Some(pkt) = self.seal_1rtt(&payload) else {
+                return;
+            };
             if let Some(session) = self.app_session.as_mut() {
                 session.on_payload_sealed(pn);
             }
             out.push(pkt);
         }
+    }
+
+    /// Seals `payload` as one 1-RTT packet at the next app-space packet
+    /// number (`None` before the 1-RTT keys exist).
+    fn seal_1rtt(&mut self, payload: &[u8]) -> Option<Vec<u8>> {
+        let keys = self.seal_app.as_ref()?;
+        let mut pkt = Vec::new();
+        seal_short_into(
+            &mut pkt,
+            &mut self.scratch,
+            &self.client_cid,
+            self.next_pn[2],
+            payload,
+            keys,
+        );
+        self.next_pn[2] += 1;
+        Some(pkt)
+    }
+
+    /// [`ServerConn::seal_1rtt`] of the frames staged in `self.payload`.
+    fn seal_staged_1rtt(&mut self) -> Option<Vec<u8>> {
+        let staged = std::mem::take(&mut self.payload);
+        let pkt = self.seal_1rtt(staged.as_slice());
+        self.payload = staged;
+        pkt
     }
 
     fn apply_tls_events(
@@ -798,20 +774,10 @@ impl ServerConn {
             let payload = &mut self.payload;
             payload.clear();
             Frame::HandshakeDone.encode(payload);
-            let keys = self.seal_app.as_ref().expect("1-RTT seal keys");
             for s in &sends {
                 Frame::encode_stream(payload, s.id, 0, s.fin, &s.data);
             }
-            let mut pkt = Vec::new();
-            seal_short_into(
-                &mut pkt,
-                &mut self.scratch,
-                &self.client_cid,
-                self.next_pn[2],
-                payload.as_slice(),
-                keys,
-            );
-            self.next_pn[2] += 1;
+            let pkt = self.seal_staged_1rtt().expect("1-RTT seal keys");
             self.post_cache = Some(pkt.clone());
             out.push(pkt);
         }
@@ -829,9 +795,9 @@ impl ServerConn {
     }
 
     fn send_streams(&mut self, sends: Vec<StreamSend>, out: &mut Vec<Vec<u8>>) {
-        let Some(keys) = self.seal_app.as_ref() else {
+        if self.seal_app.is_none() {
             return;
-        };
+        }
         let payload = &mut self.payload;
         payload.clear();
         for s in &sends {
@@ -839,17 +805,7 @@ impl ServerConn {
         }
         // Split into ≤1400-byte datagrams.
         if payload.len() <= 1400 {
-            let mut pkt = Vec::new();
-            seal_short_into(
-                &mut pkt,
-                &mut self.scratch,
-                &self.client_cid,
-                self.next_pn[2],
-                payload.as_slice(),
-                keys,
-            );
-            self.next_pn[2] += 1;
-            out.push(pkt);
+            out.extend(self.seal_staged_1rtt());
         } else {
             // Re-frame per stream send to keep frames intact.
             for s in sends {
@@ -858,17 +814,7 @@ impl ServerConn {
                     let payload = &mut self.payload;
                     payload.clear();
                     Frame::encode_stream(payload, s.id, (i * 1200) as u64, s.fin && is_last, chunk);
-                    let mut pkt = Vec::new();
-                    seal_short_into(
-                        &mut pkt,
-                        &mut self.scratch,
-                        &self.client_cid,
-                        self.next_pn[2],
-                        payload.as_slice(),
-                        keys,
-                    );
-                    self.next_pn[2] += 1;
-                    out.push(pkt);
+                    out.extend(self.seal_staged_1rtt());
                 }
             }
         }
@@ -879,9 +825,6 @@ impl ServerConn {
     /// with while draining.
     fn close_app_space(&mut self, reason: &str, out: &mut Vec<Vec<u8>>) {
         self.closed = true;
-        let Some(keys) = self.seal_app.as_ref() else {
-            return;
-        };
         let payload = &mut self.payload;
         payload.clear();
         Frame::ConnectionClose {
@@ -891,16 +834,9 @@ impl ServerConn {
             is_app: false,
         }
         .encode(payload);
-        let mut pkt = Vec::new();
-        seal_short_into(
-            &mut pkt,
-            &mut self.scratch,
-            &self.client_cid,
-            self.next_pn[2],
-            payload.as_slice(),
-            keys,
-        );
-        self.next_pn[2] += 1;
+        let Some(pkt) = self.seal_staged_1rtt() else {
+            return;
+        };
         self.close_cache = Some(pkt.clone());
         out.push(pkt);
     }
@@ -954,4 +890,111 @@ fn placeholder_cert() -> qtls::Certificate {
 fn placeholder_server_config() -> Arc<qtls::ServerConfig> {
     static CFG: OnceLock<Arc<qtls::ServerConfig>> = OnceLock::new();
     Arc::clone(CFG.get_or_init(|| Arc::new(qtls::ServerConfig::single_cert(placeholder_cert()))))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    struct NoStreams;
+    impl StreamHandler for NoStreams {
+        fn on_stream_data(&mut self, _id: u64, _data: &[u8], _fin: bool) -> Vec<StreamSend> {
+            Vec::new()
+        }
+    }
+
+    struct Session {
+        idle: bool,
+    }
+    impl AppSession for Session {
+        fn on_app_packet(&mut self, _pn: u64, _frames: &[Frame]) -> Vec<Vec<u8>> {
+            Vec::new()
+        }
+        fn on_payload_sealed(&mut self, _pn: u64) {}
+        fn is_idle(&self) -> bool {
+            self.idle
+        }
+    }
+
+    /// A v1 long-header Initial that opens a connection but carries no
+    /// decodable packet: enough to create a table entry, nothing more.
+    fn initial(flow: u128) -> Vec<u8> {
+        let mut d = vec![0xc0, 0, 0, 0, 1, 8];
+        d.extend_from_slice(&(flow as u64).to_be_bytes());
+        d.push(8);
+        d.extend_from_slice(&(!flow as u64).to_be_bytes());
+        d.extend_from_slice(&[0; 8]);
+        d
+    }
+
+    /// A short-header datagram: routed to the flow's connection (a touch)
+    /// without creating one.
+    const TOUCH: [u8; 4] = [0x40, 0, 0, 0];
+
+    fn flows(ep: &Endpoint) -> Vec<u128> {
+        let mut keys: Vec<u128> = ep.conns.keys().copied().collect();
+        keys.sort_unstable();
+        keys
+    }
+
+    /// Pins the eviction choice at the cap by value: the least recently
+    /// touched evictable connection (closed, established legacy, idle
+    /// session) goes first, a busy session never does, and when nothing is
+    /// evictable the table grows past the cap instead.
+    #[test]
+    fn evicts_least_recently_touched_evictable_connection() {
+        let config = EndpointConfig::new(placeholder_server_config());
+        let mut ep = Endpoint::new(config, 7, Box::new(|| Box::new(NoStreams)));
+        let cap = DEFAULT_MAX_CONNS as u128;
+        assert_eq!(cap % 4, 0);
+        // Flow f is closed (f % 4 == 0), established legacy (1), an idle
+        // session (2) or a busy session (3).
+        for f in 0..cap {
+            ep.handle_datagram(f, &initial(f));
+            let conn = ep.conns.get_mut(&f).expect("opened");
+            match f % 4 {
+                0 => conn.closed = true,
+                1 => conn.established = true,
+                idle_or_busy => {
+                    conn.established = true;
+                    conn.app_session = Some(Box::new(Session {
+                        idle: idle_or_busy == 2,
+                    }));
+                }
+            }
+        }
+        // Re-touch the even flows: recency, oldest first, is now
+        // 1, 3, …, cap − 1, 0, 2, …, cap − 2.
+        for f in (0..cap).step_by(2) {
+            assert!(ep.handle_datagram(f, &TOUCH).is_empty());
+        }
+        assert_eq!(flows(&ep), (0..cap).collect::<Vec<_>>());
+
+        // Victims in order: the established legacy flows (odd, oldest),
+        // then every even flow; never a busy session (f % 4 == 3).
+        let victims: Vec<u128> = (1..cap).step_by(4).chain((0..cap).step_by(2)).collect();
+        assert_eq!(victims.len(), 48);
+        let mut expected: Vec<u128> = (0..cap).collect();
+        for (j, &victim) in victims.iter().enumerate() {
+            let newcomer = 1000 + j as u128;
+            ep.handle_datagram(newcomer, &initial(newcomer));
+            expected.retain(|&f| f != victim);
+            expected.push(newcomer);
+            expected.sort_unstable();
+            assert_eq!(flows(&ep), expected, "after insert {j}");
+        }
+
+        // Left: 16 busy sessions plus 48 half-open newcomers — nothing
+        // evictable, so the next connections grow the table.
+        assert_eq!(ep.conns.len() as u128, cap);
+        for f in (3..cap).step_by(4) {
+            assert!(ep.conns.contains_key(&f), "busy session {f} evicted");
+        }
+        for extra in 0..3u128 {
+            let newcomer = 2000 + extra;
+            ep.handle_datagram(newcomer, &initial(newcomer));
+            assert_eq!(ep.conns.len() as u128, cap + extra + 1);
+        }
+        assert!((3..cap).step_by(4).all(|f| ep.conns.contains_key(&f)));
+    }
 }

@@ -20,11 +20,6 @@ impl IpAddr {
         matches!(self, IpAddr::V4(_))
     }
 
-    /// True for IPv6 addresses.
-    pub fn is_v6(&self) -> bool {
-        matches!(self, IpAddr::V6(_))
-    }
-
     /// The address family as a short label ("v4" / "v6"), used in reports.
     pub fn family(&self) -> &'static str {
         match self {

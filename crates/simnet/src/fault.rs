@@ -105,21 +105,6 @@ impl Default for LinkProfile {
     }
 }
 
-/// What the sender observes for one `udp_send` attempt. Silent loss, an
-/// unbound port, and an MTU black hole are all indistinguishable on a real
-/// network, so they share [`SendStatus::Sent`]; unreachable signaling and
-/// rate-limiter pushback are observable (ICMP destination/administratively
-/// unreachable) and get their own variants for scanner classification.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SendStatus {
-    /// The datagram left the host; replies (possibly none) are in `out`.
-    Sent,
-    /// An ICMP destination-unreachable came back; nothing was delivered.
-    Unreachable,
-    /// The destination's rate limiter discarded the datagram and signaled it.
-    Throttled,
-}
-
 // Distinct salts so the independent decisions on one datagram never reuse a
 // draw.
 pub(crate) const SALT_FWD_LOSS: u64 = 0x1b87_3593_04ba_df01;

@@ -14,6 +14,7 @@
 
 pub mod addr;
 pub mod clock;
+mod endpoints;
 pub mod fanout;
 pub mod fasthash;
 pub mod fault;
@@ -22,10 +23,11 @@ pub mod stats;
 
 pub use addr::{IpAddr, Prefix, SocketAddr};
 pub use clock::{Duration, ShardClock, SimClock, SimTime, VirtualClock};
+pub use endpoints::{LazyBinder, LazyStats};
 pub use fanout::{fan_out, fan_out_pulled, StealQueue};
-pub use fault::{LinkProfile, ReplyRateLimit, SendStatus};
+pub use fault::{LinkProfile, ReplyRateLimit};
 pub use net::{
-    DatagramArena, FlightStatus, LazyBinder, LazyStats, LockCounters, NetShard, Network,
-    ServiceCtx, TcpAction, TcpFactory, TcpHandler, TcpStream, UdpService,
+    DatagramArena, FlightStatus, LockCounters, NetShard, Network, ServiceCtx, TcpAction,
+    TcpFactory, TcpHandler, TcpStream, UdpService,
 };
 pub use stats::{LocalStats, NetStats};

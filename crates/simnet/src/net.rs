@@ -10,17 +10,16 @@
 //! [`crate::fault`]); every fault decision is keyed on a per-flow sequence
 //! number, so results are identical at any worker count.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::cell::OnceCell;
 
 use parking_lot::{Mutex, MutexGuard};
 use telemetry::{FaultKind, TraceCtx};
 
 use crate::addr::{IpAddr, SocketAddr};
 use crate::clock::{Duration, ShardClock, SimClock, SimTime};
+use crate::endpoints::{route, CacheAligned, Endpoints, LazyBinder, LazyStats, UdpEndpoint};
 use crate::fasthash::FastMap;
-use crate::fault::{self, LinkProfile, SendStatus};
+use crate::fault::{self, LinkProfile};
 use crate::stats::{LocalStats, NetStats};
 
 /// Shard count for the per-flow sequence counters (power of two). Sized at
@@ -28,63 +27,8 @@ use crate::stats::{LocalStats, NetStats};
 /// on the same bucket is the exception, not the rule.
 const FLOW_SHARDS: usize = 64;
 
-/// Shard count for the endpoint registry (power of two). Endpoints are
-/// routed by the same FxHash the flow-fault draws key on, so a worker
-/// sweeping its slice of the scan-index domain touches a stable subset of
-/// shards.
-const ENDPOINT_SHARDS: usize = 64;
-
-/// Pads the inner value to its own cache line: the flow-sequence mutexes
-/// live in an array, and without padding two adjacent buckets share a line
-/// and false-share under parallel scans.
-#[repr(align(64))]
-#[derive(Default)]
-struct CacheAligned<T>(T);
-
-/// One endpoint shard: destination address → mutex-guarded service.
-type ServiceShard = FastMap<SocketAddr, Mutex<Box<dyn UdpService>>>;
-
 /// One flow-sequence bucket: `(src, dst)` → next fault-draw sequence.
 type FlowSeqBucket = CacheAligned<Mutex<FastMap<(SocketAddr, SocketAddr), u64>>>;
-
-/// The sharded endpoint registry: UDP services are spread over
-/// [`ENDPOINT_SHARDS`] independent hash maps routed by destination-address
-/// hash. Lookups stay lock-free (`&self` reads of immutable-after-build
-/// maps); sharding keeps each worker's probe stream walking a small,
-/// cache-resident table instead of one giant map shared by every thread.
-struct EndpointTable {
-    shards: Vec<CacheAligned<ServiceShard>>,
-}
-
-impl EndpointTable {
-    fn new() -> Self {
-        EndpointTable {
-            shards: (0..ENDPOINT_SHARDS)
-                .map(|_| CacheAligned(FastMap::default()))
-                .collect(),
-        }
-    }
-
-    /// Which shard an address lives in (same FxHash family as the flow
-    /// fault draws).
-    fn route(at: &SocketAddr) -> usize {
-        (fault::addr_hash(*at) as usize) & (ENDPOINT_SHARDS - 1)
-    }
-
-    fn get(&self, at: &SocketAddr) -> Option<&Mutex<Box<dyn UdpService>>> {
-        self.shards[Self::route(at)].0.get(at)
-    }
-
-    fn insert(&mut self, at: SocketAddr, service: Box<dyn UdpService>) {
-        self.shards[Self::route(&at)]
-            .0
-            .insert(at, Mutex::new(service));
-    }
-
-    fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.0.len()).sum()
-    }
-}
 
 /// Lock-traffic accounting for one worker's [`NetShard`]: how often the
 /// worker touched a per-service mutex, how often that mutex was actually
@@ -123,30 +67,17 @@ impl LockCounters {
     }
 }
 
-/// Aggregated sender-observable outcome of a batched send: per-datagram
-/// statuses collapse to "did any datagram see ICMP unreachable / rate-limit
-/// pushback", which is exactly how the scan drivers fold per-datagram
-/// [`SendStatus`] values today.
+/// What the sender observes about a send, one datagram or a whole flight.
+/// Silent loss, an unbound port and an MTU black hole are indistinguishable
+/// on a real network, so they leave both flags clear; ICMP unreachable
+/// signaling and rate-limiter pushback are observable and set theirs when
+/// any datagram of the flight drew them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FlightStatus {
     /// Some datagram drew ICMP destination-unreachable.
     pub unreachable: bool,
     /// Some datagram was discarded by the destination's rate limiter.
     pub throttled: bool,
-}
-
-impl FlightStatus {
-    /// The single-datagram [`SendStatus`] equivalent (exact for a
-    /// one-datagram flight).
-    fn into_send_status(self) -> SendStatus {
-        if self.unreachable {
-            SendStatus::Unreachable
-        } else if self.throttled {
-            SendStatus::Throttled
-        } else {
-            SendStatus::Sent
-        }
-    }
 }
 
 /// Reusable buffers for the batched socket API: `replies` is the GRO-style
@@ -193,88 +124,6 @@ pub trait UdpService: Send {
     fn on_datagram(&mut self, ctx: &mut ServiceCtx<'_>, from: SocketAddr, data: &[u8]);
 }
 
-/// Constructs endpoint services *on first contact* for addresses absent from
-/// the statically bound tables — the hook a lazily materialized universe
-/// plugs into ([`Network::set_lazy_binder`]). Implementations must be pure
-/// functions of the address (plus captured seed/config): the same address
-/// must always yield a behaviourally identical endpoint, because eviction
-/// under a residency cap may rebuild an endpoint mid-scan.
-pub trait LazyBinder: Send + Sync {
-    /// The UDP service for `at`, or `None` when no endpoint lives there.
-    fn make_udp(&self, at: SocketAddr) -> Option<Box<dyn UdpService>>;
-
-    /// The TCP factory for `at`, or `None` when TCP 443 is closed there.
-    fn make_tcp(&self, at: SocketAddr) -> Option<Box<dyn TcpFactory>>;
-
-    /// Whether a TCP service exists at `at`. Override when membership can be
-    /// answered without building the factory (the SYN-scan question at
-    /// population scale); the default builds and discards.
-    fn tcp_open(&self, at: SocketAddr) -> bool {
-        self.make_tcp(at).is_some()
-    }
-}
-
-/// Observable state of the lazy endpoint cache (see
-/// [`Network::lazy_stats`]). `peak_resident` is the working-set bound the
-/// O(responsive-hosts) memory claim rests on.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LazyStats {
-    /// UDP endpoints currently instantiated.
-    pub resident: usize,
-    /// High-water mark of `resident`.
-    pub peak_resident: usize,
-    /// Total UDP endpoint constructions (rebuilds after eviction included).
-    pub instantiated: u64,
-    /// Endpoints evicted under the residency cap.
-    pub evicted: u64,
-    /// TCP factories currently cached (never evicted — they carry
-    /// per-host connection counters).
-    pub tcp_resident: usize,
-}
-
-/// One shard of the lazily instantiated endpoint cache: address → (service,
-/// last-touch generation). Recency order for eviction lives in
-/// [`LazyState::order`], global across shards so the residency cap applies
-/// to the whole cache; the generation stamp marks which queue entry for an
-/// address is current (older entries are stale and skipped at eviction).
-/// Cached lazy endpoint: shared service handle plus last-touch generation.
-type LazyEntry = (Arc<Mutex<Box<dyn UdpService>>>, u64);
-
-#[derive(Default)]
-struct LazyEndpoints {
-    services: FastMap<SocketAddr, LazyEntry>,
-}
-
-/// The lazy-instantiation state hanging off a [`Network`]: the binder that
-/// derives endpoints from addresses, per-shard caches of the endpoints
-/// contacted so far (sharded by the same address hash as the static table),
-/// and residency accounting.
-struct LazyState {
-    binder: Box<dyn LazyBinder>,
-    /// UDP residency cap; `None` = cache every contacted endpoint (the
-    /// byte-identical paper-scale mode, where endpoint state must survive
-    /// the whole campaign).
-    capacity: Option<usize>,
-    shards: Vec<CacheAligned<Mutex<LazyEndpoints>>>,
-    /// Global recency queue driving eviction (least recently *touched*
-    /// first): every contact re-pushes `(addr, generation)` and stale
-    /// entries — whose generation no longer matches the shard's — are
-    /// dropped when popped, classic lazy-deletion LRU. Recency, not
-    /// insertion order, matters: an endpoint mid-handshake was inserted
-    /// long ago but touched a datagram ago, and evicting it would wipe its
-    /// connection state while the peer is still talking to it. Lock order
-    /// is always `order` → cache shard (never the reverse), so concurrent
-    /// inserts evicting victims from foreign shards cannot deadlock.
-    order: Mutex<VecDeque<(SocketAddr, u64)>>,
-    /// Touch-generation counter stamping queue entries.
-    generation: AtomicU64,
-    tcp: Mutex<FastMap<SocketAddr, Arc<dyn TcpFactory>>>,
-    resident: AtomicUsize,
-    peak: AtomicUsize,
-    instantiated: AtomicU64,
-    evicted: AtomicU64,
-}
-
 /// What a TCP handler wants done with the connection after processing input.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TcpAction {
@@ -312,11 +161,7 @@ impl ServiceCtx<'_> {
 
 /// The simulated Internet fabric.
 pub struct Network {
-    udp: EndpointTable,
-    tcp: FastMap<SocketAddr, Box<dyn TcpFactory>>,
-    /// On-demand endpoint instantiation, engaged only when the static
-    /// tables miss (`None` on classic fully materialized networks).
-    lazy: Option<LazyState>,
+    endpoints: Endpoints,
     /// Virtual clock shared by all drivers.
     pub clock: SimClock,
     /// Traffic counters.
@@ -338,9 +183,7 @@ impl Network {
     /// Creates a fault-free network with a 20 ms simulated RTT.
     pub fn new(seed: u64) -> Self {
         Network {
-            udp: EndpointTable::new(),
-            tcp: FastMap::default(),
-            lazy: None,
+            endpoints: Endpoints::new(),
             clock: SimClock::new(),
             stats: NetStats::new(),
             default_profile: LinkProfile::ideal(),
@@ -398,11 +241,6 @@ impl Network {
             .insert((src, dst), seq);
     }
 
-    /// Sets the simulated round-trip time charged per UDP exchange.
-    pub fn set_rtt(&mut self, rtt: Duration) {
-        self.rtt = rtt;
-    }
-
     /// The configured round-trip time.
     pub fn rtt(&self) -> Duration {
         self.rtt
@@ -410,191 +248,46 @@ impl Network {
 
     /// Binds a UDP service; replaces any previous binding.
     pub fn bind_udp(&mut self, at: SocketAddr, service: Box<dyn UdpService>) {
-        self.udp.insert(at, service);
+        self.endpoints.bind_udp(at, service);
     }
 
     /// Binds a TCP service factory; replaces any previous binding.
     pub fn bind_tcp(&mut self, at: SocketAddr, factory: Box<dyn TcpFactory>) {
-        self.tcp.insert(at, factory);
+        self.endpoints.bind_tcp(at, factory);
     }
 
     /// Installs a [`LazyBinder`] consulted whenever the static endpoint
     /// tables miss: endpoints are derived from the destination address on
     /// first contact and cached, keeping the working set O(contacted hosts)
     /// instead of O(population). `capacity` bounds how many UDP endpoints
-    /// stay resident (FIFO eviction, in-use endpoints skipped); `None`
-    /// caches forever — required when endpoint connection state must
-    /// survive a whole campaign for byte-identical equivalence with a fully
-    /// materialized network.
+    /// stay resident (the least recently contacted one a flight is not
+    /// using is evicted first); `None` caches forever — required when
+    /// endpoint connection state must survive a whole campaign for
+    /// byte-identical equivalence with a fully materialized network.
     pub fn set_lazy_binder(&mut self, binder: Box<dyn LazyBinder>, capacity: Option<usize>) {
-        self.lazy = Some(LazyState {
-            binder,
-            capacity,
-            shards: (0..ENDPOINT_SHARDS)
-                .map(|_| CacheAligned(Mutex::new(LazyEndpoints::default())))
-                .collect(),
-            order: Mutex::new(VecDeque::new()),
-            generation: AtomicU64::new(0),
-            tcp: Mutex::new(FastMap::default()),
-            resident: AtomicUsize::new(0),
-            peak: AtomicUsize::new(0),
-            instantiated: AtomicU64::new(0),
-            evicted: AtomicU64::new(0),
-        });
+        self.endpoints.set_lazy_binder(binder, capacity);
     }
 
     /// Residency accounting of the lazy endpoint cache (`None` when no
     /// binder is installed).
     pub fn lazy_stats(&self) -> Option<LazyStats> {
-        self.lazy.as_ref().map(|l| LazyStats {
-            resident: l.resident.load(Ordering::Relaxed),
-            peak_resident: l.peak.load(Ordering::Relaxed),
-            instantiated: l.instantiated.load(Ordering::Relaxed),
-            evicted: l.evicted.load(Ordering::Relaxed),
-            tcp_resident: l.tcp.lock().len(),
-        })
-    }
-
-    /// The cached-or-instantiated lazy UDP endpoint at `at` (`None` when no
-    /// binder is installed or the binder says nothing lives there).
-    /// Construction runs outside the cache-shard lock; the first insert
-    /// wins, so concurrent flights agree on one instance.
-    fn lazy_udp_service(&self, at: &SocketAddr) -> Option<Arc<Mutex<Box<dyn UdpService>>>> {
-        let lazy = self.lazy.as_ref()?;
-        let idx = EndpointTable::route(at);
-        // Hit path: restamp the entry's generation (a *touch*) so eviction
-        // sees it as recently used, then record the touch in the recency
-        // queue. The shard lock is released before the queue lock is taken,
-        // keeping the `order` → shard lock order intact.
-        let hit = {
-            let mut shard = lazy.shards[idx].0.lock();
-            shard.services.get_mut(at).map(|(svc, stamp)| {
-                let touch = lazy.capacity.is_some().then(|| {
-                    *stamp = lazy.generation.fetch_add(1, Ordering::Relaxed) + 1;
-                    *stamp
-                });
-                (svc.clone(), touch)
-            })
-        };
-        if let Some((svc, touch)) = hit {
-            if let Some(stamp) = touch {
-                lazy.order.lock().push_back((*at, stamp));
-                self.lazy_maybe_compact(lazy);
-            }
-            return Some(svc);
-        }
-        let built = lazy.binder.make_udp(*at)?;
-        let (svc, stamp) = {
-            let mut shard = lazy.shards[idx].0.lock();
-            if let Some((svc, _)) = shard.services.get(at) {
-                return Some(svc.clone());
-            }
-            let svc = Arc::new(Mutex::new(built));
-            let stamp = lazy.generation.fetch_add(1, Ordering::Relaxed) + 1;
-            shard.services.insert(*at, (svc.clone(), stamp));
-            (svc, stamp)
-        };
-        lazy.instantiated.fetch_add(1, Ordering::Relaxed);
-        let resident = lazy.resident.fetch_add(1, Ordering::Relaxed) + 1;
-        lazy.peak.fetch_max(resident, Ordering::Relaxed);
-        if lazy.capacity.is_none() {
-            // Paper mode: everything stays resident, no queue to maintain.
-            return Some(svc);
-        }
-        // LRU eviction over the global recency queue. Stale entries (an
-        // address touched again since — generation mismatch) are dropped;
-        // entries a flight still holds (Arc strong count > 1, including the
-        // one just built, which this frame is about to return) are rotated
-        // to the back. Residency is bounded by `cap` plus whatever is
-        // concurrently in use; the attempts bound stops the loop when
-        // everything left is in use. Victims are only unlinked under the
-        // locks and torn down after both are released: an endpoint's
-        // destructor frees its whole connection table, and every other
-        // worker's instantiation waits on the global queue lock meanwhile.
-        let mut evicted = Vec::new();
-        let mut order = lazy.order.lock();
-        order.push_back((*at, stamp));
-        if let Some(cap) = lazy.capacity {
-            let mut attempts = order.len();
-            while lazy.resident.load(Ordering::Relaxed) > cap && attempts > 0 {
-                attempts -= 1;
-                let Some((victim, vstamp)) = order.pop_front() else {
-                    break;
-                };
-                let mut vshard = lazy.shards[EndpointTable::route(&victim)].0.lock();
-                match vshard.services.get(&victim) {
-                    Some((_, stamp)) if *stamp != vstamp => {} // stale entry
-                    Some((v, _)) if Arc::strong_count(v) == 1 => {
-                        evicted.extend(vshard.services.remove(&victim));
-                        lazy.resident.fetch_sub(1, Ordering::Relaxed);
-                        lazy.evicted.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Some(_) => {
-                        drop(vshard);
-                        order.push_back((victim, vstamp));
-                    }
-                    None => {}
-                }
-            }
-        }
-        drop(order);
-        drop(evicted);
-        Some(svc)
-    }
-
-    /// Bounds the recency queue: touches append lazily deleted duplicates,
-    /// so when the queue outgrows the cache by a wide margin, drop every
-    /// stale entry in one pass. Amortized O(1) per touch.
-    fn lazy_maybe_compact(&self, lazy: &LazyState) {
-        let Some(cap) = lazy.capacity else { return };
-        let threshold = cap.saturating_mul(8).max(1024);
-        let mut order = lazy.order.lock();
-        if order.len() <= threshold {
-            return;
-        }
-        let entries: Vec<(SocketAddr, u64)> = order.drain(..).collect();
-        for (addr, stamp) in entries {
-            let shard = lazy.shards[EndpointTable::route(&addr)].0.lock();
-            if matches!(shard.services.get(&addr), Some((_, s)) if *s == stamp) {
-                drop(shard);
-                order.push_back((addr, stamp));
-            }
-        }
-    }
-
-    /// The cached-or-instantiated lazy TCP factory at `at`. TCP factories
-    /// are cached for the network's lifetime — they carry per-host
-    /// connection counters (TLS randomness seeds) whose continuity the
-    /// materialized path provides by construction.
-    fn lazy_tcp_factory(&self, at: &SocketAddr) -> Option<Arc<dyn TcpFactory>> {
-        let lazy = self.lazy.as_ref()?;
-        if let Some(f) = lazy.tcp.lock().get(at) {
-            return Some(f.clone());
-        }
-        let built = lazy.binder.make_tcp(*at)?;
-        let mut map = lazy.tcp.lock();
-        if let Some(f) = map.get(at) {
-            return Some(f.clone());
-        }
-        let f: Arc<dyn TcpFactory> = Arc::from(built);
-        map.insert(*at, f.clone());
-        Some(f)
+        self.endpoints.lazy_stats()
     }
 
     /// Number of bound UDP sockets (used by generators for sanity checks).
     pub fn udp_socket_count(&self) -> usize {
-        self.udp.len()
+        self.endpoints.udp_count()
     }
 
     /// Number of bound TCP sockets.
     pub fn tcp_socket_count(&self) -> usize {
-        self.tcp.len()
+        self.endpoints.tcp_count()
     }
 
     /// Whether a TCP port answers a SYN (the ZMap TCP module's question).
     /// Lazy universes answer from membership alone — no factory is built.
     pub fn tcp_port_open(&self, at: SocketAddr) -> bool {
-        self.tcp.contains_key(&at) || self.lazy.as_ref().is_some_and(|l| l.binder.tcp_open(at))
+        self.endpoints.tcp_open(at)
     }
 
     /// Sends one UDP datagram from `src` to `dst` and returns the responses
@@ -628,250 +321,10 @@ impl Network {
         }
     }
 
-    /// The shared fault pipeline: one flight of datagrams from `src` to
-    /// `dst`, each datagram run through the exact per-datagram fault-draw
-    /// sequence of the classic single-send path (same salts, same per-flow
-    /// sequence numbers — a batch of N is byte-equivalent to N single
-    /// sends). What batching changes is the constant work: one profile
-    /// lookup, one endpoint-table lookup, and at most one service-mutex
-    /// acquisition per flight instead of per packet. The sending shard's
-    /// clock advances, its cached flow counters are consumed (read through
-    /// from the shared table on first touch) and its `locks` count the
-    /// service-mutex traffic.
-    #[allow(clippy::too_many_arguments)]
-    fn udp_flight<'p>(
-        &self,
-        src: SocketAddr,
-        dst: SocketAddr,
-        flight: impl Iterator<Item = &'p [u8]>,
-        out: &mut Vec<Vec<u8>>,
-        local: &mut LocalStats,
-        mut trace: Option<&mut TraceCtx>,
-        clock: &ShardClock,
-        flow_seq: &mut FastMap<(SocketAddr, SocketAddr), u64>,
-        locks: &mut LockCounters,
-    ) -> FlightStatus {
-        // Append-style: replies land after whatever the caller already holds
-        // in `out`, so multi-send drivers can accumulate a flight's replies.
-        let profile = *self.path_profile(dst.ip);
-        let mut status = FlightStatus::default();
-        // Flight-constant state, resolved lazily and at most once.
-        let mut service: Option<&Mutex<Box<dyn UdpService>>> = None;
-        let mut lazy_service: Option<Arc<Mutex<Box<dyn UdpService>>>> = None;
-        let mut service_resolved = false;
-        let mut guard: Option<MutexGuard<'_, Box<dyn UdpService>>> = None;
-        let mut flow: Option<u64> = None;
-        let crosses_shard = EndpointTable::route(&dst) != EndpointTable::route(&src);
-
-        for payload in flight {
-            local.record_send(payload.len());
-
-            // Fast path: unimpaired link — no flow-counter lookup, no draws.
-            if profile.is_ideal() {
-                let start = out.len();
-                if self.deliver_in_flight(
-                    src,
-                    dst,
-                    payload,
-                    out,
-                    false,
-                    &mut service,
-                    &mut lazy_service,
-                    &mut service_resolved,
-                    &mut guard,
-                    crosses_shard,
-                    clock.now(),
-                    locks,
-                ) {
-                    clock.advance(self.rtt);
-                }
-                for r in &out[start..] {
-                    local.record_recv(r.len());
-                }
-                continue;
-            }
-
-            if profile.unreachable {
-                local.record_drop();
-                if let Some(t) = trace.as_deref_mut() {
-                    t.fault(FaultKind::Unreachable);
-                }
-                status.unreachable = true;
-                continue;
-            }
-            if profile.mtu.is_some_and(|mtu| payload.len() > mtu) {
-                // PMTUD black hole: indistinguishable from loss for the
-                // sender.
-                local.record_drop();
-                if let Some(t) = trace.as_deref_mut() {
-                    t.fault(FaultKind::MtuDrop);
-                }
-                continue;
-            }
-
-            let flow = *flow.get_or_insert_with(|| fault::flow_hash(src, dst));
-            let seq = flow_seq
-                .entry((src, dst))
-                .or_insert_with(|| self.peek_flow_seq(src, dst, flow));
-            let seq = std::mem::replace(seq, *seq + 1);
-
-            if let Some(rl) = profile.rate_limit {
-                if seq >= u64::from(rl.burst)
-                    && fault::hit(self.seed, flow, seq, fault::SALT_RATE, rl.drop_permille)
-                {
-                    local.record_drop();
-                    if let Some(t) = trace.as_deref_mut() {
-                        t.fault(FaultKind::RateLimited);
-                    }
-                    status.throttled = true;
-                    continue;
-                }
-            }
-            if fault::hit(
-                self.seed,
-                flow,
-                seq,
-                fault::SALT_FWD_LOSS,
-                profile.loss_permille,
-            ) {
-                local.record_drop();
-                if let Some(t) = trace.as_deref_mut() {
-                    t.fault(FaultKind::ForwardLoss);
-                }
-                continue;
-            }
-
-            let duplicated =
-                fault::hit(self.seed, flow, seq, fault::SALT_DUP, profile.dup_permille);
-            if duplicated {
-                if let Some(t) = trace.as_deref_mut() {
-                    t.fault(FaultKind::Duplicated);
-                }
-            }
-            let start = out.len();
-            if self.deliver_in_flight(
-                src,
-                dst,
-                payload,
-                out,
-                duplicated,
-                &mut service,
-                &mut lazy_service,
-                &mut service_resolved,
-                &mut guard,
-                crosses_shard,
-                clock.now(),
-                locks,
-            ) {
-                let jitter_us = if profile.jitter_us > 0 {
-                    fault::draw(self.seed, flow, seq, fault::SALT_JITTER) % (profile.jitter_us + 1)
-                } else {
-                    0
-                };
-                if jitter_us > 0 {
-                    if let Some(t) = trace.as_deref_mut() {
-                        t.fault(FaultKind::Jitter(jitter_us));
-                    }
-                }
-                clock.advance(self.rtt + Duration::from_micros(jitter_us));
-            }
-
-            // Reply-path loss: one independent draw per reply datagram of
-            // *this* datagram's slice (`start..`).
-            let mut write = start;
-            for (idx, read) in (start..out.len()).enumerate() {
-                let salt =
-                    fault::SALT_REPLY_LOSS ^ (idx as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                if fault::hit(self.seed, flow, seq, salt, profile.loss_permille) {
-                    local.record_drop();
-                    if let Some(t) = trace.as_deref_mut() {
-                        t.fault(FaultKind::ReplyLoss);
-                    }
-                } else {
-                    local.record_recv(out[read].len());
-                    out.swap(write, read);
-                    write += 1;
-                }
-            }
-            out.truncate(write);
-            if out.len() - start >= 2
-                && fault::hit(
-                    self.seed,
-                    flow,
-                    seq,
-                    fault::SALT_REORDER,
-                    profile.reorder_permille,
-                )
-            {
-                out.swap(start, start + 1);
-                if let Some(t) = trace.as_deref_mut() {
-                    t.fault(FaultKind::Reordered);
-                }
-            }
-        }
-        status
-    }
-
-    /// Delivers `payload` to the service bound at `dst` (twice when
-    /// `duplicate`), queuing replies into `out`; returns whether a service
-    /// was bound there. The endpoint lookup and mutex acquisition are cached
-    /// across one flight via the `service`/`guard` slots.
-    #[allow(clippy::too_many_arguments)]
-    fn deliver_in_flight<'n>(
-        &'n self,
-        src: SocketAddr,
-        dst: SocketAddr,
-        payload: &[u8],
-        out: &mut Vec<Vec<u8>>,
-        duplicate: bool,
-        service: &mut Option<&'n Mutex<Box<dyn UdpService>>>,
-        lazy_service: &mut Option<Arc<Mutex<Box<dyn UdpService>>>>,
-        service_resolved: &mut bool,
-        guard: &mut Option<MutexGuard<'n, Box<dyn UdpService>>>,
-        crosses_shard: bool,
-        now: SimTime,
-        locks: &mut LockCounters,
-    ) -> bool {
-        if !*service_resolved {
-            *service = self.udp.get(&dst);
-            if service.is_none() {
-                // Static tables miss: consult the lazy binder (no-op on
-                // fully materialized networks). The Arc handle is cached
-                // for the flight, pinning the endpoint against eviction.
-                *lazy_service = self.lazy_udp_service(&dst);
-            }
-            *service_resolved = true;
-        }
-        let mut lazy_guard;
-        let g: &mut dyn UdpService = if let Some(svc) = *service {
-            &mut ***guard.get_or_insert_with(|| locks.lock(svc))
-        } else if let Some(svc) = lazy_service.as_ref() {
-            // Lazy endpoints lock per delivered datagram (the guard cannot
-            // borrow from the flight-local Arc slot): `acquired` counts
-            // acquisitions, still schedule-deterministic.
-            lazy_guard = locks.lock(svc);
-            &mut **lazy_guard
-        } else {
-            return false;
-        };
-        if crosses_shard {
-            locks.cross_shard += 1;
-        }
-        let mut ctx = ServiceCtx { now, replies: out };
-        g.on_datagram(&mut ctx, src, payload);
-        if duplicate {
-            g.on_datagram(&mut ctx, src, payload);
-        }
-        true
-    }
-
     /// Opens a TCP connection; `None` models RST/closed port. The returned
     /// stream drives the handler synchronously.
     pub fn tcp_connect(&self, src: SocketAddr, dst: SocketAddr) -> Option<TcpStream<'_>> {
-        let handler = match self.tcp.get(&dst) {
-            Some(factory) => factory.accept(src),
-            None => self.lazy_tcp_factory(&dst)?.accept(src),
-        };
+        let handler = self.endpoints.tcp_accept(&dst, src)?;
         self.stats.record_send(40); // SYN
         self.stats.record_recv(40); // SYN/ACK
         self.clock.advance(self.rtt);
@@ -927,14 +380,13 @@ impl NetShard<'_> {
     }
 
     /// Sends one datagram and reports what the sender could observe about
-    /// the attempt (see [`SendStatus`]): silent loss and unbound ports look
-    /// like [`SendStatus::Sent`] with no replies, while ICMP-unreachable
-    /// signaling and rate-limiter pushback are surfaced. Replies are
-    /// *appended* to `out`. With `trace`, every fault the path injects is
-    /// recorded as a [`FaultKind`] event; fault draws are flow-sequence
-    /// keyed, so a traced flow sees the same events at any worker count
-    /// (`None` costs one branch per fault site, nothing on the ideal fast
-    /// path).
+    /// the attempt (see [`FlightStatus`]): silent loss and unbound ports
+    /// leave it clear with no replies, while ICMP-unreachable signaling and
+    /// rate-limiter pushback are surfaced. Replies are *appended* to `out`.
+    /// With `trace`, every fault the path injects is recorded as a
+    /// [`FaultKind`] event; fault draws are flow-sequence keyed, so a traced
+    /// flow sees the same events at any worker count (`None` costs one
+    /// branch per fault site, nothing on the ideal fast path).
     pub fn udp_send_status(
         &mut self,
         src: SocketAddr,
@@ -942,9 +394,8 @@ impl NetShard<'_> {
         payload: &[u8],
         out: &mut Vec<Vec<u8>>,
         trace: Option<&mut TraceCtx>,
-    ) -> SendStatus {
+    ) -> FlightStatus {
         self.flight(src, dst, std::iter::once(payload), out, trace)
-            .into_send_status()
     }
 
     /// [`NetShard::udp_send_status`] with the status discarded — the
@@ -1002,25 +453,163 @@ impl NetShard<'_> {
         arena.replies.drain(..)
     }
 
+    /// The shared fault pipeline: one flight of datagrams from `src` to
+    /// `dst`, each datagram run through the exact per-datagram fault-draw
+    /// sequence of the classic single-send path (same salts, same per-flow
+    /// sequence numbers — a batch of N is byte-equivalent to N single
+    /// sends). What batching changes is the constant work: one profile
+    /// lookup, one endpoint lookup, and at most one service-mutex
+    /// acquisition per flight instead of per packet. The shard's clock
+    /// advances, its cached flow counters are consumed (read through from
+    /// the shared table on first touch) and its `locks` count the
+    /// service-mutex traffic.
     fn flight<'p>(
         &mut self,
         src: SocketAddr,
         dst: SocketAddr,
         flight: impl Iterator<Item = &'p [u8]>,
         out: &mut Vec<Vec<u8>>,
-        trace: Option<&mut TraceCtx>,
+        mut trace: Option<&mut TraceCtx>,
     ) -> FlightStatus {
-        self.net.udp_flight(
+        // Append-style: replies land after whatever the caller already holds
+        // in `out`, so multi-send drivers can accumulate a flight's replies.
+        let net = self.net;
+        let profile = *net.path_profile(dst.ip);
+        let mut status = FlightStatus::default();
+        // The flight's one endpoint slot, filled at its first delivery.
+        let endpoint = OnceCell::new();
+        let mut delivery = Delivery {
+            net,
             src,
             dst,
-            flight,
-            out,
-            &mut self.local,
-            trace,
-            &self.clock,
-            &mut self.flow_seq,
-            &mut self.locks,
-        )
+            crosses_shard: route(&dst) != route(&src),
+            endpoint: &endpoint,
+            guard: None,
+        };
+        let mut flow: Option<u64> = None;
+
+        for payload in flight {
+            self.local.record_send(payload.len());
+
+            // Fast path: unimpaired link — no flow-counter lookup, no draws.
+            if profile.is_ideal() {
+                let start = out.len();
+                if delivery.deliver(payload, out, false, self.clock.now(), &mut self.locks) {
+                    self.clock.advance(net.rtt);
+                }
+                for r in &out[start..] {
+                    self.local.record_recv(r.len());
+                }
+                continue;
+            }
+
+            if profile.unreachable {
+                self.local.record_drop();
+                if let Some(t) = trace.as_deref_mut() {
+                    t.fault(FaultKind::Unreachable);
+                }
+                status.unreachable = true;
+                continue;
+            }
+            if profile.mtu.is_some_and(|mtu| payload.len() > mtu) {
+                // PMTUD black hole: indistinguishable from loss for the
+                // sender.
+                self.local.record_drop();
+                if let Some(t) = trace.as_deref_mut() {
+                    t.fault(FaultKind::MtuDrop);
+                }
+                continue;
+            }
+
+            let flow = *flow.get_or_insert_with(|| fault::flow_hash(src, dst));
+            let seq = self
+                .flow_seq
+                .entry((src, dst))
+                .or_insert_with(|| net.peek_flow_seq(src, dst, flow));
+            let seq = std::mem::replace(seq, *seq + 1);
+
+            if let Some(rl) = profile.rate_limit {
+                if seq >= u64::from(rl.burst)
+                    && fault::hit(net.seed, flow, seq, fault::SALT_RATE, rl.drop_permille)
+                {
+                    self.local.record_drop();
+                    if let Some(t) = trace.as_deref_mut() {
+                        t.fault(FaultKind::RateLimited);
+                    }
+                    status.throttled = true;
+                    continue;
+                }
+            }
+            if fault::hit(
+                net.seed,
+                flow,
+                seq,
+                fault::SALT_FWD_LOSS,
+                profile.loss_permille,
+            ) {
+                self.local.record_drop();
+                if let Some(t) = trace.as_deref_mut() {
+                    t.fault(FaultKind::ForwardLoss);
+                }
+                continue;
+            }
+
+            let duplicated = fault::hit(net.seed, flow, seq, fault::SALT_DUP, profile.dup_permille);
+            if duplicated {
+                if let Some(t) = trace.as_deref_mut() {
+                    t.fault(FaultKind::Duplicated);
+                }
+            }
+            let start = out.len();
+            if delivery.deliver(payload, out, duplicated, self.clock.now(), &mut self.locks) {
+                let jitter_us = if profile.jitter_us > 0 {
+                    fault::draw(net.seed, flow, seq, fault::SALT_JITTER) % (profile.jitter_us + 1)
+                } else {
+                    0
+                };
+                if jitter_us > 0 {
+                    if let Some(t) = trace.as_deref_mut() {
+                        t.fault(FaultKind::Jitter(jitter_us));
+                    }
+                }
+                self.clock
+                    .advance(net.rtt + Duration::from_micros(jitter_us));
+            }
+
+            // Reply-path loss: one independent draw per reply datagram of
+            // *this* datagram's slice (`start..`).
+            let mut write = start;
+            for (idx, read) in (start..out.len()).enumerate() {
+                let salt =
+                    fault::SALT_REPLY_LOSS ^ (idx as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                if fault::hit(net.seed, flow, seq, salt, profile.loss_permille) {
+                    self.local.record_drop();
+                    if let Some(t) = trace.as_deref_mut() {
+                        t.fault(FaultKind::ReplyLoss);
+                    }
+                } else {
+                    self.local.record_recv(out[read].len());
+                    out.swap(write, read);
+                    write += 1;
+                }
+            }
+            out.truncate(write);
+            if out.len() - start >= 2
+                && fault::hit(
+                    net.seed,
+                    flow,
+                    seq,
+                    fault::SALT_REORDER,
+                    profile.reorder_permille,
+                )
+            {
+                out.swap(start, start + 1);
+                if let Some(t) = trace.as_deref_mut() {
+                    t.fault(FaultKind::Reordered);
+                }
+            }
+        }
+        status
     }
 
     /// Merges every piece of private state back into the shared network:
@@ -1053,6 +642,55 @@ impl Drop for NetShard<'_> {
         // already sent are on the wire, so the shared counters must see
         // them (mirrors the abort-path flush the sweep engine relies on).
         self.merge();
+    }
+}
+
+/// One flight's way to its destination endpoint: looked up at the flight's
+/// first delivery and locked then, both at most once per flight. The
+/// endpoint handle sits in the flight's `endpoint` slot, so the guard can
+/// borrow from it whether the endpoint is bound or lazily resident (a lazy
+/// handle also pins its endpoint against eviction until the flight ends).
+struct Delivery<'e> {
+    net: &'e Network,
+    src: SocketAddr,
+    dst: SocketAddr,
+    crosses_shard: bool,
+    endpoint: &'e OnceCell<Option<UdpEndpoint<'e>>>,
+    guard: Option<MutexGuard<'e, Box<dyn UdpService>>>,
+}
+
+impl Delivery<'_> {
+    /// Delivers `payload` (twice when `duplicate`), queuing replies into
+    /// `out`; returns whether an endpoint lives at `dst`.
+    fn deliver(
+        &mut self,
+        payload: &[u8],
+        out: &mut Vec<Vec<u8>>,
+        duplicate: bool,
+        now: SimTime,
+        locks: &mut LockCounters,
+    ) -> bool {
+        if self.guard.is_none() {
+            // `get` + `set` rather than `get_or_init`, whose initializing
+            // path is `#[cold]` — and initializing is every probe's path.
+            if self.endpoint.get().is_none() {
+                let _ = self.endpoint.set(self.net.endpoints.udp(&self.dst));
+            }
+            let Some(Some(endpoint)) = self.endpoint.get() else {
+                return false;
+            };
+            self.guard = Some(locks.lock(endpoint.service()));
+        }
+        let service = self.guard.as_mut().expect("locked above");
+        if self.crosses_shard {
+            locks.cross_shard += 1;
+        }
+        let mut ctx = ServiceCtx { now, replies: out };
+        service.on_datagram(&mut ctx, self.src, payload);
+        if duplicate {
+            service.on_datagram(&mut ctx, self.src, payload);
+        }
+        true
     }
 }
 
@@ -1107,6 +745,19 @@ impl TcpStream<'_> {
 mod tests {
     use super::*;
     use crate::addr::Ipv4Addr;
+
+    const SENT: FlightStatus = FlightStatus {
+        unreachable: false,
+        throttled: false,
+    };
+    const UNREACHABLE: FlightStatus = FlightStatus {
+        unreachable: true,
+        ..SENT
+    };
+    const THROTTLED: FlightStatus = FlightStatus {
+        throttled: true,
+        ..SENT
+    };
 
     struct Echo;
     impl UdpService for Echo {
@@ -1244,10 +895,10 @@ mod tests {
         let mut shard = net.shard();
         let mut out = Vec::new();
         let status = shard.udp_send_status(addr(9, 1), addr(1, 443), b"x", &mut out, None);
-        assert_eq!(status, crate::fault::SendStatus::Unreachable);
+        assert_eq!(status, UNREACHABLE);
         assert!(out.is_empty());
         let status = shard.udp_send_status(addr(9, 1), addr(2, 443), b"ab", &mut out, None);
-        assert_eq!(status, crate::fault::SendStatus::Sent);
+        assert_eq!(status, SENT);
         assert_eq!(out, vec![b"ba".to_vec()]);
     }
 
@@ -1266,7 +917,7 @@ mod tests {
         let mut out = Vec::new();
         // Over the MTU: silently dropped, indistinguishable from loss.
         let status = shard.udp_send_status(addr(9, 1), addr(1, 443), b"12345", &mut out, None);
-        assert_eq!(status, crate::fault::SendStatus::Sent);
+        assert_eq!(status, SENT);
         assert!(out.is_empty());
         // At the MTU: delivered.
         shard.udp_send_status(addr(9, 1), addr(1, 443), b"1234", &mut out, None);
@@ -1293,15 +944,11 @@ mod tests {
         for _ in 0..16 {
             statuses.push(shard.udp_send_status(addr(9, 1), addr(1, 443), b"x", &mut out, None));
         }
-        assert!(statuses[..8]
-            .iter()
-            .all(|s| *s == crate::fault::SendStatus::Sent));
-        assert!(statuses[8..]
-            .iter()
-            .all(|s| *s == crate::fault::SendStatus::Throttled));
+        assert!(statuses[..8].iter().all(|s| *s == SENT));
+        assert!(statuses[8..].iter().all(|s| *s == THROTTLED));
         // A fresh flow gets its own burst allowance.
         let status = shard.udp_send_status(addr(9, 2), addr(1, 443), b"x", &mut out, None);
-        assert_eq!(status, crate::fault::SendStatus::Sent);
+        assert_eq!(status, SENT);
     }
 
     #[test]
@@ -1365,7 +1012,7 @@ mod tests {
         let mut trace = TraceCtx::new(2, "10.0.0.2:443", None);
         let status =
             shard.udp_send_status(addr(9, 1), addr(2, 443), b"x", &mut out, Some(&mut trace));
-        assert_eq!(status, crate::fault::SendStatus::Unreachable);
+        assert_eq!(status, UNREACHABLE);
         let events = trace.finish();
         assert!(matches!(
             events[0].kind,
@@ -1438,11 +1085,9 @@ mod tests {
         let mut singles = Vec::new();
         let mut folded = FlightStatus::default();
         for d in &flight {
-            match shard.udp_send_status(addr(9, 7), addr(1, 443), d, &mut out, None) {
-                SendStatus::Unreachable => folded.unreachable = true,
-                SendStatus::Throttled => folded.throttled = true,
-                SendStatus::Sent => {}
-            }
+            let status = shard.udp_send_status(addr(9, 7), addr(1, 443), d, &mut out, None);
+            folded.unreachable |= status.unreachable;
+            folded.throttled |= status.throttled;
             singles.append(&mut out);
         }
         let t_singles = shard.now();
@@ -1535,7 +1180,7 @@ mod tests {
         let c = shard.finish();
         assert_eq!(c.acquired, 2, "one per delivered flight");
         assert_eq!(c.contended, 0, "single worker never contends");
-        let crosses = EndpointTable::route(&addr(9, 7)) != EndpointTable::route(&addr(1, 443));
+        let crosses = route(&addr(9, 7)) != route(&addr(1, 443));
         assert_eq!(c.cross_shard, if crosses { 11 } else { 0 });
     }
 
@@ -1594,243 +1239,6 @@ mod tests {
         assert!(a > base && a <= base + 10 * 5000, "elapsed {a}");
         assert_eq!(a, elapsed(1));
         assert_ne!(a, elapsed(2));
-    }
-}
-
-#[cfg(test)]
-mod lazy_tests {
-    use super::*;
-    use crate::addr::Ipv4Addr;
-
-    fn addr(last: u8, port: u16) -> SocketAddr {
-        SocketAddr::new(Ipv4Addr::new(10, 0, 0, last), port)
-    }
-
-    struct Echo;
-    impl UdpService for Echo {
-        fn on_datagram(&mut self, ctx: &mut ServiceCtx<'_>, _from: SocketAddr, data: &[u8]) {
-            let mut out = data.to_vec();
-            out.reverse();
-            ctx.reply(out);
-        }
-    }
-
-    struct Hello;
-    impl TcpHandler for Hello {
-        fn on_data(&mut self, _: &mut ServiceCtx<'_>, d: &[u8], out: &mut Vec<u8>) -> TcpAction {
-            out.extend_from_slice(b"hi ");
-            out.extend_from_slice(d);
-            TcpAction::Close
-        }
-    }
-
-    /// Binds an Echo on every odd last-octet :443 address, TCP on octets
-    /// divisible by 4 — a pure function of the address, as required.
-    struct OddEcho;
-    impl LazyBinder for OddEcho {
-        fn make_udp(&self, at: SocketAddr) -> Option<Box<dyn UdpService>> {
-            match at.ip {
-                IpAddr::V4(v4) if at.port == 443 && v4.octets()[3] % 2 == 1 => Some(Box::new(Echo)),
-                _ => None,
-            }
-        }
-        fn make_tcp(&self, at: SocketAddr) -> Option<Box<dyn TcpFactory>> {
-            struct F;
-            impl TcpFactory for F {
-                fn accept(&self, _from: SocketAddr) -> Box<dyn TcpHandler> {
-                    Box::new(Hello)
-                }
-            }
-            self.tcp_open(at)
-                .then(|| Box::new(F) as Box<dyn TcpFactory>)
-        }
-        fn tcp_open(&self, at: SocketAddr) -> bool {
-            matches!(at.ip, IpAddr::V4(v4) if at.port == 443 && v4.octets()[3] % 4 == 0)
-        }
-    }
-
-    /// A lazily bound network answers byte-identically to the same
-    /// population bound statically, including under an impaired profile.
-    #[test]
-    fn lazy_matches_static_binding() {
-        let profile = LinkProfile::lossy(250);
-        let run = |lazy: bool| {
-            let mut net = Network::new(0x1a2);
-            net.set_default_profile(profile);
-            if lazy {
-                net.set_lazy_binder(Box::new(OddEcho), None);
-            } else {
-                for last in (1..=99u8).step_by(2) {
-                    net.bind_udp(addr(last, 443), Box::new(Echo));
-                }
-            }
-            let mut shard = net.shard();
-            let mut out = Vec::new();
-            let mut log = Vec::new();
-            for last in 1..=100u8 {
-                for probe in 0..3u16 {
-                    out.clear();
-                    let (src, dst) = (addr(200, 9000 + probe), addr(last, 443));
-                    let status = shard.udp_send_status(src, dst, b"ping", &mut out, None);
-                    log.push((status, out.clone()));
-                }
-            }
-            log
-        };
-        assert_eq!(run(false), run(true));
-    }
-
-    /// Sharded sends hit the lazy path too, and endpoint state persists
-    /// across contacts when no capacity bound is set.
-    #[test]
-    fn lazy_endpoints_keep_state_without_eviction() {
-        let mut net = Network::new(7);
-        net.set_lazy_binder(Box::new(OddEcho), None);
-        let mut shard = net.shard();
-        let mut out = Vec::new();
-        for _ in 0..5 {
-            out.clear();
-            shard.udp_send_into(addr(9, 7), addr(1, 443), b"ab", &mut out);
-            assert_eq!(out, vec![b"ba".to_vec()]);
-        }
-        // Misses (even octet) instantiate nothing.
-        out.clear();
-        shard.udp_send_into(addr(9, 7), addr(2, 443), b"ab", &mut out);
-        assert!(out.is_empty());
-        shard.finish();
-        let stats = net.lazy_stats().expect("binder installed");
-        assert_eq!(stats.resident, 1, "one endpoint contacted");
-        assert_eq!(stats.instantiated, 1, "cache hit on re-contact");
-        assert_eq!(stats.evicted, 0);
-    }
-
-    /// A residency cap bounds the working set: sweeping many endpoints
-    /// evicts FIFO, and a re-contacted endpoint is rebuilt identically.
-    #[test]
-    fn capacity_bounds_resident_endpoints() {
-        let mut net = Network::new(7);
-        net.set_lazy_binder(Box::new(OddEcho), Some(8));
-        for last in (1..=199u8).step_by(2) {
-            assert_eq!(
-                net.udp_send(addr(200, 9), addr(last, 443), b"xy"),
-                vec![b"yx".to_vec()]
-            );
-        }
-        let stats = net.lazy_stats().expect("binder installed");
-        assert_eq!(stats.instantiated, 100);
-        assert!(
-            stats.resident <= 9,
-            "resident {} exceeds cap",
-            stats.resident
-        );
-        assert!(stats.peak_resident <= 9, "peak {}", stats.peak_resident);
-        assert_eq!(stats.evicted as usize, 100 - stats.resident);
-        // An evicted endpoint comes back on demand.
-        assert_eq!(
-            net.udp_send(addr(200, 9), addr(1, 443), b"ab"),
-            vec![b"ba".to_vec()]
-        );
-    }
-
-    /// An evicted endpoint is torn down with neither the recency queue nor
-    /// its cache shard locked: its destructor can be arbitrarily expensive,
-    /// and every other worker's instantiation takes the queue lock.
-    #[test]
-    fn evicted_endpoints_drop_outside_the_cache_locks() {
-        use std::sync::{OnceLock, Weak};
-
-        struct Probe {
-            at: SocketAddr,
-            net: Arc<OnceLock<Weak<Network>>>,
-            locked_drops: Arc<AtomicUsize>,
-        }
-        impl UdpService for Probe {
-            fn on_datagram(&mut self, ctx: &mut ServiceCtx<'_>, _f: SocketAddr, d: &[u8]) {
-                ctx.reply(d.to_vec());
-            }
-        }
-        impl Drop for Probe {
-            fn drop(&mut self) {
-                let Some(net) = self.net.get().and_then(Weak::upgrade) else {
-                    return;
-                };
-                let lazy = net.lazy.as_ref().expect("binder installed");
-                let shard = &lazy.shards[EndpointTable::route(&self.at)].0;
-                if lazy.order.try_lock().is_none() || shard.try_lock().is_none() {
-                    self.locked_drops.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-        struct Probes(Arc<OnceLock<Weak<Network>>>, Arc<AtomicUsize>);
-        impl LazyBinder for Probes {
-            fn make_udp(&self, at: SocketAddr) -> Option<Box<dyn UdpService>> {
-                Some(Box::new(Probe {
-                    at,
-                    net: self.0.clone(),
-                    locked_drops: self.1.clone(),
-                }))
-            }
-            fn make_tcp(&self, _at: SocketAddr) -> Option<Box<dyn TcpFactory>> {
-                None
-            }
-        }
-
-        let (cell, locked_drops) = (Arc::new(OnceLock::new()), Arc::new(AtomicUsize::new(0)));
-        let mut net = Network::new(7);
-        net.set_lazy_binder(
-            Box::new(Probes(cell.clone(), locked_drops.clone())),
-            Some(4),
-        );
-        let net = Arc::new(net);
-        cell.set(Arc::downgrade(&net)).expect("set once");
-        for last in 1..=40u8 {
-            net.udp_send(addr(200, 9), addr(last, 443), b"xy");
-        }
-        assert_eq!(net.lazy_stats().expect("binder installed").evicted, 36);
-        assert_eq!(locked_drops.load(Ordering::Relaxed), 0);
-    }
-
-    /// Static bindings shadow the binder; the binder only fills misses.
-    #[test]
-    fn static_bindings_win_over_binder() {
-        struct Upper;
-        impl UdpService for Upper {
-            fn on_datagram(&mut self, ctx: &mut ServiceCtx<'_>, _f: SocketAddr, d: &[u8]) {
-                ctx.reply(d.to_ascii_uppercase());
-            }
-        }
-        let mut net = Network::new(7);
-        net.bind_udp(addr(1, 443), Box::new(Upper));
-        net.set_lazy_binder(Box::new(OddEcho), None);
-        assert_eq!(
-            net.udp_send(addr(9, 1), addr(1, 443), b"ab"),
-            vec![b"AB".to_vec()]
-        );
-        assert_eq!(
-            net.udp_send(addr(9, 1), addr(3, 443), b"ab"),
-            vec![b"ba".to_vec()]
-        );
-        assert_eq!(net.lazy_stats().unwrap().resident, 1);
-    }
-
-    /// TCP consults the binder for both the SYN question and connects, and
-    /// caches the factory (connection counters survive).
-    #[test]
-    fn lazy_tcp_port_and_connect() {
-        let mut net = Network::new(7);
-        net.set_lazy_binder(Box::new(OddEcho), None);
-        assert!(net.tcp_port_open(addr(4, 443)));
-        assert!(!net.tcp_port_open(addr(5, 443)));
-        assert_eq!(
-            net.lazy_stats().unwrap().tcp_resident,
-            0,
-            "port check builds nothing"
-        );
-        assert!(net.tcp_connect(addr(9, 1), addr(5, 443)).is_none());
-        let mut conn = net.tcp_connect(addr(9, 1), addr(4, 443)).expect("open");
-        conn.write(b"there");
-        assert_eq!(conn.read(), b"hi there");
-        assert_eq!(net.lazy_stats().unwrap().tcp_resident, 1);
     }
 }
 

@@ -93,11 +93,6 @@ impl Histogram {
         }
         u64::MAX
     }
-
-    /// Per-bucket counts (last entry is the overflow bucket).
-    pub fn bucket_counts(&self) -> &[u64] {
-        &self.counts
-    }
 }
 
 impl Default for Histogram {

@@ -10,7 +10,7 @@
 //! every live connection one round per pass, so at any instant a worker
 //! holds at most [`MuxConfig::active_per_worker`] of them, while the server
 //! endpoints shed finished connections through the idle-aware soft cap
-//! ([`quic::server::EndpointConfig::max_conns`]).
+//! ([`quic::server::DEFAULT_MAX_CONNS`]).
 //!
 //! The connection itself — handshake, control stream, one `GET /bulk/<n>`
 //! per stream, the poll → seal → exchange → dispatch round, body validation,

@@ -179,11 +179,6 @@ impl DataSender {
         s.urgency = urgency.min(URGENCY_BUCKETS as u8 - 1);
     }
 
-    /// The active scheduling policy's name (reports/telemetry).
-    pub fn scheduler_name(&self) -> &'static str {
-        self.sched.name()
-    }
-
     /// Overrides the stream bytes packed per packet. The RTC workload sets
     /// this to one whole frame so a frame maps to one simulated exchange
     /// (the simnet charges virtual time per datagram, not per byte).
@@ -564,11 +559,6 @@ impl DataSender {
     /// The congestion controller (telemetry/tests).
     pub fn cc(&self) -> &dyn CongestionController {
         self.cc.as_ref()
-    }
-
-    /// The smoothed RTT estimate (µs).
-    pub fn smoothed_rtt_us(&self) -> u64 {
-        self.recovery.rtt().smoothed_us()
     }
 }
 

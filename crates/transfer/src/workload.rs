@@ -43,8 +43,8 @@ pub const RTC_FRAME_INTERVAL_US: u64 = 33_333;
 /// is retransmission headroom.
 pub const RTC_PACE_PPS: u64 = 35;
 /// Clients per server host lifetime — kept far under the endpoint's
-/// connection cap so FIFO eviction (an interleaving-dependent effect) can
-/// never trigger.
+/// connection cap so evicting the least recently active finished connection
+/// (an interleaving-dependent effect) can never trigger.
 const CLIENTS_PER_HOST: usize = 32;
 /// Safety cap on client drive rounds per connection.
 const MAX_ROUNDS: usize = 4_096;

@@ -6,7 +6,6 @@
 //! without it).
 
 use qcodec::Writer;
-use quic::packet::{ConnectionId, Packet, PacketType};
 use quic::version::Version;
 use simnet::SocketAddr;
 
@@ -143,19 +142,10 @@ pub fn parse_version_negotiation(datagram: &[u8]) -> Option<Vec<Version>> {
     (!versions.is_empty()).then_some(versions)
 }
 
-/// Convenience used in tests: decodes through the full packet parser too.
-pub fn is_version_negotiation(pkt: &Packet) -> bool {
-    pkt.ty == PacketType::VersionNegotiation
-}
-
-/// The probe's DCID for logging (mirrors `build_probe`).
-pub fn probe_dcid(seed: u64, i: u64) -> ConnectionId {
-    ConnectionId::new(&(seed ^ i.wrapping_mul(DCID_MULT)).to_be_bytes())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use quic::packet::ConnectionId;
 
     #[test]
     fn probe_shape() {
