@@ -316,7 +316,6 @@ impl LazyUniverse {
                     close_reason: impl_info.close_reason.to_string(),
                     cid_len: 8,
                     use_retry: false,
-                    app_session_factory: None,
                 });
             }
         }

@@ -1,6 +1,7 @@
-//! Glue between the protocol stacks and the simulated network: a QUIC+HTTP/3
-//! host as a [`simnet::UdpService`], and an HTTPS (TLS-over-TCP + HTTP/1.1)
-//! host as a [`simnet::TcpFactory`].
+//! Glue between the protocol stacks and the simulated network: a QUIC host
+//! as a [`simnet::UdpService`] (HTTP/3 here, or any [`AppSession`] — the
+//! `transfer` data plane binds its hosts the same way), and an HTTPS
+//! (TLS-over-TCP + HTTP/1.1) host as a [`simnet::TcpFactory`].
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -11,7 +12,7 @@ use rand::{RngCore, SeedableRng};
 
 use h3::qpack::Header;
 use h3::request;
-use quic::server::{Endpoint, EndpointConfig, StreamHandler, StreamSend};
+use quic::server::{AppSession, Endpoint, EndpointConfig, StreamHandler, StreamSend};
 use simnet::{ServiceCtx, SocketAddr, TcpAction, TcpFactory, TcpHandler, UdpService};
 
 /// What the HTTP layers of a host answer with.
@@ -103,13 +104,14 @@ impl StreamHandler for H3App {
     }
 }
 
-/// A QUIC host bound to UDP 443 in the simulation.
+/// A QUIC host bound to UDP 443 in the simulation; flows are keyed by
+/// source address and port.
 pub struct QuicHost {
     endpoint: Endpoint,
 }
 
 impl QuicHost {
-    /// Builds the host from an endpoint config and HTTP profile.
+    /// Builds an HTTP/3 host from an endpoint config and HTTP profile.
     pub fn new(config: EndpointConfig, profile: HttpProfile, seed: u64) -> Self {
         let profile = Arc::new(profile);
         let endpoint = Endpoint::new(
@@ -118,6 +120,18 @@ impl QuicHost {
             Box::new(move || Box::new(H3App::new(profile.clone()))),
         );
         QuicHost { endpoint }
+    }
+
+    /// Builds a host whose connections run the sessions `session_factory`
+    /// makes (see [`Endpoint::with_sessions`]).
+    pub fn with_sessions(
+        config: EndpointConfig,
+        seed: u64,
+        session_factory: Box<dyn Fn() -> Box<dyn AppSession> + Send>,
+    ) -> Self {
+        QuicHost {
+            endpoint: Endpoint::with_sessions(config, seed, session_factory),
+        }
     }
 }
 

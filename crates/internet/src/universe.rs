@@ -490,7 +490,6 @@ impl Universe {
             close_reason: implementation(h.impl_name).close_reason.to_string(),
             cid_len: 8,
             use_retry: h.use_retry,
-            app_session_factory: None,
         }
     }
 

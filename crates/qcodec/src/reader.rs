@@ -140,22 +140,6 @@ impl<'a> Reader<'a> {
         let n = usize::try_from(n).map_err(|_| CodecError::Invalid("length overflows usize"))?;
         self.read_bytes(n)
     }
-
-    /// Runs `f` against a sub-reader confined to the next `n` bytes, requiring
-    /// that `f` consume the sub-slice exactly.
-    pub fn read_exact_sub<T>(
-        &mut self,
-        n: usize,
-        f: impl FnOnce(&mut Reader<'a>) -> Result<T>,
-    ) -> Result<T> {
-        let sub = self.read_bytes(n)?;
-        let mut r = Reader::new(sub);
-        let out = f(&mut r)?;
-        if !r.is_empty() {
-            return Err(CodecError::Invalid("trailing bytes in sub-structure"));
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -188,16 +172,5 @@ mod tests {
         let mut r = Reader::new(&data);
         assert_eq!(r.read_vec8().unwrap(), &[0xde, 0xad]);
         assert_eq!(r.read_vec16().unwrap(), &[0xbe]);
-    }
-
-    #[test]
-    fn exact_sub_rejects_trailing() {
-        let data = [0x01, 0x02];
-        let mut r = Reader::new(&data);
-        let err = r.read_exact_sub(2, |s| s.read_u8());
-        assert_eq!(
-            err.unwrap_err(),
-            CodecError::Invalid("trailing bytes in sub-structure")
-        );
     }
 }

@@ -46,12 +46,6 @@ impl Writer {
         self.buf.clear();
     }
 
-    /// Consumes the writer's bytes into a fresh `Vec`, leaving the writer
-    /// empty (capacity is surrendered with the returned vector).
-    pub fn take_vec(&mut self) -> Vec<u8> {
-        std::mem::take(&mut self.buf)
-    }
-
     /// Appends a single byte.
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
@@ -198,9 +192,6 @@ mod tests {
         assert!(w.is_empty());
         w.put_u8(9);
         assert_eq!(w.as_slice(), &[9]);
-        let v = w.take_vec();
-        assert_eq!(v, vec![9]);
-        assert!(w.is_empty());
     }
 
     #[test]

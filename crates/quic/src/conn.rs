@@ -215,7 +215,8 @@ pub struct ClientConnection {
     largest_recv: [Option<u64>; 3],
     ack_pending: [bool; 3],
     tx: Vec<Vec<u8>>,
-    crypto_rx: [CryptoReassembler; 3],
+    /// CRYPTO reassembly for the Initial and Handshake spaces.
+    crypto_rx: [CryptoReassembler; 2],
     crypto_tx_pending: Vec<(Level, Vec<u8>)>,
     state: ConnectionState,
     outcome: Option<HandshakeOutcome>,
@@ -240,8 +241,8 @@ pub struct ClientConnection {
     events: Option<Vec<telemetry::EventKind>>,
     /// `Some` once the application data plane took over the 1-RTT space:
     /// decoded app packets are buffered here (see
-    /// [`ClientConnection::enable_app_frames`]) instead of being folded into
-    /// the handshake-era stream/ACK shortcuts.
+    /// [`ClientConnection::enable_app_frames`]) instead of going to
+    /// `streams_rx` with an ACK from the connection.
     app_rx: Option<Vec<AppPacket>>,
     rng: StdRng,
 }
@@ -252,12 +253,6 @@ impl ClientConnection {
         Self::build(config, seed, false, HandshakeScratch::new())
     }
 
-    /// [`ClientConnection::new`] with event tracing enabled from the first
-    /// attempt (so the initial key derivation is captured too).
-    pub fn new_traced(config: ClientConfig, seed: u64) -> Self {
-        Self::build(config, seed, true, HandshakeScratch::new())
-    }
-
     /// [`ClientConnection::new`] taking a worker's warm [`HandshakeScratch`]
     /// buffers; return them with [`ClientConnection::recycle_into`] when the
     /// connection is done.
@@ -265,7 +260,9 @@ impl ClientConnection {
         Self::build(config, seed, false, std::mem::take(scratch))
     }
 
-    /// Traced variant of [`ClientConnection::new_reusing`].
+    /// Traced variant of [`ClientConnection::new_reusing`]: event tracing is
+    /// enabled from the first attempt, so the initial key derivation is
+    /// captured too.
     pub fn new_traced_reusing(
         config: ClientConfig,
         seed: u64,
@@ -550,37 +547,19 @@ impl ClientConnection {
         id
     }
 
-    /// Sends stream data in a 1-RTT packet (connection must be established).
+    /// Sends stream data from offset 0 in one 1-RTT packet (connection must
+    /// be established).
     pub fn send_stream(&mut self, id: u64, data: &[u8], fin: bool) {
-        self.send_stream_at(id, 0, data, fin);
-    }
-
-    /// Sends stream data at an explicit stream offset, returning the packet
-    /// number of the sealed 1-RTT packet so a recovery layer can match it
-    /// against later ACK ranges.
-    pub fn send_stream_at(&mut self, id: u64, offset: u64, data: &[u8], fin: bool) -> u64 {
         assert!(
             self.state == ConnectionState::Established,
             "stream data requires an established connection"
         );
-        let payload = &mut self.scratch.payload;
+        let mut payload = std::mem::take(&mut self.scratch.payload);
         payload.clear();
-        Frame::encode_stream(payload, id, offset, fin, data);
-        let keys = self.seal_app.as_ref().expect("1-RTT keys installed");
-        let mut pkt = self.scratch.pool.pop().unwrap_or_default();
-        pkt.clear();
-        let pn = self.next_pn[SPACE_APP];
-        seal_short_into(
-            &mut pkt,
-            &mut self.scratch.seal,
-            &self.dcid,
-            pn,
-            payload.as_slice(),
-            keys,
-        );
-        self.next_pn[SPACE_APP] += 1;
-        self.tx.push(pkt);
-        pn
+        Frame::encode_stream(&mut payload, id, 0, fin, data);
+        self.send_app_payload(payload.as_slice())
+            .expect("1-RTT keys installed");
+        self.scratch.payload = payload;
     }
 
     /// Seals a pre-encoded frame payload as one 1-RTT packet and queues it,
@@ -708,51 +687,7 @@ impl ClientConnection {
                 self.note_recv(SPACE_HANDSHAKE, pkt.packet_number);
                 self.process_frames(SPACE_HANDSHAKE, Level::Handshake, &pkt.payload);
             }
-            PacketType::OneRtt if self.app_rx.is_some() => {
-                // Data-plane mode: no auto-ACK (note_recv) — the transfer
-                // layer acknowledges with real ranges. Connection-level
-                // frames that end the connection are still honoured here.
-                let frames = match Frame::decode_all(&pkt.payload) {
-                    Ok(f) => f,
-                    Err(_) => {
-                        self.close_with(HandshakeOutcome::ProtocolError("bad frame".into()));
-                        return;
-                    }
-                };
-                // RFC 9000 §13.1, checked against the connection's own
-                // counter (the keepalive PING the data plane sends is
-                // numbered here and recorded in no recovery ledger):
-                // nothing of such a packet reaches the data plane.
-                if Frame::acks_unsent(&frames, self.next_pn[SPACE_APP]) {
-                    self.close_for_violation("ACK for a packet never sent");
-                    return;
-                }
-                for frame in &frames {
-                    match frame {
-                        Frame::HandshakeDone => self.handshake_done = true,
-                        Frame::ConnectionClose {
-                            error_code, reason, ..
-                        } => {
-                            self.close_with(HandshakeOutcome::TransportClose {
-                                code: TransportError(*error_code),
-                                reason: reason.clone(),
-                            });
-                            return;
-                        }
-                        _ => {}
-                    }
-                }
-                if let Some(buf) = &mut self.app_rx {
-                    buf.push(AppPacket {
-                        pn: pkt.packet_number,
-                        frames,
-                    });
-                }
-            }
-            PacketType::OneRtt => {
-                self.note_recv(SPACE_APP, pkt.packet_number);
-                self.process_frames(SPACE_APP, Level::App, &pkt.payload);
-            }
+            PacketType::OneRtt => self.on_app_packet(pkt.packet_number, &pkt.payload),
             PacketType::ZeroRtt | PacketType::Retry => {
                 // Never produced by our servers; ignore.
             }
@@ -827,13 +762,21 @@ impl ClientConnection {
         self.ack_pending[space] = true;
     }
 
+    /// Decodes `payload`, or closes the connection when it does not decode.
+    fn decode_frames(&mut self, payload: &[u8]) -> Option<Vec<Frame>> {
+        let frames = Frame::decode_all(payload).ok();
+        if frames.is_none() {
+            self.close_with(HandshakeOutcome::ProtocolError("bad frame".into()));
+        }
+        frames
+    }
+
+    /// Handles an Initial or Handshake packet's frames: CRYPTO feeds TLS and
+    /// CONNECTION_CLOSE ends the connection; nothing else there concerns
+    /// the client.
     fn process_frames(&mut self, space: usize, level: Level, payload: &[u8]) {
-        let frames = match Frame::decode_all(payload) {
-            Ok(f) => f,
-            Err(_) => {
-                self.close_with(HandshakeOutcome::ProtocolError("bad frame".into()));
-                return;
-            }
+        let Some(frames) = self.decode_frames(payload) else {
+            return;
         };
         for frame in frames {
             match frame {
@@ -853,29 +796,56 @@ impl ClientConnection {
                     });
                     return;
                 }
+                _ => {}
+            }
+        }
+    }
+
+    /// Handles one 1-RTT packet. RFC 9000 §13.1 is checked against the
+    /// connection's own counter (the keepalive PING a data plane sends is
+    /// numbered here and recorded in no recovery ledger), then HANDSHAKE_DONE
+    /// and CONNECTION_CLOSE are handled in wire order; a packet that closes
+    /// the connection reaches no one. Otherwise the data plane keeps it
+    /// whole once [`ClientConnection::enable_app_frames`] was called, and
+    /// acknowledges it itself; before that, its STREAM data is coalesced
+    /// per stream and the connection acknowledges it.
+    fn on_app_packet(&mut self, pn: u64, payload: &[u8]) {
+        let Some(frames) = self.decode_frames(payload) else {
+            return;
+        };
+        if Frame::acks_unsent(&frames, self.next_pn[SPACE_APP]) {
+            self.close_for_violation("ACK for a packet never sent");
+            return;
+        }
+        for frame in &frames {
+            match frame {
                 Frame::HandshakeDone => self.handshake_done = true,
-                Frame::Stream {
-                    id,
-                    offset: _,
-                    fin,
-                    data,
+                Frame::ConnectionClose {
+                    error_code, reason, ..
                 } => {
-                    let entry = self.streams_rx.entry(id).or_insert(StreamRecv {
-                        id,
-                        data: Vec::new(),
-                        fin: false,
+                    self.close_with(HandshakeOutcome::TransportClose {
+                        code: TransportError(*error_code),
+                        reason: reason.clone(),
                     });
-                    entry.data.extend_from_slice(&data);
-                    entry.fin |= fin;
+                    return;
                 }
-                Frame::Padding(_)
-                | Frame::Ping
-                | Frame::Ack { .. }
-                | Frame::MaxData(_)
-                | Frame::MaxStreamData { .. }
-                | Frame::MaxStreams { .. }
-                | Frame::NewConnectionId { .. }
-                | Frame::NewToken { .. } => {}
+                _ => {}
+            }
+        }
+        if let Some(buf) = &mut self.app_rx {
+            buf.push(AppPacket { pn, frames });
+            return;
+        }
+        self.note_recv(SPACE_APP, pn);
+        for frame in frames {
+            if let Frame::Stream { id, fin, data, .. } = frame {
+                let entry = self.streams_rx.entry(id).or_insert(StreamRecv {
+                    id,
+                    data: Vec::new(),
+                    fin: false,
+                });
+                entry.data.extend_from_slice(&data);
+                entry.fin |= fin;
             }
         }
     }
@@ -1036,10 +1006,12 @@ impl ClientConnection {
 
 #[cfg(test)]
 mod tests {
-    //! RFC 9000 §13.1 on both sides of an established connection whose
-    //! 1-RTT space belongs to a data plane: an ACK for a packet number the
-    //! space has not used closes the connection with PROTOCOL_VIOLATION and
-    //! reaches neither the server's session nor the client's app packets.
+    //! RFC 9000 §13.1 on both sides of an established connection, whoever
+    //! serves its 1-RTT space (a session or a stream handler at the server,
+    //! a data plane or the connection itself at the client): an ACK for a
+    //! packet number the space has not used closes the connection with
+    //! PROTOCOL_VIOLATION and reaches neither the server's application nor
+    //! the client's.
 
     use super::*;
     use crate::server::{AppSession, Endpoint, EndpointConfig, StreamHandler, StreamSend};
@@ -1072,11 +1044,32 @@ mod tests {
         fn on_payload_sealed(&mut self, _pn: u64) {}
     }
 
-    struct NoStreams;
+    /// Echoes stream data back on its stream, recording each call in the
+    /// script as a one-frame packet.
+    struct Echo(Arc<Mutex<Script>>);
 
-    impl StreamHandler for NoStreams {
-        fn on_stream_data(&mut self, _id: u64, _data: &[u8], _fin: bool) -> Vec<StreamSend> {
-            Vec::new()
+    impl StreamHandler for Echo {
+        fn on_stream_data(&mut self, id: u64, data: &[u8], fin: bool) -> Vec<StreamSend> {
+            let frame = stream_frame(id, data, fin);
+            self.0
+                .lock()
+                .expect("no test panicked holding it")
+                .seen
+                .push(vec![frame]);
+            vec![StreamSend {
+                id,
+                data: data.to_vec(),
+                fin,
+            }]
+        }
+    }
+
+    fn stream_frame(id: u64, data: &[u8], fin: bool) -> Frame {
+        Frame::Stream {
+            id,
+            offset: 0,
+            fin,
+            data: data.to_vec(),
         }
     }
 
@@ -1116,19 +1109,38 @@ mod tests {
         replies
     }
 
-    fn established(script: &Arc<Mutex<Script>>) -> (ClientConnection, Endpoint) {
+    fn endpoint_config() -> EndpointConfig {
         let ca = qtls::cert::CertificateAuthority::new("Test CA", 1);
         let cert = ca.issue(1, "example.com", vec![], 0, 99, [9; 32]);
-        let tls = Arc::new(qtls::ServerConfig {
+        EndpointConfig::new(Arc::new(qtls::ServerConfig {
             alpn: vec![b"h3".to_vec()],
             ..qtls::ServerConfig::single_cert(cert)
-        });
-        let mut config = EndpointConfig::new(tls);
+        }))
+    }
+
+    /// An endpoint whose connections run the [`Scripted`] session.
+    fn session_server(script: &Arc<Mutex<Script>>) -> Endpoint {
         let script = Arc::clone(script);
-        config.app_session_factory = Some(Arc::new(move || {
-            Box::new(Scripted(Arc::clone(&script))) as Box<dyn AppSession>
-        }));
-        let mut server = Endpoint::new(config, 7, Box::new(|| Box::new(NoStreams)));
+        Endpoint::with_sessions(
+            endpoint_config(),
+            7,
+            Box::new(move || Box::new(Scripted(Arc::clone(&script)))),
+        )
+    }
+
+    /// An endpoint whose connections the [`Echo`] handler serves.
+    fn handler_server(script: &Arc<Mutex<Script>>) -> Endpoint {
+        let script = Arc::clone(script);
+        Endpoint::new(
+            endpoint_config(),
+            7,
+            Box::new(move || Box::new(Echo(Arc::clone(&script)))),
+        )
+    }
+
+    /// Completes a handshake with `server`; `app_frames` hands the client's
+    /// 1-RTT space to a data plane.
+    fn established(mut server: Endpoint, app_frames: bool) -> (ClientConnection, Endpoint) {
         let client_config = ClientConfig {
             versions: vec![Version::V1],
             tls: qtls::ClientConfig {
@@ -1145,7 +1157,9 @@ mod tests {
                 "handshake stalled"
             );
         }
-        client.enable_app_frames();
+        if app_frames {
+            client.enable_app_frames();
+        }
         exchange(&mut client, &mut server);
         (client, server)
     }
@@ -1165,16 +1179,28 @@ mod tests {
     #[test]
     fn server_closes_on_an_ack_for_a_packet_it_never_sent() {
         // One past the server's last packet, and the six-byte frame that
-        // used to make a sender walk 2⁶² packet numbers.
-        for forged in [None, Some((1u64 << 62) - 1)] {
+        // used to make a sender walk 2⁶² packet numbers, at a session-served
+        // endpoint; then one past it at a handler-served one.
+        for (handler, forged) in [(false, None), (false, Some((1u64 << 62) - 1)), (true, None)] {
             let script = Arc::new(Mutex::new(Script::default()));
-            let (mut client, mut server) = established(&script);
-            // (The session already saw the handshake's trailing 1-RTT ACK.)
+            let server = if handler {
+                handler_server(&script)
+            } else {
+                session_server(&script)
+            };
+            let (mut client, mut server) = established(server, true);
+            // (A session already saw the handshake's trailing 1-RTT ACK.)
             let before = script.lock().unwrap().seen.len();
             let seen = |n: usize| assert_eq!(script.lock().unwrap().seen.len(), before + n);
-            // A PING draws a PING: the server's 1-RTT space advances.
+            // A PING draws a session's PING, stream data the handler's
+            // echo: the server's 1-RTT space advances.
+            let poke = if handler {
+                stream_frame(0, b"poke", false)
+            } else {
+                Frame::Ping
+            };
             client
-                .send_app_payload(&payload_of(&Frame::Ping))
+                .send_app_payload(&payload_of(&poke))
                 .expect("established");
             exchange(&mut client, &mut server);
             let last = client
@@ -1185,22 +1211,26 @@ mod tests {
             seen(1);
 
             // Exactly `next_pn − 1` is the newest packet it sent: accepted.
+            // A session sees the ACK; a handler sees stream data only.
+            let acks_seen = usize::from(!handler);
             client
                 .send_app_payload(&payload_of(&ack_up_to(last)))
                 .expect("established");
             assert!(exchange(&mut client, &mut server).is_empty());
-            seen(2);
-            assert_eq!(
-                script.lock().unwrap().seen.last(),
-                Some(&vec![ack_up_to(last)])
-            );
+            seen(1 + acks_seen);
+            if !handler {
+                assert_eq!(
+                    script.lock().unwrap().seen.last(),
+                    Some(&vec![ack_up_to(last)])
+                );
+            }
 
             client
                 .send_app_payload(&payload_of(&ack_up_to(forged.unwrap_or(last + 1))))
                 .expect("established");
             let forged_datagram = client.tx.last().expect("queued").clone();
             let replies = exchange(&mut client, &mut server);
-            seen(2); // nothing of the packet reached the session
+            seen(1 + acks_seen); // nothing of the packet reached the application
             assert_eq!(replies.len(), 1);
             let (pkt, _) = decode_first(&replies[0], client.scid.len(), &client.open_keys)
                 .expect("1-RTT close opens with the client's keys");
@@ -1210,17 +1240,21 @@ mod tests {
                 Some((TransportError::PROTOCOL_VIOLATION.0, Some(0x02)))
             );
             assert_eq!(client.state(), &ConnectionState::Closed);
-            // Draining: later packets get the same close, not the session.
+            // Draining: later packets get the same close, not the
+            // application.
             assert_eq!(server.handle_datagram(0xbeef, &forged_datagram), replies);
-            seen(2);
+            seen(1 + acks_seen);
         }
     }
 
     #[test]
     fn client_closes_on_an_ack_for_a_packet_it_never_sent() {
-        for ahead in [1, u64::MAX >> 2] {
+        // One past the client's last packet and far past it at a client
+        // whose 1-RTT space a data plane owns; then one past it at a client
+        // that never handed the space over.
+        for (app_frames, ahead) in [(true, 1), (true, u64::MAX >> 2), (false, 1)] {
             let script = Arc::new(Mutex::new(Script::default()));
-            let (mut client, mut server) = established(&script);
+            let (mut client, mut server) = established(session_server(&script), app_frames);
             // The server acknowledges exactly the PING's packet — the
             // keepalive case: numbered here, in no recovery ledger.
             script.lock().unwrap().ack_ahead = Some(0);
@@ -1229,9 +1263,17 @@ mod tests {
                 .expect("established");
             assert_eq!(pn + 1, client.next_pn[SPACE_APP]);
             exchange(&mut client, &mut server);
-            let delivered = client.take_app_packets();
-            assert_eq!(delivered.len(), 1);
-            assert_eq!(delivered[0].frames, vec![ack_up_to(pn)]);
+            let delivered: Vec<Vec<Frame>> = client
+                .take_app_packets()
+                .into_iter()
+                .map(|p| p.frames)
+                .collect();
+            let expected = if app_frames {
+                vec![vec![ack_up_to(pn)]]
+            } else {
+                Vec::new()
+            };
+            assert_eq!(delivered, expected);
             assert_eq!(client.state(), &ConnectionState::Established);
 
             script.lock().unwrap().ack_ahead = Some(ahead);

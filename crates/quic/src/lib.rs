@@ -16,6 +16,13 @@
 //! validated against Appendix A.4) — some 2021 deployments validated client
 //! addresses via Retry.
 //!
+//! The 1-RTT space has one path at each end. A server connection's belongs
+//! to an [`server::AppSession`]; the HTTP/3 [`server::StreamHandler`] the
+//! scanners' hosts run is one, through an adapter. A client connection
+//! decodes every 1-RTT packet in one place, then hands it whole to a data
+//! plane ([`ClientConnection::enable_app_frames`]) or keeps its stream data
+//! ([`ClientConnection::poll_streams`]). RFC 9000 §13.1 is checked on both.
+//!
 //! Loss recovery, congestion control and flow-control enforcement live one
 //! layer up in the `transfer` crate, which drives this crate's sealing
 //! primitives ([`ClientConnection::send_app_payload`], [`server::AppSession`])

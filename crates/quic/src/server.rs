@@ -2,6 +2,12 @@
 //! the behaviour knobs that reproduce the deployment artifacts the paper
 //! observes (VN-only middleboxes, advertised-vs-accepted version skew,
 //! unpadded-probe handling, implementation-specific close wording).
+//!
+//! Every established connection's 1-RTT space belongs to one [`AppSession`]:
+//! [`Endpoint::with_sessions`] installs the caller's (the `transfer` data
+//! plane), and [`Endpoint::new`] runs a [`StreamHandler`] as one (the
+//! `internet` crate's HTTP/3 hosts). RFC 9000 §13.1 is checked before any
+//! session sees a packet.
 
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -23,7 +29,9 @@ use crate::tparams::TransportParameters;
 use crate::version::Version;
 
 /// Application hook: gets stream data, returns stream data to send.
-/// The `internet` crate implements HTTP/3 on top of this.
+/// The `internet` crate implements HTTP/3 on top of this; [`Endpoint::new`]
+/// runs one per connection as its [`AppSession`], fire-and-forget: nothing
+/// it sends is acknowledged or retransmitted.
 pub trait StreamHandler: Send {
     /// Called once when the handshake completes; lets the server open its
     /// own streams (e.g. the HTTP/3 control stream).
@@ -45,17 +53,20 @@ pub struct StreamSend {
     pub fin: bool,
 }
 
-/// An application data plane attached to one server connection's 1-RTT
-/// space. When a session is installed (via
-/// [`EndpointConfig::app_session_factory`]) the endpoint stops routing
-/// STREAM frames through the [`StreamHandler`] shortcut and instead hands
-/// the session every decoded app packet — packet number and frames, ACK and
-/// flow-control frames included. The session answers with fully composed
-/// frame payloads, which the endpoint seals as 1-RTT packets, reporting the
-/// packet number assigned to each so the session can track them for loss
-/// detection. The `transfer` crate implements congestion-controlled senders
-/// and flow-controlled receivers on this hook.
+/// The application attached to one server connection's 1-RTT space. Once
+/// the handshake completes the endpoint hands the session every decoded app
+/// packet — packet number and frames, ACK and flow-control frames included.
+/// The session answers with fully composed frame payloads, which the
+/// endpoint seals as 1-RTT packets, reporting the packet number assigned to
+/// each so the session can track them for loss detection. The `transfer`
+/// crate implements congestion-controlled senders and flow-controlled
+/// receivers on this hook.
 pub trait AppSession: Send {
+    /// Called once when the handshake completes: frames appended to
+    /// `payload` ride in the packet that carries HANDSHAKE_DONE (e.g. the
+    /// HTTP/3 control stream). That packet is not reported to
+    /// [`AppSession::on_payload_sealed`]. Defaults to appending nothing.
+    fn on_connected(&mut self, _payload: &mut Writer) {}
     /// Handles one decoded 1-RTT packet; each returned byte vector is one
     /// packet's frame payload, sealed and sent in order.
     fn on_app_packet(&mut self, pn: u64, frames: &[Frame]) -> Vec<Vec<u8>>;
@@ -105,11 +116,6 @@ pub struct EndpointConfig {
     /// Validate client addresses with Retry before accepting Initials
     /// (RFC 9000 §8.1.2; seen at lsquic-based deployments).
     pub use_retry: bool,
-    /// When set, each established connection gets an [`AppSession`] that
-    /// owns the 1-RTT space (data plane with real ACK/flow-control/loss
-    /// handling); when `None`, the legacy [`StreamHandler`] shortcut serves
-    /// streams fire-and-forget.
-    pub app_session_factory: Option<Arc<dyn Fn() -> Box<dyn AppSession> + Send + Sync>>,
 }
 
 impl EndpointConfig {
@@ -136,7 +142,6 @@ impl EndpointConfig {
             close_reason: "handshake failed".to_string(),
             cid_len: 8,
             use_retry: false,
-            app_session_factory: None,
         }
     }
 }
@@ -190,10 +195,8 @@ struct ServerConn {
     close_cache: Option<Vec<u8>>,
     established: bool,
     closed: bool,
-    handler: Box<dyn StreamHandler>,
-    /// Installed at establishment when the endpoint has an
-    /// [`EndpointConfig::app_session_factory`]; owns the 1-RTT space.
-    app_session: Option<Box<dyn AppSession>>,
+    /// Owns the 1-RTT space once the connection is established.
+    session: Box<dyn AppSession>,
     /// The endpoint's activity count when this connection last received a
     /// datagram; the smallest evictable value is the eviction victim.
     last_active: u64,
@@ -201,22 +204,18 @@ struct ServerConn {
 
 impl ServerConn {
     /// May this connection be dropped to make room? Closed connections
-    /// always; app-session connections when the session says it is idle;
-    /// legacy (handler) connections once established — scan flows are
-    /// one-shot, so an established legacy conn has served its purpose.
+    /// always; established ones when their session says it is idle — which
+    /// a handler-served one always is: scan flows are one-shot, so an
+    /// established scan connection has served its purpose.
     fn evictable(&self) -> bool {
-        self.closed
-            || match &self.app_session {
-                Some(session) => session.is_idle(),
-                None => self.established,
-            }
+        self.closed || (self.established && self.session.is_idle())
     }
 }
 
 /// A QUIC server endpoint multiplexing connections by client source.
 pub struct Endpoint {
     config: EndpointConfig,
-    handler_factory: Box<dyn Fn() -> Box<dyn StreamHandler> + Send>,
+    session_factory: Box<dyn Fn() -> Box<dyn AppSession> + Send>,
     conns: HashMap<u128, ServerConn>,
     /// Datagrams routed to a connection so far; stamps
     /// [`ServerConn::last_active`].
@@ -241,16 +240,31 @@ pub struct Endpoint {
 pub const DEFAULT_MAX_CONNS: usize = 64;
 
 impl Endpoint {
-    /// Creates an endpoint; `handler_factory` makes one [`StreamHandler`]
-    /// per accepted connection.
+    /// Creates an endpoint whose connections a [`StreamHandler`] serves:
+    /// `handler_factory` makes one per accepted connection, run as its
+    /// [`AppSession`].
     pub fn new(
         config: EndpointConfig,
         seed: u64,
         handler_factory: Box<dyn Fn() -> Box<dyn StreamHandler> + Send>,
     ) -> Self {
+        Self::with_sessions(
+            config,
+            seed,
+            Box::new(move || Box::new(HandlerSession(handler_factory()))),
+        )
+    }
+
+    /// Creates an endpoint; `session_factory` makes one [`AppSession`] per
+    /// accepted connection.
+    pub fn with_sessions(
+        config: EndpointConfig,
+        seed: u64,
+        session_factory: Box<dyn Fn() -> Box<dyn AppSession> + Send>,
+    ) -> Self {
         Endpoint {
             config,
-            handler_factory,
+            session_factory,
             conns: HashMap::new(),
             activity: 0,
             seed,
@@ -259,8 +273,8 @@ impl Endpoint {
     }
 
     /// Makes room for one more connection when at the soft cap: drops the
-    /// least-recently-active *evictable* connection (closed, idle session,
-    /// or established legacy flow). When every tracked connection is still
+    /// least-recently-active *evictable* connection (closed, or established
+    /// with an idle session). When every tracked connection is still
     /// live, the table grows instead — a live connection is never cut off
     /// mid-transfer, so eviction is unobservable to well-behaved peers.
     fn evict_for_insert(&mut self) {
@@ -346,7 +360,7 @@ impl Endpoint {
                 head.version,
                 &mut flow_rng(self.seed, from, 0),
                 self.config.cid_len,
-                (self.handler_factory)(),
+                (self.session_factory)(),
                 Arc::clone(&self.cert_cache),
             );
             self.conns.insert(from, conn);
@@ -428,7 +442,7 @@ impl ServerConn {
         version: Version,
         rng: &mut StdRng,
         cid_len: usize,
-        handler: Box<dyn StreamHandler>,
+        session: Box<dyn AppSession>,
         cert_cache: Arc<CertCache>,
     ) -> Self {
         let mut scid = vec![0u8; cid_len];
@@ -456,8 +470,7 @@ impl ServerConn {
             close_cache: None,
             established: false,
             closed: false,
-            handler,
-            app_session: None,
+            session,
             last_active: 0,
         }
     }
@@ -540,15 +553,12 @@ impl ServerConn {
             Ok(f) => f,
             Err(_) => return,
         };
-        let level = match space {
-            0 => Level::Initial,
-            1 => Level::Handshake,
-            _ => Level::App,
-        };
-        // Data-plane mode: once an AppSession owns the 1-RTT space, every
-        // app packet goes to it whole (frames plus packet number) and its
-        // answer payloads are sealed here. CONNECTION_CLOSE still closes.
-        if space == 2 && self.app_session.is_some() {
+        // The 1-RTT space is the session's: once the connection is
+        // established every app packet goes to it whole (frames plus packet
+        // number), and each answer payload is sealed here, its packet number
+        // reported back for the session's sent-packet tracker. A packet
+        // carrying CONNECTION_CLOSE closes the connection instead.
+        if space == 2 {
             if frames
                 .iter()
                 .any(|f| matches!(f, Frame::ConnectionClose { .. }))
@@ -557,21 +567,30 @@ impl ServerConn {
                 return;
             }
             // RFC 9000 §13.1, checked here because the packet numbers are
-            // ours: the session's sender would take the frame's `largest`
+            // ours: a session's sender would take the frame's `largest`
             // on the peer's word and declare everything in flight lost.
             if Frame::acks_unsent(&frames, self.next_pn[2]) {
                 self.close_app_space("ACK for a packet never sent", out);
                 return;
             }
-            let payloads = self
-                .app_session
-                .as_mut()
-                .expect("checked")
-                .on_app_packet(pkt.packet_number, &frames);
-            self.seal_session_payloads(payloads, out);
+            if !self.established {
+                return;
+            }
+            for payload in self.session.on_app_packet(pkt.packet_number, &frames) {
+                let pn = self.next_pn[2];
+                let Some(sealed) = self.seal_1rtt(&payload) else {
+                    return;
+                };
+                self.session.on_payload_sealed(pn);
+                out.push(sealed);
+            }
             return;
         }
-        let mut stream_out: Vec<StreamSend> = Vec::new();
+        let level = if space == 0 {
+            Level::Initial
+        } else {
+            Level::Handshake
+        };
         for frame in frames {
             match frame {
                 Frame::Crypto { offset, data } => {
@@ -590,20 +609,12 @@ impl ServerConn {
                     let skip = consumed.saturating_sub(offset) as usize;
                     self.crypto_consumed[space] = end;
                     match self.tls.on_handshake_data(level, &data[skip..]) {
-                        Ok(events) => self.apply_tls_events(events, config, out),
+                        Ok(events) => self.apply_tls_events(events, out),
                         Err(e) => {
                             self.send_close(e, config, out);
                             return;
                         }
                     }
-                }
-                Frame::Stream {
-                    id,
-                    offset: _,
-                    fin,
-                    data,
-                } if self.established => {
-                    stream_out.extend(self.handler.on_stream_data(id, &data, fin));
                 }
                 Frame::ConnectionClose { .. } => {
                     self.closed = true;
@@ -611,24 +622,6 @@ impl ServerConn {
                 }
                 _ => {}
             }
-        }
-        if !stream_out.is_empty() {
-            self.send_streams(stream_out, out);
-        }
-    }
-
-    /// Seals each payload as one 1-RTT packet, reporting the assigned
-    /// packet number back to the session for its sent-packet tracker.
-    fn seal_session_payloads(&mut self, payloads: Vec<Vec<u8>>, out: &mut Vec<Vec<u8>>) {
-        for payload in payloads {
-            let pn = self.next_pn[2];
-            let Some(pkt) = self.seal_1rtt(&payload) else {
-                return;
-            };
-            if let Some(session) = self.app_session.as_mut() {
-                session.on_payload_sealed(pn);
-            }
-            out.push(pkt);
         }
     }
 
@@ -657,12 +650,7 @@ impl ServerConn {
         pkt
     }
 
-    fn apply_tls_events(
-        &mut self,
-        events: Vec<TlsEvent>,
-        config: &EndpointConfig,
-        out: &mut Vec<Vec<u8>>,
-    ) {
+    fn apply_tls_events(&mut self, events: Vec<TlsEvent>, out: &mut Vec<Vec<u8>>) {
         let mut initial_crypto: Option<Vec<u8>> = None;
         let mut handshake_crypto: Option<Vec<u8>> = None;
         let mut completed = false;
@@ -765,18 +753,12 @@ impl ServerConn {
 
         if completed && !self.established {
             self.established = true;
-            if let Some(factory) = &config.app_session_factory {
-                self.app_session = Some(factory());
-            }
-            // HANDSHAKE_DONE plus any server-initiated streams (H3 control).
-            let mut sends = vec![];
-            sends.extend(self.handler.on_connected());
+            // HANDSHAKE_DONE plus whatever the session sends first (the
+            // HTTP/3 control stream).
             let payload = &mut self.payload;
             payload.clear();
             Frame::HandshakeDone.encode(payload);
-            for s in &sends {
-                Frame::encode_stream(payload, s.id, 0, s.fin, &s.data);
-            }
+            self.session.on_connected(payload);
             let pkt = self.seal_staged_1rtt().expect("1-RTT seal keys");
             self.post_cache = Some(pkt.clone());
             out.push(pkt);
@@ -791,32 +773,6 @@ impl ServerConn {
             0 => out.extend(self.flight_cache.iter().cloned()),
             1 => out.extend(self.post_cache.iter().cloned()),
             _ => {}
-        }
-    }
-
-    fn send_streams(&mut self, sends: Vec<StreamSend>, out: &mut Vec<Vec<u8>>) {
-        if self.seal_app.is_none() {
-            return;
-        }
-        let payload = &mut self.payload;
-        payload.clear();
-        for s in &sends {
-            Frame::encode_stream(payload, s.id, 0, s.fin, &s.data);
-        }
-        // Split into ≤1400-byte datagrams.
-        if payload.len() <= 1400 {
-            out.extend(self.seal_staged_1rtt());
-        } else {
-            // Re-frame per stream send to keep frames intact.
-            for s in sends {
-                for (i, chunk) in s.data.chunks(1200).enumerate() {
-                    let is_last = (i + 1) * 1200 >= s.data.len();
-                    let payload = &mut self.payload;
-                    payload.clear();
-                    Frame::encode_stream(payload, s.id, (i * 1200) as u64, s.fin && is_last, chunk);
-                    out.extend(self.seal_staged_1rtt());
-                }
-            }
         }
     }
 
@@ -880,6 +836,62 @@ impl ServerConn {
     }
 }
 
+/// Runs a [`StreamHandler`] as a session: STREAM frames go to the handler,
+/// and its answers leave as one payload when they fit in 1,400 bytes,
+/// otherwise as 1,200-byte chunks per stream. Nothing is tracked for
+/// retransmission, so the session is always idle.
+struct HandlerSession(Box<dyn StreamHandler>);
+
+impl AppSession for HandlerSession {
+    fn on_connected(&mut self, payload: &mut Writer) {
+        for s in self.0.on_connected() {
+            Frame::encode_stream(payload, s.id, 0, s.fin, &s.data);
+        }
+    }
+
+    fn on_app_packet(&mut self, _pn: u64, frames: &[Frame]) -> Vec<Vec<u8>> {
+        let mut sends = Vec::new();
+        for frame in frames {
+            if let Frame::Stream { id, fin, data, .. } = frame {
+                sends.extend(self.0.on_stream_data(*id, data, *fin));
+            }
+        }
+        if sends.is_empty() {
+            return Vec::new();
+        }
+        let mut payload = Writer::new();
+        for s in &sends {
+            Frame::encode_stream(&mut payload, s.id, 0, s.fin, &s.data);
+        }
+        if payload.len() <= 1400 {
+            return vec![payload.into_vec()];
+        }
+        // Re-frame per stream send to keep frames intact.
+        let mut payloads = Vec::new();
+        for s in sends {
+            for (i, chunk) in s.data.chunks(1200).enumerate() {
+                let is_last = (i + 1) * 1200 >= s.data.len();
+                let mut payload = Writer::new();
+                Frame::encode_stream(
+                    &mut payload,
+                    s.id,
+                    (i * 1200) as u64,
+                    s.fin && is_last,
+                    chunk,
+                );
+                payloads.push(payload.into_vec());
+            }
+        }
+        payloads
+    }
+
+    fn on_payload_sealed(&mut self, _pn: u64) {}
+
+    fn is_idle(&self) -> bool {
+        true
+    }
+}
+
 fn placeholder_cert() -> qtls::Certificate {
     qtls::cert::self_signed(0, "placeholder.invalid", 0, [0u8; 32])
 }
@@ -938,28 +950,32 @@ mod tests {
     }
 
     /// Pins the eviction choice at the cap by value: the least recently
-    /// touched evictable connection (closed, established legacy, idle
-    /// session) goes first, a busy session never does, and when nothing is
-    /// evictable the table grows past the cap instead.
+    /// touched evictable connection (closed, established with a stream
+    /// handler, idle session) goes first, a busy session never does, and
+    /// when nothing is evictable the table grows past the cap instead.
     #[test]
     fn evicts_least_recently_touched_evictable_connection() {
         let config = EndpointConfig::new(placeholder_server_config());
-        let mut ep = Endpoint::new(config, 7, Box::new(|| Box::new(NoStreams)));
+        let mut ep =
+            Endpoint::with_sessions(config, 7, Box::new(|| Box::new(Session { idle: false })));
         let cap = DEFAULT_MAX_CONNS as u128;
         assert_eq!(cap % 4, 0);
-        // Flow f is closed (f % 4 == 0), established legacy (1), an idle
-        // session (2) or a busy session (3).
+        // Flow f is closed (f % 4 == 0), established with a stream handler
+        // (1), an idle session (2) or a busy session (3).
         for f in 0..cap {
             ep.handle_datagram(f, &initial(f));
             let conn = ep.conns.get_mut(&f).expect("opened");
             match f % 4 {
                 0 => conn.closed = true,
-                1 => conn.established = true,
+                1 => {
+                    conn.established = true;
+                    conn.session = Box::new(HandlerSession(Box::new(NoStreams)));
+                }
                 idle_or_busy => {
                     conn.established = true;
-                    conn.app_session = Some(Box::new(Session {
+                    conn.session = Box::new(Session {
                         idle: idle_or_busy == 2,
-                    }));
+                    });
                 }
             }
         }
@@ -970,7 +986,7 @@ mod tests {
         }
         assert_eq!(flows(&ep), (0..cap).collect::<Vec<_>>());
 
-        // Victims in order: the established legacy flows (odd, oldest),
+        // Victims in order: the handler-served flows (odd, oldest),
         // then every even flow; never a busy session (f % 4 == 3).
         let victims: Vec<u128> = (1..cap).step_by(4).chain((0..cap).step_by(2)).collect();
         assert_eq!(victims.len(), 48);

@@ -56,11 +56,6 @@ impl Version {
         tag == 0x51 || tag == 0x54
     }
 
-    /// True for Facebook mvfst versions.
-    pub fn is_mvfst(self) -> bool {
-        self.0 >> 12 == 0x000f_aceb
-    }
-
     /// True for IETF versions (drafts or v1).
     pub fn is_ietf(self) -> bool {
         self.0 == 1 || self.0 >> 8 == 0x00ff_0000
@@ -90,32 +85,6 @@ impl Version {
             }
             v => format!("0x{:08x}", v.0),
         }
-    }
-
-    /// Parses a paper-style label back into a version.
-    pub fn from_label(label: &str) -> Option<Version> {
-        match label {
-            "ietf-01" => return Some(Version::V1),
-            "mvfst-1" => return Some(Version::MVFST_1),
-            "mvfst-2" => return Some(Version::MVFST_2),
-            "mvfst-e" => return Some(Version::MVFST_E),
-            _ => {}
-        }
-        if let Some(n) = label.strip_prefix("draft-") {
-            let n: u32 = n.parse().ok()?;
-            return Some(Version(0xff00_0000 | n));
-        }
-        if label.len() == 4 && (label.starts_with('Q') || label.starts_with('T')) {
-            let mut v = 0u32;
-            for c in label.chars() {
-                v = (v << 8) | c as u32;
-            }
-            return Some(Version(v));
-        }
-        if let Some(hexpart) = label.strip_prefix("0x") {
-            return u32::from_str_radix(hexpart, 16).ok().map(Version);
-        }
-        None
     }
 
     /// The HTTP/3 ALPN token advertised for this version (RFC 9114 / drafts),
@@ -165,30 +134,17 @@ mod tests {
         assert!(!Version::Q050.is_ietf());
         assert!(Version::Q050.is_google());
         assert!(Version::T048.is_google());
-        assert!(Version::MVFST_2.is_mvfst());
         assert!(Version::FORCE_NEGOTIATION.is_reserved_negotiation());
         assert!(Version(0x9a7a5a1a).is_reserved_negotiation());
         assert!(!Version::V1.is_reserved_negotiation());
     }
 
     #[test]
-    fn labels_roundtrip() {
-        for v in [
-            Version::V1,
-            Version::DRAFT_27,
-            Version::DRAFT_29,
-            Version::DRAFT_34,
-            Version::Q043,
-            Version::Q050,
-            Version::T051,
-            Version::MVFST_1,
-            Version::MVFST_E,
-        ] {
-            assert_eq!(Version::from_label(&v.label()), Some(v), "{}", v.label());
-        }
+    fn paper_labels() {
         assert_eq!(Version::DRAFT_29.label(), "draft-29");
         assert_eq!(Version::Q050.label(), "Q050");
         assert_eq!(Version::V1.label(), "ietf-01");
+        assert_eq!(Version::MVFST_E.label(), "mvfst-e");
     }
 
     #[test]

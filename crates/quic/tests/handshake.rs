@@ -3,7 +3,9 @@
 
 use std::sync::Arc;
 
-use quic::conn::{ClientConnection, ConnectionState, HandshakeOutcome};
+use quic::conn::{
+    ClientConnection, ConnectionState, HandshakeOutcome, HandshakeScratch, StreamRecv,
+};
 use quic::server::{Endpoint, EndpointConfig, StreamHandler, StreamSend};
 use quic::version::Version;
 use quic::ClientConfig;
@@ -98,6 +100,96 @@ fn stream_data_roundtrip() {
     assert_eq!(streams.len(), 1);
     assert_eq!(streams[0].data, b"olleh");
     assert!(streams[0].fin);
+}
+
+/// [`Echo`] that also opens server stream 3 when the handshake completes,
+/// as the HTTP/3 control stream does.
+struct EchoWithControl;
+impl StreamHandler for EchoWithControl {
+    fn on_connected(&mut self) -> Vec<StreamSend> {
+        vec![StreamSend {
+            id: 3,
+            data: b"control".to_vec(),
+            fin: false,
+        }]
+    }
+
+    fn on_stream_data(&mut self, id: u64, data: &[u8], fin: bool) -> Vec<StreamSend> {
+        Echo.on_stream_data(id, data, fin)
+    }
+}
+
+/// FNV-1a over the concatenated datagrams.
+fn fnv1a(datagrams: &[Vec<u8>]) -> u64 {
+    datagrams
+        .iter()
+        .flatten()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+/// Pins a handler-served connection's 1-RTT output by value: the stream
+/// opened at establishment rides in the HANDSHAKE_DONE packet, and a
+/// 3,000-byte answer (more than one 1,400-byte payload holds) leaves as
+/// 1,200-byte chunks, one packet each.
+#[test]
+fn handler_replies_are_pinned_by_value() {
+    let mut server = Endpoint::new(
+        EndpointConfig::new(test_tls_config("example.com")),
+        7,
+        Box::new(|| Box::new(EchoWithControl)),
+    );
+    let mut client = ClientConnection::new(client_config(Some("example.com")), 50);
+    let mut replies: Vec<Vec<u8>> = Vec::new();
+    let mut pump_recording = |client: &mut ClientConnection| {
+        for _ in 0..12 {
+            let out = client.poll_transmit();
+            if out.is_empty() {
+                break;
+            }
+            for datagram in out {
+                for reply in server.handle_datagram(0xbeef, &datagram) {
+                    client.on_datagram(&reply);
+                    replies.push(reply);
+                }
+            }
+        }
+    };
+    pump_recording(&mut client);
+    assert_eq!(client.state(), &ConnectionState::Established);
+    let request: Vec<u8> = (0..3000u32).map(|i| (i * 7 % 251) as u8).collect();
+    let id = client.open_bidi_stream();
+    client.send_stream(id, &request, true);
+    pump_recording(&mut client);
+
+    let lengths: Vec<usize> = replies.iter().map(Vec::len).collect();
+    // The server flight, HANDSHAKE_DONE with stream 3, three chunks.
+    assert_eq!(
+        (replies.len(), lengths, fnv1a(&replies)),
+        (
+            5,
+            vec![500, 41, 1234, 1235, 635],
+            16_407_112_059_222_546_567
+        )
+    );
+    let mut answer = request;
+    answer.reverse();
+    assert_eq!(
+        client.poll_streams(),
+        vec![
+            StreamRecv {
+                id: 0,
+                data: answer,
+                fin: true,
+            },
+            StreamRecv {
+                id: 3,
+                data: b"control".to_vec(),
+                fin: false,
+            },
+        ]
+    );
 }
 
 #[test]
@@ -338,7 +430,11 @@ fn garbage_responses_do_not_wedge_the_client() {
 #[test]
 fn tracing_buffers_key_schedule_and_phases() {
     let mut server = endpoint(test_tls_config("example.com"));
-    let mut client = ClientConnection::new_traced(client_config(Some("example.com")), 40);
+    let mut client = ClientConnection::new_traced_reusing(
+        client_config(Some("example.com")),
+        40,
+        &mut HandshakeScratch::new(),
+    );
     pump(&mut client, &mut server);
     assert_eq!(client.state(), &ConnectionState::Established);
     let names: Vec<&'static str> = client.take_events().iter().map(|k| k.name()).collect();
@@ -374,7 +470,7 @@ fn tracing_records_vn_and_retry() {
     let mut server = Endpoint::new(config, 7, Box::new(|| Box::new(Echo)));
     let mut cc = client_config(Some("example.com"));
     cc.versions = vec![Version::DRAFT_29, Version::V1];
-    let mut client = ClientConnection::new_traced(cc, 42);
+    let mut client = ClientConnection::new_traced_reusing(cc, 42, &mut HandshakeScratch::new());
     pump(&mut client, &mut server);
     assert_eq!(client.state(), &ConnectionState::Established);
     let events = client.take_events();

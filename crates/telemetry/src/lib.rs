@@ -10,7 +10,7 @@
 //!   [`TraceCtx`] collects typed [`Event`]s (packets, PTO firings, key
 //!   derivations, injected faults, final verdicts) and scan drivers merge
 //!   the per-target event lists **in target-index order** into an
-//!   [`EventSink`] (a JSON-SEQ file, an in-memory ring, …).
+//!   [`EventSink`] (a JSON-SEQ file, memory, or both).
 //! * **Metrics** ([`metrics`]): plain per-worker [`LocalMetrics`] (counters,
 //!   gauges, fixed-bucket histograms) updated with zero synchronization on
 //!   the hot path and submitted once per shard to a [`MetricsRegistry`],
@@ -38,7 +38,7 @@ pub mod trace;
 
 pub use event::{Event, EventKind, FaultKind};
 pub use metrics::{Histogram, LocalMetrics, MetricsRegistry, MetricsSnapshot};
-pub use sink::{EventSink, FanoutSink, JsonSeqFileSink, MemorySink, RingSink};
+pub use sink::{EventSink, FanoutSink, JsonSeqFileSink, MemorySink};
 pub use trace::TraceCtx;
 
 use std::sync::Arc;
@@ -55,14 +55,6 @@ pub struct Telemetry {
 }
 
 impl Telemetry {
-    /// Metrics-only telemetry (no event sink).
-    pub fn metrics_only() -> Self {
-        Telemetry {
-            sink: None,
-            metrics: Arc::new(MetricsRegistry::new()),
-        }
-    }
-
     /// Telemetry writing events to `sink`.
     pub fn with_sink(sink: Arc<dyn EventSink>) -> Self {
         Telemetry {
@@ -87,7 +79,10 @@ mod tests {
 
     #[test]
     fn handle_without_sink_swallows_events() {
-        let t = Telemetry::metrics_only();
+        let t = Telemetry {
+            sink: None,
+            metrics: Arc::new(MetricsRegistry::new()),
+        };
         t.emit_all(&[Event {
             t_us: 0,
             flow: 1,

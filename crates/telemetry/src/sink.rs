@@ -5,7 +5,6 @@
 //! path: workers buffer events in their own [`crate::TraceCtx`] and only the
 //! single-threaded driver merge touches a sink.
 
-use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
@@ -98,46 +97,6 @@ impl EventSink for MemorySink {
     }
 }
 
-/// Bounded in-memory sink: keeps only the most recent `capacity` events.
-/// Cheap always-on flight recorder for long campaigns.
-pub struct RingSink {
-    capacity: usize,
-    ring: Mutex<VecDeque<Event>>,
-}
-
-impl RingSink {
-    /// Sink retaining at most `capacity` events (capacity 0 keeps none).
-    pub fn new(capacity: usize) -> Self {
-        RingSink {
-            capacity,
-            ring: Mutex::new(VecDeque::with_capacity(capacity.min(1024))),
-        }
-    }
-
-    /// The retained tail of the stream, oldest first.
-    pub fn recent(&self) -> Vec<Event> {
-        self.ring
-            .lock()
-            .expect("ring sink poisoned")
-            .iter()
-            .cloned()
-            .collect()
-    }
-}
-
-impl EventSink for RingSink {
-    fn emit(&self, event: &Event) {
-        if self.capacity == 0 {
-            return;
-        }
-        let mut ring = self.ring.lock().expect("ring sink poisoned");
-        if ring.len() == self.capacity {
-            ring.pop_front();
-        }
-        ring.push_back(event.clone());
-    }
-}
-
 /// Duplicates the stream to several sinks (e.g. JSON-SEQ file + in-memory
 /// copy for the audit pass).
 pub struct FanoutSink {
@@ -194,16 +153,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_sink_keeps_tail() {
-        let sink = RingSink::new(3);
-        for i in 0..10 {
-            sink.emit(&ev(i));
-        }
-        let tail: Vec<u64> = sink.recent().iter().map(|e| e.seq).collect();
-        assert_eq!(tail, vec![7, 8, 9]);
-    }
-
-    #[test]
     fn json_seq_file_framing() {
         let dir = std::env::temp_dir().join("telemetry-sink-test");
         std::fs::create_dir_all(&dir).unwrap();
@@ -229,11 +178,11 @@ mod tests {
     #[test]
     fn fanout_reaches_all_sinks() {
         let a = Arc::new(MemorySink::new());
-        let b = Arc::new(RingSink::new(8));
+        let b = Arc::new(MemorySink::new());
         let fan = FanoutSink::new(vec![a.clone(), b.clone()]);
         fan.emit(&ev(0));
         fan.emit(&ev(1));
         assert_eq!(a.len(), 2);
-        assert_eq!(b.recent().len(), 2);
+        assert_eq!(b.len(), 2);
     }
 }

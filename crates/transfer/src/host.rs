@@ -1,7 +1,8 @@
-//! Server side of the data plane: a [`simnet::UdpService`] QUIC host whose
-//! established connections run a real application session (via
-//! [`quic::AppSession`]) instead of the fire-and-forget `StreamHandler`
-//! shortcut. Two session kinds cover the PEMI workloads:
+//! Server side of the data plane: application sessions (via
+//! [`quic::AppSession`]) that `bind_transfer_host` installs on every
+//! connection of an `internet::servers::QuicHost` — the same host type the
+//! scanners meet, with the session in place of HTTP/3's stream handler. Two
+//! session kinds cover the PEMI workloads:
 //!
 //! - [`BulkSession`] answers an HTTP/3 `GET /bulk/<n>` on stream 0 with an
 //!   `n`-byte body, sent through a congestion-controlled [`DataSender`] —
@@ -18,13 +19,13 @@ use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 
 use h3::request;
-use internet::servers::HttpProfile;
+use internet::servers::{HttpProfile, QuicHost};
 use internet::IMPLEMENTATIONS;
 use qtls::cert::CertificateAuthority;
-use quic::server::{AppSession, Endpoint, EndpointConfig};
+use quic::server::{AppSession, EndpointConfig};
 use quic::Frame;
 use simnet::addr::Ipv4Addr;
-use simnet::{IpAddr, LinkProfile, Network, ServiceCtx, SocketAddr, UdpService};
+use simnet::{IpAddr, LinkProfile, Network, SocketAddr};
 
 use crate::cc::NewReno;
 use crate::recv::DataReceiver;
@@ -43,7 +44,7 @@ pub fn bulk_body_byte(i: u64) -> u8 {
     (i.wrapping_mul(31) ^ (i >> 8)) as u8
 }
 
-/// What a [`TransferHost`] connection serves.
+/// What a data-plane host's connections serve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SessionKind {
     /// HTTP/3 bulk downloads (server is the data sender).
@@ -236,51 +237,7 @@ impl AppSession for RtcSession {
     fn on_payload_sealed(&mut self, _pn: u64) {}
 }
 
-/// A QUIC data-plane host bound to UDP 443 in the simulation.
-pub struct TransferHost {
-    endpoint: Endpoint,
-}
-
-impl TransferHost {
-    /// Builds the host: `kind` selects the session the factory installs on
-    /// every established connection, `rtt_us` seeds the sessions' RTT
-    /// estimate (the simulation's configured path RTT), `opts` picks the
-    /// serving path ([`HostOptions::default`] is the legacy profile).
-    pub fn new(
-        config: EndpointConfig,
-        profile: HttpProfile,
-        kind: SessionKind,
-        rtt_us: u64,
-        seed: u64,
-        opts: HostOptions,
-    ) -> Self {
-        let profile = Arc::new(profile);
-        Self::serving(
-            config,
-            seed,
-            Arc::new(move || match kind {
-                SessionKind::Bulk => Box::new(BulkSession::new(profile.clone(), rtt_us, opts)),
-                SessionKind::Rtc => Box::new(RtcSession::new()),
-            }),
-        )
-    }
-
-    /// A host whose established connections run the sessions `factory`
-    /// makes.
-    pub(crate) fn serving(
-        mut config: EndpointConfig,
-        seed: u64,
-        factory: Arc<dyn Fn() -> Box<dyn AppSession> + Send + Sync>,
-    ) -> Self {
-        config.app_session_factory = Some(factory);
-        // The StreamHandler is bypassed once a session is installed; a
-        // do-nothing handler keeps the legacy constructor satisfied.
-        let endpoint = Endpoint::new(config, seed, Box::new(|| Box::new(NullHandler)));
-        TransferHost { endpoint }
-    }
-}
-
-/// Where a bound [`TransferHost`] listens and the name its certificate
+/// Where a bound data-plane host listens and the name its certificate
 /// carries (the SNI and `:authority` clients use).
 pub(crate) struct BoundHost {
     pub(crate) addr: SocketAddr,
@@ -288,9 +245,11 @@ pub(crate) struct BoundHost {
 }
 
 /// Binds host number `idx` of a workload topology at `ip`:443 — certificate
-/// for `name` issued by `ca`, the `idx`-th deployment personality as its
-/// `Server` header, host seed derived from the workload's master `seed` —
-/// and puts `profile` on the path towards it.
+/// for `name` issued by `ca`, a `kind` session on every connection serving
+/// through `opts` with the `idx`-th deployment personality as its `Server`
+/// header and the simulation's path RTT as its first estimate, host seed
+/// derived from the workload's master `seed` — and puts `profile` on the
+/// path towards it.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn bind_transfer_host(
     net: &mut Network,
@@ -309,45 +268,24 @@ pub(crate) fn bind_transfer_host(
         alpn: vec![b"h3".to_vec()],
         ..qtls::ServerConfig::single_cert(cert)
     });
-    let http = HttpProfile {
+    let http = Arc::new(HttpProfile {
         server_header: IMPLEMENTATIONS[idx as usize % IMPLEMENTATIONS.len()]
             .server_header
             .to_string(),
         alt_svc: None,
         extra_headers: vec![],
-    };
-    let host = TransferHost::new(
+    });
+    let rtt_us = net.rtt().0;
+    let host = QuicHost::with_sessions(
         EndpointConfig::new(tls),
-        http,
-        kind,
-        net.rtt().0,
         seed ^ (idx << 17),
-        opts,
+        Box::new(move || match kind {
+            SessionKind::Bulk => Box::new(BulkSession::new(Arc::clone(&http), rtt_us, opts)),
+            SessionKind::Rtc => Box::new(RtcSession::new()),
+        }),
     );
     let addr = SocketAddr::new(IpAddr::V4(ip), 443);
     net.bind_udp(addr, Box::new(host));
     net.set_path_profile(addr.ip, profile);
     BoundHost { addr, name }
-}
-
-struct NullHandler;
-
-impl quic::server::StreamHandler for NullHandler {
-    fn on_stream_data(
-        &mut self,
-        _id: u64,
-        _data: &[u8],
-        _fin: bool,
-    ) -> Vec<quic::server::StreamSend> {
-        Vec::new()
-    }
-}
-
-impl UdpService for TransferHost {
-    fn on_datagram(&mut self, ctx: &mut ServiceCtx<'_>, from: SocketAddr, data: &[u8]) {
-        let from_key = (from.ip.as_u128() << 16) | u128::from(from.port);
-        for reply in self.endpoint.handle_datagram(from_key, data) {
-            ctx.reply(reply);
-        }
-    }
 }

@@ -13,10 +13,10 @@
 //!   what it newly covers however much history it repeats) or PTO.
 //! - [`recv::DataReceiver`] reassembles, deduplicates, generates ACK ranges,
 //!   and grants MAX_DATA / MAX_STREAM_DATA windows.
-//! - [`host::TransferHost`] runs the server side on the simnet via
-//!   `quic::AppSession`, serving HTTP/3 bulk responses with the `internet`
-//!   deployment personalities; one function in [`host`] binds every host
-//!   the workloads talk to.
+//! - [`host`] holds the server side: `quic::AppSession`s serving HTTP/3 bulk
+//!   responses with the `internet` deployment personalities, and the one
+//!   function that binds every host the workloads talk to — an
+//!   `internet::servers::QuicHost` running those sessions.
 //! - [`mux`] holds the one HTTP/3 download client (`MuxConn`: handshake,
 //!   `GET /bulk/<n>` on each of its streams, body validation, explicit
 //!   close) and the production-shaped sweep that keeps a bounded window of
@@ -40,7 +40,7 @@ pub mod sender;
 pub mod workload;
 
 pub use cc::{CongestionController, NewReno};
-pub use host::{HostOptions, TransferHost};
+pub use host::HostOptions;
 pub use mux::{MuxConfig, MuxReport};
 pub use ranges::RangeSet;
 pub use recv::DataReceiver;

@@ -746,7 +746,8 @@ mod tests {
 
     // -- RFC 9000 §13.1 mid-transfer, on both sides ------------------------
 
-    use crate::host::{BulkSession, TransferHost};
+    use crate::host::BulkSession;
+    use internet::servers::QuicHost;
     use quic::server::{AppSession, EndpointConfig};
     use std::sync::{Arc, Mutex};
 
@@ -826,7 +827,7 @@ mod tests {
                 forged_unsealed: false,
             }) as Box<dyn AppSession>
         };
-        let host = TransferHost::serving(EndpointConfig::new(tls), 5, Arc::new(factory));
+        let host = QuicHost::with_sessions(EndpointConfig::new(tls), 5, Box::new(factory));
         let addr = SocketAddr::new(simnet::IpAddr::V4(Ipv4Addr::new(10, 200, 0, 1)), 443);
         net.bind_udp(addr, Box::new(host));
         (
