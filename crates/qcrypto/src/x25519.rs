@@ -1,8 +1,25 @@
 //! X25519 Diffie-Hellman (RFC 7748).
 //!
 //! Field arithmetic over 2^255 - 19 uses five 51-bit limbs in `u64`s with
-//! `u128` products (the donna-c64 layout) — 25 partial products per
-//! multiplication, which keeps the scanners' handshake throughput high.
+//! `u128` products (the donna-c64 layout): 25 partial products per
+//! multiplication, and 15 per squaring, which computes each cross term
+//! a_i·a_j once and doubles it.
+//!
+//! [`x25519`] is the one variable-base path: the Montgomery ladder, 255
+//! steps for any u. [`public_key`] multiplies the fixed base point on the
+//! birationally equivalent Ed25519 curve instead, as ref10's
+//! `ge_scalarmult_base` does. The clamped scalar is recoded into 64 signed
+//! radix-16 digits in [−8, 8], and each digit adds one entry of a 32 × 8
+//! table whose row i holds j·256^i·B for j = 1..8, B being the Edwards
+//! image of u = 9. Entries are affine `(y+x, y−x, 2dxy)`, so an addition
+//! costs seven multiplications. The odd digits are summed first and
+//! multiplied by 16 with four doublings; the even digits are added after.
+//! The result converts back through u = (Z+Y)/(Z−Y), bit-identical to
+//! `x25519(secret, &BASEPOINT)`. The table (30 KiB) is built once per
+//! process on first use. A digit's entry is picked by reading its whole row
+//! under masks, so neither a load address nor a branch depends on it.
+
+use std::sync::OnceLock;
 
 /// A field element in 5×51-bit limbs, loosely reduced (< 2^52 per limb).
 #[derive(Clone, Copy)]
@@ -146,12 +163,42 @@ impl Fe {
         let b3_19 = b3 * 19;
         let b4_19 = b4 * 19;
 
-        let t0 = m(a0, b0) + m(a1, b4_19) + m(a2, b3_19) + m(a3, b2_19) + m(a4, b1_19);
-        let mut t1 = m(a0, b1) + m(a1, b0) + m(a2, b4_19) + m(a3, b3_19) + m(a4, b2_19);
-        let mut t2 = m(a0, b2) + m(a1, b1) + m(a2, b0) + m(a3, b4_19) + m(a4, b3_19);
-        let mut t3 = m(a0, b3) + m(a1, b2) + m(a2, b1) + m(a3, b0) + m(a4, b4_19);
-        let mut t4 = m(a0, b4) + m(a1, b3) + m(a2, b2) + m(a3, b1) + m(a4, b0);
+        Fe::carry_wide([
+            m(a0, b0) + m(a1, b4_19) + m(a2, b3_19) + m(a3, b2_19) + m(a4, b1_19),
+            m(a0, b1) + m(a1, b0) + m(a2, b4_19) + m(a3, b3_19) + m(a4, b2_19),
+            m(a0, b2) + m(a1, b1) + m(a2, b0) + m(a3, b4_19) + m(a4, b3_19),
+            m(a0, b3) + m(a1, b2) + m(a2, b1) + m(a3, b0) + m(a4, b4_19),
+            m(a0, b4) + m(a1, b3) + m(a2, b2) + m(a3, b1) + m(a4, b0),
+        ])
+    }
 
+    /// self², in 15 products: the full square's cross terms pair up, so each
+    /// is taken once with one factor doubled, and the ×19 fold of the high
+    /// columns goes into a factor too. Limbs up to 2^54 keep every column
+    /// within `u128` and the final ×19 carry within `u64`, as in `mul`.
+    #[inline]
+    fn square(&self) -> Fe {
+        let [a0, a1, a2, a3, a4] = self.0;
+        let m = |x: u64, y: u64| -> u128 { (x as u128) * (y as u128) };
+        let a0_2 = a0 * 2;
+        let a1_2 = a1 * 2;
+        let a1_38 = a1 * 38;
+        let a2_38 = a2 * 38;
+        let a3_38 = a3 * 38;
+        let a3_19 = a3 * 19;
+        let a4_19 = a4 * 19;
+        Fe::carry_wide([
+            m(a0, a0) + m(a1_38, a4) + m(a2_38, a3),
+            m(a0_2, a1) + m(a2_38, a4) + m(a3_19, a3),
+            m(a0_2, a2) + m(a1, a1) + m(a3_38, a4),
+            m(a0_2, a3) + m(a1_2, a2) + m(a4_19, a4),
+            m(a0_2, a4) + m(a1_2, a3) + m(a2, a2),
+        ])
+    }
+
+    /// Carries five column sums of a product into loosely reduced limbs.
+    #[inline]
+    fn carry_wide([t0, mut t1, mut t2, mut t3, mut t4]: [u128; 5]) -> Fe {
         let mut out = [0u64; 5];
         let mut carry: u64;
         carry = (t0 >> 51) as u64;
@@ -176,8 +223,17 @@ impl Fe {
     }
 
     #[inline]
-    fn square(&self) -> Fe {
-        self.mul(self)
+    fn neg(&self) -> Fe {
+        ZERO.sub(self)
+    }
+
+    /// Replaces self with `other` where `mask` is all ones; keeps it where
+    /// `mask` is zero. Both are read either way.
+    #[inline]
+    fn cmov(&mut self, other: &Fe, mask: u64) {
+        for (a, b) in self.0.iter_mut().zip(other.0) {
+            *a ^= mask & (*a ^ b);
+        }
     }
 
     #[inline]
@@ -258,13 +314,19 @@ fn cswap(swap: u64, a: &mut Fe, b: &mut Fe) {
     }
 }
 
-/// The X25519 function: scalar multiplication on Curve25519's Montgomery
-/// ladder. `scalar` is clamped per RFC 7748 §5.
-pub fn x25519(scalar: &[u8; 32], u: &[u8; 32]) -> [u8; 32] {
+/// RFC 7748 §5 clamping: a multiple of 8 with bit 254 set and bit 255 clear.
+fn clamp(scalar: &[u8; 32]) -> [u8; 32] {
     let mut k = *scalar;
     k[0] &= 248;
     k[31] &= 127;
     k[31] |= 64;
+    k
+}
+
+/// The X25519 function: scalar multiplication on Curve25519's Montgomery
+/// ladder. `scalar` is clamped per RFC 7748 §5.
+pub fn x25519(scalar: &[u8; 32], u: &[u8; 32]) -> [u8; 32] {
+    let k = clamp(scalar);
     let mut u_masked = *u;
     u_masked[31] &= 0x7f;
 
@@ -309,9 +371,187 @@ pub const BASEPOINT: [u8; 32] = {
     b
 };
 
-/// Derives the public key for `secret` (scalar × base point).
+/// Derives the public key for `secret` (scalar × base point) with the
+/// fixed-base comb; equal to `x25519(secret, &BASEPOINT)`.
 pub fn public_key(secret: &[u8; 32]) -> [u8; 32] {
-    x25519(secret, &BASEPOINT)
+    let digits = recode(&clamp(secret));
+    let table = base_table();
+    let mut h = Point::IDENTITY;
+    for (row, pair) in table.iter().zip(digits.chunks_exact(2)) {
+        h = h.add_affine(&select(row, pair[1]));
+    }
+    for _ in 0..4 {
+        h = h.double();
+    }
+    for (row, pair) in table.iter().zip(digits.chunks_exact(2)) {
+        h = h.add_affine(&select(row, pair[0]));
+    }
+    // u = (1 + y) / (1 − y), y = Y/Z.
+    h.z.add(&h.y).mul(&h.z.sub(&h.y).invert()).to_bytes()
+}
+
+/// x of the Ed25519 base point (RFC 8032 §5.1), little-endian. Its y is
+/// 4/5, which the birational map u = (1+y)/(1−y) sends to u = 9.
+const ED25519_BASE_X: [u8; 32] = [
+    0x1a, 0xd5, 0x25, 0x8f, 0x60, 0x2d, 0x56, 0xc9, 0xb2, 0xa7, 0x25, 0x95, 0x60, 0xc7, 0x2c, 0x69,
+    0x5c, 0xdc, 0xd6, 0xfd, 0x31, 0xe2, 0xa4, 0xc0, 0xfe, 0x53, 0x6e, 0xcd, 0xd3, 0x36, 0x69, 0x21,
+];
+
+/// A point on Ed25519 (−x² + y² = 1 + d·x²y²) in extended coordinates:
+/// x = X/Z, y = Y/Z, xy = T/Z.
+#[derive(Clone, Copy)]
+struct Point {
+    x: Fe,
+    y: Fe,
+    z: Fe,
+    t: Fe,
+}
+
+/// An affine point as a comb table entry: (y+x, y−x, 2dxy).
+#[derive(Clone, Copy)]
+struct Affine {
+    y_plus_x: Fe,
+    y_minus_x: Fe,
+    xy2d: Fe,
+}
+
+impl Affine {
+    const IDENTITY: Affine = Affine {
+        y_plus_x: ONE,
+        y_minus_x: ONE,
+        xy2d: ZERO,
+    };
+
+    fn cmov(&mut self, other: &Affine, mask: u64) {
+        self.y_plus_x.cmov(&other.y_plus_x, mask);
+        self.y_minus_x.cmov(&other.y_minus_x, mask);
+        self.xy2d.cmov(&other.xy2d, mask);
+    }
+}
+
+impl Point {
+    const IDENTITY: Point = Point {
+        x: ZERO,
+        y: ONE,
+        z: ONE,
+        t: ZERO,
+    };
+
+    /// X = EF, Y = GH, Z = FG, T = EH: the common tail of addition and
+    /// doubling (Hisil–Wong–Carter–Dawson 2008).
+    fn from_efgh(e: Fe, f: Fe, g: Fe, h: Fe) -> Point {
+        Point {
+            x: e.mul(&f),
+            y: g.mul(&h),
+            z: f.mul(&g),
+            t: e.mul(&h),
+        }
+    }
+
+    /// self + q, the unified madd formula for a = −1. It is complete on
+    /// Ed25519, so q may be the identity or equal to self.
+    fn add_affine(&self, q: &Affine) -> Point {
+        let a = self.y.sub(&self.x).mul(&q.y_minus_x);
+        let b = self.y.add(&self.x).mul(&q.y_plus_x);
+        let c = self.t.mul(&q.xy2d);
+        let d = self.z.add(&self.z);
+        Point::from_efgh(b.sub(&a), d.sub(&c), d.add(&c), b.add(&a))
+    }
+
+    /// 2·self for a = −1. F and H are passed negated, which negates all
+    /// four coordinates: the same point. `sub` takes a subtrahend below 2p
+    /// per limb, so no sum is subtracted: E drops A and B one at a time,
+    /// and −F is C − G.
+    fn double(&self) -> Point {
+        let a = self.x.square();
+        let b = self.y.square();
+        let zz = self.z.square();
+        let c = zz.add(&zz);
+        let e = self.x.add(&self.y).square().sub(&a).sub(&b);
+        let g = b.sub(&a);
+        Point::from_efgh(e, c.sub(&g), g, a.add(&b))
+    }
+
+    fn to_affine(self, d2: &Fe) -> Affine {
+        let z_inv = self.z.invert();
+        let x = self.x.mul(&z_inv);
+        let y = self.y.mul(&z_inv);
+        Affine {
+            y_plus_x: y.add(&x),
+            y_minus_x: y.sub(&x),
+            xy2d: x.mul(&y).mul(d2),
+        }
+    }
+}
+
+/// The comb table: row i holds j·256^i·B for j = 1..8. Built on first use.
+fn base_table() -> &'static [[Affine; 8]; 32] {
+    static TABLE: OnceLock<[[Affine; 8]; 32]> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let small = |n: u64| Fe([n, 0, 0, 0, 0]);
+        let d = small(121665).neg().mul(&small(121666).invert());
+        let d2 = d.add(&d);
+        let x = Fe::from_bytes(&ED25519_BASE_X);
+        let y = small(4).mul(&small(5).invert());
+        let mut row_base = Point {
+            x,
+            y,
+            z: ONE,
+            t: x.mul(&y),
+        };
+        let mut table = [[Affine::IDENTITY; 8]; 32];
+        for row in table.iter_mut() {
+            let step = row_base.to_affine(&d2);
+            let mut multiple = row_base;
+            for entry in row.iter_mut() {
+                *entry = multiple.to_affine(&d2);
+                multiple = multiple.add_affine(&step);
+            }
+            for _ in 0..8 {
+                row_base = row_base.double();
+            }
+        }
+        table
+    })
+}
+
+/// The clamped scalar as 64 signed radix-16 digits in [−8, 8], least
+/// significant first: k = Σ digits[i]·16^i. The top digit stays ≤ 8
+/// because clamping clears bit 255.
+fn recode(k: &[u8; 32]) -> [i8; 64] {
+    let mut digits = [0i8; 64];
+    for (pair, byte) in digits.chunks_exact_mut(2).zip(k) {
+        pair[0] = (byte & 15) as i8;
+        pair[1] = (byte >> 4) as i8;
+    }
+    let mut carry = 0i8;
+    for digit in &mut digits[..63] {
+        *digit += carry;
+        carry = (*digit + 8) >> 4;
+        *digit -= carry << 4;
+    }
+    digits[63] += carry;
+    digits
+}
+
+/// digit·(row's base) for a digit in [−8, 8]. Every entry of the row is
+/// read and kept or dropped by mask, and the negation (swap y+x with y−x,
+/// negate 2dxy) is applied the same way, as `cswap` does.
+fn select(row: &[Affine; 8], digit: i8) -> Affine {
+    let negative = 0u64.wrapping_sub(u64::from(digit as u8 >> 7));
+    let abs = (digit as i64 as u64 ^ negative).wrapping_sub(negative);
+    let mut t = Affine::IDENTITY;
+    for (j, entry) in (1u64..).zip(row) {
+        let equal = ((abs ^ j).wrapping_sub(1)) >> 63;
+        t.cmov(entry, 0u64.wrapping_sub(equal));
+    }
+    let minus = Affine {
+        y_plus_x: t.y_minus_x,
+        y_minus_x: t.y_plus_x,
+        xy2d: t.xy2d.neg(),
+    };
+    t.cmov(&minus, negative);
+    t
 }
 
 #[cfg(test)]
@@ -426,5 +666,80 @@ mod tests {
         v[31] &= 0x7f;
         let fe = Fe::from_bytes(&v);
         assert_eq!(fe.to_bytes(), v);
+    }
+
+    /// The comb equals the ladder on the base point: 1,000 hashed scalars,
+    /// the all-zero and all-one scalars, and scalars that set only the bits
+    /// clamping overrides.
+    #[test]
+    fn public_key_matches_the_ladder() {
+        let mut clamped_bits_only = vec![[0u8; 32]; 3];
+        clamped_bits_only[0][0] = 7;
+        clamped_bits_only[1][31] = 0x80;
+        clamped_bits_only[2][31] = 0x40;
+        let hashed = (0u32..1000).map(|i| crate::sha256::digest(&i.to_le_bytes()));
+        let fixed = [[0u8; 32], [0xff; 32]].into_iter().chain(clamped_bits_only);
+        for secret in hashed.chain(fixed) {
+            assert_eq!(
+                public_key(&secret),
+                x25519(&secret, &BASEPOINT),
+                "{}",
+                hex::encode(&secret)
+            );
+        }
+    }
+
+    /// `square` equals `mul(self)` limb for limb, up to the 2^54 bound `add`
+    /// can hand either of them.
+    #[test]
+    fn square_matches_mul() {
+        let mut state = 0x9000_u64;
+        let mut next = || {
+            // splitmix64
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let max = (1u64 << 54) - 1;
+        let mut cases = vec![Fe([max; 5]), ZERO, ONE];
+        for bits in [51, 52, 53, 54] {
+            cases.extend((0..1000).map(|_| Fe([(); 5].map(|_| next() >> (64 - bits)))));
+        }
+        for a in cases {
+            assert_eq!(a.square().0, a.mul(&a).0, "{:?}", a.0);
+        }
+    }
+
+    /// µs per `public_key` and per DH; prints, asserts nothing. Run with
+    /// `cargo test --release -p qcrypto -- --ignored --nocapture x25519_speed`.
+    #[test]
+    #[ignore = "micro-benchmark: prints timings, meaningful in release builds only"]
+    fn x25519_speed() {
+        use std::hint::black_box;
+        use std::time::Instant;
+        let per_op_us = |op: &mut dyn FnMut()| {
+            let iterations = 2_000;
+            let best_of = 5;
+            (0..best_of)
+                .map(|_| {
+                    let start = Instant::now();
+                    for _ in 0..iterations {
+                        op();
+                    }
+                    start.elapsed().as_secs_f64() * 1e6 / f64::from(iterations)
+                })
+                .fold(f64::INFINITY, f64::min)
+        };
+        let secret = [0x42u8; 32];
+        let peer = public_key(&[7u8; 32]);
+        let keygen = per_op_us(&mut || {
+            black_box(public_key(black_box(&secret)));
+        });
+        let dh = per_op_us(&mut || {
+            black_box(x25519(black_box(&secret), &peer));
+        });
+        println!("x25519: public_key {keygen:.2} us, dh {dh:.2} us");
     }
 }

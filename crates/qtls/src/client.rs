@@ -10,7 +10,8 @@ use crate::cipher::CipherSuite;
 use crate::ext::{Extension, NamedGroup};
 use crate::msgs::{ClientHello, Handshake};
 use crate::schedule::{
-    app_secrets, finished_verify_data, handshake_secrets, HandshakeSecrets, Transcript,
+    app_secrets, dh_shared_secret, finished_verify_data, handshake_secrets, HandshakeSecrets,
+    Transcript,
 };
 use crate::{Alert, Level, TlsError, TlsEvent, TlsVersion};
 
@@ -242,7 +243,13 @@ impl ClientHandshake {
                 let peer_public: [u8; 32] = peer_public
                     .try_into()
                     .map_err(|_| TlsError::Decode("bad key share length"))?;
-                let shared = x25519::x25519(&secret, &peer_public);
+                let Some(shared) = dh_shared_secret(&secret, &peer_public) else {
+                    self.state = State::Failed;
+                    return Err(TlsError::LocalAlert(
+                        Alert::IllegalParameter,
+                        "all-zero shared secret",
+                    ));
+                };
                 let th = self.transcript.hash();
                 let hs = handshake_secrets(&shared, &th);
                 events.push(TlsEvent::HandshakeKeys(hs.clone()));
@@ -379,4 +386,42 @@ pub(crate) fn sim_signature(public_key: &[u8; 32], transcript_hash: &[u8; 32]) -
     ctx.put_u8(0);
     ctx.put_bytes(transcript_hash);
     qcrypto::hmac::hmac_sha256(public_key, ctx.as_slice()).to_vec()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::msgs::ServerHello;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// A low-order server share makes the shared secret zero; the client
+    /// aborts instead of keying the handshake with it (RFC 8446 §7.4.2).
+    #[test]
+    fn low_order_server_share_is_rejected() {
+        for u in [0u8, 1] {
+            let mut rng = StdRng::seed_from_u64(7);
+            let (mut client, _) = ClientHandshake::start(ClientConfig::default(), &mut rng);
+            let mut share = [0u8; 32];
+            share[0] = u;
+            let sh = Handshake::ServerHello(ServerHello {
+                random: [0; 32],
+                session_id: Vec::new(),
+                cipher_suite: CipherSuite::Aes128GcmSha256.wire(),
+                extensions: vec![
+                    Extension::SelectedVersion(TlsVersion::Tls13.wire()),
+                    Extension::KeyShareServer(NamedGroup::X25519.wire(), share.to_vec()),
+                ],
+            });
+            assert_eq!(
+                client.on_handshake_data(Level::Initial, &sh.encode()),
+                Err(TlsError::LocalAlert(
+                    Alert::IllegalParameter,
+                    "all-zero shared secret"
+                )),
+                "u = {u}"
+            );
+            assert!(!client.is_complete());
+        }
+    }
 }

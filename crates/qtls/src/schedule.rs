@@ -6,6 +6,7 @@
 use qcrypto::hkdf;
 use qcrypto::hmac::hmac_sha256;
 use qcrypto::sha256::{self, Sha256, DIGEST_LEN};
+use qcrypto::x25519;
 
 /// Running transcript hash over handshake messages.
 #[derive(Clone, Default)]
@@ -50,6 +51,15 @@ pub struct AppSecrets {
     pub client: Vec<u8>,
     /// server_application_traffic_secret_0.
     pub server: Vec<u8>,
+}
+
+/// The (EC)DHE shared secret of our `secret` and the peer's key share, or
+/// `None` when it is all zeros: a low-order share such as u = 0 or u = 1
+/// yields zero whatever our secret, which would fix the handshake secret.
+/// RFC 8446 §7.4.2 requires aborting then; both ends send illegal_parameter.
+pub(crate) fn dh_shared_secret(secret: &[u8; 32], peer_public: &[u8; 32]) -> Option<[u8; 32]> {
+    let shared = x25519::x25519(secret, peer_public);
+    (shared.iter().fold(0, |acc, b| acc | b) != 0).then_some(shared)
 }
 
 /// Derives the handshake traffic secrets from the (EC)DHE shared secret and

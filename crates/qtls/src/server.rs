@@ -17,7 +17,8 @@ use crate::client::sim_signature;
 use crate::ext::{Extension, NamedGroup};
 use crate::msgs::{ClientHello, Handshake, ServerHello};
 use crate::schedule::{
-    app_secrets, finished_verify_data, handshake_secrets, HandshakeSecrets, Transcript,
+    app_secrets, dh_shared_secret, finished_verify_data, handshake_secrets, HandshakeSecrets,
+    Transcript,
 };
 use crate::{Alert, Level, TlsError, TlsEvent, TlsVersion};
 
@@ -346,8 +347,9 @@ impl ServerHandshake {
         let peer_public: [u8; 32] = peer_public
             .try_into()
             .map_err(|_| self.fail(Alert::IllegalParameter, "bad key share length"))?;
+        let shared = dh_shared_secret(&self.kx_secret, &peer_public)
+            .ok_or_else(|| self.fail(Alert::IllegalParameter, "all-zero shared secret"))?;
         let my_public = x25519::public_key(&self.kx_secret);
-        let shared = x25519::x25519(&self.kx_secret, &peer_public);
 
         // ServerHello.
         let sh = Handshake::ServerHello(ServerHello {
@@ -776,6 +778,36 @@ mod tests {
             client.peer_info().unwrap().quic_transport_params.as_deref(),
             Some([4, 2].as_slice())
         );
+    }
+
+    /// A low-order client share makes the shared secret zero; the server
+    /// aborts before sending a ServerHello (RFC 8446 §7.4.2).
+    #[test]
+    fn low_order_client_share_is_rejected() {
+        for u in [0u8, 1] {
+            let mut share = [0u8; 32];
+            share[0] = u;
+            let ch = Handshake::ClientHello(ClientHello {
+                random: [0; 32],
+                session_id: Vec::new(),
+                cipher_suites: vec![CipherSuite::Aes128GcmSha256.wire()],
+                extensions: vec![
+                    Extension::SupportedVersionsList(vec![TlsVersion::Tls13.wire()]),
+                    Extension::KeyShareList(vec![(NamedGroup::X25519.wire(), share.to_vec())]),
+                ],
+            });
+            let cfg = Arc::new(ServerConfig::single_cert(test_cert("example.com")));
+            let mut server = ServerHandshake::new(cfg, &mut StdRng::seed_from_u64(7));
+            assert_eq!(
+                server.on_handshake_data(Level::Initial, &ch.encode()),
+                Err(TlsError::LocalAlert(
+                    Alert::IllegalParameter,
+                    "all-zero shared secret"
+                )),
+                "u = {u}"
+            );
+            assert!(!server.is_complete());
+        }
     }
 
     #[test]

@@ -274,6 +274,7 @@ proptest! {
         use its_over_9000::qcrypto::x25519;
         let pa = x25519::public_key(&a);
         let pb = x25519::public_key(&b);
+        prop_assert_eq!(pa, x25519::x25519(&a, &x25519::BASEPOINT));
         prop_assert_eq!(x25519::x25519(&a, &pb), x25519::x25519(&b, &pa));
     }
 
