@@ -678,80 +678,6 @@ mod tests {
     use super::*;
     use qscanner::ScanOutcome;
 
-    #[test]
-    fn tiny_stateful_campaign_has_expected_shape() {
-        let campaign = Campaign::tiny();
-        let snap = campaign.run_stateful();
-        assert!(
-            snap.zmap_v4.len() > 500,
-            "zmap v4 hits: {}",
-            snap.zmap_v4.len()
-        );
-        assert!(
-            snap.zmap_v6.len() > 50,
-            "zmap v6 hits: {}",
-            snap.zmap_v6.len()
-        );
-        assert!(!snap.quic_no_sni.is_empty());
-        assert!(!snap.quic_sni.is_empty());
-
-        // The no-SNI outcome mix is dominated by 0x128 + timeouts, like
-        // Table 3.
-        let v4: Vec<_> = snap.quic_no_sni.iter().filter(|r| r.addr.is_v4()).collect();
-        let success = v4
-            .iter()
-            .filter(|r| r.outcome == ScanOutcome::Success)
-            .count();
-        let crypto = v4.iter().filter(|r| r.outcome.is_crypto_0x128()).count();
-        let timeout = v4.iter().filter(|r| r.outcome.is_timeout()).count();
-        let mismatch = v4
-            .iter()
-            .filter(|r| r.outcome == ScanOutcome::VersionMismatch)
-            .count();
-        assert!(
-            crypto > timeout,
-            "0x128 ({crypto}) should dominate timeouts ({timeout})"
-        );
-        assert!(timeout > mismatch);
-        assert!(success < crypto);
-
-        // SNI scans succeed far more often than no-SNI ones.
-        let sni_success = snap
-            .quic_sni
-            .iter()
-            .filter(|(_, r)| r.outcome == ScanOutcome::Success)
-            .count();
-        let sni_rate = sni_success as f64 / snap.quic_sni.len() as f64;
-        let no_sni_rate = success as f64 / v4.len() as f64;
-        assert!(sni_rate > 0.5, "sni rate {sni_rate}");
-        assert!(no_sni_rate < 0.3, "no-sni rate {no_sni_rate}");
-
-        // Padding ablation: unpadded finds far fewer hosts.
-        assert!(snap.padding.unpadded_hits * 2 < snap.padding.padded_hits);
-        assert!(snap.padding.unpadded_top_as_share > 0.5);
-    }
-
-    /// Sharded scans are deterministic: the same seed yields identical hit
-    /// sets (same order, same contents) at any worker count — including
-    /// under injected faults, whose decisions are keyed per flow.
-    #[test]
-    fn weekly_campaign_is_worker_count_independent() {
-        for fault in [FaultPlan::none(), FaultPlan::calibrated(50)] {
-            let mut serial = Campaign::tiny();
-            serial.workers = 1;
-            serial.fault = fault;
-            let mut parallel = Campaign::tiny();
-            parallel.workers = 8;
-            parallel.fault = fault;
-            let a = serial.run_weekly(18);
-            let b = parallel.run_weekly(18);
-            assert!(!a.zmap_v4.is_empty());
-            assert_eq!(a.zmap_v4, b.zmap_v4);
-            assert_eq!(a.zmap_v6, b.zmap_v6);
-            assert_eq!(a.fingerprint(), b.fingerprint(), "fault={fault:?}");
-        }
-    }
-
     /// The breakdown keeps all four silent-failure modes apart — including
     /// `Stalled`, which the calibrated campaign plan by construction cannot
     /// produce (a host that replies partially classifies into a non-timeout
@@ -795,78 +721,6 @@ mod tests {
         for label in ["no reply", "stalled", "unreachable", "rate limited"] {
             assert!(report.contains(label), "render lost {label}: {report}");
         }
-    }
-
-    /// The tentpole acceptance property: the paper-facing aggregates of a
-    /// stateful campaign are invariant under the calibrated fault plan —
-    /// same seed ⇒ same tables, with or without faults — while the
-    /// failure-mode breakdown distinguishes what actually went wrong.
-    #[test]
-    fn stateful_aggregates_invariant_under_calibrated_faults() {
-        let mut clean = Campaign::tiny();
-        clean.fault = FaultPlan::none();
-        let mut faulted = Campaign::tiny();
-        faulted.fault = FaultPlan::calibrated(50);
-        let a = clean.run_stateful();
-        let b = faulted.run_stateful();
-
-        // Discovery is identical: loss is absorbed by duplicate probes.
-        assert_eq!(a.zmap_v4, b.zmap_v4);
-        assert_eq!(a.zmap_v6, b.zmap_v6);
-        assert_eq!(a.tcp_open_v4, b.tcp_open_v4);
-
-        // Loss-tolerant handshakes: ≥99% of targets that established a
-        // connection on the clean network also do so at 50‰ loss.
-        let outcomes = |s: &StatefulSnapshot| -> Vec<ScanOutcome> {
-            s.quic_no_sni
-                .iter()
-                .chain(s.quic_sni.iter().map(|(_, r)| r))
-                .map(|r| r.outcome.clone())
-                .collect()
-        };
-        let (oa, ob) = (outcomes(&a), outcomes(&b));
-        assert_eq!(oa.len(), ob.len());
-        let clean_successes = oa.iter().filter(|o| **o == ScanOutcome::Success).count();
-        let kept = oa
-            .iter()
-            .zip(&ob)
-            .filter(|(x, y)| **x == ScanOutcome::Success && **y == ScanOutcome::Success)
-            .count();
-        assert!(clean_successes > 0);
-        assert!(
-            kept * 100 >= clean_successes * 99,
-            "only {kept}/{clean_successes} handshakes survived 50‰ loss"
-        );
-
-        // Paper-facing tables are byte-identical.
-        use crate::tables;
-        assert_eq!(
-            format!("{:?}", tables::table1(&a)),
-            format!("{:?}", tables::table1(&b))
-        );
-        let (t3a, t3b) = (tables::table3(&a), tables::table3(&b));
-        assert_eq!(t3a.totals, t3b.totals);
-        assert_eq!(format!("{:?}", t3a.rows), format!("{:?}", t3b.rows));
-        assert_eq!(
-            format!("{:?}", tables::table4(&a)),
-            format!("{:?}", tables::table4(&b))
-        );
-        assert_eq!(
-            format!("{:?}", tables::table6(&a, 10)),
-            format!("{:?}", tables::table6(&b, 10))
-        );
-
-        // Both runs agree on the coarse timeout mass, but only the faulted
-        // run observes all four distinct silent-failure modes.
-        let (bda, bdb) = (a.failure_breakdown(), b.failure_breakdown());
-        assert_eq!(bda.timeouts(), bdb.timeouts());
-        assert_eq!(bda.success, bdb.success);
-        assert_eq!(bda.total(), bdb.total());
-        assert_eq!(bda.unreachable, 0);
-        assert_eq!(bda.rate_limited, 0);
-        assert!(bdb.no_reply > 0, "{}", bdb.render());
-        assert!(bdb.unreachable > 0, "{}", bdb.render());
-        assert!(bdb.rate_limited > 0, "{}", bdb.render());
     }
 
     #[test]

@@ -314,7 +314,6 @@ impl LazyUniverse {
                     tls,
                     transport_params: tp_config(9 + vi),
                     close_reason: impl_info.close_reason.to_string(),
-                    cid_len: 8,
                     use_retry: false,
                 });
             }

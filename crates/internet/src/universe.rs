@@ -488,7 +488,6 @@ impl Universe {
             tls: self.tls_config(h, false),
             transport_params: tp,
             close_reason: implementation(h.impl_name).close_reason.to_string(),
-            cid_len: 8,
             use_retry: h.use_retry,
         }
     }

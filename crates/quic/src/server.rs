@@ -111,8 +111,6 @@ pub struct EndpointConfig {
     /// Implementation-specific CONNECTION_CLOSE reason wording — the paper
     /// fingerprints stacks by these strings.
     pub close_reason: String,
-    /// Length of connection ids this endpoint issues.
-    pub cid_len: usize,
     /// Validate client addresses with Retry before accepting Initials
     /// (RFC 9000 §8.1.2; seen at lsquic-based deployments).
     pub use_retry: bool,
@@ -140,7 +138,6 @@ impl EndpointConfig {
             tls,
             transport_params: TransportParameters::server_defaults(),
             close_reason: "handshake failed".to_string(),
-            cid_len: 8,
             use_retry: false,
         }
     }
@@ -238,6 +235,11 @@ pub struct Endpoint {
 /// connection is still live the table grows instead — memory stays
 /// O(active), not O(cap).
 pub const DEFAULT_MAX_CONNS: usize = 64;
+
+/// Length of the connection ids an endpoint issues. Also the Retry-token
+/// salt, and the width of the seed a connection's TLS randomness is drawn
+/// from (its id read as a little-endian `u64`).
+const CID_LEN: usize = 8;
 
 impl Endpoint {
     /// Creates an endpoint whose connections a [`StreamHandler`] serves:
@@ -339,9 +341,9 @@ impl Endpoint {
         // carrying a token bound to the flow; the client repeats its Initial
         // with the token and a new DCID (our Retry SCID).
         if self.config.use_retry && !self.conns.contains_key(&from) {
-            let token = retry_token(from, self.config.cid_len as u64);
+            let token = retry_token(from, CID_LEN as u64);
             if !initial_has_token(datagram, &token) {
-                let mut new_scid = vec![0u8; self.config.cid_len];
+                let mut new_scid = vec![0u8; CID_LEN];
                 flow_rng(self.seed, from, 1).fill_bytes(&mut new_scid);
                 let retry = crate::retry::encode_retry(
                     head.version,
@@ -359,7 +361,6 @@ impl Endpoint {
             let conn = ServerConn::new(
                 head.version,
                 &mut flow_rng(self.seed, from, 0),
-                self.config.cid_len,
                 (self.session_factory)(),
                 Arc::clone(&self.cert_cache),
             );
@@ -441,11 +442,10 @@ impl ServerConn {
     fn new(
         version: Version,
         rng: &mut StdRng,
-        cid_len: usize,
         session: Box<dyn AppSession>,
         cert_cache: Arc<CertCache>,
     ) -> Self {
-        let mut scid = vec![0u8; cid_len];
+        let mut scid = vec![0u8; CID_LEN];
         rng.fill_bytes(&mut scid);
         ServerConn {
             version,
@@ -494,15 +494,9 @@ impl ServerConn {
                 Some(initial_keys_shared(self.version, head.dcid.as_slice()));
             self.client_cid = head.scid.clone();
             let mut seeded = StdRng::seed_from_u64(u64::from_le_bytes(
-                self.scid
-                    .0
-                    .iter()
-                    .cycle()
-                    .take(8)
-                    .copied()
-                    .collect::<Vec<_>>()
+                self.scid.0[..]
                     .try_into()
-                    .unwrap(),
+                    .expect("issued ids are CID_LEN bytes"),
             ));
             let mut tp = config.transport_params.clone();
             tp.original_destination_connection_id = Some(head.dcid.0.clone());
@@ -866,10 +860,15 @@ impl AppSession for HandlerSession {
         if payload.len() <= 1400 {
             return vec![payload.into_vec()];
         }
-        // Re-frame per stream send to keep frames intact.
+        // Re-frame per stream send to keep frames intact. An empty send
+        // still leaves as one (empty) frame, or its FIN would be lost.
         let mut payloads = Vec::new();
         for s in sends {
-            for (i, chunk) in s.data.chunks(1200).enumerate() {
+            let chunks = s
+                .data
+                .chunks(1200)
+                .chain(s.data.is_empty().then_some(&[][..]));
+            for (i, chunk) in chunks.enumerate() {
                 let is_last = (i + 1) * 1200 >= s.data.len();
                 let mut payload = Writer::new();
                 Frame::encode_stream(

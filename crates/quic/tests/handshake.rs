@@ -192,6 +192,52 @@ fn handler_replies_are_pinned_by_value() {
     );
 }
 
+/// Answers a finished request with 3,000 bytes on its stream and an empty
+/// FIN on stream 4.
+struct LongAnswerAndEmptyFin;
+impl StreamHandler for LongAnswerAndEmptyFin {
+    fn on_stream_data(&mut self, id: u64, _data: &[u8], fin: bool) -> Vec<StreamSend> {
+        if !fin {
+            return Vec::new();
+        }
+        vec![
+            StreamSend {
+                id,
+                data: vec![7; 3000],
+                fin: true,
+            },
+            StreamSend {
+                id: 4,
+                data: Vec::new(),
+                fin: true,
+            },
+        ]
+    }
+}
+
+/// An answer too large for one payload leaves in 1,200-byte chunks; an
+/// empty send beside it still leaves as a frame, so its FIN arrives.
+#[test]
+fn empty_fin_survives_a_chunked_answer() {
+    let mut server = Endpoint::new(
+        EndpointConfig::new(test_tls_config("example.com")),
+        7,
+        Box::new(|| Box::new(LongAnswerAndEmptyFin)),
+    );
+    let mut client = ClientConnection::new(client_config(Some("example.com")), 51);
+    pump(&mut client, &mut server);
+    assert_eq!(client.state(), &ConnectionState::Established);
+    let id = client.open_bidi_stream();
+    client.send_stream(id, b"GET", true);
+    pump(&mut client, &mut server);
+    let streams: Vec<(u64, usize, bool)> = client
+        .poll_streams()
+        .iter()
+        .map(|s| (s.id, s.data.len(), s.fin))
+        .collect();
+    assert_eq!(streams, [(0, 3000, true), (4, 0, true)]);
+}
+
 #[test]
 fn sni_required_yields_crypto_error_0x128() {
     let ca = CertificateAuthority::new("Test CA", 1);

@@ -54,8 +54,7 @@ pub enum SessionKind {
 }
 
 /// Serving-path knobs. [`Default`] reproduces the legacy (PR 6) host
-/// byte-for-byte: id-order scheduling, control packets sealed separately,
-/// range-based receiver accounting.
+/// byte-for-byte: id-order scheduling, control packets sealed separately.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct HostOptions {
     /// Coalesce pending ACK + window grants into the first STREAM payload of
@@ -64,9 +63,6 @@ pub struct HostOptions {
     pub coalesce_control: bool,
     /// Stream scheduling policy for response bodies.
     pub scheduler: SchedKind,
-    /// Use the legacy per-byte delivered-bytes loop in the receiver
-    /// (bench baseline; see [`DataReceiver::set_per_byte_accounting`]).
-    pub per_byte_accounting: bool,
 }
 
 /// Server session for HTTP/3 bulk downloads: answers `GET /bulk/<n>` on
@@ -89,10 +85,8 @@ pub(crate) struct BulkSession {
 
 impl BulkSession {
     pub(crate) fn new(profile: Arc<HttpProfile>, rtt_us: u64, opts: HostOptions) -> Self {
-        let mut recv = DataReceiver::new(CONN_WINDOW, STREAM_WINDOW);
-        recv.set_per_byte_accounting(opts.per_byte_accounting);
         BulkSession {
-            recv,
+            recv: DataReceiver::new(CONN_WINDOW, STREAM_WINDOW),
             send: DataSender::with_scheduler(
                 rtt_us,
                 CONN_WINDOW,

@@ -75,8 +75,9 @@ pub struct MuxConfig {
     pub loss_permille: u32,
     /// Server-side stream scheduling policy.
     pub scheduler: SchedKind,
-    /// Batched serving path (GSO flights + coalesced control + range-based
-    /// receiver accounting) vs the per-packet baseline.
+    /// Batched serving path (GSO-style client flights + coalesced server
+    /// control) vs the per-packet baseline. Receiver accounting is the same
+    /// on both.
     pub batched: bool,
     /// Record per-connection telemetry events.
     pub trace: bool,
@@ -112,13 +113,12 @@ impl MuxConfig {
         }
     }
 
-    /// What [`MuxConfig::batched`] means on the server: coalesced control
-    /// and range-based accounting, or neither (the per-packet baseline).
+    /// What [`MuxConfig::batched`] means on the server: coalesced control,
+    /// or not (the per-packet baseline).
     fn host_opts(&self) -> HostOptions {
         HostOptions {
             coalesce_control: self.batched,
             scheduler: self.scheduler,
-            per_byte_accounting: !self.batched,
         }
     }
 }
@@ -258,8 +258,8 @@ pub(crate) struct Download<'net> {
     /// Request streams (ids 0, 4, 8, …), each a `GET /bulk/<bytes_per_stream>`.
     pub(crate) streams: usize,
     pub(crate) bytes_per_stream: u64,
-    /// GSO-style flights and range-based accounting vs the per-packet
-    /// baseline ([`MuxConfig::batched`]).
+    /// GSO-style flights vs one send per datagram, the per-packet baseline
+    /// ([`MuxConfig::batched`]).
     pub(crate) batched: bool,
     /// Record the connection's goodput sample.
     pub(crate) trace: bool,
@@ -372,9 +372,6 @@ impl<'net> MuxConn<'net> {
         this.conn.enable_app_frames();
         // Elapsed time counts from handshake confirmation.
         this.start_us = this.shard.now().0;
-        // The batched path uses the range-based accounting on the client
-        // too; the baseline keeps the per-byte loop end to end.
-        this.receiver.set_per_byte_accounting(!spec.batched);
         // HTTP/3 over the data plane: control stream + one GET per stream.
         this.sender
             .enqueue(2, &request::client_control_stream(), false);

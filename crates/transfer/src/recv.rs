@@ -52,10 +52,6 @@ pub struct DataReceiver {
     /// Stream ids whose window should be re-advertised.
     pending_stream_updates: Vec<(u64, u64)>,
     pending_max_data: Option<u64>,
-    /// Bench-only compatibility mode: account delivered bytes with the
-    /// PR 6 per-byte dedup loop instead of range subtraction. Kept so the
-    /// batched-serving bench can measure the old per-packet cost honestly.
-    per_byte_accounting: bool,
 }
 
 impl DataReceiver {
@@ -70,17 +66,7 @@ impl DataReceiver {
             stream_window,
             pending_stream_updates: Vec::new(),
             pending_max_data: None,
-            per_byte_accounting: false,
         }
-    }
-
-    /// Switches delivered-byte accounting back to the legacy per-byte loop
-    /// (two `RangeSet` lookups per payload byte). The result is identical;
-    /// only the cost differs. This is the "per-packet baseline" the serving
-    /// bench compares the batched path against — production paths never set
-    /// it.
-    pub fn set_per_byte_accounting(&mut self, on: bool) {
-        self.per_byte_accounting = on;
     }
 
     /// Processes one received packet's frames. STREAM data is reassembled
@@ -111,6 +97,28 @@ impl DataReceiver {
     }
 
     fn on_stream_frame(&mut self, id: u64, offset: u64, fin: bool, data: &[u8]) {
+        // Range subtraction: copy the whole span, then subtract the
+        // already-covered overlap from its length — a binary search plus
+        // the received ranges the span touches, not one lookup per byte nor
+        // a pass over every range of the stream.
+        self.store_span(id, offset, fin, data, |s| {
+            let end = offset + data.len() as u64;
+            s.buf[offset as usize..end as usize].copy_from_slice(data);
+            data.len() as u64 - s.received.covered_len(offset, end - 1)
+        });
+    }
+
+    /// Files a STREAM frame into stream `id`: `copy` writes its bytes into
+    /// the (grown) buffer and returns how many were never seen before, and
+    /// only those are charged against flow control.
+    fn store_span(
+        &mut self,
+        id: u64,
+        offset: u64,
+        fin: bool,
+        data: &[u8],
+        copy: impl FnOnce(&mut RecvStream) -> u64,
+    ) {
         let window = self.stream_window;
         let s = self
             .streams
@@ -126,27 +134,7 @@ impl DataReceiver {
         if s.buf.len() < end as usize {
             s.buf.resize(end as usize, 0);
         }
-        // Count only never-before-seen bytes against flow control.
-        let new_bytes = if self.per_byte_accounting {
-            // Legacy loop: two RangeSet lookups per byte. Identical result,
-            // kept only as the bench baseline.
-            let mut n = 0;
-            for (i, b) in data.iter().enumerate() {
-                let pos = offset + i as u64;
-                if !s.received.contains(pos) {
-                    n += 1;
-                }
-                s.buf[pos as usize] = *b;
-            }
-            n
-        } else {
-            // Range subtraction: copy the whole span, then subtract the
-            // already-covered overlap from its length — a binary search
-            // plus the received ranges the span touches, not one lookup
-            // per byte nor a pass over every range of the stream.
-            s.buf[offset as usize..end as usize].copy_from_slice(data);
-            data.len() as u64 - s.received.covered_len(offset, end - 1)
-        };
+        let new_bytes = copy(s);
         s.received.insert_range(offset, end - 1);
         if new_bytes > 0 {
             s.rx.on_delivered(new_bytes);
@@ -335,27 +323,50 @@ mod tests {
         assert!(r.control_payload().is_none(), "no ack-of-ack ping-pong");
     }
 
+    impl DataReceiver {
+        /// The per-byte loop `on_stream_frame` replaced, kept as its oracle:
+        /// one `RangeSet` lookup per payload byte.
+        fn on_stream_frame_reference(&mut self, id: u64, offset: u64, fin: bool, data: &[u8]) {
+            self.store_span(id, offset, fin, data, |s| {
+                let mut new_bytes = 0;
+                for (pos, &b) in (offset..).zip(data) {
+                    new_bytes += u64::from(!s.received.contains(pos));
+                    s.buf[pos as usize] = b;
+                }
+                new_bytes
+            });
+        }
+    }
+
     #[test]
     fn per_byte_and_range_accounting_agree() {
         // Overlapping, out-of-order, and duplicated frames must charge flow
-        // control identically in both accounting modes.
-        let frames: Vec<(u64, u64, bool, Vec<u8>)> = vec![
-            (0, 10, false, vec![1u8; 20]),
-            (1, 0, false, vec![2u8; 15]),  // overlaps [10, 14]
-            (2, 25, false, vec![3u8; 10]), // gap then adjacency
-            (3, 0, true, vec![4u8; 35]),   // fully covers everything, fin
-            (4, 5, false, vec![5u8; 5]),   // pure duplicate
+        // control identically; windows this small make the charge show in
+        // the grants.
+        let frames: Vec<(u64, bool, Vec<u8>)> = vec![
+            (10, false, vec![1u8; 20]),
+            (0, false, vec![2u8; 15]),  // overlaps [10, 14]
+            (25, false, vec![3u8; 10]), // gap then adjacency
+            (0, true, vec![4u8; 35]),   // fully covers everything, fin
+            (5, false, vec![5u8; 5]),   // pure duplicate
         ];
-        let mut fast = DataReceiver::new(1 << 20, 1 << 20);
-        let mut slow = DataReceiver::new(1 << 20, 1 << 20);
-        slow.set_per_byte_accounting(true);
-        for (pn, offset, fin, data) in &frames {
-            fast.on_packet(*pn, &[stream_frame(0, *offset, *fin, data)]);
-            slow.on_packet(*pn, &[stream_frame(0, *offset, *fin, data)]);
+        let mut fast = DataReceiver::new(40, 16);
+        let mut slow = DataReceiver::new(40, 16);
+        let (mut fast_grants, mut slow_grants) = (Vec::new(), Vec::new());
+        for (offset, fin, data) in &frames {
+            fast.on_stream_frame(0, *offset, *fin, data);
+            slow.on_stream_frame_reference(0, *offset, *fin, data);
+            fast_grants.push(fast.control_payload());
+            slow_grants.push(slow.control_payload());
         }
+        assert_eq!(fast_grants, slow_grants);
+        let granted = fast_grants.iter().filter(|g| g.is_some()).count();
+        assert_eq!(
+            granted, 2,
+            "the first two frames free window, the rest nothing"
+        );
         assert_eq!(fast.total_delivered(), slow.total_delivered());
         assert_eq!(fast.total_delivered(), 35);
-        assert_eq!(fast.control_payload(), slow.control_payload());
         assert_eq!(fast.take_stream(0), slow.take_stream(0));
     }
 

@@ -1,11 +1,10 @@
 //! Determinism properties of the telemetry subsystem: tracing must be a
 //! pure observer. The merged event stream and the merged metrics are
 //! byte-identical at any worker count (flow-local virtual time, index-ordered
-//! merges), and turning tracing on must not perturb a single table cell.
+//! merges) — pinned by digest in `golden/traced_streams.txt` — and turning
+//! tracing on must not perturb a single table cell.
 
 use std::sync::Arc;
-
-use proptest::prelude::*;
 
 use its_over_9000::analysis::campaign::{Campaign, FailureBreakdown};
 use its_over_9000::analysis::{tables, telemetry_audit};
@@ -14,6 +13,10 @@ use its_over_9000::qscanner::{QScanner, QuicTarget};
 use its_over_9000::simnet::addr::Ipv4Addr;
 use its_over_9000::simnet::IpAddr;
 use its_over_9000::telemetry::{MemorySink, Telemetry};
+
+mod common;
+
+use common::fnv1a;
 
 /// A mixed target list off the tiny universe: SNI-less addresses plus
 /// domain-fronted ones, enough of each that every outcome family shows up.
@@ -36,10 +39,11 @@ fn scan_targets(universe: &Universe) -> Vec<QuicTarget> {
 }
 
 /// Runs one traced scan and fingerprints everything the telemetry layer
-/// produced: the serialized event stream (concatenated JSON records in
-/// emission order) and the rendered metrics snapshot. Also asserts the
+/// produced, as one line of `golden/traced_streams.txt`: the loss rate, then
+/// FNV-1a of the serialized event stream (concatenated JSON records in
+/// emission order) and of the rendered metrics snapshot. Also asserts the
 /// event-derived failure breakdown matches the result-derived one.
-fn traced_fingerprint(workers: usize, loss: u32) -> (String, String) {
+fn traced_line(workers: usize, loss: u32) -> String {
     let universe = Universe::generate(UniverseConfig::tiny(18));
     let plan = if loss == 0 {
         FaultPlan::none()
@@ -63,38 +67,46 @@ fn traced_fingerprint(workers: usize, loss: u32) -> (String, String) {
     );
 
     let stream: String = events.iter().map(|e| e.to_json() + "\n").collect();
-    (stream, tel.metrics.snapshot().render())
+    let metrics = tel.metrics.snapshot().render();
+    format!(
+        "{loss} {:#018x} {:#018x}",
+        fnv1a(stream.as_bytes()),
+        fnv1a(metrics.as_bytes())
+    )
 }
 
-/// Memoized per-(workers, loss) fingerprint so proptest draws that land on
-/// the same configuration don't re-run the (expensive) scan.
-fn cached_fingerprint(workers: usize, loss: u32) -> (String, String) {
-    use std::collections::HashMap;
-    use std::sync::{Mutex, OnceLock};
-    type FingerprintCache = Mutex<HashMap<(usize, u32), (String, String)>>;
-    static CACHE: OnceLock<FingerprintCache> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    if let Some(fp) = cache.lock().unwrap().get(&(workers, loss)) {
-        return fp.clone();
+/// The serialized event stream and the merged metrics of a traced scan
+/// are the committed ones whether 2, 4, or 8 workers ran it — with and
+/// without injected faults. Flow-local virtual time and the driver's
+/// index-ordered merge are what make this hold.
+#[test]
+fn traced_streams_are_worker_count_invariant() {
+    let golden = include_str!("golden/traced_streams.txt");
+    for loss in [0u32, 50] {
+        let expected = golden
+            .lines()
+            .find(|line| line.split(' ').next() == Some(&loss.to_string()))
+            .unwrap_or_else(|| panic!("no loss={loss} line in golden/traced_streams.txt"));
+        for workers in [2usize, 4, 8] {
+            assert_eq!(
+                traced_line(workers, loss),
+                expected,
+                "event stream or metrics moved (workers={workers}, loss={loss})"
+            );
+        }
     }
-    let fp = traced_fingerprint(workers, loss);
-    cache.lock().unwrap().insert((workers, loss), fp.clone());
-    fp
 }
 
-proptest! {
-    /// The serialized event stream and the merged metrics of a traced scan
-    /// are byte-identical whether 1, 2, 4, or 8 workers ran it — with and
-    /// without injected faults. Flow-local virtual time and the driver's
-    /// index-ordered merge are what make this hold.
-    #[test]
-    fn traced_streams_are_worker_count_invariant(draw in any::<u64>()) {
-        let workers = [2usize, 4, 8][(draw % 3) as usize];
-        let loss = [0u32, 50][((draw >> 8) % 2) as usize];
-        let (base_stream, base_metrics) = cached_fingerprint(1, loss);
-        let (stream, metrics) = cached_fingerprint(workers, loss);
-        prop_assert_eq!(stream, base_stream, "event stream diverged (workers={}, loss={})", workers, loss);
-        prop_assert_eq!(metrics, base_metrics, "metrics diverged (workers={}, loss={})", workers, loss);
+/// Prints `golden/traced_streams.txt` from single-worker runs:
+/// `cargo test -q --test telemetry_determinism -- --ignored --nocapture print_traced_streams`.
+#[test]
+#[ignore]
+fn print_traced_streams() {
+    println!(
+        "# loss permille, FNV-1a of the traced scan's event stream, FNV-1a of its metrics render"
+    );
+    for loss in [0u32, 50] {
+        println!("{}", traced_line(1, loss));
     }
 }
 
