@@ -10,10 +10,14 @@ pub fn hmac_sha256(key: &[u8], data: &[u8]) -> [u8; DIGEST_LEN] {
 }
 
 /// Incremental HMAC-SHA256.
+///
+/// Both padded key blocks are hashed once, in [`HmacSha256::new`]: `inner`
+/// and `outer` hold the midstates after them, so a clone of a keyed MAC
+/// compresses only the message and the inner digest.
 #[derive(Clone)]
 pub struct HmacSha256 {
     inner: Sha256,
-    opad_key: [u8; BLOCK_LEN],
+    outer: Sha256,
 }
 
 impl HmacSha256 {
@@ -25,17 +29,14 @@ impl HmacSha256 {
         } else {
             k[..key.len()].copy_from_slice(key);
         }
-        let mut ipad = [0u8; BLOCK_LEN];
-        let mut opad = [0u8; BLOCK_LEN];
-        for i in 0..BLOCK_LEN {
-            ipad[i] = k[i] ^ 0x36;
-            opad[i] = k[i] ^ 0x5c;
-        }
-        let mut inner = Sha256::new();
-        inner.update(&ipad);
+        let keyed = |pad: u8| {
+            let mut h = Sha256::new();
+            h.update(&k.map(|b| b ^ pad));
+            h
+        };
         HmacSha256 {
-            inner,
-            opad_key: opad,
+            inner: keyed(0x36),
+            outer: keyed(0x5c),
         }
     }
 
@@ -46,10 +47,8 @@ impl HmacSha256 {
 
     /// Produces the 32-byte tag.
     pub fn finalize(self) -> [u8; DIGEST_LEN] {
-        let inner_digest = self.inner.finalize();
-        let mut outer = Sha256::new();
-        outer.update(&self.opad_key);
-        outer.update(&inner_digest);
+        let mut outer = self.outer;
+        outer.update(&self.inner.finalize());
         outer.finalize()
     }
 }
@@ -57,29 +56,32 @@ impl HmacSha256 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::each_sha256_backend;
     use qcodec::hex;
 
     /// RFC 4231 test cases 1, 2 and 7 (SHA-256 column).
     #[test]
     fn rfc4231_vectors() {
-        let t1 = hmac_sha256(&[0x0b; 20], b"Hi There");
-        assert_eq!(
-            hex::encode(&t1),
-            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
-        );
-        let t2 = hmac_sha256(b"Jefe", b"what do ya want for nothing?");
-        assert_eq!(
-            hex::encode(&t2),
-            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
-        );
-        let t7 = hmac_sha256(
-            &[0xaa; 131],
-            b"This is a test using a larger than block-size key and a larger than block-size data. The key needs to be hashed before being used by the HMAC algorithm.",
-        );
-        assert_eq!(
-            hex::encode(&t7),
-            "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"
-        );
+        each_sha256_backend(|_| {
+            let t1 = hmac_sha256(&[0x0b; 20], b"Hi There");
+            assert_eq!(
+                hex::encode(&t1),
+                "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
+            );
+            let t2 = hmac_sha256(b"Jefe", b"what do ya want for nothing?");
+            assert_eq!(
+                hex::encode(&t2),
+                "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
+            );
+            let t7 = hmac_sha256(
+                &[0xaa; 131],
+                b"This is a test using a larger than block-size key and a larger than block-size data. The key needs to be hashed before being used by the HMAC algorithm.",
+            );
+            assert_eq!(
+                hex::encode(&t7),
+                "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"
+            );
+        });
     }
 
     #[test]

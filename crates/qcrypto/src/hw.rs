@@ -1,27 +1,33 @@
-//! The x86_64 AES-GCM backend: `aesenc` rounds with eight CTR blocks in
-//! flight, GHASH by `pclmulqdq` with one reduction per eight blocks (against
-//! H¹..H⁸).
+//! The x86_64 backends:
+//!
+//! * AES-GCM — `aesenc` rounds with eight CTR blocks in flight, GHASH by
+//!   `pclmulqdq` with one reduction per eight blocks (against H¹..H⁸);
+//! * the SHA-256 compression function — `sha256rnds2` for the rounds,
+//!   `sha256msg1`/`sha256msg2` for the message schedule, sixteen groups of
+//!   four rounds per block.
 //!
 //! This is the one module in the workspace that contains `unsafe`, and it
 //! needs it for exactly two things:
 //!
 //! * calling functions compiled with `#[target_feature]` — sound because
-//!   every entry point takes a [`Token`], which only [`Token::detect`] can
-//!   make and only after the CPU reported all three features;
+//!   every entry point takes a token: a [`Token`] for AES-GCM, a
+//!   [`ShaToken`] for SHA-256. Only their `detect` can make them, and only
+//!   after the CPU reported every feature the functions behind them enable;
 //! * unaligned 16-byte loads and stores — confined to [`load`] and
 //!   [`store`], which take `[u8; 16]` references, so the access is exactly
 //!   the referent. Anything shorter than a block goes through a zero-padded
 //!   block on the stack first.
 //!
-//! AES-NI and PCLMULQDQ run in time independent of their operands, which
-//! makes this path constant-time in key and data as a side effect; the crate
-//! as a whole still is not (see the crate docs).
+//! AES-NI, PCLMULQDQ and the SHA extensions run in time independent of their
+//! operands, which makes this path constant-time in key and data as a side
+//! effect; the crate as a whole still is not (see the crate docs).
 #![allow(unsafe_code)]
 
 use core::arch::x86_64::*;
 
 use crate::aes::RoundKeys;
 use crate::gcm::{length_block, split_blocks};
+use crate::sha256::{BLOCK_LEN, K};
 
 /// Proof that this CPU has AES-NI, PCLMULQDQ and SSSE3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,6 +40,20 @@ impl Token {
             && is_x86_feature_detected!("pclmulqdq")
             && is_x86_feature_detected!("ssse3"))
         .then_some(Token(()))
+    }
+}
+
+/// Proof that this CPU has the SHA extensions, SSSE3 and SSE4.1.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ShaToken(());
+
+impl ShaToken {
+    /// Asks the CPU; `None` means the portable rounds must be used.
+    pub(crate) fn detect() -> Option<ShaToken> {
+        (is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1"))
+        .then_some(ShaToken(()))
     }
 }
 
@@ -283,4 +303,67 @@ fn ghash_impl(h: &[u8; 16], aad: &[u8], ct: &[u8]) -> [u8; 16] {
 pub(crate) fn ghash(_: Token, h: &[u8; 16], aad: &[u8], ct: &[u8]) -> [u8; 16] {
     // SAFETY: the token proves the CPU has `pclmulqdq` and `ssse3`.
     unsafe { ghash_impl(h, aad, ct) }
+}
+
+/// Four SHA-256 rounds on the (ABEF, CDGH) register pair: `sha256rnds2`
+/// takes two `w + k` words from the low half of `wk`, so it runs twice.
+/// Each call leaves the new ABEF, and the old ABEF is the new CDGH.
+#[inline]
+#[target_feature(enable = "sha")]
+fn rounds4(abef: &mut __m128i, cdgh: &mut __m128i, wk: __m128i) {
+    *cdgh = _mm_sha256rnds2_epu32(*cdgh, *abef, wk);
+    *abef = _mm_sha256rnds2_epu32(*abef, *cdgh, _mm_shuffle_epi32(wk, 0b00_00_11_10));
+}
+
+#[target_feature(enable = "sha,ssse3,sse4.1")]
+fn sha256_compress_impl(state: &mut [u32; 8], blocks: &[u8]) {
+    // Big-endian message words into little-endian lanes, W[t] in lane 0.
+    let be_words = _mm_set_epi8(12, 13, 14, 15, 8, 9, 10, 11, 4, 5, 6, 7, 0, 1, 2, 3);
+    let [a, b, c, d, e, f, g, h] = state.map(|w| w as i32);
+    let mut abef = _mm_set_epi32(a, b, e, f);
+    let mut cdgh = _mm_set_epi32(c, d, g, h);
+    for block in blocks.chunks_exact(BLOCK_LEN) {
+        let (abef_in, cdgh_in) = (abef, cdgh);
+        // W[4i..4i+4] for the last four groups, group i in w[i % 4].
+        let mut w: [__m128i; 4] = core::array::from_fn(|i| {
+            _mm_shuffle_epi8(load(as_block(&block[16 * i..16 * i + 16])), be_words)
+        });
+        for i in 0..16 {
+            if i >= 4 {
+                // W[t] = σ1(W[t-2]) + W[t-7] + σ0(W[t-15]) + W[t-16]:
+                // msg1 adds σ0, alignr brings W[t-7], msg2 adds σ1.
+                let (w16, w12, w8, w4) = (w[i % 4], w[(i + 1) % 4], w[(i + 2) % 4], w[(i + 3) % 4]);
+                let partial =
+                    _mm_add_epi32(_mm_sha256msg1_epu32(w16, w12), _mm_alignr_epi8(w4, w8, 4));
+                w[i % 4] = _mm_sha256msg2_epu32(partial, w4);
+            }
+            let k = _mm_set_epi32(
+                K[4 * i + 3] as i32,
+                K[4 * i + 2] as i32,
+                K[4 * i + 1] as i32,
+                K[4 * i] as i32,
+            );
+            rounds4(&mut abef, &mut cdgh, _mm_add_epi32(w[i % 4], k));
+        }
+        abef = _mm_add_epi32(abef, abef_in);
+        cdgh = _mm_add_epi32(cdgh, cdgh_in);
+    }
+    *state = [
+        _mm_extract_epi32::<3>(abef),
+        _mm_extract_epi32::<2>(abef),
+        _mm_extract_epi32::<3>(cdgh),
+        _mm_extract_epi32::<2>(cdgh),
+        _mm_extract_epi32::<1>(abef),
+        _mm_extract_epi32::<0>(abef),
+        _mm_extract_epi32::<1>(cdgh),
+        _mm_extract_epi32::<0>(cdgh),
+    ]
+    .map(|w| w as u32);
+}
+
+/// Runs the SHA-256 compression function over each 64-byte block of
+/// `blocks` in turn; a trailing partial block is ignored.
+pub(crate) fn sha256_compress(_: ShaToken, state: &mut [u32; 8], blocks: &[u8]) {
+    // SAFETY: the token proves the CPU has `sha`, `ssse3` and `sse4.1`.
+    unsafe { sha256_compress_impl(state, blocks) }
 }

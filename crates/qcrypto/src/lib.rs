@@ -14,14 +14,21 @@
 //! * `hw` (x86_64 with AES-NI + PCLMULQDQ + SSSE3): `aesenc`/`pclmulqdq`;
 //! * `soft` (everything else): T-tables and a 4-bit Shoup table.
 //!
+//! SHA-256, under every HMAC, HKDF, transcript and certificate, picks its
+//! compression function the same way, behind the one [`sha256::Sha256`] API:
+//!
+//! * `hw` (x86_64 with SHA-NI + SSSE3 + SSE4.1): `sha256rnds2` with
+//!   `sha256msg1`/`sha256msg2`;
+//! * `soft` (everything else): the FIPS 180-4 rounds.
+//!
 //! `hw` happens to run in data-independent time; the crate still is not
 //! constant-time, because `soft`, the shared AES key expansion, and the
 //! X25519/Poly1305 arithmetic all branch on or index by secret data.
 //!
 //! The crate is `#![deny(unsafe_code)]`. The one exception is the private
 //! `hw` module, which needs `unsafe` to call `#[target_feature]` functions
-//! and for unaligned 16-byte loads and stores; its header says why each is
-//! sound.
+//! (AES-NI, PCLMULQDQ, SHA-NI) and for unaligned 16-byte loads and stores;
+//! its header says why each is sound.
 //!
 //! Provided primitives:
 //! * [`sha256`] — FIPS 180-4 SHA-256

@@ -1,9 +1,13 @@
 //! The test oracle: AES rounds byte by byte as FIPS 197 writes them, GHASH
-//! bit by bit as SP 800-38D writes it, and GCM assembled from the two. This
-//! was the production code before the `hw`/`soft` backends; it is compiled
-//! into test builds only, where both backends are held against it.
+//! bit by bit as SP 800-38D writes it, GCM assembled from the two, and
+//! SHA-256 padded the way FIPS 180-4 §5.1.1 writes it. The AES and GCM parts
+//! were the production code before the `hw`/`soft` backends; all of it is
+//! compiled into test builds only, where both backends are held against it.
+
+use std::cell::Cell;
 
 use crate::aes::{Aes, Backend, RoundKeys, SBOX};
+use crate::sha256::{self, BLOCK_LEN, DIGEST_LEN};
 
 /// Runs `check` against `soft`, and against `hw` where the CPU has it;
 /// says so on stderr where it does not, so a green run on such a host is
@@ -14,6 +18,47 @@ pub(crate) fn each_backend(mut check: impl FnMut(Backend)) {
         Some(hw) => check(hw),
         None => eprintln!("note: no AES-NI/PCLMULQDQ on this CPU — hw backend not exercised"),
     }
+}
+
+thread_local! {
+    /// The SHA-256 backend [`each_sha256_backend`] pinned on this thread.
+    pub(crate) static PINNED_SHA256: Cell<Option<sha256::Backend>> = const { Cell::new(None) };
+}
+
+/// Runs `check` with every hasher the calling thread creates — and so every
+/// HMAC and HKDF call — on `soft`, then on `hw` where the CPU has it; says
+/// so on stderr where it does not.
+pub(crate) fn each_sha256_backend(mut check: impl FnMut(sha256::Backend)) {
+    let mut run = |backend| {
+        PINNED_SHA256.with(|p| p.set(Some(backend)));
+        check(backend);
+        PINNED_SHA256.with(|p| p.set(None));
+    };
+    run(sha256::Backend::Soft);
+    match sha256::Backend::hw() {
+        Some(hw) => run(hw),
+        None => eprintln!("note: no SHA-NI on this CPU — hw SHA-256 backend not exercised"),
+    }
+}
+
+/// SHA-256 of `msg` padded whole — message ‖ 0x80 ‖ zeros ‖ 64-bit bit
+/// length — and compressed block by block with the portable rounds.
+pub(crate) fn sha256(msg: &[u8]) -> [u8; DIGEST_LEN] {
+    let mut padded = msg.to_vec();
+    padded.push(0x80);
+    while padded.len() % BLOCK_LEN != BLOCK_LEN - 8 {
+        padded.push(0);
+    }
+    padded.extend_from_slice(&(msg.len() as u64 * 8).to_be_bytes());
+    let mut state = sha256::H0;
+    for block in padded.chunks_exact(BLOCK_LEN) {
+        sha256::compress_soft(&mut state, block.try_into().expect("64-byte chunk"));
+    }
+    let mut out = [0u8; DIGEST_LEN];
+    for (bytes, w) in out.chunks_exact_mut(4).zip(state) {
+        bytes.copy_from_slice(&w.to_be_bytes());
+    }
+    out
 }
 
 fn xtime(b: u8) -> u8 {

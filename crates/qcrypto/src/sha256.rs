@@ -1,11 +1,23 @@
 //! SHA-256 (FIPS 180-4).
+//!
+//! One [`Sha256`] front end (block buffering and one-step padding) over two
+//! implementations of the compression function, picked from what the CPU
+//! reports — there is no feature flag, environment variable or option:
+//!
+//! * `hw` — x86_64 with SHA-NI, SSSE3 and SSE4.1: `sha256rnds2` and
+//!   `sha256msg1`/`sha256msg2`;
+//! * `soft` — everywhere else: the FIPS 180-4 rounds as written, which are
+//!   also the test oracle `hw` is held against.
+
+#[cfg(target_arch = "x86_64")]
+use crate::hw;
 
 /// Digest size in bytes.
 pub const DIGEST_LEN: usize = 32;
 /// Internal block size in bytes (needed by HMAC).
 pub const BLOCK_LEN: usize = 64;
 
-const K: [u32; 64] = [
+pub(crate) const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
     0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
     0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
@@ -16,9 +28,41 @@ const K: [u32; 64] = [
     0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
 ];
 
-const H0: [u32; 8] = [
+pub(crate) const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
+
+/// Which implementation runs the compression function.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Backend {
+    /// SHA-NI; the token proves the CPU has it.
+    #[cfg(target_arch = "x86_64")]
+    Hw(hw::ShaToken),
+    /// The portable rounds.
+    Soft,
+}
+
+impl Backend {
+    /// `hw` when the CPU has it, `soft` otherwise — from the CPU and
+    /// nothing else, like [`crate::aes::Backend::detect`]. In this crate's
+    /// own tests `reference::each_sha256_backend` can pin it for the calling
+    /// thread.
+    pub(crate) fn detect() -> Backend {
+        #[cfg(test)]
+        if let Some(pinned) = crate::reference::PINNED_SHA256.with(std::cell::Cell::get) {
+            return pinned;
+        }
+        Backend::hw().unwrap_or(Backend::Soft)
+    }
+
+    /// The hardware backend, if this CPU has one.
+    pub(crate) fn hw() -> Option<Backend> {
+        #[cfg(target_arch = "x86_64")]
+        return hw::ShaToken::detect().map(Backend::Hw);
+        #[cfg(not(target_arch = "x86_64"))]
+        None
+    }
+}
 
 /// Incremental SHA-256 hasher.
 #[derive(Clone)]
@@ -27,6 +71,7 @@ pub struct Sha256 {
     block: [u8; BLOCK_LEN],
     block_len: usize,
     total_len: u64,
+    backend: Backend,
 }
 
 impl Default for Sha256 {
@@ -43,10 +88,12 @@ impl Sha256 {
             block: [0; BLOCK_LEN],
             block_len: 0,
             total_len: 0,
+            backend: Backend::detect(),
         }
     }
 
-    /// Feeds `data` into the hash.
+    /// Feeds `data` into the hash. Whole blocks are compressed straight
+    /// from `data`; only a partial block is copied.
     pub fn update(&mut self, mut data: &[u8]) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         if self.block_len > 0 {
@@ -54,86 +101,96 @@ impl Sha256 {
             self.block[self.block_len..self.block_len + take].copy_from_slice(&data[..take]);
             self.block_len += take;
             data = &data[take..];
-            if self.block_len == BLOCK_LEN {
-                let block = self.block;
-                self.compress(&block);
-                self.block_len = 0;
+            if self.block_len < BLOCK_LEN {
+                return;
             }
-        }
-        while data.len() >= BLOCK_LEN {
-            let mut block = [0u8; BLOCK_LEN];
-            block.copy_from_slice(&data[..BLOCK_LEN]);
+            let block = self.block;
             self.compress(&block);
-            data = &data[BLOCK_LEN..];
+            self.block_len = 0;
         }
-        if !data.is_empty() {
-            self.block[..data.len()].copy_from_slice(data);
-            self.block_len = data.len();
+        let (whole, rest) = data.split_at(data.len() - data.len() % BLOCK_LEN);
+        if !whole.is_empty() {
+            self.compress(whole);
         }
+        self.block[..rest.len()].copy_from_slice(rest);
+        self.block_len = rest.len();
     }
 
     /// Finishes the hash and returns the 32-byte digest.
+    ///
+    /// The padding (FIPS 180-4 §5.1.1: 0x80, zeros, the 64-bit bit length)
+    /// is laid out in one go behind the buffered bytes: one block, or two
+    /// when fewer than nine bytes are left in the first.
     pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
-        let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        // `update` adjusted total_len for the pad byte; undo bookkeeping by
-        // computing the length field from the saved value instead.
-        while self.block_len != 56 {
-            self.update(&[0]);
-        }
-        self.total_len = 0; // silence further bookkeeping
-        let mut block = self.block;
-        block[56..].copy_from_slice(&bit_len.to_be_bytes());
-        self.compress(&block);
+        let n = self.block_len;
+        let mut tail = [0u8; 2 * BLOCK_LEN];
+        tail[..n].copy_from_slice(&self.block[..n]);
+        tail[n] = 0x80;
+        let len = if n + 9 <= BLOCK_LEN {
+            BLOCK_LEN
+        } else {
+            2 * BLOCK_LEN
+        };
+        tail[len - 8..len].copy_from_slice(&self.total_len.wrapping_mul(8).to_be_bytes());
+        self.compress(&tail[..len]);
         let mut out = [0u8; DIGEST_LEN];
-        for (i, w) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&w.to_be_bytes());
+        for (bytes, w) in out.chunks_exact_mut(4).zip(self.state) {
+            bytes.copy_from_slice(&w.to_be_bytes());
         }
         out
     }
 
-    fn compress(&mut self, block: &[u8; BLOCK_LEN]) {
-        let mut w = [0u32; 64];
-        for i in 0..16 {
-            w[i] = u32::from_be_bytes([
-                block[4 * i],
-                block[4 * i + 1],
-                block[4 * i + 2],
-                block[4 * i + 3],
-            ]);
+    /// Compresses every whole block of `blocks` into the state.
+    fn compress(&mut self, blocks: &[u8]) {
+        match self.backend {
+            #[cfg(target_arch = "x86_64")]
+            Backend::Hw(token) => hw::sha256_compress(token, &mut self.state, blocks),
+            Backend::Soft => {
+                for block in blocks.chunks_exact(BLOCK_LEN) {
+                    compress_soft(&mut self.state, block.try_into().expect("64-byte chunk"));
+                }
+            }
         }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        for (s, v) in self.state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
-            *s = s.wrapping_add(v);
-        }
+    }
+}
+
+/// The portable compression function: FIPS 180-4 §6.2.2 as written.
+pub(crate) fn compress_soft(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
+    let mut w = [0u32; 64];
+    for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
+        *word = u32::from_be_bytes(bytes.try_into().expect("4-byte chunk"));
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ (!e & g);
+        let t1 = h
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[i])
+            .wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
+    }
+    for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *s = s.wrapping_add(v);
     }
 }
 
@@ -147,6 +204,7 @@ pub fn digest(data: &[u8]) -> [u8; DIGEST_LEN] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{self, each_sha256_backend};
     use qcodec::hex;
 
     /// FIPS 180-4 / NIST CAVP short-message vectors.
@@ -166,32 +224,116 @@ mod tests {
                 "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
             ),
         ];
-        for (msg, want) in cases {
-            assert_eq!(hex::encode(&digest(msg)), *want);
-        }
+        each_sha256_backend(|backend| {
+            for (msg, want) in cases {
+                assert_eq!(hex::encode(&digest(msg)), *want, "{backend:?}");
+            }
+        });
     }
 
     #[test]
     fn million_a() {
-        let mut h = Sha256::new();
-        let chunk = [b'a'; 1000];
-        for _ in 0..1000 {
-            h.update(&chunk);
-        }
-        assert_eq!(
-            hex::encode(&h.finalize()),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
+        each_sha256_backend(|backend| {
+            let mut h = Sha256::new();
+            let chunk = [b'a'; 1000];
+            for _ in 0..1000 {
+                h.update(&chunk);
+            }
+            assert_eq!(
+                hex::encode(&h.finalize()),
+                "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+                "{backend:?}"
+            );
+        });
     }
 
+    /// Every length from 0 to 300 bytes — across the 55/56/63/64 and
+    /// 119/120 edges where the padding takes one block or two — equals the
+    /// whole-message padding oracle, in one `update` and split at every
+    /// point, on both backends.
     #[test]
-    fn incremental_matches_oneshot() {
-        let data: Vec<u8> = (0..=255u8).cycle().take(1000).collect();
-        for split in [0usize, 1, 63, 64, 65, 500, 999, 1000] {
-            let mut h = Sha256::new();
-            h.update(&data[..split]);
-            h.update(&data[split..]);
-            assert_eq!(h.finalize(), digest(&data), "split at {split}");
+    fn padding_matches_the_oracle_at_every_length_and_split() {
+        let data: Vec<u8> = (0..=300u32).map(|i| (i * 167 + 13) as u8).collect();
+        each_sha256_backend(|backend| {
+            for len in 0..=data.len() {
+                let msg = &data[..len];
+                let want = reference::sha256(msg);
+                assert_eq!(digest(msg), want, "{backend:?} len {len}");
+                for split in 0..=len {
+                    let mut h = Sha256::new();
+                    h.update(&msg[..split]);
+                    h.update(&msg[split..]);
+                    assert_eq!(h.finalize(), want, "{backend:?} len {len} split {split}");
+                }
+            }
+        });
+    }
+
+    /// Both backends' compression functions agree on arbitrary states and
+    /// runs of one to four blocks.
+    #[test]
+    fn backends_match_portable_rounds() {
+        let mut rng = proptest::TestRng::for_test("sha256::backends_match_portable_rounds");
+        for case in 0..200 {
+            let start: [u32; 8] = std::array::from_fn(|_| rng.next_u64() as u32);
+            let blocks: Vec<u8> = (0..BLOCK_LEN * (1 + case % 4))
+                .map(|_| rng.next_u64() as u8)
+                .collect();
+            let mut want = start;
+            for block in blocks.chunks_exact(BLOCK_LEN) {
+                compress_soft(&mut want, block.try_into().unwrap());
+            }
+            each_sha256_backend(|backend| {
+                let mut h = Sha256::new();
+                h.state = start;
+                h.compress(&blocks);
+                assert_eq!(h.state, want, "{backend:?} case {case}");
+            });
         }
+    }
+
+    /// µs per compressed block, per 1 KiB digest, per HMAC of a short
+    /// message and per `HKDF-Expand-Label`, on each backend; prints, asserts
+    /// nothing. Run with
+    /// `cargo test --release -p qcrypto -- --ignored --nocapture sha256_speed`.
+    #[test]
+    #[ignore = "micro-benchmark: prints timings, meaningful in release builds only"]
+    fn sha256_speed() {
+        use crate::{hkdf, hmac};
+        use std::hint::black_box;
+        use std::time::Instant;
+        let per_op_us = |op: &mut dyn FnMut()| {
+            let iterations = 20_000;
+            let best_of = 5;
+            (0..best_of)
+                .map(|_| {
+                    let start = Instant::now();
+                    for _ in 0..iterations {
+                        op();
+                    }
+                    start.elapsed().as_secs_f64() * 1e6 / f64::from(iterations)
+                })
+                .fold(f64::INFINITY, f64::min)
+        };
+        let data = [0xabu8; 1024];
+        let key = [0x42u8; 32];
+        each_sha256_backend(|backend| {
+            let mut h = Sha256::new();
+            let block = per_op_us(&mut || h.compress(black_box(&data[..BLOCK_LEN])));
+            black_box(h.state);
+            let digest_1k = per_op_us(&mut || {
+                black_box(digest(black_box(&data)));
+            });
+            let mac = per_op_us(&mut || {
+                black_box(hmac::hmac_sha256(black_box(&key), black_box(&data[..48])));
+            });
+            let label = per_op_us(&mut || {
+                black_box(hkdf::expand_label(black_box(&key), "quic key", &[], 16));
+            });
+            println!(
+                "{backend:?}: block {block:.3} us, digest_1k {digest_1k:.3} us, \
+                 hmac_48 {mac:.3} us, expand_label {label:.3} us"
+            );
+        });
     }
 }

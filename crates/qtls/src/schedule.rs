@@ -5,7 +5,7 @@
 
 use qcrypto::hkdf;
 use qcrypto::hmac::hmac_sha256;
-use qcrypto::sha256::{self, Sha256, DIGEST_LEN};
+use qcrypto::sha256::{Sha256, DIGEST_LEN};
 use qcrypto::x25519;
 
 /// Running transcript hash over handshake messages.
@@ -62,14 +62,24 @@ pub(crate) fn dh_shared_secret(secret: &[u8; 32], peer_public: &[u8; 32]) -> Opt
     (shared.iter().fold(0, |acc, b| acc | b) != 0).then_some(shared)
 }
 
+/// `SHA-256("")`, the context of every `Derive-Secret(., "derived", "")`.
+const EMPTY_HASH: [u8; DIGEST_LEN] = [
+    0xe3, 0xb0, 0xc4, 0x42, 0x98, 0xfc, 0x1c, 0x14, 0x9a, 0xfb, 0xf4, 0xc8, 0x99, 0x6f, 0xb9, 0x24,
+    0x27, 0xae, 0x41, 0xe4, 0x64, 0x9b, 0x93, 0x4c, 0xa4, 0x95, 0x99, 0x1b, 0x78, 0x52, 0xb8, 0x55,
+];
+
+/// `Derive-Secret(early_secret, "derived", "")` for the early secret with no
+/// PSK, `HKDF-Extract(0, 0³²)`: the salt of every handshake secret (RFC 8448
+/// §3 lists both values).
+const DERIVED_FROM_EARLY: [u8; DIGEST_LEN] = [
+    0x6f, 0x26, 0x15, 0xa1, 0x08, 0xc7, 0x02, 0xc5, 0x67, 0x8f, 0x54, 0xfc, 0x9d, 0xba, 0xb6, 0x97,
+    0x16, 0xc0, 0x76, 0x18, 0x9c, 0x48, 0x25, 0x0c, 0xeb, 0xea, 0xc3, 0x57, 0x6c, 0x36, 0x11, 0xba,
+];
+
 /// Derives the handshake traffic secrets from the (EC)DHE shared secret and
 /// the transcript hash through ServerHello.
 pub fn handshake_secrets(shared_secret: &[u8], transcript_to_sh: &[u8; 32]) -> HandshakeSecrets {
-    // Early secret with no PSK.
-    let early_secret = hkdf::extract(&[], &[0u8; DIGEST_LEN]);
-    let empty_hash = sha256::digest(&[]);
-    let derived = hkdf::expand_label(&early_secret, "derived", &empty_hash, DIGEST_LEN);
-    let handshake_secret = hkdf::extract(&derived, shared_secret);
+    let handshake_secret = hkdf::extract(&DERIVED_FROM_EARLY, shared_secret);
     let client = hkdf::expand_label(
         &handshake_secret,
         "c hs traffic",
@@ -92,8 +102,7 @@ pub fn handshake_secrets(shared_secret: &[u8], transcript_to_sh: &[u8; 32]) -> H
 /// Derives the application traffic secrets from the handshake secrets and the
 /// transcript hash through server Finished.
 pub fn app_secrets(hs: &HandshakeSecrets, transcript_to_server_fin: &[u8; 32]) -> AppSecrets {
-    let empty_hash = sha256::digest(&[]);
-    let derived = hkdf::expand_label(&hs.handshake_secret, "derived", &empty_hash, DIGEST_LEN);
+    let derived = hkdf::expand_label(&hs.handshake_secret, "derived", &EMPTY_HASH, DIGEST_LEN);
     let master_secret = hkdf::extract(&derived, &[0u8; DIGEST_LEN]);
     let client = hkdf::expand_label(
         &master_secret,
@@ -120,6 +129,30 @@ pub fn finished_verify_data(traffic_secret: &[u8], transcript_hash: &[u8; 32]) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qcrypto::sha256;
+
+    /// The three no-PSK constants, recomputed and held to RFC 8448 §3.
+    #[test]
+    fn constants_match_rfc8448() {
+        let hex = |s: &str| qcodec::hex::decode(s).unwrap();
+        let early_secret = hkdf::extract(&[], &[0u8; DIGEST_LEN]);
+        assert_eq!(
+            early_secret.to_vec(),
+            hex("33ad0a1c607ec03b09e6cd9893680ce210adf300aa1f2660e1b22e10f170f92a")
+        );
+        let empty_hash = sha256::digest(&[]);
+        assert_eq!(
+            empty_hash.to_vec(),
+            hex("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")
+        );
+        assert_eq!(empty_hash, EMPTY_HASH);
+        let derived = hkdf::expand_label(&early_secret, "derived", &empty_hash, DIGEST_LEN);
+        assert_eq!(
+            derived,
+            hex("6f2615a108c702c5678f54fc9dbab69716c076189c48250cebeac3576c3611ba")
+        );
+        assert_eq!(derived, DERIVED_FROM_EARLY);
+    }
 
     #[test]
     fn transcript_is_plain_sha256() {
