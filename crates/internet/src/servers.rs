@@ -150,8 +150,6 @@ pub struct HttpsTcpHost {
     profile: Arc<HttpProfile>,
     seed_counter: Mutex<u64>,
     base_seed: u64,
-    /// Per-SNI certificate cache shared by every connection to this host.
-    cert_cache: Arc<qtls::server::CertCache>,
 }
 
 impl HttpsTcpHost {
@@ -162,7 +160,6 @@ impl HttpsTcpHost {
             profile: Arc::new(profile),
             seed_counter: Mutex::new(0),
             base_seed,
-            cert_cache: Arc::new(qtls::server::CertCache::new()),
         }
     }
 }
@@ -179,11 +176,7 @@ impl TcpFactory for HttpsTcpHost {
         rng.fill_bytes(&mut seed64);
         let mut conn_rng = StdRng::seed_from_u64(u64::from_le_bytes(seed64));
         Box::new(HttpsTcpConn {
-            tls: qtls::record::TlsTcpServer::with_cert_cache(
-                self.tls.clone(),
-                Arc::clone(&self.cert_cache),
-                &mut conn_rng,
-            ),
+            tls: qtls::record::TlsTcpServer::new(self.tls.clone(), &mut conn_rng),
             profile: self.profile.clone(),
             request: Vec::new(),
         })

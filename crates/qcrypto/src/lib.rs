@@ -33,7 +33,8 @@
 //! Provided primitives:
 //! * [`sha256`] — FIPS 180-4 SHA-256
 //! * [`hmac`] — RFC 2104 HMAC-SHA256
-//! * [`hkdf`] — RFC 5869 HKDF-SHA256 plus TLS 1.3 `HKDF-Expand-Label`
+//! * [`hkdf`] — RFC 5869 HKDF-SHA256 plus TLS 1.3 `HKDF-Expand-Label`, every
+//!   expansion from one keyed [`hkdf::Prk`]
 //! * [`aes`] — FIPS 197 AES-128/AES-256 block cipher (encrypt direction)
 //! * [`gcm`] — NIST SP 800-38D AES-GCM AEAD
 //! * [`chacha20`] / [`poly1305`] / ChaCha20-Poly1305 AEAD — RFC 8439

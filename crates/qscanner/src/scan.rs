@@ -18,7 +18,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use h3::qpack::Header;
 use h3::request::{self, Response};
-use quic::conn::{ClientConnection, ConnectionState, HandshakeOutcome, HandshakeScratch};
+use quic::conn::{ClientConnection, ConnectionState, HandshakeOutcome};
 use quic::tparams::TransportParameters;
 use quic::version::Version;
 use quic::ClientConfig;
@@ -78,10 +78,9 @@ fn outcome_counter(outcome: &ScanOutcome) -> &'static str {
 
 /// What one worker reuses across every target it scans: its private view of
 /// the network (clock, traffic counters, flow-sequence cache — merged back
-/// when the worker is dropped), the handshake buffers, and the reply arena.
+/// when the worker is dropped) and the reply arena.
 struct Worker<'n> {
     shard: NetShard<'n>,
-    scratch: HandshakeScratch,
     arena: DatagramArena,
 }
 
@@ -89,7 +88,6 @@ impl<'n> Worker<'n> {
     fn new(net: &'n Network) -> Self {
         Worker {
             shard: net.shard(),
-            scratch: HandshakeScratch::new(),
             arena: DatagramArena::new(),
         }
     }
@@ -140,9 +138,6 @@ fn exchange(
             got_reply = true;
             conn.on_datagram(&reply);
         }
-        for datagram in flight {
-            conn.recycle_datagram(datagram);
-        }
         return (status, got_reply);
     };
     let mut status = FlightStatus::default();
@@ -169,7 +164,6 @@ fn exchange(
             conn.on_datagram(&reply);
         }
         drain_conn_events(conn, o);
-        conn.recycle_datagram(datagram);
     }
     (status, got_reply)
 }
@@ -370,12 +364,11 @@ impl QScanner {
                             .unwrap_or_else(|| Version::V1.label()),
                     });
                     o.metrics.inc("qscanner.attempts", 1);
-                    let mut conn =
-                        ClientConnection::new_traced_reusing(config, seed, &mut w.scratch);
+                    let mut conn = ClientConnection::new_traced(config, seed);
                     drain_conn_events(&mut conn, o);
                     conn
                 }
-                None => ClientConnection::new_reusing(config, seed, &mut w.scratch),
+                None => ClientConnection::new(config, seed),
             };
 
             let mut ptos = PtoSchedule::new(rtt_us, self.max_ptos);
@@ -428,7 +421,6 @@ impl QScanner {
 
             if unreachable {
                 result.outcome = ScanOutcome::Unreachable;
-                conn.recycle_into(&mut w.scratch);
                 return result;
             }
 
@@ -461,18 +453,15 @@ impl QScanner {
                             self.fetch_http(w, target, src, dst, &mut conn, obs.as_deref_mut());
                     }
                     result.outcome = ScanOutcome::Success;
-                    conn.recycle_into(&mut w.scratch);
                     return result;
                 }
                 Some(outcome) => {
                     result.outcome = outcome;
-                    conn.recycle_into(&mut w.scratch);
                     return result;
                 }
                 None => {
                     // No verdict this attempt: back off and retry from a
                     // fresh port while budget remains.
-                    conn.recycle_into(&mut w.scratch);
                     let wait_us = backoff.wait_us();
                     if !budget.try_charge(wait_us) {
                         break;

@@ -61,8 +61,10 @@ impl Certificate {
         let mut r = Reader::new(bytes);
         let serial = r.read_u64()?;
         let subject = utf8(r.read_vec8()?)?;
-        let san_count = r.read_u8()? as usize;
-        let mut san = Vec::with_capacity(san_count);
+        // Grown name by name: the count is the peer's claim, not the bytes
+        // present.
+        let san_count = r.read_u8()?;
+        let mut san = Vec::new();
         for _ in 0..san_count {
             san.push(utf8(r.read_vec8()?)?);
         }

@@ -6,6 +6,10 @@
 //! encryption level, so the same engine runs embedded in QUIC CRYPTO frames
 //! (RFC 9001) and under the TCP record layer ([`record`]).
 //!
+//! Nothing is shared between handshakes: each server handshake selects and
+//! encodes its own certificate, and every secret in the key schedule and
+//! the record layer is expanded through one keyed `qcrypto::hkdf::Prk`.
+//!
 //! Deliberate simplifications (documented in DESIGN.md):
 //! * Certificates use a compact TLV format, not X.509/ASN.1, and signatures
 //!   are an HMAC-based scheme (`SimSig`) under a simulated CA — the

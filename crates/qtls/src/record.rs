@@ -49,14 +49,17 @@ fn protected_header(len: usize) -> [u8; 5] {
 }
 
 impl Seal {
+    /// Record protection for one traffic secret: `"key"` and `"iv"` from
+    /// one keyed PRK (RFC 8446 §7.3).
     fn from_secret(suite: CipherSuite, secret: &[u8]) -> Self {
         let alg = suite.aead();
-        let key = hkdf::expand_label(secret, "key", &[], alg.key_len());
-        let iv_bytes = hkdf::expand_label(secret, "iv", &[], alg.iv_len());
+        let prk = hkdf::Prk::new(secret);
+        let mut key = [0u8; 32];
         let mut iv = [0u8; 12];
-        iv.copy_from_slice(&iv_bytes);
+        prk.expand_label_into("key", &[], &mut key[..alg.key_len()]);
+        prk.expand_label_into("iv", &[], &mut iv);
         Seal {
-            aead: Aead::new(alg, &key),
+            aead: Aead::new(alg, &key[..alg.key_len()]),
             iv,
             seq: 0,
             inner: Vec::new(),
@@ -348,24 +351,6 @@ impl TlsTcpServer {
         }
     }
 
-    /// Like [`TlsTcpServer::new`], sharing the endpoint's per-SNI certificate
-    /// cache across connections. Draws the same RNG bytes as `new`.
-    pub fn with_cert_cache(
-        config: Arc<ServerConfig>,
-        cache: Arc<crate::server::CertCache>,
-        rng: &mut dyn RngCore,
-    ) -> Self {
-        TlsTcpServer {
-            hs: ServerHandshake::with_overrides(config, None, Some(cache), rng),
-            channel: Channel::new(),
-            app_secrets: None,
-            app_plaintext: Vec::new(),
-            complete: false,
-            legacy: false,
-            alert_sent: None,
-        }
-    }
-
     /// Feeds client bytes; returns server bytes. On handshake failure an
     /// alert record is returned and the connection is poisoned.
     pub fn on_bytes(&mut self, data: &[u8]) -> Vec<u8> {
@@ -634,6 +619,29 @@ mod tests {
             client.peer_info().unwrap().tls_version,
             crate::TlsVersion::Tls12
         );
+    }
+
+    /// One traffic secret's record key and IV (RFC 8446 §7.3), pinned by
+    /// value for a 16-byte and a 32-byte key: the IV, and the first record
+    /// sealed under the key.
+    #[test]
+    fn record_key_and_iv_pinned_by_value() {
+        for (suite, record) in [
+            (
+                CipherSuite::Aes128GcmSha256,
+                "170303001ece31eea62182d6f2138e6d3b027b5307b4f70d7bbff9666bc985c6832cdb",
+            ),
+            (
+                CipherSuite::ChaCha20Poly1305Sha256,
+                "170303001e6fb2e984479075de2cd29afe364c9db44d79005a29f30fbf74aaee2e6a31",
+            ),
+        ] {
+            let mut seal = Seal::from_secret(suite, &[0x5au8; 32]);
+            assert_eq!(qcodec::hex::encode(&seal.iv), "4f8fdc7bc0e05f707c360ffe");
+            let mut out = Vec::new();
+            seal.seal_into(content_type::HANDSHAKE, b"pinned record", &mut out);
+            assert_eq!(qcodec::hex::encode(&out), record, "{suite:?}");
+        }
     }
 
     /// The in-place record path writes the wire format the copying one did

@@ -80,21 +80,10 @@ const DERIVED_FROM_EARLY: [u8; DIGEST_LEN] = [
 /// the transcript hash through ServerHello.
 pub fn handshake_secrets(shared_secret: &[u8], transcript_to_sh: &[u8; 32]) -> HandshakeSecrets {
     let handshake_secret = hkdf::extract(&DERIVED_FROM_EARLY, shared_secret);
-    let client = hkdf::expand_label(
-        &handshake_secret,
-        "c hs traffic",
-        transcript_to_sh,
-        DIGEST_LEN,
-    );
-    let server = hkdf::expand_label(
-        &handshake_secret,
-        "s hs traffic",
-        transcript_to_sh,
-        DIGEST_LEN,
-    );
+    let prk = hkdf::Prk::new(&handshake_secret);
     HandshakeSecrets {
-        client,
-        server,
+        client: prk.expand_label("c hs traffic", transcript_to_sh, DIGEST_LEN),
+        server: prk.expand_label("s hs traffic", transcript_to_sh, DIGEST_LEN),
         handshake_secret,
     }
 }
@@ -102,27 +91,20 @@ pub fn handshake_secrets(shared_secret: &[u8], transcript_to_sh: &[u8; 32]) -> H
 /// Derives the application traffic secrets from the handshake secrets and the
 /// transcript hash through server Finished.
 pub fn app_secrets(hs: &HandshakeSecrets, transcript_to_server_fin: &[u8; 32]) -> AppSecrets {
-    let derived = hkdf::expand_label(&hs.handshake_secret, "derived", &EMPTY_HASH, DIGEST_LEN);
-    let master_secret = hkdf::extract(&derived, &[0u8; DIGEST_LEN]);
-    let client = hkdf::expand_label(
-        &master_secret,
-        "c ap traffic",
-        transcript_to_server_fin,
-        DIGEST_LEN,
-    );
-    let server = hkdf::expand_label(
-        &master_secret,
-        "s ap traffic",
-        transcript_to_server_fin,
-        DIGEST_LEN,
-    );
-    AppSecrets { client, server }
+    let mut derived = [0u8; DIGEST_LEN];
+    hkdf::Prk::new(&hs.handshake_secret).expand_label_into("derived", &EMPTY_HASH, &mut derived);
+    let master_secret = hkdf::Prk::new(&hkdf::extract(&derived, &[0u8; DIGEST_LEN]));
+    AppSecrets {
+        client: master_secret.expand_label("c ap traffic", transcript_to_server_fin, DIGEST_LEN),
+        server: master_secret.expand_label("s ap traffic", transcript_to_server_fin, DIGEST_LEN),
+    }
 }
 
 /// Computes Finished verify_data for the given traffic secret and transcript
 /// hash (RFC 8446 §4.4.4).
 pub fn finished_verify_data(traffic_secret: &[u8], transcript_hash: &[u8; 32]) -> Vec<u8> {
-    let finished_key = hkdf::expand_label(traffic_secret, "finished", &[], DIGEST_LEN);
+    let mut finished_key = [0u8; DIGEST_LEN];
+    hkdf::Prk::new(traffic_secret).expand_label_into("finished", &[], &mut finished_key);
     hmac_sha256(&finished_key, transcript_hash).to_vec()
 }
 
@@ -146,7 +128,8 @@ mod tests {
             hex("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")
         );
         assert_eq!(empty_hash, EMPTY_HASH);
-        let derived = hkdf::expand_label(&early_secret, "derived", &empty_hash, DIGEST_LEN);
+        let derived =
+            hkdf::Prk::new(&early_secret).expand_label("derived", &empty_hash, DIGEST_LEN);
         assert_eq!(
             derived,
             hex("6f2615a108c702c5678f54fc9dbab69716c076189c48250cebeac3576c3611ba")

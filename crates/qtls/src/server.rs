@@ -6,8 +6,7 @@
 //! certificate, ALPN policy, cipher/group preferences, whether the empty
 //! server_name acknowledgment is sent, and a TLS 1.2-only legacy mode.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use rand::RngCore;
 
@@ -110,45 +109,6 @@ enum State {
     Failed,
 }
 
-/// A selected certificate together with its encoded Certificate message.
-struct CachedChain {
-    cert: Certificate,
-    encoded: Vec<u8>,
-}
-
-/// Upper bound on distinct SNI entries before the cache resets — keeps a scan
-/// over arbitrarily many names from growing the map without bound.
-const CERT_CACHE_MAX: usize = 1024;
-
-/// Per-SNI certificate cache shared across an endpoint's connections.
-///
-/// Certificate selection and the encoded Certificate message depend only on
-/// the (config, SNI) pair, so each distinct name pays the lookup and
-/// serialization cost once per endpoint instead of once per handshake.
-/// Freshly minted no-SNI error certificates embed a per-connection serial and
-/// are never cached.
-#[derive(Default)]
-pub struct CertCache {
-    entries: Mutex<HashMap<String, Arc<CachedChain>>>,
-}
-
-impl CertCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        CertCache::default()
-    }
-
-    /// Number of cached (SNI → chain) entries.
-    pub fn len(&self) -> usize {
-        self.entries.lock().unwrap().len()
-    }
-
-    /// True when nothing has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 /// Sans-IO TLS 1.3 server handshake (one instance per connection).
 pub struct ServerHandshake {
     config: Arc<ServerConfig>,
@@ -162,8 +122,6 @@ pub struct ServerHandshake {
     negotiated_cipher: Option<CipherSuite>,
     /// Per-connection QUIC transport parameters overriding the config's.
     tp_override: Option<Vec<u8>>,
-    /// Shared per-SNI certificate cache, when the endpoint provides one.
-    cert_cache: Option<Arc<CertCache>>,
 }
 
 impl ServerHandshake {
@@ -184,23 +142,20 @@ impl ServerHandshake {
             serial_nonce: u64::from_be_bytes(random[..8].try_into().unwrap()),
             negotiated_cipher: None,
             tp_override: None,
-            cert_cache: None,
         }
     }
 
     /// Like [`ServerHandshake::new`], but shares the endpoint's config Arc
     /// while overriding the QUIC transport parameters for this connection
-    /// (they carry per-connection CIDs and tokens), and optionally attaches a
-    /// shared per-SNI certificate cache. Draws the same RNG bytes as `new`.
+    /// (they carry per-connection CIDs and tokens). Draws the same RNG bytes
+    /// as `new`.
     pub fn with_overrides(
         config: Arc<ServerConfig>,
         quic_transport_params: Option<Vec<u8>>,
-        cert_cache: Option<Arc<CertCache>>,
         rng: &mut dyn RngCore,
     ) -> Self {
         let mut hs = ServerHandshake::new(config, rng);
         hs.tp_override = quic_transport_params;
-        hs.cert_cache = cert_cache;
         hs
     }
 
@@ -297,10 +252,8 @@ impl ServerHandshake {
             return Err(self.fail(Alert::ProtocolVersion, "client lacks TLS 1.3"));
         }
 
-        // Certificate selection drives the paper's no-SNI outcomes. The
-        // selected chain and its encoding are cached per SNI when the
-        // endpoint shares a cache.
-        let chain = self.select_chain(&info)?;
+        // Certificate selection drives the paper's no-SNI outcomes.
+        let cert = self.select_certificate(&info)?;
 
         // ALPN.
         let suppress_alpn = self.config.no_alpn_without_sni && info.server_name.is_none();
@@ -390,14 +343,15 @@ impl ServerHandshake {
         }
         let mut flight = Handshake::EncryptedExtensions(ee).encode();
 
-        // Certificate: the encoded message comes straight from the cache.
-        flight.extend_from_slice(&chain.encoded);
+        // Certificate.
+        let public_key = cert.public_key;
+        flight.extend_from_slice(&Handshake::Certificate(vec![cert]).encode());
 
         // CertificateVerify over the transcript through Certificate.
         {
             let mut t = self.transcript.clone();
             t.add(&flight);
-            let sig = sim_signature(&chain.cert.public_key, &t.hash());
+            let sig = sim_signature(&public_key, &t.hash());
             let cv = Handshake::CertificateVerify(0x0807, sig).encode();
             flight.extend_from_slice(&cv);
         }
@@ -440,41 +394,6 @@ impl ServerHandshake {
         events.push(TlsEvent::Complete);
         self.state = State::Complete;
         Ok(())
-    }
-
-    /// Selects the chain for `info` and encodes its Certificate message,
-    /// through the shared per-SNI cache when one is attached. No-SNI error
-    /// certificates carry a per-connection serial, so that path bypasses the
-    /// cache entirely.
-    fn select_chain(&mut self, info: &ClientHelloInfo) -> Result<Arc<CachedChain>, TlsError> {
-        let per_connection = info.server_name.is_none()
-            && matches!(self.config.no_sni, NoSniBehavior::SelfSignedError(_));
-        let cache = match (&self.cert_cache, per_connection) {
-            (Some(cache), false) => Arc::clone(cache),
-            _ => {
-                let cert = self.select_certificate(info)?;
-                let encoded = Handshake::Certificate(vec![cert.clone()]).encode();
-                return Ok(Arc::new(CachedChain { cert, encoded }));
-            }
-        };
-        // Prefix the key so an (unusual but legal) empty SNI cannot collide
-        // with the no-SNI entry.
-        let key = match &info.server_name {
-            Some(name) => format!("sni:{name}"),
-            None => "no-sni".to_string(),
-        };
-        if let Some(chain) = cache.entries.lock().unwrap().get(&key) {
-            return Ok(Arc::clone(chain));
-        }
-        let cert = self.select_certificate(info)?;
-        let encoded = Handshake::Certificate(vec![cert.clone()]).encode();
-        let chain = Arc::new(CachedChain { cert, encoded });
-        let mut entries = cache.entries.lock().unwrap();
-        if entries.len() >= CERT_CACHE_MAX {
-            entries.clear();
-        }
-        entries.insert(key, Arc::clone(&chain));
-        Ok(chain)
     }
 
     fn select_certificate(&mut self, info: &ClientHelloInfo) -> Result<Certificate, TlsError> {
@@ -698,22 +617,16 @@ mod tests {
         );
     }
 
-    /// Drives a handshake through `with_overrides` with a shared cert cache.
+    /// Drives a handshake through `with_overrides`.
     fn run_with_overrides(
         server_cfg: &Arc<ServerConfig>,
         client_cfg: ClientConfig,
         tp: Option<Vec<u8>>,
-        cache: &Arc<CertCache>,
         seed: u64,
     ) -> (ClientHandshake, ServerHandshake) {
         let mut rng = StdRng::seed_from_u64(seed);
         let (mut client, ch) = ClientHandshake::start(client_cfg, &mut rng);
-        let mut server = ServerHandshake::with_overrides(
-            Arc::clone(server_cfg),
-            tp,
-            Some(Arc::clone(cache)),
-            &mut rng,
-        );
+        let mut server = ServerHandshake::with_overrides(Arc::clone(server_cfg), tp, &mut rng);
         let server_events = server.on_handshake_data(Level::Initial, &ch).unwrap();
         for ev in &server_events {
             if let TlsEvent::SendHandshake(level, bytes) = ev {
@@ -727,38 +640,26 @@ mod tests {
         (client, server)
     }
 
+    /// Without SNI, a `SelfSignedError` server mints its error certificate
+    /// per connection: two handshakes get two serials.
     #[test]
-    fn cert_cache_shared_across_connections() {
-        let server_cfg = Arc::new(ServerConfig::single_cert(test_cert("example.com")));
-        let cache = Arc::new(CertCache::new());
-        assert!(cache.is_empty());
-        for seed in [7, 8] {
-            let client_cfg = ClientConfig {
-                server_name: Some("example.com".into()),
-                ..ClientConfig::default()
-            };
-            let (client, server) = run_with_overrides(&server_cfg, client_cfg, None, &cache, seed);
-            assert!(client.is_complete() && server.is_complete());
-            assert_eq!(
-                client.peer_info().unwrap().certificates[0].subject,
-                "example.com"
-            );
-        }
-        assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn error_certs_bypass_cache() {
-        // The no-SNI error certificate embeds a per-connection serial, so
-        // caching it would leak one connection's cert into another.
+    fn no_sni_error_certificates_are_minted_per_connection() {
         let server_cfg = Arc::new(ServerConfig {
             no_sni: NoSniBehavior::SelfSignedError("invalid2.invalid".into()),
             ..ServerConfig::single_cert(test_cert("google.example"))
         });
-        let cache = Arc::new(CertCache::new());
-        let (client, _) = run_with_overrides(&server_cfg, ClientConfig::default(), None, &cache, 9);
-        assert!(client.peer_info().unwrap().certificates[0].is_self_signed());
-        assert!(cache.is_empty());
+        let serials: Vec<u64> = [9, 10]
+            .into_iter()
+            .map(|seed| {
+                let (client, _) =
+                    run_with_overrides(&server_cfg, ClientConfig::default(), None, seed);
+                let cert = &client.peer_info().unwrap().certificates[0];
+                assert!(cert.is_self_signed());
+                assert_eq!(cert.subject, "invalid2.invalid");
+                cert.serial
+            })
+            .collect();
+        assert_ne!(serials[0], serials[1]);
     }
 
     #[test]
@@ -767,13 +668,12 @@ mod tests {
             quic_transport_params: Some(vec![9, 9, 9]),
             ..ServerConfig::single_cert(test_cert("example.com"))
         });
-        let cache = Arc::new(CertCache::new());
         let client_cfg = ClientConfig {
             server_name: Some("example.com".into()),
             quic_transport_params: Some(vec![1]),
             ..ClientConfig::default()
         };
-        let (client, _) = run_with_overrides(&server_cfg, client_cfg, Some(vec![4, 2]), &cache, 11);
+        let (client, _) = run_with_overrides(&server_cfg, client_cfg, Some(vec![4, 2]), 11);
         assert_eq!(
             client.peer_info().unwrap().quic_transport_params.as_deref(),
             Some([4, 2].as_slice())

@@ -164,36 +164,6 @@ impl KeySource for OpenKeys {
     }
 }
 
-/// Reusable per-worker buffers for the handshake hot path. A scanner worker
-/// owns one scratch and threads it through every connection it drives
-/// ([`ClientConnection::new_reusing`] takes the buffers,
-/// [`ClientConnection::recycle_into`] returns them), so steady-state
-/// handshakes reuse warm allocations instead of growing fresh ones.
-#[derive(Default)]
-pub struct HandshakeScratch {
-    /// Packet-sealing buffers (header writer + padding buffer).
-    seal: SealScratch,
-    /// Frame payload under construction.
-    payload: Writer,
-    /// Spare datagram buffers, recycled via
-    /// [`ClientConnection::recycle_datagram`].
-    pool: Vec<Vec<u8>>,
-    /// Reply-datagram container the scan loop reuses between attempts.
-    pub replies: Vec<Vec<u8>>,
-}
-
-/// Cap on pooled datagram buffers — a handshake keeps at most a handful of
-/// datagrams in flight, so anything beyond this is dead weight.
-const DATAGRAM_POOL_MAX: usize = 8;
-
-impl HandshakeScratch {
-    /// Creates an empty scratch; buffers grow on first use and are then
-    /// reused across connections.
-    pub fn new() -> Self {
-        HandshakeScratch::default()
-    }
-}
-
 const SPACE_INITIAL: usize = 0;
 const SPACE_HANDSHAKE: usize = 1;
 const SPACE_APP: usize = 2;
@@ -208,7 +178,10 @@ pub struct ClientConnection {
     dcid: ConnectionId,
     tls: ClientHandshake,
     open_keys: OpenKeys,
-    scratch: HandshakeScratch,
+    /// Packet-sealing buffers (header writer + padding buffer).
+    seal: SealScratch,
+    /// Frame payload under construction.
+    payload: Writer,
     seal_handshake: Option<PacketKeys>,
     seal_app: Option<PacketKeys>,
     next_pn: [u64; 3],
@@ -250,28 +223,16 @@ pub struct ClientConnection {
 impl ClientConnection {
     /// Creates a connection and queues the padded Initial datagram.
     pub fn new(config: ClientConfig, seed: u64) -> Self {
-        Self::build(config, seed, false, HandshakeScratch::new())
+        Self::build(config, seed, false)
     }
 
-    /// [`ClientConnection::new`] taking a worker's warm [`HandshakeScratch`]
-    /// buffers; return them with [`ClientConnection::recycle_into`] when the
-    /// connection is done.
-    pub fn new_reusing(config: ClientConfig, seed: u64, scratch: &mut HandshakeScratch) -> Self {
-        Self::build(config, seed, false, std::mem::take(scratch))
+    /// [`ClientConnection::new`] with event tracing enabled from the first
+    /// attempt, so the initial key derivation is captured too.
+    pub fn new_traced(config: ClientConfig, seed: u64) -> Self {
+        Self::build(config, seed, true)
     }
 
-    /// Traced variant of [`ClientConnection::new_reusing`]: event tracing is
-    /// enabled from the first attempt, so the initial key derivation is
-    /// captured too.
-    pub fn new_traced_reusing(
-        config: ClientConfig,
-        seed: u64,
-        scratch: &mut HandshakeScratch,
-    ) -> Self {
-        Self::build(config, seed, true, std::mem::take(scratch))
-    }
-
-    fn build(config: ClientConfig, seed: u64, traced: bool, scratch: HandshakeScratch) -> Self {
+    fn build(config: ClientConfig, seed: u64, traced: bool) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let version = config.versions.first().copied().unwrap_or(Version::V1);
         // Placeholder TLS engine, replaced by `start_attempt` before any
@@ -292,7 +253,8 @@ impl ClientConnection {
             dcid: ConnectionId::empty(),
             tls: ClientHandshake::start(placeholder_tls_cfg, &mut rng).0,
             open_keys: OpenKeys::default(),
-            scratch,
+            seal: SealScratch::new(),
+            payload: Writer::new(),
             seal_handshake: None,
             seal_app: None,
             next_pn: [0; 3],
@@ -371,7 +333,7 @@ impl ClientConnection {
     /// retransmission: keeping retransmits at full size keeps the server's
     /// 3× anti-amplification budget (RFC 9000 §8.1) open.
     fn push_initial_ch(&mut self) {
-        let payload = &mut self.scratch.payload;
+        let payload = &mut self.payload;
         payload.clear();
         Frame::encode_crypto(payload, 0, &self.ch_bytes);
         let keys = &self
@@ -392,11 +354,10 @@ impl ClientConnection {
             + 4; // packet number
         let unpadded = unpadded_header + payload.len() + keys.tag_len();
         let deficit = 1200usize.saturating_sub(unpadded);
-        let mut datagram = self.scratch.pool.pop().unwrap_or_default();
-        datagram.clear();
+        let mut datagram = Vec::new();
         seal_long_into(
             &mut datagram,
-            &mut self.scratch.seal,
+            &mut self.seal,
             PacketType::Initial,
             self.version,
             &self.dcid,
@@ -432,16 +393,15 @@ impl ClientConnection {
             let Some(keys) = self.seal_handshake.as_ref() else {
                 return false;
             };
-            let payload = &mut self.scratch.payload;
+            let payload = &mut self.payload;
             payload.clear();
             let largest = self.largest_recv[SPACE_HANDSHAKE].unwrap_or(0);
             Frame::encode_ack_single(payload, largest, 0);
             Frame::encode_crypto(payload, 0, &self.sent_finished);
-            let mut pkt = self.scratch.pool.pop().unwrap_or_default();
-            pkt.clear();
+            let mut pkt = Vec::new();
             seal_long_into(
                 &mut pkt,
-                &mut self.scratch.seal,
+                &mut self.seal,
                 PacketType::Handshake,
                 self.version,
                 &self.dcid,
@@ -457,21 +417,6 @@ impl ClientConnection {
             return true;
         }
         false
-    }
-
-    /// Returns the connection's scratch buffers to a worker-owned scratch so
-    /// the next connection starts with warm allocations.
-    pub fn recycle_into(&mut self, scratch: &mut HandshakeScratch) {
-        std::mem::swap(&mut self.scratch, scratch);
-    }
-
-    /// Hands a transmitted datagram buffer back for reuse (the scan loop
-    /// calls this after copying the bytes onto the simulated wire).
-    pub fn recycle_datagram(&mut self, mut buf: Vec<u8>) {
-        if self.scratch.pool.len() < DATAGRAM_POOL_MAX {
-            buf.clear();
-            self.scratch.pool.push(buf);
-        }
     }
 
     /// Drains buffered telemetry events in occurrence order (empty when
@@ -554,12 +499,12 @@ impl ClientConnection {
             self.state == ConnectionState::Established,
             "stream data requires an established connection"
         );
-        let mut payload = std::mem::take(&mut self.scratch.payload);
+        let mut payload = std::mem::take(&mut self.payload);
         payload.clear();
         Frame::encode_stream(&mut payload, id, 0, fin, data);
         self.send_app_payload(payload.as_slice())
             .expect("1-RTT keys installed");
-        self.scratch.payload = payload;
+        self.payload = payload;
     }
 
     /// Seals a pre-encoded frame payload as one 1-RTT packet and queues it,
@@ -572,17 +517,9 @@ impl ClientConnection {
             return None;
         }
         let keys = self.seal_app.as_ref()?;
-        let mut pkt = self.scratch.pool.pop().unwrap_or_default();
-        pkt.clear();
+        let mut pkt = Vec::new();
         let pn = self.next_pn[SPACE_APP];
-        seal_short_into(
-            &mut pkt,
-            &mut self.scratch.seal,
-            &self.dcid,
-            pn,
-            payload,
-            keys,
-        );
+        seal_short_into(&mut pkt, &mut self.seal, &self.dcid, pn, payload, keys);
         self.next_pn[SPACE_APP] += 1;
         self.tx.push(pkt);
         Some(pn)
@@ -907,24 +844,22 @@ impl ClientConnection {
     }
 
     /// Builds outgoing datagrams: pending CRYPTO, then ACKs per space.
-    /// Packets are sealed directly into one pooled datagram buffer, so the
-    /// coalesced Initial-ACK + Handshake(Finished) + 1-RTT ACK flight costs
-    /// no allocation once the scratch is warm.
+    /// Packets are sealed directly into one datagram buffer, which
+    /// coalesces the Initial-ACK + Handshake(Finished) + 1-RTT ACK flight.
     fn flush(&mut self) {
-        let mut datagram = self.scratch.pool.pop().unwrap_or_default();
-        datagram.clear();
+        let mut datagram = Vec::new();
 
         // ACK in Initial space (the server waits for this to stop
         // retransmitting; we always ack once we've seen anything).
         if self.ack_pending[SPACE_INITIAL] {
             if let Some(pair) = self.open_keys.initial_pair.as_deref() {
-                let payload = &mut self.scratch.payload;
+                let payload = &mut self.payload;
                 payload.clear();
                 let largest = self.largest_recv[SPACE_INITIAL].unwrap_or(0);
                 Frame::encode_ack_single(payload, largest, 0);
                 seal_long_into(
                     &mut datagram,
-                    &mut self.scratch.seal,
+                    &mut self.seal,
                     PacketType::Initial,
                     self.version,
                     &self.dcid,
@@ -942,7 +877,7 @@ impl ClientConnection {
 
         // Handshake space: client Finished plus ACK.
         let pending = std::mem::take(&mut self.crypto_tx_pending);
-        let handshake_payload = &mut self.scratch.payload;
+        let handshake_payload = &mut self.payload;
         handshake_payload.clear();
         if self.ack_pending[SPACE_HANDSHAKE] {
             let largest = self.largest_recv[SPACE_HANDSHAKE].unwrap_or(0);
@@ -959,7 +894,7 @@ impl ClientConnection {
             if let Some(keys) = self.seal_handshake.as_ref() {
                 seal_long_into(
                     &mut datagram,
-                    &mut self.scratch.seal,
+                    &mut self.seal,
                     PacketType::Handshake,
                     self.version,
                     &self.dcid,
@@ -977,13 +912,13 @@ impl ClientConnection {
         // App space ACK.
         if self.ack_pending[SPACE_APP] {
             if let Some(keys) = self.seal_app.as_ref() {
-                let payload = &mut self.scratch.payload;
+                let payload = &mut self.payload;
                 payload.clear();
                 let largest = self.largest_recv[SPACE_APP].unwrap_or(0);
                 Frame::encode_ack_single(payload, largest, 0);
                 seal_short_into(
                     &mut datagram,
-                    &mut self.scratch.seal,
+                    &mut self.seal,
                     &self.dcid,
                     self.next_pn[SPACE_APP],
                     payload.as_slice(),
@@ -994,11 +929,7 @@ impl ClientConnection {
             }
         }
 
-        if datagram.is_empty() {
-            if self.scratch.pool.len() < DATAGRAM_POOL_MAX {
-                self.scratch.pool.push(datagram);
-            }
-        } else {
+        if !datagram.is_empty() {
             self.tx.push(datagram);
         }
     }

@@ -1,4 +1,10 @@
 //! QUIC packet protection keys (RFC 9001 §5).
+//!
+//! Every key comes out of one [`hkdf::Prk`] per secret: the Initial secret
+//! yields the client and server secrets, and each traffic secret yields its
+//! key, IV and header-protection key from one keyed HMAC. The one cache is
+//! [`initial_keys_shared`], which lets the simulated server reuse the pair
+//! the scanning client derived for the same Initial.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -7,32 +13,6 @@ use qcrypto::aead::{Aead, AeadAlgorithm, HeaderProtector};
 use qcrypto::hkdf;
 
 use crate::version::Version;
-
-/// Serialized `HkdfLabel` infos for the three traffic-secret labels at one
-/// algorithm's key length. [`PacketKeys::from_secret`] runs for every
-/// handshake/app key install on every connection; the label serialization
-/// only depends on the algorithm, so it is computed once per process.
-struct SecretLabelInfos {
-    quic_key: Vec<u8>,
-    quic_iv: Vec<u8>,
-    quic_hp: Vec<u8>,
-}
-
-fn secret_infos(algorithm: AeadAlgorithm) -> &'static SecretLabelInfos {
-    static AES128: OnceLock<SecretLabelInfos> = OnceLock::new();
-    static KEY32: OnceLock<SecretLabelInfos> = OnceLock::new();
-    let cell = match algorithm {
-        AeadAlgorithm::Aes128Gcm => &AES128,
-        // AES-256-GCM and ChaCha20-Poly1305 share a 32-byte key length,
-        // which is all the label info depends on.
-        AeadAlgorithm::Aes256Gcm | AeadAlgorithm::ChaCha20Poly1305 => &KEY32,
-    };
-    cell.get_or_init(|| SecretLabelInfos {
-        quic_key: hkdf::label_info("quic key", &[], algorithm.key_len()),
-        quic_iv: hkdf::label_info("quic iv", &[], algorithm.iv_len()),
-        quic_hp: hkdf::label_info("quic hp", &[], algorithm.key_len()),
-    })
-}
 
 /// Per-direction packet protection material.
 ///
@@ -53,36 +33,18 @@ impl PacketKeys {
     /// Derives key/IV/header-protection key from a traffic secret using the
     /// `"quic key"`, `"quic iv"`, `"quic hp"` labels.
     pub fn from_secret(algorithm: AeadAlgorithm, secret: &[u8]) -> Self {
-        let infos = secret_infos(algorithm);
+        let prk = hkdf::Prk::new(secret);
         let klen = algorithm.key_len();
         let mut key = [0u8; 32];
         let mut hp_key = [0u8; 32];
         let mut iv = [0u8; 12];
-        hkdf::expand_into(secret, &infos.quic_key, &mut key[..klen]);
-        hkdf::expand_into(secret, &infos.quic_iv, &mut iv);
-        hkdf::expand_into(secret, &infos.quic_hp, &mut hp_key[..klen]);
+        prk.expand_label_into("quic key", &[], &mut key[..klen]);
+        prk.expand_label_into("quic iv", &[], &mut iv);
+        prk.expand_label_into("quic hp", &[], &mut hp_key[..klen]);
         PacketKeys(Box::new(Protection {
             aead: Aead::new(algorithm, &key[..klen]),
             iv,
             hp: HeaderProtector::new(algorithm, &hp_key[..klen]),
-            algorithm,
-        }))
-    }
-
-    /// [`PacketKeys::from_secret`] for AES-128-GCM with the `HkdfLabel` infos
-    /// precomputed — the Initial-keys fast path.
-    fn from_secret_initial(secret: &[u8], infos: &InitialLabelInfos) -> Self {
-        let algorithm = AeadAlgorithm::Aes128Gcm;
-        let mut key = [0u8; 16];
-        let mut hp_key = [0u8; 16];
-        let mut iv = [0u8; 12];
-        hkdf::expand_into(secret, &infos.quic_key, &mut key);
-        hkdf::expand_into(secret, &infos.quic_iv, &mut iv);
-        hkdf::expand_into(secret, &infos.quic_hp, &mut hp_key);
-        PacketKeys(Box::new(Protection {
-            aead: Aead::new(algorithm, &key),
-            iv,
-            hp: HeaderProtector::new(algorithm, &hp_key),
             algorithm,
         }))
     }
@@ -174,86 +136,18 @@ pub fn initial_salt(version: Version) -> &'static [u8] {
     }
 }
 
-/// Serialized `HkdfLabel` infos for the fixed Initial-derivation labels.
-struct InitialLabelInfos {
-    client_in: Vec<u8>,
-    server_in: Vec<u8>,
-    quic_key: Vec<u8>,
-    quic_iv: Vec<u8>,
-    quic_hp: Vec<u8>,
-}
-
-/// Cached per-version Initial key derivation state (RFC 9001 §5.2).
-///
-/// A scan deriving Initial secrets for millions of targets repeats two
-/// version-independent steps per target: keying HKDF-Extract's HMAC with the
-/// version salt, and serializing the `HkdfLabel` structures for the five
-/// fixed labels. The cache performs both once, so [`InitialKeyCache::derive`]
-/// only runs the per-DCID extract/expand computations (and builds the AEAD
-/// contexts, whose AES round keys necessarily differ per DCID).
-pub struct InitialKeyCache {
-    salt_v1: hkdf::Extractor,
-    salt_d29: hkdf::Extractor,
-    salt_d23: hkdf::Extractor,
-    infos: InitialLabelInfos,
-}
-
-impl InitialKeyCache {
-    /// Precomputes the extractors for every known Initial salt.
-    pub fn new() -> Self {
-        InitialKeyCache {
-            salt_v1: hkdf::Extractor::new(initial_salt(Version::V1)),
-            salt_d29: hkdf::Extractor::new(initial_salt(Version::DRAFT_29)),
-            salt_d23: hkdf::Extractor::new(initial_salt(Version::DRAFT_27)),
-            infos: InitialLabelInfos {
-                client_in: hkdf::label_info("client in", &[], 32),
-                server_in: hkdf::label_info("server in", &[], 32),
-                quic_key: hkdf::label_info("quic key", &[], 16),
-                quic_iv: hkdf::label_info("quic iv", &[], 12),
-                quic_hp: hkdf::label_info("quic hp", &[], 16),
-            },
-        }
-    }
-
-    /// The process-wide shared cache.
-    pub fn global() -> &'static InitialKeyCache {
-        static CACHE: OnceLock<InitialKeyCache> = OnceLock::new();
-        CACHE.get_or_init(InitialKeyCache::new)
-    }
-
-    fn extractor(&self, version: Version) -> &hkdf::Extractor {
-        // Mirrors the salt lineage of `initial_salt`.
-        match version {
-            Version::V1 | Version::DRAFT_34 => &self.salt_v1,
-            v if v.is_ietf() && (0x1d..=0x20).contains(&(v.0 & 0xff)) => &self.salt_d29,
-            v if v.is_ietf() && (0x17..=0x1c).contains(&(v.0 & 0xff)) => &self.salt_d23,
-            _ => &self.salt_v1,
-        }
-    }
-
-    /// Client and server Initial packet keys for (version, client DCID).
-    /// Initial packets always use AES-128-GCM.
-    pub fn derive(&self, version: Version, dcid: &[u8]) -> (PacketKeys, PacketKeys) {
-        let initial_secret = self.extractor(version).extract(dcid);
-        let client_secret = hkdf::expand(&initial_secret, &self.infos.client_in, 32);
-        let server_secret = hkdf::expand(&initial_secret, &self.infos.server_in, 32);
-        (
-            PacketKeys::from_secret_initial(&client_secret, &self.infos),
-            PacketKeys::from_secret_initial(&server_secret, &self.infos),
-        )
-    }
-}
-
-impl Default for InitialKeyCache {
-    fn default() -> Self {
-        InitialKeyCache::new()
-    }
-}
-
 /// Client and server Initial packet keys for (version, client DCID)
-/// (RFC 9001 §5.2), via the shared [`InitialKeyCache`].
+/// (RFC 9001 §5.2). Initial packets always use AES-128-GCM.
 pub fn initial_keys(version: Version, dcid: &[u8]) -> (PacketKeys, PacketKeys) {
-    InitialKeyCache::global().derive(version, dcid)
+    let initial_secret = hkdf::Prk::new(&hkdf::extract(initial_salt(version), dcid));
+    let mut client_secret = [0u8; 32];
+    let mut server_secret = [0u8; 32];
+    initial_secret.expand_label_into("client in", &[], &mut client_secret);
+    initial_secret.expand_label_into("server in", &[], &mut server_secret);
+    (
+        PacketKeys::from_secret(AeadAlgorithm::Aes128Gcm, &client_secret),
+        PacketKeys::from_secret(AeadAlgorithm::Aes128Gcm, &server_secret),
+    )
 }
 
 /// Both directions of Initial packet protection for one (version, DCID),
@@ -266,13 +160,15 @@ pub struct InitialPair {
 }
 
 /// Memo key: version number plus the DCID padded into a fixed array —
-/// avoids allocating on lookup (DCIDs are ≤ 20 bytes by RFC 9000).
+/// avoids allocating on lookup.
 type MemoKey = (u32, [u8; 20], u8);
 
-fn memo_key(version: Version, dcid: &[u8]) -> MemoKey {
+/// `None` for a DCID longer than RFC 9000's 20 bytes, which a peer can
+/// still put on the wire; such keys are derived and not memoized.
+fn memo_key(version: Version, dcid: &[u8]) -> Option<MemoKey> {
     let mut padded = [0u8; 20];
-    padded[..dcid.len()].copy_from_slice(dcid);
-    (version.0, padded, dcid.len() as u8)
+    padded.get_mut(..dcid.len())?.copy_from_slice(dcid);
+    Some((version.0, padded, dcid.len() as u8))
 }
 
 /// Entry bound before the memo is dropped wholesale. Initial keys are a pure
@@ -289,20 +185,28 @@ fn initial_memo() -> &'static Mutex<HashMap<MemoKey, Arc<InitialPair>>> {
 /// same Initial then hits the cache instead of re-running HKDF and the AES
 /// key schedules. Determinism is unaffected — the derivation is a pure
 /// function of its key, so a hit and a miss produce identical key material.
+///
+/// A miss derives outside the process-wide lock, so workers never wait on
+/// each other's derivations; when two race on one key, the first insert
+/// wins and both get that pair.
 pub fn initial_keys_shared(version: Version, dcid: &[u8]) -> Arc<InitialPair> {
-    debug_assert!(dcid.len() <= 20);
-    let key = memo_key(version, dcid);
-    let mut memo = initial_memo().lock().expect("initial key memo poisoned");
-    if let Some(pair) = memo.get(&key) {
+    let derive = || {
+        let (client, server) = initial_keys(version, dcid);
+        Arc::new(InitialPair { client, server })
+    };
+    let Some(key) = memo_key(version, dcid) else {
+        return derive();
+    };
+    let memo = initial_memo();
+    if let Some(pair) = memo.lock().expect("initial key memo poisoned").get(&key) {
         return Arc::clone(pair);
     }
-    let (client, server) = InitialKeyCache::global().derive(version, dcid);
-    let pair = Arc::new(InitialPair { client, server });
-    if memo.len() >= INITIAL_MEMO_MAX {
+    let pair = derive();
+    let mut memo = memo.lock().expect("initial key memo poisoned");
+    if memo.len() >= INITIAL_MEMO_MAX && !memo.contains_key(&key) {
         memo.clear();
     }
-    memo.insert(key, Arc::clone(&pair));
-    pair
+    Arc::clone(memo.entry(key).or_insert(pair))
 }
 
 #[cfg(test)]
@@ -359,32 +263,39 @@ mod tests {
         );
     }
 
-    /// The cached derivation path must match the uncached formula bit-exact
-    /// for every salt lineage.
+    /// The two draft salt lineages on RFC 9001 §A's DCID (§A pins v1
+    /// above): both header-protection masks and one seal of a fixed
+    /// plaintext in each direction, pinned by value.
     #[test]
-    fn cache_matches_direct_derivation() {
-        let cache = InitialKeyCache::new();
-        for version in [
-            Version::V1,
-            Version::DRAFT_34,
-            Version::DRAFT_29,
-            Version::DRAFT_27,
+    fn draft_initial_keys_pinned_by_value() {
+        let dcid = hex::decode("8394c8f03e515708").unwrap();
+        let sample = |s: &str| -> [u8; 16] { hex::decode(s).unwrap().try_into().unwrap() };
+        let client_sample = sample("d1b1c98dd7689fb8ec11d242b123dc9b");
+        let server_sample = sample("2cd0991cd25b0aac406a5816b6394100");
+        for (version, client_mask, server_mask, client_seal, server_seal) in [
+            (
+                Version::DRAFT_29,
+                "6941fdad68",
+                "c98a1b8e09",
+                "8d0f92f5f7670bcdb2ebf101a3271d7ccdc3c2eeb8bc03d7e10f756f6c785968",
+                "eb104f2497010b49e73a2ee0bc991f0df31e7ab15db091700ff648877df756c8",
+            ),
+            (
+                Version::DRAFT_27,
+                "ec54db4d31",
+                "71dda82f89",
+                "25394a0e42ee2d2d147e922b5899d425d0efa03c06658f77ac87d4f38fcb4d7f",
+                "026e2ee479f903df27c0d57362f7e9d5e7302d2e726c9240488959a354315743",
+            ),
         ] {
-            for dcid in [b"8byte-id".as_slice(), b"x", b"a-somewhat-longer-cid"] {
-                let (cc, cs) = cache.derive(version, dcid);
-                let initial_secret = hkdf::extract(initial_salt(version), dcid);
-                let client_secret = hkdf::expand_label(&initial_secret, "client in", &[], 32);
-                let server_secret = hkdf::expand_label(&initial_secret, "server in", &[], 32);
-                let dc = PacketKeys::from_secret(AeadAlgorithm::Aes128Gcm, &client_secret);
-                let ds = PacketKeys::from_secret(AeadAlgorithm::Aes128Gcm, &server_secret);
-                let sealed = cc.seal(3, b"aad", b"payload");
-                assert_eq!(dc.open(3, b"aad", &sealed).unwrap(), b"payload");
-                let sealed = ds.seal(9, b"aad2", b"payload2");
-                assert_eq!(cs.open(9, b"aad2", &sealed).unwrap(), b"payload2");
-                let sample = [0x5au8; 16];
-                assert_eq!(cc.hp_mask(&sample), dc.hp_mask(&sample));
-                assert_eq!(cs.hp_mask(&sample), ds.hp_mask(&sample));
-            }
+            let (client, server) = initial_keys(version, &dcid);
+            assert_eq!(hex::encode(&client.hp_mask(&client_sample)), client_mask);
+            assert_eq!(hex::encode(&server.hp_mask(&server_sample)), server_mask);
+            let seal = |keys: &PacketKeys| {
+                hex::encode(&keys.seal(2, b"pinned header", b"pinned plaintext"))
+            };
+            assert_eq!(seal(&client), client_seal, "{version:?}");
+            assert_eq!(seal(&server), server_seal, "{version:?}");
         }
     }
 

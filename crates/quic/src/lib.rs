@@ -28,6 +28,12 @@
 //! primitives ([`ClientConnection::send_app_payload`], [`server::AppSession`])
 //! — the scanners themselves never needed them. Still not implemented:
 //! connection migration, key update, 0-RTT.
+//!
+//! A handshake keeps one cache across connections: the process-wide
+//! Initial-key memo ([`keys::initial_keys_shared`]), through which the
+//! simulated server reuses the pair the client derived for the same
+//! Initial. Everything else is per connection: each owns its sealing
+//! buffers, and each server handshake selects and encodes its certificate.
 
 pub mod conn;
 pub mod error;
@@ -42,7 +48,7 @@ pub mod version;
 pub use conn::{AppPacket, ClientConfig, ClientConnection, ConnectionState, HandshakeOutcome};
 pub use error::TransportError;
 pub use frame::Frame;
-pub use keys::{initial_keys, InitialKeyCache, PacketKeys};
+pub use keys::{initial_keys, PacketKeys};
 pub use packet::{ConnectionId, Packet, PacketType};
 pub use server::{AppSession, Endpoint, EndpointConfig, StreamHandler, StreamSend};
 pub use tparams::TransportParameters;

@@ -16,7 +16,7 @@ use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
 use qcodec::{Reader, Writer};
-use qtls::server::{CertCache, ServerHandshake};
+use qtls::server::ServerHandshake;
 use qtls::{Level, TlsError, TlsEvent};
 
 use crate::frame::Frame;
@@ -171,9 +171,6 @@ struct ServerConn {
     open_keys: OpenKeys,
     seal_handshake: Option<PacketKeys>,
     seal_app: Option<PacketKeys>,
-    /// Per-SNI certificate/serialization cache shared across this
-    /// endpoint's connections.
-    cert_cache: Arc<CertCache>,
     /// Reused packet-sealing buffers.
     scratch: SealScratch,
     /// Reused frame-payload writer.
@@ -223,10 +220,6 @@ pub struct Endpoint {
     /// depends on how many other flows arrived first — the property that
     /// keeps parallel scan results identical at any worker count.
     seed: u64,
-    /// Per-SNI cert-chain/serialization cache shared by this endpoint's
-    /// connections — simulated deployments answer every connection with the
-    /// same chain, so rebuilding/re-encoding it per handshake is waste.
-    cert_cache: Arc<CertCache>,
 }
 
 /// Soft cap on simultaneously tracked connections per endpoint. Past the cap
@@ -270,7 +263,6 @@ impl Endpoint {
             conns: HashMap::new(),
             activity: 0,
             seed,
-            cert_cache: Arc::new(CertCache::new()),
         }
     }
 
@@ -362,7 +354,6 @@ impl Endpoint {
                 head.version,
                 &mut flow_rng(self.seed, from, 0),
                 (self.session_factory)(),
-                Arc::clone(&self.cert_cache),
             );
             self.conns.insert(from, conn);
         }
@@ -439,12 +430,7 @@ fn parse_long_header_prefix(datagram: &[u8]) -> Option<LongHeaderPrefix> {
 }
 
 impl ServerConn {
-    fn new(
-        version: Version,
-        rng: &mut StdRng,
-        session: Box<dyn AppSession>,
-        cert_cache: Arc<CertCache>,
-    ) -> Self {
+    fn new(version: Version, rng: &mut StdRng, session: Box<dyn AppSession>) -> Self {
         let mut scid = vec![0u8; CID_LEN];
         rng.fill_bytes(&mut scid);
         ServerConn {
@@ -459,7 +445,6 @@ impl ServerConn {
             },
             seal_handshake: None,
             seal_app: None,
-            cert_cache,
             scratch: SealScratch::new(),
             payload: Writer::new(),
             next_pn: [0; 3],
@@ -510,7 +495,6 @@ impl ServerConn {
             self.tls = ServerHandshake::with_overrides(
                 Arc::clone(&config.tls),
                 Some(tp.encode()),
-                Some(Arc::clone(&self.cert_cache)),
                 &mut seeded,
             );
         }

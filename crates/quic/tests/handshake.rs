@@ -3,9 +3,7 @@
 
 use std::sync::Arc;
 
-use quic::conn::{
-    ClientConnection, ConnectionState, HandshakeOutcome, HandshakeScratch, StreamRecv,
-};
+use quic::conn::{ClientConnection, ConnectionState, HandshakeOutcome, StreamRecv};
 use quic::server::{Endpoint, EndpointConfig, StreamHandler, StreamSend};
 use quic::version::Version;
 use quic::ClientConfig;
@@ -476,11 +474,7 @@ fn garbage_responses_do_not_wedge_the_client() {
 #[test]
 fn tracing_buffers_key_schedule_and_phases() {
     let mut server = endpoint(test_tls_config("example.com"));
-    let mut client = ClientConnection::new_traced_reusing(
-        client_config(Some("example.com")),
-        40,
-        &mut HandshakeScratch::new(),
-    );
+    let mut client = ClientConnection::new_traced(client_config(Some("example.com")), 40);
     pump(&mut client, &mut server);
     assert_eq!(client.state(), &ConnectionState::Established);
     let names: Vec<&'static str> = client.take_events().iter().map(|k| k.name()).collect();
@@ -516,7 +510,7 @@ fn tracing_records_vn_and_retry() {
     let mut server = Endpoint::new(config, 7, Box::new(|| Box::new(Echo)));
     let mut cc = client_config(Some("example.com"));
     cc.versions = vec![Version::DRAFT_29, Version::V1];
-    let mut client = ClientConnection::new_traced_reusing(cc, 42, &mut HandshakeScratch::new());
+    let mut client = ClientConnection::new_traced(cc, 42);
     pump(&mut client, &mut server);
     assert_eq!(client.state(), &ConnectionState::Established);
     let events = client.take_events();

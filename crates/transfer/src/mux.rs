@@ -423,9 +423,6 @@ impl<'net> MuxConn<'net> {
             for r in &replies {
                 self.conn.on_datagram(r);
             }
-            for d in flight {
-                self.conn.recycle_datagram(d);
-            }
             stats
         };
         self.serve_cpu_ns += seal_path_cpu_ns(batched, out_count, out_bytes)

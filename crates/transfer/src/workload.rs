@@ -340,10 +340,10 @@ pub(crate) fn client_config(server_name: &str) -> quic::ClientConfig {
 }
 
 /// Sends one client flight GSO-style and feeds every reply back into the
-/// connection, recycling the flight's datagram buffers. One endpoint lookup
-/// and at most one service-lock acquisition per flight; byte-equivalent to
-/// the per-datagram loop by `simnet`'s shared flight pipeline. Returns the
-/// reply count and total reply bytes (the serve-path cost-model inputs).
+/// connection. One endpoint lookup and at most one service-lock acquisition
+/// per flight; byte-equivalent to the per-datagram loop by `simnet`'s shared
+/// flight pipeline. Returns the reply count and total reply bytes (the
+/// serve-path cost-model inputs).
 pub(crate) fn exchange_flight(
     shard: &mut NetShard<'_>,
     src: SocketAddr,
@@ -359,9 +359,6 @@ pub(crate) fn exchange_flight(
         count += 1;
         bytes += r.len() as u64;
         conn.on_datagram(&r);
-    }
-    for d in flight {
-        conn.recycle_datagram(d);
     }
     (count, bytes)
 }
