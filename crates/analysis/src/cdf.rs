@@ -1,29 +1,20 @@
 //! AS-rank CDFs (Figures 4 and 8): rank ASes by how many addresses/targets
 //! they hold, then cumulate shares.
 
-use std::collections::HashMap;
 use std::hash::Hash;
 
+use crate::stream::CountMap;
+
 /// Computes the CDF over AS rank from per-item AS attributions.
-/// Returns (rank, cumulative_share) for every rank 1..=#ASes.
+/// Returns (rank, cumulative_share) for every rank 1..=#ASes: the items
+/// folded into a [`CountMap`], whose [`CountMap::as_rank_cdf`] is the one
+/// implementation the buffered and the streaming figures share.
 pub fn as_rank_cdf<K: Eq + Hash>(as_of_items: impl Iterator<Item = K>) -> Vec<(usize, f64)> {
-    let mut counts: HashMap<K, u64> = HashMap::new();
-    let mut total = 0u64;
+    let mut counts = CountMap::new();
     for k in as_of_items {
-        *counts.entry(k).or_default() += 1;
-        total += 1;
+        counts.absorb(k);
     }
-    let mut sizes: Vec<u64> = counts.into_values().collect();
-    sizes.sort_unstable_by(|a, b| b.cmp(a));
-    let mut cumulative = 0u64;
-    sizes
-        .iter()
-        .enumerate()
-        .map(|(i, &n)| {
-            cumulative += n;
-            (i + 1, cumulative as f64 / total as f64)
-        })
-        .collect()
+    counts.as_rank_cdf()
 }
 
 /// Samples a CDF at a rank (for summary assertions): share covered by the

@@ -5,11 +5,11 @@
 //! memory bill, so the scale campaign folds observations into two mergeable
 //! accumulators instead:
 //!
-//! * [`CountMap`] — a counter map whose rank CDF is **byte-identical** to
-//!   [`crate::cdf::as_rank_cdf`] over the buffered item stream (it runs the
-//!   same counting, the same descending size sort, the same cumulative sum).
-//!   Merging is counter addition, so any partitioning of the item stream
-//!   over workers, merged in any order, renders the same figure.
+//! * [`CountMap`] — a counter map whose rank CDF is the only one in the
+//!   crate: [`crate::cdf::as_rank_cdf`] folds a buffered item stream into a
+//!   `CountMap` and returns its CDF. Merging is counter addition, so any
+//!   partitioning of the item stream over workers, merged in any order,
+//!   renders the same figure.
 //! * [`LogSketch`] — a fixed-bucket (65 × power-of-two) histogram for
 //!   latency-style magnitudes. Merging is element-wise addition; quantiles
 //!   come back as the upper bound of the covering bucket, within a factor
@@ -25,7 +25,7 @@ use std::hash::Hash;
 
 use zmapq::SweepAccumulator;
 
-/// Mergeable counter map: the streaming half of
+/// Mergeable counter map, and the rank CDF behind
 /// [`crate::cdf::as_rank_cdf`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CountMap<K: Eq + Hash> {
@@ -73,11 +73,10 @@ impl<K: Eq + Hash> CountMap<K> {
         self.counts.get(key).copied().unwrap_or(0)
     }
 
-    /// The rank CDF — the exact computation of
-    /// [`crate::cdf::as_rank_cdf`], bit-for-bit: descending size sort, then
-    /// a cumulative integer sum divided by the total. Equal counts produce
-    /// equal floats regardless of how the stream was partitioned, so the
-    /// rendered figure is worker-count independent.
+    /// The rank CDF: descending size sort, then a cumulative integer sum
+    /// divided by the total. Equal counts produce equal floats regardless
+    /// of how the stream was partitioned, so the rendered figure is
+    /// worker-count independent.
     pub fn as_rank_cdf(&self) -> Vec<(usize, f64)> {
         let mut sizes: Vec<u64> = self.counts.values().copied().collect();
         sizes.sort_unstable_by(|a, b| b.cmp(a));
@@ -256,18 +255,6 @@ mod tests {
     }
 
     proptest! {
-        /// CountMap over any stream renders the exact buffered figure:
-        /// the same `Vec<(usize, f64)>`, bit for bit.
-        #[test]
-        fn count_map_matches_buffered_cdf(items in proptest::collection::vec(0u32..40, 1..300)) {
-            let mut m = CountMap::new();
-            for &i in &items {
-                m.absorb(i);
-            }
-            let buffered = cdf::as_rank_cdf(items.iter().copied());
-            prop_assert_eq!(m.as_rank_cdf(), buffered);
-        }
-
         /// Partitioning the stream arbitrarily and merging in any of several
         /// orders never changes the rendered CDF.
         #[test]

@@ -61,19 +61,24 @@ impl FaultPlan {
     /// yields [`FaultPlan::none`], any other value the calibrated plan at
     /// that loss rate. This is the hook the CI loss matrix drives.
     pub fn from_env() -> Self {
-        match std::env::var("SIM_LOSS_PERMILLE") {
-            Ok(v) if !v.trim().is_empty() => {
-                let permille: u32 = v
-                    .trim()
-                    .parse()
-                    .unwrap_or_else(|_| panic!("SIM_LOSS_PERMILLE={v:?} is not an integer"));
-                if permille == 0 {
-                    Self::none()
-                } else {
-                    Self::calibrated(permille.min(1000))
-                }
-            }
-            _ => Self::none(),
+        std::env::var("SIM_LOSS_PERMILLE").map_or_else(|_| Self::none(), |v| Self::parse_env(&v))
+    }
+
+    /// [`FaultPlan::from_env`] for one value of the variable: blank or `0`
+    /// is no plan, anything else the calibrated plan at that loss rate,
+    /// clamped to 1000‰.
+    fn parse_env(value: &str) -> Self {
+        let value = value.trim();
+        if value.is_empty() {
+            return Self::none();
+        }
+        let permille: u32 = value
+            .parse()
+            .unwrap_or_else(|_| panic!("SIM_LOSS_PERMILLE={value:?} is not an integer"));
+        if permille == 0 {
+            Self::none()
+        } else {
+            Self::calibrated(permille.min(1000))
         }
     }
 
@@ -266,6 +271,14 @@ mod tests {
             }
         }
         assert_eq!(planned, installed);
+    }
+
+    #[test]
+    fn env_values_parse_to_plans() {
+        assert_eq!(FaultPlan::parse_env(""), FaultPlan::none());
+        assert_eq!(FaultPlan::parse_env(" 20 "), FaultPlan::calibrated(20));
+        assert_eq!(FaultPlan::parse_env("0"), FaultPlan::none());
+        assert_eq!(FaultPlan::parse_env("5000"), FaultPlan::calibrated(1000));
     }
 
     #[test]

@@ -301,7 +301,6 @@ impl LazyUniverse {
                     send_sni_ack: true,
                     no_alpn_without_sni: false,
                     quic_transport_params: None,
-                    extra_ee_extensions: Vec::new(),
                     tls12_only: false,
                     week: 18,
                 });

@@ -471,7 +471,6 @@ impl Universe {
             },
             no_alpn_without_sni: for_tcp && h.google_tcp_quirks,
             quic_transport_params: None, // installed by the QUIC endpoint
-            extra_ee_extensions: Vec::new(),
             tls12_only: for_tcp && h.tls12_tcp,
             week: self.config.week,
         })

@@ -2,9 +2,12 @@
 //!
 //! Completes full QUIC handshakes with targets — IPv4/IPv6 addresses,
 //! optionally combined with a domain used as SNI — and extracts QUIC
-//! transport parameters, TLS properties and HTTP/3 headers. Scans
-//! parallelize across worker threads, mirroring the paper's parallelized
-//! quic-go-based scanner.
+//! transport parameters, TLS properties and the headers of an HTTP/3 HEAD
+//! request. Scans parallelize across worker threads, mirroring the paper's
+//! parallelized quic-go-based scanner. The offered versions, attempt and
+//! probe-timeout limits and the per-target budget are the paper's one
+//! configuration, fixed in [`scan`]; a [`QScanner`] only chooses its source
+//! address, seed and streaming batch size.
 //!
 //! Six entry points, all on [`QScanner`]: `scan_one` and `scan_one_traced`
 //! scan a single target on the caller's thread; `scan_many`,
@@ -13,8 +16,8 @@
 //! [`simnet::fan_out`] — work stealing over a [`StealQueue`] (re-exported
 //! here; it lives in `simnet` with the fan-out), results merged in
 //! scan-index order, every worker sending through its own
-//! `simnet::NetShard`. A one-worker (or small) scan is that same driver run
-//! as one shard on the caller's thread.
+//! `simnet::NetShard`. A one-worker (or one-target) scan is that same
+//! driver run as one shard on the caller's thread.
 //!
 //! Module layout:
 //! - [`outcome`]: targets, the [`ScanOutcome`] taxonomy, result records;
@@ -33,7 +36,7 @@ pub mod retry;
 pub mod scan;
 
 pub use outcome::{QuicScanResult, QuicTarget, ScanOutcome};
-pub use scan::{QScanner, DEFAULT_MIN_PARALLEL_TARGETS, DEFAULT_STREAM_BATCH_TARGETS};
+pub use scan::{QScanner, DEFAULT_STREAM_BATCH_TARGETS};
 pub use simnet::StealQueue;
 
 #[cfg(test)]
@@ -147,7 +150,7 @@ mod tests {
             .collect();
         let lossy = || {
             let mut net = u.build_network();
-            net.set_loss_permille(50);
+            net.set_default_profile(simnet::LinkProfile::lossy(50));
             net
         };
         let seq = scanner.scan_many(&lossy(), &targets, 1);
@@ -176,7 +179,7 @@ mod tests {
         assert!(targets.len() >= 40, "need a meaningful sample");
         let baseline = scanner.scan_many(&u.build_network(), &targets, 1);
         let mut net = u.build_network();
-        net.set_loss_permille(50);
+        net.set_default_profile(simnet::LinkProfile::lossy(50));
         let lossy = scanner.scan_many(&net, &targets, 1);
         let mut responsive = 0u32;
         let mut matched = 0u32;
@@ -294,9 +297,7 @@ mod tests {
         let bad = IpAddr::V4(Ipv4Addr::new(10, 9, 9, 11));
         let ok = IpAddr::V4(Ipv4Addr::new(10, 9, 9, 12));
         let targets = vec![QuicTarget::new(bad, None), QuicTarget::new(ok, None)];
-        let mut scanner = QScanner::new(vantage(), 1);
-        // Two targets are below the default threshold; let them fan out.
-        scanner.min_parallel_targets = 2;
+        let scanner = QScanner::new(vantage(), 1);
         for workers in [1usize, 4] {
             for traced in [false, true] {
                 // Fresh network per row, as in every comparison here.

@@ -1,6 +1,12 @@
 //! The scan driver: per-target attempt/PTO/backoff loops, HTTP/3 follow-up,
 //! panic isolation, and the parallel fan-out.
 //!
+//! The scanner runs the paper's one configuration, so its limits are
+//! constants, not options: every target gets up to three connection
+//! attempts offering drafts 29, 32 and 34, each with up to five probe
+//! timeouts, all within a 10 s virtual-time budget, and every established
+//! connection gets an HTTP/3 HEAD request.
+//!
 //! Every send goes through a worker-private [`NetShard`]; a serial scan is
 //! one shard on the caller's thread, so there is no separate "global" send
 //! path for the two to diverge on. One private driver, `drive`, is the only
@@ -30,17 +36,34 @@ use telemetry::{Event, EventKind, LocalMetrics, MetricsRegistry, Telemetry, Trac
 use crate::outcome::{QuicScanResult, QuicTarget, ScanOutcome};
 use crate::retry::{BackoffSchedule, PtoSchedule, TargetBudget};
 
-/// Below this many targets a scan runs on the caller's thread: thread
-/// spin-up costs more than it saves on small inputs. One constant governs
-/// the untraced, traced and streaming entry points alike.
-pub const DEFAULT_MIN_PARALLEL_TARGETS: usize = 64;
-
 /// Batch size of the streaming driver ([`QScanner::scan_stream`]): how many
 /// targets are drawn off the feed and fanned out at a time. Large enough to
 /// keep every worker saturated through a full steal cycle, small enough that
 /// the in-flight window — the only per-run buffer the streaming driver
 /// holds — stays constant-size no matter how long the feed runs.
 pub const DEFAULT_STREAM_BATCH_TARGETS: usize = 1024;
+
+/// Versions offered, most preferred first: the paper's QScanner spoke
+/// drafts 29, 32 and 34.
+const VERSIONS: [Version; 3] = [Version::DRAFT_29, Version::DRAFT_32, Version::DRAFT_34];
+
+/// Connection attempts per target, each from a fresh source port with
+/// exponential backoff in between.
+const ATTEMPTS: u64 = 3;
+
+/// Probe timeouts fired per attempt before the peer counts as silent.
+const PTOS_PER_ATTEMPT: u32 = 5;
+
+/// Flights exchanged per handshake attempt, and per HTTP request.
+const MAX_ROUNDS: usize = 10;
+
+/// HEAD requests sent on fresh streams of an established connection before
+/// the HTTP/3 follow-up gives up.
+const HTTP_REQUESTS: u32 = 6;
+
+/// Virtual-time budget per target, in microseconds, across all attempts,
+/// probe timeouts and backoff waits.
+const TARGET_BUDGET_US: u64 = 10_000_000;
 
 /// Coarse packet-space classification from the first byte of a datagram
 /// (enough for a timeline; the scanner never decrypts here).
@@ -168,32 +191,12 @@ fn exchange(
     (status, got_reply)
 }
 
-/// The scanner.
+/// The scanner: a handshake and an HTTP/3 HEAD request per target.
 pub struct QScanner {
     /// Vantage source address.
     pub source_ip: IpAddr,
-    /// Versions offered, most preferred first (the QScanner of the paper
-    /// supported draft 29/32/34, later v1).
-    pub versions: Vec<Version>,
-    /// Send an HTTP/3 HEAD request after the handshake.
-    pub http_head: bool,
     /// Base seed.
     pub seed: u64,
-    /// Max request/response pump rounds per attempt.
-    pub max_rounds: usize,
-    /// Connection attempts per target (each from a fresh source port, with
-    /// exponential backoff in between).
-    pub max_attempts: u64,
-    /// Probe timeouts fired per attempt before declaring the peer silent.
-    pub max_ptos: u32,
-    /// HTTP request retries within an established connection.
-    pub http_retries: u32,
-    /// Total virtual-time budget per target, in microseconds, across all
-    /// attempts, probe timeouts, and backoff waits.
-    pub budget_us: u64,
-    /// Minimum target count before `scan_many`/`scan_many_traced` fan out
-    /// across threads (defaults to [`DEFAULT_MIN_PARALLEL_TARGETS`]).
-    pub min_parallel_targets: usize,
     /// Targets drawn per batch by the streaming driver (defaults to
     /// [`DEFAULT_STREAM_BATCH_TARGETS`]).
     pub stream_batch_targets: usize,
@@ -204,29 +207,17 @@ impl QScanner {
     pub fn new(source_ip: IpAddr, seed: u64) -> Self {
         QScanner {
             source_ip,
-            versions: vec![Version::DRAFT_29, Version::DRAFT_32, Version::DRAFT_34],
-            http_head: true,
             seed,
-            max_rounds: 10,
-            max_attempts: 3,
-            max_ptos: 5,
-            http_retries: 6,
-            budget_us: 10_000_000,
-            min_parallel_targets: DEFAULT_MIN_PARALLEL_TARGETS,
             stream_batch_targets: DEFAULT_STREAM_BATCH_TARGETS,
         }
     }
 
-    fn client_config(&self, sni: Option<&str>) -> ClientConfig {
+    fn client_config(sni: Option<&str>) -> ClientConfig {
         ClientConfig {
-            versions: self.versions.clone(),
+            versions: VERSIONS.to_vec(),
             tls: qtls::ClientConfig {
                 server_name: sni.map(str::to_string),
-                alpn: self
-                    .versions
-                    .iter()
-                    .map(|v| v.alpn().into_bytes())
-                    .collect(),
+                alpn: VERSIONS.iter().map(|v| v.alpn().into_bytes()).collect(),
                 ..qtls::ClientConfig::default()
             },
             transport_params: TransportParameters {
@@ -238,16 +229,15 @@ impl QScanner {
                 initial_max_streams_uni: 16,
                 ..TransportParameters::default()
             },
-            max_vn_retries: 1,
         }
     }
 
-    /// Scans one target: up to [`QScanner::max_attempts`] connection
-    /// attempts with exponential backoff, each attempt driving PTO-based
-    /// retransmission inside the connection, all under one virtual-time
-    /// budget. The budget is tracked locally (never read off the shared
-    /// clock, which other workers advance concurrently), so the verdict for
-    /// a target is identical at any worker count.
+    /// Scans one target: up to three connection attempts with exponential
+    /// backoff, each attempt driving PTO-based retransmission inside the
+    /// connection, all under one virtual-time budget. The budget is tracked
+    /// locally (never read off the shared clock, which other workers
+    /// advance concurrently), so the verdict for a target is identical at
+    /// any worker count.
     pub fn scan_one(&self, net: &Network, target: &QuicTarget, index: u64) -> QuicScanResult {
         self.scan_one_impl(&mut Worker::new(net), target, index, None)
     }
@@ -340,28 +330,24 @@ impl QScanner {
 
         let mut got_reply = false;
         let mut throttled = false;
-        let mut budget = TargetBudget::new(self.budget_us);
+        let mut budget = TargetBudget::new(TARGET_BUDGET_US);
         let mut backoff = BackoffSchedule::new(rtt_us);
 
-        for attempt in 0..self.max_attempts.max(1) {
+        for attempt in 0..ATTEMPTS {
             // Fresh source port per attempt: a server that closed or
             // poisoned the previous connection keeps draining datagrams on
             // the old flow, so the retry must look like a new client.
-            let port_slot = (index * self.max_attempts.max(1) + attempt) % 50_000;
+            let port_slot = (index * ATTEMPTS + attempt) % 50_000;
             let src = SocketAddr::new(self.source_ip, 10_000 + port_slot as u16);
             let seed = self.seed
                 ^ index.wrapping_mul(0xd6e8_feb8_6659_fd93)
                 ^ attempt.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            let config = self.client_config(target.sni.as_deref());
+            let config = Self::client_config(target.sni.as_deref());
             let mut conn = match obs.as_deref_mut() {
                 Some(o) => {
                     o.ctx.record(EventKind::AttemptStarted {
                         attempt,
-                        version: self
-                            .versions
-                            .first()
-                            .map(|v| v.label())
-                            .unwrap_or_else(|| Version::V1.label()),
+                        version: VERSIONS[0].label(),
                     });
                     o.metrics.inc("qscanner.attempts", 1);
                     let mut conn = ClientConnection::new_traced(config, seed);
@@ -371,7 +357,7 @@ impl QScanner {
                 None => ClientConnection::new(config, seed),
             };
 
-            let mut ptos = PtoSchedule::new(rtt_us, self.max_ptos);
+            let mut ptos = PtoSchedule::new(rtt_us, PTOS_PER_ATTEMPT);
             let mut rounds = 0usize;
             let mut unreachable = false;
 
@@ -402,7 +388,7 @@ impl QScanner {
                     continue;
                 }
                 rounds += 1;
-                if rounds > self.max_rounds {
+                if rounds > MAX_ROUNDS {
                     break;
                 }
                 let sent = out.len();
@@ -448,10 +434,8 @@ impl QScanner {
                     result.version = Some(conn.version());
                     result.tls = conn.tls_info().cloned();
                     result.transport_params = conn.peer_transport_params().cloned();
-                    if self.http_head {
-                        result.http =
-                            self.fetch_http(w, target, src, dst, &mut conn, obs.as_deref_mut());
-                    }
+                    result.http =
+                        Self::fetch_http(w, target, src, dst, &mut conn, obs.as_deref_mut());
                     result.outcome = ScanOutcome::Success;
                     return result;
                 }
@@ -492,7 +476,6 @@ impl QScanner {
     /// frames are not idempotent server-side, so retrying a request beats
     /// retransmitting the original packet).
     fn fetch_http(
-        &self,
         w: &mut Worker<'_>,
         target: &QuicTarget,
         src: SocketAddr,
@@ -507,7 +490,7 @@ impl QScanner {
             .unwrap_or_else(|| target.addr.to_string());
         let control = conn.open_uni_stream();
         conn.send_stream(control, &request::client_control_stream(), false);
-        for _ in 0..self.http_retries.max(1) {
+        for _ in 0..HTTP_REQUESTS {
             if !conn.handshake_done() {
                 // The server may still be waiting for a lost Finished;
                 // repeat it so the request lands on an established
@@ -525,7 +508,7 @@ impl QScanner {
                 ),
                 true,
             );
-            for _ in 0..self.max_rounds {
+            for _ in 0..MAX_ROUNDS {
                 let out = conn.poll_transmit();
                 if out.is_empty() {
                     break;
@@ -547,9 +530,9 @@ impl QScanner {
     /// `targets[i]`) through [`simnet::fan_out`] — `workers` threads claiming
     /// index batches off a shared [`simnet::StealQueue`], each with a private
     /// [`Worker`] and metric set — and returns the `per_target` values in
-    /// index order plus how many targets each worker scanned. Below
-    /// [`QScanner::min_parallel_targets`] (or with one worker) the single
-    /// worker runs on the caller's thread — the same code, no spawn.
+    /// index order plus how many targets each worker scanned. `fan_out`
+    /// starts no more workers than there are targets, and runs a single
+    /// worker on the caller's thread — the same code, no spawn.
     ///
     /// A worker that dies outside `per_target`'s own isolation propagates
     /// its panic: returning a shorter vector would silently misalign
@@ -563,11 +546,6 @@ impl QScanner {
         registry: Option<&MetricsRegistry>,
         per_target: impl Fn(&mut Worker<'_>, &mut LocalMetrics, &QuicTarget, u64) -> R + Sync,
     ) -> (Vec<R>, Vec<usize>) {
-        let workers = if targets.len() < self.min_parallel_targets {
-            1
-        } else {
-            workers
-        };
         let (results, per_worker) = fan_out(
             targets.len(),
             workers,
@@ -601,9 +579,9 @@ impl QScanner {
     }
 
     /// [`QScanner::scan_many`], also reporting how many targets each worker
-    /// ended up scanning (one entry per worker; a single entry for the
-    /// sequential small-input path). The counts are diagnostics only — the
-    /// straggler regression test uses them to assert skewed load spreads.
+    /// ended up scanning (one entry per worker started; never more workers
+    /// than targets). The counts are diagnostics only — the straggler
+    /// regression test uses them to assert skewed load spreads.
     pub fn scan_many_stats(
         &self,
         net: &Network,

@@ -61,7 +61,7 @@ fn skewed_targets(u: &Universe) -> Vec<QuicTarget> {
 /// calibrated fault plan from the loss-tolerance work.
 fn net_with_loss(u: &Universe, loss_permille: u32) -> Network {
     let mut net = u.build_network();
-    net.set_loss_permille(loss_permille);
+    net.set_default_profile(simnet::LinkProfile::lossy(loss_permille));
     net
 }
 
@@ -177,10 +177,9 @@ fn streaming_driver_matches_buffered_scan() {
     let targets = skewed_targets(&u);
     let baseline = scanner.scan_many(&net_with_loss(&u, 50), &targets, 1);
 
-    // Tiny batches force many batch boundaries (96 targets / 16 = 6 batches)
-    // and, with min_parallel_targets below them, the parallel in-batch path.
+    // Tiny batches force many batch boundaries (96 targets / 16 = 6 batches),
+    // each fanned out in parallel.
     scanner.stream_batch_targets = 16;
-    scanner.min_parallel_targets = 4;
     for workers in [1usize, 4, 8] {
         let mut streamed = Vec::new();
         let scanned = scanner.scan_stream(

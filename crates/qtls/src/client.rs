@@ -28,8 +28,6 @@ pub struct ClientConfig {
     pub groups: Vec<NamedGroup>,
     /// Raw QUIC transport parameters to carry (QUIC handshakes only).
     pub quic_transport_params: Option<Vec<u8>>,
-    /// Send a non-empty legacy session id (TCP middlebox compatibility).
-    pub legacy_session_id: bool,
 }
 
 impl Default for ClientConfig {
@@ -40,7 +38,6 @@ impl Default for ClientConfig {
             cipher_suites: CipherSuite::default_offer(),
             groups: vec![NamedGroup::X25519, NamedGroup::Secp256r1],
             quic_transport_params: None,
-            legacy_session_id: false,
         }
     }
 }
@@ -113,14 +110,6 @@ impl ClientHandshake {
             key_shares.push((*group, secret));
             share_exts.push((group.wire(), public.to_vec()));
         }
-        let session_id = if config.legacy_session_id {
-            let mut sid = vec![0u8; 32];
-            rng.fill_bytes(&mut sid);
-            sid
-        } else {
-            Vec::new()
-        };
-
         let mut extensions = Vec::new();
         if let Some(name) = &config.server_name {
             extensions.push(Extension::ServerName(Some(name.clone())));
@@ -143,7 +132,7 @@ impl ClientHandshake {
 
         let ch = Handshake::ClientHello(ClientHello {
             random,
-            session_id,
+            session_id: Vec::new(),
             cipher_suites: config.cipher_suites.iter().map(|c| c.wire()).collect(),
             extensions,
         });

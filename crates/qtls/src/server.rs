@@ -61,8 +61,6 @@ pub struct ServerConfig {
     pub no_alpn_without_sni: bool,
     /// Raw QUIC transport parameters for the EE extension (QUIC only).
     pub quic_transport_params: Option<Vec<u8>>,
-    /// Extra opaque EE extensions (type, body) to diversify stacks.
-    pub extra_ee_extensions: Vec<(u16, Vec<u8>)>,
     /// Negotiate only TLS 1.2 (TCP path; QUIC handshakes then fail) —
     /// models Cloudflare's "TLS 1.3 disabled but QUIC enabled" deployments.
     pub tls12_only: bool,
@@ -84,7 +82,6 @@ impl ServerConfig {
             send_sni_ack: true,
             no_alpn_without_sni: false,
             quic_transport_params: None,
-            extra_ee_extensions: Vec::new(),
             tls12_only: false,
             week: 0,
         }
@@ -337,9 +334,6 @@ impl ServerHandshake {
             .or(self.config.quic_transport_params.as_ref())
         {
             ee.push(Extension::QuicTransportParameters(tp.clone()));
-        }
-        for (t, body) in &self.config.extra_ee_extensions {
-            ee.push(Extension::Unknown(*t, body.clone()));
         }
         let mut flight = Handshake::EncryptedExtensions(ee).encode();
 

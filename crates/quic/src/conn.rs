@@ -32,14 +32,13 @@ use crate::version::Version;
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
     /// Versions the client supports, most preferred first; the first is
-    /// offered initially and the rest are retried after Version Negotiation.
+    /// offered initially, and after a Version Negotiation the connection
+    /// restarts once with the first of the rest the server lists.
     pub versions: Vec<Version>,
     /// TLS offer (SNI, ALPN, ciphers, groups).
     pub tls: qtls::ClientConfig,
     /// Client transport parameters.
     pub transport_params: TransportParameters,
-    /// How many Version Negotiation restarts to attempt.
-    pub max_vn_retries: u32,
 }
 
 impl Default for ClientConfig {
@@ -48,7 +47,6 @@ impl Default for ClientConfig {
             versions: vec![Version::DRAFT_29, Version::DRAFT_32, Version::DRAFT_34],
             tls: qtls::ClientConfig::default(),
             transport_params: TransportParameters::default(),
-            max_vn_retries: 1,
         }
     }
 }
@@ -198,7 +196,9 @@ pub struct ClientConnection {
     streams_rx: HashMap<u64, StreamRecv>,
     next_bidi_stream: u64,
     next_uni_stream: u64,
-    vn_retries_left: u32,
+    /// Set once a Version Negotiation restarted the connection; a second
+    /// one ends it.
+    vn_restarted: bool,
     saw_server_packet: bool,
     /// Address-validation token to echo in Initials (set by a Retry).
     retry_token: Vec<u8>,
@@ -244,7 +244,6 @@ impl ClientConnection {
             cipher_suites: Vec::new(),
             groups: Vec::new(),
             quic_transport_params: None,
-            legacy_session_id: false,
         };
         let mut conn = ClientConnection {
             config,
@@ -270,7 +269,7 @@ impl ClientConnection {
             streams_rx: HashMap::new(),
             next_bidi_stream: 0,
             next_uni_stream: 2,
-            vn_retries_left: 0,
+            vn_restarted: false,
             saw_server_packet: false,
             retry_token: Vec::new(),
             retry_dcid: None,
@@ -281,7 +280,6 @@ impl ClientConnection {
             app_rx: None,
             rng,
         };
-        conn.vn_retries_left = conn.config.max_vn_retries;
         conn.start_attempt(version);
         conn
     }
@@ -677,8 +675,8 @@ impl ClientConnection {
             .find(|v| server_versions.contains(v))
             .copied();
         match next {
-            Some(v) if self.vn_retries_left > 0 => {
-                self.vn_retries_left -= 1;
+            Some(v) if !self.vn_restarted => {
+                self.vn_restarted = true;
                 self.tx.clear();
                 self.start_attempt(v);
             }

@@ -339,7 +339,6 @@ fn forced_version_negotiation_probe() {
     let mut server = Endpoint::new(config, 7, Box::new(|| Box::new(Echo)));
     let mut cc = client_config(None);
     cc.versions = vec![Version::FORCE_NEGOTIATION];
-    cc.max_vn_retries = 0;
     let mut client = ClientConnection::new(cc, 8);
     pump(&mut client, &mut server);
     match client.outcome() {

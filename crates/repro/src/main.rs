@@ -228,9 +228,7 @@ fn run_workload() {
             }
         }
     }
-    if let Ok(v) = std::env::var("SIM_LOSS_PERMILLE") {
-        config.extra_loss_permille = v.parse().expect("SIM_LOSS_PERMILLE must be an integer");
-    }
+    config.extra_loss_permille = internet::FaultPlan::from_env().loss_permille;
     std::fs::create_dir_all(&out).expect("create output directory");
     eprintln!(
         "[repro] workload sweep: seed {:#x}, {} workers, {} bulk + {} rtc connections, +{}‰ baseline loss…",

@@ -1,9 +1,8 @@
 //! Deterministic per-path fault injection.
 //!
-//! A [`LinkProfile`] describes the impairments of one network path: forward
-//! packet loss, duplication, reply reordering, latency jitter, an MTU that
-//! black-holes over-sized datagrams, ICMP-unreachable signaling, and
-//! server-side reply rate limiting. Profiles are attached to a
+//! A [`LinkProfile`] describes the impairments of one network path: packet
+//! loss, latency jitter, ICMP-unreachable signaling, and server-side reply
+//! rate limiting. Profiles are attached to a
 //! [`crate::Network`] per destination IP (with a network-wide default), so an
 //! `internet`-level topology can give a rate-limiting CDN and a lossy access
 //! network different failure characteristics.
@@ -39,15 +38,9 @@ pub struct ReplyRateLimit {
 pub struct LinkProfile {
     /// Forward-path and reply loss probability in permille (0–1000).
     pub loss_permille: u32,
-    /// Probability (0–1000) that a delivered datagram arrives twice.
-    pub dup_permille: u32,
-    /// Probability (0–1000) that the first two reply datagrams swap places.
-    pub reorder_permille: u32,
     /// Maximum extra latency per exchange, drawn uniformly in
     /// `0..=jitter_us` µs and added to the RTT charge.
     pub jitter_us: u64,
-    /// Datagrams larger than this are silently black-holed (PMTUD failure).
-    pub mtu: Option<usize>,
     /// The destination signals ICMP unreachable instead of delivering.
     pub unreachable: bool,
     /// Server-side rate limiting in front of the destination.
@@ -55,14 +48,11 @@ pub struct LinkProfile {
 }
 
 impl LinkProfile {
-    /// A perfect path: no loss, no duplication, no jitter, no limits.
+    /// A perfect path: no loss, no jitter, no limits.
     pub const fn ideal() -> Self {
         LinkProfile {
             loss_permille: 0,
-            dup_permille: 0,
-            reorder_permille: 0,
             jitter_us: 0,
-            mtu: None,
             unreachable: false,
             rate_limit: None,
         }
@@ -90,10 +80,7 @@ impl LinkProfile {
     /// lookup, no draws) for unimpaired paths.
     pub fn is_ideal(&self) -> bool {
         self.loss_permille == 0
-            && self.dup_permille == 0
-            && self.reorder_permille == 0
             && self.jitter_us == 0
-            && self.mtu.is_none()
             && !self.unreachable
             && self.rate_limit.is_none()
     }
@@ -108,8 +95,6 @@ impl Default for LinkProfile {
 // Distinct salts so the independent decisions on one datagram never reuse a
 // draw.
 pub(crate) const SALT_FWD_LOSS: u64 = 0x1b87_3593_04ba_df01;
-pub(crate) const SALT_DUP: u64 = 0x94d0_49bb_1331_11eb;
-pub(crate) const SALT_REORDER: u64 = 0x2545_f491_4f6c_dd1d;
 pub(crate) const SALT_JITTER: u64 = 0xda94_2042_e4dd_58b5;
 pub(crate) const SALT_RATE: u64 = 0x9e6c_63d0_985e_a21b;
 pub(crate) const SALT_REPLY_LOSS: u64 = 0xe703_7ed1_a0b4_28db;
@@ -178,7 +163,7 @@ mod tests {
         let b = SocketAddr::new(Ipv4Addr::new(10, 0, 0, 2), 443);
         let f = flow_hash(a, b);
         assert_eq!(draw(1, f, 5, SALT_FWD_LOSS), draw(1, f, 5, SALT_FWD_LOSS));
-        assert_ne!(draw(1, f, 5, SALT_FWD_LOSS), draw(1, f, 5, SALT_DUP));
+        assert_ne!(draw(1, f, 5, SALT_FWD_LOSS), draw(1, f, 5, SALT_JITTER));
         assert_ne!(draw(1, f, 5, SALT_FWD_LOSS), draw(1, f, 6, SALT_FWD_LOSS));
         assert_ne!(draw(1, f, 5, SALT_FWD_LOSS), draw(2, f, 5, SALT_FWD_LOSS));
         // Different flows see different fates for the same sequence number.

@@ -4,9 +4,8 @@
 //! to a [`Network`] instead — a registry of simulated hosts offering UDP and
 //! TCP services. The design is sans-IO and synchronous (following the
 //! smoltcp guide): a scanner *sends* a datagram and receives the induced
-//! response datagrams in the same call. Impairments (loss, duplication,
-//! reordering, jitter, MTU black holes, ICMP unreachable, rate limiting)
-//! come from per-path [`LinkProfile`]s whose decisions are keyed on per-flow
+//! response datagrams in the same call. Impairments (loss, jitter, ICMP
+//! unreachable, rate limiting) come from per-path [`LinkProfile`]s whose decisions are keyed on per-flow
 //! sequence numbers, so results are bit-reproducible at any worker count.
 //!
 //! Time is virtual: [`clock::SimClock`] is a monotonically advancing counter

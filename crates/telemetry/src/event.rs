@@ -9,16 +9,10 @@ pub enum FaultKind {
     ForwardLoss,
     /// A reply datagram silently dropped.
     ReplyLoss,
-    /// The delivered datagram arrived twice.
-    Duplicated,
-    /// The first two replies swapped places.
-    Reordered,
     /// The destination's rate limiter discarded the datagram with pushback.
     RateLimited,
     /// ICMP destination unreachable came back.
     Unreachable,
-    /// Datagram exceeded the path MTU and was black-holed.
-    MtuDrop,
     /// Jitter added to the exchange's latency, in microseconds.
     Jitter(u64),
 }
@@ -29,11 +23,8 @@ impl FaultKind {
         match self {
             FaultKind::ForwardLoss => "forward_loss",
             FaultKind::ReplyLoss => "reply_loss",
-            FaultKind::Duplicated => "duplicated",
-            FaultKind::Reordered => "reordered",
             FaultKind::RateLimited => "rate_limited",
             FaultKind::Unreachable => "unreachable",
-            FaultKind::MtuDrop => "mtu_drop",
             FaultKind::Jitter(_) => "jitter",
         }
     }

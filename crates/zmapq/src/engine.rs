@@ -42,8 +42,6 @@ use crate::ratelimit::TokenBucket;
 pub struct ZmapConfig {
     /// Source address probes originate from (the scanner's vantage point).
     pub source: SocketAddr,
-    /// Target port.
-    pub port: u16,
     /// Aggregate probe rate in packets per virtual second (paper: up to
     /// 15 000), divided evenly across worker shards.
     pub rate_pps: u64,
@@ -71,7 +69,6 @@ impl ZmapConfig {
     pub fn new(source: SocketAddr) -> Self {
         ZmapConfig {
             source,
-            port: 443,
             rate_pps: 15_000,
             seed: 0x5eed,
             blocklist: Blocklist::new(),
@@ -544,7 +541,8 @@ impl ZmapScanner {
                         blocked += 1;
                         continue;
                     }
-                    let dst = SocketAddr::new(addr, self.config.port);
+                    // Both sweeps probe 443: QUIC's port and the TLS scans'.
+                    let dst = SocketAddr::new(addr, 443);
                     // Duplicate-probe mode: re-probe until the target answers
                     // or the repeat budget runs out; record at most one reply.
                     for _ in 0..self.config.probe_repeat.max(1) {
@@ -784,7 +782,7 @@ mod tests {
         let hosts: Vec<u8> = (1..=40).collect();
         let build_net = |loss: u32| {
             let mut net = Network::new(9);
-            net.set_loss_permille(loss);
+            net.set_default_profile(simnet::LinkProfile::lossy(loss));
             for &last in &hosts {
                 net.bind_udp(
                     SocketAddr::new(Ipv4Addr::new(10, 52, 0, last), 443),
@@ -821,7 +819,7 @@ mod tests {
     fn lossy_parallel_sweep_matches_serial() {
         let build_net = || {
             let mut net = Network::new(11);
-            net.set_loss_permille(250);
+            net.set_default_profile(simnet::LinkProfile::lossy(250));
             for last in [3u8, 40, 99, 150, 201, 250] {
                 net.bind_udp(
                     SocketAddr::new(Ipv4Addr::new(10, 53, 0, last), 443),

@@ -87,7 +87,7 @@ fn build_net(loss_permille: u32) -> Network {
     let cert = ca.issue(1, "x.example", vec![], 0, 99, [1; 32]);
     let tls = Arc::new(qtls::ServerConfig::single_cert(cert));
     let mut net = Network::new(17);
-    net.set_loss_permille(loss_permille);
+    net.set_default_profile(simnet::LinkProfile::lossy(loss_permille));
     let mut rng = 0x5_ca1e_u64;
     for k in 0..28u64 {
         let addr = Ipv4Addr::from(BASE + (splitmix(&mut rng) % SPAN) as u32);

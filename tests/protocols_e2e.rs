@@ -10,7 +10,7 @@ use its_over_9000::internet::{Universe, UniverseConfig};
 use its_over_9000::qscanner::{QScanner, QuicTarget, ScanOutcome};
 use its_over_9000::quic::server::EndpointConfig;
 use its_over_9000::simnet::addr::Ipv4Addr;
-use its_over_9000::simnet::{Duration, IpAddr, Network, SocketAddr};
+use its_over_9000::simnet::{Duration, IpAddr, LinkProfile, Network, SocketAddr};
 
 fn vantage() -> IpAddr {
     IpAddr::V4(Ipv4Addr::new(192, 0, 2, 77))
@@ -131,7 +131,7 @@ fn google_no_sni_divergence_between_stacks() {
 fn packet_loss_is_absorbed_until_retries_are_exhausted() {
     let u = Universe::generate(UniverseConfig::tiny(18));
     let mut net = u.build_network();
-    net.set_loss_permille(1000); // total loss
+    net.set_default_profile(LinkProfile::lossy(1000)); // total loss
     let host = u
         .hosts
         .iter()
@@ -149,7 +149,7 @@ fn packet_loss_is_absorbed_until_retries_are_exhausted() {
     // Moderate loss: PTO retransmission plus the per-target retry budget
     // absorb it — every attempt still completes the handshake.
     let mut net = u.build_network();
-    net.set_loss_permille(200);
+    net.set_default_profile(LinkProfile::lossy(200));
     let mut successes = 0;
     for i in 0..40 {
         let r = scanner.scan_one(
@@ -166,7 +166,7 @@ fn packet_loss_is_absorbed_until_retries_are_exhausted() {
     // Catastrophic loss exhausts the retry budget: failures reappear and
     // every one of them is classified as a timeout, never a crash.
     let mut net = u.build_network();
-    net.set_loss_permille(950);
+    net.set_default_profile(LinkProfile::lossy(950));
     let mut timeouts = 0;
     for i in 0..10 {
         let r = scanner.scan_one(
