@@ -161,7 +161,7 @@ impl ServiceCtx<'_> {
 
 /// The simulated Internet fabric.
 pub struct Network {
-    endpoints: Endpoints,
+    pub(crate) endpoints: Endpoints,
     /// Virtual clock shared by all drivers.
     pub clock: SimClock,
     /// Traffic counters.
@@ -285,7 +285,9 @@ impl Network {
     /// Sends one UDP datagram from `src` to `dst` and returns the responses
     /// the destination service emitted (empty when the port is unbound, the
     /// packet was lost, or the service stayed silent). Advances the clock by
-    /// one RTT when a response comes back.
+    /// one RTT (plus any jitter) whenever the datagram reaches an endpoint
+    /// at `dst`, silent ones included; a datagram lost on the way out or
+    /// sent to an unbound port costs no time.
     ///
     /// For one-off exchanges (DNS lookups, connectivity checks): a
     /// [`NetShard`] that lives for this one send, so the shared clock,
@@ -468,13 +470,20 @@ impl NetShard<'_> {
         let net = self.net;
         let profile = *net.path_profile(dst.ip);
         let mut status = FlightStatus::default();
+        // A clean path to an address nothing can answer at — a sweep's
+        // common miss: every datagram is sent, none is delivered, no draw
+        // is taken and no time passes, so the flight only counts its sends.
+        if profile.is_ideal() && !net.endpoints.udp_may_exist(&dst) {
+            flight.for_each(|payload| self.local.record_send(payload.len()));
+            return status;
+        }
         // The flight's one endpoint slot, filled at its first delivery.
         let endpoint = OnceCell::new();
         let mut delivery = Delivery {
             net,
             src,
             dst,
-            crosses_shard: route(&dst) != route(&src),
+            crosses_shard: false,
             endpoint: &endpoint,
             guard: None,
         };
@@ -617,6 +626,9 @@ struct Delivery<'e> {
     net: &'e Network,
     src: SocketAddr,
     dst: SocketAddr,
+    /// Whether `dst` routes to another endpoint shard than `src`; computed
+    /// when the endpoint is found, so a flight that delivers nothing hashes
+    /// neither address for it.
     crosses_shard: bool,
     endpoint: &'e OnceCell<Option<UdpEndpoint<'e>>>,
     guard: Option<MutexGuard<'e, Box<dyn UdpService>>>,
@@ -642,6 +654,7 @@ impl Delivery<'_> {
                 return false;
             };
             self.guard = Some(locks.lock(endpoint.service()));
+            self.crosses_shard = route(&self.dst) != route(&self.src);
         }
         let service = self.guard.as_mut().expect("locked above");
         if self.crosses_shard {

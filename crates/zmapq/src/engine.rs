@@ -21,8 +21,9 @@
 //! There is one shard loop (`ZmapScanner::run_shard`) for the three
 //! sweeps. It is fed `BLOCK` scan indices at a time by the sweep's
 //! `Targets` — prefix sweeps fill the block through
-//! [`FeistelPermutation::permute_into`], which overlaps the cycle-walks of
-//! several indices instead of waiting for one at a time — and takes the
+//! [`FeistelPermutation::permute_into`], which walks a block in passes of
+//! independent encryptions instead of waiting for one index at a time — and
+//! takes the
 //! probe as a parameter (Version Negotiation over UDP, or a TCP SYN).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};

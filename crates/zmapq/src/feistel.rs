@@ -3,31 +3,58 @@
 //! multiplicative group: every address visited exactly once, in an order
 //! that spreads load across target networks.
 //!
+//! Each round is a splitmix64 finaliser of the right half, three dependent
+//! 64-bit multiplies. The sweeps and `LazyUniverse` permute at most a /10
+//! (n = 2²², a walk domain of 2²⁴), so a round sees at most 2¹² distinct
+//! halves: a permutation whose halves are at most `TABLE_BITS` wide
+//! tabulates its four rounds when it is built, and a round is then one load. `round_fn` stays the definition and
+//! the only path for wider halves; the tests hold the tables to it.
+//!
 //! The cipher has two callers with opposite needs. A point lookup
 //! ([`FeistelPermutation::permute`], [`FeistelPermutation::rank`]) wants one
-//! answer and waits for it: four rounds of three *dependent* 64-bit
-//! multiplies, repeated until the value lands inside the domain, is one long
-//! latency chain. A sweep wants every answer and does not care in which
-//! order they are computed, so [`FeistelPermutation::permute_into`] keeps
-//! several independent cycle-walks (`LANES`) in flight and steps them
-//! together: the multiplier issues one operation per cycle, and a single
-//! chain uses a third of that. Both forms instantiate the same
-//! `rounds::<L>`, so there is one cipher, and the scalar form is the
-//! definition the block walk is tested against.
+//! answer and waits for it: four dependent rounds, repeated until the value
+//! lands inside the domain (four encryptions on average at n = 2²²), behind
+//! an exit branch the predictor cannot learn. A sweep wants every answer and
+//! does not care in which order they are computed, so
+//! [`FeistelPermutation::permute_into`] walks a block in passes: each pass
+//! encrypts every value still outside the domain once, and those
+//! encryptions are independent of each other, so they overlap in the
+//! pipeline. Measured on the 2-core Xeon guest at n = 2²² (`feistel_speed`):
+//! ≈19 ns per address for the block walk and ≈65 ns for `permute` and
+//! `rank` with the tables; computing the rounds instead costs ≈137 ns a
+//! point lookup.
 
-/// Cycle-walks a block walk keeps in flight. Eight measured best on the
-/// 2-core Xeon guest: ≈32 ns per address at n = 2²² against ≈95 ns for the
-/// scalar walk; four lanes leave the multiplier idle (≈44 ns), ten and
-/// twelve read the same as eight (33–35 ns), sixteen spill too many
-/// registers (≈52 ns).
-const LANES: usize = 8;
+/// Slots the block walk compacts over at a time: the engine's block, and a
+/// slot's place in it fits the `u16` pending list.
+const CHUNK: usize = 256;
+
+/// The widest half a permutation tabulates its rounds for: four rounds of
+/// 2¹³ `u16` entries are 64 KiB, of which the 12-bit halves of a /10 fill
+/// 32 KiB.
+const TABLE_BITS: u32 = 13;
+const TABLE_WIDTH: usize = 1 << TABLE_BITS;
+
+/// `table[k][r] = round_fn(keys[k], r) & mask` for every half `r`.
+type RoundTable = [[u16; TABLE_WIDTH]; 4];
 
 /// Permutation over the domain `[0, n)`.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct FeistelPermutation {
     n: u64,
     half_bits: u32,
     keys: [u64; 4],
+    /// The rounds tabulated, when a half is at most `TABLE_BITS` wide.
+    table: Option<Box<RoundTable>>,
+}
+
+impl std::fmt::Debug for FeistelPermutation {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FeistelPermutation")
+            .field("n", &self.n)
+            .field("half_bits", &self.half_bits)
+            .field("keys", &self.keys)
+            .finish()
+    }
 }
 
 fn round_fn(key: u64, right: u64) -> u64 {
@@ -63,44 +90,56 @@ impl FeistelPermutation {
             round_fn(seed, 3),
             round_fn(seed, 4),
         ];
-        FeistelPermutation { n, half_bits, keys }
-    }
-
-    /// The cipher: one pass of the four Feistel rounds over `L` independent
-    /// values, round by round across all of them with no branch in between.
-    /// `L = 1` is the scalar definition, `L = LANES` one step of the block
-    /// walk.
-    #[inline(always)]
-    fn rounds<const L: usize>(&self, x: [u64; L]) -> [u64; L] {
-        let mask = (1u64 << self.half_bits) - 1;
-        let mut left = x.map(|v| v >> self.half_bits);
-        let mut right = x.map(|v| v & mask);
-        for key in self.keys {
-            for (left, right) in left.iter_mut().zip(&mut right) {
-                let new_right = *left ^ (round_fn(key, *right) & mask);
-                *left = *right;
-                *right = new_right;
+        let table = (half_bits <= TABLE_BITS).then(|| {
+            let mask = (1u64 << half_bits) - 1;
+            let mut table: Box<RoundTable> = vec![[0; TABLE_WIDTH]; 4]
+                .into_boxed_slice()
+                .try_into()
+                .expect("four rounds");
+            for (row, key) in table.iter_mut().zip(keys) {
+                for (right, entry) in (0..=mask).zip(row.iter_mut()) {
+                    *entry = (round_fn(key, right) & mask) as u16;
+                }
             }
+            table
+        });
+        FeistelPermutation {
+            n,
+            half_bits,
+            keys,
+            table,
         }
-        std::array::from_fn(|l| (left[l] << self.half_bits) | right[l])
     }
 
+    /// Round `k`'s function of the right half, masked to a half: read from
+    /// the table when there is one.
+    #[inline(always)]
+    fn round(&self, k: usize, right: u64) -> u64 {
+        let mask = (1u64 << self.half_bits) - 1;
+        match &self.table {
+            Some(table) => u64::from(table[k][(right & mask) as usize & (TABLE_WIDTH - 1)]),
+            None => round_fn(self.keys[k], right) & mask,
+        }
+    }
+
+    /// One encryption: the four Feistel rounds.
     fn encrypt_once(&self, x: u64) -> u64 {
-        self.rounds([x])[0]
+        let mask = (1u64 << self.half_bits) - 1;
+        let (mut left, mut right) = (x >> self.half_bits, x & mask);
+        for k in 0..4 {
+            (left, right) = (right, left ^ self.round(k, right));
+        }
+        (left << self.half_bits) | right
     }
 
     fn decrypt_once(&self, x: u64) -> u64 {
         let mask = (1u64 << self.half_bits) - 1;
-        let mut left = x >> self.half_bits;
-        let mut right = x & mask;
-        for key in self.keys.iter().rev() {
+        let (mut left, mut right) = (x >> self.half_bits, x & mask);
+        for k in (0..4).rev() {
             // Invert one round: forward did `new_left = right;
             // new_right = left ^ F(right)`, so `right = new_left` and
             // `left = new_right ^ F(new_left)`.
-            let prev_right = left;
-            let prev_left = right ^ (round_fn(*key, prev_right) & mask);
-            left = prev_left;
-            right = prev_right;
+            (left, right) = (right ^ self.round(k, left), left);
         }
         (left << self.half_bits) | right
     }
@@ -118,16 +157,14 @@ impl FeistelPermutation {
         }
     }
 
-    /// The block walk: fills `out[k] = permute(lo + k)` for the whole slice.
+    /// The block walk: fills `out[k] = permute(lo + k)` for the whole slice,
+    /// `CHUNK` slots at a time.
     ///
-    /// Each of `LANES` lanes carries the cycle-walk of one index, and every
-    /// step encrypts all lanes at once. A lane whose value landed in `[0, n)`
-    /// is handed the next index of the block straight away, so no lane idles
-    /// while another is on a long walk. Every step stores every lane's value
-    /// to its slot without asking whether the walk is over — the last store
-    /// to a slot is the one that landed in the domain. Once the block has no
-    /// index left, a lane that lands is handed a slot past the block's end:
-    /// it keeps walking, into a spare word nobody reads.
+    /// Pass and compact: each pass encrypts every slot still outside the
+    /// domain once and stores the result to the slot, and keeps the slot for
+    /// the next pass only if it is still outside. The encryptions of a pass
+    /// do not depend on each other, and keeping a slot is a store and an add,
+    /// not a branch.
     ///
     /// # Panics
     /// Panics when `lo + out.len()` exceeds `n` (checked once per block).
@@ -137,24 +174,23 @@ impl FeistelPermutation {
             u64::try_from(len).is_ok_and(|len| len <= self.n && lo <= self.n - len),
             "index out of domain"
         );
-        // A lane is live while its slot is inside the block; `next` counts
-        // slots handed out, so `next - LANES` walks have landed.
-        let mut next = LANES;
-        let mut slot: [usize; LANES] = std::array::from_fn(|l| l);
-        let mut x: [u64; LANES] = std::array::from_fn(|l| lo + l as u64);
-        let mut spare = 0u64;
-        while next < len + LANES {
-            let y = self.rounds(x);
-            for l in 0..LANES {
-                let live = slot[l] < len;
-                *out.get_mut(slot[l]).unwrap_or(&mut spare) = y[l];
-                let landed = live & (y[l] < self.n);
-                (x[l], slot[l]) = if landed {
-                    (lo + next as u64, next)
-                } else {
-                    (y[l], slot[l])
-                };
-                next += usize::from(landed);
+        let mut pending = [0u16; CHUNK];
+        for (chunk, lo) in out.chunks_mut(CHUNK).zip((lo..).step_by(CHUNK)) {
+            for (slot, (x, i)) in chunk.iter_mut().zip(lo..).enumerate() {
+                *x = i;
+                pending[slot] = slot as u16;
+            }
+            let mut walking = chunk.len();
+            while walking > 0 {
+                let mut kept = 0;
+                for r in 0..walking {
+                    let slot = usize::from(pending[r]);
+                    let y = self.encrypt_once(chunk[slot]);
+                    chunk[slot] = y;
+                    pending[kept] = slot as u16;
+                    kept += usize::from(y >= self.n);
+                }
+                walking = kept;
             }
         }
     }
@@ -272,14 +308,14 @@ mod extra_tests {
     }
 
     /// The block walk is `permute` a block at a time: same values, same
-    /// slots, for block lengths around the lane count and the engine's block
-    /// size, at the head, the middle and the very end of the domain.
+    /// slots, for block lengths around one and two chunks (the engine's
+    /// block is one), at the head, the middle and the very end of the domain.
     #[test]
     fn block_walk_matches_point_lookups() {
         for n in [1u64, 2, 7, 100, 1000, 4096, 10_007, 1_000_003, 1 << 22] {
             for seed in [1u64, 42, 0x5eed] {
                 let p = FeistelPermutation::new(n, seed);
-                for len in [0, 1, LANES - 1, LANES, LANES + 1, 255, 256, 257] {
+                for len in [0, 1, 7, 8, 9, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1] {
                     let len = len.min(n as usize);
                     let tail = n - len as u64;
                     for lo in [0, tail / 2, tail] {
@@ -306,13 +342,149 @@ mod extra_tests {
     #[test]
     fn largest_domain_round_trips() {
         let p = FeistelPermutation::new(1 << 63, 0x5eed);
-        let mut out = [0u64; LANES + 1];
+        let mut out = [0u64; 9];
         p.permute_into((1 << 63) - out.len() as u64, &mut out);
         for (i, &v) in ((1u64 << 63) - out.len() as u64..).zip(&out) {
             assert!(v < 1 << 63);
             assert_eq!(v, p.permute(i));
             assert_eq!(p.rank(v), i);
         }
+    }
+
+    /// The cipher built from `round_fn` alone, rounds computed, never read
+    /// from a table: the definition the tabulated rounds must reproduce.
+    fn reference_encrypt(p: &FeistelPermutation, x: u64) -> u64 {
+        let mask = (1u64 << p.half_bits) - 1;
+        let (mut left, mut right) = (x >> p.half_bits, x & mask);
+        for key in p.keys {
+            (left, right) = (right, left ^ (round_fn(key, right) & mask));
+        }
+        (left << p.half_bits) | right
+    }
+
+    fn reference_decrypt(p: &FeistelPermutation, x: u64) -> u64 {
+        let mask = (1u64 << p.half_bits) - 1;
+        let (mut left, mut right) = (x >> p.half_bits, x & mask);
+        for key in p.keys.iter().rev() {
+            (left, right) = (right ^ (round_fn(*key, left) & mask), left);
+        }
+        (left << p.half_bits) | right
+    }
+
+    fn reference_walk(
+        p: &FeistelPermutation,
+        step: fn(&FeistelPermutation, u64) -> u64,
+        i: u64,
+    ) -> u64 {
+        let mut x = step(p, i);
+        while x >= p.n {
+            x = step(p, x);
+        }
+        x
+    }
+
+    /// `permute_into`, `permute` and `rank` equal the reference walk on both
+    /// sides of the table cut-off, from the 4-value walk domain of `n = 1`
+    /// up, including the /10 every benchmark sweep walks.
+    #[test]
+    fn tabulated_rounds_equal_the_definition() {
+        let largest_tabulated = 1u64 << (2 * TABLE_BITS - 1);
+        for n in [
+            1u64,
+            2,
+            7,
+            1000,
+            10_007,
+            1 << 22,
+            largest_tabulated,
+            largest_tabulated + 1,
+        ] {
+            for seed in [1u64, 0x5eed] {
+                let p = FeistelPermutation::new(n, seed);
+                assert_eq!(p.table.is_some(), n <= largest_tabulated, "n={n}");
+                let step = (n / 2048).max(1);
+                for i in (0..n).step_by(step as usize) {
+                    assert_eq!(
+                        p.permute(i),
+                        reference_walk(&p, reference_encrypt, i),
+                        "n={n} i={i}"
+                    );
+                    assert_eq!(
+                        p.rank(i),
+                        reference_walk(&p, reference_decrypt, i),
+                        "n={n} v={i}"
+                    );
+                }
+                let len = n.min(257);
+                for lo in [0, (n - len) / 2, n - len] {
+                    let mut out = vec![u64::MAX; len as usize];
+                    p.permute_into(lo, &mut out);
+                    for (i, &v) in (lo..).zip(&out) {
+                        assert_eq!(v, reference_walk(&p, reference_encrypt, i), "n={n} lo={lo}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// At one tabulated size the block walk over the whole domain is the
+    /// reference permutation, a bijection, and `rank` undoes it everywhere.
+    #[test]
+    fn tabulated_walk_is_the_reference_bijection() {
+        let n = 100_003u64;
+        let p = FeistelPermutation::new(n, 0x9000);
+        assert!(p.table.is_some());
+        let mut out = vec![0u64; n as usize];
+        p.permute_into(0, &mut out);
+        let mut seen = vec![false; n as usize];
+        for (i, &v) in (0..).zip(&out) {
+            assert_eq!(v, reference_walk(&p, reference_encrypt, i), "i={i}");
+            assert!(!std::mem::replace(&mut seen[v as usize], true), "{v} twice");
+            assert_eq!(p.rank(v), i);
+        }
+    }
+
+    /// ns per address of the block walk, `permute` and `rank` at the /10 the
+    /// benchmark sweeps walk (n = 2²²); prints, asserts nothing. Run with
+    /// `cargo test --release -p zmapq -- --ignored --nocapture feistel_speed`.
+    #[test]
+    #[ignore = "micro-benchmark: prints timings, meaningful in release builds only"]
+    fn feistel_speed() {
+        use std::hint::black_box;
+        use std::time::Instant;
+        let n = 1u64 << 22;
+        let p = FeistelPermutation::new(n, 7);
+        let per_address_ns = |addresses: u64, op: &mut dyn FnMut()| {
+            (0..5)
+                .map(|_| {
+                    let start = Instant::now();
+                    op();
+                    start.elapsed().as_secs_f64() * 1e9 / addresses as f64
+                })
+                .fold(f64::INFINITY, f64::min)
+        };
+        let mut block = [0u64; 256];
+        let walk = per_address_ns(n, &mut || {
+            for lo in (0..n).step_by(block.len()) {
+                p.permute_into(lo, &mut block);
+                // Every lane's stores are read, so none is dead code.
+                black_box(&mut block);
+            }
+        });
+        let points = 1u64 << 20;
+        let permute = per_address_ns(points, &mut || {
+            for i in 0..points {
+                black_box(p.permute(black_box(i)));
+            }
+        });
+        let rank = per_address_ns(points, &mut || {
+            for v in 0..points {
+                black_box(p.rank(black_box(v)));
+            }
+        });
+        println!(
+            "feistel n=2^22: permute_into {walk:.1} ns/address, permute {permute:.1} ns, rank {rank:.1} ns"
+        );
     }
 
     /// Past 2^63 `next_power_of_two` would overflow: a panic without a

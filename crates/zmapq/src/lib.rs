@@ -8,11 +8,13 @@
 //! driver and one shard loop in [`engine`]; what differs is where a scan
 //! index finds its address and which probe is sent there. Prefix sweeps
 //! generate addresses a block at a time with
-//! [`FeistelPermutation::permute_into`], which keeps several cycle-walks in
-//! flight so the send loop does not wait on one chain of multiplies per
+//! [`FeistelPermutation::permute_into`], which encrypts a block's pending
+//! cycle-walks in passes so the send loop does not wait on one walk per
 //! address; [`FeistelPermutation::permute`] and
 //! [`FeistelPermutation::rank`] remain the point lookups (and the definition
-//! the block walk is tested against).
+//! the block walk is tested against). A permutation of at most 2²⁵ values
+//! (a /10 is 2²²) reads its Feistel rounds from tables filled when it is
+//! built, one load a round instead of three dependent multiplies.
 
 pub mod blocklist;
 pub mod engine;
