@@ -18,7 +18,7 @@ use qcodec::Writer;
 use qtls::client::{ClientHandshake, PeerTlsInfo};
 use qtls::{Level, TlsError, TlsEvent};
 
-use crate::error::TransportError;
+use crate::error::{ConnectionError, TransportError};
 use crate::frame::Frame;
 use crate::keys::{initial_keys_shared, InitialPair, PacketKeys};
 use crate::packet::{
@@ -554,20 +554,22 @@ impl ClientConnection {
         self.state = ConnectionState::Closed;
     }
 
-    /// Queues a 1-RTT CONNECTION_CLOSE(PROTOCOL_VIOLATION) and closes.
-    fn close_for_violation(&mut self, reason: &str) {
-        let mut payload = Writer::with_capacity(reason.len() + 8);
+    /// Queues a 1-RTT CONNECTION_CLOSE carrying `err` and closes — for an
+    /// error found here (RFC 9000 §13.1) or by the data plane above
+    /// (flow control, RFC 9000 §4.1).
+    pub fn close_for(&mut self, err: ConnectionError) {
+        let mut payload = Writer::with_capacity(err.reason.len() + 8);
         Frame::ConnectionClose {
-            error_code: TransportError::PROTOCOL_VIOLATION.0,
-            frame_type: Some(0x02),
-            reason: reason.to_string(),
+            error_code: err.code.0,
+            frame_type: Some(err.frame_type),
+            reason: err.reason.to_string(),
             is_app: false,
         }
         .encode(&mut payload);
         // Sealed while the state is still `Established`; a connection
         // without 1-RTT keys has nothing to say and just closes.
         let _ = self.send_app_payload(payload.as_slice());
-        self.close_with(HandshakeOutcome::ProtocolError(reason.to_string()));
+        self.close_with(HandshakeOutcome::ProtocolError(err.reason.to_string()));
     }
 
     /// Feeds one received datagram.
@@ -749,7 +751,7 @@ impl ClientConnection {
             return;
         };
         if Frame::acks_unsent(&frames, self.next_pn[SPACE_APP]) {
-            self.close_for_violation("ACK for a packet never sent");
+            self.close_for(ConnectionError::ACK_OF_UNSENT);
             return;
         }
         for frame in &frames {
@@ -951,23 +953,34 @@ mod tests {
     #[derive(Default)]
     struct Script {
         seen: Vec<Vec<Frame>>,
+        /// Refuse every packet carrying STREAM data, as a data plane does
+        /// data past its flow-control limits.
+        refuse_streams: bool,
         ack_ahead: Option<u64>,
     }
 
     struct Scripted(Arc<Mutex<Script>>);
 
     impl AppSession for Scripted {
-        fn on_app_packet(&mut self, pn: u64, frames: &[Frame]) -> Vec<Vec<u8>> {
+        fn on_app_packet(
+            &mut self,
+            pn: u64,
+            frames: &[Frame],
+        ) -> Result<Vec<Vec<u8>>, ConnectionError> {
             let mut script = self.0.lock().expect("no test panicked holding it");
             script.seen.push(frames.to_vec());
+            let stream = frames.iter().any(|f| matches!(f, Frame::Stream { .. }));
+            if script.refuse_streams && stream {
+                return Err(ConnectionError::FLOW_CONTROL);
+            }
             if !frames.contains(&Frame::Ping) {
-                return Vec::new();
+                return Ok(Vec::new());
             }
             let reply = match script.ack_ahead {
                 Some(ahead) => ack_up_to((pn + ahead).min((1 << 62) - 1)),
                 None => Frame::Ping,
             };
-            vec![payload_of(&reply)]
+            Ok(vec![payload_of(&reply)])
         }
 
         fn on_payload_sealed(&mut self, _pn: u64) {}
@@ -1232,5 +1245,38 @@ mod tests {
             assert!(server.handle_datagram(0xbeef, &ping_datagram).is_empty());
             assert_eq!(script.lock().unwrap().seen.len(), seen);
         }
+    }
+
+    /// A connection error either data plane reports goes out as the close
+    /// it names: the server's session returns it to the endpoint, the
+    /// client's data plane hands it to [`ClientConnection::close_for`].
+    #[test]
+    fn data_plane_errors_close_with_their_own_code() {
+        let flow_control = Some((TransportError::FLOW_CONTROL_ERROR.0, Some(0x08)));
+        let script = Arc::new(Mutex::new(Script {
+            refuse_streams: true,
+            ..Script::default()
+        }));
+        let (mut client, mut server) = established(session_server(&script), true);
+        client
+            .send_app_payload(&payload_of(&stream_frame(0, b"past the limit", false)))
+            .expect("established");
+        let replies = exchange(&mut client, &mut server);
+        assert_eq!(replies.len(), 1);
+        let (pkt, _) = decode_first(&replies[0], client.scid.len(), &client.open_keys)
+            .expect("1-RTT close opens with the client's keys");
+        let frames = Frame::decode_all(&pkt.payload).expect("decodes");
+        assert_eq!(close_code(&frames), flow_control);
+        assert_eq!(client.state(), &ConnectionState::Closed);
+
+        let (mut client, _server) = established(session_server(&script), true);
+        client.close_for(ConnectionError::FLOW_CONTROL);
+        assert_eq!(client.state(), &ConnectionState::Closed);
+        let close = client.poll_transmit();
+        assert_eq!(close.len(), 1);
+        let keys = SealKeys(client.seal_app.as_ref().expect("1-RTT keys"));
+        let (pkt, _) = decode_first(&close[0], client.dcid.len(), &keys).expect("own packet");
+        let frames = Frame::decode_all(&pkt.payload).expect("decodes");
+        assert_eq!(close_code(&frames), flow_control);
     }
 }

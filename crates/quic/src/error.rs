@@ -8,6 +8,7 @@ impl TransportError {
     pub const NO_ERROR: TransportError = TransportError(0x00);
     pub const INTERNAL_ERROR: TransportError = TransportError(0x01);
     pub const CONNECTION_REFUSED: TransportError = TransportError(0x02);
+    pub const FLOW_CONTROL_ERROR: TransportError = TransportError(0x03);
     pub const PROTOCOL_VIOLATION: TransportError = TransportError(0x0a);
     pub const VERSION_NEGOTIATION_ERROR: TransportError = TransportError(0x11);
 
@@ -34,6 +35,7 @@ impl TransportError {
             0x00 => Some("NO_ERROR"),
             0x01 => Some("INTERNAL_ERROR"),
             0x02 => Some("CONNECTION_REFUSED"),
+            0x03 => Some("FLOW_CONTROL_ERROR"),
             0x0a => Some("PROTOCOL_VIOLATION"),
             0x11 => Some("VERSION_NEGOTIATION_ERROR"),
             _ => None,
@@ -60,6 +62,34 @@ impl core::fmt::Display for TransportError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         write!(f, "{}", self.label())
     }
+}
+
+/// A connection error (RFC 9000 §11.1) found in the peer's 1-RTT frames:
+/// what the CONNECTION_CLOSE that ends the connection carries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ConnectionError {
+    /// The transport error code.
+    pub code: TransportError,
+    /// Type of the frame that triggered the error.
+    pub frame_type: u64,
+    /// Reason phrase.
+    pub reason: &'static str,
+}
+
+impl ConnectionError {
+    /// An ACK frame acknowledged a packet number never sent (RFC 9000 §13.1).
+    pub const ACK_OF_UNSENT: ConnectionError = ConnectionError {
+        code: TransportError::PROTOCOL_VIOLATION,
+        frame_type: 0x02,
+        reason: "ACK for a packet never sent",
+    };
+    /// A STREAM frame carried data past a limit this endpoint advertised
+    /// (RFC 9000 §4.1).
+    pub const FLOW_CONTROL: ConnectionError = ConnectionError {
+        code: TransportError::FLOW_CONTROL_ERROR,
+        frame_type: 0x08,
+        reason: "STREAM data beyond the advertised limit",
+    };
 }
 
 #[cfg(test)]

@@ -46,7 +46,7 @@ pub mod tparams;
 pub mod version;
 
 pub use conn::{AppPacket, ClientConfig, ClientConnection, ConnectionState, HandshakeOutcome};
-pub use error::TransportError;
+pub use error::{ConnectionError, TransportError};
 pub use frame::Frame;
 pub use keys::{initial_keys, PacketKeys};
 pub use packet::{ConnectionId, Packet, PacketType};

@@ -19,6 +19,7 @@ use qcodec::{Reader, Writer};
 use qtls::server::ServerHandshake;
 use qtls::{Level, TlsError, TlsEvent};
 
+use crate::error::{ConnectionError, TransportError};
 use crate::frame::Frame;
 use crate::keys::{initial_keys_shared, InitialPair, PacketKeys};
 use crate::packet::{
@@ -68,8 +69,11 @@ pub trait AppSession: Send {
     /// [`AppSession::on_payload_sealed`]. Defaults to appending nothing.
     fn on_connected(&mut self, _payload: &mut Writer) {}
     /// Handles one decoded 1-RTT packet; each returned byte vector is one
-    /// packet's frame payload, sealed and sent in order.
-    fn on_app_packet(&mut self, pn: u64, frames: &[Frame]) -> Vec<Vec<u8>>;
+    /// packet's frame payload, sealed and sent in order. An error closes the
+    /// connection with it instead (the endpoint seals the
+    /// CONNECTION_CLOSE), and nothing the session returned is sent.
+    fn on_app_packet(&mut self, pn: u64, frames: &[Frame])
+        -> Result<Vec<Vec<u8>>, ConnectionError>;
     /// Reports the packet number the n-th payload from the last
     /// [`AppSession::on_app_packet`] call was sealed with (called once per
     /// payload, in order).
@@ -548,13 +552,20 @@ impl ServerConn {
             // ours: a session's sender would take the frame's `largest`
             // on the peer's word and declare everything in flight lost.
             if Frame::acks_unsent(&frames, self.next_pn[2]) {
-                self.close_app_space("ACK for a packet never sent", out);
+                self.close_app_space(ConnectionError::ACK_OF_UNSENT, out);
                 return;
             }
             if !self.established {
                 return;
             }
-            for payload in self.session.on_app_packet(pkt.packet_number, &frames) {
+            let payloads = match self.session.on_app_packet(pkt.packet_number, &frames) {
+                Ok(payloads) => payloads,
+                Err(err) => {
+                    self.close_app_space(err, out);
+                    return;
+                }
+            };
+            for payload in payloads {
                 let pn = self.next_pn[2];
                 let Some(sealed) = self.seal_1rtt(&payload) else {
                     return;
@@ -754,17 +765,17 @@ impl ServerConn {
         }
     }
 
-    /// Closes an established connection for a PROTOCOL_VIOLATION seen in
-    /// the 1-RTT space; the sealed close is what later packets are answered
-    /// with while draining.
-    fn close_app_space(&mut self, reason: &str, out: &mut Vec<Vec<u8>>) {
+    /// Closes an established connection for an error seen in the 1-RTT
+    /// space; the sealed close is what later packets are answered with
+    /// while draining.
+    fn close_app_space(&mut self, err: ConnectionError, out: &mut Vec<Vec<u8>>) {
         self.closed = true;
         let payload = &mut self.payload;
         payload.clear();
         Frame::ConnectionClose {
-            error_code: crate::error::TransportError::PROTOCOL_VIOLATION.0,
-            frame_type: Some(0x02),
-            reason: reason.to_string(),
+            error_code: err.code.0,
+            frame_type: Some(err.frame_type),
+            reason: err.reason.to_string(),
             is_app: false,
         }
         .encode(payload);
@@ -778,9 +789,9 @@ impl ServerConn {
     fn send_close(&mut self, err: TlsError, config: &EndpointConfig, out: &mut Vec<Vec<u8>>) {
         self.closed = true;
         let code = match err {
-            TlsError::LocalAlert(alert, _) => crate::error::TransportError::crypto(alert.code()),
-            TlsError::PeerAlert(c) => crate::error::TransportError::crypto(c),
-            _ => crate::error::TransportError::PROTOCOL_VIOLATION,
+            TlsError::LocalAlert(alert, _) => TransportError::crypto(alert.code()),
+            TlsError::PeerAlert(c) => TransportError::crypto(c),
+            _ => TransportError::PROTOCOL_VIOLATION,
         };
         let payload = &mut self.payload;
         payload.clear();
@@ -827,7 +838,11 @@ impl AppSession for HandlerSession {
         }
     }
 
-    fn on_app_packet(&mut self, _pn: u64, frames: &[Frame]) -> Vec<Vec<u8>> {
+    fn on_app_packet(
+        &mut self,
+        _pn: u64,
+        frames: &[Frame],
+    ) -> Result<Vec<Vec<u8>>, ConnectionError> {
         let mut sends = Vec::new();
         for frame in frames {
             if let Frame::Stream { id, fin, data, .. } = frame {
@@ -835,14 +850,14 @@ impl AppSession for HandlerSession {
             }
         }
         if sends.is_empty() {
-            return Vec::new();
+            return Ok(Vec::new());
         }
         let mut payload = Writer::new();
         for s in &sends {
             Frame::encode_stream(&mut payload, s.id, 0, s.fin, &s.data);
         }
         if payload.len() <= 1400 {
-            return vec![payload.into_vec()];
+            return Ok(vec![payload.into_vec()]);
         }
         // Re-frame per stream send to keep frames intact. An empty send
         // still leaves as one (empty) frame, or its FIN would be lost.
@@ -865,7 +880,7 @@ impl AppSession for HandlerSession {
                 payloads.push(payload.into_vec());
             }
         }
-        payloads
+        Ok(payloads)
     }
 
     fn on_payload_sealed(&mut self, _pn: u64) {}
@@ -902,8 +917,12 @@ mod tests {
         idle: bool,
     }
     impl AppSession for Session {
-        fn on_app_packet(&mut self, _pn: u64, _frames: &[Frame]) -> Vec<Vec<u8>> {
-            Vec::new()
+        fn on_app_packet(
+            &mut self,
+            _pn: u64,
+            _frames: &[Frame],
+        ) -> Result<Vec<Vec<u8>>, ConnectionError> {
+            Ok(Vec::new())
         }
         fn on_payload_sealed(&mut self, _pn: u64) {}
         fn is_idle(&self) -> bool {

@@ -7,7 +7,11 @@
 //! - [`BulkSession`] answers an HTTP/3 `GET /bulk/<n>` on stream 0 with an
 //!   `n`-byte body, sent through a congestion-controlled [`DataSender`] —
 //!   the response personality (Server header et al.) comes from the same
-//!   `internet` deployment profiles the scanners fingerprint.
+//!   `internet` deployment profiles the scanners fingerprint. The body is
+//!   never built: the session enqueues the response head and the body
+//!   length, and the sender generates each chunk (a retransmission too)
+//!   from [`bulk_body_byte`] at its offset. Requests are one HEADERS frame
+//!   each and are read whole at their FIN.
 //! - [`RtcSession`] is the receiving end of a client-driven real-time
 //!   stream: it acknowledges frames and extends flow-control windows.
 //!
@@ -23,7 +27,7 @@ use internet::servers::{HttpProfile, QuicHost};
 use internet::IMPLEMENTATIONS;
 use qtls::cert::CertificateAuthority;
 use quic::server::{AppSession, EndpointConfig};
-use quic::Frame;
+use quic::{ConnectionError, Frame};
 use simnet::addr::Ipv4Addr;
 use simnet::{IpAddr, LinkProfile, Network, SocketAddr};
 
@@ -108,6 +112,11 @@ impl BulkSession {
         &self.send
     }
 
+    #[cfg(test)]
+    pub(crate) fn receiver(&self) -> &DataReceiver {
+        &self.recv
+    }
+
     fn maybe_respond(&mut self) {
         let ready: Vec<u64> = self
             .recv
@@ -117,7 +126,8 @@ impl BulkSession {
             .collect();
         for id in ready {
             self.responded.insert(id);
-            let Some(req) = request::decode_request(self.recv.stream_data(id)) else {
+            // A request is one HEADERS frame: read whole at its FIN.
+            let Some(req) = request::decode_request(self.recv.read(id)) else {
                 continue;
             };
             let n = req
@@ -126,21 +136,24 @@ impl BulkSession {
                 .and_then(|s| s.parse::<u64>().ok())
                 .unwrap_or(0)
                 .min(MAX_BULK_BYTES);
-            let body: Vec<u8> = (0..n).map(bulk_body_byte).collect();
-            let resp = request::encode_response(200, &self.profile.response_headers(false), &body);
+            let head = request::encode_response_head(200, &self.profile.response_headers(false), n);
             if self.opts.scheduler == SchedKind::StrictPriority {
                 // Deterministic urgency spread so a priority sweep exercises
                 // every bucket: request stream k gets bucket k mod 8.
                 self.send
                     .set_urgency(id, ((id / 4) % URGENCY_BUCKETS as u64) as u8);
             }
-            self.send.enqueue(id, &resp, true);
+            self.send.enqueue_bulk(id, head, n);
         }
     }
 }
 
 impl AppSession for BulkSession {
-    fn on_app_packet(&mut self, pn: u64, frames: &[Frame]) -> Vec<Vec<u8>> {
+    fn on_app_packet(
+        &mut self,
+        pn: u64,
+        frames: &[Frame],
+    ) -> Result<Vec<Vec<u8>>, ConnectionError> {
         self.now_us += self.rtt_us;
         let mut has_ping = false;
         for frame in frames {
@@ -152,7 +165,7 @@ impl AppSession for BulkSession {
                 _ => {}
             }
         }
-        self.recv.on_packet(pn, frames);
+        self.recv.on_packet(pn, frames)?;
         self.maybe_respond();
         // A PING means the client saw a silent round (its keepalive may
         // piggyback ACK state and window grants): run the PTO counter so
@@ -184,7 +197,7 @@ impl AppSession for BulkSession {
                 payloads.push(p);
             }
         }
-        payloads
+        Ok(payloads)
     }
 
     fn on_payload_sealed(&mut self, pn: u64) {
@@ -220,12 +233,13 @@ impl RtcSession {
 }
 
 impl AppSession for RtcSession {
-    fn on_app_packet(&mut self, pn: u64, frames: &[Frame]) -> Vec<Vec<u8>> {
-        self.recv.on_packet(pn, frames);
-        match self.recv.control_payload() {
-            Some(control) => vec![control],
-            None => Vec::new(),
-        }
+    fn on_app_packet(
+        &mut self,
+        pn: u64,
+        frames: &[Frame],
+    ) -> Result<Vec<Vec<u8>>, ConnectionError> {
+        self.recv.on_packet(pn, frames)?;
+        Ok(self.recv.control_payload().into_iter().collect())
     }
 
     fn on_payload_sealed(&mut self, _pn: u64) {}

@@ -1,6 +1,9 @@
 //! Production-traffic mux workload: tens of thousands of multiplexed
 //! connections against a handful of hosts, driven through a bounded window
-//! of live connections so client memory stays O(active), not O(total).
+//! of live connections so client memory stays O(active), not O(total) —
+//! and O(active × flow-control window), not O(active × body): the client
+//! reads every response as it arrives, and the server generates the bytes
+//! it serves from their offset.
 //!
 //! Each connection opens [`MuxConfig::streams_per_conn`] request streams and
 //! downloads a bulk object on every one; the server multiplexes the
@@ -13,10 +16,16 @@
 //! ([`quic::server::DEFAULT_MAX_CONNS`]).
 //!
 //! The connection itself — handshake, control stream, one `GET /bulk/<n>`
-//! per stream, the poll → seal → exchange → dispatch round, body validation,
-//! final ACK + CONNECTION_CLOSE — is the crate's only HTTP/3 download
-//! client: the PEMI grid's bulk rows ([`crate::workload`]) are this client
-//! with one stream, driven to completion.
+//! per stream, the poll → seal → exchange → dispatch → read round, final
+//! ACK + CONNECTION_CLOSE — is the crate's only HTTP/3 download client: the
+//! PEMI grid's bulk rows ([`crate::workload`]) are this client with one
+//! stream, driven to completion. Each round drains every response stream's
+//! newly contiguous bytes into an incremental [`ResponseReader`] whose DATA
+//! payload is checked against [`bulk_body_byte`] byte by byte, so what a
+//! connection holds is its unread window; the verdict at the end (status
+//! 200, the exact length, every byte, a stream ending on a frame boundary)
+//! is the one a whole-body decode would give. Data past a limit the client
+//! advertised closes the connection with FLOW_CONTROL_ERROR.
 //!
 //! Determinism discipline: every connection owns its own
 //! [`simnet::NetShard`], so its virtual clock advances only with its own
@@ -27,7 +36,7 @@
 //! (clients close explicitly; idle means fully served and fully acked), so
 //! it is unobservable in the tables.
 
-use h3::request;
+use h3::request::{self, ResponseReader};
 use qcodec::Writer;
 use quic::{ClientConnection, Frame};
 use simnet::addr::Ipv4Addr;
@@ -286,11 +295,46 @@ pub(crate) struct MuxConn<'net> {
     conn: ClientConnection,
     sender: DataSender,
     receiver: DataReceiver,
+    /// One per request stream, in stream order.
+    responses: Vec<ResponseCheck>,
     arena: DatagramArena,
     ctx: TraceCtx,
     start_us: u64,
     rounds: usize,
     serve_cpu_ns: u64,
+}
+
+/// One response read as it arrives: its HTTP/3 reader, and whether every
+/// body byte so far is the one [`bulk_body_byte`] gives for its offset.
+struct ResponseCheck {
+    reader: ResponseReader,
+    body_matches: bool,
+}
+
+impl Default for ResponseCheck {
+    fn default() -> Self {
+        ResponseCheck {
+            reader: ResponseReader::new(),
+            body_matches: true,
+        }
+    }
+}
+
+impl ResponseCheck {
+    /// Reads the next bytes of the stream; a malformed one fails the
+    /// reader, and [`ResponseReader::finish`] reports it.
+    fn feed(&mut self, bytes: &[u8]) {
+        let mut at = self.reader.body_len();
+        let matches = &mut self.body_matches;
+        let _ = self.reader.feed(bytes, |body| {
+            let from = at;
+            at += body.len() as u64;
+            *matches &= body
+                .iter()
+                .zip(from..)
+                .all(|(&b, i)| b == bulk_body_byte(i));
+        });
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -359,6 +403,9 @@ impl<'net> MuxConn<'net> {
             conn: ClientConnection::new(client_config(&host.name), spec.seed),
             sender: DataSender::new(rtt_us, CONN_WINDOW, STREAM_WINDOW, Box::new(NewReno::new())),
             receiver: DataReceiver::new(CONN_WINDOW, STREAM_WINDOW),
+            responses: (0..spec.streams)
+                .map(|_| ResponseCheck::default())
+                .collect(),
             arena: DatagramArena::new(),
             ctx: TraceCtx::new(spec.task as u64, format!("{:?}", host.addr.ip), None),
             start_us: 0,
@@ -429,6 +476,22 @@ impl<'net> MuxConn<'net> {
             + seal_path_cpu_ns(batched, in_count, in_bytes);
     }
 
+    /// Feeds each response stream's newly contiguous bytes to its check and
+    /// drops them from the receiver, so the connection holds its unread
+    /// window and nothing more.
+    fn read_responses(&mut self) {
+        for (k, check) in self.responses.iter_mut().enumerate() {
+            let id = 4 * k as u64;
+            let bytes = self.receiver.read(id);
+            if bytes.is_empty() {
+                continue;
+            }
+            check.feed(bytes);
+            let n = bytes.len();
+            self.receiver.consume(id, n);
+        }
+    }
+
     fn all_done(&self) -> bool {
         (0..self.spec.streams).all(|k| self.receiver.stream_done(4 * k as u64))
     }
@@ -462,14 +525,16 @@ impl<'net> MuxConn<'net> {
         self.exchange();
         let now = self.shard.now().0 - self.start_us;
         for pkt in self.conn.take_app_packets() {
-            dispatch_packet(
-                pkt.pn,
-                &pkt.frames,
-                &mut self.sender,
-                Some(&mut self.receiver),
-                now,
-            );
+            dispatch_packet(&pkt.frames, &mut self.sender, now);
+            if let Err(err) = self.receiver.on_packet(pkt.pn, &pkt.frames) {
+                // RFC 9000 §4.1: the server sent past a limit we
+                // advertised. Close with the error, and send the close.
+                self.conn.close_for(err);
+                self.exchange();
+                return Some(self.fail());
+            }
         }
+        self.read_responses();
         self.rounds += 1;
         if self.all_done() {
             return Some(self.finish());
@@ -503,19 +568,14 @@ impl<'net> MuxConn<'net> {
         let elapsed_us = (self.shard.now().0 - self.start_us).max(1);
         let mut ok = true;
         let mut body_bytes = 0u64;
-        for k in 0..self.spec.streams {
-            let id = 4 * k as u64;
-            match request::decode_response(self.receiver.stream_data(id)) {
+        for check in std::mem::take(&mut self.responses) {
+            let body_len = check.reader.body_len();
+            match check.reader.finish() {
                 Some(resp) => {
-                    let good = resp.status == 200
-                        && resp.body.len() as u64 == self.spec.bytes_per_stream
-                        && resp
-                            .body
-                            .iter()
-                            .enumerate()
-                            .all(|(i, b)| *b == bulk_body_byte(i as u64));
-                    ok &= good;
-                    body_bytes += resp.body.len() as u64;
+                    ok &= resp.status == 200
+                        && body_len == self.spec.bytes_per_stream
+                        && check.body_matches;
+                    body_bytes += body_len;
                 }
                 None => ok = false,
             }
@@ -738,7 +798,7 @@ mod tests {
         assert_eq!(one.tables(), run(&cfg).tables());
     }
 
-    // -- RFC 9000 §13.1 mid-transfer, on both sides ------------------------
+    // -- RFC 9000 §13.1 and §4.1 mid-transfer, on both sides --------------
 
     use crate::host::BulkSession;
     use internet::servers::QuicHost;
@@ -748,18 +808,22 @@ mod tests {
     /// A `BulkSession` the test can look into — and that turns hostile on
     /// request: a packet carrying nothing but a PING (no honest client
     /// sends one; a keepalive carries ACK state and grants too) is answered
-    /// with the forged ACK instead of being served.
+    /// with the `hostile` payload instead of being served.
     struct Watched {
         inner: Arc<Mutex<BulkSession>>,
-        hostile: bool,
+        hostile: Option<fn() -> Vec<u8>>,
         forged_unsealed: bool,
     }
 
     impl AppSession for Watched {
-        fn on_app_packet(&mut self, pn: u64, frames: &[Frame]) -> Vec<Vec<u8>> {
-            if self.hostile && frames == [Frame::Ping] {
+        fn on_app_packet(
+            &mut self,
+            pn: u64,
+            frames: &[Frame],
+        ) -> Result<Vec<Vec<u8>>, quic::ConnectionError> {
+            if let (Some(forge), [Frame::Ping]) = (self.hostile, frames) {
                 self.forged_unsealed = true;
-                return vec![forged_ack()];
+                return Ok(vec![forge()]);
             }
             self.inner
                 .lock()
@@ -790,9 +854,20 @@ mod tests {
         w.into_vec()
     }
 
+    /// Two bytes on stream 0 at offset 2⁶² − 2, far past every limit
+    /// either side advertises: a receiver that sized its buffer to the
+    /// frame's end would ask for exabytes.
+    fn stream_past_the_limit() -> Vec<u8> {
+        let mut w = Writer::new();
+        Frame::encode_stream(&mut w, 0, (1 << 62) - 2, false, &[0x5a; 2]);
+        w.into_vec()
+    }
+
     /// One host on a clean path whose (single) connection's session is
     /// returned alongside.
-    fn watched_topology(hostile: bool) -> (MuxTopology, Arc<Mutex<BulkSession>>) {
+    fn watched_topology(
+        hostile: Option<fn() -> Vec<u8>>,
+    ) -> (MuxTopology, Arc<Mutex<BulkSession>>) {
         let mut net = Network::new(77);
         let name = "watched.example".to_string();
         let ca = qtls::cert::CertificateAuthority::new("Mux CA", 7);
@@ -856,7 +931,7 @@ mod tests {
 
     #[test]
     fn forged_ack_mid_transfer_closes_the_server_side_and_touches_nothing() {
-        let (topo, session) = watched_topology(false);
+        let (topo, session) = watched_topology(None);
         let mut conn = mid_transfer(&topo);
         let before = sender_state(session.lock().unwrap().sender());
         assert!(before.0 > 0, "the server has response packets in flight");
@@ -875,7 +950,7 @@ mod tests {
 
     #[test]
     fn forged_ack_mid_transfer_closes_the_client_side_and_touches_nothing() {
-        let (topo, _session) = watched_topology(true);
+        let (topo, _session) = watched_topology(Some(forged_ack));
         let mut conn = mid_transfer(&topo);
         // Give the client's sender something to lose: a request flight
         // sealed, recorded, and dropped on the way.
@@ -903,6 +978,93 @@ mod tests {
         assert_eq!(sender_state(&conn.sender), before);
         let outcome = conn.turn().expect("a closed connection is a finished one");
         assert!(!outcome.ok);
+    }
+
+    #[test]
+    fn stream_past_the_limit_mid_transfer_closes_the_server_side() {
+        let (topo, session) = watched_topology(None);
+        let mut conn = mid_transfer(&topo);
+        let held = |session: &Mutex<BulkSession>| {
+            let session = session.lock().unwrap();
+            (
+                sender_state(session.sender()),
+                session.receiver().peak_held(),
+            )
+        };
+        let before = held(&session);
+
+        conn.conn
+            .send_app_payload(&stream_past_the_limit())
+            .expect("established");
+        conn.exchange(); // returns: nothing is sized to the frame's end
+        assert_eq!(held(&session), before);
+        // The server answered with its close, which ends the client too.
+        assert_eq!(conn.conn.state(), &quic::ConnectionState::Closed);
+        let outcome = conn.turn().expect("a closed connection is a finished one");
+        assert!(!outcome.ok);
+    }
+
+    #[test]
+    fn stream_past_the_limit_mid_transfer_closes_the_client_side() {
+        let (topo, _session) = watched_topology(Some(stream_past_the_limit));
+        let mut conn = mid_transfer(&topo);
+        let held = conn.receiver.peak_held();
+
+        let mut ping = Writer::new();
+        Frame::Ping.encode(&mut ping);
+        conn.conn
+            .send_app_payload(ping.as_slice())
+            .expect("established");
+        conn.exchange(); // the hostile session answers with the frame
+        let outcome = conn.turn().expect("the data plane refuses the frame");
+        assert!(!outcome.ok);
+        assert_eq!(conn.conn.state(), &quic::ConnectionState::Closed);
+        let (buffered, limit, read_offset) = conn.receiver.window(0);
+        assert!(buffered <= limit - read_offset);
+        assert!(conn.receiver.peak_held() <= held + CONN_WINDOW);
+    }
+
+    /// The O(window) contract: one stream downloaded at 20 ‰ loss holds
+    /// the same bounded bytes at 8 MB as at 1 MB — the server's source
+    /// bytes within the connection window, the client's buffer within two
+    /// stream windows — and after every turn the client's buffer is within
+    /// the limit it advertised minus its read offset.
+    #[test]
+    fn a_download_holds_a_window_not_its_body() {
+        let held = |bytes: u64| {
+            let (mut topo, session) = watched_topology(None);
+            topo.net
+                .set_path_profile(topo.hosts[0].addr.ip, LinkProfile::lossy(20));
+            let mut cfg = MuxConfig::fast(77, 1);
+            cfg.hosts = 1;
+            cfg.streams_per_conn = 1;
+            cfg.bytes_per_stream = bytes;
+            let mut conn = MuxConn::start(cfg.download(&topo, 0))
+                .ok()
+                .expect("handshake");
+            let outcome = loop {
+                let done = conn.turn();
+                let (buffered, limit, read_offset) = conn.receiver.window(0);
+                assert!(
+                    buffered <= limit - read_offset,
+                    "{buffered} buffered, limit {limit}, read to {read_offset}"
+                );
+                if let Some(outcome) = done {
+                    break outcome;
+                }
+            };
+            assert!(outcome.ok);
+            assert_eq!(outcome.body_bytes, bytes);
+            let sent = session.lock().unwrap().sender().peak_held();
+            (sent, conn.receiver.peak_held())
+        };
+        for (bytes, (sender, receiver)) in [1_000_000, 8_000_000].map(|n| (n, held(n))) {
+            assert!(sender <= CONN_WINDOW, "{bytes} B: sender held {sender}");
+            assert!(
+                receiver <= 2 * STREAM_WINDOW,
+                "{bytes} B: receiver held {receiver}"
+            );
+        }
     }
 
     #[test]

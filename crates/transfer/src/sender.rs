@@ -16,6 +16,7 @@ use telemetry::EventKind;
 
 use crate::cc::{CongestionController, MAX_DATAGRAM};
 use crate::flow::TxFlow;
+use crate::host::bulk_body_byte;
 use crate::pace::Pacer;
 use crate::ranges::RangeSet;
 use crate::recovery::{ChunkRef, Recovery, SentPacket};
@@ -26,9 +27,41 @@ pub const CHUNK_BYTES: u64 = 1100;
 /// ACK-free rounds with data in flight before a PTO declares everything lost.
 pub const PTO_ROUNDS: u32 = 3;
 
+/// Where a stream's bytes come from. Only what was handed to `enqueue` is
+/// held; a bulk body is a function of its offset, so a retransmission
+/// regenerates its bytes instead of keeping them.
+#[derive(Debug)]
+enum Source {
+    /// Bytes handed to [`DataSender::enqueue`] (requests, RTC frames).
+    Buffered(Vec<u8>),
+    /// A response head (HEADERS frame plus DATA type and length), then
+    /// `bulk_body_byte(offset − head.len())` to the end of the stream.
+    Bulk { head: Vec<u8> },
+}
+
+impl Source {
+    /// Appends the stream bytes `[offset, offset + len)` to `out`.
+    fn fill(&self, offset: u64, len: u64, out: &mut Vec<u8>) {
+        let (start, end) = (offset as usize, (offset + len) as usize);
+        match self {
+            Source::Buffered(data) => out.extend_from_slice(&data[start..end]),
+            Source::Bulk { head } => {
+                let h = head.len();
+                if start < h {
+                    out.extend_from_slice(&head[start..end.min(h)]);
+                }
+                let body = (start.max(h) - h) as u64..(end.max(h) - h) as u64;
+                out.extend(body.map(bulk_body_byte));
+            }
+        }
+    }
+}
+
 #[derive(Debug)]
 struct SendStream {
-    data: Vec<u8>,
+    /// Stream length so far: the FIN goes at `len` once `fin` is set.
+    len: u64,
+    source: Source,
     fin: bool,
     /// Next never-sent byte offset.
     next_new: u64,
@@ -49,7 +82,8 @@ struct SendStream {
 impl Default for SendStream {
     fn default() -> Self {
         SendStream {
-            data: Vec::new(),
+            len: 0,
+            source: Source::Buffered(Vec::new()),
             fin: false,
             next_new: 0,
             tx: None,
@@ -65,8 +99,7 @@ impl Default for SendStream {
 
 impl SendStream {
     fn fully_acked(&self) -> bool {
-        let len = self.data.len() as u64;
-        self.fin && self.fin_acked && (len == 0 || self.acked.covers(0, len - 1))
+        self.fin && self.fin_acked && (self.len == 0 || self.acked.covers(0, self.len - 1))
     }
 }
 
@@ -100,6 +133,11 @@ pub struct DataSender {
     /// Scratch ready-list reused across `next_chunk` calls (no per-chunk
     /// allocation once it reaches the live stream count).
     ready_scratch: Vec<ReadyStream>,
+    /// A generated chunk's bytes, reused across `poll` calls.
+    chunk_scratch: Vec<u8>,
+    /// Source bytes held across all streams, and their high-water mark.
+    held: u64,
+    peak_held: u64,
 }
 
 impl DataSender {
@@ -145,6 +183,9 @@ impl DataSender {
             chunk_bytes: CHUNK_BYTES,
             sched,
             ready_scratch: Vec::new(),
+            chunk_scratch: Vec::new(),
+            held: 0,
+            peak_held: 0,
         }
     }
 
@@ -189,14 +230,50 @@ impl DataSender {
 
     /// Appends `data` to the stream's send buffer; `fin` closes it.
     pub fn enqueue(&mut self, stream: u64, data: &[u8], fin: bool) {
+        let s = self.open(stream);
+        let Source::Buffered(buf) = &mut s.source else {
+            panic!("enqueue on a bulk stream");
+        };
+        buf.extend_from_slice(data);
+        s.len += data.len() as u64;
+        s.fin |= fin;
+        self.note_held(data.len() as u64);
+    }
+
+    /// Queues a whole bulk response on `stream` and closes it: `head` (the
+    /// HTTP/3 HEADERS frame plus the DATA frame's type and length), then
+    /// `body_len` bytes of [`bulk_body_byte`], generated as they are sent.
+    pub fn enqueue_bulk(&mut self, stream: u64, head: Vec<u8>, body_len: u64) {
+        let s = self.open(stream);
+        debug_assert!(s.len == 0, "a bulk response owns its stream");
+        s.len = head.len() as u64 + body_len;
+        s.fin = true;
+        let held = head.len() as u64;
+        s.source = Source::Bulk { head };
+        self.note_held(held);
+    }
+
+    /// The stream `enqueue` appends to, with its credit in place.
+    fn open(&mut self, stream: u64) -> &mut SendStream {
         let window = self.default_stream_window;
         let s = self.streams.entry(stream).or_default();
         if s.tx.is_none() {
             s.tx = Some(TxFlow::new(window));
         }
         debug_assert!(!s.fin, "enqueue after fin");
-        s.data.extend_from_slice(data);
-        s.fin |= fin;
+        s
+    }
+
+    fn note_held(&mut self, bytes: u64) {
+        self.held += bytes;
+        self.peak_held = self.peak_held.max(self.held);
+    }
+
+    /// High-water mark of the source bytes held across all streams: what
+    /// was enqueued as bytes, plus each bulk response's head — never its
+    /// body, however long.
+    pub fn peak_held(&self) -> u64 {
+        self.peak_held
     }
 
     /// MAX_DATA from the peer.
@@ -226,7 +303,7 @@ impl DataSender {
     fn has_unsent_new_data(&self) -> bool {
         self.streams
             .values()
-            .any(|s| s.next_new < s.data.len() as u64 || (s.fin && !s.fin_sent))
+            .any(|s| s.next_new < s.len || (s.fin && !s.fin_sent))
     }
 
     /// Processes an ACK frame's ranges at flow time `now_us`, feeding the
@@ -387,10 +464,7 @@ impl DataSender {
                 if take < len {
                     s.retransmit.push_front((off + take, len - take));
                 }
-                let fin = s.fin
-                    && !s.fin_sent
-                    && off + take == s.data.len() as u64
-                    && s.next_new >= s.data.len() as u64;
+                let fin = s.fin && !s.fin_sent && off + take == s.len && s.next_new >= s.len;
                 if fin {
                     s.fin_sent = true;
                 }
@@ -407,11 +481,10 @@ impl DataSender {
         // FIN; the scheduler picks one and the chunk is cut from it.
         let conn_avail = self.conn_tx.available();
         let sendable = |s: &SendStream| {
-            let len = s.data.len() as u64;
             let stream_avail = s.tx.as_ref().map_or(0, |t| t.available());
-            let want = len.saturating_sub(s.next_new);
+            let want = s.len.saturating_sub(s.next_new);
             let take = want.min(chunk_bytes).min(stream_avail).min(conn_avail);
-            take > 0 || (s.fin && !s.fin_sent && s.next_new >= len)
+            take > 0 || (s.fin && !s.fin_sent && s.next_new >= s.len)
         };
         let mut ready = std::mem::take(&mut self.ready_scratch);
         ready.clear();
@@ -431,13 +504,12 @@ impl DataSender {
         let id = ready[self.sched.pick(&ready)].id;
         self.ready_scratch = ready;
         let s = self.streams.get_mut(&id).expect("ready stream exists");
-        let len = s.data.len() as u64;
         let stream_avail = s.tx.as_ref().map_or(0, |t| t.available());
-        let want = len.saturating_sub(s.next_new);
+        let want = s.len.saturating_sub(s.next_new);
         let take = want.min(chunk_bytes).min(stream_avail).min(conn_avail);
         let off = s.next_new;
         s.next_new += take;
-        let fin = s.fin && !s.fin_sent && s.next_new >= len;
+        let fin = s.fin && !s.fin_sent && s.next_new >= s.len;
         if fin {
             s.fin_sent = true;
         }
@@ -478,7 +550,9 @@ impl DataSender {
                 None => now_us,
             };
             let s = self.streams.get(&chunk.stream).expect("stream exists");
-            let data = &s.data[chunk.offset as usize..(chunk.offset + chunk.len) as usize];
+            let data = &mut self.chunk_scratch;
+            data.clear();
+            s.source.fill(chunk.offset, chunk.len, data);
             let mut w = Writer::with_capacity(chunk.len as usize + 16);
             Frame::encode_stream(&mut w, chunk.stream, chunk.offset, chunk.fin, data);
             let payload = w.into_vec();
@@ -726,6 +800,7 @@ mod tests {
         let mut pn = 0;
         let mut delayed: Vec<(u64, Vec<u8>)> = Vec::new();
         let (mut most_ranges, mut spurious_seen) = (0, false);
+        let mut read = Vec::new();
         for round in 0..4_000u64 {
             let now = round * 30_000;
             let sealed = seal_all(&mut s, &mut pn, now);
@@ -753,8 +828,12 @@ mod tests {
                 continue;
             }
             for (p, payload) in arrived {
-                r.on_packet(p, &Frame::decode_all(&payload).expect("own encoding"));
+                r.on_packet(p, &Frame::decode_all(&payload).expect("own encoding"))
+                    .expect("within the limits");
             }
+            let n = r.read(0).len();
+            read.extend_from_slice(r.read(0));
+            r.consume(0, n);
             let control = r.control_payload().expect("ack-eliciting packets arrived");
             let frames = Frame::decode_all(&control).expect("own encoding");
             for f in &frames {
@@ -763,7 +842,7 @@ mod tests {
                 }
             }
             let lost_before = s.recovery.lost_pns();
-            crate::workload::dispatch_packet(0, &frames, &mut s, None, now + 30_000);
+            crate::workload::dispatch_packet(&frames, &mut s, now + 30_000);
             let lost_after = s.recovery.lost_pns();
             spurious_seen |= lost_before.iter().any(|p| !lost_after.contains(p));
             if s.all_acked() {
@@ -785,8 +864,43 @@ mod tests {
             data.len() as u64,
             "every byte exactly once"
         );
-        assert_eq!(r.take_stream(0), Some(data));
+        assert_eq!(read, data);
         assert_eq!(s.take_completed().len(), 1);
+    }
+
+    /// A bulk stream puts the same bytes on the wire as the same response
+    /// enqueued whole — first sends and retransmissions alike — while
+    /// holding only its head.
+    #[test]
+    fn bulk_source_sends_what_the_buffered_bytes_would() {
+        let head = b"\x01\x05head\x00\x50".to_vec();
+        let body_len = 9_000u64;
+        let mut whole = head.clone();
+        whole.extend((0..body_len).map(bulk_body_byte));
+        let (mut buffered, mut bulk) = (sender(1 << 20, 1 << 20), sender(1 << 20, 1 << 20));
+        buffered.enqueue(0, &whole, true);
+        bulk.enqueue_bulk(0, head.clone(), body_len);
+        let (mut pn_a, mut pn_b) = (0, 0);
+        for round in 0..40u64 {
+            let now = round * 30_000;
+            let a = seal_all(&mut buffered, &mut pn_a, now);
+            let b = seal_all(&mut bulk, &mut pn_b, now);
+            assert_eq!(a, b, "round {round}");
+            if pn_a > 0 {
+                // Acknowledge only the newest packet: older ones are lost
+                // and come back as regenerated retransmissions.
+                buffered.on_ack(&[(pn_a - 1, pn_a - 1)], now + 30_000);
+                bulk.on_ack(&[(pn_b - 1, pn_b - 1)], now + 30_000);
+            }
+        }
+        assert!(
+            bulk.take_events()
+                .iter()
+                .any(|e| matches!(e, EventKind::PacketLost { .. })),
+            "some chunks went out twice"
+        );
+        assert_eq!(buffered.peak_held(), whole.len() as u64);
+        assert_eq!(bulk.peak_held(), head.len() as u64);
     }
 
     fn requeue_spans_per_byte(acked: &RangeSet, offset: u64, len: u64) -> Vec<(u64, u64)> {

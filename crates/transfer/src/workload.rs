@@ -27,7 +27,6 @@ use crate::host::{
     STREAM_WINDOW,
 };
 use crate::mux::{Download, MuxConn, MuxOutcome};
-use crate::recv::DataReceiver;
 use crate::sender::DataSender;
 
 /// Loss grid (permille), the PEMI loss sweep.
@@ -408,14 +407,8 @@ fn ping_payload() -> Vec<u8> {
     w.into_vec()
 }
 
-/// Routes one received app packet into a sender and (optionally) receiver.
-pub(crate) fn dispatch_packet(
-    pn: u64,
-    frames: &[Frame],
-    sender: &mut DataSender,
-    receiver: Option<&mut DataReceiver>,
-    now_us: u64,
-) {
+/// Routes one received app packet's ACK and window grants into a sender.
+pub(crate) fn dispatch_packet(frames: &[Frame], sender: &mut DataSender, now_us: u64) {
     for f in frames {
         match f {
             Frame::Ack { ranges, .. } => sender.on_ack(ranges, now_us),
@@ -423,9 +416,6 @@ pub(crate) fn dispatch_packet(
             Frame::MaxStreamData { id, max } => sender.set_max_stream_data(*id, *max),
             _ => {}
         }
-    }
-    if let Some(r) = receiver {
-        r.on_packet(pn, frames);
     }
 }
 
@@ -578,7 +568,7 @@ fn run_rtc_task(
         }
         let now = shard.now().0 - start_us;
         for pkt in conn.take_app_packets() {
-            dispatch_packet(pkt.pn, &pkt.frames, &mut sender, None, now);
+            dispatch_packet(&pkt.frames, &mut sender, now);
         }
         for (sid, done_at) in sender.take_completed() {
             let gen = gen_time.get(&sid).copied().unwrap_or(done_at);
