@@ -38,7 +38,7 @@ use zmapq::FeistelPermutation;
 use crate::catalog::{implementation, tp_config};
 use crate::faults::FaultPlan;
 use crate::servers::{HttpProfile, QuicHost};
-use crate::universe::Universe;
+use crate::universe::{HostBehavior, Universe};
 
 // ---------------------------------------------------------------------------
 // Paper-scale: lazy twin of Universe::build_network
@@ -80,6 +80,11 @@ impl UniverseBinder {
 impl LazyBinder for UniverseBinder {
     fn make_udp(&self, at: SocketAddr) -> Option<Box<dyn UdpService>> {
         Some(Box::new(self.universe.quic_service(self.host_at(at)?)?))
+    }
+
+    fn udp_open(&self, at: SocketAddr) -> bool {
+        self.host_at(at)
+            .is_some_and(|i| self.universe.hosts[i].behavior != HostBehavior::SilentQuic)
     }
 
     fn make_tcp(&self, at: SocketAddr) -> Option<Box<dyn TcpFactory>> {
@@ -226,8 +231,10 @@ struct ScaleInner {
     span_size: u64,
     /// Shared endpoint templates, indexed `behavior_class * 3 + version_set`
     /// (behaviour classes in `BEHAVIOR_BANDS` order, `Silent` excluded).
-    templates: Vec<EndpointConfig>,
-    profile: HttpProfile,
+    /// Shared with every endpoint instantiated from them, as is `profile`,
+    /// so an instantiation copies no configuration.
+    templates: Vec<Arc<EndpointConfig>>,
+    profile: Arc<HttpProfile>,
 }
 
 /// The derived million-endpoint universe. Cloning shares the inner state
@@ -304,7 +311,7 @@ impl LazyUniverse {
                     tls12_only: false,
                     week: 18,
                 });
-                templates.push(EndpointConfig {
+                templates.push(Arc::new(EndpointConfig {
                     accept_versions: versions.to_vec(),
                     vn_advertise: versions.to_vec(),
                     vn_only: class == 2,
@@ -314,14 +321,14 @@ impl LazyUniverse {
                     transport_params: tp_config(9 + vi),
                     close_reason: impl_info.close_reason.to_string(),
                     use_retry: false,
-                });
+                }));
             }
         }
-        let profile = HttpProfile {
+        let profile = Arc::new(HttpProfile {
             server_header: impl_info.name.to_string(),
             alt_svc: None,
             extra_headers: Vec::new(),
-        };
+        });
         LazyUniverse {
             inner: Arc::new(ScaleInner {
                 config,
@@ -392,12 +399,7 @@ impl LazyUniverse {
     /// The full derived persona of member `index`.
     pub fn persona(&self, index: u64) -> Persona {
         assert!(index < self.endpoints(), "index out of population");
-        let b = self.draw(index, SALT_BEHAVIOR) % 1000;
-        let behavior = BEHAVIOR_BANDS
-            .iter()
-            .find(|(hi, _)| b < u64::from(*hi))
-            .map(|(_, beh)| *beh)
-            .expect("bands cover 0..1000");
+        let behavior = self.behavior(index);
         // Provider-skewed AS attribution: three hyperscalers hold 55% of
         // deployments, a heavy tail of small ASes the rest — the shape
         // behind the paper's Figure 4 rank CDF.
@@ -422,6 +424,17 @@ impl LazyUniverse {
         self.member_index(addr).map(|i| self.persona(i))
     }
 
+    /// Behaviour class of member `index` — the one draw of its persona the
+    /// UDP membership question needs.
+    fn behavior(&self, index: u64) -> ScaleBehavior {
+        let b = self.draw(index, SALT_BEHAVIOR) % 1000;
+        BEHAVIOR_BANDS
+            .iter()
+            .find(|(hi, _)| b < u64::from(*hi))
+            .map(|(_, beh)| *beh)
+            .expect("bands cover 0..1000")
+    }
+
     /// Deterministic stateful-scan sample: every member whose sample draw
     /// lands in `1/one_in`, in scan-index order. Worker-count independent
     /// by construction; at `one_in = 512` the million-endpoint universe
@@ -434,10 +447,10 @@ impl LazyUniverse {
     }
 
     /// Builds the network: empty tables plus this universe as the binder.
-    /// `resident_cap` bounds instantiated endpoints (the least recently
-    /// contacted one not in use is evicted first) — the knob that keeps a
-    /// million-endpoint sweep at O(cap) memory. Use `None` only at small
-    /// scale.
+    /// `resident_cap` bounds instantiated endpoints (each cache shard
+    /// evicts its least recently contacted one not in use first) — the
+    /// knob that keeps a million-endpoint sweep at O(cap) memory. Use
+    /// `None` only at small scale.
     pub fn build_network(&self, resident_cap: Option<usize>) -> Network {
         let mut net = Network::new(self.inner.config.seed);
         net.set_lazy_binder(Box::new(self.clone()), resident_cap);
@@ -456,12 +469,20 @@ impl LazyBinder for LazyUniverse {
         if class == usize::MAX {
             return None; // Silent: addressable, dark on UDP.
         }
-        let cfg = self.inner.templates[class * VERSION_SETS.len() + p.version_set].clone();
+        let cfg = &self.inner.templates[class * VERSION_SETS.len() + p.version_set];
         Some(Box::new(QuicHost::new(
-            cfg,
+            cfg.clone(),
             self.inner.profile.clone(),
             p.seed,
         )))
+    }
+
+    fn udp_open(&self, at: SocketAddr) -> bool {
+        let IpAddr::V4(v4) = at.ip else { return false };
+        at.port == 443
+            && self
+                .member_index(v4)
+                .is_some_and(|i| self.behavior(i) != ScaleBehavior::Silent)
     }
 
     fn make_tcp(&self, _at: SocketAddr) -> Option<Box<dyn TcpFactory>> {
@@ -518,6 +539,61 @@ mod tests {
         let stats = lazy_net.lazy_stats().expect("binder installed");
         assert!(stats.resident > 0, "sweep instantiated nothing");
         assert_eq!(stats.evicted, 0, "paper mode must not evict");
+    }
+
+    /// `udp_open` answers exactly what `make_udp` builds, for both binders:
+    /// over every address of a scale span plus a wrong port and an address
+    /// outside it, and over every host address of a paper-scale universe,
+    /// v6 and `SilentQuic` hosts included, plus misses.
+    #[test]
+    fn udp_open_tells_the_truth() {
+        fn agree(binder: &dyn LazyBinder, at: SocketAddr) -> bool {
+            let open = binder.udp_open(at);
+            assert_eq!(open, binder.make_udp(at).is_some(), "{at}");
+            open
+        }
+        let u = LazyUniverse::new(ScaleConfig::test(0x0be7, 4_000));
+        let base = match u.config().span.base {
+            IpAddr::V4(v4) => u32::from(v4),
+            IpAddr::V6(_) => unreachable!(),
+        };
+        let open = (0..u.span_size() as u32)
+            .filter(|&o| agree(&u, SocketAddr::new(Ipv4Addr::from(base + o), 443)))
+            .count();
+        let responsive = (0..u.endpoints())
+            .filter(|&i| u.persona(i).behavior != ScaleBehavior::Silent)
+            .count();
+        assert_eq!(open, responsive);
+        let member = u.target(0);
+        assert!(!agree(&u, SocketAddr::new(member, 80)));
+        assert!(!agree(
+            &u,
+            SocketAddr::new(Ipv4Addr::new(192, 0, 2, 1), 443)
+        ));
+
+        // Generation makes no `SilentQuic` host; darken every seventh.
+        let mut universe = Universe::generate(UniverseConfig::tiny(18));
+        for h in universe.hosts.iter_mut().step_by(7) {
+            h.behavior = HostBehavior::SilentQuic;
+        }
+        let hosts = universe.hosts.clone();
+        let binder = UniverseBinder::new(universe);
+        let (mut silent, mut v6) = (0, 0);
+        for h in &hosts {
+            let ips = [h.v4.map(IpAddr::V4), h.v6.map(IpAddr::V6)];
+            for ip in ips.into_iter().flatten() {
+                let open = agree(&binder, SocketAddr::new(ip, 443));
+                assert_eq!(open, h.behavior != HostBehavior::SilentQuic);
+                silent += usize::from(!open);
+                v6 += usize::from(matches!(ip, IpAddr::V6(_)));
+                assert!(!agree(&binder, SocketAddr::new(ip, 8443)));
+            }
+        }
+        assert!(silent > 0 && v6 > 0, "{silent} silent, {v6} v6 addresses");
+        assert!(!agree(
+            &binder,
+            SocketAddr::new(Ipv4Addr::new(192, 0, 2, 1), 443)
+        ));
     }
 
     /// Membership via the permutation inverse is exact: the target iterator

@@ -111,9 +111,14 @@ pub struct QuicHost {
 }
 
 impl QuicHost {
-    /// Builds an HTTP/3 host from an endpoint config and HTTP profile.
-    pub fn new(config: EndpointConfig, profile: HttpProfile, seed: u64) -> Self {
-        let profile = Arc::new(profile);
+    /// Builds an HTTP/3 host from an endpoint config and HTTP profile,
+    /// each a value or a shared template.
+    pub fn new(
+        config: impl Into<Arc<EndpointConfig>>,
+        profile: impl Into<Arc<HttpProfile>>,
+        seed: u64,
+    ) -> Self {
+        let profile = profile.into();
         let endpoint = Endpoint::new(
             config,
             seed,
@@ -125,7 +130,7 @@ impl QuicHost {
     /// Builds a host whose connections run the sessions `session_factory`
     /// makes (see [`Endpoint::with_sessions`]).
     pub fn with_sessions(
-        config: EndpointConfig,
+        config: impl Into<Arc<EndpointConfig>>,
         seed: u64,
         session_factory: Box<dyn Fn() -> Box<dyn AppSession> + Send>,
     ) -> Self {

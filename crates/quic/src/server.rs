@@ -212,7 +212,8 @@ impl ServerConn {
 
 /// A QUIC server endpoint multiplexing connections by client source.
 pub struct Endpoint {
-    config: EndpointConfig,
+    /// Shared, so endpoints built from one template hold one copy.
+    config: Arc<EndpointConfig>,
     session_factory: Box<dyn Fn() -> Box<dyn AppSession> + Send>,
     conns: HashMap<u128, ServerConn>,
     /// Datagrams routed to a connection so far; stamps
@@ -243,7 +244,7 @@ impl Endpoint {
     /// `handler_factory` makes one per accepted connection, run as its
     /// [`AppSession`].
     pub fn new(
-        config: EndpointConfig,
+        config: impl Into<Arc<EndpointConfig>>,
         seed: u64,
         handler_factory: Box<dyn Fn() -> Box<dyn StreamHandler> + Send>,
     ) -> Self {
@@ -255,14 +256,14 @@ impl Endpoint {
     }
 
     /// Creates an endpoint; `session_factory` makes one [`AppSession`] per
-    /// accepted connection.
+    /// accepted connection. `config` is a value or a shared template.
     pub fn with_sessions(
-        config: EndpointConfig,
+        config: impl Into<Arc<EndpointConfig>>,
         seed: u64,
         session_factory: Box<dyn Fn() -> Box<dyn AppSession> + Send>,
     ) -> Self {
         Endpoint {
-            config,
+            config: config.into(),
             session_factory,
             conns: HashMap::new(),
             activity: 0,

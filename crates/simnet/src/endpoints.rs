@@ -4,20 +4,20 @@
 //! Statically bound UDP services sit in a lock-free sharded table (`&self`
 //! reads of immutable-after-build maps). When a [`LazyBinder`] is installed,
 //! misses fall through to it: endpoints are derived from the address on first
-//! contact and cached in per-shard maps, with one global recency queue
-//! bounding how many stay resident. [`Endpoints::udp`] is the one UDP lookup
-//! and answers both with one handle type, [`UdpEndpoint`], which a flight
-//! locks once. TCP factories live in a static map plus the binder's cache.
+//! contact and cached in sharded maps, each shard with its own recency queue
+//! and its own share of the residency cap, so one lookup takes one lock.
+//! [`Endpoints::udp`] is the one UDP lookup and answers both with one handle
+//! type, [`UdpEndpoint`], which a flight locks once. TCP factories live in a
+//! static map plus the binder's cache.
 //!
 //! Each static table has a bound-address filter in front of it: a bit set
 //! over its sockets, at least 32 bits a socket, whose clear bit proves an
 //! address unbound for one multiply. The common sweep miss therefore hashes
 //! the address neither for a shard route nor for a map probe. The lazy path
-//! has no filter of its own; on a lazy network the static filters are empty,
-//! so every lookup skips the static maps and goes straight to the binder.
+//! asks the binder instead ([`LazyBinder::udp_open`], pure and building
+//! nothing), so a lazy network's miss takes no cache lock either.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -125,6 +125,11 @@ pub trait LazyBinder: Send + Sync {
     /// The UDP service for `at`, or `None` when no endpoint lives there.
     fn make_udp(&self, at: SocketAddr) -> Option<Box<dyn UdpService>>;
 
+    /// Whether a UDP endpoint lives at `at`: exactly `make_udp(at).is_some()`,
+    /// answered without building anything. A flight asks it before any
+    /// cache lock is taken, so a sweep's miss touches no shared state.
+    fn udp_open(&self, at: SocketAddr) -> bool;
+
     /// The TCP factory for `at`, or `None` when TCP 443 is closed there.
     fn make_tcp(&self, at: SocketAddr) -> Option<Box<dyn TcpFactory>>;
 
@@ -137,13 +142,15 @@ pub trait LazyBinder: Send + Sync {
 }
 
 /// Observable state of the lazy endpoint cache (see
-/// [`crate::Network::lazy_stats`]). `peak_resident` is the working-set bound
-/// the O(responsive-hosts) memory claim rests on.
+/// [`crate::Network::lazy_stats`]), summed over its shards. `peak_resident`
+/// is the working-set bound the O(responsive-hosts) memory claim rests on.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LazyStats {
     /// UDP endpoints currently instantiated.
     pub resident: usize,
-    /// High-water mark of `resident`.
+    /// Sum of the shards' high-water marks of resident endpoints: an upper
+    /// bound on the high-water mark of `resident` (shards peak at different
+    /// times), exact when the cache has one shard.
     pub peak_resident: usize,
     /// Total UDP endpoint constructions (rebuilds after eviction included).
     pub instantiated: u64,
@@ -214,30 +221,23 @@ impl Endpoints {
     }
 
     pub(crate) fn set_lazy_binder(&mut self, binder: Box<dyn LazyBinder>, capacity: Option<usize>) {
-        self.lazy = Some(LazyState {
-            binder,
-            capacity,
-            shards: (0..ENDPOINT_SHARDS)
-                .map(|_| CacheAligned(Mutex::new(FastMap::default())))
-                .collect(),
-            order: Mutex::new(VecDeque::new()),
-            generation: AtomicU64::new(0),
-            tcp: Mutex::new(FastMap::default()),
-            resident: AtomicUsize::new(0),
-            peak: AtomicUsize::new(0),
-            instantiated: AtomicU64::new(0),
-            evicted: AtomicU64::new(0),
-        });
+        self.lazy = Some(LazyState::new(binder, capacity));
     }
 
     pub(crate) fn lazy_stats(&self) -> Option<LazyStats> {
-        self.lazy.as_ref().map(|l| LazyStats {
-            resident: l.resident.load(Ordering::Relaxed),
-            peak_resident: l.peak.load(Ordering::Relaxed),
-            instantiated: l.instantiated.load(Ordering::Relaxed),
-            evicted: l.evicted.load(Ordering::Relaxed),
-            tcp_resident: l.tcp.lock().len(),
-        })
+        let lazy = self.lazy.as_ref()?;
+        let mut stats = LazyStats {
+            tcp_resident: lazy.tcp.lock().len(),
+            ..LazyStats::default()
+        };
+        for shard in &lazy.shards {
+            let shard = shard.0.lock();
+            stats.resident += shard.map.len();
+            stats.peak_resident += shard.peak;
+            stats.instantiated += shard.instantiated;
+            stats.evicted += shard.evicted;
+        }
+        Some(stats)
     }
 
     pub(crate) fn udp_count(&self) -> usize {
@@ -248,10 +248,11 @@ impl Endpoints {
         self.tcp.len()
     }
 
-    /// Whether a UDP endpoint may live at `at` (`false`: nothing bound
-    /// there, and no binder to ask).
+    /// Whether a UDP endpoint may live at `at` (`false`: nothing is bound
+    /// there and the binder, if any, says nothing lives there). Takes no
+    /// lock.
     pub(crate) fn udp_may_exist(&self, at: &SocketAddr) -> bool {
-        self.lazy.is_some() || self.udp_bound.may_contain(at)
+        self.udp_bound.may_contain(at) || self.lazy.as_ref().is_some_and(|l| l.binder.udp_open(*at))
     }
 
     /// The UDP endpoint at `at`: the bound one, else the binder's
@@ -288,135 +289,111 @@ impl Endpoints {
 /// Cached lazy endpoint: shared service handle plus last-touch generation.
 type LazyEntry = (Arc<Service>, u64);
 
+/// Fewest endpoints a lazy cache shard keeps resident under a cap: the
+/// shard count is chosen so every shard's share of the cap is at least this.
+const MIN_SHARD_WINDOW: usize = 64;
+
+/// Lazy cache shards for a residency cap: the largest power of two at most
+/// `cap / MIN_SHARD_WINDOW`, clamped to `1..=ENDPOINT_SHARDS`, so a cap
+/// below `2 * MIN_SHARD_WINDOW` keeps one cache-wide recency queue. An
+/// uncapped cache has nothing to evict and takes every shard.
+fn lazy_shard_count(capacity: Option<usize>) -> usize {
+    match capacity {
+        None => ENDPOINT_SHARDS,
+        Some(cap) => 1 << (cap / MIN_SHARD_WINDOW).clamp(1, ENDPOINT_SHARDS).ilog2(),
+    }
+}
+
 /// The lazy-instantiation state: the binder that derives endpoints from
-/// addresses, per-shard caches of the endpoints contacted so far (sharded by
-/// the same address hash as the static table), and residency accounting.
+/// addresses, and shards of the endpoints contacted so far. Each shard is
+/// self-contained under its one mutex, so a lookup, an instantiation and
+/// the evictions it causes lock one shard and nothing else.
 struct LazyState {
     binder: Box<dyn LazyBinder>,
-    /// UDP residency cap; `None` = cache every contacted endpoint (the
-    /// byte-identical paper-scale mode, where endpoint state must survive
-    /// the whole campaign).
-    capacity: Option<usize>,
+    /// A power of two ([`lazy_shard_count`]) of cache shards.
+    shards: Vec<CacheAligned<Mutex<LazyShard>>>,
+    tcp: Mutex<FastMap<SocketAddr, Arc<dyn TcpFactory>>>,
+}
+
+/// One lazy cache shard: its endpoints, its recency queue and its share of
+/// the residency cap, plus its counters.
+struct LazyShard {
     /// Address → (service, last-touch generation); the generation marks
     /// which `order` entry for an address is current.
-    shards: Vec<CacheAligned<Mutex<FastMap<SocketAddr, LazyEntry>>>>,
-    /// Global recency queue driving eviction (least recently *touched*
-    /// first), global across shards so the cap applies to the whole cache:
+    map: FastMap<SocketAddr, LazyEntry>,
+    /// This shard's share of the residency cap; `None` = keep every
+    /// contacted endpoint (the byte-identical paper-scale mode, where
+    /// endpoint state must survive the whole campaign), and no queue.
+    cap: Option<usize>,
+    /// Recency queue driving eviction (least recently *touched* first):
     /// every contact re-pushes `(addr, generation)` and stale entries —
-    /// whose generation no longer matches the shard's — are dropped when
+    /// whose generation no longer matches the map's — are dropped when
     /// popped, classic lazy-deletion LRU. Recency, not insertion order,
     /// matters: an endpoint mid-handshake was inserted long ago but touched
     /// a datagram ago, and evicting it would wipe its connection state while
-    /// the peer is still talking to it. Lock order is always `order` →
-    /// cache shard (never the reverse), so concurrent inserts evicting
-    /// victims from foreign shards cannot deadlock.
-    order: Mutex<VecDeque<(SocketAddr, u64)>>,
+    /// the peer is still talking to it.
+    order: VecDeque<(SocketAddr, u64)>,
     /// Touch-generation counter stamping queue entries.
-    generation: AtomicU64,
-    tcp: Mutex<FastMap<SocketAddr, Arc<dyn TcpFactory>>>,
-    resident: AtomicUsize,
-    peak: AtomicUsize,
-    instantiated: AtomicU64,
-    evicted: AtomicU64,
+    generation: u64,
+    /// High-water mark of `map.len()`.
+    peak: usize,
+    instantiated: u64,
+    evicted: u64,
 }
 
 impl LazyState {
-    fn next_generation(&self) -> u64 {
-        self.generation.fetch_add(1, Ordering::Relaxed) + 1
+    fn new(binder: Box<dyn LazyBinder>, capacity: Option<usize>) -> Self {
+        let count = lazy_shard_count(capacity);
+        LazyState {
+            binder,
+            shards: (0..count)
+                .map(|i| {
+                    // Shares of the cap sum to the cap.
+                    let cap = capacity.map(|cap| cap / count + usize::from(i < cap % count));
+                    CacheAligned(Mutex::new(LazyShard {
+                        map: FastMap::default(),
+                        cap,
+                        order: VecDeque::new(),
+                        generation: 0,
+                        peak: 0,
+                        instantiated: 0,
+                        evicted: 0,
+                    }))
+                })
+                .collect(),
+            tcp: Mutex::new(FastMap::default()),
+        }
+    }
+
+    /// Index of the cache shard `at` lives in: the top bits of its address
+    /// hash, which are evenly spread. [`route`]'s low bits are not: over the
+    /// port-443 sockets of a v4 /10 they take 32 of their 64 values, which
+    /// would leave half the shards, and half the cap, unused.
+    fn shard_index(&self, at: &SocketAddr) -> usize {
+        (fault::addr_hash(*at) >> (64 - ENDPOINT_SHARDS.ilog2())) as usize & (self.shards.len() - 1)
+    }
+
+    /// The cache shard `at` lives in.
+    fn shard(&self, at: &SocketAddr) -> &Mutex<LazyShard> {
+        &self.shards[self.shard_index(at)].0
     }
 
     /// The cached-or-instantiated endpoint at `at` (`None` when the binder
-    /// says nothing lives there). Construction runs outside the cache-shard
-    /// lock; the first insert wins, so concurrent flights agree on one
-    /// instance.
+    /// says nothing lives there). Construction runs outside the shard lock;
+    /// the first insert wins, so concurrent flights agree on one instance.
+    /// Victims of the insert, and a construction that lost the race, are
+    /// torn down after the lock is released: an endpoint's destructor frees
+    /// its whole connection table.
     fn udp(&self, at: &SocketAddr) -> Option<Arc<Service>> {
-        let shard = &self.shards[route(at)].0;
-        // Hit path: restamp the entry's generation (a *touch*) so eviction
-        // sees it as recently used, then record the touch in the recency
-        // queue. The shard lock is released before the queue lock is taken,
-        // keeping the `order` → shard lock order intact.
-        let hit = shard.lock().get_mut(at).map(|(svc, stamp)| {
-            let touch = self.capacity.map(|cap| {
-                *stamp = self.next_generation();
-                (*stamp, cap)
-            });
-            (svc.clone(), touch)
-        });
-        if let Some((svc, touch)) = hit {
-            if let Some((stamp, cap)) = touch {
-                self.touch(*at, stamp, cap);
-            }
+        let shard = self.shard(at);
+        if let Some(svc) = shard.lock().touch(at) {
             return Some(svc);
         }
-        let built = self.binder.make_udp(*at)?;
-        let (svc, stamp) = {
-            let mut cache = shard.lock();
-            if let Some((svc, _)) = cache.get(at) {
-                return Some(svc.clone());
-            }
-            let svc = Arc::new(Mutex::new(built));
-            let stamp = self.next_generation();
-            cache.insert(*at, (svc.clone(), stamp));
-            (svc, stamp)
-        };
-        self.instantiated.fetch_add(1, Ordering::Relaxed);
-        let resident = self.resident.fetch_add(1, Ordering::Relaxed) + 1;
-        self.peak.fetch_max(resident, Ordering::Relaxed);
-        let Some(cap) = self.capacity else {
-            // Paper mode: everything stays resident, no queue to maintain.
-            return Some(svc);
-        };
-        // LRU eviction over the global recency queue. Stale entries (an
-        // address touched again since — generation mismatch) are dropped;
-        // entries a flight still holds (Arc strong count > 1, including the
-        // one just built, which this frame is about to return) are rotated
-        // to the back. Residency is bounded by `cap` plus whatever is
-        // concurrently in use; the attempts bound stops the loop when
-        // everything left is in use. Victims are only unlinked under the
-        // locks and torn down after both are released: an endpoint's
-        // destructor frees its whole connection table, and every other
-        // worker's instantiation waits on the global queue lock meanwhile.
+        let built = Arc::new(Mutex::new(self.binder.make_udp(*at)?));
         let mut evicted = Vec::new();
-        let mut order = self.order.lock();
-        order.push_back((*at, stamp));
-        let mut attempts = order.len();
-        while self.resident.load(Ordering::Relaxed) > cap && attempts > 0 {
-            attempts -= 1;
-            let Some((victim, vstamp)) = order.pop_front() else {
-                break;
-            };
-            let mut vshard = self.shards[route(&victim)].0.lock();
-            match vshard.get(&victim) {
-                Some((_, stamp)) if *stamp != vstamp => {} // stale entry
-                Some((v, _)) if Arc::strong_count(v) == 1 => {
-                    evicted.extend(vshard.remove(&victim));
-                    self.resident.fetch_sub(1, Ordering::Relaxed);
-                    self.evicted.fetch_add(1, Ordering::Relaxed);
-                }
-                Some(_) => {
-                    drop(vshard);
-                    order.push_back((victim, vstamp));
-                }
-                None => {}
-            }
-        }
-        drop(order);
+        let raced = shard.lock().insert(*at, &built, &mut evicted);
         drop(evicted);
-        Some(svc)
-    }
-
-    /// Records a touch in the recency queue. Touches append lazily deleted
-    /// duplicates, so when the queue outgrows the cache by a wide margin the
-    /// same lock hold drops every stale entry. Amortized O(1) per touch.
-    fn touch(&self, at: SocketAddr, stamp: u64, cap: usize) {
-        let mut order = self.order.lock();
-        order.push_back((at, stamp));
-        if order.len() > cap.saturating_mul(8).max(1024) {
-            order.retain(|(addr, stamp)| {
-                let shard = self.shards[route(addr)].0.lock();
-                matches!(shard.get(addr), Some((_, s)) if s == stamp)
-            });
-        }
+        Some(raced.unwrap_or(built))
     }
 
     /// The cached-or-instantiated TCP factory at `at`. TCP factories are
@@ -438,12 +415,77 @@ impl LazyState {
     }
 }
 
+impl LazyShard {
+    /// The cached endpoint at `at`, restamped as just used (a *touch*) when
+    /// the shard evicts. Touches append lazily deleted duplicates to the
+    /// queue, so when it outgrows the shard's cap by a wide margin the same
+    /// lock hold drops every stale entry. Amortized O(1) per touch.
+    fn touch(&mut self, at: &SocketAddr) -> Option<Arc<Service>> {
+        let (svc, stamp) = self.map.get_mut(at)?;
+        let svc = svc.clone();
+        if let Some(cap) = self.cap {
+            self.generation += 1;
+            *stamp = self.generation;
+            self.order.push_back((*at, self.generation));
+            if self.order.len() > cap.saturating_mul(8).max(1024) {
+                let map = &self.map;
+                self.order
+                    .retain(|(addr, stamp)| matches!(map.get(addr), Some((_, s)) if s == stamp));
+            }
+        }
+        Some(svc)
+    }
+
+    /// Caches `built` at `at` and evicts past the cap, moving victims into
+    /// `evicted`; returns the endpoint already cached there instead when a
+    /// concurrent flight inserted first. Stale queue entries (an address
+    /// touched again since — generation mismatch) are dropped; entries a
+    /// flight still holds (Arc strong count > 1, including the one just
+    /// built, which the caller is about to return) are rotated to the back.
+    /// Residency is bounded by the cap plus whatever is concurrently in use;
+    /// the attempts bound stops the loop when everything left is in use.
+    fn insert(
+        &mut self,
+        at: SocketAddr,
+        built: &Arc<Service>,
+        evicted: &mut Vec<LazyEntry>,
+    ) -> Option<Arc<Service>> {
+        if let Some((svc, _)) = self.map.get(&at) {
+            return Some(svc.clone());
+        }
+        self.generation += 1;
+        self.map.insert(at, (built.clone(), self.generation));
+        self.instantiated += 1;
+        self.peak = self.peak.max(self.map.len());
+        let cap = self.cap?;
+        self.order.push_back((at, self.generation));
+        let mut attempts = self.order.len();
+        while self.map.len() > cap && attempts > 0 {
+            attempts -= 1;
+            let Some((victim, vstamp)) = self.order.pop_front() else {
+                break;
+            };
+            match self.map.get(&victim) {
+                Some((_, stamp)) if *stamp != vstamp => {} // stale entry
+                Some((v, _)) if Arc::strong_count(v) == 1 => {
+                    evicted.extend(self.map.remove(&victim));
+                    self.evicted += 1;
+                }
+                Some(_) => self.order.push_back((victim, vstamp)),
+                None => {}
+            }
+        }
+        None
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::addr::{IpAddr, Ipv4Addr};
     use crate::fault::LinkProfile;
     use crate::net::{Network, ServiceCtx, TcpAction};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn addr(last: u8, port: u16) -> SocketAddr {
         SocketAddr::new(Ipv4Addr::new(10, 0, 0, last), port)
@@ -472,10 +514,11 @@ mod tests {
     struct OddEcho;
     impl LazyBinder for OddEcho {
         fn make_udp(&self, at: SocketAddr) -> Option<Box<dyn UdpService>> {
-            match at.ip {
-                IpAddr::V4(v4) if at.port == 443 && v4.octets()[3] % 2 == 1 => Some(Box::new(Echo)),
-                _ => None,
-            }
+            self.udp_open(at)
+                .then(|| Box::new(Echo) as Box<dyn UdpService>)
+        }
+        fn udp_open(&self, at: SocketAddr) -> bool {
+            matches!(at.ip, IpAddr::V4(v4) if at.port == 443 && v4.octets()[3] % 2 == 1)
         }
         fn make_tcp(&self, at: SocketAddr) -> Option<Box<dyn TcpFactory>> {
             struct F;
@@ -576,9 +619,9 @@ mod tests {
         );
     }
 
-    /// An evicted endpoint is torn down with neither the recency queue nor
-    /// its cache shard locked: its destructor can be arbitrarily expensive,
-    /// and every other worker's instantiation takes the queue lock.
+    /// An evicted endpoint is torn down with its cache shard unlocked — the
+    /// only lock an instantiation takes: its destructor can be arbitrarily
+    /// expensive, and every other flight routed to the shard waits on it.
     #[test]
     fn evicted_endpoints_drop_outside_the_cache_locks() {
         use std::sync::{OnceLock, Weak};
@@ -599,8 +642,7 @@ mod tests {
                     return;
                 };
                 let lazy = endpoints.lazy.as_ref().expect("binder installed");
-                let shard = &lazy.shards[route(&self.at)].0;
-                if lazy.order.try_lock().is_none() || shard.try_lock().is_none() {
+                if lazy.shard(&self.at).try_lock().is_none() {
                     self.locked_drops.fetch_add(1, Ordering::Relaxed);
                 }
             }
@@ -613,6 +655,9 @@ mod tests {
                     endpoints: self.0.clone(),
                     locked_drops: self.1.clone(),
                 }))
+            }
+            fn udp_open(&self, _at: SocketAddr) -> bool {
+                true
             }
             fn make_tcp(&self, _at: SocketAddr) -> Option<Box<dyn TcpFactory>> {
                 None
@@ -636,6 +681,107 @@ mod tests {
             36
         );
         assert_eq!(locked_drops.load(Ordering::Relaxed), 0);
+    }
+
+    /// A sweep of addresses where nothing lives, on a clean and on a lossy
+    /// path, never reaches the cache: no service lock, no instantiation,
+    /// and no cache lookup (a lookup that misses always ends in `make_udp`).
+    #[test]
+    fn lazy_misses_touch_no_cache() {
+        struct Counted(Arc<AtomicUsize>);
+        impl LazyBinder for Counted {
+            fn make_udp(&self, at: SocketAddr) -> Option<Box<dyn UdpService>> {
+                self.0.fetch_add(1, Ordering::Relaxed);
+                OddEcho.make_udp(at)
+            }
+            fn udp_open(&self, at: SocketAddr) -> bool {
+                OddEcho.udp_open(at)
+            }
+            fn make_tcp(&self, _at: SocketAddr) -> Option<Box<dyn TcpFactory>> {
+                None
+            }
+        }
+        for profile in [LinkProfile::ideal(), LinkProfile::lossy(250)] {
+            let made = Arc::new(AtomicUsize::new(0));
+            let mut net = Network::new(7);
+            net.set_default_profile(profile);
+            net.set_lazy_binder(Box::new(Counted(made.clone())), Some(4_096));
+            let mut shard = net.shard();
+            let mut out = Vec::new();
+            for last in 0..=255u8 {
+                // Even octets on 443, every octet on another port.
+                let port = if last % 2 == 0 { 443 } else { 80 };
+                shard.udp_send_into(addr(200, 9000), addr(last, port), b"ping", &mut out);
+            }
+            assert!(out.is_empty());
+            assert_eq!(shard.finish().acquired, 0);
+            assert_eq!(net.lazy_stats().expect("binder installed").instantiated, 0);
+            assert_eq!(made.load(Ordering::Relaxed), 0);
+            let (sent, _, _, _, dropped) = net.stats.snapshot();
+            assert_eq!((sent, dropped), (256, 0));
+        }
+    }
+
+    /// The shard count follows the cap: at least `MIN_SHARD_WINDOW`
+    /// endpoints a shard, one cache-wide queue below twice that.
+    #[test]
+    fn lazy_shards_follow_the_cap() {
+        let counts: Vec<usize> = [Some(0), Some(8), Some(127), Some(128), Some(256)]
+            .into_iter()
+            .chain([Some(1_000), Some(4_096), Some(1 << 20), None])
+            .map(lazy_shard_count)
+            .collect();
+        assert_eq!(counts, [1, 1, 1, 2, 4, 8, 64, 64, 64]);
+        let state = LazyState::new(Box::new(OddEcho), Some(1_000));
+        let caps: Vec<usize> = state
+            .shards
+            .iter()
+            .map(|s| s.0.lock().cap.unwrap())
+            .collect();
+        assert_eq!(caps.iter().sum::<usize>(), 1_000);
+        assert!(caps.iter().all(|&cap| cap == 125));
+    }
+
+    /// At cap 4,096 (64 shards of 64), an endpoint survives 63 newer ones
+    /// routed to its own shard plus thousands routed elsewhere, and the
+    /// 64th in its own shard evicts it.
+    #[test]
+    fn eviction_window_is_the_shards_share_of_the_cap() {
+        struct AllEcho;
+        impl LazyBinder for AllEcho {
+            fn make_udp(&self, _at: SocketAddr) -> Option<Box<dyn UdpService>> {
+                Some(Box::new(Echo))
+            }
+            fn udp_open(&self, _at: SocketAddr) -> bool {
+                true
+            }
+            fn make_tcp(&self, _at: SocketAddr) -> Option<Box<dyn TcpFactory>> {
+                None
+            }
+        }
+        let mut endpoints = Endpoints::new();
+        endpoints.set_lazy_binder(Box::new(AllEcho), Some(4_096));
+        let lazy = endpoints.lazy.as_ref().expect("binder installed");
+        assert_eq!(lazy.shards.len(), 64);
+        let at = |i: u32| SocketAddr::new(Ipv4Addr::from(0x0a00_0000 + i), 443);
+        let target = at(0);
+        let (mine, elsewhere): (Vec<_>, Vec<_>) = (1..20_000)
+            .map(at)
+            .partition(|a| lazy.shard_index(a) == lazy.shard_index(&target));
+        let resident = || lazy.shard(&target).lock().map.contains_key(&target);
+
+        drop(endpoints.udp(&target));
+        for (i, near) in mine[..63].iter().enumerate() {
+            drop(endpoints.udp(near));
+            for far in &elsewhere[i * 40..(i + 1) * 40] {
+                drop(endpoints.udp(far));
+            }
+        }
+        assert!(resident(), "evicted before its shard's window");
+        drop(endpoints.udp(&mine[63]));
+        assert!(!resident(), "outlived its shard's window");
+        let stats = endpoints.lazy_stats().expect("binder installed");
+        assert_eq!(stats.instantiated, 1 + 64 + 63 * 40);
     }
 
     /// A lazy endpoint is locked once per flight, as a bound one is.

@@ -252,10 +252,11 @@ impl Network {
     /// tables miss: endpoints are derived from the destination address on
     /// first contact and cached, keeping the working set O(contacted hosts)
     /// instead of O(population). `capacity` bounds how many UDP endpoints
-    /// stay resident (the least recently contacted one a flight is not
-    /// using is evicted first); `None` caches forever — required when
-    /// endpoint connection state must survive a whole campaign for
-    /// byte-identical equivalence with a fully materialized network.
+    /// stay resident: the cache is split into shards that each hold a share
+    /// of it and evict their least recently contacted endpoint a flight is
+    /// not using first; `None` caches forever — required when endpoint
+    /// connection state must survive a whole campaign for byte-identical
+    /// equivalence with a fully materialized network.
     pub fn set_lazy_binder(&mut self, binder: Box<dyn LazyBinder>, capacity: Option<usize>) {
         self.endpoints.set_lazy_binder(binder, capacity);
     }
@@ -470,10 +471,18 @@ impl NetShard<'_> {
         let net = self.net;
         let profile = *net.path_profile(dst.ip);
         let mut status = FlightStatus::default();
-        // A clean path to an address nothing can answer at — a sweep's
-        // common miss: every datagram is sent, none is delivered, no draw
-        // is taken and no time passes, so the flight only counts its sends.
-        if profile.is_ideal() && !net.endpoints.udp_may_exist(&dst) {
+        // An address nothing can answer at — a sweep's common miss — on a
+        // path whose faults the sender cannot observe: every datagram is
+        // sent, none is delivered and no time passes, so the flight only
+        // counts its sends. It takes no draw, and so never touches the flow
+        // counters: nothing is ever delivered at such an address, so no
+        // later draw of the flow depends on them. Unreachable and
+        // rate-limited paths keep their draws, because their status reaches
+        // the sender.
+        if !profile.unreachable
+            && profile.rate_limit.is_none()
+            && !net.endpoints.udp_may_exist(&dst)
+        {
             flight.for_each(|payload| self.local.record_send(payload.len()));
             return status;
         }
@@ -855,6 +864,47 @@ mod tests {
             fates
         };
         assert_eq!(run(false), run(true));
+    }
+
+    /// A lossy, jittered flight to an unbound port counts its sends and
+    /// takes no draw: no drop is counted and the flow gets no sequence
+    /// counter. Unreachable and rate-limited paths still draw, because the
+    /// sender observes their status.
+    #[test]
+    fn faulted_misses_take_no_draw() {
+        let mut net = Network::new(5);
+        net.bind_udp(addr(1, 443), Box::new(Echo));
+        net.set_default_profile(crate::fault::LinkProfile {
+            jitter_us: 500,
+            ..crate::fault::LinkProfile::lossy(500)
+        });
+        let throttling = crate::fault::LinkProfile {
+            rate_limit: Some(crate::fault::ReplyRateLimit {
+                burst: 0,
+                drop_permille: 1000,
+            }),
+            ..crate::fault::LinkProfile::ideal()
+        };
+        net.set_path_profile(addr(2, 0).ip, crate::fault::LinkProfile::unreachable());
+        net.set_path_profile(addr(3, 0).ip, throttling);
+        let mut shard = net.shard();
+        let mut out = Vec::new();
+        let start = shard.now();
+        for _ in 0..100 {
+            let status = shard.udp_send_status(addr(9, 1), addr(1, 80), b"x", &mut out, None);
+            assert_eq!(status, SENT);
+        }
+        assert!(out.is_empty());
+        assert!(shard.flow_seq.is_empty());
+        assert_eq!(shard.now(), start);
+        let status = shard.udp_send_status(addr(9, 1), addr(2, 443), b"x", &mut out, None);
+        assert_eq!(status, UNREACHABLE);
+        let status = shard.udp_send_status(addr(9, 1), addr(3, 443), b"x", &mut out, None);
+        assert_eq!(status, THROTTLED);
+        assert_eq!(shard.flow_seq.len(), 1, "the throttled flow drew");
+        shard.finish();
+        let (sent, _, received, _, dropped) = net.stats.snapshot();
+        assert_eq!((sent, received, dropped), (102, 0, 2));
     }
 
     #[test]
