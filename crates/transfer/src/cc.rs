@@ -1,42 +1,13 @@
-//! Pluggable congestion control for the data plane.
+//! Congestion control for the data plane: NewReno, the one controller the
+//! sender runs.
 //!
-//! The interface follows RFC 9002 §7 / `s2n-quic-core`'s recovery shape:
+//! The shape follows RFC 9002 §7 / `s2n-quic-core`'s recovery: a
 //! byte-counted window, sent/acked/lost hooks, and a congestion event that
-//! collapses the window at most once per recovery period. [`NewReno`] is the
-//! first implementation; CUBIC can slot in behind [`CongestionController`]
-//! later without touching the sender.
+//! collapses the window at most once per recovery period.
 
 /// Maximum datagram payload the sender plans for (fits the default simnet
 /// path with header + tag overhead to spare).
 pub const MAX_DATAGRAM: u64 = 1200;
-
-/// A byte-counted congestion controller (RFC 9002 §7 interface).
-pub trait CongestionController: Send {
-    /// A packet of `bytes` entered the network.
-    fn on_packet_sent(&mut self, bytes: u64);
-    /// A packet sent at `sent_us` was newly acknowledged at `now_us`.
-    fn on_packet_acked(&mut self, bytes: u64, sent_us: u64, now_us: u64);
-    /// A packet sent at `sent_us` was declared lost at `now_us`; collapses
-    /// the window unless the loss falls inside the current recovery period.
-    fn on_congestion_event(&mut self, sent_us: u64, now_us: u64);
-    /// Bytes leave the in-flight count without being acknowledged (declared
-    /// lost or abandoned).
-    fn on_bytes_discarded(&mut self, bytes: u64);
-    /// Current congestion window in bytes.
-    fn cwnd(&self) -> u64;
-    /// Slow-start threshold in bytes (`u64::MAX` before the first loss).
-    fn ssthresh(&self) -> u64;
-    /// Bytes currently in flight.
-    fn in_flight(&self) -> u64;
-    /// True when another `bytes`-sized packet fits the window.
-    fn can_send(&self, bytes: u64) -> bool {
-        self.in_flight().saturating_add(bytes) <= self.cwnd()
-    }
-    /// Phase label for telemetry ("slow_start" / "avoidance" / "recovery").
-    fn phase(&self) -> &'static str;
-    /// Controller name ("newreno", …).
-    fn name(&self) -> &'static str;
-}
 
 /// NewReno per RFC 9002 §7.3: slow start doubles per RTT, congestion
 /// avoidance adds one datagram per window, a congestion event halves the
@@ -70,20 +41,14 @@ impl NewReno {
             avoidance_credit: 0,
         }
     }
-}
 
-impl Default for NewReno {
-    fn default() -> Self {
-        NewReno::new()
-    }
-}
-
-impl CongestionController for NewReno {
-    fn on_packet_sent(&mut self, bytes: u64) {
+    /// A packet of `bytes` entered the network.
+    pub fn on_packet_sent(&mut self, bytes: u64) {
         self.in_flight += bytes;
     }
 
-    fn on_packet_acked(&mut self, bytes: u64, sent_us: u64, _now_us: u64) {
+    /// A packet of `bytes` sent at `sent_us` was newly acknowledged.
+    pub fn on_packet_acked(&mut self, bytes: u64, sent_us: u64) {
         self.in_flight = self.in_flight.saturating_sub(bytes);
         // No growth for packets sent before the recovery period started
         // (RFC 9002 §7.3.2).
@@ -103,7 +68,9 @@ impl CongestionController for NewReno {
         }
     }
 
-    fn on_congestion_event(&mut self, sent_us: u64, now_us: u64) {
+    /// A packet sent at `sent_us` was declared lost at `now_us`; collapses
+    /// the window unless the loss falls inside the current recovery period.
+    pub fn on_congestion_event(&mut self, sent_us: u64, now_us: u64) {
         // One collapse per recovery period: only a loss of a packet sent
         // after recovery began starts a new period.
         if let Some(recovery) = self.recovery_start_us {
@@ -117,23 +84,34 @@ impl CongestionController for NewReno {
         self.avoidance_credit = 0;
     }
 
-    fn on_bytes_discarded(&mut self, bytes: u64) {
+    /// Bytes leave the in-flight count without being acknowledged (declared
+    /// lost or abandoned).
+    pub fn on_bytes_discarded(&mut self, bytes: u64) {
         self.in_flight = self.in_flight.saturating_sub(bytes);
     }
 
-    fn cwnd(&self) -> u64 {
+    /// Current congestion window in bytes.
+    pub fn cwnd(&self) -> u64 {
         self.cwnd
     }
 
-    fn ssthresh(&self) -> u64 {
+    /// Slow-start threshold in bytes (`u64::MAX` before the first loss).
+    pub fn ssthresh(&self) -> u64 {
         self.ssthresh
     }
 
-    fn in_flight(&self) -> u64 {
+    /// Bytes currently in flight.
+    pub fn in_flight(&self) -> u64 {
         self.in_flight
     }
 
-    fn phase(&self) -> &'static str {
+    /// True when another `bytes`-sized packet fits the window.
+    pub fn can_send(&self, bytes: u64) -> bool {
+        self.in_flight.saturating_add(bytes) <= self.cwnd
+    }
+
+    /// Phase label for telemetry ("slow_start" / "avoidance" / "recovery").
+    pub fn phase(&self) -> &'static str {
         if self.ssthresh == u64::MAX || self.cwnd < self.ssthresh {
             "slow_start"
         } else if self.cwnd == self.ssthresh && self.avoidance_credit == 0 {
@@ -142,9 +120,11 @@ impl CongestionController for NewReno {
             "avoidance"
         }
     }
+}
 
-    fn name(&self) -> &'static str {
-        "newreno"
+impl Default for NewReno {
+    fn default() -> Self {
+        NewReno::new()
     }
 }
 
@@ -159,7 +139,7 @@ mod tests {
         // Ack a full initial window's worth of packets: window doubles.
         for i in 0..10 {
             cc.on_packet_sent(1200);
-            cc.on_packet_acked(1200, 1000 + i, 21_000 + i);
+            cc.on_packet_acked(1200, 1000 + i);
         }
         assert_eq!(cc.cwnd(), 2 * INITIAL_WINDOW);
         assert_eq!(cc.phase(), "slow_start");
@@ -170,7 +150,7 @@ mod tests {
         let mut cc = NewReno::new();
         for _ in 0..20 {
             cc.on_packet_sent(1200);
-            cc.on_packet_acked(1200, 1, 2);
+            cc.on_packet_acked(1200, 1);
         }
         let before = cc.cwnd();
         cc.on_congestion_event(100, 1000);
@@ -192,7 +172,7 @@ mod tests {
         let mut acked = 0;
         while acked < w {
             cc.on_packet_sent(1200);
-            cc.on_packet_acked(1200, 10, 20);
+            cc.on_packet_acked(1200, 10);
             acked += 1200;
         }
         assert_eq!(cc.cwnd(), w + MAX_DATAGRAM);
@@ -216,7 +196,7 @@ mod tests {
         cc.on_packet_sent(1200);
         cc.on_congestion_event(50, 100);
         let w = cc.cwnd();
-        cc.on_packet_acked(1200, 50, 200); // sent before recovery start
+        cc.on_packet_acked(1200, 50); // sent before recovery start
         assert_eq!(cc.cwnd(), w);
         assert_eq!(cc.in_flight(), 0);
     }

@@ -31,9 +31,8 @@ use quic::{ConnectionError, Frame};
 use simnet::addr::Ipv4Addr;
 use simnet::{IpAddr, LinkProfile, Network, SocketAddr};
 
-use crate::cc::NewReno;
 use crate::recv::DataReceiver;
-use crate::sched::{SchedKind, URGENCY_BUCKETS};
+use crate::sched::SchedKind;
 use crate::sender::DataSender;
 
 /// Connection-level flow-control window both sides grant (bytes).
@@ -91,13 +90,7 @@ impl BulkSession {
     pub(crate) fn new(profile: Arc<HttpProfile>, rtt_us: u64, opts: HostOptions) -> Self {
         BulkSession {
             recv: DataReceiver::new(CONN_WINDOW, STREAM_WINDOW),
-            send: DataSender::with_scheduler(
-                rtt_us,
-                CONN_WINDOW,
-                STREAM_WINDOW,
-                Box::new(NewReno::new()),
-                opts.scheduler.build(),
-            ),
+            send: DataSender::new(rtt_us, CONN_WINDOW, STREAM_WINDOW, opts.scheduler),
             profile,
             opts,
             rtt_us,
@@ -137,12 +130,6 @@ impl BulkSession {
                 .unwrap_or(0)
                 .min(MAX_BULK_BYTES);
             let head = request::encode_response_head(200, &self.profile.response_headers(false), n);
-            if self.opts.scheduler == SchedKind::StrictPriority {
-                // Deterministic urgency spread so a priority sweep exercises
-                // every bucket: request stream k gets bucket k mod 8.
-                self.send
-                    .set_urgency(id, ((id / 4) % URGENCY_BUCKETS as u64) as u8);
-            }
             self.send.enqueue_bulk(id, head, n);
         }
     }

@@ -1,8 +1,8 @@
 //! Application data plane for the simulated QUIC internet: 1-RTT STREAM
-//! transfer with RFC 9000 flow control, RFC 9002 loss recovery, pluggable
-//! congestion control (NewReno first), and the PEMI-style workloads the
-//! paper's performance discussion motivates — bulk file downloads (goodput)
-//! and a 30 fps real-time stream (per-frame latency).
+//! transfer with RFC 9000 flow control, RFC 9002 loss recovery, NewReno
+//! congestion control, and the PEMI-style workloads the paper's performance
+//! discussion motivates — bulk file downloads (goodput) and a 30 fps
+//! real-time stream (per-frame latency).
 //!
 //! The layering mirrors a real stack but stays sans-IO and deterministic:
 //!
@@ -39,11 +39,11 @@ pub mod sched;
 pub mod sender;
 pub mod workload;
 
-pub use cc::{CongestionController, NewReno};
+pub use cc::NewReno;
 pub use host::HostOptions;
 pub use mux::{MuxConfig, MuxReport};
 pub use ranges::RangeSet;
 pub use recv::DataReceiver;
-pub use sched::{IdOrder, RoundRobin, SchedKind, StreamScheduler, StrictPriority};
+pub use sched::SchedKind;
 pub use sender::DataSender;
 pub use workload::{BulkReport, RtcReport, WorkloadConfig, WorkloadReport};

@@ -45,7 +45,6 @@ use simnet::{
 };
 use telemetry::{Event, EventKind, TraceCtx};
 
-use crate::cc::NewReno;
 use crate::host::{
     bind_transfer_host, bulk_body_byte, BoundHost, HostOptions, SessionKind, CONN_WINDOW,
     STREAM_WINDOW,
@@ -401,7 +400,7 @@ impl<'net> MuxConn<'net> {
             spec,
             shard: spec.net.shard(),
             conn: ClientConnection::new(client_config(&host.name), spec.seed),
-            sender: DataSender::new(rtt_us, CONN_WINDOW, STREAM_WINDOW, Box::new(NewReno::new())),
+            sender: DataSender::new(rtt_us, CONN_WINDOW, STREAM_WINDOW, SchedKind::IdOrder),
             receiver: DataReceiver::new(CONN_WINDOW, STREAM_WINDOW),
             responses: (0..spec.streams)
                 .map(|_| ResponseCheck::default())
@@ -1101,15 +1100,5 @@ mod tests {
             a.bytes_served, b.bytes_served,
             "both modes serve the same payload"
         );
-    }
-
-    #[test]
-    fn strict_priority_sweep_completes() {
-        let mut cfg = MuxConfig::fast(17, 2);
-        cfg.conns = 8;
-        cfg.streams_per_conn = 4;
-        cfg.scheduler = SchedKind::StrictPriority;
-        let report = run(&cfg);
-        assert_eq!(report.ok, 8, "priority scheduling starves nothing");
     }
 }

@@ -14,13 +14,13 @@ use qcodec::Writer;
 use quic::Frame;
 use telemetry::EventKind;
 
-use crate::cc::{CongestionController, MAX_DATAGRAM};
+use crate::cc::{NewReno, MAX_DATAGRAM};
 use crate::flow::TxFlow;
 use crate::host::bulk_body_byte;
 use crate::pace::Pacer;
 use crate::ranges::RangeSet;
 use crate::recovery::{ChunkRef, Recovery, SentPacket};
-use crate::sched::{IdOrder, ReadyStream, StreamScheduler, DEFAULT_URGENCY, URGENCY_BUCKETS};
+use crate::sched::{SchedKind, Scheduler};
 
 /// Stream bytes per packet: datagram budget minus frame header + AEAD room.
 pub const CHUNK_BYTES: u64 = 1100;
@@ -57,7 +57,13 @@ impl Source {
     }
 }
 
-#[derive(Debug)]
+impl Default for Source {
+    fn default() -> Self {
+        Source::Buffered(Vec::new())
+    }
+}
+
+#[derive(Debug, Default)]
 struct SendStream {
     /// Stream length so far: the FIN goes at `len` once `fin` is set.
     len: u64,
@@ -75,26 +81,6 @@ struct SendStream {
     fin_acked: bool,
     /// Flow time when the stream became fully acknowledged.
     completed_at_us: Option<u64>,
-    /// RFC 9218 urgency bucket (0 most urgent ..= 7 least).
-    urgency: u8,
-}
-
-impl Default for SendStream {
-    fn default() -> Self {
-        SendStream {
-            len: 0,
-            source: Source::Buffered(Vec::new()),
-            fin: false,
-            next_new: 0,
-            tx: None,
-            acked: RangeSet::default(),
-            retransmit: VecDeque::new(),
-            fin_sent: false,
-            fin_acked: false,
-            completed_at_us: None,
-            urgency: DEFAULT_URGENCY,
-        }
-    }
 }
 
 impl SendStream {
@@ -115,7 +101,7 @@ struct Journal {
 
 /// The sending half of one connection's application data plane.
 pub struct DataSender {
-    cc: Box<dyn CongestionController>,
+    cc: NewReno,
     recovery: Recovery,
     streams: BTreeMap<u64, SendStream>,
     conn_tx: TxFlow,
@@ -129,10 +115,7 @@ pub struct DataSender {
     pto_count: u64,
     default_stream_window: u64,
     chunk_bytes: u64,
-    sched: Box<dyn StreamScheduler>,
-    /// Scratch ready-list reused across `next_chunk` calls (no per-chunk
-    /// allocation once it reaches the live stream count).
-    ready_scratch: Vec<ReadyStream>,
+    sched: Scheduler,
     /// A generated chunk's bytes, reused across `poll` calls.
     chunk_scratch: Vec<u8>,
     /// Source bytes held across all streams, and their high-water mark.
@@ -141,36 +124,18 @@ pub struct DataSender {
 }
 
 impl DataSender {
-    /// A sender with the peer's initial connection credit and a congestion
-    /// controller. `default_stream_window` seeds per-stream credit until a
-    /// MAX_STREAM_DATA arrives (the peer's initial_max_stream_data).
+    /// A sender with the peer's initial connection credit, a fresh NewReno
+    /// window and the stream scheduling policy `sched` (see
+    /// [`crate::sched`]). `default_stream_window` seeds per-stream credit
+    /// until a MAX_STREAM_DATA arrives (the peer's initial_max_stream_data).
     pub fn new(
         initial_rtt_us: u64,
         conn_limit: u64,
         default_stream_window: u64,
-        cc: Box<dyn CongestionController>,
-    ) -> Self {
-        Self::with_scheduler(
-            initial_rtt_us,
-            conn_limit,
-            default_stream_window,
-            cc,
-            Box::new(IdOrder),
-        )
-    }
-
-    /// [`DataSender::new`] with an explicit stream scheduler (see
-    /// [`crate::sched`]). The default is [`IdOrder`], the legacy
-    /// lowest-stream-first policy.
-    pub fn with_scheduler(
-        initial_rtt_us: u64,
-        conn_limit: u64,
-        default_stream_window: u64,
-        cc: Box<dyn CongestionController>,
-        sched: Box<dyn StreamScheduler>,
+        sched: SchedKind,
     ) -> Self {
         DataSender {
-            cc,
+            cc: NewReno::new(),
             recovery: Recovery::new(initial_rtt_us),
             streams: BTreeMap::new(),
             conn_tx: TxFlow::new(conn_limit),
@@ -181,8 +146,7 @@ impl DataSender {
             pto_count: 0,
             default_stream_window,
             chunk_bytes: CHUNK_BYTES,
-            sched,
-            ready_scratch: Vec::new(),
+            sched: Scheduler::new(sched),
             chunk_scratch: Vec::new(),
             held: 0,
             peak_held: 0,
@@ -211,13 +175,6 @@ impl DataSender {
     /// Installs a pacer (packets per virtual second).
     pub fn set_pacing(&mut self, rate_pps: u64) {
         self.pacer = Some(Pacer::new(rate_pps));
-    }
-
-    /// Sets a stream's RFC 9218 urgency bucket (0 most urgent ..= 7 least;
-    /// clamped). Only [`crate::sched::StrictPriority`] consults it.
-    pub fn set_urgency(&mut self, stream: u64, urgency: u8) {
-        let s = self.streams.entry(stream).or_default();
-        s.urgency = urgency.min(URGENCY_BUCKETS as u8 - 1);
     }
 
     /// Overrides the stream bytes packed per packet. The RTC workload sets
@@ -318,7 +275,7 @@ impl DataSender {
         self.rounds_without_progress = 0;
 
         for pkt in &res.newly_acked {
-            self.cc.on_packet_acked(pkt.bytes, pkt.time_sent_us, now_us);
+            self.cc.on_packet_acked(pkt.bytes, pkt.time_sent_us);
             self.mark_chunks_acked(pkt);
         }
         // A late ACK for a packet we declared lost: its spans count as
@@ -434,26 +391,14 @@ impl DataSender {
         // Phase 1 — retransmissions. Front-of-line healing outranks new
         // data; the scheduler only orders the streams that have queued
         // spans. A stream whose queued spans were all acked in the meantime
-        // produces nothing and drops out of the ready set, so the loop
-        // terminates.
-        loop {
-            let mut ready = std::mem::take(&mut self.ready_scratch);
-            ready.clear();
-            ready.extend(
-                self.streams
-                    .iter()
-                    .filter(|(_, s)| !s.retransmit.is_empty())
-                    .map(|(&id, s)| ReadyStream {
-                        id,
-                        urgency: s.urgency,
-                    }),
-            );
-            if ready.is_empty() {
-                self.ready_scratch = ready;
-                break;
-            }
-            let id = ready[self.sched.pick(&ready)].id;
-            self.ready_scratch = ready;
+        // produces nothing (the scheduler's cursor still moves past it) and
+        // drops out of the ready set, so the loop terminates.
+        while let Some(id) = self.sched.pick(
+            self.streams
+                .iter()
+                .filter(|(_, s)| !s.retransmit.is_empty())
+                .map(|(&id, _)| id),
+        ) {
             let s = self.streams.get_mut(&id).expect("ready stream exists");
             while let Some((off, len)) = s.retransmit.pop_front() {
                 // Skip spans acked since they were queued.
@@ -486,23 +431,12 @@ impl DataSender {
             let take = want.min(chunk_bytes).min(stream_avail).min(conn_avail);
             take > 0 || (s.fin && !s.fin_sent && s.next_new >= s.len)
         };
-        let mut ready = std::mem::take(&mut self.ready_scratch);
-        ready.clear();
-        ready.extend(
+        let id = self.sched.pick(
             self.streams
                 .iter()
                 .filter(|(_, s)| sendable(s))
-                .map(|(&id, s)| ReadyStream {
-                    id,
-                    urgency: s.urgency,
-                }),
-        );
-        if ready.is_empty() {
-            self.ready_scratch = ready;
-            return None;
-        }
-        let id = ready[self.sched.pick(&ready)].id;
-        self.ready_scratch = ready;
+                .map(|(&id, _)| id),
+        )?;
         let s = self.streams.get_mut(&id).expect("ready stream exists");
         let stream_avail = s.tx.as_ref().map_or(0, |t| t.available());
         let want = s.len.saturating_sub(s.next_new);
@@ -631,18 +565,17 @@ impl DataSender {
     }
 
     /// The congestion controller (telemetry/tests).
-    pub fn cc(&self) -> &dyn CongestionController {
-        self.cc.as_ref()
+    pub fn cc(&self) -> &NewReno {
+        &self.cc
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cc::NewReno;
 
     fn sender(conn_limit: u64, stream_window: u64) -> DataSender {
-        let mut s = DataSender::new(30_000, conn_limit, stream_window, Box::new(NewReno::new()));
+        let mut s = DataSender::new(30_000, conn_limit, stream_window, SchedKind::IdOrder);
         s.enable_journal();
         s
     }
@@ -758,9 +691,8 @@ mod tests {
         assert_eq!(s.take_completed(), vec![(0, 120_000)]);
     }
 
-    fn mux_sender(sched: Box<dyn crate::sched::StreamScheduler>) -> DataSender {
-        let mut s =
-            DataSender::with_scheduler(30_000, 1 << 20, 1 << 20, Box::new(NewReno::new()), sched);
+    fn mux_sender(sched: SchedKind) -> DataSender {
+        let mut s = DataSender::new(30_000, 1 << 20, 1 << 20, sched);
         s.enable_journal();
         s
     }
@@ -769,7 +701,7 @@ mod tests {
     /// completions, however long the transfer.
     #[test]
     fn journal_is_opt_in() {
-        let mut s = DataSender::new(30_000, 1 << 20, 1 << 20, Box::new(NewReno::new()));
+        let mut s = DataSender::new(30_000, 1 << 20, 1 << 20, SchedKind::IdOrder);
         s.enqueue(0, &[6u8; 20_000], true);
         let mut pn = 0;
         seal_all(&mut s, &mut pn, 0);
@@ -959,7 +891,7 @@ mod tests {
 
     #[test]
     fn round_robin_interleaves_equal_priority_streams() {
-        let mut s = mux_sender(Box::new(crate::sched::RoundRobin::default()));
+        let mut s = mux_sender(SchedKind::RoundRobin);
         for id in [0u64, 4, 8] {
             s.enqueue(id, &[9u8; 3 * 1100], true);
         }
@@ -977,7 +909,7 @@ mod tests {
 
     #[test]
     fn id_order_drains_streams_sequentially() {
-        let mut s = mux_sender(Box::new(crate::sched::IdOrder));
+        let mut s = mux_sender(SchedKind::IdOrder);
         for id in [0u64, 4] {
             s.enqueue(id, &[9u8; 2 * 1100], true);
         }
@@ -991,28 +923,9 @@ mod tests {
     }
 
     #[test]
-    fn strict_priority_defers_low_priority_without_starving_it() {
-        let mut s = mux_sender(Box::new(crate::sched::StrictPriority::default()));
-        s.enqueue(0, &[1u8; 3 * 1100], true);
-        s.set_urgency(0, 7); // background
-        s.enqueue(4, &[2u8; 2 * 1100], true);
-        s.set_urgency(4, 0); // urgent
-        let mut pn = 0;
-        let order = polled_streams(&mut s, &mut pn, 0);
-        // The urgent stream drains completely first; the background stream
-        // still drains afterwards (non-starvation).
-        assert_eq!(order, vec![4, 4, 0, 0, 0]);
-        let largest = pn - 1;
-        s.on_ack(&[(0, largest)], 30_000);
-        assert!(s.all_acked(), "low-priority stream completed too");
-        let done: Vec<u64> = s.take_completed().into_iter().map(|(id, _)| id).collect();
-        assert_eq!(done, vec![0, 4]);
-    }
-
-    #[test]
     fn retransmissions_outrank_new_data_and_interleave_deterministically() {
         let run = || {
-            let mut s = mux_sender(Box::new(crate::sched::RoundRobin::default()));
+            let mut s = mux_sender(SchedKind::RoundRobin);
             s.enqueue(0, &[1u8; 6 * 1100], true);
             s.enqueue(4, &[2u8; 6 * 1100], true);
             let mut pn = 0;

@@ -21,12 +21,12 @@ use simnet::addr::Ipv4Addr;
 use simnet::{fan_out, DatagramArena, Duration, LinkProfile, NetShard, Network, SocketAddr};
 use telemetry::{Event, EventKind, TraceCtx};
 
-use crate::cc::NewReno;
 use crate::host::{
     bind_transfer_host, bulk_body_byte, BoundHost, HostOptions, SessionKind, CONN_WINDOW,
     STREAM_WINDOW,
 };
 use crate::mux::{Download, MuxConn, MuxOutcome};
+use crate::sched::SchedKind;
 use crate::sender::DataSender;
 
 /// Loss grid (permille), the PEMI loss sweep.
@@ -493,12 +493,7 @@ fn run_rtc_task(
     // flow-local trace. Sends are paced through the token bucket, and each
     // frame travels as one packet — the simnet charges virtual time per
     // delivered datagram, so a frame maps to one simulated exchange.
-    let mut sender = DataSender::new(
-        rtt_us,
-        4 * CONN_WINDOW,
-        STREAM_WINDOW,
-        Box::new(NewReno::new()),
-    );
+    let mut sender = DataSender::new(rtt_us, 4 * CONN_WINDOW, STREAM_WINDOW, SchedKind::IdOrder);
     // Frame latency comes from the completions, the trace from the events.
     sender.enable_journal();
     sender.set_pacing(RTC_PACE_PPS);
