@@ -195,7 +195,7 @@ struct HttpsTcpConn {
 }
 
 impl TcpHandler for HttpsTcpConn {
-    fn on_data(&mut self, _ctx: &mut ServiceCtx<'_>, data: &[u8], out: &mut Vec<u8>) -> TcpAction {
+    fn on_data(&mut self, data: &[u8], out: &mut Vec<u8>) -> TcpAction {
         let reply = self.tls.on_bytes(data);
         out.extend_from_slice(&reply);
         let app = self.tls.recv_app();

@@ -502,7 +502,7 @@ mod tests {
 
     struct Hello;
     impl TcpHandler for Hello {
-        fn on_data(&mut self, _: &mut ServiceCtx<'_>, d: &[u8], out: &mut Vec<u8>) -> TcpAction {
+        fn on_data(&mut self, d: &[u8], out: &mut Vec<u8>) -> TcpAction {
             out.extend_from_slice(b"hi ");
             out.extend_from_slice(d);
             TcpAction::Close

@@ -136,7 +136,7 @@ pub enum TcpAction {
 /// Per-connection TCP handler (one instance per accepted connection).
 pub trait TcpHandler: Send {
     /// Consumes client bytes, appends server bytes to `out`.
-    fn on_data(&mut self, ctx: &mut ServiceCtx<'_>, data: &[u8], out: &mut Vec<u8>) -> TcpAction;
+    fn on_data(&mut self, data: &[u8], out: &mut Vec<u8>) -> TcpAction;
 }
 
 /// Creates a fresh [`TcpHandler`] per accepted connection.
@@ -145,10 +145,8 @@ pub trait TcpFactory: Send + Sync {
     fn accept(&self, from: SocketAddr) -> Box<dyn TcpHandler>;
 }
 
-/// Context passed to service callbacks.
+/// Where a [`UdpService`] queues its replies.
 pub struct ServiceCtx<'a> {
-    /// Current simulated time.
-    pub now: SimTime,
     replies: &'a mut Vec<Vec<u8>>,
 }
 
@@ -504,7 +502,7 @@ impl NetShard<'_> {
             // Fast path: unimpaired link — no flow-counter lookup, no draws.
             if profile.is_ideal() {
                 let start = out.len();
-                if delivery.deliver(payload, out, self.clock.now(), &mut self.locks) {
+                if delivery.deliver(payload, out, &mut self.locks) {
                     self.clock.advance(net.rtt);
                 }
                 for r in &out[start..] {
@@ -556,7 +554,7 @@ impl NetShard<'_> {
             }
 
             let start = out.len();
-            if delivery.deliver(payload, out, self.clock.now(), &mut self.locks) {
+            if delivery.deliver(payload, out, &mut self.locks) {
                 let jitter_us = if profile.jitter_us > 0 {
                     fault::draw(net.seed, flow, seq, fault::SALT_JITTER) % (profile.jitter_us + 1)
                 } else {
@@ -650,7 +648,6 @@ impl Delivery<'_> {
         &mut self,
         payload: &[u8],
         out: &mut Vec<Vec<u8>>,
-        now: SimTime,
         locks: &mut LockCounters,
     ) -> bool {
         if self.guard.is_none() {
@@ -669,7 +666,7 @@ impl Delivery<'_> {
         if self.crosses_shard {
             locks.cross_shard += 1;
         }
-        let mut ctx = ServiceCtx { now, replies: out };
+        let mut ctx = ServiceCtx { replies: out };
         service.on_datagram(&mut ctx, self.src, payload);
         true
     }
@@ -692,14 +689,7 @@ impl TcpStream<'_> {
         }
         self.net.stats.record_send(data.len());
         let mut out = Vec::new();
-        let action = {
-            let mut replies = Vec::new();
-            let mut ctx = ServiceCtx {
-                now: self.net.clock.now(),
-                replies: &mut replies,
-            };
-            self.handler.on_data(&mut ctx, data, &mut out)
-        };
+        let action = self.handler.on_data(data, &mut out);
         self.net.clock.advance(self.net.rtt());
         if !out.is_empty() {
             self.net.stats.record_recv(out.len());
@@ -751,12 +741,7 @@ mod tests {
 
     struct Greeter;
     impl TcpHandler for Greeter {
-        fn on_data(
-            &mut self,
-            _ctx: &mut ServiceCtx<'_>,
-            data: &[u8],
-            out: &mut Vec<u8>,
-        ) -> TcpAction {
+        fn on_data(&mut self, data: &[u8], out: &mut Vec<u8>) -> TcpAction {
             out.extend_from_slice(b"hello ");
             out.extend_from_slice(data);
             TcpAction::Close

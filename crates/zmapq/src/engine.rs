@@ -723,12 +723,7 @@ mod tests {
     fn parallel_v6_and_tcp_match_serial() {
         struct NoTcp;
         impl simnet::TcpHandler for NoTcp {
-            fn on_data(
-                &mut self,
-                _: &mut ServiceCtx<'_>,
-                _: &[u8],
-                _: &mut Vec<u8>,
-            ) -> simnet::TcpAction {
+            fn on_data(&mut self, _: &[u8], _: &mut Vec<u8>) -> simnet::TcpAction {
                 simnet::TcpAction::Close
             }
         }

@@ -13,11 +13,11 @@ pub fn probe(net: &Network, dst: SocketAddr) -> bool {
 mod tests {
     use super::*;
     use simnet::addr::Ipv4Addr;
-    use simnet::{ServiceCtx, TcpAction, TcpFactory, TcpHandler};
+    use simnet::{TcpAction, TcpFactory, TcpHandler};
 
     struct Closer;
     impl TcpHandler for Closer {
-        fn on_data(&mut self, _: &mut ServiceCtx<'_>, _: &[u8], _: &mut Vec<u8>) -> TcpAction {
+        fn on_data(&mut self, _: &[u8], _: &mut Vec<u8>) -> TcpAction {
             TcpAction::Close
         }
     }

@@ -41,7 +41,7 @@ impl UdpService for Udp {
 
 struct NoTcp;
 impl simnet::TcpHandler for NoTcp {
-    fn on_data(&mut self, _: &mut ServiceCtx<'_>, _: &[u8], _: &mut Vec<u8>) -> simnet::TcpAction {
+    fn on_data(&mut self, _: &[u8], _: &mut Vec<u8>) -> simnet::TcpAction {
         simnet::TcpAction::Close
     }
 }
