@@ -180,7 +180,7 @@ pub struct Persona {
     pub index: u64,
     /// Behaviour class towards the scanners.
     pub behavior: ScaleBehavior,
-    /// Version-set template id (see [`LazyUniverse::version_labels`]).
+    /// Version-set template id (an index into `VERSION_SETS`).
     pub version_set: usize,
     /// Synthetic AS attribution (provider-skewed, for rank CDFs).
     pub asn: u32,
@@ -360,11 +360,6 @@ impl LazyUniverse {
     /// [`Universe::scan_prefixes`]).
     pub fn scan_prefixes(&self) -> [Prefix; 1] {
         [self.inner.config.span]
-    }
-
-    /// Human-readable labels of the version-set templates.
-    pub fn version_labels() -> [&'static str; 3] {
-        ["d27-d29", "v1+d29", "d27-d28"]
     }
 
     fn draw(&self, index: u64, salt: u64) -> u64 {

@@ -28,11 +28,6 @@ impl AeadAlgorithm {
         }
     }
 
-    /// IV/nonce length in bytes (12 for every supported algorithm).
-    pub fn iv_len(self) -> usize {
-        12
-    }
-
     /// Authentication tag length in bytes.
     pub fn tag_len(self) -> usize {
         16

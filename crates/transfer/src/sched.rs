@@ -1,6 +1,6 @@
 //! Stream scheduling for the multiplexed sender.
 //!
-//! [`DataSender`](crate::sender::DataSender) asks its [`Scheduler`] which
+//! [`DataSender`](crate::sender::DataSender) asks its `Scheduler` which
 //! ready stream to serve every time it cuts the next chunk, once for the
 //! retransmission phase (streams with queued lost spans) and once for the
 //! new-data phase (streams with credit-admissible bytes or an unsent FIN).
