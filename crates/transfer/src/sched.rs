@@ -40,7 +40,7 @@ impl SchedKind {
 }
 
 /// A policy and its cursor: the stream it served last.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 pub(crate) struct Scheduler {
     kind: SchedKind,
     last: Option<u64>,
