@@ -21,14 +21,28 @@
 //!   `sha256msg1`/`sha256msg2`;
 //! * `soft` (everything else): the FIPS 180-4 rounds.
 //!
-//! `hw` happens to run in data-independent time; the crate still is not
-//! constant-time, because `soft`, the shared AES key expansion, and the
-//! X25519/Poly1305 arithmetic all branch on or index by secret data.
+//! X25519 (every handshake's key share and DH) runs its Montgomery ladder
+//! and its fixed-base comb the same way, behind the one
+//! [`x25519::x25519`]/[`x25519::public_key`] API:
+//!
+//! * `ifma` (x86_64 with AVX-512F + AVX-512VL + AVX-512 IFMA): four field
+//!   elements per register, `vpmadd52luq`/`vpmadd52huq` on 256-bit lanes;
+//! * `portable` (everything else): 5×51-bit limbs with `u128` products,
+//!   also the definition `ifma` is tested against.
+//!
+//! Both end on the same portable inversion and encoding, so every output is
+//! the same bytes on either. [`backends`] names the three choices in one
+//! line, which `repro` prints to stderr when it starts.
+//!
+//! `hw` and `ifma` happen to run without secret-dependent branches or
+//! addresses; the crate still is not constant-time, because `soft`, the
+//! shared AES key expansion, and the portable X25519 and Poly1305
+//! arithmetic all branch on or index by secret data or were never audited.
 //!
 //! The crate is `#![deny(unsafe_code)]`. The one exception is the private
 //! `hw` module, which needs `unsafe` to call `#[target_feature]` functions
-//! (AES-NI, PCLMULQDQ, SHA-NI) and for unaligned 16-byte loads and stores;
-//! its header says why each is sound.
+//! (AES-NI, PCLMULQDQ, SHA-NI, AVX-512 IFMA) and for unaligned 16-byte loads
+//! and stores; its header says why each is sound.
 //!
 //! Provided primitives:
 //! * [`sha256`] — FIPS 180-4 SHA-256
@@ -58,6 +72,20 @@ pub mod sha256;
 mod soft;
 pub mod x25519;
 
+/// The backend each primitive that has two runs on in this process, as one
+/// line: `aes-gcm=hw sha-256=hw x25519=ifma` on a CPU with AES-NI +
+/// PCLMULQDQ, SHA-NI and AVX-512 IFMA; `soft`, `soft` and `portable` in
+/// their place where it lacks them.
+pub fn backends() -> String {
+    let hw_or_soft = |hw: bool| if hw { "hw" } else { "soft" };
+    format!(
+        "aes-gcm={} sha-256={} x25519={}",
+        hw_or_soft(aes::Backend::detect() != aes::Backend::Soft),
+        hw_or_soft(sha256::Backend::detect() != sha256::Backend::Soft),
+        x25519::Backend::detect().name(),
+    )
+}
+
 /// Error returned when AEAD authentication fails on decryption.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AuthError;
@@ -69,3 +97,28 @@ impl core::fmt::Display for AuthError {
 }
 
 impl std::error::Error for AuthError {}
+
+#[cfg(test)]
+mod tests {
+    use crate::reference::{each_sha256_backend, each_x25519_backend};
+
+    /// `backends` follows the backends actually in use, pinned ones included.
+    #[test]
+    fn backends_names_the_backend_in_use() {
+        each_sha256_backend(|sha| {
+            each_x25519_backend(|x| {
+                let line = super::backends();
+                let sha = if sha == crate::sha256::Backend::Soft {
+                    "soft"
+                } else {
+                    "hw"
+                };
+                assert!(line.starts_with("aes-gcm="), "{line}");
+                assert!(
+                    line.ends_with(&format!(" sha-256={sha} x25519={}", x.name())),
+                    "{line}"
+                );
+            });
+        });
+    }
+}

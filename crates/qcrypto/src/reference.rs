@@ -3,11 +3,14 @@
 //! SHA-256 padded the way FIPS 180-4 §5.1.1 writes it. The AES and GCM parts
 //! were the production code before the `hw`/`soft` backends; all of it is
 //! compiled into test builds only, where both backends are held against it.
+//! For X25519 the portable 5×51 code is the definition the IFMA backend is
+//! held against; [`each_x25519_backend`] runs a check on each.
 
 use std::cell::Cell;
 
 use crate::aes::{Aes, Backend, RoundKeys, SBOX};
 use crate::sha256::{self, BLOCK_LEN, DIGEST_LEN};
+use crate::x25519;
 
 /// Runs `check` against `soft`, and against `hw` where the CPU has it;
 /// says so on stderr where it does not, so a green run on such a host is
@@ -38,6 +41,27 @@ pub(crate) fn each_sha256_backend(mut check: impl FnMut(sha256::Backend)) {
     match sha256::Backend::hw() {
         Some(hw) => run(hw),
         None => eprintln!("note: no SHA-NI on this CPU — hw SHA-256 backend not exercised"),
+    }
+}
+
+thread_local! {
+    /// The X25519 backend [`each_x25519_backend`] pinned on this thread.
+    pub(crate) static PINNED_X25519: Cell<Option<x25519::Backend>> = const { Cell::new(None) };
+}
+
+/// Runs `check` with every `x25519` and `public_key` call on the calling
+/// thread on `portable`, then on `ifma` where the CPU has it; says so on
+/// stderr where it does not.
+pub(crate) fn each_x25519_backend(mut check: impl FnMut(x25519::Backend)) {
+    let mut run = |backend| {
+        PINNED_X25519.with(|p| p.set(Some(backend)));
+        check(backend);
+        PINNED_X25519.with(|p| p.set(None));
+    };
+    run(x25519::Backend::Portable);
+    match x25519::Backend::ifma() {
+        Some(ifma) => run(ifma),
+        None => eprintln!("note: no AVX-512 IFMA on this CPU — ifma X25519 backend not exercised"),
     }
 }
 

@@ -357,6 +357,7 @@ fn run_scale() {
 }
 
 fn main() {
+    eprintln!("qcrypto backends: {}", qcrypto::backends());
     match std::env::args().nth(1).as_deref() {
         Some("workload") => {
             run_workload();

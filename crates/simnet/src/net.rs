@@ -80,21 +80,15 @@ pub struct FlightStatus {
     pub throttled: bool,
 }
 
-/// Reusable buffers for the batched socket API: `replies` is the GRO-style
-/// receive container a whole flight's responses accumulate into, and the
-/// spare list recycles consumed datagram buffers so steady-state batched
-/// I/O performs no per-packet container allocation.
+/// The reply container of the batched socket API: a whole flight's
+/// responses accumulate into `replies` (GRO-style), whose capacity is kept
+/// from one flight to the next.
 #[derive(Default)]
 pub struct DatagramArena {
     /// Replies gathered by the last [`NetShard::udp_send_batch`], in
     /// delivery order.
     pub replies: Vec<Vec<u8>>,
-    spare: Vec<Vec<u8>>,
 }
-
-/// Cap on pooled spare buffers — enough for any realistic flight, bounded
-/// so a reply burst cannot pin memory forever.
-const ARENA_SPARE_CAP: usize = 64;
 
 impl DatagramArena {
     /// An empty arena.
@@ -102,19 +96,10 @@ impl DatagramArena {
         DatagramArena::default()
     }
 
-    /// Returns a consumed buffer to the arena (cleared, capacity kept).
-    pub fn recycle(&mut self, mut buf: Vec<u8>) {
-        if self.spare.len() < ARENA_SPARE_CAP {
-            buf.clear();
-            self.spare.push(buf);
-        }
-    }
-
-    /// Takes a recycled buffer (empty, but with retained capacity) or a
-    /// fresh one.
-    pub fn take_buf(&mut self) -> Vec<u8> {
-        self.spare.pop().unwrap_or_default()
-    }
+    /// Hands back a consumed reply. Nothing takes buffers from the arena,
+    /// so it is dropped; the method stays for the callers that return
+    /// their replies.
+    pub fn recycle(&mut self, _buf: Vec<u8>) {}
 }
 
 /// Handler for datagrams arriving at one bound UDP socket. One instance
@@ -412,9 +397,8 @@ impl NetShard<'_> {
     /// acquisition, gathering every reply into `arena.replies` in delivery
     /// order. Per-datagram fault draws are identical to sending the flight
     /// one datagram at a time, so a batch is byte-equivalent to the loop it
-    /// replaces. Pair with [`NetShard::udp_recv_batch`] to drain replies
-    /// and [`DatagramArena::recycle`] to keep steady-state batching
-    /// allocation-free.
+    /// replaces. Pair with [`NetShard::udp_recv_batch`] to drain replies;
+    /// the arena keeps the reply container's capacity between flights.
     pub fn udp_send_batch(
         &mut self,
         src: SocketAddr,
@@ -1176,15 +1160,12 @@ mod tests {
     #[test]
     fn arena_recycles_buffers() {
         let mut arena = DatagramArena::new();
-        let mut buf = arena.take_buf();
-        assert!(buf.is_empty());
-        buf.extend_from_slice(b"payload");
-        let cap = buf.capacity();
-        arena.recycle(buf);
-        let again = arena.take_buf();
-        assert!(
-            again.is_empty() && again.capacity() == cap,
-            "capacity survives recycling"
+        arena.replies.push(b"pending".to_vec());
+        arena.recycle(b"consumed".to_vec());
+        assert_eq!(
+            arena.replies,
+            [b"pending".to_vec()],
+            "a recycled buffer neither joins nor disturbs the replies"
         );
     }
 
