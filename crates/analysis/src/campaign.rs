@@ -597,21 +597,25 @@ impl Campaign {
         let mut sni_pairs: Vec<((IpAddr, String), u8)> = sni_map.into_iter().collect();
         sni_pairs.sort_by(|a, b| a.0.cmp(&b.0));
 
-        // 5. Stateful QUIC scans.
+        // 5. Stateful QUIC scans: one scan over the no-SNI targets, then the
+        // SNI ones, so no two targets of the campaign share a scan index
+        // (the seed, source ports and flow id each target derives from it).
         let qscan = QScanner::new(vantage_v4(), self.seed ^ 0x9c5);
-        let no_sni_quic_targets: Vec<QuicTarget> = zmap_v4
+        let mut quic_targets: Vec<QuicTarget> = zmap_v4
             .iter()
             .chain(&zmap_v6)
             .filter(|h| compatible(&h.versions))
             .map(|h| QuicTarget::new(h.addr.ip, None))
             .collect();
-        let quic_no_sni = self.scan_quic(&qscan, &net, &no_sni_quic_targets, week);
-
-        let sni_quic_targets: Vec<QuicTarget> = sni_pairs
-            .iter()
-            .map(|((addr, domain), _)| QuicTarget::new(*addr, Some(domain.clone())))
-            .collect();
-        let sni_results = self.scan_quic(&qscan, &net, &sni_quic_targets, week);
+        let no_sni = quic_targets.len();
+        quic_targets.extend(
+            sni_pairs
+                .iter()
+                .map(|((addr, domain), _)| QuicTarget::new(*addr, Some(domain.clone()))),
+        );
+        let mut quic_no_sni = self.scan_quic(&qscan, &net, &quic_targets, week);
+        let sni_results = quic_no_sni.split_off(no_sni);
+        quic_no_sni.shrink_to_fit(); // the snapshot keeps it: drop the SNI half's capacity
         let quic_sni: Vec<(u8, QuicScanResult)> = sni_pairs
             .into_iter()
             .map(|(_, mask)| mask)

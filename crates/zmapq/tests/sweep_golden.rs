@@ -1,8 +1,8 @@
 //! The three sweeps pinned by value. The engine's own tests compare a
 //! parallel sweep with the serial one, so a change that moves every scan
 //! index to a different address *consistently* passes them; this test
-//! compares addresses, order and probe counts against text committed beside
-//! it (`sweep_golden.txt`), at several worker counts.
+//! compares addresses, order and probe counts against text committed in the
+//! workspace's `tests/golden/sweep.txt`, at several worker counts.
 //!
 //! The network is a /20 handed to the scanner as three prefixes (so the
 //! flat-index → address mapping crosses prefix boundaries), ~30 QUIC and
@@ -18,6 +18,9 @@ use quic::version::Version;
 use simnet::addr::{Ipv4Addr, Ipv6Addr, Prefix};
 use simnet::{Network, ServiceCtx, SocketAddr, UdpService};
 use zmapq::{QuicVnModule, ScanReport, VnResult, ZmapConfig, ZmapScanner};
+
+#[path = "../../../tests/common/golden.rs"]
+mod golden;
 
 const BASE: u32 = u32::from_be_bytes([10, 70, 0, 0]);
 const SPAN: u64 = 1 << 12;
@@ -182,12 +185,7 @@ fn render(workers: usize) -> String {
 
 #[test]
 fn sweeps_match_the_committed_text() {
-    let golden = include_str!("sweep_golden.txt");
     for workers in [1usize, 2, 3, 8] {
-        assert_eq!(
-            render(workers),
-            golden,
-            "sweep output moved at {workers} workers"
-        );
+        golden::check("sweep.txt", &render(workers));
     }
 }

@@ -1,26 +1,15 @@
-//! `golden/campaign_tiny.txt`: `Campaign::tiny()` pinned by value, read by
-//! every test binary that runs it. The file is printed by
-//! `cargo test -q --test lazy_equivalence -- --ignored --nocapture print_campaign_tiny`.
-//! Also the FNV-1a digest every golden file's hashes use.
+//! What the root test binaries share: [`golden`], the check of every file
+//! under `tests/golden/`; the sections of `golden/campaign_tiny.txt`, which
+//! every binary that runs `Campaign::tiny()` holds it to; and the FNV-1a
+//! digest the golden files' hashes use.
 
 // Each test binary compiles its own copy and uses only part of it.
 #![allow(dead_code)]
 
+pub mod golden;
+
 use analysis::{tables, StatefulSnapshot};
 use qscanner::ScanOutcome;
-
-const GOLDEN: &str = include_str!("../golden/campaign_tiny.txt");
-
-/// The text under `## {name}` in the golden file, up to the next heading.
-pub fn golden(name: &str) -> &'static str {
-    let heading = format!("## {name}\n");
-    let start = GOLDEN
-        .find(&heading)
-        .unwrap_or_else(|| panic!("no `{heading}` in golden/campaign_tiny.txt"))
-        + heading.len();
-    let rest = &GOLDEN[start..];
-    &rest[..rest.find("\n## ").map_or(rest.len(), |end| end + 1)]
-}
 
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
@@ -28,10 +17,11 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// Every fault-invariant section of the golden file, rendered from `snap`:
-/// the discovery hit lists and which QUIC targets (no-SNI, then SNI)
-/// completed a handshake, both as digests, and Tables 1, 3, 4 and 6.
-pub fn stateful_sections(snap: &StatefulSnapshot) -> [(&'static str, String); 6] {
+/// Checks every fault-invariant section of `golden/campaign_tiny.txt`
+/// against `snap`: the discovery hit lists and which QUIC targets (no-SNI,
+/// then SNI) completed a handshake, both as digests, and Tables 1, 3, 4, 6.
+#[track_caller]
+pub fn check_stateful_sections(snap: &StatefulSnapshot) {
     let discovery = format!("{:?}{:?}{:?}", snap.zmap_v4, snap.zmap_v6, snap.tcp_open_v4);
     let successes: Vec<usize> = snap
         .quic_no_sni
@@ -42,20 +32,15 @@ pub fn stateful_sections(snap: &StatefulSnapshot) -> [(&'static str, String); 6]
         .map(|(i, _)| i)
         .collect();
     let digest = |text: String| format!("{:#018x}\n", fnv1a(text.as_bytes()));
-    [
+    let sections = [
         ("discovery", digest(discovery)),
         ("successes", digest(format!("{successes:?}"))),
         ("table1", format!("{:#?}\n", tables::table1(snap))),
         ("table3", tables::render_table3(&tables::table3(snap))),
         ("table4", format!("{:#?}\n", tables::table4(snap))),
         ("table6", format!("{:#?}\n", tables::table6(snap, 10))),
-    ]
-}
-
-/// Asserts that `snap` renders every section of [`stateful_sections`] as
-/// committed; `run` names the campaign in the failure message.
-pub fn assert_stateful_sections(snap: &StatefulSnapshot, run: &str) {
-    for (name, text) in stateful_sections(snap) {
-        assert_eq!(text, golden(name), "{name} moved ({run})");
+    ];
+    for (name, text) in sections {
+        golden::check_section("campaign_tiny.txt", name, &text);
     }
 }

@@ -24,12 +24,12 @@ fn snapshot() -> &'static StatefulSnapshot {
 /// breakdown, which a faulted run redistributes over the silent modes.
 #[test]
 fn snapshot_matches_the_committed_tables() {
-    common::assert_stateful_sections(snapshot(), "materialized, 4 workers");
+    common::check_stateful_sections(snapshot());
     if FaultPlan::from_env().is_none() {
-        assert_eq!(
-            format!("{:?}\n", snapshot().failure_breakdown()),
-            common::golden("failure breakdown, FaultPlan::none()"),
-            "failure breakdown moved (materialized, 4 workers)"
+        common::golden::check_section(
+            "campaign_tiny.txt",
+            "failure breakdown, FaultPlan::none()",
+            &format!("{:?}\n", snapshot().failure_breakdown()),
         );
     }
 }

@@ -12,6 +12,8 @@ use its_over_9000::quic::frame::Frame;
 use its_over_9000::quic::tparams::TransportParameters;
 use its_over_9000::zmapq::FeistelPermutation;
 
+mod common;
+
 /// `permute_into` against the point lookups it batches: `out[k]` is
 /// `permute(lo + k)` and ranks back to `lo + k`, for block lengths around
 /// the lane count (private; 7, 8, 9 straddle it) and the sweep's block size,
@@ -323,16 +325,5 @@ fn weekly_fingerprints() -> String {
 /// processes and commits: every run must land on the committed values.
 #[test]
 fn weekly_snapshots_are_reproducible() {
-    assert_eq!(
-        weekly_fingerprints(),
-        include_str!("golden/weekly_fingerprints.txt")
-    );
-}
-
-/// Prints `golden/weekly_fingerprints.txt`:
-/// `cargo test -q --test proptests -- --ignored --nocapture print_weekly_fingerprints`.
-#[test]
-#[ignore]
-fn print_weekly_fingerprints() {
-    print!("{}", weekly_fingerprints());
+    common::golden::check("weekly_fingerprints.txt", &weekly_fingerprints());
 }

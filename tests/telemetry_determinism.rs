@@ -4,6 +4,7 @@
 //! merges) — pinned by digest in `golden/traced_streams.txt` — and turning
 //! tracing on must not perturb a single table cell.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use its_over_9000::analysis::campaign::{Campaign, FailureBreakdown};
@@ -16,7 +17,7 @@ use its_over_9000::telemetry::{MemorySink, Telemetry};
 
 mod common;
 
-use common::fnv1a;
+use common::{fnv1a, golden};
 
 /// A mixed target list off the tiny universe: SNI-less addresses plus
 /// domain-fronted ones, enough of each that every outcome family shows up.
@@ -69,7 +70,7 @@ fn traced_line(workers: usize, loss: u32) -> String {
     let stream: String = events.iter().map(|e| e.to_json() + "\n").collect();
     let metrics = tel.metrics.snapshot().render();
     format!(
-        "{loss} {:#018x} {:#018x}",
+        "{loss} {:#018x} {:#018x}\n",
         fnv1a(stream.as_bytes()),
         fnv1a(metrics.as_bytes())
     )
@@ -81,32 +82,11 @@ fn traced_line(workers: usize, loss: u32) -> String {
 /// index-ordered merge are what make this hold.
 #[test]
 fn traced_streams_are_worker_count_invariant() {
-    let golden = include_str!("golden/traced_streams.txt");
-    for loss in [0u32, 50] {
-        let expected = golden
-            .lines()
-            .find(|line| line.split(' ').next() == Some(&loss.to_string()))
-            .unwrap_or_else(|| panic!("no loss={loss} line in golden/traced_streams.txt"));
-        for workers in [2usize, 4, 8] {
-            assert_eq!(
-                traced_line(workers, loss),
-                expected,
-                "event stream or metrics moved (workers={workers}, loss={loss})"
-            );
-        }
-    }
-}
-
-/// Prints `golden/traced_streams.txt` from single-worker runs:
-/// `cargo test -q --test telemetry_determinism -- --ignored --nocapture print_traced_streams`.
-#[test]
-#[ignore]
-fn print_traced_streams() {
-    println!(
-        "# loss permille, FNV-1a of the traced scan's event stream, FNV-1a of its metrics render"
-    );
-    for loss in [0u32, 50] {
-        println!("{}", traced_line(1, loss));
+    let header = "# loss permille, FNV-1a of the traced scan's event stream, \
+                  FNV-1a of its metrics render\n";
+    for workers in [2usize, 4, 8] {
+        let lines = [0, 50].map(|loss| traced_line(workers, loss)).concat();
+        golden::check("traced_streams.txt", &(header.to_owned() + &lines));
     }
 }
 
@@ -142,10 +122,19 @@ fn tracing_does_not_perturb_tables() {
         "failure breakdown changed when tracing was enabled"
     );
 
-    let breakdown = telemetry_audit::audit_stateful(&snap_traced, &sink.events())
+    let events = sink.events();
+    let breakdown = telemetry_audit::audit_stateful(&snap_traced, &events)
         .expect("telemetry audit must pass on a traced campaign");
     assert!(
         breakdown.total() > 0,
         "traced campaign produced no outcomes"
     );
+
+    // One verdict per QUIC target, each on its own flow: the no-SNI and SNI
+    // targets share no scan index.
+    let verdicts = events.iter().filter(|e| e.kind.name() == "outcome_decided");
+    let flows: Vec<u64> = verdicts.map(|e| e.flow).collect();
+    let distinct = flows.iter().collect::<BTreeSet<_>>().len();
+    let targets = snap_traced.quic_no_sni.len() + snap_traced.quic_sni.len();
+    assert_eq!((flows.len(), distinct), (targets, targets));
 }

@@ -1,13 +1,16 @@
 //! The data-plane tables pinned by value. The worker-invariance tests
 //! (`mux_equivalence.rs`, `transfer`'s own unit tests) only compare runs
 //! with each other, so a change that shifts every row the same way at every
-//! worker count passes them; this test compares against text committed under
-//! `tests/golden/` — the same bytes `repro workload --fast` writes to
-//! `workload.txt` and `repro workload --mux --fast [--per-packet]` to
-//! `mux.txt`, which CI's `workload-smoke` and `mux-smoke` jobs `cmp` against
-//! these files too. `mux_fast_lossy.txt` has no CLI of its own: it pins the
+//! worker count passes them; these check text under `tests/golden/` through
+//! [`common::golden`] (which `GOLDEN=write` regenerates, and which the last
+//! two tests test) — the bytes `repro workload --fast` writes to `workload.txt`
+//! and `repro workload --mux --fast [--per-packet]` to `mux.txt`, which CI
+//! also `cmp`s. `mux_fast_lossy.txt` has no CLI of its own: it pins the
 //! retransmit phase's stream scheduling, which no lossless table reaches.
 
+mod common;
+
+use common::golden;
 use transfer::mux::{self, MuxConfig};
 use transfer::workload::{self, WorkloadConfig};
 use transfer::SchedKind;
@@ -16,19 +19,17 @@ const SEED: u64 = 0x9000;
 
 #[test]
 fn pemi_grid_tables_match_the_committed_text() {
-    let golden = include_str!("golden/workload_fast.txt");
     for workers in [1usize, 8] {
         let tables = workload::run(&WorkloadConfig::fast(SEED, workers)).tables();
-        assert_eq!(tables, golden, "workload tables moved at {workers} workers");
+        golden::check("workload_fast.txt", &tables);
     }
 }
 
 #[test]
 fn mux_tables_match_the_committed_text() {
-    let golden = include_str!("golden/mux_fast.txt");
     for workers in [1usize, 8] {
         let tables = mux::run(&MuxConfig::fast(SEED, workers)).tables();
-        assert_eq!(tables, golden, "mux tables moved at {workers} workers");
+        golden::check("mux_fast.txt", &tables);
     }
 }
 
@@ -43,13 +44,9 @@ fn per_packet(workers: usize) -> MuxConfig {
 
 #[test]
 fn per_packet_mux_tables_match_the_committed_text() {
-    let golden = include_str!("golden/mux_fast_per_packet.txt");
     for workers in [1usize, 8] {
         let tables = mux::run(&per_packet(workers)).tables();
-        assert_eq!(
-            tables, golden,
-            "per-packet mux tables moved at {workers} workers"
-        );
+        golden::check("mux_fast_per_packet.txt", &tables);
     }
 }
 
@@ -75,20 +72,23 @@ fn lossy_tables(workers: usize) -> String {
 
 #[test]
 fn lossy_mux_tables_match_the_committed_text() {
-    let golden = include_str!("golden/mux_fast_lossy.txt");
     for workers in [1usize, 8] {
-        assert_eq!(
-            lossy_tables(workers),
-            golden,
-            "lossy mux tables moved at {workers} workers"
-        );
+        golden::check("mux_fast_lossy.txt", &lossy_tables(workers));
     }
 }
 
-/// Prints `golden/mux_fast_lossy.txt`:
-/// `cargo test -q --test workload_golden -- --ignored --nocapture print_mux_fast_lossy`.
+/// The helper itself: a one-byte difference fails and names the file and
+/// line; a heading the file lacks panics.
 #[test]
-#[ignore]
-fn print_mux_fast_lossy() {
-    print!("{}", lossy_tables(1));
+fn a_one_byte_difference_names_the_file_and_line() {
+    let report = golden::mismatch("t.txt", "a\nb\nc\n", "a\nb\nd\n").unwrap();
+    let named = "t.txt differs at line 3\n  committed: Some(\"c\\n\")\n  rendered:  Some(\"d\\n\")";
+    assert!(report.starts_with(named), "{report}");
+    assert_eq!(golden::mismatch("t.txt", "a\n", "a\n"), None);
+}
+
+#[test]
+#[should_panic(expected = "no `## no such table` in campaign_tiny.txt")]
+fn an_unknown_heading_panics() {
+    golden::check_section("campaign_tiny.txt", "no such table", "");
 }
