@@ -314,6 +314,8 @@ pub fn uni_stream_type(bytes: &[u8]) -> Option<(u64, &[u8])> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
 
     #[test]
     fn head_request_roundtrip() {
@@ -513,5 +515,103 @@ mod tests {
                 );
             }
         }
+
+        /// Arbitrary bytes, and a valid response with one byte overwritten,
+        /// its HEADERS length overwritten, its tail cut, or garbage after a
+        /// valid prefix, read in 1–8 feeds: every feed returns `Ok` or
+        /// `Err` (an `Err` for good), and the reader asks the allocator for
+        /// at most `32·len + 4096` bytes in all — nothing is reserved from a
+        /// length the peer claims. A crafted field section of one-byte
+        /// static references is not among these inputs: it decodes to a
+        /// header per byte, ≈ 300 bytes requested per byte read (ROADMAP
+        /// 6(b)).
+        #[test]
+        fn hostile_bytes_in_pieces_stay_bounded(
+            garbage in proptest::collection::vec(proptest::any::<u8>(), 0..600),
+            headers in proptest::collection::vec(
+                ("[a-z][a-z0-9-]{0,15}", "[ -~&&[^\"]]{0,40}"),
+                0..4,
+            ),
+            body in proptest::collection::vec(proptest::any::<u8>(), 0..1_500),
+            splits in proptest::collection::vec(
+                (proptest::any::<u16>(), proptest::any::<bool>()),
+                0..3,
+            ),
+            at in proptest::any::<usize>(),
+            value in proptest::any::<u8>(),
+            claim in 0..=MAX_HEADERS_BYTES,
+            cuts in proptest::collection::vec(proptest::any::<u32>(), 0..8),
+        ) {
+            let headers: Vec<Header> =
+                headers.iter().map(|(n, v)| Header::new(n, v)).collect();
+            let (valid, _) = layout(200, &headers, &body, &splits);
+            let at = at % valid.len();
+            let mut flipped = valid.clone();
+            flipped[at] = value;
+            let (_, _, used) = frame_header(&valid).expect("a HEADERS frame first");
+            let mut w = Writer::new();
+            w.put_varint(HEADERS);
+            w.put_varint(claim);
+            let mut reclaimed = w.into_vec();
+            reclaimed.extend_from_slice(&valid[used..]);
+            let mut spliced = valid[..at].to_vec();
+            spliced.extend_from_slice(&garbage);
+            for bytes in [&garbage[..], &flipped, &reclaimed, &valid[..at], &spliced] {
+                let mut cuts: Vec<usize> =
+                    cuts.iter().map(|&c| c as usize % (bytes.len() + 1)).collect();
+                cuts.sort_unstable();
+                feed_and_check(bytes, &cuts)?;
+            }
+        }
+    }
+
+    /// Adds up what each thread asks the allocator for, so a test can see a
+    /// reservation that is dropped again before the reader returns.
+    struct CountingAlloc;
+
+    thread_local!(static REQUESTED: Cell<usize> = const { Cell::new(0) });
+
+    // SAFETY: every call goes to `System` with the arguments it was given
+    // (`realloc` is the default `alloc` + copy, so growth is counted too);
+    // the counter is a const-initialised `Cell` with no destructor, so
+    // touching it neither allocates nor re-enters the allocator.
+    unsafe impl GlobalAlloc for CountingAlloc {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            let _ = REQUESTED.try_with(|n| n.set(n.get() + layout.size()));
+            System.alloc(layout)
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            System.dealloc(ptr, layout)
+        }
+    }
+
+    #[global_allocator]
+    static ALLOC: CountingAlloc = CountingAlloc;
+
+    /// Feeds `bytes` to a new reader in the pieces `cuts` marks, then
+    /// finishes it. Once a feed fails, every later one fails too; the DATA
+    /// handed out is never more than what came in; and the reader requests
+    /// at most `32·len + 4096` bytes from start to finish.
+    fn feed_and_check(bytes: &[u8], cuts: &[usize]) -> Result<(), String> {
+        let before = REQUESTED.get();
+        let mut reader = ResponseReader::new();
+        let (mut data, mut failed, mut from) = (0, false, 0);
+        for &to in cuts.iter().chain([&bytes.len()]) {
+            let fed = reader.feed(&bytes[from..to], |d| data += d.len());
+            proptest::prop_assert!(!failed || fed.is_err(), "a feed after an error succeeded");
+            failed |= fed.is_err();
+            from = to;
+        }
+        let complete = reader.finish().is_some();
+        let requested = REQUESTED.get() - before;
+        proptest::prop_assert!(!(failed && complete), "a failed stream read as complete");
+        proptest::prop_assert!(data <= bytes.len());
+        proptest::prop_assert!(
+            requested <= 32 * bytes.len() + 4096,
+            "{} bytes in, {requested} requested",
+            bytes.len()
+        );
+        Ok(())
     }
 }

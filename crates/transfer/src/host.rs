@@ -10,7 +10,7 @@
 //!   `internet` deployment profiles the scanners fingerprint. The body is
 //!   never built: the session enqueues the response head and the body
 //!   length, and the sender generates each chunk (a retransmission too)
-//!   from [`bulk_body_byte`] at its offset. Requests are one HEADERS frame
+//!   with `extend_bulk_body` at its offset. Requests are one HEADERS frame
 //!   each and are read whole at their FIN.
 //! - [`RtcSession`] is the receiving end of a client-driven real-time
 //!   stream: it acknowledges frames and extends flow-control windows.
@@ -42,9 +42,63 @@ pub const STREAM_WINDOW: u64 = 128 * 1024;
 /// Largest bulk body a host will serve.
 pub const MAX_BULK_BYTES: u64 = 16 * 1024 * 1024;
 
-/// Deterministic bulk body: byte `i` of an `n`-byte object.
-pub fn bulk_body_byte(i: u64) -> u8 {
+/// Deterministic bulk body, one byte at a time: byte `i` of an `n`-byte
+/// object. The definition the run-at-a-time pair below is tested against.
+#[cfg(test)]
+pub(crate) fn bulk_body_byte(i: u64) -> u8 {
     (i.wrapping_mul(31) ^ (i >> 8)) as u8
+}
+
+/// One period of the bulk body: `PERIOD[j] = j·31 mod 256`. Body byte `i`
+/// is `PERIOD[i mod 256] ^ (i >> 8) as u8`, so a stretch of the body inside
+/// one aligned 256-byte run is a slice of this table XORed with one byte.
+const PERIOD: [u8; 256] = {
+    let mut t = [0u8; 256];
+    let mut j = 0;
+    while j < 256 {
+        t[j] = (j as u8).wrapping_mul(31);
+        j += 1;
+    }
+    t
+};
+
+/// The body bytes `[from, from + len)` as runs that stay inside one
+/// 256-byte period: each is a slice of [`PERIOD`] and the byte it is XORed
+/// with.
+fn body_runs(from: u64, len: u64) -> impl Iterator<Item = (&'static [u8], u8)> {
+    let (mut at, end) = (from, from + len);
+    std::iter::from_fn(move || {
+        (at < end).then(|| {
+            let j = (at % 256) as usize;
+            let n = (256 - j).min((end - at) as usize);
+            let run = (&PERIOD[j..j + n], (at >> 8) as u8);
+            at += n as u64;
+            run
+        })
+    })
+}
+
+/// Appends the bulk body bytes `[from, from + len)` to `out`.
+pub(crate) fn extend_bulk_body(out: &mut Vec<u8>, from: u64, len: u64) {
+    out.reserve(len as usize);
+    for (period, key) in body_runs(from, len) {
+        out.extend(period.iter().map(|&p| p ^ key));
+    }
+}
+
+/// Whether `bytes` are the bulk body from offset `from` on. Every byte is
+/// compared; a run folds its differences together, so the compare has no
+/// branch per byte.
+pub(crate) fn is_bulk_body(bytes: &[u8], from: u64) -> bool {
+    let mut rest = bytes;
+    body_runs(from, bytes.len() as u64).all(|(period, key)| {
+        let (run, tail) = rest.split_at(period.len());
+        rest = tail;
+        run.iter()
+            .zip(period)
+            .fold(0, |diff, (&b, &p)| diff | (b ^ p ^ key))
+            == 0
+    })
 }
 
 /// What a data-plane host's connections serve.
@@ -283,4 +337,106 @@ pub(crate) fn bind_transfer_host(
     net.bind_udp(addr, Box::new(host));
     net.set_path_profile(addr.ip, profile);
     BoundHost { addr, name }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sender::CHUNK_BYTES;
+    use std::hint::black_box;
+    use std::time::Instant;
+
+    fn per_byte(from: u64, len: u64) -> Vec<u8> {
+        (from..from + len).map(bulk_body_byte).collect()
+    }
+
+    proptest::proptest! {
+        /// The run generator writes what the per-byte definition gives,
+        /// from any offset, across any number of 256-byte boundaries, and
+        /// the check accepts exactly that.
+        #[test]
+        fn runs_equal_the_per_byte_definition(from in 0u64..=1 << 40, len in 0u64..=4096) {
+            let mut out = vec![0xa5];
+            extend_bulk_body(&mut out, from, len);
+            proptest::prop_assert_eq!(out[0], 0xa5, "appends, keeps what was there");
+            let expected = per_byte(from, len);
+            proptest::prop_assert_eq!(&out[1..], &expected[..]);
+            proptest::prop_assert!(is_bulk_body(&expected, from));
+        }
+    }
+
+    /// A body that starts off a 256-byte boundary passes; the same body
+    /// with any one byte flipped fails — at its first byte, at the ends of
+    /// its first run, mid-run and at its last byte.
+    #[test]
+    fn one_flipped_byte_fails_the_check() {
+        let from = 3 * 256 + 77;
+        let body = per_byte(from, 1_000);
+        assert!(is_bulk_body(&body, from));
+        assert!(!is_bulk_body(&body, from + 1), "right bytes, wrong offset");
+        for at in [0, 255, 256, 600, body.len() - 1] {
+            for bit in [0x01, 0x80] {
+                let mut flipped = body.clone();
+                flipped[at] ^= bit;
+                assert!(!is_bulk_body(&flipped, from), "byte {at} ^ {bit:#x} passed");
+            }
+        }
+        assert!(is_bulk_body(&[], from));
+    }
+
+    /// GB/s of generating and of checking a 1 MB body in 1100-byte chunks,
+    /// the sender's cut, through the per-byte definition and through the
+    /// 256-byte runs. Asserts nothing; run with
+    /// `cargo test --release -p transfer -- --ignored --nocapture body_speed`.
+    #[test]
+    #[ignore]
+    fn body_speed() {
+        const BODY: u64 = 1_000_000;
+        const ROUNDS: u32 = 64;
+        let chunks: Vec<(u64, u64)> = (0..BODY)
+            .step_by(CHUNK_BYTES as usize)
+            .map(|at| (at, CHUNK_BYTES.min(BODY - at)))
+            .collect();
+        let body = per_byte(0, BODY);
+        let gb_s = |f: &mut dyn FnMut()| {
+            f();
+            let t = Instant::now();
+            for _ in 0..ROUNDS {
+                f();
+            }
+            (BODY * u64::from(ROUNDS)) as f64 / t.elapsed().as_secs_f64() / 1e9
+        };
+        let mut out = Vec::with_capacity(CHUNK_BYTES as usize);
+        let gen_byte = gb_s(&mut || {
+            for &(at, len) in &chunks {
+                out.clear();
+                out.extend((at..at + len).map(bulk_body_byte));
+                black_box(&out);
+            }
+        });
+        let gen_runs = gb_s(&mut || {
+            for &(at, len) in &chunks {
+                out.clear();
+                extend_bulk_body(&mut out, at, len);
+                black_box(&out);
+            }
+        });
+        let check_byte = gb_s(&mut || {
+            for &(at, len) in &chunks {
+                let bytes = black_box(&body[at as usize..(at + len) as usize]);
+                let ok = bytes.iter().zip(at..).all(|(&b, i)| b == bulk_body_byte(i));
+                assert!(black_box(ok));
+            }
+        });
+        let check_runs = gb_s(&mut || {
+            for &(at, len) in &chunks {
+                let bytes = black_box(&body[at as usize..(at + len) as usize]);
+                assert!(black_box(is_bulk_body(bytes, at)));
+            }
+        });
+        println!("body_speed: generate  per-byte {gen_byte:6.2} GB/s   runs {gen_runs:6.2} GB/s");
+        println!(
+            "body_speed: check     per-byte {check_byte:6.2} GB/s   runs {check_runs:6.2} GB/s"
+        );
+    }
 }

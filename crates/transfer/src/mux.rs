@@ -21,11 +21,12 @@
 //! PEMI grid's bulk rows ([`crate::workload`]) are this client with one
 //! stream, driven to completion. Each round drains every response stream's
 //! newly contiguous bytes into an incremental [`ResponseReader`] whose DATA
-//! payload is checked against [`bulk_body_byte`] byte by byte, so what a
-//! connection holds is its unread window; the verdict at the end (status
-//! 200, the exact length, every byte, a stream ending on a frame boundary)
-//! is the one a whole-body decode would give. Data past a limit the client
-//! advertised closes the connection with FLOW_CONTROL_ERROR.
+//! payload `host::is_bulk_body` compares, every byte of it, with the body at
+//! its offset, a 256-byte run at a time; so what a connection holds is its
+//! unread window, and the verdict at the end (status 200, the exact length,
+//! every byte, a stream ending on a frame boundary) is the one a whole-body
+//! decode would give. Data past a limit the client advertised closes the
+//! connection with FLOW_CONTROL_ERROR.
 //!
 //! Determinism discipline: every connection owns its own
 //! [`simnet::NetShard`], so its virtual clock advances only with its own
@@ -46,7 +47,7 @@ use simnet::{
 use telemetry::{Event, EventKind, TraceCtx};
 
 use crate::host::{
-    bind_transfer_host, bulk_body_byte, BoundHost, HostOptions, SessionKind, CONN_WINDOW,
+    bind_transfer_host, is_bulk_body, BoundHost, HostOptions, SessionKind, CONN_WINDOW,
     STREAM_WINDOW,
 };
 use crate::recv::DataReceiver;
@@ -304,7 +305,7 @@ pub(crate) struct MuxConn<'net> {
 }
 
 /// One response read as it arrives: its HTTP/3 reader, and whether every
-/// body byte so far is the one [`bulk_body_byte`] gives for its offset.
+/// body byte so far is the bulk body's byte at its offset.
 struct ResponseCheck {
     reader: ResponseReader,
     body_matches: bool,
@@ -326,12 +327,8 @@ impl ResponseCheck {
         let mut at = self.reader.body_len();
         let matches = &mut self.body_matches;
         let _ = self.reader.feed(bytes, |body| {
-            let from = at;
+            *matches &= is_bulk_body(body, at);
             at += body.len() as u64;
-            *matches &= body
-                .iter()
-                .zip(from..)
-                .all(|(&b, i)| b == bulk_body_byte(i));
         });
     }
 }

@@ -22,7 +22,7 @@ use simnet::{fan_out, DatagramArena, Duration, LinkProfile, NetShard, Network, S
 use telemetry::{Event, EventKind, TraceCtx};
 
 use crate::host::{
-    bind_transfer_host, bulk_body_byte, BoundHost, HostOptions, SessionKind, CONN_WINDOW,
+    bind_transfer_host, extend_bulk_body, BoundHost, HostOptions, SessionKind, CONN_WINDOW,
     STREAM_WINDOW,
 };
 use crate::mux::{Download, MuxConn, MuxOutcome};
@@ -498,7 +498,8 @@ fn run_rtc_task(
     sender.enable_journal();
     sender.set_pacing(RTC_PACE_PPS);
     sender.set_chunk_bytes(RTC_FRAME_BYTES);
-    let frame_bytes: Vec<u8> = (0..RTC_FRAME_BYTES).map(bulk_body_byte).collect();
+    let mut frame_bytes = Vec::new();
+    extend_bulk_body(&mut frame_bytes, 0, RTC_FRAME_BYTES);
     let mut gen_time = std::collections::BTreeMap::new();
     let mut latencies = Vec::new();
     let mut next_frame = 0u64;
