@@ -3,6 +3,8 @@
 
 use qcodec::{CodecError, Reader, Result, Writer};
 
+use crate::request::MAX_HEADERS_BYTES;
+
 /// An HTTP header (pseudo-headers start with `:`).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Header {
@@ -141,11 +143,26 @@ pub fn encode_field_section(headers: &[Header]) -> Vec<u8> {
 }
 
 /// Decodes a field section produced by any static-table/literal encoder.
+///
+/// A section whose decoded size (RFC 9114 §4.2.2: the sum over its lines
+/// of name length + value length + 32) exceeds [`MAX_HEADERS_BYTES`] is
+/// refused, as soon as the line that crosses it is read: a one-byte static
+/// reference decodes to a whole header, so the encoded length alone does
+/// not bound what decoding allocates.
 pub fn decode_field_section(bytes: &[u8]) -> Result<Vec<Header>> {
     let mut r = Reader::new(bytes);
     let _required_insert_count = decode_prefixed_int(&mut r, 8)?;
     let _delta_base = decode_prefixed_int(&mut r, 7)?;
     let mut out = Vec::new();
+    let mut size = 0u64;
+    let mut count = |name: &str, value: &str| {
+        size += (name.len() + value.len()) as u64 + 32;
+        if size > MAX_HEADERS_BYTES {
+            Err(CodecError::Invalid("field section over the cap"))
+        } else {
+            Ok(())
+        }
+    };
     while !r.is_empty() {
         let first = r.peek_u8()?;
         if first & 0b1000_0000 != 0 {
@@ -156,6 +173,7 @@ pub fn decode_field_section(bytes: &[u8]) -> Result<Vec<Header>> {
             let idx = decode_prefixed_int(&mut r, 6)? as usize;
             let (name, value) =
                 static_entry(idx).ok_or(CodecError::Invalid("unknown static index"))?;
+            count(name, value)?;
             out.push(Header::new(name, value));
         } else if first & 0b0100_0000 != 0 {
             // Literal with name reference.
@@ -165,6 +183,7 @@ pub fn decode_field_section(bytes: &[u8]) -> Result<Vec<Header>> {
             let idx = decode_prefixed_int(&mut r, 4)? as usize;
             let (name, _) = static_entry(idx).ok_or(CodecError::Invalid("unknown static index"))?;
             let value = decode_string(&mut r, 7)?;
+            count(name, &value)?;
             out.push(Header {
                 name: name.to_string(),
                 value,
@@ -173,6 +192,7 @@ pub fn decode_field_section(bytes: &[u8]) -> Result<Vec<Header>> {
             // Literal with literal name.
             let name = decode_string(&mut r, 3)?;
             let value = decode_string(&mut r, 7)?;
+            count(&name, &value)?;
             out.push(Header { name, value });
         } else {
             return Err(CodecError::Invalid("unsupported field line"));
@@ -261,5 +281,20 @@ mod robustness_tests {
     #[test]
     fn empty_section_is_empty() {
         assert_eq!(decode_field_section(&[0, 0]).unwrap(), vec![]);
+    }
+
+    /// One-byte references to `:method OPTIONS` (static index 19), each a
+    /// field of size 7 + 7 + 32 = 46: a section of as many as fit under the
+    /// cap decodes, one more is refused.
+    #[test]
+    fn decoded_size_is_capped() {
+        let fits = (MAX_HEADERS_BYTES / 46) as usize;
+        let section = |lines: usize| {
+            let mut bytes = vec![0, 0];
+            bytes.resize(2 + lines, 0xc0 | 19);
+            bytes
+        };
+        assert_eq!(decode_field_section(&section(fits)).unwrap().len(), fits);
+        assert!(decode_field_section(&section(fits + 1)).is_err());
     }
 }

@@ -130,6 +130,7 @@ fn chacha_mac(pk: &[u8; 32], aad: &[u8], ct: &[u8]) -> [u8; 16] {
 
 fn chacha_seal_append(key: &[u8; 32], nonce: &[u8; 12], aad: &[u8], pt: &[u8], out: &mut Vec<u8>) {
     let start = out.len();
+    out.reserve(pt.len() + 16);
     out.extend_from_slice(pt);
     chacha20::xor(key, 1, nonce, &mut out[start..]);
     let tag = chacha_mac(&poly_key(key, nonce), aad, &out[start..]);

@@ -6,13 +6,16 @@
 //! plus the backend that will run the rounds. The backend is picked by
 //! [`Backend::detect`] from what the CPU reports and nothing else:
 //!
+//! * `vaes512` — x86_64 with all of `hw` plus AVX-512F, AVX-512BW, VAES and
+//!   VPCLMULQDQ: CTR sixteen blocks per batch, four per 512-bit `vaesenc`;
+//!   single blocks (H, the tag mask) on the `hw` kernels;
 //! * `hw` — x86_64 with AES-NI, PCLMULQDQ and SSSE3: `aesenc` rounds, eight
 //!   CTR blocks in flight;
 //! * `soft` — everywhere else: compile-time T-tables, eight CTR blocks per
 //!   pass.
 //!
 //! The key expansion itself is shared and portable (it runs once per key and
-//! is a few hundred S-box lookups). Neither backend makes the *crate*
+//! is a few hundred S-box lookups). No backend makes the *crate*
 //! constant-time: `soft` indexes tables by secret bytes, and the key
 //! expansion does so on every host.
 
@@ -49,6 +52,10 @@ pub(crate) type RoundKeys = [[u8; 16]; 15];
 /// Which implementation runs the rounds (and, in [`crate::gcm`], GHASH).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Backend {
+    /// VAES + VPCLMULQDQ on 512-bit registers for CTR and GHASH, the
+    /// 128-bit kernels for single blocks; the token proves the CPU has both.
+    #[cfg(target_arch = "x86_64")]
+    Vaes512(hw::VaesToken),
     /// AES-NI + PCLMULQDQ; the token proves the CPU has them.
     #[cfg(target_arch = "x86_64")]
     Hw(hw::Token),
@@ -57,20 +64,48 @@ pub(crate) enum Backend {
 }
 
 impl Backend {
-    /// The backend every public constructor uses: `hw` when the CPU has it,
-    /// `soft` otherwise. `is_x86_feature_detected!` asks the CPU once per
-    /// process and answers from a cached word after that, so this is a few
-    /// relaxed loads and cannot change its mind.
+    /// The backend every public constructor uses: the widest the CPU has
+    /// (`vaes512`, then `hw`, then `soft`). `is_x86_feature_detected!` asks
+    /// the CPU once per process and answers from a cached word after that,
+    /// so this is a few relaxed loads and cannot change its mind. In this
+    /// crate's own tests `reference::each_backend` can pin it for the
+    /// calling thread.
     pub(crate) fn detect() -> Backend {
-        Backend::hw().unwrap_or(Backend::Soft)
+        #[cfg(test)]
+        if let Some(pinned) = crate::reference::PINNED_AES.with(std::cell::Cell::get) {
+            return pinned;
+        }
+        Backend::vaes512()
+            .or_else(Backend::hw)
+            .unwrap_or(Backend::Soft)
     }
 
-    /// The hardware backend, if this CPU has one.
+    /// The 512-bit backend, if this CPU has it.
+    pub(crate) fn vaes512() -> Option<Backend> {
+        #[cfg(target_arch = "x86_64")]
+        return hw::VaesToken::detect().map(Backend::Vaes512);
+        #[cfg(not(target_arch = "x86_64"))]
+        None
+    }
+
+    /// The 128-bit hardware backend, if this CPU has it — also on a CPU
+    /// that would pick `vaes512`.
     pub(crate) fn hw() -> Option<Backend> {
         #[cfg(target_arch = "x86_64")]
         return hw::Token::detect().map(Backend::Hw);
         #[cfg(not(target_arch = "x86_64"))]
         None
+    }
+
+    /// The name [`crate::backends`] reports.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            Backend::Vaes512(_) => "vaes512",
+            #[cfg(target_arch = "x86_64")]
+            Backend::Hw(_) => "hw",
+            Backend::Soft => "soft",
+        }
     }
 }
 
@@ -135,6 +170,10 @@ impl Aes {
         let rounds = usize::from(self.rounds);
         match self.backend {
             #[cfg(target_arch = "x86_64")]
+            Backend::Vaes512(token) => {
+                hw::encrypt_block(token.token(), &self.round_keys, rounds, block)
+            }
+            #[cfg(target_arch = "x86_64")]
             Backend::Hw(token) => hw::encrypt_block(token, &self.round_keys, rounds, block),
             Backend::Soft => soft::encrypt_block(&self.round_keys, rounds, block),
         }
@@ -153,6 +192,10 @@ impl Aes {
     pub(crate) fn ctr_xor(&self, nonce: &[u8; 12], counter: u32, data: &mut [u8]) {
         let rounds = usize::from(self.rounds);
         match self.backend {
+            #[cfg(target_arch = "x86_64")]
+            Backend::Vaes512(token) => {
+                hw::ctr_xor_wide(token, &self.round_keys, rounds, nonce, counter, data)
+            }
             #[cfg(target_arch = "x86_64")]
             Backend::Hw(token) => {
                 hw::ctr_xor(token, &self.round_keys, rounds, nonce, counter, data)
@@ -260,7 +303,7 @@ mod tests {
         });
     }
 
-    /// Both backends equal the byte-wise FIPS 197 rounds on arbitrary keys
+    /// Every backend equals the byte-wise FIPS 197 rounds on arbitrary keys
     /// and blocks.
     #[test]
     fn backends_match_bytewise_rounds() {

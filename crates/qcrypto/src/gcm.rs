@@ -6,20 +6,24 @@
 //! follows the [`Aes`] schedule's backend (chosen from the CPU, see
 //! [`crate::aes`]):
 //!
+//! * `vaes512` — CTR sixteen blocks per batch, four per 512-bit `vaesenc`;
+//!   GHASH four blocks per `vpclmulqdq`, each batch of eight against
+//!   [H⁸..H⁵] and [H⁴..H¹] in two registers, the lanes folded and reduced
+//!   once. What is shorter than a batch runs on the `hw` kernels;
 //! * `hw` — CTR eight blocks at a time on `aesenc`, GHASH on `pclmulqdq`
 //!   with one reduction per eight blocks, against H¹..H⁸;
 //! * `soft` — T-table CTR, GHASH with 4-bit Shoup tables.
 //!
-//! A key holds the AES schedule and H, nothing derived from H. Both backends
-//! rebuild what they multiply by — `hw` its eight powers (three dependent
-//! multiplications), `soft` its 512 bytes of tables (about a hundred shifts
-//! and XORs) — on the stack per call, some 30 ns against a packet's worth of
-//! work. Storing them per key was measured instead: a simulated server keeps
-//! ~64 connections × 5 keys per endpoint, and 128 more bytes per key put
-//! `mux_manyconn`'s 18 MiB peak RSS up by 24 %.
+//! A key holds the AES schedule and H, nothing derived from H. Every backend
+//! rebuilds what it multiplies by — `hw` and `vaes512` eight powers (three
+//! dependent multiplications), `soft` its 512 bytes of tables (about a
+//! hundred shifts and XORs) — on the stack per call, some 30 ns against a
+//! packet's worth of work. Storing them per key was measured instead: a
+//! simulated server keeps ~64 connections × 5 keys per endpoint, and 128
+//! more bytes per key put `mux_manyconn`'s 18 MiB peak RSS up by 24 %.
 //!
-//! Both produce identical bytes; `reference` (test builds only) holds the
-//! bit-serial GHASH and byte-wise AES rounds they are proptested against.
+//! All three produce identical bytes; `reference` (test builds only) holds
+//! the bit-serial GHASH and byte-wise AES rounds they are tested against.
 //! Opening verifies the tag over the ciphertext before any of it is
 //! decrypted, and [`AesGcm::open_append`] writes nothing on failure.
 
@@ -74,6 +78,7 @@ impl AesGcm {
         out: &mut Vec<u8>,
     ) {
         let start = out.len();
+        out.reserve(plaintext.len() + TAG_LEN);
         out.extend_from_slice(plaintext);
         self.aes.ctr_xor(nonce, 2, &mut out[start..]);
         let tag = self.tag(nonce, aad, &out[start..]);
@@ -133,6 +138,8 @@ impl AesGcm {
     /// GHASH_H(aad, ct), padding and length block included.
     fn ghash(&self, aad: &[u8], ct: &[u8]) -> [u8; 16] {
         match self.aes.backend() {
+            #[cfg(target_arch = "x86_64")]
+            Backend::Vaes512(token) => hw::ghash_wide(token, &self.h, aad, ct),
             #[cfg(target_arch = "x86_64")]
             Backend::Hw(token) => hw::ghash(token, &self.h, aad, ct),
             Backend::Soft => soft::ghash(&self.h, aad, ct),
@@ -340,9 +347,10 @@ mod tests {
     }
 
     proptest! {
-        /// hw == soft == the bit-serial oracle, over both key sizes, every
-        /// tail length, and plaintexts shorter than, equal to and longer
-        /// than one eight-block CTR/GHASH batch.
+        /// Every backend == the bit-serial oracle, over both key sizes,
+        /// every tail length, and plaintexts shorter than, equal to and
+        /// longer than one eight-block GHASH batch and one sixteen-block
+        /// `vaes512` CTR batch.
         #[test]
         fn backends_match_oracle(
             key in proptest::array::uniform32(any::<u8>()),
@@ -350,13 +358,15 @@ mod tests {
             nonce in proptest::array::uniform12(any::<u8>()),
             aad in bytes(0..65),
             pt in bytes(0..2049),
-            batch_edge in 0usize..6,
+            batch_edge in 0usize..8,
         ) {
             let key = if aes256 { &key[..] } else { &key[..16] };
-            // A sixth of the cases sit exactly on or beside a batch edge.
+            // Half the cases sit exactly on or beside a batch edge.
             let pt = match batch_edge {
                 0 => &pt[..pt.len().min(128) / 16 * 16],
                 1 => &pt[..pt.len().min(129)],
+                2 => &pt[..pt.len().min(256) / 64 * 64],
+                3 => &pt[..pt.len().min(257)],
                 _ => &pt[..],
             };
             let want = reference::gcm_seal(key, &nonce, &aad, pt);
@@ -371,7 +381,38 @@ mod tests {
         }
     }
 
-    /// Every way of damaging a sealed message is refused on both backends,
+    /// Every plaintext length up to 600 bytes with every AAD length up to
+    /// 40, so every tail past a 64-, 128- and 256-byte boundary, on every
+    /// backend against the oracle.
+    #[test]
+    fn every_short_length_matches_the_oracle() {
+        let key = [0x5cu8; 16];
+        let nonce = [0xa7u8; 12];
+        let data: Vec<u8> = (0..640u32).map(|i| (i * 131 + 7) as u8).collect();
+        let gcms: Vec<(Backend, AesGcm)> = {
+            let mut all = Vec::new();
+            each_backend(|backend| all.push((backend, AesGcm::with_backend(&key, backend))));
+            all
+        };
+        let mut out = Vec::new();
+        for pt_len in 0..=600 {
+            for aad_len in 0..=40 {
+                let (pt, aad) = (&data[..pt_len], &data[600..600 + aad_len]);
+                let want = reference::gcm_seal(&key, &nonce, aad, pt);
+                for (backend, gcm) in &gcms {
+                    out.clear();
+                    gcm.seal_append(&nonce, aad, pt, &mut out);
+                    assert_eq!(out, want, "{pt_len} + {aad_len} bytes on {backend:?}");
+                    out.clear();
+                    gcm.open_append(&nonce, aad, &want, &mut out)
+                        .expect("oracle output opens");
+                    assert_eq!(out, pt, "{pt_len} + {aad_len} bytes on {backend:?}");
+                }
+            }
+        }
+    }
+
+    /// Every way of damaging a sealed message is refused on every backend,
     /// and `open_append` releases no plaintext when it refuses.
     #[test]
     fn tampering_is_rejected_without_output() {
@@ -390,9 +431,10 @@ mod tests {
                 };
                 let mut bad_aad = aad.to_vec();
                 bad_aad[3] ^= 0x80;
-                let attempts: [(&str, &[u8], Vec<u8>); 7] = [
+                let attempts: [(&str, &[u8], Vec<u8>); 8] = [
                     ("ciphertext bit", aad, flipped(0)),
                     ("ciphertext bit past one batch", aad, flipped(200)),
+                    ("ciphertext bit past one wide batch", aad, flipped(290)),
                     ("tag bit", aad, flipped(last)),
                     ("aad bit", &bad_aad, sealed.clone()),
                     ("truncated ciphertext", aad, sealed[1..].to_vec()),
@@ -437,7 +479,9 @@ mod tests {
     }
 
     /// The 32-bit block counter wraps without touching the nonce part
-    /// (SP 800-38D inc32), on the batched paths too.
+    /// (SP 800-38D inc32), on the batched paths too: from `MAX − 9` the
+    /// wrap falls between two registers of four blocks, from `MAX − 2`
+    /// inside one.
     #[test]
     fn counter_wraps_like_the_oracle() {
         let key = [3u8; 16];
@@ -445,13 +489,19 @@ mod tests {
         let data = vec![0u8; 16 * 20];
         each_backend(|backend| {
             let aes = Aes::with_backend(&key, backend);
-            let mut got = data.clone();
-            aes.ctr_xor(&nonce, u32::MAX - 9, &mut got);
-            for (i, chunk) in got.chunks(16).enumerate() {
-                let mut block = [0u8; 16];
-                block[..12].copy_from_slice(&nonce);
-                block[12..].copy_from_slice(&(u32::MAX - 9).wrapping_add(i as u32).to_be_bytes());
-                assert_eq!(chunk, aes.encrypt(&block), "block {i} on {backend:?}");
+            for start in [u32::MAX - 9, u32::MAX - 2] {
+                let mut got = data.clone();
+                aes.ctr_xor(&nonce, start, &mut got);
+                for (i, chunk) in got.chunks(16).enumerate() {
+                    let mut block = [0u8; 16];
+                    block[..12].copy_from_slice(&nonce);
+                    block[12..].copy_from_slice(&start.wrapping_add(i as u32).to_be_bytes());
+                    assert_eq!(
+                        chunk,
+                        aes.encrypt(&block),
+                        "block {i} from {start:#x} on {backend:?}"
+                    );
+                }
             }
         });
     }
@@ -463,8 +513,8 @@ mod tests {
         assert_eq!(std::mem::size_of::<AesGcm>(), 15 * 16 + 2 + 16);
     }
 
-    /// How fast each backend seals and opens a 1200-byte packet payload and
-    /// builds a key; prints, asserts nothing. Run with
+    /// How fast each backend the CPU has seals and opens a 1200-byte packet
+    /// payload and builds a key; prints, asserts nothing. Run with
     /// `cargo test --release -p qcrypto -- --ignored --nocapture backend_speed`.
     #[test]
     #[ignore = "micro-benchmark: prints timings, meaningful in release builds only"]
@@ -510,8 +560,9 @@ mod tests {
                 black_box(AesGcm::with_backend(black_box(&[7u8; 16]), backend));
             });
             println!(
-                "{backend:?}: seal_1200 {seal:.3} us ({:.2} ns/B), open_1200 {open:.3} us, \
+                "{}: seal_1200 {seal:.3} us ({:.2} ns/B), open_1200 {open:.3} us, \
                  seal_64 {seal_64:.3} us, new_key {key:.3} us",
+                backend.name(),
                 seal * 1e3 / 1200.0
             );
         });

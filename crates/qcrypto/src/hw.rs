@@ -1,7 +1,12 @@
 //! The x86_64 backends:
 //!
-//! * AES-GCM — `aesenc` rounds with eight CTR blocks in flight, GHASH by
-//!   `pclmulqdq` with one reduction per eight blocks (against H¹..H⁸);
+//! * AES-GCM, two tiers — `aesenc` rounds with eight CTR blocks in flight,
+//!   GHASH by `pclmulqdq` with one reduction per eight blocks (against
+//!   H¹..H⁸); and on AVX-512 the same on 512-bit registers, four blocks per
+//!   `vaesenc` or `vpclmulqdq`: CTR sixteen blocks per batch, the counter
+//!   word kept native so one `vpaddd` is inc32 for four blocks, and GHASH
+//!   eight blocks against [H⁸..H⁵] and [H⁴..H¹], folded to one lane and
+//!   reduced once;
 //! * the SHA-256 compression function — `sha256rnds2` for the rounds,
 //!   `sha256msg1`/`sha256msg2` for the message schedule, sixteen groups of
 //!   four rounds per block;
@@ -15,23 +20,25 @@
 //! needs it for exactly two things:
 //!
 //! * calling functions compiled with `#[target_feature]` — sound because
-//!   every entry point takes a token: a [`Token`] for AES-GCM, a
-//!   [`ShaToken`] for SHA-256, an [`IfmaToken`] for X25519. Only their
-//!   `detect` can make them, and only after the CPU reported every feature
-//!   the functions behind them enable;
-//! * unaligned 16-byte loads and stores — confined to [`load`] and
-//!   [`store`], which take `[u8; 16]` references, so the access is exactly
-//!   the referent. Anything shorter than a block goes through a zero-padded
-//!   block on the stack. The X25519 code has none: its vectors are built
-//!   from and read back into `u64` limbs by `_mm256_set_epi64x` and
-//!   `_mm256_extract_epi64`.
+//!   every entry point takes a token: a [`Token`] for AES-GCM's 128-bit
+//!   tier, a [`VaesToken`] for its 512-bit tier, a [`ShaToken`] for
+//!   SHA-256, an [`IfmaToken`] for X25519. Only their `detect` can make
+//!   them, and only after the CPU reported every feature the functions
+//!   behind them enable (a `VaesToken` also every feature a `Token` needs,
+//!   which is why [`VaesToken::token`] may make one);
+//! * unaligned 16- and 64-byte loads and stores — confined to [`load`] and
+//!   [`store`], which take `[u8; 16]` references, and [`load4`] and
+//!   [`store4`], which take `[u8; 64]` references, so the access is exactly
+//!   the referent. Anything shorter goes through a buffer on the stack.
+//!   The X25519 code has none: its vectors are built from and read back
+//!   into `u64` limbs by `_mm256_set_epi64x` and `_mm256_extract_epi64`.
 //!
-//! AES-NI, PCLMULQDQ and the SHA extensions run in time independent of their
-//! operands, which makes this path constant-time in key and data as a side
-//! effect. The X25519 code has no branch and no load address that depends
-//! on the scalar: the ladder's swap is a lane permutation, the comb's
-//! selection a lane mask. The crate as a whole still is not constant-time
-//! (see the crate docs).
+//! AES-NI, VAES, (V)PCLMULQDQ and the SHA extensions run in time
+//! independent of their operands, which makes this path constant-time in
+//! key and data as a side effect. The X25519 code has no branch and no
+//! load address that depends on the scalar: the ladder's swap is a lane
+//! permutation, the comb's selection a lane mask. The crate as a whole
+//! still is not constant-time (see the crate docs).
 #![allow(unsafe_code)]
 
 use core::arch::x86_64::*;
@@ -51,6 +58,31 @@ impl Token {
             && is_x86_feature_detected!("pclmulqdq")
             && is_x86_feature_detected!("ssse3"))
         .then_some(Token(()))
+    }
+}
+
+/// Proof that this CPU has everything a [`Token`] proves plus AVX-512F,
+/// AVX-512BW, VAES and VPCLMULQDQ: AES rounds and carry-less products on
+/// four blocks per 512-bit register.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct VaesToken(());
+
+impl VaesToken {
+    /// Asks the CPU; `None` means the 128-bit kernels (or `soft`) must be
+    /// used.
+    pub(crate) fn detect() -> Option<VaesToken> {
+        Token::detect()?;
+        (is_x86_feature_detected!("avx512f")
+            && is_x86_feature_detected!("avx512bw")
+            && is_x86_feature_detected!("vaes")
+            && is_x86_feature_detected!("vpclmulqdq"))
+        .then_some(VaesToken(()))
+    }
+
+    /// The 128-bit kernels' proof, which this one implies; single blocks
+    /// and short GHASH runs go through them.
+    pub(crate) fn token(self) -> Token {
+        Token(())
     }
 }
 
@@ -82,10 +114,36 @@ fn store(block: &mut [u8; 16], v: __m128i) {
     unsafe { _mm_storeu_si128(block.as_mut_ptr().cast(), v) }
 }
 
+#[inline]
+#[target_feature(enable = "avx512f")]
+fn load4(blocks: &[u8; 64]) -> __m512i {
+    // SAFETY: `blocks` is a valid reference to 64 readable bytes and `loadu`
+    // has no alignment requirement; the caller's features include AVX-512F.
+    unsafe { _mm512_loadu_si512(blocks.as_ptr().cast()) }
+}
+
+#[inline]
+#[target_feature(enable = "avx512f")]
+fn store4(blocks: &mut [u8; 64], v: __m512i) {
+    // SAFETY: `blocks` is a valid exclusive reference to 64 writable bytes
+    // and `storeu` has no alignment requirement; AVX-512F as for `load4`.
+    unsafe { _mm512_storeu_si512(blocks.as_mut_ptr().cast(), v) }
+}
+
 /// Views a 16-byte chunk (as `chunks_exact(16)` yields) as a block.
 #[inline(always)]
 fn as_block(chunk: &[u8]) -> &[u8; 16] {
     chunk.try_into().expect("16-byte chunk")
+}
+
+/// The `rounds + 1` round keys in registers (the rest stay zero).
+#[inline(always)]
+fn round_keys(rk: &RoundKeys, rounds: usize) -> [__m128i; 15] {
+    let mut keys = [load(&[0; 16]); 15];
+    for (key, bytes) in keys.iter_mut().zip(rk).take(rounds + 1) {
+        *key = load(bytes);
+    }
+    keys
 }
 
 /// CTR blocks kept in flight: `aesenc` has a latency of several cycles and
@@ -112,7 +170,7 @@ fn encrypt_lanes<const N: usize>(keys: &[__m128i; 15], rounds: usize, blocks: &m
 
 #[target_feature(enable = "aes")]
 fn encrypt_block_impl(rk: &RoundKeys, rounds: usize, block: &mut [u8; 16]) {
-    let keys = rk.map(|k| load(&k));
+    let keys = round_keys(rk, rounds);
     let mut lane = [load(block)];
     encrypt_lanes(&keys, rounds, &mut lane);
     store(block, lane[0]);
@@ -132,7 +190,7 @@ fn ctr_xor_impl(
     mut counter: u32,
     data: &mut [u8],
 ) {
-    let keys = rk.map(|k| load(&k));
+    let keys = round_keys(rk, rounds);
     let word = |i: usize| i32::from_le_bytes(nonce[4 * i..4 * i + 4].try_into().expect("4 bytes"));
     let (n0, n1, n2) = (word(0), word(1), word(2));
     let keystream = |counter: &mut u32| {
@@ -290,23 +348,50 @@ fn powers(h: &[u8; 16], count: usize) -> [__m128i; AGGREGATE] {
     powers
 }
 
+/// GHASH over `aad` and `ct` against `powers`: every whole batch of
+/// [`AGGREGATE`] blocks through `batch`, what is left of each (a shorter
+/// run, the zero-padded partial block) and the length block through
+/// [`absorb`].
+#[inline]
 #[target_feature(enable = "pclmulqdq,ssse3")]
-fn ghash_impl(h: &[u8; 16], aad: &[u8], ct: &[u8]) -> [u8; 16] {
-    let powers = powers(h, (aad.len().max(ct.len()) / 16).max(1));
+fn ghash_with(
+    powers: &[__m128i; AGGREGATE],
+    aad: &[u8],
+    ct: &[u8],
+    mut batch: impl FnMut(__m128i, &[u8; 16 * AGGREGATE]) -> __m128i,
+) -> [u8; 16] {
     let mut y = _mm_setzero_si128();
     for data in [aad, ct] {
         let (whole, partial) = split_blocks(data);
-        for batch in whole.chunks(16 * AGGREGATE) {
-            y = absorb(&powers, y, batch);
+        let mut batches = whole.chunks_exact(16 * AGGREGATE);
+        for chunk in &mut batches {
+            y = batch(y, chunk.try_into().expect("whole batch"));
+        }
+        if !batches.remainder().is_empty() {
+            y = absorb(powers, y, batches.remainder());
         }
         if let Some(block) = partial {
-            y = absorb(&powers, y, &block);
+            y = absorb(powers, y, &block);
         }
     }
-    y = absorb(&powers, y, &length_block(aad.len(), ct.len()));
+    y = absorb(powers, y, &length_block(aad.len(), ct.len()));
     let mut out = [0u8; 16];
     store(&mut out, reflect(y));
     out
+}
+
+/// H's powers for a GHASH over `aad` and `ct`: as many as the longer has
+/// blocks, up to [`AGGREGATE`].
+#[inline]
+#[target_feature(enable = "pclmulqdq")]
+fn powers_for(h: &[u8; 16], aad: &[u8], ct: &[u8]) -> [__m128i; AGGREGATE] {
+    powers(h, (aad.len().max(ct.len()) / 16).max(1))
+}
+
+#[target_feature(enable = "pclmulqdq,ssse3")]
+fn ghash_impl(h: &[u8; 16], aad: &[u8], ct: &[u8]) -> [u8; 16] {
+    let powers = powers_for(h, aad, ct);
+    ghash_with(&powers, aad, ct, |y, batch| absorb(&powers, y, batch))
 }
 
 /// GHASH_H(aad, ct) with the SP 800-38D padding and length block, for the
@@ -314,6 +399,182 @@ fn ghash_impl(h: &[u8; 16], aad: &[u8], ct: &[u8]) -> [u8; 16] {
 pub(crate) fn ghash(_: Token, h: &[u8; 16], aad: &[u8], ct: &[u8]) -> [u8; 16] {
     // SAFETY: the token proves the CPU has `pclmulqdq` and `ssse3`.
     unsafe { ghash_impl(h, aad, ct) }
+}
+
+/// 512-bit registers of four blocks each that CTR encrypts per batch.
+const WIDE_LANES: usize = 4;
+
+/// Runs the rounds over registers of four blocks each, round by round
+/// together.
+#[inline]
+#[target_feature(enable = "avx512f,vaes")]
+fn encrypt_wide<const N: usize>(keys: &[__m512i; 15], rounds: usize, blocks: &mut [__m512i; N]) {
+    for b in blocks.iter_mut() {
+        *b = _mm512_xor_si512(*b, keys[0]);
+    }
+    for key in &keys[1..rounds] {
+        for b in blocks.iter_mut() {
+            *b = _mm512_aesenc_epi128(*b, *key);
+        }
+    }
+    for b in blocks.iter_mut() {
+        *b = _mm512_aesenclast_epi128(*b, keys[rounds]);
+    }
+}
+
+#[target_feature(enable = "avx512f,avx512bw,vaes")]
+fn ctr_xor_wide_impl(
+    rk: &RoundKeys,
+    rounds: usize,
+    nonce: &[u8; 12],
+    counter: u32,
+    data: &mut [u8],
+) {
+    let mut keys = [_mm512_setzero_si512(); 15];
+    for (wide, key) in keys.iter_mut().zip(round_keys(rk, rounds)) {
+        *wide = _mm512_broadcast_i32x4(key);
+    }
+    // Counter blocks hold the counter as a native integer in each lane's
+    // last word, so one `add_epi32` is inc32 for four blocks and one
+    // `vpshufb` makes the word big-endian.
+    let mut first = [0u8; 16];
+    first[..12].copy_from_slice(nonce);
+    first[12..].copy_from_slice(&counter.to_le_bytes());
+    let mut next = _mm512_add_epi32(
+        _mm512_broadcast_i32x4(load(&first)),
+        _mm512_set_epi32(3, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0),
+    );
+    let step = _mm512_set_epi32(4, 0, 0, 0, 4, 0, 0, 0, 4, 0, 0, 0, 4, 0, 0, 0);
+    let big_endian = _mm512_broadcast_i32x4(_mm_set_epi8(
+        12, 13, 14, 15, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0,
+    ));
+    let mut keystream = || {
+        let mut lanes = [_mm512_setzero_si512(); WIDE_LANES];
+        for lane in &mut lanes {
+            *lane = _mm512_shuffle_epi8(next, big_endian);
+            next = _mm512_add_epi32(next, step);
+        }
+        encrypt_wide(&keys, rounds, &mut lanes);
+        lanes
+    };
+
+    let (batches, tail) = data.split_at_mut(data.len() & !(64 * WIDE_LANES - 1));
+    for batch in batches.as_chunks_mut::<64>().0.chunks_exact_mut(WIDE_LANES) {
+        for (blocks, ks) in batch.iter_mut().zip(keystream()) {
+            store4(blocks, _mm512_xor_si512(load4(blocks), ks));
+        }
+    }
+    if !tail.is_empty() {
+        // A whole batch of keystream costs about what one register's does:
+        // the rounds' latency, not their count, bounds it.
+        let mut bytes = [[0u8; 64]; WIDE_LANES];
+        for (blocks, ks) in bytes.iter_mut().zip(keystream()) {
+            store4(blocks, ks);
+        }
+        for (d, ks) in tail.iter_mut().zip(bytes.as_flattened()) {
+            *d ^= ks;
+        }
+    }
+}
+
+/// [`ctr_xor`] sixteen blocks per batch, four per `vaesenc`.
+pub(crate) fn ctr_xor_wide(
+    _: VaesToken,
+    rk: &RoundKeys,
+    rounds: usize,
+    nonce: &[u8; 12],
+    counter: u32,
+    data: &mut [u8],
+) {
+    // SAFETY: the token proves the CPU has `avx512f`, `avx512bw` and `vaes`.
+    unsafe { ctr_xor_wide_impl(rk, rounds, nonce, counter, data) }
+}
+
+/// [`reflect`] on each of a register's four blocks.
+#[inline]
+#[target_feature(enable = "avx512f,avx512bw")]
+fn reflect4(v: __m512i) -> __m512i {
+    _mm512_shuffle_epi8(
+        v,
+        _mm512_broadcast_i32x4(_mm_set_epi8(
+            0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15,
+        )),
+    )
+}
+
+/// [`clmul`] on four lane pairs at once.
+#[inline]
+#[target_feature(enable = "avx512f,vpclmulqdq")]
+fn clmul4(a: __m512i, b: __m512i) -> (__m512i, __m512i, __m512i) {
+    let lo = _mm512_clmulepi64_epi128(a, b, 0x00);
+    let hi = _mm512_clmulepi64_epi128(a, b, 0x11);
+    let mid = _mm512_xor_si512(
+        _mm512_clmulepi64_epi128(a, b, 0x10),
+        _mm512_clmulepi64_epi128(a, b, 0x01),
+    );
+    (lo, mid, hi)
+}
+
+/// The XOR of a register's four lanes.
+#[inline]
+#[target_feature(enable = "avx512f")]
+fn fold4(v: __m512i) -> __m128i {
+    let v = _mm256_xor_si256(_mm512_castsi512_si256(v), _mm512_extracti64x4_epi64::<1>(v));
+    _mm_xor_si128(_mm256_castsi256_si128(v), _mm256_extracti128_si256::<1>(v))
+}
+
+/// Four blocks in one register, `lanes[0]` in the low lane.
+#[inline]
+#[target_feature(enable = "avx512f")]
+fn join4(lanes: [__m128i; 4]) -> __m512i {
+    let v = _mm512_castsi128_si512(lanes[0]);
+    let v = _mm512_inserti32x4::<1>(v, lanes[1]);
+    let v = _mm512_inserti32x4::<2>(v, lanes[2]);
+    _mm512_inserti32x4::<3>(v, lanes[3])
+}
+
+/// [`absorb`] for one whole batch: blocks 0..3 times `high` = H⁸..H⁵ and
+/// blocks 4..7 times `low` = H⁴..H¹ (each · x⁻¹), the four lanes folded and
+/// reduced once. `y` is multiplied by H⁸ on its own, a 128-bit product:
+/// (y ⊕ b₀)·H⁸ = y·H⁸ ⊕ b₀·H⁸, and that keeps the lane products and the
+/// fold off the chain from one batch's `y` to the next.
+#[inline]
+#[target_feature(enable = "avx512f,avx512bw,vpclmulqdq,pclmulqdq")]
+fn absorb_wide(
+    (high, low, h8): (__m512i, __m512i, __m128i),
+    y: __m128i,
+    batch: &[u8; 16 * AGGREGATE],
+) -> __m128i {
+    let (first, second) = batch.split_at(64);
+    let first = reflect4(load4(first.try_into().expect("64 bytes")));
+    let second = reflect4(load4(second.try_into().expect("64 bytes")));
+    let (l0, m0, h0) = clmul4(first, high);
+    let (l1, m1, h1) = clmul4(second, low);
+    let (yl, ym, yh) = clmul(y, h8);
+    reduce((
+        _mm_xor_si128(fold4(_mm512_xor_si512(l0, l1)), yl),
+        _mm_xor_si128(fold4(_mm512_xor_si512(m0, m1)), ym),
+        _mm_xor_si128(fold4(_mm512_xor_si512(h0, h1)), yh),
+    ))
+}
+
+#[target_feature(enable = "avx512f,avx512bw,vpclmulqdq,pclmulqdq,ssse3")]
+fn ghash_wide_impl(h: &[u8; 16], aad: &[u8], ct: &[u8]) -> [u8; 16] {
+    let powers = powers_for(h, aad, ct);
+    let [p1, p2, p3, p4, p5, p6, p7, p8] = powers;
+    let keys = (join4([p8, p7, p6, p5]), join4([p4, p3, p2, p1]), p8);
+    ghash_with(&powers, aad, ct, |y, batch| absorb_wide(keys, y, batch))
+}
+
+/// [`ghash`] with each whole batch multiplied four blocks per
+/// `vpclmulqdq`; input without a whole batch goes to [`ghash`] itself.
+pub(crate) fn ghash_wide(token: VaesToken, h: &[u8; 16], aad: &[u8], ct: &[u8]) -> [u8; 16] {
+    if aad.len().max(ct.len()) < 16 * AGGREGATE {
+        return ghash(token.token(), h, aad, ct);
+    }
+    // SAFETY: the token proves the CPU has `avx512f`, `avx512bw`,
+    // `vpclmulqdq`, and (as a `Token` does) `pclmulqdq` and `ssse3`.
+    unsafe { ghash_wide_impl(h, aad, ct) }
 }
 
 /// Four SHA-256 rounds on the (ABEF, CDGH) register pair: `sha256rnds2`

@@ -6,11 +6,13 @@
 //! the QUIC Initial packet protection built on top of them reproduces
 //! RFC 9001 Appendix A bit-exactly (see the `quic` crate's tests).
 //!
-//! AES-GCM, which protects every QUIC packet and TLS record, has two
-//! implementations behind the one [`aes::Aes`]/[`gcm::AesGcm`] API, picked
-//! from what the CPU reports (probed once per process) — there is no feature
-//! flag, environment variable or option to pick with:
+//! AES-GCM, which protects every QUIC packet and TLS record, has three
+//! implementations behind the one [`aes::Aes`]/[`gcm::AesGcm`] API, the
+//! widest the CPU reports picked (probed once per process) — there is no
+//! feature flag, environment variable or option to pick with:
 //!
+//! * `vaes512` (x86_64 with `hw`'s features + AVX-512F + AVX-512BW + VAES +
+//!   VPCLMULQDQ): CTR and GHASH four blocks per 512-bit instruction;
 //! * `hw` (x86_64 with AES-NI + PCLMULQDQ + SSSE3): `aesenc`/`pclmulqdq`;
 //! * `soft` (everything else): T-tables and a 4-bit Shoup table.
 //!
@@ -34,15 +36,17 @@
 //! the same bytes on either. [`backends`] names the three choices in one
 //! line, which `repro` prints to stderr when it starts.
 //!
-//! `hw` and `ifma` happen to run without secret-dependent branches or
-//! addresses; the crate still is not constant-time, because `soft`, the
-//! shared AES key expansion, and the portable X25519 and Poly1305
-//! arithmetic all branch on or index by secret data or were never audited.
+//! `vaes512`, `hw` and `ifma` happen to run without secret-dependent
+//! branches or addresses; the crate still is not constant-time, because
+//! `soft`, the shared AES key expansion, and the portable X25519 and
+//! Poly1305 arithmetic all branch on or index by secret data or were never
+//! audited.
 //!
 //! The crate is `#![deny(unsafe_code)]`. The one exception is the private
 //! `hw` module, which needs `unsafe` to call `#[target_feature]` functions
-//! (AES-NI, PCLMULQDQ, SHA-NI, AVX-512 IFMA) and for unaligned 16-byte loads
-//! and stores; its header says why each is sound.
+//! (AES-NI, PCLMULQDQ, VAES, VPCLMULQDQ, SHA-NI, AVX-512 IFMA) and for
+//! unaligned 16- and 64-byte loads and stores; its header says why each is
+//! sound.
 //!
 //! Provided primitives:
 //! * [`sha256`] — FIPS 180-4 SHA-256
@@ -72,16 +76,20 @@ pub mod sha256;
 mod soft;
 pub mod x25519;
 
-/// The backend each primitive that has two runs on in this process, as one
-/// line: `aes-gcm=hw sha-256=hw x25519=ifma` on a CPU with AES-NI +
-/// PCLMULQDQ, SHA-NI and AVX-512 IFMA; `soft`, `soft` and `portable` in
-/// their place where it lacks them.
+/// The backend each primitive that has more than one runs on in this
+/// process, as one line: `aes-gcm=vaes512 sha-256=hw x25519=ifma` on a CPU
+/// with AVX-512 VAES + VPCLMULQDQ, SHA-NI and AVX-512 IFMA; `aes-gcm=hw`
+/// with AES-NI + PCLMULQDQ only; `soft`, `soft` and `portable` where it
+/// lacks them.
 pub fn backends() -> String {
-    let hw_or_soft = |hw: bool| if hw { "hw" } else { "soft" };
+    let sha = if sha256::Backend::detect() == sha256::Backend::Soft {
+        "soft"
+    } else {
+        "hw"
+    };
     format!(
-        "aes-gcm={} sha-256={} x25519={}",
-        hw_or_soft(aes::Backend::detect() != aes::Backend::Soft),
-        hw_or_soft(sha256::Backend::detect() != sha256::Backend::Soft),
+        "aes-gcm={} sha-256={sha} x25519={}",
+        aes::Backend::detect().name(),
         x25519::Backend::detect().name(),
     )
 }
@@ -100,25 +108,33 @@ impl std::error::Error for AuthError {}
 
 #[cfg(test)]
 mod tests {
-    use crate::reference::{each_sha256_backend, each_x25519_backend};
+    use crate::reference::{each_backend, each_sha256_backend, each_x25519_backend};
 
-    /// `backends` follows the backends actually in use, pinned ones included.
+    /// `backends` follows the backends actually in use, pinned ones
+    /// included, and names each AES-GCM tier apart.
     #[test]
     fn backends_names_the_backend_in_use() {
-        each_sha256_backend(|sha| {
-            each_x25519_backend(|x| {
-                let line = super::backends();
-                let sha = if sha == crate::sha256::Backend::Soft {
-                    "soft"
-                } else {
-                    "hw"
-                };
-                assert!(line.starts_with("aes-gcm="), "{line}");
-                assert!(
-                    line.ends_with(&format!(" sha-256={sha} x25519={}", x.name())),
-                    "{line}"
-                );
+        let mut aes_names = Vec::new();
+        each_backend(|aes| {
+            aes_names.push(aes.name());
+            each_sha256_backend(|sha| {
+                each_x25519_backend(|x| {
+                    let line = super::backends();
+                    let sha = if sha == crate::sha256::Backend::Soft {
+                        "soft"
+                    } else {
+                        "hw"
+                    };
+                    assert_eq!(
+                        line,
+                        format!("aes-gcm={} sha-256={sha} x25519={}", aes.name(), x.name())
+                    );
+                });
             });
         });
+        let mut want = vec!["soft"];
+        want.extend(crate::aes::Backend::hw().map(|_| "hw"));
+        want.extend(crate::aes::Backend::vaes512().map(|_| "vaes512"));
+        assert_eq!(aes_names, want);
     }
 }

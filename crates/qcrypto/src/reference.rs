@@ -2,7 +2,7 @@
 //! bit by bit as SP 800-38D writes it, GCM assembled from the two, and
 //! SHA-256 padded the way FIPS 180-4 §5.1.1 writes it. The AES and GCM parts
 //! were the production code before the `hw`/`soft` backends; all of it is
-//! compiled into test builds only, where both backends are held against it.
+//! compiled into test builds only, where every backend is held against it.
 //! For X25519 the portable 5×51 code is the definition the IFMA backend is
 //! held against; [`each_x25519_backend`] runs a check on each.
 
@@ -12,14 +12,33 @@ use crate::aes::{Aes, Backend, RoundKeys, SBOX};
 use crate::sha256::{self, BLOCK_LEN, DIGEST_LEN};
 use crate::x25519;
 
-/// Runs `check` against `soft`, and against `hw` where the CPU has it;
-/// says so on stderr where it does not, so a green run on such a host is
-/// not read as covering `hw`.
+thread_local! {
+    /// The AES-GCM backend [`each_backend`] pinned on this thread.
+    pub(crate) static PINNED_AES: Cell<Option<Backend>> = const { Cell::new(None) };
+}
+
+/// Runs `check` against `soft`, then `hw` (the 128-bit kernels, also on a
+/// CPU that would pick `vaes512`), then `vaes512`, each where the CPU has
+/// it, with every schedule the calling thread builds through
+/// [`Backend::detect`] pinned to the same one; says so on stderr for a
+/// tier the CPU lacks, so a green run on such a host is not read as
+/// covering it.
 pub(crate) fn each_backend(mut check: impl FnMut(Backend)) {
-    check(Backend::Soft);
+    let mut run = |backend| {
+        PINNED_AES.with(|p| p.set(Some(backend)));
+        check(backend);
+        PINNED_AES.with(|p| p.set(None));
+    };
+    run(Backend::Soft);
     match Backend::hw() {
-        Some(hw) => check(hw),
+        Some(hw) => run(hw),
         None => eprintln!("note: no AES-NI/PCLMULQDQ on this CPU — hw backend not exercised"),
+    }
+    match Backend::vaes512() {
+        Some(wide) => run(wide),
+        None => eprintln!(
+            "note: no AVX-512 VAES/VPCLMULQDQ on this CPU — vaes512 backend not exercised"
+        ),
     }
 }
 

@@ -227,6 +227,8 @@ pub fn seal_long_into(
     let pn_offset = header.len();
     header.put_u32(packet_number as u32);
 
+    // One allocation for the whole packet rather than growth per part.
+    out.reserve(header.len() + payload.len() + keys.tag_len());
     out.extend_from_slice(header.as_slice());
     keys.seal_into(packet_number, header.as_slice(), payload, out);
     apply_header_protection(&mut out[base..], pn_offset, pn_len, keys, true);
@@ -262,6 +264,7 @@ pub fn seal_short_into(
     header.put_bytes(dcid.as_slice());
     let pn_offset = header.len();
     header.put_u32(packet_number as u32);
+    out.reserve(header.len() + payload.len() + keys.tag_len());
     out.extend_from_slice(header.as_slice());
     keys.seal_into(packet_number, header.as_slice(), payload, out);
     apply_header_protection(&mut out[base..], pn_offset, pn_len, keys, false);
