@@ -129,7 +129,7 @@ mod tests {
                 reason: "b".into(),
             },
             ScanOutcome::VersionMismatch,
-            ScanOutcome::Other("panic: x".into()),
+            ScanOutcome::Other("protocol: x".into()),
         ];
         for o in &outcomes {
             let mut direct = FailureBreakdown::default();

@@ -182,6 +182,57 @@ mod tests {
         assert_eq!(parse_alt_svc(&format_alt_svc(&services)), services);
     }
 
+    /// What parsing a `len`-byte value may ask the allocator for. It splits
+    /// into at most `len + 1` entries and as many parameters, each a
+    /// `String` slot in a vector that requests at most four slots per
+    /// element as it doubles; its bytes are copied into at most three
+    /// strings (entry, parameter, then ALPN or host), each of which asks
+    /// for at most four bytes per byte, or eight if shorter; and it keeps
+    /// at most one [`AltService`] per six bytes (`a=":1"`).
+    fn parse_bound(len: usize) -> usize {
+        let strings = 2 * (len + 1);
+        4 * strings * std::mem::size_of::<String>()
+            + 3 * (4 * len + 8 * strings)
+            + 4 * (len / 6 + 1) * std::mem::size_of::<AltService>()
+    }
+
+    proptest::proptest! {
+        /// Arbitrary text, and a valid header value with one character
+        /// overwritten, its tail cut, or garbage spliced in: parsing
+        /// returns a list (possibly empty) and asks for at most
+        /// [`parse_bound`] bytes.
+        #[test]
+        fn hostile_values_stay_bounded(
+            garbage in "[ -~]{0,300}",
+            entries in proptest::collection::vec(("[a-z0-9-]{1,8}", 0u16.., 0u64..1 << 40), 1..5),
+            at in proptest::any::<usize>(),
+            value in "[,;=\":% a-z0-9]",
+        ) {
+            let services: Vec<AltService> = entries
+                .iter()
+                .map(|(alpn, port, ma)| AltService {
+                    alpn: alpn.clone(),
+                    host: String::new(),
+                    port: *port,
+                    max_age: Some(*ma),
+                })
+                .collect();
+            let valid = format_alt_svc(&services);
+            let at = at % valid.len();
+            let flipped = format!("{}{value}{}", &valid[..at], &valid[at + 1..]);
+            let spliced = format!("{}{garbage}", &valid[..at]);
+            for text in [&garbage, &valid, &flipped, &valid[..at].to_string(), &spliced] {
+                let (_, requested) =
+                    crate::request::tests::requested(|| parse_alt_svc(text));
+                proptest::prop_assert!(
+                    requested <= parse_bound(text.len()),
+                    "{} bytes in, {requested} requested",
+                    text.len()
+                );
+            }
+        }
+    }
+
     #[test]
     fn garbage_tolerated() {
         assert!(parse_alt_svc("").is_empty());

@@ -114,6 +114,57 @@ mod tests {
         assert!(H3Frame::decode_all(w.as_slice()).is_err());
     }
 
+    /// What decoding `len` bytes may ask the allocator for: every frame
+    /// takes at least two bytes (a type and a length), every SETTINGS pair
+    /// two more, and each vector requests at most four slots per element
+    /// as it doubles (from a first capacity of four); the bodies are
+    /// copied once.
+    fn decode_bound(len: usize) -> usize {
+        let frames = len / 2 + 1;
+        4 * frames * std::mem::size_of::<H3Frame>()
+            + 4 * frames * std::mem::size_of::<(u64, u64)>()
+            + len
+    }
+
+    proptest::proptest! {
+        /// Arbitrary bytes, and valid frames with one byte overwritten, a
+        /// length overwritten with a claim up to 2^62 - 1, or the tail
+        /// cut: `decode_all` returns `Ok` or `Err` and asks for at most
+        /// [`decode_bound`] bytes, whatever a length claims.
+        #[test]
+        fn hostile_bytes_stay_bounded(
+            garbage in proptest::collection::vec(proptest::any::<u8>(), 0..600),
+            body in proptest::collection::vec(proptest::any::<u8>(), 0..300),
+            pairs in proptest::collection::vec((0u64..1 << 62, 0u64..1 << 62), 0..8),
+            at in proptest::any::<usize>(),
+            value in proptest::any::<u8>(),
+            claim in 0u64..1 << 62,
+        ) {
+            let mut w = Writer::new();
+            H3Frame::Settings(pairs).encode(&mut w);
+            H3Frame::Headers(body.clone()).encode(&mut w);
+            H3Frame::Data(body).encode(&mut w);
+            H3Frame::Unknown(0x21, garbage.clone()).encode(&mut w);
+            let valid = w.into_vec();
+            let at = at % valid.len();
+            let mut flipped = valid.clone();
+            flipped[at] = value;
+            let mut reclaimed = Writer::new();
+            reclaimed.put_varint(0x0);
+            reclaimed.put_varint(claim);
+            reclaimed.put_bytes(&valid[..at]);
+            for bytes in [&garbage[..], &flipped, reclaimed.as_slice(), &valid[..at]] {
+                let (_, requested) =
+                    crate::request::tests::requested(|| H3Frame::decode_all(bytes));
+                proptest::prop_assert!(
+                    requested <= decode_bound(bytes.len()),
+                    "{} bytes in, {requested} requested",
+                    bytes.len()
+                );
+            }
+        }
+    }
+
     #[test]
     fn sequence_decodes() {
         let mut w = Writer::new();

@@ -312,7 +312,7 @@ pub fn uni_stream_type(bytes: &[u8]) -> Option<(u64, &[u8])> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::cell::Cell;
@@ -612,6 +612,15 @@ mod tests {
 
     #[global_allocator]
     static ALLOC: CountingAlloc = CountingAlloc;
+
+    /// Runs `f` and returns what it asked the allocator for on this thread
+    /// (the other decoders' bounded-allocation tests share this counter:
+    /// a test binary has one global allocator).
+    pub(crate) fn requested<T>(f: impl FnOnce() -> T) -> (T, usize) {
+        let before = REQUESTED.get();
+        let out = f();
+        (out, REQUESTED.get() - before)
+    }
 
     /// Feeds `bytes` to a new reader in the pieces `cuts` marks, then
     /// finishes it. Once a feed fails, every later one fails too; the DATA

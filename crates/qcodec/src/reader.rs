@@ -145,6 +145,8 @@ impl<'a> Reader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
 
     #[test]
     fn primitives_roundtrip() {
@@ -172,5 +174,74 @@ mod tests {
         let mut r = Reader::new(&data);
         assert_eq!(r.read_vec8().unwrap(), &[0xde, 0xad]);
         assert_eq!(r.read_vec16().unwrap(), &[0xbe]);
+    }
+
+    /// Adds up what each thread asks the allocator for.
+    struct CountingAlloc;
+
+    thread_local!(static REQUESTED: Cell<usize> = const { Cell::new(0) });
+
+    // SAFETY: every call goes to `System` with the arguments it was given
+    // (`realloc` is the default `alloc` + copy, so growth is counted too);
+    // the counter is a const-initialised `Cell` with no destructor, so
+    // touching it neither allocates nor re-enters the allocator.
+    unsafe impl GlobalAlloc for CountingAlloc {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            let _ = REQUESTED.try_with(|n| n.set(n.get() + layout.size()));
+            System.alloc(layout)
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            System.dealloc(ptr, layout)
+        }
+    }
+
+    #[global_allocator]
+    static ALLOC: CountingAlloc = CountingAlloc;
+
+    /// Runs read `op` (0–10, every decoder) once; returns the bytes it
+    /// handed out, if it succeeded.
+    fn read<'a>(r: &mut Reader<'a>, op: u8, n: usize) -> Option<&'a [u8]> {
+        match op % 11 {
+            0 => r.read_u8().ok().map(|_| &[][..]),
+            1 => r.read_u16().ok().map(|_| &[][..]),
+            2 => r.read_u24().ok().map(|_| &[][..]),
+            3 => r.read_u32().ok().map(|_| &[][..]),
+            4 => r.read_u64().ok().map(|_| &[][..]),
+            5 => r.read_varint().ok().map(|_| &[][..]),
+            6 => r.read_vec8().ok(),
+            7 => r.read_vec16().ok(),
+            8 => r.read_vec24().ok(),
+            9 => r.read_varvec().ok(),
+            _ => r.read_bytes(n).ok(),
+        }
+    }
+
+    proptest::proptest! {
+        /// Every decoder on arbitrary bytes, in any order and with lengths
+        /// claimed up to 2^62 - 1 (a varint) or asked for up to
+        /// `usize::MAX`: each read returns `Ok` or `Err`, what it hands out
+        /// lies inside the input, the position never passes the end, and
+        /// nothing is asked of the allocator. The bound is zero because a
+        /// `Reader` only ever lends subslices of its input.
+        #[test]
+        fn hostile_bytes_allocate_nothing(
+            bytes in proptest::collection::vec(proptest::any::<u8>(), 0..64),
+            ops in proptest::collection::vec((proptest::any::<u8>(), proptest::any::<usize>()), 0..24),
+        ) {
+            let range = bytes.as_ptr_range();
+            let before = REQUESTED.get();
+            let mut r = Reader::new(&bytes);
+            for &(op, n) in &ops {
+                if let Some(out) = read(&mut r, op, n) {
+                    let inside = out.is_empty()
+                        || (range.start <= out.as_ptr() && out.as_ptr_range().end <= range.end);
+                    proptest::prop_assert!(inside, "op {} lent bytes outside the input", op % 11);
+                }
+                proptest::prop_assert!(r.position() <= bytes.len());
+                proptest::prop_assert_eq!(r.position() + r.remaining(), bytes.len());
+            }
+            proptest::prop_assert_eq!(REQUESTED.get() - before, 0);
+        }
     }
 }

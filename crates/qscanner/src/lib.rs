@@ -282,63 +282,6 @@ mod tests {
     }
 
     #[test]
-    fn panicking_target_is_isolated_in_scan_many() {
-        use simnet::{Network, ServiceCtx, UdpService};
-        struct Poison;
-        impl UdpService for Poison {
-            fn on_datagram(&mut self, _ctx: &mut ServiceCtx<'_>, _from: SocketAddr, _d: &[u8]) {
-                panic!("poisoned host");
-            }
-        }
-        struct Silent;
-        impl UdpService for Silent {
-            fn on_datagram(&mut self, _ctx: &mut ServiceCtx<'_>, _f: SocketAddr, _d: &[u8]) {}
-        }
-        let bad = IpAddr::V4(Ipv4Addr::new(10, 9, 9, 11));
-        let ok = IpAddr::V4(Ipv4Addr::new(10, 9, 9, 12));
-        let targets = vec![QuicTarget::new(bad, None), QuicTarget::new(ok, None)];
-        let scanner = QScanner::new(vantage(), 1);
-        for workers in [1usize, 4] {
-            for traced in [false, true] {
-                // Fresh network per row, as in every comparison here.
-                let mut net = Network::new(9);
-                net.bind_udp(SocketAddr::new(bad, 443), Box::new(Poison));
-                net.bind_udp(SocketAddr::new(ok, 443), Box::new(Silent));
-                let sink = std::sync::Arc::new(telemetry::MemorySink::new());
-                let tel = telemetry::Telemetry::with_sink(sink.clone());
-                let results = if traced {
-                    scanner.scan_many_traced(&net, &targets, workers, None, &tel)
-                } else {
-                    scanner.scan_many(&net, &targets, workers)
-                };
-                let row = format!("workers={workers} traced={traced}");
-                assert_eq!(results.len(), 2, "{row}");
-                match &results[0].outcome {
-                    ScanOutcome::Other(msg) => assert!(msg.contains("panic"), "{row}: {msg}"),
-                    other => panic!("{row}: expected panic capture, got {other:?}"),
-                }
-                // The worker survived: the second target still got scanned.
-                assert_eq!(results[1].outcome, ScanOutcome::NoReply, "{row}");
-                if !traced {
-                    continue;
-                }
-                // The poisoned target's trace degrades to its verdict, and
-                // it is still counted.
-                let decided = sink
-                    .events()
-                    .iter()
-                    .filter(|e| e.flow == 0)
-                    .filter(|e| matches!(e.kind, telemetry::EventKind::OutcomeDecided { .. }))
-                    .count();
-                assert_eq!(decided, 1, "{row}");
-                let snap = tel.metrics.snapshot();
-                assert_eq!(snap.counter("qscanner.targets"), 2, "{row}");
-                assert_eq!(snap.counter("qscanner.outcome.other"), 1, "{row}");
-            }
-        }
-    }
-
-    #[test]
     fn traced_scan_matches_untraced_verdicts() {
         use std::sync::Arc;
         use telemetry::{MemorySink, Telemetry};

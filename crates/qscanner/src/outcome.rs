@@ -66,7 +66,7 @@ pub enum ScanOutcome {
     },
     /// No mutually supported version.
     VersionMismatch,
-    /// Everything else (TLS failure on our side, protocol errors, panics).
+    /// Everything else (TLS failure on our side, protocol errors).
     Other(String),
 }
 

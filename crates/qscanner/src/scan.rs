@@ -1,5 +1,5 @@
 //! The scan driver: per-target attempt/PTO/backoff loops, HTTP/3 follow-up,
-//! panic isolation, and the parallel fan-out.
+//! and the parallel fan-out.
 //!
 //! The scanner runs the paper's one configuration, so its limits are
 //! constants, not options: every target gets up to three connection
@@ -19,8 +19,6 @@
 //! virtual time (mirroring the driver's own budget arithmetic — never the
 //! shared clock) and workers hand finished per-target event lists back to
 //! the driver, which emits them in scan-index order.
-
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use h3::qpack::Header;
 use h3::request::{self, Response};
@@ -64,6 +62,13 @@ const HTTP_REQUESTS: u32 = 6;
 /// Virtual-time budget per target, in microseconds, across all attempts,
 /// probe timeouts and backoff waits.
 const TARGET_BUDGET_US: u64 = 10_000_000;
+
+/// Replies fed to the connection per flight; the rest are dropped, as a
+/// full socket buffer drops them. The simulated Internet answers a flight
+/// with at most three datagrams. Without the cap a flooding peer is
+/// answered datagram for datagram (each carries an ACK), so its flood
+/// would grow by its own factor every round.
+const MAX_REPLIES_PER_FLIGHT: usize = 16;
 
 /// Coarse packet-space classification from the first byte of a datagram
 /// (enough for a timeline; the scanner never decrypts here).
@@ -136,8 +141,9 @@ fn drain_conn_events(conn: &mut ClientConnection, o: &mut Obs<'_>) {
     }
 }
 
-/// Sends one flight to `dst` and feeds every reply into `conn`, returning
-/// the folded send status and whether anything came back.
+/// Sends one flight to `dst` and feeds the first
+/// [`MAX_REPLIES_PER_FLIGHT`] replies into `conn`, returning the folded
+/// send status and whether anything came back.
 ///
 /// Untraced, the flight goes out as one batch (one endpoint lookup, at most
 /// one service-lock acquisition): `poll_transmit` fully materialized it
@@ -157,13 +163,14 @@ fn exchange(
     let mut got_reply = false;
     let Some(o) = obs else {
         let status = w.shard.udp_send_batch(src, dst, &flight, &mut w.arena);
-        for reply in w.arena.replies.drain(..) {
-            got_reply = true;
+        got_reply = !w.arena.replies.is_empty();
+        for reply in w.arena.replies.drain(..).take(MAX_REPLIES_PER_FLIGHT) {
             conn.on_datagram(&reply);
         }
         return (status, got_reply);
     };
     let mut status = FlightStatus::default();
+    let mut fed = 0;
     for datagram in flight {
         o.ctx.record(EventKind::PacketSent {
             space: space_of(&datagram),
@@ -182,9 +189,12 @@ fn exchange(
                 bytes: reply.len() as u64,
             });
         }
+        got_reply |= !w.arena.replies.is_empty();
         for reply in w.arena.replies.drain(..) {
-            got_reply = true;
-            conn.on_datagram(&reply);
+            if fed < MAX_REPLIES_PER_FLIGHT {
+                fed += 1;
+                conn.on_datagram(&reply);
+            }
         }
         drain_conn_events(conn, o);
     }
@@ -275,37 +285,6 @@ impl QScanner {
         };
         metrics.observe("qscanner.scan_us", ctx.now());
         decided(result, ctx, metrics)
-    }
-
-    /// One target of a [`QScanner::drive`] run, traced when `trace` carries
-    /// the week label and the worker's metric set. A target whose scan
-    /// panics turns into [`ScanOutcome::Other`] instead of tearing down its
-    /// worker, and its trace degrades to the `outcome_decided` event.
-    fn scan_isolated(
-        &self,
-        w: &mut Worker<'_>,
-        target: &QuicTarget,
-        index: u64,
-        mut trace: Option<(Option<u32>, &mut LocalMetrics)>,
-    ) -> (QuicScanResult, Vec<Event>) {
-        let caught = catch_unwind(AssertUnwindSafe(|| match trace.as_mut() {
-            Some((week, metrics)) => self.scan_traced(w, target, index, *week, metrics),
-            None => (self.scan_one_impl(w, target, index, None), Vec::new()),
-        }));
-        caught.unwrap_or_else(|payload| {
-            // The unwound scan may have left a half-delivered flight's
-            // replies in the arena; single sends append to it.
-            w.arena.replies.clear();
-            let result = panic_result(target, payload);
-            match trace {
-                Some((week, metrics)) => decided(
-                    result,
-                    TraceCtx::new(index, target.trace_label(), week),
-                    metrics,
-                ),
-                None => (result, Vec::new()),
-            }
-        })
     }
 
     fn scan_one_impl(
@@ -534,9 +513,8 @@ impl QScanner {
     /// starts no more workers than there are targets, and runs a single
     /// worker on the caller's thread — the same code, no spawn.
     ///
-    /// A worker that dies outside `per_target`'s own isolation propagates
-    /// its panic: returning a shorter vector would silently misalign
-    /// results with the caller's target list.
+    /// A panic in a target's scan reaches the caller, as every panic in a
+    /// `fan_out` worker does.
     fn drive<R: Send>(
         &self,
         net: &Network,
@@ -589,7 +567,7 @@ impl QScanner {
         workers: usize,
     ) -> (Vec<QuicScanResult>, Vec<usize>) {
         self.drive(net, 0, targets, workers, None, |w, _, t, i| {
-            self.scan_isolated(w, t, i, None).0
+            self.scan_one_impl(w, t, i, None)
         })
     }
 
@@ -627,7 +605,7 @@ impl QScanner {
                 return base;
             }
             let (results, _) = self.drive(net, base, &batch, workers, None, |w, _, t, i| {
-                self.scan_isolated(w, t, i, None).0
+                self.scan_one_impl(w, t, i, None)
             });
             for r in results {
                 sink(base, r);
@@ -652,7 +630,7 @@ impl QScanner {
     ) -> Vec<QuicScanResult> {
         let registry = Some(&*telemetry.metrics);
         let (traced, _) = self.drive(net, 0, targets, workers, registry, |w, metrics, t, i| {
-            self.scan_isolated(w, t, i, Some((week, metrics)))
+            self.scan_traced(w, t, i, week, metrics)
         });
         traced
             .into_iter()
@@ -676,22 +654,4 @@ fn decided(
         outcome: result.outcome.label(),
     });
     (result, ctx.finish())
-}
-
-/// The result recorded for a target whose scan panicked.
-fn panic_result(target: &QuicTarget, payload: Box<dyn std::any::Any + Send>) -> QuicScanResult {
-    let msg = payload
-        .downcast_ref::<&str>()
-        .map(|s| (*s).to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "unknown panic".to_string());
-    QuicScanResult {
-        addr: target.addr,
-        sni: target.sni.clone(),
-        outcome: ScanOutcome::Other(format!("panic: {msg}")),
-        version: None,
-        tls: None,
-        transport_params: None,
-        http: None,
-    }
 }

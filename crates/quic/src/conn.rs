@@ -657,6 +657,11 @@ impl ClientConnection {
         if self.saw_server_packet {
             return; // VN after real packets must be ignored (RFC 9000 §6.2)
         }
+        // A VN that does not echo our connection IDs answers some other
+        // packet and is dropped (RFC 9000 §17.2.1).
+        if pkt.dcid != self.scid || pkt.scid.as_ref() != Some(&self.dcid) {
+            return;
+        }
         let server_versions = pkt.supported_versions.clone();
         self.note(|| telemetry::EventKind::VersionNegotiation {
             server_versions: server_versions.iter().map(|v| v.label()).collect(),

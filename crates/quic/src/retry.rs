@@ -132,6 +132,75 @@ pub fn decode_retry(datagram: &[u8], odcid: &ConnectionId) -> Option<RetryPacket
 mod tests {
     use super::*;
     use qcodec::hex;
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    /// Adds up what each thread asks the allocator for.
+    struct CountingAlloc;
+
+    thread_local!(static REQUESTED: Cell<usize> = const { Cell::new(0) });
+
+    // SAFETY: every call goes to `System` with the arguments it was given
+    // (`realloc` is the default `alloc` + copy, so growth is counted too);
+    // the counter is a const-initialised `Cell` with no destructor, so
+    // touching it neither allocates nor re-enters the allocator.
+    unsafe impl GlobalAlloc for CountingAlloc {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            let _ = REQUESTED.try_with(|n| n.set(n.get() + layout.size()));
+            System.alloc(layout)
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            System.dealloc(ptr, layout)
+        }
+    }
+
+    #[global_allocator]
+    static ALLOC: CountingAlloc = CountingAlloc;
+
+    /// What `decode_retry` may ask for on `len` bytes against an ODCID of
+    /// `odcid` bytes: the two connection IDs and the token are copies of
+    /// disjoint parts of the input (`len` in all), the pseudo-packet the
+    /// tag covers is the input less its tag plus the length-prefixed ODCID,
+    /// and the computed tag is 16 bytes.
+    fn decode_bound(len: usize, odcid: usize) -> usize {
+        len + (len + 1 + odcid) + 16
+    }
+
+    proptest::proptest! {
+        /// Arbitrary bytes, and a valid Retry with one byte overwritten, its
+        /// DCID length overwritten, or its tail cut: decoding returns
+        /// `Some` or `None` and asks for at most [`decode_bound`] bytes.
+        #[test]
+        fn hostile_bytes_stay_bounded(
+            garbage in proptest::collection::vec(proptest::any::<u8>(), 0..300),
+            token in proptest::collection::vec(proptest::any::<u8>(), 0..200),
+            odcid in proptest::collection::vec(proptest::any::<u8>(), 0..21),
+            at in proptest::any::<usize>(),
+            value in proptest::any::<u8>(),
+        ) {
+            let odcid = ConnectionId::new(&odcid);
+            let scid = ConnectionId::new(b"retry-cid");
+            let valid = encode_retry(Version::V1, &ConnectionId::new(b"client"), &scid, &odcid, &token);
+            proptest::prop_assert!(decode_retry(&valid, &odcid).is_some());
+            let at = at % valid.len();
+            let mut flipped = valid.clone();
+            flipped[at] = value;
+            let mut relength = valid.clone();
+            relength[5] = value;
+            for bytes in [&garbage[..], &flipped, &relength, &valid[..at]] {
+                let before = REQUESTED.get();
+                let _ = decode_retry(bytes, &odcid);
+                let requested = REQUESTED.get() - before;
+                let allowed = decode_bound(bytes.len(), odcid.len());
+                proptest::prop_assert!(
+                    requested <= allowed,
+                    "{} bytes in, {requested} requested, {allowed} allowed",
+                    bytes.len()
+                );
+            }
+        }
+    }
 
     /// RFC 9001 Appendix A.4: the published Retry packet for ODCID
     /// 0x8394c8f03e515708 with token "token".

@@ -298,6 +298,7 @@ mod tests {
     /// An index claimed and never handed in is caught by the merge, not
     /// passed on as a shorter vector.
     #[test]
+    #[allow(clippy::disallowed_methods)] // the panic is what is tested
     fn fan_out_pulled_rejects_a_dropped_index() {
         let dropping = |queue: &StealQueue, ran: &mut Vec<(usize, ())>| {
             while let Some(i) = queue.claim_one() {
@@ -310,6 +311,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_methods)] // the panic is what is tested
     fn fan_out_propagates_a_panicking_index() {
         for workers in [1usize, 4] {
             let caught = std::panic::catch_unwind(|| {

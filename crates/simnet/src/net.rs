@@ -601,9 +601,9 @@ impl NetShard<'_> {
 
 impl Drop for NetShard<'_> {
     fn drop(&mut self) {
-        // A shard abandoned on a panic path still merges its state: probes
+        // A shard dropped without `finish` still merges its state: probes
         // already sent are on the wire, so the shared counters must see
-        // them (mirrors the abort-path flush the sweep engine relies on).
+        // them.
         self.merge();
     }
 }

@@ -26,7 +26,6 @@
 //! takes the
 //! probe as a parameter (Version Negotiation over UDP, or a TCP SYN).
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -100,10 +99,10 @@ pub struct ShardStats {
     pub virtual_us: u64,
     /// Wall-clock time this shard's thread spent scanning.
     pub wall_us: u64,
-    /// True if the shard's scan loop panicked and was cut short. Partial
-    /// results and exact traffic counters are still reported: the shard
-    /// flushes its local stats on the abort path too.
-    pub aborted: bool,
+    /// Version Negotiation-shaped replies that were not hits: their
+    /// connection IDs did not echo the probe's (RFC 9000 §17.2.1), or they
+    /// listed no version. Zero for the SYN sweep.
+    pub invalid_replies: u64,
     /// Endpoint-lock traffic this shard generated (one acquisition per
     /// delivered probe flight, plus cross-shard handoffs for flows whose
     /// source and destination route to different endpoint shards).
@@ -200,7 +199,7 @@ impl ScanReport {
             let _ = writeln!(
                 out,
                 "  shard {}: idx [{}, {}), {} probes, {} blocked, {} hits, \
-                 {:.0} pps paced, {:.0} probes/s wall{}",
+                 {:.0} pps paced, {:.0} probes/s wall",
                 s.shard,
                 s.index_range.0,
                 s.index_range.1,
@@ -209,7 +208,6 @@ impl ScanReport {
                 s.hits,
                 s.achieved_pps(),
                 s.wall_pps(),
-                if s.aborted { " [ABORTED]" } else { "" },
             );
         }
         out
@@ -425,8 +423,10 @@ impl ZmapScanner {
             m.inc("zmap.probes", s.probes);
             m.inc("zmap.blocked", s.blocked);
             m.inc("zmap.hits", s.hits);
-            if s.aborted {
-                m.inc("zmap.aborted_shards", 1);
+            // Only when nonzero: a sweep whose replies all echo adds no
+            // line to `metrics.txt`.
+            if s.invalid_replies > 0 {
+                m.inc("zmap.invalid_replies", s.invalid_replies);
             }
             // Gauges sum across submissions, so per-shard paced rates add
             // up to the aggregate achieved rate.
@@ -498,9 +498,12 @@ impl ZmapScanner {
     ) -> (A, ScanReport) {
         self.sharded(net, targets.total(), &make, |plan| {
             let mut scratch = module.make_scratch();
-            self.run_shard(net, targets, plan, make(), |link, dst, i| {
-                module.probe_with_shard(&mut scratch, link, self.config.source, dst, i)
-            })
+            let (results, mut stats) =
+                self.run_shard(net, targets, plan, make(), |link, dst, i| {
+                    module.probe_with_shard(&mut scratch, link, self.config.source, dst, i)
+                });
+            stats.invalid_replies = scratch.invalid_replies();
+            (results, stats)
         })
     }
 
@@ -531,35 +534,31 @@ impl ZmapScanner {
         let mut blocked = 0u64;
         let mut probes = 0u64;
         let shard_wall = Instant::now();
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            let mut block = [0u64; BLOCK];
-            for first in (lo..hi).step_by(BLOCK) {
-                let block = &mut block[..(hi - first).min(BLOCK as u64) as usize];
-                targets.fill(first, block);
-                for (i, &at) in (first..).zip(&*block) {
-                    let addr = targets.addr(at);
-                    if self.config.blocklist.is_blocked(&addr) {
-                        blocked += 1;
-                        continue;
-                    }
-                    // Both sweeps probe 443: QUIC's port and the TLS scans'.
-                    let dst = SocketAddr::new(addr, 443);
-                    // Duplicate-probe mode: re-probe until the target answers
-                    // or the repeat budget runs out; record at most one reply.
-                    for _ in 0..self.config.probe_repeat.max(1) {
-                        bucket.acquire(&link.clock);
-                        probes += 1;
-                        if let Some(hit) = probe(&mut link, dst, i) {
-                            results.absorb(hit);
-                            hits += 1;
-                            break;
-                        }
+        let mut block = [0u64; BLOCK];
+        for first in (lo..hi).step_by(BLOCK) {
+            let block = &mut block[..(hi - first).min(BLOCK as u64) as usize];
+            targets.fill(first, block);
+            for (i, &at) in (first..).zip(&*block) {
+                let addr = targets.addr(at);
+                if self.config.blocklist.is_blocked(&addr) {
+                    blocked += 1;
+                    continue;
+                }
+                // Both sweeps probe 443: QUIC's port and the TLS scans'.
+                let dst = SocketAddr::new(addr, 443);
+                // Duplicate-probe mode: re-probe until the target answers
+                // or the repeat budget runs out; record at most one reply.
+                for _ in 0..self.config.probe_repeat.max(1) {
+                    bucket.acquire(&link.clock);
+                    probes += 1;
+                    if let Some(hit) = probe(&mut link, dst, i) {
+                        results.absorb(hit);
+                        hits += 1;
+                        break;
                     }
                 }
             }
-        }));
-        // Merge on the abort path too: probes sent before the panic are on
-        // the wire, so the report's traffic counters must include them.
+        }
         let virtual_us = link.now().0.saturating_sub(start.0);
         let locks = link.finish();
         let stats = ShardStats {
@@ -570,7 +569,7 @@ impl ZmapScanner {
             hits,
             virtual_us,
             wall_us: shard_wall.elapsed().as_micros() as u64,
-            aborted: caught.is_err(),
+            invalid_replies: 0,
             locks,
         };
         (results, stats)
@@ -857,47 +856,6 @@ mod tests {
         }
     }
 
-    /// A panicking probe target aborts only its shard: the sweep survives,
-    /// the abort is flagged, results collected before the panic are kept,
-    /// and — the regression this guards — the shard's locally buffered
-    /// traffic stats are flushed, so the report's packet counters stay
-    /// exact instead of silently undercounting the aborted shard.
-    #[test]
-    fn aborted_shard_flushes_stats_and_keeps_partial_results() {
-        struct Poison;
-        impl UdpService for Poison {
-            fn on_datagram(&mut self, _ctx: &mut ServiceCtx<'_>, _f: SocketAddr, _d: &[u8]) {
-                panic!("poisoned probe target");
-            }
-        }
-        let mut net = Network::new(5);
-        for last in [5u8, 77, 200] {
-            net.bind_udp(
-                SocketAddr::new(Ipv4Addr::new(10, 54, 0, last), 443),
-                quic_host(vec![Version::V1]),
-            );
-        }
-        net.bind_udp(
-            SocketAddr::new(Ipv4Addr::new(10, 54, 0, 130), 443),
-            Box::new(Poison),
-        );
-        let cfg = ZmapConfig::new(SocketAddr::new(Ipv4Addr::new(192, 0, 2, 9), 50000));
-        let scanner = ZmapScanner::new(cfg);
-        let module = QuicVnModule::new(1);
-        let prefixes = [Prefix::new(Ipv4Addr::new(10, 54, 0, 0), 24)];
-        let (hits, report) = scanner.scan_v4_with_report(&net, &prefixes, &module);
-        assert_eq!(report.shards.len(), 1);
-        assert!(report.shards[0].aborted);
-        assert!(report.summary().contains("[ABORTED]"));
-        // The walk stopped at the poisoned index, partway through the /24.
-        assert!(report.probes() < 256, "probes = {}", report.probes());
-        assert!(report.probes() > 0);
-        assert!(hits.len() <= 3);
-        // Exact accounting: every counted probe reached the shared stats,
-        // including those the aborted shard had buffered locally.
-        assert_eq!(report.packets_sent, report.probes());
-    }
-
     /// With a registry configured, a sweep submits per-shard counters that
     /// reconcile exactly with the `ScanReport`.
     #[test]
@@ -921,7 +879,7 @@ mod tests {
         assert_eq!(snap.counter("zmap.probes"), report.probes());
         assert_eq!(snap.counter("zmap.hits"), report.hits());
         assert_eq!(snap.counter("zmap.blocked"), 0);
-        assert_eq!(snap.counter("zmap.aborted_shards"), 0);
+        assert_eq!(snap.counter("zmap.invalid_replies"), 0);
         assert_eq!(snap.counter("zmap.packets_sent"), report.packets_sent);
         assert_eq!(
             snap.counter("zmap.packets_received"),
