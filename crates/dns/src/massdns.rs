@@ -114,7 +114,9 @@ impl BulkResolver {
 }
 
 /// Resolves one domain/type over the simulated wire (for fidelity tests and
-/// the examples). Returns `None` on timeout or malformed responses.
+/// the examples). The answer is the first reply that decodes as a response
+/// carrying the query's ID, as a stub resolver skips stray datagrams;
+/// `None` when no reply does.
 pub fn resolve_over_network(
     net: &Network,
     src: SocketAddr,
@@ -125,11 +127,11 @@ pub fn resolve_over_network(
 ) -> Option<(Rcode, Vec<crate::rr::Record>)> {
     let query = Message::query(id, domain, qtype);
     let replies = net.udp_send(src, dns_server, &query.encode());
-    let resp = Message::decode(replies.first()?).ok()?;
-    if !resp.response || resp.id != id {
-        return None;
-    }
-    Some((resp.rcode, resp.answers))
+    replies
+        .iter()
+        .filter_map(|reply| Message::decode(reply).ok())
+        .find(|resp| resp.response && resp.id == id)
+        .map(|resp| (resp.rcode, resp.answers))
 }
 
 #[cfg(test)]

@@ -345,7 +345,7 @@ mod tests {
         let tel = Telemetry::with_sink(sink.clone());
         let mut metrics = telemetry::LocalMetrics::new();
         let (r, events) = scanner.scan_one_traced(&net, &target, 3, None, &mut metrics);
-        tel.metrics.submit(0, metrics);
+        tel.metrics.submit(metrics);
         assert_eq!(r.outcome, ScanOutcome::Success);
         let names: Vec<&str> = events.iter().map(|e| e.kind.name()).collect();
         for expected in [

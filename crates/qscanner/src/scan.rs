@@ -531,9 +531,9 @@ impl QScanner {
             |(worker, metrics), i| per_target(worker, metrics, &targets[i], base + i as u64),
         );
         let mut counts = Vec::with_capacity(per_worker.len());
-        for (id, ((_, metrics), scanned)) in per_worker.into_iter().enumerate() {
+        for ((_, metrics), scanned) in per_worker {
             if let Some(registry) = registry {
-                registry.submit(id as u64, metrics);
+                registry.submit(metrics);
             }
             counts.push(scanned);
         }

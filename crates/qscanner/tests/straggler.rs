@@ -15,7 +15,7 @@ use internet::{Universe, UniverseConfig};
 use qscanner::{QScanner, QuicScanResult, QuicTarget, ScanOutcome};
 use simnet::addr::Ipv4Addr;
 use simnet::{IpAddr, Network};
-use telemetry::{Event, MemorySink, MetricsSnapshot, Telemetry};
+use telemetry::{Event, LocalMetrics, MemorySink, Telemetry};
 
 fn vantage() -> IpAddr {
     IpAddr::V4(Ipv4Addr::new(192, 0, 2, 10))
@@ -72,7 +72,7 @@ fn run_traced(
     targets: &[QuicTarget],
     workers: usize,
     loss_permille: u32,
-) -> (Vec<QuicScanResult>, Vec<Event>, MetricsSnapshot) {
+) -> (Vec<QuicScanResult>, Vec<Event>, LocalMetrics) {
     let sink = Arc::new(MemorySink::new());
     let telemetry = Telemetry::with_sink(sink.clone());
     let net = net_with_loss(u, loss_permille);

@@ -713,13 +713,18 @@ impl ClientConnection {
         frames
     }
 
-    /// Handles an Initial or Handshake packet's frames: CRYPTO feeds TLS and
-    /// CONNECTION_CLOSE ends the connection; nothing else there concerns
-    /// the client.
+    /// Handles an Initial or Handshake packet's frames: an ACK of a packet
+    /// number the space never sent closes the connection (RFC 9000 §13.1),
+    /// CRYPTO feeds TLS and CONNECTION_CLOSE ends the connection; nothing
+    /// else there concerns the client.
     fn process_frames(&mut self, space: usize, level: Level, payload: &[u8]) {
         let Some(frames) = self.decode_frames(payload) else {
             return;
         };
+        if Frame::acks_unsent(&frames, self.next_pn[space]) {
+            self.close_for(ConnectionError::ACK_OF_UNSENT);
+            return;
+        }
         for frame in frames {
             match frame {
                 Frame::Crypto { offset, data } => {

@@ -29,4 +29,4 @@ pub use net::{
     DatagramArena, FlightStatus, LockCounters, NetShard, Network, ServiceCtx, TcpAction,
     TcpFactory, TcpHandler, TcpStream, UdpService,
 };
-pub use stats::{LocalStats, NetStats};
+pub use stats::NetStats;

@@ -292,7 +292,7 @@ impl Network {
         NetShard {
             clock: ShardClock::starting_at(self.clock.now()),
             net: self,
-            local: LocalStats::new(),
+            local: LocalStats::default(),
             flow_seq: FastMap::default(),
             locks: LockCounters::default(),
             merged: false,
@@ -319,7 +319,7 @@ impl Network {
 ///
 /// A shard owns the flows its worker drives: a private [`ShardClock`]
 /// (seeded from the shared clock, merged back with
-/// [`SimClock::catch_up`]), private [`LocalStats`] traffic counters, and a
+/// [`SimClock::catch_up`]), private traffic counters, and a
 /// private cache of the per-flow fault-draw sequence numbers — so the
 /// steady-state probe/handshake loop touches **no** shared atomics or
 /// mutexes except the destination service's own mutex, at most once per
@@ -577,8 +577,8 @@ impl NetShard<'_> {
 
     /// Merges every piece of private state back into the shared network:
     /// the clock via [`SimClock::catch_up`] (shared time becomes the
-    /// slowest shard's end time), traffic counters via
-    /// [`LocalStats::flush`], and the cached flow-sequence counters via
+    /// slowest shard's end time), traffic counters into
+    /// [`Network::stats`], and the cached flow-sequence counters via
     /// write-back (each flow was owned exclusively by this shard). Returns
     /// the shard's lock-traffic counters.
     pub fn finish(mut self) -> LockCounters {

@@ -51,41 +51,22 @@ impl NetStats {
             self.packets_dropped.load(Ordering::Relaxed),
         )
     }
-
-    /// Resets every counter to zero.
-    pub fn reset(&self) {
-        self.packets_sent.store(0, Ordering::Relaxed);
-        self.bytes_sent.store(0, Ordering::Relaxed);
-        self.packets_received.store(0, Ordering::Relaxed);
-        self.bytes_received.store(0, Ordering::Relaxed);
-        self.packets_dropped.store(0, Ordering::Relaxed);
-    }
 }
 
-/// Plain-integer counter accumulator for a single thread. Scan shards
-/// account each probe here (no shared-cache-line traffic on the per-packet
-/// fast path) and [`LocalStats::flush`] the totals into the network-wide
-/// [`NetStats`] once per shard.
-#[derive(Debug, Default, Clone)]
-pub struct LocalStats {
-    /// Datagrams sent.
-    pub packets_sent: u64,
-    /// Bytes sent.
-    pub bytes_sent: u64,
-    /// Datagrams received.
-    pub packets_received: u64,
-    /// Bytes received.
-    pub bytes_received: u64,
-    /// Packets dropped by the loss model.
-    pub packets_dropped: u64,
+/// A [`crate::NetShard`]'s private traffic counters: each probe is
+/// accounted here (no shared-cache-line traffic on the per-packet fast
+/// path) and [`LocalStats::flush`]ed into the network-wide [`NetStats`]
+/// once per shard.
+#[derive(Debug, Default)]
+pub(crate) struct LocalStats {
+    packets_sent: u64,
+    bytes_sent: u64,
+    packets_received: u64,
+    bytes_received: u64,
+    packets_dropped: u64,
 }
 
 impl LocalStats {
-    /// Fresh zeroed counters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     pub(crate) fn record_send(&mut self, bytes: usize) {
         self.packets_sent += 1;
         self.bytes_sent += bytes as u64;
@@ -101,7 +82,7 @@ impl LocalStats {
     }
 
     /// Adds the accumulated counts into `stats` and zeroes this accumulator.
-    pub fn flush(&mut self, stats: &NetStats) {
+    pub(crate) fn flush(&mut self, stats: &NetStats) {
         stats
             .packets_sent
             .fetch_add(self.packets_sent, Ordering::Relaxed);
@@ -133,7 +114,5 @@ mod tests {
         s.record_recv(41);
         s.record_drop();
         assert_eq!(s.snapshot(), (2, 1260, 1, 41, 1));
-        s.reset();
-        assert_eq!(s.snapshot(), (0, 0, 0, 0, 0));
     }
 }

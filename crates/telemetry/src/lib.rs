@@ -11,11 +11,12 @@
 //!   derivations, injected faults, final verdicts) and scan drivers merge
 //!   the per-target event lists **in target-index order** into an
 //!   [`EventSink`] (a JSON-SEQ file, memory, or both).
-//! * **Metrics** ([`metrics`]): plain per-worker [`LocalMetrics`] (counters,
-//!   gauges, fixed-bucket histograms) updated with zero synchronization on
-//!   the hot path and submitted once per shard to a [`MetricsRegistry`],
-//!   which merges submissions index-ordered — the same discipline as the
-//!   sharded sweep's result merge.
+//! * **Metrics** ([`metrics`]): one metric-set type, [`LocalMetrics`]
+//!   (counters and fixed-bucket histograms). A worker updates its own with
+//!   zero synchronization on the hot path and submits it once per shard to
+//!   a [`MetricsRegistry`], which merges it into one set on arrival. Every
+//!   merge is a sum, so arrival order — and so the worker count — cannot
+//!   change the merged set.
 //!
 //! ## Determinism rules
 //!
@@ -37,7 +38,7 @@ pub mod sink;
 pub mod trace;
 
 pub use event::{Event, EventKind, FaultKind};
-pub use metrics::{Histogram, LocalMetrics, MetricsRegistry, MetricsSnapshot};
+pub use metrics::{Histogram, LocalMetrics, MetricsRegistry};
 pub use sink::{EventSink, FanoutSink, JsonSeqFileSink, MemorySink};
 pub use trace::TraceCtx;
 
@@ -50,7 +51,7 @@ use std::sync::Arc;
 pub struct Telemetry {
     /// Destination for merged event streams (`None` = metrics only).
     pub sink: Option<Arc<dyn EventSink>>,
-    /// Registry collecting per-shard metric submissions.
+    /// Registry merging per-shard metric submissions.
     pub metrics: Arc<MetricsRegistry>,
 }
 

@@ -2,11 +2,11 @@
 //!
 //! The hot path never touches shared state: each worker owns a plain
 //! [`LocalMetrics`] (no atomics, no locks) and bumps it like local
-//! variables. When a shard finishes, the worker submits the whole struct to
+//! variables. When a shard finishes, the worker submits the whole set to
 //! the [`MetricsRegistry`] once — the only synchronized step, and a cold
-//! one. A [`MetricsSnapshot`] merges submissions **sorted by shard index**,
-//! so the merged counters and histograms are identical at any worker count
-//! (the same discipline as the sharded sweep's result merge).
+//! one — which merges it into its own set on arrival. Every merge is a sum
+//! (histogram sums saturate), so the merged set is the same whatever order
+//! the submissions arrive in, and therefore at any worker count.
 //!
 //! Metric names are `&'static str` literals at every call site; maps are
 //! `BTreeMap` so iteration (and therefore rendering) is ordered and stable.
@@ -101,11 +101,12 @@ impl Default for Histogram {
     }
 }
 
-/// One worker's unsynchronized metric set.
+/// A metric set: counters and fixed-bucket histograms. A worker owns one
+/// and bumps it with no synchronization; [`MetricsRegistry`] keeps another,
+/// into which it merges every submission.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LocalMetrics {
     counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, u64>,
     histograms: BTreeMap<&'static str, Histogram>,
 }
 
@@ -120,15 +121,20 @@ impl LocalMetrics {
         *self.counters.entry(name).or_insert(0) += by;
     }
 
-    /// Sets gauge `name` to `value` (last write per shard wins; shards sum
-    /// at merge, e.g. per-shard achieved pps → aggregate pps).
-    pub fn gauge(&mut self, name: &'static str, value: u64) {
-        self.gauges.insert(name, value);
-    }
-
     /// Records `value_us` into histogram `name`.
     pub fn observe(&mut self, name: &'static str, value_us: u64) {
         self.histograms.entry(name).or_default().observe(value_us);
+    }
+
+    /// Sums `other` into `self`, counter by counter and histogram by
+    /// histogram.
+    pub fn merge(&mut self, other: &LocalMetrics) {
+        for (name, v) in &other.counters {
+            self.inc(name, *v);
+        }
+        for (name, h) in &other.histograms {
+            self.histograms.entry(name).or_default().merge(h);
+        }
     }
 
     /// Counter value (0 when never bumped).
@@ -136,95 +142,9 @@ impl LocalMetrics {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// True when nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
-    }
-
-    fn merge_into(&self, snap: &mut MetricsSnapshot) {
-        for (name, v) in &self.counters {
-            *snap.counters.entry(name).or_insert(0) += v;
-        }
-        for (name, v) in &self.gauges {
-            *snap.gauges.entry(name).or_insert(0) += v;
-        }
-        for (name, h) in &self.histograms {
-            snap.histograms.entry(name).or_default().merge(h);
-        }
-    }
-}
-
-/// Collects per-shard [`LocalMetrics`] submissions. The mutex is taken once
-/// per shard, never per probe.
-#[derive(Debug, Default)]
-pub struct MetricsRegistry {
-    submissions: Mutex<Vec<(u64, LocalMetrics)>>,
-}
-
-impl MetricsRegistry {
-    /// Empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Submits one shard's metrics under its shard/scan index. Empty
-    /// submissions are dropped.
-    pub fn submit(&self, index: u64, metrics: LocalMetrics) {
-        if metrics.is_empty() {
-            return;
-        }
-        self.submissions
-            .lock()
-            .expect("metrics registry poisoned")
-            .push((index, metrics));
-    }
-
-    /// Merges every submission, ordered by (index, arrival), into one
-    /// snapshot. Counter and histogram merges commute, so the snapshot is
-    /// worker-count independent; the explicit ordering keeps it so even if a
-    /// merge ever stops commuting.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut subs = self
-            .submissions
-            .lock()
-            .expect("metrics registry poisoned")
-            .clone();
-        subs.sort_by_key(|(index, _)| *index);
-        let mut snap = MetricsSnapshot::default();
-        for (_, m) in &subs {
-            m.merge_into(&mut snap);
-        }
-        snap
-    }
-}
-
-/// Index-ordered merge of every shard submission.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MetricsSnapshot {
-    counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, u64>,
-    histograms: BTreeMap<&'static str, Histogram>,
-}
-
-impl MetricsSnapshot {
-    /// Merged counter value (0 when absent).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Summed gauge value (0 when absent).
-    pub fn gauge(&self, name: &str) -> u64 {
-        self.gauges.get(name).copied().unwrap_or(0)
-    }
-
-    /// Merged histogram, when any shard observed into it.
+    /// Histogram `name`, when anything was observed into it.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
         self.histograms.get(name)
-    }
-
-    /// All counters, name-ordered.
-    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counters.iter().map(|(n, v)| (*n, *v))
     }
 
     /// Plain-text report, one metric per line, stable order.
@@ -233,9 +153,6 @@ impl MetricsSnapshot {
         let mut out = String::new();
         for (name, v) in &self.counters {
             let _ = writeln!(out, "counter {name} {v}");
-        }
-        for (name, v) in &self.gauges {
-            let _ = writeln!(out, "gauge {name} {v}");
         }
         for (name, h) in &self.histograms {
             let _ = writeln!(
@@ -248,6 +165,37 @@ impl MetricsSnapshot {
             );
         }
         out
+    }
+}
+
+/// Merges every submitted [`LocalMetrics`] into one set as it arrives. The
+/// mutex is taken once per submission (a shard, a worker or a scan), never
+/// per probe.
+#[derive(Debug, Default)]
+pub struct MetricsRegistry {
+    merged: Mutex<LocalMetrics>,
+}
+
+impl MetricsRegistry {
+    /// Empty registry.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Merges `metrics` into the registry's set.
+    pub fn submit(&self, metrics: LocalMetrics) {
+        self.merged
+            .lock()
+            .expect("metrics registry poisoned")
+            .merge(&metrics);
+    }
+
+    /// Everything submitted so far, merged.
+    pub fn snapshot(&self) -> LocalMetrics {
+        self.merged
+            .lock()
+            .expect("metrics registry poisoned")
+            .clone()
     }
 }
 
@@ -282,22 +230,20 @@ mod tests {
         let mk = |salt: u64| {
             let mut m = LocalMetrics::new();
             m.inc("probes", 10 + salt);
-            m.gauge("pps", 100);
             m.observe("rtt", 40_000 + salt);
             m
         };
         let forward = MetricsRegistry::new();
-        forward.submit(0, mk(0));
-        forward.submit(1, mk(1));
-        forward.submit(2, mk(2));
+        forward.submit(mk(0));
+        forward.submit(mk(1));
+        forward.submit(mk(2));
         let backward = MetricsRegistry::new();
-        backward.submit(2, mk(2));
-        backward.submit(0, mk(0));
-        backward.submit(1, mk(1));
+        backward.submit(mk(2));
+        backward.submit(mk(0));
+        backward.submit(mk(1));
         assert_eq!(forward.snapshot(), backward.snapshot());
         let snap = forward.snapshot();
         assert_eq!(snap.counter("probes"), 33);
-        assert_eq!(snap.gauge("pps"), 300);
         assert_eq!(snap.histogram("rtt").unwrap().count(), 3);
         assert!(
             snap.render().contains("counter probes 33"),
@@ -307,10 +253,10 @@ mod tests {
     }
 
     #[test]
-    fn empty_submissions_are_dropped() {
+    fn an_empty_submission_changes_nothing() {
         let reg = MetricsRegistry::new();
-        reg.submit(0, LocalMetrics::new());
-        assert!(reg.submissions.lock().unwrap().is_empty());
-        assert_eq!(reg.snapshot(), MetricsSnapshot::default());
+        reg.submit(LocalMetrics::new());
+        assert_eq!(reg.snapshot(), LocalMetrics::new());
+        assert_eq!(reg.snapshot().render(), "");
     }
 }

@@ -340,10 +340,10 @@ impl ResponseCheck {
 // Wall-clock on the simulator cannot show what GSO-style batching buys a
 // real server: the simulated per-datagram pipeline costs nanoseconds while
 // a production network stack charges a syscall plus a kernel traversal per
-// datagram. Like the handshake makespan model, the serve rate is therefore
-// also reported against a deterministic CPU cost model of the host's
-// send/receive path: every datagram pays a crypto cost proportional to its
-// size plus a fixed kernel per-datagram cost, and every sendmsg/recvmsg
+// datagram. The serve rate is therefore also reported against a
+// deterministic CPU cost model of the host's send/receive path: every
+// datagram pays a crypto cost proportional to its size plus a fixed
+// kernel per-datagram cost, and every sendmsg/recvmsg
 // boundary pays a syscall cost — once per *flight* on the batched path,
 // once per *datagram* on the per-packet baseline. The constants are
 // round-number figures in the range measured for Linux UDP sockets

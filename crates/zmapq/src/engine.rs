@@ -57,10 +57,8 @@ pub struct ZmapConfig {
     /// up to this many times and at most one reply per target is recorded,
     /// recovering hosts whose first probe or reply was lost.
     pub probe_repeat: usize,
-    /// Optional metrics registry. When set, every sweep submits per-shard
-    /// counters (probes/blocked/hits), the achieved-pps gauge, and the
-    /// scan-level traffic counters after merging — from the driver thread,
-    /// in shard-index order, so submission order is deterministic.
+    /// Optional metrics registry. When set, every sweep submits its
+    /// [`ScanReport::metrics`] once, from the driver thread.
     pub metrics: Option<Arc<MetricsRegistry>>,
 }
 
@@ -79,19 +77,12 @@ impl ZmapConfig {
     }
 }
 
-/// Per-shard sweep accounting (the observable side of the parallel sweep).
+/// Per-shard sweep accounting: what differs between shards or between
+/// runs. A shard's counts go into [`ScanReport::metrics`].
 #[derive(Debug, Clone)]
 pub struct ShardStats {
-    /// Shard number.
-    pub shard: usize,
     /// Half-open scan-index range `[lo, hi)` this shard walked.
     pub index_range: (u64, u64),
-    /// Probes actually sent (indices minus blocklisted addresses).
-    pub probes: u64,
-    /// Addresses skipped by the blocklist.
-    pub blocked: u64,
-    /// Positive results contributed.
-    pub hits: u64,
     /// Virtual time this shard's private clock advanced while pacing its
     /// slice of the scan. Each worker owns a [`simnet::ShardClock`], so
     /// this is the shard's own pacing time, independent of other shards;
@@ -99,51 +90,27 @@ pub struct ShardStats {
     pub virtual_us: u64,
     /// Wall-clock time this shard's thread spent scanning.
     pub wall_us: u64,
-    /// Version Negotiation-shaped replies that were not hits: their
-    /// connection IDs did not echo the probe's (RFC 9000 §17.2.1), or they
-    /// listed no version. Zero for the SYN sweep.
-    pub invalid_replies: u64,
-    /// Endpoint-lock traffic this shard generated (one acquisition per
-    /// delivered probe flight, plus cross-shard handoffs for flows whose
-    /// source and destination route to different endpoint shards).
-    /// `acquired` and `cross_shard` are schedule-deterministic;
-    /// `contended` depends on real thread interleaving and is reported for
-    /// diagnostics only.
-    pub locks: simnet::LockCounters,
+    /// Endpoint-lock acquisitions that found the lock held by another
+    /// worker. It depends on real thread interleaving, so it stays out of
+    /// the metric set, which is compared across worker counts.
+    pub contended: u64,
 }
 
-impl ShardStats {
-    /// Probes per *virtual* second — the paced rate this shard achieved.
-    pub fn achieved_pps(&self) -> f64 {
-        if self.virtual_us == 0 {
-            0.0
-        } else {
-            self.probes as f64 * 1e6 / self.virtual_us as f64
-        }
-    }
-
-    /// Probes per *wall-clock* second — the simulation throughput.
-    pub fn wall_pps(&self) -> f64 {
-        if self.wall_us == 0 {
-            0.0
-        } else {
-            self.probes as f64 * 1e6 / self.wall_us as f64
-        }
-    }
-}
-
-/// Whole-scan accounting: per-shard stats plus the [`simnet::NetStats`]
-/// deltas the sweep generated.
+/// Whole-scan accounting: per-shard stats plus the sweep's counts.
 #[derive(Debug, Clone, Default)]
 pub struct ScanReport {
     /// One entry per shard, in index order.
     pub shards: Vec<ShardStats>,
-    /// Datagrams the sweep put on the wire.
-    pub packets_sent: u64,
-    /// Bytes the sweep put on the wire (the §3.1 padding cost).
-    pub bytes_sent: u64,
-    /// Response datagrams delivered back.
-    pub packets_received: u64,
+    /// Every count of the sweep, once: `zmap.probes`, `zmap.blocked`,
+    /// `zmap.hits` and (when nonzero) `zmap.invalid_replies` summed over
+    /// shards; the traffic the sweep put on the wire (`zmap.packets_sent`,
+    /// `zmap.bytes_sent` — the §3.1 padding cost — and
+    /// `zmap.packets_received`); and the schedule-deterministic endpoint
+    /// lock traffic (`simnet.lock_acquisitions`, one per delivered probe
+    /// flight, and `simnet.cross_shard_handoffs`, flights whose source and
+    /// destination route to different endpoint shards). None of them
+    /// depends on the worker count.
+    pub metrics: LocalMetrics,
     /// Wall-clock duration of the whole scan.
     pub wall_us: u64,
 }
@@ -151,66 +118,21 @@ pub struct ScanReport {
 impl ScanReport {
     /// Total probes across shards.
     pub fn probes(&self) -> u64 {
-        self.shards.iter().map(|s| s.probes).sum()
+        self.metrics.counter("zmap.probes")
     }
 
     /// Total hits across shards.
     pub fn hits(&self) -> u64 {
-        self.shards.iter().map(|s| s.hits).sum()
+        self.metrics.counter("zmap.hits")
     }
 
     /// Aggregate endpoint-lock counters across shards.
     pub fn lock_counters(&self) -> simnet::LockCounters {
-        let mut total = simnet::LockCounters::default();
-        for s in &self.shards {
-            total.merge(&s.locks);
+        simnet::LockCounters {
+            acquired: self.metrics.counter("simnet.lock_acquisitions"),
+            contended: self.shards.iter().map(|s| s.contended).sum(),
+            cross_shard: self.metrics.counter("simnet.cross_shard_handoffs"),
         }
-        total
-    }
-
-    /// Aggregate probes per wall-clock second.
-    pub fn wall_pps(&self) -> f64 {
-        if self.wall_us == 0 {
-            0.0
-        } else {
-            self.probes() as f64 * 1e6 / self.wall_us as f64
-        }
-    }
-
-    /// Human-readable per-shard achieved-pps report.
-    pub fn summary(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "scan: {} probes, {} hits, {} pkts / {} B sent, {:.1} ms wall, {:.0} probes/s wall, \
-             {} locks ({} contended), {} cross-shard",
-            self.probes(),
-            self.hits(),
-            self.packets_sent,
-            self.bytes_sent,
-            self.wall_us as f64 / 1e3,
-            self.wall_pps(),
-            self.lock_counters().acquired,
-            self.lock_counters().contended,
-            self.lock_counters().cross_shard,
-        );
-        for s in &self.shards {
-            let _ = writeln!(
-                out,
-                "  shard {}: idx [{}, {}), {} probes, {} blocked, {} hits, \
-                 {:.0} pps paced, {:.0} probes/s wall",
-                s.shard,
-                s.index_range.0,
-                s.index_range.1,
-                s.probes,
-                s.blocked,
-                s.hits,
-                s.achieved_pps(),
-                s.wall_pps(),
-            );
-        }
-        out
     }
 }
 
@@ -268,7 +190,6 @@ const BLOCK: usize = 256;
 /// One shard's slice of a sweep.
 #[derive(Clone, Copy)]
 struct ShardPlan {
-    shard: usize,
     /// Half-open scan-index range `[lo, hi)`.
     range: (u64, u64),
     /// This shard's slice of the aggregate rate budget, in pps.
@@ -364,13 +285,14 @@ impl ZmapScanner {
 
     /// Runs `run_shard` over the sharded index domain on
     /// [`simnet::fan_out`] — index = shard, one worker per shard, a single
-    /// shard on the caller's thread — and merges results in shard order.
+    /// shard on the caller's thread — merges results in shard order, and
+    /// submits the sweep's metric set to the configured registry.
     fn sharded<A: SweepAccumulator>(
         &self,
         net: &Network,
         total: u64,
         empty: impl FnOnce() -> A,
-        run_shard: impl Fn(ShardPlan) -> (A, ShardStats) + Sync,
+        run_shard: impl Fn(ShardPlan) -> (A, ShardStats, LocalMetrics) + Sync,
     ) -> (A, ScanReport) {
         let wall = Instant::now();
         let before = net.stats.snapshot();
@@ -383,7 +305,6 @@ impl ZmapScanner {
             || (),
             |(), shard| {
                 run_shard(ShardPlan {
-                    shard,
                     range: bounds[shard],
                     rate,
                     start,
@@ -393,58 +314,27 @@ impl ZmapScanner {
         let after = net.stats.snapshot();
         let mut results: Option<A> = None;
         let mut shards = Vec::with_capacity(outcomes.len());
-        for (shard_results, stats) in outcomes {
+        let mut metrics = LocalMetrics::new();
+        for (shard_results, stats, shard_metrics) in outcomes {
             match &mut results {
                 None => results = Some(shard_results),
                 Some(acc) => acc.merge(shard_results),
             }
             shards.push(stats);
+            metrics.merge(&shard_metrics);
         }
-        let results = results.unwrap_or_else(empty);
+        metrics.inc("zmap.packets_sent", after.0.saturating_sub(before.0));
+        metrics.inc("zmap.bytes_sent", after.1.saturating_sub(before.1));
+        metrics.inc("zmap.packets_received", after.2.saturating_sub(before.2));
         let report = ScanReport {
             shards,
-            packets_sent: after.0.saturating_sub(before.0),
-            bytes_sent: after.1.saturating_sub(before.1),
-            packets_received: after.2.saturating_sub(before.2),
+            metrics,
             wall_us: wall.elapsed().as_micros() as u64,
         };
-        self.submit_metrics(&report);
-        (results, report)
-    }
-
-    /// Submits per-shard counters plus the scan-level traffic counters to
-    /// the configured registry, from the driver thread in shard order.
-    fn submit_metrics(&self, report: &ScanReport) {
-        let Some(registry) = &self.config.metrics else {
-            return;
-        };
-        for s in &report.shards {
-            let mut m = LocalMetrics::new();
-            m.inc("zmap.probes", s.probes);
-            m.inc("zmap.blocked", s.blocked);
-            m.inc("zmap.hits", s.hits);
-            // Only when nonzero: a sweep whose replies all echo adds no
-            // line to `metrics.txt`.
-            if s.invalid_replies > 0 {
-                m.inc("zmap.invalid_replies", s.invalid_replies);
-            }
-            // Gauges sum across submissions, so per-shard paced rates add
-            // up to the aggregate achieved rate.
-            m.gauge("zmap.achieved_pps", s.achieved_pps() as u64);
-            registry.submit(s.shard as u64, m);
+        if let Some(registry) = &self.config.metrics {
+            registry.submit(report.metrics.clone());
         }
-        let mut m = LocalMetrics::new();
-        m.inc("zmap.packets_sent", report.packets_sent);
-        m.inc("zmap.bytes_sent", report.bytes_sent);
-        m.inc("zmap.packets_received", report.packets_received);
-        // Sharded-simnet lock traffic. Only the schedule-deterministic
-        // counters go to the registry — metrics snapshots are byte-compared
-        // across worker counts, so the interleaving-dependent `contended`
-        // count must stay out (it is reported via `ScanReport::summary`).
-        let locks = report.lock_counters();
-        m.inc("simnet.lock_acquisitions", locks.acquired);
-        m.inc("simnet.cross_shard_handoffs", locks.cross_shard);
-        registry.submit(report.shards.len() as u64, m);
+        (results.unwrap_or_else(empty), report)
     }
 
     /// Sweeps the address space covered by `prefixes` with the QUIC VN
@@ -498,19 +388,24 @@ impl ZmapScanner {
     ) -> (A, ScanReport) {
         self.sharded(net, targets.total(), &make, |plan| {
             let mut scratch = module.make_scratch();
-            let (results, mut stats) =
+            let (results, stats, mut metrics) =
                 self.run_shard(net, targets, plan, make(), |link, dst, i| {
                     module.probe_with_shard(&mut scratch, link, self.config.source, dst, i)
                 });
-            stats.invalid_replies = scratch.invalid_replies();
-            (results, stats)
+            // Only when nonzero: a sweep whose replies all echo adds no
+            // line to `metrics.txt`.
+            if scratch.invalid_replies() > 0 {
+                metrics.inc("zmap.invalid_replies", scratch.invalid_replies());
+            }
+            (results, stats, metrics)
         })
     }
 
     /// The shard loop of every sweep: walks the plan's scan indices a block
     /// of addresses at a time, sending `probe` to each address the
     /// blocklist lets through at the plan's rate and folding hits into
-    /// `results`.
+    /// `results`. Its loop counts in plain integers, which become the
+    /// shard's metric set once the loop is done.
     fn run_shard<A: SweepAccumulator>(
         &self,
         net: &Network,
@@ -518,9 +413,8 @@ impl ZmapScanner {
         plan: ShardPlan,
         mut results: A,
         mut probe: impl FnMut(&mut NetShard<'_>, SocketAddr, u64) -> Option<A::Item>,
-    ) -> (A, ShardStats) {
+    ) -> (A, ShardStats, LocalMetrics) {
         let ShardPlan {
-            shard,
             range: (lo, hi),
             rate,
             start,
@@ -562,17 +456,18 @@ impl ZmapScanner {
         let virtual_us = link.now().0.saturating_sub(start.0);
         let locks = link.finish();
         let stats = ShardStats {
-            shard,
             index_range: (lo, hi),
-            probes,
-            blocked,
-            hits,
             virtual_us,
             wall_us: shard_wall.elapsed().as_micros() as u64,
-            invalid_replies: 0,
-            locks,
+            contended: locks.contended,
         };
-        (results, stats)
+        let mut metrics = LocalMetrics::new();
+        metrics.inc("zmap.probes", probes);
+        metrics.inc("zmap.blocked", blocked);
+        metrics.inc("zmap.hits", hits);
+        metrics.inc("simnet.lock_acquisitions", locks.acquired);
+        metrics.inc("simnet.cross_shard_handoffs", locks.cross_shard);
+        (results, stats, metrics)
     }
 
     /// Probes an explicit IPv6 target list (hitlist + AAAA input, §3.1).
@@ -856,8 +751,9 @@ mod tests {
         }
     }
 
-    /// With a registry configured, a sweep submits per-shard counters that
-    /// reconcile exactly with the `ScanReport`.
+    /// With a registry configured, a sweep submits its metric set, which
+    /// reconciles exactly with the `ScanReport` and renders the same at any
+    /// worker count.
     #[test]
     fn sweep_submits_shard_metrics() {
         let mut net = Network::new(5);
@@ -867,35 +763,41 @@ mod tests {
                 quic_host(vec![Version::V1]),
             );
         }
-        let registry = Arc::new(telemetry::MetricsRegistry::new());
-        let mut cfg = ZmapConfig::new(SocketAddr::new(Ipv4Addr::new(192, 0, 2, 9), 50000));
-        cfg.workers = 2;
-        cfg.metrics = Some(registry.clone());
-        let scanner = ZmapScanner::new(cfg);
         let module = QuicVnModule::new(1);
         let prefixes = [Prefix::new(Ipv4Addr::new(10, 55, 0, 0), 24)];
-        let (_, report) = scanner.scan_v4_with_report(&net, &prefixes, &module);
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("zmap.probes"), report.probes());
-        assert_eq!(snap.counter("zmap.hits"), report.hits());
-        assert_eq!(snap.counter("zmap.blocked"), 0);
-        assert_eq!(snap.counter("zmap.invalid_replies"), 0);
-        assert_eq!(snap.counter("zmap.packets_sent"), report.packets_sent);
-        assert_eq!(
-            snap.counter("zmap.packets_received"),
-            report.packets_received
-        );
-        assert!(snap.gauge("zmap.achieved_pps") > 0);
-        // One service-lock acquisition per probe that reached a bound host
-        // (three hosts in the /24), and the routing-derived handoff count —
-        // both deterministic, so exact equality against the report holds.
-        let locks = report.lock_counters();
-        assert_eq!(snap.counter("simnet.lock_acquisitions"), locks.acquired);
-        assert_eq!(
-            snap.counter("simnet.cross_shard_handoffs"),
-            locks.cross_shard
-        );
-        assert_eq!(locks.acquired, 3);
+        let mut rendered = Vec::new();
+        for workers in [1usize, 2, 4] {
+            let registry = Arc::new(telemetry::MetricsRegistry::new());
+            let mut cfg = ZmapConfig::new(SocketAddr::new(Ipv4Addr::new(192, 0, 2, 9), 50000));
+            cfg.workers = workers;
+            cfg.metrics = Some(registry.clone());
+            let scanner = ZmapScanner::new(cfg);
+            let (_, report) = scanner.scan_v4_with_report(&net, &prefixes, &module);
+            assert_eq!(report.shards.len(), workers);
+            let snap = registry.snapshot();
+            assert_eq!(snap.counter("zmap.probes"), report.probes());
+            assert_eq!(report.probes(), 256);
+            assert_eq!(snap.counter("zmap.hits"), report.hits());
+            assert_eq!(report.hits(), 3);
+            assert_eq!(snap.counter("zmap.blocked"), 0);
+            assert_eq!(snap.counter("zmap.invalid_replies"), 0);
+            // One datagram per probe, one reply per host.
+            assert_eq!(snap.counter("zmap.packets_sent"), 256);
+            assert_eq!(snap.counter("zmap.packets_received"), 3);
+            // One service-lock acquisition per probe that reached a bound
+            // host (three hosts in the /24), and the routing-derived handoff
+            // count — both deterministic, so exact equality against the
+            // report holds.
+            let locks = report.lock_counters();
+            assert_eq!(snap.counter("simnet.lock_acquisitions"), locks.acquired);
+            assert_eq!(
+                snap.counter("simnet.cross_shard_handoffs"),
+                locks.cross_shard
+            );
+            assert_eq!(locks.acquired, 3);
+            rendered.push(snap.render());
+        }
+        assert!(rendered.iter().all(|r| *r == rendered[0]), "{rendered:#?}");
     }
 
     /// A constant-size accumulator sees exactly the hits the buffering scan
@@ -988,7 +890,7 @@ mod tests {
         let prefixes = [Prefix::new(Ipv4Addr::new(10, 50, 0, 0), 24)];
         let (hits, report) = scanner.scan_v4_with_report(&net, &prefixes, &module);
         assert!(hits.is_empty());
-        assert_eq!(report.shards[0].blocked, 16);
+        assert_eq!(report.metrics.counter("zmap.blocked"), 16);
         assert_eq!(report.probes(), 240);
     }
 
@@ -1060,9 +962,7 @@ mod tests {
             "1024 probes at 1k pps x4 workers took {secs}s"
         );
         assert_eq!(report.shards.len(), 4);
-        for s in &report.shards {
-            assert!(s.achieved_pps() > 0.0);
-        }
+        assert!(report.shards.iter().all(|s| s.virtual_us > 0));
     }
 
     /// The SYN sweep paces each shard's own clock, like the VN sweeps: a
@@ -1087,10 +987,12 @@ mod tests {
                     (0.2..4.2).contains(&secs),
                     "1024 SYNs at 1k pps took {secs}s"
                 );
+                // No blocklist and one probe per index: a shard probes
+                // every index of its range.
                 report
                     .shards
                     .iter()
-                    .map(|s| (s.probes, s.virtual_us))
+                    .map(|s| (s.index_range.1 - s.index_range.0, s.virtual_us))
                     .collect::<Vec<_>>()
             };
             let first = run();

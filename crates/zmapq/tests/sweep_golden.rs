@@ -129,11 +129,11 @@ fn scanner(workers: usize, probe_repeat: usize) -> ZmapScanner {
 }
 
 fn heading(out: &mut String, title: &str, report: &ScanReport) {
-    let blocked: u64 = report.shards.iter().map(|s| s.blocked).sum();
     let _ = writeln!(
         out,
-        "## {title}: {} probes, {blocked} blocked, {} hits",
+        "## {title}: {} probes, {} blocked, {} hits",
         report.probes(),
+        report.metrics.counter("zmap.blocked"),
         report.hits()
     );
 }

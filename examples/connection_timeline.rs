@@ -9,7 +9,7 @@ use its_over_9000::internet::{FaultPlan, Universe, UniverseConfig};
 use its_over_9000::qscanner::{QScanner, QuicTarget};
 use its_over_9000::simnet::addr::Ipv4Addr;
 use its_over_9000::simnet::IpAddr;
-use its_over_9000::telemetry::{Event, EventKind, LocalMetrics, MetricsRegistry};
+use its_over_9000::telemetry::{Event, EventKind, LocalMetrics};
 
 fn main() {
     // The paper's main measurement week, at 5% scale, over the calibrated
@@ -46,10 +46,8 @@ fn main() {
         println!();
     }
 
-    let registry = MetricsRegistry::new();
-    registry.submit(0, metrics);
     println!("--- metrics across both scans ---");
-    print!("{}", registry.snapshot().render());
+    print!("{}", metrics.render());
 }
 
 /// One timeline line: `+NNN.NNNms  event_name  details`.
