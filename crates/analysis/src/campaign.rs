@@ -516,11 +516,12 @@ impl Campaign {
         // 3b. With SNI: TCP-open addresses × joined domains (capped). TCP
         // 443 is open where the v4 SYN sweep hit, and asked directly for v6.
         let tcp_open_set: HashSet<IpAddr> = tcp_open_v4.iter().copied().collect();
+        let mut link = net.shard();
         let mut sni_targets: Vec<TlsTarget> = Vec::new();
         for (addr, domains) in &addr_domains {
             let tcp_open = match addr {
                 IpAddr::V4(_) => tcp_open_set.contains(addr),
-                IpAddr::V6(_) => net.tcp_port_open(simnet::SocketAddr::new(*addr, 443)),
+                IpAddr::V6(_) => link.tcp_port_open(simnet::SocketAddr::new(*addr, 443)),
             };
             if !tcp_open {
                 continue;
@@ -532,6 +533,7 @@ impl Campaign {
                 });
             }
         }
+        link.finish();
         sni_targets.sort_by(|a, b| (a.addr, &a.domain).cmp(&(b.addr, &b.domain)));
         let tcp_sni = goscan.scan_all(&net, &sni_targets, self.workers);
 

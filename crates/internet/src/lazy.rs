@@ -525,8 +525,8 @@ mod tests {
             {
                 let at = SocketAddr::new(ip, 443);
                 assert_eq!(
-                    static_net.tcp_port_open(at),
-                    lazy_net.tcp_port_open(at),
+                    static_net.shard().tcp_port_open(at),
+                    lazy_net.shard().tcp_port_open(at),
                     "tcp parity at {at}"
                 );
             }

@@ -7,24 +7,24 @@
 //! loop watches the virtual clock and calls [`ClientConnection::on_pto`]
 //! when the peer goes silent, which retransmits the flight the peer is most
 //! likely missing (RFC 9002-style probe timeouts without owning a timer).
+//!
+//! Packet numbers, keys, sealing and CRYPTO reassembly belong to the
+//! connection's `space::PacketSpaces`, the core the server's connections run
+//! on too; what is here is the client's own: the Retry and Version
+//! Negotiation restarts, probe timeouts, telemetry events and streams.
 
-use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
+use std::collections::HashMap;
 
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
-use qcodec::Writer;
 use qtls::client::{ClientHandshake, PeerTlsInfo};
 use qtls::{Level, TlsError, TlsEvent};
 
 use crate::error::{ConnectionError, TransportError};
 use crate::frame::Frame;
-use crate::keys::{initial_keys_shared, InitialPair, PacketKeys};
-use crate::packet::{
-    decode_first, seal_long_into, seal_short_into, ConnectionId, KeySource, Packet, PacketType,
-    SealScratch,
-};
+use crate::packet::{ConnectionId, Packet, PacketType};
+use crate::space::{PacketSpaces, Role, Space};
 use crate::tparams::TransportParameters;
 use crate::version::Version;
 
@@ -111,83 +111,15 @@ pub struct StreamRecv {
     pub fin: bool,
 }
 
-#[derive(Default)]
-struct CryptoReassembler {
-    segments: BTreeMap<u64, Vec<u8>>,
-    consumed: u64,
-}
-
-impl CryptoReassembler {
-    fn insert(&mut self, offset: u64, data: &[u8]) {
-        if data.is_empty() {
-            return;
-        }
-        self.segments.entry(offset).or_insert_with(|| data.to_vec());
-    }
-
-    /// Pops the longest contiguous run starting at the consumed offset.
-    fn drain_contiguous(&mut self) -> Vec<u8> {
-        let mut out = Vec::new();
-        while let Some((&off, _)) = self.segments.first_key_value() {
-            if off > self.consumed {
-                break;
-            }
-            let seg = self.segments.remove(&off).expect("key just observed");
-            let skip = (self.consumed - off) as usize;
-            if skip < seg.len() {
-                out.extend_from_slice(&seg[skip..]);
-                self.consumed = off + seg.len() as u64;
-            }
-        }
-        out
-    }
-}
-
-#[derive(Default)]
-struct OpenKeys {
-    /// Shared Initial pair: we open with `server`, seal with `client`.
-    initial_pair: Option<Arc<InitialPair>>,
-    handshake: Option<PacketKeys>,
-    app: Option<PacketKeys>,
-}
-
-impl KeySource for OpenKeys {
-    fn keys_for(&self, ty: PacketType) -> Option<&PacketKeys> {
-        match ty {
-            PacketType::Initial => self.initial_pair.as_deref().map(|p| &p.server),
-            PacketType::Handshake => self.handshake.as_ref(),
-            PacketType::OneRtt => self.app.as_ref(),
-            _ => None,
-        }
-    }
-}
-
-const SPACE_INITIAL: usize = 0;
-const SPACE_HANDSHAKE: usize = 1;
-const SPACE_APP: usize = 2;
-
-use crate::packet::varint_len;
-
 /// Sans-IO QUIC client connection.
 pub struct ClientConnection {
     config: ClientConfig,
-    version: Version,
-    scid: ConnectionId,
-    dcid: ConnectionId,
     tls: ClientHandshake,
-    open_keys: OpenKeys,
-    /// Packet-sealing buffers (header writer + padding buffer).
-    seal: SealScratch,
-    /// Frame payload under construction.
-    payload: Writer,
-    seal_handshake: Option<PacketKeys>,
-    seal_app: Option<PacketKeys>,
-    next_pn: [u64; 3],
-    largest_recv: [Option<u64>; 3],
+    /// Version, connection IDs, keys, packet numbers and CRYPTO reassembly.
+    space: PacketSpaces,
+    /// Per space: a packet arrived that no ACK of ours covers yet.
     ack_pending: [bool; 3],
     tx: Vec<Vec<u8>>,
-    /// CRYPTO reassembly for the Initial and Handshake spaces.
-    crypto_rx: [CryptoReassembler; 2],
     crypto_tx_pending: Vec<(Level, Vec<u8>)>,
     state: ConnectionState,
     outcome: Option<HandshakeOutcome>,
@@ -202,8 +134,6 @@ pub struct ClientConnection {
     saw_server_packet: bool,
     /// Address-validation token to echo in Initials (set by a Retry).
     retry_token: Vec<u8>,
-    /// DCID dictated by a Retry packet (replaces the random one).
-    retry_dcid: Option<ConnectionId>,
     retry_seen: bool,
     /// Client Hello bytes of the current attempt, kept for PTO retransmits.
     ch_bytes: Vec<u8>,
@@ -247,20 +177,15 @@ impl ClientConnection {
         };
         let mut conn = ClientConnection {
             config,
-            version,
-            scid: ConnectionId::empty(),
-            dcid: ConnectionId::empty(),
             tls: ClientHandshake::start(placeholder_tls_cfg, &mut rng).0,
-            open_keys: OpenKeys::default(),
-            seal: SealScratch::new(),
-            payload: Writer::new(),
-            seal_handshake: None,
-            seal_app: None,
-            next_pn: [0; 3],
-            largest_recv: [None; 3],
+            space: PacketSpaces::new(
+                Role::Client,
+                version,
+                ConnectionId::empty(),
+                ConnectionId::empty(),
+            ),
             ack_pending: [false; 3],
             tx: Vec::new(),
-            crypto_rx: Default::default(),
             crypto_tx_pending: Vec::new(),
             state: ConnectionState::Handshaking,
             outcome: None,
@@ -272,7 +197,6 @@ impl ClientConnection {
             vn_restarted: false,
             saw_server_packet: false,
             retry_token: Vec::new(),
-            retry_dcid: None,
             retry_seen: false,
             ch_bytes: Vec::new(),
             sent_finished: Vec::new(),
@@ -284,39 +208,28 @@ impl ClientConnection {
         conn
     }
 
-    /// (Re)starts a connection attempt with `version`.
+    /// Starts a connection attempt with `version`: the first one, or the
+    /// new connection a Version Negotiation restarts with, which begins
+    /// every packet-number space afresh.
     fn start_attempt(&mut self, version: Version) {
-        self.version = version;
         let mut scid = [0u8; 8];
         self.rng.fill_bytes(&mut scid);
-        self.scid = ConnectionId::new(&scid);
-        self.dcid = match self.retry_dcid.take() {
-            Some(cid) => cid,
-            None => {
-                let mut dcid = [0u8; 8];
-                self.rng.fill_bytes(&mut dcid);
-                ConnectionId::new(&dcid)
-            }
-        };
-
-        let pair = initial_keys_shared(version, self.dcid.as_slice());
+        let mut dcid = [0u8; 8];
+        self.rng.fill_bytes(&mut dcid);
+        self.space = PacketSpaces::new(
+            Role::Client,
+            version,
+            ConnectionId::new(&scid),
+            ConnectionId::new(&dcid),
+        );
+        self.space.install_initial(&dcid);
         self.note(|| telemetry::EventKind::KeyDerived { level: "initial" });
-        self.open_keys = OpenKeys {
-            initial_pair: Some(pair),
-            handshake: None,
-            app: None,
-        };
-        self.seal_handshake = None;
-        self.seal_app = None;
-        self.next_pn = [0; 3];
-        self.largest_recv = [None; 3];
         self.ack_pending = [false; 3];
-        self.crypto_rx = Default::default();
         self.crypto_tx_pending.clear();
 
         let mut tls_cfg = self.config.tls.clone();
         let mut tp = self.config.transport_params.clone();
-        tp.initial_source_connection_id = Some(self.scid.0.clone());
+        tp.initial_source_connection_id = Some(scid.to_vec());
         tls_cfg.quic_transport_params = Some(tp.encode());
         let (tls, ch_bytes) = ClientHandshake::start(tls_cfg, &mut self.rng);
         self.tls = tls;
@@ -331,43 +244,24 @@ impl ClientConnection {
     /// retransmission: keeping retransmits at full size keeps the server's
     /// 3× anti-amplification budget (RFC 9000 §8.1) open.
     fn push_initial_ch(&mut self) {
-        let payload = &mut self.payload;
-        payload.clear();
-        Frame::encode_crypto(payload, 0, &self.ch_bytes);
-        let keys = &self
-            .open_keys
-            .initial_pair
-            .as_deref()
-            .expect("initial keys installed")
-            .client;
-        // Padding arithmetic: the unpadded packet's size is fully determined
-        // by the header fields and payload length, so compute the 1200-byte
-        // deficit directly instead of sealing a probe packet first.
-        let unpadded_header = 1 // first byte
-            + 4 // version
-            + 1 + self.dcid.len()
-            + 1 + self.scid.len()
-            + varint_len(self.retry_token.len() as u64) + self.retry_token.len()
-            + varint_len((4 + payload.len() + keys.tag_len()) as u64)
-            + 4; // packet number
-        let unpadded = unpadded_header + payload.len() + keys.tag_len();
-        let deficit = 1200usize.saturating_sub(unpadded);
+        let (ch, token) = (&self.ch_bytes, &self.retry_token);
         let mut datagram = Vec::new();
-        seal_long_into(
-            &mut datagram,
-            &mut self.seal,
-            PacketType::Initial,
-            self.version,
-            &self.dcid,
-            &self.scid,
-            &self.retry_token,
-            self.next_pn[SPACE_INITIAL],
-            payload.as_slice(),
-            keys,
-            payload.len() + deficit,
-        );
-        debug_assert!(datagram.len() >= 1200 || deficit == 0);
-        self.next_pn[SPACE_INITIAL] += 1;
+        let sealed = self.space.with_frames(|space, frames| {
+            Frame::encode_crypto(frames, 0, ch);
+            // The unpadded packet's size follows from the header fields and
+            // the payload length, so the 1200-byte deficit is computed
+            // instead of sealing a probe packet first.
+            let unpadded = space.long_len(Space::Initial, token.len(), frames.len());
+            let padded = frames.len() + 1200usize.saturating_sub(unpadded);
+            space.seal_long(
+                &mut datagram,
+                Space::Initial,
+                token,
+                frames.as_slice(),
+                padded,
+            )
+        });
+        debug_assert!(sealed && datagram.len() >= 1200, "initial keys installed");
         self.tx.push(datagram);
     }
 
@@ -388,31 +282,18 @@ impl ClientConnection {
         }
         if !self.handshake_done {
             // Our Finished — or the server's HANDSHAKE_DONE — was lost.
-            let Some(keys) = self.seal_handshake.as_ref() else {
-                return false;
-            };
-            let payload = &mut self.payload;
-            payload.clear();
-            let largest = self.largest_recv[SPACE_HANDSHAKE].unwrap_or(0);
-            Frame::encode_ack_single(payload, largest, 0);
-            Frame::encode_crypto(payload, 0, &self.sent_finished);
+            let largest = self.space.largest_recv(Space::Handshake);
+            let finished = &self.sent_finished;
             let mut pkt = Vec::new();
-            seal_long_into(
-                &mut pkt,
-                &mut self.seal,
-                PacketType::Handshake,
-                self.version,
-                &self.dcid,
-                &self.scid,
-                b"",
-                self.next_pn[SPACE_HANDSHAKE],
-                payload.as_slice(),
-                keys,
-                20,
-            );
-            self.next_pn[SPACE_HANDSHAKE] += 1;
-            self.tx.push(pkt);
-            return true;
+            let sealed = self.space.with_frames(|space, frames| {
+                Frame::encode_ack_single(frames, largest, 0);
+                Frame::encode_crypto(frames, 0, finished);
+                space.seal_long(&mut pkt, Space::Handshake, b"", frames.as_slice(), 20)
+            });
+            if sealed {
+                self.tx.push(pkt);
+            }
+            return sealed;
         }
         false
     }
@@ -436,7 +317,7 @@ impl ClientConnection {
 
     /// The version currently being attempted.
     pub fn version(&self) -> Version {
-        self.version
+        self.space.version
     }
 
     /// Current state.
@@ -497,12 +378,14 @@ impl ClientConnection {
             self.state == ConnectionState::Established,
             "stream data requires an established connection"
         );
-        let mut payload = std::mem::take(&mut self.payload);
-        payload.clear();
-        Frame::encode_stream(&mut payload, id, 0, fin, data);
-        self.send_app_payload(payload.as_slice())
+        let mut pkt = Vec::new();
+        self.space
+            .with_frames(|space, frames| {
+                Frame::encode_stream(frames, id, 0, fin, data);
+                space.seal_short(&mut pkt, frames.as_slice())
+            })
             .expect("1-RTT keys installed");
-        self.payload = payload;
+        self.tx.push(pkt);
     }
 
     /// Seals a pre-encoded frame payload as one 1-RTT packet and queues it,
@@ -514,11 +397,8 @@ impl ClientConnection {
         if self.state != ConnectionState::Established {
             return None;
         }
-        let keys = self.seal_app.as_ref()?;
         let mut pkt = Vec::new();
-        let pn = self.next_pn[SPACE_APP];
-        seal_short_into(&mut pkt, &mut self.seal, &self.dcid, pn, payload, keys);
-        self.next_pn[SPACE_APP] += 1;
+        let pn = self.space.seal_short(&mut pkt, payload)?;
         self.tx.push(pkt);
         Some(pn)
     }
@@ -558,17 +438,16 @@ impl ClientConnection {
     /// error found here (RFC 9000 §13.1) or by the data plane above
     /// (flow control, RFC 9000 §4.1).
     pub fn close_for(&mut self, err: ConnectionError) {
-        let mut payload = Writer::with_capacity(err.reason.len() + 8);
-        Frame::ConnectionClose {
-            error_code: err.code.0,
-            frame_type: Some(err.frame_type),
-            reason: err.reason.to_string(),
-            is_app: false,
+        // Only an established connection has anything to say; one still
+        // handshaking just closes.
+        let mut pkt = Vec::new();
+        if self.state == ConnectionState::Established
+            && self
+                .space
+                .seal_close(&mut pkt, Space::App, err.code, err.frame_type, err.reason)
+        {
+            self.tx.push(pkt);
         }
-        .encode(&mut payload);
-        // Sealed while the state is still `Established`; a connection
-        // without 1-RTT keys has nothing to say and just closes.
-        let _ = self.send_app_payload(payload.as_slice());
         self.close_with(HandshakeOutcome::ProtocolError(err.reason.to_string()));
     }
 
@@ -589,20 +468,13 @@ impl ClientConnection {
         }
         // Decode incrementally: processing an Initial installs the keys the
         // coalesced Handshake packets in the same datagram need.
+        // Undecryptable coalesced tails are ignored (e.g. 1-RTT data
+        // arriving before keys are installed).
         let mut rest = data;
-        while !rest.is_empty() {
-            let decoded = decode_first(rest, self.scid.len(), &self.open_keys);
-            match decoded {
-                Ok((pkt, consumed)) => {
-                    rest = &rest[consumed..];
-                    self.on_packet(pkt);
-                    if self.state == ConnectionState::Closed {
-                        return;
-                    }
-                }
-                // Undecryptable coalesced tails are ignored (e.g. 1-RTT data
-                // arriving before keys are installed).
-                Err(_) => break,
+        while let Some(pkt) = self.space.open_next(&mut rest) {
+            self.on_packet(pkt);
+            if self.state == ConnectionState::Closed {
+                return;
             }
         }
         self.flush();
@@ -615,14 +487,14 @@ impl ClientConnection {
                 self.saw_server_packet = true;
                 // RFC 9001 §4.2: the server's Initial SCID becomes our DCID.
                 if let Some(scid) = &pkt.scid {
-                    self.dcid = scid.clone();
+                    self.space.peer_cid = scid.clone();
                 }
-                self.note_recv(SPACE_INITIAL, pkt.packet_number);
-                self.process_frames(SPACE_INITIAL, Level::Initial, &pkt.payload);
+                self.note_recv(Space::Initial, pkt.packet_number);
+                self.process_frames(Space::Initial, &pkt.payload);
             }
             PacketType::Handshake => {
-                self.note_recv(SPACE_HANDSHAKE, pkt.packet_number);
-                self.process_frames(SPACE_HANDSHAKE, Level::Handshake, &pkt.payload);
+                self.note_recv(Space::Handshake, pkt.packet_number);
+                self.process_frames(Space::Handshake, &pkt.payload);
             }
             PacketType::OneRtt => self.on_app_packet(pkt.packet_number, &pkt.payload),
             PacketType::ZeroRtt | PacketType::Retry => {
@@ -633,24 +505,27 @@ impl ClientConnection {
 
     /// Handles an address-validation Retry (RFC 9000 §8.1.2): verify the
     /// integrity tag against our original DCID, adopt the server's new
-    /// connection id, and resend the Initial with the token.
+    /// connection id and the Initial keys it implies, and resend the
+    /// Initial with the token. The connection goes on: its packet numbers
+    /// continue (RFC 9000 §17.2.5.3) and the Client Hello is the same.
     fn on_retry(&mut self, datagram: &[u8]) {
         if self.saw_server_packet || self.retry_seen {
             return; // only one Retry, only before other packets
         }
-        let Some(retry) = crate::retry::decode_retry(datagram, &self.dcid) else {
+        let Some(retry) = crate::retry::decode_retry(datagram, &self.space.peer_cid) else {
             return; // bad tag: drop silently per RFC 9001 §5.8
         };
-        if retry.version != self.version || retry.scid.is_empty() {
+        if retry.version != self.space.version || retry.scid.is_empty() {
             return;
         }
         self.retry_seen = true;
         self.note(|| telemetry::EventKind::RetryReceived);
         self.retry_token = retry.token;
-        self.retry_dcid = Some(retry.scid);
         self.tx.clear();
-        let version = self.version;
-        self.start_attempt(version);
+        self.space.install_initial(retry.scid.as_slice());
+        self.space.peer_cid = retry.scid;
+        self.note(|| telemetry::EventKind::KeyDerived { level: "initial" });
+        self.push_initial_ch();
     }
 
     fn on_version_negotiation(&mut self, pkt: Packet) {
@@ -659,7 +534,7 @@ impl ClientConnection {
         }
         // A VN that does not echo our connection IDs answers some other
         // packet and is dropped (RFC 9000 §17.2.1).
-        if pkt.dcid != self.scid || pkt.scid.as_ref() != Some(&self.dcid) {
+        if pkt.dcid != self.space.local_cid || pkt.scid.as_ref() != Some(&self.space.peer_cid) {
             return;
         }
         let server_versions = pkt.supported_versions.clone();
@@ -668,7 +543,7 @@ impl ClientConnection {
         });
         // A VN listing the offered version is a protocol violation — and
         // exactly what the Google roll-out inconsistency looked like.
-        if server_versions.contains(&self.version) {
+        if server_versions.contains(&self.space.version) {
             self.close_with(HandshakeOutcome::VersionMismatch {
                 offered: self.config.versions.clone(),
                 server_versions,
@@ -696,12 +571,9 @@ impl ClientConnection {
         }
     }
 
-    fn note_recv(&mut self, space: usize, pn: u64) {
-        let largest = self.largest_recv[space].get_or_insert(pn);
-        if pn > *largest {
-            *largest = pn;
-        }
-        self.ack_pending[space] = true;
+    fn note_recv(&mut self, space: Space, pn: u64) {
+        self.space.note_recv(space, pn);
+        self.ack_pending[space as usize] = true;
     }
 
     /// Decodes `payload`, or closes the connection when it does not decode.
@@ -717,21 +589,22 @@ impl ClientConnection {
     /// number the space never sent closes the connection (RFC 9000 §13.1),
     /// CRYPTO feeds TLS and CONNECTION_CLOSE ends the connection; nothing
     /// else there concerns the client.
-    fn process_frames(&mut self, space: usize, level: Level, payload: &[u8]) {
+    fn process_frames(&mut self, space: Space, payload: &[u8]) {
         let Some(frames) = self.decode_frames(payload) else {
             return;
         };
-        if Frame::acks_unsent(&frames, self.next_pn[space]) {
+        if self.space.acks_unsent(space, &frames) {
             self.close_for(ConnectionError::ACK_OF_UNSENT);
             return;
         }
         for frame in frames {
             match frame {
                 Frame::Crypto { offset, data } => {
-                    self.crypto_rx[space].insert(offset, &data);
-                    let ready = self.crypto_rx[space].drain_contiguous();
-                    if !ready.is_empty() {
-                        self.on_crypto(level, &ready);
+                    // A retransmission of what TLS already has (`None`)
+                    // needs nothing from the client.
+                    match self.space.recv_crypto(space, offset, &data) {
+                        Some(ready) if !ready.is_empty() => self.on_crypto(space.level(), &ready),
+                        _ => {}
                     }
                 }
                 Frame::ConnectionClose {
@@ -760,7 +633,7 @@ impl ClientConnection {
         let Some(frames) = self.decode_frames(payload) else {
             return;
         };
-        if Frame::acks_unsent(&frames, self.next_pn[SPACE_APP]) {
+        if self.space.acks_unsent(Space::App, &frames) {
             self.close_for(ConnectionError::ACK_OF_UNSENT);
             return;
         }
@@ -783,7 +656,7 @@ impl ClientConnection {
             buf.push(AppPacket { pn, frames });
             return;
         }
-        self.note_recv(SPACE_APP, pn);
+        self.note_recv(Space::App, pn);
         for frame in frames {
             if let Frame::Stream { id, fin, data, .. } = frame {
                 let entry = self.streams_rx.entry(id).or_insert(StreamRecv {
@@ -812,31 +685,17 @@ impl ClientConnection {
                 return;
             }
         };
+        let cipher = self.tls.negotiated_cipher();
         for ev in events {
+            if let Some(level) = self.space.install(cipher, &ev) {
+                self.note(|| telemetry::EventKind::KeyDerived { level });
+                continue;
+            }
             match ev {
                 TlsEvent::SendHandshake(lvl, bytes) => {
                     self.crypto_tx_pending.push((lvl, bytes));
                 }
-                TlsEvent::HandshakeKeys(hs) => {
-                    let alg = self
-                        .tls
-                        .negotiated_cipher()
-                        .unwrap_or(qtls::CipherSuite::Aes128GcmSha256)
-                        .aead();
-                    self.note(|| telemetry::EventKind::KeyDerived { level: "handshake" });
-                    self.seal_handshake = Some(PacketKeys::from_secret(alg, &hs.client));
-                    self.open_keys.handshake = Some(PacketKeys::from_secret(alg, &hs.server));
-                }
-                TlsEvent::AppKeys(app) => {
-                    let alg = self
-                        .tls
-                        .negotiated_cipher()
-                        .unwrap_or(qtls::CipherSuite::Aes128GcmSha256)
-                        .aead();
-                    self.note(|| telemetry::EventKind::KeyDerived { level: "1rtt" });
-                    self.seal_app = Some(PacketKeys::from_secret(alg, &app.client));
-                    self.open_keys.app = Some(PacketKeys::from_secret(alg, &app.server));
-                }
+                TlsEvent::HandshakeKeys(_) | TlsEvent::AppKeys(_) => {} // installed above
                 TlsEvent::Complete => {
                     self.state = ConnectionState::Established;
                     self.note(|| telemetry::EventKind::HandshakePhase {
@@ -861,81 +720,44 @@ impl ClientConnection {
 
         // ACK in Initial space (the server waits for this to stop
         // retransmitting; we always ack once we've seen anything).
-        if self.ack_pending[SPACE_INITIAL] {
-            if let Some(pair) = self.open_keys.initial_pair.as_deref() {
-                let payload = &mut self.payload;
-                payload.clear();
-                let largest = self.largest_recv[SPACE_INITIAL].unwrap_or(0);
-                Frame::encode_ack_single(payload, largest, 0);
-                seal_long_into(
-                    &mut datagram,
-                    &mut self.seal,
-                    PacketType::Initial,
-                    self.version,
-                    &self.dcid,
-                    &self.scid,
-                    b"",
-                    self.next_pn[SPACE_INITIAL],
-                    payload.as_slice(),
-                    &pair.client,
-                    20,
-                );
-                self.next_pn[SPACE_INITIAL] += 1;
-                self.ack_pending[SPACE_INITIAL] = false;
+        if self.ack_pending[Space::Initial as usize] {
+            let largest = self.space.largest_recv(Space::Initial);
+            if self.space.with_frames(|space, frames| {
+                Frame::encode_ack_single(frames, largest, 0);
+                space.seal_long(&mut datagram, Space::Initial, b"", frames.as_slice(), 20)
+            }) {
+                self.ack_pending[Space::Initial as usize] = false;
             }
         }
 
         // Handshake space: client Finished plus ACK.
         let pending = std::mem::take(&mut self.crypto_tx_pending);
-        let handshake_payload = &mut self.payload;
-        handshake_payload.clear();
-        if self.ack_pending[SPACE_HANDSHAKE] {
-            let largest = self.largest_recv[SPACE_HANDSHAKE].unwrap_or(0);
-            Frame::encode_ack_single(handshake_payload, largest, 0);
-            self.ack_pending[SPACE_HANDSHAKE] = false;
-        }
-        for (lvl, bytes) in pending {
-            if lvl == Level::Handshake {
-                self.sent_finished.extend_from_slice(&bytes);
-                Frame::encode_crypto(handshake_payload, 0, &bytes);
+        let ack = std::mem::take(&mut self.ack_pending[Space::Handshake as usize])
+            .then(|| self.space.largest_recv(Space::Handshake));
+        let sent_finished = &mut self.sent_finished;
+        self.space.with_frames(|space, frames| {
+            if let Some(largest) = ack {
+                Frame::encode_ack_single(frames, largest, 0);
             }
-        }
-        if !handshake_payload.is_empty() {
-            if let Some(keys) = self.seal_handshake.as_ref() {
-                seal_long_into(
-                    &mut datagram,
-                    &mut self.seal,
-                    PacketType::Handshake,
-                    self.version,
-                    &self.dcid,
-                    &self.scid,
-                    b"",
-                    self.next_pn[SPACE_HANDSHAKE],
-                    handshake_payload.as_slice(),
-                    keys,
-                    20,
-                );
-                self.next_pn[SPACE_HANDSHAKE] += 1;
+            for (lvl, bytes) in pending {
+                if lvl == Level::Handshake {
+                    sent_finished.extend_from_slice(&bytes);
+                    Frame::encode_crypto(frames, 0, &bytes);
+                }
             }
-        }
+            if !frames.is_empty() {
+                space.seal_long(&mut datagram, Space::Handshake, b"", frames.as_slice(), 20);
+            }
+        });
 
         // App space ACK.
-        if self.ack_pending[SPACE_APP] {
-            if let Some(keys) = self.seal_app.as_ref() {
-                let payload = &mut self.payload;
-                payload.clear();
-                let largest = self.largest_recv[SPACE_APP].unwrap_or(0);
-                Frame::encode_ack_single(payload, largest, 0);
-                seal_short_into(
-                    &mut datagram,
-                    &mut self.seal,
-                    &self.dcid,
-                    self.next_pn[SPACE_APP],
-                    payload.as_slice(),
-                    keys,
-                );
-                self.next_pn[SPACE_APP] += 1;
-                self.ack_pending[SPACE_APP] = false;
+        if self.ack_pending[Space::App as usize] {
+            let largest = self.space.largest_recv(Space::App);
+            if self.space.with_frames(|space, frames| {
+                Frame::encode_ack_single(frames, largest, 0);
+                space.seal_short(&mut datagram, frames.as_slice()).is_some()
+            }) {
+                self.ack_pending[Space::App as usize] = false;
             }
         }
 
@@ -955,8 +777,11 @@ mod tests {
     //! the client's.
 
     use super::*;
+    use crate::keys::PacketKeys;
+    use crate::packet::{decode_first, KeySource};
     use crate::server::{AppSession, Endpoint, EndpointConfig, StreamHandler, StreamSend};
-    use std::sync::Mutex;
+    use qcodec::Writer;
+    use std::sync::{Arc, Mutex};
 
     /// What the server's session saw, and how it answers a PING in client
     /// packet `p`: with a PING of its own, or an ACK of `[0, p + ahead]`.
@@ -1184,7 +1009,7 @@ mod tests {
             let replies = exchange(&mut client, &mut server);
             seen(1 + acks_seen); // nothing of the packet reached the application
             assert_eq!(replies.len(), 1);
-            let (pkt, _) = decode_first(&replies[0], client.scid.len(), &client.open_keys)
+            let (pkt, _) = decode_first(&replies[0], client.space.local_cid.len(), &client.space)
                 .expect("1-RTT close opens with the client's keys");
             let frames = Frame::decode_all(&pkt.payload).expect("decodes");
             assert_eq!(
@@ -1213,7 +1038,7 @@ mod tests {
             let pn = client
                 .send_app_payload(&payload_of(&Frame::Ping))
                 .expect("established");
-            assert_eq!(pn + 1, client.next_pn[SPACE_APP]);
+            assert_eq!(pn + 1, client.space.next_pn(Space::App));
             exchange(&mut client, &mut server);
             let delivered: Vec<Vec<Frame>> = client
                 .take_app_packets()
@@ -1242,8 +1067,9 @@ mod tests {
 
             let close = client.poll_transmit();
             assert_eq!(close.len(), 1);
-            let keys = SealKeys(client.seal_app.as_ref().expect("1-RTT keys"));
-            let (pkt, _) = decode_first(&close[0], client.dcid.len(), &keys).expect("own packet");
+            let keys = SealKeys(client.space.seal_keys(Space::App).expect("1-RTT keys"));
+            let (pkt, _) =
+                decode_first(&close[0], client.space.peer_cid.len(), &keys).expect("own packet");
             let frames = Frame::decode_all(&pkt.payload).expect("decodes");
             assert_eq!(
                 close_code(&frames),
@@ -1273,7 +1099,7 @@ mod tests {
             .expect("established");
         let replies = exchange(&mut client, &mut server);
         assert_eq!(replies.len(), 1);
-        let (pkt, _) = decode_first(&replies[0], client.scid.len(), &client.open_keys)
+        let (pkt, _) = decode_first(&replies[0], client.space.local_cid.len(), &client.space)
             .expect("1-RTT close opens with the client's keys");
         let frames = Frame::decode_all(&pkt.payload).expect("decodes");
         assert_eq!(close_code(&frames), flow_control);
@@ -1284,8 +1110,9 @@ mod tests {
         assert_eq!(client.state(), &ConnectionState::Closed);
         let close = client.poll_transmit();
         assert_eq!(close.len(), 1);
-        let keys = SealKeys(client.seal_app.as_ref().expect("1-RTT keys"));
-        let (pkt, _) = decode_first(&close[0], client.dcid.len(), &keys).expect("own packet");
+        let keys = SealKeys(client.space.seal_keys(Space::App).expect("1-RTT keys"));
+        let (pkt, _) =
+            decode_first(&close[0], client.space.peer_cid.len(), &keys).expect("own packet");
         let frames = Frame::decode_all(&pkt.payload).expect("decodes");
         assert_eq!(close_code(&frames), flow_control);
     }

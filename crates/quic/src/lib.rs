@@ -16,6 +16,10 @@
 //! validated against Appendix A.4) — some 2021 deployments validated client
 //! addresses via Retry.
 //!
+//! Both ends run on one crate-private packet-space core (`space`): the
+//! connection IDs, keys, packet numbers, sealing and CRYPTO reassembly of a
+//! connection live there, for the client and the server alike.
+//!
 //! The 1-RTT space has one path at each end. A server connection's belongs
 //! to an [`server::AppSession`]; the HTTP/3 [`server::StreamHandler`] the
 //! scanners' hosts run is one, through an adapter. A client connection
@@ -42,6 +46,7 @@ pub mod keys;
 pub mod packet;
 pub mod retry;
 pub mod server;
+mod space;
 pub mod tparams;
 pub mod version;
 

@@ -8,9 +8,14 @@
 //! plane), and [`Endpoint::new`] runs a [`StreamHandler`] as one (the
 //! `internet` crate's HTTP/3 hosts). RFC 9000 §13.1 is checked before any
 //! session sees a packet.
+//!
+//! Packet numbers, keys, sealing and CRYPTO reassembly belong to each
+//! connection's `space::PacketSpaces`, the core the client runs on too; what
+//! is here is the server's own: the flight and close caches, the sessions,
+//! and eviction.
 
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -21,11 +26,8 @@ use qtls::{Level, TlsError, TlsEvent};
 
 use crate::error::{ConnectionError, TransportError};
 use crate::frame::Frame;
-use crate::keys::{initial_keys_shared, InitialPair, PacketKeys};
-use crate::packet::{
-    decode_first, encode_version_negotiation, seal_long_into, seal_short_into, ConnectionId,
-    KeySource, Packet, PacketType, SealScratch,
-};
+use crate::packet::{encode_version_negotiation, ConnectionId, Packet};
+use crate::space::{PacketSpaces, Role, Space};
 use crate::tparams::TransportParameters;
 use crate::version::Version;
 
@@ -147,44 +149,10 @@ impl EndpointConfig {
     }
 }
 
-struct OpenKeys {
-    /// Shared Initial pair: the server opens with `client`, seals with
-    /// `server`. Because the pair is memoized process-wide, this derivation
-    /// is a cache hit when the scanning client already derived it.
-    initial_pair: Option<Arc<InitialPair>>,
-    handshake: Option<PacketKeys>,
-    app: Option<PacketKeys>,
-}
-
-impl KeySource for OpenKeys {
-    fn keys_for(&self, ty: PacketType) -> Option<&PacketKeys> {
-        match ty {
-            PacketType::Initial => self.initial_pair.as_deref().map(|p| &p.client),
-            PacketType::Handshake => self.handshake.as_ref(),
-            PacketType::OneRtt => self.app.as_ref(),
-            _ => None,
-        }
-    }
-}
-
 struct ServerConn {
-    version: Version,
-    scid: ConnectionId,
-    client_cid: ConnectionId,
+    /// Version, connection IDs, keys, packet numbers and CRYPTO reassembly.
+    space: PacketSpaces,
     tls: ServerHandshake,
-    open_keys: OpenKeys,
-    seal_handshake: Option<PacketKeys>,
-    seal_app: Option<PacketKeys>,
-    /// Reused packet-sealing buffers.
-    scratch: SealScratch,
-    /// Reused frame-payload writer.
-    payload: Writer,
-    next_pn: [u64; 3],
-    largest_recv: [Option<u64>; 3],
-    /// Contiguous CRYPTO bytes already fed to TLS, per space. Retransmitted
-    /// (fully duplicate) crypto is never re-fed — it means the client lost
-    /// our answering flight, which we re-send from the caches below.
-    crypto_consumed: [u64; 3],
     /// Cached server flight (Initial[ACK,CRYPTO(SH)] ++ Handshake datagrams).
     flight_cache: Vec<Vec<u8>>,
     /// Cached post-handshake packet (HANDSHAKE_DONE + server streams).
@@ -339,7 +307,7 @@ impl Endpoint {
         // with the token and a new DCID (our Retry SCID).
         if self.config.use_retry && !self.conns.contains_key(&from) {
             let token = retry_token(from, CID_LEN as u64);
-            if !initial_has_token(datagram, &token) {
+            if head.token != Some(&token[..]) {
                 let mut new_scid = vec![0u8; CID_LEN];
                 flow_rng(self.seed, from, 1).fill_bytes(&mut new_scid);
                 let retry = crate::retry::encode_retry(
@@ -356,8 +324,9 @@ impl Endpoint {
         if !self.conns.contains_key(&from) {
             self.evict_for_insert();
             let conn = ServerConn::new(
-                head.version,
+                &head,
                 &mut flow_rng(self.seed, from, 0),
+                &self.config,
                 (self.session_factory)(),
             );
             self.conns.insert(from, conn);
@@ -384,41 +353,17 @@ fn retry_token(from: u128, salt: u64) -> Vec<u8> {
     qcrypto::sha256::digest(&material)[..12].to_vec()
 }
 
-/// Checks whether the first Initial in `datagram` carries `expected` as its
-/// token (header-only parse; no decryption needed).
-fn initial_has_token(datagram: &[u8], expected: &[u8]) -> bool {
-    let mut r = Reader::new(datagram);
-    let Ok(first) = r.read_u8() else { return false };
-    if (first >> 4) & 0x03 != 0 {
-        return false; // not an Initial (type bits must be 00)
-    }
-    if r.read_u32().is_err() {
-        return false;
-    }
-    let Ok(_dcid) = r.read_vec8() else {
-        return false;
-    };
-    let Ok(_scid) = r.read_vec8() else {
-        return false;
-    };
-    let Ok(token_len) = r.read_varint() else {
-        return false;
-    };
-    let Ok(token) = r.read_bytes(token_len as usize) else {
-        return false;
-    };
-    token == expected
-}
-
-struct LongHeaderPrefix {
+struct LongHeaderPrefix<'a> {
     version: Version,
     dcid: ConnectionId,
     scid: ConnectionId,
+    /// An Initial's token (`None` for other packet types).
+    token: Option<&'a [u8]>,
 }
 
-/// Parses version/DCID/SCID from a long header without decrypting. Returns
-/// `None` for short-header packets or garbage.
-fn parse_long_header_prefix(datagram: &[u8]) -> Option<LongHeaderPrefix> {
+/// Parses version/DCID/SCID, and an Initial's token, from a long header
+/// without decrypting. Returns `None` for short-header packets or garbage.
+fn parse_long_header_prefix(datagram: &[u8]) -> Option<LongHeaderPrefix<'_>> {
     let mut r = Reader::new(datagram);
     let first = r.read_u8().ok()?;
     if first & 0x80 == 0 {
@@ -427,34 +372,61 @@ fn parse_long_header_prefix(datagram: &[u8]) -> Option<LongHeaderPrefix> {
     let version = Version(r.read_u32().ok()?);
     let dcid = ConnectionId(r.read_vec8().ok()?.to_vec());
     let scid = ConnectionId(r.read_vec8().ok()?.to_vec());
+    let mut token = None;
+    if (first >> 4) & 0x03 == 0 {
+        // Type bits 00: an Initial.
+        token = r
+            .read_varint()
+            .ok()
+            .and_then(|n| r.read_bytes(n as usize).ok());
+    }
     Some(LongHeaderPrefix {
         version,
         dcid,
         scid,
+        token,
     })
 }
 
 impl ServerConn {
-    fn new(version: Version, rng: &mut StdRng, session: Box<dyn AppSession>) -> Self {
-        let mut scid = vec![0u8; CID_LEN];
+    /// A connection for the client whose first Initial carried `head`: its
+    /// Initial keys derive from the client's DCID, and its TLS randomness
+    /// from the connection ID drawn here.
+    fn new(
+        head: &LongHeaderPrefix<'_>,
+        rng: &mut StdRng,
+        config: &EndpointConfig,
+        session: Box<dyn AppSession>,
+    ) -> Self {
+        let mut scid = [0u8; CID_LEN];
         rng.fill_bytes(&mut scid);
+        let mut space = PacketSpaces::new(
+            Role::Server,
+            head.version,
+            ConnectionId::new(&scid),
+            head.scid.clone(),
+        );
+        // Memoized: the client already derived this pair for the same
+        // (version, DCID), so this lookup skips the HKDF/AES schedules.
+        space.install_initial(head.dcid.as_slice());
+        let mut seeded = StdRng::seed_from_u64(u64::from_le_bytes(scid));
+        let mut tp = config.transport_params.clone();
+        tp.original_destination_connection_id = Some(head.dcid.0.clone());
+        tp.initial_source_connection_id = Some(scid.to_vec());
+        let mut token = [0u8; 16];
+        seeded.fill_bytes(&mut token);
+        tp.stateless_reset_token = Some(token);
+        // Share the endpoint's Arc'd TLS config instead of cloning the whole
+        // cert chain per connection; the session-specific transport
+        // parameters ride in the override slot.
+        let tls = ServerHandshake::with_overrides(
+            Arc::clone(&config.tls),
+            Some(tp.encode()),
+            &mut seeded,
+        );
         ServerConn {
-            version,
-            scid: ConnectionId(scid),
-            client_cid: ConnectionId::empty(),
-            tls: ServerHandshake::new(placeholder_server_config(), rng),
-            open_keys: OpenKeys {
-                initial_pair: None,
-                handshake: None,
-                app: None,
-            },
-            seal_handshake: None,
-            seal_app: None,
-            scratch: SealScratch::new(),
-            payload: Writer::new(),
-            next_pn: [0; 3],
-            largest_recv: [None; 3],
-            crypto_consumed: [0; 3],
+            space,
+            tls,
             flight_cache: Vec::new(),
             post_cache: None,
             close_cache: None,
@@ -472,66 +444,22 @@ impl ServerConn {
             // §10.2.3 allows responding to late packets with the close).
             return self.close_cache.iter().cloned().collect();
         }
-        // First Initial: derive keys from the client's DCID and instantiate
-        // the real TLS engine (the placeholder in `new` avoids an Option).
-        if self.open_keys.initial_pair.is_none() {
-            let Some(head) = parse_long_header_prefix(datagram) else {
-                return Vec::new();
-            };
-            // Memoized: the client already derived this pair for the same
-            // (version, DCID), so this lookup skips the HKDF/AES schedules.
-            self.open_keys.initial_pair =
-                Some(initial_keys_shared(self.version, head.dcid.as_slice()));
-            self.client_cid = head.scid.clone();
-            let mut seeded = StdRng::seed_from_u64(u64::from_le_bytes(
-                self.scid.0[..]
-                    .try_into()
-                    .expect("issued ids are CID_LEN bytes"),
-            ));
-            let mut tp = config.transport_params.clone();
-            tp.original_destination_connection_id = Some(head.dcid.0.clone());
-            tp.initial_source_connection_id = Some(self.scid.0.clone());
-            let mut token = [0u8; 16];
-            seeded.fill_bytes(&mut token);
-            tp.stateless_reset_token = Some(token);
-            // Share the endpoint's Arc'd TLS config instead of cloning the
-            // whole cert chain per connection; the session-specific transport
-            // parameters ride in the override slot.
-            self.tls = ServerHandshake::with_overrides(
-                Arc::clone(&config.tls),
-                Some(tp.encode()),
-                &mut seeded,
-            );
-        }
-
         let mut out = Vec::new();
         let mut rest = datagram;
-        while !rest.is_empty() {
-            match decode_first(rest, self.scid.len(), &self.open_keys) {
-                Ok((pkt, consumed)) => {
-                    rest = &rest[consumed..];
-                    self.on_packet(pkt, config, &mut out);
-                    if self.closed {
-                        break;
-                    }
-                }
-                Err(_) => break,
+        while let Some(pkt) = self.space.open_next(&mut rest) {
+            self.on_packet(pkt, config, &mut out);
+            if self.closed {
+                break;
             }
         }
         out
     }
 
     fn on_packet(&mut self, pkt: Packet, config: &EndpointConfig, out: &mut Vec<Vec<u8>>) {
-        let space = match pkt.ty {
-            PacketType::Initial => 0,
-            PacketType::Handshake => 1,
-            PacketType::OneRtt => 2,
-            _ => return,
+        let Some(space) = Space::of(pkt.ty) else {
+            return;
         };
-        let largest = self.largest_recv[space].get_or_insert(pkt.packet_number);
-        if pkt.packet_number > *largest {
-            *largest = pkt.packet_number;
-        }
+        self.space.note_recv(space, pkt.packet_number);
         let frames = match Frame::decode_all(&pkt.payload) {
             Ok(f) => f,
             Err(_) => return,
@@ -541,7 +469,7 @@ impl ServerConn {
         // number), and each answer payload is sealed here, its packet number
         // reported back for the session's sent-packet tracker. A packet
         // carrying CONNECTION_CLOSE closes the connection instead.
-        if space == 2 {
+        if space == Space::App {
             if frames
                 .iter()
                 .any(|f| matches!(f, Frame::ConnectionClose { .. }))
@@ -552,8 +480,9 @@ impl ServerConn {
             // RFC 9000 §13.1, checked here because the packet numbers are
             // ours: a session's sender would take the frame's `largest`
             // on the peer's word and declare everything in flight lost.
-            if Frame::acks_unsent(&frames, self.next_pn[2]) {
-                self.close_app_space(ConnectionError::ACK_OF_UNSENT, out);
+            if self.space.acks_unsent(Space::App, &frames) {
+                let err = ConnectionError::ACK_OF_UNSENT;
+                self.close(Space::App, err.code, err.frame_type, err.reason, out);
                 return;
             }
             if !self.established {
@@ -562,13 +491,13 @@ impl ServerConn {
             let payloads = match self.session.on_app_packet(pkt.packet_number, &frames) {
                 Ok(payloads) => payloads,
                 Err(err) => {
-                    self.close_app_space(err, out);
+                    self.close(Space::App, err.code, err.frame_type, err.reason, out);
                     return;
                 }
             };
             for payload in payloads {
-                let pn = self.next_pn[2];
-                let Some(sealed) = self.seal_1rtt(&payload) else {
+                let mut sealed = Vec::new();
+                let Some(pn) = self.space.seal_short(&mut sealed, &payload) else {
                     return;
                 };
                 self.session.on_payload_sealed(pn);
@@ -576,32 +505,32 @@ impl ServerConn {
             }
             return;
         }
-        let level = if space == 0 {
-            Level::Initial
-        } else {
-            Level::Handshake
-        };
         for frame in frames {
             match frame {
                 Frame::Crypto { offset, data } => {
-                    // Handshake messages fit in single CRYPTO frames in this
-                    // stack (client CH < 1 KiB), so no reassembly is needed —
-                    // but retransmitted crypto (a PTO'd CH or Finished, or a
-                    // network-duplicated datagram) must not be re-fed to TLS.
-                    // A full duplicate instead means the client is missing
-                    // our answering flight: re-send it from the cache.
-                    let consumed = self.crypto_consumed[space];
-                    let end = offset + data.len() as u64;
-                    if end <= consumed {
+                    // Retransmitted crypto (a PTO'd CH or Finished, or a
+                    // network-duplicated datagram) is never re-fed to TLS: a
+                    // frame TLS already has every byte of means the client is
+                    // missing our answering flight, re-sent from the cache.
+                    // A frame past a gap waits until the gap fills.
+                    let Some(ready) = self.space.recv_crypto(space, offset, &data) else {
                         self.resend_cached(space, out);
                         continue;
+                    };
+                    if ready.is_empty() {
+                        continue;
                     }
-                    let skip = consumed.saturating_sub(offset) as usize;
-                    self.crypto_consumed[space] = end;
-                    match self.tls.on_handshake_data(level, &data[skip..]) {
+                    match self.tls.on_handshake_data(space.level(), &ready) {
                         Ok(events) => self.apply_tls_events(events, out),
                         Err(e) => {
-                            self.send_close(e, config, out);
+                            let code = match e {
+                                TlsError::LocalAlert(alert, _) => {
+                                    TransportError::crypto(alert.code())
+                                }
+                                TlsError::PeerAlert(c) => TransportError::crypto(c),
+                                _ => TransportError::PROTOCOL_VIOLATION,
+                            };
+                            self.close(Space::Initial, code, 0, &config.close_reason, out);
                             return;
                         }
                     }
@@ -615,141 +544,65 @@ impl ServerConn {
         }
     }
 
-    /// Seals `payload` as one 1-RTT packet at the next app-space packet
-    /// number (`None` before the 1-RTT keys exist).
-    fn seal_1rtt(&mut self, payload: &[u8]) -> Option<Vec<u8>> {
-        let keys = self.seal_app.as_ref()?;
-        let mut pkt = Vec::new();
-        seal_short_into(
-            &mut pkt,
-            &mut self.scratch,
-            &self.client_cid,
-            self.next_pn[2],
-            payload,
-            keys,
-        );
-        self.next_pn[2] += 1;
-        Some(pkt)
-    }
-
-    /// [`ServerConn::seal_1rtt`] of the frames staged in `self.payload`.
-    fn seal_staged_1rtt(&mut self) -> Option<Vec<u8>> {
-        let staged = std::mem::take(&mut self.payload);
-        let pkt = self.seal_1rtt(staged.as_slice());
-        self.payload = staged;
-        pkt
-    }
-
     fn apply_tls_events(&mut self, events: Vec<TlsEvent>, out: &mut Vec<Vec<u8>>) {
         let mut initial_crypto: Option<Vec<u8>> = None;
         let mut handshake_crypto: Option<Vec<u8>> = None;
         let mut completed = false;
-        let mut alg = qcrypto::aead::AeadAlgorithm::Aes128Gcm;
-        if let Some(c) = self.tls.negotiated_cipher() {
-            alg = c.aead();
-        }
+        let cipher = self.tls.negotiated_cipher();
         for ev in events {
+            if self.space.install(cipher, &ev).is_some() {
+                continue;
+            }
             match ev {
                 TlsEvent::SendHandshake(Level::Initial, bytes) => initial_crypto = Some(bytes),
                 TlsEvent::SendHandshake(Level::Handshake, bytes) => handshake_crypto = Some(bytes),
-                TlsEvent::SendHandshake(Level::App, _) => {}
-                TlsEvent::HandshakeKeys(hs) => {
-                    self.open_keys.handshake = Some(PacketKeys::from_secret(alg, &hs.client));
-                    self.seal_handshake = Some(PacketKeys::from_secret(alg, &hs.server));
-                }
-                TlsEvent::AppKeys(app) => {
-                    self.open_keys.app = Some(PacketKeys::from_secret(alg, &app.client));
-                    self.seal_app = Some(PacketKeys::from_secret(alg, &app.server));
-                }
                 TlsEvent::Complete => completed = true,
+                _ => {}
             }
         }
 
         // Server flight: Initial[ACK, CRYPTO(SH)] ++ Handshake[CRYPTO(EE..FIN)].
         if let Some(sh) = initial_crypto {
-            let mut flight_dgrams: Vec<Vec<u8>> = Vec::new();
+            let mut flight: Vec<Vec<u8>> = Vec::new();
             let mut datagram = Vec::new();
-            let payload = &mut self.payload;
-            payload.clear();
-            let largest = self.largest_recv[0].unwrap_or(0);
-            Frame::encode_ack_single(payload, largest, 0);
-            Frame::encode_crypto(payload, 0, &sh);
-            let keys = &self
-                .open_keys
-                .initial_pair
-                .as_deref()
-                .expect("initial seal keys")
-                .server;
-            seal_long_into(
-                &mut datagram,
-                &mut self.scratch,
-                PacketType::Initial,
-                self.version,
-                &self.client_cid,
-                &self.scid,
-                b"",
-                self.next_pn[0],
-                payload.as_slice(),
-                keys,
-                0,
-            );
-            self.next_pn[0] += 1;
-
-            if let Some(flight) = handshake_crypto {
-                // Chunk the encrypted flight across ≤1000-byte CRYPTO frames.
-                let keys = self.seal_handshake.as_ref().expect("handshake seal keys");
-                let mut offset = 0u64;
-                for chunk in flight.chunks(1000) {
-                    let payload = &mut self.payload;
-                    payload.clear();
-                    Frame::encode_crypto(payload, offset, chunk);
-                    offset += chunk.len() as u64;
-                    // Predict the sealed size to decide coalescing before
-                    // sealing into the right buffer.
-                    let pkt_len = 1
-                        + 4
-                        + 1
-                        + self.client_cid.len()
-                        + 1
-                        + self.scid.len()
-                        + crate::packet::varint_len((4 + payload.len() + keys.tag_len()) as u64)
-                        + 4
-                        + payload.len()
-                        + keys.tag_len();
-                    if datagram.len() + pkt_len > 1452 {
-                        flight_dgrams.push(std::mem::take(&mut datagram));
+            let largest = self.space.largest_recv(Space::Initial);
+            self.space.with_frames(|space, frames| {
+                Frame::encode_ack_single(frames, largest, 0);
+                Frame::encode_crypto(frames, 0, &sh);
+                space.seal_long(&mut datagram, Space::Initial, b"", frames.as_slice(), 0)
+            });
+            // The encrypted flight in ≤1000-byte CRYPTO frames, coalesced
+            // while a datagram stays within 1452 bytes.
+            let mut offset = 0u64;
+            for chunk in handshake_crypto.iter().flat_map(|hs| hs.chunks(1000)) {
+                self.space.with_frames(|space, frames| {
+                    Frame::encode_crypto(frames, offset, chunk);
+                    if datagram.len() + space.long_len(Space::Handshake, 0, frames.len()) > 1452 {
+                        flight.push(std::mem::take(&mut datagram));
                     }
-                    seal_long_into(
-                        &mut datagram,
-                        &mut self.scratch,
-                        PacketType::Handshake,
-                        self.version,
-                        &self.client_cid,
-                        &self.scid,
-                        b"",
-                        self.next_pn[1],
-                        payload.as_slice(),
-                        keys,
-                        0,
-                    );
-                    self.next_pn[1] += 1;
-                }
+                    space.seal_long(&mut datagram, Space::Handshake, b"", frames.as_slice(), 0)
+                });
+                offset += chunk.len() as u64;
             }
-            flight_dgrams.push(datagram);
-            out.extend(flight_dgrams.iter().cloned());
+            flight.push(datagram);
+            out.extend(flight.iter().cloned());
             // Keep the flight so a retransmitted CH can trigger a re-send.
-            self.flight_cache = flight_dgrams;
+            self.flight_cache = flight;
         }
 
         if completed && !self.established {
             self.established = true;
             // HANDSHAKE_DONE plus whatever the session sends first (the
             // HTTP/3 control stream).
-            let payload = &mut self.payload;
-            payload.clear();
-            Frame::HandshakeDone.encode(payload);
-            self.session.on_connected(payload);
-            let pkt = self.seal_staged_1rtt().expect("1-RTT seal keys");
+            let session = &mut self.session;
+            let mut pkt = Vec::new();
+            self.space
+                .with_frames(|space, frames| {
+                    Frame::HandshakeDone.encode(frames);
+                    session.on_connected(frames);
+                    space.seal_short(&mut pkt, frames.as_slice())
+                })
+                .expect("1-RTT seal keys");
             self.post_cache = Some(pkt.clone());
             out.push(pkt);
         }
@@ -758,71 +611,33 @@ impl ServerConn {
     /// Answers retransmitted crypto with the cached flight the client is
     /// evidently missing: a repeated CH gets the whole server flight, a
     /// repeated Finished gets the HANDSHAKE_DONE packet.
-    fn resend_cached(&mut self, space: usize, out: &mut Vec<Vec<u8>>) {
+    fn resend_cached(&mut self, space: Space, out: &mut Vec<Vec<u8>>) {
         match space {
-            0 => out.extend(self.flight_cache.iter().cloned()),
-            1 => out.extend(self.post_cache.iter().cloned()),
-            _ => {}
+            Space::Initial => out.extend(self.flight_cache.iter().cloned()),
+            Space::Handshake => out.extend(self.post_cache.iter().cloned()),
+            Space::App => {}
         }
     }
 
-    /// Closes an established connection for an error seen in the 1-RTT
-    /// space; the sealed close is what later packets are answered with
-    /// while draining.
-    fn close_app_space(&mut self, err: ConnectionError, out: &mut Vec<Vec<u8>>) {
+    /// Closes the connection with a CONNECTION_CLOSE sealed in `space`; the
+    /// sealed close is what later packets are answered with while draining.
+    fn close(
+        &mut self,
+        space: Space,
+        code: TransportError,
+        frame_type: u64,
+        reason: &str,
+        out: &mut Vec<Vec<u8>>,
+    ) {
         self.closed = true;
-        let payload = &mut self.payload;
-        payload.clear();
-        Frame::ConnectionClose {
-            error_code: err.code.0,
-            frame_type: Some(err.frame_type),
-            reason: err.reason.to_string(),
-            is_app: false,
-        }
-        .encode(payload);
-        let Some(pkt) = self.seal_staged_1rtt() else {
-            return;
-        };
-        self.close_cache = Some(pkt.clone());
-        out.push(pkt);
-    }
-
-    fn send_close(&mut self, err: TlsError, config: &EndpointConfig, out: &mut Vec<Vec<u8>>) {
-        self.closed = true;
-        let code = match err {
-            TlsError::LocalAlert(alert, _) => TransportError::crypto(alert.code()),
-            TlsError::PeerAlert(c) => TransportError::crypto(c),
-            _ => TransportError::PROTOCOL_VIOLATION,
-        };
-        let payload = &mut self.payload;
-        payload.clear();
-        Frame::ConnectionClose {
-            error_code: code.0,
-            frame_type: Some(0),
-            reason: config.close_reason.clone(),
-            is_app: false,
-        }
-        .encode(payload);
-        let Some(pair) = self.open_keys.initial_pair.as_deref() else {
-            return;
-        };
         let mut pkt = Vec::new();
-        seal_long_into(
-            &mut pkt,
-            &mut self.scratch,
-            PacketType::Initial,
-            self.version,
-            &self.client_cid,
-            &self.scid,
-            b"",
-            self.next_pn[0],
-            payload.as_slice(),
-            &pair.server,
-            0,
-        );
-        self.next_pn[0] += 1;
-        self.close_cache = Some(pkt.clone());
-        out.push(pkt);
+        if self
+            .space
+            .seal_close(&mut pkt, space, code, frame_type, reason)
+        {
+            self.close_cache = Some(pkt.clone());
+            out.push(pkt);
+        }
     }
 }
 
@@ -891,18 +706,6 @@ impl AppSession for HandlerSession {
     }
 }
 
-fn placeholder_cert() -> qtls::Certificate {
-    qtls::cert::self_signed(0, "placeholder.invalid", 0, [0u8; 32])
-}
-
-/// Shared placeholder TLS config: the real per-connection config is swapped in
-/// once the first Initial reveals the negotiated parameters, so every
-/// connection can share one allocation here instead of cloning a fresh one.
-fn placeholder_server_config() -> Arc<qtls::ServerConfig> {
-    static CFG: OnceLock<Arc<qtls::ServerConfig>> = OnceLock::new();
-    Arc::clone(CFG.get_or_init(|| Arc::new(qtls::ServerConfig::single_cert(placeholder_cert()))))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -958,7 +761,8 @@ mod tests {
     /// when nothing is evictable the table grows past the cap instead.
     #[test]
     fn evicts_least_recently_touched_evictable_connection() {
-        let config = EndpointConfig::new(placeholder_server_config());
+        let cert = qtls::cert::self_signed(0, "test.invalid", 0, [0u8; 32]);
+        let config = EndpointConfig::new(Arc::new(qtls::ServerConfig::single_cert(cert)));
         let mut ep =
             Endpoint::with_sessions(config, 7, Box::new(|| Box::new(Session { idle: false })));
         let cap = DEFAULT_MAX_CONNS as u128;

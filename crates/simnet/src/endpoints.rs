@@ -826,8 +826,8 @@ mod tests {
     fn lazy_tcp_port_and_connect() {
         let mut net = Network::new(7);
         net.set_lazy_binder(Box::new(OddEcho), None);
-        assert!(net.tcp_port_open(addr(4, 443)));
-        assert!(!net.tcp_port_open(addr(5, 443)));
+        assert!(net.shard().tcp_port_open(addr(4, 443)));
+        assert!(!net.shard().tcp_port_open(addr(5, 443)));
         assert_eq!(
             net.lazy_stats().unwrap().tcp_resident,
             0,
@@ -930,15 +930,15 @@ mod tests {
             net.set_default_profile(profile);
             for &at in &udp {
                 assert_eq!(net.udp_send(src, at, b"ab"), vec![b"ba".to_vec()], "{at}");
-                assert!(!net.tcp_port_open(at), "{at}");
+                assert!(!net.shard().tcp_port_open(at), "{at}");
             }
             for &at in &tcp {
-                assert!(net.tcp_port_open(at), "{at}");
+                assert!(net.shard().tcp_port_open(at), "{at}");
                 assert!(net.udp_send(src, at, b"ab").is_empty(), "{at}");
             }
             for &at in &unbound {
                 assert!(net.udp_send(src, at, b"ab").is_empty(), "{at}");
-                assert!(!net.tcp_port_open(at), "{at}");
+                assert!(!net.shard().tcp_port_open(at), "{at}");
             }
         }
         let let_through = unbound

@@ -260,12 +260,6 @@ impl Network {
         self.endpoints.tcp_count()
     }
 
-    /// Whether a TCP port answers a SYN (the ZMap TCP module's question).
-    /// Lazy universes answer from membership alone — no factory is built.
-    pub fn tcp_port_open(&self, at: SocketAddr) -> bool {
-        self.endpoints.tcp_open(at)
-    }
-
     /// Sends one UDP datagram from `src` to `dst` and returns the responses
     /// the destination service emitted (empty when the port is unbound, the
     /// packet was lost, or the service stayed silent). Advances the clock by
@@ -345,6 +339,20 @@ impl NetShard<'_> {
     /// The configured round-trip time.
     pub fn rtt(&self) -> Duration {
         self.net.rtt()
+    }
+
+    /// Whether a TCP port answers a SYN (the ZMap TCP module's question),
+    /// counted as a 40-byte SYN sent and, when the port is open, a 40-byte
+    /// SYN-ACK received, as [`Network::tcp_connect`] counts them. Lazy
+    /// universes answer from membership alone — no factory is built. The
+    /// exchange takes no fault draw and no time.
+    pub fn tcp_port_open(&mut self, at: SocketAddr) -> bool {
+        self.local.record_send(40);
+        let open = self.net.endpoints.tcp_open(at);
+        if open {
+            self.local.record_recv(40);
+        }
+        open
     }
 
     /// Current private virtual time.
@@ -779,8 +787,13 @@ mod tests {
     fn tcp_roundtrip() {
         let mut net = Network::new(1);
         net.bind_tcp(addr(1, 443), Box::new(GreeterFactory));
-        assert!(net.tcp_port_open(addr(1, 443)));
-        assert!(!net.tcp_port_open(addr(1, 80)));
+        let mut shard = net.shard();
+        assert!(shard.tcp_port_open(addr(1, 443)));
+        assert!(!shard.tcp_port_open(addr(1, 80)));
+        shard.finish();
+        // Two SYNs out, one SYN-ACK back.
+        let (sent, bytes_sent, recvd, bytes_recvd, _) = net.stats.snapshot();
+        assert_eq!((sent, bytes_sent, recvd, bytes_recvd), (2, 80, 1, 40));
         assert!(net.tcp_connect(addr(9, 1), addr(1, 80)).is_none());
         let mut conn = net.tcp_connect(addr(9, 1), addr(1, 443)).unwrap();
         conn.write(b"world");

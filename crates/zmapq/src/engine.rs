@@ -503,11 +503,11 @@ impl ZmapScanner {
     ) -> (Vec<IpAddr>, ScanReport) {
         let targets = Targets::prefixes(prefixes, self.config.seed ^ 0x7cb);
         self.sharded(net, targets.total(), Vec::new, |plan| {
-            // A SYN probe asks the network directly: it bypasses the sharded
-            // UDP endpoint table and charges no RTT, so the shard's link
-            // only paces it.
-            self.run_shard(net, &targets, plan, Vec::new(), |_, dst, _| {
-                crate::modules::tcp_syn::probe(net, dst).then_some(dst.ip)
+            // A SYN probe bypasses the sharded UDP endpoint table and
+            // charges no RTT: the shard's link paces it and counts its SYN
+            // and any SYN-ACK.
+            self.run_shard(net, &targets, plan, Vec::new(), |link, dst, _| {
+                crate::modules::tcp_syn::probe(link, dst).then_some(dst.ip)
             })
         })
     }
@@ -612,21 +612,23 @@ mod tests {
         }
     }
 
+    /// A TCP service that closes at once: enough to answer a SYN.
+    struct NoTcp;
+    impl simnet::TcpHandler for NoTcp {
+        fn on_data(&mut self, _: &[u8], _: &mut Vec<u8>) -> simnet::TcpAction {
+            simnet::TcpAction::Close
+        }
+    }
+    struct NoTcpFactory;
+    impl simnet::TcpFactory for NoTcpFactory {
+        fn accept(&self, _: SocketAddr) -> Box<dyn simnet::TcpHandler> {
+            Box::new(NoTcp)
+        }
+    }
+
     /// Parallel v6 list scans and TCP SYN sweeps are deterministic too.
     #[test]
     fn parallel_v6_and_tcp_match_serial() {
-        struct NoTcp;
-        impl simnet::TcpHandler for NoTcp {
-            fn on_data(&mut self, _: &[u8], _: &mut Vec<u8>) -> simnet::TcpAction {
-                simnet::TcpAction::Close
-            }
-        }
-        struct NoTcpFactory;
-        impl simnet::TcpFactory for NoTcpFactory {
-            fn accept(&self, _: SocketAddr) -> Box<dyn simnet::TcpHandler> {
-                Box::new(NoTcp)
-            }
-        }
         let mut net = Network::new(5);
         let mut targets = Vec::new();
         for i in 0..64u16 {
@@ -753,7 +755,8 @@ mod tests {
 
     /// With a registry configured, a sweep submits its metric set, which
     /// reconciles exactly with the `ScanReport` and renders the same at any
-    /// worker count.
+    /// worker count. The SYN sweep's probes are traffic too: one 40-byte SYN
+    /// each, and a 40-byte SYN-ACK from each open port.
     #[test]
     fn sweep_submits_shard_metrics() {
         let mut net = Network::new(5);
@@ -762,10 +765,16 @@ mod tests {
                 SocketAddr::new(Ipv4Addr::new(10, 55, 0, last), 443),
                 quic_host(vec![Version::V1]),
             );
+            net.bind_tcp(
+                SocketAddr::new(Ipv4Addr::new(10, 56, 0, last), 443),
+                Box::new(NoTcpFactory),
+            );
         }
         let module = QuicVnModule::new(1);
         let prefixes = [Prefix::new(Ipv4Addr::new(10, 55, 0, 0), 24)];
+        let syn_prefixes = [Prefix::new(Ipv4Addr::new(10, 56, 0, 0), 24)];
         let mut rendered = Vec::new();
+        let mut syn_rendered = Vec::new();
         for workers in [1usize, 2, 4] {
             let registry = Arc::new(telemetry::MetricsRegistry::new());
             let mut cfg = ZmapConfig::new(SocketAddr::new(Ipv4Addr::new(192, 0, 2, 9), 50000));
@@ -796,8 +805,30 @@ mod tests {
             );
             assert_eq!(locks.acquired, 3);
             rendered.push(snap.render());
+
+            let registry = Arc::new(telemetry::MetricsRegistry::new());
+            let mut cfg = ZmapConfig::new(SocketAddr::new(Ipv4Addr::new(192, 0, 2, 9), 50000));
+            cfg.workers = workers;
+            cfg.metrics = Some(registry.clone());
+            let (open, report) =
+                ZmapScanner::new(cfg).scan_tcp_syn_with_report(&net, &syn_prefixes);
+            assert_eq!(open.len(), 3);
+            let snap = registry.snapshot();
+            assert_eq!(snap.counter("zmap.probes"), report.probes());
+            assert_eq!(report.probes(), 256);
+            assert_eq!(
+                snap.counter("zmap.packets_sent"),
+                snap.counter("zmap.probes")
+            );
+            assert_eq!(snap.counter("zmap.bytes_sent"), 256 * 40);
+            assert_eq!(snap.counter("zmap.packets_received"), 3);
+            syn_rendered.push(snap.render());
         }
         assert!(rendered.iter().all(|r| *r == rendered[0]), "{rendered:#?}");
+        assert!(
+            syn_rendered.iter().all(|r| *r == syn_rendered[0]),
+            "{syn_rendered:#?}"
+        );
     }
 
     /// A constant-size accumulator sees exactly the hits the buffering scan

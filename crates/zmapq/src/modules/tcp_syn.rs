@@ -1,19 +1,20 @@
 //! TCP SYN module (the port-443 discovery scan preceding the TLS scans,
 //! §3.3). In the simulation a SYN probe reduces to asking the network
-//! whether the port accepts connections.
+//! whether the port accepts connections; the shard counts the SYN and any
+//! SYN-ACK as traffic.
 
-use simnet::{Network, SocketAddr};
+use simnet::{NetShard, SocketAddr};
 
-/// Probes one target; true = SYN/ACK (port open).
-pub fn probe(net: &Network, dst: SocketAddr) -> bool {
-    net.tcp_port_open(dst)
+/// Probes one target through `link`; true = SYN/ACK (port open).
+pub fn probe(link: &mut NetShard<'_>, dst: SocketAddr) -> bool {
+    link.tcp_port_open(dst)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use simnet::addr::Ipv4Addr;
-    use simnet::{TcpAction, TcpFactory, TcpHandler};
+    use simnet::{Network, TcpAction, TcpFactory, TcpHandler};
 
     struct Closer;
     impl TcpHandler for Closer {
@@ -33,9 +34,10 @@ mod tests {
         let mut net = Network::new(1);
         let open = SocketAddr::new(Ipv4Addr::new(10, 0, 0, 1), 443);
         net.bind_tcp(open, Box::new(F));
-        assert!(probe(&net, open));
+        let mut link = net.shard();
+        assert!(probe(&mut link, open));
         assert!(!probe(
-            &net,
+            &mut link,
             SocketAddr::new(Ipv4Addr::new(10, 0, 0, 2), 443)
         ));
     }
