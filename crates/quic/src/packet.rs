@@ -109,17 +109,6 @@ pub fn encode_version_negotiation(
     w.into_vec()
 }
 
-/// Encoded size of a QUIC varint (RFC 9000 §16) — used to predict packet
-/// sizes arithmetically instead of sealing probe packets.
-pub(crate) fn varint_len(v: u64) -> usize {
-    match v {
-        0..=63 => 1,
-        64..=16383 => 2,
-        16384..=1_073_741_823 => 4,
-        _ => 8,
-    }
-}
-
 fn long_type_bits(ty: PacketType) -> u8 {
     match ty {
         PacketType::Initial => 0b00,
