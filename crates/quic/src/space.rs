@@ -149,6 +149,10 @@ pub(crate) struct PacketSpaces {
     pub(crate) peer_cid: ConnectionId,
     keys: Keys,
     next_pn: [u64; 3],
+    /// The packet number each space sealed last, kept by the debug-build
+    /// check that numbers only ever increase (RFC 9000 §12.3).
+    #[cfg(debug_assertions)]
+    last_sealed: [Option<u64>; 3],
     /// The largest packet number received per space (0 before any).
     largest_recv: [u64; 3],
     /// Reused packet-sealing buffers.
@@ -178,6 +182,8 @@ impl PacketSpaces {
                 derived: [None, None],
             },
             next_pn: [0; 3],
+            #[cfg(debug_assertions)]
+            last_sealed: [None; 3],
             largest_recv: [0; 3],
             scratch: SealScratch::new(),
             frames: Writer::new(),
@@ -290,6 +296,8 @@ impl PacketSpaces {
             return false;
         };
         let pn = &mut self.next_pn[space as usize];
+        #[cfg(debug_assertions)]
+        check_pn_increases(&mut self.last_sealed, space, *pn);
         seal_long_into(
             out,
             &mut self.scratch,
@@ -312,6 +320,8 @@ impl PacketSpaces {
     pub(crate) fn seal_short(&mut self, out: &mut Vec<u8>, payload: &[u8]) -> Option<u64> {
         let keys = self.keys.get(self.role, Space::App, true)?;
         let pn = self.next_pn[Space::App as usize];
+        #[cfg(debug_assertions)]
+        check_pn_increases(&mut self.last_sealed, Space::App, pn);
         seal_short_into(out, &mut self.scratch, &self.peer_cid, pn, payload, keys);
         self.next_pn[Space::App as usize] += 1;
         Some(pn)
@@ -367,6 +377,19 @@ impl PacketSpaces {
         *rest = &rest[consumed..];
         Some(packet)
     }
+}
+
+/// RFC 9000 §12.3, checked in debug builds at the one place either end
+/// seals: a space never seals a packet number at or below one it sealed
+/// before.
+#[cfg(debug_assertions)]
+fn check_pn_increases(last_sealed: &mut [Option<u64>; 3], space: Space, pn: u64) {
+    let last = &mut last_sealed[space as usize];
+    assert!(
+        last.is_none_or(|last| pn > last),
+        "RFC 9000 §12.3: {space:?} packet number {pn} sealed after {last:?}"
+    );
+    *last = Some(pn);
 }
 
 /// Received packets open with the half of each pair the [`Role`] picks.

@@ -32,6 +32,12 @@ struct RecvStream {
     received: RangeSet,
     fin_at: Option<u64>,
     rx: RxFlow,
+    /// What the debug-build delivery check counts itself: the bytes the
+    /// reader consumed, and one past the highest byte received.
+    #[cfg(debug_assertions)]
+    handed: u64,
+    #[cfg(debug_assertions)]
+    received_end: u64,
 }
 
 impl RecvStream {
@@ -42,7 +48,27 @@ impl RecvStream {
             received: RangeSet::new(),
             fin_at: None,
             rx: RxFlow::new(window),
+            #[cfg(debug_assertions)]
+            handed: 0,
+            #[cfg(debug_assertions)]
+            received_end: 0,
         }
+    }
+
+    /// The reader gets each stream byte exactly once, in order, checked in
+    /// debug builds: what it is handed starts where what it consumed ends,
+    /// and the buffer runs from there to the highest byte received.
+    #[cfg(debug_assertions)]
+    fn check_delivery(&self) {
+        assert_eq!(
+            self.read_offset, self.handed,
+            "stream bytes handed to the reader out of order or twice"
+        );
+        assert_eq!(
+            self.end(),
+            self.received_end,
+            "stream buffer does not end at the highest byte received"
+        );
     }
 
     /// One past the highest byte received.
@@ -199,6 +225,10 @@ impl DataReceiver {
         let new_bytes = copy(s);
         debug_assert!(s.end() <= s.rx.limit(), "buffered within the limit");
         s.received.insert_range(offset, end - 1);
+        #[cfg(debug_assertions)]
+        {
+            s.received_end = s.received_end.max(end);
+        }
         if new_bytes > 0 {
             s.rx.on_delivered(new_bytes);
             self.conn_rx.on_delivered(new_bytes);
@@ -299,9 +329,11 @@ impl DataReceiver {
     /// The unread bytes of stream `id` before its first gap — all of the
     /// stream once [`DataReceiver::stream_done`] and nothing consumed.
     pub fn read(&self, id: u64) -> &[u8] {
-        self.streams
-            .get(&id)
-            .map_or(&[], |s| &s.buf[..s.readable()])
+        self.streams.get(&id).map_or(&[], |s| {
+            #[cfg(debug_assertions)]
+            s.check_delivery();
+            &s.buf[..s.readable()]
+        })
     }
 
     /// Drops the first `n` bytes [`DataReceiver::read`] returned for `id`,
@@ -314,6 +346,11 @@ impl DataReceiver {
         s.buf.drain(..n);
         s.read_offset += n as u64;
         self.held -= n as u64;
+        #[cfg(debug_assertions)]
+        {
+            s.handed += n as u64;
+            s.check_delivery();
+        }
     }
 
     /// Stream ids with any data received (ascending).

@@ -82,6 +82,10 @@ struct SendStream {
     fin_acked: bool,
     /// Flow time when the stream became fully acknowledged.
     completed_at_us: Option<u64>,
+    /// One past the highest byte sent, as the debug-build flow-control
+    /// check counts it.
+    #[cfg(debug_assertions)]
+    sent_end: u64,
 }
 
 impl SendStream {
@@ -122,6 +126,10 @@ pub struct DataSender {
     /// Source bytes held across all streams, and their high-water mark.
     held: u64,
     peak_held: u64,
+    /// The streams' `sent_end` summed: the connection's bytes the
+    /// debug-build flow-control check holds against MAX_DATA.
+    #[cfg(debug_assertions)]
+    sent_total: u64,
 }
 
 impl DataSender {
@@ -151,6 +159,8 @@ impl DataSender {
             chunk_scratch: Vec::new(),
             held: 0,
             peak_held: 0,
+            #[cfg(debug_assertions)]
+            sent_total: 0,
         }
     }
 
@@ -506,12 +516,52 @@ impl DataSender {
             .pending
             .pop_front()
             .expect("record_sent without a pending payload");
+        #[cfg(debug_assertions)]
+        self.check_sent(chunk, bytes);
         self.recovery.on_packet_sent(SentPacket {
             pn,
             bytes,
             time_sent_us: send_us,
             chunk,
         });
+    }
+
+    /// The transport invariants every sent packet keeps, checked in debug
+    /// builds with the sender's own counts: bytes in flight exceed the
+    /// window by at most the packet just sent (RFC 9002 §7; a packet takes
+    /// at least `MAX_DATAGRAM` of the window, and an RTC frame travels as
+    /// one packet of its own size), and no stream byte lies past the peer's
+    /// MAX_STREAM_DATA, nor the connection's bytes past its MAX_DATA
+    /// (RFC 9000 §4.1).
+    #[cfg(debug_assertions)]
+    fn check_sent(&mut self, chunk: ChunkRef, bytes: u64) {
+        let (in_flight, cwnd) = (self.cc.in_flight(), self.cc.cwnd());
+        assert!(
+            in_flight <= cwnd + bytes.max(MAX_DATAGRAM),
+            "RFC 9002 §7: {in_flight} bytes in flight past cwnd {cwnd} after a {bytes}-byte packet"
+        );
+        let s = self
+            .streams
+            .get_mut(&chunk.stream)
+            .expect("a sent chunk's stream exists");
+        let end = chunk.offset + chunk.len;
+        if end > s.sent_end {
+            self.sent_total += end - s.sent_end;
+            s.sent_end = end;
+        }
+        let stream_limit = s.tx.as_ref().map_or(0, TxFlow::limit);
+        assert!(
+            s.sent_end <= stream_limit,
+            "RFC 9000 §4.1: stream {} sent to byte {} past MAX_STREAM_DATA {stream_limit}",
+            chunk.stream,
+            s.sent_end
+        );
+        assert!(
+            self.sent_total <= self.conn_tx.limit(),
+            "RFC 9000 §4.1: {} stream bytes sent past MAX_DATA {}",
+            self.sent_total,
+            self.conn_tx.limit()
+        );
     }
 
     /// True when every enqueued stream (with its FIN) is fully acknowledged.
