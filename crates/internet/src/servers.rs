@@ -143,9 +143,9 @@ impl QuicHost {
 impl UdpService for QuicHost {
     fn on_datagram(&mut self, ctx: &mut ServiceCtx<'_>, from: SocketAddr, data: &[u8]) {
         let from_key = (from.ip.as_u128() << 16) | u128::from(from.port);
-        for reply in self.endpoint.handle_datagram(from_key, data) {
-            ctx.reply(reply);
-        }
+        let (buf, ends) = ctx.replies().parts_mut();
+        self.endpoint
+            .handle_datagram_into(from_key, data, buf, ends);
     }
 }
 

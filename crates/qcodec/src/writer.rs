@@ -40,6 +40,12 @@ impl Writer {
         &self.buf
     }
 
+    /// The buffer itself, for a producer that appends bytes it generates
+    /// in place rather than from a slice.
+    pub fn as_mut_vec(&mut self) -> &mut Vec<u8> {
+        &mut self.buf
+    }
+
     /// Drops the bytes written so far but keeps the allocation, so a
     /// scratch writer can be reused across packets without reallocating.
     pub fn clear(&mut self) {

@@ -26,9 +26,7 @@ use quic::conn::{ClientConnection, ConnectionState, HandshakeOutcome};
 use quic::tparams::TransportParameters;
 use quic::version::Version;
 use quic::ClientConfig;
-use simnet::{
-    fan_out, DatagramArena, Duration, FlightStatus, IpAddr, NetShard, Network, SocketAddr,
-};
+use simnet::{fan_out, Datagrams, Duration, FlightStatus, IpAddr, NetShard, Network, SocketAddr};
 use telemetry::{Event, EventKind, LocalMetrics, MetricsRegistry, Telemetry, TraceCtx};
 
 use crate::outcome::{QuicScanResult, QuicTarget, ScanOutcome};
@@ -106,18 +104,32 @@ fn outcome_counter(outcome: &ScanOutcome) -> &'static str {
 
 /// What one worker reuses across every target it scans: its private view of
 /// the network (clock, traffic counters, flow-sequence cache — merged back
-/// when the worker is dropped) and the reply arena.
+/// when the worker is dropped), the flight a connection sends, the replies
+/// it gets, and the buffer their packets are opened into.
 struct Worker<'n> {
     shard: NetShard<'n>,
-    arena: DatagramArena,
+    flight: Datagrams,
+    replies: Datagrams,
+    payload: Vec<u8>,
 }
 
 impl<'n> Worker<'n> {
     fn new(net: &'n Network) -> Self {
         Worker {
             shard: net.shard(),
-            arena: DatagramArena::new(),
+            flight: Datagrams::new(),
+            replies: Datagrams::new(),
+            payload: Vec::new(),
         }
+    }
+
+    /// Takes what `conn` has to send as the worker's flight; returns how
+    /// many datagrams that is.
+    fn take_flight(&mut self, conn: &mut ClientConnection) -> usize {
+        self.flight.clear();
+        let (buf, ends) = self.flight.parts_mut();
+        conn.poll_transmit_into(buf, ends);
+        self.flight.len()
     }
 
     /// The simulated round-trip time in microseconds (at least one, so
@@ -141,13 +153,13 @@ fn drain_conn_events(conn: &mut ClientConnection, o: &mut Obs<'_>) {
     }
 }
 
-/// Sends one flight to `dst` and feeds the first
-/// [`MAX_REPLIES_PER_FLIGHT`] replies into `conn`, returning the folded
-/// send status and whether anything came back.
+/// Sends the worker's flight (see [`Worker::take_flight`]) to `dst` and
+/// feeds the first [`MAX_REPLIES_PER_FLIGHT`] replies into `conn`, returning
+/// the folded send status and whether anything came back.
 ///
 /// Untraced, the flight goes out as one batch (one endpoint lookup, at most
-/// one service-lock acquisition): `poll_transmit` fully materialized it
-/// before any send, so feeding every reply afterwards in delivery order is
+/// one service-lock acquisition): the connection queued all of it before
+/// any send, so feeding every reply afterwards in delivery order is
 /// byte-equivalent to the per-datagram loop. Traced, it stays per-datagram
 /// so the event stream keeps its send/receive interleaving and flow-local
 /// timestamps.
@@ -156,44 +168,45 @@ fn exchange(
     src: SocketAddr,
     dst: SocketAddr,
     conn: &mut ClientConnection,
-    flight: Vec<Vec<u8>>,
     rtt_us: u64,
     obs: Option<&mut Obs<'_>>,
 ) -> (FlightStatus, bool) {
     let mut got_reply = false;
     let Some(o) = obs else {
-        let status = w.shard.udp_send_batch(src, dst, &flight, &mut w.arena);
-        got_reply = !w.arena.replies.is_empty();
-        for reply in w.arena.replies.drain(..).take(MAX_REPLIES_PER_FLIGHT) {
-            conn.on_datagram(&reply);
+        w.replies.clear();
+        let status = w.shard.udp_send_flight(src, dst, &w.flight, &mut w.replies);
+        got_reply = !w.replies.is_empty();
+        for reply in w.replies.iter().take(MAX_REPLIES_PER_FLIGHT) {
+            conn.on_datagram_in(reply, &mut w.payload);
         }
         return (status, got_reply);
     };
     let mut status = FlightStatus::default();
     let mut fed = 0;
-    for datagram in flight {
+    for datagram in w.flight.iter() {
         o.ctx.record(EventKind::PacketSent {
-            space: space_of(&datagram),
+            space: space_of(datagram),
             bytes: datagram.len() as u64,
         });
         let trace = Some(&mut *o.ctx);
+        w.replies.clear();
         let sent = w
             .shard
-            .udp_send_status(src, dst, &datagram, &mut w.arena.replies, trace);
+            .udp_send_status(src, dst, datagram, &mut w.replies, trace);
         status.unreachable |= sent.unreachable;
         status.throttled |= sent.throttled;
         o.ctx.advance(rtt_us);
-        for reply in &w.arena.replies {
+        for reply in w.replies.iter() {
             o.ctx.record(EventKind::PacketReceived {
                 space: space_of(reply),
                 bytes: reply.len() as u64,
             });
         }
-        got_reply |= !w.arena.replies.is_empty();
-        for reply in w.arena.replies.drain(..) {
+        got_reply |= !w.replies.is_empty();
+        for reply in w.replies.iter() {
             if fed < MAX_REPLIES_PER_FLIGHT {
                 fed += 1;
-                conn.on_datagram(&reply);
+                conn.on_datagram_in(reply, &mut w.payload);
             }
         }
         drain_conn_events(conn, o);
@@ -341,8 +354,8 @@ impl QScanner {
             let mut unreachable = false;
 
             loop {
-                let out = conn.poll_transmit();
-                if out.is_empty() {
+                let sent = w.take_flight(&mut conn);
+                if sent == 0 {
                     if conn.state() != &ConnectionState::Handshaking {
                         break;
                     }
@@ -370,9 +383,8 @@ impl QScanner {
                 if rounds > MAX_ROUNDS {
                     break;
                 }
-                let sent = out.len();
                 let (status, replied) =
-                    exchange(w, src, dst, &mut conn, out, rtt_us, obs.as_deref_mut());
+                    exchange(w, src, dst, &mut conn, rtt_us, obs.as_deref_mut());
                 unreachable |= status.unreachable;
                 throttled |= status.throttled;
                 got_reply |= replied;
@@ -488,11 +500,10 @@ impl QScanner {
                 true,
             );
             for _ in 0..MAX_ROUNDS {
-                let out = conn.poll_transmit();
-                if out.is_empty() {
+                if w.take_flight(conn) == 0 {
                     break;
                 }
-                let _ = exchange(w, src, dst, conn, out, rtt_us, obs.as_deref_mut());
+                let _ = exchange(w, src, dst, conn, rtt_us, obs.as_deref_mut());
             }
             for s in conn.poll_streams() {
                 if s.id == stream {

@@ -22,10 +22,11 @@ use qtls::client::{ClientHandshake, PeerTlsInfo};
 use qtls::{Level, TlsError, TlsEvent};
 
 use crate::error::{ConnectionError, TransportError};
-use crate::frame::Frame;
-use crate::packet::{ConnectionId, Packet, PacketType};
+use crate::frame::{Frame, Frames};
+use crate::packet::{ConnectionId, Header, PacketType};
 use crate::space::{PacketSpaces, Role, Space};
 use crate::tparams::TransportParameters;
+use crate::transmit::{Out, Queue};
 use crate::version::Version;
 
 /// Client connection configuration.
@@ -89,16 +90,11 @@ pub enum HandshakeOutcome {
     ProtocolError(String),
 }
 
-/// One decoded 1-RTT packet handed to the application data plane (the
-/// `transfer` crate) when frame collection is enabled: the packet number the
-/// receiver must acknowledge plus every frame it carried, offsets intact.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AppPacket {
-    /// Packet number in the application space.
-    pub pn: u64,
-    /// Decoded frames in wire order.
-    pub frames: Vec<Frame>,
-}
+/// Where a data plane that owns the client's 1-RTT space takes each packet
+/// ([`ClientConnection::on_datagram_with`]): its packet number, which the
+/// data plane acknowledges itself, and its frames, borrowed from the
+/// opened payload. An error closes the connection with it.
+pub type AppPackets<'s> = dyn FnMut(u64, Frames<'_>) -> Result<(), ConnectionError> + 's;
 
 /// Data received on a stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -119,7 +115,8 @@ pub struct ClientConnection {
     space: PacketSpaces,
     /// Per space: a packet arrived that no ACK of ours covers yet.
     ack_pending: [bool; 3],
-    tx: Vec<Vec<u8>>,
+    /// Datagrams queued for [`ClientConnection::poll_transmit_into`].
+    tx: Queue,
     crypto_tx_pending: Vec<(Level, Vec<u8>)>,
     state: ConnectionState,
     outcome: Option<HandshakeOutcome>,
@@ -142,11 +139,6 @@ pub struct ClientConnection {
     /// Telemetry buffer: `Some` once tracing is enabled; the driver drains
     /// it with [`ClientConnection::take_events`] and stamps time/flow there.
     events: Option<Vec<telemetry::EventKind>>,
-    /// `Some` once the application data plane took over the 1-RTT space:
-    /// decoded app packets are buffered here (see
-    /// [`ClientConnection::enable_app_frames`]) instead of going to
-    /// `streams_rx` with an ACK from the connection.
-    app_rx: Option<Vec<AppPacket>>,
     rng: StdRng,
 }
 
@@ -185,7 +177,7 @@ impl ClientConnection {
                 ConnectionId::empty(),
             ),
             ack_pending: [false; 3],
-            tx: Vec::new(),
+            tx: Queue::default(),
             crypto_tx_pending: Vec::new(),
             state: ConnectionState::Handshaking,
             outcome: None,
@@ -201,7 +193,6 @@ impl ClientConnection {
             ch_bytes: Vec::new(),
             sent_finished: Vec::new(),
             events: traced.then(Vec::new),
-            app_rx: None,
             rng,
         };
         conn.start_attempt(version);
@@ -245,7 +236,8 @@ impl ClientConnection {
     /// 3× anti-amplification budget (RFC 9000 §8.1) open.
     fn push_initial_ch(&mut self) {
         let (ch, token) = (&self.ch_bytes, &self.retry_token);
-        let mut datagram = Vec::new();
+        let mut out = self.tx.out();
+        let start = out.buf().len();
         let sealed = self.space.with_frames(|space, frames| {
             Frame::encode_crypto(frames, 0, ch);
             // The unpadded packet's size follows from the header fields and
@@ -253,16 +245,13 @@ impl ClientConnection {
             // instead of sealing a probe packet first.
             let unpadded = space.long_len(Space::Initial, token.len(), frames.len());
             let padded = frames.len() + 1200usize.saturating_sub(unpadded);
-            space.seal_long(
-                &mut datagram,
-                Space::Initial,
-                token,
-                frames.as_slice(),
-                padded,
-            )
+            space.seal_long(out.buf(), Space::Initial, token, frames.as_slice(), padded)
         });
-        debug_assert!(sealed && datagram.len() >= 1200, "initial keys installed");
-        self.tx.push(datagram);
+        debug_assert!(
+            sealed && out.buf().len() - start >= 1200,
+            "initial keys installed"
+        );
+        out.end();
     }
 
     /// Probe-timeout hook for the externally clocked scan loop: called when
@@ -284,15 +273,13 @@ impl ClientConnection {
             // Our Finished — or the server's HANDSHAKE_DONE — was lost.
             let largest = self.space.largest_recv(Space::Handshake);
             let finished = &self.sent_finished;
-            let mut pkt = Vec::new();
+            let mut out = self.tx.out();
             let sealed = self.space.with_frames(|space, frames| {
                 Frame::encode_ack_single(frames, largest, 0);
                 Frame::encode_crypto(frames, 0, finished);
-                space.seal_long(&mut pkt, Space::Handshake, b"", frames.as_slice(), 20)
+                space.seal_long(out.buf(), Space::Handshake, b"", frames.as_slice(), 20)
             });
-            if sealed {
-                self.tx.push(pkt);
-            }
+            out.end();
             return sealed;
         }
         false
@@ -345,9 +332,19 @@ impl ClientConnection {
         self.handshake_done
     }
 
-    /// Drains datagrams to transmit.
+    /// Drains datagrams to transmit, each as a vector of its own — the
+    /// form the benchmark's fixtures call until ROADMAP item 11(b); drivers
+    /// take them into their flight with
+    /// [`ClientConnection::poll_transmit_into`].
     pub fn poll_transmit(&mut self) -> Vec<Vec<u8>> {
-        std::mem::take(&mut self.tx)
+        self.tx.take_each()
+    }
+
+    /// Moves the datagrams to transmit to the end of a caller's batch, given
+    /// as its two parts (`simnet::Datagrams::parts_mut`): their bytes are
+    /// appended to `buf` and each one's end to `ends`.
+    pub fn poll_transmit_into(&mut self, buf: &mut Vec<u8>, ends: &mut Vec<usize>) {
+        self.tx.drain_into(&mut Out::new(buf, ends));
     }
 
     /// Drains received stream data (coalesced per stream).
@@ -378,50 +375,40 @@ impl ClientConnection {
             self.state == ConnectionState::Established,
             "stream data requires an established connection"
         );
-        let mut pkt = Vec::new();
+        let mut out = self.tx.out();
         self.space
             .with_frames(|space, frames| {
                 Frame::encode_stream(frames, id, 0, fin, data);
-                space.seal_short(&mut pkt, frames.as_slice())
+                space.seal_short(out.buf(), frames.as_slice())
             })
             .expect("1-RTT keys installed");
-        self.tx.push(pkt);
+        out.end();
     }
 
-    /// Seals a pre-encoded frame payload as one 1-RTT packet and queues it,
-    /// returning its packet number. This is the transmission primitive the
+    /// Seals a pre-encoded frame payload as one 1-RTT packet onto `buf`,
+    /// returning its packet number (`None`, with nothing sealed, unless the
+    /// connection is established). This is the transmission primitive the
     /// `transfer` data plane builds on: it composes ACK, MAX_DATA,
     /// MAX_STREAM_DATA and STREAM frames itself and only needs packet
-    /// protection (and the packet number) from the connection.
+    /// protection (and the packet number) from the connection, and it seals
+    /// each packet as one datagram at the tail of the flight it sends.
+    pub fn seal_app_payload(&mut self, payload: &[u8], buf: &mut Vec<u8>) -> Option<u64> {
+        if self.state != ConnectionState::Established {
+            return None;
+        }
+        self.space.seal_short(buf, payload)
+    }
+
+    /// [`ClientConnection::seal_app_payload`] as one datagram queued for
+    /// [`ClientConnection::poll_transmit_into`].
     pub fn send_app_payload(&mut self, payload: &[u8]) -> Option<u64> {
         if self.state != ConnectionState::Established {
             return None;
         }
-        let mut pkt = Vec::new();
-        let pn = self.space.seal_short(&mut pkt, payload)?;
-        self.tx.push(pkt);
-        Some(pn)
-    }
-
-    /// Hands the 1-RTT packet space to an application data plane: from now
-    /// on decoded app packets are buffered (packet number + frames, stream
-    /// offsets intact) for [`ClientConnection::take_app_packets`] instead of
-    /// being coalesced into [`StreamRecv`]s, and the connection stops
-    /// generating its own single-range app-space ACKs — the data plane owns
-    /// ACK-range generation. Call after the handshake completes.
-    pub fn enable_app_frames(&mut self) {
-        if self.app_rx.is_none() {
-            self.app_rx = Some(Vec::new());
-        }
-    }
-
-    /// Drains buffered 1-RTT packets (empty unless
-    /// [`ClientConnection::enable_app_frames`] was called).
-    pub fn take_app_packets(&mut self) -> Vec<AppPacket> {
-        match &mut self.app_rx {
-            Some(buf) => std::mem::take(buf),
-            None => Vec::new(),
-        }
+        let mut out = self.tx.out();
+        let pn = self.space.seal_short(out.buf(), payload);
+        out.end();
+        pn
     }
 
     fn close_with(&mut self, outcome: HandshakeOutcome) {
@@ -440,19 +427,53 @@ impl ClientConnection {
     pub fn close_for(&mut self, err: ConnectionError) {
         // Only an established connection has anything to say; one still
         // handshaking just closes.
-        let mut pkt = Vec::new();
-        if self.state == ConnectionState::Established
-            && self
-                .space
-                .seal_close(&mut pkt, Space::App, err.code, err.frame_type, err.reason)
-        {
-            self.tx.push(pkt);
+        if self.state == ConnectionState::Established {
+            let mut out = self.tx.out();
+            self.space
+                .seal_close(out.buf(), Space::App, err.code, err.frame_type, err.reason);
+            out.end();
         }
         self.close_with(HandshakeOutcome::ProtocolError(err.reason.to_string()));
     }
 
-    /// Feeds one received datagram.
+    /// Feeds one received datagram, opening its packets into a buffer of
+    /// their own — the form the benchmark's fixtures call until ROADMAP item
+    /// 11(b); drivers lend a reused one with
+    /// [`ClientConnection::on_datagram_in`].
     pub fn on_datagram(&mut self, data: &[u8]) {
+        self.on_datagram_in(data, &mut Vec::new());
+    }
+
+    /// Feeds one received datagram, opening each packet's payload into
+    /// `payload`, a buffer the driver lends and reuses. The connection keeps
+    /// the 1-RTT space: STREAM data is coalesced per stream
+    /// ([`ClientConnection::poll_streams`]) and acknowledged here.
+    pub fn on_datagram_in(&mut self, data: &[u8], payload: &mut Vec<u8>) {
+        self.receive(data, payload, None);
+    }
+
+    /// [`ClientConnection::on_datagram_in`] for a connection whose 1-RTT
+    /// space a data plane owns: each 1-RTT packet goes to `app` whole
+    /// (packet number and frames, stream offsets intact) instead of to
+    /// [`ClientConnection::poll_streams`], and the connection generates no
+    /// ACK of the space — the data plane owns ACK-range generation. An
+    /// error `app` returns closes the connection with it, and the packets
+    /// after it go unread.
+    pub fn on_datagram_with(
+        &mut self,
+        data: &[u8],
+        payload: &mut Vec<u8>,
+        app: &mut AppPackets<'_>,
+    ) {
+        self.receive(data, payload, Some(app));
+    }
+
+    fn receive(
+        &mut self,
+        data: &[u8],
+        payload: &mut Vec<u8>,
+        mut app: Option<&mut AppPackets<'_>>,
+    ) {
         if self.state == ConnectionState::Closed {
             return;
         }
@@ -471,8 +492,8 @@ impl ClientConnection {
         // Undecryptable coalesced tails are ignored (e.g. 1-RTT data
         // arriving before keys are installed).
         let mut rest = data;
-        while let Some(pkt) = self.space.open_next(&mut rest) {
-            self.on_packet(pkt);
+        while let Some(header) = self.space.open_next(&mut rest, payload) {
+            self.on_packet(&header, payload, app.as_deref_mut());
             if self.state == ConnectionState::Closed {
                 return;
             }
@@ -480,23 +501,24 @@ impl ClientConnection {
         self.flush();
     }
 
-    fn on_packet(&mut self, pkt: Packet) {
-        match pkt.ty {
-            PacketType::VersionNegotiation => self.on_version_negotiation(pkt),
+    fn on_packet(&mut self, header: &Header<'_>, payload: &[u8], app: Option<&mut AppPackets<'_>>) {
+        let pn = header.packet_number;
+        match header.ty {
+            PacketType::VersionNegotiation => self.on_version_negotiation(header),
             PacketType::Initial => {
                 self.saw_server_packet = true;
                 // RFC 9001 §4.2: the server's Initial SCID becomes our DCID.
-                if let Some(scid) = &pkt.scid {
-                    self.space.peer_cid = scid.clone();
+                if let Some(scid) = header.scid {
+                    self.space.peer_cid = ConnectionId(scid.to_vec());
                 }
-                self.note_recv(Space::Initial, pkt.packet_number);
-                self.process_frames(Space::Initial, &pkt.payload);
+                self.note_recv(Space::Initial, pn);
+                self.process_frames(Space::Initial, payload);
             }
             PacketType::Handshake => {
-                self.note_recv(Space::Handshake, pkt.packet_number);
-                self.process_frames(Space::Handshake, &pkt.payload);
+                self.note_recv(Space::Handshake, pn);
+                self.process_frames(Space::Handshake, payload);
             }
-            PacketType::OneRtt => self.on_app_packet(pkt.packet_number, &pkt.payload),
+            PacketType::OneRtt => self.on_app_packet(pn, payload, app),
             PacketType::ZeroRtt | PacketType::Retry => {
                 // Never produced by our servers; ignore.
             }
@@ -528,16 +550,18 @@ impl ClientConnection {
         self.push_initial_ch();
     }
 
-    fn on_version_negotiation(&mut self, pkt: Packet) {
+    fn on_version_negotiation(&mut self, header: &Header<'_>) {
         if self.saw_server_packet {
             return; // VN after real packets must be ignored (RFC 9000 §6.2)
         }
         // A VN that does not echo our connection IDs answers some other
         // packet and is dropped (RFC 9000 §17.2.1).
-        if pkt.dcid != self.space.local_cid || pkt.scid.as_ref() != Some(&self.space.peer_cid) {
+        if header.dcid != self.space.local_cid.as_slice()
+            || header.scid != Some(self.space.peer_cid.as_slice())
+        {
             return;
         }
-        let server_versions = pkt.supported_versions.clone();
+        let server_versions: Vec<Version> = header.supported_versions().collect();
         self.note(|| telemetry::EventKind::VersionNegotiation {
             server_versions: server_versions.iter().map(|v| v.label()).collect(),
         });
@@ -576,9 +600,9 @@ impl ClientConnection {
         self.ack_pending[space as usize] = true;
     }
 
-    /// Decodes `payload`, or closes the connection when it does not decode.
-    fn decode_frames(&mut self, payload: &[u8]) -> Option<Vec<Frame>> {
-        let frames = Frame::decode_all(payload).ok();
+    /// Parses `payload`, or closes the connection when it does not decode.
+    fn decode_frames<'a>(&mut self, payload: &'a [u8]) -> Option<Frames<'a>> {
+        let frames = Frames::parse(payload).ok();
         if frames.is_none() {
             self.close_with(HandshakeOutcome::ProtocolError("bad frame".into()));
         }
@@ -602,7 +626,7 @@ impl ClientConnection {
                 Frame::Crypto { offset, data } => {
                     // A retransmission of what TLS already has (`None`)
                     // needs nothing from the client.
-                    match self.space.recv_crypto(space, offset, &data) {
+                    match self.space.recv_crypto(space, offset, data) {
                         Some(ready) if !ready.is_empty() => self.on_crypto(space.level(), &ready),
                         _ => {}
                     }
@@ -610,10 +634,7 @@ impl ClientConnection {
                 Frame::ConnectionClose {
                     error_code, reason, ..
                 } => {
-                    self.close_with(HandshakeOutcome::TransportClose {
-                        code: TransportError(error_code),
-                        reason,
-                    });
+                    self.close_with(transport_close(error_code, reason));
                     return;
                 }
                 _ => {}
@@ -625,11 +646,10 @@ impl ClientConnection {
     /// connection's own counter (the keepalive PING a data plane sends is
     /// numbered here and recorded in no recovery ledger), then HANDSHAKE_DONE
     /// and CONNECTION_CLOSE are handled in wire order; a packet that closes
-    /// the connection reaches no one. Otherwise the data plane keeps it
-    /// whole once [`ClientConnection::enable_app_frames`] was called, and
-    /// acknowledges it itself; before that, its STREAM data is coalesced
-    /// per stream and the connection acknowledges it.
-    fn on_app_packet(&mut self, pn: u64, payload: &[u8]) {
+    /// the connection reaches no one. Otherwise a data plane (`app`) takes
+    /// it whole and acknowledges it itself; without one, its STREAM data is
+    /// coalesced per stream and the connection acknowledges it.
+    fn on_app_packet(&mut self, pn: u64, payload: &[u8], app: Option<&mut AppPackets<'_>>) {
         let Some(frames) = self.decode_frames(payload) else {
             return;
         };
@@ -637,23 +657,22 @@ impl ClientConnection {
             self.close_for(ConnectionError::ACK_OF_UNSENT);
             return;
         }
-        for frame in &frames {
+        for frame in frames {
             match frame {
                 Frame::HandshakeDone => self.handshake_done = true,
                 Frame::ConnectionClose {
                     error_code, reason, ..
                 } => {
-                    self.close_with(HandshakeOutcome::TransportClose {
-                        code: TransportError(*error_code),
-                        reason: reason.clone(),
-                    });
+                    self.close_with(transport_close(error_code, reason));
                     return;
                 }
                 _ => {}
             }
         }
-        if let Some(buf) = &mut self.app_rx {
-            buf.push(AppPacket { pn, frames });
+        if let Some(app) = app {
+            if let Err(err) = app(pn, frames) {
+                self.close_for(err);
+            }
             return;
         }
         self.note_recv(Space::App, pn);
@@ -664,7 +683,7 @@ impl ClientConnection {
                     data: Vec::new(),
                     fin: false,
                 });
-                entry.data.extend_from_slice(&data);
+                entry.data.extend_from_slice(data);
                 entry.fin |= fin;
             }
         }
@@ -716,7 +735,7 @@ impl ClientConnection {
     /// Packets are sealed directly into one datagram buffer, which
     /// coalesces the Initial-ACK + Handshake(Finished) + 1-RTT ACK flight.
     fn flush(&mut self) {
-        let mut datagram = Vec::new();
+        let mut out = self.tx.out();
 
         // ACK in Initial space (the server waits for this to stop
         // retransmitting; we always ack once we've seen anything).
@@ -724,7 +743,7 @@ impl ClientConnection {
             let largest = self.space.largest_recv(Space::Initial);
             if self.space.with_frames(|space, frames| {
                 Frame::encode_ack_single(frames, largest, 0);
-                space.seal_long(&mut datagram, Space::Initial, b"", frames.as_slice(), 20)
+                space.seal_long(out.buf(), Space::Initial, b"", frames.as_slice(), 20)
             }) {
                 self.ack_pending[Space::Initial as usize] = false;
             }
@@ -746,7 +765,7 @@ impl ClientConnection {
                 }
             }
             if !frames.is_empty() {
-                space.seal_long(&mut datagram, Space::Handshake, b"", frames.as_slice(), 20);
+                space.seal_long(out.buf(), Space::Handshake, b"", frames.as_slice(), 20);
             }
         });
 
@@ -755,15 +774,21 @@ impl ClientConnection {
             let largest = self.space.largest_recv(Space::App);
             if self.space.with_frames(|space, frames| {
                 Frame::encode_ack_single(frames, largest, 0);
-                space.seal_short(&mut datagram, frames.as_slice()).is_some()
+                space.seal_short(out.buf(), frames.as_slice()).is_some()
             }) {
                 self.ack_pending[Space::App as usize] = false;
             }
         }
+        out.end();
+    }
+}
 
-        if !datagram.is_empty() {
-            self.tx.push(datagram);
-        }
+/// The outcome a peer's CONNECTION_CLOSE gives a connection: its code and
+/// its reason phrase, read as UTF-8 with anything else replaced.
+fn transport_close(error_code: u64, reason: &[u8]) -> HandshakeOutcome {
+    HandshakeOutcome::TransportClose {
+        code: TransportError(error_code),
+        reason: String::from_utf8_lossy(reason).into_owned(),
     }
 }
 
@@ -779,15 +804,16 @@ mod tests {
     use super::*;
     use crate::keys::PacketKeys;
     use crate::packet::{decode_first, KeySource};
-    use crate::server::{AppSession, Endpoint, EndpointConfig, StreamHandler, StreamSend};
+    use crate::server::{AppSession, Endpoint, EndpointConfig, Seal, StreamHandler, StreamSend};
     use qcodec::Writer;
     use std::sync::{Arc, Mutex};
 
-    /// What the server's session saw, and how it answers a PING in client
-    /// packet `p`: with a PING of its own, or an ACK of `[0, p + ahead]`.
+    /// What the server's session saw — each packet's frames, encoded again
+    /// — and how it answers a PING in client packet `p`: with a PING of its
+    /// own, or an ACK of `[0, p + ahead]`.
     #[derive(Default)]
     struct Script {
-        seen: Vec<Vec<Frame>>,
+        seen: Vec<Vec<u8>>,
         /// Refuse every packet carrying STREAM data, as a data plane does
         /// data past its flow-control limits.
         refuse_streams: bool,
@@ -800,25 +826,25 @@ mod tests {
         fn on_app_packet(
             &mut self,
             pn: u64,
-            frames: &[Frame],
-        ) -> Result<Vec<Vec<u8>>, ConnectionError> {
+            frames: Frames<'_>,
+            seal: &mut Seal<'_>,
+        ) -> Result<(), ConnectionError> {
             let mut script = self.0.lock().expect("no test panicked holding it");
-            script.seen.push(frames.to_vec());
+            script.seen.push(encoded(frames));
             let stream = frames.iter().any(|f| matches!(f, Frame::Stream { .. }));
             if script.refuse_streams && stream {
                 return Err(ConnectionError::FLOW_CONTROL);
             }
-            if !frames.contains(&Frame::Ping) {
-                return Ok(Vec::new());
+            if !frames.iter().any(|f| f == Frame::Ping) {
+                return Ok(());
             }
             let reply = match script.ack_ahead {
                 Some(ahead) => ack_up_to((pn + ahead).min((1 << 62) - 1)),
-                None => Frame::Ping,
+                None => payload_of(&Frame::Ping),
             };
-            Ok(vec![payload_of(&reply)])
+            seal(&reply);
+            Ok(())
         }
-
-        fn on_payload_sealed(&mut self, _pn: u64) {}
     }
 
     /// Echoes stream data back on its stream, recording each call in the
@@ -827,12 +853,11 @@ mod tests {
 
     impl StreamHandler for Echo {
         fn on_stream_data(&mut self, id: u64, data: &[u8], fin: bool) -> Vec<StreamSend> {
-            let frame = stream_frame(id, data, fin);
             self.0
                 .lock()
                 .expect("no test panicked holding it")
                 .seen
-                .push(vec![frame]);
+                .push(stream_payload(id, data, fin));
             vec![StreamSend {
                 id,
                 data: data.to_vec(),
@@ -841,13 +866,18 @@ mod tests {
         }
     }
 
-    fn stream_frame(id: u64, data: &[u8], fin: bool) -> Frame {
-        Frame::Stream {
-            id,
-            offset: 0,
-            fin,
-            data: data.to_vec(),
+    fn encoded(frames: Frames<'_>) -> Vec<u8> {
+        let mut w = Writer::new();
+        for f in frames {
+            f.encode(&mut w);
         }
+        w.into_vec()
+    }
+
+    fn stream_payload(id: u64, data: &[u8], fin: bool) -> Vec<u8> {
+        let mut w = Writer::new();
+        Frame::encode_stream(&mut w, id, 0, fin, data);
+        w.into_vec()
     }
 
     /// Opens what the client itself sealed (packet protection is symmetric).
@@ -859,31 +889,50 @@ mod tests {
         }
     }
 
-    fn ack_up_to(largest: u64) -> Frame {
-        Frame::Ack {
-            largest,
-            delay: 0,
-            ranges: vec![(0, largest)],
-        }
+    fn ack_up_to(largest: u64) -> Vec<u8> {
+        let mut w = Writer::new();
+        Frame::encode_ack(&mut w, 0, [(0, largest)].into_iter());
+        w.into_vec()
     }
 
-    fn payload_of(frame: &Frame) -> Vec<u8> {
+    fn payload_of(frame: &Frame<'_>) -> Vec<u8> {
         let mut w = Writer::new();
         frame.encode(&mut w);
         w.into_vec()
     }
 
-    /// Delivers the client's queued datagrams and the replies; returns the
-    /// replies.
-    fn exchange(client: &mut ClientConnection, server: &mut Endpoint) -> Vec<Vec<u8>> {
-        let mut replies = Vec::new();
-        for datagram in client.poll_transmit() {
-            replies.extend(server.handle_datagram(0xbeef, &datagram));
+    /// A client connection and, when a data plane owns its 1-RTT space,
+    /// the packets that data plane was handed: packet number and frames,
+    /// encoded again.
+    struct Client {
+        conn: ClientConnection,
+        data_plane: bool,
+        delivered: Vec<(u64, Vec<u8>)>,
+    }
+
+    impl Client {
+        /// Delivers the client's queued datagrams and the replies; returns
+        /// the replies.
+        fn exchange(&mut self, server: &mut Endpoint) -> Vec<Vec<u8>> {
+            let mut replies = Vec::new();
+            for datagram in self.conn.poll_transmit() {
+                replies.extend(server.handle_datagram(0xbeef, &datagram));
+            }
+            let mut payload = Vec::new();
+            for reply in &replies {
+                if self.data_plane {
+                    let delivered = &mut self.delivered;
+                    self.conn
+                        .on_datagram_with(reply, &mut payload, &mut |pn, frames| {
+                            delivered.push((pn, encoded(frames)));
+                            Ok(())
+                        });
+                } else {
+                    self.conn.on_datagram_in(reply, &mut payload);
+                }
+            }
+            replies
         }
-        for reply in &replies {
-            client.on_datagram(reply);
-        }
-        replies
     }
 
     fn endpoint_config() -> EndpointConfig {
@@ -915,9 +964,9 @@ mod tests {
         )
     }
 
-    /// Completes a handshake with `server`; `app_frames` hands the client's
+    /// Completes a handshake with `server`; `data_plane` hands the client's
     /// 1-RTT space to a data plane.
-    fn established(mut server: Endpoint, app_frames: bool) -> (ClientConnection, Endpoint) {
+    fn established(mut server: Endpoint, data_plane: bool) -> (Client, Endpoint) {
         let client_config = ClientConfig {
             versions: vec![Version::V1],
             tls: qtls::ClientConfig {
@@ -927,30 +976,35 @@ mod tests {
             },
             ..ClientConfig::default()
         };
-        let mut client = ClientConnection::new(client_config, 11);
-        while !client.handshake_done() {
+        let mut client = Client {
+            conn: ClientConnection::new(client_config, 11),
+            data_plane: false,
+            delivered: Vec::new(),
+        };
+        while !client.conn.handshake_done() {
             assert!(
-                !exchange(&mut client, &mut server).is_empty(),
+                !client.exchange(&mut server).is_empty(),
                 "handshake stalled"
             );
         }
-        if app_frames {
-            client.enable_app_frames();
-        }
-        exchange(&mut client, &mut server);
+        client.data_plane = data_plane;
+        client.exchange(&mut server);
         (client, server)
     }
 
-    fn close_code(frames: &[Frame]) -> Option<(u64, Option<u64>)> {
-        frames.iter().find_map(|f| match f {
-            Frame::ConnectionClose {
-                error_code,
-                frame_type,
-                is_app: false,
-                ..
-            } => Some((*error_code, *frame_type)),
-            _ => None,
-        })
+    fn close_code(payload: &[u8]) -> Option<(u64, Option<u64>)> {
+        Frame::decode_all(payload)
+            .expect("decodes")
+            .into_iter()
+            .find_map(|f| match f {
+                Frame::ConnectionClose {
+                    error_code,
+                    frame_type,
+                    is_app: false,
+                    ..
+                } => Some((error_code, frame_type)),
+                _ => None,
+            })
     }
 
     #[test]
@@ -972,51 +1026,44 @@ mod tests {
             // A PING draws a session's PING, stream data the handler's
             // echo: the server's 1-RTT space advances.
             let poke = if handler {
-                stream_frame(0, b"poke", false)
+                stream_payload(0, b"poke", false)
             } else {
-                Frame::Ping
+                payload_of(&Frame::Ping)
             };
-            client
-                .send_app_payload(&payload_of(&poke))
-                .expect("established");
-            exchange(&mut client, &mut server);
-            let last = client
-                .take_app_packets()
-                .last()
-                .expect("server answered")
-                .pn;
+            client.conn.send_app_payload(&poke).expect("established");
+            client.exchange(&mut server);
+            let last = client.delivered.last().expect("server answered").0;
             seen(1);
 
             // Exactly `next_pn − 1` is the newest packet it sent: accepted.
             // A session sees the ACK; a handler sees stream data only.
             let acks_seen = usize::from(!handler);
             client
-                .send_app_payload(&payload_of(&ack_up_to(last)))
+                .conn
+                .send_app_payload(&ack_up_to(last))
                 .expect("established");
-            assert!(exchange(&mut client, &mut server).is_empty());
+            assert!(client.exchange(&mut server).is_empty());
             seen(1 + acks_seen);
             if !handler {
-                assert_eq!(
-                    script.lock().unwrap().seen.last(),
-                    Some(&vec![ack_up_to(last)])
-                );
+                assert_eq!(script.lock().unwrap().seen.last(), Some(&ack_up_to(last)));
             }
 
             client
-                .send_app_payload(&payload_of(&ack_up_to(forged.unwrap_or(last + 1))))
+                .conn
+                .send_app_payload(&ack_up_to(forged.unwrap_or(last + 1)))
                 .expect("established");
-            let forged_datagram = client.tx.last().expect("queued").clone();
-            let replies = exchange(&mut client, &mut server);
+            let forged_datagram = client.conn.tx.last().expect("queued").to_vec();
+            let replies = client.exchange(&mut server);
             seen(1 + acks_seen); // nothing of the packet reached the application
             assert_eq!(replies.len(), 1);
-            let (pkt, _) = decode_first(&replies[0], client.space.local_cid.len(), &client.space)
+            let space = &client.conn.space;
+            let (pkt, _) = decode_first(&replies[0], space.local_cid.len(), space)
                 .expect("1-RTT close opens with the client's keys");
-            let frames = Frame::decode_all(&pkt.payload).expect("decodes");
             assert_eq!(
-                close_code(&frames),
+                close_code(&pkt.payload),
                 Some((TransportError::PROTOCOL_VIOLATION.0, Some(0x02)))
             );
-            assert_eq!(client.state(), &ConnectionState::Closed);
+            assert_eq!(client.conn.state(), &ConnectionState::Closed);
             // Draining: later packets get the same close, not the
             // application.
             assert_eq!(server.handle_datagram(0xbeef, &forged_datagram), replies);
@@ -1029,50 +1076,49 @@ mod tests {
         // One past the client's last packet and far past it at a client
         // whose 1-RTT space a data plane owns; then one past it at a client
         // that never handed the space over.
-        for (app_frames, ahead) in [(true, 1), (true, u64::MAX >> 2), (false, 1)] {
+        for (data_plane, ahead) in [(true, 1), (true, u64::MAX >> 2), (false, 1)] {
             let script = Arc::new(Mutex::new(Script::default()));
-            let (mut client, mut server) = established(session_server(&script), app_frames);
+            let (mut client, mut server) = established(session_server(&script), data_plane);
             // The server acknowledges exactly the PING's packet — the
             // keepalive case: numbered here, in no recovery ledger.
             script.lock().unwrap().ack_ahead = Some(0);
             let pn = client
+                .conn
                 .send_app_payload(&payload_of(&Frame::Ping))
                 .expect("established");
-            assert_eq!(pn + 1, client.space.next_pn(Space::App));
-            exchange(&mut client, &mut server);
-            let delivered: Vec<Vec<Frame>> = client
-                .take_app_packets()
+            assert_eq!(pn + 1, client.conn.space.next_pn(Space::App));
+            client.exchange(&mut server);
+            let delivered: Vec<Vec<u8>> = std::mem::take(&mut client.delivered)
                 .into_iter()
-                .map(|p| p.frames)
+                .map(|(_, frames)| frames)
                 .collect();
-            let expected = if app_frames {
-                vec![vec![ack_up_to(pn)]]
+            let expected = if data_plane {
+                vec![ack_up_to(pn)]
             } else {
                 Vec::new()
             };
             assert_eq!(delivered, expected);
-            assert_eq!(client.state(), &ConnectionState::Established);
+            assert_eq!(client.conn.state(), &ConnectionState::Established);
 
             script.lock().unwrap().ack_ahead = Some(ahead);
             let ping = payload_of(&Frame::Ping);
-            client.send_app_payload(&ping).expect("established");
-            let ping_datagram = client.tx.last().expect("queued").clone();
-            exchange(&mut client, &mut server);
+            client.conn.send_app_payload(&ping).expect("established");
+            let ping_datagram = client.conn.tx.last().expect("queued").to_vec();
+            client.exchange(&mut server);
             assert!(
-                client.take_app_packets().is_empty(),
+                client.delivered.is_empty(),
                 "nothing reaches the data plane"
             );
-            assert_eq!(client.state(), &ConnectionState::Closed);
-            assert_eq!(client.send_app_payload(&ping), None);
+            assert_eq!(client.conn.state(), &ConnectionState::Closed);
+            assert_eq!(client.conn.send_app_payload(&ping), None);
 
-            let close = client.poll_transmit();
+            let close = client.conn.poll_transmit();
             assert_eq!(close.len(), 1);
-            let keys = SealKeys(client.space.seal_keys(Space::App).expect("1-RTT keys"));
-            let (pkt, _) =
-                decode_first(&close[0], client.space.peer_cid.len(), &keys).expect("own packet");
-            let frames = Frame::decode_all(&pkt.payload).expect("decodes");
+            let keys = SealKeys(client.conn.space.seal_keys(Space::App).expect("1-RTT keys"));
+            let (pkt, _) = decode_first(&close[0], client.conn.space.peer_cid.len(), &keys)
+                .expect("own packet");
             assert_eq!(
-                close_code(&frames),
+                close_code(&pkt.payload),
                 Some((TransportError::PROTOCOL_VIOLATION.0, Some(0x02)))
             );
             // The server takes the close and goes quiet.
@@ -1085,7 +1131,8 @@ mod tests {
 
     /// A connection error either data plane reports goes out as the close
     /// it names: the server's session returns it to the endpoint, the
-    /// client's data plane hands it to [`ClientConnection::close_for`].
+    /// client's data plane to [`ClientConnection::on_datagram_with`], and
+    /// [`ClientConnection::close_for`] takes one directly.
     #[test]
     fn data_plane_errors_close_with_their_own_code() {
         let flow_control = Some((TransportError::FLOW_CONTROL_ERROR.0, Some(0x08)));
@@ -1095,25 +1142,46 @@ mod tests {
         }));
         let (mut client, mut server) = established(session_server(&script), true);
         client
-            .send_app_payload(&payload_of(&stream_frame(0, b"past the limit", false)))
+            .conn
+            .send_app_payload(&stream_payload(0, b"past the limit", false))
             .expect("established");
-        let replies = exchange(&mut client, &mut server);
+        let replies = client.exchange(&mut server);
         assert_eq!(replies.len(), 1);
-        let (pkt, _) = decode_first(&replies[0], client.space.local_cid.len(), &client.space)
+        let space = &client.conn.space;
+        let (pkt, _) = decode_first(&replies[0], space.local_cid.len(), space)
             .expect("1-RTT close opens with the client's keys");
-        let frames = Frame::decode_all(&pkt.payload).expect("decodes");
-        assert_eq!(close_code(&frames), flow_control);
-        assert_eq!(client.state(), &ConnectionState::Closed);
+        assert_eq!(close_code(&pkt.payload), flow_control);
+        assert_eq!(client.conn.state(), &ConnectionState::Closed);
 
-        let (mut client, _server) = established(session_server(&script), true);
-        client.close_for(ConnectionError::FLOW_CONTROL);
-        assert_eq!(client.state(), &ConnectionState::Closed);
-        let close = client.poll_transmit();
-        assert_eq!(close.len(), 1);
-        let keys = SealKeys(client.space.seal_keys(Space::App).expect("1-RTT keys"));
-        let (pkt, _) =
-            decode_first(&close[0], client.space.peer_cid.len(), &keys).expect("own packet");
-        let frames = Frame::decode_all(&pkt.payload).expect("decodes");
-        assert_eq!(close_code(&frames), flow_control);
+        for refused_by_the_data_plane in [false, true] {
+            let (mut client, mut server) = established(session_server(&script), true);
+            if refused_by_the_data_plane {
+                // A PING draws the session's PING, which the client's data
+                // plane refuses.
+                script.lock().unwrap().refuse_streams = false;
+                client
+                    .conn
+                    .send_app_payload(&payload_of(&Frame::Ping))
+                    .expect("established");
+                for datagram in client.conn.poll_transmit() {
+                    for reply in server.handle_datagram(0xbeef, &datagram) {
+                        client
+                            .conn
+                            .on_datagram_with(&reply, &mut Vec::new(), &mut |_, _| {
+                                Err(ConnectionError::FLOW_CONTROL)
+                            });
+                    }
+                }
+            } else {
+                client.conn.close_for(ConnectionError::FLOW_CONTROL);
+            }
+            assert_eq!(client.conn.state(), &ConnectionState::Closed);
+            let close = client.conn.poll_transmit();
+            assert_eq!(close.len(), 1);
+            let keys = SealKeys(client.conn.space.seal_keys(Space::App).expect("1-RTT keys"));
+            let (pkt, _) = decode_first(&close[0], client.conn.space.peer_cid.len(), &keys)
+                .expect("own packet");
+            assert_eq!(close_code(&pkt.payload), flow_control);
+        }
     }
 }

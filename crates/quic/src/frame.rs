@@ -4,30 +4,31 @@
 
 use qcodec::{CodecError, Reader, Result, Writer};
 
-/// A decoded QUIC frame.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Frame {
+/// A decoded QUIC frame, borrowing its data from the packet payload it was
+/// read from: a STREAM or CRYPTO frame's bytes are a slice of the payload,
+/// an ACK's ranges stay in their wire encoding ([`AckRanges`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Frame<'a> {
     /// PADDING (a run of type-0x00 bytes, coalesced into one frame).
     Padding(usize),
     /// PING.
     Ping,
-    /// ACK (ranges are (gap, length) pairs per RFC; we keep decoded ranges of
-    /// packet numbers as (smallest, largest), largest range first).
+    /// ACK; ECN counts (type 0x03) are read and dropped.
     Ack {
         largest: u64,
         delay: u64,
-        ranges: Vec<(u64, u64)>,
+        ranges: AckRanges<'a>,
     },
     /// CRYPTO.
-    Crypto { offset: u64, data: Vec<u8> },
+    Crypto { offset: u64, data: &'a [u8] },
     /// NEW_TOKEN (parse-skip).
-    NewToken { token: Vec<u8> },
+    NewToken { token: &'a [u8] },
     /// STREAM with explicit offset/len on the wire.
     Stream {
         id: u64,
         offset: u64,
         fin: bool,
-        data: Vec<u8>,
+        data: &'a [u8],
     },
     /// MAX_DATA.
     MaxData(u64),
@@ -39,25 +40,110 @@ pub enum Frame {
     NewConnectionId {
         seq: u64,
         retire_prior_to: u64,
-        cid: Vec<u8>,
+        cid: &'a [u8],
         reset_token: [u8; 16],
     },
-    /// CONNECTION_CLOSE; `is_app` distinguishes 0x1d from 0x1c.
+    /// CONNECTION_CLOSE; `is_app` distinguishes 0x1d from 0x1c. The reason
+    /// phrase is the peer's bytes, UTF-8 or not.
     ConnectionClose {
         error_code: u64,
         frame_type: Option<u64>,
-        reason: String,
+        reason: &'a [u8],
         is_app: bool,
     },
     /// HANDSHAKE_DONE.
     HandshakeDone,
 }
 
-impl Frame {
+/// An ACK frame's ranges as the wire carries them (RFC 9000 §19.3.1): the
+/// first range below `largest`, then (gap, length) pairs walking down, all
+/// checked when the frame was decoded. [`AckRanges::iter`] yields them as
+/// inclusive `(smallest, largest)` packet-number pairs, largest range first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AckRanges<'a> {
+    largest: u64,
+    first_range: u64,
+    /// Ranges after the first.
+    count: u64,
+    /// Their (gap, length) varint pairs.
+    rest: &'a [u8],
+}
+
+impl<'a> AckRanges<'a> {
+    /// The ranges, largest first.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + 'a {
+        let mut smallest = self.largest - self.first_range;
+        let first = (smallest, self.largest);
+        let mut r = Reader::new(self.rest);
+        let rest = (0..self.count).map(move |_| {
+            let gap = r.read_varint().expect("checked when decoded");
+            let len = r.read_varint().expect("checked when decoded");
+            let hi = smallest - gap - 2;
+            smallest = hi - len;
+            (smallest, hi)
+        });
+        std::iter::once(first).chain(rest)
+    }
+}
+
+/// A packet payload whose frames all decode, checked once by
+/// [`Frames::parse`] and then read as often as needed: each pass decodes
+/// the frames again, borrowing from the payload, with no list built.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Frames<'a>(&'a [u8]);
+
+impl<'a> Frames<'a> {
+    /// Checks that every frame of `payload` decodes.
+    pub fn parse(payload: &'a [u8]) -> Result<Self> {
+        let mut r = Reader::new(payload);
+        while !r.is_empty() {
+            Frame::decode(&mut r)?;
+        }
+        Ok(Frames(payload))
+    }
+
+    /// The frames in wire order.
+    pub fn iter(&self) -> FrameIter<'a> {
+        FrameIter(Reader::new(self.0))
+    }
+
+    /// True when one of the frames acknowledges a packet number at or
+    /// above `next_pn`, the first number its packet-number space has not
+    /// yet used — RFC 9000 §13.1 makes that a PROTOCOL_VIOLATION. Only the
+    /// connection can tell: it numbers every packet of the space, also the
+    /// ones (keepalives, control-only packets) no recovery ledger records.
+    pub(crate) fn acks_unsent(&self, next_pn: u64) -> bool {
+        self.iter()
+            .any(|f| matches!(f, Frame::Ack { largest, .. } if largest >= next_pn))
+    }
+}
+
+impl<'a> IntoIterator for Frames<'a> {
+    type Item = Frame<'a>;
+    type IntoIter = FrameIter<'a>;
+
+    fn into_iter(self) -> FrameIter<'a> {
+        self.iter()
+    }
+}
+
+/// The frames of a [`Frames`] payload, decoded one at a time.
+#[derive(Debug, Clone)]
+pub struct FrameIter<'a>(Reader<'a>);
+
+impl<'a> Iterator for FrameIter<'a> {
+    type Item = Frame<'a>;
+
+    fn next(&mut self) -> Option<Frame<'a>> {
+        (!self.0.is_empty()).then(|| Frame::decode(&mut self.0).expect("checked by Frames::parse"))
+    }
+}
+
+impl<'a> Frame<'a> {
     /// Encodes the frame onto `w`.
     pub fn encode(&self, w: &mut Writer) {
-        match self {
-            Frame::Padding(n) => w.put_zeroes(*n),
+        match *self {
+            Frame::Padding(n) => w.put_zeroes(n),
             Frame::Ping => w.put_varint(0x01),
             Frame::Ack {
                 largest,
@@ -65,27 +151,13 @@ impl Frame {
                 ranges,
             } => {
                 w.put_varint(0x02);
-                w.put_varint(*largest);
-                w.put_varint(*delay);
-                // ranges[0] must be the range containing `largest`.
-                assert!(!ranges.is_empty(), "ACK needs at least one range");
-                w.put_varint(ranges.len() as u64 - 1);
-                let first = ranges[0];
-                debug_assert_eq!(first.1, *largest);
-                w.put_varint(first.1 - first.0); // first ack range
-                let mut prev_smallest = first.0;
-                for r in &ranges[1..] {
-                    let gap = prev_smallest - r.1 - 2;
-                    w.put_varint(gap);
-                    w.put_varint(r.1 - r.0);
-                    prev_smallest = r.0;
-                }
+                w.put_varint(largest);
+                w.put_varint(delay);
+                w.put_varint(ranges.count);
+                w.put_varint(ranges.first_range);
+                w.put_bytes(ranges.rest);
             }
-            Frame::Crypto { offset, data } => {
-                w.put_varint(0x06);
-                w.put_varint(*offset);
-                w.put_varvec(data);
-            }
+            Frame::Crypto { offset, data } => Frame::encode_crypto(w, offset, data),
             Frame::NewToken { token } => {
                 w.put_varint(0x07);
                 w.put_varvec(token);
@@ -95,27 +167,19 @@ impl Frame {
                 offset,
                 fin,
                 data,
-            } => {
-                // Type 0x08..0x0f: OFF=0x04, LEN=0x02, FIN=0x01. Always
-                // emit OFF|LEN for unambiguous coalescing.
-                let ty = 0x08 | 0x04 | 0x02 | u64::from(*fin);
-                w.put_varint(ty);
-                w.put_varint(*id);
-                w.put_varint(*offset);
-                w.put_varvec(data);
-            }
+            } => Frame::encode_stream(w, id, offset, fin, data),
             Frame::MaxData(v) => {
                 w.put_varint(0x10);
-                w.put_varint(*v);
+                w.put_varint(v);
             }
             Frame::MaxStreamData { id, max } => {
                 w.put_varint(0x11);
-                w.put_varint(*id);
-                w.put_varint(*max);
+                w.put_varint(id);
+                w.put_varint(max);
             }
             Frame::MaxStreams { bidi, max } => {
-                w.put_varint(if *bidi { 0x12 } else { 0x13 });
-                w.put_varint(*max);
+                w.put_varint(if bidi { 0x12 } else { 0x13 });
+                w.put_varint(max);
             }
             Frame::NewConnectionId {
                 seq,
@@ -124,10 +188,10 @@ impl Frame {
                 reset_token,
             } => {
                 w.put_varint(0x18);
-                w.put_varint(*seq);
-                w.put_varint(*retire_prior_to);
+                w.put_varint(seq);
+                w.put_varint(retire_prior_to);
                 w.put_vec8(cid);
-                w.put_bytes(reset_token);
+                w.put_bytes(&reset_token);
             }
             Frame::ConnectionClose {
                 error_code,
@@ -135,20 +199,42 @@ impl Frame {
                 reason,
                 is_app,
             } => {
-                w.put_varint(if *is_app { 0x1d } else { 0x1c });
-                w.put_varint(*error_code);
+                w.put_varint(if is_app { 0x1d } else { 0x1c });
+                w.put_varint(error_code);
                 if !is_app {
                     w.put_varint(frame_type.unwrap_or(0));
                 }
-                w.put_varvec(reason.as_bytes());
+                w.put_varvec(reason);
             }
             Frame::HandshakeDone => w.put_varint(0x1e),
         }
     }
 
+    /// Encodes an ACK of `ranges`, inclusive `(smallest, largest)` pairs
+    /// that descend without touching, largest first; the first one's upper
+    /// end is the frame's largest acknowledged.
+    pub fn encode_ack(
+        w: &mut Writer,
+        delay: u64,
+        ranges: impl ExactSizeIterator<Item = (u64, u64)>,
+    ) {
+        let mut ranges = ranges;
+        let count = ranges.len() as u64;
+        let (mut prev_smallest, largest) = ranges.next().expect("ACK needs at least one range");
+        w.put_varint(0x02);
+        w.put_varint(largest);
+        w.put_varint(delay);
+        w.put_varint(count - 1);
+        w.put_varint(largest - prev_smallest); // first ack range
+        for (lo, hi) in ranges {
+            w.put_varint(prev_smallest - hi - 2); // gap
+            w.put_varint(hi - lo);
+            prev_smallest = lo;
+        }
+    }
+
     /// Encodes an ACK covering the single contiguous range `0..=largest` —
-    /// byte-identical to `Frame::Ack { largest, delay, ranges: vec![(0, largest)] }.encode(w)`
-    /// without building the range vector.
+    /// byte-identical to [`Frame::encode_ack`] of `[(0, largest)]`.
     pub fn encode_ack_single(w: &mut Writer, largest: u64, delay: u64) {
         w.put_varint(0x02);
         w.put_varint(largest);
@@ -157,46 +243,38 @@ impl Frame {
         w.put_varint(largest); // first ack range: largest - smallest(0)
     }
 
-    /// Encodes a CRYPTO frame from a borrowed slice — byte-identical to
-    /// `Frame::Crypto { offset, data: data.to_vec() }.encode(w)` without the copy.
+    /// Encodes a CRYPTO frame.
     pub fn encode_crypto(w: &mut Writer, offset: u64, data: &[u8]) {
         w.put_varint(0x06);
         w.put_varint(offset);
         w.put_varvec(data);
     }
 
-    /// Encodes a STREAM frame (always OFF|LEN, as [`Frame::encode`] does)
-    /// from a borrowed slice.
+    /// Encodes a STREAM frame, always with OFF and LEN, for unambiguous
+    /// coalescing (type 0x08..0x0f: OFF=0x04, LEN=0x02, FIN=0x01).
     pub fn encode_stream(w: &mut Writer, id: u64, offset: u64, fin: bool, data: &[u8]) {
+        Frame::encode_stream_header(w, id, offset, fin, data.len());
+        w.put_bytes(data);
+    }
+
+    /// Encodes the part of a STREAM frame before its `len` data bytes, which
+    /// the caller appends next: a sender writes the bytes straight into the
+    /// payload.
+    pub fn encode_stream_header(w: &mut Writer, id: u64, offset: u64, fin: bool, len: usize) {
         w.put_varint(0x08 | 0x04 | 0x02 | u64::from(fin));
         w.put_varint(id);
         w.put_varint(offset);
-        w.put_varvec(data);
+        w.put_varint(len as u64);
     }
 
-    /// True when one of `frames` acknowledges a packet number at or above
-    /// `next_pn`, the first number its packet-number space has not yet
-    /// used — RFC 9000 §13.1 makes that a PROTOCOL_VIOLATION. Only the
-    /// connection can tell: it numbers every packet of the space, also the
-    /// ones (keepalives, control-only packets) no recovery ledger records.
-    pub(crate) fn acks_unsent(frames: &[Frame], next_pn: u64) -> bool {
-        frames
-            .iter()
-            .any(|f| matches!(f, Frame::Ack { largest, .. } if *largest >= next_pn))
-    }
-
-    /// Decodes every frame in `payload`.
-    pub fn decode_all(payload: &[u8]) -> Result<Vec<Frame>> {
-        let mut r = Reader::new(payload);
-        let mut out = Vec::new();
-        while !r.is_empty() {
-            out.push(Frame::decode(&mut r)?);
-        }
-        Ok(out)
+    /// Decodes every frame in `payload` into a list — for tests and
+    /// one-off readers; a connection reads [`Frames`] instead.
+    pub fn decode_all(payload: &'a [u8]) -> Result<Vec<Frame<'a>>> {
+        Ok(Frames::parse(payload)?.iter().collect())
     }
 
     /// Decodes one frame.
-    pub fn decode(r: &mut Reader<'_>) -> Result<Frame> {
+    pub fn decode(r: &mut Reader<'a>) -> Result<Frame<'a>> {
         let ty = r.read_varint()?;
         Ok(match ty {
             0x00 => {
@@ -211,32 +289,28 @@ impl Frame {
             0x02 | 0x03 => {
                 let largest = r.read_varint()?;
                 let delay = r.read_varint()?;
-                let range_count = r.read_varint()?;
+                let count = r.read_varint()?;
                 let first_range = r.read_varint()?;
                 // The count is the peer's word (≤ 2⁶²−1): hold it against
                 // the bytes that are there — every further range is two
-                // varints of at least a byte each — before looping on it,
-                // and let `push` grow the vector.
-                if range_count > (r.remaining() / 2) as u64 {
+                // varints of at least a byte each — before looping on it.
+                if count > (r.remaining() / 2) as u64 {
                     return Err(CodecError::Invalid("ACK range count exceeds frame"));
                 }
-                let mut ranges = Vec::new();
                 let mut smallest = largest
                     .checked_sub(first_range)
                     .ok_or(CodecError::Invalid("ACK range underflow"))?;
-                ranges.push((smallest, largest));
-                for _ in 0..range_count {
+                let rest = r.rest();
+                for _ in 0..count {
                     let gap = r.read_varint()?;
                     let len = r.read_varint()?;
-                    let hi = smallest
-                        .checked_sub(gap + 2)
-                        .ok_or(CodecError::Invalid("ACK gap underflow"))?;
-                    let lo = hi
-                        .checked_sub(len)
+                    smallest = smallest
+                        .checked_sub(gap)
+                        .and_then(|s| s.checked_sub(2))
+                        .and_then(|hi| hi.checked_sub(len))
                         .ok_or(CodecError::Invalid("ACK range underflow"))?;
-                    ranges.push((lo, hi));
-                    smallest = lo;
                 }
+                let rest = &rest[..rest.len() - r.remaining()];
                 if ty == 0x03 {
                     // ECN counts: parse and discard.
                     let _ = (r.read_varint()?, r.read_varint()?, r.read_varint()?);
@@ -244,16 +318,20 @@ impl Frame {
                 Frame::Ack {
                     largest,
                     delay,
-                    ranges,
+                    ranges: AckRanges {
+                        largest,
+                        first_range,
+                        count,
+                        rest,
+                    },
                 }
             }
-            0x06 => {
-                let offset = r.read_varint()?;
-                let data = r.read_varvec()?.to_vec();
-                Frame::Crypto { offset, data }
-            }
+            0x06 => Frame::Crypto {
+                offset: r.read_varint()?,
+                data: r.read_varvec()?,
+            },
             0x07 => Frame::NewToken {
-                token: r.read_varvec()?.to_vec(),
+                token: r.read_varvec()?,
             },
             0x08..=0x0f => {
                 let has_off = ty & 0x04 != 0;
@@ -262,9 +340,9 @@ impl Frame {
                 let id = r.read_varint()?;
                 let offset = if has_off { r.read_varint()? } else { 0 };
                 let data = if has_len {
-                    r.read_varvec()?.to_vec()
+                    r.read_varvec()?
                 } else {
-                    r.read_rest().to_vec()
+                    r.read_rest()
                 };
                 Frame::Stream {
                     id,
@@ -285,7 +363,7 @@ impl Frame {
             0x18 => {
                 let seq = r.read_varint()?;
                 let retire_prior_to = r.read_varint()?;
-                let cid = r.read_vec8()?.to_vec();
+                let cid = r.read_vec8()?;
                 let reset_token: [u8; 16] =
                     r.read_bytes(16)?.try_into().expect("fixed-length read");
                 Frame::NewConnectionId {
@@ -302,12 +380,10 @@ impl Frame {
                 } else {
                     None
                 };
-                let reason_bytes = r.read_varvec()?;
-                let reason = String::from_utf8_lossy(reason_bytes).into_owned();
                 Frame::ConnectionClose {
                     error_code,
                     frame_type,
-                    reason,
+                    reason: r.read_varvec()?,
                     is_app: ty == 0x1d,
                 }
             }
@@ -322,7 +398,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn roundtrip(f: Frame) {
+    fn roundtrip(f: Frame<'_>) {
         let mut w = Writer::new();
         f.encode(&mut w);
         let bytes = w.into_vec();
@@ -341,52 +417,67 @@ mod tests {
             bidi: false,
             max: 3,
         });
-        roundtrip(Frame::NewToken {
-            token: vec![1, 2, 3],
-        });
+        roundtrip(Frame::NewToken { token: &[1, 2, 3] });
     }
 
     #[test]
     fn crypto_and_stream() {
         roundtrip(Frame::Crypto {
             offset: 0,
-            data: vec![9; 100],
+            data: &[9; 100],
         });
         roundtrip(Frame::Crypto {
             offset: 1200,
-            data: vec![1],
+            data: &[1],
         });
         roundtrip(Frame::Stream {
             id: 0,
             offset: 0,
             fin: true,
-            data: b"GET /".to_vec(),
+            data: b"GET /",
         });
         roundtrip(Frame::Stream {
             id: 3,
             offset: 77,
             fin: false,
-            data: vec![0; 10],
+            data: &[0; 10],
         });
+    }
+
+    /// `ranges` as one encoded ACK frame, decoded back: its largest, and
+    /// the ranges it yields.
+    fn ack_of(delay: u64, ranges: &[(u64, u64)]) -> (u64, Vec<(u64, u64)>) {
+        let mut w = Writer::new();
+        Frame::encode_ack(&mut w, delay, ranges.iter().copied());
+        let bytes = w.into_vec();
+        let frames = Frame::decode_all(&bytes).unwrap();
+        let [Frame::Ack {
+            largest,
+            delay: got_delay,
+            ranges: got,
+        }] = frames[..]
+        else {
+            panic!("one ACK frame: {frames:?}");
+        };
+        assert_eq!(got_delay, delay);
+        // Re-encoding a decoded ACK gives the same bytes.
+        let mut again = Writer::new();
+        frames[0].encode(&mut again);
+        assert_eq!(again.as_slice(), &bytes[..]);
+        (largest, got.iter().collect())
     }
 
     #[test]
     fn ack_single_range() {
-        roundtrip(Frame::Ack {
-            largest: 5,
-            delay: 0,
-            ranges: vec![(0, 5)],
-        });
+        assert_eq!(ack_of(0, &[(0, 5)]), (5, vec![(0, 5)]));
     }
 
     #[test]
     fn ack_multi_range() {
         // Packets 0-1 and 4-5 received: ranges [(4,5),(0,1)].
-        roundtrip(Frame::Ack {
-            largest: 5,
-            delay: 10,
-            ranges: vec![(4, 5), (0, 1)],
-        });
+        assert_eq!(ack_of(10, &[(4, 5), (0, 1)]), (5, vec![(4, 5), (0, 1)]));
+        let many: Vec<(u64, u64)> = (0..32u64).rev().map(|k| (k * 10, k * 10 + 3)).collect();
+        assert_eq!(ack_of(0, &many), (313, many.clone()));
     }
 
     /// The first five bytes of an ACK frame — type, largest 5, delay 0 —
@@ -427,15 +518,17 @@ mod tests {
         // five ranges walking down from 5 underflow.
         assert!(Frame::decode_all(&ack_claiming(5, &tail)).is_err());
         // …and one that fits and is consistent decodes.
-        let ok = Frame::decode_all(&ack_claiming(1, &[1, 0])).unwrap();
-        assert_eq!(
-            ok,
-            vec![Frame::Ack {
-                largest: 5,
-                delay: 0,
-                ranges: vec![(5, 5), (2, 2)]
-            }]
-        );
+        let ok = ack_claiming(1, &[1, 0]);
+        let frames = Frame::decode_all(&ok).unwrap();
+        let [Frame::Ack {
+            largest: 5,
+            delay: 0,
+            ranges,
+        }] = frames[..]
+        else {
+            panic!("one ACK frame: {frames:?}");
+        };
+        assert_eq!(ranges.iter().collect::<Vec<_>>(), [(5, 5), (2, 2)]);
     }
 
     /// Whatever decodes, decodes to something the bytes could carry: an
@@ -450,6 +543,7 @@ mod tests {
                 largest, ranges, ..
             } = f
             {
+                let ranges: Vec<(u64, u64)> = ranges.iter().collect();
                 prop_assert!(
                     ranges.len() <= bytes.len() / 2 + 1,
                     "{} ranges",
@@ -487,55 +581,63 @@ mod tests {
         roundtrip(Frame::ConnectionClose {
             error_code: 0x128,
             frame_type: Some(0),
-            reason: "handshake failure".into(),
+            reason: b"handshake failure",
             is_app: false,
         });
         roundtrip(Frame::ConnectionClose {
             error_code: 0x100,
             frame_type: None,
-            reason: String::new(),
+            reason: b"",
             is_app: true,
         });
     }
 
-    /// The borrowed-slice encode helpers must stay byte-identical to the
-    /// owned `Frame::encode` forms — conn.rs relies on this to keep the
-    /// allocation-free fast path wire-compatible.
+    /// The encode helpers must stay byte-identical to the frames they
+    /// stand for — the connections rely on this to keep the wire the same.
     #[test]
-    fn encode_helpers_match_owned_frames() {
+    fn encode_helpers_match_frames() {
         for largest in [0u64, 5, 1000] {
             let mut a = Writer::new();
-            Frame::Ack {
-                largest,
-                delay: 0,
-                ranges: vec![(0, largest)],
-            }
-            .encode(&mut a);
+            Frame::encode_ack(&mut a, 0, [(0, largest)].into_iter());
             let mut b = Writer::new();
             Frame::encode_ack_single(&mut b, largest, 0);
             assert_eq!(a.as_slice(), b.as_slice());
         }
         let data = vec![0xabu8; 300];
         let mut a = Writer::new();
-        Frame::Crypto {
-            offset: 7,
-            data: data.clone(),
-        }
-        .encode(&mut a);
+        Frame::encode_stream_header(&mut a, 4, 12, true, data.len());
+        a.put_bytes(&data);
         let mut b = Writer::new();
-        Frame::encode_crypto(&mut b, 7, &data);
+        Frame::encode_stream(&mut b, 4, 12, true, &data);
         assert_eq!(a.as_slice(), b.as_slice());
-        let mut a = Writer::new();
-        Frame::Stream {
-            id: 0,
-            offset: 12,
-            fin: true,
-            data: data.clone(),
-        }
-        .encode(&mut a);
-        let mut b = Writer::new();
-        Frame::encode_stream(&mut b, 0, 12, true, &data);
-        assert_eq!(a.as_slice(), b.as_slice());
+        assert_eq!(
+            Frame::decode_all(a.as_slice()).unwrap(),
+            [Frame::Stream {
+                id: 4,
+                offset: 12,
+                fin: true,
+                data: &data
+            }]
+        );
+    }
+
+    /// A parsed payload reads the same frames on every pass, and one frame
+    /// that does not decode fails the whole payload.
+    #[test]
+    fn frames_parse_once_and_read_again() {
+        let mut w = Writer::new();
+        Frame::encode_ack(&mut w, 0, [(6, 9), (0, 2)].into_iter());
+        Frame::encode_stream(&mut w, 0, 0, false, b"abc");
+        Frame::Ping.encode(&mut w);
+        let frames = Frames::parse(w.as_slice()).unwrap();
+        assert_eq!(frames.iter().count(), 3);
+        assert_eq!(
+            frames.iter().collect::<Vec<_>>(),
+            Frame::decode_all(w.as_slice()).unwrap()
+        );
+        assert!(frames.acks_unsent(9) && !frames.acks_unsent(10));
+        w.put_u8(0x21);
+        assert!(Frames::parse(w.as_slice()).is_err());
     }
 
     #[test]
@@ -543,7 +645,8 @@ mod tests {
         let mut w = Writer::new();
         Frame::Padding(10).encode(&mut w);
         Frame::Ping.encode(&mut w);
-        let frames = Frame::decode_all(&w.into_vec()).unwrap();
+        let bytes = w.into_vec();
+        let frames = Frame::decode_all(&bytes).unwrap();
         assert_eq!(frames, vec![Frame::Padding(10), Frame::Ping]);
     }
 
@@ -555,19 +658,11 @@ mod tests {
     #[test]
     fn coalesced_sequence() {
         let mut w = Writer::new();
-        Frame::Ack {
-            largest: 0,
-            delay: 0,
-            ranges: vec![(0, 0)],
-        }
-        .encode(&mut w);
-        Frame::Crypto {
-            offset: 0,
-            data: vec![5; 30],
-        }
-        .encode(&mut w);
+        Frame::encode_ack_single(&mut w, 0, 0);
+        Frame::encode_crypto(&mut w, 0, &[5; 30]);
         Frame::Padding(100).encode(&mut w);
-        let frames = Frame::decode_all(&w.into_vec()).unwrap();
+        let bytes = w.into_vec();
+        let frames = Frame::decode_all(&bytes).unwrap();
         assert_eq!(frames.len(), 3);
     }
 }

@@ -24,14 +24,25 @@
 //! to an [`server::AppSession`]; the HTTP/3 [`server::StreamHandler`] the
 //! scanners' hosts run is one, through an adapter. A client connection
 //! decodes every 1-RTT packet in one place, then hands it whole to a data
-//! plane ([`ClientConnection::enable_app_frames`]) or keeps its stream data
+//! plane ([`ClientConnection::on_datagram_with`]) or keeps its stream data
 //! ([`ClientConnection::poll_streams`]). RFC 9000 §13.1 is checked on both.
 //!
 //! Loss recovery, congestion control and flow-control enforcement live one
 //! layer up in the `transfer` crate, which drives this crate's sealing
-//! primitives ([`ClientConnection::send_app_payload`], [`server::AppSession`])
+//! primitives ([`ClientConnection::seal_app_payload`], [`server::AppSession`])
 //! — the scanners themselves never needed them. Still not implemented:
 //! connection migration, key update, 0-RTT.
+//!
+//! No datagram is a buffer of its own on the paths a driver runs: packets
+//! are sealed in place at the tail of a batch the caller lends as its two
+//! parts, bytes and end offsets (`simnet::Datagrams`, which this crate
+//! cannot name: [`Endpoint::handle_datagram_into`],
+//! [`ClientConnection::poll_transmit_into`],
+//! [`ClientConnection::seal_app_payload`]), received packets are opened
+//! into a buffer the caller lends ([`ClientConnection::on_datagram_in`]; an
+//! endpoint owns its own), and frames are read borrowed from the payload
+//! ([`Frames`]). The `Vec<Vec<u8>>` forms (`handle_datagram`,
+//! `poll_transmit`, `on_datagram`) wrap them.
 //!
 //! A handshake keeps one cache across connections: the process-wide
 //! Initial-key memo ([`keys::initial_keys_shared`]), through which the
@@ -48,13 +59,14 @@ pub mod retry;
 pub mod server;
 mod space;
 pub mod tparams;
+mod transmit;
 pub mod version;
 
-pub use conn::{AppPacket, ClientConfig, ClientConnection, ConnectionState, HandshakeOutcome};
+pub use conn::{AppPackets, ClientConfig, ClientConnection, ConnectionState, HandshakeOutcome};
 pub use error::{ConnectionError, TransportError};
-pub use frame::Frame;
+pub use frame::{AckRanges, Frame, Frames};
 pub use keys::{initial_keys, PacketKeys};
 pub use packet::{ConnectionId, Packet, PacketType};
-pub use server::{AppSession, Endpoint, EndpointConfig, StreamHandler, StreamSend};
+pub use server::{AppSession, Endpoint, EndpointConfig, Seal, StreamHandler, StreamSend};
 pub use tparams::TransportParameters;
 pub use version::Version;

@@ -315,15 +315,71 @@ pub fn decode_first(
     local_cid_len: usize,
     keys: &dyn KeySource,
 ) -> Result<(Packet, usize), PacketDecodeError> {
-    let first = *buf.first().ok_or(PacketDecodeError::Malformed("empty"))?;
-    if first & 0x80 != 0 {
-        decode_long(buf, keys)
-    } else {
-        decode_short(buf, local_cid_len, keys)
+    let mut payload = Vec::new();
+    let (header, consumed) = open_first(buf, local_cid_len, keys, &mut payload)?;
+    Ok((header.into_packet(payload), consumed))
+}
+
+/// A packet's header as [`open_first`] read it, borrowed from the
+/// datagram; the payload went to the buffer the caller lent.
+pub(crate) struct Header<'a> {
+    pub(crate) ty: PacketType,
+    version: Option<Version>,
+    pub(crate) dcid: &'a [u8],
+    /// Long headers only.
+    pub(crate) scid: Option<&'a [u8]>,
+    token: &'a [u8],
+    pub(crate) packet_number: u64,
+    /// Version Negotiation only: the listed versions, four bytes each.
+    versions: &'a [u8],
+}
+
+impl Header<'_> {
+    /// The versions a Version Negotiation packet lists (none otherwise).
+    pub(crate) fn supported_versions(&self) -> impl Iterator<Item = Version> + '_ {
+        self.versions
+            .chunks_exact(4)
+            .map(|v| Version(u32::from_be_bytes(v.try_into().expect("four bytes"))))
+    }
+
+    fn into_packet(self, payload: Vec<u8>) -> Packet {
+        Packet {
+            ty: self.ty,
+            version: self.version,
+            dcid: ConnectionId(self.dcid.to_vec()),
+            scid: self.scid.map(|scid| ConnectionId(scid.to_vec())),
+            token: self.token.to_vec(),
+            packet_number: self.packet_number,
+            supported_versions: self.supported_versions().collect(),
+            payload,
+        }
     }
 }
 
-fn decode_long(buf: &[u8], keys: &dyn KeySource) -> Result<(Packet, usize), PacketDecodeError> {
+/// Opens the first packet in `buf` as [`decode_first`] does, but borrows
+/// the header from `buf` and decrypts the payload into `payload` (cleared
+/// first), a buffer the caller lends and reuses: nothing is allocated per
+/// packet once it has grown to a packet's size.
+pub(crate) fn open_first<'a>(
+    buf: &'a [u8],
+    local_cid_len: usize,
+    keys: &dyn KeySource,
+    payload: &mut Vec<u8>,
+) -> Result<(Header<'a>, usize), PacketDecodeError> {
+    payload.clear();
+    let first = *buf.first().ok_or(PacketDecodeError::Malformed("empty"))?;
+    if first & 0x80 != 0 {
+        open_long(buf, keys, payload)
+    } else {
+        open_short(buf, local_cid_len, keys, payload)
+    }
+}
+
+fn open_long<'a>(
+    buf: &'a [u8],
+    keys: &dyn KeySource,
+    payload: &mut Vec<u8>,
+) -> Result<(Header<'a>, usize), PacketDecodeError> {
     let mut r = Reader::new(buf);
     let first = r
         .read_u8()
@@ -331,52 +387,42 @@ fn decode_long(buf: &[u8], keys: &dyn KeySource) -> Result<(Packet, usize), Pack
     let version_raw = r
         .read_u32()
         .map_err(|_| PacketDecodeError::Malformed("version"))?;
-    let dcid = ConnectionId(
-        r.read_vec8()
-            .map_err(|_| PacketDecodeError::Malformed("dcid"))?
-            .to_vec(),
-    );
-    let scid = ConnectionId(
-        r.read_vec8()
-            .map_err(|_| PacketDecodeError::Malformed("scid"))?
-            .to_vec(),
-    );
+    let dcid = r
+        .read_vec8()
+        .map_err(|_| PacketDecodeError::Malformed("dcid"))?;
+    let scid = r
+        .read_vec8()
+        .map_err(|_| PacketDecodeError::Malformed("scid"))?;
+    let mut header = Header {
+        ty: PacketType::VersionNegotiation,
+        version: None,
+        dcid,
+        scid: Some(scid),
+        token: &[],
+        packet_number: 0,
+        versions: &[],
+    };
 
     if version_raw == 0 {
         // Version Negotiation consumes the rest of the datagram.
-        let mut versions = Vec::new();
-        while let Ok(v) = r.read_u32() {
-            versions.push(Version(v));
-        }
-        let pkt = Packet {
-            ty: PacketType::VersionNegotiation,
-            version: None,
-            dcid,
-            scid: Some(scid),
-            token: Vec::new(),
-            packet_number: 0,
-            payload: Vec::new(),
-            supported_versions: versions,
-        };
-        return Ok((pkt, buf.len()));
+        header.versions = r.read_rest();
+        return Ok((header, buf.len()));
     }
 
-    let version = Version(version_raw);
-    let ty = match (first >> 4) & 0x03 {
+    header.version = Some(Version(version_raw));
+    header.ty = match (first >> 4) & 0x03 {
         0b00 => PacketType::Initial,
         0b01 => PacketType::ZeroRtt,
         0b10 => PacketType::Handshake,
         _ => PacketType::Retry,
     };
-    let mut token = Vec::new();
-    if ty == PacketType::Initial {
+    if header.ty == PacketType::Initial {
         let token_len =
             r.read_varint()
                 .map_err(|_| PacketDecodeError::Malformed("token length"))? as usize;
-        token = r
+        header.token = r
             .read_bytes(token_len)
-            .map_err(|_| PacketDecodeError::Malformed("token"))?
-            .to_vec();
+            .map_err(|_| PacketDecodeError::Malformed("token"))?;
     }
     let length = r
         .read_varint()
@@ -386,49 +432,39 @@ fn decode_long(buf: &[u8], keys: &dyn KeySource) -> Result<(Packet, usize), Pack
         return Err(PacketDecodeError::Malformed("length field"));
     }
     let consumed = pn_offset + length;
+    let ty = header.ty;
     let packet_keys = keys.keys_for(ty).ok_or(PacketDecodeError::NoKeys(ty))?;
-    let (packet_number, payload) = unprotect(buf, pn_offset, consumed, packet_keys, true)
+    header.packet_number = unprotect(buf, pn_offset, consumed, packet_keys, true, payload)
         .ok_or(PacketDecodeError::DecryptFailed(ty))?;
-    let pkt = Packet {
-        ty,
-        version: Some(version),
-        dcid,
-        scid: Some(scid),
-        token,
-        packet_number,
-        payload,
-        supported_versions: Vec::new(),
-    };
-    Ok((pkt, consumed))
+    Ok((header, consumed))
 }
 
-fn decode_short(
-    buf: &[u8],
+fn open_short<'a>(
+    buf: &'a [u8],
     local_cid_len: usize,
     keys: &dyn KeySource,
-) -> Result<(Packet, usize), PacketDecodeError> {
+    payload: &mut Vec<u8>,
+) -> Result<(Header<'a>, usize), PacketDecodeError> {
     let pn_offset = 1 + local_cid_len;
     if buf.len() < pn_offset + 4 + 16 {
         return Err(PacketDecodeError::Malformed("short packet too small"));
     }
-    let dcid = ConnectionId(buf[1..1 + local_cid_len].to_vec());
     let packet_keys = keys
         .keys_for(PacketType::OneRtt)
         .ok_or(PacketDecodeError::NoKeys(PacketType::OneRtt))?;
     // A short header packet consumes the rest of the datagram.
-    let (packet_number, payload) = unprotect(buf, pn_offset, buf.len(), packet_keys, false)
+    let packet_number = unprotect(buf, pn_offset, buf.len(), packet_keys, false, payload)
         .ok_or(PacketDecodeError::DecryptFailed(PacketType::OneRtt))?;
-    let pkt = Packet {
+    let header = Header {
         ty: PacketType::OneRtt,
         version: None,
-        dcid,
+        dcid: &buf[1..pn_offset],
         scid: None,
-        token: Vec::new(),
+        token: &[],
         packet_number,
-        payload,
-        supported_versions: Vec::new(),
+        versions: &[],
     };
-    Ok((pkt, buf.len()))
+    Ok((header, buf.len()))
 }
 
 /// Headers up to this long are unmasked in a stack buffer. The longest
@@ -437,19 +473,21 @@ fn decode_short(
 const HEADER_STACK_LEN: usize = 128;
 
 /// Removes header protection and opens the payload of the packet spanning
-/// `buf[..end]` whose packet number field begins at `pn_offset`.
+/// `buf[..end]` whose packet number field begins at `pn_offset`, appending
+/// the plaintext to `payload`; returns the packet number.
 ///
 /// `buf` is only read: header protection touches at most five bytes, all in
 /// the header, so only the header is copied (it is the AEAD's associated
 /// data and must be contiguous); the ciphertext is authenticated where it
-/// lies and decrypted straight into the vector that is returned.
+/// lies and decrypted straight into `payload`.
 fn unprotect(
     buf: &[u8],
     pn_offset: usize,
     end: usize,
     keys: &PacketKeys,
     long_header: bool,
-) -> Option<(u64, Vec<u8>)> {
+    payload: &mut Vec<u8>,
+) -> Option<u64> {
     let packet = &buf[..end];
     let sample: [u8; 16] = packet.get(pn_offset + 4..pn_offset + 20)?.try_into().ok()?;
     let mask = keys.hp_mask(&sample);
@@ -476,9 +514,9 @@ fn unprotect(
         pn = (pn << 8) | u64::from(*byte);
     }
 
-    let mut payload = Vec::with_capacity(ciphertext.len().saturating_sub(keys.tag_len()));
-    keys.open_into(pn, aad, ciphertext, &mut payload).ok()?;
-    Some((pn, payload))
+    payload.reserve(ciphertext.len().saturating_sub(keys.tag_len()));
+    keys.open_into(pn, aad, ciphertext, payload).ok()?;
+    Some(pn)
 }
 
 #[cfg(test)]
@@ -739,6 +777,21 @@ mod tests {
         Some((pn, payload))
     }
 
+    /// `unprotect` into a buffer of its own; the buffer starts dirty, as a
+    /// reused one does, and `unprotect` appends after what it holds.
+    fn unprotect_owned(
+        buf: &[u8],
+        pn_offset: usize,
+        end: usize,
+        keys: &PacketKeys,
+        long_header: bool,
+    ) -> Option<(u64, Vec<u8>)> {
+        let mut payload = b"stale".to_vec();
+        let pn = unprotect(buf, pn_offset, end, keys, long_header, &mut payload)?;
+        assert_eq!(&payload[..5], b"stale");
+        Some((pn, payload.split_off(5)))
+    }
+
     /// Seals a packet by hand so the packet number can take any encoded
     /// length (the `seal_*` functions always write four bytes). Returns the
     /// packet and the offset of its packet number field.
@@ -789,7 +842,7 @@ mod tests {
                         let (packet, pn_offset) =
                             seal_with_pn_len(long_header, token, pn, pn_len, payload, &keys);
                         let end = packet.len();
-                        let got = unprotect(&packet, pn_offset, end, &keys, long_header);
+                        let got = unprotect_owned(&packet, pn_offset, end, &keys, long_header);
                         assert_eq!(got, Some((pn, payload.to_vec())), "pn_len {pn_len}");
                         assert_eq!(
                             got,
@@ -799,7 +852,7 @@ mod tests {
                         let mut coalesced = packet.clone();
                         coalesced.extend_from_slice(b"next packet");
                         assert_eq!(
-                            unprotect(&coalesced, pn_offset, end, &keys, long_header),
+                            unprotect_owned(&coalesced, pn_offset, end, &keys, long_header),
                             got
                         );
 
@@ -807,15 +860,18 @@ mod tests {
                             let mut bad = packet.clone();
                             bad[damaged_at] ^= 0x04;
                             assert_eq!(
-                                unprotect(&bad, pn_offset, end, &keys, long_header),
+                                unprotect_owned(&bad, pn_offset, end, &keys, long_header),
                                 unprotect_by_copying(&bad, pn_offset, end, &keys, long_header),
                                 "damage at {damaged_at}"
                             );
-                            assert_eq!(unprotect(&bad, pn_offset, end, &keys, long_header), None);
+                            assert_eq!(
+                                unprotect_owned(&bad, pn_offset, end, &keys, long_header),
+                                None
+                            );
                         }
                         for short_end in [pn_offset, pn_offset + 19, end - 1] {
                             assert_eq!(
-                                unprotect(&packet, pn_offset, short_end, &keys, long_header),
+                                unprotect_owned(&packet, pn_offset, short_end, &keys, long_header),
                                 None
                             );
                             assert_eq!(

@@ -25,10 +25,11 @@ use qtls::server::ServerHandshake;
 use qtls::{Level, TlsError, TlsEvent};
 
 use crate::error::{ConnectionError, TransportError};
-use crate::frame::Frame;
-use crate::packet::{encode_version_negotiation, ConnectionId, Packet};
+use crate::frame::{Frame, Frames};
+use crate::packet::{encode_version_negotiation, ConnectionId, Header};
 use crate::space::{PacketSpaces, Role, Space};
 use crate::tparams::TransportParameters;
+use crate::transmit::{split, Out};
 use crate::version::Version;
 
 /// Application hook: gets stream data, returns stream data to send.
@@ -59,27 +60,29 @@ pub struct StreamSend {
 /// The application attached to one server connection's 1-RTT space. Once
 /// the handshake completes the endpoint hands the session every decoded app
 /// packet — packet number and frames, ACK and flow-control frames included.
-/// The session answers with fully composed frame payloads, which the
-/// endpoint seals as 1-RTT packets, reporting the packet number assigned to
-/// each so the session can track them for loss detection. The `transfer`
-/// crate implements congestion-controlled senders and flow-controlled
-/// receivers on this hook.
+/// The session answers with fully composed frame payloads, each of which
+/// the endpoint seals as one 1-RTT packet in place in the reply batch,
+/// returning the packet number it was given so the session can track it
+/// for loss detection. The `transfer` crate implements congestion-controlled
+/// senders and flow-controlled receivers on this hook.
 pub trait AppSession: Send {
     /// Called once when the handshake completes: frames appended to
     /// `payload` ride in the packet that carries HANDSHAKE_DONE (e.g. the
-    /// HTTP/3 control stream). That packet is not reported to
-    /// [`AppSession::on_payload_sealed`]. Defaults to appending nothing.
+    /// HTTP/3 control stream); nothing tracks that packet. Defaults to
+    /// appending nothing.
     fn on_connected(&mut self, _payload: &mut Writer) {}
-    /// Handles one decoded 1-RTT packet; each returned byte vector is one
-    /// packet's frame payload, sealed and sent in order. An error closes the
-    /// connection with it instead (the endpoint seals the
-    /// CONNECTION_CLOSE), and nothing the session returned is sent.
-    fn on_app_packet(&mut self, pn: u64, frames: &[Frame])
-        -> Result<Vec<Vec<u8>>, ConnectionError>;
-    /// Reports the packet number the n-th payload from the last
-    /// [`AppSession::on_app_packet`] call was sealed with (called once per
-    /// payload, in order).
-    fn on_payload_sealed(&mut self, pn: u64);
+    /// Handles one decoded 1-RTT packet. Each frame payload the session
+    /// sends goes to `seal`, which seals it as one packet and returns its
+    /// packet number (`None`, with nothing sealed, when the connection
+    /// cannot send). An error closes the connection with it instead: the
+    /// endpoint seals the CONNECTION_CLOSE, and nothing sealed in this call
+    /// is sent.
+    fn on_app_packet(
+        &mut self,
+        pn: u64,
+        frames: Frames<'_>,
+        seal: &mut Seal<'_>,
+    ) -> Result<(), ConnectionError>;
     /// True when the session owes the peer nothing and expects nothing:
     /// all requests answered, all sent data acknowledged, no pending
     /// control output. Idle connections are the endpoint's preferred
@@ -89,6 +92,10 @@ pub trait AppSession: Send {
         false
     }
 }
+
+/// Seals one frame payload as a 1-RTT packet and returns its packet number
+/// (see [`AppSession::on_app_packet`]).
+pub type Seal<'s> = dyn FnMut(&[u8]) -> Option<u64> + 's;
 
 /// Endpoint-level deployment behaviour.
 #[derive(Clone)]
@@ -193,6 +200,8 @@ pub struct Endpoint {
     /// depends on how many other flows arrived first — the property that
     /// keeps parallel scan results identical at any worker count.
     seed: u64,
+    /// The buffer every connection's received packets are opened into.
+    payload: Vec<u8>,
 }
 
 /// Soft cap on simultaneously tracked connections per endpoint. Past the cap
@@ -236,6 +245,7 @@ impl Endpoint {
             conns: HashMap::new(),
             activity: 0,
             seed,
+            payload: Vec::new(),
         }
     }
 
@@ -262,44 +272,64 @@ impl Endpoint {
 
     /// Hands `datagram` to the connection for `from` (if any), stamping it
     /// as the most recently active.
-    fn deliver(&mut self, from: u128, datagram: &[u8]) -> Vec<Vec<u8>> {
+    fn deliver(&mut self, from: u128, datagram: &[u8], out: &mut Out<'_>) {
         let Some(conn) = self.conns.get_mut(&from) else {
-            return Vec::new();
+            return;
         };
         self.activity += 1;
         conn.last_active = self.activity;
-        conn.on_datagram(datagram, &self.config)
+        conn.on_datagram(datagram, &self.config, &mut self.payload, out);
     }
 
     /// Processes one datagram from the flow identified by `from` (an opaque
     /// source key, e.g. hashed source address+port) and returns response
-    /// datagrams.
+    /// datagrams, each as a vector of its own — the form the benchmark's
+    /// fixtures call until ROADMAP item 11(b); hosts reply in place with
+    /// [`Endpoint::handle_datagram_into`].
     pub fn handle_datagram(&mut self, from: u128, datagram: &[u8]) -> Vec<Vec<u8>> {
+        let (mut buf, mut ends) = (Vec::new(), Vec::new());
+        self.handle_datagram_into(from, datagram, &mut buf, &mut ends);
+        split(&buf, &ends)
+    }
+
+    /// Processes one datagram from the flow identified by `from` and
+    /// appends the response datagrams to a caller's batch, given as its two
+    /// parts (`simnet::Datagrams::parts_mut`): each packet is sealed in
+    /// place at the end of `buf`, and each datagram's end pushed onto
+    /// `ends`.
+    pub fn handle_datagram_into(
+        &mut self,
+        from: u128,
+        datagram: &[u8],
+        buf: &mut Vec<u8>,
+        ends: &mut Vec<usize>,
+    ) {
+        let out = &mut Out::new(buf, ends);
         let Some(head) = parse_long_header_prefix(datagram) else {
             // Short header or garbage: route to an existing connection.
-            return self.deliver(from, datagram);
+            return self.deliver(from, datagram, out);
         };
 
         // Version negotiation decision happens before any decryption.
         if !self.config.accept_versions.contains(&head.version) {
             if self.config.no_version_negotiation {
-                return Vec::new();
+                return;
             }
             if datagram.len() < 1200 && !self.config.respond_to_unpadded {
-                return Vec::new();
+                return;
             }
             let vn = encode_version_negotiation(
                 &head.scid, // their SCID becomes our DCID
                 &head.dcid,
                 &self.config.vn_advertise,
             );
-            return vec![vn];
+            return out.push(&vn);
         }
 
         if self.config.vn_only {
             // Nominally supported version, but the middlebox cannot proceed:
             // silence — the scanner will classify this as a timeout.
-            return Vec::new();
+            return;
         }
 
         // Address validation via Retry: a token-less Initial gets a Retry
@@ -317,7 +347,7 @@ impl Endpoint {
                     &head.dcid,
                     &token,
                 );
-                return vec![retry];
+                return out.push(&retry);
             }
         }
 
@@ -331,7 +361,7 @@ impl Endpoint {
             );
             self.conns.insert(from, conn);
         }
-        self.deliver(from, datagram)
+        self.deliver(from, datagram, out);
     }
 }
 
@@ -437,38 +467,53 @@ impl ServerConn {
         }
     }
 
-    fn on_datagram(&mut self, datagram: &[u8], config: &EndpointConfig) -> Vec<Vec<u8>> {
+    /// Opens `datagram`'s packets into `payload` and handles each; replies
+    /// go to `out`.
+    fn on_datagram(
+        &mut self,
+        datagram: &[u8],
+        config: &EndpointConfig,
+        payload: &mut Vec<u8>,
+        out: &mut Out<'_>,
+    ) {
         if self.closed {
             // Draining: keep answering with the close so a client whose
             // first copy was lost still learns the outcome (RFC 9000
             // §10.2.3 allows responding to late packets with the close).
-            return self.close_cache.iter().cloned().collect();
+            if let Some(close) = &self.close_cache {
+                out.push(close);
+            }
+            return;
         }
-        let mut out = Vec::new();
         let mut rest = datagram;
-        while let Some(pkt) = self.space.open_next(&mut rest) {
-            self.on_packet(pkt, config, &mut out);
+        while let Some(header) = self.space.open_next(&mut rest, payload) {
+            self.on_packet(&header, payload, config, out);
             if self.closed {
                 break;
             }
         }
-        out
     }
 
-    fn on_packet(&mut self, pkt: Packet, config: &EndpointConfig, out: &mut Vec<Vec<u8>>) {
-        let Some(space) = Space::of(pkt.ty) else {
+    fn on_packet(
+        &mut self,
+        header: &Header<'_>,
+        payload: &[u8],
+        config: &EndpointConfig,
+        out: &mut Out<'_>,
+    ) {
+        let Some(space) = Space::of(header.ty) else {
             return;
         };
-        self.space.note_recv(space, pkt.packet_number);
-        let frames = match Frame::decode_all(&pkt.payload) {
-            Ok(f) => f,
-            Err(_) => return,
+        let pn = header.packet_number;
+        self.space.note_recv(space, pn);
+        let Ok(frames) = Frames::parse(payload) else {
+            return;
         };
         // The 1-RTT space is the session's: once the connection is
         // established every app packet goes to it whole (frames plus packet
-        // number), and each answer payload is sealed here, its packet number
-        // reported back for the session's sent-packet tracker. A packet
-        // carrying CONNECTION_CLOSE closes the connection instead.
+        // number), and each payload it answers with is sealed here, in
+        // place in the reply batch. A packet carrying CONNECTION_CLOSE
+        // closes the connection instead.
         if space == Space::App {
             if frames
                 .iter()
@@ -488,20 +533,16 @@ impl ServerConn {
             if !self.established {
                 return;
             }
-            let payloads = match self.session.on_app_packet(pkt.packet_number, &frames) {
-                Ok(payloads) => payloads,
-                Err(err) => {
-                    self.close(Space::App, err.code, err.frame_type, err.reason, out);
-                    return;
-                }
+            let mark = out.mark();
+            let spaces = &mut self.space;
+            let mut seal = |frames: &[u8]| {
+                let pn = spaces.seal_short(out.buf(), frames)?;
+                out.end();
+                Some(pn)
             };
-            for payload in payloads {
-                let mut sealed = Vec::new();
-                let Some(pn) = self.space.seal_short(&mut sealed, &payload) else {
-                    return;
-                };
-                self.session.on_payload_sealed(pn);
-                out.push(sealed);
+            if let Err(err) = self.session.on_app_packet(pn, frames, &mut seal) {
+                out.truncate(mark);
+                self.close(Space::App, err.code, err.frame_type, err.reason, out);
             }
             return;
         }
@@ -513,7 +554,7 @@ impl ServerConn {
                     // frame TLS already has every byte of means the client is
                     // missing our answering flight, re-sent from the cache.
                     // A frame past a gap waits until the gap fills.
-                    let Some(ready) = self.space.recv_crypto(space, offset, &data) else {
+                    let Some(ready) = self.space.recv_crypto(space, offset, data) else {
                         self.resend_cached(space, out);
                         continue;
                     };
@@ -544,7 +585,7 @@ impl ServerConn {
         }
     }
 
-    fn apply_tls_events(&mut self, events: Vec<TlsEvent>, out: &mut Vec<Vec<u8>>) {
+    fn apply_tls_events(&mut self, events: Vec<TlsEvent>, out: &mut Out<'_>) {
         let mut initial_crypto: Option<Vec<u8>> = None;
         let mut handshake_crypto: Option<Vec<u8>> = None;
         let mut completed = false;
@@ -585,7 +626,9 @@ impl ServerConn {
                 offset += chunk.len() as u64;
             }
             flight.push(datagram);
-            out.extend(flight.iter().cloned());
+            for datagram in &flight {
+                out.push(datagram);
+            }
             // Keep the flight so a retransmitted CH can trigger a re-send.
             self.flight_cache = flight;
         }
@@ -603,19 +646,22 @@ impl ServerConn {
                     space.seal_short(&mut pkt, frames.as_slice())
                 })
                 .expect("1-RTT seal keys");
-            self.post_cache = Some(pkt.clone());
-            out.push(pkt);
+            out.push(&pkt);
+            self.post_cache = Some(pkt);
         }
     }
 
     /// Answers retransmitted crypto with the cached flight the client is
     /// evidently missing: a repeated CH gets the whole server flight, a
     /// repeated Finished gets the HANDSHAKE_DONE packet.
-    fn resend_cached(&mut self, space: Space, out: &mut Vec<Vec<u8>>) {
-        match space {
-            Space::Initial => out.extend(self.flight_cache.iter().cloned()),
-            Space::Handshake => out.extend(self.post_cache.iter().cloned()),
-            Space::App => {}
+    fn resend_cached(&mut self, space: Space, out: &mut Out<'_>) {
+        let cached = match space {
+            Space::Initial => &self.flight_cache[..],
+            Space::Handshake => self.post_cache.as_slice(),
+            Space::App => &[],
+        };
+        for datagram in cached {
+            out.push(datagram);
         }
     }
 
@@ -627,7 +673,7 @@ impl ServerConn {
         code: TransportError,
         frame_type: u64,
         reason: &str,
-        out: &mut Vec<Vec<u8>>,
+        out: &mut Out<'_>,
     ) {
         self.closed = true;
         let mut pkt = Vec::new();
@@ -635,8 +681,8 @@ impl ServerConn {
             .space
             .seal_close(&mut pkt, space, code, frame_type, reason)
         {
-            self.close_cache = Some(pkt.clone());
-            out.push(pkt);
+            out.push(&pkt);
+            self.close_cache = Some(pkt);
         }
     }
 }
@@ -657,27 +703,28 @@ impl AppSession for HandlerSession {
     fn on_app_packet(
         &mut self,
         _pn: u64,
-        frames: &[Frame],
-    ) -> Result<Vec<Vec<u8>>, ConnectionError> {
+        frames: Frames<'_>,
+        seal: &mut Seal<'_>,
+    ) -> Result<(), ConnectionError> {
         let mut sends = Vec::new();
         for frame in frames {
             if let Frame::Stream { id, fin, data, .. } = frame {
-                sends.extend(self.0.on_stream_data(*id, data, *fin));
+                sends.extend(self.0.on_stream_data(id, data, fin));
             }
         }
         if sends.is_empty() {
-            return Ok(Vec::new());
+            return Ok(());
         }
         let mut payload = Writer::new();
         for s in &sends {
             Frame::encode_stream(&mut payload, s.id, 0, s.fin, &s.data);
         }
         if payload.len() <= 1400 {
-            return Ok(vec![payload.into_vec()]);
+            seal(payload.as_slice());
+            return Ok(());
         }
         // Re-frame per stream send to keep frames intact. An empty send
         // still leaves as one (empty) frame, or its FIN would be lost.
-        let mut payloads = Vec::new();
         for s in sends {
             let chunks = s
                 .data
@@ -685,7 +732,7 @@ impl AppSession for HandlerSession {
                 .chain(s.data.is_empty().then_some(&[][..]));
             for (i, chunk) in chunks.enumerate() {
                 let is_last = (i + 1) * 1200 >= s.data.len();
-                let mut payload = Writer::new();
+                payload.clear();
                 Frame::encode_stream(
                     &mut payload,
                     s.id,
@@ -693,13 +740,13 @@ impl AppSession for HandlerSession {
                     s.fin && is_last,
                     chunk,
                 );
-                payloads.push(payload.into_vec());
+                if seal(payload.as_slice()).is_none() {
+                    return Ok(());
+                }
             }
         }
-        Ok(payloads)
+        Ok(())
     }
-
-    fn on_payload_sealed(&mut self, _pn: u64) {}
 
     fn is_idle(&self) -> bool {
         true
@@ -724,11 +771,11 @@ mod tests {
         fn on_app_packet(
             &mut self,
             _pn: u64,
-            _frames: &[Frame],
-        ) -> Result<Vec<Vec<u8>>, ConnectionError> {
-            Ok(Vec::new())
+            _frames: Frames<'_>,
+            _seal: &mut Seal<'_>,
+        ) -> Result<(), ConnectionError> {
+            Ok(())
         }
-        fn on_payload_sealed(&mut self, _pn: u64) {}
         fn is_idle(&self) -> bool {
             self.idle
         }

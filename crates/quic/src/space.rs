@@ -20,10 +20,10 @@ use qcodec::{varint, Writer};
 use qtls::{CipherSuite, Level, TlsEvent};
 
 use crate::error::TransportError;
-use crate::frame::Frame;
+use crate::frame::{Frame, Frames};
 use crate::keys::{initial_keys_shared, InitialPair, PacketKeys};
 use crate::packet::{
-    decode_first, seal_long_into, seal_short_into, ConnectionId, KeySource, Packet, PacketType,
+    open_first, seal_long_into, seal_short_into, ConnectionId, Header, KeySource, PacketType,
     SealScratch,
 };
 use crate::version::Version;
@@ -247,8 +247,8 @@ impl PacketSpaces {
 
     /// True when `frames` acknowledge a packet number `space` never sent
     /// (RFC 9000 §13.1).
-    pub(crate) fn acks_unsent(&self, space: Space, frames: &[Frame]) -> bool {
-        Frame::acks_unsent(frames, self.next_pn[space as usize])
+    pub(crate) fn acks_unsent(&self, space: Space, frames: &Frames<'_>) -> bool {
+        frames.acks_unsent(self.next_pn[space as usize])
     }
 
     /// The sealed size of a long-header packet of `space` carrying
@@ -343,7 +343,7 @@ impl PacketSpaces {
             Frame::ConnectionClose {
                 error_code: code.0,
                 frame_type: Some(frame_type),
-                reason: reason.to_string(),
+                reason: reason.as_bytes(),
                 is_app: false,
             }
             .encode(frames);
@@ -369,13 +369,17 @@ impl PacketSpaces {
     }
 
     /// Opens the first packet coalesced in `rest` with the keys installed
-    /// now, and advances `rest` past it; `None` once one does not open,
-    /// which ends the datagram (processing a packet may install the keys
-    /// the next one needs).
-    pub(crate) fn open_next(&self, rest: &mut &[u8]) -> Option<Packet> {
-        let (packet, consumed) = decode_first(rest, self.local_cid.len(), self).ok()?;
+    /// now, decrypting its payload into `payload`, and advances `rest` past
+    /// it; `None` once one does not open, which ends the datagram
+    /// (processing a packet may install the keys the next one needs).
+    pub(crate) fn open_next<'a>(
+        &self,
+        rest: &mut &'a [u8],
+        payload: &mut Vec<u8>,
+    ) -> Option<Header<'a>> {
+        let (header, consumed) = open_first(rest, self.local_cid.len(), self, payload).ok()?;
         *rest = &rest[consumed..];
-        Some(packet)
+        Some(header)
     }
 }
 

@@ -301,12 +301,7 @@ fn ack_of_unsent_close(wire: &mut Wire) {
     wire.pump(&mut client, &mut server);
     assert!(client.handshake_done());
     let mut ack = qcodec::Writer::new();
-    Frame::Ack {
-        largest: 1000,
-        delay: 0,
-        ranges: vec![(1000, 1000)],
-    }
-    .encode(&mut ack);
+    Frame::encode_ack(&mut ack, 0, [(1000, 1000)].into_iter());
     client
         .send_app_payload(ack.as_slice())
         .expect("established");

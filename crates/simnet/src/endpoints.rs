@@ -551,7 +551,7 @@ mod tests {
                 }
             }
             let mut shard = net.shard();
-            let mut out = Vec::new();
+            let mut out = crate::Datagrams::new();
             let mut log = Vec::new();
             for last in 1..=100u8 {
                 for probe in 0..3u16 {

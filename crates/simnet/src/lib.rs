@@ -13,6 +13,7 @@
 
 pub mod addr;
 pub mod clock;
+mod datagrams;
 mod endpoints;
 pub mod fanout;
 pub mod fasthash;
@@ -22,6 +23,7 @@ pub mod stats;
 
 pub use addr::{IpAddr, Prefix, SocketAddr};
 pub use clock::{Duration, ShardClock, SimClock, SimTime, VirtualClock};
+pub use datagrams::Datagrams;
 pub use endpoints::{LazyBinder, LazyStats};
 pub use fanout::{fan_out, fan_out_pulled, StealQueue};
 pub use fault::{LinkProfile, ReplyRateLimit};

@@ -17,6 +17,7 @@ use telemetry::{FaultKind, TraceCtx};
 
 use crate::addr::{IpAddr, SocketAddr};
 use crate::clock::{Duration, ShardClock, SimClock, SimTime};
+use crate::datagrams::Datagrams;
 use crate::endpoints::{route, CacheAligned, Endpoints, LazyBinder, LazyStats, UdpEndpoint};
 use crate::fasthash::FastMap;
 use crate::fault::{self, LinkProfile};
@@ -80,14 +81,22 @@ pub struct FlightStatus {
     pub throttled: bool,
 }
 
-/// The reply container of the batched socket API: a whole flight's
-/// responses accumulate into `replies` (GRO-style), whose capacity is kept
-/// from one flight to the next.
+/// The reply container of the `Vec<Vec<u8>>` batch API
+/// ([`NetShard::udp_send_batch`] / [`NetShard::udp_recv_batch`]): a
+/// flight's replies, each its own buffer, taken from the buffers callers
+/// hand back with [`DatagramArena::recycle`]. Nothing in the workspace
+/// sends through it any more — flights go out as [`Datagrams`] with
+/// [`NetShard::udp_send_flight`] — and it stays only while the benchmark's
+/// ladder names it, until ROADMAP item 11(b) retires it.
 #[derive(Default)]
 pub struct DatagramArena {
     /// Replies gathered by the last [`NetShard::udp_send_batch`], in
     /// delivery order.
     pub replies: Vec<Vec<u8>>,
+    /// The last flight's replies as they were delivered.
+    batch: Datagrams,
+    /// Consumed replies handed back, reused for the next flight's.
+    free: Vec<Vec<u8>>,
 }
 
 impl DatagramArena {
@@ -96,10 +105,11 @@ impl DatagramArena {
         DatagramArena::default()
     }
 
-    /// Hands back a consumed reply. Nothing takes buffers from the arena,
-    /// so it is dropped; the method stays for the callers that return
-    /// their replies.
-    pub fn recycle(&mut self, _buf: Vec<u8>) {}
+    /// Hands back a consumed reply, whose buffer a later flight's reply
+    /// reuses.
+    pub fn recycle(&mut self, buf: Vec<u8>) {
+        self.free.push(buf);
+    }
 }
 
 /// Handler for datagrams arriving at one bound UDP socket. One instance
@@ -130,15 +140,22 @@ pub trait TcpFactory: Send + Sync {
     fn accept(&self, from: SocketAddr) -> Box<dyn TcpHandler>;
 }
 
-/// Where a [`UdpService`] queues its replies.
+/// Where a [`UdpService`] queues its replies: the tail of the batch the
+/// flight gathers them in.
 pub struct ServiceCtx<'a> {
-    replies: &'a mut Vec<Vec<u8>>,
+    replies: &'a mut Datagrams,
 }
 
 impl ServiceCtx<'_> {
     /// Queues a response datagram to the sender.
     pub fn reply(&mut self, datagram: Vec<u8>) {
-        self.replies.push(datagram);
+        self.replies.push(&datagram);
+    }
+
+    /// The batch replies are queued in, for a service that writes them in
+    /// place: each datagram it appends is one reply.
+    pub fn replies(&mut self) -> &mut Datagrams {
+        self.replies
     }
 }
 
@@ -289,6 +306,7 @@ impl Network {
             local: LocalStats::default(),
             flow_seq: FastMap::default(),
             locks: LockCounters::default(),
+            replies: Datagrams::new(),
             merged: false,
         }
     }
@@ -332,6 +350,9 @@ pub struct NetShard<'a> {
     local: LocalStats,
     flow_seq: FastMap<(SocketAddr, SocketAddr), u64>,
     locks: LockCounters,
+    /// Where [`NetShard::udp_send_into`] gathers replies before copying
+    /// them out.
+    replies: Datagrams,
     merged: bool,
 }
 
@@ -378,18 +399,18 @@ impl NetShard<'_> {
         src: SocketAddr,
         dst: SocketAddr,
         payload: &[u8],
-        out: &mut Vec<Vec<u8>>,
+        out: &mut Datagrams,
         trace: Option<&mut TraceCtx>,
     ) -> FlightStatus {
         self.flight(src, dst, std::iter::once(payload), out, trace)
     }
 
-    /// [`NetShard::udp_send_status`] with the status discarded — the
-    /// probe-module shape. Replies are *appended* to `out` (the buffer is
-    /// never cleared), so a scan loop can reuse one buffer across millions
-    /// of probes — the common miss case performs no allocation — and a
-    /// driver can accumulate a whole flight's replies across several sends
-    /// before draining them.
+    /// Sends one datagram, the probe-module shape: replies, each its own
+    /// buffer, are *appended* to `out` (never cleared), and the status is
+    /// discarded. A send nothing can answer — a sweep's common miss —
+    /// returns before any reply container is touched, so a scan loop that
+    /// reuses one `out` across millions of probes allocates nothing for
+    /// them.
     pub fn udp_send_into(
         &mut self,
         src: SocketAddr,
@@ -397,16 +418,45 @@ impl NetShard<'_> {
         payload: &[u8],
         out: &mut Vec<Vec<u8>>,
     ) {
-        let _ = self.flight(src, dst, std::iter::once(payload), out, None);
+        let profile = *self.net.path_profile(dst.ip);
+        if self.unanswered(&profile, &dst) {
+            self.local.record_send(payload.len());
+            return;
+        }
+        let mut replies = std::mem::take(&mut self.replies);
+        let _ = self.deliver(
+            &profile,
+            src,
+            dst,
+            std::iter::once(payload),
+            &mut replies,
+            None,
+        );
+        out.extend(replies.iter().map(<[u8]>::to_vec));
+        replies.clear();
+        self.replies = replies;
     }
 
-    /// Batched send (GSO-style): delivers a whole flight of datagrams to
+    /// Batched send (GSO-style): delivers every datagram of `flight` to
     /// `dst` with one endpoint lookup and at most one service-mutex
-    /// acquisition, gathering every reply into `arena.replies` in delivery
-    /// order. Per-datagram fault draws are identical to sending the flight
-    /// one datagram at a time, so a batch is byte-equivalent to the loop it
-    /// replaces. Pair with [`NetShard::udp_recv_batch`] to drain replies;
-    /// the arena keeps the reply container's capacity between flights.
+    /// acquisition, *appending* every reply to `replies` in delivery order.
+    /// Per-datagram fault draws are identical to sending the flight one
+    /// datagram at a time, so a batch is byte-equivalent to the loop it
+    /// replaces.
+    pub fn udp_send_flight(
+        &mut self,
+        src: SocketAddr,
+        dst: SocketAddr,
+        flight: &Datagrams,
+        replies: &mut Datagrams,
+    ) -> FlightStatus {
+        self.flight(src, dst, flight.iter(), replies, None)
+    }
+
+    /// [`NetShard::udp_send_flight`] for a flight of separate buffers, with
+    /// replace semantics: the arena holds this flight's replies, each in a
+    /// buffer of its own, for [`NetShard::udp_recv_batch`] to drain. Only
+    /// the benchmark's ladder calls it, until ROADMAP item 11(b) retires it.
     pub fn udp_send_batch(
         &mut self,
         src: SocketAddr,
@@ -414,23 +464,28 @@ impl NetShard<'_> {
         flight: &[Vec<u8>],
         arena: &mut DatagramArena,
     ) -> FlightStatus {
-        // Replace semantics: a batch owns the whole flight, so stale replies
-        // from a previous undrained batch never leak into this one.
-        arena.replies.clear();
-        let mut replies = std::mem::take(&mut arena.replies);
+        // Stale replies of an undrained batch never leak into this one.
+        arena.free.append(&mut arena.replies);
+        arena.batch.clear();
         let status = self.flight(
             src,
             dst,
             flight.iter().map(Vec::as_slice),
-            &mut replies,
+            &mut arena.batch,
             None,
         );
-        arena.replies = replies;
+        for reply in arena.batch.iter() {
+            let mut buf = arena.free.pop().unwrap_or_default();
+            buf.clear();
+            buf.extend_from_slice(reply);
+            arena.replies.push(buf);
+        }
         status
     }
 
     /// Drains the replies gathered by the last [`NetShard::udp_send_batch`]
-    /// (GRO-style receive).
+    /// (GRO-style receive). Only the benchmark's ladder calls it, until
+    /// ROADMAP item 11(b) retires it.
     pub fn udp_recv_batch<'b>(
         &mut self,
         arena: &'b mut DatagramArena,
@@ -438,44 +493,61 @@ impl NetShard<'_> {
         arena.replies.drain(..)
     }
 
-    /// The shared fault pipeline: one flight of datagrams from `src` to
-    /// `dst`, each datagram run through the exact per-datagram fault-draw
-    /// sequence of the classic single-send path (same salts, same per-flow
-    /// sequence numbers — a batch of N is byte-equivalent to N single
-    /// sends). What batching changes is the constant work: one profile
-    /// lookup, one endpoint lookup, and at most one service-mutex
-    /// acquisition per flight instead of per packet. The shard's clock
-    /// advances, its cached flow counters are consumed (read through from
-    /// the shared table on first touch) and its `locks` count the
-    /// service-mutex traffic.
+    /// An address nothing can answer at — a sweep's common miss — on a
+    /// path whose faults the sender cannot observe: every datagram is sent,
+    /// none is delivered and no time passes, so a flight there only counts
+    /// its sends. It takes no draw, and so never touches the flow counters:
+    /// nothing is ever delivered at such an address, so no later draw of
+    /// the flow depends on them. Unreachable and rate-limited paths keep
+    /// their draws, because their status reaches the sender.
+    fn unanswered(&self, profile: &LinkProfile, dst: &SocketAddr) -> bool {
+        !profile.unreachable
+            && profile.rate_limit.is_none()
+            && !self.net.endpoints.udp_may_exist(dst)
+    }
+
+    /// One flight of datagrams from `src` to `dst`, replies appended to
+    /// `out`: counted and dropped at an [`NetShard::unanswered`] address,
+    /// delivered otherwise.
     fn flight<'p>(
         &mut self,
         src: SocketAddr,
         dst: SocketAddr,
         flight: impl Iterator<Item = &'p [u8]>,
-        out: &mut Vec<Vec<u8>>,
+        out: &mut Datagrams,
+        trace: Option<&mut TraceCtx>,
+    ) -> FlightStatus {
+        let profile = *self.net.path_profile(dst.ip);
+        if self.unanswered(&profile, &dst) {
+            flight.for_each(|payload| self.local.record_send(payload.len()));
+            return FlightStatus::default();
+        }
+        self.deliver(&profile, src, dst, flight, out, trace)
+    }
+
+    /// The shared fault pipeline: one flight of datagrams from `src` to
+    /// `dst` over `profile`, each datagram run through the exact
+    /// per-datagram fault-draw sequence of the classic single-send path
+    /// (same salts, same per-flow sequence numbers — a batch of N is
+    /// byte-equivalent to N single sends). What batching changes is the
+    /// constant work: one profile lookup, one endpoint lookup, and at most
+    /// one service-mutex acquisition per flight instead of per packet. The
+    /// shard's clock advances, its cached flow counters are consumed (read
+    /// through from the shared table on first touch) and its `locks` count
+    /// the service-mutex traffic. Replies land after whatever the caller
+    /// already holds in `out`, so multi-send drivers can accumulate a
+    /// flight's replies.
+    fn deliver<'p>(
+        &mut self,
+        profile: &LinkProfile,
+        src: SocketAddr,
+        dst: SocketAddr,
+        flight: impl Iterator<Item = &'p [u8]>,
+        out: &mut Datagrams,
         mut trace: Option<&mut TraceCtx>,
     ) -> FlightStatus {
-        // Append-style: replies land after whatever the caller already holds
-        // in `out`, so multi-send drivers can accumulate a flight's replies.
         let net = self.net;
-        let profile = *net.path_profile(dst.ip);
         let mut status = FlightStatus::default();
-        // An address nothing can answer at — a sweep's common miss — on a
-        // path whose faults the sender cannot observe: every datagram is
-        // sent, none is delivered and no time passes, so the flight only
-        // counts its sends. It takes no draw, and so never touches the flow
-        // counters: nothing is ever delivered at such an address, so no
-        // later draw of the flow depends on them. Unreachable and
-        // rate-limited paths keep their draws, because their status reaches
-        // the sender.
-        if !profile.unreachable
-            && profile.rate_limit.is_none()
-            && !net.endpoints.udp_may_exist(&dst)
-        {
-            flight.for_each(|payload| self.local.record_send(payload.len()));
-            return status;
-        }
         // The flight's one endpoint slot, filled at its first delivery.
         let endpoint = OnceCell::new();
         let mut delivery = Delivery {
@@ -497,8 +569,8 @@ impl NetShard<'_> {
                 if delivery.deliver(payload, out, &mut self.locks) {
                     self.clock.advance(net.rtt);
                 }
-                for r in &out[start..] {
-                    self.local.record_recv(r.len());
+                for i in start..out.len() {
+                    self.local.record_recv(out.get(i).len());
                 }
                 continue;
             }
@@ -563,22 +635,21 @@ impl NetShard<'_> {
 
             // Reply-path loss: one independent draw per reply datagram of
             // *this* datagram's slice (`start..`).
-            let mut write = start;
-            for (idx, read) in (start..out.len()).enumerate() {
+            let local = &mut self.local;
+            out.retain_from(start, |idx, reply| {
                 let salt =
                     fault::SALT_REPLY_LOSS ^ (idx as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                if fault::hit(net.seed, flow, seq, salt, profile.loss_permille) {
-                    self.local.record_drop();
+                let lost = fault::hit(net.seed, flow, seq, salt, profile.loss_permille);
+                if lost {
+                    local.record_drop();
                     if let Some(t) = trace.as_deref_mut() {
                         t.fault(FaultKind::ReplyLoss);
                     }
                 } else {
-                    self.local.record_recv(out[read].len());
-                    out.swap(write, read);
-                    write += 1;
+                    local.record_recv(reply.len());
                 }
-            }
-            out.truncate(write);
+                !lost
+            });
         }
         status
     }
@@ -636,12 +707,7 @@ struct Delivery<'e> {
 impl Delivery<'_> {
     /// Delivers `payload`, queuing replies into `out`; returns whether an
     /// endpoint lives at `dst`.
-    fn deliver(
-        &mut self,
-        payload: &[u8],
-        out: &mut Vec<Vec<u8>>,
-        locks: &mut LockCounters,
-    ) -> bool {
+    fn deliver(&mut self, payload: &[u8], out: &mut Datagrams, locks: &mut LockCounters) -> bool {
         if self.guard.is_none() {
             // `get` + `set` rather than `get_or_init`, whose initializing
             // path is `#[cold]` — and initializing is every probe's path.
@@ -870,7 +936,7 @@ mod tests {
         net.set_path_profile(addr(2, 0).ip, crate::fault::LinkProfile::unreachable());
         net.set_path_profile(addr(3, 0).ip, throttling);
         let mut shard = net.shard();
-        let mut out = Vec::new();
+        let mut out = Datagrams::new();
         let start = shard.now();
         for _ in 0..100 {
             let status = shard.udp_send_status(addr(9, 1), addr(1, 80), b"x", &mut out, None);
@@ -897,13 +963,13 @@ mod tests {
         // Other destinations keep the default (ideal) profile.
         net.bind_udp(addr(2, 443), Box::new(Echo));
         let mut shard = net.shard();
-        let mut out = Vec::new();
+        let mut out = Datagrams::new();
         let status = shard.udp_send_status(addr(9, 1), addr(1, 443), b"x", &mut out, None);
         assert_eq!(status, UNREACHABLE);
         assert!(out.is_empty());
         let status = shard.udp_send_status(addr(9, 1), addr(2, 443), b"ab", &mut out, None);
         assert_eq!(status, SENT);
-        assert_eq!(out, vec![b"ba".to_vec()]);
+        assert_eq!(out.iter().collect::<Vec<_>>(), [b"ba"]);
     }
 
     #[test]
@@ -921,7 +987,7 @@ mod tests {
             },
         );
         let mut shard = net.shard();
-        let mut out = Vec::new();
+        let mut out = Datagrams::new();
         let mut statuses = Vec::new();
         for _ in 0..16 {
             statuses.push(shard.udp_send_status(addr(9, 1), addr(1, 443), b"x", &mut out, None));
@@ -941,7 +1007,7 @@ mod tests {
         net.set_default_profile(crate::fault::LinkProfile::lossy(1000));
         net.set_path_profile(addr(2, 0).ip, crate::fault::LinkProfile::unreachable());
         let mut shard = net.shard();
-        let mut out = Vec::new();
+        let mut out = Datagrams::new();
 
         let mut trace = TraceCtx::new(1, "10.0.0.1:443", None);
         shard.udp_send_status(addr(9, 1), addr(1, 443), b"x", &mut out, Some(&mut trace));
@@ -1003,7 +1069,7 @@ mod tests {
             }
         };
         let (mut answered, mut throttled) = (0, 0);
-        let mut out = Vec::new();
+        let mut out = Datagrams::new();
         for i in 0..200u16 {
             out.clear();
             let status = shard.udp_send_status(
@@ -1020,7 +1086,7 @@ mod tests {
                 u8::from(status.throttled),
                 out.len() as u8,
             ]);
-            for r in &out {
+            for r in out.iter() {
                 feed(r);
             }
         }
@@ -1067,14 +1133,15 @@ mod tests {
         // Singles.
         let net = nasty_net();
         let mut shard = net.shard();
-        let mut out = Vec::new();
+        let mut out = Datagrams::new();
         let mut singles = Vec::new();
         let mut folded = FlightStatus::default();
         for d in &flight {
             let status = shard.udp_send_status(addr(9, 7), addr(1, 443), d, &mut out, None);
             folded.unreachable |= status.unreachable;
             folded.throttled |= status.throttled;
-            singles.append(&mut out);
+            singles.extend(out.iter().map(<[u8]>::to_vec));
+            out.clear();
         }
         let t_singles = shard.now();
         shard.finish();
@@ -1170,16 +1237,49 @@ mod tests {
         assert_eq!(c.cross_shard, if crosses { 11 } else { 0 });
     }
 
+    /// A reply handed back with `recycle` carries a later flight's reply,
+    /// and neither joins nor disturbs the replies already gathered.
     #[test]
-    fn arena_recycles_buffers() {
+    fn arena_reuses_recycled_buffers() {
+        let mut net = Network::new(1);
+        net.bind_udp(addr(1, 443), Box::new(Echo));
+        let mut shard = net.shard();
         let mut arena = DatagramArena::new();
-        arena.replies.push(b"pending".to_vec());
-        arena.recycle(b"consumed".to_vec());
+        let consumed = Vec::with_capacity(64);
+        let at = consumed.as_ptr();
+        arena.recycle(consumed);
+        assert!(arena.replies.is_empty());
+        shard.udp_send_batch(addr(9, 1), addr(1, 443), &[b"abc".to_vec()], &mut arena);
+        let replies: Vec<Vec<u8>> = shard.udp_recv_batch(&mut arena).collect();
+        assert_eq!(replies, [b"cba".to_vec()]);
+        assert_eq!(replies[0].as_ptr(), at, "the recycled buffer");
+    }
+
+    /// Replies gathered in one batch read the same through the flight API
+    /// as through the arena's separate buffers.
+    #[test]
+    fn flight_replies_match_the_arena() {
+        let flight: Vec<Vec<u8>> = (0..40u8).map(|i| vec![b'p', i]).collect();
+        let net = nasty_net();
+        let mut shard = net.shard();
+        let mut arena = DatagramArena::new();
+        let status = shard.udp_send_batch(addr(9, 7), addr(1, 443), &flight, &mut arena);
+        let separate: Vec<Vec<u8>> = shard.udp_recv_batch(&mut arena).collect();
+        let net2 = nasty_net();
+        let mut shard2 = net2.shard();
+        let mut batch = Datagrams::new();
+        batch.extend(flight.iter().map(Vec::as_slice));
+        let mut replies = Datagrams::new();
+        replies.push(b"earlier");
         assert_eq!(
-            arena.replies,
-            [b"pending".to_vec()],
-            "a recycled buffer neither joins nor disturbs the replies"
+            shard2.udp_send_flight(addr(9, 7), addr(1, 443), &batch, &mut replies),
+            status
         );
+        assert_eq!(replies.get(0), b"earlier", "replies are appended");
+        assert!(replies
+            .iter()
+            .skip(1)
+            .eq(separate.iter().map(Vec::as_slice)));
     }
 
     /// Stats flushed by a dropped (panicking-path) shard still reach the

@@ -19,15 +19,16 @@
 //! exchange — the same sans-IO determinism discipline the rest of the
 //! simulation uses (no shared wall clock on the data path).
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use h3::request;
 use internet::servers::{HttpProfile, QuicHost};
 use internet::IMPLEMENTATIONS;
+use qcodec::Writer;
 use qtls::cert::CertificateAuthority;
 use quic::server::{AppSession, EndpointConfig};
-use quic::{ConnectionError, Frame};
+use quic::{ConnectionError, Frame, Frames, Seal};
 use simnet::addr::Ipv4Addr;
 use simnet::{IpAddr, LinkProfile, Network, SocketAddr};
 
@@ -134,10 +135,8 @@ pub(crate) struct BulkSession {
     now_us: u64,
     /// Request streams already answered.
     responded: HashSet<u64>,
-    /// Per pending sealed payload: `Some(len)` when it came from the sender
-    /// (needs `record_sent` with the sender's share of the packet), `None`
-    /// for pure receiver control payloads.
-    sealed_queue: VecDeque<Option<u64>>,
+    /// The frame payload each packet is composed in.
+    payload: Writer,
 }
 
 impl BulkSession {
@@ -150,7 +149,7 @@ impl BulkSession {
             rtt_us,
             now_us: 0,
             responded: HashSet::new(),
-            sealed_queue: VecDeque::new(),
+            payload: Writer::new(),
         }
     }
 
@@ -165,13 +164,14 @@ impl BulkSession {
     }
 
     fn maybe_respond(&mut self) {
-        let ready: Vec<u64> = self
-            .recv
-            .stream_ids()
-            .into_iter()
-            .filter(|id| id % 4 == 0 && !self.responded.contains(id) && self.recv.stream_done(*id))
-            .collect();
-        for id in ready {
+        loop {
+            let (recv, responded) = (&self.recv, &self.responded);
+            let ready = recv
+                .stream_ids()
+                .find(|&id| id % 4 == 0 && !responded.contains(&id) && recv.stream_done(id));
+            let Some(id) = ready else {
+                break;
+            };
             self.responded.insert(id);
             // A request is one HEADERS frame: read whole at its FIN.
             let Some(req) = request::decode_request(self.recv.read(id)) else {
@@ -193,15 +193,16 @@ impl AppSession for BulkSession {
     fn on_app_packet(
         &mut self,
         pn: u64,
-        frames: &[Frame],
-    ) -> Result<Vec<Vec<u8>>, ConnectionError> {
+        frames: Frames<'_>,
+        seal: &mut Seal<'_>,
+    ) -> Result<(), ConnectionError> {
         self.now_us += self.rtt_us;
         let mut has_ping = false;
         for frame in frames {
             match frame {
-                Frame::Ack { ranges, .. } => self.send.on_ack(ranges, self.now_us),
-                Frame::MaxData(limit) => self.send.set_max_data(*limit),
-                Frame::MaxStreamData { id, max } => self.send.set_max_stream_data(*id, *max),
+                Frame::Ack { ranges, .. } => self.send.on_ack(ranges.iter(), self.now_us),
+                Frame::MaxData(limit) => self.send.set_max_data(limit),
+                Frame::MaxStreamData { id, max } => self.send.set_max_stream_data(id, max),
                 Frame::Ping => has_ping = true,
                 _ => {}
             }
@@ -215,36 +216,20 @@ impl AppSession for BulkSession {
         if has_ping {
             self.send.on_silent_round(self.now_us);
         }
-        let control = self.recv.control_payload();
-        let sends = self.send.poll(self.now_us);
-        let coalesce = self.opts.coalesce_control && control.is_some() && !sends.is_empty();
-        let mut payloads = Vec::new();
-        if let Some(control) = control {
-            if !coalesce {
-                self.sealed_queue.push_back(None);
-            }
-            payloads.push(control);
+        let payload = &mut self.payload;
+        payload.clear();
+        if self.recv.control_into(payload) && !self.opts.coalesce_control {
+            seal(payload.as_slice());
+            payload.clear();
         }
-        for (i, p) in sends.into_iter().enumerate() {
-            if coalesce && i == 0 {
-                // ACK + grants ride in front of the first STREAM payload:
-                // one sealed packet instead of two. Only the sender's bytes
-                // count against its congestion window.
-                self.sealed_queue.push_back(Some(p.len() as u64));
-                let merged = payloads.last_mut().expect("control payload present");
-                merged.extend_from_slice(&p);
-            } else {
-                self.sealed_queue.push_back(Some(p.len() as u64));
-                payloads.push(p);
-            }
+        // Coalescing, ACK + grants ride in front of the first STREAM frame:
+        // one sealed packet instead of two. They leave alone when there is
+        // nothing to send.
+        self.send.poll(self.now_us, payload, seal);
+        if !payload.is_empty() {
+            seal(payload.as_slice());
         }
-        Ok(payloads)
-    }
-
-    fn on_payload_sealed(&mut self, pn: u64) {
-        if let Some(Some(bytes)) = self.sealed_queue.pop_front() {
-            self.send.record_sent(pn, bytes);
-        }
+        Ok(())
     }
 
     fn is_idle(&self) -> bool {
@@ -261,6 +246,8 @@ impl AppSession for BulkSession {
 /// Server session for the real-time stream sink: pure receiver.
 struct RtcSession {
     recv: DataReceiver,
+    /// The control payload each answer is composed in.
+    payload: Writer,
 }
 
 impl RtcSession {
@@ -269,6 +256,7 @@ impl RtcSession {
         // the windows as frames are consumed.
         RtcSession {
             recv: DataReceiver::new(4 * CONN_WINDOW, STREAM_WINDOW),
+            payload: Writer::new(),
         }
     }
 }
@@ -277,13 +265,16 @@ impl AppSession for RtcSession {
     fn on_app_packet(
         &mut self,
         pn: u64,
-        frames: &[Frame],
-    ) -> Result<Vec<Vec<u8>>, ConnectionError> {
+        frames: Frames<'_>,
+        seal: &mut Seal<'_>,
+    ) -> Result<(), ConnectionError> {
         self.recv.on_packet(pn, frames)?;
-        Ok(self.recv.control_payload().into_iter().collect())
+        self.payload.clear();
+        if self.recv.control_into(&mut self.payload) {
+            seal(self.payload.as_slice());
+        }
+        Ok(())
     }
-
-    fn on_payload_sealed(&mut self, _pn: u64) {}
 }
 
 /// Where a bound data-plane host listens and the name its certificate

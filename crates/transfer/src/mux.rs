@@ -38,12 +38,9 @@
 //! it is unobservable in the tables.
 
 use h3::request::{self, ResponseReader};
-use qcodec::Writer;
-use quic::{ClientConnection, Frame};
+use quic::{ClientConnection, Frame, Frames};
 use simnet::addr::Ipv4Addr;
-use simnet::{
-    fan_out_pulled, DatagramArena, LinkProfile, NetShard, Network, SocketAddr, StealQueue,
-};
+use simnet::{fan_out_pulled, LinkProfile, NetShard, Network, SocketAddr, StealQueue};
 use telemetry::{Event, EventKind, TraceCtx};
 
 use crate::host::{
@@ -53,7 +50,7 @@ use crate::host::{
 use crate::recv::DataReceiver;
 use crate::sched::SchedKind;
 use crate::sender::DataSender;
-use crate::workload::{client_config, dispatch_packet, drive_handshake, exchange_flight};
+use crate::workload::{client_config, dispatch_packet, drive_handshake, Scratch};
 
 /// Safety cap on drive rounds per connection.
 const MAX_ROUNDS: usize = 4_096;
@@ -288,7 +285,8 @@ pub(crate) struct MuxOutcome {
 }
 
 /// One live download connection: its own shard (flow-local clock), client
-/// connection, data plane, and reusable datagram arena.
+/// connection and data plane. The buffers a turn sends and receives
+/// through are the worker's [`Scratch`], lent to each turn.
 pub(crate) struct MuxConn<'net> {
     spec: Download<'net>,
     shard: NetShard<'net>,
@@ -297,7 +295,6 @@ pub(crate) struct MuxConn<'net> {
     receiver: DataReceiver,
     /// One per request stream, in stream order.
     responses: Vec<ResponseCheck>,
-    arena: DatagramArena,
     ctx: TraceCtx,
     start_us: u64,
     rounds: usize,
@@ -375,22 +372,18 @@ fn seal_path_cpu_ns(batched: bool, count: u64, bytes: u64) -> u64 {
     bytes * CRYPTO_NS_PER_BYTE + count * PER_DGRAM_NS + syscalls * SENDMSG_NS
 }
 
-fn close_payload() -> Vec<u8> {
-    let mut w = Writer::with_capacity(16);
-    Frame::ConnectionClose {
-        error_code: 0,
-        frame_type: None,
-        reason: "done".to_string(),
-        is_app: true,
-    }
-    .encode(&mut w);
-    w.into_vec()
-}
+/// The application CONNECTION_CLOSE a finished download ends with.
+const CLOSE: Frame<'static> = Frame::ConnectionClose {
+    error_code: 0,
+    frame_type: None,
+    reason: b"done",
+    is_app: true,
+};
 
 impl<'net> MuxConn<'net> {
     /// Handshakes and enqueues every request; `Err` with the failed outcome
     /// when the handshake could not be confirmed.
-    pub(crate) fn start(spec: Download<'net>) -> Result<Self, MuxOutcome> {
+    pub(crate) fn start(spec: Download<'net>, scratch: &mut Scratch) -> Result<Self, MuxOutcome> {
         let host = spec.host;
         let rtt_us = spec.net.rtt().0;
         let mut this = MuxConn {
@@ -402,17 +395,15 @@ impl<'net> MuxConn<'net> {
             responses: (0..spec.streams)
                 .map(|_| ResponseCheck::default())
                 .collect(),
-            arena: DatagramArena::new(),
             ctx: TraceCtx::new(spec.task as u64, format!("{:?}", host.addr.ip), None),
             start_us: 0,
             rounds: 0,
             serve_cpu_ns: 0,
         };
         let (shard, conn) = (&mut this.shard, &mut this.conn);
-        if !drive_handshake(shard, conn, spec.src, host.addr, &mut this.arena) {
+        if !drive_handshake(shard, conn, spec.src, host.addr, scratch) {
             return Err(this.fail());
         }
-        this.conn.enable_app_frames();
         // Elapsed time counts from handshake confirmation.
         this.start_us = this.shard.now().0;
         // HTTP/3 over the data plane: control stream + one GET per stream.
@@ -427,10 +418,10 @@ impl<'net> MuxConn<'net> {
     }
 
     /// [`MuxConn::start`], then [`MuxConn::turn`] until the connection ends.
-    pub(crate) fn run(spec: Download<'net>) -> MuxOutcome {
-        match Self::start(spec) {
+    pub(crate) fn run(spec: Download<'net>, scratch: &mut Scratch) -> MuxOutcome {
+        match Self::start(spec, scratch) {
             Ok(mut conn) => loop {
-                if let Some(outcome) = conn.turn() {
+                if let Some(outcome) = conn.turn(scratch) {
                     return outcome;
                 }
             },
@@ -438,38 +429,82 @@ impl<'net> MuxConn<'net> {
         }
     }
 
-    fn exchange(&mut self) {
+    /// Sends the scratch's flight, then hands every 1-RTT packet of the
+    /// replies to the data plane: ACKs and window grants to the sender,
+    /// stream data to the receiver. False when the receiver refused one
+    /// (data past a limit the client advertised): the connection then
+    /// closes with the error, and queues the close.
+    fn exchange(&mut self, scratch: &mut Scratch) -> bool {
         let (src, dst, batched) = (self.spec.src, self.spec.host.addr, self.spec.batched);
-        let flight = self.conn.poll_transmit();
-        let out_count = flight.len() as u64;
-        let out_bytes: u64 = flight.iter().map(|d| d.len() as u64).sum();
-        let (in_count, in_bytes) = if batched {
-            exchange_flight(
-                &mut self.shard,
-                src,
-                dst,
-                flight,
-                &mut self.arena,
-                &mut self.conn,
-            )
+        let out_count = scratch.flight.len() as u64;
+        let out_bytes = scratch.flight.total_len() as u64;
+        scratch.replies.clear();
+        if batched {
+            let _ = self
+                .shard
+                .udp_send_flight(src, dst, &scratch.flight, &mut scratch.replies);
         } else {
             // Per-packet baseline: one endpoint lookup and one service lock
             // per datagram.
-            let mut replies = Vec::new();
-            for d in &flight {
-                self.shard.udp_send_into(src, dst, d, &mut replies);
+            for d in scratch.flight.iter() {
+                let _ = self
+                    .shard
+                    .udp_send_status(src, dst, d, &mut scratch.replies, None);
             }
-            let stats = (
-                replies.len() as u64,
-                replies.iter().map(|r| r.len() as u64).sum(),
-            );
-            for r in &replies {
-                self.conn.on_datagram(r);
-            }
-            stats
-        };
+        }
+        scratch.flight.clear();
+        let in_count = scratch.replies.len() as u64;
+        let in_bytes = scratch.replies.total_len() as u64;
         self.serve_cpu_ns += seal_path_cpu_ns(batched, out_count, out_bytes)
             + seal_path_cpu_ns(batched, in_count, in_bytes);
+
+        let now = self.shard.now().0 - self.start_us;
+        let (sender, receiver) = (&mut self.sender, &mut self.receiver);
+        let mut refused = false;
+        let mut data_plane = |pn: u64, frames: Frames<'_>| {
+            dispatch_packet(frames, sender, now);
+            let received = receiver.on_packet(pn, frames);
+            refused |= received.is_err();
+            received
+        };
+        for reply in scratch.replies.iter() {
+            self.conn
+                .on_datagram_with(reply, &mut scratch.open, &mut data_plane);
+        }
+        !refused
+    }
+
+    /// Seals this turn's packets into the flight: what the connection
+    /// queued, the receiver's ACK and window grants, then what the sender
+    /// has room for — or, when that is nothing, a keepalive (PING + full
+    /// ACK/grant state, so a lost window extension is healed) after a run
+    /// of the sender's PTO counter. False when the connection refused to
+    /// seal (it is closed).
+    fn seal_turn(&mut self, scratch: &mut Scratch, now: u64) -> bool {
+        scratch.flight.clear();
+        scratch.take_queued(&mut self.conn);
+        let (flight, payload, conn) = (&mut scratch.flight, &mut scratch.payload, &mut self.conn);
+        let mut seal = |frames: &[u8]| flight.push_with(|buf| conn.seal_app_payload(frames, buf));
+        payload.clear();
+        let mut sent = 0;
+        if self.receiver.control_into(payload) {
+            if seal(payload.as_slice()).is_none() {
+                return false;
+            }
+            payload.clear();
+            sent += 1;
+        }
+        match self.sender.poll(now, payload, &mut seal) {
+            Some(n) => sent += n,
+            None => return false,
+        }
+        if sent == 0 {
+            // Idle with a response incomplete: probe the server.
+            self.sender.on_silent_round(now);
+            self.receiver.keepalive_into(payload);
+            return seal(payload.as_slice()).is_some();
+        }
+        true
     }
 
     /// Feeds each response stream's newly contiguous bytes to its check and
@@ -494,46 +529,23 @@ impl<'net> MuxConn<'net> {
 
     /// Drives one round; `Some(outcome)` when the connection finished (or
     /// exhausted its round budget).
-    pub(crate) fn turn(&mut self) -> Option<MuxOutcome> {
+    pub(crate) fn turn(&mut self, scratch: &mut Scratch) -> Option<MuxOutcome> {
         let now = self.shard.now().0 - self.start_us;
-        let mut payloads: Vec<(Vec<u8>, bool)> = Vec::new();
-        if let Some(c) = self.receiver.control_payload() {
-            payloads.push((c, false));
+        if !self.seal_turn(scratch, now) {
+            scratch.flight.clear();
+            return Some(self.fail());
         }
-        for p in self.sender.poll(now) {
-            payloads.push((p, true));
-        }
-        if payloads.is_empty() {
-            // Idle with a response incomplete: probe the server with a
-            // keepalive (PING + full ACK/grant state, so a lost window
-            // extension is healed) and run our own PTO counter.
-            self.sender.on_silent_round(now);
-            payloads.push((self.receiver.keepalive_payload(), false));
-        }
-        for (payload, from_sender) in payloads {
-            let Some(pn) = self.conn.send_app_payload(&payload) else {
-                return Some(self.fail());
-            };
-            if from_sender {
-                self.sender.record_sent(pn, payload.len() as u64);
-            }
-        }
-        self.exchange();
-        let now = self.shard.now().0 - self.start_us;
-        for pkt in self.conn.take_app_packets() {
-            dispatch_packet(&pkt.frames, &mut self.sender, now);
-            if let Err(err) = self.receiver.on_packet(pkt.pn, &pkt.frames) {
-                // RFC 9000 §4.1: the server sent past a limit we
-                // advertised. Close with the error, and send the close.
-                self.conn.close_for(err);
-                self.exchange();
-                return Some(self.fail());
-            }
+        if !self.exchange(scratch) {
+            // RFC 9000 §4.1: the server sent past a limit we advertised.
+            // The connection closed with the error; send the close.
+            scratch.take_queued(&mut self.conn);
+            self.exchange(scratch);
+            return Some(self.fail());
         }
         self.read_responses();
         self.rounds += 1;
         if self.all_done() {
-            return Some(self.finish());
+            return Some(self.finish(scratch));
         }
         if self.rounds >= MAX_ROUNDS {
             return Some(self.fail());
@@ -560,7 +572,7 @@ impl<'net> MuxConn<'net> {
     /// Validates every response, sends the final ACK plus an explicit
     /// CONNECTION_CLOSE (so the server may evict immediately), and returns
     /// the outcome.
-    fn finish(&mut self) -> MuxOutcome {
+    fn finish(&mut self, scratch: &mut Scratch) -> MuxOutcome {
         let elapsed_us = (self.shard.now().0 - self.start_us).max(1);
         let mut ok = true;
         let mut body_bytes = 0u64;
@@ -579,17 +591,18 @@ impl<'net> MuxConn<'net> {
         // Final flight: ACK state for the tail of the transfer, then the
         // close. After this the client never speaks again, which is what
         // makes server-side idle eviction unobservable.
-        let mut last = Vec::new();
-        if let Some(c) = self.receiver.control_payload() {
-            last.push(c);
+        scratch.flight.clear();
+        scratch.take_queued(&mut self.conn);
+        let (flight, payload, conn) = (&mut scratch.flight, &mut scratch.payload, &mut self.conn);
+        let mut seal = |frames: &[u8]| flight.push_with(|buf| conn.seal_app_payload(frames, buf));
+        payload.clear();
+        let sealed = !self.receiver.control_into(payload) || seal(payload.as_slice()).is_some();
+        if sealed {
+            payload.clear();
+            CLOSE.encode(payload);
+            seal(payload.as_slice());
         }
-        last.push(close_payload());
-        for payload in last {
-            if self.conn.send_app_payload(&payload).is_none() {
-                break;
-            }
-        }
-        self.exchange();
+        self.exchange(scratch);
         if self.spec.trace {
             self.ctx.advance(elapsed_us);
             self.ctx.record(EventKind::GoodputSampled {
@@ -647,12 +660,13 @@ pub fn run(cfg: &MuxConfig) -> MuxReport {
     // One worker; returns its window's high-water mark.
     let drive_window = |tasks: &StealQueue, outcomes: &mut Vec<(usize, MuxOutcome)>| {
         let mut window: Vec<MuxConn<'_>> = Vec::with_capacity(cap);
+        let mut scratch = Scratch::default();
         let mut peak = 0;
         loop {
             // Admit until the window is full or tasks run out.
             while window.len() < cap {
                 let Some(task) = tasks.claim_one() else { break };
-                match MuxConn::start(cfg.download(&topo, task)) {
+                match MuxConn::start(cfg.download(&topo, task), &mut scratch) {
                     Ok(conn) => window.push(conn),
                     Err(failed) => outcomes.push((task, failed)),
                 }
@@ -664,7 +678,7 @@ pub fn run(cfg: &MuxConfig) -> MuxReport {
             // One round per live connection.
             let mut i = 0;
             while i < window.len() {
-                match window[i].turn() {
+                match window[i].turn(&mut scratch) {
                     Some(outcome) => {
                         outcomes.push((outcome.task, outcome));
                         window.swap_remove(i);
@@ -798,7 +812,9 @@ mod tests {
 
     use crate::host::BulkSession;
     use internet::servers::QuicHost;
+    use qcodec::Writer;
     use quic::server::{AppSession, EndpointConfig};
+    use quic::Seal;
     use std::sync::{Arc, Mutex};
 
     /// A `BulkSession` the test can look into — and that turns hostile on
@@ -808,46 +824,41 @@ mod tests {
     struct Watched {
         inner: Arc<Mutex<BulkSession>>,
         hostile: Option<fn() -> Vec<u8>>,
-        forged_unsealed: bool,
     }
 
     impl AppSession for Watched {
         fn on_app_packet(
             &mut self,
             pn: u64,
-            frames: &[Frame],
-        ) -> Result<Vec<Vec<u8>>, quic::ConnectionError> {
-            if let (Some(forge), [Frame::Ping]) = (self.hostile, frames) {
-                self.forged_unsealed = true;
-                return Ok(vec![forge()]);
+            frames: Frames<'_>,
+            seal: &mut Seal<'_>,
+        ) -> Result<(), quic::ConnectionError> {
+            if let Some(forge) = self.hostile {
+                if frames.iter().eq([Frame::Ping]) {
+                    seal(&forge());
+                    return Ok(());
+                }
             }
             self.inner
                 .lock()
                 .expect("session lock")
-                .on_app_packet(pn, frames)
-        }
-
-        fn on_payload_sealed(&mut self, pn: u64) {
-            if !std::mem::take(&mut self.forged_unsealed) {
-                self.inner
-                    .lock()
-                    .expect("session lock")
-                    .on_payload_sealed(pn);
-            }
+                .on_app_packet(pn, frames, seal)
         }
     }
 
     /// Six bytes that used to cost 2⁶² loop iterations: `ACK [0, 2⁶²−1]`.
     fn forged_ack() -> Vec<u8> {
-        let largest = (1u64 << 62) - 1;
         let mut w = Writer::new();
-        Frame::Ack {
-            largest,
-            delay: 0,
-            ranges: vec![(0, largest)],
-        }
-        .encode(&mut w);
+        Frame::encode_ack_single(&mut w, (1u64 << 62) - 1, 0);
         w.into_vec()
+    }
+
+    /// Sends `payload` from the client as one packet of its own, right
+    /// away, and hands the replies to the data plane.
+    fn send_now(conn: &mut MuxConn<'_>, scratch: &mut Scratch, payload: &[u8]) -> bool {
+        conn.conn.send_app_payload(payload).expect("established");
+        scratch.take_queued(&mut conn.conn);
+        conn.exchange(scratch)
     }
 
     /// Two bytes on stream 0 at offset 2⁶² − 2, far past every limit
@@ -886,11 +897,7 @@ mod tests {
         let inner = Arc::clone(&session);
         let factory = move || {
             let inner = Arc::clone(&inner);
-            Box::new(Watched {
-                inner,
-                hostile,
-                forged_unsealed: false,
-            }) as Box<dyn AppSession>
+            Box::new(Watched { inner, hostile }) as Box<dyn AppSession>
         };
         let host = QuicHost::with_sessions(EndpointConfig::new(tls), 5, Box::new(factory));
         let addr = SocketAddr::new(simnet::IpAddr::V4(Ipv4Addr::new(10, 200, 0, 1)), 443);
@@ -911,16 +918,16 @@ mod tests {
     }
 
     /// A 1 MB download, six rounds in.
-    fn mid_transfer(topo: &MuxTopology) -> MuxConn<'_> {
+    fn mid_transfer<'t>(topo: &'t MuxTopology, scratch: &mut Scratch) -> MuxConn<'t> {
         let mut cfg = MuxConfig::fast(77, 1);
         cfg.hosts = 1;
         cfg.streams_per_conn = 1;
         cfg.bytes_per_stream = 1_000_000;
-        let mut conn = MuxConn::start(cfg.download(topo, 0))
+        let mut conn = MuxConn::start(cfg.download(topo, 0), scratch)
             .ok()
             .expect("handshake");
         for _ in 0..6 {
-            assert!(conn.turn().is_none(), "still downloading");
+            assert!(conn.turn(scratch).is_none(), "still downloading");
         }
         conn
     }
@@ -928,18 +935,18 @@ mod tests {
     #[test]
     fn forged_ack_mid_transfer_closes_the_server_side_and_touches_nothing() {
         let (topo, session) = watched_topology(None);
-        let mut conn = mid_transfer(&topo);
+        let scratch = &mut Scratch::default();
+        let mut conn = mid_transfer(&topo, scratch);
         let before = sender_state(session.lock().unwrap().sender());
         assert!(before.0 > 0, "the server has response packets in flight");
 
-        conn.conn
-            .send_app_payload(&forged_ack())
-            .expect("established");
-        conn.exchange(); // returns: nothing walks the span
+        send_now(&mut conn, scratch, &forged_ack()); // returns: nothing walks the span
         assert_eq!(sender_state(session.lock().unwrap().sender()), before);
         // The server answered with its close, which ends the client too.
         assert_eq!(conn.conn.state(), &quic::ConnectionState::Closed);
-        let outcome = conn.turn().expect("a closed connection is a finished one");
+        let outcome = conn
+            .turn(scratch)
+            .expect("a closed connection is a finished one");
         assert!(!outcome.ok);
         assert_eq!(sender_state(session.lock().unwrap().sender()), before);
     }
@@ -947,39 +954,36 @@ mod tests {
     #[test]
     fn forged_ack_mid_transfer_closes_the_client_side_and_touches_nothing() {
         let (topo, _session) = watched_topology(Some(forged_ack));
-        let mut conn = mid_transfer(&topo);
+        let scratch = &mut Scratch::default();
+        let mut conn = mid_transfer(&topo, scratch);
         // Give the client's sender something to lose: a request flight
         // sealed, recorded, and dropped on the way.
         conn.sender.enqueue(40, &[0x5a; 5_000], true);
         let now = conn.shard.now().0 - conn.start_us;
-        for payload in conn.sender.poll(now) {
-            let pn = conn.conn.send_app_payload(&payload).expect("established");
-            conn.sender.record_sent(pn, payload.len() as u64);
-        }
+        let client = &mut conn.conn;
+        conn.sender
+            .poll(now, &mut Writer::new(), &mut |p| client.send_app_payload(p))
+            .expect("established");
         drop(conn.conn.poll_transmit());
         let before = sender_state(&conn.sender);
         assert!(before.0 > 0, "the client has request packets in flight");
 
-        let mut ping = Writer::new();
-        Frame::Ping.encode(&mut ping);
-        conn.conn
-            .send_app_payload(ping.as_slice())
-            .expect("established");
-        conn.exchange(); // the hostile session answers with the forged ACK
-        assert!(
-            conn.conn.take_app_packets().is_empty(),
-            "nothing reaches the data plane"
-        );
+        // The hostile session answers the PING with the forged ACK, which
+        // reaches nothing of the data plane.
+        assert!(send_now(&mut conn, scratch, &[0x01]));
         assert_eq!(conn.conn.state(), &quic::ConnectionState::Closed);
         assert_eq!(sender_state(&conn.sender), before);
-        let outcome = conn.turn().expect("a closed connection is a finished one");
+        let outcome = conn
+            .turn(scratch)
+            .expect("a closed connection is a finished one");
         assert!(!outcome.ok);
     }
 
     #[test]
     fn stream_past_the_limit_mid_transfer_closes_the_server_side() {
         let (topo, session) = watched_topology(None);
-        let mut conn = mid_transfer(&topo);
+        let scratch = &mut Scratch::default();
+        let mut conn = mid_transfer(&topo, scratch);
         let held = |session: &Mutex<BulkSession>| {
             let session = session.lock().unwrap();
             (
@@ -989,32 +993,34 @@ mod tests {
         };
         let before = held(&session);
 
-        conn.conn
-            .send_app_payload(&stream_past_the_limit())
-            .expect("established");
-        conn.exchange(); // returns: nothing is sized to the frame's end
+        // Returns: nothing is sized to the frame's end.
+        send_now(&mut conn, scratch, &stream_past_the_limit());
         assert_eq!(held(&session), before);
         // The server answered with its close, which ends the client too.
         assert_eq!(conn.conn.state(), &quic::ConnectionState::Closed);
-        let outcome = conn.turn().expect("a closed connection is a finished one");
+        let outcome = conn
+            .turn(scratch)
+            .expect("a closed connection is a finished one");
         assert!(!outcome.ok);
     }
 
     #[test]
     fn stream_past_the_limit_mid_transfer_closes_the_client_side() {
         let (topo, _session) = watched_topology(Some(stream_past_the_limit));
-        let mut conn = mid_transfer(&topo);
+        let scratch = &mut Scratch::default();
+        let mut conn = mid_transfer(&topo, scratch);
         let held = conn.receiver.peak_held();
 
-        let mut ping = Writer::new();
-        Frame::Ping.encode(&mut ping);
-        conn.conn
-            .send_app_payload(ping.as_slice())
-            .expect("established");
-        conn.exchange(); // the hostile session answers with the frame
-        let outcome = conn.turn().expect("the data plane refuses the frame");
-        assert!(!outcome.ok);
+        // The hostile session answers the PING with the frame, which the
+        // data plane refuses: the connection closes with the error.
+        assert!(!send_now(&mut conn, scratch, &[0x01]));
         assert_eq!(conn.conn.state(), &quic::ConnectionState::Closed);
+        let close = conn.conn.poll_transmit();
+        assert_eq!(close.len(), 1, "the close, queued");
+        let outcome = conn
+            .turn(scratch)
+            .expect("a closed connection is a finished one");
+        assert!(!outcome.ok);
         let (buffered, limit, read_offset) = conn.receiver.window(0);
         assert!(buffered <= limit - read_offset);
         assert!(conn.receiver.peak_held() <= held + CONN_WINDOW);
@@ -1035,11 +1041,12 @@ mod tests {
             cfg.hosts = 1;
             cfg.streams_per_conn = 1;
             cfg.bytes_per_stream = bytes;
-            let mut conn = MuxConn::start(cfg.download(&topo, 0))
+            let scratch = &mut Scratch::default();
+            let mut conn = MuxConn::start(cfg.download(&topo, 0), scratch)
                 .ok()
                 .expect("handshake");
             let outcome = loop {
-                let done = conn.turn();
+                let done = conn.turn(scratch);
                 let (buffered, limit, read_offset) = conn.receiver.window(0);
                 assert!(
                     buffered <= limit - read_offset,

@@ -107,7 +107,7 @@ impl RangeSet {
     }
 
     /// Ranges descending (largest first), inclusive — ACK frame wire order.
-    pub fn iter_desc(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+    pub fn iter_desc(&self) -> impl ExactSizeIterator<Item = (u64, u64)> + '_ {
         self.ranges.iter().rev().copied()
     }
 

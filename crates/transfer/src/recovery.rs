@@ -156,17 +156,22 @@ impl Recovery {
     }
 
     /// Processes an ACK's ranges (largest-first inclusive `(smallest,
-    /// largest)` pairs, the `quic::Frame::Ack` wire order) received at
+    /// largest)` pairs, the `quic::AckRanges` wire order) received at
     /// `now_us`. A `smallest > largest` pair acknowledges nothing.
-    pub fn on_ack(&mut self, ranges: &[(u64, u64)], now_us: u64) -> AckResult {
+    pub fn on_ack(
+        &mut self,
+        ranges: impl IntoIterator<Item = (u64, u64)>,
+        now_us: u64,
+    ) -> AckResult {
         let mut result = AckResult::default();
-        let Some(&(_, largest)) = ranges.first() else {
+        let mut ranges = ranges.into_iter().peekable();
+        let Some(&(_, largest)) = ranges.peek() else {
             return result;
         };
 
         // Collect newly acked packets; an ACK for a packet already declared
         // lost proves the loss spurious.
-        for &(lo, hi) in ranges {
+        for (lo, hi) in ranges {
             if lo > hi {
                 continue; // a `BTreeMap` range query panics on an inverted span
             }
@@ -302,7 +307,7 @@ mod tests {
             r.on_packet_sent(pkt(pn, 1_000 + pn));
         }
         // ACK only pn 5: pns 0,1,2 are ≥3 below the largest → lost; 3,4 wait.
-        let res = r.on_ack(&[(5, 5)], 32_000);
+        let res = r.on_ack([(5, 5)], 32_000);
         assert_eq!(
             res.newly_acked.iter().map(|p| p.pn).collect::<Vec<_>>(),
             vec![5]
@@ -321,7 +326,7 @@ mod tests {
         r.on_packet_sent(pkt(1, 100_000));
         // ACK pn 1 at t=110_000: RTT sample 10ms, loss delay 11.25ms; pn 0 is
         // 110ms old → lost despite being only 1 below the largest.
-        let res = r.on_ack(&[(1, 1)], 110_000);
+        let res = r.on_ack([(1, 1)], 110_000);
         assert_eq!(res.latest_rtt_us, Some(10_000));
         assert_eq!(res.lost.iter().map(|p| p.pn).collect::<Vec<_>>(), vec![0]);
     }
@@ -332,7 +337,7 @@ mod tests {
         for pn in 0..8 {
             r.on_packet_sent(pkt(pn, 1_000));
         }
-        let res1 = r.on_ack(&[(6, 7), (2, 3)], 31_000);
+        let res1 = r.on_ack([(6, 7), (2, 3)], 31_000);
         assert_eq!(
             res1.newly_acked.iter().map(|p| p.pn).collect::<Vec<_>>(),
             vec![2, 3, 6, 7]
@@ -344,7 +349,7 @@ mod tests {
         );
         // Second ACK repeats old ranges and adds 4..=5: pn 5 is newly acked,
         // pn 4 surfaces as a spurious loss, nothing is double-counted.
-        let res2 = r.on_ack(&[(2, 7)], 32_000);
+        let res2 = r.on_ack([(2, 7)], 32_000);
         assert_eq!(
             res2.newly_acked.iter().map(|p| p.pn).collect::<Vec<_>>(),
             vec![5]
@@ -364,19 +369,19 @@ mod tests {
         for pn in 0..5 {
             r.on_packet_sent(pkt(pn, 1_000));
         }
-        let res = r.on_ack(&[(4, 4)], 12_000);
+        let res = r.on_ack([(4, 4)], 12_000);
         assert_eq!(
             res.lost.iter().map(|p| p.pn).collect::<Vec<_>>(),
             vec![0, 1]
         );
         // The "lost" pn 0 turns up in a later ACK: reported spurious once.
-        let res2 = r.on_ack(&[(0, 1)], 13_000);
+        let res2 = r.on_ack([(0, 1)], 13_000);
         assert!(res2.newly_acked.is_empty());
         assert_eq!(
             res2.spurious.iter().map(|p| p.pn).collect::<Vec<_>>(),
             vec![0, 1]
         );
-        let res3 = r.on_ack(&[(0, 1)], 14_000);
+        let res3 = r.on_ack([(0, 1)], 14_000);
         assert!(res3.spurious.is_empty(), "spurious reported only once");
     }
 
@@ -402,7 +407,7 @@ mod tests {
             // The shape a loss-free receiver sends: one range, all history.
             let mut newly = 0;
             let probes =
-                probes_of(|| newly = r.on_ack(&[(0, next_pn - 1)], next_pn).newly_acked.len());
+                probes_of(|| newly = r.on_ack([(0, next_pn - 1)], next_pn).newly_acked.len());
             assert_eq!(newly, 10);
             assert!(
                 probes <= 2 + 10,
@@ -412,7 +417,7 @@ mod tests {
         assert_eq!(r.in_flight_count(), 0);
         for span in [(0, 199_999), (0, u64::MAX >> 2)] {
             let probes = probes_of(|| {
-                let res = r.on_ack(&[span], 300_000);
+                let res = r.on_ack([span], 300_000);
                 assert!(
                     res.newly_acked.is_empty() && res.lost.is_empty() && res.spurious.is_empty()
                 );
@@ -428,7 +433,12 @@ mod tests {
             .rev()
             .map(|k| (k << 40, (k << 40) + (1 << 39)))
             .collect();
-        let probes = probes_of(|| assert_eq!(r.on_ack(&ranges, 330_000).newly_acked.len(), 3));
+        let probes = probes_of(|| {
+            assert_eq!(
+                r.on_ack(ranges.iter().copied(), 330_000).newly_acked.len(),
+                3
+            )
+        });
         assert_eq!(probes, 2 * 32 + 3);
     }
 
@@ -438,11 +448,11 @@ mod tests {
         for pn in 0..4 {
             r.on_packet_sent(pkt(pn, 1_000));
         }
-        assert_eq!(r.on_ack(&[], 2_000), AckResult::default());
-        let res = r.on_ack(&[(3, 0)], 2_000);
+        assert_eq!(r.on_ack([], 2_000), AckResult::default());
+        let res = r.on_ack([(3, 0)], 2_000);
         assert!(res.newly_acked.is_empty() && res.spurious.is_empty());
         assert_eq!(
-            r.on_ack(&[(3, 3), (2, 1)], 2_000).newly_acked,
+            r.on_ack([(3, 3), (2, 1)], 2_000).newly_acked,
             vec![pkt(3, 1_000)]
         );
     }
@@ -506,7 +516,7 @@ mod tests {
                         Vec::new()
                     }
                 };
-                prop_assert_eq!(new.on_ack(&ranges, now), old.on_ack_reference(&ranges, now));
+                prop_assert_eq!(new.on_ack(ranges.iter().copied(), now), old.on_ack_reference(&ranges, now));
                 prop_assert_eq!(new.rtt().smoothed_us(), old.rtt().smoothed_us());
                 prop_assert!(new.sent.keys().eq(old.sent.keys()), "sent diverged");
                 prop_assert!(new.lost.keys().eq(old.lost.keys()), "lost diverged");

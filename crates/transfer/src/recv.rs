@@ -136,7 +136,11 @@ impl DataReceiver {
     /// an ACK. A STREAM frame past an advertised limit is a
     /// FLOW_CONTROL_ERROR: nothing of it is stored, the packet is not
     /// acknowledged, and the caller closes the connection.
-    pub fn on_packet(&mut self, pn: u64, frames: &[Frame]) -> Result<(), ConnectionError> {
+    pub fn on_packet<'a>(
+        &mut self,
+        pn: u64,
+        frames: impl IntoIterator<Item = Frame<'a>>,
+    ) -> Result<(), ConnectionError> {
         let mut eliciting = false;
         for frame in frames {
             match frame {
@@ -147,7 +151,7 @@ impl DataReceiver {
                     data,
                 } => {
                     eliciting = true;
-                    self.on_stream_frame(*id, *offset, *fin, data)?;
+                    self.on_stream_frame(id, offset, fin, data)?;
                 }
                 Frame::Ping => eliciting = true,
                 _ => {}
@@ -242,59 +246,42 @@ impl DataReceiver {
         Ok(())
     }
 
-    /// Builds the control payload (ACK + window grants) if anything is
-    /// pending; the caller seals it as a 1-RTT packet.
+    /// Appends the control frames (ACK + window grants) to `w` if anything
+    /// is pending, and says whether it did; the caller seals them as (part
+    /// of) a 1-RTT packet.
     ///
     /// Every payload re-announces the current MAX_DATA and per-stream
     /// limits of unfinished streams, not just freshly extended ones: limit
     /// updates are max-only on the sender side, so the repetition is
     /// idempotent, and it heals the deadlock where the one packet carrying
     /// a window extension is lost and the peer stays blocked forever.
-    pub fn control_payload(&mut self) -> Option<Vec<u8>> {
-        if !self.ack_pending
-            && self.pending_max_data.is_none()
-            && self.pending_stream_updates.is_empty()
-        {
-            return None;
+    pub fn control_into(&mut self, w: &mut Writer) -> bool {
+        if !self.has_pending_control() {
+            return false;
         }
-        let mut w = Writer::with_capacity(64);
         if self.ack_pending {
             self.ack_pending = false;
-            let ranges: Vec<(u64, u64)> = self.acked.iter_desc().collect();
-            let largest = ranges[0].1;
-            Frame::Ack {
-                largest,
-                delay: 0,
-                ranges,
-            }
-            .encode(&mut w);
+            Frame::encode_ack(w, 0, self.acked.iter_desc());
         }
         self.pending_max_data = None;
         self.pending_stream_updates.clear();
-        self.append_grants(&mut w);
-        Some(w.into_vec())
+        self.append_grants(w);
+        true
     }
 
-    /// An unconditional probe payload: PING (ack-eliciting) plus the latest
-    /// ACK state and window grants. Sent by drivers after a silent round so
-    /// a stalled peer re-learns everything it may have missed.
-    pub fn keepalive_payload(&mut self) -> Vec<u8> {
-        let mut w = Writer::with_capacity(64);
-        Frame::Ping.encode(&mut w);
-        if let Some(largest) = self.acked.largest() {
+    /// Appends an unconditional probe payload to `w`: PING (ack-eliciting)
+    /// plus the latest ACK state and window grants. Sent by drivers after a
+    /// silent round so a stalled peer re-learns everything it may have
+    /// missed.
+    pub fn keepalive_into(&mut self, w: &mut Writer) {
+        Frame::Ping.encode(w);
+        if !self.acked.is_empty() {
             self.ack_pending = false;
-            let ranges: Vec<(u64, u64)> = self.acked.iter_desc().collect();
-            Frame::Ack {
-                largest,
-                delay: 0,
-                ranges,
-            }
-            .encode(&mut w);
+            Frame::encode_ack(w, 0, self.acked.iter_desc());
         }
         self.pending_max_data = None;
         self.pending_stream_updates.clear();
-        self.append_grants(&mut w);
-        w.into_vec()
+        self.append_grants(w);
     }
 
     /// Encodes the connection limit and the limits of every unfinished
@@ -354,8 +341,8 @@ impl DataReceiver {
     }
 
     /// Stream ids with any data received (ascending).
-    pub fn stream_ids(&self) -> Vec<u64> {
-        self.streams.keys().copied().collect()
+    pub fn stream_ids(&self) -> impl Iterator<Item = u64> + '_ {
+        self.streams.keys().copied()
     }
 
     /// High-water mark of the bytes held in stream buffers: received and
@@ -379,27 +366,34 @@ impl DataReceiver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use quic::Frames;
 
-    fn stream_frame(id: u64, offset: u64, fin: bool, data: &[u8]) -> Frame {
+    fn stream_frame(id: u64, offset: u64, fin: bool, data: &[u8]) -> Frame<'_> {
         Frame::Stream {
             id,
             offset,
             fin,
-            data: data.to_vec(),
+            data,
         }
+    }
+
+    /// The control frames `r` has pending, as one payload.
+    fn control(r: &mut DataReceiver) -> Option<Vec<u8>> {
+        let mut w = Writer::new();
+        r.control_into(&mut w).then(|| w.into_vec())
     }
 
     #[test]
     fn reassembles_out_of_order_and_dedups() {
         let mut r = DataReceiver::new(1 << 20, 1 << 20);
-        r.on_packet(1, &[stream_frame(0, 5, true, b"world")])
+        r.on_packet(1, [stream_frame(0, 5, true, b"world")])
             .unwrap();
         assert!(!r.stream_done(0));
-        r.on_packet(0, &[stream_frame(0, 0, false, b"hello")])
+        r.on_packet(0, [stream_frame(0, 0, false, b"hello")])
             .unwrap();
         assert!(r.stream_done(0));
         // Duplicate arrives late: no double count.
-        r.on_packet(2, &[stream_frame(0, 0, false, b"hello")])
+        r.on_packet(2, [stream_frame(0, 0, false, b"hello")])
             .unwrap();
         assert_eq!(r.total_delivered(), 10);
         assert_eq!(r.read(0), b"helloworld");
@@ -411,14 +405,13 @@ mod tests {
     #[test]
     fn reads_the_contiguous_prefix_and_drains_it() {
         let mut r = DataReceiver::new(1 << 20, 1 << 20);
-        r.on_packet(0, &[stream_frame(0, 0, false, b"abc")])
-            .unwrap();
-        r.on_packet(1, &[stream_frame(0, 6, true, b"ghi")]).unwrap();
+        r.on_packet(0, [stream_frame(0, 0, false, b"abc")]).unwrap();
+        r.on_packet(1, [stream_frame(0, 6, true, b"ghi")]).unwrap();
         assert_eq!(r.read(0), b"abc");
         r.consume(0, 2);
         assert_eq!(r.read(0), b"c");
         assert_eq!(r.window(0), (7, 1 << 20, 2), "c, a gap of 3, ghi");
-        r.on_packet(2, &[stream_frame(0, 0, false, b"abcdef")])
+        r.on_packet(2, [stream_frame(0, 0, false, b"abcdef")])
             .unwrap();
         assert_eq!(r.read(0), b"cdefghi");
         r.consume(0, 7);
@@ -435,27 +428,26 @@ mod tests {
     fn data_past_an_advertised_limit_is_refused_whole() {
         let mut r = DataReceiver::new(1_000, 400);
         assert_eq!(
-            r.on_packet(0, &[stream_frame(0, 395, false, &[1; 6])]),
+            r.on_packet(0, [stream_frame(0, 395, false, &[1; 6])]),
             Err(ConnectionError::FLOW_CONTROL)
         );
         let hostile = stream_frame(4, (1 << 62) - 2, false, &[1; 2]);
         assert_eq!(
-            r.on_packet(1, &[hostile]),
+            r.on_packet(1, [hostile]),
             Err(ConnectionError::FLOW_CONTROL)
         );
-        assert_eq!((r.peak_held(), r.stream_ids()), (0, vec![]));
-        assert!(r.control_payload().is_none(), "nothing acknowledged");
+        assert_eq!((r.peak_held(), r.stream_ids().count()), (0, 0));
+        assert!(control(&mut r).is_none(), "nothing acknowledged");
         // Up to the limit is fine; the connection limit counts the highest
         // byte of each stream, gaps included.
-        r.on_packet(2, &[stream_frame(0, 399, false, &[1])])
-            .unwrap();
-        r.on_packet(3, &[stream_frame(4, 300, false, &[1; 100])])
+        r.on_packet(2, [stream_frame(0, 399, false, &[1])]).unwrap();
+        r.on_packet(3, [stream_frame(4, 300, false, &[1; 100])])
             .unwrap();
         assert_eq!(
-            r.on_packet(4, &[stream_frame(8, 200, false, &[1; 200])]),
+            r.on_packet(4, [stream_frame(8, 200, false, &[1; 200])]),
             Err(ConnectionError::FLOW_CONTROL)
         );
-        r.on_packet(5, &[stream_frame(8, 0, false, &[1; 200])])
+        r.on_packet(5, [stream_frame(8, 0, false, &[1; 200])])
             .unwrap();
         assert_eq!(r.peak_held(), 1_000);
     }
@@ -463,36 +455,31 @@ mod tests {
     #[test]
     fn ack_payload_carries_ranges_largest_first() {
         let mut r = DataReceiver::new(1 << 20, 1 << 20);
-        r.on_packet(0, &[stream_frame(0, 0, false, b"a")]).unwrap();
-        r.on_packet(2, &[stream_frame(0, 2, false, b"c")]).unwrap();
-        r.on_packet(5, &[Frame::Ping]).unwrap();
-        let payload = r.control_payload().expect("ack pending");
+        r.on_packet(0, [stream_frame(0, 0, false, b"a")]).unwrap();
+        r.on_packet(2, [stream_frame(0, 2, false, b"c")]).unwrap();
+        r.on_packet(5, [Frame::Ping]).unwrap();
+        let payload = control(&mut r).expect("ack pending");
         let frames = Frame::decode_all(&payload).expect("decodes");
-        match &frames[0] {
+        match frames[0] {
             Frame::Ack {
                 largest, ranges, ..
             } => {
-                assert_eq!(*largest, 5);
-                assert_eq!(ranges, &vec![(5, 5), (2, 2), (0, 0)]);
+                assert_eq!(largest, 5);
+                assert_eq!(ranges.iter().collect::<Vec<_>>(), [(5, 5), (2, 2), (0, 0)]);
             }
             other => panic!("expected ack, got {other:?}"),
         }
-        assert!(r.control_payload().is_none(), "drained");
+        assert!(control(&mut r).is_none(), "drained");
     }
 
     #[test]
     fn ack_only_packets_are_not_ack_eliciting() {
         let mut r = DataReceiver::new(1 << 20, 1 << 20);
-        r.on_packet(
-            3,
-            &[Frame::Ack {
-                largest: 7,
-                delay: 0,
-                ranges: vec![(0, 7)],
-            }],
-        )
-        .unwrap();
-        assert!(r.control_payload().is_none(), "no ack-of-ack ping-pong");
+        let mut ack = Writer::new();
+        Frame::encode_ack_single(&mut ack, 7, 0);
+        r.on_packet(3, Frames::parse(ack.as_slice()).unwrap())
+            .unwrap();
+        assert!(control(&mut r).is_none(), "no ack-of-ack ping-pong");
     }
 
     impl DataReceiver {
@@ -540,8 +527,8 @@ mod tests {
         for (offset, fin, data) in &frames {
             fast.on_stream_frame(0, *offset, *fin, data).unwrap();
             slow.on_stream_frame_reference(0, *offset, *fin, data);
-            fast_grants.push(fast.control_payload());
-            slow_grants.push(slow.control_payload());
+            fast_grants.push(control(&mut fast));
+            slow_grants.push(control(&mut slow));
         }
         assert_eq!(fast_grants, slow_grants);
         let granted = fast_grants.iter().filter(|g| g.is_some()).count();
@@ -558,9 +545,9 @@ mod tests {
     fn window_grants_flow_after_half_window_consumed() {
         let mut r = DataReceiver::new(1_000, 400);
         // 300 bytes on stream 0: stream window 400, half = 200 consumed.
-        r.on_packet(0, &[stream_frame(0, 0, false, &[9u8; 300])])
+        r.on_packet(0, [stream_frame(0, 0, false, &[9u8; 300])])
             .unwrap();
-        let payload = r.control_payload().expect("pending");
+        let payload = control(&mut r).expect("pending");
         let frames = Frame::decode_all(&payload).expect("decodes");
         assert!(frames
             .iter()
@@ -568,9 +555,10 @@ mod tests {
         // Connection window 1000: 300 < 500, so only the unchanged limit is
         // re-announced.
         assert!(frames.iter().any(|f| matches!(f, Frame::MaxData(1000))));
-        r.on_packet(1, &[stream_frame(4, 0, false, &[9u8; 250])])
+        r.on_packet(1, [stream_frame(4, 0, false, &[9u8; 250])])
             .unwrap();
-        let frames = Frame::decode_all(&r.control_payload().expect("pending")).expect("decodes");
+        let payload = control(&mut r).expect("pending");
+        let frames = Frame::decode_all(&payload).expect("decodes");
         assert!(frames.iter().any(|f| matches!(f, Frame::MaxData(1550))));
     }
 }

@@ -2,16 +2,16 @@
 //! 1-RTT packets under congestion-window and flow-control gates, ACK-driven
 //! loss recovery with retransmission, and PTO as the timer of last resort.
 //!
-//! The sender is sans-IO: [`DataSender::poll`] produces encoded 1-RTT frame
-//! payloads, the caller seals them (client via
-//! `quic::ClientConnection::send_app_payload`, server via the `AppSession`
-//! seal path) and reports back each packet number with
-//! [`DataSender::record_sent`].
+//! The sender is sans-IO: [`DataSender::poll`] composes each 1-RTT frame
+//! payload in a buffer the caller lends and hands it to the caller's seal
+//! (client: `quic::ClientConnection::seal_app_payload` into the flight it
+//! sends; server: the `AppSession` seal, into the reply batch), which
+//! returns the packet number the sender records it under.
 
 use std::collections::{BTreeMap, VecDeque};
 
 use qcodec::Writer;
-use quic::Frame;
+use quic::{Frame, Seal};
 use telemetry::EventKind;
 
 use crate::cc::{NewReno, MAX_DATAGRAM};
@@ -111,9 +111,6 @@ pub struct DataSender {
     streams: BTreeMap<u64, SendStream>,
     conn_tx: TxFlow,
     pacer: Option<Pacer>,
-    /// Metadata for payloads produced by `poll` but not yet `record_sent`:
-    /// paced send time and the span carried.
-    pending: VecDeque<(u64, ChunkRef)>,
     /// `Some` once a driver asked for it ([`DataSender::enable_journal`]).
     journal: Option<Journal>,
     rounds_without_progress: u32,
@@ -121,8 +118,6 @@ pub struct DataSender {
     default_stream_window: u64,
     chunk_bytes: u64,
     sched: Scheduler,
-    /// A generated chunk's bytes, reused across `poll` calls.
-    chunk_scratch: Vec<u8>,
     /// Source bytes held across all streams, and their high-water mark.
     held: u64,
     peak_held: u64,
@@ -149,14 +144,12 @@ impl DataSender {
             streams: BTreeMap::new(),
             conn_tx: TxFlow::new(conn_limit),
             pacer: None,
-            pending: VecDeque::new(),
             journal: None,
             rounds_without_progress: 0,
             pto_count: 0,
             default_stream_window,
             chunk_bytes: CHUNK_BYTES,
             sched: Scheduler::new(sched),
-            chunk_scratch: Vec::new(),
             held: 0,
             peak_held: 0,
             #[cfg(debug_assertions)]
@@ -274,11 +267,12 @@ impl DataSender {
             .any(|s| s.next_new < s.len || (s.fin && !s.fin_sent))
     }
 
-    /// Processes an ACK frame's ranges at flow time `now_us`, feeding the
-    /// congestion controller, requeueing lost spans (skipping spans that a
-    /// later ACK already covered — the spurious-loss dedup), and emitting
+    /// Processes an ACK frame's ranges (largest first, as
+    /// `quic::AckRanges::iter` yields them) at flow time `now_us`, feeding
+    /// the congestion controller, requeueing lost spans (skipping spans that
+    /// a later ACK already covered — the spurious-loss dedup), and emitting
     /// telemetry events.
-    pub fn on_ack(&mut self, ranges: &[(u64, u64)], now_us: u64) {
+    pub fn on_ack(&mut self, ranges: impl IntoIterator<Item = (u64, u64)>, now_us: u64) {
         let res = self.recovery.on_ack(ranges, now_us);
         if res.newly_acked.is_empty() && res.lost.is_empty() && res.spurious.is_empty() {
             return;
@@ -470,11 +464,22 @@ impl DataSender {
         })
     }
 
-    /// Builds as many 1-RTT frame payloads as the congestion window, flow
-    /// credit, and pacer allow at flow time `now_us`. Call
-    /// [`DataSender::record_sent`] once per payload after sealing, in order.
-    pub fn poll(&mut self, now_us: u64) -> Vec<Vec<u8>> {
-        let mut out = Vec::new();
+    /// Sends as many 1-RTT packets as the congestion window, flow credit
+    /// and pacer allow at flow time `now_us`. Each packet's STREAM frame is
+    /// written into `payload` after what it holds — frames there (an ACK,
+    /// window grants) ride in front of the first packet's, and only the
+    /// STREAM frame counts against the window — then `seal` seals the
+    /// payload as one packet and returns its packet number, under which the
+    /// packet is recorded for loss detection, and the payload is cleared.
+    /// Returns how many packets were sent; `None` when `seal` refused one
+    /// (the connection cannot send), with `payload` cleared.
+    pub fn poll(
+        &mut self,
+        now_us: u64,
+        payload: &mut Writer,
+        seal: &mut Seal<'_>,
+    ) -> Option<usize> {
+        let mut sent = 0;
         let rtt = self.recovery.rtt().smoothed_us();
         loop {
             if !self.cc.can_send(MAX_DATAGRAM) {
@@ -495,27 +500,28 @@ impl DataSender {
                 None => now_us,
             };
             let s = self.streams.get(&chunk.stream).expect("stream exists");
-            let data = &mut self.chunk_scratch;
-            data.clear();
-            s.source.fill(chunk.offset, chunk.len, data);
-            let mut w = Writer::with_capacity(chunk.len as usize + 16);
-            Frame::encode_stream(&mut w, chunk.stream, chunk.offset, chunk.fin, data);
-            let payload = w.into_vec();
-            let bytes = payload.len() as u64;
+            let start = payload.len();
+            Frame::encode_stream_header(
+                payload,
+                chunk.stream,
+                chunk.offset,
+                chunk.fin,
+                chunk.len as usize,
+            );
+            s.source.fill(chunk.offset, chunk.len, payload.as_mut_vec());
+            let bytes = (payload.len() - start) as u64;
             self.cc.on_packet_sent(bytes);
-            self.pending.push_back((send_us, chunk));
-            out.push(payload);
+            let pn = seal(payload.as_slice());
+            payload.clear();
+            self.record_sent(pn?, send_us, chunk, bytes);
+            sent += 1;
         }
-        out
+        Some(sent)
     }
 
-    /// Ties the sealed packet number `pn` to the oldest pending payload from
-    /// [`DataSender::poll`]. `bytes` is the payload length that was sealed.
-    pub fn record_sent(&mut self, pn: u64, bytes: u64) {
-        let (send_us, chunk) = self
-            .pending
-            .pop_front()
-            .expect("record_sent without a pending payload");
+    /// Records the packet `pn` sealed at `send_us`, carrying `chunk` in a
+    /// STREAM frame of `bytes`.
+    fn record_sent(&mut self, pn: u64, send_us: u64, chunk: ChunkRef, bytes: u64) {
         #[cfg(debug_assertions)]
         self.check_sent(chunk, bytes);
         self.recovery.on_packet_sent(SentPacket {
@@ -566,8 +572,7 @@ impl DataSender {
 
     /// True when every enqueued stream (with its FIN) is fully acknowledged.
     pub fn all_acked(&self) -> bool {
-        self.pending.is_empty()
-            && self.recovery.in_flight_count() == 0
+        self.recovery.in_flight_count() == 0
             && self.streams.values().all(|s| !s.fin || s.fully_acked())
             && !self.has_unsent_new_data()
             && self.streams.values().all(|s| s.retransmit.is_empty())
@@ -625,6 +630,7 @@ impl DataSender {
 mod tests {
     use super::*;
     use crate::host::bulk_body_byte;
+    use quic::Frames;
 
     fn sender(conn_limit: u64, stream_window: u64) -> DataSender {
         let mut s = DataSender::new(30_000, conn_limit, stream_window, SchedKind::IdOrder);
@@ -632,15 +638,16 @@ mod tests {
         s
     }
 
+    /// Polls `s`, sealing each payload under the next packet number.
     fn seal_all(s: &mut DataSender, next_pn: &mut u64, now: u64) -> Vec<(u64, Vec<u8>)> {
-        let payloads = s.poll(now);
         let mut sealed = Vec::new();
-        for p in payloads {
-            let pn = *next_pn;
+        let mut payload = Writer::new();
+        let sent = s.poll(now, &mut payload, &mut |p| {
+            sealed.push((*next_pn, p.to_vec()));
             *next_pn += 1;
-            s.record_sent(pn, p.len() as u64);
-            sealed.push((pn, p));
-        }
+            Some(*next_pn - 1)
+        });
+        assert_eq!(sent, Some(sealed.len()));
         sealed
     }
 
@@ -653,7 +660,10 @@ mod tests {
         // 2000 bytes of connection credit = 1100 + 900.
         assert_eq!(sent.len(), 2);
         assert!(s.blocked_at_max_data());
-        assert!(s.poll(0).is_empty(), "no credit, nothing to send");
+        assert!(
+            seal_all(&mut s, &mut pn, 0).is_empty(),
+            "no credit, nothing to send"
+        );
         s.set_max_data(10_000);
         assert!(!s.blocked_at_max_data());
         let more = seal_all(&mut s, &mut pn, 1_000);
@@ -681,7 +691,7 @@ mod tests {
         let cwnd_before = s.cc().cwnd();
         // ACK only the newest packets: pn 0..=1 fall ≥3 behind → lost.
         let largest = pn - 1;
-        s.on_ack(&[(largest - 1, largest)], 30_000);
+        s.on_ack([(largest - 1, largest)], 30_000);
         assert!(s.cc().cwnd() < cwnd_before, "loss must collapse the window");
         assert_eq!(s.cc().ssthresh(), s.cc().cwnd());
         let events = s.take_events();
@@ -705,14 +715,14 @@ mod tests {
         let sent = seal_all(&mut s, &mut pn, 0);
         assert_eq!(sent.len(), 3);
         // ACK pn 4 (nothing of ours)… then a gap ACK declares 0 lost.
-        s.on_ack(&[(2, 2)], 30_000); // pn 2 acked; 0 and 1 stay (below threshold? 2-0=2 <3) wait
-                                     // pn 0,1 remain in flight. Time-threshold them via a stale ACK later.
-        s.on_ack(&[(1, 2)], 100_000); // pn1 acked late; pn0 now stale → lost
-                                      // The "lost" pn 0 chunk is requeued…
-                                      // …but a late ACK for pn 0 arrives before retransmission goes out:
-        s.on_ack(&[(0, 2)], 101_000);
+        s.on_ack([(2, 2)], 30_000); // pn 2 acked; 0 and 1 stay (below threshold? 2-0=2 <3) wait
+                                    // pn 0,1 remain in flight. Time-threshold them via a stale ACK later.
+        s.on_ack([(1, 2)], 100_000); // pn1 acked late; pn0 now stale → lost
+                                     // The "lost" pn 0 chunk is requeued…
+                                     // …but a late ACK for pn 0 arrives before retransmission goes out:
+        s.on_ack([(0, 2)], 101_000);
         // Retransmission must be suppressed because span 0..1100 is acked.
-        let re = s.poll(102_000);
+        let re = seal_all(&mut s, &mut pn, 102_000);
         assert!(
             re.is_empty(),
             "acked span must not be retransmitted: {}",
@@ -738,7 +748,7 @@ mod tests {
             .iter()
             .any(|e| matches!(e, EventKind::PacketLost { trigger: "pto", .. })));
         // Acks for the retransmissions complete the stream.
-        s.on_ack(&[(2, 3)], 120_000);
+        s.on_ack([(2, 3)], 120_000);
         assert!(s.all_acked());
         assert_eq!(s.take_completed(), vec![(0, 120_000)]);
     }
@@ -757,10 +767,10 @@ mod tests {
         s.enqueue(0, &[6u8; 20_000], true);
         let mut pn = 0;
         seal_all(&mut s, &mut pn, 0);
-        s.on_ack(&[(pn - 2, pn - 1)], 30_000); // losses and a cwnd update
+        s.on_ack([(pn - 2, pn - 1)], 30_000); // losses and a cwnd update
         for round in 2..40u64 {
             seal_all(&mut s, &mut pn, round * 30_000);
-            s.on_ack(&[(0, pn - 1)], (round + 1) * 30_000);
+            s.on_ack([(0, pn - 1)], (round + 1) * 30_000);
         }
         assert!(s.all_acked());
         assert!(s.journal.is_none());
@@ -812,21 +822,25 @@ mod tests {
                 continue;
             }
             for (p, payload) in arrived {
-                r.on_packet(p, &Frame::decode_all(&payload).expect("own encoding"))
+                r.on_packet(p, Frames::parse(&payload).expect("own encoding"))
                     .expect("within the limits");
             }
             let n = r.read(0).len();
             read.extend_from_slice(r.read(0));
             r.consume(0, n);
-            let control = r.control_payload().expect("ack-eliciting packets arrived");
-            let frames = Frame::decode_all(&control).expect("own encoding");
-            for f in &frames {
+            let mut control = Writer::new();
+            assert!(
+                r.control_into(&mut control),
+                "ack-eliciting packets arrived"
+            );
+            let frames = Frames::parse(control.as_slice()).expect("own encoding");
+            for f in frames {
                 if let Frame::Ack { ranges, .. } = f {
-                    most_ranges = most_ranges.max(ranges.len());
+                    most_ranges = most_ranges.max(ranges.iter().count());
                 }
             }
             let lost_before = s.recovery.lost_pns();
-            crate::workload::dispatch_packet(&frames, &mut s, now + 30_000);
+            crate::workload::dispatch_packet(frames, &mut s, now + 30_000);
             let lost_after = s.recovery.lost_pns();
             spurious_seen |= lost_before.iter().any(|p| !lost_after.contains(p));
             if s.all_acked() {
@@ -873,8 +887,8 @@ mod tests {
             if pn_a > 0 {
                 // Acknowledge only the newest packet: older ones are lost
                 // and come back as regenerated retransmissions.
-                buffered.on_ack(&[(pn_a - 1, pn_a - 1)], now + 30_000);
-                bulk.on_ack(&[(pn_b - 1, pn_b - 1)], now + 30_000);
+                buffered.on_ack([(pn_a - 1, pn_a - 1)], now + 30_000);
+                bulk.on_ack([(pn_b - 1, pn_b - 1)], now + 30_000);
             }
         }
         assert!(
@@ -929,16 +943,17 @@ mod tests {
         }
     }
 
-    /// Stream id of each payload queued by `poll`, in emission order.
+    /// Stream id of each packet `poll` sends, in emission order.
     fn polled_streams(s: &mut DataSender, next_pn: &mut u64, now: u64) -> Vec<u64> {
-        let payloads = s.poll(now);
-        let order: Vec<u64> = s.pending.iter().map(|(_, chunk)| chunk.stream).collect();
-        for p in payloads {
-            let pn = *next_pn;
-            *next_pn += 1;
-            s.record_sent(pn, p.len() as u64);
-        }
-        order
+        seal_all(s, next_pn, now)
+            .iter()
+            .map(
+                |(_, p)| match Frame::decode_all(p).expect("own encoding")[..] {
+                    [Frame::Stream { id, .. }] => id,
+                    ref other => panic!("one STREAM frame per packet: {other:?}"),
+                },
+            )
+            .collect()
     }
 
     #[test]
@@ -986,12 +1001,12 @@ mod tests {
             // declared lost on both streams, queueing retransmissions while
             // new data is still pending under the collapsed window.
             let largest = pn - 1;
-            s.on_ack(&[(largest - 1, largest)], 30_000);
+            s.on_ack([(largest - 1, largest)], 30_000);
             for round in 1..40u64 {
                 let more = polled_streams(&mut s, &mut pn, 30_000 + round * 30_000);
                 order.extend(&more);
                 let largest = pn - 1;
-                s.on_ack(&[(0, largest)], 60_000 + round * 30_000);
+                s.on_ack([(0, largest)], 60_000 + round * 30_000);
                 if s.all_acked() {
                     break;
                 }
@@ -1019,7 +1034,7 @@ mod tests {
         assert!(!first.is_empty());
         // ack everything so cwnd isn't the limiter, then poll later.
         let largest = pn - 1;
-        s.on_ack(&[(0, largest)], 30_000);
+        s.on_ack([(0, largest)], 30_000);
         let more = seal_all(&mut s, &mut pn, 200_000);
         assert!(!more.is_empty());
     }

@@ -18,7 +18,7 @@
 use qcodec::Writer;
 use quic::{ClientConnection, Frame, Version};
 use simnet::addr::Ipv4Addr;
-use simnet::{fan_out, DatagramArena, Duration, LinkProfile, NetShard, Network, SocketAddr};
+use simnet::{fan_out, Datagrams, Duration, LinkProfile, NetShard, Network, SocketAddr};
 use telemetry::{Event, EventKind, TraceCtx};
 
 use crate::host::{
@@ -338,28 +338,36 @@ pub(crate) fn client_config(server_name: &str) -> quic::ClientConfig {
     }
 }
 
-/// Sends one client flight GSO-style and feeds every reply back into the
-/// connection. One endpoint lookup and at most one service-lock acquisition
-/// per flight; byte-equivalent to the per-datagram loop by `simnet`'s shared
-/// flight pipeline. Returns the reply count and total reply bytes (the
-/// serve-path cost-model inputs).
-pub(crate) fn exchange_flight(
-    shard: &mut NetShard<'_>,
-    src: SocketAddr,
-    dst: SocketAddr,
-    flight: Vec<Vec<u8>>,
-    arena: &mut DatagramArena,
-    conn: &mut ClientConnection,
-) -> (u64, u64) {
-    let _ = shard.udp_send_batch(src, dst, &flight, arena);
-    let mut count = 0u64;
-    let mut bytes = 0u64;
-    for r in shard.udp_recv_batch(arena) {
-        count += 1;
-        bytes += r.len() as u64;
-        conn.on_datagram(&r);
+/// What a worker lends the client connections it drives, turn by turn:
+/// the flight a connection sends, the replies it gets, the buffer their
+/// packets are opened into, and the frame payload a packet is composed in.
+/// Held by the worker and cleared each turn, so no connection keeps a
+/// flight's capacity between its turns, and once the buffers have grown to
+/// a flight's size a turn allocates nothing for its datagrams.
+#[derive(Default)]
+pub(crate) struct Scratch {
+    pub(crate) flight: Datagrams,
+    pub(crate) replies: Datagrams,
+    pub(crate) open: Vec<u8>,
+    pub(crate) payload: Writer,
+}
+
+impl Scratch {
+    /// Appends the datagrams `conn` queued to the flight.
+    pub(crate) fn take_queued(&mut self, conn: &mut ClientConnection) {
+        let (buf, ends) = self.flight.parts_mut();
+        conn.poll_transmit_into(buf, ends);
     }
-    (count, bytes)
+
+    /// Sends the flight GSO-style and gathers the replies: one endpoint
+    /// lookup and at most one service-lock acquisition per flight,
+    /// byte-equivalent to the per-datagram loop by `simnet`'s shared flight
+    /// pipeline. The flight is cleared.
+    fn send(&mut self, shard: &mut NetShard<'_>, src: SocketAddr, dst: SocketAddr) {
+        self.replies.clear();
+        let _ = shard.udp_send_flight(src, dst, &self.flight, &mut self.replies);
+        self.flight.clear();
+    }
 }
 
 /// Runs the handshake rounds until the server *confirms* completion with
@@ -377,43 +385,45 @@ pub(crate) fn drive_handshake(
     conn: &mut ClientConnection,
     src: SocketAddr,
     dst: SocketAddr,
-    arena: &mut DatagramArena,
+    scratch: &mut Scratch,
 ) -> bool {
+    scratch.flight.clear();
     for _ in 0..24 {
         if conn.handshake_done() {
             return true;
         }
-        let mut out = conn.poll_transmit();
-        if out.is_empty() {
+        scratch.take_queued(conn);
+        if scratch.flight.is_empty() {
             // Peer silent (a flight was lost): charge a probe-timeout wait
             // and retransmit.
             shard.advance(shard.rtt());
             if !conn.on_pto() {
                 break;
             }
-            out = conn.poll_transmit();
-            if out.is_empty() {
+            scratch.take_queued(conn);
+            if scratch.flight.is_empty() {
                 break;
             }
         }
-        exchange_flight(shard, src, dst, out, arena, conn);
+        scratch.send(shard, src, dst);
+        for reply in scratch.replies.iter() {
+            conn.on_datagram_in(reply, &mut scratch.open);
+        }
     }
     conn.handshake_done()
 }
 
-fn ping_payload() -> Vec<u8> {
-    let mut w = Writer::with_capacity(1);
-    Frame::Ping.encode(&mut w);
-    w.into_vec()
-}
-
 /// Routes one received app packet's ACK and window grants into a sender.
-pub(crate) fn dispatch_packet(frames: &[Frame], sender: &mut DataSender, now_us: u64) {
+pub(crate) fn dispatch_packet<'a>(
+    frames: impl IntoIterator<Item = Frame<'a>>,
+    sender: &mut DataSender,
+    now_us: u64,
+) {
     for f in frames {
         match f {
-            Frame::Ack { ranges, .. } => sender.on_ack(ranges, now_us),
-            Frame::MaxData(limit) => sender.set_max_data(*limit),
-            Frame::MaxStreamData { id, max } => sender.set_max_stream_data(*id, *max),
+            Frame::Ack { ranges, .. } => sender.on_ack(ranges.iter(), now_us),
+            Frame::MaxData(limit) => sender.set_max_data(limit),
+            Frame::MaxStreamData { id, max } => sender.set_max_stream_data(id, max),
             _ => {}
         }
     }
@@ -448,6 +458,9 @@ fn bulk_download<'net>(cfg: &WorkloadConfig, topo: &'net Topology, task: usize) 
     }
 }
 
+/// The one PING frame the RTC client probes a silent server with.
+const PING: [u8; 1] = [0x01];
+
 struct RtcOutcome {
     /// Per-frame ack latency (µs), frame order.
     latencies: Vec<u64>,
@@ -455,7 +468,7 @@ struct RtcOutcome {
 }
 
 fn run_rtc_task(
-    shard: &mut NetShard<'_>,
+    (shard, scratch): &mut (NetShard<'_>, Scratch),
     cfg: &WorkloadConfig,
     topo: &Topology,
     task: usize,
@@ -474,18 +487,16 @@ fn run_rtc_task(
     );
     let mut ctx = TraceCtx::new(task as u64, format!("{:?}", host.addr.ip), None);
 
-    let mut arena = DatagramArena::new();
     let mut conn = ClientConnection::new(
         client_config(&host.name),
         cfg.seed ^ 0x5bd1 ^ (task as u64) << 1,
     );
-    if !drive_handshake(shard, &mut conn, src, host.addr, &mut arena) {
+    if !drive_handshake(shard, &mut conn, src, host.addr, scratch) {
         return RtcOutcome {
             latencies: Vec::new(),
             events: ctx.finish(),
         };
     }
-    conn.enable_app_frames();
 
     let start_us = shard.now().0;
     let rtt_us = shard.rtt().0;
@@ -515,8 +526,15 @@ fn run_rtc_task(
             sender.enqueue(sid, &frame_bytes, true);
             next_frame += 1;
         }
-        let payloads = sender.poll(now);
-        if payloads.is_empty() {
+        // What the connection queued goes first; a flight not sent this
+        // round (paced out) waits for the next.
+        scratch.take_queued(&mut conn);
+        let (flight, payload) = (&mut scratch.flight, &mut scratch.payload);
+        let mut seal = |frames: &[u8]| flight.push_with(|buf| conn.seal_app_payload(frames, buf));
+        payload.clear();
+        let sent = sender.poll(now, payload, &mut seal);
+        let mut exchange = sent != Some(0);
+        if sent == Some(0) {
             if next_frame >= cfg.rtc_frames && sender.all_acked() {
                 break;
             }
@@ -524,17 +542,10 @@ fn run_rtc_task(
             if sender.in_flight_count() > 0 && stall.is_multiple_of(3) {
                 // Probe: elicits the server's ACK state and runs our PTO.
                 sender.on_silent_round(now);
-                if conn.send_app_payload(&ping_payload()).is_none() {
+                if seal(&PING).is_none() {
                     break;
                 }
-                exchange_flight(
-                    shard,
-                    src,
-                    host.addr,
-                    conn.poll_transmit(),
-                    &mut arena,
-                    &mut conn,
-                );
+                exchange = true;
             } else if sender.has_queued_data() || sender.in_flight_count() > 0 {
                 // Paced out (or waiting for an ack): let flow time advance.
                 shard.advance(Duration::from_micros(rtt_us));
@@ -547,25 +558,18 @@ fn run_rtc_task(
             }
         } else {
             stall = 0;
-            for payload in payloads {
-                let Some(pn) = conn.send_app_payload(&payload) else {
-                    break;
-                };
-                sender.record_sent(pn, payload.len() as u64);
+        }
+        if exchange {
+            scratch.send(shard, src, host.addr);
+            let now = shard.now().0 - start_us;
+            for reply in scratch.replies.iter() {
+                conn.on_datagram_with(reply, &mut scratch.open, &mut |_, frames| {
+                    dispatch_packet(frames, &mut sender, now);
+                    Ok(())
+                });
             }
-            exchange_flight(
-                shard,
-                src,
-                host.addr,
-                conn.poll_transmit(),
-                &mut arena,
-                &mut conn,
-            );
         }
         let now = shard.now().0 - start_us;
-        for pkt in conn.take_app_packets() {
-            dispatch_packet(&pkt.frames, &mut sender, now);
-        }
         for (sid, done_at) in sender.take_completed() {
             let gen = gen_time.get(&sid).copied().unwrap_or(done_at);
             let latency = done_at.saturating_sub(gen).max(1);
@@ -607,8 +611,8 @@ pub fn run(cfg: &WorkloadConfig) -> WorkloadReport {
     let (bulk_results, _) = fan_out(
         cfg.bulk_tasks(),
         cfg.workers,
-        || (),
-        |_, i| MuxConn::run(bulk_download(cfg, &topo, i)),
+        Scratch::default,
+        |scratch, i| MuxConn::run(bulk_download(cfg, &topo, i), scratch),
     );
     let mut bulk = BulkReport::default();
     let per_cell = cfg.bulk_sizes.len() * cfg.bulk_conns_per_cell;
@@ -643,8 +647,8 @@ pub fn run(cfg: &WorkloadConfig) -> WorkloadReport {
     let (rtc_results, _) = fan_out(
         cfg.rtc_tasks(),
         cfg.workers,
-        || topo.net.shard(),
-        |shard, i| run_rtc_task(shard, cfg, &topo, i),
+        || (topo.net.shard(), Scratch::default()),
+        |worker, i| run_rtc_task(worker, cfg, &topo, i),
     );
     let mut rtc = RtcReport::default();
     for (c, cell) in cells.iter().enumerate() {

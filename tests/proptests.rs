@@ -124,7 +124,7 @@ proptest! {
         fin in any::<bool>(),
         data in proptest::collection::vec(any::<u8>(), 0..500),
     ) {
-        let frame = Frame::Stream { id, offset, fin, data };
+        let frame = Frame::Stream { id, offset, fin, data: &data };
         let mut w = Writer::new();
         frame.encode(&mut w);
         let decoded = Frame::decode_all(w.as_slice()).expect("decodable");
@@ -136,7 +136,7 @@ proptest! {
         offset in 0u64..(1 << 40),
         data in proptest::collection::vec(any::<u8>(), 1..800),
     ) {
-        let frame = Frame::Crypto { offset, data };
+        let frame = Frame::Crypto { offset, data: &data };
         let mut w = Writer::new();
         frame.encode(&mut w);
         prop_assert_eq!(Frame::decode_all(w.as_slice()).unwrap(), vec![frame]);
