@@ -790,10 +790,12 @@ mod tests {
         let mut net = Network::new(7);
         net.set_lazy_binder(Box::new(OddEcho), Some(8));
         let mut shard = net.shard();
-        let mut arena = crate::net::DatagramArena::new();
-        let flight: Vec<Vec<u8>> = (0..10u8).map(|i| vec![i]).collect();
-        shard.udp_send_batch(addr(9, 7), addr(1, 443), &flight, &mut arena);
-        assert_eq!(arena.replies.len(), 10);
+        let (mut flight, mut replies) = (crate::Datagrams::new(), crate::Datagrams::new());
+        for i in 0..10u8 {
+            flight.push(&[i]);
+        }
+        shard.udp_send_flight(addr(9, 7), addr(1, 443), &flight, &mut replies);
+        assert_eq!(replies.len(), 10);
         assert_eq!(shard.finish().acquired, 1);
     }
 
@@ -862,13 +864,17 @@ mod tests {
                 }
             }
             let mut shard = net.shard();
-            let (mut out, mut arena) = (Vec::new(), crate::net::DatagramArena::new());
-            let flight: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i]).collect();
+            let (mut out, mut flight, mut replies) =
+                (Vec::new(), crate::Datagrams::new(), crate::Datagrams::new());
+            for i in 0..4u8 {
+                flight.push(&[i]);
+            }
             for src in 200..204u8 {
                 for last in 0..64u8 {
                     let (src, dst) = (addr(src, 9000), addr(last, 443));
                     shard.udp_send_into(src, dst, b"ping", &mut out);
-                    shard.udp_send_batch(src, dst, &flight, &mut arena);
+                    replies.clear();
+                    shard.udp_send_flight(src, dst, &flight, &mut replies);
                 }
             }
             let c = shard.finish();

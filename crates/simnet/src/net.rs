@@ -1145,16 +1145,19 @@ mod tests {
         }
         let t_singles = shard.now();
         shard.finish();
-        // Batch.
+        // Batch, replies appended after what the batch holds.
         let net2 = nasty_net();
         let mut shard2 = net2.shard();
-        let mut arena = DatagramArena::new();
-        let status = shard2.udp_send_batch(addr(9, 7), addr(1, 443), &flight, &mut arena);
-        let batched: Vec<Vec<u8>> = shard2.udp_recv_batch(&mut arena).collect();
+        let mut batch = Datagrams::new();
+        batch.extend(flight.iter().map(Vec::as_slice));
+        let mut replies = Datagrams::new();
+        replies.push(b"earlier");
+        let status = shard2.udp_send_flight(addr(9, 7), addr(1, 443), &batch, &mut replies);
         let t_batch = shard2.now();
         shard2.finish();
         assert_eq!(status, folded);
-        assert_eq!(batched, singles);
+        assert_eq!(replies.get(0), b"earlier");
+        assert!(replies.iter().skip(1).eq(singles.iter().map(Vec::as_slice)));
         assert_eq!(t_batch, t_singles, "same per-datagram clock charges");
         // And the shared flow counter ends at the same point.
         assert_eq!(
@@ -1223,9 +1226,11 @@ mod tests {
         let mut net = Network::new(1);
         net.bind_udp(addr(1, 443), Box::new(Echo));
         let mut shard = net.shard();
-        let mut arena = DatagramArena::new();
-        let flight: Vec<Vec<u8>> = (0..10u8).map(|i| vec![i]).collect();
-        shard.udp_send_batch(addr(9, 7), addr(1, 443), &flight, &mut arena);
+        let (mut flight, mut replies) = (Datagrams::new(), Datagrams::new());
+        for i in 0..10u8 {
+            flight.push(&[i]);
+        }
+        shard.udp_send_flight(addr(9, 7), addr(1, 443), &flight, &mut replies);
         let mut out = Vec::new();
         shard.udp_send_into(addr(9, 7), addr(1, 443), b"x", &mut out);
         // An unbound destination costs no acquisition.
@@ -1235,51 +1240,6 @@ mod tests {
         assert_eq!(c.contended, 0, "single worker never contends");
         let crosses = route(&addr(9, 7)) != route(&addr(1, 443));
         assert_eq!(c.cross_shard, if crosses { 11 } else { 0 });
-    }
-
-    /// A reply handed back with `recycle` carries a later flight's reply,
-    /// and neither joins nor disturbs the replies already gathered.
-    #[test]
-    fn arena_reuses_recycled_buffers() {
-        let mut net = Network::new(1);
-        net.bind_udp(addr(1, 443), Box::new(Echo));
-        let mut shard = net.shard();
-        let mut arena = DatagramArena::new();
-        let consumed = Vec::with_capacity(64);
-        let at = consumed.as_ptr();
-        arena.recycle(consumed);
-        assert!(arena.replies.is_empty());
-        shard.udp_send_batch(addr(9, 1), addr(1, 443), &[b"abc".to_vec()], &mut arena);
-        let replies: Vec<Vec<u8>> = shard.udp_recv_batch(&mut arena).collect();
-        assert_eq!(replies, [b"cba".to_vec()]);
-        assert_eq!(replies[0].as_ptr(), at, "the recycled buffer");
-    }
-
-    /// Replies gathered in one batch read the same through the flight API
-    /// as through the arena's separate buffers.
-    #[test]
-    fn flight_replies_match_the_arena() {
-        let flight: Vec<Vec<u8>> = (0..40u8).map(|i| vec![b'p', i]).collect();
-        let net = nasty_net();
-        let mut shard = net.shard();
-        let mut arena = DatagramArena::new();
-        let status = shard.udp_send_batch(addr(9, 7), addr(1, 443), &flight, &mut arena);
-        let separate: Vec<Vec<u8>> = shard.udp_recv_batch(&mut arena).collect();
-        let net2 = nasty_net();
-        let mut shard2 = net2.shard();
-        let mut batch = Datagrams::new();
-        batch.extend(flight.iter().map(Vec::as_slice));
-        let mut replies = Datagrams::new();
-        replies.push(b"earlier");
-        assert_eq!(
-            shard2.udp_send_flight(addr(9, 7), addr(1, 443), &batch, &mut replies),
-            status
-        );
-        assert_eq!(replies.get(0), b"earlier", "replies are appended");
-        assert!(replies
-            .iter()
-            .skip(1)
-            .eq(separate.iter().map(Vec::as_slice)));
     }
 
     /// Stats flushed by a dropped (panicking-path) shard still reach the
