@@ -200,8 +200,6 @@ pub struct Endpoint {
     /// depends on how many other flows arrived first — the property that
     /// keeps parallel scan results identical at any worker count.
     seed: u64,
-    /// The buffer every connection's received packets are opened into.
-    payload: Vec<u8>,
 }
 
 /// Soft cap on simultaneously tracked connections per endpoint. Past the cap
@@ -245,7 +243,6 @@ impl Endpoint {
             conns: HashMap::new(),
             activity: 0,
             seed,
-            payload: Vec::new(),
         }
     }
 
@@ -271,14 +268,17 @@ impl Endpoint {
     }
 
     /// Hands `datagram` to the connection for `from` (if any), stamping it
-    /// as the most recently active.
+    /// as the most recently active. Its packets are opened into a buffer
+    /// that lives for the datagram: one kept by the endpoint would stay
+    /// grown in every endpoint a lazy universe holds resident, and a server
+    /// opens few packets next to the ones it seals.
     fn deliver(&mut self, from: u128, datagram: &[u8], out: &mut Out<'_>) {
         let Some(conn) = self.conns.get_mut(&from) else {
             return;
         };
         self.activity += 1;
         conn.last_active = self.activity;
-        conn.on_datagram(datagram, &self.config, &mut self.payload, out);
+        conn.on_datagram(datagram, &self.config, &mut Vec::new(), out);
     }
 
     /// Processes one datagram from the flow identified by `from` (an opaque
