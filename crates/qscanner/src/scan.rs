@@ -61,8 +61,9 @@ const HTTP_REQUESTS: u32 = 6;
 /// probe timeouts and backoff waits.
 const TARGET_BUDGET_US: u64 = 10_000_000;
 
-/// Replies fed to the connection per flight; the rest are dropped, as a
-/// full socket buffer drops them. The simulated Internet answers a flight
+/// The receive buffer of one flight, in datagrams: replies past it are
+/// dropped on arrival, as a full socket buffer drops them, so the worker's
+/// reply batch never holds them. The simulated Internet answers a flight
 /// with at most three datagrams. Without the cap a flooding peer is
 /// answered datagram for datagram (each carries an ACK), so its flood
 /// would grow by its own factor every round.
@@ -174,9 +175,11 @@ fn exchange(
     let mut got_reply = false;
     let Some(o) = obs else {
         w.replies.clear();
-        let status = w.shard.udp_send_flight(src, dst, &w.flight, &mut w.replies);
+        let status =
+            w.shard
+                .udp_send_flight(src, dst, &w.flight, &mut w.replies, MAX_REPLIES_PER_FLIGHT);
         got_reply = !w.replies.is_empty();
-        for reply in w.replies.iter().take(MAX_REPLIES_PER_FLIGHT) {
+        for reply in w.replies.iter() {
             conn.on_datagram_in(reply, &mut w.payload);
         }
         return (status, got_reply);

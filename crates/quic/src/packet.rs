@@ -98,15 +98,30 @@ pub fn encode_version_negotiation(
     scid: &ConnectionId,
     versions: &[Version],
 ) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.put_u8(0x80 | 0x2a);
-    w.put_u32(0); // version 0 marks VN
-    w.put_vec8(dcid.as_slice());
-    w.put_vec8(scid.as_slice());
-    for v in versions {
-        w.put_u32(v.0);
+    let mut out = Vec::new();
+    encode_version_negotiation_into(&mut out, dcid.as_slice(), scid.as_slice(), versions);
+    out
+}
+
+/// [`encode_version_negotiation`] appended to `out`, where a server writes
+/// its reply batch. Connection IDs are at most 255 bytes (a long header
+/// gives each a one-byte length).
+pub(crate) fn encode_version_negotiation_into(
+    out: &mut Vec<u8>,
+    dcid: &[u8],
+    scid: &[u8],
+    versions: &[Version],
+) {
+    out.push(0x80 | 0x2a);
+    out.extend_from_slice(&0u32.to_be_bytes()); // version 0 marks VN
+    for cid in [dcid, scid] {
+        debug_assert!(cid.len() < 256);
+        out.push(cid.len() as u8);
+        out.extend_from_slice(cid);
     }
-    w.into_vec()
+    for v in versions {
+        out.extend_from_slice(&v.0.to_be_bytes());
+    }
 }
 
 fn long_type_bits(ty: PacketType) -> u8 {

@@ -26,7 +26,7 @@ use qtls::{Level, TlsError, TlsEvent};
 
 use crate::error::{ConnectionError, TransportError};
 use crate::frame::{Frame, Frames};
-use crate::packet::{encode_version_negotiation, ConnectionId, Header};
+use crate::packet::{encode_version_negotiation_into, ConnectionId, Header};
 use crate::space::{PacketSpaces, Role, Space};
 use crate::tparams::TransportParameters;
 use crate::transmit::{split, Out};
@@ -318,12 +318,13 @@ impl Endpoint {
             if datagram.len() < 1200 && !self.config.respond_to_unpadded {
                 return;
             }
-            let vn = encode_version_negotiation(
-                &head.scid, // their SCID becomes our DCID
-                &head.dcid,
+            encode_version_negotiation_into(
+                out.buf(),
+                head.scid.as_slice(), // their SCID becomes our DCID
+                head.dcid.as_slice(),
                 &self.config.vn_advertise,
             );
-            return out.push(&vn);
+            return out.end();
         }
 
         if self.config.vn_only {

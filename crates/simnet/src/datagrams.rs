@@ -86,6 +86,15 @@ impl Datagrams {
         (&mut self.bytes, &mut self.ends)
     }
 
+    /// Keeps the first `len` datagrams and drops the rest (nothing when
+    /// the batch holds no more).
+    pub(crate) fn truncate(&mut self, len: usize) {
+        if len < self.len() {
+            self.bytes.truncate(self.start(len));
+            self.ends.truncate(len);
+        }
+    }
+
     /// Keeps, from datagram `first` on, only those `keep` accepts (it gets
     /// each one's index counted from `first`, and its bytes), closing the
     /// gaps in order.
@@ -140,6 +149,16 @@ mod tests {
         assert_eq!(batch.len(), 4, "writing nothing appends no datagram");
         batch.clear();
         assert!(batch.is_empty() && batch.total_len() == 0);
+    }
+
+    #[test]
+    fn truncate_keeps_a_prefix() {
+        let all: [&[u8]; 3] = [b"a", b"", b"ccc"];
+        for len in 0..=4 {
+            let mut batch = of(&all);
+            batch.truncate(len);
+            assert_eq!(batch, of(&all[..len.min(3)]), "len {len}");
+        }
     }
 
     /// Dropping datagrams from `first` on keeps the earlier ones and the

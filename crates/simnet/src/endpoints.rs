@@ -794,7 +794,7 @@ mod tests {
         for i in 0..10u8 {
             flight.push(&[i]);
         }
-        shard.udp_send_flight(addr(9, 7), addr(1, 443), &flight, &mut replies);
+        shard.udp_send_flight(addr(9, 7), addr(1, 443), &flight, &mut replies, usize::MAX);
         assert_eq!(replies.len(), 10);
         assert_eq!(shard.finish().acquired, 1);
     }
@@ -874,7 +874,7 @@ mod tests {
                     let (src, dst) = (addr(src, 9000), addr(last, 443));
                     shard.udp_send_into(src, dst, b"ping", &mut out);
                     replies.clear();
-                    shard.udp_send_flight(src, dst, &flight, &mut replies);
+                    shard.udp_send_flight(src, dst, &flight, &mut replies, usize::MAX);
                 }
             }
             let c = shard.finish();

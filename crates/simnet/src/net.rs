@@ -83,9 +83,8 @@ pub struct FlightStatus {
 
 /// The reply container of the `Vec<Vec<u8>>` batch API
 /// ([`NetShard::udp_send_batch`] / [`NetShard::udp_recv_batch`]): a
-/// flight's replies, each its own buffer, taken from the buffers callers
-/// hand back with [`DatagramArena::recycle`]. Nothing in the workspace
-/// sends through it any more — flights go out as [`Datagrams`] with
+/// flight's replies, each its own buffer. Nothing in the workspace sends
+/// through it any more — flights go out as [`Datagrams`] with
 /// [`NetShard::udp_send_flight`] — and it stays only while the benchmark's
 /// ladder names it, until ROADMAP item 11(b) retires it.
 #[derive(Default)]
@@ -93,10 +92,6 @@ pub struct DatagramArena {
     /// Replies gathered by the last [`NetShard::udp_send_batch`], in
     /// delivery order.
     pub replies: Vec<Vec<u8>>,
-    /// The last flight's replies as they were delivered.
-    batch: Datagrams,
-    /// Consumed replies handed back, reused for the next flight's.
-    free: Vec<Vec<u8>>,
 }
 
 impl DatagramArena {
@@ -105,11 +100,10 @@ impl DatagramArena {
         DatagramArena::default()
     }
 
-    /// Hands back a consumed reply, whose buffer a later flight's reply
-    /// reuses.
-    pub fn recycle(&mut self, buf: Vec<u8>) {
-        self.free.push(buf);
-    }
+    /// Hands back a consumed reply. Nothing takes buffers from the arena,
+    /// so it is dropped; the method stays for the callers that return
+    /// their replies, until ROADMAP item 11(b) retires it.
+    pub fn recycle(&mut self, _buf: Vec<u8>) {}
 }
 
 /// Handler for datagrams arriving at one bound UDP socket. One instance
@@ -402,7 +396,7 @@ impl NetShard<'_> {
         out: &mut Datagrams,
         trace: Option<&mut TraceCtx>,
     ) -> FlightStatus {
-        self.flight(src, dst, std::iter::once(payload), out, trace)
+        self.flight(src, dst, std::iter::once(payload), out, usize::MAX, trace)
     }
 
     /// Sends one datagram, the probe-module shape: replies, each its own
@@ -430,6 +424,7 @@ impl NetShard<'_> {
             dst,
             std::iter::once(payload),
             &mut replies,
+            usize::MAX,
             None,
         );
         out.extend(replies.iter().map(<[u8]>::to_vec));
@@ -439,24 +434,34 @@ impl NetShard<'_> {
 
     /// Batched send (GSO-style): delivers every datagram of `flight` to
     /// `dst` with one endpoint lookup and at most one service-mutex
-    /// acquisition, *appending* every reply to `replies` in delivery order.
+    /// acquisition, *appending* the replies to `replies` in delivery order.
     /// Per-datagram fault draws are identical to sending the flight one
     /// datagram at a time, so a batch is byte-equivalent to the loop it
     /// replaces.
+    ///
+    /// `room` is the receive buffer: at most that many of the flight's
+    /// replies are kept, and the rest are dropped on arrival, as a full
+    /// socket buffer drops them. The path has carried them by then, so
+    /// traffic counters, fault draws and fault events are those of an
+    /// unbounded receive. The answer to one datagram is gathered whole
+    /// before the drop, so `replies` grows to at most `room` datagrams plus
+    /// the largest answer one datagram draws.
     pub fn udp_send_flight(
         &mut self,
         src: SocketAddr,
         dst: SocketAddr,
         flight: &Datagrams,
         replies: &mut Datagrams,
+        room: usize,
     ) -> FlightStatus {
-        self.flight(src, dst, flight.iter(), replies, None)
+        self.flight(src, dst, flight.iter(), replies, room, None)
     }
 
     /// [`NetShard::udp_send_flight`] for a flight of separate buffers, with
-    /// replace semantics: the arena holds this flight's replies, each in a
-    /// buffer of its own, for [`NetShard::udp_recv_batch`] to drain. Only
-    /// the benchmark's ladder calls it, until ROADMAP item 11(b) retires it.
+    /// replace semantics: the arena holds this flight's replies, each a
+    /// copy in a buffer of its own, for [`NetShard::udp_recv_batch`] to
+    /// drain. Only the benchmark's ladder calls it, until ROADMAP item
+    /// 11(b) retires it.
     pub fn udp_send_batch(
         &mut self,
         src: SocketAddr,
@@ -465,21 +470,19 @@ impl NetShard<'_> {
         arena: &mut DatagramArena,
     ) -> FlightStatus {
         // Stale replies of an undrained batch never leak into this one.
-        arena.free.append(&mut arena.replies);
-        arena.batch.clear();
+        arena.replies.clear();
+        let mut replies = std::mem::take(&mut self.replies);
         let status = self.flight(
             src,
             dst,
             flight.iter().map(Vec::as_slice),
-            &mut arena.batch,
+            &mut replies,
+            usize::MAX,
             None,
         );
-        for reply in arena.batch.iter() {
-            let mut buf = arena.free.pop().unwrap_or_default();
-            buf.clear();
-            buf.extend_from_slice(reply);
-            arena.replies.push(buf);
-        }
+        arena.replies.extend(replies.iter().map(<[u8]>::to_vec));
+        replies.clear();
+        self.replies = replies;
         status
     }
 
@@ -506,15 +509,16 @@ impl NetShard<'_> {
             && !self.net.endpoints.udp_may_exist(dst)
     }
 
-    /// One flight of datagrams from `src` to `dst`, replies appended to
-    /// `out`: counted and dropped at an [`NetShard::unanswered`] address,
-    /// delivered otherwise.
+    /// One flight of datagrams from `src` to `dst`, at most `room` replies
+    /// appended to `out`: counted and dropped at an
+    /// [`NetShard::unanswered`] address, delivered otherwise.
     fn flight<'p>(
         &mut self,
         src: SocketAddr,
         dst: SocketAddr,
         flight: impl Iterator<Item = &'p [u8]>,
         out: &mut Datagrams,
+        room: usize,
         trace: Option<&mut TraceCtx>,
     ) -> FlightStatus {
         let profile = *self.net.path_profile(dst.ip);
@@ -522,7 +526,7 @@ impl NetShard<'_> {
             flight.for_each(|payload| self.local.record_send(payload.len()));
             return FlightStatus::default();
         }
-        self.deliver(&profile, src, dst, flight, out, trace)
+        self.deliver(&profile, src, dst, flight, out, room, trace)
     }
 
     /// The shared fault pipeline: one flight of datagrams from `src` to
@@ -536,7 +540,9 @@ impl NetShard<'_> {
     /// through from the shared table on first touch) and its `locks` count
     /// the service-mutex traffic. Replies land after whatever the caller
     /// already holds in `out`, so multi-send drivers can accumulate a
-    /// flight's replies.
+    /// flight's replies; past the first `room` of them, each datagram's are
+    /// dropped once the path has counted them.
+    #[allow(clippy::too_many_arguments)]
     fn deliver<'p>(
         &mut self,
         profile: &LinkProfile,
@@ -544,9 +550,11 @@ impl NetShard<'_> {
         dst: SocketAddr,
         flight: impl Iterator<Item = &'p [u8]>,
         out: &mut Datagrams,
+        room: usize,
         mut trace: Option<&mut TraceCtx>,
     ) -> FlightStatus {
         let net = self.net;
+        let full = out.len().saturating_add(room);
         let mut status = FlightStatus::default();
         // The flight's one endpoint slot, filled at its first delivery.
         let endpoint = OnceCell::new();
@@ -572,6 +580,7 @@ impl NetShard<'_> {
                 for i in start..out.len() {
                     self.local.record_recv(out.get(i).len());
                 }
+                out.truncate(full);
                 continue;
             }
 
@@ -650,6 +659,7 @@ impl NetShard<'_> {
                 }
                 !lost
             });
+            out.truncate(full);
         }
         status
     }
@@ -1152,7 +1162,8 @@ mod tests {
         batch.extend(flight.iter().map(Vec::as_slice));
         let mut replies = Datagrams::new();
         replies.push(b"earlier");
-        let status = shard2.udp_send_flight(addr(9, 7), addr(1, 443), &batch, &mut replies);
+        let status =
+            shard2.udp_send_flight(addr(9, 7), addr(1, 443), &batch, &mut replies, usize::MAX);
         let t_batch = shard2.now();
         shard2.finish();
         assert_eq!(status, folded);
@@ -1172,6 +1183,59 @@ mod tests {
                 fault::flow_hash(addr(9, 7), addr(1, 443))
             ),
         );
+    }
+
+    /// Answers every datagram with four, tagged with the datagram's first
+    /// byte and the reply's index.
+    struct Fan;
+    impl UdpService for Fan {
+        fn on_datagram(&mut self, ctx: &mut ServiceCtx<'_>, _from: SocketAddr, data: &[u8]) {
+            for j in 0..4 {
+                ctx.reply(vec![data[0], j]);
+            }
+        }
+    }
+
+    /// A flight's receive room keeps the first replies of the unbounded
+    /// receive and drops the rest, and the path counts, draws and charges
+    /// time for all of them alike: the shared counters, the clock, the
+    /// status and the next send's fate are those of the unbounded flight.
+    #[test]
+    fn receive_room_keeps_a_prefix_and_the_path_unchanged() {
+        let mut flight = Datagrams::new();
+        for i in 0..30u8 {
+            flight.push(&[i]);
+        }
+        let run = |ideal: bool, room: usize| {
+            let mut net = Network::new(0x5a5a);
+            net.bind_udp(addr(1, 443), Box::new(Fan));
+            if !ideal {
+                net.set_path_profile(addr(1, 0).ip, nasty_profile());
+            }
+            let mut shard = net.shard();
+            let mut replies = Datagrams::new();
+            replies.push(b"earlier");
+            let status =
+                shard.udp_send_flight(addr(9, 7), addr(1, 443), &flight, &mut replies, room);
+            let mut next = Vec::new();
+            shard.udp_send_into(addr(9, 7), addr(1, 443), b"z", &mut next);
+            let now = shard.now();
+            shard.finish();
+            (replies, (status, next, now, net.stats.snapshot()))
+        };
+        for ideal in [true, false] {
+            let (all, path) = run(ideal, usize::MAX);
+            assert!(
+                all.len() > 11,
+                "the flight draws more replies than any room"
+            );
+            for room in [0, 1, 5, 10] {
+                let (kept, path_kept) = run(ideal, room);
+                assert_eq!(kept.len(), room + 1, "ideal {ideal}, room {room}");
+                assert!(kept.iter().eq(all.iter().take(room + 1)));
+                assert_eq!(path_kept, path, "ideal {ideal}, room {room}");
+            }
+        }
     }
 
     /// A shard's cached flow counters write back on finish, so a later
@@ -1230,7 +1294,7 @@ mod tests {
         for i in 0..10u8 {
             flight.push(&[i]);
         }
-        shard.udp_send_flight(addr(9, 7), addr(1, 443), &flight, &mut replies);
+        shard.udp_send_flight(addr(9, 7), addr(1, 443), &flight, &mut replies, usize::MAX);
         let mut out = Vec::new();
         shard.udp_send_into(addr(9, 7), addr(1, 443), b"x", &mut out);
         // An unbound destination costs no acquisition.

@@ -1,7 +1,6 @@
 //! The `Vec<Vec<u8>>` batch API (`udp_send_batch`, `udp_recv_batch`,
 //! `DatagramArena`), which only the benchmark's ladder still calls: its
-//! replies are the flight API's, each in a buffer of its own, and a buffer
-//! handed back with `recycle` carries a later reply.
+//! replies are the flight API's, each in a buffer of its own.
 
 use simnet::addr::Ipv4Addr;
 use simnet::{
@@ -54,24 +53,9 @@ fn arena_replies_are_the_flights() {
     let mut batch = Datagrams::new();
     batch.extend(flight.iter().map(Vec::as_slice));
     let mut replies = Datagrams::new();
-    let status2 = shard2.udp_send_flight(addr(9, 7), addr(1, 443), &batch, &mut replies);
+    let status2 =
+        shard2.udp_send_flight(addr(9, 7), addr(1, 443), &batch, &mut replies, usize::MAX);
     assert_eq!(status, status2);
     assert!(!separate.is_empty());
     assert!(replies.iter().eq(separate.iter().map(Vec::as_slice)));
-}
-
-#[test]
-fn arena_reuses_recycled_buffers() {
-    let mut net = Network::new(1);
-    net.bind_udp(addr(1, 443), Box::new(Echo));
-    let mut shard = net.shard();
-    let mut arena = DatagramArena::new();
-    let consumed = Vec::with_capacity(64);
-    let at = consumed.as_ptr();
-    arena.recycle(consumed);
-    assert!(arena.replies.is_empty(), "a recycled buffer is no reply");
-    shard.udp_send_batch(addr(9, 1), addr(1, 443), &[b"abc".to_vec()], &mut arena);
-    let replies: Vec<Vec<u8>> = shard.udp_recv_batch(&mut arena).collect();
-    assert_eq!(replies, [b"cba".to_vec()]);
-    assert_eq!(replies[0].as_ptr(), at, "the recycled buffer");
 }

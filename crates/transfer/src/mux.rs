@@ -440,9 +440,14 @@ impl<'net> MuxConn<'net> {
         let out_bytes = scratch.flight.total_len() as u64;
         scratch.replies.clear();
         if batched {
-            let _ = self
-                .shard
-                .udp_send_flight(src, dst, &scratch.flight, &mut scratch.replies);
+            // The client reads every reply: its receive buffer has no bound.
+            let _ = self.shard.udp_send_flight(
+                src,
+                dst,
+                &scratch.flight,
+                &mut scratch.replies,
+                usize::MAX,
+            );
         } else {
             // Per-packet baseline: one endpoint lookup and one service lock
             // per datagram.

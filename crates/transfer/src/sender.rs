@@ -534,16 +534,20 @@ impl DataSender {
 
     /// The transport invariants every sent packet keeps, checked in debug
     /// builds with the sender's own counts: bytes in flight exceed the
-    /// window by at most the packet just sent (RFC 9002 §7; a packet takes
-    /// at least `MAX_DATAGRAM` of the window, and an RTC frame travels as
-    /// one packet of its own size), and no stream byte lies past the peer's
-    /// MAX_STREAM_DATA, nor the connection's bytes past its MAX_DATA
-    /// (RFC 9000 §4.1).
+    /// window by at most one `MAX_DATAGRAM` (RFC 9002 §7), and no stream
+    /// byte lies past the peer's MAX_STREAM_DATA, nor the connection's
+    /// bytes past its MAX_DATA (RFC 9000 §4.1).
+    ///
+    /// A packet larger than `MAX_DATAGRAM` is exempt from the window rule:
+    /// an RTC frame travels as one 12.5 KB packet that [`DataSender::poll`]
+    /// admits when a `MAX_DATAGRAM` fits, so it overshoots the window by up
+    /// to 11.3 KB. That is an open defect (ROADMAP item 19(b)); the
+    /// exemption goes when the gate counts a packet's own size.
     #[cfg(debug_assertions)]
     fn check_sent(&mut self, chunk: ChunkRef, bytes: u64) {
         let (in_flight, cwnd) = (self.cc.in_flight(), self.cc.cwnd());
         assert!(
-            in_flight <= cwnd + bytes.max(MAX_DATAGRAM),
+            bytes > MAX_DATAGRAM || in_flight <= cwnd + MAX_DATAGRAM,
             "RFC 9002 §7: {in_flight} bytes in flight past cwnd {cwnd} after a {bytes}-byte packet"
         );
         let s = self

@@ -362,10 +362,10 @@ impl Scratch {
     /// Sends the flight GSO-style and gathers the replies: one endpoint
     /// lookup and at most one service-lock acquisition per flight,
     /// byte-equivalent to the per-datagram loop by `simnet`'s shared flight
-    /// pipeline. The flight is cleared.
+    /// pipeline. Every reply is kept. The flight is cleared.
     fn send(&mut self, shard: &mut NetShard<'_>, src: SocketAddr, dst: SocketAddr) {
         self.replies.clear();
-        let _ = shard.udp_send_flight(src, dst, &self.flight, &mut self.replies);
+        let _ = shard.udp_send_flight(src, dst, &self.flight, &mut self.replies, usize::MAX);
         self.flight.clear();
     }
 }

@@ -378,15 +378,10 @@ impl ChaosPeer {
 }
 
 impl UdpService for ChaosPeer {
-    /// The replies, written into the flight's reply batch, are the peer's
-    /// work as the buffers it answered with are: a flood grows the batch
-    /// as it used to allocate a buffer per datagram.
     fn on_datagram(&mut self, ctx: &mut ServiceCtx<'_>, from: SocketAddr, datagram: &[u8]) {
-        as_peer(|| {
-            for reply in self.answer(from, datagram) {
-                ctx.reply(reply);
-            }
-        });
+        for reply in as_peer(|| self.answer(from, datagram)) {
+            ctx.reply(reply);
+        }
     }
 }
 
