@@ -320,8 +320,8 @@ impl Endpoint {
             }
             encode_version_negotiation_into(
                 out.buf(),
-                head.scid.as_slice(), // their SCID becomes our DCID
-                head.dcid.as_slice(),
+                head.scid, // their SCID becomes our DCID
+                head.dcid,
                 &self.config.vn_advertise,
             );
             return out.end();
@@ -343,9 +343,9 @@ impl Endpoint {
                 flow_rng(self.seed, from, 1).fill_bytes(&mut new_scid);
                 let retry = crate::retry::encode_retry(
                     head.version,
-                    &head.scid,
+                    &ConnectionId(head.scid.to_vec()),
                     &ConnectionId(new_scid),
-                    &head.dcid,
+                    &ConnectionId(head.dcid.to_vec()),
                     &token,
                 );
                 return out.push(&retry);
@@ -384,10 +384,12 @@ fn retry_token(from: u128, salt: u64) -> Vec<u8> {
     qcrypto::sha256::digest(&material)[..12].to_vec()
 }
 
+/// Borrowed from the datagram: a [`ConnectionId`] is built only where a new
+/// connection or a Retry keeps one.
 struct LongHeaderPrefix<'a> {
     version: Version,
-    dcid: ConnectionId,
-    scid: ConnectionId,
+    dcid: &'a [u8],
+    scid: &'a [u8],
     /// An Initial's token (`None` for other packet types).
     token: Option<&'a [u8]>,
 }
@@ -401,8 +403,8 @@ fn parse_long_header_prefix(datagram: &[u8]) -> Option<LongHeaderPrefix<'_>> {
         return None;
     }
     let version = Version(r.read_u32().ok()?);
-    let dcid = ConnectionId(r.read_vec8().ok()?.to_vec());
-    let scid = ConnectionId(r.read_vec8().ok()?.to_vec());
+    let dcid = r.read_vec8().ok()?;
+    let scid = r.read_vec8().ok()?;
     let mut token = None;
     if (first >> 4) & 0x03 == 0 {
         // Type bits 00: an Initial.
@@ -435,14 +437,14 @@ impl ServerConn {
             Role::Server,
             head.version,
             ConnectionId::new(&scid),
-            head.scid.clone(),
+            ConnectionId(head.scid.to_vec()),
         );
         // Memoized: the client already derived this pair for the same
         // (version, DCID), so this lookup skips the HKDF/AES schedules.
-        space.install_initial(head.dcid.as_slice());
+        space.install_initial(head.dcid);
         let mut seeded = StdRng::seed_from_u64(u64::from_le_bytes(scid));
         let mut tp = config.transport_params.clone();
-        tp.original_destination_connection_id = Some(head.dcid.0.clone());
+        tp.original_destination_connection_id = Some(head.dcid.to_vec());
         tp.initial_source_connection_id = Some(scid.to_vec());
         let mut token = [0u8; 16];
         seeded.fill_bytes(&mut token);

@@ -718,19 +718,21 @@ impl Delivery<'_> {
     /// Delivers `payload`, queuing replies into `out`; returns whether an
     /// endpoint lives at `dst`.
     fn deliver(&mut self, payload: &[u8], out: &mut Datagrams, locks: &mut LockCounters) -> bool {
-        if self.guard.is_none() {
-            // `get` + `set` rather than `get_or_init`, whose initializing
-            // path is `#[cold]` — and initializing is every probe's path.
-            if self.endpoint.get().is_none() {
-                let _ = self.endpoint.set(self.net.endpoints.udp(&self.dst));
+        let service = match &mut self.guard {
+            Some(service) => service,
+            unlocked => {
+                // `get` + `set` rather than `get_or_init`, whose initializing
+                // path is `#[cold]` — and initializing is every probe's path.
+                if self.endpoint.get().is_none() {
+                    let _ = self.endpoint.set(self.net.endpoints.udp(&self.dst));
+                }
+                let Some(Some(endpoint)) = self.endpoint.get() else {
+                    return false;
+                };
+                self.crosses_shard = route(&self.dst) != route(&self.src);
+                unlocked.insert(locks.lock(endpoint.service()))
             }
-            let Some(Some(endpoint)) = self.endpoint.get() else {
-                return false;
-            };
-            self.guard = Some(locks.lock(endpoint.service()));
-            self.crosses_shard = route(&self.dst) != route(&self.src);
-        }
-        let service = self.guard.as_mut().expect("locked above");
+        };
         if self.crosses_shard {
             locks.cross_shard += 1;
         }

@@ -217,13 +217,17 @@ enum Targets<'a> {
 impl<'a> Targets<'a> {
     fn prefixes(prefixes: &'a [Prefix], seed: u64) -> Self {
         let total: u128 = prefixes.iter().map(|p| p.size()).sum();
-        let total = u64::try_from(total).expect("scan space fits in u64");
+        // The permutation's own bound, checked before the sum is narrowed.
+        assert!(
+            total <= 1 << 63,
+            "scan space too large: a sweep covers at most 2^63 addresses"
+        );
         // No prefix is larger than the sum that just fitted.
         let sizes = prefixes.iter().map(|p| p.size() as u64).collect();
         Targets::Prefixes {
             prefixes,
             sizes,
-            perm: FeistelPermutation::new(total.max(1), seed),
+            perm: FeistelPermutation::new((total as u64).max(1), seed),
         }
     }
 
@@ -339,6 +343,10 @@ impl ZmapScanner {
 
     /// Sweeps the address space covered by `prefixes` with the QUIC VN
     /// module, returning every Version Negotiation response.
+    ///
+    /// # Panics
+    /// Panics when `prefixes` hold more than 2⁶³ addresses together (only
+    /// IPv6 prefixes can); so do the other prefix sweeps.
     pub fn scan_v4(
         &self,
         net: &Network,
