@@ -413,6 +413,7 @@ impl Campaign {
             .iter()
             .map(|(addr, domains)| {
                 let capped = domains.len().min(MAX_DOMAINS_PER_IP) as u64;
+                // An address gains its list by a push, so no list is empty.
                 let first = domains.first().expect("non-empty by construction");
                 (
                     TlsTarget {

@@ -15,6 +15,7 @@ use std::time::Instant;
 
 use internet::lazy::{LazyUniverse, ScaleConfig};
 use qscanner::{QScanner, QuicTarget};
+use quic::version::Version;
 use simnet::addr::Ipv4Addr;
 use simnet::{IpAddr, Network, SocketAddr};
 use zmapq::modules::quic_vn::{QuicVnModule, VnResult};
@@ -36,8 +37,9 @@ struct SweepAcc {
     by_as: CountMap<u32>,
     /// Hits per derived version-set template.
     by_version_set: CountMap<usize>,
-    /// Advertised-version occurrences across all VN responses.
-    by_version: CountMap<String>,
+    /// Advertised-version occurrences across all VN responses, labelled
+    /// once when the tables are built.
+    by_version: CountMap<Version>,
     /// VN response payload sizes (1 + 4 + 2 CID length bytes + 16 CID +
     /// 4 bytes per advertised version) — the §3.1 response-cost CDF.
     response_bytes: LogSketch,
@@ -67,8 +69,8 @@ impl SweepAccumulator for SweepAcc {
                 self.by_version_set.absorb(p.version_set);
             }
         }
-        for v in &hit.versions {
-            self.by_version.absorb(v.label());
+        for &v in &hit.versions {
+            self.by_version.absorb(v);
         }
         self.response_bytes
             .absorb(23 + 4 * hit.versions.len() as u64);
@@ -81,6 +83,20 @@ impl SweepAccumulator for SweepAcc {
         self.by_version.merge(other.by_version);
         self.response_bytes.merge(other.response_bytes);
     }
+}
+
+/// Version counts as labelled rows, ranked by count, then by label. The
+/// label decides ties, not `Version`'s numeric order: `V1` (0x00000001,
+/// "ietf-01") sorts before `DRAFT_29` (0xff00001d, "draft-29") by number but
+/// after it by label.
+fn version_rows(counts: &CountMap<Version>) -> Vec<(String, u64)> {
+    let mut rows: Vec<(String, u64)> = counts
+        .ranked()
+        .into_iter()
+        .map(|(v, n)| (v.label(), n))
+        .collect();
+    rows.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    rows
 }
 
 /// The deterministic half of a scale run: everything that must be
@@ -267,7 +283,6 @@ impl ScaleCampaign {
         // (resident, stateful) endpoints.
         let scanner = QScanner::new(Self::vantage(), self.config.seed ^ 0x5ca7e);
         let stateful_start = Instant::now();
-        let sampled = universe.stateful_sample(self.sample_one_in).count() as u64;
         let mut no_sni = FailureBreakdown::default();
         let mut sni = FailureBreakdown::default();
         let mut tp_imd = LogSketch::new();
@@ -282,8 +297,8 @@ impl ScaleCampaign {
                         .map(|a| QuicTarget::new(IpAddr::V4(a), Some(SCALE_SNI.to_string()))),
                 ),
             self.workers,
-            |index, r| {
-                if index < sampled {
+            |_, r| {
+                if r.sni.is_none() {
                     no_sni.tally(&r.outcome);
                 } else {
                     sni.tally(&r.outcome);
@@ -309,14 +324,10 @@ impl ScaleCampaign {
                     .into_iter()
                     .map(|(k, n)| (*k, n))
                     .collect(),
-                versions: acc
-                    .by_version
-                    .ranked()
-                    .into_iter()
-                    .map(|(k, n)| (k.clone(), n))
-                    .collect(),
+                versions: version_rows(&acc.by_version),
                 response_size_cdf: acc.response_bytes.cdf_points(),
-                sampled,
+                // Each sampled member is scanned once without SNI.
+                sampled: no_sni.total() as u64,
                 no_sni,
                 sni,
                 tp_initial_max_data_cdf: tp_imd.cdf_points(),
@@ -382,6 +393,22 @@ mod tests {
             materialized.perf.instantiated, 0,
             "nothing left to bind lazily"
         );
+    }
+
+    /// Ties on count rank by label: `draft-29` before `ietf-01`, although
+    /// `V1` is the smaller `Version`.
+    #[test]
+    fn version_ties_rank_by_label() {
+        let mut counts = CountMap::new();
+        for v in [Version::V1, Version::DRAFT_29, Version::DRAFT_28] {
+            counts.absorb(v);
+        }
+        for v in [Version::V1, Version::DRAFT_29] {
+            counts.absorb(v);
+        }
+        let rows = version_rows(&counts);
+        let labels: Vec<(&str, u64)> = rows.iter().map(|(l, n)| (l.as_str(), *n)).collect();
+        assert_eq!(labels, [("draft-29", 2), ("ietf-01", 2), ("draft-28", 1)]);
     }
 
     /// The follow-up exercises the behaviour classes: SNI handshakes

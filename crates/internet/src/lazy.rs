@@ -20,10 +20,16 @@
 //!    behaviour class, version set, SNI posture, AS attribution, endpoint
 //!    seed — derives from `(seed, index)` through the same splitmix64
 //!    finalizer the fault layer uses for flow draws, so the population is a
-//!    pure function: O(1) state, identical at any worker count. Endpoints
-//!    instantiate on first contact from a small set of shared templates and
-//!    evict under a residency cap, keeping the working set O(responsive
-//!    hosts), not O(population).
+//!    pure function, identical at any worker count. The one piece of state
+//!    that grows with the universe is the open map: one bit per span offset,
+//!    set where a member that answers on UDP 443 lives (span/8 bytes,
+//!    512 KiB for a /10), built once by the sweep's block walk. It answers
+//!    [`LazyBinder::udp_open`] — the question every probe asks, 91 % of
+//!    them misses — with one bit test; the point `rank` is left to the
+//!    hits, which need the index for their persona. Endpoints instantiate
+//!    on first contact from a small set of shared templates and evict under
+//!    a residency cap, keeping the working set O(responsive hosts), not
+//!    O(population).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -222,6 +228,50 @@ const SALT_ASN: u64 = 0xa5;
 const SALT_SEED: u64 = 0xe0;
 const SALT_SAMPLE: u64 = 0x5a;
 
+/// The persona draw `salt` of member `index` in the universe of `seed`.
+fn draw(seed: u64, index: u64, salt: u64) -> u64 {
+    mix(seed ^ index.wrapping_mul(0xd6e8_feb8_6659_fd93) ^ salt)
+}
+
+/// Behaviour class of member `index`.
+fn behavior(seed: u64, index: u64) -> ScaleBehavior {
+    let b = draw(seed, index, SALT_BEHAVIOR) % 1000;
+    BEHAVIOR_BANDS
+        .iter()
+        .find(|(hi, _)| b < u64::from(*hi))
+        .map(|(_, beh)| *beh)
+        // `b < 1000`, and the last band ends at 1000.
+        .expect("bands cover 0..1000")
+}
+
+/// Where the last band before `Silent` ends: a behaviour draw below it is
+/// not `Silent`. The map's build compares with it instead of searching the
+/// bands, whose branches mispredict on random draws (44 → 23 ms a build on
+/// a 2-core Xeon guest).
+const RESPONSIVE_PERMILLE: u64 = BEHAVIOR_BANDS[BEHAVIOR_BANDS.len() - 2].0 as u64;
+
+/// Scan indices the open map's build walks at a time: the sweep engine's
+/// block, so the walk is the one a sweep runs.
+const WALK_BLOCK: usize = 256;
+
+/// The open map: bit `offset % 64` of word `offset / 64` is set where the
+/// member at span offset `offset` answers on UDP 443 (is not `Silent`).
+/// Built by the block walk over `0..endpoints`, a pass of independent
+/// encryptions per block instead of one point `rank` per probe later.
+fn open_map(perm: &FeistelPermutation, seed: u64, endpoints: u64) -> Box<[u64]> {
+    let mut words = vec![0u64; perm.len().div_ceil(64) as usize];
+    let mut block = [0u64; WALK_BLOCK];
+    for lo in (0..endpoints).step_by(WALK_BLOCK) {
+        let block = &mut block[..(endpoints - lo).min(WALK_BLOCK as u64) as usize];
+        perm.permute_into(lo, block);
+        for (index, &offset) in (lo..).zip(&*block) {
+            let open = draw(seed, index, SALT_BEHAVIOR) % 1000 < RESPONSIVE_PERMILLE;
+            words[(offset / 64) as usize] |= u64::from(open) << (offset % 64);
+        }
+    }
+    words.into_boxed_slice()
+}
+
 struct ScaleInner {
     config: ScaleConfig,
     /// Permutation over the span's offset domain; members are the images of
@@ -229,6 +279,8 @@ struct ScaleInner {
     perm: FeistelPermutation,
     base: u32,
     span_size: u64,
+    /// See [`open_map`]: `udp_open`'s whole answer, span/8 bytes.
+    open: Box<[u64]>,
     /// Shared endpoint templates, indexed `behavior_class * 3 + version_set`
     /// (behaviour classes in `BEHAVIOR_BANDS` order, `Silent` excluded).
     /// Shared with every endpoint instantiated from them, as is `profile`,
@@ -256,22 +308,24 @@ fn behavior_class(b: ScaleBehavior) -> usize {
 }
 
 impl LazyUniverse {
-    /// Derives the universe for `config`. Cost is O(#templates): one shared
-    /// certificate and twelve endpoint configurations, regardless of
-    /// `endpoints`.
+    /// Derives the universe for `config`: one shared certificate and twelve
+    /// endpoint configurations, regardless of `endpoints`, plus the open map
+    /// (one block walk over the members: ≈ 25–35 ms and 512 KiB for the
+    /// million configuration's /10).
     pub fn new(config: ScaleConfig) -> Self {
-        let span_size = u64::try_from(config.span.size()).expect("span fits u64");
+        let base = match config.span.base {
+            IpAddr::V4(v4) => u32::from(v4),
+            IpAddr::V6(_) => panic!("scale span must be IPv4"),
+        };
+        let span_size = 1u64 << (32 - u32::from(config.span.len));
         assert!(
             config.endpoints <= span_size,
             "{} endpoints exceed span of {span_size}",
             config.endpoints
         );
         assert!(config.endpoints > 0, "empty universe");
-        let base = match config.span.base {
-            IpAddr::V4(v4) => u32::from(v4),
-            IpAddr::V6(_) => panic!("scale span must be IPv4"),
-        };
         let perm = FeistelPermutation::new(span_size, config.seed ^ 0x5ca1e);
+        let open = open_map(&perm, config.seed, config.endpoints);
 
         // One CA, one wildcard certificate, shared by every member: the
         // population's TLS state is O(1).
@@ -335,6 +389,7 @@ impl LazyUniverse {
                 perm,
                 base,
                 span_size,
+                open,
                 templates,
                 profile,
             }),
@@ -363,7 +418,7 @@ impl LazyUniverse {
     }
 
     fn draw(&self, index: u64, salt: u64) -> u64 {
-        mix(self.inner.config.seed ^ index.wrapping_mul(0xd6e8_feb8_6659_fd93) ^ salt)
+        draw(self.inner.config.seed, index, salt)
     }
 
     /// Address of the member at scan `index` (must be `< endpoints`).
@@ -394,7 +449,7 @@ impl LazyUniverse {
     /// The full derived persona of member `index`.
     pub fn persona(&self, index: u64) -> Persona {
         assert!(index < self.endpoints(), "index out of population");
-        let behavior = self.behavior(index);
+        let behavior = behavior(self.inner.config.seed, index);
         // Provider-skewed AS attribution: three hyperscalers hold 55% of
         // deployments, a heavy tail of small ASes the rest — the shape
         // behind the paper's Figure 4 rank CDF.
@@ -417,17 +472,6 @@ impl LazyUniverse {
     /// Persona of an address, when it is a member.
     pub fn persona_of(&self, addr: Ipv4Addr) -> Option<Persona> {
         self.member_index(addr).map(|i| self.persona(i))
-    }
-
-    /// Behaviour class of member `index` — the one draw of its persona the
-    /// UDP membership question needs.
-    fn behavior(&self, index: u64) -> ScaleBehavior {
-        let b = self.draw(index, SALT_BEHAVIOR) % 1000;
-        BEHAVIOR_BANDS
-            .iter()
-            .find(|(hi, _)| b < u64::from(*hi))
-            .map(|(_, beh)| *beh)
-            .expect("bands cover 0..1000")
     }
 
     /// Deterministic stateful-scan sample: every member whose sample draw
@@ -472,12 +516,18 @@ impl LazyBinder for LazyUniverse {
         )))
     }
 
+    /// One bit of the open map. An address below the span wraps to an
+    /// offset past it, and the words end where the span does (rounded up to
+    /// 64 offsets, whose extra bits are never set).
     fn udp_open(&self, at: SocketAddr) -> bool {
         let IpAddr::V4(v4) = at.ip else { return false };
+        let offset = u32::from(v4).wrapping_sub(self.inner.base) as usize;
         at.port == 443
             && self
-                .member_index(v4)
-                .is_some_and(|i| self.behavior(i) != ScaleBehavior::Silent)
+                .inner
+                .open
+                .get(offset / 64)
+                .is_some_and(|w| w >> (offset % 64) & 1 == 1)
     }
 
     fn make_tcp(&self, _at: SocketAddr) -> Option<Box<dyn TcpFactory>> {
@@ -536,10 +586,30 @@ mod tests {
         assert_eq!(stats.evicted, 0, "paper mode must not evict");
     }
 
-    /// `udp_open` answers exactly what `make_udp` builds, for both binders:
-    /// over every address of a scale span plus a wrong port and an address
-    /// outside it, and over every host address of a paper-scale universe,
-    /// v6 and `SilentQuic` hosts included, plus misses.
+    /// The definition the open map stands in for: a member, found by the
+    /// point inverse walk, that is not `Silent`, on v4 port 443.
+    fn open_by_rank(u: &LazyUniverse, at: SocketAddr) -> bool {
+        let IpAddr::V4(v4) = at.ip else { return false };
+        at.port == 443
+            && u.member_index(v4)
+                .is_some_and(|i| u.persona(i).behavior != ScaleBehavior::Silent)
+    }
+
+    fn span_base(u: &LazyUniverse) -> u32 {
+        match u.config().span.base {
+            IpAddr::V4(v4) => u32::from(v4),
+            IpAddr::V6(_) => unreachable!(),
+        }
+    }
+
+    /// `udp_open` answers exactly what `make_udp` builds, for both binders,
+    /// and the scale universe's open map answers what the rank definition
+    /// does: over every address of a test span; over a strided sample of the
+    /// million configuration's /10, its first 10 k members, the offsets
+    /// around a word boundary and both ends of the span, and the address
+    /// below it; on a wrong port and a v6 address. Then over every host
+    /// address of a paper-scale universe, v6 and `SilentQuic` hosts
+    /// included, plus misses.
     #[test]
     fn udp_open_tells_the_truth() {
         fn agree(binder: &dyn LazyBinder, at: SocketAddr) -> bool {
@@ -547,24 +617,54 @@ mod tests {
             assert_eq!(open, binder.make_udp(at).is_some(), "{at}");
             open
         }
+        fn agree_scale(u: &LazyUniverse, at: SocketAddr) -> bool {
+            let open = agree(u, at);
+            assert_eq!(open, open_by_rank(u, at), "{at}");
+            open
+        }
         let u = LazyUniverse::new(ScaleConfig::test(0x0be7, 4_000));
-        let base = match u.config().span.base {
-            IpAddr::V4(v4) => u32::from(v4),
-            IpAddr::V6(_) => unreachable!(),
-        };
+        let base = span_base(&u);
         let open = (0..u.span_size() as u32)
-            .filter(|&o| agree(&u, SocketAddr::new(Ipv4Addr::from(base + o), 443)))
+            .filter(|&o| agree_scale(&u, SocketAddr::new(Ipv4Addr::from(base + o), 443)))
             .count();
         let responsive = (0..u.endpoints())
             .filter(|&i| u.persona(i).behavior != ScaleBehavior::Silent)
             .count();
         assert_eq!(open, responsive);
         let member = u.target(0);
-        assert!(!agree(&u, SocketAddr::new(member, 80)));
-        assert!(!agree(
+        assert!(!agree_scale(&u, SocketAddr::new(member, 80)));
+        assert!(!agree_scale(
             &u,
             SocketAddr::new(Ipv4Addr::new(192, 0, 2, 1), 443)
         ));
+
+        let u = LazyUniverse::new(ScaleConfig::million(0x9000));
+        let base = span_base(&u);
+        let span = u.span_size() as u32;
+        // 61 is odd, so the sample meets every bit position of a word.
+        let sampled = (0..span).step_by(61).chain([63, 64, span - 1, span]);
+        let mut opened = 0;
+        for offset in sampled {
+            let at = SocketAddr::new(Ipv4Addr::from(base + offset), 443);
+            opened += usize::from(agree_scale(&u, at));
+        }
+        assert!(opened > 1_000, "{opened} open in the strided sample");
+        let below = SocketAddr::new(Ipv4Addr::from(base - 1), 443);
+        assert!(!agree_scale(&u, below));
+        let mut open_members = 0;
+        for i in 0..10_000 {
+            let member = u.target(i);
+            let open = agree_scale(&u, SocketAddr::new(member, 443));
+            assert_eq!(open, u.persona(i).behavior != ScaleBehavior::Silent);
+            open_members += usize::from(open);
+            assert!(!agree_scale(&u, SocketAddr::new(member, 80)));
+        }
+        assert!(open_members > 2_000, "{open_members} of 10 k members open");
+        let v6 = SocketAddr::new(
+            simnet::addr::Ipv6Addr::new(0x2001, 0xdb8, 0, 0, 0, 0, 0, 1),
+            443,
+        );
+        assert!(!agree_scale(&u, v6));
 
         // Generation makes no `SilentQuic` host; darken every seventh.
         let mut universe = Universe::generate(UniverseConfig::tiny(18));
@@ -605,10 +705,7 @@ mod tests {
             assert_eq!(u.member_index(*m), Some(i as u64));
         }
         // Count membership over the whole span: exactly `endpoints` hits.
-        let base = match u.config().span.base {
-            IpAddr::V4(v4) => u32::from(v4),
-            IpAddr::V6(_) => unreachable!(),
-        };
+        let base = span_base(&u);
         let total = (0..u.span_size())
             .filter(|&o| u.member_index(Ipv4Addr::from(base + o as u32)).is_some())
             .count();
@@ -668,5 +765,50 @@ mod tests {
         assert_eq!(s1, s2);
         assert!(!s1.is_empty());
         assert!(s1.len() < 200, "sample too large: {}", s1.len());
+    }
+
+    /// ns per `udp_open` (the open map) and per `member_index` (the point
+    /// inverse walk), and ms per `LazyUniverse::new`, at the million
+    /// configuration; prints, asserts nothing. Run with
+    /// `cargo test --release -p internet -- --ignored --nocapture membership_speed`.
+    #[test]
+    #[ignore = "micro-benchmark: prints timings, meaningful in release builds only"]
+    fn membership_speed() {
+        use std::hint::black_box;
+        use std::time::Instant;
+        let best_of_5 = |op: &mut dyn FnMut()| {
+            (0..5)
+                .map(|_| {
+                    let start = Instant::now();
+                    op();
+                    start.elapsed().as_secs_f64()
+                })
+                .fold(f64::INFINITY, f64::min)
+        };
+        let config = ScaleConfig::million(0x9000);
+        let new_ms = best_of_5(&mut || {
+            black_box(LazyUniverse::new(config));
+        }) * 1e3;
+        let u = LazyUniverse::new(config);
+        let base = span_base(&u);
+        let points = 1u32 << 20;
+        // Every fourth address of the /10, scattered as a sweep's are (an odd
+        // multiplier permutes `0..points`).
+        let addr = |k: u32| Ipv4Addr::from(base + k.wrapping_mul(0x9e37_79b1) % points * 4);
+        let open_ns = best_of_5(&mut || {
+            for k in 0..points {
+                black_box(u.udp_open(SocketAddr::new(addr(black_box(k)), 443)));
+            }
+        }) * 1e9
+            / f64::from(points);
+        let rank_ns = best_of_5(&mut || {
+            for k in 0..points {
+                black_box(u.member_index(addr(black_box(k))));
+            }
+        }) * 1e9
+            / f64::from(points);
+        println!(
+            "membership at 1.25M in a /10: udp_open {open_ns:.1} ns, member_index {rank_ns:.1} ns, LazyUniverse::new {new_ms:.1} ms"
+        );
     }
 }

@@ -1350,7 +1350,9 @@ impl Builder<'_> {
 
         let mut third_next: HashMap<u8, u16> = HashMap::new();
         for plan in plans {
-            let third = (*third_next.entry(plan.second_octet).or_insert(0)) as u8;
+            let next = third_next.entry(plan.second_octet).or_insert(0);
+            let third = *next as u8;
+            *next += 64;
             self.asdb.announce(
                 Prefix::new(Ipv4Addr::new(10, plan.second_octet, third, 0), 18),
                 plan.asn_v,
@@ -1362,7 +1364,6 @@ impl Builder<'_> {
                 ),
                 plan.asn_v,
             );
-            *third_next.get_mut(&plan.second_octet).unwrap() += 64;
 
             let v4_count = self.n(plan.v4_count);
             let v6_count = self.n(plan.v6_count);
