@@ -143,6 +143,9 @@ pub struct ScalePerf {
     pub instantiated: u64,
     /// Endpoints evicted under the residency cap.
     pub evicted: u64,
+    /// Datagrams the lazy binder answered without an endpoint: every
+    /// sweep hit, and the follow-up's Version Negotiations.
+    pub stateless: u64,
     /// High-water mark of simultaneously resident endpoints.
     pub peak_resident: usize,
 }
@@ -178,6 +181,7 @@ impl ScaleReport {
         let _ = writeln!(out, "campaign_peak_rss_mb {}", p.campaign_peak_rss_mb);
         let _ = writeln!(out, "lazy_instantiated {}", p.instantiated);
         let _ = writeln!(out, "lazy_evicted {}", p.evicted);
+        let _ = writeln!(out, "lazy_stateless {}", p.stateless);
         let _ = writeln!(out, "lazy_peak_resident {}", p.peak_resident);
         let _ = writeln!(out, "as_count {}", t.as_rank_cdf.len());
         let top3 = crate::cdf::share_at_rank(&t.as_rank_cdf, 3);
@@ -286,16 +290,16 @@ impl ScaleCampaign {
         let mut no_sni = FailureBreakdown::default();
         let mut sni = FailureBreakdown::default();
         let mut tp_imd = LogSketch::new();
+        let sample: Vec<Ipv4Addr> = universe.stateful_sample(self.sample_one_in).collect();
+        let target = |a: &Ipv4Addr, sni: Option<&str>| {
+            QuicTarget::new(IpAddr::V4(*a), sni.map(str::to_string))
+        };
         scanner.scan_stream(
             net,
-            universe
-                .stateful_sample(self.sample_one_in)
-                .map(|a| QuicTarget::new(IpAddr::V4(a), None))
-                .chain(
-                    universe
-                        .stateful_sample(self.sample_one_in)
-                        .map(|a| QuicTarget::new(IpAddr::V4(a), Some(SCALE_SNI.to_string()))),
-                ),
+            sample
+                .iter()
+                .map(|a| target(a, None))
+                .chain(sample.iter().map(|a| target(a, Some(SCALE_SNI)))),
             self.workers,
             |_, r| {
                 if r.sni.is_none() {
@@ -339,6 +343,7 @@ impl ScaleCampaign {
                 campaign_peak_rss_mb: peak_rss_mb(),
                 instantiated: stats.instantiated,
                 evicted: stats.evicted,
+                stateless: stats.stateless,
                 peak_resident: stats.peak_resident,
             },
         }
@@ -413,10 +418,17 @@ mod tests {
 
     /// The follow-up exercises the behaviour classes: SNI handshakes
     /// mostly succeed (version-mismatch and VN-only middleboxes aside),
-    /// no-SNI handshakes surface the 0x128 rejections.
+    /// no-SNI handshakes surface the 0x128 rejections. Only the follow-up
+    /// builds endpoints (17 here), so a cap of 8 makes it evict, and the
+    /// tables are those of the test campaign's cap, under which nothing is
+    /// evicted.
     #[test]
     fn stateful_follow_up_separates_behaviours() {
-        let r = ScaleCampaign::test(0x7ab, 4_000, 4).run();
+        let campaign = ScaleCampaign {
+            resident_cap: 8,
+            ..ScaleCampaign::test(0x7ab, 4_000, 4)
+        };
+        let r = campaign.run();
         let t = &r.tables;
         assert!(t.sni.success > 0, "no SNI successes: {:?}", t.sni);
         assert!(
@@ -437,10 +449,13 @@ mod tests {
         assert!(!t.tp_initial_max_data_cdf.is_empty());
         // Residency stayed bounded by the cap (plus in-flight slack).
         assert!(
-            r.perf.peak_resident <= 256 + 16,
+            r.perf.peak_resident <= 8 + 16,
             "peak resident {} broke the cap",
             r.perf.peak_resident
         );
         assert!(r.perf.evicted > 0, "cap never exercised");
+        let roomy = ScaleCampaign::test(0x7ab, 4_000, 4).run();
+        assert_eq!(roomy.perf.evicted, 0);
+        assert_eq!(roomy.tables, r.tables);
     }
 }

@@ -110,10 +110,7 @@ impl RData {
                 let b = r.read_bytes(4)?;
                 RData::A(Ipv4Addr::new(b[0], b[1], b[2], b[3]))
             }
-            QType::Aaaa => {
-                let b: [u8; 16] = r.read_bytes(16)?.try_into().expect("fixed-length");
-                RData::Aaaa(Ipv6Addr::from(b))
-            }
+            QType::Aaaa => RData::Aaaa(Ipv6Addr::from(r.read_array::<16>()?)),
             QType::Cname => RData::Cname(decode_name(&mut r, bytes)?),
             QType::Svcb | QType::Https => {
                 let priority = r.read_u16()?;

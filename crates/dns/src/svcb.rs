@@ -95,8 +95,7 @@ impl SvcParams {
                 }
                 key::IPV6HINT => {
                     while !vr.is_empty() {
-                        let b: [u8; 16] = vr.read_bytes(16)?.try_into().expect("fixed-length");
-                        params.ipv6hint.push(Ipv6Addr::from(b));
+                        params.ipv6hint.push(Ipv6Addr::from(vr.read_array::<16>()?));
                     }
                 }
                 other => params.unknown.push((other, value.to_vec())),

@@ -26,19 +26,24 @@
 //!    512 KiB for a /10), built once by the sweep's block walk. It answers
 //!    [`LazyBinder::udp_open`] — the question every probe asks, 91 % of
 //!    them misses — with one bit test; the point `rank` is left to the
-//!    hits, which need the index for their persona. Endpoints instantiate
-//!    on first contact from a small set of shared templates and evict under
-//!    a residency cap, keeping the working set O(responsive hosts), not
-//!    O(population).
+//!    hits, which need the index for their persona. A hit is answered from
+//!    the persona's template alone where the template decides without
+//!    connection state ([`LazyBinder::answer_udp`] through
+//!    [`quic::server::stateless_answer`]): a Version Negotiation for an
+//!    unsupported version, or silence. So a sweep builds no endpoint.
+//!    What needs one (a supported version's Initial, a short header)
+//!    instantiates it on first contact from a small set of shared
+//!    templates, and it is evicted under a residency cap, keeping the
+//!    working set O(hosts a handshake reached), not O(population).
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use qtls::server::NoSniBehavior;
-use quic::server::EndpointConfig;
+use quic::server::{stateless_answer, EndpointConfig, Stateless};
 use quic::version::Version;
 use simnet::addr::{Ipv4Addr, Prefix};
-use simnet::{IpAddr, LazyBinder, Network, SocketAddr, TcpFactory, UdpService};
+use simnet::{Datagrams, IpAddr, LazyBinder, Network, SocketAddr, TcpFactory, UdpService};
 use zmapq::FeistelPermutation;
 
 use crate::catalog::{implementation, tp_config};
@@ -497,8 +502,10 @@ impl LazyUniverse {
     }
 }
 
-impl LazyBinder for LazyUniverse {
-    fn make_udp(&self, at: SocketAddr) -> Option<Box<dyn UdpService>> {
+impl LazyUniverse {
+    /// The endpoint template of the member at UDP `at`, and its persona;
+    /// `None` where nothing answers.
+    fn template(&self, at: SocketAddr) -> Option<(&Arc<EndpointConfig>, Persona)> {
         if at.port != 443 {
             return None;
         }
@@ -508,12 +515,31 @@ impl LazyBinder for LazyUniverse {
         if class == usize::MAX {
             return None; // Silent: addressable, dark on UDP.
         }
-        let cfg = &self.inner.templates[class * VERSION_SETS.len() + p.version_set];
+        Some((
+            &self.inner.templates[class * VERSION_SETS.len() + p.version_set],
+            p,
+        ))
+    }
+}
+
+impl LazyBinder for LazyUniverse {
+    fn make_udp(&self, at: SocketAddr) -> Option<Box<dyn UdpService>> {
+        let (cfg, p) = self.template(at)?;
         Some(Box::new(QuicHost::new(
             cfg.clone(),
             self.inner.profile.clone(),
             p.seed,
         )))
+    }
+
+    /// What the template answers from the datagram alone (a sweep's VN,
+    /// or a `VnOnly` member's silence), with no endpoint built.
+    fn answer_udp(&self, at: SocketAddr, datagram: &[u8], replies: &mut Datagrams) -> bool {
+        let Some((cfg, _)) = self.template(at) else {
+            return false;
+        };
+        let (buf, ends) = replies.parts_mut();
+        stateless_answer(cfg, datagram, buf, ends) != Stateless::NeedsEndpoint
     }
 
     /// One bit of the open map. An address below the span wraps to an
@@ -544,7 +570,8 @@ impl LazyBinder for LazyUniverse {
 mod tests {
     use super::*;
     use crate::universe::UniverseConfig;
-    use zmapq::modules::quic_vn::QuicVnModule;
+    use quic::conn::{ClientConfig, ClientConnection, ConnectionState};
+    use zmapq::modules::quic_vn::{parse_version_negotiation, QuicVnModule};
     use zmapq::{ZmapConfig, ZmapScanner};
 
     fn scanner(workers: usize) -> ZmapScanner {
@@ -735,8 +762,8 @@ mod tests {
     }
 
     /// A sweep over a small scale universe finds exactly the VN-responsive
-    /// members, resident endpoints stay bounded by the cap, and the sample
-    /// feed is deterministic.
+    /// members, answering every one of them without an endpoint, and the
+    /// sample feed is deterministic.
     #[test]
     fn scale_sweep_is_bounded_and_exact() {
         let u = LazyUniverse::new(ScaleConfig::test(0x51ed, 4_000));
@@ -754,7 +781,8 @@ mod tests {
             assert!(u.member_index(v4).is_some(), "hit outside membership");
         }
         let stats = net.lazy_stats().expect("binder installed");
-        assert_eq!(stats.instantiated, responsive as u64);
+        assert_eq!(stats.instantiated, 0, "a sweep needs no endpoint");
+        assert_eq!(stats.stateless, responsive as u64);
         assert!(
             stats.peak_resident <= 64 + 8,
             "peak resident {} broke the cap",
@@ -765,6 +793,139 @@ mod tests {
         assert_eq!(s1, s2);
         assert!(!s1.is_empty());
         assert!(s1.len() < 200, "sample too large: {}", s1.len());
+    }
+
+    /// The first member of each of the 12 endpoint templates, in scan-index
+    /// order, with its persona.
+    fn one_per_template(u: &LazyUniverse) -> Vec<(SocketAddr, Persona)> {
+        let mut members = vec![None; 12];
+        for i in 0..u.endpoints() {
+            let p = u.persona(i);
+            let class = behavior_class(p.behavior);
+            if class != usize::MAX {
+                let at = SocketAddr::new(u.target(i), 443);
+                members[class * VERSION_SETS.len() + p.version_set].get_or_insert((at, p));
+            }
+        }
+        members
+            .into_iter()
+            .map(|m| m.expect("every template has a member"))
+            .collect()
+    }
+
+    /// A client speaking the first version of `p`'s set.
+    fn client_for(p: &Persona, seed: u64) -> ClientConnection {
+        let version = VERSION_SETS[p.version_set][0];
+        let tls = qtls::ClientConfig {
+            alpn: vec![version.alpn().into_bytes()],
+            ..qtls::ClientConfig::default()
+        };
+        let config = ClientConfig {
+            versions: vec![version],
+            tls,
+            ..ClientConfig::default()
+        };
+        ClientConnection::new(config, seed)
+    }
+
+    /// For every one of the 12 templates, what the scale universe answers
+    /// without an endpoint is what its endpoint answers when bound up front,
+    /// and what it leaves to an endpoint gets that endpoint's replies: the
+    /// sweep's padded and unpadded probes, a client's Initial and an
+    /// unpadded probe of a supported version, and a short header. Which
+    /// ones it answers is pinned by behaviour class.
+    #[test]
+    fn stateless_answers_are_the_endpoints() {
+        let u = LazyUniverse::new(ScaleConfig::test(0x5a7e, 4_000));
+        let members = one_per_template(&u);
+        let lazy = u.build_network(Some(64));
+        let mut bound = Network::new(u.config().seed);
+        for (at, _) in &members {
+            bound.bind_udp(*at, u.make_udp(*at).expect("a member answers"));
+        }
+        let (padded, unpadded) = (QuicVnModule::new(7), QuicVnModule::unpadded(7));
+        for (t, (at, p)) in members.iter().enumerate() {
+            let version = VERSION_SETS[p.version_set][0];
+            let initial = client_for(p, t as u64).poll_transmit().remove(0);
+            let mut supported_unpadded = unpadded.build_probe(t as u64);
+            supported_unpadded[1..5].copy_from_slice(&version.0.to_be_bytes());
+            let vn_only = p.behavior == ScaleBehavior::VnOnly;
+            let probes = [
+                (padded.build_probe(t as u64), true),
+                (unpadded.build_probe(t as u64), true),
+                (initial, vn_only),
+                (supported_unpadded, vn_only),
+                (vec![0x40, 1, 2, 3], false),
+            ];
+            for (k, (probe, answers)) in probes.iter().enumerate() {
+                let case = format!("template {t} ({:?}), probe {k}", p.behavior);
+                let src = SocketAddr::new(Ipv4Addr::new(192, 0, 2, 9), 40_000 + (t * 8 + k) as u16);
+                let mut answer = Datagrams::new();
+                assert_eq!(u.answer_udp(*at, probe, &mut answer), *answers, "{case}");
+                let before = lazy.lazy_stats().expect("binder installed").stateless;
+                let replies = lazy.udp_send(src, *at, probe);
+                let after = lazy.lazy_stats().expect("binder installed").stateless;
+                assert_eq!(replies, bound.udp_send(src, *at, probe), "{case}");
+                assert_eq!(after - before, u64::from(*answers), "{case}");
+                if *answers {
+                    assert_eq!(answer.iter().collect::<Vec<_>>(), replies, "{case}");
+                }
+                if k == 0 {
+                    let vn = parse_version_negotiation(&replies[0]).expect("a VN");
+                    assert_eq!(vn.versions, VERSION_SETS[p.version_set], "{case}");
+                }
+            }
+        }
+        let stats = lazy.lazy_stats().expect("binder installed");
+        assert_eq!(
+            stats.instantiated, 12,
+            "one endpoint per template, for what needs one"
+        );
+    }
+
+    /// A probe that draws a VN, sent to a member whose endpoint is resident
+    /// mid-handshake with the same source (it has sent its flight and waits
+    /// for the client's Finished), is answered without the endpoint, which
+    /// then completes the handshake: the client sees HANDSHAKE_DONE.
+    #[test]
+    fn stateless_answer_leaves_a_resident_handshake_alone() {
+        let u = LazyUniverse::new(ScaleConfig::test(0x5a7e, 4_000));
+        let (at, p) = one_per_template(&u)[0];
+        assert_eq!(p.behavior, ScaleBehavior::Normal);
+        let net = u.build_network(Some(64));
+        let src = SocketAddr::new(Ipv4Addr::new(192, 0, 2, 9), 40_000);
+        let mut client = client_for(&p, 1);
+        let round = |client: &mut ClientConnection| {
+            let flight = client.poll_transmit();
+            for d in &flight {
+                for reply in net.udp_send(src, at, d) {
+                    client.on_datagram(&reply);
+                }
+            }
+            !flight.is_empty()
+        };
+        assert!(round(&mut client));
+        assert!(!client.handshake_done());
+        let resident = net.lazy_stats().expect("binder installed");
+        assert_eq!((resident.resident, resident.stateless), (1, 0));
+
+        let probe = QuicVnModule::new(7).build_probe(0);
+        let mut answer = Datagrams::new();
+        assert!(u.answer_udp(at, &probe, &mut answer));
+        let replies = net.udp_send(src, at, &probe);
+        assert_eq!(answer.iter().collect::<Vec<_>>(), replies);
+        let after = net.lazy_stats().expect("binder installed");
+        assert_eq!(after.stateless, 1);
+        assert_eq!(after.instantiated, resident.instantiated);
+
+        for _ in 0..8 {
+            if !round(&mut client) {
+                break;
+            }
+        }
+        assert_eq!(client.state(), &ConnectionState::Established);
+        assert!(client.handshake_done());
+        assert_eq!(net.lazy_stats().expect("binder installed").instantiated, 1);
     }
 
     /// ns per `udp_open` (the open map) and per `member_index` (the point

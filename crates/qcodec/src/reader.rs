@@ -55,6 +55,19 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
 
+    /// Consumes exactly `N` bytes and returns them as an array.
+    pub fn read_array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        let (out, _) = self
+            .rest()
+            .split_first_chunk::<N>()
+            .ok_or(CodecError::UnexpectedEnd {
+                wanted: N,
+                available: self.remaining(),
+            })?;
+        self.pos += N;
+        Ok(*out)
+    }
+
     /// Consumes all remaining bytes.
     pub fn read_rest(&mut self) -> &'a [u8] {
         let out = &self.buf[self.pos..];
@@ -164,8 +177,9 @@ mod tests {
         let data = [0xaa];
         let mut r = Reader::new(&data);
         assert!(r.read_u32().is_err());
+        assert!(r.read_array::<2>().is_err());
         assert_eq!(r.remaining(), 1);
-        assert_eq!(r.read_u8().unwrap(), 0xaa);
+        assert_eq!(r.read_array::<1>().unwrap(), [0xaa]);
     }
 
     #[test]

@@ -309,27 +309,7 @@ impl Endpoint {
             // Short header or garbage: route to an existing connection.
             return self.deliver(from, datagram, out);
         };
-
-        // Version negotiation decision happens before any decryption.
-        if !self.config.accept_versions.contains(&head.version) {
-            if self.config.no_version_negotiation {
-                return;
-            }
-            if datagram.len() < 1200 && !self.config.respond_to_unpadded {
-                return;
-            }
-            encode_version_negotiation_into(
-                out.buf(),
-                head.scid, // their SCID becomes our DCID
-                head.dcid,
-                &self.config.vn_advertise,
-            );
-            return out.end();
-        }
-
-        if self.config.vn_only {
-            // Nominally supported version, but the middlebox cannot proceed:
-            // silence — the scanner will classify this as a timeout.
+        if answer(&self.config, &head, datagram.len(), out) != Stateless::NeedsEndpoint {
             return;
         }
 
@@ -364,6 +344,66 @@ impl Endpoint {
         }
         self.deliver(from, datagram, out);
     }
+}
+
+/// What [`stateless_answer`] made of a datagram.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stateless {
+    /// A Version Negotiation packet went into the batch as one datagram.
+    VersionNegotiation,
+    /// The datagram is ignored: an unsupported version under
+    /// `no_version_negotiation`, an unpadded probe without
+    /// `respond_to_unpadded`, or a supported version at a `vn_only`
+    /// middlebox (the scanner sees a timeout).
+    Silent,
+    /// The datagram needs connection state: a short header, garbage, or a
+    /// supported version a handshake proceeds with.
+    NeedsEndpoint,
+}
+
+/// The part of [`Endpoint::handle_datagram_into`] that reads nothing but
+/// the configuration and the datagram (RFC 9000 §5.2.2, §6.1): a Version
+/// Negotiation, written into the caller's batch as its two parts, or
+/// silence. A network can answer these for an address whose endpoint was
+/// never built, with the bytes the endpoint would write.
+pub fn stateless_answer(
+    config: &EndpointConfig,
+    datagram: &[u8],
+    buf: &mut Vec<u8>,
+    ends: &mut Vec<usize>,
+) -> Stateless {
+    match parse_long_header_prefix(datagram) {
+        Some(head) => answer(config, &head, datagram.len(), &mut Out::new(buf, ends)),
+        None => Stateless::NeedsEndpoint,
+    }
+}
+
+/// [`stateless_answer`] for a parsed long header of a `len`-byte datagram.
+/// The decision precedes any decryption.
+fn answer(
+    config: &EndpointConfig,
+    head: &LongHeaderPrefix<'_>,
+    len: usize,
+    out: &mut Out<'_>,
+) -> Stateless {
+    if config.accept_versions.contains(&head.version) {
+        return if config.vn_only {
+            Stateless::Silent
+        } else {
+            Stateless::NeedsEndpoint
+        };
+    }
+    if config.no_version_negotiation || (len < 1200 && !config.respond_to_unpadded) {
+        return Stateless::Silent;
+    }
+    encode_version_negotiation_into(
+        out.buf(),
+        head.scid, // their SCID becomes our DCID
+        head.dcid,
+        &config.vn_advertise,
+    );
+    out.end();
+    Stateless::VersionNegotiation
 }
 
 /// Deterministic per-flow RNG: a hash of `(endpoint seed, flow key, salt)`
@@ -803,6 +843,72 @@ mod tests {
         let mut keys: Vec<u128> = ep.conns.keys().copied().collect();
         keys.sort_unstable();
         keys
+    }
+
+    /// A long-header Initial of `version` from flow 1, padded to `len`
+    /// bytes.
+    fn probe(version: Version, len: usize) -> Vec<u8> {
+        let mut d = vec![0xc0];
+        d.extend_from_slice(&version.0.to_be_bytes());
+        d.extend_from_slice(&[8, 1, 2, 3, 4, 5, 6, 7, 8, 4, 0xa, 0xb, 0xc, 0xd, 0]);
+        d.resize(len, 0);
+        d
+    }
+
+    /// The stateless answer is the endpoint's, byte for byte, under every
+    /// combination of the three flags it reads, for padded and unpadded
+    /// probes of a supported and an unsupported version; what it leaves to
+    /// the endpoint is what opens a connection there. Which answer each case
+    /// gets is pinned by the rules of RFC 9000 §6.1 and §14.1 and the
+    /// flags' meanings. A short header always needs the endpoint.
+    #[test]
+    fn stateless_answer_is_the_endpoints() {
+        let cert = qtls::cert::self_signed(0, "test.invalid", 0, [0u8; 32]);
+        let tls = Arc::new(qtls::ServerConfig::single_cert(cert));
+        for flags in 0..8u8 {
+            let mut config = EndpointConfig::new(tls.clone());
+            config.no_version_negotiation = flags & 1 != 0;
+            config.respond_to_unpadded = flags & 2 != 0;
+            config.vn_only = flags & 4 != 0;
+            // Advertised differs from accepted, as at Google (§5).
+            config.vn_advertise = vec![Version::DRAFT_29, Version(0x5a5a_5a5a)];
+            let config = Arc::new(config);
+            for version in [Version::V1, Version(0x1a2a_3a4a)] {
+                for len in [1200, 1199, 64] {
+                    let datagram = probe(version, len);
+                    let (mut buf, mut ends) = (vec![0xee], vec![1]);
+                    let answer = stateless_answer(&config, &datagram, &mut buf, &mut ends);
+                    let mut ep = Endpoint::new(config.clone(), 7, Box::new(|| Box::new(NoStreams)));
+                    let (mut ep_buf, mut ep_ends) = (vec![0xee], vec![1]);
+                    ep.handle_datagram_into(1, &datagram, &mut ep_buf, &mut ep_ends);
+                    let case = format!("flags {flags:03b}, {version:?}, {len} B: {answer:?}");
+                    let expected = if version == Version::V1 {
+                        match config.vn_only {
+                            true => Stateless::Silent,
+                            false => Stateless::NeedsEndpoint,
+                        }
+                    } else if config.no_version_negotiation
+                        || (len < 1200 && !config.respond_to_unpadded)
+                    {
+                        Stateless::Silent
+                    } else {
+                        Stateless::VersionNegotiation
+                    };
+                    assert_eq!(answer, expected, "{case}");
+                    if answer == Stateless::NeedsEndpoint {
+                        assert_eq!((buf, ends), (vec![0xee], vec![1]), "{case}");
+                        assert_eq!(flows(&ep), [1], "{case}");
+                    } else {
+                        assert_eq!((&buf, &ends), (&ep_buf, &ep_ends), "{case}");
+                        assert!(ep.conns.is_empty(), "{case}");
+                        let vn = answer == Stateless::VersionNegotiation;
+                        assert_eq!(ends.len(), 1 + usize::from(vn), "{case}");
+                    }
+                }
+            }
+            let short = stateless_answer(&config, &TOUCH, &mut Vec::new(), &mut Vec::new());
+            assert_eq!(short, Stateless::NeedsEndpoint);
+        }
     }
 
     /// Pins the eviction choice at the cap by value: the least recently

@@ -15,7 +15,10 @@
 //! address unbound for one multiply. The common sweep miss therefore hashes
 //! the address neither for a shard route nor for a map probe. The lazy path
 //! asks the binder instead ([`LazyBinder::udp_open`], pure and building
-//! nothing), so a lazy network's miss takes no cache lock either.
+//! nothing), so a lazy network's miss takes no cache lock either, and a
+//! datagram the binder can answer without an endpoint
+//! ([`LazyBinder::answer_udp`], a stateless Version Negotiation) is
+//! answered before the cache is looked at.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -23,6 +26,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::addr::SocketAddr;
+use crate::datagrams::Datagrams;
 use crate::fasthash::FastMap;
 use crate::fault;
 use crate::net::{TcpFactory, TcpHandler, UdpService};
@@ -130,6 +134,18 @@ pub trait LazyBinder: Send + Sync {
     /// cache lock is taken, so a sweep's miss touches no shared state.
     fn udp_open(&self, at: SocketAddr) -> bool;
 
+    /// Answers `datagram` to UDP `at` without an endpoint, appending any
+    /// reply to `replies`; `true` when it did, `false` to leave the
+    /// datagram to `make_udp(at)`'s endpoint. What it answers must be what
+    /// that endpoint would, in any state it could be in: a reply that is a
+    /// function of the address and the datagram alone, such as a stateless
+    /// Version Negotiation. It is asked before the cache, so an answered
+    /// datagram builds nothing, takes no lock and refreshes no endpoint's
+    /// recency. Defaults to answering nothing.
+    fn answer_udp(&self, _at: SocketAddr, _datagram: &[u8], _replies: &mut Datagrams) -> bool {
+        false
+    }
+
     /// The TCP factory for `at`, or `None` when TCP 443 is closed there.
     fn make_tcp(&self, at: SocketAddr) -> Option<Box<dyn TcpFactory>>;
 
@@ -156,6 +172,9 @@ pub struct LazyStats {
     pub instantiated: u64,
     /// Endpoints evicted under the residency cap.
     pub evicted: u64,
+    /// Datagrams the binder answered without an endpoint
+    /// ([`LazyBinder::answer_udp`]).
+    pub stateless: u64,
     /// TCP factories currently cached (never evicted — they carry
     /// per-host connection counters).
     pub tcp_resident: usize,
@@ -176,6 +195,14 @@ impl UdpEndpoint<'_> {
             UdpEndpoint::Lazy(service) => service,
         }
     }
+}
+
+/// What a UDP lookup found for one datagram.
+pub(crate) enum UdpLookup<'n> {
+    /// The endpoint to deliver it to (`None`: nothing lives there).
+    Endpoint(Option<UdpEndpoint<'n>>),
+    /// The binder answered it without one ([`LazyBinder::answer_udp`]).
+    Answered,
 }
 
 /// Every endpoint of a network: the statically bound UDP services, sharded
@@ -224,6 +251,8 @@ impl Endpoints {
         self.lazy = Some(LazyState::new(binder, capacity));
     }
 
+    /// The cache shards' counts summed; `stateless` stays 0 here, since
+    /// the network's traffic counters hold it.
     pub(crate) fn lazy_stats(&self) -> Option<LazyStats> {
         let lazy = self.lazy.as_ref()?;
         let mut stats = LazyStats {
@@ -255,15 +284,27 @@ impl Endpoints {
         self.udp_bound.may_contain(at) || self.lazy.as_ref().is_some_and(|l| l.binder.udp_open(*at))
     }
 
-    /// The UDP endpoint at `at`: the bound one, else the binder's
-    /// cached-or-instantiated one (`None` when nothing lives there).
-    pub(crate) fn udp(&self, at: &SocketAddr) -> Option<UdpEndpoint<'_>> {
+    /// Where `datagram` to UDP `at` goes: the bound endpoint; else, with a
+    /// binder, its stateless answer appended to `replies`, or its
+    /// cached-or-instantiated endpoint.
+    pub(crate) fn udp(
+        &self,
+        at: &SocketAddr,
+        datagram: &[u8],
+        replies: &mut Datagrams,
+    ) -> UdpLookup<'_> {
         if self.udp_bound.may_contain(at) {
             if let Some(service) = self.udp[route(at)].0.get(at) {
-                return Some(UdpEndpoint::Bound(service));
+                return UdpLookup::Endpoint(Some(UdpEndpoint::Bound(service)));
             }
         }
-        self.lazy.as_ref()?.udp(at).map(UdpEndpoint::Lazy)
+        let Some(lazy) = &self.lazy else {
+            return UdpLookup::Endpoint(None);
+        };
+        if lazy.binder.answer_udp(*at, datagram, replies) {
+            return UdpLookup::Answered;
+        }
+        UdpLookup::Endpoint(lazy.udp(at).map(UdpEndpoint::Lazy))
     }
 
     /// Whether TCP `at` answers a SYN; the binder answers from membership
@@ -491,6 +532,12 @@ mod tests {
         SocketAddr::new(Ipv4Addr::new(10, 0, 0, last), port)
     }
 
+    /// Finds the endpoint at `at` as a flight's first datagram does, and
+    /// lets go of it.
+    fn contact(endpoints: &Endpoints, at: &SocketAddr) {
+        drop(endpoints.udp(at, b"", &mut crate::Datagrams::new()));
+    }
+
     struct Echo;
     impl UdpService for Echo {
         fn on_datagram(&mut self, ctx: &mut ServiceCtx<'_>, _from: SocketAddr, data: &[u8]) {
@@ -532,6 +579,80 @@ mod tests {
         }
         fn tcp_open(&self, at: SocketAddr) -> bool {
             matches!(at.ip, IpAddr::V4(v4) if at.port == 443 && v4.octets()[3] % 4 == 0)
+        }
+    }
+
+    /// `OddEcho` answering datagrams that start with `v` itself, as its
+    /// endpoints would.
+    struct AnsweringEcho;
+    impl LazyBinder for AnsweringEcho {
+        fn make_udp(&self, at: SocketAddr) -> Option<Box<dyn UdpService>> {
+            OddEcho.make_udp(at)
+        }
+        fn udp_open(&self, at: SocketAddr) -> bool {
+            OddEcho.udp_open(at)
+        }
+        fn answer_udp(&self, at: SocketAddr, datagram: &[u8], replies: &mut Datagrams) -> bool {
+            let answers = self.udp_open(at) && datagram.first() == Some(&b'v');
+            if answers {
+                replies.push_with(|buf| buf.extend(datagram.iter().rev()));
+            }
+            answers
+        }
+        fn make_tcp(&self, _at: SocketAddr) -> Option<Box<dyn TcpFactory>> {
+            None
+        }
+    }
+
+    /// Datagrams the binder answers itself get the endpoint's replies, take
+    /// its clock time and count its traffic, on a clean and on a lossy path,
+    /// alone and inside a flight; what they skip is the endpoint: no build,
+    /// no lock. A flight's datagrams after the one that found its endpoint
+    /// go to that endpoint. Every address gets a single send, the first 20
+    /// a flight too.
+    #[test]
+    fn stateless_answers_match_the_endpoints() {
+        let run = |binder: Box<dyn LazyBinder>, profile: LinkProfile| {
+            let mut net = Network::new(7);
+            net.set_default_profile(profile);
+            net.set_lazy_binder(binder, Some(8));
+            let mut shard = net.shard();
+            let mut flight = Datagrams::new();
+            for d in [b"v1", b"x2", b"v3"] {
+                flight.push(d);
+            }
+            let mut log = Vec::new();
+            for last in 1..=40u8 {
+                let (src, dst) = (addr(200, 9000), addr(last, 443));
+                let (mut single, mut replies) = (Datagrams::new(), Datagrams::new());
+                let status = shard.udp_send_status(src, dst, b"vn", &mut single, None);
+                if last <= 20 {
+                    shard.udp_send_flight(src, dst, &flight, &mut replies, usize::MAX);
+                }
+                log.push((status, single, replies));
+            }
+            let now = shard.now();
+            let acquired = shard.finish().acquired;
+            let stats = net.lazy_stats().expect("binder installed");
+            (log, now, net.stats.snapshot(), acquired, stats)
+        };
+        for profile in [LinkProfile::ideal(), LinkProfile::lossy(250)] {
+            let (log, now, traffic, acquired, stats) = run(Box::new(AnsweringEcho), profile);
+            let built = run(Box::new(OddEcho), profile);
+            assert_eq!((&log, now, traffic), (&built.0, built.1, built.2));
+            assert_eq!(built.4.stateless, 0);
+            assert!(stats.stateless > 0 && stats.instantiated < built.4.instantiated);
+            assert!(acquired < built.3);
+            if profile.is_ideal() {
+                // 20 odd addresses, 10 of them sent a flight. Answered: the
+                // single sends and each flight's first datagram; `x2` builds
+                // and locks, `v3` follows it.
+                assert_eq!(
+                    (stats.stateless, stats.instantiated, acquired),
+                    (30, 10, 10)
+                );
+                assert_eq!((built.4.instantiated, built.3), (20, 30));
+            }
         }
     }
 
@@ -674,7 +795,7 @@ mod tests {
         cell.set(Arc::downgrade(&endpoints)).expect("set once");
         for last in 1..=40u8 {
             // A flight holds the handle while it delivers, then drops it.
-            drop(endpoints.udp(&addr(last, 443)));
+            contact(&endpoints, &addr(last, 443));
         }
         assert_eq!(
             endpoints.lazy_stats().expect("binder installed").evicted,
@@ -770,15 +891,15 @@ mod tests {
             .partition(|a| lazy.shard_index(a) == lazy.shard_index(&target));
         let resident = || lazy.shard(&target).lock().map.contains_key(&target);
 
-        drop(endpoints.udp(&target));
+        contact(&endpoints, &target);
         for (i, near) in mine[..63].iter().enumerate() {
-            drop(endpoints.udp(near));
+            contact(&endpoints, near);
             for far in &elsewhere[i * 40..(i + 1) * 40] {
-                drop(endpoints.udp(far));
+                contact(&endpoints, far);
             }
         }
         assert!(resident(), "evicted before its shard's window");
-        drop(endpoints.udp(&mine[63]));
+        contact(&endpoints, &mine[63]);
         assert!(!resident(), "outlived its shard's window");
         let stats = endpoints.lazy_stats().expect("binder installed");
         assert_eq!(stats.instantiated, 1 + 64 + 63 * 40);

@@ -11,6 +11,7 @@
 //! number, so results are identical at any worker count.
 
 use std::cell::OnceCell;
+use std::sync::atomic::Ordering;
 
 use parking_lot::{Mutex, MutexGuard};
 use telemetry::{FaultKind, TraceCtx};
@@ -18,7 +19,9 @@ use telemetry::{FaultKind, TraceCtx};
 use crate::addr::{IpAddr, SocketAddr};
 use crate::clock::{Duration, ShardClock, SimClock, SimTime};
 use crate::datagrams::Datagrams;
-use crate::endpoints::{route, CacheAligned, Endpoints, LazyBinder, LazyStats, UdpEndpoint};
+use crate::endpoints::{
+    route, CacheAligned, Endpoints, LazyBinder, LazyStats, UdpEndpoint, UdpLookup,
+};
 use crate::fasthash::FastMap;
 use crate::fault::{self, LinkProfile};
 use crate::stats::{LocalStats, NetStats};
@@ -258,7 +261,10 @@ impl Network {
     /// Residency accounting of the lazy endpoint cache (`None` when no
     /// binder is installed).
     pub fn lazy_stats(&self) -> Option<LazyStats> {
-        self.endpoints.lazy_stats()
+        let stateless = self.stats.stateless_answers.load(Ordering::Relaxed);
+        self.endpoints
+            .lazy_stats()
+            .map(|stats| LazyStats { stateless, ..stats })
     }
 
     /// Number of bound UDP sockets (used by generators for sanity checks).
@@ -574,7 +580,7 @@ impl NetShard<'_> {
             // Fast path: unimpaired link — no flow-counter lookup, no draws.
             if profile.is_ideal() {
                 let start = out.len();
-                if delivery.deliver(payload, out, &mut self.locks) {
+                if delivery.deliver(payload, out, &mut self.locks, &mut self.local) {
                     self.clock.advance(net.rtt);
                 }
                 for i in start..out.len() {
@@ -627,7 +633,7 @@ impl NetShard<'_> {
             }
 
             let start = out.len();
-            if delivery.deliver(payload, out, &mut self.locks) {
+            if delivery.deliver(payload, out, &mut self.locks, &mut self.local) {
                 let jitter_us = if profile.jitter_us > 0 {
                     fault::draw(net.seed, flow, seq, fault::SALT_JITTER) % (profile.jitter_us + 1)
                 } else {
@@ -698,10 +704,11 @@ impl Drop for NetShard<'_> {
 }
 
 /// One flight's way to its destination endpoint: looked up at the flight's
-/// first delivery and locked then, both at most once per flight. The
-/// endpoint handle sits in the flight's `endpoint` slot, so the guard can
-/// borrow from it whether the endpoint is bound or lazily resident (a lazy
-/// handle also pins its endpoint against eviction until the flight ends).
+/// first delivery the lazy binder does not answer itself, and locked then,
+/// both at most once per flight. The endpoint handle sits in the flight's
+/// `endpoint` slot, so the guard can borrow from it whether the endpoint is
+/// bound or lazily resident (a lazy handle also pins its endpoint against
+/// eviction until the flight ends).
 struct Delivery<'e> {
     net: &'e Network,
     src: SocketAddr,
@@ -716,15 +723,31 @@ struct Delivery<'e> {
 
 impl Delivery<'_> {
     /// Delivers `payload`, queuing replies into `out`; returns whether an
-    /// endpoint lives at `dst`.
-    fn deliver(&mut self, payload: &[u8], out: &mut Datagrams, locks: &mut LockCounters) -> bool {
+    /// endpoint lives at `dst`. A datagram the lazy binder answers without
+    /// one counts as delivered: no endpoint is found or locked for it, and
+    /// `local` counts it.
+    fn deliver(
+        &mut self,
+        payload: &[u8],
+        out: &mut Datagrams,
+        locks: &mut LockCounters,
+        local: &mut LocalStats,
+    ) -> bool {
         let service = match &mut self.guard {
             Some(service) => service,
             unlocked => {
                 // `get` + `set` rather than `get_or_init`, whose initializing
                 // path is `#[cold]` — and initializing is every probe's path.
                 if self.endpoint.get().is_none() {
-                    let _ = self.endpoint.set(self.net.endpoints.udp(&self.dst));
+                    match self.net.endpoints.udp(&self.dst, payload, out) {
+                        UdpLookup::Endpoint(found) => {
+                            let _ = self.endpoint.set(found);
+                        }
+                        UdpLookup::Answered => {
+                            local.record_stateless();
+                            return true;
+                        }
+                    }
                 }
                 let Some(Some(endpoint)) = self.endpoint.get() else {
                     return false;

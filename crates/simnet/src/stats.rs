@@ -17,6 +17,9 @@ pub struct NetStats {
     pub bytes_received: AtomicU64,
     /// Packets dropped by the loss model.
     pub packets_dropped: AtomicU64,
+    /// Datagrams a lazy binder answered without an endpoint
+    /// ([`crate::LazyBinder::answer_udp`]).
+    pub stateless_answers: AtomicU64,
 }
 
 impl NetStats {
@@ -64,6 +67,7 @@ pub(crate) struct LocalStats {
     packets_received: u64,
     bytes_received: u64,
     packets_dropped: u64,
+    stateless_answers: u64,
 }
 
 impl LocalStats {
@@ -79,6 +83,10 @@ impl LocalStats {
 
     pub(crate) fn record_drop(&mut self) {
         self.packets_dropped += 1;
+    }
+
+    pub(crate) fn record_stateless(&mut self) {
+        self.stateless_answers += 1;
     }
 
     /// Adds the accumulated counts into `stats` and zeroes this accumulator.
@@ -98,6 +106,9 @@ impl LocalStats {
         stats
             .packets_dropped
             .fetch_add(self.packets_dropped, Ordering::Relaxed);
+        stats
+            .stateless_answers
+            .fetch_add(self.stateless_answers, Ordering::Relaxed);
         *self = LocalStats::default();
     }
 }
