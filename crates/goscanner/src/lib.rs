@@ -77,6 +77,14 @@ pub struct Goscanner {
     pub seed: u64,
 }
 
+/// Source ports: scan index i connects from `PORT_BASE + i mod PORT_SLOTS`.
+/// [`Goscanner::scan_all`] fans out one cycle of `PORT_SLOTS` indices at a
+/// time: the fan-out runs indices up to n/W apart at once, and two of them
+/// a cycle apart on one host would share its server's flow, so what each
+/// saw would depend on W.
+const PORT_BASE: u16 = 10_000;
+const PORT_SLOTS: u64 = 50_000;
+
 impl Goscanner {
     /// New scanner from a vantage address.
     pub fn new(source_ip: IpAddr, seed: u64) -> Self {
@@ -85,7 +93,7 @@ impl Goscanner {
 
     /// Scans one target: TCP connect, TLS handshake, one HTTP GET.
     pub fn scan_target(&self, net: &Network, target: &TlsTarget, index: u64) -> TlsScanResult {
-        let src = SocketAddr::new(self.source_ip, 10_000 + (index % 50_000) as u16);
+        let src = SocketAddr::new(self.source_ip, PORT_BASE + (index % PORT_SLOTS) as u16);
         let dst = SocketAddr::new(target.addr, 443);
         let mut result = TlsScanResult {
             target: target.clone(),
@@ -169,16 +177,27 @@ impl Goscanner {
     }
 
     /// Scans `targets` on `workers` threads ([`simnet::fan_out`]; one worker
-    /// runs on the caller's thread). Target `i` is scanned with index `i`
-    /// and lands at position `i`, whichever worker ran it.
+    /// runs on the caller's thread), one port cycle ([`PORT_SLOTS`] targets)
+    /// at a time. Target `i` is scanned with index `i` and lands at
+    /// position `i`, whichever worker ran it.
     pub fn scan_all(
         &self,
         net: &Network,
         targets: &[TlsTarget],
         workers: usize,
     ) -> Vec<TlsScanResult> {
-        let scan = |_: &mut (), i: usize| self.scan_target(net, &targets[i], i as u64);
-        simnet::fan_out(targets.len(), workers, || (), scan).0
+        let mut results = Vec::new();
+        for (c, cycle) in targets.chunks(PORT_SLOTS as usize).enumerate() {
+            let base = c * PORT_SLOTS as usize;
+            let scan = |_: &mut (), i: usize| self.scan_target(net, &cycle[i], (base + i) as u64);
+            let part = simnet::fan_out(cycle.len(), workers, || (), scan).0;
+            if results.is_empty() {
+                results = part;
+            } else {
+                results.extend(part);
+            }
+        }
+        results
     }
 }
 

@@ -55,7 +55,8 @@ impl Aead {
         let inner = match algorithm {
             AeadAlgorithm::Aes128Gcm | AeadAlgorithm::Aes256Gcm => Inner::Gcm(AesGcm::new(key)),
             AeadAlgorithm::ChaCha20Poly1305 => Inner::ChaCha {
-                key: key.try_into().unwrap(),
+                // Cannot fail: the length was asserted above.
+                key: key.try_into().expect("32-byte key"),
             },
         };
         Aead { inner, algorithm }
@@ -185,12 +186,18 @@ pub enum HeaderProtector {
 impl HeaderProtector {
     /// Builds a protector; `hp_key` must match the algorithm's key length.
     pub fn new(algorithm: AeadAlgorithm, hp_key: &[u8]) -> Self {
+        assert_eq!(
+            hp_key.len(),
+            algorithm.key_len(),
+            "header-protection key length mismatch"
+        );
         match algorithm {
             AeadAlgorithm::Aes128Gcm | AeadAlgorithm::Aes256Gcm => {
                 HeaderProtector::Aes(Aes::new(hp_key))
             }
             AeadAlgorithm::ChaCha20Poly1305 => {
-                HeaderProtector::ChaCha(hp_key.try_into().expect("chacha hp key must be 32 bytes"))
+                // Cannot fail: the length was asserted above.
+                HeaderProtector::ChaCha(hp_key.try_into().expect("32-byte key"))
             }
         }
     }
@@ -204,9 +211,8 @@ impl HeaderProtector {
                 mask.copy_from_slice(&block[..5]);
             }
             HeaderProtector::ChaCha(key) => {
-                let counter = u32::from_le_bytes(sample[..4].try_into().unwrap());
-                let nonce: [u8; 12] = sample[4..].try_into().unwrap();
-                let block = chacha20::block(key, counter, &nonce);
+                let [c0, c1, c2, c3, nonce @ ..] = *sample;
+                let block = chacha20::block(key, u32::from_le_bytes([c0, c1, c2, c3]), &nonce);
                 mask.copy_from_slice(&block[..5]);
             }
         }

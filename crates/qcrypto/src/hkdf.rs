@@ -39,6 +39,8 @@ fn label_info<'b>(
     let full_label = LABEL_PREFIX.len() + label.len();
     assert!(full_label <= 255, "HKDF label too long");
     assert!(context.len() <= 255, "HKDF context too long");
+    // Fails only past 64 KiB, where HKDF-Expand (at most 255 × 32 bytes)
+    // would refuse the call anyway.
     let len = u16::try_from(len).expect("HKDF-Expand-Label output too long");
     buf[..2].copy_from_slice(&len.to_be_bytes());
     buf[2] = full_label as u8;

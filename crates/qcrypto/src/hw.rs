@@ -13,8 +13,10 @@
 //! * X25519's ladder and fixed-base comb — four field elements per 256-bit
 //!   register, one 51-bit limb per lane, multiplied with AVX-512 IFMA
 //!   (`vpmadd52luq`/`vpmadd52huq`): a ladder step is three four-lane
-//!   multiplications, a comb addition or doubling two. Inversion and the
-//!   byte encoding stay on the portable code in [`crate::x25519`].
+//!   multiplications, a comb addition or doubling two. One comb kernel runs
+//!   one or two scalars, step for step in one loop, for a client's two
+//!   shares. Inversion and the byte encoding stay on the portable code in
+//!   [`crate::x25519`].
 //!
 //! This is the one module in the workspace that contains `unsafe`, and it
 //! needs it for exactly two things:
@@ -130,12 +132,6 @@ fn store4(blocks: &mut [u8; 64], v: __m512i) {
     unsafe { _mm512_storeu_si512(blocks.as_mut_ptr().cast(), v) }
 }
 
-/// Views a 16-byte chunk (as `chunks_exact(16)` yields) as a block.
-#[inline(always)]
-fn as_block(chunk: &[u8]) -> &[u8; 16] {
-    chunk.try_into().expect("16-byte chunk")
-}
-
 /// The `rounds + 1` round keys in registers (the rest stay zero).
 #[inline(always)]
 fn round_keys(rk: &RoundKeys, rounds: usize) -> [__m128i; 15] {
@@ -191,7 +187,8 @@ fn ctr_xor_impl(
     data: &mut [u8],
 ) {
     let keys = round_keys(rk, rounds);
-    let word = |i: usize| i32::from_le_bytes(nonce[4 * i..4 * i + 4].try_into().expect("4 bytes"));
+    let words = nonce.as_chunks::<4>().0;
+    let word = |i: usize| i32::from_le_bytes(words[i]);
     let (n0, n1, n2) = (word(0), word(1), word(2));
     let keystream = |counter: &mut u32| {
         // The counter is big-endian on the wire, the lanes little-endian.
@@ -211,8 +208,7 @@ fn ctr_xor_impl(
     let mut batches = data.chunks_exact_mut(16 * LANES);
     for batch in &mut batches {
         let lanes = keystream(&mut counter);
-        for (chunk, ks) in batch.chunks_exact_mut(16).zip(lanes) {
-            let block: &mut [u8; 16] = chunk.try_into().expect("16-byte chunk");
+        for (block, ks) in batch.as_chunks_mut::<16>().0.iter_mut().zip(lanes) {
             store(block, _mm_xor_si128(load(block), ks));
         }
     }
@@ -312,8 +308,8 @@ fn absorb(powers: &[__m128i; AGGREGATE], y: __m128i, blocks: &[u8]) -> __m128i {
         _mm_setzero_si128(),
         _mm_setzero_si128(),
     );
-    for (i, chunk) in blocks.chunks_exact(16).enumerate() {
-        let mut x = reflect(load(as_block(chunk)));
+    for (i, block) in blocks.as_chunks::<16>().0.iter().enumerate() {
+        let mut x = reflect(load(block));
         if i == 0 {
             x = _mm_xor_si128(x, y);
         }
@@ -363,12 +359,12 @@ fn ghash_with(
     let mut y = _mm_setzero_si128();
     for data in [aad, ct] {
         let (whole, partial) = split_blocks(data);
-        let mut batches = whole.chunks_exact(16 * AGGREGATE);
-        for chunk in &mut batches {
-            y = batch(y, chunk.try_into().expect("whole batch"));
+        let (batches, rest) = whole.as_chunks::<{ 16 * AGGREGATE }>();
+        for chunk in batches {
+            y = batch(y, chunk);
         }
-        if !batches.remainder().is_empty() {
-            y = absorb(powers, y, batches.remainder());
+        if !rest.is_empty() {
+            y = absorb(powers, y, rest);
         }
         if let Some(block) = partial {
             y = absorb(powers, y, &block);
@@ -545,9 +541,9 @@ fn absorb_wide(
     y: __m128i,
     batch: &[u8; 16 * AGGREGATE],
 ) -> __m128i {
-    let (first, second) = batch.split_at(64);
-    let first = reflect4(load4(first.try_into().expect("64 bytes")));
-    let second = reflect4(load4(second.try_into().expect("64 bytes")));
+    let halves = batch.as_chunks::<64>().0;
+    let first = reflect4(load4(&halves[0]));
+    let second = reflect4(load4(&halves[1]));
     let (l0, m0, h0) = clmul4(first, high);
     let (l1, m1, h1) = clmul4(second, low);
     let (yl, ym, yh) = clmul(y, h8);
@@ -594,12 +590,12 @@ fn sha256_compress_impl(state: &mut [u32; 8], blocks: &[u8]) {
     let [a, b, c, d, e, f, g, h] = state.map(|w| w as i32);
     let mut abef = _mm_set_epi32(a, b, e, f);
     let mut cdgh = _mm_set_epi32(c, d, g, h);
-    for block in blocks.chunks_exact(BLOCK_LEN) {
+    for block in blocks.as_chunks::<BLOCK_LEN>().0 {
         let (abef_in, cdgh_in) = (abef, cdgh);
+        let quarters = block.as_chunks::<16>().0;
         // W[4i..4i+4] for the last four groups, group i in w[i % 4].
-        let mut w: [__m128i; 4] = core::array::from_fn(|i| {
-            _mm_shuffle_epi8(load(as_block(&block[16 * i..16 * i + 16])), be_words)
-        });
+        let mut w: [__m128i; 4] =
+            core::array::from_fn(|i| _mm_shuffle_epi8(load(&quarters[i]), be_words));
         for i in 0..16 {
             if i >= 4 {
                 // W[t] = σ1(W[t-2]) + W[t-7] + σ0(W[t-15]) + W[t-16]:
@@ -956,30 +952,46 @@ fn select(row: &[Fe4; 8], digit: i8) -> Fe4 {
     blend(0u8.wrapping_sub(negative as u8), &t, &minus)
 }
 
+/// Up to two combs in one loop, step for step, so the out-of-order core
+/// may overlap their independent additions. Measured, the overlap gains
+/// little: a comb is bound more by instruction throughput than by the
+/// latency of its chain. One kernel for both counts, so `add_affine` and
+/// `double` each have one call site and are inlined (two instantiations
+/// left them out of line, ≈ 1.5× slower). `digits.len()` is 1 or 2.
 #[target_feature(enable = "avx512f,avx512vl,avx512ifma")]
-fn x25519_comb_impl(digits: &[i8; 64], table: &CombTable) -> [[u64; 5]; 2] {
-    let mut h = from_lanes([FE_ZERO, FE_ONE, FE_ONE, FE_ZERO]);
-    // The odd digits, ×16, then the even ones; one loop, so `add_affine`
-    // has one call site and is inlined.
+fn x25519_comb_impl(digits: &[&[i8; 64]], table: &CombTable) -> [[[u64; 5]; 2]; 2] {
+    let mut h = [from_lanes([FE_ZERO, FE_ONE, FE_ONE, FE_ZERO]); 2];
+    // The odd digits, ×16, then the even ones.
     for odd in [1, 0] {
-        for (row, pair) in table.0.iter().zip(digits.chunks_exact(2)) {
-            h = add_affine(&h, &select(row, pair[odd]));
+        for (i, row) in table.0.iter().enumerate() {
+            for (h, digits) in h.iter_mut().zip(digits) {
+                *h = add_affine(h, &select(row, digits[2 * i + odd]));
+            }
         }
         if odd == 1 {
             for _ in 0..4 {
-                h = double(&h);
+                for h in h.iter_mut().take(digits.len()) {
+                    *h = double(h);
+                }
             }
         }
     }
-    [lane::<1>(&h), lane::<2>(&h)]
+    h.map(|h| [lane::<1>(&h), lane::<2>(&h)])
 }
 
-/// The fixed-base comb over the recoded scalar `digits`: (Y, Z) of the
-/// Edwards result, limbs below 2^52, as the portable comb computes it.
-pub(crate) fn x25519_comb(_: IfmaToken, digits: &[i8; 64], table: &CombTable) -> [[u64; 5]; 2] {
+/// The fixed-base comb over each recoded scalar of `digits` (N of 1 or 2):
+/// (Y, Z) of the Edwards result, limbs below 2^52, as the portable comb
+/// computes it.
+pub(crate) fn x25519_comb<const N: usize>(
+    _: IfmaToken,
+    digits: [&[i8; 64]; N],
+    table: &CombTable,
+) -> [[[u64; 5]; 2]; N] {
+    const { assert!(N <= 2, "the IFMA comb interleaves at most two scalars") };
     // SAFETY: the token proves the CPU has `avx512f`, `avx512vl` and
     // `avx512ifma`.
-    unsafe { x25519_comb_impl(digits, table) }
+    let both = unsafe { x25519_comb_impl(&digits, table) };
+    core::array::from_fn(|i| both[i])
 }
 
 #[target_feature(enable = "avx512f,avx512vl,avx512ifma")]

@@ -22,8 +22,7 @@ impl Poly1305 {
     /// Starts a tag computation under the 32-byte one-time key.
     pub fn new(key: &[u8; 32]) -> Self {
         // r is clamped per RFC 8439.
-        let mut r = [0u8; 16];
-        r.copy_from_slice(&key[..16]);
+        let mut r: [u8; 16] = core::array::from_fn(|i| key[i]);
         r[3] &= 15;
         r[7] &= 15;
         r[11] &= 15;
@@ -32,7 +31,8 @@ impl Poly1305 {
         r[8] &= 252;
         r[12] &= 252;
 
-        let word = |at: usize| u64::from(u32::from_le_bytes(r[at..at + 4].try_into().unwrap()));
+        let word = |at: usize| le_word(&r, at);
+        let s: [u8; 16] = core::array::from_fn(|i| key[16 + i]);
         Poly1305 {
             r: [
                 word(0) & 0x3ffffff,
@@ -42,7 +42,7 @@ impl Poly1305 {
                 (word(12) >> 8) & 0x00fffff,
             ],
             h: [0; 5],
-            s: u128::from_le_bytes(key[16..32].try_into().unwrap()),
+            s: u128::from_le_bytes(s),
             partial: [0; 16],
             partial_len: 0,
         }
@@ -62,11 +62,10 @@ impl Poly1305 {
             self.block(&block, 1);
             self.partial_len = 0;
         }
-        let mut blocks = data.chunks_exact(16);
-        for block in &mut blocks {
-            self.block(block.try_into().expect("16-byte chunk"), 1);
+        let (blocks, tail) = data.as_chunks::<16>();
+        for block in blocks {
+            self.block(block, 1);
         }
-        let tail = blocks.remainder();
         self.partial[..tail.len()].copy_from_slice(tail);
         self.partial_len = tail.len();
     }
@@ -75,7 +74,7 @@ impl Poly1305 {
     fn block(&mut self, block: &[u8; 16], high_bit: u64) {
         let [r0, r1, r2, r3, r4] = self.r;
         let (s1, s2, s3, s4) = (r1 * 5, r2 * 5, r3 * 5, r4 * 5);
-        let word = |at: usize| u64::from(u32::from_le_bytes(block[at..at + 4].try_into().unwrap()));
+        let word = |at: usize| le_word(block, at);
 
         let h0 = self.h[0] + (word(0) & 0x3ffffff);
         let h1 = self.h[1] + ((word(3) >> 2) & 0x3ffffff);
@@ -169,6 +168,16 @@ impl Poly1305 {
             | ((h4 as u128) << 104);
         acc.wrapping_add(self.s).to_le_bytes()
     }
+}
+
+/// The little-endian 32-bit word at byte `at` of a 16-byte block.
+fn le_word(block: &[u8; 16], at: usize) -> u64 {
+    u64::from(u32::from_le_bytes([
+        block[at],
+        block[at + 1],
+        block[at + 2],
+        block[at + 3],
+    ]))
 }
 
 /// Computes the 16-byte Poly1305 tag of `msg` under the 32-byte one-time key.

@@ -94,8 +94,8 @@ pub(crate) fn sha256(msg: &[u8]) -> [u8; DIGEST_LEN] {
     }
     padded.extend_from_slice(&(msg.len() as u64 * 8).to_be_bytes());
     let mut state = sha256::H0;
-    for block in padded.chunks_exact(BLOCK_LEN) {
-        sha256::compress_soft(&mut state, block.try_into().expect("64-byte chunk"));
+    for block in padded.as_chunks::<BLOCK_LEN>().0 {
+        sha256::compress_soft(&mut state, block);
     }
     let mut out = [0u8; DIGEST_LEN];
     for (bytes, w) in out.chunks_exact_mut(4).zip(state) {

@@ -39,10 +39,10 @@ fn key_words(rk: &RoundKeys, rounds: usize) -> [u32; 60] {
     let mut words = [0u32; 60];
     for (w, bytes) in words
         .iter_mut()
-        .zip(rk.as_flattened().chunks_exact(4))
+        .zip(rk.as_flattened().as_chunks::<4>().0)
         .take(4 * (rounds + 1))
     {
-        *w = u32::from_be_bytes(bytes.try_into().expect("4-byte chunk"));
+        *w = u32::from_be_bytes(*bytes);
     }
     words
 }
@@ -101,19 +101,16 @@ fn encrypt_words<const N: usize>(k: &[u32; 60], rounds: usize, blocks: &mut [[u3
     }
 }
 
-fn be_word(bytes: &[u8]) -> u32 {
-    u32::from_be_bytes(bytes.try_into().expect("4-byte chunk"))
+/// The big-endian words of a block or nonce.
+fn be_words<const N: usize, const W: usize>(bytes: &[u8; N]) -> [u32; W] {
+    let words = bytes.as_chunks::<4>().0;
+    core::array::from_fn(|i| u32::from_be_bytes(words[i]))
 }
 
 /// Encrypts one block in place.
 pub(crate) fn encrypt_block(rk: &RoundKeys, rounds: usize, block: &mut [u8; 16]) {
     let k = key_words(rk, rounds);
-    let mut s = [[
-        be_word(&block[..4]),
-        be_word(&block[4..8]),
-        be_word(&block[8..12]),
-        be_word(&block[12..]),
-    ]];
+    let mut s = [be_words::<16, 4>(block)];
     encrypt_words(&k, rounds, &mut s);
     for (bytes, word) in block.chunks_exact_mut(4).zip(s[0]) {
         bytes.copy_from_slice(&word.to_be_bytes());
@@ -133,11 +130,7 @@ pub(crate) fn ctr_xor(
     data: &mut [u8],
 ) {
     let k = key_words(rk, rounds);
-    let n = [
-        be_word(&nonce[..4]),
-        be_word(&nonce[4..8]),
-        be_word(&nonce[8..]),
-    ];
+    let n: [u32; 3] = be_words(nonce);
     for batch in data.chunks_mut(16 * LANES) {
         let mut blocks: [[u32; 4]; LANES] =
             std::array::from_fn(|i| [n[0], n[1], n[2], counter.wrapping_add(i as u32)]);
@@ -230,11 +223,8 @@ pub(crate) fn ghash(h: &[u8; 16], aad: &[u8], ct: &[u8]) -> [u8; 16] {
     let mut y = 0u128;
     for data in [aad, ct] {
         let (whole, partial) = split_blocks(data);
-        for block in whole.chunks_exact(16).chain(partial.iter().map(|b| &b[..])) {
-            y = mul(
-                &tables,
-                y ^ u128::from_be_bytes(block.try_into().expect("16-byte block")),
-            );
+        for block in whole.as_chunks::<16>().0.iter().chain(&partial) {
+            y = mul(&tables, y ^ u128::from_be_bytes(*block));
         }
     }
     y = mul(

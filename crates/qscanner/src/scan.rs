@@ -26,7 +26,9 @@ use quic::conn::{ClientConnection, ConnectionState, HandshakeOutcome};
 use quic::tparams::TransportParameters;
 use quic::version::Version;
 use quic::ClientConfig;
-use simnet::{fan_out, Datagrams, Duration, FlightStatus, IpAddr, NetShard, Network, SocketAddr};
+use simnet::{
+    fan_out, Datagrams, Duration, FlightStatus, IpAddr, LockCounters, NetShard, Network, SocketAddr,
+};
 use telemetry::{Event, EventKind, LocalMetrics, MetricsRegistry, Telemetry, TraceCtx};
 
 use crate::outcome::{QuicScanResult, QuicTarget, ScanOutcome};
@@ -46,6 +48,20 @@ const VERSIONS: [Version; 3] = [Version::DRAFT_29, Version::DRAFT_32, Version::D
 /// Connection attempts per target, each from a fresh source port with
 /// exponential backoff in between.
 const ATTEMPTS: u64 = 3;
+
+/// Source ports: attempt a of scan index i sends from
+/// `PORT_BASE + (i·ATTEMPTS + a) mod PORT_SLOTS`.
+const PORT_BASE: u16 = 10_000;
+const PORT_SLOTS: u64 = 50_000;
+
+/// Scan indices fanned out at a time. Within 16,666 consecutive indices the
+/// values i·3 + a (49,998 of them) are distinct mod 50,000, so no two
+/// attempts of one fan-out share a source port. The fan-out runs indices up
+/// to n/W apart at once, and a host's server keys its connections by source
+/// port: without the cycle a call larger than it could run two live flows
+/// of one host on one server connection, and what each saw would depend on
+/// W. Fan-outs run one after the other, as a one-worker scan would.
+const PORT_CYCLE_TARGETS: usize = (PORT_SLOTS / ATTEMPTS) as usize;
 
 /// Probe timeouts fired per attempt before the peer counts as silent.
 const PTOS_PER_ATTEMPT: u32 = 5;
@@ -332,8 +348,8 @@ impl QScanner {
             // Fresh source port per attempt: a server that closed or
             // poisoned the previous connection keeps draining datagrams on
             // the old flow, so the retry must look like a new client.
-            let port_slot = (index * ATTEMPTS + attempt) % 50_000;
-            let src = SocketAddr::new(self.source_ip, 10_000 + port_slot as u16);
+            let port_slot = (index * ATTEMPTS + attempt) % PORT_SLOTS;
+            let src = SocketAddr::new(self.source_ip, PORT_BASE + port_slot as u16);
             let seed = self.seed
                 ^ index.wrapping_mul(0xd6e8_feb8_6659_fd93)
                 ^ attempt.wrapping_mul(0x9e37_79b9_7f4a_7c15);
@@ -521,11 +537,13 @@ impl QScanner {
 
     /// The one scan driver. Scans `targets` (scan index `base + i` for
     /// `targets[i]`) through [`simnet::fan_out`] — `workers` threads claiming
-    /// index batches off a shared [`simnet::StealQueue`], each with a private
-    /// [`Worker`] and metric set — and returns the `per_target` values in
-    /// index order plus how many targets each worker scanned. `fan_out`
-    /// starts no more workers than there are targets, and runs a single
-    /// worker on the caller's thread — the same code, no spawn.
+    /// index batches off a [`simnet::StealQueue`], each with a private
+    /// [`Worker`] and metric set — one port cycle
+    /// ([`PORT_CYCLE_TARGETS`]) at a time, and returns the `per_target`
+    /// values in index order, how many targets each worker scanned, and the
+    /// service-lock traffic the workers' shards saw. `fan_out` starts no
+    /// more workers than there are targets, and runs a single worker on the
+    /// caller's thread — the same code, no spawn.
     ///
     /// A panic in a target's scan reaches the caller, as every panic in a
     /// `fan_out` worker does.
@@ -537,21 +555,38 @@ impl QScanner {
         workers: usize,
         registry: Option<&MetricsRegistry>,
         per_target: impl Fn(&mut Worker<'_>, &mut LocalMetrics, &QuicTarget, u64) -> R + Sync,
-    ) -> (Vec<R>, Vec<usize>) {
-        let (results, per_worker) = fan_out(
-            targets.len(),
-            workers,
-            || (Worker::new(net), LocalMetrics::new()),
-            |(worker, metrics), i| per_target(worker, metrics, &targets[i], base + i as u64),
-        );
-        let mut counts = Vec::with_capacity(per_worker.len());
-        for ((_, metrics), scanned) in per_worker {
-            if let Some(registry) = registry {
-                registry.submit(metrics);
+    ) -> (Vec<R>, Vec<usize>, LockCounters) {
+        let mut results = Vec::new();
+        let mut counts: Vec<usize> = Vec::new();
+        let mut locks = LockCounters::default();
+        let mut start = 0;
+        loop {
+            let cycle = &targets[start..targets.len().min(start + PORT_CYCLE_TARGETS)];
+            let base = base + start as u64;
+            let (part, per_worker) = fan_out(
+                cycle.len(),
+                workers,
+                || (Worker::new(net), LocalMetrics::new()),
+                |(worker, metrics), i| per_target(worker, metrics, &cycle[i], base + i as u64),
+            );
+            if results.is_empty() {
+                results = part;
+            } else {
+                results.extend(part);
             }
-            counts.push(scanned);
+            counts.resize(counts.len().max(per_worker.len()), 0);
+            for (count, ((worker, metrics), scanned)) in counts.iter_mut().zip(per_worker) {
+                if let Some(registry) = registry {
+                    registry.submit(metrics);
+                }
+                locks.merge(&worker.shard.finish());
+                *count += scanned;
+            }
+            start += cycle.len();
+            if start >= targets.len() {
+                return (results, counts, locks);
+            }
         }
-        (results, counts)
     }
 
     /// Scans targets across `workers` threads with work stealing: workers
@@ -580,9 +615,10 @@ impl QScanner {
         targets: &[QuicTarget],
         workers: usize,
     ) -> (Vec<QuicScanResult>, Vec<usize>) {
-        self.drive(net, 0, targets, workers, None, |w, _, t, i| {
+        let (results, counts, _) = self.drive(net, 0, targets, workers, None, |w, _, t, i| {
             self.scan_one_impl(w, t, i, None)
-        })
+        });
+        (results, counts)
     }
 
     /// Streaming driver: scans targets straight off an iterator without ever
@@ -618,7 +654,7 @@ impl QScanner {
             if batch.is_empty() {
                 return base;
             }
-            let (results, _) = self.drive(net, base, &batch, workers, None, |w, _, t, i| {
+            let (results, ..) = self.drive(net, base, &batch, workers, None, |w, _, t, i| {
                 self.scan_one_impl(w, t, i, None)
             });
             for r in results {
@@ -643,7 +679,7 @@ impl QScanner {
         telemetry: &Telemetry,
     ) -> Vec<QuicScanResult> {
         let registry = Some(&*telemetry.metrics);
-        let (traced, _) = self.drive(net, 0, targets, workers, registry, |w, metrics, t, i| {
+        let (traced, ..) = self.drive(net, 0, targets, workers, registry, |w, metrics, t, i| {
             self.scan_traced(w, t, i, week, metrics)
         });
         traced
@@ -668,4 +704,65 @@ fn decided(
         outcome: result.outcome.label(),
     });
     (result, ctx.finish())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use internet::{HostBehavior, Universe, UniverseConfig};
+
+    /// Service-lock traffic of a host-sorted SNI scan — every domain's
+    /// handshaking IPv4 hosts at factor 0.01, sorted by address, as a
+    /// campaign's SNI targets are — at one and two workers: acquisitions,
+    /// acquisitions that found the lock held by the other worker, and wall
+    /// time, three scans each on fresh networks. Prints, asserts nothing.
+    /// Run with
+    /// `cargo test --release -p qscanner --lib -- --ignored --nocapture lock_traffic`.
+    #[test]
+    #[ignore = "prints lock counts and wall time; meaningful in release builds only"]
+    fn lock_traffic() {
+        let u = Universe::generate(UniverseConfig {
+            seed: 0x9000,
+            week: 18,
+            size_factor: 0.01,
+        });
+        let handshakes = |h: &internet::HostSpec| {
+            matches!(
+                h.behavior,
+                HostBehavior::Normal | HostBehavior::RejectNoSni | HostBehavior::AltOnly
+            )
+        };
+        let mut targets: Vec<QuicTarget> = u
+            .domains
+            .iter()
+            .flat_map(|d| {
+                let hosts = &u.hosts;
+                d.v4_hosts.iter().map(move |&h| (d, &hosts[h as usize]))
+            })
+            .filter(|(_, h)| handshakes(h))
+            .filter_map(|(d, h)| Some(QuicTarget::new(IpAddr::V4(h.v4?), Some(d.name.clone()))))
+            .collect();
+        targets.sort_by_key(|t| t.addr);
+        let mut hosts: Vec<IpAddr> = targets.iter().map(|t| t.addr).collect();
+        hosts.dedup();
+        println!("{} targets on {} addresses", targets.len(), hosts.len());
+        let scanner = QScanner::new(IpAddr::V4(simnet::addr::Ipv4Addr::new(192, 0, 2, 10)), 1);
+        for workers in [1, 2] {
+            for _ in 0..3 {
+                let net = u.build_network();
+                let start = std::time::Instant::now();
+                let (_, _, locks) =
+                    scanner.drive(&net, 0, &targets, workers, None, |w, _, t, i| {
+                        scanner.scan_one_impl(w, t, i, None)
+                    });
+                println!(
+                    "W = {workers}: {} acquisitions, {} contended ({:.1} %), {:.1} ms",
+                    locks.acquired,
+                    locks.contended,
+                    100.0 * locks.contended as f64 / locks.acquired.max(1) as f64,
+                    start.elapsed().as_secs_f64() * 1e3
+                );
+            }
+        }
+    }
 }

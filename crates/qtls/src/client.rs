@@ -101,15 +101,25 @@ impl ClientHandshake {
     pub fn start(config: ClientConfig, rng: &mut dyn RngCore) -> (Self, Vec<u8>) {
         let mut random = [0u8; 32];
         rng.fill_bytes(&mut random);
-        let mut key_shares = Vec::new();
-        let mut share_exts = Vec::new();
-        for group in &config.groups {
-            let mut secret = [0u8; 32];
-            rng.fill_bytes(&mut secret);
-            let public = x25519::public_key(&secret);
-            key_shares.push((*group, secret));
-            share_exts.push((group.wire(), public.to_vec()));
-        }
+        // Every group's secret is drawn first, in order, and then all the
+        // shares are computed at once, with one inversion between them.
+        let secrets: Vec<[u8; 32]> = config
+            .groups
+            .iter()
+            .map(|_| {
+                let mut secret = [0u8; 32];
+                rng.fill_bytes(&mut secret);
+                secret
+            })
+            .collect();
+        let share_exts: Vec<(u16, Vec<u8>)> = config
+            .groups
+            .iter()
+            .zip(x25519::public_keys(&secrets))
+            .map(|(group, public)| (group.wire(), public.to_vec()))
+            .collect();
+        let key_shares: Vec<(NamedGroup, [u8; 32])> =
+            config.groups.iter().copied().zip(secrets).collect();
         let mut extensions = Vec::new();
         if let Some(name) = &config.server_name {
             extensions.push(Extension::ServerName(Some(name.clone())));

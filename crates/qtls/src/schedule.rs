@@ -58,7 +58,11 @@ pub struct AppSecrets {
 /// yields zero whatever our secret, which would fix the handshake secret.
 /// RFC 8446 §7.4.2 requires aborting then; both ends send illegal_parameter.
 pub(crate) fn dh_shared_secret(secret: &[u8; 32], peer_public: &[u8; 32]) -> Option<[u8; 32]> {
-    let shared = x25519::x25519(secret, peer_public);
+    nonzero(x25519::x25519(secret, peer_public))
+}
+
+/// `shared`, or `None` when it is all zeros (see [`dh_shared_secret`]).
+pub(crate) fn nonzero(shared: [u8; 32]) -> Option<[u8; 32]> {
     (shared.iter().fold(0, |acc, b| acc | b) != 0).then_some(shared)
 }
 

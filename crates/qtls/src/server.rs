@@ -16,8 +16,7 @@ use crate::client::sim_signature;
 use crate::ext::{Extension, NamedGroup};
 use crate::msgs::{ClientHello, Handshake, ServerHello};
 use crate::schedule::{
-    app_secrets, dh_shared_secret, finished_verify_data, handshake_secrets, HandshakeSecrets,
-    Transcript,
+    app_secrets, finished_verify_data, handshake_secrets, nonzero, HandshakeSecrets, Transcript,
 };
 use crate::{Alert, Level, TlsError, TlsEvent, TlsVersion};
 
@@ -297,9 +296,9 @@ impl ServerHandshake {
         let peer_public: [u8; 32] = peer_public
             .try_into()
             .map_err(|_| self.fail(Alert::IllegalParameter, "bad key share length"))?;
-        let shared = dh_shared_secret(&self.kx_secret, &peer_public)
+        let (shared, my_public) = x25519::shared_and_public(&self.kx_secret, &peer_public);
+        let shared = nonzero(shared)
             .ok_or_else(|| self.fail(Alert::IllegalParameter, "all-zero shared secret"))?;
-        let my_public = x25519::public_key(&self.kx_secret);
 
         // ServerHello.
         let sh = Handshake::ServerHello(ServerHello {
