@@ -3,7 +3,7 @@
 //! Attempt a of scan index i sends from port `10_000 + (3i + a) mod 50_000`,
 //! so indices 50,000 apart open their first attempts from one port, and a
 //! server keys its connections by source. The fan-out runs indices up to
-//! n/W apart at once; the driver therefore fans out one cycle of 16,666
+//! n/W apart at once; the scanner therefore fans out one cycle of 16,666
 //! indices at a time, and whichever index reaches a shared flow first is the
 //! lower one, at any worker count. This test puts two targets of one host
 //! 50,000 indices apart, at the starts of the two workers' regions, so that
