@@ -77,11 +77,9 @@ pub struct Goscanner {
     pub seed: u64,
 }
 
-/// Source ports: scan index i connects from `PORT_BASE + i mod PORT_SLOTS`.
-/// [`Goscanner::scan_all`] fans out one cycle of `PORT_SLOTS` indices at a
-/// time: the fan-out runs indices up to n/W apart at once, and two of them
-/// a cycle apart on one host would share its server's flow, so what each
-/// saw would depend on W.
+/// Source ports: scan index i connects from `PORT_BASE + i mod PORT_SLOTS`,
+/// so [`Goscanner::scan_all`] fans out one cycle of `PORT_SLOTS` indices at
+/// a time ([`simnet::fan_out_cycles`]).
 const PORT_BASE: u16 = 10_000;
 const PORT_SLOTS: u64 = 50_000;
 
@@ -176,28 +174,19 @@ impl Goscanner {
         result
     }
 
-    /// Scans `targets` on `workers` threads ([`simnet::fan_out`]; one worker
-    /// runs on the caller's thread), one port cycle ([`PORT_SLOTS`] targets)
-    /// at a time. Target `i` is scanned with index `i` and lands at
-    /// position `i`, whichever worker ran it.
+    /// Scans `targets` on `workers` threads ([`simnet::fan_out_cycles`];
+    /// one worker runs on the caller's thread), one port cycle
+    /// (`PORT_SLOTS`, 50,000 targets) at a time. Target `i` is scanned with index
+    /// `i` and lands at position `i`, whichever worker ran it.
     pub fn scan_all(
         &self,
         net: &Network,
         targets: &[TlsTarget],
         workers: usize,
     ) -> Vec<TlsScanResult> {
-        let mut results = Vec::new();
-        for (c, cycle) in targets.chunks(PORT_SLOTS as usize).enumerate() {
-            let base = c * PORT_SLOTS as usize;
-            let scan = |_: &mut (), i: usize| self.scan_target(net, &cycle[i], (base + i) as u64);
-            let part = simnet::fan_out(cycle.len(), workers, || (), scan).0;
-            if results.is_empty() {
-                results = part;
-            } else {
-                results.extend(part);
-            }
-        }
-        results
+        let scan = |_: &mut (), i: usize| self.scan_target(net, &targets[i], i as u64);
+        let cycle = PORT_SLOTS as usize;
+        simnet::fan_out_cycles(targets.len(), cycle, workers, || (), scan, drop)
     }
 }
 

@@ -13,10 +13,8 @@
 //! * X25519's ladder and fixed-base comb — four field elements per 256-bit
 //!   register, one 51-bit limb per lane, multiplied with AVX-512 IFMA
 //!   (`vpmadd52luq`/`vpmadd52huq`): a ladder step is three four-lane
-//!   multiplications, a comb addition or doubling two. One comb kernel runs
-//!   one or two scalars, step for step in one loop, for a client's two
-//!   shares. Inversion and the byte encoding stay on the portable code in
-//!   [`crate::x25519`].
+//!   multiplications, a comb addition or doubling two. Inversion and the
+//!   byte encoding stay on the portable code in [`crate::x25519`].
 //!
 //! This is the one module in the workspace that contains `unsafe`, and it
 //! needs it for exactly two things:
@@ -952,46 +950,30 @@ fn select(row: &[Fe4; 8], digit: i8) -> Fe4 {
     blend(0u8.wrapping_sub(negative as u8), &t, &minus)
 }
 
-/// Up to two combs in one loop, step for step, so the out-of-order core
-/// may overlap their independent additions. Measured, the overlap gains
-/// little: a comb is bound more by instruction throughput than by the
-/// latency of its chain. One kernel for both counts, so `add_affine` and
-/// `double` each have one call site and are inlined (two instantiations
-/// left them out of line, ≈ 1.5× slower). `digits.len()` is 1 or 2.
 #[target_feature(enable = "avx512f,avx512vl,avx512ifma")]
-fn x25519_comb_impl(digits: &[&[i8; 64]], table: &CombTable) -> [[[u64; 5]; 2]; 2] {
-    let mut h = [from_lanes([FE_ZERO, FE_ONE, FE_ONE, FE_ZERO]); 2];
-    // The odd digits, ×16, then the even ones.
+fn x25519_comb_impl(digits: &[i8; 64], table: &CombTable) -> [[u64; 5]; 2] {
+    let mut h = from_lanes([FE_ZERO, FE_ONE, FE_ONE, FE_ZERO]);
+    // The odd digits, ×16, then the even ones; one loop, so `add_affine`
+    // has one call site and is inlined.
     for odd in [1, 0] {
-        for (i, row) in table.0.iter().enumerate() {
-            for (h, digits) in h.iter_mut().zip(digits) {
-                *h = add_affine(h, &select(row, digits[2 * i + odd]));
-            }
+        for (row, pair) in table.0.iter().zip(digits.chunks_exact(2)) {
+            h = add_affine(&h, &select(row, pair[odd]));
         }
         if odd == 1 {
             for _ in 0..4 {
-                for h in h.iter_mut().take(digits.len()) {
-                    *h = double(h);
-                }
+                h = double(&h);
             }
         }
     }
-    h.map(|h| [lane::<1>(&h), lane::<2>(&h)])
+    [lane::<1>(&h), lane::<2>(&h)]
 }
 
-/// The fixed-base comb over each recoded scalar of `digits` (N of 1 or 2):
-/// (Y, Z) of the Edwards result, limbs below 2^52, as the portable comb
-/// computes it.
-pub(crate) fn x25519_comb<const N: usize>(
-    _: IfmaToken,
-    digits: [&[i8; 64]; N],
-    table: &CombTable,
-) -> [[[u64; 5]; 2]; N] {
-    const { assert!(N <= 2, "the IFMA comb interleaves at most two scalars") };
+/// The fixed-base comb over the recoded scalar `digits`: (Y, Z) of the
+/// Edwards result, limbs below 2^52, as the portable comb computes it.
+pub(crate) fn x25519_comb(_: IfmaToken, digits: &[i8; 64], table: &CombTable) -> [[u64; 5]; 2] {
     // SAFETY: the token proves the CPU has `avx512f`, `avx512vl` and
     // `avx512ifma`.
-    let both = unsafe { x25519_comb_impl(&digits, table) };
-    core::array::from_fn(|i| both[i])
+    unsafe { x25519_comb_impl(digits, table) }
 }
 
 #[target_feature(enable = "avx512f,avx512vl,avx512ifma")]

@@ -29,15 +29,15 @@
 //! lane permutation. The IFMA comb keeps (X, Y, Z, T) in the lanes: an
 //! addition's three products and 2Z are one multiplication, the four of
 //! E, F, G, H the next, over a second, lane-major copy of the table
-//! (40 KiB), and one loop runs two combs step for step. Both backends
-//! finish with the inversion and encoding below, so their outputs are the
-//! same bytes; the portable code is the definition the tests hold the IFMA
-//! code to.
+//! (40 KiB). Both backends finish with the inversion and encoding below,
+//! so their outputs are the same bytes; the portable code is the
+//! definition the tests hold the IFMA code to.
 //!
-//! Each side of a handshake pays one inversion. [`public_keys`] runs every
-//! comb first and then inverts all their denominators at once by
-//! Montgomery's trick (one inversion, three multiplications per key): the
-//! client's shares for its offered groups. [`shared_and_public`] does the
+//! Each side of a handshake pays one inversion. [`public_keys`] runs the
+//! combs two at a time and inverts each two's denominators at once by
+//! Montgomery's trick (one inversion, three multiplications per key), on
+//! the stack: the client's shares for the two groups it offers.
+//! [`shared_and_public`] does the
 //! same for the server's DH and its own share, with a branch-free stand-in
 //! for the z2 = 0 a small-order peer leaves. The inversion itself is the
 //! constant-time safegcd of Bernstein and Yang ("Fast constant-time gcd
@@ -621,14 +621,13 @@ pub fn x25519(scalar: &[u8; 32], u: &[u8; 32]) -> [u8; 32] {
 /// `x25519` gives it, without a branch.
 pub fn shared_and_public(secret: &[u8; 32], peer: &[u8; 32]) -> ([u8; 32], [u8; 32]) {
     let (x2, mut z2) = ladder_xz(secret, peer);
-    let [(num, den)] = combs::<1>([secret]);
+    let (num, den) = comb_fraction(secret);
     let small_order = z2.zero_mask();
     z2.cmov(&ONE, small_order);
-    let mut inverses = [z2, den];
-    invert_all(&mut inverses);
-    let mut shared = x2.mul(&inverses[0]);
+    let [z2_inv, den_inv] = invert_all([z2, den]);
+    let mut shared = x2.mul(&z2_inv);
     shared.cmov(&ZERO, small_order);
-    (shared.to_bytes(), num.mul(&inverses[1]).to_bytes())
+    (shared.to_bytes(), num.mul(&den_inv).to_bytes())
 }
 
 /// The ladder on the clamped `scalar` and `u` with bit 255 masked: k·u as
@@ -648,24 +647,25 @@ fn ladder_xz(scalar: &[u8; 32], u: &[u8; 32]) -> (Fe, Fe) {
     }
 }
 
-/// Replaces each element by its inverse with one inversion (Montgomery's
-/// trick): the running products forward, the inverse of the last, and two
+/// The inverse of each element with one inversion (Montgomery's trick):
+/// the running products forward, the inverse of the last, and two
 /// multiplications back per element. A zero element would zero them all;
 /// callers pass none.
-fn invert_all(elems: &mut [Fe]) {
-    let mut before = Vec::with_capacity(elems.len());
+fn invert_all<const N: usize>(mut elems: [Fe; N]) -> [Fe; N] {
+    let mut before = [ONE; N];
     let mut product = ONE;
-    for e in elems.iter() {
-        before.push(product);
+    for (e, before) in elems.iter().zip(&mut before) {
+        *before = product;
         product = product.mul(e);
     }
     let mut inverse = product.invert();
-    for (e, before) in elems.iter_mut().zip(before).rev() {
+    for (e, before) in elems.iter_mut().zip(&before).rev() {
         // `inverse` is that of every element up to and including e.
         let rest = inverse.mul(e);
-        *e = inverse.mul(&before);
+        *e = inverse.mul(before);
         inverse = rest;
     }
+    elems
 }
 
 /// The portable ladder: (x2, z2) of k·x1, projective.
@@ -710,56 +710,59 @@ pub const BASEPOINT: [u8; 32] = {
 };
 
 /// Derives the public key for `secret` (scalar × base point) with the
-/// fixed-base comb; equal to `x25519(secret, &BASEPOINT)`. The one-secret
-/// case of [`public_keys`].
+/// fixed-base comb; equal to `x25519(secret, &BASEPOINT)`.
 pub fn public_key(secret: &[u8; 32]) -> [u8; 32] {
-    let [(num, den)] = combs::<1>([secret]);
+    let (num, den) = comb_fraction(secret);
     num.mul(&den.invert()).to_bytes()
 }
 
-/// The public key of each secret, equal to `public_key(secret)` for each:
-/// every comb first, then one inversion for all of them. On IFMA the combs
-/// run two to a loop.
-pub fn public_keys(secrets: &[[u8; 32]]) -> Vec<[u8; 32]> {
-    let mut nums = Vec::with_capacity(secrets.len());
-    let mut dens = Vec::with_capacity(secrets.len());
-    let mut pairs = secrets.chunks_exact(2);
-    for pair in &mut pairs {
-        for (num, den) in combs::<2>([&pair[0], &pair[1]]) {
-            nums.push(num);
-            dens.push(den);
+/// Secrets whose [`public_keys`] share one inversion: the two groups a
+/// ClientHello offers.
+const KEY_BATCH: usize = 2;
+
+/// The public key of each secret, in order, equal to `public_key(secret)`
+/// for each: the combs of `KEY_BATCH` (two) secrets, then one inversion for
+/// them. Allocates nothing; the batch lives on the stack.
+pub fn public_keys<'a>(
+    secrets: impl IntoIterator<Item = &'a [u8; 32]>,
+) -> impl Iterator<Item = [u8; 32]> {
+    let mut secrets = secrets.into_iter();
+    std::iter::from_fn(move || {
+        // 1/1 stands in for the secrets a short last batch lacks.
+        let mut fractions = [(ONE, ONE); KEY_BATCH];
+        let mut len = 0;
+        for (fraction, secret) in fractions.iter_mut().zip(&mut secrets) {
+            *fraction = comb_fraction(secret);
+            len += 1;
         }
-    }
-    for secret in pairs.remainder() {
-        let [(num, den)] = combs::<1>([secret]);
-        nums.push(num);
-        dens.push(den);
-    }
-    invert_all(&mut dens);
-    nums.iter()
-        .zip(&dens)
-        .map(|(num, den_inv)| num.mul(den_inv).to_bytes())
-        .collect()
+        (len > 0).then(|| {
+            let inverses = invert_all(fractions.map(|(_, den)| den));
+            let keys: [[u8; 32]; KEY_BATCH] =
+                core::array::from_fn(|i| fractions[i].0.mul(&inverses[i]).to_bytes());
+            keys.into_iter().take(len)
+        })
+    })
+    .flatten()
 }
 
-/// The comb of each secret as the fraction u = (Z + Y) / (Z − Y), from
+/// The comb of `secret` as the fraction u = (Z + Y) / (Z − Y), from
 /// y = Y/Z by u = (1 + y) / (1 − y). The denominator is never zero: a
 /// clamped scalar is 8m with 0 < m < ℓ, the base point's order, so its
 /// multiple is not the identity (y = 1).
-fn combs<const N: usize>(secrets: [&[u8; 32]; N]) -> [(Fe, Fe); N] {
-    let digits = secrets.map(|secret| recode(&clamp(secret)));
-    let fraction = |y: Fe, z: Fe| (z.add(&y), z.sub(&y));
-    match Backend::detect() {
+fn comb_fraction(secret: &[u8; 32]) -> (Fe, Fe) {
+    let digits = recode(&clamp(secret));
+    let (y, z) = match Backend::detect() {
         #[cfg(target_arch = "x86_64")]
         Backend::Ifma(token) => {
-            let digits = core::array::from_fn(|i| &digits[i]);
-            hw::x25519_comb(token, digits, ifma_table(token)).map(|[y, z]| fraction(Fe(y), Fe(z)))
+            let [y, z] = hw::x25519_comb(token, &digits, ifma_table(token));
+            (Fe(y), Fe(z))
         }
-        Backend::Portable => digits.map(|digits| {
+        Backend::Portable => {
             let h = comb(&digits);
-            fraction(h.y, h.z)
-        }),
-    }
+            (h.y, h.z)
+        }
+    };
+    (z.add(&y), z.sub(&y))
 }
 
 /// The portable comb: Σ digits[i]·16^i·B on Ed25519.
@@ -1192,8 +1195,8 @@ mod tests {
         }
     }
 
-    /// One inversion for a batch gives each secret's own key, for every
-    /// batch size from 1 to 64, on both backends.
+    /// One inversion per batch gives each secret's own key, for every
+    /// count of secrets from 1 to 64, on both backends.
     #[test]
     fn public_keys_match_public_key() {
         let secrets: Vec<[u8; 32]> = (0u32..64)
@@ -1202,13 +1205,10 @@ mod tests {
         each_x25519_backend(|backend| {
             let single: Vec<[u8; 32]> = secrets.iter().map(public_key).collect();
             for n in 1..=secrets.len() {
-                assert_eq!(
-                    public_keys(&secrets[..n]),
-                    single[..n],
-                    "{n} on {backend:?}"
-                );
+                let batched: Vec<[u8; 32]> = public_keys(&secrets[..n]).collect();
+                assert_eq!(batched, single[..n], "{n} on {backend:?}");
             }
-            assert!(public_keys(&[]).is_empty());
+            assert_eq!(public_keys(&[]).count(), 0);
         });
     }
 
@@ -1377,7 +1377,9 @@ mod tests {
                 black_box(public_key(black_box(&secret)));
             });
             let key_pair = per_op_us(&mut || {
-                black_box(public_keys(black_box(&pair)));
+                for key in public_keys(black_box(&pair)) {
+                    black_box(key);
+                }
             });
             let dh = per_op_us(&mut || {
                 black_box(x25519(black_box(&secret), &peer));

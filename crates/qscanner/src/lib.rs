@@ -13,7 +13,7 @@
 //! scan a single target on the caller's thread; `scan_many`,
 //! `scan_many_stats`, `scan_many_traced` and `scan_stream` go through the
 //! one private driver in [`scan`], which hands the target indices to
-//! [`simnet::fan_out`] — work stealing over a [`StealQueue`] (re-exported
+//! [`simnet::fan_out_cycles`] — work stealing over a [`StealQueue`] (re-exported
 //! here; it lives in `simnet` with the fan-out), results merged in
 //! scan-index order, every worker sending through its own
 //! `simnet::NetShard`. A one-worker (or one-target) scan is that same

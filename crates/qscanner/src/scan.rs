@@ -10,7 +10,7 @@
 //! Every send goes through a worker-private [`NetShard`]; a serial scan is
 //! one shard on the caller's thread, so there is no separate "global" send
 //! path for the two to diverge on. One private driver, `drive`, is the only
-//! caller of [`simnet::fan_out`] here: [`QScanner::scan_many`],
+//! caller of [`simnet::fan_out_cycles`] here: [`QScanner::scan_many`],
 //! [`QScanner::scan_many_stats`], [`QScanner::scan_many_traced`] and
 //! [`QScanner::scan_stream`] all go through it.
 //!
@@ -27,7 +27,8 @@ use quic::tparams::TransportParameters;
 use quic::version::Version;
 use quic::ClientConfig;
 use simnet::{
-    fan_out, Datagrams, Duration, FlightStatus, IpAddr, LockCounters, NetShard, Network, SocketAddr,
+    fan_out_cycles, Datagrams, Duration, FlightStatus, IpAddr, LockCounters, NetShard, Network,
+    SocketAddr,
 };
 use telemetry::{Event, EventKind, LocalMetrics, MetricsRegistry, Telemetry, TraceCtx};
 
@@ -54,13 +55,10 @@ const ATTEMPTS: u64 = 3;
 const PORT_BASE: u16 = 10_000;
 const PORT_SLOTS: u64 = 50_000;
 
-/// Scan indices fanned out at a time. Within 16,666 consecutive indices the
-/// values i·3 + a (49,998 of them) are distinct mod 50,000, so no two
-/// attempts of one fan-out share a source port. The fan-out runs indices up
-/// to n/W apart at once, and a host's server keys its connections by source
-/// port: without the cycle a call larger than it could run two live flows
-/// of one host on one server connection, and what each saw would depend on
-/// W. Fan-outs run one after the other, as a one-worker scan would.
+/// Scan indices fanned out at a time ([`simnet::fan_out_cycles`]). Within
+/// 16,666 consecutive indices the values i·3 + a (49,998 of them) are
+/// distinct mod 50,000, so no two attempts of one fan-out share a source
+/// port, and no two live flows of one host share a server connection.
 const PORT_CYCLE_TARGETS: usize = (PORT_SLOTS / ATTEMPTS) as usize;
 
 /// Probe timeouts fired per attempt before the peer counts as silent.
@@ -536,14 +534,15 @@ impl QScanner {
     }
 
     /// The one scan driver. Scans `targets` (scan index `base + i` for
-    /// `targets[i]`) through [`simnet::fan_out`] — `workers` threads claiming
-    /// index batches off a [`simnet::StealQueue`], each with a private
-    /// [`Worker`] and metric set — one port cycle
-    /// ([`PORT_CYCLE_TARGETS`]) at a time, and returns the `per_target`
-    /// values in index order, how many targets each worker scanned, and the
-    /// service-lock traffic the workers' shards saw. `fan_out` starts no
-    /// more workers than there are targets, and runs a single worker on the
-    /// caller's thread — the same code, no spawn.
+    /// `targets[i]`) through [`simnet::fan_out_cycles`] — `workers` threads
+    /// claiming index batches off a [`simnet::StealQueue`], each with a
+    /// private [`Worker`] and metric set, one port cycle
+    /// ([`PORT_CYCLE_TARGETS`]) at a time, each cycle's shards merged before
+    /// the next starts — and returns the `per_target` values in index order,
+    /// how many targets each worker scanned, and the service-lock traffic
+    /// the workers' shards saw. `fan_out` starts no more workers than there
+    /// are targets, and runs a single worker on the caller's thread — the
+    /// same code, no spawn.
     ///
     /// A panic in a target's scan reaches the caller, as every panic in a
     /// `fan_out` worker does.
@@ -556,43 +555,35 @@ impl QScanner {
         registry: Option<&MetricsRegistry>,
         per_target: impl Fn(&mut Worker<'_>, &mut LocalMetrics, &QuicTarget, u64) -> R + Sync,
     ) -> (Vec<R>, Vec<usize>, LockCounters) {
-        let mut results = Vec::new();
         let mut counts: Vec<usize> = Vec::new();
         let mut locks = LockCounters::default();
-        let mut start = 0;
-        loop {
-            let cycle = &targets[start..targets.len().min(start + PORT_CYCLE_TARGETS)];
-            let base = base + start as u64;
-            let (part, per_worker) = fan_out(
-                cycle.len(),
-                workers,
-                || (Worker::new(net), LocalMetrics::new()),
-                |(worker, metrics), i| per_target(worker, metrics, &cycle[i], base + i as u64),
-            );
-            if results.is_empty() {
-                results = part;
-            } else {
-                results.extend(part);
-            }
-            counts.resize(counts.len().max(per_worker.len()), 0);
-            for (count, ((worker, metrics), scanned)) in counts.iter_mut().zip(per_worker) {
-                if let Some(registry) = registry {
-                    registry.submit(metrics);
+        let results = fan_out_cycles(
+            targets.len(),
+            PORT_CYCLE_TARGETS,
+            workers,
+            || (Worker::new(net), LocalMetrics::new()),
+            |(worker, metrics), i| per_target(worker, metrics, &targets[i], base + i as u64),
+            |per_worker| {
+                counts.resize(counts.len().max(per_worker.len()), 0);
+                for (count, ((worker, metrics), scanned)) in counts.iter_mut().zip(per_worker) {
+                    if let Some(registry) = registry {
+                        registry.submit(metrics);
+                    }
+                    locks.merge(&worker.shard.finish());
+                    *count += scanned;
                 }
-                locks.merge(&worker.shard.finish());
-                *count += scanned;
-            }
-            start += cycle.len();
-            if start >= targets.len() {
-                return (results, counts, locks);
-            }
-        }
+            },
+        );
+        (results, counts, locks)
     }
 
-    /// Scans targets across `workers` threads with work stealing: workers
-    /// claim small index batches off a shared cursor ([`simnet::StealQueue`]),
-    /// so a run of slow targets — PTO-retrying, rate-limited — spreads over
-    /// whoever is free instead of idling everyone behind one static chunk.
+    /// Scans targets across `workers` threads with work stealing: each
+    /// worker claims small index batches from its own region of the index
+    /// space, then steals from the region with the most left
+    /// ([`simnet::StealQueue`]), so a run of slow targets — PTO-retrying,
+    /// rate-limited — spreads over whoever is free instead of idling everyone
+    /// behind one static chunk, and concurrent workers sit on different
+    /// hosts of a host-sorted list.
     /// Results are merged in scan-index order and are byte-identical to the
     /// one-worker run at any worker count, because nothing a target does
     /// depends on which worker ran it.

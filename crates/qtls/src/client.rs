@@ -101,25 +101,24 @@ impl ClientHandshake {
     pub fn start(config: ClientConfig, rng: &mut dyn RngCore) -> (Self, Vec<u8>) {
         let mut random = [0u8; 32];
         rng.fill_bytes(&mut random);
-        // Every group's secret is drawn first, in order, and then all the
-        // shares are computed at once, with one inversion between them.
-        let secrets: Vec<[u8; 32]> = config
+        // Every group's secret is drawn first, in order, and then the shares
+        // are computed two at a time, with one inversion for each two.
+        let key_shares: Vec<(NamedGroup, [u8; 32])> = config
             .groups
             .iter()
-            .map(|_| {
+            .map(|&group| {
                 let mut secret = [0u8; 32];
                 rng.fill_bytes(&mut secret);
-                secret
+                (group, secret)
             })
             .collect();
-        let share_exts: Vec<(u16, Vec<u8>)> = config
-            .groups
+        let share_exts: Vec<(u16, Vec<u8>)> = key_shares
             .iter()
-            .zip(x25519::public_keys(&secrets))
-            .map(|(group, public)| (group.wire(), public.to_vec()))
+            .zip(x25519::public_keys(
+                key_shares.iter().map(|(_, secret)| secret),
+            ))
+            .map(|((group, _), public)| (group.wire(), public.to_vec()))
             .collect();
-        let key_shares: Vec<(NamedGroup, [u8; 32])> =
-            config.groups.iter().copied().zip(secrets).collect();
         let mut extensions = Vec::new();
         if let Some(name) = &config.server_name {
             extensions.push(Extension::ServerName(Some(name.clone())));

@@ -32,10 +32,11 @@
 //! seeds, budgets, and trace timestamps all derive from the index alone), and
 //! the pool merges results in index order. A caller whose indices share
 //! state at a fixed distance (the scanners' source ports repeat every cycle)
-//! fans out one cycle at a time, since regions run indices up to n/W apart
-//! at once. [`fan_out`] is the claim-and-merge pool of the stateful QUIC and
-//! TLS scans, the PEMI transfer grid and the stateless sweeps' shards; the
-//! mux sweep's windowed workers run on [`fan_out_pulled`] underneath it.
+//! uses [`fan_out_cycles`], one fan-out per cycle, since regions run indices
+//! up to n/W apart at once. [`fan_out`] is the claim-and-merge pool of the
+//! PEMI transfer grid and the stateless sweeps' shards, and under
+//! [`fan_out_cycles`] of the stateful QUIC and TLS scans; the mux sweep's
+//! windowed workers run on [`fan_out_pulled`] underneath it.
 //! Each worker usually owns a [`crate::NetShard`] as (part of) its state.
 
 use std::ops::Range;
@@ -183,6 +184,46 @@ pub fn fan_out<S: Send, R: Send>(
         }
         state
     })
+}
+
+/// [`fan_out`] over `0..total` one cycle of `cycle` indices at a time, for
+/// a caller whose indices share state at that distance: the scanners'
+/// source ports repeat every cycle, and a host's server keys its flows by
+/// source port. Regions run indices up to n/W apart at once, so within one
+/// fan-out two indices a cycle apart could be live together, and what each
+/// saw would depend on W. Cycles run one after the other, as at one worker;
+/// after each, `cycle_done` gets its workers' states and counts (as
+/// [`fan_out`] returns them) before the next cycle's workers start.
+/// Returns the results in index order.
+pub fn fan_out_cycles<S: Send, R: Send>(
+    total: usize,
+    cycle: usize,
+    workers: usize,
+    worker_state: impl Fn() -> S + Sync,
+    per_index: impl Fn(&mut S, usize) -> R + Sync,
+    mut cycle_done: impl FnMut(Vec<(S, usize)>),
+) -> Vec<R> {
+    let cycle = cycle.max(1);
+    let mut results = Vec::new();
+    let mut start = 0;
+    loop {
+        let len = cycle.min(total - start);
+        let (part, per_worker) = fan_out(len, workers, &worker_state, |state, i| {
+            per_index(state, start + i)
+        });
+        cycle_done(per_worker);
+        // The first cycle's vector is moved, not copied: a call of one cycle
+        // holds its results once.
+        if results.is_empty() {
+            results = part;
+        } else {
+            results.extend(part);
+        }
+        start += len;
+        if start >= total {
+            return results;
+        }
+    }
 }
 
 /// The pool under [`fan_out`], for a worker that interleaves several
@@ -445,6 +486,44 @@ mod tests {
             );
             assert!(out.iter().enumerate().all(|(k, (i, _))| k == *i));
             assert!(out[0].1 > 32, "index 0 finished {}th", out[0].1);
+        }
+    }
+
+    /// Cycles run whole, one after the other: no index of a cycle starts
+    /// before every index of the one before it is done, and each cycle's
+    /// states reach `cycle_done` in between.
+    #[test]
+    fn fan_out_cycles_runs_one_cycle_at_a_time() {
+        for (total, cycle, workers) in [
+            (0usize, 7usize, 2usize),
+            (10, 3, 4),
+            (1000, 64, 8),
+            (5, 10, 2),
+        ] {
+            let done = AtomicUsize::new(0);
+            let mut cycles = Vec::new();
+            let out = fan_out_cycles(
+                total,
+                cycle,
+                workers,
+                || (),
+                |_, i| {
+                    assert!(
+                        done.load(Ordering::SeqCst) >= i / cycle * cycle,
+                        "{i} ran early"
+                    );
+                    done.fetch_add(1, Ordering::SeqCst);
+                    i * 3
+                },
+                |per_worker| {
+                    cycles.push(per_worker.iter().map(|(_, n)| n).sum::<usize>());
+                },
+            );
+            assert_eq!(out, (0..total).map(|i| i * 3).collect::<Vec<_>>());
+            let expected: Vec<usize> = (0..total.div_ceil(cycle).max(1))
+                .map(|c| cycle.min(total - c * cycle))
+                .collect();
+            assert_eq!(cycles, expected, "{total} in cycles of {cycle}");
         }
     }
 

@@ -25,7 +25,7 @@ pub use addr::{IpAddr, Prefix, SocketAddr};
 pub use clock::{Duration, ShardClock, SimClock, SimTime, VirtualClock};
 pub use datagrams::Datagrams;
 pub use endpoints::{LazyBinder, LazyStats};
-pub use fanout::{fan_out, fan_out_pulled, StealQueue};
+pub use fanout::{fan_out, fan_out_cycles, fan_out_pulled, StealQueue};
 pub use fault::{LinkProfile, ReplyRateLimit};
 pub use net::{
     DatagramArena, FlightStatus, LockCounters, NetShard, Network, ServiceCtx, TcpAction,
